@@ -12,17 +12,22 @@ package orwlplace_test
 // as a reproduction log.
 
 import (
+	"context"
 	"net"
+	"runtime"
 	"testing"
 
+	"orwlplace"
 	"orwlplace/internal/apps/livermore"
 	"orwlplace/internal/apps/matmul"
 	"orwlplace/internal/apps/tracking"
 	"orwlplace/internal/comm"
+	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/experiments"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/orwlnet"
 	"orwlplace/internal/perfsim"
+	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
 )
@@ -534,5 +539,105 @@ func BenchmarkPerfsimSimulate(b *testing.B) {
 		if _, err := perfsim.Simulate(top, w, pl); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- The fleet report seam ---------------------------------------------
+
+// fleetReportRig leases a tasks-task program on an in-process daemon
+// (fleet1k behind a control plane, loopback TCP) and returns the loop
+// plus a function recording one window of neighbour traffic: every task
+// exchanges with its 7 successors, 14 nonzeros a row.
+func fleetReportRig(tb testing.TB, tasks int) (*orwlplace.FleetAdaptive, func()) {
+	tb.Helper()
+	fleet := placement.NewMultiService()
+	if err := fleet.AddMachine("fleet1k", topology.Fleet1K()); err != nil {
+		tb.Fatal(err)
+	}
+	ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{StaleAfter: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := orwlnet.NewServer(lis, nil, orwlnet.WithPlacement(fleet), orwlnet.WithControlPlane(ctrl))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve() // returns once Close shuts the listener
+	}()
+	ctx := context.Background()
+	rs, err := orwlplace.DialPlacement(ctx, lis.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		rs.Close()
+		srv.Close()
+		<-served
+	})
+	prog := orwl.MustProgram(tasks)
+	fa, err := orwlplace.NewFleetAdaptive(ctx, rs, prog, orwlplace.FleetAdaptiveConfig{Peer: "bench"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fa, func() {
+		tr := prog.Traffic()
+		for i := 0; i < tasks; i++ {
+			for k := 1; k <= 7; k++ {
+				j := (i + k) % tasks
+				tr.Record(i, j, 1<<16)
+				tr.Record(j, i, 1<<12)
+			}
+		}
+	}
+}
+
+// BenchmarkFleetReport1024 is one FleetAdaptive.Report of a 1024-task
+// program's 14k-nonzero window: snapshot, encode, loopback, decode and
+// collector merge.
+func BenchmarkFleetReport1024(b *testing.B) {
+	fa, record := fleetReportRig(b, 1024)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		record()
+		b.StartTimer()
+		if err := fa.Report(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFleetReport1024StaysSparse is the n² tripwire on the report path:
+// client and daemon together allocate under 2 MB for one 1024-task
+// report (it was about 16 MB while the window crossed as a dense
+// matrix, which is 8 MB a copy), so a Dense() sneaking back in fails
+// here and not only in the benchmark.
+func TestFleetReport1024StaysSparse(t *testing.T) {
+	fa, record := fleetReportRig(t, 1024)
+	ctx := context.Background()
+	report := func() uint64 {
+		record()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := fa.Report(ctx); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	report() // sizes the pooled buffers and the window baseline
+	if got := report(); got >= 2<<20 {
+		t.Fatalf("one 1024-task report allocated %d bytes, want < 2 MiB", got)
+	} else {
+		t.Logf("one 1024-task report allocated %d KiB", got>>10)
 	}
 }

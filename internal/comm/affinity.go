@@ -4,7 +4,7 @@ import "math"
 
 // Affinity is the representation-independent surface of a communication
 // matrix: the operations the mapping pipeline actually needs, satisfied
-// by both the dense *Matrix and the hash-of-rows *Sparse. Callers that
+// by both the dense *Matrix and the sorted-rows *Sparse. Callers that
 // hold an Affinity never commit to an O(n²) layout — a 10k-task program
 // whose tasks each talk to a handful of neighbours stays O(nnz) end to
 // end (extraction, symmetrization, partitioning, aggregation,
@@ -55,7 +55,7 @@ type Affinity interface {
 // DenseOrderThreshold is the order up to which NewAffinity picks the
 // dense representation: below it the flat n² slab (2 MiB of float64 at
 // 512) wins on constant factors and cache behaviour, above it the
-// hash-of-rows representation keeps memory O(nnz). The crossover is a
+// sorted-rows representation keeps memory O(nnz). The crossover is a
 // density argument — observed HPC communication graphs hold O(n)
 // nonzeros, so at 512+ tasks the dense slab is overwhelmingly zeros.
 const DenseOrderThreshold = 512
@@ -68,6 +68,22 @@ func NewAffinity(n int) Affinity {
 		return NewMatrix(n)
 	}
 	return NewSparse(n)
+}
+
+// NilAffinity reports whether a holds no matrix: the nil interface, or
+// a nil *Matrix / *Sparse wrapped in it — which a plain a == nil misses
+// as soon as a caller passes a typed nil pointer through an Affinity
+// parameter.
+func NilAffinity(a Affinity) bool {
+	switch v := a.(type) {
+	case nil:
+		return true
+	case *Matrix:
+		return v == nil
+	case *Sparse:
+		return v == nil
+	}
+	return false
 }
 
 // Dense-side conformance. Order/At/Set/Add/AddSym/Total/Reset/

@@ -118,6 +118,21 @@ func FuzzSparseDenseEquivalence(f *testing.F) {
 		sparse := NewSparse(n)
 		applyOps(data[1:], dense, sparse)
 		checkEquivalent(t, dense, sparse)
+
+		// The same sequence into rows carved out of one slab, each
+		// reserved a single entry so most of them outgrow it: a row
+		// growing must never write into its neighbour's storage.
+		ones := make([]int, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		sized := NewSparseSized(ones)
+		applyOps(data[1:], NewMatrix(n), sized)
+		checkEquivalent(t, dense, sized)
+		// And a clone (also slab-backed) is independent of its source.
+		clone := sparse.Clone()
+		applyOps(data[1:], NewMatrix(n), clone)
+		checkEquivalent(t, dense, sparse)
 	})
 }
 
@@ -147,6 +162,55 @@ func TestNewAffinityRepresentation(t *testing.T) {
 	}
 	if _, ok := NewAffinity(DenseOrderThreshold + 1).(*Sparse); !ok {
 		t.Fatalf("NewAffinity(%d) not sparse", DenseOrderThreshold+1)
+	}
+}
+
+// TestNewSparseSized: reserved rows fill without reallocating, in any
+// column order, and a row pushed past its reservation moves out of the
+// shared slab instead of overwriting the next row.
+func TestNewSparseSized(t *testing.T) {
+	s := NewSparseSized([]int{2, 0, 3})
+	if s.Order() != 3 || s.NNZ() != 0 {
+		t.Fatalf("fresh sized sparse: order %d nnz %d", s.Order(), s.NNZ())
+	}
+	s.Set(2, 2, 9)
+	s.Set(2, 0, 7)
+	s.Set(2, 1, 8)
+	s.Set(0, 2, 2)
+	s.Set(0, 0, 1)
+	allocs := testing.AllocsPerRun(10, func() {
+		s.Set(0, 0, 1)
+		s.Add(2, 1, 1)
+		s.Add(2, 1, -1)
+	})
+	if allocs != 0 {
+		t.Fatalf("updates inside the reservation allocate %v times", allocs)
+	}
+	s.Set(0, 1, 1.5) // row 0 outgrows its two reserved entries
+	s.Set(1, 1, 4)   // row 1 had none
+	want := [][3]float64{{0, 0, 1}, {0, 1, 1.5}, {0, 2, 2}, {1, 1, 4}, {2, 0, 7}, {2, 1, 8}, {2, 2, 9}}
+	var got [][3]float64
+	s.ForEach(func(i, j int, v float64) { got = append(got, [3]float64{float64(i), float64(j), v}) })
+	if len(got) != len(want) {
+		t.Fatalf("cells %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("cells %v, want %v (row-major ascending)", got, want)
+		}
+	}
+}
+
+func TestNilAffinity(t *testing.T) {
+	for _, a := range []Affinity{nil, (*Matrix)(nil), (*Sparse)(nil)} {
+		if !NilAffinity(a) {
+			t.Errorf("NilAffinity(%T) = false", a)
+		}
+	}
+	for _, a := range []Affinity{NewMatrix(0), NewSparse(0)} {
+		if NilAffinity(a) {
+			t.Errorf("NilAffinity(%T) = true for an empty matrix", a)
+		}
 	}
 }
 

@@ -5,23 +5,33 @@ import (
 	"sort"
 )
 
-// Sparse is a hash-of-rows communication matrix: each row is a map from
-// column index to volume, so storage and iteration are O(nnz) instead
-// of O(n²). It implements the same Affinity surface as the dense
-// *Matrix and mirrors its *Into scratch variants; the two
-// representations are interchangeable and decision-identical (see
+// Sparse is a row-compressed communication matrix: each row holds its
+// nonzeros as a column-sorted slice, so storage and iteration are
+// O(nnz) instead of O(n²), iteration is in row-major ascending order
+// with no per-call sorting, and nothing on the read or the append path
+// hashes. It implements the same Affinity surface as the dense *Matrix
+// and mirrors its *Into scratch variants; the two representations are
+// interchangeable and decision-identical (see
 // FuzzSparseDenseEquivalence).
+//
+// Appending past a row's last column is O(1); an insert in the middle
+// of a row shifts its tail, so filling one row of k nonzeros in random
+// column order costs O(k²) moves — negligible for the handful of
+// neighbours a task talks to, and bulk producers that know the row
+// sizes up front use NewSparseSized.
 //
 // Exact zeros are not stored: Set with 0 and Add sequences that cancel
 // to 0 delete the entry, so NNZ and iteration reflect the true nonzero
 // structure.
 type Sparse struct {
 	n    int
-	rows []map[int]float64
-	// cols is per-call scratch for ascending-order row iteration; reused
-	// across ForEachRow calls, which makes Sparse (like Matrix) unsafe
-	// for concurrent use.
-	cols []int
+	rows [][]sparseEntry
+}
+
+// sparseEntry is one stored nonzero of a row.
+type sparseEntry struct {
+	j int
+	v float64
 }
 
 // NewSparse returns an n x n zero sparse matrix.
@@ -29,34 +39,84 @@ func NewSparse(n int) *Sparse {
 	if n < 0 {
 		n = 0
 	}
-	return &Sparse{n: n, rows: make([]map[int]float64, n)}
+	return &Sparse{n: n, rows: make([][]sparseEntry, n)}
+}
+
+// NewSparseSized returns a zero sparse matrix of order len(rowNNZ)
+// whose row i has room for rowNNZ[i] nonzeros, carved out of one
+// allocation: a producer that counted its rows (a wire decoder, a
+// window snapshot) then fills them without growing anything. Rows may
+// still grow past the reservation; they reallocate on their own.
+func NewSparseSized(rowNNZ []int) *Sparse {
+	total := 0
+	for _, k := range rowNNZ {
+		total += k
+	}
+	s := NewSparse(len(rowNNZ))
+	slab := make([]sparseEntry, total)
+	for i, k := range rowNNZ {
+		s.rows[i] = slab[:0:k]
+		slab = slab[k:]
+	}
+	return s
 }
 
 // Order returns the matrix order.
 func (s *Sparse) Order() int { return s.n }
 
+// find returns the position of column j in row i, or where it would be
+// inserted. The append position is checked first: bulk fills arrive in
+// ascending column order.
+func (s *Sparse) find(i, j int) (int, bool) {
+	r := s.rows[i]
+	if len(r) == 0 || r[len(r)-1].j < j {
+		return len(r), false
+	}
+	lo, hi := 0, len(r)-1 // r[hi].j >= j
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r[mid].j < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, r[lo].j == j
+}
+
+// put stores v at position pos of row i: overwriting (found), deleting
+// (found, v == 0) or inserting (not found, v != 0).
+func (s *Sparse) put(i, pos int, found bool, j int, v float64) {
+	r := s.rows[i]
+	switch {
+	case found && v == 0:
+		s.rows[i] = append(r[:pos], r[pos+1:]...)
+	case found:
+		r[pos].v = v
+	case v != 0:
+		if cap(r) == 0 {
+			// A task that talks at all talks to a few neighbours: start
+			// the row there instead of growing it 1, 2, 4, 8.
+			r = make([]sparseEntry, 0, 8)
+		}
+		r = append(r, sparseEntry{})
+		copy(r[pos+1:], r[pos:])
+		r[pos] = sparseEntry{j: j, v: v}
+		s.rows[i] = r
+	}
+}
+
 // At returns entry (i,j).
 func (s *Sparse) At(i, j int) float64 {
-	if r := s.rows[i]; r != nil {
-		return r[j]
+	if pos, ok := s.find(i, j); ok {
+		return s.rows[i][pos].v
 	}
 	return 0
 }
 
 // Set stores v at (i,j), deleting the entry when v is zero.
 func (s *Sparse) Set(i, j int, v float64) {
-	if v == 0 {
-		if r := s.rows[i]; r != nil {
-			delete(r, j)
-		}
-		return
-	}
-	r := s.rows[i]
-	if r == nil {
-		r = make(map[int]float64, 4)
-		s.rows[i] = r
-	}
-	r[j] = v
+	pos, found := s.find(i, j)
+	s.put(i, pos, found, j, v)
 }
 
 // Add accumulates v into (i,j).
@@ -64,17 +124,11 @@ func (s *Sparse) Add(i, j int, v float64) {
 	if v == 0 {
 		return
 	}
-	r := s.rows[i]
-	if r == nil {
-		r = make(map[int]float64, 4)
-		s.rows[i] = r
+	pos, found := s.find(i, j)
+	if found {
+		v += s.rows[i][pos].v
 	}
-	nv := r[j] + v
-	if nv == 0 {
-		delete(r, j)
-		return
-	}
-	r[j] = nv
+	s.put(i, pos, found, j, v)
 }
 
 // AddSym accumulates v into both (i,j) and (j,i).
@@ -87,12 +141,12 @@ func (s *Sparse) AddSym(i, j int, v float64) {
 	s.Add(j, i, v)
 }
 
-// Total returns the sum of all entries.
+// Total returns the sum of all entries (row-major, so deterministic).
 func (s *Sparse) Total() float64 {
 	var t float64
 	for _, r := range s.rows {
-		for _, v := range r {
-			t += v
+		for _, e := range r {
+			t += e.v
 		}
 	}
 	return t
@@ -111,69 +165,50 @@ func (s *Sparse) NNZ() int {
 func (s *Sparse) RowNNZ(i int) int { return len(s.rows[i]) }
 
 // ForEachRow calls fn for every nonzero (j, v) of row i in ascending
-// column order. Map iteration order is randomized, so the columns are
-// gathered into reused scratch and sorted — O(k log k) for a row of k
-// nonzeros.
+// column order — the stored order, so the walk neither sorts nor
+// allocates. fn must not mutate row i of the receiver.
 func (s *Sparse) ForEachRow(i int, fn func(j int, v float64)) {
-	r := s.rows[i]
-	if len(r) == 0 {
-		return
+	for _, e := range s.rows[i] {
+		fn(e.j, e.v)
 	}
-	// Claim the scratch for this call; a nested ForEachRow on the same
-	// receiver (fn iterating another row) sees nil and allocates its
-	// own, so reentrancy costs an allocation instead of corruption.
-	cols := s.cols[:0]
-	s.cols = nil
-	for j := range r {
-		cols = append(cols, j)
-	}
-	sort.Ints(cols)
-	for _, j := range cols {
-		fn(j, r[j])
-	}
-	s.cols = cols
 }
 
-// ForEach calls fn for every nonzero (i, j, v) in unspecified order
-// (rows ascending, columns in hash order — no per-row sort).
+// ForEach calls fn for every nonzero (i, j, v), row-major ascending
+// (the stored order; the Affinity contract leaves it unspecified). fn
+// must not mutate the receiver.
 func (s *Sparse) ForEach(fn func(i, j int, v float64)) {
 	for i, r := range s.rows {
-		for j, v := range r {
-			fn(i, j, v)
+		for _, e := range r {
+			fn(i, e.j, e.v)
 		}
 	}
 }
 
 // Reset returns the matrix to an n x n all-zero state, reusing the row
-// table (and the per-row maps up to the new order) so steady-state
+// table (and the per-row storage up to the new order) so steady-state
 // windows allocate nothing.
 func (s *Sparse) Reset(n int) {
 	if n < 0 {
 		n = 0
 	}
 	if cap(s.rows) < n {
-		s.rows = make([]map[int]float64, n)
+		s.rows = make([][]sparseEntry, n)
 	} else {
 		s.rows = s.rows[:n]
 		for i := range s.rows {
-			clear(s.rows[i])
+			s.rows[i] = s.rows[i][:0]
 		}
 	}
 	s.n = n
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its rows carved out of one allocation.
 func (s *Sparse) Clone() *Sparse {
 	c := NewSparse(s.n)
+	slab := make([]sparseEntry, 0, s.NNZ())
 	for i, r := range s.rows {
-		if len(r) == 0 {
-			continue
-		}
-		nr := make(map[int]float64, len(r))
-		for j, v := range r {
-			nr[j] = v
-		}
-		c.rows[i] = nr
+		slab = append(slab, r...)
+		c.rows[i] = slab[len(slab)-len(r) : len(slab) : len(slab)]
 	}
 	return c
 }
@@ -187,8 +222,8 @@ func (s *Sparse) Dense() *Matrix {
 	m := NewMatrix(s.n)
 	for i, r := range s.rows {
 		row := m.data[i*s.n : (i+1)*s.n]
-		for j, v := range r {
-			row[j] = v
+		for _, e := range r {
+			row[e.j] = e.v
 		}
 	}
 	return m
@@ -201,7 +236,7 @@ func SparseFromMatrix(m *Matrix) *Sparse {
 	for i := 0; i < m.n; i++ {
 		for j, v := range m.RowView(i) {
 			if v != 0 {
-				s.Set(i, j, v)
+				s.rows[i] = append(s.rows[i], sparseEntry{j: j, v: v})
 			}
 		}
 	}
@@ -218,12 +253,12 @@ func (s *Sparse) SymmetrizedInto(dst *Sparse) *Sparse {
 	}
 	dst.Reset(s.n)
 	for i, r := range s.rows {
-		for j, v := range r {
-			if i == j || v == 0 {
+		for _, e := range r {
+			if i == e.j {
 				continue
 			}
-			dst.Add(i, j, v)
-			dst.Add(j, i, v)
+			dst.Add(i, e.j, e.v)
+			dst.Add(e.j, i, e.v)
 		}
 	}
 	return dst
@@ -245,10 +280,8 @@ func (s *Sparse) AggregateInto(dst *Matrix, groups [][]int, groupOf []int) error
 func (s *Sparse) HeaviestPairs(limit int) []Pair {
 	pairs := make([]Pair, 0, s.NNZ())
 	for i, r := range s.rows {
-		for j, v := range r {
-			if v == 0 {
-				continue
-			}
+		for _, e := range r {
+			j, v := e.j, e.v
 			switch {
 			case j > i:
 				if vol := v + s.At(j, i); vol > 0 {

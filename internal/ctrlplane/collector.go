@@ -226,24 +226,15 @@ func (c *Collector) machineLocked(machine string) *machineState {
 	return ms
 }
 
-// Report merges one observed window (a delta since the peer's previous
-// report) into the lease's machine. The delta's order must equal the
-// lease's task count; cell (i, j) lands at (base+i, base+j). seq is
-// the peer's report sequence number: a sequence at or below the last
-// merged one is dropped without error (a retransmit after reconnect
-// must not double-count traffic).
-func (c *Collector) Report(leaseID, seq uint64, delta *comm.Matrix) error {
-	if delta == nil {
-		return fmt.Errorf("ctrlplane: nil observed window")
-	}
-	return c.ReportAffinity(leaseID, seq, delta)
-}
-
-// ReportAffinity is Report on the representation-independent surface:
-// a sparse delta merges in O(nnz), never materializing the peer's
-// task range densely.
+// ReportAffinity merges one observed window (a delta since the peer's
+// previous report) into the lease's machine, in O(nnz) whatever its
+// representation. The delta's order must equal the lease's task count;
+// cell (i, j) lands at (base+i, base+j). seq is the peer's report
+// sequence number: a sequence at or below the last merged one is
+// dropped without error (a retransmit after reconnect must not
+// double-count traffic).
 func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
-	if delta == nil {
+	if comm.NilAffinity(delta) {
 		return fmt.Errorf("ctrlplane: nil observed window")
 	}
 	c.mu.Lock()
@@ -299,27 +290,11 @@ func (c *Collector) growPendingLocked(ms *machineState) {
 	ms.pending = grown
 }
 
-// Window drains and returns the machine's merged observed delta since
-// the previous Window call — the fleet-wide analogue of one
-// TrafficWindow epoch, materialized densely for legacy consumers.
-// The returned matrix always has the machine's current global order;
-// nil means no lease has touched the machine yet. Large machines
-// should drain via WindowAffinity instead.
-func (c *Collector) Window(machine string) *comm.Matrix {
-	a := c.WindowAffinity(machine)
-	if a == nil {
-		return nil
-	}
-	if m, ok := a.(*comm.Matrix); ok {
-		return m
-	}
-	return a.Dense()
-}
-
 // WindowAffinity drains and returns the machine's merged observed
-// delta in its native representation — sparse above the dense
-// threshold, so a 10k-task fleet window is O(nnz) end to end. Nil
-// means no lease has touched the machine yet.
+// delta since the previous call — the fleet-wide analogue of one
+// TrafficWindow epoch — at the machine's current global order, sparse
+// above the dense threshold so a 10k-task fleet window is O(nnz) end
+// to end. Nil means no lease has touched the machine yet.
 func (c *Collector) WindowAffinity(machine string) comm.Affinity {
 	c.mu.Lock()
 	defer c.mu.Unlock()

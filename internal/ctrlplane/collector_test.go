@@ -29,16 +29,16 @@ func TestCollectorMergesAtLeaseOffsets(t *testing.T) {
 	}
 	// Peer a reports local (1,2); peer b reports local (0,3). In the
 	// fleet matrix they land at (1,2) and (4,7).
-	if err := c.Report(a.ID, 1, delta(4, 1, 2, 10)); err != nil {
+	if err := c.ReportAffinity(a.ID, 1, delta(4, 1, 2, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(b.ID, 1, delta(4, 0, 3, 20)); err != nil {
+	if err := c.ReportAffinity(b.ID, 1, delta(4, 0, 3, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(b.ID, 2, delta(4, 0, 3, 5)); err != nil {
+	if err := c.ReportAffinity(b.ID, 2, delta(4, 0, 3, 5)); err != nil {
 		t.Fatal(err)
 	}
-	w := c.Window("m")
+	w := c.WindowAffinity("m")
 	if w == nil || w.Order() != 8 {
 		t.Fatalf("window = %v, want order 8", w)
 	}
@@ -53,7 +53,7 @@ func TestCollectorMergesAtLeaseOffsets(t *testing.T) {
 	}
 	// Window drains: the next call sees only new traffic, at the same
 	// global order.
-	if w := c.Window("m"); w == nil || w.Total() != 0 || w.Order() != 8 {
+	if w := c.WindowAffinity("m"); w == nil || w.Total() != 0 || w.Order() != 8 {
 		t.Fatalf("drained window = %v (total %g), want empty order-8", w, w.Total())
 	}
 }
@@ -64,18 +64,18 @@ func TestCollectorSeqDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(ls.ID, 7, delta(2, 0, 1, 3)); err != nil {
+	if err := c.ReportAffinity(ls.ID, 7, delta(2, 0, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// A retransmit of the same window (same seq) and a stale reordered
 	// one must both be dropped silently.
-	if err := c.Report(ls.ID, 7, delta(2, 0, 1, 3)); err != nil {
+	if err := c.ReportAffinity(ls.ID, 7, delta(2, 0, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(ls.ID, 6, delta(2, 0, 1, 3)); err != nil {
+	if err := c.ReportAffinity(ls.ID, 6, delta(2, 0, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Window("m").At(0, 1); got != 3 {
+	if got := c.WindowAffinity("m").At(0, 1); got != 3 {
 		t.Fatalf("fleet(0,1) = %g, want 3 (duplicates merged once)", got)
 	}
 	reports, _, _ := c.Counters()
@@ -98,17 +98,17 @@ func TestCollectorStalenessEviction(t *testing.T) {
 	}
 	// live keeps reporting; dead goes silent past the window.
 	clock = clock.Add(45 * time.Second)
-	if err := c.Report(live.ID, 1, delta(2, 0, 1, 1)); err != nil {
+	if err := c.ReportAffinity(live.ID, 1, delta(2, 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(45 * time.Second)
-	if err := c.Report(live.ID, 2, delta(2, 0, 1, 1)); err != nil {
+	if err := c.ReportAffinity(live.ID, 2, delta(2, 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.Leases("m")); got != 1 {
 		t.Fatalf("live leases = %d, want 1 (dead peer evicted)", got)
 	}
-	if err := c.Report(dead.ID, 3, delta(2, 0, 1, 1)); err == nil {
+	if err := c.ReportAffinity(dead.ID, 3, delta(2, 0, 1, 1)); err == nil {
 		t.Fatal("report under an evicted lease succeeded, want refusal")
 	}
 	_, peers, evicted := c.Counters()
@@ -134,14 +134,14 @@ func TestCollectorReRegisterReplaces(t *testing.T) {
 	if first.ID == second.ID {
 		t.Fatal("re-register reused the lease id")
 	}
-	if err := c.Report(first.ID, 1, delta(2, 0, 1, 1)); err == nil {
+	if err := c.ReportAffinity(first.ID, 1, delta(2, 0, 1, 1)); err == nil {
 		t.Fatal("report under a replaced lease succeeded, want refusal")
 	}
 	if got := len(c.Leases("m")); got != 1 {
 		t.Fatalf("leases = %d, want 1", got)
 	}
 	// The fresh incarnation starts a fresh sequence space.
-	if err := c.Report(second.ID, 1, delta(4, 0, 1, 2)); err != nil {
+	if err := c.ReportAffinity(second.ID, 1, delta(4, 0, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -167,13 +167,17 @@ func TestCollectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(ls.ID, 1, delta(3, 0, 1, 1)); err == nil {
+	if err := c.ReportAffinity(ls.ID, 1, delta(3, 0, 1, 1)); err == nil {
 		t.Error("order-mismatched window accepted")
 	}
-	if err := c.Report(ls.ID+99, 1, delta(2, 0, 1, 1)); err == nil {
+	if err := c.ReportAffinity(ls.ID+99, 1, delta(2, 0, 1, 1)); err == nil {
 		t.Error("unknown lease accepted")
 	}
-	if err := c.Report(ls.ID, 1, nil); err == nil {
-		t.Error("nil window accepted")
+	// A typed nil pointer behind the interface is the same refusal, not
+	// a panic on the first method call.
+	for _, w := range []comm.Affinity{nil, (*comm.Matrix)(nil), (*comm.Sparse)(nil)} {
+		if err := c.ReportAffinity(ls.ID, 1, w); err == nil || err.Error() != "ctrlplane: nil observed window" {
+			t.Errorf("nil window (%T): err = %v", w, err)
+		}
 	}
 }

@@ -221,13 +221,8 @@ func (c *Controller) RegisterToken(machine, peer string, base, count int, token 
 	return c.col.RegisterToken(machine, peer, base, count, token)
 }
 
-// Report merges one observed window under a lease.
-func (c *Controller) Report(leaseID, seq uint64, delta *comm.Matrix) error {
-	return c.col.Report(leaseID, seq, delta)
-}
-
-// ReportAffinity merges one observed window under a lease without
-// densifying a sparse delta.
+// ReportAffinity merges one observed window under a lease, in the
+// representation it arrives in.
 func (c *Controller) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
 	return c.col.ReportAffinity(leaseID, seq, delta)
 }

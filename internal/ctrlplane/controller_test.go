@@ -94,7 +94,7 @@ func TestControllerPrimesAndAdopts(t *testing.T) {
 
 	// First traffic primes the machine: initial mapping, epoch 1.
 	ring := ringMatrix(ctrlTasks, 1<<20)
-	if err := ctrl.Report(lease.ID, 1, ring); err != nil {
+	if err := ctrl.ReportAffinity(lease.ID, 1, ring); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = ctrl.Epoch("")
@@ -113,7 +113,7 @@ func TestControllerPrimesAndAdopts(t *testing.T) {
 	}
 
 	// Same pattern again: drift-free, nothing adopted.
-	if err := ctrl.Report(lease.ID, 2, ring); err != nil {
+	if err := ctrl.ReportAffinity(lease.ID, 2, ring); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = ctrl.Epoch("fig2")
@@ -125,7 +125,7 @@ func TestControllerPrimesAndAdopts(t *testing.T) {
 	}
 
 	// The shift: clustered pattern the ring mapping is wrong for.
-	if err := ctrl.Report(lease.ID, 3, clusterMatrix(ctrlTasks, 4, 1<<20)); err != nil {
+	if err := ctrl.ReportAffinity(lease.ID, 3, clusterMatrix(ctrlTasks, 4, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = ctrl.Epoch("fig2")

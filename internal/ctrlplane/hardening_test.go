@@ -27,7 +27,7 @@ func TestLeaseOwnershipToken(t *testing.T) {
 		t.Fatalf("wrong-token displacement: err = %v, want lease conflict", err)
 	}
 	// ...and the original lease still works.
-	if err := c.Report(owned.ID, 1, comm.NewMatrix(4)); err != nil {
+	if err := c.ReportAffinity(owned.ID, 1, comm.NewMatrix(4)); err != nil {
 		t.Fatalf("owned lease broken by failed displacements: %v", err)
 	}
 	if _, conflicts := c.Abuse(); conflicts != 2 {
@@ -42,7 +42,7 @@ func TestLeaseOwnershipToken(t *testing.T) {
 	if renewed.ID == owned.ID {
 		t.Fatal("re-registration did not mint a fresh lease")
 	}
-	if err := c.Report(owned.ID, 2, comm.NewMatrix(4)); err == nil {
+	if err := c.ReportAffinity(owned.ID, 2, comm.NewMatrix(4)); err == nil {
 		t.Fatal("displaced lease still accepts reports")
 	}
 
@@ -87,11 +87,11 @@ func TestReportRateLimit(t *testing.T) {
 
 	// The burst allows 3 back-to-back reports; the 4th is throttled.
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := c.Report(spammer.ID, seq, window()); err != nil {
+		if err := c.ReportAffinity(spammer.ID, seq, window()); err != nil {
 			t.Fatalf("burst report %d: %v", seq, err)
 		}
 	}
-	err = c.Report(spammer.ID, 4, window())
+	err = c.ReportAffinity(spammer.ID, 4, window())
 	if err == nil || !strings.Contains(err.Error(), "rate limit") {
 		t.Fatalf("4th report: err = %v, want rate limit", err)
 	}
@@ -100,17 +100,17 @@ func TestReportRateLimit(t *testing.T) {
 	}
 
 	// Another lease is unaffected: the bucket is per lease.
-	if err := c.Report(polite.ID, 1, window()); err != nil {
+	if err := c.ReportAffinity(polite.ID, 1, window()); err != nil {
 		t.Fatalf("polite peer throttled by the spammer: %v", err)
 	}
 
 	// After a second the bucket has one token again — and the throttled
 	// sequence number was NOT consumed, so the retransmit still merges.
 	clock = clock.Add(time.Second)
-	if err := c.Report(spammer.ID, 4, window()); err != nil {
+	if err := c.ReportAffinity(spammer.ID, 4, window()); err != nil {
 		t.Fatalf("retransmit after refill: %v", err)
 	}
-	w := c.Window("m")
+	w := c.WindowAffinity("m")
 	if w == nil || w.At(0, 1) != 4*100 {
 		t.Fatalf("merged window lost the throttled retransmit: %+v", w)
 	}

@@ -170,7 +170,7 @@ func TestControllerSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Report(lease.ID, 1, ringMatrix(ctrlTasks, 1<<20)); err != nil {
+	if err := ctrl.ReportAffinity(lease.ID, 1, ringMatrix(ctrlTasks, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ctrl.Epoch("")
@@ -188,7 +188,7 @@ func TestControllerSnapshotRestore(t *testing.T) {
 	}
 	// The lease survives under its old ID with its sequence history:
 	// a retransmit of the already-merged window is accepted and deduped.
-	if err := restored.Report(lease.ID, 1, ringMatrix(ctrlTasks, 1<<20)); err != nil {
+	if err := restored.ReportAffinity(lease.ID, 1, ringMatrix(ctrlTasks, 1<<20)); err != nil {
 		t.Fatalf("report on restored lease: %v", err)
 	}
 	ev := restored.Latest("")
@@ -206,7 +206,7 @@ func TestControllerSnapshotRestore(t *testing.T) {
 	}
 	// The epoch counter resumes: the next adoption is stamped above the
 	// snapshotted epoch, not back at 1.
-	if err := restored.Report(lease.ID, 2, clusterMatrix(ctrlTasks, 4, 1<<20)); err != nil {
+	if err := restored.ReportAffinity(lease.ID, 2, clusterMatrix(ctrlTasks, 4, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	rep3, err := restored.Epoch("")

@@ -7,10 +7,12 @@ package ctrlplane
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
+	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
 )
 
@@ -225,4 +227,79 @@ func TestCollectorRaisedLeaseBound(t *testing.T) {
 	if got := c.MaxLeaseTasks(); got != DefaultMaxLeaseTasks {
 		t.Fatalf("reset bound = %d, want %d", got, DefaultMaxLeaseTasks)
 	}
+}
+
+// TestRestoreRefreshesPartitionBaseline: the reconciler caches its
+// drift baseline in partition form across steady epochs, so a restore
+// that rewinds the baseline must drop that form with it. The controller
+// adopts a shift, is rewound to the pre-shift snapshot while the cache
+// holds the post-shift baseline, and the next steady epoch on the
+// pre-shift pattern must measure drift 0.
+func TestRestoreRefreshesPartitionBaseline(t *testing.T) {
+	const machine, tasks = "fleet1k", 2048
+	fleet := placement.NewMultiService()
+	if err := fleet.AddMachine(machine, topology.Fleet1K()); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewController(fleet, Config{StaleAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := ctrl.Register(machine, "p", 0, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	epoch := func(step string, w comm.Affinity) *placement.EpochReport {
+		t.Helper()
+		seq++
+		if err := ctrl.ReportAffinity(lease.ID, seq, w); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ctrl.Epoch(machine)
+		if err != nil || rep == nil {
+			t.Fatalf("%s: epoch = (%v, %v)", step, rep, err)
+		}
+		return rep
+	}
+	steady := func(step string, w comm.Affinity) {
+		t.Helper()
+		if rep := epoch(step, w); rep.Drift > 1e-9 || rep.Recomputed || len(rep.PartitionDrifts) == 0 {
+			t.Fatalf("%s: steady epoch drifts %v (recomputed %v, %d partitions)", step, rep.Drift, rep.Recomputed, len(rep.PartitionDrifts))
+		}
+	}
+
+	before := comm.RingOfClusters(64, 32, 1<<20, 1<<12)
+	if rep := epoch("priming", before); !rep.Adopted {
+		t.Fatal("priming epoch not adopted")
+	}
+	steady("primed", before)
+	snap, snapSeq := ctrl.Snapshot(), seq
+
+	// Rewire one partition end to end and let the controller adopt it.
+	ts := append([]int(nil), ctrl.Latest(machine).Assignment.Partitions.Parts[1].Tasks...)
+	sort.Ints(ts)
+	in := make(map[int]bool, len(ts))
+	for _, task := range ts {
+		in[task] = true
+	}
+	after := comm.NewSparse(tasks)
+	before.ForEach(func(i, j int, v float64) {
+		if !(in[i] && in[j]) {
+			after.Set(i, j, v)
+		}
+	})
+	for k := 0; k < len(ts)/2; k++ {
+		after.AddSym(ts[k], ts[len(ts)-1-k], 1<<26)
+	}
+	if rep := epoch("shift", after); !rep.Adopted {
+		t.Fatalf("shift not adopted: drift %v gain %v cost %v", rep.Drift, rep.GainSeconds, rep.CostSeconds)
+	}
+	steady("after adoption", after) // the cached form is now after's
+
+	if err := ctrl.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	seq = snapSeq // the restored lease resumes at its snapshotted sequence
+	steady("after restore", before)
 }

@@ -19,8 +19,9 @@ import (
 // push/pop hot paths costs two uncontended atomic adds and no
 // allocation. Above the threshold a flat array would be O(n²) — 1.6 GB
 // of counters for a 10k-task program whose tasks talk to a handful of
-// neighbours each — so the recorder switches to sharded hash counters:
-// O(nnz) memory, one short mutex hold per record. Snapshots (Matrix,
+// neighbours each — so the recorder switches to sharded counters: a
+// hash from pair to a slot in append-only counter slices, O(nnz) memory,
+// one map lookup and one short mutex hold per record. Snapshots (Matrix,
 // Window, their affinity forms) walk the counters without stopping the
 // writers; the snapshot as a whole is only approximately
 // instantaneous, which is fine for a drift signal.
@@ -41,12 +42,17 @@ type Traffic struct {
 // thread counts a single process runs.
 const trafficShards = 256
 
-// trafficShard is one lock-striped slice of the sparse counters, keyed
-// by the flattened pair index from*n+to.
+// trafficShard is one lock-striped slice of the sparse counters. slot
+// maps the flattened pair index from*n+to to the pair's position in
+// three parallel slices that only grow: positions are for life, so
+// readers walk the slices without hashing and a window baseline is a
+// position-aligned copy.
 type trafficShard struct {
 	mu    sync.Mutex
-	bytes map[int64]uint64
-	ops   map[int64]uint64
+	slot  map[int64]int
+	pairs [][2]int32 // (from, to), in first-seen order
+	bytes []uint64
+	ops   []uint64
 }
 
 // newTraffic sizes a recorder for n tasks: dense counters up to
@@ -59,8 +65,7 @@ func newTraffic(n int) *Traffic {
 	} else {
 		t.shards = make([]trafficShard, trafficShards)
 		for i := range t.shards {
-			t.shards[i].bytes = make(map[int64]uint64)
-			t.shards[i].ops = make(map[int64]uint64)
+			t.shards[i].slot = make(map[int64]int)
 		}
 	}
 	t.win = t.NewWindow()
@@ -89,43 +94,17 @@ func (t *Traffic) Record(from, to, b int) {
 	}
 	sh := &t.shards[i&(trafficShards-1)]
 	sh.mu.Lock()
-	sh.bytes[i] += uint64(b)
-	sh.ops[i]++
+	k, ok := sh.slot[i]
+	if !ok {
+		k = len(sh.pairs)
+		sh.slot[i] = k
+		sh.pairs = append(sh.pairs, [2]int32{int32(from), int32(to)})
+		sh.bytes = append(sh.bytes, 0)
+		sh.ops = append(sh.ops, 0)
+	}
+	sh.bytes[k] += uint64(b)
+	sh.ops[k]++
 	sh.mu.Unlock()
-}
-
-// forEachBytes visits every nonzero cumulative byte counter.
-func (t *Traffic) forEachBytes(fn func(idx int64, v uint64)) {
-	if t.shards == nil {
-		for i := range t.bytes {
-			if v := t.bytes[i].Load(); v != 0 {
-				fn(int64(i), v)
-			}
-		}
-		return
-	}
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for i, v := range sh.bytes {
-			if v != 0 {
-				fn(i, v)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// loadBytes reads one cumulative byte counter.
-func (t *Traffic) loadBytes(idx int64) uint64 {
-	if t.shards == nil {
-		return t.bytes[idx].Load()
-	}
-	sh := &t.shards[idx&(trafficShards-1)]
-	sh.mu.Lock()
-	v := sh.bytes[idx]
-	sh.mu.Unlock()
-	return v
 }
 
 // Affinity returns the cumulative observed communication as an
@@ -133,10 +112,19 @@ func (t *Traffic) loadBytes(idx int64) uint64 {
 // snapshot a 10k-task program's placement loop consumes.
 func (t *Traffic) Affinity() comm.Affinity {
 	a := comm.NewAffinity(t.n)
-	n64 := int64(t.n)
-	t.forEachBytes(func(idx int64, v uint64) {
-		a.Set(int(idx/n64), int(idx%n64), float64(v))
-	})
+	for i := range t.bytes { // dense mode
+		if v := t.bytes[i].Load(); v != 0 {
+			a.Set(i/t.n, i%t.n, float64(v))
+		}
+	}
+	for s := range t.shards { // sparse mode
+		sh := &t.shards[s]
+		sh.mu.Lock()
+		for k, v := range sh.bytes {
+			a.Set(int(sh.pairs[k][0]), int(sh.pairs[k][1]), float64(v))
+		}
+		sh.mu.Unlock()
+	}
 	return a
 }
 
@@ -144,14 +132,7 @@ func (t *Traffic) Affinity() comm.Affinity {
 // (i, j) holds the bytes moved from task i to task j since the
 // program started. Above the dense threshold this materializes n²
 // cells — large-scale consumers should use Affinity instead.
-func (t *Traffic) Matrix() *comm.Matrix {
-	m := comm.NewMatrix(t.n)
-	n64 := int64(t.n)
-	t.forEachBytes(func(idx int64, v uint64) {
-		m.Set(int(idx/n64), int(idx%n64), float64(v))
-	})
-	return m
-}
+func (t *Traffic) Matrix() *comm.Matrix { return t.Affinity().Dense() }
 
 // TrafficWindow carves the recorder's cumulative counters into
 // disjoint epochs for one consumer: each Next call returns the
@@ -162,44 +143,90 @@ func (t *Traffic) Matrix() *comm.Matrix {
 type TrafficWindow struct {
 	t *Traffic
 
-	mu   sync.Mutex
-	base map[int64]uint64 // cumulative byte counts at the previous Next call
+	mu sync.Mutex
+	// base holds the cumulative byte counts at the previous Next call,
+	// position-aligned with the recorder's counters so advancing never
+	// hashes: base[0] mirrors the flat n x n array in dense mode, base[s]
+	// shard s's slices (growing with them) in sparse mode.
+	base [][]uint64
+	// Sparse-mode scratch, reused across calls: the epoch's nonzeros are
+	// gathered under the shard locks, the snapshot built outside them.
+	cells  []windowCell
+	rowNNZ []int
+}
+
+// windowCell is one gathered nonzero of an epoch.
+type windowCell struct {
+	from, to int32
+	bytes    uint64
 }
 
 // NewWindow returns an independent epoch window over the recorder
 // with an empty baseline: the first Next returns everything recorded
 // since the program started.
 func (t *Traffic) NewWindow() *TrafficWindow {
-	return &TrafficWindow{t: t, base: make(map[int64]uint64)}
+	w := &TrafficWindow{t: t}
+	if t.shards == nil {
+		w.base = [][]uint64{make([]uint64, t.n*t.n)}
+	} else {
+		w.base = make([][]uint64, trafficShards)
+		w.rowNNZ = make([]int, t.n)
+	}
+	return w
 }
 
 // NextAffinity returns the observed affinity of the epoch since the
 // previous call (or since the start, on the first call) and advances
-// the window baseline. O(nnz) in both time and memory.
+// the window baseline. The snapshot is the caller's own, frozen, sized
+// exactly. O(nnz) in sparse mode; dense mode reads its n² counters once.
 func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	t := w.t
-	a := comm.NewAffinity(t.n)
-	n64 := int64(t.n)
-	t.forEachBytes(func(idx int64, cur uint64) {
-		if d := cur - w.base[idx]; d != 0 {
-			a.Set(int(idx/n64), int(idx%n64), float64(d))
+	if t.shards == nil {
+		m := comm.NewMatrix(t.n)
+		base := w.base[0]
+		for i := 0; i < t.n; i++ {
+			row, off := m.RowView(i), i*t.n
+			for j := range row {
+				cur := t.bytes[off+j].Load()
+				row[j] = float64(cur - base[off+j])
+				base[off+j] = cur
+			}
 		}
-		w.base[idx] = cur
-	})
+		return m
+	}
+	cells := w.cells[:0]
+	clear(w.rowNNZ)
+	for s := range t.shards {
+		sh := &t.shards[s]
+		base := w.base[s]
+		sh.mu.Lock()
+		for k, cur := range sh.bytes {
+			if k == len(base) {
+				base = append(base, 0)
+			}
+			if d := cur - base[k]; d != 0 {
+				p := sh.pairs[k]
+				cells = append(cells, windowCell{from: p[0], to: p[1], bytes: d})
+				w.rowNNZ[p[0]]++
+				base[k] = cur
+			}
+		}
+		sh.mu.Unlock()
+		w.base[s] = base
+	}
+	w.cells = cells
+	a := comm.NewSparseSized(w.rowNNZ)
+	for _, c := range cells {
+		a.Set(int(c.from), int(c.to), float64(c.bytes))
+	}
 	return a
 }
 
 // Next is NextAffinity materialized densely — the original epoch
 // surface, kept for consumers that still run on *comm.Matrix.
-func (w *TrafficWindow) Next() *comm.Matrix {
-	a := w.NextAffinity()
-	if m, ok := a.(*comm.Matrix); ok {
-		return m
-	}
-	return a.Dense()
-}
+func (w *TrafficWindow) Next() *comm.Matrix { return w.NextAffinity().Dense() }
 
 // Window advances the recorder's default window — a convenience for
 // single-consumer programs. Independent consumers must use NewWindow:
@@ -221,11 +248,9 @@ func (t *Traffic) Totals() (bytes, ops uint64) {
 	for s := range t.shards {
 		sh := &t.shards[s]
 		sh.mu.Lock()
-		for _, v := range sh.bytes {
-			bytes += v
-		}
-		for _, v := range sh.ops {
-			ops += v
+		for k := range sh.bytes {
+			bytes += sh.bytes[k]
+			ops += sh.ops[k]
 		}
 		sh.mu.Unlock()
 	}
@@ -244,9 +269,11 @@ func (t *Traffic) Ops(from, to int) uint64 {
 	}
 	sh := &t.shards[i&(trafficShards-1)]
 	sh.mu.Lock()
-	v := sh.ops[i]
-	sh.mu.Unlock()
-	return v
+	defer sh.mu.Unlock()
+	if k, ok := sh.slot[i]; ok {
+		return sh.ops[k]
+	}
+	return 0
 }
 
 // Traffic exposes the program's traffic recorder, so DFG primitives
@@ -269,3 +296,8 @@ func (p *Program) ObservedAffinity() comm.Affinity { return p.traffic.Affinity()
 // ObservedWindow call and starts a new window — the epoch snapshots an
 // adaptive placement loop consumes.
 func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.Window() }
+
+// ObservedWindowAffinity is ObservedWindow on the representation-
+// independent surface (both advance the same default window): above
+// the dense threshold the epoch is a sparse snapshot, never n² cells.
+func (p *Program) ObservedWindowAffinity() comm.Affinity { return p.traffic.win.NextAffinity() }

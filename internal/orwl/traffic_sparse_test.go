@@ -1,7 +1,7 @@
 package orwl
 
 // Tests for the recorder's sparse mode: above comm.DenseOrderThreshold
-// tasks the counters live in lock-striped hash shards instead of a flat
+// tasks the counters live in lock-striped shards instead of a flat
 // n² array, and every snapshot surface must behave exactly like the
 // dense mode's.
 
@@ -101,5 +101,105 @@ func TestTrafficSparseConcurrentRecord(t *testing.T) {
 	}
 	if got := tr.Affinity().At(0, n-1); got != float64(workers*perWorker) {
 		t.Fatalf("hot pair = %g, want %d", got, workers*perWorker)
+	}
+}
+
+// TestTrafficWindowsTrackGrowingShards: a window's baseline mirrors the
+// recorder's counters position for position, so pairs first seen after
+// a baseline was taken (the shard slices outgrow it), windows created
+// at different times, and both recorder modes must all carve the same
+// disjoint epochs. Snapshots are frozen and their rows ascend.
+func TestTrafficWindowsTrackGrowingShards(t *testing.T) {
+	for _, n := range []int{8, comm.DenseOrderThreshold + 64} {
+		tr := newTraffic(n)
+		early := tr.NewWindow()
+		for j := n - 1; j > 0; j -= 2 { // descending: rows must come out sorted
+			tr.Record(0, j, 10)
+		}
+		first := early.NextAffinity()
+		if want := float64(10 * (n / 2)); first.Total() != want {
+			t.Fatalf("order %d: first epoch total %g, want %g", n, first.Total(), want)
+		}
+		last := -1
+		first.ForEachRow(0, func(j int, _ float64) {
+			if j <= last {
+				t.Fatalf("order %d: row 0 not ascending (%d after %d)", n, j, last)
+			}
+			last = j
+		})
+
+		late := tr.NewWindow() // empty baseline: sees the whole history
+		tr.Record(0, n-1, 5)   // a pair both baselines know
+		tr.Record(n-1, 1, 3)   // a pair neither has seen: its shard grew
+		if first.At(0, n-1) != 10 || first.At(n-1, 1) != 0 {
+			t.Fatalf("order %d: a returned snapshot changed under later records", n)
+		}
+		second := early.NextAffinity()
+		if second.NNZ() != 2 || second.At(0, n-1) != 5 || second.At(n-1, 1) != 3 {
+			t.Fatalf("order %d: second epoch nnz %d, (0,%d)=%g, (%d,1)=%g", n, second.NNZ(), n-1, second.At(0, n-1), n-1, second.At(n-1, 1))
+		}
+		all := late.NextAffinity()
+		if all.At(0, n-1) != 15 || all.At(n-1, 1) != 3 || all.Total() != first.Total()+8 {
+			t.Fatalf("order %d: late window total %g, want the full history %g", n, all.Total(), first.Total()+8)
+		}
+		if early.NextAffinity().Total() != 0 || late.NextAffinity().Total() != 0 {
+			t.Fatalf("order %d: idle epochs are not empty", n)
+		}
+	}
+}
+
+// TestObservedWindowAffinitySharesDefaultWindow: ObservedWindow and
+// ObservedWindowAffinity advance one window — an epoch goes to
+// whichever is called first, in the representation asked for.
+func TestObservedWindowAffinitySharesDefaultWindow(t *testing.T) {
+	p := MustProgram(comm.DenseOrderThreshold + 1)
+	p.Traffic().Record(1, 2, 40)
+	a := p.ObservedWindowAffinity()
+	if _, ok := a.(*comm.Sparse); !ok || a.At(1, 2) != 40 {
+		t.Fatalf("affinity epoch is %T with (1,2)=%g", a, a.At(1, 2))
+	}
+	if m := p.ObservedWindow(); m.Total() != 0 {
+		t.Fatalf("dense epoch after the affinity one holds %g bytes, want 0", m.Total())
+	}
+	p.Traffic().Record(1, 2, 2)
+	if m := p.ObservedWindow(); m.At(1, 2) != 2 {
+		t.Fatalf("dense epoch (1,2) = %g, want 2", m.At(1, 2))
+	}
+	if a := p.ObservedWindowAffinity(); a.Total() != 0 {
+		t.Fatalf("affinity epoch after the dense one holds %g bytes, want 0", a.Total())
+	}
+}
+
+// TestTrafficWindowConcurrentWithRecord: windows advance while writers
+// record (run under -race); every byte lands in exactly one epoch.
+func TestTrafficWindowConcurrentWithRecord(t *testing.T) {
+	n := comm.DenseOrderThreshold + 10
+	tr := newTraffic(n)
+	w := tr.NewWindow()
+	const workers, perWorker = 4, 2000
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tr.Record(k, (k+1+i%50)%n, 2)
+			}
+		}(k)
+	}
+	var seen float64
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		seen += w.NextAffinity().Total()
+	}
+	seen += w.NextAffinity().Total()
+	if want := float64(workers * perWorker * 2); seen != want {
+		t.Fatalf("epochs sum to %g bytes, want %g", seen, want)
 	}
 }

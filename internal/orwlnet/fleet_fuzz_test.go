@@ -28,29 +28,45 @@ func FuzzObservedReportDecode(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2]) // truncated mid-matrix
 	}
+	big := comm.NewSparse(600) // above the dense threshold: decodes sparse
+	for i := 0; i < 600; i++ {
+		big.Set(i, (i+1)%600, float64(i+1))
+	}
+	if seed, err := encodeObservedReport(nil, schemaFleet, 2, 9, big); err == nil {
+		f.Add(seed)
+	}
 	f.Add([]byte{})
 	f.Add(putUvarint(putUvarint([]byte{5}, 1<<40), 1<<40))
+	// One triplet claiming every cell of an order-600 matrix.
+	f.Add([]byte{5, 1, 1, matSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		leaseID, seq, delta, err := decodeObservedReport(data)
+		leaseID, seq, delta, err := decodeObservedReport(data, 0)
 		if err != nil {
 			return
 		}
-		if delta == nil {
+		if comm.NilAffinity(delta) {
 			t.Fatal("accepted report without a matrix")
+		}
+		// The allocation bound: nothing decodes into more than a dense
+		// order-n matrix, so a sparse result holds at most n²/8 nonzeros.
+		if n := delta.Order(); n > maxMatrixOrder {
+			t.Fatalf("accepted order %d", n)
+		} else if sp, ok := delta.(*comm.Sparse); ok && (n <= comm.DenseOrderThreshold || sp.NNZ() > n*n/8) {
+			t.Fatalf("order %d with %d nonzeros decoded sparse", n, sp.NNZ())
 		}
 		re, err := encodeObservedReport(nil, schemaFleet, leaseID, seq, delta)
 		if err != nil {
 			t.Fatalf("accepted report does not re-encode: %v", err)
 		}
-		l2, s2, d2, err := decodeObservedReport(re)
+		l2, s2, d2, err := decodeObservedReport(re, 0)
 		if err != nil {
 			t.Fatalf("re-encoded report rejected: %v", err)
 		}
 		if l2 != leaseID || s2 != seq {
 			t.Fatalf("lease/seq changed across round trip: (%d,%d) -> (%d,%d)", leaseID, seq, l2, s2)
 		}
-		if comm.Fingerprint(d2) != comm.Fingerprint(delta) {
-			t.Fatal("matrix fingerprint changed across round trip")
+		if diff := diffCells(delta, d2); diff != "" {
+			t.Fatalf("cells changed across round trip: %s", diff)
 		}
 	})
 }

@@ -1,7 +1,10 @@
 package orwlnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"orwlplace/internal/comm"
@@ -110,12 +113,12 @@ func decodeFleetLeaseResponse(src []byte) (uint64, error) {
 	return id, err
 }
 
-// encodeObservedReport frames one observed-traffic window delta. The
-// matrix crosses in the schema v4 compact encoding (sparse or dense,
-// whichever is smaller) — observed windows are usually even sparser
-// than declared matrices.
-func encodeObservedReport(dst []byte, schema int, leaseID, seq uint64, delta *comm.Matrix) ([]byte, error) {
-	if delta == nil {
+// encodeObservedReport frames one observed-traffic window delta in the
+// schema v4 compact matrix encoding (sparse or dense, whichever is
+// smaller), straight from the affinity: a sparse window is never
+// densified.
+func encodeObservedReport(dst []byte, schema int, leaseID, seq uint64, delta comm.Affinity) ([]byte, error) {
+	if comm.NilAffinity(delta) {
 		return nil, fmt.Errorf("orwlnet: nil observed window")
 	}
 	dst, _, err := putWireVersion(dst, schema)
@@ -124,14 +127,71 @@ func encodeObservedReport(dst []byte, schema int, leaseID, seq uint64, delta *co
 	}
 	dst = putUvarint(dst, leaseID)
 	dst = putUvarint(dst, seq)
-	return putMatrixCompact(dst, delta), nil
+	if m, ok := delta.(*comm.Matrix); ok {
+		// The dense scan as is — it also keeps -0 cells bit-exact, which
+		// no sparse affinity holds.
+		return putMatrixCompact(dst, m), nil
+	}
+	return putAffinityCompact(dst, delta), nil
 }
 
-// decodeObservedReport decodes a report frame. Fingerprint-only matrix
-// references are refused (nil matrix table): a report is a one-shot
-// delta, never worth a round trip to resolve, and remembering every
-// peer's windows would churn the placement seen-matrix table.
-func decodeObservedReport(src []byte) (leaseID, seq uint64, delta *comm.Matrix, err error) {
+// putAffinityCompact emits the bytes putMatrixCompact emits for
+// a.Dense() without visiting a zero cell: it walks the row-sorted
+// nonzeros, a run extends while the next one is the adjacent cell of
+// the same row with the same bits, and a run's zero-gap is its cell
+// index minus the end of the previous run.
+func putAffinityCompact(dst []byte, a comm.Affinity) []byte {
+	n := a.Order()
+	start := len(dst)
+	dst = putUvarint(append(dst, matSparse), uint64(n))
+	// The run count precedes the triplets but is known only after the
+	// walk: leave room for the longest varint, close the gap at the end.
+	hole := len(dst)
+	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
+	var runs, runBits uint64
+	var end, runAt, runCol, runLen int // end: one past the previous run
+	flush := func() {
+		if runLen > 0 {
+			dst = putUvarint(dst, uint64(runAt-end))
+			dst = putUvarint(dst, uint64(runLen))
+			dst = putUvarint(dst, bits.ReverseBytes64(runBits))
+			end, runLen = runAt+runLen, 0
+			runs++
+		}
+	}
+	for i := 0; i < n; i++ {
+		a.ForEachRow(i, func(j int, v float64) {
+			if b := math.Float64bits(v); runLen == 0 || j != runCol+runLen || b != runBits {
+				flush()
+				runAt, runCol, runBits = i*n+j, j, b
+			}
+			runLen++
+		})
+		flush() // a run never crosses a row boundary
+	}
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], runs)
+	if len(dst)-hole-len(count)+uvarintLen(uint64(n))+k >= 8+8*n*n {
+		// Dense is no larger: the choice putMatrixCompact makes.
+		return putMatrixDenseBody(append(dst[:start], matDense), a.Dense())
+	}
+	copy(dst[hole:], count[:k])
+	return append(dst[:hole+k], dst[hole+len(count):]...)
+}
+
+// decodeObservedReport decodes a report frame into the representation
+// comm.NewAffinity picks for its order, refusing an order above maxRows
+// (0 = only the codec's own limit) before anything is sized by it.
+//
+// Memory bound: no frame makes it allocate more than the 8·n² bytes of
+// a dense order-n matrix. A dense body is that long itself; a sparse
+// body is validated in full — every run, and the cell count they claim
+// — before the target exists, and one claiming more than n²/8 nonzeros
+// (a single triplet can claim all n²) decodes densely whatever n.
+//
+// Fingerprint-only references are refused: a report is a one-shot
+// delta, never worth a round trip to resolve.
+func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta comm.Affinity, err error) {
 	_, rest, err := checkWireVersion(src)
 	if err != nil {
 		return 0, 0, nil, err
@@ -142,12 +202,58 @@ func decodeObservedReport(src []byte) (leaseID, seq uint64, delta *comm.Matrix, 
 	if seq, rest, err = getUvarint(rest); err != nil {
 		return 0, 0, nil, err
 	}
-	if delta, _, _, err = getMatrixV4(rest, nil); err != nil {
+	// Peek the order first, whichever mode carries it.
+	var n int
+	var order, runs uint64
+	var body []byte
+	sparse := len(rest) > 0 && rest[0] == matSparse
+	if sparse {
+		n, runs, body, err = getSparseHeader(rest[1:])
+		order = uint64(n)
+	} else if len(rest) > 0 && rest[0] == matDense {
+		order, _, err = getUint64(rest[1:])
+	}
+	if err == nil && maxRows > 0 && order > uint64(maxRows) {
+		err = fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", order, maxRows)
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	if delta == nil {
-		return 0, 0, nil, fmt.Errorf("orwlnet: observed report without a matrix")
+	if !sparse {
+		// Every other mode is a placement payload's matrix field, read
+		// without a seen-matrix table.
+		m, _, _, err := getMatrixV4(rest, nil)
+		if err == nil && m == nil {
+			err = fmt.Errorf("orwlnet: observed report without a matrix")
+		}
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		return leaseID, seq, m, nil
 	}
+	var rowNNZ []int
+	if n > comm.DenseOrderThreshold {
+		rowNNZ = make([]int, n)
+	}
+	nnz := 0
+	if _, err = walkSparseRuns(body, runs, n, func(row, _, length int, _ float64) {
+		nnz += length
+		if rowNNZ != nil {
+			rowNNZ[row] += length
+		}
+	}); err != nil {
+		return 0, 0, nil, err
+	}
+	if rowNNZ == nil || nnz > n*n/8 {
+		delta = comm.NewMatrix(n)
+	} else {
+		delta = comm.NewSparseSized(rowNNZ)
+	}
+	walkSparseRuns(body, runs, n, func(row, col, length int, v float64) { // validated above
+		for k := col; k < col+length; k++ {
+			delta.Set(row, k, v)
+		}
+	})
 	return leaseID, seq, delta, nil
 }
 

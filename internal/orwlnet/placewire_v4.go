@@ -132,51 +132,83 @@ func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
 	return dst
 }
 
-// getSparseBody decodes a sparse matrix body.
-func getSparseBody(src []byte) (*comm.Matrix, []byte, error) {
+// getSparseHeader reads a sparse body's order and run count, leaving
+// the triplets.
+func getSparseHeader(src []byte) (n int, runs uint64, body []byte, err error) {
 	n64, rest, err := getUvarint(src)
 	if err != nil {
-		return nil, nil, err
+		return 0, 0, nil, err
 	}
 	if n64 > maxMatrixOrder {
-		return nil, nil, fmt.Errorf("orwlnet: sparse matrix order %d exceeds limit %d", n64, maxMatrixOrder)
+		return 0, 0, nil, fmt.Errorf("orwlnet: sparse matrix order %d exceeds limit %d", n64, maxMatrixOrder)
 	}
-	n := int(n64)
-	runs, rest, err := getUvarint(rest)
-	if err != nil {
-		return nil, nil, err
+	if runs, body, err = getUvarint(rest); err != nil {
+		return 0, 0, nil, err
 	}
 	// Each run costs at least three bytes on the wire; a count beyond
 	// that is a corrupt or hostile frame.
-	if runs > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("orwlnet: absurd sparse run count %d", runs)
+	if runs > uint64(len(body)) {
+		return 0, 0, nil, fmt.Errorf("orwlnet: absurd sparse run count %d", runs)
 	}
-	m := comm.NewMatrix(n)
-	cells := n * n
-	idx := 0
+	return int(n64), runs, body, nil
+}
+
+// walkSparseRuns validates the (zero-gap, run-length, value) triplets
+// of a sparse body against an n x n cell stream and calls visit for
+// every run, split at row boundaries: length cells of value v starting
+// at (row, col). It returns the bytes after the last triplet, allocates
+// nothing and, apart from visit, does work proportional to runs + n.
+func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length int, v float64)) ([]byte, error) {
+	cells := uint64(n) * uint64(n)
+	var idx uint64
+	row, rowEnd := 0, uint64(n) // rowEnd is the cell index one past row
 	for r := uint64(0); r < runs; r++ {
 		var gap, runLen, raw uint64
-		if gap, rest, err = getUvarint(rest); err != nil {
-			return nil, nil, err
+		var err error
+		if gap, body, err = getUvarint(body); err != nil {
+			return nil, err
 		}
-		if runLen, rest, err = getUvarint(rest); err != nil {
-			return nil, nil, err
+		if runLen, body, err = getUvarint(body); err != nil {
+			return nil, err
 		}
-		if raw, rest, err = getUvarint(rest); err != nil {
-			return nil, nil, err
+		if raw, body, err = getUvarint(body); err != nil {
+			return nil, err
 		}
 		if runLen == 0 {
-			return nil, nil, fmt.Errorf("orwlnet: sparse run %d has zero length", r)
+			return nil, fmt.Errorf("orwlnet: sparse run %d has zero length", r)
 		}
-		if gap > uint64(cells) || uint64(idx)+gap+runLen > uint64(cells) {
-			return nil, nil, fmt.Errorf("orwlnet: sparse run %d overruns the %d-cell matrix", r, cells)
+		if gap > cells-idx || runLen > cells-idx-gap {
+			return nil, fmt.Errorf("orwlnet: sparse run %d overruns the %d-cell matrix", r, cells)
 		}
-		idx += int(gap)
-		v := unzigzagFloat(raw)
-		for k := 0; k < int(runLen); k++ {
-			m.Set(idx/n, idx%n, v)
-			idx++
+		idx += gap
+		for v := unzigzagFloat(raw); runLen > 0; {
+			for idx >= rowEnd {
+				row++
+				rowEnd += uint64(n)
+			}
+			seg := min(runLen, rowEnd-idx)
+			visit(row, int(idx+uint64(n)-rowEnd), int(seg), v)
+			idx += seg
+			runLen -= seg
 		}
+	}
+	return body, nil
+}
+
+// getSparseBody decodes a sparse matrix body.
+func getSparseBody(src []byte) (*comm.Matrix, []byte, error) {
+	n, runs, body, err := getSparseHeader(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := comm.NewMatrix(n)
+	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+		for k := col; k < col+length; k++ {
+			m.Set(row, k, v)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, rest, nil
 }

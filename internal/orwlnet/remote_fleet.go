@@ -66,8 +66,9 @@ func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer st
 // previous report) under a lease. seq must increase monotonically per
 // lease: the daemon drops duplicates, so a retransmitted window —
 // including the retries the stub's policy issues — is never
-// double-counted.
-func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64, delta *comm.Matrix) error {
+// double-counted. The window is encoded from whatever representation it
+// arrives in: a sparse one ships in O(nnz).
+func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64, delta comm.Affinity) error {
 	return s.retryCall(ctx, func(ctx context.Context) error {
 		c, err := s.fleetConn()
 		if err != nil {

@@ -497,14 +497,11 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if s.reportCaps.bytesPerSec > 0 && !st.takeReportBudget(len(m.payload), s.reportCaps) {
 			return nil, false, fmt.Errorf("orwlnet: rate limit: connection exceeded its observed-report byte budget — back off and retry")
 		}
-		leaseID, seq, delta, err := decodeObservedReport(m.payload)
+		leaseID, seq, delta, err := decodeObservedReport(m.payload, s.reportCaps.maxRows)
 		if err != nil {
 			return nil, false, err
 		}
-		if cap := s.reportCaps.maxRows; cap > 0 && delta.Order() > cap {
-			return nil, false, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", delta.Order(), cap)
-		}
-		return nil, false, ctrl.Report(leaseID, seq, delta)
+		return nil, false, ctrl.ReportAffinity(leaseID, seq, delta)
 	case opWatchRemaps:
 		return s.handleWatch(st, m)
 	default:

@@ -94,31 +94,13 @@ func Drift(a, b *comm.Matrix) float64 {
 
 // DriftAffinity is Drift on the representation-independent surface,
 // walking only the union of nonzeros — O(nnz), so a sparse 10k-task
-// window is measured without touching an n² slab.
+// window is measured without touching an n² slab. It is PartitionDrift
+// with every task in one partition.
 func DriftAffinity(a, b comm.Affinity) float64 {
-	if a == nil || b == nil || a.Order() != b.Order() {
+	if a == nil || b == nil {
 		return 1
 	}
-	sa, sb := comm.NewSparse(0), comm.NewSparse(0)
-	comm.SymmetrizeAffinityInto(sa, a)
-	comm.SymmetrizeAffinityInto(sb, b)
-	ta, tb := sa.Total(), sb.Total()
-	if ta == 0 && tb == 0 {
-		return 0
-	}
-	if ta == 0 || tb == 0 {
-		return 1
-	}
-	var dist float64
-	sa.ForEach(func(i, j int, va float64) {
-		dist += math.Abs(va/ta - sb.At(i, j)/tb)
-	})
-	sb.ForEach(func(i, j int, vb float64) {
-		if sa.At(i, j) == 0 {
-			dist += vb / tb
-		}
-	})
-	return dist / 2
+	return newPartitionBaseline(make([]int, a.Order()), 1, a).drift(b)[0]
 }
 
 // PartitionDrift measures drift per partition of a partitioned mapping:
@@ -129,16 +111,17 @@ func DriftAffinity(a, b comm.Affinity) float64 {
 // lets re-placement recompute only the drifted subtree. Cross-partition
 // traffic is not attributed to any partition: the partition structure
 // itself owns it, and shifting it is a matter for a full re-placement,
-// not a subtree remap. Runs in O(nnz + tasks).
+// not a subtree remap. Runs in O(nnz + tasks), hashes nothing and sums
+// in a fixed order, so equal inputs give bit-identical results.
 func PartitionDrift(parts *treematch.Partitioning, base, window comm.Affinity) []float64 {
-	out := make([]float64, len(parts.Parts))
-	if base == nil || window == nil || base.Order() != window.Order() {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
+	if base == nil {
+		return fullDrift(len(parts.Parts))
 	}
-	n := base.Order()
+	return newPartitionBaseline(partitionOf(parts, base.Order()), len(parts.Parts), base).drift(window)
+}
+
+// partitionOf maps each of n tasks to its partition's index, -1 for none.
+func partitionOf(parts *treematch.Partitioning, n int) []int {
 	partOf := make([]int, n)
 	for i := range partOf {
 		partOf[i] = -1
@@ -150,38 +133,134 @@ func PartitionDrift(parts *treematch.Partitioning, base, window comm.Affinity) [
 			}
 		}
 	}
-	sa, sb := comm.NewSparse(0), comm.NewSparse(0)
-	comm.SymmetrizeAffinityInto(sa, base)
-	comm.SymmetrizeAffinityInto(sb, window)
-	ta := make([]float64, len(out))
-	tb := make([]float64, len(out))
-	internal := func(i, j int) int {
-		if pi := partOf[i]; pi >= 0 && partOf[j] == pi {
-			return pi
-		}
-		return -1
+	return partOf
+}
+
+// fullDrift is the per-partition answer for incomparable inputs.
+func fullDrift(parts int) []float64 {
+	out := make([]float64, parts)
+	for i := range out {
+		out[i] = 1
 	}
-	sa.ForEach(func(i, j int, v float64) {
-		if pi := internal(i, j); pi >= 0 {
-			ta[pi] += v
+	return out
+}
+
+// partitionPair is a partition-internal task pair i < j and its
+// symmetrized volume a[i][j] + a[j][i].
+type partitionPair struct {
+	i, j int32
+	v    float64
+}
+
+// partitionBaseline is the baseline side of PartitionDrift in the form
+// the measurement consumes: the partition-internal pairs sorted by
+// (i, j) and their total per partition. It depends only on partitioning
+// and baseline, so the reconciler keeps it across steady epochs.
+type partitionBaseline struct {
+	partOf []int // see partitionOf
+	pairs  []partitionPair
+	totals []float64
+
+	mu     sync.Mutex
+	window pairScratch // each window is gathered and sorted here, under mu
+}
+
+// pairScratch holds the buffers of one internalPairs call.
+type pairScratch struct {
+	pairs, tmp []partitionPair
+	start      []int
+}
+
+func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitionBaseline {
+	pb := &partitionBaseline{partOf: partOf}
+	pb.pairs, pb.totals = pb.internalPairs(base, parts, &pairScratch{})
+	return pb
+}
+
+// internalPairs gathers a's partition-internal off-diagonal entries as
+// pairs i < j, sorts them by (i, j) with two stable counting passes
+// (column, then row: O(nnz + tasks) whatever the row shapes), folds the
+// (i,j)/(j,i) duplicates and totals per partition, all in sorted order.
+// The pairs alias sc.pairs.
+func (pb *partitionBaseline) internalPairs(a comm.Affinity, parts int, sc *pairScratch) ([]partitionPair, []float64) {
+	n := len(pb.partOf)
+	if nnz := a.NNZ(); cap(sc.pairs) < nnz {
+		sc.pairs, sc.tmp = make([]partitionPair, 0, nnz), make([]partitionPair, nnz)
+	}
+	if len(sc.start) != n+1 {
+		sc.start = make([]int, n+1)
+	}
+	pairs, start := sc.pairs[:0], sc.start
+	a.ForEach(func(i, j int, v float64) {
+		if pi := pb.partOf[i]; pi >= 0 && i != j && pb.partOf[j] == pi {
+			if i > j {
+				i, j = j, i
+			}
+			pairs = append(pairs, partitionPair{i: int32(i), j: int32(j), v: v})
 		}
 	})
-	sb.ForEach(func(i, j int, v float64) {
-		if pi := internal(i, j); pi >= 0 {
-			tb[pi] += v
+	for pass, src, dst := 0, pairs, sc.tmp[:len(pairs)]; pass < 2; pass, src, dst = pass+1, dst, src {
+		key := func(p partitionPair) int32 {
+			if pass == 0 {
+				return p.j
+			}
+			return p.i
 		}
-	})
-	dist := make([]float64, len(out))
-	sa.ForEach(func(i, j int, va float64) {
-		if pi := internal(i, j); pi >= 0 && ta[pi] > 0 && tb[pi] > 0 {
-			dist[pi] += math.Abs(va/ta[pi] - sb.At(i, j)/tb[pi])
+		clear(start)
+		for _, p := range src {
+			start[key(p)+1]++
 		}
-	})
-	sb.ForEach(func(i, j int, vb float64) {
-		if pi := internal(i, j); pi >= 0 && ta[pi] > 0 && tb[pi] > 0 && sa.At(i, j) == 0 {
-			dist[pi] += vb / tb[pi]
+		for k := 1; k <= n; k++ {
+			start[k] += start[k-1]
 		}
-	})
+		for _, p := range src {
+			dst[start[key(p)]] = p
+			start[key(p)]++
+		}
+	}
+	merged := pairs[:0]
+	for _, p := range pairs {
+		if k := len(merged) - 1; k >= 0 && merged[k].i == p.i && merged[k].j == p.j {
+			merged[k].v += p.v
+		} else {
+			merged = append(merged, p)
+		}
+	}
+	totals := make([]float64, parts)
+	for _, p := range merged {
+		totals[pb.partOf[p.i]] += p.v
+	}
+	return merged, totals
+}
+
+// drift measures window against the baseline by walking the two sorted
+// pair lists in step. Pairs i < j and their totals give the distance of
+// the full symmetrized matrices: both triangles carry the same volumes,
+// so the factor two cancels.
+func (pb *partitionBaseline) drift(window comm.Affinity) []float64 {
+	if window == nil || window.Order() != len(pb.partOf) {
+		return fullDrift(len(pb.totals))
+	}
+	out := make([]float64, len(pb.totals))
+	pb.mu.Lock()
+	defer pb.mu.Unlock()
+	a, ta := pb.pairs, pb.totals
+	b, tb := pb.internalPairs(window, len(out), &pb.window)
+	for len(a) > 0 || len(b) > 0 {
+		var i int32
+		var va, vb float64
+		switch {
+		case len(b) == 0 || len(a) > 0 && (a[0].i < b[0].i || a[0].i == b[0].i && a[0].j < b[0].j):
+			i, va, a = a[0].i, a[0].v, a[1:]
+		case len(a) == 0 || a[0].i != b[0].i || a[0].j != b[0].j:
+			i, vb, b = b[0].i, b[0].v, b[1:]
+		default:
+			i, va, vb, a, b = a[0].i, a[0].v, b[0].v, a[1:], b[1:]
+		}
+		if pi := pb.partOf[i]; ta[pi] > 0 && tb[pi] > 0 {
+			out[pi] += math.Abs(va/ta[pi] - vb/tb[pi])
+		}
+	}
 	for pi := range out {
 		switch {
 		case ta[pi] == 0 && tb[pi] == 0:
@@ -189,7 +268,7 @@ func PartitionDrift(parts *treematch.Partitioning, base, window comm.Affinity) [
 		case ta[pi] == 0 || tb[pi] == 0:
 			out[pi] = 1
 		default:
-			out[pi] = dist[pi] / 2
+			out[pi] /= 2
 		}
 	}
 	return out
@@ -317,10 +396,14 @@ type Reconciler struct {
 	prog *orwl.Program  // nil: model-only, no binding commits
 	cfg  AdaptiveConfig
 
-	mu    sync.Mutex
-	cur   *Assignment
-	base  comm.Affinity // affinity backing cur — what drift is measured against
-	stats AdaptiveStats
+	mu   sync.Mutex
+	cur  *Assignment
+	base comm.Affinity // affinity backing cur — what drift is measured against
+	// driftBase caches base in partition-drift form, so a steady epoch
+	// only processes its window; setBaseline, the one writer of cur and
+	// base, clears it.
+	driftBase *partitionBaseline
+	stats     AdaptiveStats
 
 	// Adopt hysteresis state: consecutive over-threshold epochs seen,
 	// and epochs left in the post-remap cooldown.
@@ -381,10 +464,7 @@ func (r *Reconciler) Prime(src MatrixSource) error {
 			return err
 		}
 	}
-	r.mu.Lock()
-	r.cur = a
-	r.base = m.Clone()
-	r.mu.Unlock()
+	r.setBaseline(a, m.Clone())
 	return nil
 }
 
@@ -406,10 +486,7 @@ func (r *Reconciler) PrimeAffinity(src AffinitySource) error {
 			return err
 		}
 	}
-	r.mu.Lock()
-	r.cur = a
-	r.base = aff.CloneAffinity()
-	r.mu.Unlock()
+	r.setBaseline(a, aff.CloneAffinity())
 	return nil
 }
 
@@ -420,10 +497,7 @@ func (r *Reconciler) SetCurrent(a *Assignment, m *comm.Matrix) error {
 	if a == nil || m == nil {
 		return fmt.Errorf("placement: adaptive: SetCurrent needs an assignment and its matrix")
 	}
-	r.mu.Lock()
-	r.cur = a.Clone()
-	r.base = m.Clone()
-	r.mu.Unlock()
+	r.setBaseline(a.Clone(), m.Clone())
 	return nil
 }
 
@@ -433,11 +507,35 @@ func (r *Reconciler) SetCurrentAffinity(a *Assignment, aff comm.Affinity) error 
 	if a == nil || aff == nil {
 		return fmt.Errorf("placement: adaptive: SetCurrentAffinity needs an assignment and its affinity")
 	}
-	r.mu.Lock()
-	r.cur = a.Clone()
-	r.base = aff.CloneAffinity()
-	r.mu.Unlock()
+	r.setBaseline(a.Clone(), aff.CloneAffinity())
 	return nil
+}
+
+// setBaseline installs the assignment in force and the affinity it was
+// computed from. Every path replacing either (Prime*, SetCurrent* and
+// so a snapshot restore, an adoption) ends here, so the cached
+// partition form never outlives its baseline.
+func (r *Reconciler) setBaseline(cur *Assignment, base comm.Affinity) {
+	r.mu.Lock()
+	r.cur, r.base, r.driftBase = cur, base, nil
+	r.mu.Unlock()
+}
+
+// partitionBaseline returns base in partition-drift form, built on the
+// first partitioned epoch after a setBaseline.
+func (r *Reconciler) partitionBaseline(cur *Assignment, base comm.Affinity) *partitionBaseline {
+	r.mu.Lock()
+	pb := r.driftBase
+	r.mu.Unlock()
+	if pb == nil {
+		pb = newPartitionBaseline(partitionOf(cur.Partitions, base.Order()), len(cur.Partitions.Parts), base)
+		r.mu.Lock()
+		if r.base == base { // not replaced while we were building
+			r.driftBase = pb
+		}
+		r.mu.Unlock()
+	}
+	return pb
 }
 
 // Current returns the assignment in force (the caller's copy).
@@ -447,26 +545,11 @@ func (r *Reconciler) Current() *Assignment {
 	return r.cur.Clone()
 }
 
-// Baseline returns a copy of the matrix backing the current assignment
-// — the drift baseline — or nil before Prime/SetCurrent. Durability
-// layers persist it next to the assignment so a restored reconciler
-// measures drift against what the adopted mapping was computed from.
-func (r *Reconciler) Baseline() *comm.Matrix {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.base == nil {
-		return nil
-	}
-	if m, ok := r.base.(*comm.Matrix); ok {
-		return m.Clone()
-	}
-	return r.base.Dense()
-}
-
-// BaselineAffinity is Baseline without the densification: the affinity
-// backing the current assignment (the caller's copy), or nil before
-// Prime/SetCurrent. Sparse-aware durability layers persist this form so
-// a 10k-task baseline round-trips without an n² slab.
+// BaselineAffinity returns the affinity backing the current assignment
+// — the drift baseline (the caller's copy) — or nil before
+// Prime/SetCurrent. Durability layers persist it next to the assignment
+// so a restored reconciler measures drift against what the adopted
+// mapping was computed from, a 10k-task baseline without an n² slab.
 func (r *Reconciler) BaselineAffinity() comm.Affinity {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -558,7 +641,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	wm, winDense := window.(*comm.Matrix)
 	partitioned := cur.Partitions != nil && len(cur.Partitions.Parts) > 0
 	if partitioned {
-		rep.PartitionDrifts = PartitionDrift(cur.Partitions, base, window)
+		rep.PartitionDrifts = r.partitionBaseline(cur, base).drift(window)
 		for _, d := range rep.PartitionDrifts {
 			if d > rep.Drift {
 				rep.Drift = d
@@ -636,9 +719,8 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	}
 	rep.Adopted = true
 	rep.MovedTasks = movedTasks(cur, candidate)
+	r.setBaseline(candidate, window.CloneAffinity())
 	r.mu.Lock()
-	r.cur = candidate
-	r.base = window.CloneAffinity()
 	r.overStreak = 0
 	r.cooldown = r.cfg.CooldownEpochs
 	r.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"orwlplace/internal/comm"
 	"orwlplace/internal/orwlnet"
 	"orwlplace/internal/placement"
 )
@@ -94,7 +95,7 @@ type FleetAdaptive struct {
 
 type pendingReport struct {
 	seq uint64
-	w   *Matrix
+	w   comm.Affinity
 }
 
 // maxPendingReports bounds the retransmit queue.
@@ -172,17 +173,19 @@ func (f *FleetAdaptive) reLease(ctx context.Context) error {
 }
 
 // Report ships the program's observed-traffic window accumulated since
-// the previous report, after retransmitting any windows an earlier
-// failed Report left queued. An empty window is skipped (no RPC, no
-// sequence burn); it is not an error. If the daemon no longer knows
-// the lease (it restarted without snapshot state), Report re-registers
-// under the same ownership token and resumes on the fresh lease.
+// the previous report — taken, queued and encoded as a comm.Affinity,
+// so a large program's sparse window costs O(nnz) end to end — after
+// retransmitting any windows an earlier failed Report left queued. An
+// empty window is skipped (no RPC, no sequence burn); it is not an
+// error. If the daemon no longer knows the lease (it restarted without
+// snapshot state), Report re-registers under the same ownership token
+// and resumes on the fresh lease.
 func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Lock()
 	queue := f.pending
 	f.pending = nil
-	w := f.prog.ObservedWindow()
-	if w != nil && w.Total() > 0 {
+	w := f.prog.ObservedWindowAffinity()
+	if w.Total() > 0 {
 		f.seq++
 		queue = append(queue, pendingReport{seq: f.seq, w: w})
 		if over := len(queue) - maxPendingReports; over > 0 {
