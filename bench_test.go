@@ -13,6 +13,7 @@ package orwlplace_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -544,17 +545,21 @@ func BenchmarkPerfsimSimulate(b *testing.B) {
 
 // --- The fleet report seam ---------------------------------------------
 
-// fleetReportRig leases a tasks-task program on an in-process daemon
-// (fleet1k behind a control plane, loopback TCP) and returns the loop
-// plus a function recording one window of neighbour traffic: every task
-// exchanges with its 7 successors, 14 nonzeros a row.
-func fleetReportRig(tb testing.TB, tasks int) (*orwlplace.FleetAdaptive, func()) {
+// fleetRig leases one tasks-task program per peer, on disjoint task
+// ranges of machine, from an in-process daemon (a control plane behind
+// loopback TCP). record(shift) records one window of neighbour traffic
+// in every program: each task exchanges with degree others, 2·degree
+// nonzeros a row — its successors at stride 1, or at stride 3+shift, so
+// changing shift is a traffic shift and repeating it is a steady window.
+func fleetRig(tb testing.TB, machine string, top *topology.Topology, peers, tasks, degree int) (ctrl *ctrlplane.Controller, fas []*orwlplace.FleetAdaptive, record func(shift int)) {
 	tb.Helper()
 	fleet := placement.NewMultiService()
-	if err := fleet.AddMachine("fleet1k", topology.Fleet1K()); err != nil {
+	if err := fleet.AddMachine(machine, top); err != nil {
 		tb.Fatal(err)
 	}
-	ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{StaleAfter: -1})
+	// A horizon long enough for a remap to pay off, as the benchmark's
+	// fleet workloads configure it.
+	ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{Adaptive: placement.AdaptiveConfig{Horizon: 500}, StaleAfter: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -581,21 +586,41 @@ func fleetReportRig(tb testing.TB, tasks int) (*orwlplace.FleetAdaptive, func())
 		srv.Close()
 		<-served
 	})
-	prog := orwl.MustProgram(tasks)
-	fa, err := orwlplace.NewFleetAdaptive(ctx, rs, prog, orwlplace.FleetAdaptiveConfig{Peer: "bench"})
-	if err != nil {
-		tb.Fatal(err)
+	progs := make([]*orwl.Program, peers)
+	for p := range progs {
+		progs[p] = orwl.MustProgram(tasks)
+		fa, err := orwlplace.NewFleetAdaptive(ctx, rs, progs[p], orwlplace.FleetAdaptiveConfig{
+			Peer: fmt.Sprintf("bench-%d", p), TaskBase: p * tasks,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fas = append(fas, fa)
 	}
-	return fa, func() {
-		tr := prog.Traffic()
-		for i := 0; i < tasks; i++ {
-			for k := 1; k <= 7; k++ {
-				j := (i + k) % tasks
-				tr.Record(i, j, 1<<16)
-				tr.Record(j, i, 1<<12)
+	return ctrl, fas, func(shift int) {
+		stride := 1
+		if shift > 0 {
+			stride = 3 + shift
+		}
+		for _, prog := range progs {
+			tr := prog.Traffic()
+			for i := 0; i < tasks; i++ {
+				for k := 1; k <= degree; k++ {
+					j := (i + k*stride) % tasks
+					tr.Record(i, j, 1<<16)
+					tr.Record(j, i, 1<<12)
+				}
 			}
 		}
 	}
+}
+
+// fleetReportRig is fleetRig for the report seam alone: one program on
+// fleet1k, one steady pattern of 14 nonzeros a row.
+func fleetReportRig(tb testing.TB, tasks int) (*orwlplace.FleetAdaptive, func()) {
+	tb.Helper()
+	_, fas, record := fleetRig(tb, "fleet1k", topology.Fleet1K(), 1, tasks, 7)
+	return fas[0], func() { record(0) }
 }
 
 // BenchmarkFleetReport1024 is one FleetAdaptive.Report of a 1024-task
@@ -639,5 +664,74 @@ func TestFleetReport1024StaysSparse(t *testing.T) {
 		t.Fatalf("one 1024-task report allocated %d bytes, want < 2 MiB", got)
 	} else {
 		t.Logf("one 1024-task report allocated %d KiB", got>>10)
+	}
+}
+
+// --- The dense fleet cycle ------------------------------------------------
+
+// fleetCycleDense160 sets up the dense fleet loop — 2 peers x 80 tasks
+// on smp20e7, 320 nonzeros a report — adopts the priming epoch and
+// returns one cycle: record the given pattern, both peers Report,
+// Controller.Epoch.
+func fleetCycleDense160(tb testing.TB) func(shift int) *placement.EpochReport {
+	tb.Helper()
+	ctrl, fas, record := fleetRig(tb, "smp20e7", topology.SMP20E7(), 2, 80, 2)
+	ctx := context.Background()
+	cycle := func(shift int) *placement.EpochReport {
+		record(shift)
+		for _, fa := range fas {
+			if err := fa.Report(ctx); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		rep, err := ctrl.Epoch("smp20e7")
+		if err != nil || rep == nil {
+			tb.Fatalf("epoch = (%v, %v)", rep, err)
+		}
+		return rep
+	}
+	if rep := cycle(0); !rep.Adopted {
+		tb.Fatal("priming epoch was not adopted")
+	}
+	return cycle
+}
+
+// BenchmarkFleetCycleDense160 alternates shift and steady cycles of the
+// dense fleet loop, the benchmark's fleet-shift-160 without its output
+// checks: what a cycle costs and allocates between the peers' counters
+// and the controller's decision.
+func BenchmarkFleetCycleDense160(b *testing.B) {
+	cycle := fleetCycleDense160(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(1 + i/2%2) // shift, steady, shift back, steady, ...
+	}
+}
+
+// TestFleetSteadyCycleDense160AllocatesNoMatrix is the n² tripwire on
+// the dense loop: after warm-up a steady cycle — two reports, merge,
+// drain, drift against the cached baseline, window handed back —
+// allocates under 64 KB process-wide, less than a third of one 160²
+// matrix (205 KB; it was about 800 KB), so a Symmetrized(), Dense() or
+// NewMatrix coming back onto this path fails here and not only in the
+// benchmark.
+func TestFleetSteadyCycleDense160AllocatesNoMatrix(t *testing.T) {
+	cycle := fleetCycleDense160(t)
+	if rep := cycle(1); !rep.Adopted {
+		t.Fatalf("shift cycle was not adopted: %+v", rep)
+	}
+	cycle(1) // sizes the drift scratch and rotates the spare in
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := cycle(1)
+	runtime.ReadMemStats(&after)
+	if rep.Adopted || rep.Drift > 1e-9 {
+		t.Fatalf("steady cycle measured drift %g, adopted=%v", rep.Drift, rep.Adopted)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("one steady 160-task cycle allocated %d bytes, want < 64 KiB", got)
+	} else {
+		t.Logf("one steady 160-task cycle allocated %d KiB", got>>10)
 	}
 }

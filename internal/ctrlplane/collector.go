@@ -70,6 +70,9 @@ type machineState struct {
 	// drift baseline stays comparable).
 	pending comm.Affinity
 	order   int
+	// spare is a drained accumulator its consumer handed back (Recycle):
+	// the next pending is it, reset, instead of a fresh allocation.
+	spare comm.Affinity
 }
 
 // Collector merges per-peer observed-traffic windows into per-machine
@@ -276,12 +279,20 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 }
 
 // growPendingLocked (re)creates the machine's pending accumulator at
-// the current global order, carrying over already-merged cells.
+// the current global order, carrying over already-merged cells. A
+// recycled spare is reused when it has the representation NewAffinity
+// picks for that order, so recycling never changes what consumers see.
 func (c *Collector) growPendingLocked(ms *machineState) {
 	if ms.pending != nil && ms.pending.Order() >= ms.order {
 		return
 	}
-	grown := comm.NewAffinity(ms.order)
+	grown := ms.spare
+	ms.spare = nil
+	if _, dense := grown.(*comm.Matrix); grown != nil && dense == (ms.order <= comm.DenseOrderThreshold) {
+		grown.Reset(ms.order)
+	} else {
+		grown = comm.NewAffinity(ms.order)
+	}
 	if ms.pending != nil {
 		ms.pending.ForEach(func(i, j int, v float64) {
 			grown.Set(i, j, v)
@@ -307,6 +318,22 @@ func (c *Collector) WindowAffinity(machine string) comm.Affinity {
 	w := ms.pending
 	ms.pending = nil
 	return w
+}
+
+// Recycle hands a drained window back once its consumer is done with
+// it: the machine's next accumulator reuses its storage, so a steady
+// drain-and-reconcile loop allocates no matrix. The caller must hold no
+// other reference to a. Recycling is optional — a consumer that never
+// calls it simply owns what it drained.
+func (c *Collector) Recycle(machine string, a comm.Affinity) {
+	if comm.NilAffinity(a) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ms := c.machines[machine]; ms != nil {
+		ms.spare = a
+	}
 }
 
 // Order returns the machine's current global task-space size (0 while

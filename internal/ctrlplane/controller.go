@@ -108,10 +108,18 @@ type subscriber struct {
 
 // handoffSource adapts the controller's pull-then-reconcile flow to
 // the AffinitySource seam the Reconciler consumes: the controller
-// drains a Collector window, stashes it here, and runs one Epoch. The
+// drains a Collector window, stages it here, and runs one Epoch. The
 // window stays in the collector's native representation (sparse above
 // the dense threshold) all the way into the reconciler.
+//
+// Every staged window is given away: Affinity hands it out once, and
+// whatever the reconciler is done with — the window, or the baseline an
+// adopted window replaced — comes back through Recycle and goes to the
+// collector as its next accumulator.
 type handoffSource struct {
+	col     *Collector
+	machine string
+
 	mu sync.Mutex
 	a  comm.Affinity
 }
@@ -124,8 +132,13 @@ func (s *handoffSource) Affinity() (comm.Affinity, error) {
 	if s.a == nil {
 		return nil, fmt.Errorf("ctrlplane: no merged window staged")
 	}
-	return s.a, nil
+	a := s.a
+	s.a = nil
+	return a, nil
 }
+
+// Recycle implements the reconciler's optional window hand-back.
+func (s *handoffSource) Recycle(a comm.Affinity) { s.col.Recycle(s.machine, a) }
 
 func (s *handoffSource) set(a comm.Affinity) {
 	s.mu.Lock()
@@ -162,7 +175,7 @@ func NewController(fleet *placement.MultiService, cfg Config) (*Controller, erro
 		if err != nil {
 			return nil, err
 		}
-		src := &handoffSource{}
+		src := &handoffSource{col: c.col, machine: name}
 		// prog is nil: the daemon owns no tasks to re-bind — adopted
 		// mappings travel to the processes that do, via Subscribe.
 		rec, err := placement.NewAffinityReconciler(svc.Engine(), src, nil, cfg.Adaptive)
@@ -241,7 +254,11 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	w := c.col.WindowAffinity(machine)
-	if w == nil || w.Total() == 0 {
+	if w == nil {
+		return nil, nil
+	}
+	if allZero(w) {
+		c.col.Recycle(machine, w)
 		return nil, nil
 	}
 	if !lp.primed {
@@ -258,7 +275,9 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 		}
 		lp.primed = true
 		c.publish(lp, Remap{Machine: machine, Assignment: a.Clone()})
-		return &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a.Clone()}, nil
+		rep := &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a.Clone()}
+		c.col.Recycle(machine, w) // SetCurrentAffinity kept a copy
+		return rep, nil
 	}
 	lp.src.set(w)
 	rep, err := lp.rec.Epoch()
@@ -275,6 +294,17 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 		})
 	}
 	return rep, nil
+}
+
+// allZero reports whether w holds no nonzero cell — an idle drain —
+// stopping at the first row that has one, so a window with traffic is
+// not summed here and again by the reconciler.
+func allZero(w comm.Affinity) bool {
+	found := false
+	for i := 0; i < w.Order() && !found; i++ {
+		w.ForEachRow(i, func(int, float64) { found = true })
+	}
+	return !found
 }
 
 // cloneInts copies s, preserving the nil (unknown) vs empty (known,

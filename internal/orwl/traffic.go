@@ -149,8 +149,9 @@ type TrafficWindow struct {
 	// hashes: base[0] mirrors the flat n x n array in dense mode, base[s]
 	// shard s's slices (growing with them) in sparse mode.
 	base [][]uint64
-	// Sparse-mode scratch, reused across calls: the epoch's nonzeros are
-	// gathered under the shard locks, the snapshot built outside them.
+	// Scratch of NextAffinity, reused across calls: the epoch's nonzeros
+	// are gathered first (under the shard locks in sparse mode), the
+	// snapshot is built from them afterwards.
 	cells  []windowCell
 	rowNNZ []int
 }
@@ -165,12 +166,11 @@ type windowCell struct {
 // with an empty baseline: the first Next returns everything recorded
 // since the program started.
 func (t *Traffic) NewWindow() *TrafficWindow {
-	w := &TrafficWindow{t: t}
+	w := &TrafficWindow{t: t, rowNNZ: make([]int, t.n)}
 	if t.shards == nil {
 		w.base = [][]uint64{make([]uint64, t.n*t.n)}
 	} else {
 		w.base = make([][]uint64, trafficShards)
-		w.rowNNZ = make([]int, t.n)
 	}
 	return w
 }
@@ -178,26 +178,27 @@ func (t *Traffic) NewWindow() *TrafficWindow {
 // NextAffinity returns the observed affinity of the epoch since the
 // previous call (or since the start, on the first call) and advances
 // the window baseline. The snapshot is the caller's own, frozen, sized
-// exactly. O(nnz) in sparse mode; dense mode reads its n² counters once.
+// exactly: sparse when the epoch holds at most n²/8 nonzeros — what an
+// observed window nearly always is, at any order — dense otherwise.
+// O(nnz) in sparse mode; dense mode reads its n² counters once.
 func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	t := w.t
-	if t.shards == nil {
-		m := comm.NewMatrix(t.n)
-		base := w.base[0]
-		for i := 0; i < t.n; i++ {
-			row, off := m.RowView(i), i*t.n
-			for j := range row {
-				cur := t.bytes[off+j].Load()
-				row[j] = float64(cur - base[off+j])
-				base[off+j] = cur
-			}
-		}
-		return m
-	}
 	cells := w.cells[:0]
 	clear(w.rowNNZ)
+	if t.shards == nil {
+		base := w.base[0]
+		for k := range base {
+			cur := t.bytes[k].Load()
+			if d := cur - base[k]; d != 0 {
+				from := k / t.n
+				cells = append(cells, windowCell{from: int32(from), to: int32(k - from*t.n), bytes: d})
+				w.rowNNZ[from]++
+				base[k] = cur
+			}
+		}
+	}
 	for s := range t.shards {
 		sh := &t.shards[s]
 		base := w.base[s]
@@ -217,16 +218,40 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 		w.base[s] = base
 	}
 	w.cells = cells
-	a := comm.NewSparseSized(w.rowNNZ)
+	var a comm.Affinity
+	if len(cells) > t.n*t.n/8 {
+		a = comm.NewMatrix(t.n)
+	} else {
+		a = comm.NewSparseSized(w.rowNNZ)
+	}
 	for _, c := range cells {
 		a.Set(int(c.from), int(c.to), float64(c.bytes))
 	}
 	return a
 }
 
-// Next is NextAffinity materialized densely — the original epoch
-// surface, kept for consumers that still run on *comm.Matrix.
-func (w *TrafficWindow) Next() *comm.Matrix { return w.NextAffinity().Dense() }
+// Next is the epoch as a dense matrix — the original surface, kept for
+// consumers that run on *comm.Matrix. Dense mode reads the counters
+// straight into it.
+func (w *TrafficWindow) Next() *comm.Matrix {
+	t := w.t
+	if t.shards != nil {
+		return w.NextAffinity().Dense()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	m := comm.NewMatrix(t.n)
+	base := w.base[0]
+	for i := 0; i < t.n; i++ {
+		row, off := m.RowView(i), i*t.n
+		for j := range row {
+			cur := t.bytes[off+j].Load()
+			row[j] = float64(cur - base[off+j])
+			base[off+j] = cur
+		}
+	}
+	return m
+}
 
 // Window advances the recorder's default window — a convenience for
 // single-consumer programs. Independent consumers must use NewWindow:
@@ -298,6 +323,6 @@ func (p *Program) ObservedAffinity() comm.Affinity { return p.traffic.Affinity()
 func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.Window() }
 
 // ObservedWindowAffinity is ObservedWindow on the representation-
-// independent surface (both advance the same default window): above
-// the dense threshold the epoch is a sparse snapshot, never n² cells.
+// independent surface (both advance the same default window): an epoch
+// of at most n²/8 nonzeros is a sparse snapshot, never n² cells.
 func (p *Program) ObservedWindowAffinity() comm.Affinity { return p.traffic.win.NextAffinity() }

@@ -28,7 +28,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2]) // truncated mid-matrix
 	}
-	big := comm.NewSparse(600) // above the dense threshold: decodes sparse
+	big := comm.NewSparse(600) // one nonzero a row: decodes sparse
 	for i := 0; i < 600; i++ {
 		big.Set(i, (i+1)%600, float64(i+1))
 	}
@@ -48,11 +48,26 @@ func FuzzObservedReportDecode(f *testing.F) {
 			t.Fatal("accepted report without a matrix")
 		}
 		// The allocation bound: nothing decodes into more than a dense
-		// order-n matrix, so a sparse result holds at most n²/8 nonzeros.
-		if n := delta.Order(); n > maxMatrixOrder {
+		// order-n matrix, so a sparse result holds at most n²/8 nonzeros
+		// — at any order — and a dense one came from a dense body or from
+		// a sparse body claiming more than that.
+		n := delta.Order()
+		if n > maxMatrixOrder {
 			t.Fatalf("accepted order %d", n)
-		} else if sp, ok := delta.(*comm.Sparse); ok && (n <= comm.DenseOrderThreshold || sp.NNZ() > n*n/8) {
+		}
+		if sp, ok := delta.(*comm.Sparse); ok && sp.NNZ() > n*n/8 {
 			t.Fatalf("order %d with %d nonzeros decoded sparse", n, sp.NNZ())
+		}
+		_, field, _ := checkWireVersion(data)
+		_, field, _ = getUvarint(field) // lease
+		_, field, _ = getUvarint(field) // seq
+		if _, dense := delta.(*comm.Matrix); dense && field[0] == matSparse {
+			claimed := 0
+			_, runs, body, _ := getSparseHeader(field[1:])
+			walkSparseRuns(body, runs, n, func(_, _, length int, _ float64) { claimed += length })
+			if claimed <= n*n/8 {
+				t.Fatalf("order %d sparse body claiming %d cells decoded dense", n, claimed)
+			}
 		}
 		re, err := encodeObservedReport(nil, schemaFleet, leaseID, seq, delta)
 		if err != nil {

@@ -179,15 +179,16 @@ func putAffinityCompact(dst []byte, a comm.Affinity) []byte {
 	return append(dst[:hole+k], dst[hole+len(count):]...)
 }
 
-// decodeObservedReport decodes a report frame into the representation
-// comm.NewAffinity picks for its order, refusing an order above maxRows
-// (0 = only the codec's own limit) before anything is sized by it.
+// decodeObservedReport decodes a report frame, refusing an order above
+// maxRows (0 = only the codec's own limit) before anything is sized by
+// it. A sparse body holding at most n²/8 nonzeros decodes sparse at any
+// order — a window is mostly zeros, and the collector merges what it is
+// given in O(nnz); anything else decodes dense.
 //
 // Memory bound: no frame makes it allocate more than the 8·n² bytes of
 // a dense order-n matrix. A dense body is that long itself; a sparse
 // body is validated in full — every run, and the cell count they claim
-// — before the target exists, and one claiming more than n²/8 nonzeros
-// (a single triplet can claim all n²) decodes densely whatever n.
+// (a single triplet can claim all n²) — before the target exists.
 //
 // Fingerprint-only references are refused: a report is a one-shot
 // delta, never worth a round trip to resolve.
@@ -231,20 +232,15 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 		}
 		return leaseID, seq, m, nil
 	}
-	var rowNNZ []int
-	if n > comm.DenseOrderThreshold {
-		rowNNZ = make([]int, n)
-	}
+	rowNNZ := make([]int, n)
 	nnz := 0
 	if _, err = walkSparseRuns(body, runs, n, func(row, _, length int, _ float64) {
 		nnz += length
-		if rowNNZ != nil {
-			rowNNZ[row] += length
-		}
+		rowNNZ[row] += length
 	}); err != nil {
 		return 0, 0, nil, err
 	}
-	if rowNNZ == nil || nnz > n*n/8 {
+	if nnz > n*n/8 {
 		delta = comm.NewMatrix(n)
 	} else {
 		delta = comm.NewSparseSized(rowNNZ)

@@ -341,8 +341,10 @@ func newMatrixCache(max int) *matrixCache {
 func (c *matrixCache) lookup(fp uint64) (*comm.Matrix, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[fp]
+	var m *comm.Matrix
 	if ok {
 		c.order.MoveToFront(el)
+		m = el.Value.(*matrixCacheEntry).m // remember rewrites it under mu
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -350,7 +352,7 @@ func (c *matrixCache) lookup(fp uint64) (*comm.Matrix, bool) {
 		return nil, false
 	}
 	c.fpHits.Add(1)
-	return el.Value.(*matrixCacheEntry).m, true
+	return m, true
 }
 
 func (c *matrixCache) remember(fp uint64, m *comm.Matrix) {

@@ -277,6 +277,37 @@ func TestPipelinedPooledPlacement(t *testing.T) {
 	}
 }
 
+// TestMatrixCacheConcurrentLookupRemember: pooled connections resolve
+// and re-announce one fingerprint at the same time (a body resend races
+// a fingerprint-only request), so lookup must read the entry's matrix
+// under the table lock that remember rewrites it under. Run with -race.
+func TestMatrixCacheConcurrentLookupRemember(t *testing.T) {
+	mc := newMatrixCache(4)
+	m := chainMatrix(4)
+	fp := comm.Fingerprint(m)
+	mc.remember(fp, m)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				mc.remember(fp, chainMatrix(4))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if got, ok := mc.lookup(fp); !ok || got == nil || got.Order() != 4 {
+					t.Errorf("lookup = (%v, %v)", got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestNetStatsOverRPC(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	svc, err := DialPlacementService(context.Background(), addr)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"orwlplace/internal/comm"
+	"orwlplace/internal/orwl"
 )
 
 // The observed-report codec reads and writes comm.Affinity while the
@@ -106,9 +107,9 @@ var reportCases = []reportCase{
 // side of the dense threshold and densities from empty to full, the
 // report encoder emits exactly the old putMatrixCompact(a.Dense())
 // framing — from the dense and from the sparse representation — and
-// decode∘encode returns the same cells in the representation
-// comm.NewAffinity picks (dense whatever the order once more than an
-// eighth of the cells is set: the decoder's allocation bound).
+// decode∘encode returns the same cells, sparse exactly when at most an
+// eighth of the cells is set, whatever the order (the decoder's
+// allocation bound: nothing decodes into more than 8·n² bytes).
 func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 	for _, n := range []int{1, 80, 512, 513, 1024} {
 		for ci, c := range reportCases {
@@ -134,7 +135,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 			if diff := diffCells(m, back); diff != "" {
 				t.Fatalf("%s: round trip changed cells: %s", name, diff)
 			}
-			wantDense := n <= comm.DenseOrderThreshold || m.NNZ() > n*n/8
+			wantDense := m.NNZ() > n*n/8
 			if _, dense := back.(*comm.Matrix); dense != wantDense {
 				t.Fatalf("%s: %d nonzeros decoded as %T", name, m.NNZ(), back)
 			}
@@ -146,6 +147,50 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 	fillRandom(2, nil)(full, rand.New(rand.NewSource(1)))
 	if enc, _ := encodeObservedReport(nil, schemaFleet, 7, 3, comm.SparseFromMatrix(full)); enc[3] != matDense {
 		t.Fatalf("a full random matrix encoded in mode %d, want dense", enc[3])
+	}
+}
+
+// TestDenseWindowReportMatchesDenseRead is the client's mirror of the
+// decoder's rule: a dense-mode recorder's NextAffinity holds, cell for
+// cell, what the dense counter read (Next, on a twin window) holds,
+// sparse exactly when the epoch has at most n²/8 nonzeros, and reports
+// in the bytes putMatrixCompact gives the dense form — over two epochs,
+// so the baseline advance is covered too.
+func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
+	for _, n := range []int{1, 80, 160, 512} {
+		for _, density := range []float64{0, 0.01, 0.12, 0.13, 0.5, 2} {
+			rng := rand.New(rand.NewSource(int64(n)*1000 + int64(density*100)))
+			tr := orwl.MustProgram(n).Traffic()
+			if tr.Sparse() {
+				t.Fatalf("order %d records in sparse mode", n)
+			}
+			affinity, dense := tr.NewWindow(), tr.NewWindow()
+			for epoch := 0; epoch < 2; epoch++ {
+				name := fmt.Sprintf("%d/%g/epoch%d", n, density, epoch)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if rng.Float64() < density {
+							tr.Record(i, j, 1+rng.Intn(1<<20)) // i == j is dropped
+						}
+					}
+				}
+				got, want := affinity.NextAffinity(), dense.Next()
+				if diff := diffCells(want, got); diff != "" {
+					t.Fatalf("%s: NextAffinity differs from the dense read: %s", name, diff)
+				}
+				if _, sparse := got.(*comm.Sparse); sparse != (want.NNZ() <= n*n/8) {
+					t.Fatalf("%s: %d nonzeros came back as %T", name, want.NNZ(), got)
+				}
+				enc, err := encodeObservedReport(nil, schemaFleet, 7, 3, got)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ref := putMatrixCompact(append([]byte(nil), reportHeader...), want); !bytes.Equal(enc, ref) {
+					t.Fatalf("%s: %T reports in %d bytes, putMatrixCompact of the dense read in %d; first difference at %d",
+						name, got, len(enc), len(ref), firstDiff(enc, ref))
+				}
+			}
+		}
 	}
 }
 

@@ -284,7 +284,6 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		}
 	}
 
-	sym := w.Comm.Symmetrized()
 	perThreadCommSec := make([]float64, n)
 	perThreadStreamSec := make([]float64, n)
 	perThreadStallCycles := make([]float64, n) // counter only
@@ -294,10 +293,12 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 	nodeLinkBytes := make(map[*topology.Object]float64)
 	nodeDRAMBytes := make(map[*topology.Object]float64)
 
-	// Communication: latency-bound, split evenly between endpoints.
+	// Communication: latency-bound, split evenly between endpoints. A
+	// pair's volume is the symmetrized one, read in place.
 	for i := 0; i < n; i++ {
+		row := w.Comm.RowView(i)
 		for j := i + 1; j < n; j++ {
-			v := sym.At(i, j)
+			v := row[j] + w.Comm.At(j, i)
 			if v == 0 {
 				continue
 			}

@@ -69,24 +69,33 @@ func (st *AdaptiveStats) merge(other AdaptiveStats) {
 // or down is not drift), 1 means the traffic now flows entirely
 // between different pairs. One all-zero matrix against a non-zero one
 // is full drift; two all-zero matrices agree.
+//
+// It is DriftAffinity for two dense matrices: the pairs i < j are read
+// in place, for the totals and then the distance; nothing is allocated.
 func Drift(a, b *comm.Matrix) float64 {
 	if a == nil || b == nil || a.Order() != b.Order() {
 		return 1
 	}
-	sa, sb := a.Symmetrized(), b.Symmetrized()
-	ta, tb := sa.Total(), sb.Total()
+	n := a.Order()
+	var ta, tb float64
+	for i := 0; i < n; i++ {
+		ra, rb := a.RowView(i), b.RowView(i)
+		for j := i + 1; j < n; j++ {
+			ta += ra[j] + a.At(j, i)
+			tb += rb[j] + b.At(j, i)
+		}
+	}
 	if ta == 0 && tb == 0 {
 		return 0
 	}
 	if ta == 0 || tb == 0 {
 		return 1
 	}
-	n := a.Order()
 	var dist float64
 	for i := 0; i < n; i++ {
-		ra, rb := sa.RowView(i), sb.RowView(i)
-		for j := range ra {
-			dist += math.Abs(ra[j]/ta - rb[j]/tb)
+		ra, rb := a.RowView(i), b.RowView(i)
+		for j := i + 1; j < n; j++ {
+			dist += math.Abs((ra[j]+a.At(j, i))/ta - (rb[j]+b.At(j, i))/tb)
 		}
 	}
 	return dist / 2
@@ -178,13 +187,48 @@ func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitio
 }
 
 // internalPairs gathers a's partition-internal off-diagonal entries as
-// pairs i < j, sorts them by (i, j) with two stable counting passes
-// (column, then row: O(nnz + tasks) whatever the row shapes), folds the
-// (i,j)/(j,i) duplicates and totals per partition, all in sorted order.
-// The pairs alias sc.pairs.
+// pairs i < j sorted by (i, j), the (i,j)/(j,i) duplicates folded, and
+// totals them per partition in that order. The pairs alias sc.pairs.
 func (pb *partitionBaseline) internalPairs(a comm.Affinity, parts int, sc *pairScratch) ([]partitionPair, []float64) {
+	var merged []partitionPair
+	if m, ok := a.(*comm.Matrix); ok {
+		merged = pb.densePairs(m, sc)
+	} else {
+		merged = pb.sortedPairs(a, sc)
+	}
+	totals := make([]float64, parts)
+	for _, p := range merged {
+		totals[pb.partOf[p.i]] += p.v
+	}
+	return merged, totals
+}
+
+// densePairs is the gather on a dense matrix: walking the upper triangle
+// row by row and adding the transposed cell yields the folded pairs
+// already in (i, j) order, so nothing is counted, sorted or merged.
+func (pb *partitionBaseline) densePairs(m *comm.Matrix, sc *pairScratch) []partitionPair {
+	pairs := sc.pairs[:0]
+	for i, pi := range pb.partOf {
+		if pi < 0 {
+			continue
+		}
+		row := m.RowView(i)
+		for j := i + 1; j < len(row); j++ {
+			if v := row[j] + m.At(j, i); v != 0 && pb.partOf[j] == pi {
+				pairs = append(pairs, partitionPair{i: int32(i), j: int32(j), v: v})
+			}
+		}
+	}
+	sc.pairs = pairs
+	return pairs
+}
+
+// sortedPairs is the gather on any other representation: collect the
+// nonzeros, sort them by (i, j) with two stable counting passes (column,
+// then row: O(nnz + tasks) whatever the row shapes), fold the duplicates.
+func (pb *partitionBaseline) sortedPairs(a comm.Affinity, sc *pairScratch) []partitionPair {
 	n := len(pb.partOf)
-	if nnz := a.NNZ(); cap(sc.pairs) < nnz {
+	if nnz := a.NNZ(); cap(sc.pairs) < nnz || len(sc.tmp) < nnz {
 		sc.pairs, sc.tmp = make([]partitionPair, 0, nnz), make([]partitionPair, nnz)
 	}
 	if len(sc.start) != n+1 {
@@ -226,11 +270,7 @@ func (pb *partitionBaseline) internalPairs(a comm.Affinity, parts int, sc *pairS
 			merged = append(merged, p)
 		}
 	}
-	totals := make([]float64, parts)
-	for _, p := range merged {
-		totals[pb.partOf[p.i]] += p.v
-	}
-	return merged, totals
+	return merged
 }
 
 // drift measures window against the baseline by walking the two sorted
@@ -399,9 +439,9 @@ type Reconciler struct {
 	mu   sync.Mutex
 	cur  *Assignment
 	base comm.Affinity // affinity backing cur — what drift is measured against
-	// driftBase caches base in partition-drift form, so a steady epoch
-	// only processes its window; setBaseline, the one writer of cur and
-	// base, clears it.
+	// driftBase caches base in drift form (one partition for an
+	// unpartitioned mapping), so a steady epoch only processes its
+	// window; setBaseline, the one writer of cur and base, clears it.
 	driftBase *partitionBaseline
 	stats     AdaptiveStats
 
@@ -409,6 +449,22 @@ type Reconciler struct {
 	// and epochs left in the post-remap cooldown.
 	overStreak int
 	cooldown   int
+
+	// perIter is modelWorkload's scratch: the window scaled down to one
+	// iteration, held by model under modelMu.
+	modelMu sync.Mutex
+	perIter comm.Matrix
+}
+
+// windowRecycler is the optional face of an AffinitySource that gives
+// every window away (the fleet controller's hand-off source). An adopted
+// window then becomes the baseline as it is, without a copy, and the
+// baseline it replaced is handed back in its place; any other window is
+// handed back itself once the epoch no longer reads it — two or three
+// matrices rotate for ever. Such a source must be driven by one Epoch at
+// a time. Without the method the reconciler clones on adoption.
+type windowRecycler interface {
+	Recycle(comm.Affinity)
 }
 
 // NewReconciler builds a reconciler re-placing prog (may be nil for
@@ -513,22 +569,29 @@ func (r *Reconciler) SetCurrentAffinity(a *Assignment, aff comm.Affinity) error 
 
 // setBaseline installs the assignment in force and the affinity it was
 // computed from. Every path replacing either (Prime*, SetCurrent* and
-// so a snapshot restore, an adoption) ends here, so the cached
-// partition form never outlives its baseline.
+// so a snapshot restore, an adoption) ends here, so the cached drift
+// form never outlives its baseline. A replaced baseline may be recycled
+// (windowRecycler): outside Epoch, r.base is only read under r.mu and
+// leaves as a copy (BaselineAffinity), so no snapshot aliases the slab.
 func (r *Reconciler) setBaseline(cur *Assignment, base comm.Affinity) {
 	r.mu.Lock()
 	r.cur, r.base, r.driftBase = cur, base, nil
 	r.mu.Unlock()
 }
 
-// partitionBaseline returns base in partition-drift form, built on the
-// first partitioned epoch after a setBaseline.
-func (r *Reconciler) partitionBaseline(cur *Assignment, base comm.Affinity) *partitionBaseline {
+// driftBaseline returns base in drift form, built on the first epoch
+// after a setBaseline. An unpartitioned mapping is one partition holding
+// every task, so both kinds are measured by the same walk.
+func (r *Reconciler) driftBaseline(cur *Assignment, base comm.Affinity) *partitionBaseline {
 	r.mu.Lock()
 	pb := r.driftBase
 	r.mu.Unlock()
 	if pb == nil {
-		pb = newPartitionBaseline(partitionOf(cur.Partitions, base.Order()), len(cur.Partitions.Parts), base)
+		partOf, parts := make([]int, base.Order()), 1
+		if hasPartitions(cur) {
+			partOf, parts = partitionOf(cur.Partitions, base.Order()), len(cur.Partitions.Parts)
+		}
+		pb = newPartitionBaseline(partOf, parts, base)
 		r.mu.Lock()
 		if r.base == base { // not replaced while we were building
 			r.driftBase = pb
@@ -536,6 +599,11 @@ func (r *Reconciler) partitionBaseline(cur *Assignment, base comm.Affinity) *par
 		r.mu.Unlock()
 	}
 	return pb
+}
+
+// hasPartitions reports whether a is a partitioned mapping.
+func hasPartitions(a *Assignment) bool {
+	return a.Partitions != nil && len(a.Partitions.Parts) > 0
 }
 
 // Current returns the assignment in force (the caller's copy).
@@ -593,6 +661,11 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		window = m
 	}
 
+	// spare is what a recycling source gets back when the epoch ends: the
+	// window, or the baseline an adopted window replaced.
+	recycler, _ := r.asrc.(windowRecycler)
+	spare := window
+
 	rep := &EpochReport{WindowBytes: window.Total()}
 	finish := func() (*EpochReport, error) {
 		r.mu.Lock()
@@ -613,6 +686,9 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		}
 		rep.Assignment = r.cur.Clone()
 		r.mu.Unlock()
+		if recycler != nil {
+			recycler.Recycle(spare)
+		}
 		return rep, nil
 	}
 
@@ -633,24 +709,19 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		r.mu.Unlock()
 		return finish()
 	}
-	// Drift dispatch. Partitioned mappings measure per partition — the
-	// signal that later scopes the recompute to the drifted subtrees.
-	// Dense-vs-dense keeps the original Drift path bit-for-bit; mixed
-	// or sparse representations go through DriftAffinity.
-	bm, baseDense := base.(*comm.Matrix)
+	// One drift walk for every mapping and representation. Partitioned
+	// mappings also report it per partition — the signal that later
+	// scopes the recompute to the drifted subtrees.
 	wm, winDense := window.(*comm.Matrix)
-	partitioned := cur.Partitions != nil && len(cur.Partitions.Parts) > 0
+	partitioned := hasPartitions(cur)
+	drifts := r.driftBaseline(cur, base).drift(window)
 	if partitioned {
-		rep.PartitionDrifts = r.partitionBaseline(cur, base).drift(window)
-		for _, d := range rep.PartitionDrifts {
-			if d > rep.Drift {
-				rep.Drift = d
-			}
+		rep.PartitionDrifts = drifts
+	}
+	for _, d := range drifts {
+		if d > rep.Drift {
+			rep.Drift = d
 		}
-	} else if baseDense && winDense {
-		rep.Drift = Drift(bm, wm)
-	} else {
-		rep.Drift = DriftAffinity(base, window)
 	}
 	if rep.Drift <= r.cfg.DriftThreshold {
 		r.mu.Lock()
@@ -719,7 +790,11 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	}
 	rep.Adopted = true
 	rep.MovedTasks = movedTasks(cur, candidate)
-	r.setBaseline(candidate, window.CloneAffinity())
+	if recycler == nil {
+		window = window.CloneAffinity() // the source keeps its window
+	}
+	r.setBaseline(candidate, window)
+	spare = base
 	r.mu.Lock()
 	r.overStreak = 0
 	r.cooldown = r.cfg.CooldownEpochs
@@ -731,6 +806,8 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 // modeled seconds each spends serving Horizon iterations of the
 // observed pattern, and the one-time migration cost of switching.
 func (r *Reconciler) model(window *comm.Matrix, cur, candidate *Assignment) (gain, cost float64, err error) {
+	r.modelMu.Lock()
+	defer r.modelMu.Unlock()
 	w := r.modelWorkload(window)
 	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, r.cfg.Seed))
 	if err != nil {
@@ -849,12 +926,15 @@ func (r *Reconciler) modelWorkload(window *comm.Matrix) *perfsim.Workload {
 	}
 	perIter := window
 	if r.cfg.WindowIterations > 1 {
-		perIter = window.Clone()
+		// Scaled into the reconciler's own scratch: the model is not
+		// linear in volume, so its result cannot be scaled instead.
+		perIter = &r.perIter
+		perIter.Reset(n)
 		scale := 1 / float64(r.cfg.WindowIterations)
 		for i := 0; i < n; i++ {
-			row := perIter.RowView(i)
-			for j := range row {
-				row[j] *= scale
+			src, dst := window.RowView(i), perIter.RowView(i)
+			for j, v := range src {
+				dst[j] = v * scale
 			}
 		}
 	}

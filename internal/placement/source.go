@@ -170,7 +170,8 @@ func (s *ObservedSource) Matrix() (*comm.Matrix, error) {
 // Affinity implements AffinitySource: the same counters and the same
 // window as Matrix (a windowed source advances one shared window
 // whichever surface is called), served sparse above the dense
-// threshold. AffinityOf therefore returns observed sources as-is.
+// threshold — a window at any order, when it holds at most n²/8
+// nonzeros. AffinityOf therefore returns observed sources as-is.
 func (s *ObservedSource) Affinity() (comm.Affinity, error) {
 	if s == nil || s.Prog == nil {
 		return nil, fmt.Errorf("placement: observed source: nil program")
