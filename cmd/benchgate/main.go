@@ -5,19 +5,9 @@
 //	scripts/bench.sh -o BENCH_FRESH.json
 //	go run ./cmd/benchgate -baseline BENCH_PR8.json -fresh BENCH_FRESH.json
 //
-// Two families are gated, matching the acceptance-critical hot paths:
-//
-//   - ns/op benchmarks matched by -gate (default the TreeMatchMap
-//     family): fresh ns/op must not exceed baseline by more than
-//     -max-regress;
-//   - the placeload transport comparison (PlaceloadPipelinedVsLockstep):
-//     the pipelined-vs-lockstep speedup must not shrink by more than
-//     -max-regress.
-//
-// Ratios, not absolute numbers, are compared where possible: the
-// speedup is measured against the same machine's own lock-step run, so
-// the gate tolerates slow CI hardware but catches a transport that
-// stopped pipelining.
+// The ns/op benchmarks matched by -gate (default the TreeMatchMap
+// family) are gated: fresh ns/op must not exceed baseline by more than
+// -max-regress.
 package main
 
 import (
@@ -34,9 +24,7 @@ type metrics struct {
 }
 
 type entry struct {
-	Before    *metrics `json:"before,omitempty"`
-	After     *metrics `json:"after"`
-	SpeedupNs float64  `json:"speedup_ns,omitempty"`
+	After *metrics `json:"after"`
 }
 
 type file struct {
@@ -62,7 +50,6 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_PR6.json", "recorded baseline benchjson file")
 	freshPath := flag.String("fresh", "", "fresh benchjson file to gate (required)")
 	gate := flag.String("gate", "TreeMatchMap", "regexp of ns/op benchmarks to gate")
-	speedupKey := flag.String("speedup", "PlaceloadPipelinedVsLockstep", "speedup entry to gate ('' skips)")
 	maxRegress := flag.Float64("max-regress", 0.25, "tolerated fractional degradation")
 	flag.Parse()
 	if *freshPath == "" {
@@ -110,28 +97,6 @@ func main() {
 	if checked == 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: no baseline benchmark matched %q\n", *gate)
 		os.Exit(2)
-	}
-
-	if *speedupKey != "" {
-		b, bok := base.Benches[*speedupKey]
-		f, fok := fresh.Benches[*speedupKey]
-		switch {
-		case !bok || b.SpeedupNs <= 0:
-			fmt.Fprintf(os.Stderr, "benchgate: baseline has no %s speedup\n", *speedupKey)
-			os.Exit(2)
-		case !fok || f.SpeedupNs <= 0:
-			fmt.Printf("benchgate: FAIL %-40s missing from fresh run\n", *speedupKey)
-			failed++
-		default:
-			ratio := f.SpeedupNs / b.SpeedupNs
-			verdict := "ok  "
-			if ratio < 1-*maxRegress {
-				verdict = "FAIL"
-				failed++
-			}
-			fmt.Printf("benchgate: %s %-40s speedup %6.1fx -> %6.1fx (%+.1f%%)\n",
-				verdict, *speedupKey, b.SpeedupNs, f.SpeedupNs, (ratio-1)*100)
-		}
 	}
 
 	if failed > 0 {

@@ -15,13 +15,9 @@
 //	          [-benchtime 1s] [-baseline scripts/bench_baseline_pr3.json] \
 //	          [-placeload 2s]
 //
-// With -placeload, the cmd/placeload transport driver also runs twice
-// against an in-process daemon — once pinned to the pre-pipeline
-// lock-step protocol, once with the pipelined defaults — and the pair
-// is recorded as PlaceloadLockstepBaseline / PlaceloadPipelined plus a
-// combined PlaceloadPipelinedVsLockstep entry whose speedup_ns is the
-// placements/sec ratio and whose bytes_ratio is the warm request-bytes
-// shrink factor (the PR 6 acceptance numbers).
+// With -placeload, the cmd/placeload transport driver also runs
+// against an in-process daemon with its pipelined defaults, recorded
+// as PlaceloadPipelined.
 //
 // scripts/bench.sh wraps it with the repo defaults; CI uploads the
 // result as an artifact.
@@ -58,10 +54,6 @@ type Entry struct {
 	SpeedupNs float64 `json:"speedup_ns,omitempty"`
 	// AllocRatio is before/after allocs_op (higher is better).
 	AllocRatio float64 `json:"alloc_ratio,omitempty"`
-	// BytesRatio is before/after wire bytes per operation (higher is
-	// better) — set on the placeload transport pair, where the metric
-	// that matters besides latency is payload size.
-	BytesRatio float64 `json:"bytes_ratio,omitempty"`
 }
 
 // File is the BENCH_*.json schema.
@@ -80,7 +72,7 @@ type File struct {
 // 10ktasks-1kcores sparse partitioned case), engine cold/cached/burst,
 // grouping engines, matrix pipeline, the placement RPC round trip, the
 // runtime traffic counters (instrumented vs uninstrumented pairs) and
-// the adaptive reconciliation epoch and the PR 10 schema v6 delta
+// the adaptive reconciliation epoch and the PR 10 remap delta
 // push (encode+decode+apply+sparse-rebind of a single-partition remap
 // at 10k tasks; its extra metrics carry the push_bytes_ratio and
 // rebind_ratio acceptance numbers).
@@ -99,7 +91,7 @@ func main() {
 	pkgs := flag.String("pkgs", strings.Join(defaultPkgs(), ","), "comma-separated packages to bench")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	baseline := flag.String("baseline", "", "JSON file with recorded before-metrics (a prior benchjson output or a bare name->metrics map)")
-	placeload := flag.Duration("placeload", 0, "also run the cmd/placeload transport driver for this window per mode (0 skips it)")
+	placeload := flag.Duration("placeload", 0, "also run the cmd/placeload transport driver for this window (0 skips it)")
 	flag.Parse()
 
 	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem", "-benchtime", *benchtime}
@@ -228,46 +220,21 @@ func readBaseline(path string) (map[string]*Metrics, error) {
 	return bare, nil
 }
 
-// runPlaceload measures the daemon transport with cmd/placeload in
-// both modes and records the pair: the lock-step baseline, the
-// pipelined run, and a combined entry whose ratios are the PR 6
-// acceptance numbers (throughput speedup, warm request-bytes shrink).
+// runPlaceload measures the daemon transport with cmd/placeload and
+// records it as PlaceloadPipelined.
 func runPlaceload(benches map[string]Entry, window time.Duration) error {
-	run := func(baseline bool) (*Metrics, error) {
-		args := []string{"run", "./cmd/placeload", "-json", "-duration", window.String()}
-		if baseline {
-			args = append(args, "-baseline")
-		}
-		cmd := exec.Command("go", args...)
-		cmd.Stderr = os.Stderr
-		raw, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: go %s: %w", strings.Join(args, " "), err)
-		}
-		var m Metrics
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("benchjson: placeload output: %w", err)
-		}
-		return &m, nil
-	}
-	before, err := run(true)
+	args := []string{"run", "./cmd/placeload", "-json", "-duration", window.String()}
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = os.Stderr
+	raw, err := cmd.Output()
 	if err != nil {
-		return err
+		return fmt.Errorf("benchjson: go %s: %w", strings.Join(args, " "), err)
 	}
-	after, err := run(false)
-	if err != nil {
-		return err
+	var m Metrics
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return fmt.Errorf("benchjson: placeload output: %w", err)
 	}
-	benches["PlaceloadLockstepBaseline"] = Entry{After: before}
-	benches["PlaceloadPipelined"] = Entry{After: after}
-	pair := Entry{Before: before, After: after}
-	if after.NsOp > 0 {
-		pair.SpeedupNs = round2(before.NsOp / after.NsOp)
-	}
-	if b, a := before.Extra["req_bytes_per_place"], after.Extra["req_bytes_per_place"]; a > 0 {
-		pair.BytesRatio = round2(b / a)
-	}
-	benches["PlaceloadPipelinedVsLockstep"] = pair
+	benches["PlaceloadPipelined"] = Entry{After: &m}
 	return nil
 }
 

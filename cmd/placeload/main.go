@@ -1,17 +1,14 @@
 // Command placeload drives a placement daemon at sustained load and
 // reports what the transport delivers: warm placements per second,
-// p50/p99 call latency, and bytes on the wire per placement. It is the
-// measuring instrument for the protoPipeline transport — run it twice,
-// once pinned to the pre-pipeline protocol (-baseline: one connection,
-// one call in flight, dense matrices) and once with the pipelined
-// defaults, and the pair is the before/after recorded in
-// BENCH_PR6.json.
+// p50/p99 call latency, and bytes on the wire per placement.
+// -conns 1 -inflight 1 measures one unpipelined connection; the
+// defaults measure a pipelined pool.
 //
 // Usage:
 //
 //	placeload [-addr host:port] [-machine smp20e7] [-tasks 160] \
 //	          [-conns 4] [-inflight 32] [-duration 2s] [-batch 8] \
-//	          [-baseline] [-json]
+//	          [-json]
 //
 // Without -addr it self-serves: an in-process daemon on a loopback
 // port with the -machine topology, so one command measures the full
@@ -60,17 +57,16 @@ func main() {
 	inflight := flag.Int("inflight", 32, "concurrent placement calls kept in flight")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window")
 	batchSlots := flag.Int("batch", 8, "slots in the warm PlaceBatch payload measurement (0 skips it)")
-	baseline := flag.Bool("baseline", false, "measure the pre-pipeline transport: one connection, one call in flight, protocol <= v3 (lock-step, dense matrices)")
 	jsonOut := flag.Bool("json", false, "emit one benchjson-style metrics object instead of prose")
 	flag.Parse()
 
-	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration, *batchSlots, *baseline, *jsonOut); err != nil {
+	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration, *batchSlots, *jsonOut); err != nil {
 		fmt.Fprintf(os.Stderr, "placeload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, machine string, tasks, conns, inflight int, duration time.Duration, batchSlots int, baseline, jsonOut bool) error {
+func run(addr, machine string, tasks, conns, inflight int, duration time.Duration, batchSlots int, jsonOut bool) error {
 	ctx := context.Background()
 
 	if addr == "" {
@@ -95,18 +91,7 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 		addr = lis.Addr().String()
 	}
 
-	dialOpts := []orwlnet.DialOption{orwlnet.WithPoolSize(conns)}
-	if baseline {
-		// The pre-pipeline shape: a single connection whose placement
-		// calls run lock-step, carrying dense matrices — what every
-		// client before protoPipeline was.
-		conns, inflight = 1, 1
-		dialOpts = []orwlnet.DialOption{
-			orwlnet.WithPoolSize(1),
-			orwlnet.WithMaxProtocol(orwlnet.ProtoAdaptive),
-		}
-	}
-	svc, err := orwlnet.DialPlacementService(ctx, addr, dialOpts...)
+	svc, err := orwlnet.DialPlacementService(ctx, addr, orwlnet.WithPoolSize(conns))
 	if err != nil {
 		return err
 	}
@@ -122,8 +107,8 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 		Entities: tasks,
 	}
 
-	// Prime: fills the daemon's mapping cache and (on v4) its
-	// seen-matrix table, so the measured window is the warm steady
+	// Prime: fills the daemon's mapping cache and its seen-matrix
+	// table, so the measured window is the warm steady
 	// state the acceptance numbers are about.
 	if _, err := svc.Place(ctx, req); err != nil {
 		return err
@@ -214,11 +199,7 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 		fmt.Println(string(data))
 		return nil
 	}
-	mode := "pipelined"
-	if baseline {
-		mode = "lock-step baseline"
-	}
-	fmt.Printf("placeload (%s): %d placements in %v on %d conn(s) x %d in flight\n", mode, total, elapsed.Round(time.Millisecond), conns, inflight)
+	fmt.Printf("placeload: %d placements in %v on %d conn(s) x %d in flight\n", total, elapsed.Round(time.Millisecond), conns, inflight)
 	fmt.Printf("  throughput: %.0f placements/sec\n", perSec)
 	fmt.Printf("  latency:    p50 %v, p99 %v\n", time.Duration(pct(lats, 50)), time.Duration(pct(lats, 99)))
 	fmt.Printf("  wire:       %.0f B/place out, %.0f B/place in", reqBytes, respBytes)

@@ -254,10 +254,7 @@ func runFleet(w *perfsim.Workload, daemonAddr string) error {
 		return err
 	}
 	defer c.Close()
-	remote, err := c.PlacementService()
-	if err != nil {
-		return err
-	}
+	remote := c.PlacementService()
 	stats, err := remote.Stats(ctx)
 	if err != nil {
 		return err
@@ -297,7 +294,7 @@ func runFleet(w *perfsim.Workload, daemonAddr string) error {
 		fmt.Printf("%-12s %14.3g %16.3g %10s %12.2f\n",
 			resp.Machine, resp.Cost, resp.CrossNUMAVolume, hit, float64(resp.ElapsedNS)/1e6)
 	}
-	// The schema v5 stats tail: all zeros unless the daemon hosts the
+	// The fleet stats: all zeros unless the daemon hosts the
 	// fleet control plane (orwlnetd -adaptive) and clients feed it.
 	if final, err := remote.Stats(ctx); err == nil {
 		fs := final.Fleet

@@ -28,7 +28,7 @@
 // (pipeline, registry, cache) and the Service contract.
 // internal/orwlnet carries both ORWL location sharing and the
 // placement RPCs over one multiplexed, length-prefixed,
-// version-negotiated TCP protocol, served by cmd/orwlnetd. The
+// versioned TCP protocol, served by cmd/orwlnetd. The
 // substrates — internal/topology, internal/treematch, internal/orwl,
 // internal/perfsim, internal/comm — are unchanged in role; the
 // benchmark harness in this package regenerates every table and

@@ -109,7 +109,7 @@ func run(ctx context.Context, daemon, peer string, base, tasks int, shift time.D
 // Before the shift every task rings. After it, only the first
 // span=tasks*shiftSpan tasks flip to the reversed pairing; the rest
 // keep ringing. A small span changes few placements, which is exactly
-// what the schema v6 delta push is for — the daemon ships the handful
+// what the delta remap push is for — the daemon ships the handful
 // of moved tasks instead of the whole assignment.
 func generate(ctx context.Context, prog *orwlplace.Program, base, tasks int, shift time.Duration, shiftSpan float64) {
 	start := time.Now()

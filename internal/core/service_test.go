@@ -36,11 +36,7 @@ func startDaemon(t *testing.T, top *topology.Topology) *orwlnet.RemoteService {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return remote
+	return c.PlacementService()
 }
 
 // TestThreeStepAPIOverRemoteService is the paper's three-step API with

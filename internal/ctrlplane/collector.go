@@ -10,16 +10,30 @@
 // a contiguous slice of a machine's global task space, ships the
 // traffic it measured among its own tasks, and the daemon sees the
 // union — the matrix no single process could observe. The wire face
-// (opFleetLease / opObservedReport / opWatchRemaps, schema v5) lives
+// (opFleetLease / opObservedReport / opWatchRemaps) lives
 // in internal/orwlnet; this package is transport-agnostic.
 package ctrlplane
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"orwlplace/internal/comm"
+)
+
+// Sentinel errors of the report path. Callers branch on them with
+// errors.Is — locally, or across the wire, where orwlnet carries them
+// as status codes. Their text is the phrase the wrapping message
+// embeds.
+var (
+	// ErrUnknownLease refuses a report naming a lease the collector does
+	// not hold (expired, or never registered): the peer must re-register.
+	ErrUnknownLease = errors.New("unknown lease")
+	// ErrRateLimited refuses a report over its sender's budget; the
+	// refusal is transient, so the sender backs off and resends.
+	ErrRateLimited = errors.New("rate limit")
 )
 
 // Lease is a registered (machine, peer, task-range) identity: the
@@ -245,7 +259,7 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 	c.evictStaleLocked()
 	ls, ok := c.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("ctrlplane: unknown lease %d (expired or never registered — re-register)", leaseID)
+		return fmt.Errorf("ctrlplane: %w %d (expired or never registered — re-register)", ErrUnknownLease, leaseID)
 	}
 	if delta.Order() != ls.TaskCount {
 		return fmt.Errorf("ctrlplane: observed window order %d does not match lease %d task count %d", delta.Order(), leaseID, ls.TaskCount)
@@ -260,7 +274,7 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 		ls.lastRefill = now
 		if ls.bucket < 1 {
 			c.throttled++
-			return fmt.Errorf("ctrlplane: rate limit: lease %d exceeded %g reports/sec (burst %g) — back off and retry", leaseID, c.reportRate, c.reportBurst)
+			return fmt.Errorf("ctrlplane: %w: lease %d exceeded %g reports/sec (burst %g) — back off and retry", ErrRateLimited, leaseID, c.reportRate, c.reportBurst)
 		}
 		ls.bucket--
 	}

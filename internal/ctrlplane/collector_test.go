@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -170,8 +171,8 @@ func TestCollectorValidation(t *testing.T) {
 	if err := c.ReportAffinity(ls.ID, 1, delta(3, 0, 1, 1)); err == nil {
 		t.Error("order-mismatched window accepted")
 	}
-	if err := c.ReportAffinity(ls.ID+99, 1, delta(2, 0, 1, 1)); err == nil {
-		t.Error("unknown lease accepted")
+	if err := c.ReportAffinity(ls.ID+99, 1, delta(2, 0, 1, 1)); !errors.Is(err, ErrUnknownLease) {
+		t.Errorf("unknown lease: err = %v, want ErrUnknownLease", err)
 	}
 	// A typed nil pointer behind the interface is the same refusal, not
 	// a panic on the first method call.

@@ -28,7 +28,7 @@ type Remap struct {
 	// applies its lease's slice.
 	Assignment *placement.Assignment
 	// MovedTasks lists, ascending, the tasks whose placement changed
-	// relative to the previous epoch — what a schema v6 delta frame
+	// relative to the previous epoch — what a delta remap frame
 	// ships and an O(changed) re-bind touches. Nil means unknown (the
 	// initial adoption, a catch-up snapshot, or incomparable
 	// assignments): consumers must then treat every task as possibly
@@ -405,8 +405,7 @@ func (c *Controller) Latest(machine string) *Remap {
 	return &cp
 }
 
-// Stats snapshots the control plane's counters for the schema v5
-// stats payload.
+// Stats snapshots the control plane's counters for the stats payload.
 func (c *Controller) Stats() placement.FleetStats {
 	reports, peers, evicted := c.col.Counters()
 	throttled, conflicts := c.col.Abuse()

@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestReportRateLimit(t *testing.T) {
 		}
 	}
 	err = c.ReportAffinity(spammer.ID, 4, window())
-	if err == nil || !strings.Contains(err.Error(), "rate limit") {
+	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("4th report: err = %v, want rate limit", err)
 	}
 	if throttled, _ := c.Abuse(); throttled != 1 {

@@ -12,12 +12,14 @@ package ctrlplane
 //	magic "ORWLSNAP" | version byte | payload | CRC32-IEEE (big endian)
 //
 // The checksum covers magic, version and payload, so truncation and
-// bit flips are both caught. Version 1 persists leases, orders and
-// epochs; version 2 (current) adds each machine's drift-baseline
-// matrix, letting a restored reconciler measure drift against the
-// matrix its adopted mapping was computed from. Unknown versions and
-// checksum failures decode to an error — the daemon logs it and starts
-// fresh rather than crashing or trusting damaged state.
+// bit flips are both caught. The payload persists leases, orders,
+// epochs, adopted assignments (with their partition structure) and
+// each machine's drift-baseline matrix as a sparse nonzero list,
+// letting a restored reconciler measure drift against the matrix its
+// adopted mapping was computed from. There is one version; any other
+// version byte, like a checksum failure, decodes to an error — the
+// daemon logs it and starts fresh rather than crashing or trusting
+// damaged state.
 
 import (
 	"encoding/binary"
@@ -38,21 +40,12 @@ import (
 const (
 	// snapshotMagic identifies a control-plane snapshot file.
 	snapshotMagic = "ORWLSNAP"
-	// SnapshotVersionLeases is the first snapshot schema: leases,
-	// machine orders, epochs and latest adopted remaps.
-	SnapshotVersionLeases = 1
-	// SnapshotVersionBaseline adds the per-machine drift-baseline
-	// matrix, stored densely (order²  floats).
-	SnapshotVersionBaseline = 2
-	// SnapshotVersionSparse stores the baseline as a sparse nonzero
-	// list — O(nnz) on disk, the only form that scales to the raised
-	// lease-task bounds — and persists the assignment's partition
+	// SnapshotVersion is the one snapshot format: the baseline as a
+	// sparse nonzero list — O(nnz) on disk, the only form that scales
+	// to the raised lease-task bounds — and the assignment's partition
 	// structure, so a restored reconciler resumes per-subtree drift
-	// tracking. This is the current version; version 1 and 2 files
-	// still restore.
-	SnapshotVersionSparse = 3
-	// SnapshotVersion is the version SaveSnapshot writes.
-	SnapshotVersion = SnapshotVersionSparse
+	// tracking. A format change bumps it and replaces the layout.
+	SnapshotVersion = 3
 
 	// snapMaxCount bounds decoded collection lengths, so a corrupt or
 	// hostile length prefix cannot force a huge allocation before the
@@ -80,11 +73,10 @@ type MachineRecord struct {
 	// Latest is the newest adopted remap, nil before the first
 	// adoption.
 	Latest *Remap
-	// Base is the drift baseline backing Latest.Assignment, nil in
-	// version-1 snapshots and before the first adoption. Restoring it
-	// re-primes the machine's reconciler. Version-2 files carry it
-	// densely, version-3 as a sparse nonzero list; in memory it is
-	// whatever representation matches the order.
+	// Base is the drift baseline backing Latest.Assignment, nil before
+	// the first adoption. Restoring it re-primes the machine's
+	// reconciler. The file carries it as a sparse nonzero list; in
+	// memory it is whatever representation matches the order.
 	Base comm.Affinity
 }
 
@@ -173,52 +165,7 @@ func snapGetIntSlice(src []byte) ([]int, []byte, error) {
 	return out, rest, nil
 }
 
-// snapPutDenseMatrix writes the version-2 baseline record: order²
-// floats. Sparse baselines densify — the price of emitting a
-// downgrade-compatible file.
-func snapPutDenseMatrix(dst []byte, a comm.Affinity) []byte {
-	if a == nil {
-		return binary.AppendUvarint(dst, 0)
-	}
-	m := a.Dense()
-	n := m.Order()
-	dst = binary.AppendUvarint(dst, uint64(n)+1) // 0 = nil, k+1 = order k
-	for i := 0; i < n; i++ {
-		for _, v := range m.RowView(i) {
-			dst = snapPutFloat(dst, v)
-		}
-	}
-	return dst
-}
-
-func snapGetDenseMatrix(src []byte, maxTasks int) (*comm.Matrix, []byte, error) {
-	enc, rest, err := snapGetUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if enc == 0 {
-		return nil, rest, nil
-	}
-	n := int(enc - 1)
-	if n > maxTasks {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: matrix order %d exceeds the %d-task cap", n, maxTasks)
-	}
-	if uint64(len(rest)) < uint64(n)*uint64(n)*8 {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: truncated %dx%d matrix", n, n)
-	}
-	m := comm.NewMatrix(n)
-	for i := 0; i < n; i++ {
-		row := m.RowView(i)
-		for j := range row {
-			if row[j], rest, err = snapGetFloat(rest); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return m, rest, nil
-}
-
-// snapPutSparseMatrix writes the version-3 baseline record: order,
+// snapPutSparseMatrix writes the baseline record: order,
 // nonzero count, then (row, col, value) triples in row-major order —
 // deterministic (ForEachRow yields ascending columns) and O(nnz) on
 // disk however large the task space is.
@@ -286,21 +233,16 @@ const (
 	snapAssignOversubscribed = 1 << 1
 	snapAssignHasControl     = 1 << 2
 	snapAssignHasCoreOf      = 1 << 3
-	// snapAssignHasPartitions marks a persisted partition structure —
-	// written only at SnapshotVersionSparse and later, so version-2
-	// files stay decodable by version-2 daemons.
+	// snapAssignHasPartitions marks a persisted partition structure.
 	snapAssignHasPartitions = 1 << 4
 )
 
-func snapPutAssignment(dst []byte, a *placement.Assignment, version int) []byte {
+func snapPutAssignment(dst []byte, a *placement.Assignment) []byte {
 	if a == nil {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
 	parts := a.Partitions
-	if version < SnapshotVersionSparse {
-		parts = nil
-	}
 	var flags byte
 	if a.Unbound {
 		flags |= snapAssignUnbound
@@ -409,17 +351,11 @@ func snapGetAssignment(src []byte) (*placement.Assignment, []byte, error) {
 
 // --- codec ----------------------------------------------------------
 
-// EncodeSnapshot serialises s at the requested schema version: a
-// version-1 encoding drops the baseline matrices, version 2 stores
-// them densely (and drops partition structures), version 3 stores
-// them sparse. The output is deterministic: leases sort by ID,
-// machines by name.
-func EncodeSnapshot(s *Snapshot, version int) ([]byte, error) {
+// EncodeSnapshot serialises s in the SnapshotVersion format. The
+// output is deterministic: leases sort by ID, machines by name.
+func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("ctrlplane: nil snapshot")
-	}
-	if version < SnapshotVersionLeases || version > SnapshotVersionSparse {
-		return nil, fmt.Errorf("ctrlplane: unknown snapshot version %d", version)
 	}
 	leases := append([]LeaseRecord(nil), s.Leases...)
 	sort.Slice(leases, func(i, j int) bool { return leases[i].ID < leases[j].ID })
@@ -427,7 +363,7 @@ func EncodeSnapshot(s *Snapshot, version int) ([]byte, error) {
 	sort.Slice(machines, func(i, j int) bool { return machines[i].Name < machines[j].Name })
 
 	dst := append([]byte(nil), snapshotMagic...)
-	dst = append(dst, byte(version))
+	dst = append(dst, SnapshotVersion)
 	dst = binary.AppendUvarint(dst, s.NextLeaseID)
 	dst = binary.AppendUvarint(dst, uint64(len(leases)))
 	for _, lr := range leases {
@@ -449,13 +385,9 @@ func EncodeSnapshot(s *Snapshot, version int) ([]byte, error) {
 		} else {
 			dst = append(dst, 1)
 			dst = snapPutFloat(dst, mr.Latest.Drift)
-			dst = snapPutAssignment(dst, mr.Latest.Assignment, version)
+			dst = snapPutAssignment(dst, mr.Latest.Assignment)
 		}
-		if version >= SnapshotVersionSparse {
-			dst = snapPutSparseMatrix(dst, mr.Base)
-		} else if version >= SnapshotVersionBaseline {
-			dst = snapPutDenseMatrix(dst, mr.Base)
-		}
+		dst = snapPutSparseMatrix(dst, mr.Base)
 	}
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
 }
@@ -487,9 +419,8 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("ctrlplane: snapshot: checksum mismatch (stored %08x, computed %08x) — file damaged", sum, got)
 	}
-	version := int(body[len(snapshotMagic)])
-	if version < SnapshotVersionLeases || version > SnapshotVersionSparse {
-		return nil, fmt.Errorf("ctrlplane: snapshot: unsupported version %d (this daemon reads <= %d)", version, SnapshotVersion)
+	if version := body[len(snapshotMagic)]; version != SnapshotVersion {
+		return nil, fmt.Errorf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", version, SnapshotVersion)
 	}
 	rest := body[len(snapshotMagic)+1:]
 
@@ -578,18 +509,8 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 			}
 			mr.Latest = ev
 		}
-		if version >= SnapshotVersionSparse {
-			if mr.Base, rest, err = snapGetSparseMatrix(rest, maxTasks); err != nil {
-				return nil, err
-			}
-		} else if version >= SnapshotVersionBaseline {
-			var bm *comm.Matrix
-			if bm, rest, err = snapGetDenseMatrix(rest, maxTasks); err != nil {
-				return nil, err
-			}
-			if bm != nil {
-				mr.Base = bm
-			}
+		if mr.Base, rest, err = snapGetSparseMatrix(rest, maxTasks); err != nil {
+			return nil, err
 		}
 		s.Machines = append(s.Machines, mr)
 	}
@@ -619,7 +540,7 @@ func SnapshotFileInfo(data []byte) (version int, crcOK bool, err error) {
 // directory, fsync, rename), so a crash mid-write leaves the previous
 // snapshot intact.
 func SaveSnapshot(path string, s *Snapshot) error {
-	data, err := EncodeSnapshot(s, SnapshotVersion)
+	data, err := EncodeSnapshot(s)
 	if err != nil {
 		return err
 	}

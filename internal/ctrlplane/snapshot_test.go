@@ -3,7 +3,9 @@ package ctrlplane
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -13,6 +15,7 @@ import (
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
+	"orwlplace/internal/treematch"
 )
 
 // snapFixture builds a representative snapshot: two leases (one owned,
@@ -51,27 +54,53 @@ func snapFixture() *Snapshot {
 	}
 }
 
-// TestSnapshotRoundTrip: encode/decode is the identity at every
-// supported version (modulo what old versions do not carry).
+// TestSnapshotRoundTrip: encode/decode is the identity.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, version := range []int{SnapshotVersionLeases, SnapshotVersionBaseline, SnapshotVersionSparse} {
-		want := snapFixture()
-		data, err := EncodeSnapshot(want, version)
-		if err != nil {
-			t.Fatalf("v%d encode: %v", version, err)
-		}
-		got, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatalf("v%d decode: %v", version, err)
-		}
-		if version < SnapshotVersionBaseline {
-			// Version 1 does not persist baselines; erase them from the
-			// expectation.
-			want.Machines[0].Base = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("v%d round trip changed the snapshot:\n got %+v\nwant %+v", version, got, want)
-		}
+	want := snapFixture()
+	data, err := EncodeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// goldenSnapshot is snapFixture with a two-part partition structure,
+// as the daemon wrote it before the format was pinned to one version:
+// the bytes a snapshot file on disk holds.
+const goldenSnapshot = "4f52574c534e415003070203046669673205616c7068610002effdb6f50d2907046669673204626574610202000902046669673204050" +
+	"13fd8000000000000011c09747265656d6174636800040004080c0402060a0e04000204060201000200020101020406050400014130000000000000010" +
+	"041300000000000000203408004000000000003024080040000000000066c6f6e656c7908000000d4d7a1fb"
+
+// TestSnapshotGoldenImage: a file written before the format was pinned
+// decodes to the fixture and re-encodes to the same bytes.
+func TestSnapshotGoldenImage(t *testing.T) {
+	data, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapFixture()
+	want.Machines[0].Latest.Assignment.Partitions = &treematch.Partitioning{Parts: []treematch.Partition{
+		{Depth: 1, Object: 0, Tasks: []int{0, 1}}, {Depth: 1, Object: 1, Tasks: []int{2, 3}},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden image decoded to\n %+v\nwant %+v", got, want)
+	}
+	again, err := EncodeSnapshot(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("golden image re-encodes to\n%x\nwant\n%x", again, data)
 	}
 }
 
@@ -80,7 +109,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // state — the daemon's start-fresh path depends on damage being
 // detected.
 func TestSnapshotRejectsDamage(t *testing.T) {
-	data, err := EncodeSnapshot(snapFixture(), SnapshotVersion)
+	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +129,33 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
+// withVersion returns a snapshot image with its version byte patched
+// and the checksum fixed, so only the version is wrong.
+func withVersion(data []byte, version byte) []byte {
+	mut := bytes.Clone(data[:len(data)-4])
+	mut[len(snapshotMagic)] = version
+	return binary.BigEndian.AppendUint32(mut, crc32.ChecksumIEEE(mut))
+}
+
+// TestSnapshotRejectsUnknownVersion: every version byte but the one
+// format — the retired versions 1 and 2 included — is refused before
+// the payload is decoded.
 func TestSnapshotRejectsUnknownVersion(t *testing.T) {
-	data, err := EncodeSnapshot(snapFixture(), SnapshotVersion)
+	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Patch the version byte and fix the checksum so only the version
-	// skew is wrong.
-	mut := bytes.Clone(data[:len(data)-4])
-	mut[len(snapshotMagic)] = SnapshotVersion + 1
-	mut = binary.BigEndian.AppendUint32(mut, crc32.ChecksumIEEE(mut))
-	if _, err := DecodeSnapshot(mut); err == nil {
-		t.Fatal("future version decoded cleanly")
+	for _, v := range []byte{0, 1, 2, SnapshotVersion + 1, 255} {
+		mut := withVersion(data, v)
+		want := fmt.Sprintf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", v, SnapshotVersion)
+		if _, err := DecodeSnapshot(mut); err == nil || err.Error() != want {
+			t.Fatalf("version %d: err = %v, want %q", v, err, want)
+		}
+		// The refusal allocates its error (a few small objects, one more
+		// under the race detector) and nothing sized by the file.
+		if allocs := testing.AllocsPerRun(10, func() { DecodeSnapshot(mut) }); allocs > 4 {
+			t.Fatalf("version %d: refusal made %.0f allocations", v, allocs)
+		}
 	}
 }
 
@@ -228,13 +272,18 @@ func TestControllerSnapshotRestore(t *testing.T) {
 // FuzzSnapshotDecode: the decoder must reject or round-trip, never
 // panic, whatever bytes are on disk.
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, version := range []int{SnapshotVersionLeases, SnapshotVersionBaseline, SnapshotVersionSparse} {
-		data, err := EncodeSnapshot(snapFixture(), version)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	data, err := EncodeSnapshot(snapFixture())
+	if err != nil {
+		f.Fatal(err)
 	}
+	golden, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(golden)
+	f.Add(withVersion(golden, 1))
+	f.Add(withVersion(golden, 2))
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -244,7 +293,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// Accepted input must re-encode: decode is only allowed to
 		// produce snapshots the encoder understands.
-		if _, err := EncodeSnapshot(s, SnapshotVersion); err != nil {
+		if _, err := EncodeSnapshot(s); err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
 	})

@@ -1,8 +1,8 @@
 package ctrlplane
 
 // Tests for the sparse-first control plane surfaces added for the 10k
-// task scale-up: version-3 snapshots (sparse baselines + persisted
-// partitions), the configurable lease-task bound, and the collector's
+// task scale-up: snapshots with sparse baselines and persisted
+// partitions, the configurable lease-task bound, and the collector's
 // O(nnz) merge path.
 
 import (
@@ -83,13 +83,13 @@ func sameAffinity(t *testing.T, got, want comm.Affinity) {
 	})
 }
 
-// TestSnapshotSparseRoundTrip: a version-3 file carries a sparse
+// TestSnapshotSparseRoundTrip: a snapshot carries a sparse
 // baseline and the partition structure through encode/decode without
 // ever materializing order² state on disk.
 func TestSnapshotSparseRoundTrip(t *testing.T) {
 	n := comm.DenseOrderThreshold + 88
 	want := sparseFixture(n)
-	data, err := EncodeSnapshot(want, SnapshotVersionSparse)
+	data, err := EncodeSnapshot(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,28 +116,6 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2DropsPartitions: encoding at version 2 must stay
-// readable by version-2 daemons, which means no partition records and a
-// dense baseline.
-func TestSnapshotV2DropsPartitions(t *testing.T) {
-	want := sparseFixture(comm.DenseOrderThreshold + 88)
-	data, err := EncodeSnapshot(want, SnapshotVersionBaseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Machines[0].Latest.Assignment.Partitions != nil {
-		t.Fatal("version-2 encoding leaked the partition structure")
-	}
-	sameAffinity(t, got.Machines[0].Base, want.Machines[0].Base)
-	if _, ok := got.Machines[0].Base.(*comm.Matrix); !ok {
-		t.Fatalf("version-2 baseline decoded as %T, want dense *comm.Matrix", got.Machines[0].Base)
-	}
-}
-
 // TestSnapshotDecodeLimit: the decoder enforces the lease-task bound it
 // is given — the default rejects a fleet beyond DefaultMaxLeaseTasks,
 // and a daemon running with a raised -max-lease-tasks decodes its own
@@ -145,7 +123,7 @@ func TestSnapshotV2DropsPartitions(t *testing.T) {
 func TestSnapshotDecodeLimit(t *testing.T) {
 	big := DefaultMaxLeaseTasks + 1200
 	s := sparseFixture(big)
-	data, err := EncodeSnapshot(s, SnapshotVersionSparse)
+	data, err := EncodeSnapshot(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,16 +18,10 @@ import (
 // another caller's socket write — the transport pipelines as deep as
 // the send queue.
 type Client struct {
-	conn     net.Conn
-	version  int // negotiated protocol version (protoLegacy for old servers)
-	maxProto int // ceiling offered in the handshake (WithMaxProtocol)
+	conn net.Conn
 
 	callID atomic.Uint64
 	sendCh chan outFrame
-
-	// turnMu lock-steps placement RPCs on pre-pipeline connections
-	// (held by RemoteService.placeCall, never by location ops).
-	turnMu sync.Mutex
 
 	// Wire byte counters (frames in/out including headers), read by
 	// WireStats for throughput accounting.
@@ -71,19 +64,9 @@ type DialOption func(*dialConfig)
 type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
 type dialConfig struct {
-	maxProto int
 	poolSize int
 	dial     DialFunc
 	retry    *RetryPolicy
-}
-
-// WithMaxProtocol caps the protocol version offered in the handshake.
-// A client pinned below ProtoPipeline speaks the pre-pipeline
-// transport even to a new server — placement calls run lock-step and
-// matrices cross dense, which is what cmd/placeload measures as its
-// baseline.
-func WithMaxProtocol(v int) DialOption {
-	return func(cfg *dialConfig) { cfg.maxProto = v }
 }
 
 // WithPoolSize sets how many connections a pooled dialer
@@ -112,12 +95,9 @@ func WithRetryPolicy(p RetryPolicy) DialOption {
 }
 
 func applyDialOptions(opts []DialOption) dialConfig {
-	cfg := dialConfig{maxProto: protoMax, poolSize: 1}
+	cfg := dialConfig{poolSize: 1}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.maxProto < protoLegacy || cfg.maxProto > protoMax {
-		cfg.maxProto = protoMax
 	}
 	if cfg.poolSize < 1 {
 		cfg.poolSize = 1
@@ -131,9 +111,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 }
 
 // DialContext connects to a server, honouring the context's deadline
-// and cancellation for both the TCP connect and the version handshake,
-// and negotiates the protocol version (servers predating the handshake
-// are detected and spoken to as protoLegacy).
+// and cancellation for both the TCP connect and the version handshake.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := applyDialOptions(opts)
 	dial := cfg.dial
@@ -143,15 +121,14 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	}
 	conn, err := dial(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("orwlnet: dial: %w", err)
+		return nil, fmt.Errorf("%w: %w", errDial, err)
 	}
 	c := &Client{
-		conn:     conn,
-		maxProto: cfg.maxProto,
-		sendCh:   make(chan outFrame, sendQueueDepth),
-		pending:  make(map[uint64]chan message),
-		streams:  make(map[uint64]chan message),
-		done:     make(chan struct{}),
+		conn:    conn,
+		sendCh:  make(chan outFrame, sendQueueDepth),
+		pending: make(map[uint64]chan message),
+		streams: make(map[uint64]chan message),
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	go c.writeLoop()
@@ -162,27 +139,18 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	return c, nil
 }
 
-// handshake negotiates the protocol version. A server that rejects
-// opHello with an unknown-op error is a legacy build: the connection
-// stays usable for the location ops.
+// handshake offers [protoVersion, protoVersion] and requires the
+// server to answer with it.
 func (c *Client) handshake(ctx context.Context) error {
-	resp, err := c.callCtx(ctx, opHello, []byte{protoLegacy, byte(c.maxProto)})
+	resp, err := c.callCtx(ctx, opHello, []byte{protoVersion, protoVersion})
 	if err != nil {
-		if strings.Contains(err.Error(), errUnknownOp) {
-			c.version = protoLegacy
-			return nil
-		}
 		return fmt.Errorf("orwlnet: handshake: %w", err)
 	}
-	if len(resp) < 1 || int(resp[0]) > c.maxProto {
-		return fmt.Errorf("orwlnet: handshake: bad version reply %v", resp)
+	if len(resp) != 1 || resp[0] != protoVersion {
+		return fmt.Errorf("orwlnet: handshake: %w: server answered %v, want [%d]", ErrVersion, resp, protoVersion)
 	}
-	c.version = int(resp[0])
 	return nil
 }
-
-// Version returns the negotiated protocol version.
-func (c *Client) Version() int { return c.version }
 
 // WireStats returns the bytes this connection has read and written,
 // frame headers included.
@@ -214,7 +182,7 @@ func (c *Client) readLoop() {
 		msg, err := readMessage(br)
 		if err != nil {
 			c.mu.Lock()
-			c.err = fmt.Errorf("orwlnet: connection lost: %w", err)
+			c.err = fmt.Errorf("%w: %w", errConnLost, err)
 			for id, ch := range c.pending {
 				close(ch)
 				delete(c.pending, id)
@@ -388,8 +356,8 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 			c.mu.Unlock()
 			return nil, err
 		}
-		if resp.op == statusError {
-			return nil, fmt.Errorf("orwlnet: server: %s", string(resp.payload))
+		if resp.op != statusOK {
+			return nil, responseError(resp)
 		}
 		return resp.payload, nil
 	case <-ctx.Done():
@@ -404,7 +372,7 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 // subscription: every response frame with that id — the ack and each
 // later push — arrives on the returned channel until closeStream, or
 // until the connection dies (the channel is then closed). The first
-// message is the server's ack (statusError if the subscription was
+// message is the server's ack (a non-OK status if the subscription was
 // refused); the caller decodes it like any other frame.
 func (c *Client) openStream(ctx context.Context, op byte, payload []byte) (uint64, <-chan message, error) {
 	if err := ctx.Err(); err != nil {

@@ -79,14 +79,11 @@ func BenchmarkRemapDeltaPush(b *testing.B) {
 		RemappedPartitions: []int{partIdx, partIdx + 1},
 	}
 
-	full, isDelta, err := encodeRemapFrameV6(nil, ev, false)
-	if err != nil || isDelta {
-		b.Fatalf("full encode = (delta=%v, %v)", isDelta, err)
+	full, isDelta := encodeRemapFrame(nil, ev, false)
+	if isDelta {
+		b.Fatal("full encode shipped a delta")
 	}
-	delta, isDelta, err := encodeRemapFrameV6(nil, ev, true)
-	if err != nil {
-		b.Fatal(err)
-	}
+	delta, isDelta := encodeRemapFrame(nil, ev, true)
 	if !isDelta {
 		b.Fatal("chooser shipped a full frame for a single-partition move")
 	}
@@ -103,9 +100,9 @@ func BenchmarkRemapDeltaPush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, isDelta, err = encodeRemapFrameV6(buf[:0], ev, true)
-		if err != nil || !isDelta {
-			b.Fatalf("encode = (delta=%v, %v)", isDelta, err)
+		buf, isDelta = encodeRemapFrame(buf[:0], ev, true)
+		if !isDelta {
+			b.Fatal("encode shipped a full frame")
 		}
 		_, d, err := decodeRemapFrameAny(buf)
 		if err != nil || d == nil {

@@ -82,10 +82,7 @@ func TestRemapDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeRemapDelta(nil, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := encodeRemapDelta(nil, d)
 	full, d2, err := decodeRemapFrameAny(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -126,20 +123,14 @@ func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 	next := deltaShift(prev, 5)
 	ev := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next, MovedTasks: []int{5}}
 
-	frame, isDelta, err := encodeRemapFrameV6(nil, ev, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame, isDelta := encodeRemapFrame(nil, ev, true)
 	if !isDelta {
 		t.Fatal("one moved task out of 64 did not ship as a delta")
 	}
 	if _, d, err := decodeRemapFrameAny(frame); err != nil || d == nil {
 		t.Fatalf("chooser's delta frame decode = (%v, %v)", d, err)
 	}
-	fullFrame, isFull, err := encodeRemapFrameV6(nil, ev, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullFrame, isFull := encodeRemapFrame(nil, ev, false)
 	if isFull {
 		t.Fatal("allowDelta=false still produced a delta")
 	}
@@ -159,14 +150,14 @@ func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 		all[i] = i
 	}
 	ev2 := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, all...), MovedTasks: all}
-	if _, isDelta, err := encodeRemapFrameV6(nil, ev2, true); err != nil || isDelta {
-		t.Fatalf("all-tasks-moved encode = (delta=%v, %v), want full", isDelta, err)
+	if _, isDelta := encodeRemapFrame(nil, ev2, true); isDelta {
+		t.Fatal("all-tasks-moved encode shipped a delta, want full")
 	}
 
 	// No moved-task set: not delta-eligible regardless of allowDelta.
 	ev3 := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next}
-	if _, isDelta, err := encodeRemapFrameV6(nil, ev3, true); err != nil || isDelta {
-		t.Fatalf("nil moved set encode = (delta=%v, %v), want full", isDelta, err)
+	if _, isDelta := encodeRemapFrame(nil, ev3, true); isDelta {
+		t.Fatal("nil moved set encode shipped a delta, want full")
 	}
 }
 
@@ -178,12 +169,12 @@ func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 func TestWatchPusherDeltaEligibility(t *testing.T) {
 	srvC, cliC := net.Pipe()
 	defer cliC.Close()
-	s := &Server{maxProto: protoMax}
+	s := &Server{}
 	st := &connState{conn: srvC}
 	st.inflight.Add(1)
 	s.wg.Add(1)
 	events := make(chan ctrlplane.Remap, 1)
-	go s.watchPusher(st, 7, 1, schemaDelta, 1, events)
+	go s.watchPusher(st, 7, 1, 1, events)
 
 	read := func() (*ctrlplane.Remap, *remapDelta) {
 		t.Helper()
@@ -243,48 +234,6 @@ func TestWatchPusherDeltaEligibility(t *testing.T) {
 	}
 }
 
-// TestWatchPusherV5Schema: a schema v5 subscriber gets the v5 layout,
-// never a delta, whatever the event knows.
-func TestWatchPusherV5Schema(t *testing.T) {
-	srvC, cliC := net.Pipe()
-	defer cliC.Close()
-	s := &Server{maxProto: protoMax}
-	st := &connState{conn: srvC}
-	st.inflight.Add(1)
-	s.wg.Add(1)
-	events := make(chan ctrlplane.Remap, 1)
-	go s.watchPusher(st, 3, 1, schemaFleet, 1, events)
-
-	next := deltaShift(deltaAssignment(16, 0), 2)
-	events <- ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next, MovedTasks: []int{2}}
-	if err := cliC.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := readMessage(cliC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msg.payload) == 0 {
-		t.Fatal("empty remap frame")
-	}
-	if msg.payload[0] != schemaFleet {
-		t.Fatalf("v5 subscriber got a schema %d frame", msg.payload[0])
-	}
-	ev, err := decodeRemapFrame(msg.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Epoch != 2 {
-		t.Fatalf("epoch = %d, want 2", ev.Epoch)
-	}
-	sameAssignment(t, ev.Assignment, next)
-	close(events)
-	s.wg.Wait()
-	if s.deltaPushes.Load() != 0 {
-		t.Fatal("a v5 subscriber was counted as a delta push")
-	}
-}
-
 // --- scripted daemon: the client-side delta paths --------------------
 
 type fakeSub struct {
@@ -293,7 +242,7 @@ type fakeSub struct {
 	since  uint64
 }
 
-// startFakeDeltaServer runs a minimal protoDelta daemon: it answers
+// startFakeDeltaServer runs a minimal daemon: it answers
 // the hello handshake, surfaces each watch subscription on the
 // returned channel, and leaves every frame push to the test.
 func startFakeDeltaServer(t *testing.T) (string, <-chan fakeSub) {
@@ -319,7 +268,7 @@ func startFakeDeltaServer(t *testing.T) (string, <-chan fakeSub) {
 					}
 					switch m.op {
 					case opHello:
-						_ = writeMessage(conn, message{callID: m.callID, op: statusOK, payload: []byte{protoDelta}})
+						_ = writeMessage(conn, message{callID: m.callID, op: statusOK, payload: []byte{protoVersion}})
 					case opWatchRemaps:
 						_, since, err := decodeWatchRequest(m.payload)
 						if err != nil {
@@ -338,10 +287,7 @@ func startFakeDeltaServer(t *testing.T) (string, <-chan fakeSub) {
 
 func pushFull(t *testing.T, sub fakeSub, ev *ctrlplane.Remap) {
 	t.Helper()
-	payload, _, err := encodeRemapFrameV6(nil, ev, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload, _ := encodeRemapFrame(nil, ev, false)
 	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +299,7 @@ func pushDelta(t *testing.T, sub fakeSub, ev *ctrlplane.Remap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeRemapDelta(nil, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeRemapDelta(nil, d)
 	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +437,7 @@ func TestWatchGarbledDeltaResync(t *testing.T) {
 	}
 
 	// A garbled delta frame: valid version and kind, hostile body.
-	garbled := []byte{schemaDelta, remapKindDelta, 0xff, 0xff, 0xff, 0xff}
+	garbled := []byte{protoVersion, remapKindDelta, 0xff, 0xff, 0xff, 0xff}
 	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: garbled}); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +460,7 @@ func TestWatchGarbledDeltaResync(t *testing.T) {
 	sameAssignment(t, ev.Assignment, a2)
 }
 
-// --- cross-version ---------------------------------------------------
+// --- end to end ------------------------------------------------------
 
 // runFleetShift drives one lease through the two-phase traffic shift
 // and returns the epoch 1 and epoch 2 events the watcher received.
@@ -548,74 +491,9 @@ func runFleetShift(t *testing.T, ctx context.Context, rs *RemoteService, ctrl *c
 	return ev1, ev2
 }
 
-// TestPinnedV5ClientAgainstV6Server: a subscriber pinned to protoFleet
-// runs the whole fleet loop against a protoDelta daemon and never sees
-// a delta frame.
-func TestPinnedV5ClientAgainstV6Server(t *testing.T) {
-	srv, ctrl, addr := startCtrlFleetServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	rs, err := DialPlacementService(ctx, addr, WithMaxProtocol(ProtoFleet))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if got := rs.c.Version(); got != protoFleet {
-		t.Fatalf("negotiated v%d, want v%d", got, protoFleet)
-	}
-	ev1, ev2 := runFleetShift(t, ctx, rs, ctrl)
-	if ev1.Epoch != 1 || ev2.Epoch != 2 {
-		t.Fatalf("epochs = %d, %d, want 1, 2", ev1.Epoch, ev2.Epoch)
-	}
-	if len(ev2.Assignment.ComputePU) != fleetTasks {
-		t.Fatalf("v5 subscriber got %d tasks, want %d", len(ev2.Assignment.ComputePU), fleetTasks)
-	}
-	if ev1.Delta || ev2.Delta {
-		t.Fatal("a v5 subscriber received a delta frame")
-	}
-	if got := srv.deltaPushes.Load(); got != 0 {
-		t.Fatalf("server counted %d delta pushes to a v5 subscriber", got)
-	}
-}
-
-// TestV6ClientAgainstV5Server: a current client against a daemon capped
-// at protoFleet negotiates down and the loop still works end to end.
-func TestV6ClientAgainstV5Server(t *testing.T) {
-	srv, ctrl, addr := startCtrlFleetServer(t)
-	srv.maxProto = protoFleet // the daemon predates the delta protocol
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	rs, err := DialPlacementService(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if got := rs.c.Version(); got != protoFleet {
-		t.Fatalf("negotiated v%d, want v%d", got, protoFleet)
-	}
-	ev1, ev2 := runFleetShift(t, ctx, rs, ctrl)
-	if ev1.Epoch != 1 || ev2.Epoch != 2 {
-		t.Fatalf("epochs = %d, %d, want 1, 2", ev1.Epoch, ev2.Epoch)
-	}
-	if ev1.Delta || ev2.Delta {
-		t.Fatal("a v5 daemon produced a delta frame")
-	}
-
-	// The v6 stats tail degrades cleanly: the v5 payload simply ends
-	// before the push counters.
-	stats, err := rs.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Fleet.ReportsReceived != 2 {
-		t.Fatalf("fleet stats over v5 = %+v", stats.Fleet)
-	}
-}
-
-// TestDeltaStatsOverWire: the schema v6 stats payload carries the push
-// counters end to end.
+// TestDeltaStatsOverWire: the stats payload carries the push counters
+// end to end. A frame is counted before it is written, so stats read
+// after the watcher received both epochs count both frames.
 func TestDeltaStatsOverWire(t *testing.T) {
 	_, ctrl, addr := startCtrlFleetServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -626,9 +504,6 @@ func TestDeltaStatsOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if got := rs.c.Version(); got != protoDelta {
-		t.Fatalf("negotiated v%d, want v%d", got, protoDelta)
-	}
 	ev1, ev2 := runFleetShift(t, ctx, rs, ctrl)
 	if ev1.Epoch != 1 || ev2.Epoch != 2 {
 		t.Fatalf("epochs = %d, %d, want 1, 2", ev1.Epoch, ev2.Epoch)
@@ -637,8 +512,8 @@ func TestDeltaStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fleet.DeltaPushes+stats.Fleet.FullPushes < 2 {
-		t.Fatalf("push counters = delta %d + full %d, want >= 2 frames counted",
+	if stats.Fleet.DeltaPushes+stats.Fleet.FullPushes != 2 {
+		t.Fatalf("push counters = delta %d + full %d, want the 2 frames the watcher received",
 			stats.Fleet.DeltaPushes, stats.Fleet.FullPushes)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"orwlplace/internal/placement"
 )
 
-// Fuzz targets for the schema v5 fleet frames — the two new decoders
-// that parse wire bytes a hostile peer controls. Same contract as the
-// v4 targets: rejected is fine, panicking is not, and anything
-// accepted must survive a re-encode round trip.
+// Fuzz targets for the fleet frames — the decoders that parse wire
+// bytes a hostile peer controls. Same contract as the placement
+// targets: rejected is fine, panicking is not, and anything accepted
+// must survive a re-encode round trip.
 
 func FuzzObservedReportDecode(f *testing.F) {
 	dense := comm.NewMatrix(4)
@@ -20,11 +20,11 @@ func FuzzObservedReportDecode(f *testing.F) {
 			dense.Set(i, j, float64(i*4+j+1))
 		}
 	}
-	if seed, err := encodeObservedReport(nil, schemaFleet, 7, 3, dense); err == nil {
+	if seed, err := encodeObservedReport(nil, 7, 3, dense); err == nil {
 		f.Add(seed)
 	}
 	sparse := comm.Ring(16, 1<<20, true)
-	if seed, err := encodeObservedReport(nil, schemaFleet, 1, 1, sparse); err == nil {
+	if seed, err := encodeObservedReport(nil, 1, 1, sparse); err == nil {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2]) // truncated mid-matrix
 	}
@@ -32,13 +32,13 @@ func FuzzObservedReportDecode(f *testing.F) {
 	for i := 0; i < 600; i++ {
 		big.Set(i, (i+1)%600, float64(i+1))
 	}
-	if seed, err := encodeObservedReport(nil, schemaFleet, 2, 9, big); err == nil {
+	if seed, err := encodeObservedReport(nil, 2, 9, big); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
-	f.Add(putUvarint(putUvarint([]byte{5}, 1<<40), 1<<40))
+	f.Add(putUvarint(putUvarint([]byte{protoVersion}, 1<<40), 1<<40))
 	// One triplet claiming every cell of an order-600 matrix.
-	f.Add([]byte{5, 1, 1, matSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
+	f.Add([]byte{protoVersion, 1, 1, matSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		leaseID, seq, delta, err := decodeObservedReport(data, 0)
 		if err != nil {
@@ -58,7 +58,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 		if sp, ok := delta.(*comm.Sparse); ok && sp.NNZ() > n*n/8 {
 			t.Fatalf("order %d with %d nonzeros decoded sparse", n, sp.NNZ())
 		}
-		_, field, _ := checkWireVersion(data)
+		field, _ := checkVersion(data)
 		_, field, _ = getUvarint(field) // lease
 		_, field, _ = getUvarint(field) // seq
 		if _, dense := delta.(*comm.Matrix); dense && field[0] == matSparse {
@@ -69,7 +69,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 				t.Fatalf("order %d sparse body claiming %d cells decoded dense", n, claimed)
 			}
 		}
-		re, err := encodeObservedReport(nil, schemaFleet, leaseID, seq, delta)
+		re, err := encodeObservedReport(nil, leaseID, seq, delta)
 		if err != nil {
 			t.Fatalf("accepted report does not re-encode: %v", err)
 		}
@@ -87,9 +87,8 @@ func FuzzObservedReportDecode(f *testing.F) {
 }
 
 func FuzzRemapFrameDecode(f *testing.F) {
-	if ack, err := encodeRemapFrame(nil, nil); err == nil {
-		f.Add(ack) // the "nothing adopted yet" ack
-	}
+	ack, _ := encodeRemapFrame(nil, nil, false)
+	f.Add(ack) // the "nothing adopted yet" ack
 	full := &ctrlplane.Remap{
 		Machine: "fig2",
 		Epoch:   3,
@@ -100,12 +99,11 @@ func FuzzRemapFrameDecode(f *testing.F) {
 			ControlPU: []int{-1, -1, -1, -1},
 		},
 	}
-	if seed, err := encodeRemapFrame(nil, full); err == nil {
-		f.Add(seed)
-		f.Add(seed[:len(seed)-2]) // truncated mid-assignment
-	}
+	seed, _ := encodeRemapFrame(nil, full, false)
+	f.Add(seed)
+	f.Add(seed[:len(seed)-2]) // truncated mid-assignment
 	f.Add([]byte{})
-	f.Add([]byte{5, 0, 0})
+	f.Add([]byte{protoVersion, remapKindFull, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := decodeRemapFrame(data)
 		if err != nil {
@@ -114,10 +112,7 @@ func FuzzRemapFrameDecode(f *testing.F) {
 		if ev.Epoch > 0 && ev.Assignment == nil {
 			t.Fatal("accepted a non-zero epoch without an assignment")
 		}
-		re, err := encodeRemapFrame(nil, ev)
-		if err != nil {
-			t.Fatalf("accepted frame does not re-encode: %v", err)
-		}
+		re, _ := encodeRemapFrame(nil, ev, false)
 		ev2, err := decodeRemapFrame(re)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)

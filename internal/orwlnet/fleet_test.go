@@ -31,6 +31,14 @@ func startCtrlFleetServer(t *testing.T) (*Server, *ctrlplane.Controller, string)
 	if err := fleet.AddMachine("fig2", topology.Fig2Machine()); err != nil {
 		t.Fatal(err)
 	}
+	ctrl := fleetController(t, fleet)
+	srv, addr := serveCtrlFleet(t, fleet, ctrl)
+	return srv, ctrl, addr
+}
+
+// fleetController is the test-driven control plane over fleet.
+func fleetController(t *testing.T, fleet *placement.MultiService) *ctrlplane.Controller {
+	t.Helper()
 	threads := make([]perfsim.Thread, fleetTasks)
 	for i := range threads {
 		threads[i] = perfsim.Thread{ComputeCycles: 1e5, WorkingSet: 1 << 20, MemoryTraffic: 1 << 14}
@@ -39,7 +47,7 @@ func startCtrlFleetServer(t *testing.T) (*Server, *ctrlplane.Controller, string)
 		Adaptive: placement.AdaptiveConfig{
 			// A long horizon: the per-peer half-patterns yield a smaller
 			// modeled gain than the golden shift's machine-wide ones, and
-			// this test exercises the wire loop, not the adoption bar.
+			// these tests exercise the wire loop, not the adoption bar.
 			Horizon:  500,
 			Workload: &perfsim.Workload{Name: "fleet-test", Threads: threads, Iterations: 1},
 		},
@@ -48,8 +56,7 @@ func startCtrlFleetServer(t *testing.T) (*Server, *ctrlplane.Controller, string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := serveCtrlFleet(t, fleet, ctrl)
-	return srv, ctrl, addr
+	return ctrl
 }
 
 func serveCtrlFleet(t *testing.T, fleet *placement.MultiService, ctrl *ctrlplane.Controller) (*Server, string) {
@@ -309,52 +316,8 @@ func TestWatchResubscribeOnReconnect(t *testing.T) {
 	}
 }
 
-// TestFleetOpsRefusedBelowProtoFleet pins the negotiation guard: a
-// client that negotiated only v4 (the full PR 6 pipeline protocol)
-// must have every fleet op refused by the server, and the client stub
-// refuses to even send them.
-func TestFleetOpsRefusedBelowProtoFleet(t *testing.T) {
-	_, _, addr := startCtrlFleetServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	rs, err := DialPlacementService(ctx, addr, WithMaxProtocol(ProtoPipeline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if got := rs.c.Version(); got != protoPipeline {
-		t.Fatalf("negotiated v%d, want v%d", got, protoPipeline)
-	}
-
-	// Client-side guard: the stub knows the connection cannot carry
-	// fleet ops.
-	if _, err := rs.RegisterLease(ctx, "fig2", "old", 0, 4); err == nil {
-		t.Fatal("RegisterLease succeeded on a v4 connection")
-	}
-	if err := rs.ReportObserved(ctx, 1, 1, fleetRing(4, 1)); err == nil {
-		t.Fatal("ReportObserved succeeded on a v4 connection")
-	}
-	if _, err := rs.WatchRemaps(ctx, "fig2"); err == nil {
-		t.Fatal("WatchRemaps succeeded on a v4 connection")
-	}
-
-	// Server-side guard: a hand-rolled frame past the stub must be
-	// refused by the dispatch, not crash it.
-	for _, op := range []byte{opFleetLease, opObservedReport, opWatchRemaps} {
-		payload, err := encodeFleetLeaseRequest(nil, schemaFleet, "fig2", "old", 0, 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = rs.c.callCtx(ctx, op, payload)
-		if err == nil || !strings.Contains(err.Error(), "protocol v4") {
-			t.Fatalf("op %d on v4 connection: err = %v, want protocol refusal", op, err)
-		}
-	}
-}
-
-// TestFleetOpsWithoutControlPlane: a v5 connection to a daemon that
-// hosts no controller gets a clean refusal.
+// TestFleetOpsWithoutControlPlane: a connection to a daemon that hosts
+// no controller gets a clean refusal.
 func TestFleetOpsWithoutControlPlane(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -366,59 +329,5 @@ func TestFleetOpsWithoutControlPlane(t *testing.T) {
 	defer rs.Close()
 	if _, err := rs.RegisterLease(ctx, "", "p", 0, 4); err == nil || !strings.Contains(err.Error(), "no fleet control plane") {
 		t.Fatalf("lease against plain daemon: err = %v, want control-plane refusal", err)
-	}
-}
-
-// TestPinnedV4ClientAgainstV5Server proves the compatibility
-// acceptance criterion: a client pinned to the PR 6 protocol runs the
-// full pipelined placement path against a fleet-capable server with
-// identical behaviour — sparse matrices, fingerprint reuse, batches,
-// v4 stats (no fleet tail).
-func TestPinnedV4ClientAgainstV5Server(t *testing.T) {
-	_, _, addr := startCtrlFleetServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	rs, err := DialPlacementService(ctx, addr, WithMaxProtocol(ProtoPipeline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if got := rs.c.Version(); got != protoPipeline {
-		t.Fatalf("negotiated v%d, want v%d", got, protoPipeline)
-	}
-
-	m := fleetRing(8, 1<<16)
-	first, err := rs.Place(ctx, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m, Entities: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Err != "" || first.Assignment == nil {
-		t.Fatalf("v4 place = %+v", first)
-	}
-	// Second call rides the fingerprint fast path, as in PR 6.
-	again, err := rs.Place(ctx, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m, Entities: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CacheHit {
-		t.Fatal("v4 repeat place missed the mapping cache")
-	}
-	batch, err := rs.PlaceBatch(ctx, []*placement.PlaceRequest{
-		{Machine: "fig2", Strategy: placement.TreeMatch, Matrix: m, Entities: 8},
-	})
-	if err != nil || len(batch) != 1 || batch[0].Err != "" {
-		t.Fatalf("v4 batch = (%+v, %v)", batch, err)
-	}
-	stats, err := rs.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Net.BytesIn == 0 {
-		t.Fatal("v4 stats lost the NetStats tail")
-	}
-	var zero placement.FleetStats
-	if stats.Fleet != zero {
-		t.Fatalf("v4 stats carried a fleet tail: %+v", stats.Fleet)
 	}
 }

@@ -13,35 +13,25 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-// Schema v5/v6 codecs: the fleet control-plane frames. All start with
-// the schema-version byte like every placement payload, so a future
-// schema can evolve the layouts behind the same opcodes.
+// Codecs of the fleet control-plane frames. All start with the
+// version byte like every placement payload.
 //
-//	opFleetLease      req:  version, machine, peer, base, count
-//	                        [, ownership token — absent = 0, unowned]
+//	opFleetLease      req:  version, machine, peer, base, count,
+//	                        ownership token (0 = unowned)
 //	                  resp: lease id
-//	opObservedReport  req:  version, lease id, seq, matrix (v4 compact)
+//	opObservedReport  req:  version, lease id, seq, matrix (compact)
 //	                  resp: empty
 //	opWatchRemaps     req:  version, machine, since-epoch
 //	                  resp: remap frame (the catch-up ack) — and every
 //	                        later adoption arrives as an unsolicited
-//	                        frame with the same call id and layout
+//	                        frame with the same call id
 //
-// The v5 remap frame is version, machine, epoch, drift, assignment
-// (schema v4 varint packing). Epoch 0 with no assignment is the
-// "nothing adopted yet" ack. Schema v6 inserts a kind byte after the
-// version: kind 0 is the same full-assignment body, kind 1 is the
-// partition delta (see the remapDelta layout below). The request
-// frames are layout-identical in v5 and v6 — only the version byte
-// differs, chosen per connection so a genuine v5 peer keeps decoding.
-const (
-	// schemaFleet / schemaDelta are the payload schema versions of the
-	// v5 and v6 fleet frames (they track protoFleet / protoDelta).
-	schemaFleet = 5
-	schemaDelta = 6
-)
+// A remap frame is version, kind, then the body. Kind 0 is the full
+// frame: machine, epoch, drift, assignment; epoch 0 with no assignment
+// is the "nothing adopted yet" ack. Kind 1 is the partition delta (see
+// the remapDelta layout below).
 
-// Remap frame kinds (schema v6, the byte after the version).
+// Remap frame kinds (the byte after the version).
 const (
 	remapKindFull  = 0
 	remapKindDelta = 1
@@ -59,20 +49,17 @@ const (
 	maxDeltaPU = 1 << 20
 )
 
-func encodeFleetLeaseRequest(dst []byte, schema int, machine, peer string, base, count int, token uint64) ([]byte, error) {
-	dst, _, err := putWireVersion(dst, schema)
-	if err != nil {
-		return nil, err
-	}
+func encodeFleetLeaseRequest(dst []byte, machine, peer string, base, count int, token uint64) []byte {
+	dst = append(dst, protoVersion)
 	dst = putString(dst, machine)
 	dst = putString(dst, peer)
 	dst = putUvarint(dst, uint64(base))
 	dst = putUvarint(dst, uint64(count))
-	return putUvarint(dst, token), nil
+	return putUvarint(dst, token)
 }
 
 func decodeFleetLeaseRequest(src []byte) (machine, peer string, base, count int, token uint64, err error) {
-	_, rest, err := checkWireVersion(src)
+	rest, err := checkVersion(src)
 	if err != nil {
 		return "", "", 0, 0, 0, err
 	}
@@ -94,12 +81,8 @@ func decodeFleetLeaseRequest(src []byte) (machine, peer string, base, count int,
 	if base < 0 || count < 0 {
 		return "", "", 0, 0, 0, fmt.Errorf("orwlnet: lease range [%d,+%d) overflows", base, count)
 	}
-	// Trailing ownership token (PR 8); a pre-hardening frame ends
-	// before it, which reads as unowned.
-	if len(rest) > 0 {
-		if token, _, err = getUvarint(rest); err != nil {
-			return "", "", 0, 0, 0, err
-		}
+	if token, _, err = getUvarint(rest); err != nil {
+		return "", "", 0, 0, 0, err
 	}
 	return machine, peer, base, count, token, nil
 }
@@ -114,17 +97,13 @@ func decodeFleetLeaseResponse(src []byte) (uint64, error) {
 }
 
 // encodeObservedReport frames one observed-traffic window delta in the
-// schema v4 compact matrix encoding (sparse or dense, whichever is
-// smaller), straight from the affinity: a sparse window is never
-// densified.
-func encodeObservedReport(dst []byte, schema int, leaseID, seq uint64, delta comm.Affinity) ([]byte, error) {
+// compact matrix encoding (sparse or dense, whichever is smaller),
+// straight from the affinity: a sparse window is never densified.
+func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) ([]byte, error) {
 	if comm.NilAffinity(delta) {
 		return nil, fmt.Errorf("orwlnet: nil observed window")
 	}
-	dst, _, err := putWireVersion(dst, schema)
-	if err != nil {
-		return nil, err
-	}
+	dst = append(dst, protoVersion)
 	dst = putUvarint(dst, leaseID)
 	dst = putUvarint(dst, seq)
 	if m, ok := delta.(*comm.Matrix); ok {
@@ -193,7 +172,7 @@ func putAffinityCompact(dst []byte, a comm.Affinity) []byte {
 // Fingerprint-only references are refused: a report is a one-shot
 // delta, never worth a round trip to resolve.
 func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta comm.Affinity, err error) {
-	_, rest, err := checkWireVersion(src)
+	rest, err := checkVersion(src)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -223,7 +202,7 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	if !sparse {
 		// Every other mode is a placement payload's matrix field, read
 		// without a seen-matrix table.
-		m, _, _, err := getMatrixV4(rest, nil)
+		m, _, _, err := getMatrix(rest, nil)
 		if err == nil && m == nil {
 			err = fmt.Errorf("orwlnet: observed report without a matrix")
 		}
@@ -253,17 +232,14 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	return leaseID, seq, delta, nil
 }
 
-func encodeWatchRequest(dst []byte, schema int, machine string, sinceEpoch uint64) ([]byte, error) {
-	dst, _, err := putWireVersion(dst, schema)
-	if err != nil {
-		return nil, err
-	}
+func encodeWatchRequest(dst []byte, machine string, sinceEpoch uint64) []byte {
+	dst = append(dst, protoVersion)
 	dst = putString(dst, machine)
-	return putUvarint(dst, sinceEpoch), nil
+	return putUvarint(dst, sinceEpoch)
 }
 
 func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err error) {
-	_, rest, err := checkWireVersion(src)
+	rest, err := checkVersion(src)
 	if err != nil {
 		return "", 0, err
 	}
@@ -276,66 +252,44 @@ func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err erro
 	return machine, sinceEpoch, nil
 }
 
-// encodeRemapFrame frames one remap event in the schema v5 full-frame
-// layout (or the empty ack when ev is nil: epoch 0, no assignment) —
-// the only layout a protoFleet subscriber decodes. The version byte is
-// pinned to schemaFleet, not this build's ServiceVersion: a genuine v5
-// peer rejects anything newer.
-func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap) ([]byte, error) {
-	dst, _, err := putWireVersion(dst, schemaFleet)
-	if err != nil {
-		return nil, err
-	}
-	return appendRemapHeaderAndBody(dst, ev), nil
-}
-
-// encodeRemapFrameV6 frames one remap event for a protoDelta
-// subscriber. When allowDelta is set (the pusher proved the subscriber
-// holds exactly the previous epoch) and the event is delta-eligible
-// (it knows its moved-task set), both bodies are measured and the
-// smaller ships — the same choice rule as the v4 sparse/dense matrix
-// encoding. The returned bool reports whether the delta form was used.
-func encodeRemapFrameV6(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte, bool, error) {
+// encodeRemapFrame frames one remap event (or the empty ack when ev is
+// nil: epoch 0, no assignment). When allowDelta is set (the pusher
+// proved the subscriber holds exactly the previous epoch) and the
+// event is delta-eligible (it knows its moved-task set), both bodies
+// are measured and the smaller ships — the same choice rule as the
+// sparse/dense matrix encoding. The returned bool reports whether the
+// delta form was used.
+func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte, bool) {
 	base := len(dst)
-	full, _, err := putWireVersion(dst, schemaDelta)
-	if err != nil {
-		return nil, false, err
+	full := append(dst, protoVersion, remapKindFull)
+	if ev == nil {
+		full = putString(full, "")
+		full = putUvarint(full, 0)
+		full = putUvarint(full, zigzagFloat(0))
+		return putAssignment(full, nil), false
 	}
-	full = append(full, remapKindFull)
-	full = appendRemapHeaderAndBody(full, ev)
-	if !allowDelta || ev == nil {
-		return full, false, nil
+	full = putString(full, ev.Machine)
+	full = putUvarint(full, ev.Epoch)
+	full = putUvarint(full, zigzagFloat(ev.Drift))
+	full = putAssignment(full, ev.Assignment)
+	if !allowDelta {
+		return full, false
 	}
 	d, err := buildRemapDelta(ev)
 	if err != nil {
-		return full, false, nil // ineligible: the full frame is the fallback
+		return full, false // ineligible: the full frame is the fallback
 	}
-	delta, err := encodeRemapDelta(nil, d)
-	if err != nil || len(delta) >= len(full)-base {
-		return full, false, nil
+	delta := encodeRemapDelta(nil, d)
+	if len(delta) >= len(full)-base {
+		return full, false
 	}
-	return append(full[:base], delta...), true, nil
+	return append(full[:base], delta...), true
 }
 
-// appendRemapHeaderAndBody appends machine, epoch, drift and the v4
-// assignment — the shared tail of the v5 frame and the v6 full frame.
-func appendRemapHeaderAndBody(dst []byte, ev *ctrlplane.Remap) []byte {
-	if ev == nil {
-		dst = putString(dst, "")
-		dst = putUvarint(dst, 0)
-		dst = putUvarint(dst, zigzagFloat(0))
-		return putAssignmentV4(dst, nil)
-	}
-	dst = putString(dst, ev.Machine)
-	dst = putUvarint(dst, ev.Epoch)
-	dst = putUvarint(dst, zigzagFloat(ev.Drift))
-	return putAssignmentV4(dst, ev.Assignment)
-}
-
-// decodeRemapFrame decodes a full remap frame (either schema). A zero
-// epoch means "nothing adopted yet" (the subscription ack before the
-// first adoption); its Remap has no assignment. Delta frames are an
-// error here — callers that can apply them use decodeRemapFrameAny.
+// decodeRemapFrame decodes a full remap frame. A zero epoch means
+// "nothing adopted yet" (the subscription ack before the first
+// adoption); its Remap has no assignment. Delta frames are an error
+// here — callers that can apply them use decodeRemapFrameAny.
 func decodeRemapFrame(src []byte) (*ctrlplane.Remap, error) {
 	ev, d, err := decodeRemapFrameAny(src)
 	if err != nil {
@@ -347,33 +301,30 @@ func decodeRemapFrame(src []byte) (*ctrlplane.Remap, error) {
 	return ev, nil
 }
 
-// decodeRemapFrameAny decodes a remap frame of either schema and
-// either kind. Exactly one of the results is non-nil on success: a
-// full frame yields the Remap, a delta frame yields the remapDelta the
-// caller applies onto its cached assignment.
+// decodeRemapFrameAny decodes a remap frame of either kind. Exactly one
+// of the results is non-nil on success: a full frame yields the Remap,
+// a delta frame yields the remapDelta the caller applies onto its
+// cached assignment.
 func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
-	v, rest, err := checkWireVersion(src)
+	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if v >= schemaDelta {
-		if len(rest) < 1 {
-			return nil, nil, fmt.Errorf("orwlnet: remap frame without a kind byte")
+	if len(rest) < 1 {
+		return nil, nil, fmt.Errorf("orwlnet: remap frame without a kind byte")
+	}
+	kind := rest[0]
+	rest = rest[1:]
+	switch kind {
+	case remapKindFull:
+	case remapKindDelta:
+		d, err := decodeRemapDelta(rest)
+		if err != nil {
+			return nil, nil, err
 		}
-		kind := rest[0]
-		rest = rest[1:]
-		switch kind {
-		case remapKindFull:
-			// fall through to the shared full-body decode below
-		case remapKindDelta:
-			d, err := decodeRemapDelta(rest)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nil, d, nil
-		default:
-			return nil, nil, fmt.Errorf("orwlnet: unknown remap frame kind %d", kind)
-		}
+		return nil, d, nil
+	default:
+		return nil, nil, fmt.Errorf("orwlnet: unknown remap frame kind %d", kind)
 	}
 	ev := &ctrlplane.Remap{}
 	if ev.Machine, rest, err = getString(rest); err != nil {
@@ -387,7 +338,7 @@ func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
 		return nil, nil, err
 	}
 	ev.Drift = unzigzagFloat(raw)
-	if ev.Assignment, _, err = getAssignmentV4(rest); err != nil {
+	if ev.Assignment, _, err = getAssignment(rest); err != nil {
 		return nil, nil, err
 	}
 	if ev.Epoch > 0 && ev.Assignment == nil {
@@ -396,7 +347,7 @@ func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
 	return ev, nil, nil
 }
 
-// remapDelta is the decoded form of a schema v6 delta frame: the remap
+// remapDelta is the decoded form of a delta frame: the remap
 // header plus only what changed since the previous epoch. Applying it
 // onto the assignment of epoch Epoch-1 reconstructs the full epoch
 // Epoch assignment; it carries enough of the header (strategy, flags,
@@ -505,29 +456,13 @@ func buildRemapDelta(ev *ctrlplane.Remap) (*remapDelta, error) {
 	return d, nil
 }
 
-// assignmentFlags mirrors putAssignmentV4's flag byte.
-func assignmentFlags(a *placement.Assignment) byte {
-	var flags byte
-	if a.Unbound {
-		flags |= asgnUnbound
-	}
-	if a.Oversubscribed {
-		flags |= asgnOversubscribed
-	}
-	return flags
-}
-
 // encodeRemapDelta frames a delta: version, kind, machine, epoch,
 // drift, then order, strategy, flags, mode, aux, the remapped
 // partition indices, and the moved pairs — task ids as ascending gaps,
 // compute PU as uvarint, control PU zigzagged (for the -1 "OS-managed"
 // marker), core index as uvarint.
-func encodeRemapDelta(dst []byte, d *remapDelta) ([]byte, error) {
-	dst, _, err := putWireVersion(dst, schemaDelta)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, remapKindDelta)
+func encodeRemapDelta(dst []byte, d *remapDelta) []byte {
+	dst = append(dst, protoVersion, remapKindDelta)
 	dst = putString(dst, d.Machine)
 	dst = putUvarint(dst, d.Epoch)
 	dst = putUvarint(dst, zigzagFloat(d.Drift))
@@ -551,7 +486,7 @@ func encodeRemapDelta(dst []byte, d *remapDelta) ([]byte, error) {
 			dst = putUvarint(dst, uint64(d.CoreOf[i]))
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // decodeRemapDelta parses a delta body (everything after the version
@@ -729,9 +664,9 @@ func (d *remapDelta) remap(a *placement.Assignment) *ctrlplane.Remap {
 	}
 }
 
-// FleetStats codec (schema v5/v6 stats payload tail).
+// FleetStats codec (the last stats payload field).
 
-func putFleetStats(dst []byte, st placement.FleetStats, schema int) []byte {
+func putFleetStats(dst []byte, st placement.FleetStats) []byte {
 	dst = putUint64(dst, st.ReportsReceived)
 	dst = putUint64(dst, st.PeersTracked)
 	dst = putUint64(dst, st.RemapsPushed)
@@ -739,11 +674,8 @@ func putFleetStats(dst []byte, st placement.FleetStats, schema int) []byte {
 	dst = putUint64(dst, st.Watchers)
 	dst = putUint64(dst, st.ReportsThrottled)
 	dst = putUint64(dst, st.LeaseConflicts)
-	if schema >= schemaDelta {
-		dst = putUint64(dst, st.DeltaPushes)
-		dst = putUint64(dst, st.FullPushes)
-	}
-	return dst
+	dst = putUint64(dst, st.DeltaPushes)
+	return putUint64(dst, st.FullPushes)
 }
 
 func getFleetStats(src []byte) (placement.FleetStats, []byte, error) {
@@ -764,21 +696,11 @@ func getFleetStats(src []byte) (placement.FleetStats, []byte, error) {
 	if st.Watchers, src, err = getUint64(src); err != nil {
 		return st, nil, err
 	}
-	// The hostile-peer counters (PR 8) trail the original five fields;
-	// a pre-hardening daemon's payload simply ends here.
-	if len(src) == 0 {
-		return st, src, nil
-	}
 	if st.ReportsThrottled, src, err = getUint64(src); err != nil {
 		return st, nil, err
 	}
 	if st.LeaseConflicts, src, err = getUint64(src); err != nil {
 		return st, nil, err
-	}
-	// The delta/full push counters (schema v6) trail those; a v5
-	// daemon's payload ends here.
-	if len(src) == 0 {
-		return st, src, nil
 	}
 	if st.DeltaPushes, src, err = getUint64(src); err != nil {
 		return st, nil, err

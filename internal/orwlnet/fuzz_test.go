@@ -81,14 +81,12 @@ func FuzzFrameHeader(f *testing.F) {
 // panic or over-allocate.
 func FuzzPlaceRequestDecode(f *testing.F) {
 	req := &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(4)}
-	body, _ := encodePlaceRequest(nil, req)
-	f.Add(body)
-	fpOnly, _ := encodePlaceRequestOpt(nil, req, true)
-	f.Add(fpOnly)
-	f.Add([]byte{4})
+	f.Add(encodePlaceRequest(nil, req, false))
+	f.Add(encodePlaceRequest(nil, req, true))
+	f.Add([]byte{protoVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mc := newMatrixCache(4)
-		_, _ = decodePlaceRequestCached(data, mc)
-		_, _ = decodePlaceBatchRequestCached(data, mc)
+		_, _, _ = decodePlaceRequest(data, mc)
+		_, _ = decodePlaceBatchRequest(data, mc)
 	})
 }

@@ -189,12 +189,19 @@ func TestRemotePipelineAcrossClients(t *testing.T) {
 	errs := make([]error, stages)
 	results := make([]byte, rounds)
 	// Remote inserts are ordered by arrival, so the writer-first FIFO
-	// order must be established explicitly: stage s announces its write
-	// insertion before stage s+1 queues its read.
+	// order must be established explicitly, before any acquire — as
+	// ORWL's initialisation phase does: stage s announces its write
+	// insertion before stage s+1 queues its read, and starts its rounds
+	// only once that read is queued (a release-reinsert on a queue
+	// holding only the writer would re-grant the writer, and the reader
+	// would miss rounds).
 	writerQueued := make([]chan struct{}, stages)
+	readerQueued := make([]chan struct{}, stages)
 	for i := range writerQueued {
 		writerQueued[i] = make(chan struct{})
+		readerQueued[i] = make(chan struct{})
 	}
+	close(readerQueued[stages-1]) // the last slot has no reader
 	for s := 0; s < stages; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -218,7 +225,9 @@ func TestRemotePipelineAcrossClients(t *testing.T) {
 					if err != nil {
 						return err
 					}
+					close(readerQueued[s-1])
 				}
+				<-readerQueued[s]
 				for r := 0; r < rounds; r++ {
 					var carry byte
 					if s > 0 {

@@ -44,10 +44,7 @@ func TestRemoteFleetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.PlacementService()
 
 	stats, err := remote.Stats(ctx)
 	if err != nil {
@@ -101,10 +98,7 @@ func TestRemoteFleetConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.PlacementService()
 	ctx := context.Background()
 	shared := chainMatrix(4)
 
@@ -150,126 +144,5 @@ func TestRemoteFleetConcurrentBatches(t *testing.T) {
 	}
 	if st.Cache.Hits+st.Cache.Misses != total {
 		t.Errorf("hits(%d)+misses(%d) != %d", st.Cache.Hits, st.Cache.Misses, total)
-	}
-}
-
-// TestFleetV1RequestCompat talks raw protocol: a v1-encoded request —
-// what a pre-fleet client sends — must decode on a fleet server, route
-// to the default machine, and come back v1-encoded so the old client
-// can decode the response.
-func TestFleetV1RequestCompat(t *testing.T) {
-	_, addr := startFleetServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	send := func(id uint64, op byte, payload []byte) message {
-		t.Helper()
-		if err := writeMessage(conn, message{callID: id, op: op, payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readMessage(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// An old client negotiates protocol v1...
-	if resp := send(1, opHello, []byte{protoLegacy, protoPlacement}); resp.op != statusOK || resp.payload[0] != protoPlacement {
-		t.Fatalf("v1 handshake failed: %v %s", resp.op, resp.payload)
-	}
-	// ...and sends a v1-shaped request (no machine field).
-	resp := send(2, opPlaceCompute, mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{
-		Version: 1, Strategy: placement.TreeMatch, Matrix: chainMatrix(4),
-	})))
-	if resp.op != statusError {
-		decoded, err := decodePlaceResponse(resp.payload)
-		if err != nil {
-			t.Fatalf("v1 client cannot decode the fleet server's response: %v", err)
-		}
-		if decoded.Version != 1 {
-			t.Errorf("fleet server answered a v1 request with schema v%d", decoded.Version)
-		}
-		if decoded.Assignment == nil || decoded.Assignment.Entities() != 4 {
-			t.Errorf("v1 request not placed: %+v", decoded)
-		}
-	} else {
-		t.Fatalf("fleet server rejected a v1 request: %s", resp.payload)
-	}
-
-	// The stats payload is also downgraded to what the connection's
-	// protocol implies.
-	sresp := send(3, opPlaceStats, nil)
-	if sresp.op != statusOK {
-		t.Fatalf("stats rejected: %s", sresp.payload)
-	}
-	if got := int(sresp.payload[0]); got != 1 {
-		t.Errorf("stats for a v1 connection encoded at schema %d", got)
-	}
-
-	// opPlaceBatch is a protoBatch-level op: a v1 connection sending it
-	// anyway is refused instead of answered with an undecodable v2
-	// payload.
-	bresp := send(4, opPlaceBatch, mustEncode(encodePlaceBatchRequest(nil, []*placement.PlaceRequest{
-		{Strategy: placement.TreeMatch, Entities: 2},
-	}, 0)))
-	if bresp.op != statusError || !strings.Contains(string(bresp.payload), "protocol v1") {
-		t.Errorf("v1 connection's batch answered %v %q, want a protocol refusal", bresp.op, bresp.payload)
-	}
-}
-
-// TestBatchAgainstOldServer fakes a pre-batch (protocol v1) server:
-// the new client's PlaceBatch and default-schema Place must fail
-// loudly client-side instead of sending bytes the server would
-// misread.
-func TestBatchAgainstOldServer(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			msg, err := readMessage(conn)
-			if err != nil {
-				return
-			}
-			if msg.op == opHello {
-				// A v1 build negotiates at most protoPlacement.
-				writeMessage(conn, message{callID: msg.callID, op: statusOK, payload: []byte{protoPlacement}})
-				continue
-			}
-			writeMessage(conn, message{callID: msg.callID, op: statusError, payload: []byte("unexpected op")})
-		}
-	}()
-
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != protoPlacement {
-		t.Fatalf("negotiated %d, want the old server's %d", c.Version(), protoPlacement)
-	}
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := remote.PlaceBatch(ctx, []*placement.PlaceRequest{{Strategy: placement.TreeMatch, Entities: 2}}); err == nil ||
-		!strings.Contains(err.Error(), "batch placement needs") {
-		t.Errorf("PlaceBatch against an old server did not fail loudly: %v", err)
-	}
-	if _, err := remote.Place(ctx, &placement.PlaceRequest{Machine: "tinyht", Strategy: placement.TreeMatch, Entities: 2}); err == nil ||
-		!strings.Contains(err.Error(), "protocol") {
-		t.Errorf("v2 Place against an old server did not fail loudly: %v", err)
 	}
 }

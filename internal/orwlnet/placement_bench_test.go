@@ -42,10 +42,7 @@ func BenchmarkPlaceComputeRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	remote, err := c.PlacementService()
-	if err != nil {
-		b.Fatal(err)
-	}
+	remote := c.PlacementService()
 
 	req := &placement.PlaceRequest{
 		Strategy: placement.TreeMatch,
@@ -101,12 +98,7 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 		srv.Close()
 		b.Fatal(err)
 	}
-	remote, err := c.PlacementService()
-	if err != nil {
-		c.Close()
-		srv.Close()
-		b.Fatal(err)
-	}
+	remote := c.PlacementService()
 	machines := []string{"tinyht", "tinyflat"}
 	reqs := make([]*placement.PlaceRequest, batchBenchSize)
 	for i := range reqs {

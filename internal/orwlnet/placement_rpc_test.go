@@ -2,6 +2,7 @@ package orwlnet
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -51,13 +52,7 @@ func TestRemotePlacementEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != protoMax {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), protoMax)
-	}
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.PlacementService()
 
 	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
 	resp, err := remote.Place(ctx, req)
@@ -118,10 +113,7 @@ func TestRemotePlacementConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.PlacementService()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -162,9 +154,10 @@ func TestRemotePlacementConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlacementRequiresHandshake talks raw protocol: a placement op on
-// a connection that never sent opHello must be rejected, while the
-// legacy location ops keep working.
+// TestPlacementRequiresHandshake talks raw protocol: every op on a
+// connection that has not completed opHello — a placement RPC and a
+// location op alike — is refused with the version status, and both
+// are served once the handshake is done.
 func TestPlacementRequiresHandshake(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -185,25 +178,26 @@ func TestPlacementRequiresHandshake(t *testing.T) {
 		return resp
 	}
 
-	resp := send(1, opPlaceCompute, mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{
-		Strategy: placement.TreeMatch, Matrix: chainMatrix(3),
-	})))
-	if resp.op != statusError {
-		t.Fatal("placement RPC before handshake succeeded")
+	place := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(3)}, false)
+	if resp := send(1, opPlaceCompute, place); !errors.Is(responseError(resp), ErrVersion) {
+		t.Fatalf("placement RPC before handshake answered status %d: %s", resp.op, resp.payload)
 	}
-	if resp2 := send(2, opSize, putString(nil, "l")); resp2.op != statusOK {
-		t.Fatalf("legacy op rejected without handshake: %s", resp2.payload)
+	if resp := send(2, opSize, putString(nil, "l")); !errors.Is(responseError(resp), ErrVersion) {
+		t.Fatalf("location op before handshake answered status %d: %s", resp.op, resp.payload)
 	}
-	if resp3 := send(3, opHello, []byte{protoLegacy, protoMax}); resp3.op != statusOK || resp3.payload[0] != protoMax {
-		t.Fatalf("handshake failed: %v %s", resp3.op, resp3.payload)
+	if resp := send(3, opHello, []byte{protoVersion, protoVersion}); resp.op != statusOK || resp.payload[0] != protoVersion {
+		t.Fatalf("handshake failed: %v %s", resp.op, resp.payload)
 	}
-	if resp4 := send(4, opPlaceCompute, mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{
-		Strategy: placement.TreeMatch, Matrix: chainMatrix(3),
-	}))); resp4.op != statusOK {
-		t.Fatalf("placement RPC after handshake rejected: %s", resp4.payload)
+	if resp := send(4, opSize, putString(nil, "l")); resp.op != statusOK {
+		t.Fatalf("location op after handshake rejected: %s", resp.payload)
+	}
+	if resp := send(5, opPlaceCompute, place); resp.op != statusOK {
+		t.Fatalf("placement RPC after handshake rejected: %s", resp.payload)
 	}
 }
 
+// TestHelloVersionNegotiation: the server answers protoVersion to any
+// range holding it and refuses every range without it.
 func TestHelloVersionNegotiation(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -211,70 +205,29 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	// A client from the future: the server picks its own max.
-	if err := writeMessage(conn, message{callID: 1, op: opHello, payload: []byte{protoLegacy, 200}}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.op != statusOK || int(resp.payload[0]) != protoMax {
-		t.Fatalf("negotiated %v, want %d", resp.payload, protoMax)
-	}
-
-	// A client demanding a version beyond the server must be refused.
-	if err := writeMessage(conn, message{callID: 2, op: opHello, payload: []byte{protoMax + 1, protoMax + 5}}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = readMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.op != statusError {
-		t.Fatal("impossible version range accepted")
-	}
-}
-
-// TestLegacyServerFallback fakes a pre-handshake server: opHello gets
-// an unknown-op error, and the client degrades to the legacy protocol
-// with placement unavailable.
-func TestLegacyServerFallback(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		conn, err := lis.Accept()
+	for i, c := range []struct {
+		min, max byte
+		ok       bool
+	}{
+		{0, 200, true}, // a client from the future still shares this version
+		{protoVersion, protoVersion, true},
+		{0, protoVersion - 1, false},
+		{protoVersion + 1, protoVersion + 5, false},
+		{protoVersion + 1, protoVersion - 1, false},
+	} {
+		if err := writeMessage(conn, message{callID: uint64(i + 1), op: opHello, payload: []byte{c.min, c.max}}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readMessage(conn)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		for {
-			msg, err := readMessage(conn)
-			if err != nil {
-				return
-			}
-			writeMessage(conn, message{
-				callID:  msg.callID,
-				op:      statusError,
-				payload: []byte("orwlnet: unknown op 9"),
-			})
+		if c.ok && (resp.op != statusOK || len(resp.payload) != 1 || resp.payload[0] != protoVersion) {
+			t.Errorf("hello [%d,%d] answered status %d %v, want [%d]", c.min, c.max, resp.op, resp.payload, protoVersion)
 		}
-	}()
-
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != protoLegacy {
-		t.Fatalf("version = %d, want legacy %d", c.Version(), protoLegacy)
-	}
-	if _, err := c.PlacementService(); err == nil {
-		t.Fatal("placement stub handed out on a legacy connection")
+		if !c.ok && !errors.Is(responseError(resp), ErrVersion) {
+			t.Errorf("hello [%d,%d] answered status %d %q, want ErrVersion", c.min, c.max, resp.op, resp.payload)
+		}
 	}
 }
 
@@ -300,16 +253,68 @@ func TestPlacementOnLocationOnlyServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The handshake succeeds (the protocol is versioned server-wide)...
-	remote, err := c.PlacementService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...but the RPCs report the missing service.
+	// The handshake succeeds (the protocol is versioned server-wide),
+	// but the RPCs report the missing service.
+	remote := c.PlacementService()
 	if _, err := remote.Place(context.Background(), &placement.PlaceRequest{
 		Strategy: placement.TreeMatch, Matrix: chainMatrix(3),
 	}); err == nil {
 		t.Fatal("placement served by a server with no placement service")
+	}
+}
+
+// TestAdaptiveStatsOverRPC runs a live server and checks the adaptive
+// counters cross the wire end to end.
+func TestAdaptiveStatsOverRPC(t *testing.T) {
+	top, err := topology.ByName("tinyht")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := placement.NewEngine(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := placement.NewLocalService(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := placement.Fixed("trace", chainMatrix(4))
+	rec, err := placement.NewReconciler(eng, m, nil, placement.AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.AttachReconciler(rec)
+	if err := rec.Prime(m); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rec.Epoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(lis, nil, WithPlacement(svc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.PlacementService().Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Adaptive.Epochs != 4 {
+		t.Errorf("remote adaptive epochs = %d, want 4", st.Adaptive.Epochs)
 	}
 }
 

@@ -1,25 +1,28 @@
 package orwlnet
 
 import (
+	"container/list"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/treematch"
 )
 
-// Binary codecs for the placement RPCs. All integers are
-// little-endian; strings are uint16-length-prefixed (putString);
-// optional values carry a presence byte. The leading byte of a
-// request/response is its placement.ServiceVersion, so schema
-// evolution is detected before any field is decoded.
+// Binary codecs for the placement RPCs. Fixed-width integers are
+// little-endian, small ones varints; strings are uint16-length-
+// prefixed (putString); optional values carry a presence byte. Every
+// payload starts with the protocol version byte (protoVersion), so a
+// peer speaking another layout is refused before any field is decoded.
 //
 // The encoders are append-style (dst ...[]byte) so hot paths reuse a
 // pooled payload buffer: a placement request carries a full matrix
-// (8n² bytes) and the response three assignment slices, which used to
-// be reallocated for every RPC.
+// (up to 8n² bytes) and the response three assignment slices, which
+// used to be reallocated for every RPC.
 
 // payloadPool recycles encode buffers between RPCs. A buffer is safe
 // to recycle once its message has been written to the connection —
@@ -67,57 +70,8 @@ func getBool(src []byte) (bool, []byte, error) {
 	return src[0] != 0, src[1:], nil
 }
 
-// putIntSlice encodes a possibly-nil []int (values may be negative,
-// e.g. unbound control PUs). Nil and empty are distinguished: the
-// count field holds 0 for nil and len+1 otherwise.
-func putIntSlice(dst []byte, s []int) []byte {
-	if s == nil {
-		return putUint64(dst, 0)
-	}
-	dst = putUint64(dst, uint64(len(s)+1))
-	for _, v := range s {
-		dst = putUint64(dst, uint64(int64(v)))
-	}
-	return dst
-}
-
-func getIntSlice(src []byte) ([]int, []byte, error) {
-	n, rest, err := getUint64(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	count := int(n - 1)
-	if count < 0 || count > len(rest)/8 {
-		return nil, nil, fmt.Errorf("orwlnet: truncated int slice (%d entries)", count)
-	}
-	out := make([]int, count)
-	for i := range out {
-		var u uint64
-		u, rest, _ = getUint64(rest)
-		out[i] = int(int64(u))
-	}
-	return out, rest, nil
-}
-
-// putMatrix encodes a possibly-nil communication matrix in the
-// schema v1-v3 layout: presence byte, order, then the row-major
-// float64 entries. Schema v4 payloads use putMatrixCompact /
-// putMatrixFingerprint instead (placewire_v4.go), which replace the
-// presence byte with a mode byte.
-func putMatrix(dst []byte, m *comm.Matrix) []byte {
-	if m == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	return putMatrixDenseBody(dst, m)
-}
-
 // putMatrixDenseBody appends the dense matrix body (order, row-major
-// float64 entries) without any presence/mode prefix — shared between
-// the v1-v3 presence-byte layout and the v4 matDense mode.
+// float64 entries) that follows the matDense mode byte.
 func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
 	n := m.Order()
 	dst = putUint64(dst, uint64(n))
@@ -127,14 +81,6 @@ func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
 		}
 	}
 	return dst
-}
-
-func getMatrix(src []byte) (*comm.Matrix, []byte, error) {
-	present, rest, err := getBool(src)
-	if err != nil || !present {
-		return nil, rest, err
-	}
-	return getMatrixDenseBody(rest)
 }
 
 func getMatrixDenseBody(rest []byte) (*comm.Matrix, []byte, error) {
@@ -191,54 +137,6 @@ const (
 	asgnOversubscribed = 1 << 1
 )
 
-func putAssignment(dst []byte, a *placement.Assignment) []byte {
-	if a == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = putString(dst, a.Strategy)
-	var flags byte
-	if a.Unbound {
-		flags |= asgnUnbound
-	}
-	if a.Oversubscribed {
-		flags |= asgnOversubscribed
-	}
-	dst = append(dst, flags, byte(a.Mode))
-	dst = putIntSlice(dst, a.ComputePU)
-	dst = putIntSlice(dst, a.ControlPU)
-	return putIntSlice(dst, a.CoreOf)
-}
-
-func getAssignment(src []byte) (*placement.Assignment, []byte, error) {
-	present, rest, err := getBool(src)
-	if err != nil || !present {
-		return nil, rest, err
-	}
-	a := &placement.Assignment{}
-	if a.Strategy, rest, err = getString(rest); err != nil {
-		return nil, nil, err
-	}
-	if len(rest) < 2 {
-		return nil, nil, fmt.Errorf("orwlnet: truncated assignment")
-	}
-	flags := rest[0]
-	a.Unbound = flags&asgnUnbound != 0
-	a.Oversubscribed = flags&asgnOversubscribed != 0
-	a.Mode = treematch.ControlMode(rest[1])
-	rest = rest[2:]
-	if a.ComputePU, rest, err = getIntSlice(rest); err != nil {
-		return nil, nil, err
-	}
-	if a.ControlPU, rest, err = getIntSlice(rest); err != nil {
-		return nil, nil, err
-	}
-	if a.CoreOf, rest, err = getIntSlice(rest); err != nil {
-		return nil, nil, err
-	}
-	return a, rest, nil
-}
-
 func putCacheStats(dst []byte, st placement.CacheStats) []byte {
 	dst = putUint64(dst, st.Hits)
 	dst = putUint64(dst, st.Misses)
@@ -291,106 +189,57 @@ func getAdaptiveStats(src []byte) (placement.AdaptiveStats, []byte, error) {
 	return st, src, nil
 }
 
-// putWireVersion resolves and appends the leading schema-version byte.
-// Zero resolves to the current placement.ServiceVersion; versions that
-// do not fit the wire's single byte (or predate schema 1) are an
-// explicit error instead of a silent truncation — byte(256) would
-// encode as schema 0 and misdecode on every peer.
-func putWireVersion(dst []byte, v int) ([]byte, int, error) {
-	if v == 0 {
-		v = placement.ServiceVersion
-	}
-	if v < 1 || v > 255 {
-		return nil, 0, fmt.Errorf("orwlnet: placement schema version %d does not fit the wire's version byte (want 1..255)", v)
-	}
-	return append(dst, byte(v)), v, nil
-}
-
-// checkWireVersion validates the leading schema-version byte against
-// what this build speaks.
-func checkWireVersion(src []byte) (int, []byte, error) {
-	return checkWireVersionMax(src, placement.ServiceVersion)
-}
-
-// checkWireVersionMax is checkWireVersion against an explicit ceiling
-// — the decode path of a server that speaks at most max. Split out so
-// cross-version tests can replay how an older build answers newer
-// payloads.
-func checkWireVersionMax(src []byte, max int) (int, []byte, error) {
+// checkVersion consumes the leading version byte of a payload,
+// refusing any value but protoVersion.
+func checkVersion(src []byte) ([]byte, error) {
 	if len(src) < 1 {
-		return 0, nil, fmt.Errorf("orwlnet: missing schema version")
+		return nil, fmt.Errorf("orwlnet: missing version byte")
 	}
-	v := int(src[0])
-	if v == 0 || v > max {
-		return 0, nil, fmt.Errorf("orwlnet: unsupported placement schema version %d (speak <= %d)",
-			v, max)
+	if v := src[0]; v != protoVersion {
+		return nil, fmt.Errorf("orwlnet: %w: payload version %d, this build speaks %d", ErrVersion, v, protoVersion)
 	}
-	return v, src[1:], nil
+	return src[1:], nil
 }
 
-func encodePlaceRequest(dst []byte, req *placement.PlaceRequest) ([]byte, error) {
-	return encodePlaceRequestOpt(dst, req, false)
-}
-
-// encodePlaceRequestOpt is encodePlaceRequest with the schema v4
-// fingerprint-only option: when fpOnly is set (and the request
-// resolves to schema >= 4 and carries a matrix), the matrix field is
-// encoded as its comm.Fingerprint reference instead of a body — the
-// caller asserts the serving peer has already seen the body and is
-// prepared to resend it on an errUnknownMatrix answer.
-func encodePlaceRequestOpt(dst []byte, req *placement.PlaceRequest, fpOnly bool) ([]byte, error) {
-	dst, v, err := putWireVersion(dst, req.Version)
-	if err != nil {
-		return nil, err
-	}
-	if v >= 2 {
-		dst = putString(dst, req.Machine)
-	} else if req.Machine != "" {
-		return nil, fmt.Errorf("orwlnet: machine selector %q needs schema v2, request pinned to v%d", req.Machine, v)
-	}
+// encodePlaceRequest frames one placement request. When fpOnly is set
+// and the request carries a matrix, the matrix field is its
+// comm.Fingerprint reference instead of a body — the caller asserts
+// the serving peer has already seen the body and is prepared to resend
+// it on an ErrUnknownMatrix answer.
+func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, fpOnly bool) []byte {
+	dst = append(dst, protoVersion)
+	dst = putString(dst, req.Machine)
 	dst = putString(dst, req.Strategy)
 	dst = putUint64(dst, uint64(int64(req.Entities)))
 	dst = putOptions(dst, req.Options)
-	if v >= 4 {
-		if fpOnly && req.Matrix != nil {
-			fp := req.MatrixFP
-			if fp == 0 {
-				fp = comm.Fingerprint(req.Matrix)
-			}
-			return putMatrixFingerprint(dst, fp, req.Matrix.Order()), nil
-		}
-		return putMatrixCompact(dst, req.Matrix), nil
+	if fpOnly && req.Matrix != nil {
+		return putMatrixFingerprint(dst, reqFP(req), req.Matrix.Order())
 	}
-	return putMatrix(dst, req.Matrix), nil
+	return putMatrixCompact(dst, req.Matrix)
 }
 
-func decodePlaceRequest(src []byte) (*placement.PlaceRequest, error) {
-	req, _, err := decodePlaceRequestRest(src, nil)
-	return req, err
+// reqFP returns the request matrix's fingerprint, trusting the
+// caller's precomputed MatrixFP hint when set.
+func reqFP(req *placement.PlaceRequest) uint64 {
+	if req.MatrixFP != 0 {
+		return req.MatrixFP
+	}
+	return comm.Fingerprint(req.Matrix)
 }
 
-// decodePlaceRequestCached is decodePlaceRequest on the serving side:
-// decoded matrix bodies are remembered in mc and fingerprint-only
-// references resolved from it.
-func decodePlaceRequestCached(src []byte, mc *matrixCache) (*placement.PlaceRequest, error) {
-	req, _, err := decodePlaceRequestRest(src, mc)
-	return req, err
-}
-
-// decodePlaceRequestRest decodes one request and returns the
-// remaining bytes, so the batch codec can walk a request list. mc is
-// the serving side's seen-matrix table (nil on the client and in
+// decodePlaceRequest decodes one request and returns the remaining
+// bytes, so the batch codec can walk a request list. mc is the serving
+// side's seen-matrix table: decoded bodies are remembered in it and
+// fingerprint references resolved from it (nil on the client and in
 // codec tests: bodies decode, fingerprint references error).
-func decodePlaceRequestRest(src []byte, mc *matrixCache) (*placement.PlaceRequest, []byte, error) {
-	v, rest, err := checkWireVersion(src)
+func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, []byte, error) {
+	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	req := &placement.PlaceRequest{Version: v}
-	if v >= 2 {
-		if req.Machine, rest, err = getString(rest); err != nil {
-			return nil, nil, err
-		}
+	req := &placement.PlaceRequest{}
+	if req.Machine, rest, err = getString(rest); err != nil {
+		return nil, nil, err
 	}
 	if req.Strategy, rest, err = getString(rest); err != nil {
 		return nil, nil, err
@@ -403,58 +252,35 @@ func decodePlaceRequestRest(src []byte, mc *matrixCache) (*placement.PlaceReques
 	if req.Options, rest, err = getOptions(rest); err != nil {
 		return nil, nil, err
 	}
-	if v >= 4 {
-		if req.Matrix, req.MatrixFP, rest, err = getMatrixV4(rest, mc); err != nil {
-			return nil, nil, err
-		}
-	} else if req.Matrix, rest, err = getMatrix(rest); err != nil {
+	if req.Matrix, req.MatrixFP, rest, err = getMatrix(rest, mc); err != nil {
 		return nil, nil, err
 	}
 	return req, rest, nil
 }
 
-func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) ([]byte, error) {
-	dst, v, err := putWireVersion(dst, resp.Version)
-	if err != nil {
-		return nil, err
-	}
-	if v >= 2 {
-		dst = putString(dst, resp.Machine)
-		dst = putString(dst, resp.Err)
-	} else if resp.Err != "" {
-		// A v1 response has no error slot; dropping it would turn a
-		// failed batch slot into a silent empty success.
-		return nil, fmt.Errorf("orwlnet: per-slot error needs schema v2, response pinned to v%d", v)
-	}
+func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
+	dst = append(dst, protoVersion)
+	dst = putString(dst, resp.Machine)
+	dst = putString(dst, resp.Err)
 	dst = putBool(dst, resp.CacheHit)
 	dst = putFloat64(dst, resp.Cost)
 	dst = putFloat64(dst, resp.CrossNUMAVolume)
 	dst = putCacheStats(dst, resp.Cache)
 	dst = putUint64(dst, uint64(resp.ElapsedNS))
-	if v >= 4 {
-		return putAssignmentV4(dst, resp.Assignment), nil
-	}
-	return putAssignment(dst, resp.Assignment), nil
+	return putAssignment(dst, resp.Assignment)
 }
 
-func decodePlaceResponse(src []byte) (*placement.PlaceResponse, error) {
-	resp, _, err := decodePlaceResponseRest(src)
-	return resp, err
-}
-
-func decodePlaceResponseRest(src []byte) (*placement.PlaceResponse, []byte, error) {
-	v, rest, err := checkWireVersion(src)
+func decodePlaceResponse(src []byte) (*placement.PlaceResponse, []byte, error) {
+	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp := &placement.PlaceResponse{Version: v}
-	if v >= 2 {
-		if resp.Machine, rest, err = getString(rest); err != nil {
-			return nil, nil, err
-		}
-		if resp.Err, rest, err = getString(rest); err != nil {
-			return nil, nil, err
-		}
+	resp := &placement.PlaceResponse{}
+	if resp.Machine, rest, err = getString(rest); err != nil {
+		return nil, nil, err
+	}
+	if resp.Err, rest, err = getString(rest); err != nil {
+		return nil, nil, err
 	}
 	if resp.CacheHit, rest, err = getBool(rest); err != nil {
 		return nil, nil, err
@@ -473,90 +299,53 @@ func decodePlaceResponseRest(src []byte) (*placement.PlaceResponse, []byte, erro
 		return nil, nil, err
 	}
 	resp.ElapsedNS = int64(u)
-	if v >= 4 {
-		if resp.Assignment, rest, err = getAssignmentV4(rest); err != nil {
-			return nil, nil, err
-		}
-	} else if resp.Assignment, rest, err = getAssignment(rest); err != nil {
+	if resp.Assignment, rest, err = getAssignment(rest); err != nil {
 		return nil, nil, err
 	}
 	return resp, rest, nil
 }
 
 // minBatchSlotBytes bounds the slot count of a batch frame against
-// its remaining payload. The smallest legal request slot (v1: version
-// byte, empty strategy, entities, options, absent matrix) is 37
-// bytes and the smallest response slot is larger; each reserved slot
-// pointer costs 8 bytes, so any divisor comfortably above 8 keeps a
-// hostile count field from amplifying a small frame into a huge
+// its remaining payload. The smallest legal request slot (version
+// byte, empty machine and strategy, entities, options, absent matrix)
+// is 39 bytes and the smallest response slot is larger; each reserved
+// slot pointer costs 8 bytes, so any divisor comfortably above 8 keeps
+// a hostile count field from amplifying a small frame into a huge
 // backing-array allocation.
 const minBatchSlotBytes = 32
 
 // encodePlaceBatchRequest frames a request slice for opPlaceBatch:
-// leading batch schema version, slot count, then every slot encoded
-// exactly like a single request (own version byte included, so mixed
-// v1/v2 slots route like their single-call counterparts). schema is
-// the version the connected peer negotiated (0 = current): unpinned
-// slots encode at it, so a newer client still frames payloads an
-// older server decodes.
-func encodePlaceBatchRequest(dst []byte, reqs []*placement.PlaceRequest, schema int) ([]byte, error) {
-	return encodePlaceBatchRequestOpt(dst, reqs, schema, nil)
-}
-
-// encodePlaceBatchRequestOpt is encodePlaceBatchRequest with a
-// per-slot fingerprint-only decision (nil = always send bodies): the
-// pooled client sends references for matrices the server has seen and
-// bodies for the rest, within one batch frame.
-func encodePlaceBatchRequestOpt(dst []byte, reqs []*placement.PlaceRequest, schema int, fpOnly func(i int, req *placement.PlaceRequest) bool) ([]byte, error) {
-	dst, v, err := putWireVersion(dst, schema)
-	if err != nil {
-		return nil, err
-	}
+// version byte, slot count, then every slot encoded exactly like a
+// single request (own version byte included). fpOnly decides per slot
+// whether its matrix crosses as a fingerprint reference (nil = always
+// send bodies): the pooled client sends references for matrices the
+// server has seen and bodies for the rest, within one batch frame.
+func encodePlaceBatchRequest(dst []byte, reqs []*placement.PlaceRequest, fpOnly func(req *placement.PlaceRequest) bool) ([]byte, error) {
+	dst = append(dst, protoVersion)
 	dst = putUint64(dst, uint64(len(reqs)))
 	for i, req := range reqs {
 		if req == nil {
 			return nil, fmt.Errorf("orwlnet: nil request in batch slot %d", i)
 		}
-		if req.Version == 0 && v != placement.ServiceVersion {
-			pinned := *req
-			pinned.Version = v
-			req = &pinned
-		}
-		if dst, err = encodePlaceRequestOpt(dst, req, fpOnly != nil && fpOnly(i, req)); err != nil {
-			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
-		}
+		dst = encodePlaceRequest(dst, req, fpOnly != nil && fpOnly(req))
 	}
 	return dst, nil
 }
 
-func decodePlaceBatchRequest(src []byte) ([]*placement.PlaceRequest, error) {
-	return decodePlaceBatchRequestCached(src, nil)
-}
-
-// decodePlaceBatchRequestCached is the serving side's batch decode:
-// matrix bodies are remembered in mc and fingerprint references
-// resolved from it. One unknown fingerprint fails the whole frame
-// (the error keeps the errUnknownMatrix substring), and the client
-// answers by resending every slot with its body.
-func decodePlaceBatchRequestCached(src []byte, mc *matrixCache) ([]*placement.PlaceRequest, error) {
-	v, rest, err := checkWireVersion(src)
+// decodePlaceBatchRequest is the serving side's batch decode: matrix
+// bodies are remembered in mc and fingerprint references resolved from
+// it. One unknown fingerprint fails the whole frame with
+// ErrUnknownMatrix, and the client answers by resending every slot
+// with its body.
+func decodePlaceBatchRequest(src []byte, mc *matrixCache) ([]*placement.PlaceRequest, error) {
+	n, rest, err := getBatchCount(src)
 	if err != nil {
 		return nil, err
-	}
-	if v < 2 {
-		return nil, fmt.Errorf("orwlnet: batch placement needs schema >= 2, got %d", v)
-	}
-	n, rest, err := getUint64(rest)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rest)/minBatchSlotBytes) {
-		return nil, fmt.Errorf("orwlnet: absurd batch slot count %d", n)
 	}
 	reqs := make([]*placement.PlaceRequest, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var req *placement.PlaceRequest
-		if req, rest, err = decodePlaceRequestRest(rest, mc); err != nil {
+		if req, rest, err = decodePlaceRequest(rest, mc); err != nil {
 			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
 		}
 		reqs = append(reqs, req)
@@ -564,52 +353,46 @@ func decodePlaceBatchRequestCached(src []byte, mc *matrixCache) ([]*placement.Pl
 	return reqs, nil
 }
 
-// encodePlaceBatchResponse frames a response slice at the connection's
-// negotiated schema (0 = current, >= 2 always: batch needs per-slot
-// errors and machine names), so a v2 client decodes a v3 server's
-// answer.
-func encodePlaceBatchResponse(dst []byte, resps []*placement.PlaceResponse, schema int) ([]byte, error) {
-	dst, v, err := putWireVersion(dst, schema)
+// getBatchCount reads a batch frame's version byte and slot count,
+// refusing a count its payload cannot hold.
+func getBatchCount(src []byte) (uint64, []byte, error) {
+	rest, err := checkVersion(src)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if v < 2 {
-		return nil, fmt.Errorf("orwlnet: batch placement needs schema >= 2, got %d", v)
+	n, rest, err := getUint64(rest)
+	if err != nil {
+		return 0, nil, err
 	}
+	if n > uint64(len(rest)/minBatchSlotBytes) {
+		return 0, nil, fmt.Errorf("%w batch slot count %d", errAbsurd, n)
+	}
+	return n, rest, nil
+}
+
+// encodePlaceBatchResponse frames a response slice: version byte, slot
+// count, then every slot encoded like a single response.
+func encodePlaceBatchResponse(dst []byte, resps []*placement.PlaceResponse) ([]byte, error) {
+	dst = append(dst, protoVersion)
 	dst = putUint64(dst, uint64(len(resps)))
 	for i, resp := range resps {
 		if resp == nil {
 			return nil, fmt.Errorf("orwlnet: nil response in batch slot %d", i)
 		}
-		// Batch slots always speak the negotiated batch schema.
-		slot := *resp
-		slot.Version = v
-		if dst, err = encodePlaceResponse(dst, &slot); err != nil {
-			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
-		}
+		dst = encodePlaceResponse(dst, resp)
 	}
 	return dst, nil
 }
 
 func decodePlaceBatchResponse(src []byte) ([]*placement.PlaceResponse, error) {
-	v, rest, err := checkWireVersion(src)
+	n, rest, err := getBatchCount(src)
 	if err != nil {
 		return nil, err
-	}
-	if v < 2 {
-		return nil, fmt.Errorf("orwlnet: batch placement needs schema >= 2, got %d", v)
-	}
-	n, rest, err := getUint64(rest)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rest)/minBatchSlotBytes) {
-		return nil, fmt.Errorf("orwlnet: absurd batch slot count %d", n)
 	}
 	resps := make([]*placement.PlaceResponse, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var resp *placement.PlaceResponse
-		if resp, rest, err = decodePlaceResponseRest(rest); err != nil {
+		if resp, rest, err = decodePlaceResponse(rest); err != nil {
 			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
 		}
 		resps = append(resps, resp)
@@ -617,43 +400,25 @@ func decodePlaceBatchResponse(src []byte) ([]*placement.PlaceResponse, error) {
 	return resps, nil
 }
 
-// encodeServiceStats encodes a stats payload at the given schema
-// version — the server answers with the schema the connection's
-// negotiated protocol implies, so pre-fleet clients decode it.
-func encodeServiceStats(dst []byte, st placement.ServiceStats, version int) ([]byte, error) {
-	dst, v, err := putWireVersion(dst, version)
-	if err != nil {
-		return nil, err
-	}
+// encodeServiceStats frames the stats payload: the service
+// description, then the adaptive, transport and control-plane
+// counters.
+func encodeServiceStats(dst []byte, st placement.ServiceStats) []byte {
+	dst = append(dst, protoVersion)
 	dst = putString(dst, st.TopologyName)
 	dst = putUint64(dst, st.TopologySignature)
 	dst = putUint64(dst, st.Places)
 	dst = putCacheStats(dst, st.Cache)
-	dst = putUint64(dst, uint64(len(st.Strategies)))
-	for _, s := range st.Strategies {
-		dst = putString(dst, s)
-	}
-	if v >= 2 {
-		dst = putUint64(dst, uint64(len(st.Machines)))
-		for _, m := range st.Machines {
-			dst = putString(dst, m)
-		}
-	}
-	if v >= 3 {
-		dst = putAdaptiveStats(dst, st.Adaptive)
-	}
-	if v >= 4 {
-		dst = putNetStats(dst, st.Net)
-	}
-	if v >= 5 {
-		dst = putFleetStats(dst, st.Fleet, v)
-	}
-	return dst, nil
+	dst = putStringList(dst, st.Strategies)
+	dst = putStringList(dst, st.Machines)
+	dst = putAdaptiveStats(dst, st.Adaptive)
+	dst = putNetStats(dst, st.Net)
+	return putFleetStats(dst, st.Fleet)
 }
 
 func decodeServiceStats(src []byte) (placement.ServiceStats, error) {
 	var st placement.ServiceStats
-	v, rest, err := checkWireVersion(src)
+	rest, err := checkVersion(src)
 	if err != nil {
 		return st, err
 	}
@@ -672,27 +437,27 @@ func decodeServiceStats(src []byte) (placement.ServiceStats, error) {
 	if st.Strategies, rest, err = getStringList(rest); err != nil {
 		return st, err
 	}
-	if v >= 2 {
-		if st.Machines, rest, err = getStringList(rest); err != nil {
-			return st, err
-		}
+	if st.Machines, rest, err = getStringList(rest); err != nil {
+		return st, err
 	}
-	if v >= 3 {
-		if st.Adaptive, rest, err = getAdaptiveStats(rest); err != nil {
-			return st, err
-		}
+	if st.Adaptive, rest, err = getAdaptiveStats(rest); err != nil {
+		return st, err
 	}
-	if v >= 4 {
-		if st.Net, rest, err = getNetStats(rest); err != nil {
-			return st, err
-		}
+	if st.Net, rest, err = getNetStats(rest); err != nil {
+		return st, err
 	}
-	if v >= 5 {
-		if st.Fleet, rest, err = getFleetStats(rest); err != nil {
-			return st, err
-		}
+	if st.Fleet, _, err = getFleetStats(rest); err != nil {
+		return st, err
 	}
 	return st, nil
+}
+
+func putStringList(dst []byte, list []string) []byte {
+	dst = putUint64(dst, uint64(len(list)))
+	for _, s := range list {
+		dst = putString(dst, s)
+	}
+	return dst
 }
 
 // getStringList decodes a uint64-count-prefixed string list. Each name
@@ -705,7 +470,7 @@ func getStringList(src []byte) ([]string, []byte, error) {
 		return nil, nil, err
 	}
 	if n > uint64(len(rest)/2) {
-		return nil, nil, fmt.Errorf("orwlnet: absurd string count %d", n)
+		return nil, nil, fmt.Errorf("%w string count %d", errAbsurd, n)
 	}
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -716,4 +481,507 @@ func getStringList(src []byte) ([]string, []byte, error) {
 		out = append(out, s)
 	}
 	return out, rest, nil
+}
+
+// Matrix compaction: the dependency matrices that dominate
+// placement payloads are mostly sparse (a ring row has two nonzero
+// entries out of hundreds) and slowly changing (a warm client resends
+// the same matrix on every call). Two wire encodings exploit that:
+//
+//   - a sparse run-length triplet encoding — (zero-gap, run-length,
+//     value) varint runs over the row-major cell stream — chosen
+//     automatically whenever it beats the dense 8n² layout;
+//   - a fingerprint-only reference: once a matrix body has crossed the
+//     wire, later requests send its 8-byte comm.Fingerprint and the
+//     server resolves the body from its seen-matrix table, answering
+//     ErrUnknownMatrix on a miss so the client resends the body.
+
+// Matrix wire modes: the byte that opens every matrix field.
+const (
+	matAbsent      = 0
+	matDense       = 1
+	matSparse      = 2
+	matFingerprint = 3
+)
+
+// maxMatrixOrder bounds a decoded matrix order. Dense payloads are
+// implicitly bounded by maxMessage; the sparse and fingerprint
+// encodings can claim a huge order in a few bytes, so the same ceiling
+// is enforced explicitly — a hostile 5-byte frame must not allocate a
+// terabyte-scale backing array.
+const maxMatrixOrder = 2896 // floor(sqrt(maxMessage/8)): the densest matrix a frame can carry
+
+// uvarintLen returns the encoded size of v in bytes.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// zigzagFloat maps float64 bits so that the trailing zero bytes of
+// typical volumes (integral byte counts) become leading zeros a varint
+// elides: 65536.0 encodes in 3 bytes instead of 10.
+func zigzagFloat(v float64) uint64 {
+	return bits.ReverseBytes64(math.Float64bits(v))
+}
+
+func unzigzagFloat(u uint64) float64 {
+	return math.Float64frombits(bits.ReverseBytes64(u))
+}
+
+// sparseSize measures the exact sparse-body size of m (runs and bytes,
+// excluding the mode byte) in one pass over the cell stream, so the
+// encoder can choose the smaller of sparse and dense without encoding
+// twice. A cell is "zero" only when its bit pattern is exactly +0:
+// the encoding must round-trip bits (NaNs, -0) exactly, or the
+// client's fingerprint and the server's would drift apart and every
+// fingerprint-only request would miss.
+func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
+	n := m.Order()
+	gap := 0
+	for i := 0; i < n; i++ {
+		row := m.RowView(i)
+		for j := 0; j < n; {
+			if math.Float64bits(row[j]) == 0 {
+				gap++
+				j++
+				continue
+			}
+			runLen := 1
+			for j+runLen < n && math.Float64bits(row[j+runLen]) == math.Float64bits(row[j]) {
+				runLen++
+			}
+			runs++
+			bodyBytes += uvarintLen(uint64(gap)) + uvarintLen(uint64(runLen)) + uvarintLen(zigzagFloat(row[j]))
+			gap = 0
+			j += runLen
+		}
+	}
+	bodyBytes += uvarintLen(uint64(n)) + uvarintLen(uint64(runs))
+	return runs, bodyBytes
+}
+
+// appendSparseBody emits the sparse body: uvarint order, uvarint run
+// count, then (zero-gap, run-length, reversed-bits value) varint
+// triplets over the row-major cell stream. Runs never cross a value
+// change; the gap field is the RLE of the zero cells between them.
+func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
+	n := m.Order()
+	dst = putUvarint(dst, uint64(n))
+	dst = putUvarint(dst, uint64(runs))
+	gap := 0
+	for i := 0; i < n; i++ {
+		row := m.RowView(i)
+		for j := 0; j < n; {
+			b := math.Float64bits(row[j])
+			if b == 0 {
+				gap++
+				j++
+				continue
+			}
+			runLen := 1
+			for j+runLen < n && math.Float64bits(row[j+runLen]) == b {
+				runLen++
+			}
+			dst = putUvarint(dst, uint64(gap))
+			dst = putUvarint(dst, uint64(runLen))
+			dst = putUvarint(dst, zigzagFloat(row[j]))
+			gap = 0
+			j += runLen
+		}
+	}
+	return dst
+}
+
+// getSparseHeader reads a sparse body's order and run count, leaving
+// the triplets.
+func getSparseHeader(src []byte) (n int, runs uint64, body []byte, err error) {
+	n64, rest, err := getUvarint(src)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if n64 > maxMatrixOrder {
+		return 0, 0, nil, fmt.Errorf("orwlnet: sparse matrix order %d exceeds limit %d", n64, maxMatrixOrder)
+	}
+	if runs, body, err = getUvarint(rest); err != nil {
+		return 0, 0, nil, err
+	}
+	// Each run costs at least three bytes on the wire; a count beyond
+	// that is a corrupt or hostile frame.
+	if runs > uint64(len(body)) {
+		return 0, 0, nil, fmt.Errorf("%w sparse run count %d", errAbsurd, runs)
+	}
+	return int(n64), runs, body, nil
+}
+
+// walkSparseRuns validates the (zero-gap, run-length, value) triplets
+// of a sparse body against an n x n cell stream and calls visit for
+// every run, split at row boundaries: length cells of value v starting
+// at (row, col). It returns the bytes after the last triplet, allocates
+// nothing and, apart from visit, does work proportional to runs + n.
+func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length int, v float64)) ([]byte, error) {
+	cells := uint64(n) * uint64(n)
+	var idx uint64
+	row, rowEnd := 0, uint64(n) // rowEnd is the cell index one past row
+	for r := uint64(0); r < runs; r++ {
+		var gap, runLen, raw uint64
+		var err error
+		if gap, body, err = getUvarint(body); err != nil {
+			return nil, err
+		}
+		if runLen, body, err = getUvarint(body); err != nil {
+			return nil, err
+		}
+		if raw, body, err = getUvarint(body); err != nil {
+			return nil, err
+		}
+		if runLen == 0 {
+			return nil, fmt.Errorf("orwlnet: sparse run %d has zero length", r)
+		}
+		if gap > cells-idx || runLen > cells-idx-gap {
+			return nil, fmt.Errorf("orwlnet: sparse run %d overruns the %d-cell matrix", r, cells)
+		}
+		idx += gap
+		for v := unzigzagFloat(raw); runLen > 0; {
+			for idx >= rowEnd {
+				row++
+				rowEnd += uint64(n)
+			}
+			seg := min(runLen, rowEnd-idx)
+			visit(row, int(idx+uint64(n)-rowEnd), int(seg), v)
+			idx += seg
+			runLen -= seg
+		}
+	}
+	return body, nil
+}
+
+// getSparseBody decodes a sparse matrix body.
+func getSparseBody(src []byte) (*comm.Matrix, []byte, error) {
+	n, runs, body, err := getSparseHeader(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := comm.NewMatrix(n)
+	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+		for k := col; k < col+length; k++ {
+			m.Set(row, k, v)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, rest, nil
+}
+
+// putMatrixCompact encodes a matrix field, choosing
+// the smaller of the sparse and dense encodings. The choice is
+// invisible to the decoder (both carry their mode byte), so density
+// drift in a workload never changes the protocol.
+func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
+	if m == nil {
+		return append(dst, matAbsent)
+	}
+	n := m.Order()
+	runs, sparseBytes := sparseSize(m)
+	if sparseBytes >= 8+8*n*n {
+		dst = append(dst, matDense)
+		return putMatrixDenseBody(dst, m)
+	}
+	dst = append(dst, matSparse)
+	return appendSparseBody(dst, m, runs)
+}
+
+// putMatrixFingerprint encodes a fingerprint-only matrix reference:
+// the 8-byte comm.Fingerprint plus the order (so the server can
+// sanity-check the resolved body against what the client meant).
+func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
+	dst = append(dst, matFingerprint)
+	dst = putUint64(dst, fp)
+	return putUvarint(dst, uint64(order))
+}
+
+// getMatrix decodes a matrix field. mc is the serving
+// side's seen-matrix table: full bodies are remembered in it and
+// fingerprint references resolved from it; a nil mc (client-side
+// decode, codec tests) still decodes bodies but refuses fingerprint
+// references. The second result is the matrix's comm.Fingerprint when
+// the decode path established it anyway (resolving a reference, or
+// remembering a body) — the serving side forwards it as the request's
+// MatrixFP hint so the engine never re-hashes; zero when unknown.
+func getMatrix(src []byte, mc *matrixCache) (*comm.Matrix, uint64, []byte, error) {
+	if len(src) < 1 {
+		return nil, 0, nil, fmt.Errorf("orwlnet: truncated matrix mode")
+	}
+	mode, rest := src[0], src[1:]
+	switch mode {
+	case matAbsent:
+		return nil, 0, rest, nil
+	case matDense:
+		m, rest, err := getMatrixDenseBody(rest)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		var fp uint64
+		if mc != nil {
+			fp = comm.Fingerprint(m)
+			mc.remember(fp, m)
+		}
+		return m, fp, rest, nil
+	case matSparse:
+		m, rest, err := getSparseBody(rest)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		var fp uint64
+		if mc != nil {
+			mc.sparseSeen.Add(1)
+			fp = comm.Fingerprint(m)
+			mc.remember(fp, m)
+		}
+		return m, fp, rest, nil
+	case matFingerprint:
+		fp, rest, err := getUint64(rest)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		order, rest, err := getUvarint(rest)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if mc == nil {
+			return nil, 0, nil, fmt.Errorf("orwlnet: fingerprint-only matrix without a serving matrix table")
+		}
+		m, ok := mc.lookup(fp)
+		if !ok {
+			return nil, 0, nil, fmt.Errorf("orwlnet: %w %016x", ErrUnknownMatrix, fp)
+		}
+		if uint64(m.Order()) != order {
+			// A fingerprint collision between different orders would
+			// silently place the wrong matrix; refuse like a miss so the
+			// client resends the body.
+			return nil, 0, nil, fmt.Errorf("orwlnet: %w %016x (order %d, cached %d)", ErrUnknownMatrix, fp, order, m.Order())
+		}
+		return m, fp, rest, nil
+	default:
+		return nil, 0, nil, fmt.Errorf("orwlnet: unknown matrix mode %d", mode)
+	}
+}
+
+// matrixCache is the daemon's seen-matrix table: an LRU of recently
+// decoded request matrices keyed by comm.Fingerprint, shared across
+// every connection so a pooled client warms it once. Cached matrices
+// are shared read-only with the placement engines (nothing downstream
+// of decode mutates a request matrix).
+type matrixCache struct {
+	mu      sync.Mutex
+	max     int
+	order   *list.List // front = most recently used; values are *matrixCacheEntry
+	entries map[uint64]*list.Element
+
+	sparseSeen atomic.Uint64
+	fpHits     atomic.Uint64
+	fpMisses   atomic.Uint64
+}
+
+type matrixCacheEntry struct {
+	fp uint64
+	m  *comm.Matrix
+}
+
+// defaultMatrixCacheEntries bounds the seen-matrix table. Matrices are
+// at most maxMessage bytes each by construction; a fleet workload has
+// a handful of live patterns, so a small table covers the warm path
+// while bounding worst-case memory.
+const defaultMatrixCacheEntries = 64
+
+func newMatrixCache(max int) *matrixCache {
+	return &matrixCache{max: max, order: list.New(), entries: make(map[uint64]*list.Element)}
+}
+
+func (c *matrixCache) lookup(fp uint64) (*comm.Matrix, bool) {
+	c.mu.Lock()
+	el, ok := c.entries[fp]
+	var m *comm.Matrix
+	if ok {
+		c.order.MoveToFront(el)
+		m = el.Value.(*matrixCacheEntry).m // remember rewrites it under mu
+	}
+	c.mu.Unlock()
+	if !ok {
+		c.fpMisses.Add(1)
+		return nil, false
+	}
+	c.fpHits.Add(1)
+	return m, true
+}
+
+func (c *matrixCache) remember(fp uint64, m *comm.Matrix) {
+	if c.max <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[fp]; ok {
+		el.Value.(*matrixCacheEntry).m = m
+		c.order.MoveToFront(el)
+		return
+	}
+	c.entries[fp] = c.order.PushFront(&matrixCacheEntry{fp: fp, m: m})
+	for c.order.Len() > c.max {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*matrixCacheEntry).fp)
+	}
+}
+
+func (c *matrixCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
+// zigzag maps a signed int to a varint-friendly unsigned one (small
+// magnitudes of either sign stay small; -1, the unbound PU marker,
+// becomes 1).
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// putIntSlice encodes a possibly-nil []int as zigzag varints (values
+// may be negative, e.g. unbound control PUs): PU indices are small, so
+// one byte each instead of eight — an assignment's three slices
+// dominate a warm response. Nil and empty are distinguished: the count
+// holds 0 for nil and len+1 otherwise.
+func putIntSlice(dst []byte, s []int) []byte {
+	if s == nil {
+		return putUvarint(dst, 0)
+	}
+	dst = putUvarint(dst, uint64(len(s)+1))
+	for _, v := range s {
+		dst = putUvarint(dst, zigzag(int64(v)))
+	}
+	return dst
+}
+
+func getIntSlice(src []byte) ([]int, []byte, error) {
+	n, rest, err := getUvarint(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n == 0 {
+		return nil, rest, nil
+	}
+	count := int(n - 1)
+	// Each value costs at least one byte on the wire.
+	if count < 0 || count > len(rest) {
+		return nil, nil, fmt.Errorf("orwlnet: truncated varint int slice (%d entries)", count)
+	}
+	out := make([]int, count)
+	for i := range out {
+		var u uint64
+		if u, rest, err = getUvarint(rest); err != nil {
+			return nil, nil, err
+		}
+		out[i] = int(unzigzag(u))
+	}
+	return out, rest, nil
+}
+
+// putAssignment encodes a possibly-nil assignment: presence byte,
+// strategy, flags, control mode, then the three PU slices.
+func putAssignment(dst []byte, a *placement.Assignment) []byte {
+	if a == nil {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = putString(dst, a.Strategy)
+	dst = append(dst, assignmentFlags(a), byte(a.Mode))
+	dst = putIntSlice(dst, a.ComputePU)
+	dst = putIntSlice(dst, a.ControlPU)
+	return putIntSlice(dst, a.CoreOf)
+}
+
+// assignmentFlags packs an assignment's asgn* flag bits.
+func assignmentFlags(a *placement.Assignment) byte {
+	var flags byte
+	if a.Unbound {
+		flags |= asgnUnbound
+	}
+	if a.Oversubscribed {
+		flags |= asgnOversubscribed
+	}
+	return flags
+}
+
+func getAssignment(src []byte) (*placement.Assignment, []byte, error) {
+	present, rest, err := getBool(src)
+	if err != nil || !present {
+		return nil, rest, err
+	}
+	a := &placement.Assignment{}
+	if a.Strategy, rest, err = getString(rest); err != nil {
+		return nil, nil, err
+	}
+	if len(rest) < 2 {
+		return nil, nil, fmt.Errorf("orwlnet: truncated assignment")
+	}
+	flags := rest[0]
+	a.Unbound = flags&asgnUnbound != 0
+	a.Oversubscribed = flags&asgnOversubscribed != 0
+	a.Mode = treematch.ControlMode(rest[1])
+	rest = rest[2:]
+	if a.ComputePU, rest, err = getIntSlice(rest); err != nil {
+		return nil, nil, err
+	}
+	if a.ControlPU, rest, err = getIntSlice(rest); err != nil {
+		return nil, nil, err
+	}
+	if a.CoreOf, rest, err = getIntSlice(rest); err != nil {
+		return nil, nil, err
+	}
+	return a, rest, nil
+}
+
+// NetStats codec (a stats payload field).
+
+func putNetStats(dst []byte, st placement.NetStats) []byte {
+	dst = putUint64(dst, st.InFlight)
+	dst = putUint64(dst, st.PeakInFlight)
+	dst = putUint64(dst, st.BytesIn)
+	dst = putUint64(dst, st.BytesOut)
+	dst = putUint64(dst, st.SparseMatrices)
+	dst = putUint64(dst, st.FingerprintHits)
+	dst = putUint64(dst, st.FingerprintMisses)
+	return putUint64(dst, uint64(int64(st.MatrixCacheEntries)))
+}
+
+func getNetStats(src []byte) (placement.NetStats, []byte, error) {
+	var st placement.NetStats
+	var err error
+	if st.InFlight, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.PeakInFlight, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.BytesIn, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.BytesOut, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.SparseMatrices, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.FingerprintHits, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	if st.FingerprintMisses, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	var u uint64
+	if u, src, err = getUint64(src); err != nil {
+		return st, nil, err
+	}
+	st.MatrixCacheEntries = int(int64(u))
+	return st, src, nil
 }

@@ -1,6 +1,7 @@
 package orwlnet
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -39,22 +40,16 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 			},
 		},
 		{Strategy: "scatter", Entities: 7}, // matrix-oblivious: nil matrix
-		{Version: placement.ServiceVersion, Strategy: "compact", Entities: 1},
 		{Machine: "smp20e7", Strategy: "treematch", Matrix: chainMatrix(3)},
 	}
 	for _, req := range cases {
-		got, err := decodePlaceRequest(mustEncode(encodePlaceRequest(nil, req)))
+		got, _, err := decodePlaceRequest(encodePlaceRequest(nil, req, false), nil)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", req, err)
 		}
-		want := *req
-		if want.Version == 0 {
-			want.Version = placement.ServiceVersion
-		}
-		if got.Strategy != want.Strategy || got.Entities != want.Entities ||
-			got.Version != want.Version || got.Options != want.Options ||
-			got.Machine != want.Machine {
-			t.Errorf("round trip mangled scalars: got %+v, want %+v", got, want)
+		if got.Strategy != req.Strategy || got.Entities != req.Entities ||
+			got.Options != req.Options || got.Machine != req.Machine {
+			t.Errorf("round trip mangled scalars: got %+v, want %+v", got, req)
 		}
 		if (got.Matrix == nil) != (req.Matrix == nil) {
 			t.Fatalf("matrix presence lost: got %v, sent %v", got.Matrix, req.Matrix)
@@ -97,18 +92,13 @@ func TestPlaceResponseRoundTrip(t *testing.T) {
 		},
 	}
 	for _, resp := range cases {
-		got, err := decodePlaceResponse(mustEncode(encodePlaceResponse(nil, resp)))
+		got, _, err := decodePlaceResponse(encodePlaceResponse(nil, resp))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		want := *resp
-		if want.Version == 0 {
-			want.Version = placement.ServiceVersion
-		}
-		if got.CacheHit != want.CacheHit || got.Cost != want.Cost ||
-			got.CrossNUMAVolume != want.CrossNUMAVolume || got.Cache != want.Cache ||
-			got.ElapsedNS != want.ElapsedNS || got.Version != want.Version ||
-			got.Machine != want.Machine || got.Err != want.Err {
+		want.Assignment = got.Assignment
+		if *got != want {
 			t.Errorf("scalars mangled: got %+v, want %+v", got, want)
 		}
 		if !reflect.DeepEqual(got.Assignment, resp.Assignment) {
@@ -117,34 +107,24 @@ func TestPlaceResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServiceStatsRoundTrip: every field of the stats payload — the
+// description, the adaptive, transport and control-plane counters —
+// survives the round trip, and a payload cut anywhere is refused
+// rather than zero-filled.
 func TestServiceStatsRoundTrip(t *testing.T) {
-	st := placement.ServiceStats{
-		TopologyName:      "TinyHT",
-		TopologySignature: 0xdeadbeefcafe,
-		Strategies:        []string{"treematch", "compact", "none"},
-		Machines:          []string{"tinyht", "smp20e7"},
-		Places:            42,
-		Cache:             placement.CacheStats{Hits: 40, Misses: 2, Entries: 2},
-	}
-	got, err := decodeServiceStats(mustEncode(encodeServiceStats(nil, st, 0)))
+	st := fixtureStats()
+	enc := encodeServiceStats(nil, st)
+	got, err := decodeServiceStats(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, st) {
 		t.Errorf("round trip mangled stats:\ngot  %+v\nwant %+v", got, st)
 	}
-
-	// A v1 encoding is what pre-fleet clients receive: same scalars,
-	// no machine listing.
-	gotV1, err := decodeServiceStats(mustEncode(encodeServiceStats(nil, st, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV1.Machines != nil {
-		t.Errorf("v1 stats carried a machine listing: %v", gotV1.Machines)
-	}
-	if gotV1.TopologyName != st.TopologyName || gotV1.Places != st.Places || !reflect.DeepEqual(gotV1.Strategies, st.Strategies) {
-		t.Errorf("v1 stats mangled: %+v", gotV1)
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := decodeServiceStats(enc[:cut]); err == nil {
+			t.Fatalf("stats cut to %d of %d bytes decoded", cut, len(enc))
+		}
 	}
 }
 
@@ -152,16 +132,16 @@ func TestPlaceBatchRoundTrip(t *testing.T) {
 	reqs := []*placement.PlaceRequest{
 		{Machine: "a", Strategy: "treematch", Matrix: chainMatrix(4)},
 		{Strategy: "scatter", Entities: 3},
-		{Version: 1, Strategy: "compact", Entities: 2}, // a v1 slot inside a batch
+		{Strategy: "compact", Entities: 2},
 	}
-	gotReqs, err := decodePlaceBatchRequest(mustEncode(encodePlaceBatchRequest(nil, reqs, 0)))
+	gotReqs, err := decodePlaceBatchRequest(mustEncode(encodePlaceBatchRequest(nil, reqs, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gotReqs) != len(reqs) {
 		t.Fatalf("decoded %d slots, want %d", len(gotReqs), len(reqs))
 	}
-	if gotReqs[0].Machine != "a" || gotReqs[1].Machine != "" || gotReqs[2].Version != 1 {
+	if gotReqs[0].Machine != "a" || gotReqs[1].Machine != "" || gotReqs[2].Strategy != "compact" {
 		t.Errorf("batch slots mangled: %+v %+v %+v", gotReqs[0], gotReqs[1], gotReqs[2])
 	}
 
@@ -169,7 +149,7 @@ func TestPlaceBatchRoundTrip(t *testing.T) {
 		{Machine: "a", Assignment: &placement.Assignment{Strategy: "treematch", ComputePU: []int{0, 1}}},
 		{Machine: "b", Err: "boom"},
 	}
-	gotResps, err := decodePlaceBatchResponse(mustEncode(encodePlaceBatchResponse(nil, resps, 0)))
+	gotResps, err := decodePlaceBatchResponse(mustEncode(encodePlaceBatchResponse(nil, resps)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,89 +158,44 @@ func TestPlaceBatchRoundTrip(t *testing.T) {
 	}
 
 	// Slot errors must not void the frame: slot counts are positional.
-	if _, err := encodePlaceBatchRequest(nil, []*placement.PlaceRequest{nil}, 0); err == nil {
+	if _, err := encodePlaceBatchRequest(nil, []*placement.PlaceRequest{nil}, nil); err == nil {
 		t.Error("nil batch slot encoded")
 	}
 }
 
 func TestPlaceWireVersionRejected(t *testing.T) {
-	req := mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Entities: 2}))
-	req[0] = placement.ServiceVersion + 1
-	if _, err := decodePlaceRequest(req); err == nil {
-		t.Error("future schema version decoded")
+	req := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Entities: 2}, false)
+	for _, v := range []byte{0, protoVersion - 1, protoVersion + 1} {
+		req[0] = v
+		if _, _, err := decodePlaceRequest(req, nil); !errors.Is(err, ErrVersion) {
+			t.Errorf("version byte %d: err = %v, want ErrVersion", v, err)
+		}
 	}
-	req[0] = 0
-	if _, err := decodePlaceRequest(req); err == nil {
-		t.Error("zero schema version decoded")
-	}
-	if _, err := decodePlaceRequest(nil); err == nil {
+	if _, _, err := decodePlaceRequest(nil, nil); err == nil {
 		t.Error("empty payload decoded")
 	}
 }
 
-// TestPlaceWireVersionByteGuard: schema versions are one wire byte;
-// encoding a version that does not fit (or predates schema 1) must be
-// an explicit error, not a silent byte(v) truncation that would
-// misdecode as an unrelated version.
+// TestPlaceWireVersionByteGuard: every payload decoder refuses each
+// of the other 255 values of the version byte with ErrVersion before
+// reading a field (the goldens pin that every encoder opens with
+// protoVersion). The lease response is a bare lease id, unversioned.
 func TestPlaceWireVersionByteGuard(t *testing.T) {
-	for _, v := range []int{-1, 256, 300, 1 << 20} {
-		if _, err := encodePlaceRequest(nil, &placement.PlaceRequest{Version: v, Strategy: "treematch"}); err == nil {
-			t.Errorf("request version %d encoded despite not fitting the version byte", v)
-		}
-		if _, err := encodePlaceResponse(nil, &placement.PlaceResponse{Version: v}); err == nil {
-			t.Errorf("response version %d encoded despite not fitting the version byte", v)
-		}
-		if _, err := encodeServiceStats(nil, placement.ServiceStats{}, v); err == nil {
-			t.Errorf("stats version %d encoded despite not fitting the version byte", v)
+	var names []string
+	for name := range wireDecoders() {
+		if name != "lease/resp" {
+			names = append(names, name)
 		}
 	}
-	// A v1-pinned request cannot carry v2-only fields silently.
-	if _, err := encodePlaceRequest(nil, &placement.PlaceRequest{Version: 1, Machine: "tinyht", Strategy: "treematch"}); err == nil {
-		t.Error("machine selector encoded into a v1 request")
-	}
-	if _, err := encodePlaceResponse(nil, &placement.PlaceResponse{Version: 1, Err: "boom"}); err == nil {
-		t.Error("slot error encoded into a v1 response")
-	}
-}
-
-// TestCrossVersionRequests replays both directions of the v1↔v2 skew:
-// an old client's v1 request decodes on this build and routes to the
-// default machine, and a new client's v2 request is refused by a
-// server that speaks at most schema v1 — loudly, at the version byte,
-// before any field is misread.
-func TestCrossVersionRequests(t *testing.T) {
-	// Old client → new server: the v1 encoding (no machine field) must
-	// decode and leave Machine empty, which routes to the default.
-	v1 := mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{Version: 1, Strategy: "treematch", Matrix: chainMatrix(3)}))
-	req, err := decodePlaceRequest(v1)
-	if err != nil {
-		t.Fatalf("v1 request refused by the v2 decoder: %v", err)
-	}
-	if req.Version != 1 || req.Machine != "" {
-		t.Errorf("v1 request decoded as %+v, want version 1 with empty machine", req)
-	}
-
-	// New client → old server: replay an old build's decode (schema
-	// ceiling 1) against a v2 payload.
-	v2 := mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{Machine: "smp20e7", Strategy: "treematch", Entities: 4}))
-	if _, _, err := checkWireVersionMax(v2, 1); err == nil {
-		t.Error("old server accepted a v2 payload")
-	}
-
-	// And the v1 response an old server would send decodes here.
-	v1resp := mustEncode(encodePlaceResponse(nil, &placement.PlaceResponse{Version: 1, CacheHit: true}))
-	resp, err := decodePlaceResponse(v1resp)
-	if err != nil || resp.Version != 1 || !resp.CacheHit {
-		t.Errorf("v1 response decode: %+v, %v", resp, err)
-	}
+	refusePayloads(t, names...)
 }
 
 func TestPlaceWireTruncationRejected(t *testing.T) {
-	full := mustEncode(encodePlaceResponse(nil, &placement.PlaceResponse{
+	full := encodePlaceResponse(nil, &placement.PlaceResponse{
 		Assignment: &placement.Assignment{Strategy: "treematch", ComputePU: []int{1, 2, 3}},
-	}))
+	})
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := decodePlaceResponse(full[:cut]); err == nil {
+		if _, _, err := decodePlaceResponse(full[:cut]); err == nil {
 			// Some prefixes decode cleanly when the cut lands exactly on
 			// the optional assignment boundary; everything else must
 			// error rather than panic or fabricate fields.
@@ -269,21 +204,17 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 			}
 		}
 	}
-	reqFull := mustEncode(encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}))
+	reqFull := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}, false)
 	for cut := 1; cut < len(reqFull); cut++ {
 		// Must never panic; errors are expected for most cuts.
-		_, _ = decodePlaceRequest(reqFull[:cut])
-	}
-	statsFull := mustEncode(encodeServiceStats(nil, placement.ServiceStats{TopologyName: "x", Strategies: []string{"a", "b"}, Machines: []string{"m"}}, 0))
-	for cut := 1; cut < len(statsFull); cut++ {
-		_, _ = decodeServiceStats(statsFull[:cut])
+		_, _, _ = decodePlaceRequest(reqFull[:cut], nil)
 	}
 	batchFull := mustEncode(encodePlaceBatchRequest(nil, []*placement.PlaceRequest{
 		{Strategy: "treematch", Matrix: chainMatrix(3)},
 		{Machine: "m", Strategy: "scatter", Entities: 2},
-	}, 0))
+	}, nil))
 	for cut := 1; cut < len(batchFull); cut++ {
-		_, _ = decodePlaceBatchRequest(batchFull[:cut])
+		_, _ = decodePlaceBatchRequest(batchFull[:cut], nil)
 	}
 }
 

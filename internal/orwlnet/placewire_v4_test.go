@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +13,11 @@ import (
 	"orwlplace/internal/placement"
 )
 
-// Schema v4 is the high-throughput transport: pipelined frames, pooled
-// connections, sparse/fingerprint matrix payloads, varint responses,
-// NetStats, and the server-side idle reaper. These tests cover the new
-// codecs bit-exactly, the fingerprint miss/resend protocol over a live
-// server, and both cross-version directions.
+// The high-throughput transport: pipelined frames, pooled connections,
+// sparse/fingerprint matrix payloads, varint responses, NetStats, and
+// the server-side idle reaper. These tests cover the codecs
+// bit-exactly and the fingerprint miss/resend protocol over a live
+// server.
 
 // bitsEqual compares two matrices cell by cell on raw float64 bits —
 // the equality the sparse codec must preserve (NaNs and signed zeros
@@ -95,9 +94,9 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 	if enc := putMatrixCompact(nil, full); enc[0] != matDense {
 		t.Errorf("dense matrix encoded as mode %d, want dense", enc[0])
 	}
-	// Either mode decodes back bit-exactly through the v4 field decoder.
+	// Either mode decodes back bit-exactly through the field decoder.
 	for _, m := range []*comm.Matrix{ring, full, nil} {
-		got, fp, rest, err := getMatrixV4(putMatrixCompact(nil, m), nil)
+		got, fp, rest, err := getMatrix(putMatrixCompact(nil, m), nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 		}
@@ -139,7 +138,7 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 		{Strategy: "x", Oversubscribed: true, ComputePU: []int{}, ControlPU: nil},
 	}
 	for i, a := range cases {
-		got, rest, err := getAssignmentV4(putAssignmentV4(nil, a))
+		got, rest, err := getAssignment(putAssignment(nil, a))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("case %d: %v (%d trailing)", i, err, len(rest))
 		}
@@ -156,17 +155,17 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 			t.Errorf("case %d: slices mangled: %+v", i, got)
 		}
 	}
-	// The varint layout must beat the fixed one on a realistic
-	// assignment — it is the whole point of the v4 response.
+	// Small PU indices cost one byte each — what keeps a warm response
+	// a few hundred bytes.
 	big := &placement.Assignment{Strategy: "treematch", ComputePU: make([]int, 160), ControlPU: make([]int, 160), CoreOf: make([]int, 160)}
 	for i := range big.ComputePU {
 		big.ComputePU[i] = i % 20
 		big.ControlPU[i] = -1
 		big.CoreOf[i] = i % 10
 	}
-	v4, v1 := len(putAssignmentV4(nil, big)), len(putAssignment(nil, big))
-	if v4*4 > v1 {
-		t.Errorf("varint assignment = %d bytes, fixed = %d; want at least 4x smaller", v4, v1)
+	// presence, strategy, flags, mode, then three 2-byte counts.
+	if got, want := len(putAssignment(nil, big)), 1+2+len(big.Strategy)+2+3*(2+160); got != want {
+		t.Errorf("160-task assignment = %d bytes, want %d", got, want)
 	}
 }
 
@@ -433,132 +432,5 @@ func TestIdleTimeoutSparesInFlight(t *testing.T) {
 	}
 	if err := h2.Release(); err != nil {
 		t.Errorf("release on surviving connection: %v", err)
-	}
-}
-
-// TestPipelinedClientAgainstV3Server replays a protoAdaptive-era server
-// and checks the new client degrades to the old discipline: dense
-// schema <= 3 payloads, and placement calls strictly lock-stepped.
-func TestPipelinedClientAgainstV3Server(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	const serverDelay = 20 * time.Millisecond
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			msg, err := readMessage(conn)
-			if err != nil {
-				return
-			}
-			switch msg.op {
-			case opHello:
-				writeMessage(conn, message{callID: msg.callID, op: statusOK, payload: []byte{protoAdaptive}})
-			case opPlaceCompute:
-				// The old build's decode ceiling: a v4 payload (mode bytes,
-				// varints) must never arrive here.
-				if _, _, err := checkWireVersionMax(msg.payload, 3); err != nil {
-					writeMessage(conn, message{callID: msg.callID, op: statusError, payload: []byte(err.Error())})
-					continue
-				}
-				req, err := decodePlaceRequest(msg.payload)
-				if err != nil || req.Matrix == nil {
-					writeMessage(conn, message{callID: msg.callID, op: statusError, payload: []byte("v3 server expected a dense matrix body")})
-					continue
-				}
-				// Answering slowly makes lock-step observable as wall time.
-				time.Sleep(serverDelay)
-				payload, err := encodePlaceResponse(nil, &placement.PlaceResponse{Version: 3, Machine: "m", CacheHit: true})
-				if err != nil {
-					writeMessage(conn, message{callID: msg.callID, op: statusError, payload: []byte(err.Error())})
-					continue
-				}
-				writeMessage(conn, message{callID: msg.callID, op: statusOK, payload: payload})
-			default:
-				writeMessage(conn, message{callID: msg.callID, op: statusError, payload: []byte("unexpected op")})
-			}
-		}
-	}()
-
-	svc, err := DialPlacementService(context.Background(), lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if v := svc.c.Version(); v != protoAdaptive {
-		t.Fatalf("negotiated v%d, want the old server's v%d", v, protoAdaptive)
-	}
-
-	const calls = 4
-	req := &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(4)}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, calls)
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := svc.Place(context.Background(), req); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("place against v3 server: %v", err)
-	}
-	// Lock-step: the concurrent calls serialise, so wall time is at
-	// least the sum of the server's per-call delays (minus one for
-	// scheduling slop).
-	if elapsed := time.Since(start); elapsed < (calls-1)*serverDelay {
-		t.Errorf("4 concurrent calls finished in %v: pre-pipeline server was not lock-stepped", elapsed)
-	}
-}
-
-// TestPinnedV3ClientAgainstV4Server is the other direction: a client
-// capped at the old protocol against the new server.
-func TestPinnedV3ClientAgainstV4Server(t *testing.T) {
-	_, _, addr := startPlacementServer(t)
-	svc, err := DialPlacementService(context.Background(), addr, WithMaxProtocol(ProtoAdaptive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if v := svc.c.Version(); v != protoAdaptive {
-		t.Fatalf("capped handshake negotiated v%d, want v%d", v, protoAdaptive)
-	}
-	ctx := context.Background()
-	req := &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(4)}
-	for i := 0; i < 2; i++ {
-		resp, err := svc.Place(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Version != 3 {
-			t.Errorf("v3-capped connection answered schema v%d", resp.Version)
-		}
-		if resp.Assignment == nil {
-			t.Error("no assignment")
-		}
-	}
-	// Pre-pipeline stats payloads carry no NetStats tail.
-	st, err := svc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Net != (placement.NetStats{}) {
-		t.Errorf("v3 stats carried NetStats: %+v", st.Net)
-	}
-	// An explicit v4 pin on a v3 connection fails loudly client-side.
-	if _, err := svc.Place(ctx, &placement.PlaceRequest{Version: 4, Strategy: "treematch"}); err == nil ||
-		!strings.Contains(err.Error(), "schema") {
-		t.Errorf("v4 pin on a v3 connection: %v, want loud schema error", err)
 	}
 }

@@ -15,14 +15,15 @@ package orwlnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+
+	"orwlplace/internal/ctrlplane"
 )
 
-// Operation codes. The location ops (opScale..opReleaseReinsert) are
-// the original protocol and work on any connection; the placement ops
-// require a version-negotiating opHello handshake first (see
-// DESIGN.md, PROTOCOL).
+// Operation codes. Every op but opHello requires the opHello handshake
+// first (see DESIGN.md, PROTOCOL).
 const (
 	opScale = iota + 1
 	opSize
@@ -32,10 +33,9 @@ const (
 	opWrite
 	opRelease
 	opReleaseReinsert
-	// opHello negotiates the protocol version. Request payload: two
-	// bytes [min, max] — the version range the client speaks. Response
-	// payload: one byte, the version the server chose (the highest it
-	// shares with the client).
+	// opHello agrees the protocol version. Request payload: two bytes
+	// [min, max] — the version range the client speaks. Response
+	// payload: one byte, protoVersion, when it lies in the range.
 	opHello
 	// opPlaceCompute runs a placement request (placewire.go codecs).
 	opPlaceCompute
@@ -44,17 +44,17 @@ const (
 	// opPlaceStats fetches the placement service description/counters.
 	opPlaceStats
 	// opPlaceBatch runs a slice of placement requests in one round
-	// trip, fanned across the server's fleet machines (protoBatch).
+	// trip, fanned across the server's fleet machines.
 	opPlaceBatch
 	// opFleetLease registers this client's (machine, peer, task-range)
-	// identity with the daemon's control plane (protoFleet). The
-	// response carries a server-assigned lease id that subsequent
-	// opObservedReport frames name.
+	// identity with the daemon's control plane. The response carries a
+	// server-assigned lease id that subsequent opObservedReport frames
+	// name.
 	opFleetLease
 	// opObservedReport ships one observed-traffic window (delta, not
-	// cumulative) for a lease, matrix in the schema v4 compact
-	// encoding. The daemon merges it at the lease's task offset into
-	// the machine's fleet-wide observed matrix.
+	// cumulative) for a lease, matrix in the compact encoding. The
+	// daemon merges it at the lease's task offset into the machine's
+	// fleet-wide observed matrix.
 	opObservedReport
 	// opWatchRemaps turns the connection into a remap subscription:
 	// the response acknowledges with the current adopted mapping (if
@@ -64,101 +64,85 @@ const (
 	opWatchRemaps
 )
 
-// errUnknownOp is the error text answered to unrecognised opcodes.
-// The wording is FROZEN: clients detect pre-handshake servers by this
-// substring when opHello is rejected, and servers built before the
-// handshake already reply with exactly this phrase.
-const errUnknownOp = "unknown op"
+// protoVersion is the one protocol version: the byte opHello agrees
+// on and the byte every payload starts with. A layout change bumps it
+// and replaces the old layout; a build speaks exactly one version.
+const protoVersion = 6
 
-// Protocol versions negotiated by opHello.
-const (
-	// protoLegacy is the pre-handshake protocol: location ops only.
-	// Clients talking to a server that rejects opHello assume it.
-	protoLegacy = 0
-	// protoPlacement adds the handshake and the placement RPCs.
-	protoPlacement = 1
-	// protoBatch adds opPlaceBatch and the fleet (schema v2) payload
-	// fields: machine selectors, per-slot errors, fleet listings.
-	protoBatch = 2
-	// protoAdaptive adds the schema v3 stats payload: the adaptive
-	// reconciler counters (epochs, drift alarms, remaps) next to the
-	// cache counters. Requests and responses are unchanged from v2.
-	protoAdaptive = 3
-	// protoPipeline is the high-throughput transport (schema v4):
-	// clients may pipeline many placement frames on one connection
-	// (responses return out of order, demuxed by call id), matrices may
-	// cross in the sparse run-length encoding or as a fingerprint-only
-	// reference resolved from the server's seen-matrix table, and the
-	// stats payload carries the daemon's transport counters. A client
-	// on a <= v3 connection falls back to lock-step placement calls and
-	// dense matrices.
-	protoPipeline = 4
-	// protoFleet is the fleet control plane (schema v5): clients may
-	// register a (machine, peer, task-range) lease, stream observed-
-	// traffic windows up with opObservedReport, and subscribe to
-	// daemon-adopted remaps with opWatchRemaps — the first op that
-	// makes the server push unsolicited frames. Placement requests and
-	// responses are byte-identical to v4; the stats payload gains the
-	// control-plane counters.
-	protoFleet = 5
-	// protoDelta is the partition-delta push protocol (schema v6): a
-	// remap pushed to a subscriber that is exactly one epoch behind may
-	// cross as a delta frame — the epoch, the remapped partition
-	// indices, and varint-packed (task, PU) pairs for the moved tasks
-	// only — with the encoder measuring delta against the full body and
-	// shipping whichever is smaller (the same choice rule as the v4
-	// sparse/dense matrix encoding). Catch-up acks, epoch gaps and
-	// coalesced pushes to slow subscribers always fall back to the full
-	// frame, so the subscription semantics are unchanged from v5.
-	protoDelta = 6
-	// protoMax is the highest version this build speaks.
-	protoMax = protoDelta
-)
-
-// Exported protocol version aliases for out-of-package dial knobs
-// (WithMaxProtocol): cmd/placeload pins a connection to the pre-
-// pipeline transport to measure the lock-step baseline.
-const (
-	// ProtoAdaptive is the last pre-pipeline protocol version.
-	ProtoAdaptive = protoAdaptive
-	// ProtoPipeline is the pipelined/pooled/compact-payload version.
-	ProtoPipeline = protoPipeline
-	// ProtoFleet is the fleet control-plane version (leases, observed
-	// reports, remap subscriptions). Cross-version tests pin clients to
-	// ProtoPipeline to prove the v4 placement path is untouched.
-	ProtoFleet = protoFleet
-	// ProtoDelta is the partition-delta remap push version. Cross-
-	// version tests pin clients to ProtoFleet to prove a v5 subscriber
-	// keeps receiving full frames from a v6 server.
-	ProtoDelta = protoDelta
-)
-
-// schemaForProto maps a negotiated protocol version to the highest
-// placement payload schema the peer can decode: the two version spaces
-// moved together from protoBatch on (proto 2 ↔ schema 2, proto 3 ↔
-// schema 3), with proto 1 pinned to the original schema 1 payloads.
-func schemaForProto(proto int) int {
-	switch {
-	case proto >= protoDelta:
-		return 6
-	case proto >= protoFleet:
-		return 5
-	case proto >= protoPipeline:
-		return 4
-	case proto >= protoAdaptive:
-		return 3
-	case proto >= protoBatch:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// Status codes.
+// Response status codes: the byte after a response frame's call id.
+// Every code but statusOK carries the error's text as its payload; the
+// codes past statusError name the failures a caller branches on, and
+// the client turns each back into its sentinel (statusErrors).
 const (
 	statusOK = iota
 	statusError
+	statusVersion
+	statusUnknownMatrix
+	statusUnknownLease
+	statusRateLimited
 )
+
+// Sentinel errors a caller branches on with errors.Is. The exported
+// ones cross the wire as status codes; their text is the phrase the
+// wrapping message embeds, so a coded error prints as it always did.
+var (
+	// ErrVersion refuses a peer that does not speak protoVersion: a
+	// hello range without it, a payload with another version byte, or
+	// an op sent before the handshake.
+	ErrVersion = errors.New("protocol version mismatch")
+	// ErrUnknownMatrix refuses a fingerprint-only request whose matrix
+	// the server's seen-matrix table no longer holds (evicted, or the
+	// daemon restarted); the client resends the body.
+	ErrUnknownMatrix = errors.New("unknown matrix fingerprint")
+
+	// errBadFrame refuses a frame length outside [9, maxMessage].
+	errBadFrame = errors.New("orwlnet: bad frame")
+	// errAbsurd refuses a count its payload cannot hold.
+	errAbsurd = errors.New("orwlnet: absurd")
+	// errUnknownOp refuses an opcode the server does not serve.
+	errUnknownOp = errors.New("unknown op")
+	// errConnLost fails every call on a connection whose read side died.
+	errConnLost = errors.New("orwlnet: connection lost")
+	// errDial fails a DialContext whose transport connect failed.
+	errDial = errors.New("orwlnet: dial")
+)
+
+// statusErrors maps each coded status to its sentinel.
+var statusErrors = [...]error{
+	statusVersion:       ErrVersion,
+	statusUnknownMatrix: ErrUnknownMatrix,
+	statusUnknownLease:  ctrlplane.ErrUnknownLease,
+	statusRateLimited:   ctrlplane.ErrRateLimited,
+}
+
+// statusOf picks the status code a handler error is answered with.
+func statusOf(err error) byte {
+	for code, sentinel := range statusErrors {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return byte(code)
+		}
+	}
+	return statusError
+}
+
+// serverError is a non-OK response as the client sees it: the server's
+// text, matching its status code's sentinel under errors.Is.
+type serverError struct {
+	text     string
+	sentinel error // nil for plain statusError
+}
+
+func (e *serverError) Error() string { return "orwlnet: server: " + e.text }
+func (e *serverError) Unwrap() error { return e.sentinel }
+
+// responseError converts a non-OK response frame into its error.
+func responseError(m message) error {
+	e := &serverError{text: string(m.payload)}
+	if int(m.op) < len(statusErrors) {
+		e.sentinel = statusErrors[m.op]
+	}
+	return e
+}
 
 // maxMessage bounds a single message (64 MiB), protecting both sides
 // against corrupt length prefixes.
@@ -173,7 +157,7 @@ type message struct {
 
 // writeCoalesceLimit is the payload size up to which a frame's header
 // and payload are copied into one buffer and written with a single
-// Write call. The compact schema v4 frames (fingerprint requests,
+// Write call. The compact frames (fingerprint requests,
 // varint responses) are far below it, so the warm path costs one
 // syscall per frame instead of two; big dense payloads keep the
 // two-write shape rather than paying a copy.
@@ -215,7 +199,7 @@ func readMessage(r io.Reader) (message, error) {
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n < 9 || n > maxMessage {
-		return message{}, fmt.Errorf("orwlnet: bad frame length %d", n)
+		return message{}, fmt.Errorf("%w length %d", errBadFrame, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -262,7 +246,7 @@ func getUint64(src []byte) (uint64, []byte, error) {
 }
 
 // putUvarint appends v in the unsigned LEB128 varint encoding — the
-// compact integer of the schema v4 sparse-matrix payload (gaps, run
+// compact integer of the sparse-matrix payload (gaps, run
 // lengths and byte-reversed float bits are all small or trailing-zero
 // heavy, so most encode in 1-3 bytes instead of 8).
 func putUvarint(dst []byte, v uint64) []byte {

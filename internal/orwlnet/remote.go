@@ -3,8 +3,8 @@ package orwlnet
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +21,8 @@ import (
 //
 // A stub may hold a pool of connections to the same daemon
 // (DialPlacementService with WithPoolSize): placement calls spread
-// round-robin across the pool, and on protoPipeline connections many
-// calls pipeline on each connection besides. Topology/Stats ride the
-// primary connection.
+// round-robin across the pool, and many calls pipeline on each
+// connection besides. Topology/Stats ride the primary connection.
 type RemoteService struct {
 	// poolMu guards c and pool: revive swaps dead connections for
 	// freshly dialed ones in place, so calls racing a revival see
@@ -53,14 +52,9 @@ type RemoteService struct {
 
 var _ placement.Service = (*RemoteService)(nil)
 
-// PlacementService returns the placement stub of this connection. It
-// errors when the negotiated protocol version predates the placement
-// RPCs, so callers fail at acquisition instead of per call.
-func (c *Client) PlacementService() (*RemoteService, error) {
-	if c.version < protoPlacement {
-		return nil, fmt.Errorf("orwlnet: server speaks protocol v%d, placement needs v%d", c.version, protoPlacement)
-	}
-	return &RemoteService{c: c, pool: []*Client{c}, known: newFPSet(knownFingerprints)}, nil
+// PlacementService returns the placement stub of this connection.
+func (c *Client) PlacementService() *RemoteService {
+	return &RemoteService{c: c, pool: []*Client{c}, known: newFPSet(knownFingerprints)}
 }
 
 // DialPlacementService dials a placement daemon with the given
@@ -77,14 +71,6 @@ func DialPlacementService(ctx context.Context, addr string, opts ...DialOption) 
 				p.Close()
 			}
 			return nil, err
-		}
-		if c.version < protoPlacement {
-			v := c.version
-			c.Close()
-			for _, p := range pool {
-				p.Close()
-			}
-			return nil, fmt.Errorf("orwlnet: server speaks protocol v%d, placement needs v%d", v, protoPlacement)
 		}
 		pool = append(pool, c)
 	}
@@ -149,10 +135,6 @@ func (s *RemoteService) revive(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		if nc.version < protoPlacement {
-			nc.Close()
-			continue
-		}
 		c.Close()
 		s.pool[i] = nc
 		if s.c == c {
@@ -163,7 +145,7 @@ func (s *RemoteService) revive(ctx context.Context) {
 
 // knownFingerprints bounds the client-side believed-known set. Kept
 // larger than the server's table so the client rarely believes more
-// than the server holds; a stale belief only costs one errUnknownMatrix
+// than the server holds; a stale belief only costs one ErrUnknownMatrix
 // round trip before the body is resent.
 const knownFingerprints = 256
 
@@ -217,10 +199,9 @@ func (s *fpSet) forget(fp uint64) {
 // computed by the remote engine, and the response decoded — including
 // the remote cache/latency diagnostics.
 //
-// On schema v4 connections a matrix the daemon has already seen is
-// sent as its fingerprint reference; an errUnknownMatrix answer
-// (evicted, daemon restarted) triggers one transparent retry with the
-// full body.
+// A matrix the daemon has already seen is sent as its fingerprint
+// reference; an ErrUnknownMatrix answer (evicted, daemon restarted)
+// triggers one transparent retry with the full body.
 func (s *RemoteService) Place(ctx context.Context, req *placement.PlaceRequest) (*placement.PlaceResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("orwlnet: nil placement request")
@@ -235,26 +216,13 @@ func (s *RemoteService) Place(ctx context.Context, req *placement.PlaceRequest) 
 }
 
 // placeOnce is one Place attempt on one picked connection (including
-// the transparent errUnknownMatrix body resend, which is a protocol
+// the transparent ErrUnknownMatrix body resend, which is a protocol
 // recovery, not a failure retry).
 func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceRequest) (*placement.PlaceResponse, error) {
 	c := s.pick()
-	effective, err := s.resolveSchema(c, req)
-	if err != nil {
-		return nil, err
-	}
-	if req.Version == 0 && effective != placement.ServiceVersion {
-		// An unpinned request speaks the highest schema the connected
-		// server negotiated, so a newer client downgrades transparently
-		// (schema v3 only adds stats fields to v2; nothing a request
-		// carries is lost).
-		pinned := *req
-		pinned.Version = effective
-		req = &pinned
-	}
 	var fp uint64
 	fpOnly := false
-	if effective >= 4 && req.Matrix != nil {
+	if req.Matrix != nil {
 		// Take the caller's precomputed identity when offered; a steady
 		// workload (one matrix, many calls) then never re-hashes on the
 		// client side either.
@@ -272,44 +240,32 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 		}
 	}
 	payload, err := s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-		return encodePlaceRequestOpt(dst, req, fpOnly)
+		return encodePlaceRequest(dst, req, fpOnly), nil
 	})
-	if err != nil && fpOnly && strings.Contains(err.Error(), errUnknownMatrix) {
+	if fpOnly && errors.Is(err, ErrUnknownMatrix) {
 		// The daemon no longer holds the body this reference named:
 		// drop the belief and resend the request with the body inline.
 		s.known.forget(fp)
 		fpOnly = false
 		payload, err = s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-			return encodePlaceRequestOpt(dst, req, false)
+			return encodePlaceRequest(dst, req, false), nil
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	if effective >= 4 && req.Matrix != nil {
+	if req.Matrix != nil {
 		// The daemon decoded the body (or confirmed the reference): the
 		// next request for this matrix can go fingerprint-only.
 		s.known.remember(fp)
 	}
-	return decodePlaceResponse(payload)
-}
-
-// reqFP returns the request matrix's fingerprint, trusting the
-// caller's precomputed MatrixFP hint when set.
-func reqFP(req *placement.PlaceRequest) uint64 {
-	if req.MatrixFP != 0 {
-		return req.MatrixFP
-	}
-	return comm.Fingerprint(req.Matrix)
+	resp, _, err := decodePlaceResponse(payload)
+	return resp, err
 }
 
 // placeCall encodes a placement payload into a pooled buffer (whose
 // ownership passes to the connection's writer goroutine) and performs
-// the RPC. On pre-pipeline connections the call is lock-stepped — one
-// placement RPC in flight per connection, the discipline every client
-// before protoPipeline observed — while location ops stay multiplexed
-// (serialising an Await against the Release that unblocks it would
-// deadlock).
+// the RPC.
 func (s *RemoteService) placeCall(ctx context.Context, c *Client, op byte, enc func([]byte) ([]byte, error)) ([]byte, error) {
 	buf := getPayloadBuf()
 	payload, err := enc(buf)
@@ -317,19 +273,15 @@ func (s *RemoteService) placeCall(ctx context.Context, c *Client, op byte, enc f
 		putPayloadBuf(buf)
 		return nil, err
 	}
-	if c.version < protoPipeline {
-		c.turnMu.Lock()
-		defer c.turnMu.Unlock()
-	}
 	return c.callPooled(ctx, op, payload, true)
 }
 
 // PlaceBatch implements placement.Service: the whole request slice
 // crosses the wire in one opPlaceBatch round trip and fans out across
 // the daemon's fleet engines, so a cross-machine comparison pays one
-// RPC instead of one per machine. On schema v4 connections, slots
-// whose matrices the daemon has seen carry fingerprint references; an
-// errUnknownMatrix answer retries the batch with every body inline.
+// RPC instead of one per machine. Slots whose matrices the daemon has
+// seen carry fingerprint references; an ErrUnknownMatrix answer
+// retries the batch with every body inline.
 func (s *RemoteService) PlaceBatch(ctx context.Context, reqs []*placement.PlaceRequest) ([]*placement.PlaceResponse, error) {
 	var resps []*placement.PlaceResponse
 	err := s.retryCall(ctx, func(ctx context.Context) error {
@@ -342,29 +294,13 @@ func (s *RemoteService) PlaceBatch(ctx context.Context, reqs []*placement.PlaceR
 
 func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.PlaceRequest) ([]*placement.PlaceResponse, error) {
 	c := s.pick()
-	if c.version < protoBatch {
-		return nil, fmt.Errorf("orwlnet: server speaks protocol v%d, batch placement needs v%d", c.version, protoBatch)
-	}
-	schema := schemaForProto(c.version)
-	// slotSchema is the schema one slot encodes at: its pin, or the
-	// negotiated batch schema when unpinned. Only v4-encoded slots may
-	// carry (or install) fingerprint references.
-	slotSchema := func(req *placement.PlaceRequest) int {
-		if req != nil && req.Version != 0 {
-			return req.Version
-		}
-		return schema
-	}
-	var fpOnlyFn func(i int, req *placement.PlaceRequest) bool
-	if schema >= 4 {
-		fpOnlyFn = func(i int, req *placement.PlaceRequest) bool {
-			return req.Matrix != nil && slotSchema(req) >= 4 && s.known.has(reqFP(req))
-		}
+	known := func(req *placement.PlaceRequest) bool {
+		return req.Matrix != nil && s.known.has(reqFP(req))
 	}
 	payload, err := s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) ([]byte, error) {
-		return encodePlaceBatchRequestOpt(dst, reqs, schema, fpOnlyFn)
+		return encodePlaceBatchRequest(dst, reqs, known)
 	})
-	if err != nil && fpOnlyFn != nil && strings.Contains(err.Error(), errUnknownMatrix) {
+	if errors.Is(err, ErrUnknownMatrix) {
 		// At least one reference missed; the daemon rejected the whole
 		// frame. Forget every belief the batch relied on and resend with
 		// bodies inline.
@@ -374,17 +310,15 @@ func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.Pl
 			}
 		}
 		payload, err = s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) ([]byte, error) {
-			return encodePlaceBatchRequestOpt(dst, reqs, schema, nil)
+			return encodePlaceBatchRequest(dst, reqs, nil)
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	if schema >= 4 {
-		for _, req := range reqs {
-			if req != nil && req.Matrix != nil && slotSchema(req) >= 4 {
-				s.known.remember(reqFP(req))
-			}
+	for _, req := range reqs {
+		if req != nil && req.Matrix != nil {
+			s.known.remember(reqFP(req))
 		}
 	}
 	resps, err := decodePlaceBatchResponse(payload)
@@ -395,32 +329,6 @@ func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.Pl
 		return nil, fmt.Errorf("orwlnet: batch answered %d slots for %d requests", len(resps), len(reqs))
 	}
 	return resps, nil
-}
-
-// resolveSchema picks the schema version a request crosses the wire
-// at, failing loudly and client-side — instead of as an opaque server
-// decode error — when the connected server cannot serve it: an
-// explicit pin above the negotiated schema, or an unpinned request
-// whose features (the fleet machine selector, schema v2) predate the
-// server. Unpinned requests otherwise downgrade to the negotiated
-// schema, so a v3 client talks to a v2 fleet daemon transparently.
-func (s *RemoteService) resolveSchema(c *Client, req *placement.PlaceRequest) (int, error) {
-	max := schemaForProto(c.version)
-	if v := req.Version; v != 0 {
-		if v > max {
-			return 0, fmt.Errorf("orwlnet: server speaks protocol v%d: schema v%d request needs schema <= %d (pin PlaceRequest.Version lower for a legacy server)",
-				c.version, v, max)
-		}
-		return v, nil
-	}
-	if req.Machine != "" && max < 2 {
-		return 0, fmt.Errorf("orwlnet: server speaks protocol v%d: machine selector %q needs protocol v%d",
-			c.version, req.Machine, protoBatch)
-	}
-	if max > placement.ServiceVersion {
-		max = placement.ServiceVersion
-	}
-	return max, nil
 }
 
 // Topology implements placement.Service: the served machine is

@@ -10,22 +10,12 @@ import (
 	"orwlplace/internal/placement"
 )
 
-// Client-side face of the fleet control plane (schema v5): lease
-// registration, observed-traffic reporting, and the remap
-// subscription with resubscribe-on-reconnect and epoch dedup.
+// Client-side face of the fleet control plane: lease registration,
+// observed-traffic reporting, and the remap subscription with
+// resubscribe-on-reconnect and epoch dedup.
 
 // Remap re-exports the control-plane event type watchers receive.
 type Remap = ctrlplane.Remap
-
-// fleetConn returns the stub's primary connection if it negotiated
-// the fleet protocol.
-func (s *RemoteService) fleetConn() (*Client, error) {
-	c := s.primary()
-	if c.version < protoFleet {
-		return nil, fmt.Errorf("orwlnet: server speaks protocol v%d, fleet control plane needs v%d", c.version, protoFleet)
-	}
-	return c, nil
-}
 
 // RegisterLease registers this process's (machine, peer, task-range)
 // identity with the daemon's control plane and returns the lease id
@@ -44,15 +34,8 @@ func (s *RemoteService) RegisterLease(ctx context.Context, machine, peer string,
 func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer string, base, count int, token uint64) (uint64, error) {
 	var id uint64
 	err := s.retryCall(ctx, func(ctx context.Context) error {
-		c, err := s.fleetConn()
-		if err != nil {
-			return err
-		}
-		payload, err := encodeFleetLeaseRequest(nil, schemaForProto(c.version), machine, peer, base, count, token)
-		if err != nil {
-			return err
-		}
-		resp, err := c.callCtx(ctx, opFleetLease, payload)
+		payload := encodeFleetLeaseRequest(nil, machine, peer, base, count, token)
+		resp, err := s.primary().callCtx(ctx, opFleetLease, payload)
 		if err != nil {
 			return err
 		}
@@ -70,17 +53,13 @@ func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer st
 // arrives in: a sparse one ships in O(nnz).
 func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64, delta comm.Affinity) error {
 	return s.retryCall(ctx, func(ctx context.Context) error {
-		c, err := s.fleetConn()
-		if err != nil {
-			return err
-		}
 		buf := getPayloadBuf()
-		payload, err := encodeObservedReport(buf, schemaForProto(c.version), leaseID, seq, delta)
+		payload, err := encodeObservedReport(buf, leaseID, seq, delta)
 		if err != nil {
 			putPayloadBuf(buf)
 			return err
 		}
-		_, err = c.callPooled(ctx, opObservedReport, payload, true)
+		_, err = s.primary().callPooled(ctx, opObservedReport, payload, true)
 		return err
 	})
 }
@@ -117,10 +96,7 @@ func (s *RemoteService) watchBackoff() RetryPolicy {
 // cancelled, or when the connection dies and no redial address is
 // known.
 func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan Remap, error) {
-	c, err := s.fleetConn()
-	if err != nil {
-		return nil, err
-	}
+	c := s.primary()
 	id, ch, ack, err := s.subscribeRemaps(ctx, c, machine, 0)
 	if err != nil {
 		return nil, err
@@ -145,11 +121,7 @@ func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan
 // here is skipped (the full ack the server already queued makes it
 // redundant: both describe epochs the ack's snapshot covers).
 func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine string, sinceEpoch uint64) (uint64, <-chan message, *Remap, error) {
-	payload, err := encodeWatchRequest(nil, schemaForProto(c.version), machine, sinceEpoch)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	id, ch, err := c.openStream(ctx, opWatchRemaps, payload)
+	id, ch, err := c.openStream(ctx, opWatchRemaps, encodeWatchRequest(nil, machine, sinceEpoch))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -157,11 +129,11 @@ func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine 
 		select {
 		case msg, ok := <-ch:
 			if !ok {
-				return 0, nil, nil, fmt.Errorf("orwlnet: connection lost before watch ack")
+				return 0, nil, nil, fmt.Errorf("%w before watch ack", errConnLost)
 			}
-			if msg.op == statusError {
+			if msg.op != statusOK {
 				c.closeStream(id)
-				return 0, nil, nil, fmt.Errorf("orwlnet: server: %s", string(msg.payload))
+				return 0, nil, nil, responseError(msg)
 			}
 			ev, d, err := decodeRemapFrameAny(msg.payload)
 			if err != nil {
@@ -184,8 +156,8 @@ func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine 
 
 // watchLoop forwards pushed remap frames, dropping stale epochs, and
 // resubscribes on a new connection when the current one dies. It keeps
-// the last delivered full assignment cached (cur) so a schema v6 delta
-// frame — the moved tasks of epoch last+1 — reconstructs the complete
+// the last delivered full assignment cached (cur) so a delta frame —
+// the moved tasks of epoch last+1 — reconstructs the complete
 // mapping locally. Any doubt about a delta (an epoch gap from a frame
 // this client never saw, a decode error, a structural mismatch with
 // the cache) tears the stream down and resubscribes with the last
@@ -235,7 +207,7 @@ func (s *RemoteService) watchLoop(ctx context.Context, machine string, out chan<
 				}
 				continue
 			}
-			if msg.op == statusError {
+			if msg.op != statusOK {
 				// A pushed error ends the subscription (the server shut its
 				// control plane down); treat like connection loss without
 				// retry — the daemon is telling us to stop, not vanishing.
@@ -307,10 +279,6 @@ func (s *RemoteService) resubscribe(ctx context.Context, machine string, sinceEp
 	pol := s.watchBackoff()
 	for attempt := 1; ; attempt++ {
 		c, err := DialContext(ctx, s.addr, s.dialOpts...)
-		if err == nil && c.version < protoFleet {
-			c.Close()
-			err = fmt.Errorf("orwlnet: redialed server no longer speaks the fleet protocol")
-		}
 		if err == nil {
 			id, ch, ack, serr := s.subscribeRemaps(ctx, c, machine, sinceEpoch)
 			if serr == nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // The observed-report codec reads and writes comm.Affinity while the
-// bytes on the wire stay the schema v4 compact matrix encoding. These
+// bytes on the wire stay the compact matrix encoding. These
 // tests pin both halves: the encoder against putMatrixCompact on the
 // dense form, and the decoder's refusals byte for byte.
 
@@ -45,8 +45,8 @@ func diffCells(a, b comm.Affinity) string {
 	return ""
 }
 
-// reportHeader is the frame prefix of lease 7, seq 3 under schemaFleet.
-var reportHeader = []byte{schemaFleet, 7, 3}
+// reportHeader is the frame prefix of lease 7, seq 3.
+var reportHeader = []byte{protoVersion, 7, 3}
 
 // reportCase builds one matrix of the property test.
 type reportCase struct {
@@ -119,7 +119,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 			name := fmt.Sprintf("%d/%s", n, c.name)
 			want := putMatrixCompact(append([]byte(nil), reportHeader...), m)
 			for _, in := range []comm.Affinity{m, comm.SparseFromMatrix(m)} {
-				got, err := encodeObservedReport(nil, schemaFleet, 7, 3, in)
+				got, err := encodeObservedReport(nil, 7, 3, in)
 				if err != nil {
 					t.Fatalf("%s: %T: %v", name, in, err)
 				}
@@ -145,7 +145,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 	// threshold.
 	full := comm.NewMatrix(513)
 	fillRandom(2, nil)(full, rand.New(rand.NewSource(1)))
-	if enc, _ := encodeObservedReport(nil, schemaFleet, 7, 3, comm.SparseFromMatrix(full)); enc[3] != matDense {
+	if enc, _ := encodeObservedReport(nil, 7, 3, comm.SparseFromMatrix(full)); enc[3] != matDense {
 		t.Fatalf("a full random matrix encoded in mode %d, want dense", enc[3])
 	}
 }
@@ -181,7 +181,7 @@ func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
 				if _, sparse := got.(*comm.Sparse); sparse != (want.NNZ() <= n*n/8) {
 					t.Fatalf("%s: %d nonzeros came back as %T", name, want.NNZ(), got)
 				}
-				enc, err := encodeObservedReport(nil, schemaFleet, 7, 3, got)
+				enc, err := encodeObservedReport(nil, 7, 3, got)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -205,7 +205,7 @@ func firstDiff(a, b []byte) int {
 
 // TestObservedReportDecodeRejections gives the exact bytes in and the
 // exact error out for every way the decoder refuses a frame. The
-// prefix {5, 7, 3} is schema version, lease 7, seq 3.
+// prefix {6, 7, 3} is the version byte, lease 7, seq 3.
 func TestObservedReportDecodeRejections(t *testing.T) {
 	frame := func(body ...byte) []byte { return append(append([]byte(nil), reportHeader...), body...) }
 	cases := []struct {
@@ -214,7 +214,7 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		maxRows int
 		want    string
 	}{
-		{"no version", nil, 0, "orwlnet: missing schema version"},
+		{"no version", nil, 0, "orwlnet: missing version byte"},
 		{"no matrix field", frame(), 0, "orwlnet: truncated matrix mode"},
 		{"absent matrix", frame(matAbsent), 0, "orwlnet: observed report without a matrix"},
 		{"fingerprint reference", frame(matFingerprint, 1, 2, 3, 4, 5, 6, 7, 8, 4), 0, "orwlnet: fingerprint-only matrix without a serving matrix table"},
@@ -314,7 +314,7 @@ func TestObservedReportDecodeAllocationBound(t *testing.T) {
 // in the encoder.
 func TestReportObservedTypedNil(t *testing.T) {
 	for _, in := range []comm.Affinity{nil, (*comm.Matrix)(nil), (*comm.Sparse)(nil)} {
-		if _, err := encodeObservedReport(nil, schemaFleet, 1, 1, in); err == nil || err.Error() != "orwlnet: nil observed window" {
+		if _, err := encodeObservedReport(nil, 1, 1, in); err == nil || err.Error() != "orwlnet: nil observed window" {
 			t.Errorf("%T: err = %v", in, err)
 		}
 	}

@@ -6,8 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"time"
+
+	"orwlplace/internal/ctrlplane"
 )
 
 // RetryPolicy is the client-side resilience policy: how a
@@ -90,25 +91,14 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 // retryableError classifies the failures worth re-attempting: the
 // connection died (the daemon restarted or the network dropped us),
 // the dial failed (the daemon is not back yet), or the server refused
-// with its retryable rate-limit error. Application errors — unknown
-// machine, malformed request, lease conflict — are not retryable: the
-// same request will fail the same way.
+// with its retryable rate limit. Application errors — unknown machine,
+// malformed request, lease conflict — are not retryable: the same
+// request will fail the same way.
 func retryableError(err error) bool {
-	if err == nil {
-		return false
-	}
 	var nerr net.Error
-	if errors.As(err, &nerr) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "connection lost") ||
-		strings.Contains(msg, "orwlnet: dial:") ||
-		strings.Contains(msg, "rate limit") ||
-		strings.Contains(msg, "connection reset") ||
-		strings.Contains(msg, "connection refused") ||
-		strings.Contains(msg, "broken pipe") ||
-		strings.Contains(msg, "use of closed network connection")
+	return errors.As(err, &nerr) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, errConnLost) || errors.Is(err, errDial) || errors.Is(err, ctrlplane.ErrRateLimited)
 }
 
 // retryCall runs do under the stub's retry policy: each attempt gets a

@@ -39,7 +39,7 @@ type Server struct {
 	cancel context.CancelFunc
 
 	// matrices is the seen-matrix table fingerprint-only requests
-	// resolve against (schema v4). Shared across connections: a pooled
+	// resolve against. Shared across connections: a pooled
 	// client ships a matrix body once on any of its connections and
 	// references it from all of them.
 	matrices *matrixCache
@@ -62,20 +62,15 @@ type Server struct {
 	// and parking it behind a full semaphore would deadlock the FIFO.
 	placeSem chan struct{}
 
-	// maxProto is the highest protocol version this server offers in
-	// the opHello handshake. It is protoMax in production; cross-version
-	// tests lower it to impersonate an older daemon build.
-	maxProto int
-
-	// Transport counters surfaced as placement.NetStats on schema v4
-	// stats payloads.
+	// Transport counters surfaced as placement.NetStats in the stats
+	// payload.
 	bytesIn       atomic.Uint64
 	bytesOut      atomic.Uint64
 	placeInFlight atomic.Int64
 	peakInFlight  atomic.Uint64
 
 	// Remap push counters surfaced as FleetStats.DeltaPushes /
-	// FullPushes on schema v6 stats payloads. They live on the server,
+	// FullPushes in the stats payload. They live on the server,
 	// not the controller: the delta-vs-full choice is a wire concern the
 	// transport-agnostic control plane never sees.
 	deltaPushes atomic.Uint64
@@ -92,16 +87,14 @@ type Server struct {
 type ServerOption func(*Server)
 
 // WithPlacement exports a placement service alongside (or instead of)
-// the locations: clients that complete the opHello handshake may call
-// the placement RPCs against it.
+// the locations.
 func WithPlacement(svc placement.Service) ServerOption {
 	return func(s *Server) { s.place = svc }
 }
 
-// WithControlPlane exports a fleet control plane: connections that
-// negotiate protoFleet may register (machine, peer, task-range)
-// leases, stream observed-traffic windows up, and subscribe to the
-// controller's adopted remaps. The caller drives the controller's
+// WithControlPlane exports a fleet control plane: connections may
+// register (machine, peer, task-range) leases, stream observed-traffic
+// windows up, and subscribe to the controller's adopted remaps. The caller drives the controller's
 // epochs (Controller.Run); the server only bridges its wire face.
 func WithControlPlane(ctrl *ctrlplane.Controller) ServerOption {
 	return func(s *Server) { s.ctrl = ctrl }
@@ -117,7 +110,7 @@ type reportCaps struct {
 	maxRows int
 	// bytesPerSec/burst, when bytesPerSec > 0, meter the report payload
 	// bytes one connection may deliver (token bucket). Violations get a
-	// retryable "rate limit" error, not a dropped connection.
+	// retryable ErrRateLimited answer, not a dropped connection.
 	bytesPerSec float64
 	burst       float64
 }
@@ -162,7 +155,6 @@ func NewServer(lis net.Listener, locs map[string]*orwl.Location, opts ...ServerO
 		conns:    make(map[net.Conn]struct{}),
 		matrices: newMatrixCache(defaultMatrixCacheEntries),
 		placeSem: make(chan struct{}, placeDispatchParallelism),
-		maxProto: protoMax,
 	}
 	for _, o := range opts {
 		o(s)
@@ -226,17 +218,16 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connState tracks the open requests of one client connection, plus
-// the protocol version its opHello negotiated (protoLegacy before the
-// handshake) and how many requests are mid-dispatch (the pipeline
-// depth — the idle reaper must not close a silent connection that is
-// merely waiting for its parked Awaits).
+// connState tracks the open requests of one client connection, whether
+// its opHello handshake is done, and how many requests are
+// mid-dispatch (the pipeline depth — the idle reaper must not close a
+// silent connection that is merely waiting for its parked Awaits).
 type connState struct {
 	conn     net.Conn
 	mu       sync.Mutex
 	writeMu  sync.Mutex
 	reqs     map[uint64]*orwl.RawRequest
-	version  int
+	hello    atomic.Bool
 	inflight atomic.Int64
 
 	// subs are the connection's live remap subscriptions (controller
@@ -368,7 +359,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			payload, pooled, err := s.handle(st, m)
 			resp := message{callID: m.callID, op: statusOK, payload: payload}
 			if err != nil {
-				resp.op = statusError
+				resp.op = statusOf(err)
 				resp.payload = []byte(err.Error())
 			}
 			st.writeMu.Lock()
@@ -402,13 +393,20 @@ var errUnknownHandle = errors.New("orwlnet: unknown handle")
 // the placement responses are, since they carry the big assignment and
 // stats payloads the pool exists for.
 func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
+	if m.op == opHello {
+		payload, err := s.handleHello(st, m.payload)
+		return payload, false, err
+	}
+	if !st.hello.Load() {
+		return nil, false, fmt.Errorf("orwlnet: %w: op %d before the opHello handshake", ErrVersion, m.op)
+	}
 	switch m.op {
 	case opPlaceCompute:
-		svc, err := s.placementFor(st)
+		svc, err := s.placementFor()
 		if err != nil {
 			return nil, false, err
 		}
-		req, err := decodePlaceRequestCached(m.payload, s.matrices)
+		req, _, err := decodePlaceRequest(m.payload, s.matrices)
 		if err != nil {
 			return nil, false, err
 		}
@@ -416,28 +414,13 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		// Answer in the schema the request spoke: a v1 client must be
-		// able to decode the response to its routed-to-default call.
-		resp.Version = req.Version
-		buf := getPayloadBuf()
-		payload, err := encodePlaceResponse(buf, resp)
-		if err != nil {
-			putPayloadBuf(buf)
-			return nil, false, err
-		}
-		return payload, true, nil
+		return encodePlaceResponse(getPayloadBuf(), resp), true, nil
 	case opPlaceBatch:
-		svc, err := s.placementFor(st)
+		svc, err := s.placementFor()
 		if err != nil {
 			return nil, false, err
 		}
-		// Batch is a protoBatch-level op and its response is always
-		// schema v2: a connection that only negotiated v1 could not
-		// decode the answer, so refuse up front.
-		if v := s.connVersion(st); v < protoBatch {
-			return nil, false, fmt.Errorf("orwlnet: opPlaceBatch on a protocol v%d connection (needs >= v%d)", v, protoBatch)
-		}
-		reqs, err := decodePlaceBatchRequestCached(m.payload, s.matrices)
+		reqs, err := decodePlaceBatchRequest(m.payload, s.matrices)
 		if err != nil {
 			return nil, false, err
 		}
@@ -446,34 +429,20 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 			return nil, false, err
 		}
 		buf := getPayloadBuf()
-		payload, err := encodePlaceBatchResponse(buf, resps, schemaForProto(s.connVersion(st)))
+		payload, err := encodePlaceBatchResponse(buf, resps)
 		if err != nil {
 			putPayloadBuf(buf)
 			return nil, false, err
 		}
 		return payload, true, nil
 	case opPlaceStats:
-		if _, err := s.placementFor(st); err != nil {
-			return nil, false, err
-		}
 		stats, err := s.ServiceStats(s.ctx)
 		if err != nil {
 			return nil, false, err
 		}
-		// The stats op carries no request schema version, so the
-		// connection's negotiated protocol decides the payload shape:
-		// pre-fleet clients get the v1 encoding, pre-adaptive fleet
-		// clients the v2 one (the later tails simply go unencoded).
-		schema := schemaForProto(s.connVersion(st))
-		buf := getPayloadBuf()
-		payload, err := encodeServiceStats(buf, stats, schema)
-		if err != nil {
-			putPayloadBuf(buf)
-			return nil, false, err
-		}
-		return payload, true, nil
+		return encodeServiceStats(getPayloadBuf(), stats), true, nil
 	case opFleetLease:
-		ctrl, err := s.fleetFor(st)
+		ctrl, err := s.fleetFor()
 		if err != nil {
 			return nil, false, err
 		}
@@ -487,7 +456,7 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		}
 		return encodeFleetLeaseResponse(nil, lease.ID), false, nil
 	case opObservedReport:
-		ctrl, err := s.fleetFor(st)
+		ctrl, err := s.fleetFor()
 		if err != nil {
 			return nil, false, err
 		}
@@ -495,7 +464,7 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("orwlnet: observed report of %d bytes exceeds the %d-byte frame cap", len(m.payload), cap)
 		}
 		if s.reportCaps.bytesPerSec > 0 && !st.takeReportBudget(len(m.payload), s.reportCaps) {
-			return nil, false, fmt.Errorf("orwlnet: rate limit: connection exceeded its observed-report byte budget — back off and retry")
+			return nil, false, fmt.Errorf("orwlnet: %w: connection exceeded its observed-report byte budget — back off and retry", ctrlplane.ErrRateLimited)
 		}
 		leaseID, seq, delta, err := decodeObservedReport(m.payload, s.reportCaps.maxRows)
 		if err != nil {
@@ -510,9 +479,22 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 	}
 }
 
-// handleLocation serves the location ops, the handshake and the
-// topology fetch — the payloads small or caller-owned enough that
-// pooling buys nothing.
+// handleHello answers the version handshake: protoVersion when the
+// client's [min, max] range holds it, ErrVersion otherwise. A
+// successful hello opens the connection to every other op.
+func (s *Server) handleHello(st *connState, payload []byte) ([]byte, error) {
+	if len(payload) < 2 {
+		return nil, fmt.Errorf("orwlnet: malformed hello")
+	}
+	if min, max := payload[0], payload[1]; min > protoVersion || max < protoVersion {
+		return nil, fmt.Errorf("orwlnet: %w: client speaks %d-%d, server speaks %d", ErrVersion, min, max, protoVersion)
+	}
+	st.hello.Store(true)
+	return []byte{protoVersion}, nil
+}
+
+// handleLocation serves the location ops and the topology fetch — the
+// payloads small or caller-owned enough that pooling buys nothing.
 func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 	switch m.op {
 	case opScale:
@@ -623,24 +605,8 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 			return nil, err
 		}
 		return nil, req.ReleaseAndReinsert()
-	case opHello:
-		if len(m.payload) < 2 {
-			return nil, fmt.Errorf("orwlnet: malformed hello")
-		}
-		min, max := int(m.payload[0]), int(m.payload[1])
-		chosen := s.maxProto
-		if max < chosen {
-			chosen = max
-		}
-		if chosen < min {
-			return nil, fmt.Errorf("orwlnet: no common protocol version (client %d-%d, server <= %d)", min, max, s.maxProto)
-		}
-		st.mu.Lock()
-		st.version = chosen
-		st.mu.Unlock()
-		return []byte{byte(chosen)}, nil
 	case opTopology:
-		svc, err := s.placementFor(st)
+		svc, err := s.placementFor()
 		if err != nil {
 			return nil, err
 		}
@@ -650,7 +616,7 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		}
 		return top.MarshalJSON()
 	default:
-		return nil, fmt.Errorf("orwlnet: %s %d", errUnknownOp, m.op)
+		return nil, fmt.Errorf("orwlnet: %w %d", errUnknownOp, m.op)
 	}
 }
 
@@ -699,7 +665,7 @@ func (s *Server) ServiceStats(ctx context.Context) (placement.ServiceStats, erro
 // The pusher holds an inflight count for its whole life so the idle
 // reaper never closes a byte-silent watch connection.
 func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
-	ctrl, err := s.fleetFor(st)
+	ctrl, err := s.fleetFor()
 	if err != nil {
 		return nil, false, err
 	}
@@ -711,29 +677,14 @@ func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// The ack and every pushed frame speak the connection's negotiated
-	// schema: a protoDelta subscriber gets kind-byte v6 frames, an older
-	// one the v5 layout.
-	schema := schemaForProto(s.connVersion(st))
-	buf := getPayloadBuf()
-	var payload []byte
-	if schema >= schemaDelta {
-		payload, _, err = encodeRemapFrameV6(buf, catchUp, false)
-	} else {
-		payload, err = encodeRemapFrame(buf, catchUp)
-	}
-	if err != nil {
-		putPayloadBuf(buf)
-		ctrl.Unsubscribe(subID)
-		return nil, false, err
-	}
+	payload, _ := encodeRemapFrame(getPayloadBuf(), catchUp, false)
 	// The catch-up ack is the subscriber's baseline: it now holds
 	// exactly catchUp.Epoch (or its own since-epoch when nothing newer
 	// existed), which is what the pusher's delta eligibility builds on.
 	lastDelivered := since
 	if catchUp != nil {
 		lastDelivered = catchUp.Epoch
-		s.fullPushes.Add(1)
+		s.fullPushes.Add(1) // counted before serveConn writes it
 	}
 	st.mu.Lock()
 	if st.subs == nil {
@@ -743,7 +694,7 @@ func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
 	st.mu.Unlock()
 	st.inflight.Add(1)
 	s.wg.Add(1)
-	go s.watchPusher(st, m.callID, subID, schema, lastDelivered, events)
+	go s.watchPusher(st, m.callID, subID, lastDelivered, events)
 	return payload, true, nil
 }
 
@@ -754,82 +705,58 @@ func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
 //
 // lastDelivered tracks the newest epoch the subscriber is known to
 // hold (seeded by the catch-up ack) — the state behind the delta
-// eligibility rule: a schema v6 subscriber that is exactly one epoch
-// behind an event that knows its moved tasks may receive the delta
-// form; any gap (a coalesced latest-wins push, a missed write) falls
-// back to the full frame, so the subscriber can always reconstruct.
-func (s *Server) watchPusher(st *connState, callID, subID uint64, schema int, lastDelivered uint64, events <-chan ctrlplane.Remap) {
+// eligibility rule: a subscriber that is exactly one epoch behind an
+// event that knows its moved tasks may receive the delta form; any gap
+// (a coalesced latest-wins push, a missed write) falls back to the
+// full frame, so the subscriber can always reconstruct.
+//
+// A frame is counted before it is written and uncounted if the write
+// fails: a client that has applied a frame reads stats that include it.
+func (s *Server) watchPusher(st *connState, callID, subID, lastDelivered uint64, events <-chan ctrlplane.Remap) {
 	defer s.wg.Done()
 	defer st.inflight.Add(-1)
 	for ev := range events {
-		allowDelta := schema >= schemaDelta && ev.Epoch == lastDelivered+1 && ev.MovedTasks != nil
-		buf := getPayloadBuf()
-		var payload []byte
-		var isDelta bool
-		var err error
-		if schema >= schemaDelta {
-			payload, isDelta, err = encodeRemapFrameV6(buf, &ev, allowDelta)
-		} else {
-			payload, err = encodeRemapFrame(buf, &ev)
+		allowDelta := ev.Epoch == lastDelivered+1 && ev.MovedTasks != nil
+		payload, isDelta := encodeRemapFrame(getPayloadBuf(), &ev, allowDelta)
+		pushes := &s.fullPushes
+		if isDelta {
+			pushes = &s.deltaPushes
 		}
-		if err != nil {
-			putPayloadBuf(buf)
-			continue
-		}
+		pushes.Add(1)
 		st.writeMu.Lock()
 		werr := writeMessage(st.conn, message{callID: callID, op: statusOK, payload: payload})
 		st.writeMu.Unlock()
 		s.bytesOut.Add(13 + uint64(len(payload)))
 		putPayloadBuf(payload)
 		if werr != nil {
-			// Dead subscriber: tear the connection down and stop the
-			// flow at the source; the range drains the closing channel.
+			// Dead subscriber: uncount the frame, tear the connection
+			// down and stop the flow at the source; the range drains the
+			// closing channel.
+			pushes.Add(^uint64(0))
 			st.conn.Close()
 			s.ctrl.Unsubscribe(subID)
 			continue
 		}
 		lastDelivered = ev.Epoch
-		if isDelta {
-			s.deltaPushes.Add(1)
-		} else {
-			s.fullPushes.Add(1)
-		}
 	}
 }
 
-// fleetFor gates the fleet control-plane ops: the daemon must host a
-// controller and the connection must have negotiated protoFleet — the
-// frames do not exist in older protocols, so a v4 connection asking
-// for them is a client bug, not a routing choice.
-func (s *Server) fleetFor(st *connState) (*ctrlplane.Controller, error) {
+// fleetFor gates the fleet control-plane ops on the daemon hosting a
+// controller.
+func (s *Server) fleetFor() (*ctrlplane.Controller, error) {
 	if s.ctrl == nil {
 		return nil, fmt.Errorf("orwlnet: server hosts no fleet control plane")
-	}
-	if v := s.connVersion(st); v < protoFleet {
-		return nil, fmt.Errorf("orwlnet: fleet op on a protocol v%d connection (needs >= v%d)", v, protoFleet)
 	}
 	return s.ctrl, nil
 }
 
-// placementFor gates the placement RPCs: the server must export a
-// service and the connection must have negotiated a version that
-// includes them. The location ops stay handshake-free for backward
-// compatibility.
-func (s *Server) placementFor(st *connState) (placement.Service, error) {
+// placementFor gates the placement RPCs on the server exporting a
+// service.
+func (s *Server) placementFor() (placement.Service, error) {
 	if s.place == nil {
 		return nil, fmt.Errorf("orwlnet: server exports no placement service")
 	}
-	if s.connVersion(st) < protoPlacement {
-		return nil, fmt.Errorf("orwlnet: placement RPC before version handshake (negotiate >= v%d with opHello)", protoPlacement)
-	}
 	return s.place, nil
-}
-
-// connVersion reads the connection's negotiated protocol version.
-func (s *Server) connVersion(st *connState) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.version
 }
 
 func (s *Server) location(name string) (*orwl.Location, error) {

@@ -1,6 +1,7 @@
 package orwlnet
 
 import (
+	"errors"
 	"net"
 	"testing"
 
@@ -22,13 +23,15 @@ func testServer(t *testing.T) (*Server, *connState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, &connState{reqs: make(map[uint64]*orwl.RawRequest)}
+	st := &connState{reqs: make(map[uint64]*orwl.RawRequest)}
+	st.hello.Store(true) // past the handshake
+	return srv, st
 }
 
 func TestHandleUnknownOp(t *testing.T) {
 	srv, st := testServer(t)
-	if _, _, err := srv.handle(st, message{op: 99}); err == nil {
-		t.Error("unknown op accepted")
+	if _, _, err := srv.handle(st, message{op: 99}); !errors.Is(err, errUnknownOp) {
+		t.Errorf("unknown op: err = %v, want errUnknownOp", err)
 	}
 }
 

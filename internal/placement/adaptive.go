@@ -26,8 +26,8 @@ import (
 // migration cost.
 
 // AdaptiveStats counts a reconciler's activity. It is embedded in
-// ServiceStats so the service surface (and the wire protocol, schema
-// v3) reports the feedback loop next to the cache counters.
+// ServiceStats so the service surface (and the wire protocol's stats
+// payload) reports the feedback loop next to the cache counters.
 type AdaptiveStats struct {
 	// Epochs is the number of reconciliation epochs run.
 	Epochs uint64

@@ -18,9 +18,7 @@ import (
 // slice across the fleet concurrently.
 //
 // The first machine added is the default (overridable with
-// SetDefault): requests that name no machine — which is every schema
-// v1 request — route there, so pre-fleet clients keep working
-// unchanged.
+// SetDefault): requests that name no machine route there.
 type MultiService struct {
 	mu    sync.RWMutex
 	svcs  map[string]*LocalService
@@ -74,7 +72,7 @@ func (m *MultiService) AddMachine(name string, top *topology.Topology, opts ...E
 	return m.AddEngine(name, eng)
 }
 
-// SetDefault changes which machine unnamed (and v1) requests route to.
+// SetDefault changes which machine unnamed requests route to.
 func (m *MultiService) SetDefault(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -141,8 +139,7 @@ func (m *MultiService) MachineService(name string) (*LocalService, error) {
 }
 
 // Place implements Service: the request routes to the machine it
-// names, or to the default machine when it names none (every v1
-// request does).
+// names, or to the default machine when it names none.
 func (m *MultiService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("placement: nil request")

@@ -34,9 +34,8 @@ func TestMultiServiceRouting(t *testing.T) {
 		t.Errorf("machines = %v", got)
 	}
 
-	// An unnamed request — the shape of every v1 request — routes to
-	// the default machine.
-	resp, err := fleet.Place(ctx, &PlaceRequest{Version: 1, Strategy: TreeMatch, Matrix: testMatrix(t, 4, 10)})
+	// An unnamed request routes to the default machine.
+	resp, err := fleet.Place(ctx, &PlaceRequest{Strategy: TreeMatch, Matrix: testMatrix(t, 4, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

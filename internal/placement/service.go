@@ -14,52 +14,12 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-// ServiceVersion is the current placement request/response schema
-// version. Requests carry the version they were built against so a
-// newer client talking to an older service (or the reverse, over the
-// wire) fails loudly instead of misdecoding fields.
-//
-// Version history:
-//
-//	1 — Place/Topology/Stats against a single machine.
-//	2 — fleet placement: PlaceRequest.Machine selects a named machine,
-//	    PlaceBatch fans a request slice across machines, responses
-//	    carry the serving machine and per-slot errors, stats list the
-//	    fleet. A v1 request still decodes and routes to the default
-//	    machine.
-//	3 — adaptive placement: ServiceStats carries the AdaptiveStats
-//	    counters of attached reconcilers (epochs, drift alarms,
-//	    remaps). Requests and responses are unchanged from v2.
-//	4 — high-throughput transport: request matrices may cross the wire
-//	    in a sparse run-length encoding or as a fingerprint-only
-//	    reference, and ServiceStats carries the serving daemon's
-//	    transport counters (NetStats). Request/response semantics are
-//	    unchanged from v3 — v4 only compacts how payloads are framed.
-//	5 — fleet control plane: ServiceStats carries the daemon's
-//	    control-plane counters (FleetStats: observed reports, tracked
-//	    peers, pushed remaps, staleness evictions). Place/PlaceBatch
-//	    requests and responses are byte-identical to v4 — the new
-//	    traffic (leases, observed reports, remap subscriptions) rides
-//	    on its own opcodes, not on the placement payloads.
-//	6 — partition-delta remap push: a remap pushed to a subscriber
-//	    that is exactly one epoch behind may cross as a delta frame
-//	    (remapped partitions + moved-task pairs only), with a
-//	    measured fallback to the full frame; ServiceStats gains the
-//	    delta/full push counters. Placement requests and responses
-//	    are byte-identical to v5.
-const ServiceVersion = 6
-
 // PlaceRequest asks a placement service for an assignment. It is the
 // transport-agnostic unit: the in-process service consumes it
 // directly, the orwlnet stub serialises it onto the wire.
 type PlaceRequest struct {
-	// Version is the schema version the request was built against.
-	// Zero means the caller's current ServiceVersion.
-	Version int
-	// Machine names the fleet machine to place onto (schema v2).
-	// Empty selects the service's default machine — which is also how
-	// every v1 request arrives, so old clients keep working against a
-	// fleet server.
+	// Machine names the fleet machine to place onto. Empty selects the
+	// service's default machine.
 	Machine string
 	// Strategy names a registered strategy ("treematch", "compact", ...).
 	Strategy string
@@ -76,7 +36,7 @@ type PlaceRequest struct {
 	// it MUST equal comm.Fingerprint(Matrix); a stale value (matrix
 	// mutated after hashing) aliases the request to the wrong cache
 	// identity and can return the wrong cached assignment. The wire
-	// layer fills it in on the serving side of schema v4 requests.
+	// layer fills it in on the serving side.
 	MatrixFP uint64
 	// Options tunes the mapping algorithm.
 	Options Options
@@ -86,13 +46,11 @@ type PlaceRequest struct {
 // caller cannot observe: whether the mapping cache served the call,
 // the modeled quality of the placement, and the service-side latency.
 type PlaceResponse struct {
-	// Version is the schema version of the response.
-	Version int
-	// Machine is the fleet machine that served the request (schema
-	// v2): the name the request selected, or the default machine's
-	// name when the request left it empty.
+	// Machine is the fleet machine that served the request: the name
+	// the request selected, or the default machine's name when the
+	// request left it empty.
 	Machine string
-	// Err carries a batch slot's failure (schema v2): PlaceBatch
+	// Err carries a batch slot's failure: PlaceBatch
 	// answers every request positionally, so a failed slot is a
 	// response with Err set and no Assignment instead of an error that
 	// would void its siblings. Single Place calls return a Go error
@@ -126,8 +84,8 @@ type ServiceStats struct {
 	TopologySignature uint64
 	// Strategies lists the strategy names the service accepts.
 	Strategies []string
-	// Machines lists the fleet machine names the service routes to
-	// (schema v2), default machine first. A single-machine service
+	// Machines lists the fleet machine names the service routes to,
+	// default machine first. A single-machine service
 	// lists just its own machine.
 	Machines []string
 	// Places counts the Place calls served (batch slots included).
@@ -135,16 +93,16 @@ type ServiceStats struct {
 	// Cache is a snapshot of the mapping-cache counters.
 	Cache CacheStats
 	// Adaptive counts the activity of reconcilers attached to the
-	// service (schema v3): epochs run, drift alarms, adopted and
+	// service: epochs run, drift alarms, adopted and
 	// rejected remaps. Zero when no feedback loop is attached.
 	Adaptive AdaptiveStats
-	// Net carries the serving daemon's transport counters (schema v4):
+	// Net carries the serving daemon's transport counters:
 	// pipeline depth, wire volume and compact-payload traffic. It is
 	// filled by the wire layer when stats are served over a pipelined
 	// connection; an in-process service reports zeros (there is no
 	// wire).
 	Net NetStats
-	// Fleet carries the daemon's control-plane counters (schema v5):
+	// Fleet carries the daemon's control-plane counters:
 	// observed-traffic reports merged, peers currently tracked, remap
 	// events pushed to subscribers, stale peers evicted. Filled by the
 	// serving daemon when a control plane is attached; an in-process
@@ -153,7 +111,7 @@ type ServiceStats struct {
 }
 
 // FleetStats counts a daemon control plane's activity — the
-// observability face of the fleet subsystem (schema v5). Counters are
+// observability face of the fleet subsystem. Counters are
 // process-lifetime totals except PeersTracked and Watchers
 // (instantaneous).
 type FleetStats struct {
@@ -181,9 +139,9 @@ type FleetStats struct {
 	// (machine, peer) name was held under a different ownership token.
 	LeaseConflicts uint64
 	// DeltaPushes counts remap frames shipped to subscribers in the
-	// schema v6 delta encoding (moved tasks only); FullPushes counts
+	// delta encoding (moved tasks only); FullPushes counts
 	// the frames that carried the whole assignment — catch-up acks,
-	// pre-v6 subscribers, epoch gaps, and remaps whose delta body
+	// epoch gaps, and remaps whose delta body
 	// measured larger than the full one. DeltaPushes+FullPushes is the
 	// number of remap frames actually written, which can trail
 	// RemapsPushed when slow subscribers coalesce events.
@@ -207,7 +165,7 @@ func (st *FleetStats) merge(other FleetStats) {
 }
 
 // NetStats counts a placement daemon's transport-layer traffic — the
-// observability face of the pipelined wire protocol (schema v4). All
+// observability face of the pipelined wire protocol. All
 // counters are process-lifetime totals except InFlight (instantaneous)
 // and MatrixCacheEntries (current table size).
 type NetStats struct {
@@ -253,18 +211,6 @@ type Service interface {
 	Topology(ctx context.Context) (*topology.Topology, error)
 	// Stats returns the service description and traffic counters.
 	Stats(ctx context.Context) (ServiceStats, error)
-}
-
-// checkVersion validates a request's schema version and returns the
-// effective one.
-func checkVersion(v int) (int, error) {
-	if v == 0 {
-		return ServiceVersion, nil
-	}
-	if v < 0 || v > ServiceVersion {
-		return 0, fmt.Errorf("placement: unsupported request version %d (service speaks <= %d)", v, ServiceVersion)
-	}
-	return v, nil
 }
 
 // LocalService implements Service directly on an Engine — the
@@ -367,9 +313,6 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	if req == nil {
 		return nil, fmt.Errorf("placement: nil request")
 	}
-	if _, err := checkVersion(req.Version); err != nil {
-		return nil, err
-	}
 	name := s.eng.Topology().Attrs.Name
 	if req.Machine != "" && !strings.EqualFold(req.Machine, name) {
 		return nil, fmt.Errorf("placement: unknown machine %q (service places onto %q)", req.Machine, name)
@@ -391,7 +334,6 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	}
 	s.places.Add(1)
 	resp := &PlaceResponse{
-		Version:    ServiceVersion,
 		Machine:    name,
 		Assignment: a,
 		CacheHit:   hit,
@@ -444,7 +386,7 @@ func (s *LocalService) Topology(ctx context.Context) (*topology.Topology, error)
 
 // AttachReconciler registers a feedback loop with the service, so its
 // epoch/drift/remap counters surface through Stats (and, remotely,
-// through the schema-v3 stats payload).
+// through the stats payload).
 func (s *LocalService) AttachReconciler(r *Reconciler) {
 	if r == nil {
 		return
@@ -510,7 +452,7 @@ func fanOutBatch(ctx context.Context, place func(context.Context, *PlaceRequest)
 			defer func() { <-sem }()
 			resp, err := place(ctx, req)
 			if err != nil {
-				resp = &PlaceResponse{Version: ServiceVersion, Err: err.Error()}
+				resp = &PlaceResponse{Err: err.Error()}
 				if req != nil {
 					resp.Machine = req.Machine
 				}

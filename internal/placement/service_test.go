@@ -40,9 +40,6 @@ func TestLocalServicePlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Version != ServiceVersion {
-		t.Errorf("response version = %d, want %d", resp.Version, ServiceVersion)
-	}
 	if resp.CacheHit {
 		t.Error("first call reported a cache hit")
 	}
@@ -110,9 +107,6 @@ func TestLocalServiceErrors(t *testing.T) {
 	}
 	if _, err := svc.Place(ctx, &PlaceRequest{Strategy: "nope", Entities: 2}); err == nil {
 		t.Error("unknown strategy accepted")
-	}
-	if _, err := svc.Place(ctx, &PlaceRequest{Version: ServiceVersion + 1, Strategy: TreeMatch, Matrix: testMatrix(t, 2, 1)}); err == nil {
-		t.Error("future request version accepted")
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()

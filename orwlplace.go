@@ -59,9 +59,6 @@ const (
 	Unbound = placement.None
 )
 
-// ServiceVersion is the current request/response schema version.
-const ServiceVersion = placement.ServiceVersion
-
 // Fleet is a placement service routing across a set of named machines
 // — one engine (strategy registry + mapping cache) per topology, a
 // default machine for requests that name none, and PlaceBatch to fan
@@ -130,18 +127,13 @@ func NewService(top *Topology, opts ...ServiceOption) (Service, error) {
 // releases every connection.
 type RemotePlacement = orwlnet.RemoteService
 
-// DialOption tunes DialPlacement: pool size, protocol ceiling.
+// DialOption tunes DialPlacement: pool size, retries, transport.
 type DialOption = orwlnet.DialOption
 
 // WithPoolSize opens n connections to the daemon and spreads placement
 // calls across them — combined with the pipelined transport, the knob
 // for driving a daemon at high placements/sec from one process.
 func WithPoolSize(n int) DialOption { return orwlnet.WithPoolSize(n) }
-
-// WithMaxProtocol caps the wire protocol version offered to the
-// daemon, forcing the downgraded behaviour (lock-step placement calls,
-// dense matrices below ProtoPipeline) a genuinely old peer would get.
-func WithMaxProtocol(v int) DialOption { return orwlnet.WithMaxProtocol(v) }
 
 // RetryPolicy tunes the stub's retry/backoff machinery for idempotent
 // calls: exponential backoff with jitter between attempts and an
@@ -160,16 +152,8 @@ func DefaultRetryPolicy() RetryPolicy { return orwlnet.DefaultRetryPolicy() }
 // operations never retry — their FIFO semantics are not idempotent.
 func WithRetry(p RetryPolicy) DialOption { return orwlnet.WithRetryPolicy(p) }
 
-// Protocol versions usable with WithMaxProtocol.
-const (
-	// ProtoAdaptive is the last pre-pipeline protocol version.
-	ProtoAdaptive = orwlnet.ProtoAdaptive
-	// ProtoPipeline is the pipelined, pooled, compact-payload version.
-	ProtoPipeline = orwlnet.ProtoPipeline
-)
-
 // DialPlacement connects to a placement daemon, honouring the
-// context's deadline, and negotiates the wire protocol version.
+// context's deadline, and agrees the wire protocol version.
 func DialPlacement(ctx context.Context, addr string, opts ...DialOption) (*RemotePlacement, error) {
 	return orwlnet.DialPlacementService(ctx, addr, opts...)
 }

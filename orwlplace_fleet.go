@@ -4,14 +4,15 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"orwlplace/internal/comm"
+	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwlnet"
 	"orwlplace/internal/placement"
 )
@@ -26,10 +27,6 @@ import (
 // Remap is one adopted fleet mapping pushed to watchers: the
 // machine-global assignment stamped with a per-machine epoch.
 type Remap = orwlnet.Remap
-
-// ProtoFleet is the wire protocol version that carries the fleet
-// control plane (leases, observed reports, remap subscriptions).
-const ProtoFleet = orwlnet.ProtoFleet
 
 // FleetAdaptiveConfig tunes a fleet adaptive loop.
 type FleetAdaptiveConfig struct {
@@ -102,9 +99,9 @@ type pendingReport struct {
 const maxPendingReports = 16
 
 // NewFleetAdaptive registers prog's task range with the daemon behind
-// remote and returns the loop. The daemon must speak ProtoFleet and
-// host a control plane (orwlnetd -adaptive). The program must be
-// scheduled: the lease covers its task count.
+// remote and returns the loop. The daemon must host a control plane
+// (orwlnetd -adaptive). The program must be scheduled: the lease
+// covers its task count.
 func NewFleetAdaptive(ctx context.Context, remote *RemotePlacement, prog *Program, cfg FleetAdaptiveConfig) (*FleetAdaptive, error) {
 	if remote == nil {
 		return nil, fmt.Errorf("orwlplace: nil remote service")
@@ -200,7 +197,7 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Unlock()
 	for i, pr := range queue {
 		err := f.rs.ReportObserved(ctx, f.LeaseID(), pr.seq, pr.w)
-		if err != nil && strings.Contains(err.Error(), "unknown lease") {
+		if errors.Is(err, ctrlplane.ErrUnknownLease) {
 			// The daemon restarted and lost the lease: re-register under
 			// the same token and retransmit this window on the new lease.
 			if rerr := f.reLease(ctx); rerr == nil {

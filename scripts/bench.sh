@@ -5,9 +5,8 @@
 # sparse 10ktasks-1kcores partitioned mapping and the PR 10
 # RemapDeltaPush single-partition delta, whose extra metrics carry the
 # push_bytes_ratio / rebind_ratio acceptance numbers) and record
-# ns/op + allocs/op as JSON, plus the cmd/placeload transport pair
-# (lock-step baseline vs pipelined — the PR 6 throughput/payload
-# acceptance numbers). Benches that existed before PR 3 carry their
+# ns/op + allocs/op as JSON, plus the cmd/placeload pipelined
+# transport run. Benches that existed before PR 3 carry their
 # recorded baseline from scripts/bench_baseline_pr3.json; later
 # additions record fresh.
 #
