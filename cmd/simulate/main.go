@@ -320,7 +320,7 @@ type phaseScript struct {
 
 func (s *phaseScript) Name() string { return "replay" }
 
-func (s *phaseScript) Matrix() (*comm.Matrix, error) {
+func (s *phaseScript) Affinity() (comm.Affinity, error) {
 	i := s.next
 	if i >= len(s.matrices) {
 		i = len(s.matrices) - 1

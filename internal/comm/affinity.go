@@ -145,12 +145,16 @@ func FingerprintOf(a Affinity) uint64 {
 	h := uint64(fnvOffset64)
 	n := a.Order()
 	h = (h ^ uint64(n)) * fnvPrime64
-	for i := 0; i < n; i++ {
-		a.ForEachRow(i, func(j int, v float64) {
-			h = (h ^ uint64(i)) * fnvPrime64
-			h = (h ^ uint64(j)) * fnvPrime64
-			h = (h ^ math.Float64bits(v)) * fnvPrime64
-		})
+	// One closure for every row: a literal inside the loop would be
+	// allocated per row, since ForEachRow is an interface call.
+	var i int
+	row := func(j int, v float64) {
+		h = (h ^ uint64(i)) * fnvPrime64
+		h = (h ^ uint64(j)) * fnvPrime64
+		h = (h ^ math.Float64bits(v)) * fnvPrime64
+	}
+	for i = 0; i < n; i++ {
+		a.ForEachRow(i, row)
 	}
 	return h
 }

@@ -52,11 +52,11 @@ type Module struct {
 	mu       sync.Mutex
 	prog     *orwl.Program
 	svc      placement.Service
-	eng      *placement.Engine      // non-nil only when svc is in-process
-	top      *topology.Topology     // the service's machine, fetched once at Attach
-	ctx      context.Context        // base context for service calls
-	src      placement.MatrixSource // step-1 seam; defaults to Declared(prog)
-	observed bool                   // WithObservedAffinity: resolve src at Attach
+	eng      *placement.Engine  // non-nil only when svc is in-process
+	top      *topology.Topology // the service's machine, fetched once at Attach
+	ctx      context.Context    // base context for service calls
+	src      placement.Source   // step-1 seam; defaults to Declared(prog)
+	observed bool               // WithObservedAffinity: resolve src at Attach
 	strategy string
 	opt      placement.Options
 
@@ -108,9 +108,9 @@ func WithContext(ctx context.Context) Option {
 // WithSource selects where DependencyGet draws the communication
 // matrix from. The default is the program's declared handle graph
 // (placement.Declared); an adaptive deployment passes
-// placement.Observed/ObservedWindow so the module places on what the
-// runtime measured instead of what the program announced.
-func WithSource(src placement.MatrixSource) Option {
+// placement.ObservedWindow so the module places on what the runtime
+// measured instead of what the program announced.
+func WithSource(src placement.Source) Option {
 	return func(m *Module) { m.src = src }
 }
 
@@ -257,11 +257,14 @@ func (m *Module) DependencyGet() error {
 	m.mu.Lock()
 	src := m.src
 	m.mu.Unlock()
-	mat, err := src.Matrix()
+	a, err := src.Affinity()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if _, observed := src.(*placement.ObservedSource); observed && mat.Total() == 0 {
+	if comm.NilAffinity(a) {
+		return fmt.Errorf("core: source %q produced no matrix", src.Name())
+	}
+	if _, observed := src.(*placement.ObservedSource); observed && a.Total() == 0 {
 		// An idle window carries no affinity signal: computing on an
 		// all-zero matrix would silently rebind the program to an
 		// arbitrary mapping (the reconciler guards the same condition
@@ -270,7 +273,7 @@ func (m *Module) DependencyGet() error {
 		return fmt.Errorf("core: observed source %q saw no traffic — keeping the current mapping", src.Name())
 	}
 	m.mu.Lock()
-	m.matrix = mat
+	m.matrix = a.Dense() // the placement request carries a dense matrix
 	m.asgn = nil
 	m.lastResp = nil
 	m.mu.Unlock()
@@ -278,7 +281,7 @@ func (m *Module) DependencyGet() error {
 }
 
 // Source returns the module's matrix source.
-func (m *Module) Source() placement.MatrixSource {
+func (m *Module) Source() placement.Source {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.src

@@ -94,8 +94,11 @@ type machineLoop struct {
 	src  *handoffSource
 	rec  *placement.Reconciler
 
-	mu     sync.Mutex
-	primed bool
+	mu sync.Mutex
+	// order is the task-space order of the reconciler's baseline, 0
+	// before the first mapping: a window of any other order is primed
+	// afresh instead of measured against it.
+	order int
 
 	epoch  uint64
 	latest *Remap
@@ -107,7 +110,7 @@ type subscriber struct {
 }
 
 // handoffSource adapts the controller's pull-then-reconcile flow to
-// the AffinitySource seam the Reconciler consumes: the controller
+// the Source seam the Reconciler consumes: the controller
 // drains a Collector window, stages it here, and runs one Epoch. The
 // window stays in the collector's native representation (sparse above
 // the dense threshold) all the way into the reconciler.
@@ -178,7 +181,7 @@ func NewController(fleet *placement.MultiService, cfg Config) (*Controller, erro
 		src := &handoffSource{col: c.col, machine: name}
 		// prog is nil: the daemon owns no tasks to re-bind — adopted
 		// mappings travel to the processes that do, via Subscribe.
-		rec, err := placement.NewAffinityReconciler(svc.Engine(), src, nil, cfg.Adaptive)
+		rec, err := placement.NewReconciler(svc.Engine(), src, nil, cfg.Adaptive)
 		if err != nil {
 			return nil, err
 		}
@@ -261,22 +264,24 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 		c.col.Recycle(machine, w)
 		return nil, nil
 	}
-	if !lp.primed {
-		// First traffic ever seen for this machine: compute and adopt
-		// the initial fleet mapping (epoch 1) directly — there is no
-		// baseline to drift from yet. The affinity path keeps a large
-		// machine's first mapping on the partitioned sparse pipeline.
+	if w.Order() != lp.order {
+		// First traffic ever seen for this machine, or a task space that
+		// grew since the baseline (a lease registered after priming):
+		// compute and adopt a full mapping of the window directly — there
+		// is no baseline of this order to drift from. The affinity path
+		// keeps a large machine's mapping on the partitioned sparse
+		// pipeline.
 		a, _, err := lp.svc.Engine().ComputeAffinity(c.adaptiveStrategy(), w, 0, c.cfg.Adaptive.Options)
 		if err != nil {
 			return nil, err
 		}
-		if err := lp.rec.SetCurrentAffinity(a, w); err != nil {
+		if err := lp.rec.SetCurrent(a, w); err != nil {
 			return nil, err
 		}
-		lp.primed = true
+		lp.order = w.Order()
 		c.publish(lp, Remap{Machine: machine, Assignment: a.Clone()})
 		rep := &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a.Clone()}
-		c.col.Recycle(machine, w) // SetCurrentAffinity kept a copy
+		c.col.Recycle(machine, w) // SetCurrent kept a copy
 		return rep, nil
 	}
 	lp.src.set(w)

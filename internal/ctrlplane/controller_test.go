@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"slices"
 	"testing"
 
 	"orwlplace/internal/comm"
@@ -184,5 +185,73 @@ func TestControllerUnsubscribeCloses(t *testing.T) {
 	ctrl.Unsubscribe(id) // idempotent
 	if _, _, _, err := ctrl.Subscribe("nope", 0); err == nil {
 		t.Fatal("subscribe to unknown machine succeeded")
+	}
+}
+
+// TestReconcilerRePrimesWhenLeaseJoinsLate: a lease registered after the
+// machine was primed grows its task space, so the next merged window is
+// wider than the mapping in force. That epoch must map the grown window
+// afresh — adopted, pushed in full (MovedTasks nil), the same epoch on
+// every subscriber — instead of modeling the narrower assignment against
+// it, which failed every epoch from then on.
+func TestReconcilerRePrimesWhenLeaseJoinsLate(t *testing.T) {
+	const half = ctrlTasks / 2
+	ctrl, err := NewController(testFleet(t), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subs [2]<-chan Remap
+	for i := range subs {
+		id, ch, _, err := ctrl.Subscribe("fig2", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Unsubscribe(id)
+		subs[i] = ch
+	}
+	alpha, err := ctrl.Register("fig2", "alpha", 0, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.ReportAffinity(alpha.ID, 1, ringMatrix(half, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ctrl.Epoch("fig2"); err != nil || rep == nil || !rep.Adopted {
+		t.Fatalf("priming epoch = %+v, %v", rep, err)
+	}
+
+	beta, err := ctrl.Register("fig2", "beta", half, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(2); seq <= 3; seq++ {
+		if err := ctrl.ReportAffinity(alpha.ID, seq, ringMatrix(half, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.ReportAffinity(beta.ID, seq-1, ringMatrix(half, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ctrl.Epoch("fig2")
+		if err != nil {
+			t.Fatalf("epoch after the late lease (seq %d): %v", seq, err)
+		}
+		if first := seq == 2; rep == nil || rep.Adopted != first || len(rep.Assignment.ComputePU) != ctrlTasks {
+			t.Fatalf("epoch after the late lease (seq %d) = %+v, want adopted %v over %d tasks", seq, rep, first, ctrlTasks)
+		}
+	}
+
+	// Publishing is synchronous: each subscriber's newest buffered event
+	// is the last adoption.
+	var got [2]Remap
+	for i, ch := range subs {
+		for len(ch) > 0 {
+			got[i] = <-ch
+		}
+		if got[i].Epoch != 2 || got[i].MovedTasks != nil || got[i].Assignment == nil || len(got[i].Assignment.ComputePU) != ctrlTasks {
+			t.Fatalf("subscriber %d's last remap = %+v, want epoch 2, a full %d-task push", i, got[i], ctrlTasks)
+		}
+	}
+	if !slices.Equal(got[0].Assignment.ComputePU, got[1].Assignment.ComputePU) {
+		t.Fatalf("subscribers diverged at epoch 2: %v vs %v", got[0].Assignment.ComputePU, got[1].Assignment.ComputePU)
 	}
 }

@@ -32,7 +32,7 @@ func keepingController(t *testing.T, cfg Config) *Controller {
 		t.Fatal(err)
 	}
 	for _, lp := range ctrl.loops {
-		if lp.rec, err = placement.NewAffinityReconciler(lp.svc.Engine(), keepingSource{lp.src}, nil, cfg.Adaptive); err != nil {
+		if lp.rec, err = placement.NewReconciler(lp.svc.Engine(), keepingSource{lp.src}, nil, cfg.Adaptive); err != nil {
 			t.Fatal(err)
 		}
 	}

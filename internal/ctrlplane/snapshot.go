@@ -756,11 +756,11 @@ func (c *Controller) Restore(s *Snapshot) error {
 			continue
 		}
 		if mr.Latest != nil && mr.Latest.Assignment != nil && mr.Base != nil {
-			if err := lp.rec.SetCurrentAffinity(mr.Latest.Assignment, mr.Base); err != nil {
+			if err := lp.rec.SetCurrent(mr.Latest.Assignment, mr.Base); err != nil {
 				return fmt.Errorf("ctrlplane: restoring machine %q: %w", mr.Name, err)
 			}
 			lp.mu.Lock()
-			lp.primed = true
+			lp.order = mr.Base.Order()
 			lp.mu.Unlock()
 		}
 		c.mu.Lock()

@@ -431,9 +431,8 @@ type EpochReport struct {
 // for concurrent use with the program it re-binds.
 type Reconciler struct {
 	eng  *Engine
-	src  MatrixSource   // dense window source (classic loop)
-	asrc AffinitySource // affinity window source — wins over src when set
-	prog *orwl.Program  // nil: model-only, no binding commits
+	src  Source        // the window source, one epoch per call
+	prog *orwl.Program // nil: model-only, no binding commits
 	cfg  AdaptiveConfig
 
 	mu   sync.Mutex
@@ -456,7 +455,7 @@ type Reconciler struct {
 	perIter comm.Matrix
 }
 
-// windowRecycler is the optional face of an AffinitySource that gives
+// windowRecycler is the optional face of a Source that gives
 // every window away (the fleet controller's hand-off source). An adopted
 // window then becomes the baseline as it is, without a copy, and the
 // baseline it replaced is handed back in its place; any other window is
@@ -471,12 +470,12 @@ type windowRecycler interface {
 // model-only use) on eng's machine, fed by src — typically
 // ObservedWindow(prog). Prime it with an initial mapping before the
 // first Epoch.
-func NewReconciler(eng *Engine, src MatrixSource, prog *orwl.Program, cfg AdaptiveConfig) (*Reconciler, error) {
+func NewReconciler(eng *Engine, src Source, prog *orwl.Program, cfg AdaptiveConfig) (*Reconciler, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("placement: adaptive: nil engine")
 	}
 	if src == nil {
-		return nil, fmt.Errorf("placement: adaptive: nil matrix source")
+		return nil, fmt.Errorf("placement: adaptive: nil source")
 	}
 	cfg = cfg.withDefaults()
 	if _, ok := Lookup(cfg.Strategy); !ok {
@@ -485,51 +484,12 @@ func NewReconciler(eng *Engine, src MatrixSource, prog *orwl.Program, cfg Adapti
 	return &Reconciler{eng: eng, src: src, prog: prog, cfg: cfg}, nil
 }
 
-// NewAffinityReconciler is NewReconciler fed by an AffinitySource: the
-// loop for programs whose traffic is naturally sparse (10k-task fleets,
-// observed counters above the dense threshold). Windows, baselines and
-// candidates all stay on the representation-independent surface.
-func NewAffinityReconciler(eng *Engine, src AffinitySource, prog *orwl.Program, cfg AdaptiveConfig) (*Reconciler, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("placement: adaptive: nil engine")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("placement: adaptive: nil affinity source")
-	}
-	cfg = cfg.withDefaults()
-	if _, ok := Lookup(cfg.Strategy); !ok {
-		return nil, fmt.Errorf("placement: adaptive: unknown strategy %q", cfg.Strategy)
-	}
-	return &Reconciler{eng: eng, asrc: src, prog: prog, cfg: cfg}, nil
-}
-
 // Prime computes and commits the initial assignment from a source —
-// typically Declared(prog), the paper's schedule-barrier mapping —
-// and records its matrix as the drift baseline.
-func (r *Reconciler) Prime(src MatrixSource) error {
-	m, err := r.eng.Extract(src)
-	if err != nil {
-		return err
-	}
-	a, err := r.eng.Compute(r.cfg.Strategy, m, 0, r.cfg.Options)
-	if err != nil {
-		return err
-	}
-	if r.prog != nil {
-		if err := Bind(r.prog, a); err != nil {
-			return err
-		}
-	}
-	r.setBaseline(a, m.Clone())
-	return nil
-}
-
-// PrimeAffinity is Prime on the affinity surface: compute and commit
-// the initial assignment from an AffinitySource — the partitioned
-// sparse path when the order warrants it — and record the affinity as
-// the drift baseline.
-func (r *Reconciler) PrimeAffinity(src AffinitySource) error {
-	aff, err := r.eng.ExtractAffinity(src)
+// typically Declared(prog), the paper's schedule-barrier mapping; the
+// partitioned sparse path when the order warrants it — and records its
+// affinity as the drift baseline.
+func (r *Reconciler) Prime(src Source) error {
+	aff, err := r.eng.Extract(src)
 	if err != nil {
 		return err
 	}
@@ -546,30 +506,21 @@ func (r *Reconciler) PrimeAffinity(src AffinitySource) error {
 	return nil
 }
 
-// SetCurrent adopts an externally computed assignment (and the matrix
+// SetCurrent adopts an externally computed assignment (and the affinity
 // it was computed from) as the reconciler's baseline — for programs
-// placed by the automatic schedule hook before the loop starts.
-func (r *Reconciler) SetCurrent(a *Assignment, m *comm.Matrix) error {
-	if a == nil || m == nil {
-		return fmt.Errorf("placement: adaptive: SetCurrent needs an assignment and its matrix")
+// placed by the automatic schedule hook before the loop starts, and for
+// restored fleet snapshots.
+func (r *Reconciler) SetCurrent(a *Assignment, base comm.Affinity) error {
+	if a == nil || comm.NilAffinity(base) {
+		return fmt.Errorf("placement: adaptive: SetCurrent needs an assignment and its affinity")
 	}
-	r.setBaseline(a.Clone(), m.Clone())
-	return nil
-}
-
-// SetCurrentAffinity is SetCurrent for baselines that live on the
-// affinity surface — restored fleet snapshots and sparse primes.
-func (r *Reconciler) SetCurrentAffinity(a *Assignment, aff comm.Affinity) error {
-	if a == nil || aff == nil {
-		return fmt.Errorf("placement: adaptive: SetCurrentAffinity needs an assignment and its affinity")
-	}
-	r.setBaseline(a.Clone(), aff.CloneAffinity())
+	r.setBaseline(a.Clone(), base.CloneAffinity())
 	return nil
 }
 
 // setBaseline installs the assignment in force and the affinity it was
-// computed from. Every path replacing either (Prime*, SetCurrent* and
-// so a snapshot restore, an adoption) ends here, so the cached drift
+// computed from. Every path replacing either (Prime, SetCurrent and so
+// a snapshot restore, an adoption) ends here, so the cached drift
 // form never outlives its baseline. A replaced baseline may be recycled
 // (windowRecycler): outside Epoch, r.base is only read under r.mu and
 // leaves as a copy (BaselineAffinity), so no snapshot aliases the slab.
@@ -646,25 +597,17 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		return nil, fmt.Errorf("placement: adaptive: epoch before Prime/SetCurrent")
 	}
 
-	var window comm.Affinity
-	if r.asrc != nil {
-		var err error
-		window, err = r.eng.ExtractAffinity(r.asrc)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		m, err := r.eng.Extract(r.src)
-		if err != nil {
-			return nil, err
-		}
-		window = m
+	window, err := r.eng.Extract(r.src)
+	if err != nil {
+		return nil, err
 	}
-
-	// spare is what a recycling source gets back when the epoch ends: the
-	// window, or the baseline an adopted window replaced.
-	recycler, _ := r.asrc.(windowRecycler)
+	// spare is what a recycling source gets back when the epoch ends, on
+	// every return: the window, or the baseline an adopted window replaced.
+	recycler, _ := r.src.(windowRecycler)
 	spare := window
+	if recycler != nil {
+		defer func() { recycler.Recycle(spare) }()
+	}
 
 	rep := &EpochReport{WindowBytes: window.Total()}
 	finish := func() (*EpochReport, error) {
@@ -686,9 +629,6 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		}
 		rep.Assignment = r.cur.Clone()
 		r.mu.Unlock()
-		if recycler != nil {
-			recycler.Recycle(spare)
-		}
 		return rep, nil
 	}
 
@@ -712,7 +652,6 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	// One drift walk for every mapping and representation. Partitioned
 	// mappings also report it per partition — the signal that later
 	// scopes the recompute to the drifted subtrees.
-	wm, winDense := window.(*comm.Matrix)
 	partitioned := hasPartitions(cur)
 	drifts := r.driftBaseline(cur, base).drift(window)
 	if partitioned {
@@ -749,7 +688,6 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	// mappings recompute through the registry as before (the mapping
 	// cache makes oscillation back to a known pattern cheap).
 	var candidate *Assignment
-	var err error
 	if partitioned {
 		var drifted []int
 		for pi, d := range rep.PartitionDrifts {
@@ -759,8 +697,6 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		}
 		rep.RemappedPartitions = drifted
 		candidate, err = r.remapPartitions(cur, window, drifted)
-	} else if winDense {
-		candidate, err = r.eng.Compute(r.cfg.Strategy, wm, 0, r.cfg.Options)
 	} else {
 		candidate, _, err = r.eng.ComputeAffinity(r.cfg.Strategy, window, 0, r.cfg.Options)
 	}
@@ -769,11 +705,16 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	}
 	rep.Recomputed = true
 
+	// The adoption model follows the mapping, never the window's storage:
+	// a partitioned mapping is scored by the O(nnz) latency model, any
+	// other — bound or unbound — by the cycle-level simulator on the dense
+	// window. An unpartitioned treematch window is at most
+	// PartitionThreshold tasks, so that densify is bounded.
 	var gain, cost float64
-	if winDense && !partitioned {
-		gain, cost, err = r.model(wm, cur, candidate)
-	} else {
+	if partitioned {
 		gain, cost, err = r.modelSparse(window, cur, candidate)
+	} else {
+		gain, cost, err = r.model(window.Dense(), cur, candidate)
 	}
 	if err != nil {
 		return nil, err
@@ -850,19 +791,13 @@ func (r *Reconciler) remapPartitions(cur *Assignment, window comm.Affinity, drif
 	return fromMapping(cur.Strategy, mp), nil
 }
 
-// modelSparse is model on the affinity surface: the full cycle-level
-// simulator needs a dense matrix, so sparse (and partitioned) epochs
-// score candidates with the latency-only perfsim.CommSeconds model over
-// the window's nonzeros — O(nnz), comparable across bindings of the
-// same window, which is exactly the question here — and charge
-// migration through the same MigrationCost as the dense path.
+// modelSparse scores the candidate of a partitioned mapping: the
+// latency-only perfsim.CommSeconds model over the window's nonzeros —
+// O(nnz), comparable across bindings of the same window, which is
+// exactly the question here, and no n² slab at 10k tasks — with
+// migration charged through the same MigrationCost as model. A
+// partitioned mapping is always bound, so both sides have PU vectors.
 func (r *Reconciler) modelSparse(window comm.Affinity, cur, candidate *Assignment) (gain, cost float64, err error) {
-	if cur.Unbound || candidate.Unbound {
-		// The latency model scores pinned PU vectors; an unbound side
-		// has none. Densify and use the full model — unbound strategies
-		// are never the partitioned 10k-task path.
-		return r.model(window.Dense(), cur, candidate)
-	}
 	top := r.eng.Topology()
 	oldS, err := perfsim.CommSeconds(top, window, cur.ComputePU)
 	if err != nil {
@@ -875,17 +810,18 @@ func (r *Reconciler) modelSparse(window comm.Affinity, cur, candidate *Assignmen
 	// The window spans WindowIterations iterations; the candidate
 	// serves Horizon of them.
 	gain = (oldS - newS) * float64(r.cfg.Horizon) / float64(r.cfg.WindowIterations)
-	cost, err = perfsim.MigrationCost(top, r.migrationWorkload(window.Order()), cur.ComputePU, candidate.ComputePU)
+	cost, err = perfsim.MigrationCost(top, r.workload(window.Order()), cur.ComputePU, candidate.ComputePU)
 	if err != nil {
 		return 0, 0, fmt.Errorf("placement: adaptive: migration cost: %w", err)
 	}
 	return gain, cost, nil
 }
 
-// migrationWorkload synthesizes the per-thread state MigrationCost
-// charges for (working sets, wakeups) without a dense Comm matrix —
-// MigrationCost never reads Comm.
-func (r *Reconciler) migrationWorkload(n int) *perfsim.Workload {
+// workload is the performance-model template for n threads: the
+// configured one, or a synthesized communication-dominated one. Its
+// Comm is unset — MigrationCost, which charges working sets and
+// wakeups, never reads it.
+func (r *Reconciler) workload(n int) *perfsim.Workload {
 	var w perfsim.Workload
 	if r.cfg.Workload != nil {
 		w = *r.cfg.Workload
@@ -905,25 +841,10 @@ func (r *Reconciler) migrationWorkload(n int) *perfsim.Workload {
 }
 
 // modelWorkload builds the per-epoch performance-model input: the
-// configured template (or a synthesized communication-dominated one)
-// carrying the window's per-iteration traffic over the horizon.
+// template carrying the window's per-iteration traffic over the horizon.
 func (r *Reconciler) modelWorkload(window *comm.Matrix) *perfsim.Workload {
 	n := window.Order()
-	var w perfsim.Workload
-	if r.cfg.Workload != nil {
-		w = *r.cfg.Workload
-	} else {
-		w.Name = "adaptive-epoch"
-		threads := make([]perfsim.Thread, n)
-		for i := range threads {
-			threads[i] = perfsim.Thread{
-				ComputeCycles: 5e5,
-				WorkingSet:    1 << 20,
-				MemoryTraffic: 1 << 16,
-			}
-		}
-		w.Threads = threads
-	}
+	w := r.workload(n)
 	perIter := window
 	if r.cfg.WindowIterations > 1 {
 		// Scaled into the reconciler's own scratch: the model is not
@@ -940,7 +861,7 @@ func (r *Reconciler) modelWorkload(window *comm.Matrix) *perfsim.Workload {
 	}
 	w.Comm = perIter
 	w.Iterations = r.cfg.Horizon
-	return &w
+	return w
 }
 
 // movedTasks diffs two assignments slot for slot and returns the

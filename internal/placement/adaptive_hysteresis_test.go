@@ -25,7 +25,7 @@ func TestAdaptiveHysteresisOscillation(t *testing.T) {
 
 	// Epochs 1-4 oscillate, 5-6 hold the shifted pattern, 7-9 shift
 	// back (into the cooldown the adoption at 6 started).
-	src := &phaseSource{matrices: []*comm.Matrix{
+	src := &phaseSource{affs: []comm.Affinity{
 		clus, ring, clus, ring, // flapping
 		clus, clus, // persistent shift
 		ring, ring, ring, // shift back, lands in cooldown

@@ -10,24 +10,6 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-// phaseAffinitySource scripts an AffinitySource the way phaseSource
-// scripts a MatrixSource: affs[i] on call i, clamping at the last.
-type phaseAffinitySource struct {
-	affs  []comm.Affinity
-	calls int
-}
-
-func (s *phaseAffinitySource) Name() string { return "phase-affinity-script" }
-
-func (s *phaseAffinitySource) Affinity() (comm.Affinity, error) {
-	i := s.calls
-	if i >= len(s.affs) {
-		i = len(s.affs) - 1
-	}
-	s.calls++
-	return s.affs[i], nil
-}
-
 // sparseCopy rebuilds an affinity as a Sparse with identical entries.
 func sparseCopy(a comm.Affinity) *comm.Sparse {
 	s := comm.NewSparse(a.Order())
@@ -134,12 +116,12 @@ func TestAdaptivePartitionedRemapIsolated(t *testing.T) {
 	}
 	base := comm.RingOfClusters(64, 32, 1<<20, 1<<12) // 2048 tasks, sparse
 
-	asrc := &phaseAffinitySource{}
-	rec, err := NewAffinityReconciler(eng, asrc, nil, AdaptiveConfig{})
+	asrc := &phaseSource{}
+	rec, err := NewReconciler(eng, asrc, nil, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.PrimeAffinity(FixedAffinity("declared", base)); err != nil {
+	if err := rec.Prime(Fixed("declared", base)); err != nil {
 		t.Fatal(err)
 	}
 	static := rec.Current()
@@ -272,29 +254,5 @@ func TestComputeAffinityCaching(t *testing.T) {
 		if a1.ComputePU[i] != a3.ComputePU[i] {
 			t.Fatalf("affinity and dense paths disagree at task %d", i)
 		}
-	}
-}
-
-// TestAffinitySourceAdapters covers AffinityOf and FixedAffinity.
-func TestAffinitySourceAdapters(t *testing.T) {
-	m := ringMatrix(4, 1)
-	as := AffinityOf(Fixed("trace", m))
-	if as.Name() != "trace" {
-		t.Fatalf("adapted name %q", as.Name())
-	}
-	aff, err := as.Affinity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aff.Order() != 4 || aff.Total() != m.Total() {
-		t.Fatalf("adapted affinity order %d total %v", aff.Order(), aff.Total())
-	}
-
-	fa := FixedAffinity("", comm.NewSparse(3))
-	if fa.Name() != "fixed-affinity" {
-		t.Fatalf("default fixed-affinity name %q", fa.Name())
-	}
-	if _, err := FixedAffinity("empty", nil).Affinity(); err == nil {
-		t.Fatalf("nil fixed affinity did not error")
 	}
 }

@@ -8,23 +8,23 @@ import (
 	"orwlplace/internal/topology"
 )
 
-// phaseSource scripts a MatrixSource: it serves matrices[i] on call i,
-// clamping at the last — the replayed trace of a program whose
-// communication pattern shifts mid-run.
+// phaseSource scripts a Source: it serves affs[i] on call i, clamping
+// at the last — the replayed trace of a program whose communication
+// pattern shifts mid-run.
 type phaseSource struct {
-	matrices []*comm.Matrix
-	calls    int
+	affs  []comm.Affinity
+	calls int
 }
 
 func (s *phaseSource) Name() string { return "phase-script" }
 
-func (s *phaseSource) Matrix() (*comm.Matrix, error) {
+func (s *phaseSource) Affinity() (comm.Affinity, error) {
 	i := s.calls
-	if i >= len(s.matrices) {
-		i = len(s.matrices) - 1
+	if i >= len(s.affs) {
+		i = len(s.affs) - 1
 	}
 	s.calls++
-	return s.matrices[i], nil
+	return s.affs[i], nil
 }
 
 // ringMatrix is a 1D pipeline: heavy volume between index neighbours.
@@ -89,7 +89,7 @@ func TestAdaptiveGoldenShift(t *testing.T) {
 	phaseB := strideClusters(n, 4, vol)
 
 	// Three epochs of the declared pattern, then the shift.
-	src := &phaseSource{matrices: []*comm.Matrix{phaseA, phaseA, phaseA, phaseB, phaseB}}
+	src := &phaseSource{affs: []comm.Affinity{phaseA, phaseA, phaseA, phaseB, phaseB}}
 	rec, err := NewReconciler(eng, src, nil, AdaptiveConfig{
 		Horizon:  horizon,
 		Workload: adaptiveWorkload(n),
@@ -187,7 +187,7 @@ func TestAdaptiveDriftFreeNeverRemaps(t *testing.T) {
 	}
 	phase := ringMatrix(n, 1<<20)
 	halfVolume := ringMatrix(n, 1<<19) // same structure, half the traffic
-	src := &phaseSource{matrices: []*comm.Matrix{phase, halfVolume, phase, comm.NewMatrix(n), phase}}
+	src := &phaseSource{affs: []comm.Affinity{phase, halfVolume, phase, comm.NewMatrix(n), phase}}
 	rec, err := NewReconciler(eng, src, nil, AdaptiveConfig{Workload: adaptiveWorkload(n)})
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +350,9 @@ func BenchmarkAdaptiveEpochRemap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			flip.matrices = []*comm.Matrix{c}
+			flip.affs = []comm.Affinity{c}
 		} else {
-			flip.matrices = []*comm.Matrix{a}
+			flip.affs = []comm.Affinity{a}
 		}
 		flip.calls = 0
 		if _, err := rec.Epoch(); err != nil {

@@ -115,7 +115,7 @@ func TestDenseDriftMatchesReference(t *testing.T) {
 	}
 }
 
-// recyclingSource scripts an AffinitySource that gives its windows away:
+// recyclingSource scripts a Source that gives its windows away:
 // it serves a fresh copy of affs[i] on call i (clamping at the last) and
 // records what the reconciler hands back.
 type recyclingSource struct {
@@ -138,12 +138,13 @@ func (s *recyclingSource) Recycle(a comm.Affinity) { s.recycled = append(s.recyc
 
 // TestReconcilerDenseBaselineRefreshed: the unpartitioned dense loop
 // measures drift against a cached form of its baseline, so every way the
-// baseline changes must drop it — after an adoption, a SetCurrentAffinity
-// and a PrimeAffinity a steady epoch on the new baseline's own pattern
-// measures 0, where a stale form would measure the distance to the
-// previous baseline. The source recycles, which also pins the hand-off:
-// a steady window comes back itself; an adopted one is kept as the
-// baseline, without a copy, and the baseline it replaced comes back.
+// baseline changes must drop it — after an adoption, a SetCurrent and a
+// Prime a steady epoch on the new baseline's own pattern measures 0,
+// where a stale form would measure the distance to the previous
+// baseline. The source recycles, which also pins the hand-off: a steady
+// window comes back itself, and so does the window of a failed epoch;
+// an adopted one is kept as the baseline, without a copy, and the
+// baseline it replaced comes back.
 func TestReconcilerDenseBaselineRefreshed(t *testing.T) {
 	const n = 16
 	eng, err := NewEngine(topology.Fig2Machine())
@@ -152,11 +153,11 @@ func TestReconcilerDenseBaselineRefreshed(t *testing.T) {
 	}
 	ring, cliques, other := ringMatrix(n, 1<<20), strideClusters(n, 4, 1<<20), strideClusters(n, 2, 1<<20)
 	src := &recyclingSource{}
-	rec, err := NewAffinityReconciler(eng, src, nil, AdaptiveConfig{Horizon: 50, Workload: adaptiveWorkload(n)})
+	rec, err := NewReconciler(eng, src, nil, AdaptiveConfig{Horizon: 50, Workload: adaptiveWorkload(n)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.PrimeAffinity(FixedAffinity("declared", ring)); err != nil {
+	if err := rec.Prime(Fixed("declared", ring)); err != nil {
 		t.Fatal(err)
 	}
 	epoch := func(window comm.Affinity) *EpochReport {
@@ -198,15 +199,26 @@ func TestReconcilerDenseBaselineRefreshed(t *testing.T) {
 	}
 	steady("after adoption", cliques)
 
-	if err := rec.SetCurrentAffinity(rec.Current(), other); err != nil {
+	if err := rec.SetCurrent(rec.Current(), other); err != nil {
 		t.Fatal(err)
 	}
-	steady("after SetCurrentAffinity", other)
+	steady("after SetCurrent", other)
 
-	if err := rec.PrimeAffinity(FixedAffinity("declared", ring)); err != nil {
+	if err := rec.Prime(Fixed("declared", ring)); err != nil {
 		t.Fatal(err)
 	}
-	steady("after PrimeAffinity", ring)
+	steady("after Prime", ring)
+
+	// A window the 16-task model cannot score fails the epoch, and is
+	// still handed back.
+	src.affs, src.calls = []comm.Affinity{ringMatrix(2*n, 1<<20)}, 0
+	if _, err := rec.Epoch(); err == nil {
+		t.Fatal("an epoch over a wider task space than the mapping succeeded")
+	}
+	if src.recycled[len(src.recycled)-1] != src.served[len(src.served)-1] {
+		t.Fatal("the window of a failed epoch was not handed back")
+	}
+	steady("after a failed epoch", ring)
 
 	// In between the cache does its job: steady epochs share one form.
 	rec.mu.Lock()

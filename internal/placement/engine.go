@@ -15,9 +15,9 @@ import (
 // machine. 256 covers both with room to spare.
 const defaultCacheEntries = 256
 
-// Engine owns the placement pipeline for one machine: matrix
-// extraction from a running program, strategy dispatch with mapping
-// memoisation, and binding commit. It is safe for concurrent use.
+// Engine owns the placement pipeline for one machine: extraction from
+// a source and strategy dispatch with mapping memoisation; the binding
+// commit is the free Bind. It is safe for concurrent use.
 type Engine struct {
 	top     *topology.Topology
 	topoSig uint64
@@ -84,30 +84,23 @@ func (e *Engine) Topology() *topology.Topology { return e.top }
 // tree.
 func (e *Engine) TopologySignature() uint64 { return e.topoSig }
 
-// Extract produces the communication matrix from a source — step 1 of
-// the pipeline (orwl_dependency_get), behind the MatrixSource seam:
-// the declared handle graph, the runtime-observed traffic, or a fixed
-// trace all enter the pipeline here.
-func (e *Engine) Extract(src MatrixSource) (*comm.Matrix, error) {
+// Extract produces the communication affinity from a source — step 1
+// of the pipeline (orwl_dependency_get), behind the Source seam: the
+// declared handle graph, the runtime-observed traffic, or a fixed
+// trace all enter the pipeline here, in whichever representation the
+// source stores them.
+func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 	if src == nil {
 		return nil, fmt.Errorf("placement: extract from nil source")
 	}
-	m, err := src.Matrix()
+	a, err := src.Affinity()
 	if err != nil {
 		return nil, err
 	}
-	if m == nil {
-		return nil, fmt.Errorf("placement: source %q produced a nil matrix", src.Name())
+	if comm.NilAffinity(a) {
+		return nil, fmt.Errorf("placement: source %q produced a nil affinity", src.Name())
 	}
-	return m, nil
-}
-
-// ExtractMatrix derives the communication matrix from the declared
-// runtime state of a program — Extract over a DeclaredSource. A nil
-// program, or one that has not announced any handles, is a
-// descriptive error instead of a panic.
-func (e *Engine) ExtractMatrix(prog *orwl.Program) (*comm.Matrix, error) {
-	return e.Extract(Declared(prog))
+	return a, nil
 }
 
 // Compute runs the named strategy — step 2 of the pipeline
@@ -116,20 +109,14 @@ func (e *Engine) ExtractMatrix(prog *orwl.Program) (*comm.Matrix, error) {
 // assignment is the caller's to keep: mutating it does not corrupt
 // the cache.
 func (e *Engine) Compute(strategy string, m *comm.Matrix, n int, opt Options) (*Assignment, error) {
-	a, _, err := e.ComputeWithInfo(strategy, m, n, opt)
+	a, _, err := e.ComputeHinted(strategy, m, 0, n, opt)
 	return a, err
 }
 
-// ComputeWithInfo is Compute additionally reporting whether the
-// assignment was served from the mapping cache — the signal the
-// Service surface forwards to remote callers, who cannot read the
-// engine's counters between calls.
-func (e *Engine) ComputeWithInfo(strategy string, m *comm.Matrix, n int, opt Options) (*Assignment, bool, error) {
-	return e.ComputeHinted(strategy, m, 0, n, opt)
-}
-
-// ComputeHinted is ComputeWithInfo with an optional precomputed matrix
-// fingerprint (PlaceRequest.MatrixFP): hashing the matrix is the
+// ComputeHinted is Compute additionally reporting whether the
+// assignment was served from the mapping cache — the signal the Service
+// surface forwards to remote callers — with an optional precomputed
+// matrix fingerprint (PlaceRequest.MatrixFP): hashing the matrix is the
 // dominant cost of a warm cache hit, and callers that already know the
 // identity — the wire layer resolved the matrix BY fingerprint, or the
 // service hashed it once for its own caches — pass it here instead of
@@ -164,24 +151,6 @@ func (e *Engine) ComputeHinted(strategy string, m *comm.Matrix, fp uint64, n int
 	return e.computeKeyed(key, strategy, func() (*Assignment, error) {
 		return s.Map(e.top, m, n, opt)
 	})
-}
-
-// ExtractAffinity produces the communication affinity from a source —
-// Extract lifted onto the representation-independent surface, so a
-// sparse source (a fleet matrix, observed counters above the dense
-// threshold) enters the pipeline without materializing n².
-func (e *Engine) ExtractAffinity(src AffinitySource) (comm.Affinity, error) {
-	if src == nil {
-		return nil, fmt.Errorf("placement: extract from nil affinity source")
-	}
-	a, err := src.Affinity()
-	if err != nil {
-		return nil, err
-	}
-	if a == nil {
-		return nil, fmt.Errorf("placement: source %q produced a nil affinity", src.Name())
-	}
-	return a, nil
 }
 
 // ComputeAffinity is Compute on the affinity surface: strategies
@@ -299,12 +268,7 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 
 // Bind commits an assignment to a program — step 3 of the pipeline
 // (orwl_affinity_set). Unbound assignments are a no-op: the program
-// simply keeps running under the OS scheduler.
-func (e *Engine) Bind(prog *orwl.Program, a *Assignment) error {
-	return Bind(prog, a)
-}
-
-// Bind commits an assignment to a program. It is a free function
+// simply keeps running under the OS scheduler. It is a free function
 // because binding is purely local: a program that obtained its
 // assignment from a remote placement service applies it without an
 // engine of its own.
@@ -356,44 +320,6 @@ func BindTasks(prog *orwl.Program, a *Assignment, tasks []int) error {
 		}
 	}
 	return nil
-}
-
-// PlaceProgram runs the full pipeline on a scheduled program: extract
-// the declared matrix, compute the named strategy's assignment, commit
-// it. Nil or handle-less programs return a descriptive error.
-func (e *Engine) PlaceProgram(prog *orwl.Program, strategy string, opt Options) (*Assignment, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("placement: place nil program")
-	}
-	return e.PlaceSource(prog, Declared(prog), strategy, opt)
-}
-
-// PlaceSource runs the pipeline with an explicit matrix source:
-// extract from src, compute, commit onto prog. It is how a feedback
-// loop re-places a program from its observed traffic while the
-// declared graph stays untouched.
-func (e *Engine) PlaceSource(prog *orwl.Program, src MatrixSource, strategy string, opt Options) (*Assignment, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("placement: place nil program")
-	}
-	m, err := e.Extract(src)
-	if err != nil {
-		return nil, err
-	}
-	n := m.Order()
-	if tasks := prog.NumTasks(); n < tasks {
-		// A source narrower than the program (e.g. an empty observed
-		// window) must not silently place a task subset.
-		return nil, fmt.Errorf("placement: source %q covers %d entities, program has %d tasks", src.Name(), n, tasks)
-	}
-	a, err := e.Compute(strategy, m, 0, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Bind(prog, a); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,7 +188,7 @@ func TestNoneStrategyUnbound(t *testing.T) {
 	}
 
 	prog := orwl.MustProgram(4, "m")
-	if err := eng.Bind(prog, a); err != nil {
+	if err := Bind(prog, a); err != nil {
 		t.Fatal(err)
 	}
 	if prog.Binding() != nil {
@@ -206,7 +207,7 @@ func TestBindCommitsAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := orwl.MustProgram(4, "m")
-	if err := eng.Bind(prog, a); err != nil {
+	if err := Bind(prog, a); err != nil {
 		t.Fatal(err)
 	}
 	b := prog.Binding()
@@ -333,8 +334,16 @@ func TestPlaceFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.PlaceProgram(prog, TreeMatch, Options{})
+	// The paper's three steps: extract, compute, bind.
+	aff, err := eng.Extract(Declared(prog))
 	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := eng.Compute(TreeMatch, aff.Dense(), 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Bind(prog, a); err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.Binding()) != 4 {
@@ -343,6 +352,21 @@ func TestPlaceFullPipeline(t *testing.T) {
 	if a.Strategy != TreeMatch {
 		t.Errorf("strategy = %q", a.Strategy)
 	}
+}
+
+// registerForTest registers s until the test ends, so the test can run
+// again in the same process (-count).
+func registerForTest(t *testing.T, s Strategy) {
+	t.Helper()
+	if err := Register(s); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		delete(registry, s.Name())
+		regOrder = slices.DeleteFunc(regOrder, func(name string) bool { return name == s.Name() })
+	})
 }
 
 // gateStrategy counts its Map invocations and blocks each one until
@@ -381,7 +405,7 @@ func TestComputeSingleflight(t *testing.T) {
 		started: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	MustRegister(gate)
+	registerForTest(t, gate)
 	eng, err := NewEngine(topology.TinyFlat())
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +419,7 @@ func TestComputeSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, hit, err := eng.ComputeWithInfo(gate.name, nil, 4, Options{})
+			a, hit, err := eng.ComputeHinted(gate.name, nil, 0, 4, Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -436,7 +460,7 @@ func TestComputeSingleflight(t *testing.T) {
 	if results[1].ComputePU[0] == 99 {
 		t.Error("followers share the leader's slice")
 	}
-	a, hit, err := eng.ComputeWithInfo(gate.name, nil, 4, Options{})
+	a, hit, err := eng.ComputeHinted(gate.name, nil, 0, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +486,7 @@ func TestComputeSingleflightError(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// n = 0 entities: every strategy rejects the request.
-			_, _, err := eng.ComputeWithInfo("compact", nil, 0, Options{})
+			_, _, err := eng.ComputeHinted("compact", nil, 0, 0, Options{})
 			errs[i] = err
 		}(i)
 	}
@@ -501,7 +525,7 @@ func (p *panicStrategy) Map(*topology.Topology, *comm.Matrix, int, Options) (*As
 // to the leader, and the key recomputes on the next call.
 func TestComputeSingleflightPanic(t *testing.T) {
 	ps := &panicStrategy{started: make(chan struct{}, 1), release: make(chan struct{})}
-	MustRegister(ps)
+	registerForTest(t, ps)
 	eng, err := NewEngine(topology.TinyFlat())
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +539,7 @@ func TestComputeSingleflightPanic(t *testing.T) {
 	<-ps.started
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := eng.ComputeWithInfo(ps.Name(), nil, 2, Options{})
+		_, _, err := eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
 		followerErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the follower park on the flight

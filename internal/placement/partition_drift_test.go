@@ -221,8 +221,8 @@ func rewire(base comm.Affinity, tasks []int) *comm.Sparse {
 
 // TestReconcilerPartitionBaselineRefreshed: the reconciler keeps the
 // baseline's partition-drift form across steady epochs, so every way
-// the baseline changes must drop it. After an adoption, a
-// SetCurrentAffinity and a PrimeAffinity, a steady epoch on the new
+// the baseline changes must drop it. After an adoption, a SetCurrent and
+// a Prime, a steady epoch on the new
 // baseline's own pattern measures drift 0 — a stale cached form would
 // measure the distance to the previous baseline instead.
 func TestReconcilerPartitionBaselineRefreshed(t *testing.T) {
@@ -231,12 +231,12 @@ func TestReconcilerPartitionBaselineRefreshed(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := comm.RingOfClusters(64, 32, 1<<20, 1<<12) // 2048 tasks, sparse
-	asrc := &phaseAffinitySource{}
-	rec, err := NewAffinityReconciler(eng, asrc, nil, AdaptiveConfig{})
+	asrc := &phaseSource{}
+	rec, err := NewReconciler(eng, asrc, nil, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.PrimeAffinity(FixedAffinity("declared", base)); err != nil {
+	if err := rec.Prime(Fixed("declared", base)); err != nil {
 		t.Fatal(err)
 	}
 	parts := rec.Current().Partitions
@@ -270,18 +270,18 @@ func TestReconcilerPartitionBaselineRefreshed(t *testing.T) {
 	}
 	steady("after adoption", shifted)
 
-	// SetCurrentAffinity: the same assignment over yet another baseline.
+	// SetCurrent: the same assignment over yet another baseline.
 	other := rewire(base, parts.Parts[2].Tasks)
-	if err := rec.SetCurrentAffinity(rec.Current(), other); err != nil {
+	if err := rec.SetCurrent(rec.Current(), other); err != nil {
 		t.Fatal(err)
 	}
-	steady("after SetCurrentAffinity", other)
+	steady("after SetCurrent", other)
 
-	// PrimeAffinity: mapping and baseline recomputed from scratch.
-	if err := rec.PrimeAffinity(FixedAffinity("declared", base)); err != nil {
+	// Prime: mapping and baseline recomputed from scratch.
+	if err := rec.Prime(Fixed("declared", base)); err != nil {
 		t.Fatal(err)
 	}
-	steady("after PrimeAffinity", base)
+	steady("after Prime", base)
 	// And the cache is doing its job in between: two steady epochs in a
 	// row share one baseline form.
 	rec.mu.Lock()

@@ -348,23 +348,6 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	return resp, nil
 }
 
-// PlaceFrom is Place with the request's matrix drawn from a source at
-// call time — the service-level face of the MatrixSource seam. The
-// caller's request is not mutated; its Matrix field, if set, is
-// overridden by the source.
-func (s *LocalService) PlaceFrom(ctx context.Context, src MatrixSource, req *PlaceRequest) (*PlaceResponse, error) {
-	if req == nil {
-		return nil, fmt.Errorf("placement: nil request")
-	}
-	m, err := s.eng.Extract(src)
-	if err != nil {
-		return nil, err
-	}
-	sourced := *req
-	sourced.Matrix = m
-	return s.Place(ctx, &sourced)
-}
-
 // PlaceBatch implements Service: the slots fan out concurrently onto
 // the engine, whose singleflight collapses identical slots into one
 // compute.

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -51,8 +50,8 @@ func testEngine(t *testing.T) *Engine {
 
 func TestExtractMatrixNilProgram(t *testing.T) {
 	eng := testEngine(t)
-	if _, err := eng.ExtractMatrix(nil); err == nil || !strings.Contains(err.Error(), "nil program") {
-		t.Errorf("ExtractMatrix(nil) error = %v, want nil-program error", err)
+	if _, err := eng.Extract(Declared(nil)); err == nil || !strings.Contains(err.Error(), "nil program") {
+		t.Errorf("Extract(Declared(nil)) error = %v, want nil-program error", err)
 	}
 	if _, err := eng.Extract(nil); err == nil {
 		t.Error("Extract(nil) accepted")
@@ -62,19 +61,9 @@ func TestExtractMatrixNilProgram(t *testing.T) {
 func TestExtractMatrixUnscheduledProgram(t *testing.T) {
 	eng := testEngine(t)
 	prog := orwl.MustProgram(4, "data") // no handles, never scheduled
-	_, err := eng.ExtractMatrix(prog)
+	_, err := eng.Extract(Declared(prog))
 	if err == nil || !strings.Contains(err.Error(), "no handle insertions") {
-		t.Errorf("ExtractMatrix(unscheduled) error = %v, want descriptive error", err)
-	}
-}
-
-func TestPlaceProgramNilAndUnscheduled(t *testing.T) {
-	eng := testEngine(t)
-	if _, err := eng.PlaceProgram(nil, TreeMatch, Options{}); err == nil {
-		t.Error("PlaceProgram(nil) accepted")
-	}
-	if _, err := eng.PlaceProgram(orwl.MustProgram(2, "x"), TreeMatch, Options{}); err == nil {
-		t.Error("PlaceProgram(unscheduled, no handles) accepted")
+		t.Errorf("Extract(Declared(unscheduled)) error = %v, want descriptive error", err)
 	}
 }
 
@@ -103,47 +92,15 @@ func TestObservedSourceWindows(t *testing.T) {
 	}
 	// The wired program ran no critical sections, so windows are empty
 	// but well-formed.
-	m, err := src.Matrix()
+	a, err := src.Affinity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Order() != 4 || m.Total() != 0 {
-		t.Errorf("window = order %d total %g, want order 4 total 0", m.Order(), m.Total())
+	if a.Order() != 4 || a.Total() != 0 {
+		t.Errorf("window = order %d total %g, want order 4 total 0", a.Order(), a.Total())
 	}
-	if _, err := Observed(nil).Matrix(); err == nil {
-		t.Error("Observed(nil) accepted")
-	}
-}
-
-func TestPlaceSourceRejectsNarrowSource(t *testing.T) {
-	prog := wiredProgram(t)
-	eng := testEngine(t)
-	narrow := Fixed("narrow", comm.NewMatrix(2))
-	if _, err := eng.PlaceSource(prog, narrow, TreeMatch, Options{}); err == nil {
-		t.Error("PlaceSource with a 2-entity source for a 4-task program accepted")
-	}
-}
-
-func TestLocalServicePlaceFrom(t *testing.T) {
-	prog := wiredProgram(t)
-	eng := testEngine(t)
-	svc, err := NewLocalService(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := svc.PlaceFrom(context.Background(), Declared(prog), &PlaceRequest{Strategy: TreeMatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Assignment == nil || len(resp.Assignment.ComputePU) != 4 {
-		t.Fatalf("PlaceFrom assignment = %+v", resp.Assignment)
-	}
-	if resp.Cost == 0 {
-		t.Error("PlaceFrom cost = 0: the source's matrix did not reach the diagnostics")
-	}
-	// The source seam must fail loudly, not place an empty matrix.
-	if _, err := svc.PlaceFrom(context.Background(), Declared(nil), &PlaceRequest{Strategy: TreeMatch}); err == nil {
-		t.Error("PlaceFrom with nil-program source accepted")
+	if _, err := ObservedWindow(nil).Affinity(); err == nil {
+		t.Error("ObservedWindow(nil) accepted")
 	}
 }
 
@@ -151,15 +108,47 @@ func TestFixedSource(t *testing.T) {
 	m := comm.NewMatrix(3)
 	m.Set(0, 1, 7)
 	src := Fixed("trace", m)
-	got, err := src.Matrix()
+	got, err := src.Affinity()
 	if err != nil || got.At(0, 1) != 7 {
-		t.Errorf("Fixed.Matrix() = %v, %v", got, err)
+		t.Errorf("Fixed.Affinity() = %v, %v", got, err)
 	}
 	if src.Name() != "trace" {
 		t.Errorf("name = %q", src.Name())
 	}
-	if _, err := Fixed("", nil).Matrix(); err == nil {
+	if _, err := Fixed("", nil).Affinity(); err == nil {
 		t.Error("Fixed(nil) accepted")
+	}
+}
+
+// TestAffinitySourceAdapters covers Fixed over either affinity
+// representation: a dense matrix and a sparse one serve the same
+// affinity through the one Source, and a nil one, typed or not, is
+// refused.
+func TestAffinitySourceAdapters(t *testing.T) {
+	m := ringMatrix(4, 1)
+	for _, a := range []comm.Affinity{m, comm.SparseFromMatrix(m)} {
+		src := Fixed("trace", a)
+		if src.Name() != "trace" {
+			t.Fatalf("%T source name %q", a, src.Name())
+		}
+		aff, err := src.Affinity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aff.Order() != 4 || aff.Total() != m.Total() || aff.At(0, 1) != m.At(0, 1) {
+			t.Fatalf("%T source affinity order %d total %v", a, aff.Order(), aff.Total())
+		}
+	}
+
+	if name := Fixed("", comm.NewSparse(3)).Name(); name != "fixed" {
+		t.Fatalf("default fixed name %q", name)
+	}
+	var typedNil *comm.Matrix
+	var typedNilSparse *comm.Sparse
+	for _, a := range []comm.Affinity{nil, typedNil, typedNilSparse} {
+		if _, err := Fixed("empty", a).Affinity(); err == nil {
+			t.Errorf("Fixed(%#v) accepted", a)
+		}
 	}
 }
 
@@ -185,7 +174,7 @@ func TestObservedWindowSourcesIndependent(t *testing.T) {
 
 	a, b := ObservedWindow(prog), ObservedWindow(prog)
 	transfer()
-	ma, err := a.Matrix()
+	ma, err := a.Affinity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +182,7 @@ func TestObservedWindowSourcesIndependent(t *testing.T) {
 		t.Fatalf("source a window total %g, want 100", ma.Total())
 	}
 	// Source b must still see the same epoch even though a consumed it.
-	mb, err := b.Matrix()
+	mb, err := b.Affinity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +194,7 @@ func TestObservedWindowSourcesIndependent(t *testing.T) {
 		t.Fatalf("program default window total %g, want 100", got)
 	}
 	transfer()
-	if got, _ := a.Matrix(); got.Total() != 100 {
+	if got, _ := a.Affinity(); got.Total() != 100 {
 		t.Fatalf("source a second epoch total %g, want 100", got.Total())
 	}
 }

@@ -180,22 +180,22 @@ func PlaceOn(ctx context.Context, svc Service, strategy string, m *Matrix, n int
 // Program is the ORWL runtime instance adaptive placement re-binds.
 type Program = orwl.Program
 
-// MatrixSource is the seam for step 1 of the pipeline: where the
-// communication matrix comes from — the declared handle graph, the
+// Source is the seam for step 1 of the pipeline: where the
+// communication affinity comes from — the declared handle graph, the
 // runtime-observed traffic, or a fixed trace.
-type MatrixSource = placement.MatrixSource
+type Source = placement.Source
 
 // DeclaredSource wraps a program's declared dependency graph (the
 // paper's schedule-barrier extraction) as a source.
-func DeclaredSource(prog *Program) MatrixSource { return placement.Declared(prog) }
+func DeclaredSource(prog *Program) Source { return placement.Declared(prog) }
 
 // ObservedSource wraps a program's runtime-measured traffic as a
 // windowed source: every extraction consumes the epoch since the
 // previous one — the adaptive loop's diet.
-func ObservedSource(prog *Program) MatrixSource { return placement.ObservedWindow(prog) }
+func ObservedSource(prog *Program) Source { return placement.ObservedWindow(prog) }
 
 // FixedSource wraps a constant matrix (a replayed trace) as a source.
-func FixedSource(label string, m *Matrix) MatrixSource { return placement.Fixed(label, m) }
+func FixedSource(label string, m *Matrix) Source { return placement.Fixed(label, m) }
 
 // Adaptive is the epoch-driven re-placement reconciler: it samples an
 // observed-traffic source, measures drift against the matrix backing
@@ -227,7 +227,7 @@ func Drift(a, b *Matrix) float64 { return placement.Drift(a, b) }
 // its epoch/drift/remap counters surface through Stats (and the
 // fleet's aggregate). Remote services are rejected: re-binding needs
 // the program's runtime state, which lives in this process.
-func NewAdaptive(svc Service, src MatrixSource, prog *Program, cfg AdaptiveConfig) (*Adaptive, error) {
+func NewAdaptive(svc Service, src Source, prog *Program, cfg AdaptiveConfig) (*Adaptive, error) {
 	if fleet, ok := svc.(*Fleet); ok {
 		machine, err := fleet.MachineService("")
 		if err != nil {
