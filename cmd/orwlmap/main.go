@@ -58,11 +58,7 @@ func main() {
 
 	fmt.Printf("\n%-16s %12s %14s\n", "strategy", "cost", "cross-NUMA B")
 	report := func(name string, pus []int) {
-		cost, err := treematch.Cost(top, m, pus)
-		if err != nil {
-			fail(err)
-		}
-		cross, err := treematch.CrossNUMAVolume(top, m, pus)
+		cost, cross, err := treematch.Quality(top, m, pus)
 		if err != nil {
 			fail(err)
 		}

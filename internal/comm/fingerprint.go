@@ -26,6 +26,12 @@ const (
 // change between builds. A client and server that happen to disagree
 // (mixed builds) stay correct — every fingerprint reference misses and
 // the body is resent — they just lose the compact-request optimisation.
+//
+// Contract: the fingerprint is computable from the matrix's (zero-gap,
+// run) stream alone, without visiting a zero cell — FingerprintFold
+// does exactly that, and the wire codec hashes sparse bodies with it
+// on both sides. A replacement digest must keep that property (one that
+// hashes only the nonzeros has it by construction).
 func Fingerprint(m *Matrix) uint64 {
 	if m == nil {
 		return 0
@@ -39,4 +45,71 @@ func Fingerprint(m *Matrix) uint64 {
 		}
 	}
 	return h
+}
+
+// FingerprintFold computes Fingerprint from the run-length view of a
+// matrix — zero gaps and runs of equal words over the row-major cell
+// stream — in O(runs) rather than O(n²). FNV-1a over a +0 word is a
+// bare multiply, so a gap of g zero cells folds as one multiply by p^g,
+// read from byte-indexed power tables; a run of L equal words folds L
+// times. Call Start, then Zeros and Run in cell order; Sum folds the
+// cells not yet covered as trailing zeros. The zero value is unusable
+// before Start.
+type FingerprintFold struct {
+	h    uint64
+	left int // cells not yet folded
+}
+
+// fnvPow[k][b] is p^(b·256^k): any gap below 2²⁴ costs three lookups.
+var fnvPow = fnvPowers()
+
+// fnvPow24 is p^(2²⁴), the step of a gap beyond the tables.
+var fnvPow24 = fnvPow[2][255] * fnvPow[2][1]
+
+func fnvPowers() (t [3][256]uint64) {
+	step := uint64(fnvPrime64) // p^(256^k)
+	for k := range t {
+		t[k][0] = 1
+		for b := 1; b < 256; b++ {
+			t[k][b] = t[k][b-1] * step
+		}
+		step *= t[k][255]
+	}
+	return t
+}
+
+// Start begins the fold of an order-n matrix.
+func (f *FingerprintFold) Start(n int) {
+	f.h = (fnvOffset64 ^ uint64(n)) * fnvPrime64
+	f.left = n * n
+}
+
+// Zeros folds g zero cells.
+func (f *FingerprintFold) Zeros(g int) {
+	f.left -= g
+	for ; g >= 1<<24; g -= 1 << 24 {
+		f.h *= fnvPow24
+	}
+	f.h *= fnvPow[0][g&0xff] * fnvPow[1][g>>8&0xff] * fnvPow[2][g>>16]
+}
+
+// Run folds l cells holding the word bits (float64 bits).
+func (f *FingerprintFold) Run(bits uint64, l int) {
+	if bits == 0 {
+		f.Zeros(l)
+		return
+	}
+	f.left -= l
+	for ; l > 0; l-- {
+		f.h = (f.h ^ bits) * fnvPrime64
+	}
+}
+
+// Sum returns the fingerprint, folding the cells not yet covered as
+// zeros.
+func (f *FingerprintFold) Sum() uint64 {
+	if f.left > 0 {
+		f.Zeros(f.left)
+	}
+	return f.h
 }

@@ -1,10 +1,8 @@
 package orwlnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"orwlplace/internal/comm"
@@ -109,53 +107,41 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 	if m, ok := delta.(*comm.Matrix); ok {
 		// The dense scan as is — it also keeps -0 cells bit-exact, which
 		// no sparse affinity holds.
-		return putMatrixCompact(dst, m), nil
+		dst, _ = putMatrixField(dst, m)
+		return dst, nil
 	}
 	return putAffinityCompact(dst, delta), nil
 }
 
-// putAffinityCompact emits the bytes putMatrixCompact emits for
-// a.Dense() without visiting a zero cell: it walks the row-sorted
-// nonzeros, a run extends while the next one is the adjacent cell of
-// the same row with the same bits, and a run's zero-gap is its cell
-// index minus the end of the previous run.
+// putAffinityCompact emits the bytes putMatrixField emits for a.Dense()
+// without visiting a zero cell: it walks the row-sorted nonzeros, and a
+// run extends while the next one is the adjacent cell of the same row
+// with the same bits.
 func putAffinityCompact(dst []byte, a comm.Affinity) []byte {
 	n := a.Order()
-	start := len(dst)
-	dst = putUvarint(append(dst, matSparse), uint64(n))
-	// The run count precedes the triplets but is known only after the
-	// walk: leave room for the longest varint, close the gap at the end.
-	hole := len(dst)
-	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
-	var runs, runBits uint64
-	var end, runAt, runCol, runLen int // end: one past the previous run
-	flush := func() {
-		if runLen > 0 {
-			dst = putUvarint(dst, uint64(runAt-end))
-			dst = putUvarint(dst, uint64(runLen))
-			dst = putUvarint(dst, bits.ReverseBytes64(runBits))
-			end, runLen = runAt+runLen, 0
-			runs++
+	e := newRunEmitter(dst, n)
+	var runBits uint64
+	var i, runCol, runLen int
+	// One closure for every row: a literal inside the loop would be
+	// allocated per row, since ForEachRow is an interface call.
+	row := func(j int, v float64) {
+		if b := math.Float64bits(v); runLen == 0 || j != runCol+runLen || b != runBits {
+			if runLen > 0 {
+				e.run(i*n+runCol, runLen, runBits)
+			}
+			runCol, runBits, runLen = j, b, 0
+		}
+		runLen++
+	}
+	for i = 0; i < n; i++ {
+		a.ForEachRow(i, row)
+		if runLen > 0 { // a run never crosses a row boundary
+			e.run(i*n+runCol, runLen, runBits)
+			runLen = 0
 		}
 	}
-	for i := 0; i < n; i++ {
-		a.ForEachRow(i, func(j int, v float64) {
-			if b := math.Float64bits(v); runLen == 0 || j != runCol+runLen || b != runBits {
-				flush()
-				runAt, runCol, runBits = i*n+j, j, b
-			}
-			runLen++
-		})
-		flush() // a run never crosses a row boundary
-	}
-	var count [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(count[:], runs)
-	if len(dst)-hole-len(count)+uvarintLen(uint64(n))+k >= 8+8*n*n {
-		// Dense is no larger: the choice putMatrixCompact makes.
-		return putMatrixDenseBody(append(dst[:start], matDense), a.Dense())
-	}
-	copy(dst[hole:], count[:k])
-	return append(dst[:hole+k], dst[hole+len(count):]...)
+	dst, _ = e.close(a)
+	return dst
 }
 
 // decodeObservedReport decodes a report frame, refusing an order above
@@ -667,46 +653,13 @@ func (d *remapDelta) remap(a *placement.Assignment) *ctrlplane.Remap {
 // FleetStats codec (the last stats payload field).
 
 func putFleetStats(dst []byte, st placement.FleetStats) []byte {
-	dst = putUint64(dst, st.ReportsReceived)
-	dst = putUint64(dst, st.PeersTracked)
-	dst = putUint64(dst, st.RemapsPushed)
-	dst = putUint64(dst, st.StalePeersEvicted)
-	dst = putUint64(dst, st.Watchers)
-	dst = putUint64(dst, st.ReportsThrottled)
-	dst = putUint64(dst, st.LeaseConflicts)
-	dst = putUint64(dst, st.DeltaPushes)
-	return putUint64(dst, st.FullPushes)
+	return putUint64s(dst, st.ReportsReceived, st.PeersTracked, st.RemapsPushed, st.StalePeersEvicted,
+		st.Watchers, st.ReportsThrottled, st.LeaseConflicts, st.DeltaPushes, st.FullPushes)
 }
 
 func getFleetStats(src []byte) (placement.FleetStats, []byte, error) {
 	var st placement.FleetStats
-	var err error
-	if st.ReportsReceived, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.PeersTracked, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.RemapsPushed, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.StalePeersEvicted, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.Watchers, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.ReportsThrottled, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.LeaseConflicts, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.DeltaPushes, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.FullPushes, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	return st, src, nil
+	src, err := getUint64s(src, &st.ReportsReceived, &st.PeersTracked, &st.RemapsPushed, &st.StalePeersEvicted,
+		&st.Watchers, &st.ReportsThrottled, &st.LeaseConflicts, &st.DeltaPushes, &st.FullPushes)
+	return st, src, err
 }

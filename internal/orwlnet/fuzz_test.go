@@ -21,30 +21,35 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 	runs, _ := sparseSize(ring)
 	f.Add(appendSparseBody(nil, ring, runs))
 	f.Add(appendSparseBody(nil, comm.NewMatrix(3), 0))
+	// A hostile body whose runs carry +0: zeros sent as a value run.
+	f.Add(putUvarint(putUvarint(putUvarint(putUvarint(putUvarint(nil, 3), 1), 2), 4), 0))
 	f.Add(putUvarint(nil, 1<<40))
 	f.Add(putUvarint(putUvarint(nil, 4), 1<<30))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, _, err := getSparseBody(data)
+		m, fp, _, err := getSparseBody(data)
 		if err != nil {
 			return // rejected is fine; panicking is not
 		}
-		// Anything accepted must survive a re-encode round trip with
-		// its fingerprint intact — byte-identity is not guaranteed (the
-		// input may encode zeros as value runs), value-identity is.
-		runs, size := sparseSize(m)
-		re := appendSparseBody(nil, m, runs)
-		if len(re) != size {
-			t.Fatalf("sparseSize predicted %d bytes, encoder wrote %d", size, len(re))
+		if want := comm.Fingerprint(m); fp != want {
+			t.Fatalf("decode folded %016x, comm.Fingerprint of the decoded matrix is %016x", fp, want)
 		}
-		got, rest, err := getSparseBody(re)
+		// Anything accepted must survive a re-encode round trip with
+		// its fingerprint intact — byte-identity with the input is not
+		// guaranteed (the input may encode zeros as value runs), with
+		// the reference encoder it is.
+		re, reFP := putMatrixField(nil, m)
+		if ref := putMatrixCompact(nil, m); !bytes.Equal(re, ref) {
+			t.Fatalf("emitter wrote %d bytes, reference %d", len(re), len(ref))
+		}
+		got, gotFP, rest, err := getMatrix(re, nil)
 		if err != nil {
 			t.Fatalf("re-encoded matrix rejected: %v", err)
 		}
 		if len(rest) != 0 {
 			t.Fatalf("re-encode left %d trailing bytes", len(rest))
 		}
-		if comm.Fingerprint(got) != comm.Fingerprint(m) {
+		if reFP != fp || gotFP != fp || comm.Fingerprint(got) != fp {
 			t.Fatal("fingerprint drifted across re-encode")
 		}
 	})
@@ -78,15 +83,31 @@ func FuzzFrameHeader(f *testing.F) {
 // FuzzPlaceRequestDecode feeds arbitrary bytes to the serving side's
 // full request decoder (seen-matrix table attached, as in the daemon):
 // every mode byte, varint and length field is reachable, and none may
-// panic or over-allocate.
+// panic or over-allocate. Whatever decodes carries the fingerprint the
+// decoder folded, which must be comm.Fingerprint of its matrix.
 func FuzzPlaceRequestDecode(f *testing.F) {
 	req := &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(4)}
-	f.Add(encodePlaceRequest(nil, req, false))
-	f.Add(encodePlaceRequest(nil, req, true))
+	body := encodeReq(req, false)
+	f.Add(body)
+	f.Add(encodeReq(req, true))
 	f.Add([]byte{protoVersion})
+	// The same request with its sparse body's runs spelled out as +0
+	// value runs around the nonzeros.
+	head := body[:len(body)-len(putMatrixCompact(nil, req.Matrix))]
+	f.Add(append(append([]byte(nil), head...), matSparse, 4, 3, 0, 1, 0, 0, 2, 0xbe, 0x71, 0, 13, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mc := newMatrixCache(4)
-		_, _, _ = decodePlaceRequest(data, mc)
-		_, _ = decodePlaceBatchRequest(data, mc)
+		check := func(r *placement.PlaceRequest) {
+			if r.Matrix != nil && r.MatrixFP != comm.Fingerprint(r.Matrix) {
+				t.Fatalf("decode folded %016x, comm.Fingerprint of the decoded matrix is %016x", r.MatrixFP, comm.Fingerprint(r.Matrix))
+			}
+		}
+		if r, _, err := decodePlaceRequest(data, mc); err == nil {
+			check(r)
+		}
+		reqs, _ := decodePlaceBatchRequest(data, mc)
+		for _, r := range reqs {
+			check(r)
+		}
 	})
 }

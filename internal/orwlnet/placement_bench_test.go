@@ -2,6 +2,8 @@ package orwlnet
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
 	"testing"
 
@@ -17,33 +19,7 @@ import (
 // the request/response payload bodies out of the per-call allocation
 // count.
 func BenchmarkPlaceComputeRoundTrip(b *testing.B) {
-	top := topology.TinyFlat()
-	eng, err := placement.NewEngine(top)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := placement.NewLocalService(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewServer(lis, nil, WithPlacement(svc))
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
-
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	remote := c.PlacementService()
-
+	remote := startBenchService(b, topology.TinyFlat())
 	req := &placement.PlaceRequest{
 		Strategy: placement.TreeMatch,
 		Matrix:   comm.Ring(8, 1<<16, true),
@@ -63,6 +39,91 @@ func BenchmarkPlaceComputeRoundTrip(b *testing.B) {
 		if resp.Assignment == nil {
 			b.Fatal("no assignment")
 		}
+	}
+}
+
+// startBenchService serves one machine's placement engine over
+// loopback TCP for the length of the benchmark and returns a connected
+// stub.
+func startBenchService(b *testing.B, top *topology.Topology) *RemoteService {
+	b.Helper()
+	eng, err := placement.NewEngine(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := placement.NewLocalService(eng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(lis, nil, WithPlacement(svc))
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve()
+	b.Cleanup(func() { srv.Close() })
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c.PlacementService()
+}
+
+// coldClustered is a never-seen-before workload matrix: n tasks
+// permuted into clusters of eight with about 1 MiB on every
+// intra-cluster pair and 1 KiB on a ring linking consecutive clusters
+// (about 6% nonzero at 160 tasks). It returns the matrix and one
+// intra-cluster pair, whose volume a caller bumps to make the next
+// request new to every cache.
+func coldClustered(rng *rand.Rand, n int) (m *comm.Matrix, a, b int) {
+	m = comm.NewMatrix(n)
+	members := rng.Perm(n)
+	for c := 0; c < n; c += 8 {
+		group := members[c : c+8]
+		for i, x := range group {
+			for _, y := range group[i+1:] {
+				m.AddSym(x, y, float64(1<<20+rng.Intn(1<<16)))
+			}
+		}
+		m.AddSym(group[7], members[(c+8)%n], 1<<10)
+	}
+	return m, members[0], members[1]
+}
+
+// BenchmarkPlaceColdRoundTrip is the cold placement path end to end:
+// every request carries a clustered matrix the daemon has never seen,
+// without a MatrixFP hint, so the stub encodes and fingerprints its
+// body, the daemon decodes it, misses both caches, runs TreeMatch and
+// computes the quality diagnostics.
+func BenchmarkPlaceColdRoundTrip(b *testing.B) {
+	top, err := topology.ByName("smp20e7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	remote := startBenchService(b, top)
+	ctx := context.Background()
+	for _, n := range []int{64, 96, 160} {
+		// One matrix across every b.N round, so no round repeats another's.
+		m, x, y := coldClustered(rand.New(rand.NewSource(int64(n))), n)
+		req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m, Entities: n}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.AddSym(x, y, 1)
+				resp, err := remote.Place(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.CacheHit || resp.Assignment == nil {
+					b.Fatalf("cold request answered hit=%v assignment=%v", resp.CacheHit, resp.Assignment)
+				}
+			}
+		})
 	}
 }
 

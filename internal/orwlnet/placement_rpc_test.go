@@ -178,7 +178,7 @@ func TestPlacementRequiresHandshake(t *testing.T) {
 		return resp
 	}
 
-	place := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(3)}, false)
+	place := encodeReq(&placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(3)}, false)
 	if resp := send(1, opPlaceCompute, place); !errors.Is(responseError(resp), ErrVersion) {
 		t.Fatalf("placement RPC before handshake answered status %d: %s", resp.op, resp.payload)
 	}

@@ -2,6 +2,7 @@ package orwlnet
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -83,31 +84,35 @@ func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
 	return dst
 }
 
-func getMatrixDenseBody(rest []byte) (*comm.Matrix, []byte, error) {
+// getMatrixDenseBody decodes a dense body, folding its comm.Fingerprint
+// during the copy.
+func getMatrixDenseBody(rest []byte) (*comm.Matrix, uint64, []byte, error) {
 	n64, rest, err := getUint64(rest)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	n := int(n64)
 	if n < 0 || n > maxMessage/8 || len(rest) < 8*n*n {
-		return nil, nil, fmt.Errorf("orwlnet: truncated matrix (order %d)", n)
+		return nil, 0, nil, fmt.Errorf("orwlnet: truncated matrix (order %d)", n)
 	}
 	m := comm.NewMatrix(n)
+	var fp comm.FingerprintFold
+	fp.Start(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var v float64
-			v, rest, _ = getFloat64(rest)
-			m.Set(i, j, v)
+		row := m.RowView(i)
+		for j := range row {
+			u := binary.LittleEndian.Uint64(rest)
+			rest = rest[8:]
+			row[j] = math.Float64frombits(u)
+			fp.Run(u, 1)
 		}
 	}
-	return m, rest, nil
+	return m, fp.Sum(), rest, nil
 }
 
 func putOptions(dst []byte, o placement.Options) []byte {
 	dst = putBool(dst, o.ControlThreads)
-	dst = putFloat64(dst, o.ControlVolumeFraction)
-	dst = putUint64(dst, uint64(int64(o.ExhaustiveLimit)))
-	return putUint64(dst, uint64(int64(o.RefineRounds)))
+	return putUint64s(dst, math.Float64bits(o.ControlVolumeFraction), uint64(int64(o.ExhaustiveLimit)), uint64(int64(o.RefineRounds)))
 }
 
 func getOptions(src []byte) (placement.Options, []byte, error) {
@@ -116,19 +121,11 @@ func getOptions(src []byte) (placement.Options, []byte, error) {
 	if o.ControlThreads, src, err = getBool(src); err != nil {
 		return o, nil, err
 	}
-	if o.ControlVolumeFraction, src, err = getFloat64(src); err != nil {
-		return o, nil, err
-	}
-	var u uint64
-	if u, src, err = getUint64(src); err != nil {
-		return o, nil, err
-	}
-	o.ExhaustiveLimit = int(int64(u))
-	if u, src, err = getUint64(src); err != nil {
-		return o, nil, err
-	}
-	o.RefineRounds = int(int64(u))
-	return o, src, nil
+	var fraction, limit, rounds uint64
+	src, err = getUint64s(src, &fraction, &limit, &rounds)
+	o.ControlVolumeFraction = math.Float64frombits(fraction)
+	o.ExhaustiveLimit, o.RefineRounds = int(int64(limit)), int(int64(rounds))
+	return o, src, err
 }
 
 // assignment flag bits.
@@ -138,55 +135,27 @@ const (
 )
 
 func putCacheStats(dst []byte, st placement.CacheStats) []byte {
-	dst = putUint64(dst, st.Hits)
-	dst = putUint64(dst, st.Misses)
-	return putUint64(dst, uint64(int64(st.Entries)))
+	return putUint64s(dst, st.Hits, st.Misses, uint64(int64(st.Entries)))
 }
 
 func getCacheStats(src []byte) (placement.CacheStats, []byte, error) {
 	var st placement.CacheStats
-	var err error
-	if st.Hits, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.Misses, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	var u uint64
-	if u, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	st.Entries = int(int64(u))
-	return st, src, nil
+	var entries uint64
+	src, err := getUint64s(src, &st.Hits, &st.Misses, &entries)
+	st.Entries = int(int64(entries))
+	return st, src, err
 }
 
 func putAdaptiveStats(dst []byte, st placement.AdaptiveStats) []byte {
-	dst = putUint64(dst, st.Epochs)
-	dst = putUint64(dst, st.DriftEpochs)
-	dst = putUint64(dst, st.Remaps)
-	dst = putUint64(dst, st.Rejected)
-	return putFloat64(dst, st.LastDrift)
+	return putUint64s(dst, st.Epochs, st.DriftEpochs, st.Remaps, st.Rejected, math.Float64bits(st.LastDrift))
 }
 
 func getAdaptiveStats(src []byte) (placement.AdaptiveStats, []byte, error) {
 	var st placement.AdaptiveStats
-	var err error
-	if st.Epochs, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.DriftEpochs, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.Remaps, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.Rejected, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.LastDrift, src, err = getFloat64(src); err != nil {
-		return st, nil, err
-	}
-	return st, src, nil
+	var drift uint64
+	src, err := getUint64s(src, &st.Epochs, &st.DriftEpochs, &st.Remaps, &st.Rejected, &drift)
+	st.LastDrift = math.Float64frombits(drift)
+	return st, src, err
 }
 
 // checkVersion consumes the leading version byte of a payload,
@@ -201,30 +170,39 @@ func checkVersion(src []byte) ([]byte, error) {
 	return src[1:], nil
 }
 
-// encodePlaceRequest frames one placement request. When fpOnly is set
-// and the request carries a matrix, the matrix field is its
-// comm.Fingerprint reference instead of a body — the caller asserts
-// the serving peer has already seen the body and is prepared to resend
-// it on an ErrUnknownMatrix answer.
-func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, fpOnly bool) []byte {
+// encodePlaceRequest frames one placement request and returns the
+// matrix's comm.Fingerprint (zero without a matrix): the caller's
+// MatrixFP hint, or else the fold of the one walk that encoded the
+// body. known reports whether the serving peer holds a fingerprint's
+// body (nil: assume it holds none); a matrix it holds crosses as the
+// fingerprint reference instead, and the caller must be prepared to
+// resend the body on an ErrUnknownMatrix answer.
+func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp uint64) bool) ([]byte, uint64) {
 	dst = append(dst, protoVersion)
 	dst = putString(dst, req.Machine)
 	dst = putString(dst, req.Strategy)
 	dst = putUint64(dst, uint64(int64(req.Entities)))
 	dst = putOptions(dst, req.Options)
-	if fpOnly && req.Matrix != nil {
-		return putMatrixFingerprint(dst, reqFP(req), req.Matrix.Order())
+	m, hint := req.Matrix, req.MatrixFP
+	if m == nil {
+		return append(dst, matAbsent), 0
 	}
-	return putMatrixCompact(dst, req.Matrix)
-}
-
-// reqFP returns the request matrix's fingerprint, trusting the
-// caller's precomputed MatrixFP hint when set.
-func reqFP(req *placement.PlaceRequest) uint64 {
-	if req.MatrixFP != 0 {
-		return req.MatrixFP
+	if hint != 0 {
+		// The warm path: the hint names the matrix without a walk.
+		if known != nil && known(hint) {
+			return putMatrixFingerprint(dst, hint, m.Order()), hint
+		}
+		dst, _ = putMatrixField(dst, m)
+		return dst, hint
 	}
-	return comm.Fingerprint(req.Matrix)
+	// The cold path: encode the body, and swap it for the reference when
+	// the fingerprint its walk folded turns out to be known.
+	at := len(dst)
+	dst, fp := putMatrixField(dst, m)
+	if known != nil && known(fp) {
+		dst = putMatrixFingerprint(dst[:at], fp, m.Order())
+	}
+	return dst, fp
 }
 
 // decodePlaceRequest decodes one request and returns the remaining
@@ -316,20 +294,23 @@ const minBatchSlotBytes = 32
 
 // encodePlaceBatchRequest frames a request slice for opPlaceBatch:
 // version byte, slot count, then every slot encoded exactly like a
-// single request (own version byte included). fpOnly decides per slot
-// whether its matrix crosses as a fingerprint reference (nil = always
-// send bodies): the pooled client sends references for matrices the
-// server has seen and bodies for the rest, within one batch frame.
-func encodePlaceBatchRequest(dst []byte, reqs []*placement.PlaceRequest, fpOnly func(req *placement.PlaceRequest) bool) ([]byte, error) {
+// single request (own version byte included). known decides per slot
+// whether its matrix crosses as a fingerprint reference, as in
+// encodePlaceRequest: the pooled client sends references for matrices
+// the server has seen and bodies for the rest, within one batch frame.
+// The second result holds every slot's fingerprint (zero for a slot
+// without a matrix).
+func encodePlaceBatchRequest(dst []byte, reqs []*placement.PlaceRequest, known func(fp uint64) bool) ([]byte, []uint64, error) {
 	dst = append(dst, protoVersion)
 	dst = putUint64(dst, uint64(len(reqs)))
+	fps := make([]uint64, len(reqs))
 	for i, req := range reqs {
 		if req == nil {
-			return nil, fmt.Errorf("orwlnet: nil request in batch slot %d", i)
+			return nil, nil, fmt.Errorf("orwlnet: nil request in batch slot %d", i)
 		}
-		dst = encodePlaceRequest(dst, req, fpOnly != nil && fpOnly(req))
+		dst, fps[i] = encodePlaceRequest(dst, req, known)
 	}
-	return dst, nil
+	return dst, fps, nil
 }
 
 // decodePlaceBatchRequest is the serving side's batch decode: matrix
@@ -527,68 +508,89 @@ func unzigzagFloat(u uint64) float64 {
 	return math.Float64frombits(bits.ReverseBytes64(u))
 }
 
-// sparseSize measures the exact sparse-body size of m (runs and bytes,
-// excluding the mode byte) in one pass over the cell stream, so the
-// encoder can choose the smaller of sparse and dense without encoding
-// twice. A cell is "zero" only when its bit pattern is exactly +0:
-// the encoding must round-trip bits (NaNs, -0) exactly, or the
-// client's fingerprint and the server's would drift apart and every
-// fingerprint-only request would miss.
-func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
-	n := m.Order()
-	gap := 0
-	for i := 0; i < n; i++ {
-		row := m.RowView(i)
-		for j := 0; j < n; {
-			if math.Float64bits(row[j]) == 0 {
-				gap++
-				j++
-				continue
-			}
-			runLen := 1
-			for j+runLen < n && math.Float64bits(row[j+runLen]) == math.Float64bits(row[j]) {
-				runLen++
-			}
-			runs++
-			bodyBytes += uvarintLen(uint64(gap)) + uvarintLen(uint64(runLen)) + uvarintLen(zigzagFloat(row[j]))
-			gap = 0
-			j += runLen
-		}
-	}
-	bodyBytes += uvarintLen(uint64(n)) + uvarintLen(uint64(runs))
-	return runs, bodyBytes
+// runEmitter writes a matrix field in the compact encoding in one walk:
+// its driver hands it the nonzero runs in row-major cell order, and it
+// appends their triplets straight into the payload while folding the
+// matrix's comm.Fingerprint. The sparse body is uvarint order, uvarint
+// run count, then (zero-gap, run-length, reversed-bits value) varint
+// triplets; a run never crosses a row boundary or a change of bits,
+// and the gap field is the RLE of the zero cells between runs. A cell
+// is "zero" only when its bit pattern is exactly +0: the encoding must
+// round-trip bits (NaNs, -0) exactly, or the client's fingerprint and
+// the server's would drift apart and every reference would miss.
+type runEmitter struct {
+	dst         []byte
+	start, hole int // offsets of the mode byte and of the run-count hole
+	n, end      int // order; cell index one past the previous run
+	runs        uint64
+	fp          comm.FingerprintFold
 }
 
-// appendSparseBody emits the sparse body: uvarint order, uvarint run
-// count, then (zero-gap, run-length, reversed-bits value) varint
-// triplets over the row-major cell stream. Runs never cross a value
-// change; the gap field is the RLE of the zero cells between them.
-func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
+func newRunEmitter(dst []byte, n int) runEmitter {
+	e := runEmitter{start: len(dst), n: n}
+	e.dst = putUvarint(append(dst, matSparse), uint64(n))
+	// The run count precedes the triplets but is known only after the
+	// walk: leave room for the longest varint, close the gap at the end.
+	e.hole = len(e.dst)
+	e.dst = append(e.dst, make([]byte, binary.MaxVarintLen64)...)
+	e.fp.Start(n)
+	return e
+}
+
+// run emits length cells of the word b starting at cell index at.
+func (e *runEmitter) run(at, length int, b uint64) {
+	gap := at - e.end
+	e.fp.Zeros(gap)
+	e.fp.Run(b, length)
+	e.dst = putUvarint(e.dst, uint64(gap))
+	e.dst = putUvarint(e.dst, uint64(length))
+	e.dst = putUvarint(e.dst, bits.ReverseBytes64(b))
+	e.end = at + length
+	e.runs++
+}
+
+// close finishes the field and returns it with the fingerprint. A
+// sparse body no smaller than the dense 8+8n² layout is replaced by the
+// dense field of a, which holds the cells the runs described.
+func (e *runEmitter) close(a comm.Affinity) ([]byte, uint64) {
+	fp := e.fp.Sum()
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], e.runs)
+	if len(e.dst)-e.hole-len(count)+uvarintLen(uint64(e.n))+k >= 8+8*e.n*e.n {
+		return putMatrixDenseBody(append(e.dst[:e.start], matDense), a.Dense()), fp
+	}
+	copy(e.dst[e.hole:], count[:k])
+	return append(e.dst[:e.hole+k], e.dst[e.hole+len(count):]...), fp
+}
+
+// putMatrixField encodes a matrix field — sparse or dense, whichever is
+// smaller, a choice invisible to the decoder (both carry their mode
+// byte), so density drift never changes the protocol — and returns the
+// matrix's comm.Fingerprint (zero for nil), all in one walk over the
+// cells.
+func putMatrixField(dst []byte, m *comm.Matrix) ([]byte, uint64) {
+	if m == nil {
+		return append(dst, matAbsent), 0
+	}
 	n := m.Order()
-	dst = putUvarint(dst, uint64(n))
-	dst = putUvarint(dst, uint64(runs))
-	gap := 0
+	e := newRunEmitter(dst, n)
 	for i := 0; i < n; i++ {
 		row := m.RowView(i)
 		for j := 0; j < n; {
 			b := math.Float64bits(row[j])
 			if b == 0 {
-				gap++
 				j++
 				continue
 			}
-			runLen := 1
-			for j+runLen < n && math.Float64bits(row[j+runLen]) == b {
-				runLen++
+			l := 1
+			for j+l < n && math.Float64bits(row[j+l]) == b {
+				l++
 			}
-			dst = putUvarint(dst, uint64(gap))
-			dst = putUvarint(dst, uint64(runLen))
-			dst = putUvarint(dst, zigzagFloat(row[j]))
-			gap = 0
-			j += runLen
+			e.run(i*n+j, l, b)
+			j += l
 		}
 	}
-	return dst
+	return e.close(m)
 }
 
 // getSparseHeader reads a sparse body's order and run count, leaving
@@ -654,40 +656,32 @@ func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length
 	return body, nil
 }
 
-// getSparseBody decodes a sparse matrix body.
-func getSparseBody(src []byte) (*comm.Matrix, []byte, error) {
+// getSparseBody decodes a sparse matrix body, folding its
+// comm.Fingerprint from the runs as it writes them: O(runs), never a
+// pass over the zero cells.
+func getSparseBody(src []byte) (*comm.Matrix, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	m := comm.NewMatrix(n)
+	var fp comm.FingerprintFold
+	fp.Start(n)
+	end := 0 // cell index one past the previous run
 	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
-		for k := col; k < col+length; k++ {
-			m.Set(row, k, v)
+		cells := m.RowView(row)[col : col+length]
+		for k := range cells {
+			cells[k] = v
 		}
+		at := row*n + col
+		fp.Zeros(at - end)
+		fp.Run(math.Float64bits(v), length)
+		end = at + length
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	return m, rest, nil
-}
-
-// putMatrixCompact encodes a matrix field, choosing
-// the smaller of the sparse and dense encodings. The choice is
-// invisible to the decoder (both carry their mode byte), so density
-// drift in a workload never changes the protocol.
-func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
-	if m == nil {
-		return append(dst, matAbsent)
-	}
-	n := m.Order()
-	runs, sparseBytes := sparseSize(m)
-	if sparseBytes >= 8+8*n*n {
-		dst = append(dst, matDense)
-		return putMatrixDenseBody(dst, m)
-	}
-	dst = append(dst, matSparse)
-	return appendSparseBody(dst, m, runs)
+	return m, fp.Sum(), rest, nil
 }
 
 // putMatrixFingerprint encodes a fingerprint-only matrix reference:
@@ -703,10 +697,10 @@ func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
 // side's seen-matrix table: full bodies are remembered in it and
 // fingerprint references resolved from it; a nil mc (client-side
 // decode, codec tests) still decodes bodies but refuses fingerprint
-// references. The second result is the matrix's comm.Fingerprint when
-// the decode path established it anyway (resolving a reference, or
-// remembering a body) — the serving side forwards it as the request's
-// MatrixFP hint so the engine never re-hashes; zero when unknown.
+// references. The second result is the matrix's comm.Fingerprint
+// (zero without a matrix), folded while a body decodes or read from a
+// reference — the serving side forwards it as the request's MatrixFP
+// hint so the engine never re-hashes.
 func getMatrix(src []byte, mc *matrixCache) (*comm.Matrix, uint64, []byte, error) {
 	if len(src) < 1 {
 		return nil, 0, nil, fmt.Errorf("orwlnet: truncated matrix mode")
@@ -715,26 +709,19 @@ func getMatrix(src []byte, mc *matrixCache) (*comm.Matrix, uint64, []byte, error
 	switch mode {
 	case matAbsent:
 		return nil, 0, rest, nil
-	case matDense:
-		m, rest, err := getMatrixDenseBody(rest)
+	case matDense, matSparse:
+		decode := getMatrixDenseBody
+		if mode == matSparse {
+			decode = getSparseBody
+		}
+		m, fp, rest, err := decode(rest)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		var fp uint64
 		if mc != nil {
-			fp = comm.Fingerprint(m)
-			mc.remember(fp, m)
-		}
-		return m, fp, rest, nil
-	case matSparse:
-		m, rest, err := getSparseBody(rest)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		var fp uint64
-		if mc != nil {
-			mc.sparseSeen.Add(1)
-			fp = comm.Fingerprint(m)
+			if mode == matSparse {
+				mc.sparseSeen.Add(1)
+			}
 			mc.remember(fp, m)
 		}
 		return m, fp, rest, nil
@@ -944,44 +931,15 @@ func getAssignment(src []byte) (*placement.Assignment, []byte, error) {
 // NetStats codec (a stats payload field).
 
 func putNetStats(dst []byte, st placement.NetStats) []byte {
-	dst = putUint64(dst, st.InFlight)
-	dst = putUint64(dst, st.PeakInFlight)
-	dst = putUint64(dst, st.BytesIn)
-	dst = putUint64(dst, st.BytesOut)
-	dst = putUint64(dst, st.SparseMatrices)
-	dst = putUint64(dst, st.FingerprintHits)
-	dst = putUint64(dst, st.FingerprintMisses)
-	return putUint64(dst, uint64(int64(st.MatrixCacheEntries)))
+	return putUint64s(dst, st.InFlight, st.PeakInFlight, st.BytesIn, st.BytesOut, st.SparseMatrices,
+		st.FingerprintHits, st.FingerprintMisses, uint64(int64(st.MatrixCacheEntries)))
 }
 
 func getNetStats(src []byte) (placement.NetStats, []byte, error) {
 	var st placement.NetStats
-	var err error
-	if st.InFlight, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.PeakInFlight, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.BytesIn, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.BytesOut, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.SparseMatrices, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.FingerprintHits, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	if st.FingerprintMisses, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	var u uint64
-	if u, src, err = getUint64(src); err != nil {
-		return st, nil, err
-	}
-	st.MatrixCacheEntries = int(int64(u))
-	return st, src, nil
+	var entries uint64
+	src, err := getUint64s(src, &st.InFlight, &st.PeakInFlight, &st.BytesIn, &st.BytesOut, &st.SparseMatrices,
+		&st.FingerprintHits, &st.FingerprintMisses, &entries)
+	st.MatrixCacheEntries = int(int64(entries))
+	return st, src, err
 }

@@ -1,0 +1,261 @@
+package orwlnet
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"orwlplace/internal/comm"
+	"orwlplace/internal/placement"
+)
+
+// The two-walk matrix encoder the one-walk emitter replaced, kept as
+// the reference its bytes are pinned against: sparseSize measures the
+// sparse body in one pass over the cells, appendSparseBody writes it in
+// a second, and putMatrixCompact picks the smaller of sparse and dense.
+
+func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
+	n := m.Order()
+	gap := 0
+	for i := 0; i < n; i++ {
+		row := m.RowView(i)
+		for j := 0; j < n; {
+			if math.Float64bits(row[j]) == 0 {
+				gap++
+				j++
+				continue
+			}
+			runLen := 1
+			for j+runLen < n && math.Float64bits(row[j+runLen]) == math.Float64bits(row[j]) {
+				runLen++
+			}
+			runs++
+			bodyBytes += uvarintLen(uint64(gap)) + uvarintLen(uint64(runLen)) + uvarintLen(zigzagFloat(row[j]))
+			gap = 0
+			j += runLen
+		}
+	}
+	bodyBytes += uvarintLen(uint64(n)) + uvarintLen(uint64(runs))
+	return runs, bodyBytes
+}
+
+func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
+	n := m.Order()
+	dst = putUvarint(dst, uint64(n))
+	dst = putUvarint(dst, uint64(runs))
+	gap := 0
+	for i := 0; i < n; i++ {
+		row := m.RowView(i)
+		for j := 0; j < n; {
+			b := math.Float64bits(row[j])
+			if b == 0 {
+				gap++
+				j++
+				continue
+			}
+			runLen := 1
+			for j+runLen < n && math.Float64bits(row[j+runLen]) == b {
+				runLen++
+			}
+			dst = putUvarint(dst, uint64(gap))
+			dst = putUvarint(dst, uint64(runLen))
+			dst = putUvarint(dst, zigzagFloat(row[j]))
+			gap = 0
+			j += runLen
+		}
+	}
+	return dst
+}
+
+func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
+	if m == nil {
+		return append(dst, matAbsent)
+	}
+	n := m.Order()
+	runs, sparseBytes := sparseSize(m)
+	if sparseBytes >= 8+8*n*n {
+		dst = append(dst, matDense)
+		return putMatrixDenseBody(dst, m)
+	}
+	dst = append(dst, matSparse)
+	return appendSparseBody(dst, m, runs)
+}
+
+// emitterCase is one seeded matrix of the equivalence test.
+type emitterCase struct {
+	n       int
+	density float64
+	values  []float64 // nil: full-entropy values
+}
+
+// build fills an order-n matrix: density of the cells drawn from values,
+// plus, from order 4 up, the awkward cells — -0 and NaN, and an
+// equal-value run that crosses a row end.
+func (c emitterCase) build(seed int64) *comm.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := comm.NewMatrix(c.n)
+	for i := 0; i < c.n; i++ {
+		for j := 0; j < c.n; j++ {
+			if rng.Float64() >= c.density {
+				continue
+			}
+			if c.values == nil {
+				m.Set(i, j, 1+rng.Float64()*1e9)
+			} else {
+				m.Set(i, j, c.values[rng.Intn(len(c.values))])
+			}
+		}
+	}
+	if c.n >= 4 && c.density > 0 {
+		m.Set(0, 1, math.Copysign(0, -1))
+		m.Set(1, 0, math.NaN())
+		m.Set(1, c.n-1, 4096)
+		m.Set(2, 0, 4096)
+		m.Set(2, 1, 4096)
+	}
+	return m
+}
+
+// TestWireEmitterMatchesTwoWalkReference: over orders 0 to the codec
+// limit and densities from empty to full, the one-walk emitter writes
+// the reference encoder's bytes, and the fingerprint it folds, the one
+// the decoder folds and comm.Fingerprint of the decoded matrix are all
+// comm.Fingerprint of the input.
+func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
+	var cases []emitterCase
+	for _, n := range []int{0, 1, 63, 160, 513} {
+		for _, density := range []float64{0, 0.01, 0.06, 0.12, 0.5, 2} {
+			cases = append(cases,
+				emitterCase{n, density, []float64{1, 65536, 1 << 20, 1.5}},
+				emitterCase{n, density, nil})
+		}
+	}
+	// All zero at the codec's largest order: one trailing gap above 2¹⁶
+	// cells, the fold's highest power table.
+	cases = append(cases, emitterCase{n: maxMatrixOrder})
+	for ci, c := range cases {
+		name := fmt.Sprintf("n=%d/density=%g/runs=%v", c.n, c.density, c.values != nil)
+		m := c.build(int64(ci))
+		want := comm.Fingerprint(m)
+		ref := putMatrixCompact([]byte{0xee}, m)
+		got, fp := putMatrixField([]byte{0xee}, m)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("%s: emitter wrote %d bytes (mode %d), reference %d (mode %d); first difference at %d",
+				name, len(got), got[1], len(ref), ref[1], firstDiff(got, ref))
+		}
+		back, decFP, rest, err := getMatrix(got[1:], nil)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: decode: %v (%d trailing)", name, err, len(rest))
+		}
+		if !bitsEqual(m, back) {
+			t.Fatalf("%s: round trip not bit-exact", name)
+		}
+		if fp != want || decFP != want || comm.Fingerprint(back) != want {
+			t.Fatalf("%s: fingerprints emitter %016x, decoder %016x, decoded %016x, want %016x",
+				name, fp, decFP, comm.Fingerprint(back), want)
+		}
+	}
+}
+
+// TestWireDecodeFoldsZeroValueRuns: a hostile body that spells zeros
+// out as +0 value runs decodes to the matrix the canonical body gives,
+// with the same folded fingerprint.
+func TestWireDecodeFoldsZeroValueRuns(t *testing.T) {
+	m := comm.NewMatrix(4)
+	m.Set(0, 1, 2)
+	m.Set(0, 2, 2)
+	body := []byte{4, 3, 0, 1, 0, 0, 2, 0x40, 0, 13, 0} // (0,1,+0) (0,2,2.0) (0,13,+0)
+	got, fp, rest, err := getSparseBody(body)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v (%d trailing)", err, len(rest))
+	}
+	if !bitsEqual(got, m) || fp != comm.Fingerprint(m) {
+		t.Fatalf("decoded %v with %016x, want %v with %016x", got, fp, m, comm.Fingerprint(m))
+	}
+}
+
+// TestWireBatchFingerprints: a batch frame returns every slot's
+// fingerprint — from the hint, the body walk, or nothing for a slot
+// without a matrix — and sends a reference exactly for the known ones.
+func TestWireBatchFingerprints(t *testing.T) {
+	hinted, unhinted, known := chainMatrix(4), chainMatrix(5), chainMatrix(6)
+	reqs := []*placement.PlaceRequest{
+		{Strategy: "treematch", Matrix: hinted, MatrixFP: comm.Fingerprint(hinted)},
+		{Strategy: "treematch", Matrix: unhinted},
+		{Strategy: "round-robin-pu", Entities: 3},
+		{Strategy: "treematch", Matrix: known},
+	}
+	isKnown := func(fp uint64) bool { return fp == comm.Fingerprint(known) }
+	enc, fps, err := encodePlaceBatchRequest(nil, reqs, isKnown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		if want := comm.Fingerprint(req.Matrix); fps[i] != want {
+			t.Errorf("slot %d: fingerprint %016x, want %016x", i, fps[i], want)
+		}
+	}
+	mc := newMatrixCache(4)
+	mc.remember(comm.Fingerprint(known), known)
+	back, err := decodePlaceBatchRequest(enc, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		if (req.Matrix == nil) != (back[i].Matrix == nil) || (req.Matrix != nil && !bitsEqual(req.Matrix, back[i].Matrix)) {
+			t.Errorf("slot %d: matrix did not survive the frame", i)
+		}
+		if back[i].MatrixFP != fps[i] {
+			t.Errorf("slot %d: server folded %016x, client %016x", i, back[i].MatrixFP, fps[i])
+		}
+	}
+	if hits := mc.fpHits.Load(); hits != 1 {
+		t.Errorf("%d slots crossed as references, want 1 (the known one)", hits)
+	}
+}
+
+// TestWireBatchForgetsFromEncodedFingerprints drives PlaceBatch through
+// a reference miss against a live server: the stub forgets the beliefs
+// from the fingerprints its encode established, resends bodies, and
+// remembers every slot again.
+func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
+	srv, _, addr := startPlacementServer(t)
+	svc, err := DialPlacementService(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	reqs := []*placement.PlaceRequest{
+		{Strategy: "treematch", Matrix: chainMatrix(4)},
+		{Strategy: "treematch", Matrix: chainMatrix(5)},
+		{Strategy: "round-robin-pu", Entities: 3},
+	}
+	if _, err := svc.PlaceBatch(ctx, reqs); err != nil {
+		t.Fatal(err)
+	}
+	srv.matrices = newMatrixCache(defaultMatrixCacheEntries) // the daemon forgets every body
+	resps, err := svc.PlaceBatch(ctx, reqs)
+	if err != nil {
+		t.Fatalf("batch after table flush: %v", err)
+	}
+	for i, resp := range resps {
+		if resp.Err != "" || resp.Assignment == nil {
+			t.Errorf("slot %d: %+v", i, resp)
+		}
+	}
+	if misses := srv.matrices.fpMisses.Load(); misses == 0 {
+		t.Error("flushed table recorded no fingerprint miss")
+	}
+	if n := srv.matrices.len(); n != 2 {
+		t.Errorf("resend installed %d bodies, want 2", n)
+	}
+	for _, req := range reqs[:2] {
+		if !svc.known.has(comm.Fingerprint(req.Matrix)) {
+			t.Error("stub forgot a body the daemon holds again")
+		}
+	}
+}

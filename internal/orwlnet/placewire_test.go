@@ -27,6 +27,20 @@ func mustEncode(b []byte, err error) []byte {
 	return b
 }
 
+// encodeReq frames one request, its matrix as the fingerprint reference
+// when ref is set and as the body otherwise.
+func encodeReq(req *placement.PlaceRequest, ref bool) []byte {
+	b, _ := encodePlaceRequest(nil, req, func(uint64) bool { return ref })
+	return b
+}
+
+// encodeBatch frames a request slice, every matrix as its fingerprint
+// reference when ref is set and as the body otherwise.
+func encodeBatch(reqs []*placement.PlaceRequest, ref bool) ([]byte, error) {
+	b, _, err := encodePlaceBatchRequest(nil, reqs, func(uint64) bool { return ref })
+	return b, err
+}
+
 func TestPlaceRequestRoundTrip(t *testing.T) {
 	cases := []*placement.PlaceRequest{
 		{
@@ -43,7 +57,7 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 		{Machine: "smp20e7", Strategy: "treematch", Matrix: chainMatrix(3)},
 	}
 	for _, req := range cases {
-		got, _, err := decodePlaceRequest(encodePlaceRequest(nil, req, false), nil)
+		got, _, err := decodePlaceRequest(encodeReq(req, false), nil)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", req, err)
 		}
@@ -134,7 +148,7 @@ func TestPlaceBatchRoundTrip(t *testing.T) {
 		{Strategy: "scatter", Entities: 3},
 		{Strategy: "compact", Entities: 2},
 	}
-	gotReqs, err := decodePlaceBatchRequest(mustEncode(encodePlaceBatchRequest(nil, reqs, nil)), nil)
+	gotReqs, err := decodePlaceBatchRequest(mustEncode(encodeBatch(reqs, false)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +172,13 @@ func TestPlaceBatchRoundTrip(t *testing.T) {
 	}
 
 	// Slot errors must not void the frame: slot counts are positional.
-	if _, err := encodePlaceBatchRequest(nil, []*placement.PlaceRequest{nil}, nil); err == nil {
+	if _, err := encodeBatch([]*placement.PlaceRequest{nil}, false); err == nil {
 		t.Error("nil batch slot encoded")
 	}
 }
 
 func TestPlaceWireVersionRejected(t *testing.T) {
-	req := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Entities: 2}, false)
+	req := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Entities: 2}, false)
 	for _, v := range []byte{0, protoVersion - 1, protoVersion + 1} {
 		req[0] = v
 		if _, _, err := decodePlaceRequest(req, nil); !errors.Is(err, ErrVersion) {
@@ -204,15 +218,15 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 			}
 		}
 	}
-	reqFull := encodePlaceRequest(nil, &placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}, false)
+	reqFull := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}, false)
 	for cut := 1; cut < len(reqFull); cut++ {
 		// Must never panic; errors are expected for most cuts.
 		_, _, _ = decodePlaceRequest(reqFull[:cut], nil)
 	}
-	batchFull := mustEncode(encodePlaceBatchRequest(nil, []*placement.PlaceRequest{
+	batchFull := mustEncode(encodeBatch([]*placement.PlaceRequest{
 		{Strategy: "treematch", Matrix: chainMatrix(3)},
 		{Machine: "m", Strategy: "scatter", Entities: 2},
-	}, nil))
+	}, false))
 	for cut := 1; cut < len(batchFull); cut++ {
 		_, _ = decodePlaceBatchRequest(batchFull[:cut], nil)
 	}

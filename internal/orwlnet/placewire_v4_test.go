@@ -56,7 +56,7 @@ func TestSparseMatrixRoundTrip(t *testing.T) {
 		if len(enc) != size {
 			t.Errorf("case %d: sparseSize predicted %d bytes, encoder wrote %d", i, size, len(enc))
 		}
-		got, rest, err := getSparseBody(enc)
+		got, fp, rest, err := getSparseBody(enc)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -66,7 +66,7 @@ func TestSparseMatrixRoundTrip(t *testing.T) {
 		if !bitsEqual(m, got) {
 			t.Errorf("case %d: sparse round trip not bit-exact", i)
 		}
-		if comm.Fingerprint(m) != comm.Fingerprint(got) {
+		if comm.Fingerprint(m) != comm.Fingerprint(got) || fp != comm.Fingerprint(m) {
 			t.Errorf("case %d: fingerprint drifted across the codec", i)
 		}
 	}
@@ -75,7 +75,7 @@ func TestSparseMatrixRoundTrip(t *testing.T) {
 func TestMatrixCompactChoosesEncoding(t *testing.T) {
 	// A ring is overwhelmingly zero: sparse must win.
 	ring := comm.Ring(64, 1<<20, true)
-	enc := putMatrixCompact(nil, ring)
+	enc, _ := putMatrixField(nil, ring)
 	if enc[0] != matSparse {
 		t.Errorf("ring encoded as mode %d, want sparse", enc[0])
 	}
@@ -91,12 +91,13 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 			full.Set(i, j, math.Sqrt(float64(i*8+j+2)))
 		}
 	}
-	if enc := putMatrixCompact(nil, full); enc[0] != matDense {
+	if enc, _ := putMatrixField(nil, full); enc[0] != matDense {
 		t.Errorf("dense matrix encoded as mode %d, want dense", enc[0])
 	}
 	// Either mode decodes back bit-exactly through the field decoder.
 	for _, m := range []*comm.Matrix{ring, full, nil} {
-		got, fp, rest, err := getMatrix(putMatrixCompact(nil, m), nil)
+		enc, _ := putMatrixField(nil, m)
+		got, fp, rest, err := getMatrix(enc, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 		}
@@ -109,8 +110,8 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 		if !bitsEqual(m, got) {
 			t.Error("compact round trip not bit-exact")
 		}
-		if fp != 0 {
-			t.Error("nil-cache decode invented a fingerprint")
+		if fp != comm.Fingerprint(m) {
+			t.Error("decode folded a fingerprint other than comm.Fingerprint")
 		}
 	}
 }
@@ -124,7 +125,7 @@ func TestSparseDecodeRejectsHostile(t *testing.T) {
 		"truncated":     putUvarint(putUvarint(nil, 4), 1),
 	}
 	for name, enc := range cases {
-		if _, _, err := getSparseBody(enc); err == nil {
+		if _, _, _, err := getSparseBody(enc); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -245,6 +245,26 @@ func getUint64(src []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(src), src[8:], nil
 }
 
+// putUint64s appends each value fixed-width, in order.
+func putUint64s(dst []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		dst = putUint64(dst, v)
+	}
+	return dst
+}
+
+// getUint64s reads one fixed-width value into each destination, in
+// order.
+func getUint64s(src []byte, dsts ...*uint64) ([]byte, error) {
+	for _, d := range dsts {
+		var err error
+		if *d, src, err = getUint64(src); err != nil {
+			return nil, err
+		}
+	}
+	return src, nil
+}
+
 // putUvarint appends v in the unsigned LEB128 varint encoding — the
 // compact integer of the sparse-matrix payload (gaps, run
 // lengths and byte-reversed float bits are all small or trailing-zero
@@ -254,6 +274,9 @@ func putUvarint(dst []byte, v uint64) []byte {
 }
 
 func getUvarint(src []byte) (uint64, []byte, error) {
+	if len(src) > 0 && src[0] < 0x80 {
+		return uint64(src[0]), src[1:], nil // one byte: gaps, run lengths, PU ids
+	}
 	v, n, ok := decodeUvarint(src)
 	if !ok {
 		return 0, nil, fmt.Errorf("orwlnet: truncated or overlong varint")

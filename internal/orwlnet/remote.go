@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
 )
@@ -220,35 +219,22 @@ func (s *RemoteService) Place(ctx context.Context, req *placement.PlaceRequest) 
 // recovery, not a failure retry).
 func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceRequest) (*placement.PlaceResponse, error) {
 	c := s.pick()
+	// The encoder takes the caller's precomputed identity when offered
+	// (a steady workload then never re-hashes on the client side);
+	// otherwise it folds the fingerprint in the walk that encodes the
+	// body.
 	var fp uint64
-	fpOnly := false
-	if req.Matrix != nil {
-		// Take the caller's precomputed identity when offered; a steady
-		// workload (one matrix, many calls) then never re-hashes on the
-		// client side either.
-		if fp = req.MatrixFP; fp == 0 {
-			fp = comm.Fingerprint(req.Matrix)
-		}
-		fpOnly = s.known.has(fp)
-		if req.MatrixFP == 0 {
-			// Forward the hash we just paid for: the encoder (fingerprint
-			// reference) and, on the far side, the daemon's engine both
-			// reuse it instead of re-hashing.
-			hinted := *req
-			hinted.MatrixFP = fp
-			req = &hinted
-		}
-	}
 	payload, err := s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-		return encodePlaceRequest(dst, req, fpOnly), nil
+		dst, fp = encodePlaceRequest(dst, req, s.known.has)
+		return dst, nil
 	})
-	if fpOnly && errors.Is(err, ErrUnknownMatrix) {
+	if errors.Is(err, ErrUnknownMatrix) {
 		// The daemon no longer holds the body this reference named:
 		// drop the belief and resend the request with the body inline.
 		s.known.forget(fp)
-		fpOnly = false
 		payload, err = s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-			return encodePlaceRequest(dst, req, false), nil
+			dst, _ = encodePlaceRequest(dst, req, nil)
+			return dst, nil
 		})
 	}
 	if err != nil {
@@ -294,31 +280,31 @@ func (s *RemoteService) PlaceBatch(ctx context.Context, reqs []*placement.PlaceR
 
 func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.PlaceRequest) ([]*placement.PlaceResponse, error) {
 	c := s.pick()
-	known := func(req *placement.PlaceRequest) bool {
-		return req.Matrix != nil && s.known.has(reqFP(req))
-	}
-	payload, err := s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) ([]byte, error) {
-		return encodePlaceBatchRequest(dst, reqs, known)
+	var fps []uint64 // every slot's fingerprint, from the encoder's walk
+	payload, err := s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) (out []byte, err error) {
+		out, fps, err = encodePlaceBatchRequest(dst, reqs, s.known.has)
+		return out, err
 	})
 	if errors.Is(err, ErrUnknownMatrix) {
 		// At least one reference missed; the daemon rejected the whole
 		// frame. Forget every belief the batch relied on and resend with
 		// bodies inline.
-		for _, req := range reqs {
-			if req != nil && req.Matrix != nil {
-				s.known.forget(reqFP(req))
+		for _, fp := range fps {
+			if fp != 0 {
+				s.known.forget(fp)
 			}
 		}
 		payload, err = s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) ([]byte, error) {
-			return encodePlaceBatchRequest(dst, reqs, nil)
+			out, _, err := encodePlaceBatchRequest(dst, reqs, nil)
+			return out, err
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	for _, req := range reqs {
-		if req != nil && req.Matrix != nil {
-			s.known.remember(reqFP(req))
+	for _, fp := range fps {
+		if fp != 0 {
+			s.known.remember(fp)
 		}
 	}
 	resps, err := decodePlaceBatchResponse(payload)

@@ -175,11 +175,11 @@ func wireFrames() map[string]wireFrame {
 		"release-reinsert/resp": {opReleaseReinsert, statusOK, fixed(nil)},
 		"release/req":           {opRelease, opRelease, fixed(putUint64(nil, 1))},
 		"release/resp":          {opRelease, statusOK, fixed(nil)},
-		"place-body/req":        {opPlaceCompute, opPlaceCompute, func() []byte { return encodePlaceRequest(nil, fixtureReq(), false) }},
-		"place-fingerprint/req": {opPlaceCompute, opPlaceCompute, func() []byte { return encodePlaceRequest(nil, fixtureReq(), true) }},
+		"place-body/req":        {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), false) }},
+		"place-fingerprint/req": {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), true) }},
 		"place/resp":            {opPlaceCompute, statusOK, func() []byte { return encodePlaceResponse(nil, fixtureResp()) }},
 		"batch/req": {opPlaceBatch, opPlaceBatch, func() []byte {
-			return must(encodePlaceBatchRequest(nil, batch, func(req *placement.PlaceRequest) bool { return req == batch[0] }))
+			return must(encodeBatch(batch, true))
 		}},
 		"batch/resp":   {opPlaceBatch, statusOK, func() []byte { return must(encodePlaceBatchResponse(nil, batchResps)) }},
 		"topology/req": {opTopology, opTopology, fixed(nil)},
@@ -275,7 +275,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodePlaceRequest(nil, req, fpOnly), nil
+			return encodeReq(req, fpOnly), nil
 		}
 	}
 	report := func(p []byte) ([]byte, error) {
@@ -311,7 +311,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodePlaceBatchRequest(nil, reqs, func(req *placement.PlaceRequest) bool { return req.Matrix != nil })
+			return encodeBatch(reqs, true)
 		},
 		"batch/resp": func(p []byte) ([]byte, error) {
 			resps, err := decodePlaceBatchResponse(p)

@@ -224,8 +224,8 @@ type LocalService struct {
 	recs  []*Reconciler
 
 	// diag memoises the quality diagnostics (TreeMatch cost and
-	// cross-NUMA volume) per (matrix, binding) pair. Both walk the full
-	// matrix, which on a warm cache hit would otherwise dominate the
+	// cross-NUMA volume) per (matrix, binding) pair. Their walk covers the
+	// full matrix, which on a warm cache hit would otherwise dominate the
 	// call: the assignment comes back memoised in microseconds and the
 	// diagnostics recompute it from scratch every time.
 	diagMu sync.Mutex
@@ -280,11 +280,8 @@ func (s *LocalService) diagnostics(fp uint64, m *comm.Matrix, a *Assignment) (fl
 	// Compute outside the lock: concurrent misses may duplicate work
 	// once, but never serialise distinct placements.
 	var v diagVal
-	if c, err := treematch.Cost(s.eng.top, m, a.ComputePU); err == nil {
-		v.cost = c
-	}
-	if x, err := treematch.CrossNUMAVolume(s.eng.top, m, a.ComputePU); err == nil {
-		v.crossNUMA = x
+	if c, x, err := treematch.Quality(s.eng.top, m, a.ComputePU); err == nil {
+		v = diagVal{c, x}
 	}
 
 	s.diagMu.Lock()

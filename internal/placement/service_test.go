@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -79,6 +80,58 @@ func TestLocalServicePlace(t *testing.T) {
 	}
 	if st.TopologySignature != Signature(topology.TinyHT()) {
 		t.Error("topology signature does not match a fresh TinyHT build")
+	}
+}
+
+// TestLocalServiceQualityDiagnostics: the response's cost and cross-NUMA
+// volume, from the one-pass quality walk and again from the memo, equal
+// the pairwise sums over HopDistance and LocalityOf bit for bit.
+func TestLocalServiceQualityDiagnostics(t *testing.T) {
+	top, err := topology.ByName("smp12e5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewLocalService(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := comm.Clustered(24, 3, 1<<20, 1.5)
+	for _, strategy := range []string{TreeMatch, "round-robin-pu"} {
+		resp, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pus, place := top.PUs(), resp.Assignment.ComputePU
+		var cost, cross float64
+		for i := 0; i < m.Order(); i++ {
+			for j := i + 1; j < m.Order(); j++ {
+				v := m.At(i, j) + m.At(j, i)
+				if v == 0 {
+					continue
+				}
+				a, b := pus[place[i]], pus[place[j]]
+				cost += v * float64(topology.HopDistance(a, b))
+				if topology.LocalityOf(a, b) > topology.SameL3 {
+					cross += v
+				}
+			}
+		}
+		again, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*PlaceResponse{resp, again} {
+			if math.Float64bits(r.Cost) != math.Float64bits(cost) || math.Float64bits(r.CrossNUMAVolume) != math.Float64bits(cross) {
+				t.Errorf("%s: diagnostics (%v, %v), pairwise (%v, %v)", strategy, r.Cost, r.CrossNUMAVolume, cost, cross)
+			}
+		}
+		if strategy != TreeMatch && cross == 0 {
+			t.Errorf("%s: no cross-NUMA volume to compare", strategy)
+		}
 	}
 }
 

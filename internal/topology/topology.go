@@ -372,7 +372,13 @@ func LocalityOf(a, b *Object) Locality {
 	if a == b {
 		return SamePU
 	}
-	ca := CommonAncestor(a, b)
+	return LocalityUnder(CommonAncestor(a, b))
+}
+
+// LocalityUnder classifies two distinct PUs by their common ancestor ca
+// (nil when they share none): LocalityOf for a caller that already
+// holds the ancestor.
+func LocalityUnder(ca *Object) Locality {
 	if ca == nil {
 		return CrossGroup
 	}

@@ -12,49 +12,45 @@ import (
 // their PUs in the topology tree. Lower is better; it is the objective
 // TreeMatch minimises.
 func Cost(top *topology.Topology, m *comm.Matrix, computePU []int) (float64, error) {
-	if len(computePU) != m.Order() {
-		return 0, fmt.Errorf("treematch: placement for %d entities, matrix order %d",
-			len(computePU), m.Order())
+	cost, _, err := Quality(top, m, computePU)
+	return cost, err
+}
+
+// Quality evaluates a placement in one pass over the upper triangle:
+// cost is Cost, and crossNUMA the symmetrized volume exchanged between
+// entities placed on different NUMA nodes — the quantity the affinity
+// module is designed to shrink. A communicating pair looks up its PUs'
+// common ancestor once and derives both its hop distance and its
+// locality from it.
+func Quality(top *topology.Topology, m *comm.Matrix, computePU []int) (cost, crossNUMA float64, err error) {
+	n := m.Order()
+	if len(computePU) != n {
+		return 0, 0, fmt.Errorf("treematch: placement for %d entities, matrix order %d", len(computePU), n)
 	}
 	pus := top.PUs()
 	for i, pu := range computePU {
 		if pu < 0 || pu >= len(pus) {
-			return 0, fmt.Errorf("treematch: entity %d bound to invalid PU %d", i, pu)
+			return 0, 0, fmt.Errorf("treematch: entity %d bound to invalid PU %d", i, pu)
 		}
 	}
-	var total float64
-	for i := 0; i < m.Order(); i++ {
-		for j := i + 1; j < m.Order(); j++ {
-			v := m.At(i, j) + m.At(j, i)
+	for i := 0; i < n; i++ {
+		row, a := m.RowView(i), pus[computePU[i]]
+		for j := i + 1; j < n; j++ {
+			v := row[j] + m.At(j, i)
 			if v == 0 {
 				continue
 			}
-			total += v * float64(topology.HopDistance(pus[computePU[i]], pus[computePU[j]]))
-		}
-	}
-	return total, nil
-}
-
-// CrossNUMAVolume returns the symmetrized volume exchanged between
-// entities placed on different NUMA nodes — the quantity the affinity
-// module is designed to shrink.
-func CrossNUMAVolume(top *topology.Topology, m *comm.Matrix, computePU []int) (float64, error) {
-	if len(computePU) != m.Order() {
-		return 0, fmt.Errorf("treematch: placement for %d entities, matrix order %d",
-			len(computePU), m.Order())
-	}
-	pus := top.PUs()
-	var total float64
-	for i := 0; i < m.Order(); i++ {
-		for j := i + 1; j < m.Order(); j++ {
-			v := m.At(i, j) + m.At(j, i)
-			if v == 0 {
-				continue
+			b := pus[computePU[j]]
+			ca := topology.CommonAncestor(a, b)
+			hops := -1
+			if ca != nil {
+				hops = a.Depth() + b.Depth() - 2*ca.Depth()
 			}
-			if topology.LocalityOf(pus[computePU[i]], pus[computePU[j]]) > topology.SameL3 {
-				total += v
+			cost += v * float64(hops)
+			if a != b && topology.LocalityUnder(ca) > topology.SameL3 {
+				crossNUMA += v
 			}
 		}
 	}
-	return total, nil
+	return cost, crossNUMA, nil
 }

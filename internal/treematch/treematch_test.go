@@ -200,8 +200,8 @@ func TestMapPipelineOnTinyFlat(t *testing.T) {
 	if cost >= scCost {
 		t.Errorf("treematch cost %g >= scatter cost %g", cost, scCost)
 	}
-	crossTM, _ := CrossNUMAVolume(top, m, mp.ComputePU)
-	crossSC, _ := CrossNUMAVolume(top, m, scatter)
+	_, crossTM, _ := Quality(top, m, mp.ComputePU)
+	_, crossSC, _ := Quality(top, m, scatter)
 	if crossTM > crossSC {
 		t.Errorf("treematch cross-NUMA %g > scatter %g", crossTM, crossSC)
 	}
@@ -487,8 +487,8 @@ func TestCostValidation(t *testing.T) {
 	if _, err := Cost(top, m, []int{0, 1, 2, 99}); err == nil {
 		t.Error("accepted invalid PU index")
 	}
-	if _, err := CrossNUMAVolume(top, m, []int{0}); err == nil {
-		t.Error("CrossNUMAVolume accepted short placement")
+	if _, _, err := Quality(top, m, []int{0}); err == nil {
+		t.Error("Quality accepted short placement")
 	}
 }
 
