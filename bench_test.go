@@ -384,23 +384,6 @@ func BenchmarkRemoteLocationRoundTrip(b *testing.B) {
 	}
 }
 
-func BenchmarkFifoPushPop(b *testing.B) {
-	f, err := orwl.NewFifo(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Push(payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := f.Pop(); !ok {
-			b.Fatal("pop failed")
-		}
-	}
-}
-
 // Real ORWL executions of the three applications at test scale.
 func BenchmarkLivermoreORWL(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	placeload [-addr host:port] [-machine smp20e7] [-tasks 160] \
-//	          [-conns 4] [-inflight 32] [-duration 2s] [-batch 8] \
-//	          [-json]
+//	          [-conns 4] [-inflight 32] [-duration 2s] [-batch 8]
 //
 // Without -addr it self-serves: an in-process daemon on a loopback
 // port with the -machine topology, so one command measures the full
@@ -17,14 +16,13 @@
 // entities at 1 MiB volume — placed with the treematch strategy, so
 // warm calls exercise exactly the daemon's mapping-cache hot path.
 //
-// -json emits one benchjson-style metrics object (iters, ns_op,
-// extra{placements_per_sec, p50_ns, p99_ns, req_bytes_per_place,
-// batch_req_bytes_per_slot, ...}) for cmd/benchjson to pair.
+// It exits non-zero when any placement call in the window failed, so a
+// daemon that drops calls fails the run instead of slipping through on
+// the calls that succeeded.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -39,16 +37,6 @@ import (
 	"orwlplace/internal/topology"
 )
 
-// metrics mirrors cmd/benchjson's Metrics JSON shape, so -json output
-// pastes straight into the BENCH_*.json trajectory.
-type metrics struct {
-	Iters    int64              `json:"iters"`
-	NsOp     float64            `json:"ns_op"`
-	BytesOp  float64            `json:"b_op,omitempty"`
-	AllocsOp float64            `json:"allocs_op,omitempty"`
-	Extra    map[string]float64 `json:"extra,omitempty"`
-}
-
 func main() {
 	addr := flag.String("addr", "", "daemon address; empty self-serves an in-process daemon on loopback")
 	machine := flag.String("machine", "smp20e7", "machine topology the self-served daemon maps onto")
@@ -57,16 +45,15 @@ func main() {
 	inflight := flag.Int("inflight", 32, "concurrent placement calls kept in flight")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window")
 	batchSlots := flag.Int("batch", 8, "slots in the warm PlaceBatch payload measurement (0 skips it)")
-	jsonOut := flag.Bool("json", false, "emit one benchjson-style metrics object instead of prose")
 	flag.Parse()
 
-	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration, *batchSlots, *jsonOut); err != nil {
+	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration, *batchSlots); err != nil {
 		fmt.Fprintf(os.Stderr, "placeload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, machine string, tasks, conns, inflight int, duration time.Duration, batchSlots int, jsonOut bool) error {
+func run(addr, machine string, tasks, conns, inflight int, duration time.Duration, batchSlots int) error {
 	ctx := context.Background()
 
 	if addr == "" {
@@ -156,10 +143,17 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 	reqBytes := float64(out1-out0) / float64(total)
 	respBytes := float64(in1-in0) / float64(total)
 
+	fmt.Printf("placeload: %d placements in %v on %d conn(s) x %d in flight\n", total, elapsed.Round(time.Millisecond), conns, inflight)
+	fmt.Printf("  throughput: %.0f placements/sec\n", perSec)
+	fmt.Printf("  latency:    p50 %v, p99 %v\n", time.Duration(pct(lats, 50)), time.Duration(pct(lats, 99)))
+	fmt.Printf("  wire:       %.0f B/place out, %.0f B/place in\n", reqBytes, respBytes)
+	if errs > 0 {
+		return fmt.Errorf("%d of %d placement calls failed", errs, int64(errs)+total)
+	}
+
 	// Warm batch payload: one PlaceBatch of identical warm slots,
 	// measured by the write-side byte delta — the per-slot request cost
 	// the sparse/fingerprint encodings shrink.
-	batchBytes := 0.0
 	if batchSlots > 0 {
 		reqs := make([]*placement.PlaceRequest, batchSlots)
 		for i := range reqs {
@@ -170,45 +164,7 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 			return fmt.Errorf("warm batch: %w", err)
 		}
 		_, b1 := svc.WirePoolStats()
-		batchBytes = float64(b1-b0) / float64(batchSlots)
-	}
-
-	res := metrics{
-		Iters: total,
-		NsOp:  float64(elapsed.Nanoseconds()) / float64(total),
-		Extra: map[string]float64{
-			"placements_per_sec":   perSec,
-			"p50_ns":               float64(pct(lats, 50)),
-			"p99_ns":               float64(pct(lats, 99)),
-			"req_bytes_per_place":  reqBytes,
-			"resp_bytes_per_place": respBytes,
-			"errors":               float64(errs),
-			"conns":                float64(conns),
-			"inflight":             float64(inflight),
-		},
-	}
-	if batchSlots > 0 {
-		res.Extra["batch_req_bytes_per_slot"] = batchBytes
-	}
-
-	if jsonOut {
-		data, err := json.Marshal(&res)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		return nil
-	}
-	fmt.Printf("placeload: %d placements in %v on %d conn(s) x %d in flight\n", total, elapsed.Round(time.Millisecond), conns, inflight)
-	fmt.Printf("  throughput: %.0f placements/sec\n", perSec)
-	fmt.Printf("  latency:    p50 %v, p99 %v\n", time.Duration(pct(lats, 50)), time.Duration(pct(lats, 99)))
-	fmt.Printf("  wire:       %.0f B/place out, %.0f B/place in", reqBytes, respBytes)
-	if batchSlots > 0 {
-		fmt.Printf(", warm batch %.0f B/slot out", batchBytes)
-	}
-	fmt.Println()
-	if errs > 0 {
-		fmt.Printf("  errors:     %d\n", errs)
+		fmt.Printf("  warm batch: %.0f B/slot out\n", float64(b1-b0)/float64(batchSlots))
 	}
 	return nil
 }

@@ -277,12 +277,3 @@ func TestProfileOpenMPShape(t *testing.T) {
 		t.Error("accepted tiny matrix")
 	}
 }
-
-func TestTotalFlops(t *testing.T) {
-	if got := TotalFlops(4, 1); got != 2*2*FlopsPerCell {
-		t.Errorf("TotalFlops = %g", got)
-	}
-	if TotalFlops(16384, 100) <= 0 {
-		t.Error("paper-scale flops should be positive")
-	}
-}

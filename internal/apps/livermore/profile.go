@@ -124,10 +124,3 @@ func ProfileOpenMP(matrixSize, cores, loops int) (*perfsim.Workload, error) {
 		MasterAlloc().
 		Build()
 }
-
-// TotalFlops returns the floating-point work of a run, for rate
-// conversions.
-func TotalFlops(matrixSize, loops int) float64 {
-	interior := float64(matrixSize-2) * float64(matrixSize-2)
-	return interior * FlopsPerCell * float64(loops)
-}

@@ -51,59 +51,3 @@ func Dgemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64,
 	}
 	return nil
 }
-
-// Daxpy computes y += alpha * x.
-func Daxpy(alpha float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("blas: daxpy length mismatch %d vs %d", len(x), len(y))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-	return nil
-}
-
-// Ddot returns the dot product of x and y.
-func Ddot(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("blas: ddot length mismatch %d vs %d", len(x), len(y))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s, nil
-}
-
-// Dscal scales x by alpha in place.
-func Dscal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Dcopy copies x into y.
-func Dcopy(x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("blas: dcopy length mismatch %d vs %d", len(x), len(y))
-	}
-	copy(y, x)
-	return nil
-}
-
-// Dnrm2Sq returns the squared Euclidean norm of x (cheaper than the
-// norm itself and sufficient for convergence tests).
-func Dnrm2Sq(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

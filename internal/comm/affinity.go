@@ -159,28 +159,6 @@ func FingerprintOf(a Affinity) uint64 {
 	return h
 }
 
-// SymmetrizeAffinityInto writes the symmetrized form of a into dst
-// (Reset to a's order and fully overwritten): dst[i][j] = dst[j][i] =
-// a[i][j] + a[j][i] for i != j, zero diagonal. It is the
-// representation-independent counterpart of (*Matrix).SymmetrizedInto
-// and runs in O(nnz). dst must not alias a.
-func SymmetrizeAffinityInto(dst, a Affinity) {
-	if dst == a {
-		panic("comm: SymmetrizeAffinityInto aliases its source")
-	}
-	n := a.Order()
-	dst.Reset(n)
-	for i := 0; i < n; i++ {
-		a.ForEachRow(i, func(j int, v float64) {
-			if i == j {
-				return
-			}
-			dst.Add(i, j, v)
-			dst.Add(j, i, v)
-		})
-	}
-}
-
 // AggregateAffinityInto writes the group aggregation of a into the
 // dense dst (resized and fully overwritten), with the same semantics
 // and validation as (*Matrix).AggregateInto: dst[x][y] = sum over

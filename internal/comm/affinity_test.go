@@ -68,11 +68,6 @@ func checkEquivalent(t *testing.T, dense *Matrix, sparse *Sparse) {
 	if d, s := FingerprintOf(dsym), FingerprintOf(ssym); d != s {
 		t.Fatalf("symmetrized fingerprint: sparse %#x, dense %#x", s, d)
 	}
-	gsym := NewSparse(0)
-	SymmetrizeAffinityInto(gsym, Affinity(dense))
-	if d, s := FingerprintOf(dsym), FingerprintOf(gsym); d != s {
-		t.Fatalf("SymmetrizeAffinityInto(dense) fingerprint: got %#x, want %#x", s, d)
-	}
 
 	// Aggregation over a round-robin partition into min(n,3) groups.
 	g := n

@@ -172,23 +172,11 @@ func (m *Matrix) MaxEntry() float64 {
 	return mx
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.n)
-	copy(out, m.data[i*m.n:(i+1)*m.n])
-	return out
-}
-
-// Extend returns a new matrix of order newOrder whose leading principal
-// submatrix is m and whose remaining entries are zero. It is the
-// primitive used to add virtual entities (control threads, padding for
-// non-divisible group sizes).
-func (m *Matrix) Extend(newOrder int) *Matrix {
-	return m.ExtendInto(NewMatrix(0), newOrder)
-}
-
-// ExtendInto writes the extension into dst (resized and fully
-// overwritten) and returns dst. dst must not be m itself.
+// ExtendInto writes into dst (resized and fully overwritten) the matrix
+// of order newOrder whose leading principal submatrix is m and whose
+// remaining entries are zero, and returns dst. It is the primitive used
+// to add virtual entities (control threads, padding for non-divisible
+// group sizes). dst must not be m itself.
 func (m *Matrix) ExtendInto(dst *Matrix, newOrder int) *Matrix {
 	if dst == m {
 		panic("comm: ExtendInto aliases the receiver")
@@ -225,23 +213,14 @@ func (m *Matrix) Permuted(perm []int) (*Matrix, error) {
 	return out, nil
 }
 
-// Aggregate merges entities into groups: groups[g] lists the entity
-// indexes of group g, and the result R has order len(groups) with
-// R[a][b] = sum over i in groups[a], j in groups[b] of m[i][j]
-// (diagonal excluded for a == b). This is AggregateComMatrix of
-// Algorithm 1.
-func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
-	out := NewMatrix(0)
-	if err := m.AggregateInto(out, groups, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AggregateInto writes the aggregation into dst (resized and fully
-// overwritten). groupOf is optional scratch of length >= Order()
-// (allocated when nil), so a workspace-driven pipeline aggregates
-// without per-level allocations. dst must not be m itself.
+// AggregateInto merges entities into groups, writing the result into dst
+// (resized and fully overwritten): groups[g] lists the entity indexes of
+// group g, and the result R has order len(groups) with R[a][b] = sum
+// over i in groups[a], j in groups[b] of m[i][j] (diagonal excluded for
+// a == b). This is AggregateComMatrix of Algorithm 1. groupOf is
+// optional scratch of length >= Order() (allocated when nil), so a
+// workspace-driven pipeline aggregates without per-level allocations.
+// dst must not be m itself.
 func (m *Matrix) AggregateInto(dst *Matrix, groups [][]int, groupOf []int) error {
 	if dst == m {
 		panic("comm: AggregateInto aliases the receiver")

@@ -84,19 +84,9 @@ func TestTotalAndMaxEntry(t *testing.T) {
 	}
 }
 
-func TestRowIsCopy(t *testing.T) {
-	m := NewMatrix(2)
-	m.Set(1, 0, 7)
-	r := m.Row(1)
-	r[0] = 0
-	if m.At(1, 0) != 7 {
-		t.Error("Row returned a live view")
-	}
-}
-
 func TestExtend(t *testing.T) {
 	m, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	e := m.Extend(4)
+	e := m.ExtendInto(NewMatrix(0), 4)
 	if e.Order() != 4 {
 		t.Fatalf("extended order = %d", e.Order())
 	}
@@ -106,7 +96,7 @@ func TestExtend(t *testing.T) {
 	if e.At(3, 3) != 0 || e.At(0, 3) != 0 {
 		t.Error("Extend should zero-fill")
 	}
-	if m.Extend(1).Order() != 2 {
+	if m.ExtendInto(NewMatrix(0), 1).Order() != 2 {
 		t.Error("Extend below order should keep order")
 	}
 }
@@ -135,7 +125,7 @@ func TestPermuted(t *testing.T) {
 func TestAggregate(t *testing.T) {
 	// Two clusters of 2; intra volume 10, inter volume 1.
 	m := Clustered(4, 2, 10, 1)
-	agg, err := m.Aggregate([][]int{{0, 1}, {2, 3}})
+	agg, err := aggregate(m, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +142,13 @@ func TestAggregate(t *testing.T) {
 		t.Errorf("intra-group volume = %g, want 20", agg.At(0, 0))
 	}
 
-	if _, err := m.Aggregate([][]int{{0, 1}, {1, 2, 3}}); err == nil {
+	if _, err := aggregate(m, [][]int{{0, 1}, {1, 2, 3}}); err == nil {
 		t.Error("accepted overlapping groups")
 	}
-	if _, err := m.Aggregate([][]int{{0, 1}}); err == nil {
+	if _, err := aggregate(m, [][]int{{0, 1}}); err == nil {
 		t.Error("accepted incomplete grouping")
 	}
-	if _, err := m.Aggregate([][]int{{0, 1}, {2, 9}}); err == nil {
+	if _, err := aggregate(m, [][]int{{0, 1}, {2, 9}}); err == nil {
 		t.Error("accepted out-of-range entity")
 	}
 }
@@ -377,7 +367,7 @@ func TestAggregatePreservesVolume(t *testing.T) {
 	f := func(seed int64) bool {
 		m := Random(8, 100, seed)
 		groups := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-		agg, err := m.Aggregate(groups)
+		agg, err := aggregate(m, groups)
 		if err != nil {
 			return false
 		}
@@ -411,7 +401,7 @@ func TestIntoVariantsMatchAndReuseStorage(t *testing.T) {
 	ext := NewMatrix(1)
 	ext.Set(0, 0, 99) // stale state must be cleared
 	m.ExtendInto(ext, 6)
-	want := m.Extend(6)
+	want := m.ExtendInto(NewMatrix(0), 6)
 	if ext.Order() != 6 {
 		t.Fatalf("ExtendInto order = %d", ext.Order())
 	}
@@ -429,7 +419,7 @@ func TestIntoVariantsMatchAndReuseStorage(t *testing.T) {
 	if err := m.AggregateInto(agg, groups, groupOf); err != nil {
 		t.Fatal(err)
 	}
-	wantAgg, err := m.Aggregate(groups)
+	wantAgg, err := aggregate(m, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,4 +475,10 @@ func TestHeaviestPairsSkipsZeroVolumes(t *testing.T) {
 	if pairs[0].Volume != 14 || pairs[1].Volume != 10 {
 		t.Errorf("pairs = %v, want decreasing symmetrized volumes 14, 10", pairs)
 	}
+}
+
+// aggregate is AggregateInto a fresh matrix.
+func aggregate(m *Matrix, groups [][]int) (*Matrix, error) {
+	out := NewMatrix(0)
+	return out, m.AggregateInto(out, groups, nil)
 }

@@ -161,9 +161,6 @@ func (s *Sparse) NNZ() int {
 	return nz
 }
 
-// RowNNZ returns the number of nonzeros in row i without iterating.
-func (s *Sparse) RowNNZ(i int) int { return len(s.rows[i]) }
-
 // ForEachRow calls fn for every nonzero (j, v) of row i in ascending
 // column order — the stored order, so the walk neither sorts nor
 // allocates. fn must not mutate row i of the receiver.

@@ -12,11 +12,12 @@
 // the three steps separately for debugging and for dynamic task graphs
 // whose communication matrix changes at run time.
 //
-// The module is a thin shim over placement.Service: the service owns
-// matrix-to-assignment mapping (in process via placement.Engine, or in
-// a remote daemon via the orwlnet stub); this package keeps the
-// paper-named three-step surface, the environment gating, and the
-// purely local steps (matrix extraction, binding commit).
+// The module is a thin shim over an in-process placement.Engine, which
+// owns matrix-to-assignment mapping; this package keeps the paper-named
+// three-step surface, the environment gating, and the purely local
+// steps (matrix extraction, binding commit). A program that places
+// through a remote daemon uses the orwlplace facade's DialPlacement and
+// PlaceOn instead.
 package core
 
 import (
@@ -45,41 +46,20 @@ func EnabledByEnv() bool {
 	return v == "1" || strings.EqualFold(v, "true") || strings.EqualFold(v, "yes")
 }
 
-// Module is one affinity-module instance bound to a program and a
-// placement service (usually the in-process engine; possibly a remote
-// daemon's stub).
+// Module is one affinity-module instance bound to a program and an
+// in-process placement engine.
 type Module struct {
-	mu       sync.Mutex
-	prog     *orwl.Program
-	svc      placement.Service
-	eng      *placement.Engine  // non-nil only when svc is in-process
-	top      *topology.Topology // the service's machine, fetched once at Attach
-	ctx      context.Context    // base context for service calls
-	src      placement.Source   // step-1 seam; defaults to Declared(prog)
-	observed bool               // WithObservedAffinity: resolve src at Attach
-	strategy string
-	opt      placement.Options
+	mu   sync.Mutex
+	prog *orwl.Program
+	eng  *placement.Engine
+	svc  *placement.LocalService
 
-	matrix   *comm.Matrix
-	asgn     *placement.Assignment
-	lastResp *placement.PlaceResponse
+	matrix *comm.Matrix
+	asgn   *placement.Assignment
 }
 
 // Option customises a Module.
 type Option func(*Module)
-
-// WithTreeMatchOptions overrides the TreeMatch tuning (mainly for the
-// ablation benchmarks).
-func WithTreeMatchOptions(opt treematch.Options) Option {
-	return func(m *Module) { m.opt = opt }
-}
-
-// WithStrategy selects a registered placement strategy instead of the
-// default TreeMatch — mainly to drive baseline comparisons through
-// the same three-step API.
-func WithStrategy(name string) Option {
-	return func(m *Module) { m.strategy = name }
-}
 
 // WithEngine shares an existing placement engine (and therefore its
 // mapping cache) across modules. Dynamic programs that oscillate
@@ -89,38 +69,6 @@ func WithEngine(e *placement.Engine) Option {
 	return func(m *Module) { m.eng = e }
 }
 
-// WithService routes the compute step through an explicit placement
-// service — typically the orwlnet stub of a remote placement daemon,
-// so the program's mapping is computed on (and for) another node's
-// topology while extraction and binding stay local.
-func WithService(svc placement.Service) Option {
-	return func(m *Module) { m.svc = svc }
-}
-
-// WithContext sets the base context for the module's service calls
-// (Attach validation, AffinityCompute). Remote modules should pass a
-// context with a deadline so a hung daemon cannot block the program
-// indefinitely; the default is context.Background().
-func WithContext(ctx context.Context) Option {
-	return func(m *Module) { m.ctx = ctx }
-}
-
-// WithSource selects where DependencyGet draws the communication
-// matrix from. The default is the program's declared handle graph
-// (placement.Declared); an adaptive deployment passes
-// placement.ObservedWindow so the module places on what the runtime
-// measured instead of what the program announced.
-func WithSource(src placement.Source) Option {
-	return func(m *Module) { m.src = src }
-}
-
-// WithObservedAffinity is WithSource over the program's windowed
-// observed traffic: each DependencyGet consumes the epoch since the
-// previous one.
-func WithObservedAffinity() Option {
-	return func(m *Module) { m.observed = true }
-}
-
 // Attach creates the affinity module for a program on a machine. It
 // does not install the automatic hook; call EnableAutomatic for the
 // paper's transparent mode, or drive the three-step API manually.
@@ -128,86 +76,31 @@ func Attach(prog *orwl.Program, top *topology.Topology, opts ...Option) (*Module
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
-	m := &Module{
-		prog:     prog,
-		strategy: placement.TreeMatch,
-		opt:      placement.Options{ControlThreads: true},
-	}
+	m := &Module{prog: prog}
 	for _, o := range opts {
 		o(m)
 	}
-	if m.ctx == nil {
-		m.ctx = context.Background()
-	}
-	if m.observed {
-		if m.src != nil {
-			return nil, fmt.Errorf("core: WithSource and WithObservedAffinity are mutually exclusive")
+	if m.eng == nil {
+		if top == nil {
+			return nil, fmt.Errorf("core: nil topology")
 		}
-		m.src = placement.ObservedWindow(prog)
-	}
-	if m.src == nil {
-		m.src = placement.Declared(prog)
-	}
-	if m.svc != nil && m.eng != nil {
-		return nil, fmt.Errorf("core: WithEngine and WithService are mutually exclusive")
-	}
-	if m.svc == nil {
-		// In-process deployment: build (or adopt) an engine and wrap it.
-		if m.eng == nil {
-			if top == nil {
-				return nil, fmt.Errorf("core: nil topology")
-			}
-			eng, err := placement.NewEngine(top)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			m.eng = eng
-		} else if top != nil && placement.Signature(top) != m.eng.TopologySignature() {
-			// A shared engine places on its own machine; silently accepting
-			// a different topology would bind tasks to PUs that do not
-			// exist on it.
-			return nil, fmt.Errorf("core: topology %q does not match engine's %q",
-				top.Attrs.Name, m.eng.Topology().Attrs.Name)
-		}
-		svc, err := placement.NewLocalService(m.eng)
+		eng, err := placement.NewEngine(top)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		m.svc = svc
-		m.top = m.eng.Topology()
-		if _, ok := placement.Lookup(m.strategy); !ok {
-			return nil, fmt.Errorf("core: unknown strategy %q", m.strategy)
-		}
-		return m, nil
+		m.eng = eng
+	} else if top != nil && placement.Signature(top) != m.eng.TopologySignature() {
+		// A shared engine places on its own machine; silently accepting
+		// a different topology would bind tasks to PUs that do not
+		// exist on it.
+		return nil, fmt.Errorf("core: topology %q does not match engine's %q",
+			top.Attrs.Name, m.eng.Topology().Attrs.Name)
 	}
-	// External service (usually remote): validate strategy and topology
-	// against the service's own description instead of the local
-	// registry — the daemon's strategy set is authoritative.
-	stats, err := m.svc.Stats(m.ctx)
+	svc, err := placement.NewLocalService(m.eng)
 	if err != nil {
-		return nil, fmt.Errorf("core: placement service unavailable: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	known := false
-	for _, name := range stats.Strategies {
-		if name == m.strategy {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, fmt.Errorf("core: unknown strategy %q (service offers %v)", m.strategy, stats.Strategies)
-	}
-	if top != nil && placement.Signature(top) != stats.TopologySignature {
-		return nil, fmt.Errorf("core: topology %q does not match service's %q",
-			top.Attrs.Name, stats.TopologyName)
-	}
-	// Fetch the service's machine once: it is immutable for the life of
-	// the service, and Mapping() should not pay (or be able to fail on)
-	// a network round trip per call.
-	m.top, err = m.svc.Topology(m.ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: placement service topology: %w", err)
-	}
+	m.svc = svc
 	return m, nil
 }
 
@@ -239,78 +132,47 @@ func EnableAutomatic(prog *orwl.Program, top *topology.Topology, force bool, opt
 	return m, true, nil
 }
 
-// Engine exposes the underlying placement engine when the module's
-// service is in-process (for cache statistics and direct strategy
-// access); nil when the module places through a remote service.
+// Engine exposes the underlying placement engine, for cache statistics
+// and direct strategy access.
 func (m *Module) Engine() *placement.Engine { return m.eng }
 
-// Service exposes the placement service the module computes through.
-func (m *Module) Service() placement.Service { return m.svc }
-
 // DependencyGet re-extracts the communication matrix from the
-// module's matrix source (orwl_dependency_get): the declared handle
-// graph by default, the runtime-observed traffic under
-// WithObservedAffinity/WithSource. Extraction is always local: the
-// runtime state lives in this process. The previously computed
-// assignment is invalidated either way.
+// program's declared handle graph (orwl_dependency_get). Extraction is
+// always local: the runtime state lives in this process. The
+// previously computed assignment is invalidated.
 func (m *Module) DependencyGet() error {
-	m.mu.Lock()
-	src := m.src
-	m.mu.Unlock()
-	a, err := src.Affinity()
+	a, err := placement.Declared(m.prog).Affinity()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if comm.NilAffinity(a) {
-		return fmt.Errorf("core: source %q produced no matrix", src.Name())
-	}
-	if _, observed := src.(*placement.ObservedSource); observed && a.Total() == 0 {
-		// An idle window carries no affinity signal: computing on an
-		// all-zero matrix would silently rebind the program to an
-		// arbitrary mapping (the reconciler guards the same condition
-		// with MinWindowBytes). The module keeps its previous matrix
-		// and assignment.
-		return fmt.Errorf("core: observed source %q saw no traffic — keeping the current mapping", src.Name())
 	}
 	m.mu.Lock()
 	m.matrix = a.Dense() // the placement request carries a dense matrix
 	m.asgn = nil
-	m.lastResp = nil
 	m.mu.Unlock()
 	return nil
 }
 
-// Source returns the module's matrix source.
-func (m *Module) Source() placement.Source {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.src
-}
-
-// AffinityCompute runs the configured strategy on the current
-// communication matrix and the hardware topology
-// (orwl_affinity_compute), through the placement service — in process
-// or over the wire. DependencyGet must have been called. A matrix
-// already seen by the service is served from its mapping cache.
+// AffinityCompute runs TreeMatch on the current communication matrix
+// and the hardware topology (orwl_affinity_compute). DependencyGet must
+// have been called. A matrix already seen by the engine is served from
+// its mapping cache.
 func (m *Module) AffinityCompute() error {
 	m.mu.Lock()
 	mat := m.matrix
-	strategy, opt := m.strategy, m.opt
 	m.mu.Unlock()
 	if mat == nil {
 		return fmt.Errorf("core: AffinityCompute before DependencyGet")
 	}
-	resp, err := m.svc.Place(m.ctx, &placement.PlaceRequest{
-		Strategy: strategy,
+	resp, err := m.svc.Place(context.Background(), &placement.PlaceRequest{
+		Strategy: placement.TreeMatch,
 		Matrix:   mat,
-		Options:  opt,
+		Options:  placement.Options{ControlThreads: true},
 	})
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	m.mu.Lock()
 	m.asgn = resp.Assignment
-	m.lastResp = resp
 	m.mu.Unlock()
 	return nil
 }
@@ -330,15 +192,6 @@ func (m *Module) AffinitySet() error {
 	return placement.Bind(m.prog, asgn)
 }
 
-// LastResponse returns the full service response of the last
-// AffinityCompute — cache-hit flag, modeled cost, service latency —
-// or nil before the first compute.
-func (m *Module) LastResponse() *placement.PlaceResponse {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastResp
-}
-
 // Matrix returns the last communication matrix, or nil.
 func (m *Module) Matrix() *comm.Matrix {
 	m.mu.Lock()
@@ -354,12 +207,11 @@ func (m *Module) Assignment() *placement.Assignment {
 }
 
 // Mapping returns the last computed mapping in the paper's result
-// shape, or nil. The topology is the service's machine, fetched once
-// at Attach.
+// shape, or nil.
 func (m *Module) Mapping() *treematch.Mapping {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.asgn.Mapping(m.top)
+	return m.asgn.Mapping(m.eng.Topology())
 }
 
 // RenderMapping renders a task allocation like the paper's Fig. 2: for

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/topology"
-	"orwlplace/internal/treematch"
 )
 
 // runPipelineProgram builds and schedules a 4-task ORWL pipeline with
@@ -40,6 +40,19 @@ func TestAttachValidation(t *testing.T) {
 	}
 	if _, err := Attach(orwl.MustProgram(1, "m"), nil); err == nil {
 		t.Error("accepted nil topology")
+	}
+}
+
+// TestDependencyGetErrorPath: a program with nothing to extract must
+// fail DependencyGet, not crash the automatic hook or place on an
+// all-zero matrix.
+func TestDependencyGetErrorPath(t *testing.T) {
+	mod, err := Attach(orwl.MustProgram(2, "x"), topology.Fig2Machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mod.DependencyGet(); err == nil {
+		t.Error("DependencyGet on a program without handle insertions succeeded")
 	}
 }
 
@@ -182,7 +195,7 @@ func TestEnableAutomaticDisabledWithoutEnv(t *testing.T) {
 func TestEnableAutomaticForced(t *testing.T) {
 	t.Setenv(EnvVar, "")
 	prog := orwl.MustProgram(4, "main")
-	_, active, err := EnableAutomatic(prog, topology.TinyHT(), true)
+	mod, active, err := EnableAutomatic(prog, topology.TinyHT(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,32 +208,14 @@ func TestEnableAutomaticForced(t *testing.T) {
 		t.Fatalf("binding = %v", b)
 	}
 	// On the hyperthreaded machine control threads land on siblings.
-	cb := prog.ControlBinding()
-	if len(cb) != 4 {
-		t.Fatalf("control binding = %v", cb)
+	if cpu := mod.Assignment().ControlPU; len(cpu) != 4 || slices.Contains(cpu, -1) {
+		t.Fatalf("control PUs = %v", cpu)
 	}
 }
 
 func TestEnableAutomaticValidation(t *testing.T) {
 	if _, _, err := EnableAutomatic(nil, topology.TinyFlat(), true); err == nil {
 		t.Error("accepted nil program")
-	}
-}
-
-func TestWithTreeMatchOptions(t *testing.T) {
-	prog := orwl.MustProgram(4, "main")
-	mod, err := Attach(prog, topology.TinyFlat(),
-		WithTreeMatchOptions(treematch.Options{ControlThreads: false}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPipelineProgram(t, prog)
-	mod.DependencyGet()
-	if err := mod.AffinityCompute(); err != nil {
-		t.Fatal(err)
-	}
-	if mod.Mapping().Mode != treematch.ControlNone {
-		t.Errorf("control mode = %v, want none when disabled", mod.Mapping().Mode)
 	}
 }
 

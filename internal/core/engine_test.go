@@ -41,48 +41,6 @@ func TestSharedEngineCachesAcrossModules(t *testing.T) {
 	}
 }
 
-func TestWithStrategyNoneLeavesUnbound(t *testing.T) {
-	prog := orwlMustPipeline(t, 4)
-	mod, err := Attach(prog, topology.TinyFlat(), WithStrategy(placement.None))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod.DependencyGet()
-	if err := mod.AffinityCompute(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mod.AffinitySet(); err != nil {
-		t.Fatal(err)
-	}
-	if prog.Binding() != nil {
-		t.Errorf("none strategy bound tasks: %v", prog.Binding())
-	}
-	if mod.Mapping() != nil {
-		t.Error("none strategy produced a mapping")
-	}
-	if a := mod.Assignment(); a == nil || !a.Unbound {
-		t.Errorf("assignment = %+v, want unbound", a)
-	}
-}
-
-func TestWithStrategyOblivious(t *testing.T) {
-	prog := orwlMustPipeline(t, 4)
-	mod, err := Attach(prog, topology.TinyFlat(), WithStrategy("scatter"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod.DependencyGet()
-	if err := mod.AffinityCompute(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mod.AffinitySet(); err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Binding()) != 4 {
-		t.Errorf("binding = %v", prog.Binding())
-	}
-}
-
 func TestAttachTopologyEngineMismatch(t *testing.T) {
 	eng, err := placement.NewEngine(topology.Fig2Machine())
 	if err != nil {
@@ -95,12 +53,6 @@ func TestAttachTopologyEngineMismatch(t *testing.T) {
 	// The engine's own machine (same structure, fresh pointer) is fine.
 	if _, err := Attach(prog, topology.Fig2Machine(), WithEngine(eng)); err != nil {
 		t.Errorf("rejected the engine's own machine: %v", err)
-	}
-}
-
-func TestAttachUnknownStrategy(t *testing.T) {
-	if _, err := Attach(orwlMustPipeline(t, 2), topology.TinyFlat(), WithStrategy("bogus")); err == nil {
-		t.Error("accepted unknown strategy")
 	}
 }
 

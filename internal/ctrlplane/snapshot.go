@@ -392,19 +392,13 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
 }
 
-// DecodeSnapshot parses and verifies a snapshot file image against the
-// default lease-task bound. Damage of any kind — bad magic, unknown
-// version, checksum mismatch, truncation — is an error; the caller is
-// expected to log it and start fresh.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return DecodeSnapshotLimit(data, 0)
-}
-
-// DecodeSnapshotLimit is DecodeSnapshot with an explicit lease-task
-// bound (0 = DefaultMaxLeaseTasks): lease ranges and matrix orders
-// beyond it are rejected. A daemon running with a raised
-// -max-lease-tasks must decode with the same bound it registers
-// with, or its own snapshots would fail to restore.
+// DecodeSnapshotLimit parses and verifies a snapshot file image. Damage
+// of any kind — bad magic, unknown version, checksum mismatch,
+// truncation — is an error; the caller is expected to log it and start
+// fresh. maxTasks is the lease-task bound (0 = DefaultMaxLeaseTasks):
+// lease ranges and matrix orders beyond it are rejected. A daemon
+// running with a raised -max-lease-tasks must decode with the same
+// bound it registers with, or its own snapshots would fail to restore.
 func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 	if maxTasks <= 0 {
 		maxTasks = DefaultMaxLeaseTasks
@@ -632,17 +626,12 @@ func LoadSnapshotNewestLimit(path string, maxTasks, keep int) (*Snapshot, string
 	return nil, "", fmt.Errorf("ctrlplane: snapshot: no valid generation under %s: %w", path, firstErr)
 }
 
-// LoadSnapshot reads and verifies the snapshot at path. A missing file
-// surfaces as an fs.ErrNotExist-wrapped error (a fresh deployment, not
-// damage); anything else unreadable or undecodable is an error the
-// caller should log before starting fresh.
-func LoadSnapshot(path string) (*Snapshot, error) {
-	return LoadSnapshotLimit(path, 0)
-}
-
-// LoadSnapshotLimit is LoadSnapshot validating against an explicit
+// LoadSnapshotLimit reads and verifies the snapshot at path against a
 // lease-task bound (0 = DefaultMaxLeaseTasks) — pair it with the
-// collector's SetMaxLeaseTasks configuration.
+// collector's SetMaxLeaseTasks configuration. A missing file surfaces as
+// an fs.ErrNotExist-wrapped error (a fresh deployment, not damage);
+// anything else unreadable or undecodable is an error the caller should
+// log before starting fresh.
 func LoadSnapshotLimit(path string, maxTasks int) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

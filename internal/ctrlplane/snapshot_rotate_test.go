@@ -41,7 +41,7 @@ func TestSaveSnapshotRotateKeepsGenerations(t *testing.T) {
 	// After four saves with keep=3: path=4, path.1=3, path.2=2; the
 	// first generation fell off.
 	for gen, want := range map[string]uint64{path: 4, path + ".1": 3, path + ".2": 2} {
-		snap, err := LoadSnapshot(gen)
+		snap, err := LoadSnapshotLimit(gen, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
@@ -69,7 +69,7 @@ func TestSaveSnapshotRotateKeepOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap, err := LoadSnapshot(path); err != nil || snap.NextLeaseID != 3 {
+	if snap, err := LoadSnapshotLimit(path, 0); err != nil || snap.NextLeaseID != 3 {
 		t.Fatalf("keep=1 snapshot = (%+v, %v), want generation 3", snap, err)
 	}
 	if _, err := os.Stat(path + ".1"); !errors.Is(err, fs.ErrNotExist) {

@@ -61,7 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(data)
+	got, err := DecodeSnapshotLimit(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSnapshotGoldenImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(data)
+	got, err := DecodeSnapshotLimit(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut]); err == nil {
+		if _, err := DecodeSnapshotLimit(data[:cut], 0); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded cleanly", cut, len(data))
 		}
 	}
@@ -122,7 +122,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(data)
 			mut[i] ^= 1 << bit
-			if _, err := DecodeSnapshot(mut); err == nil {
+			if _, err := DecodeSnapshotLimit(mut, 0); err == nil {
 				t.Fatalf("flipping bit %d of byte %d decoded cleanly", bit, i)
 			}
 		}
@@ -148,12 +148,12 @@ func TestSnapshotRejectsUnknownVersion(t *testing.T) {
 	for _, v := range []byte{0, 1, 2, SnapshotVersion + 1, 255} {
 		mut := withVersion(data, v)
 		want := fmt.Sprintf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", v, SnapshotVersion)
-		if _, err := DecodeSnapshot(mut); err == nil || err.Error() != want {
+		if _, err := DecodeSnapshotLimit(mut, 0); err == nil || err.Error() != want {
 			t.Fatalf("version %d: err = %v, want %q", v, err, want)
 		}
 		// The refusal allocates its error (a few small objects, one more
 		// under the race detector) and nothing sized by the file.
-		if allocs := testing.AllocsPerRun(10, func() { DecodeSnapshot(mut) }); allocs > 4 {
+		if allocs := testing.AllocsPerRun(10, func() { DecodeSnapshotLimit(mut, 0) }); allocs > 4 {
 			t.Fatalf("version %d: refusal made %.0f allocations", v, allocs)
 		}
 	}
@@ -164,14 +164,14 @@ func TestSnapshotRejectsUnknownVersion(t *testing.T) {
 // corrupt (fresh start, warned).
 func TestSaveLoadSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
-	if _, err := LoadSnapshot(path); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := LoadSnapshotLimit(path, 0); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 	want := snapFixture()
 	if err := SaveSnapshot(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshot(path)
+	got, err := LoadSnapshotLimit(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(path); err == nil {
+	if _, err := LoadSnapshotLimit(path, 0); err == nil {
 		t.Fatal("corrupt snapshot loaded cleanly")
 	}
 }
@@ -287,7 +287,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+		s, err := DecodeSnapshotLimit(data, 0)
 		if err != nil {
 			return
 		}

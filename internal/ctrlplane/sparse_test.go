@@ -98,7 +98,7 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 	if len(data) > 64<<10 {
 		t.Fatalf("sparse snapshot is %d bytes — looks densified", len(data))
 	}
-	got, err := DecodeSnapshot(data)
+	got, err := DecodeSnapshotLimit(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSnapshotDecodeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSnapshot(data); err == nil {
+	if _, err := DecodeSnapshotLimit(data, 0); err == nil {
 		t.Fatalf("order-%d snapshot decoded under the default %d-task bound", big, DefaultMaxLeaseTasks)
 	}
 	got, err := DecodeSnapshotLimit(data, big)

@@ -1,10 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-)
-
 // Artifact is one regenerated paper artifact.
 type Artifact struct {
 	ID   string
@@ -83,18 +78,4 @@ func All() ([]Artifact, error) {
 	}
 	add("summary", summary.Render())
 	return out, nil
-}
-
-// WriteAll renders every artifact to w.
-func WriteAll(w io.Writer) error {
-	arts, err := All()
-	if err != nil {
-		return err
-	}
-	for _, a := range arts {
-		if _, err := fmt.Fprintf(w, "%s\n", a.Text); err != nil {
-			return err
-		}
-	}
-	return nil
 }

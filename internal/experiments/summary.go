@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"orwlplace/internal/apps/tracking"
-	"orwlplace/internal/topology"
 )
 
 // Summary condenses the whole evaluation into the paper's headline
@@ -61,28 +60,4 @@ func Summary() (*Table, error) {
 			res.ORWL.Seconds, res.OpenMPAffinity.Seconds, res.ORWLAffinity.Seconds)
 	}
 	return t, nil
-}
-
-// MaxAffinityGain returns the largest native-vs-affinity factor in the
-// summary — the "up to Nx" of the abstract.
-func MaxAffinityGain() (float64, error) {
-	var max float64
-	for _, top := range []*topology.Topology{Machines()[0], Machines()[1]} {
-		cores := Fig4Cores(top)
-		res, err := k23Run(top, cores[len(cores)-1])
-		if err != nil {
-			return 0, err
-		}
-		if g := res.ORWL.Seconds / res.ORWLAffinity.Seconds; g > max {
-			max = g
-		}
-		tr, err := trackingRun(top, tracking.HD, trackingFrames)
-		if err != nil {
-			return 0, err
-		}
-		if g := tr.ORWL.Seconds / tr.ORWLAffinity.Seconds; g > max {
-			max = g
-		}
-	}
-	return max, nil
 }

@@ -36,15 +36,3 @@ func GetFloat64s(dst []float64, src []byte) error {
 	}
 	return nil
 }
-
-// Float64s decodes a whole buffer into a fresh slice.
-func Float64s(src []byte) ([]float64, error) {
-	if len(src)%Bytes != 0 {
-		return nil, fmt.Errorf("fp: buffer length %d not a multiple of %d", len(src), Bytes)
-	}
-	out := make([]float64, len(src)/Bytes)
-	if err := GetFloat64s(out, src); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

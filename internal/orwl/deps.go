@@ -51,19 +51,3 @@ func (p *Program) DependencyMatrix() *comm.Matrix {
 	}
 	return m
 }
-
-// ControlThreadsPerTask counts, for every task, the locations it owns —
-// the number of control threads the C runtime would deploy on its
-// behalf. The affinity module uses this to dimension the control-thread
-// extension of the communication matrix.
-func (p *Program) ControlThreadsPerTask() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	counts := make([]int, p.numTasks)
-	for id := range p.locs {
-		if id.Task >= 0 && id.Task < p.numTasks {
-			counts[id.Task]++
-		}
-	}
-	return counts
-}

@@ -28,9 +28,6 @@ func (h *Handle) Location() *Location { return h.loc }
 // Mode returns the access mode of the handle.
 func (h *Handle) Mode() Mode { return h.mode }
 
-// Iterative reports whether the handle re-queues itself on release.
-func (h *Handle) Iterative() bool { return h.iterative }
-
 // bind attaches the handle to a location; the actual FIFO insertion is
 // deferred to Program.schedule so that initial requests are ordered by
 // priority across all tasks.
@@ -57,24 +54,6 @@ func (h *Handle) Acquire() error {
 	<-h.cur.ready
 	h.acquired = true
 	return nil
-}
-
-// TryAcquire acquires if the grant is already available and reports
-// whether it did.
-func (h *Handle) TryAcquire() (bool, error) {
-	if h.cur == nil {
-		return false, fmt.Errorf("orwl: acquire on unbound or spent handle")
-	}
-	if h.acquired {
-		return false, fmt.Errorf("orwl: double acquire on location %q", h.loc.name)
-	}
-	select {
-	case <-h.cur.ready:
-		h.acquired = true
-		return true, nil
-	default:
-		return false, nil
-	}
 }
 
 // Release ends the critical section. Iterative handles atomically queue

@@ -6,8 +6,7 @@
 //
 // The runtime mirrors the reference C library's primitives: Location
 // (orwl_location), Handle (orwl_handle / orwl_handle2), Section
-// (ORWL_SECTION / ORWL_SECTION2), Program (orwl_init/orwl_schedule),
-// plus the DFG extensions Fifo (orwl_fifo) and Split (orwl_split). When
+// (ORWL_SECTION / ORWL_SECTION2) and Program (orwl_init/orwl_schedule). When
 // all tasks have announced their handles, Schedule orders the initial
 // requests, which makes the full task–location graph — and hence the
 // communication matrix — available to the affinity module without any
@@ -46,8 +45,7 @@ func (m Mode) String() string {
 // Requests are queued FIFO; adjacent read requests share a grant (a
 // reader group), a write request is granted exclusively.
 type Location struct {
-	name  string
-	owner int // task that owns this location (it appears in its namespace)
+	name string
 
 	mu    sync.Mutex
 	data  []byte
@@ -68,10 +66,10 @@ type Location struct {
 	lastWriter atomic.Int64
 }
 
-// newLocation builds a location owned by a task and wired to the
-// program's traffic recorder.
-func newLocation(name string, owner int, traffic *Traffic) *Location {
-	l := &Location{name: name, owner: owner, traffic: traffic}
+// newLocation builds a location wired to the program's traffic
+// recorder.
+func newLocation(name string, traffic *Traffic) *Location {
+	l := &Location{name: name, traffic: traffic}
 	l.lastWriter.Store(-1)
 	return l
 }
@@ -99,9 +97,6 @@ type request struct {
 
 // Name returns the location name.
 func (l *Location) Name() string { return l.name }
-
-// Owner returns the task id owning the location.
-func (l *Location) Owner() int { return l.owner }
 
 // Size returns the current buffer size in bytes.
 func (l *Location) Size() int {
@@ -145,11 +140,6 @@ func (l *Location) Preset(data []byte) error {
 // location has processed.
 func (l *Location) Stats() (inserts, grants, releases uint64) {
 	return l.inserts.Load(), l.grants.Load(), l.releases.Load()
-}
-
-// insert queues an unattributed request; callers wait on req.ready.
-func (l *Location) insert(mode Mode) *request {
-	return l.insertFor(-1, mode)
 }
 
 // insertFor queues a request acting for a task (-1 when unattributed);
@@ -418,10 +408,3 @@ func (r *RawRequest) ReleaseAndReinsert() error {
 // idempotent and safe concurrently with the other methods — the path
 // a server takes when the owning client connection dies.
 func (r *RawRequest) Cancel() { r.loc.cancel(r.current()) }
-
-// queueLen returns the number of queued groups (for tests/diagnostics).
-func (l *Location) queueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
-}

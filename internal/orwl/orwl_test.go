@@ -33,9 +33,6 @@ func TestNewProgramValidation(t *testing.T) {
 	if p.NumTasks() != 2 {
 		t.Error("task count wrong")
 	}
-	if got := p.LocationNames(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("location names = %v", got)
-	}
 	for tid := 0; tid < 2; tid++ {
 		for _, n := range []string{"a", "b"} {
 			if p.Location(Loc(tid, n)) == nil {
@@ -72,8 +69,8 @@ func TestLocationScaleAndSize(t *testing.T) {
 	if loc.Size() != 0 {
 		t.Error("negative scale should clamp to zero")
 	}
-	if loc.Owner() != 0 || loc.Name() != "0/m" {
-		t.Errorf("owner/name = %d/%q", loc.Owner(), loc.Name())
+	if loc.Name() != "0/m" {
+		t.Errorf("name = %q", loc.Name())
 	}
 }
 
@@ -410,44 +407,6 @@ func TestWriteMapOnReadHandleFails(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	p := MustProgram(2, "m")
-	err := p.Run(func(ctx *TaskContext) error {
-		h := NewHandle()
-		if err := ctx.WriteInsert(h, Loc(0, "m"), ctx.TID()); err != nil {
-			return err
-		}
-		if err := ctx.Schedule(); err != nil {
-			return err
-		}
-		if ctx.TID() == 0 {
-			ok, err := h.TryAcquire()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("priority-0 TryAcquire should succeed immediately")
-			}
-			time.Sleep(time.Millisecond)
-			return h.Release()
-		}
-		// Task 1 is behind task 0; poll until granted.
-		for {
-			ok, err := h.TryAcquire()
-			if err != nil {
-				return err
-			}
-			if ok {
-				return h.Release()
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScheduleErrors(t *testing.T) {
 	p := MustProgram(1, "m")
 	if err := p.Run(func(ctx *TaskContext) error { return ctx.Schedule() }); err != nil {
@@ -540,27 +499,12 @@ func TestDependencyMatrixUnsizedLocationCountsOne(t *testing.T) {
 	}
 }
 
-func TestControlThreadsPerTask(t *testing.T) {
-	p := MustProgram(3, "a", "b")
-	if _, err := p.AddLocation(Loc(1, "extra")); err != nil {
-		t.Fatal(err)
-	}
-	counts := p.ControlThreadsPerTask()
-	want := []int{2, 3, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("task %d owns %d locations, want %d", i, counts[i], want[i])
-		}
-	}
-}
-
 func TestScheduleHookAndBindings(t *testing.T) {
 	p := MustProgram(2, "m")
 	hookRan := make(chan struct{})
 	p.SetScheduleHook(func(prog *Program) {
 		prog.SetBinding(0, 5)
 		prog.SetBinding(1, 9)
-		prog.SetControlBinding(0, 6)
 		close(hookRan)
 	})
 	err := p.Run(func(ctx *TaskContext) error { return ctx.Schedule() })
@@ -576,10 +520,6 @@ func TestScheduleHookAndBindings(t *testing.T) {
 	if b[0] != 5 || b[1] != 9 {
 		t.Errorf("binding = %v", b)
 	}
-	cb := p.ControlBinding()
-	if cb[0] != 6 {
-		t.Errorf("control binding = %v", cb)
-	}
 	if !p.Scheduled() {
 		t.Error("program should report scheduled")
 	}
@@ -592,8 +532,8 @@ func TestScheduleHookAndBindings(t *testing.T) {
 
 func TestBindingNilWhenEmpty(t *testing.T) {
 	p := MustProgram(1, "m")
-	if p.Binding() != nil || p.ControlBinding() != nil {
-		t.Error("empty bindings should be nil")
+	if p.Binding() != nil {
+		t.Error("empty binding should be nil")
 	}
 }
 

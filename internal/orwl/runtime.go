@@ -35,7 +35,6 @@ type insertRec struct {
 // where the affinity module plugs in.
 type Program struct {
 	numTasks int
-	locNames []string
 
 	mu      sync.Mutex
 	locs    map[LocationID]*Location
@@ -59,8 +58,7 @@ type Program struct {
 
 	// binding is populated by the affinity module (task -> logical PU);
 	// -1 or missing means unbound.
-	binding        map[int]int
-	controlBinding map[int]int
+	binding map[int]int
 }
 
 // NewProgram creates a runtime for numTasks tasks, declaring the given
@@ -72,7 +70,6 @@ func NewProgram(numTasks int, locNames ...string) (*Program, error) {
 	}
 	p := &Program{
 		numTasks:  numTasks,
-		locNames:  append([]string(nil), locNames...),
 		locs:      make(map[LocationID]*Location),
 		schedDone: make(chan struct{}),
 		binding:   make(map[int]int),
@@ -81,7 +78,7 @@ func NewProgram(numTasks int, locNames ...string) (*Program, error) {
 	for t := 0; t < numTasks; t++ {
 		for _, name := range locNames {
 			id := LocationID{Task: t, Name: name}
-			p.locs[id] = newLocation(fmt.Sprintf("%d/%s", t, name), t, p.traffic)
+			p.locs[id] = newLocation(fmt.Sprintf("%d/%s", t, name), p.traffic)
 		}
 	}
 	return p, nil
@@ -99,9 +96,6 @@ func MustProgram(numTasks int, locNames ...string) *Program {
 // NumTasks returns the task count.
 func (p *Program) NumTasks() int { return p.numTasks }
 
-// LocationNames returns the per-task location names.
-func (p *Program) LocationNames() []string { return append([]string(nil), p.locNames...) }
-
 // Location resolves a location id, or nil if it does not exist.
 func (p *Program) Location(id LocationID) *Location {
 	p.mu.Lock()
@@ -110,8 +104,7 @@ func (p *Program) Location(id LocationID) *Location {
 }
 
 // AddLocation declares an extra location outside the regular per-task
-// grid (used by the Split primitive and by DFG-style programs). The
-// owner is recorded for dependency accounting.
+// grid, for DFG-style programs.
 func (p *Program) AddLocation(id LocationID) (*Location, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -121,7 +114,7 @@ func (p *Program) AddLocation(id LocationID) (*Location, error) {
 	if p.scheduled {
 		return nil, fmt.Errorf("orwl: cannot add location %v after schedule", id)
 	}
-	l := newLocation(fmt.Sprintf("%d/%s", id.Task, id.Name), id.Task, p.traffic)
+	l := newLocation(fmt.Sprintf("%d/%s", id.Task, id.Name), p.traffic)
 	p.locs[id] = l
 	return l, nil
 }
@@ -145,16 +138,6 @@ func (p *Program) SetBinding(task, pu int) {
 	p.binding[task] = pu
 }
 
-// SetControlBinding records the placement of a task's control threads.
-func (p *Program) SetControlBinding(task, pu int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.controlBinding == nil {
-		p.controlBinding = make(map[int]int)
-	}
-	p.controlBinding[task] = pu
-}
-
 // Binding returns the compute binding (task -> PU), or nil when no
 // affinity was applied.
 func (p *Program) Binding() map[int]int {
@@ -165,20 +148,6 @@ func (p *Program) Binding() map[int]int {
 	}
 	out := make(map[int]int, len(p.binding))
 	for k, v := range p.binding {
-		out[k] = v
-	}
-	return out
-}
-
-// ControlBinding returns the control-thread binding, or nil.
-func (p *Program) ControlBinding() map[int]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.controlBinding) == 0 {
-		return nil
-	}
-	out := make(map[int]int, len(p.controlBinding))
-	for k, v := range p.controlBinding {
 		out[k] = v
 	}
 	return out

@@ -238,3 +238,10 @@ func TestInterleavedReadersWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// queueLen returns the number of queued groups.
+func (l *Location) queueLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.queue)
+}

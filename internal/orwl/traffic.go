@@ -301,21 +301,16 @@ func (t *Traffic) Ops(from, to int) uint64 {
 	return 0
 }
 
-// Traffic exposes the program's traffic recorder, so DFG primitives
-// that live outside the location grid (Fifo) can be wired into the
-// same observed matrix.
+// Traffic exposes the program's traffic recorder, so traffic that flows
+// outside the location grid can be recorded into the same observed
+// matrix.
 func (p *Program) Traffic() *Traffic { return p.traffic }
 
 // ObservedMatrix returns the cumulative runtime-observed communication
 // matrix — the measured counterpart of DependencyMatrix. Entry (i, j)
 // is the bytes that actually flowed from task i to task j through
-// location grants, raw requests and instrumented FIFOs.
+// location grants, raw requests and direct Traffic records.
 func (p *Program) ObservedMatrix() *comm.Matrix { return p.traffic.Matrix() }
-
-// ObservedAffinity is ObservedMatrix on the representation-independent
-// surface: sparse above the dense threshold, so a 10k-task program's
-// observed traffic never materializes n².
-func (p *Program) ObservedAffinity() comm.Affinity { return p.traffic.Affinity() }
 
 // ObservedWindow returns the observed matrix since the previous
 // ObservedWindow call and starts a new window — the epoch snapshots an

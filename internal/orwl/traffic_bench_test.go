@@ -2,10 +2,10 @@ package orwl
 
 import "testing"
 
-// The observed-traffic counters sit on the runtime's hottest paths
-// (grant release, FIFO pop). These benches pair each instrumented
-// path with its uninstrumented twin so BENCH_PR5.json records that
-// the overhead stays within noise.
+// The observed-traffic counters sit on the runtime's hottest path, the
+// grant release. These benches pair the instrumented path with its
+// uninstrumented twin, so the overhead can be checked to stay within
+// noise.
 
 func BenchmarkTrafficRecord(b *testing.B) {
 	tr := newTraffic(64)
@@ -44,34 +44,6 @@ func BenchmarkRawAcquireRelease(b *testing.B) { benchRawAcquireRelease(b, -1) }
 // BenchmarkRawAcquireReleaseObserved is the same cycle with the
 // observed-traffic recording active on every release.
 func BenchmarkRawAcquireReleaseObserved(b *testing.B) { benchRawAcquireRelease(b, 1) }
-
-func benchFifoPushPop(b *testing.B, instrument bool) {
-	f, err := NewFifo(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if instrument {
-		f.Instrument(newTraffic(8), 0, 1)
-	}
-	payload := make([]byte, 1<<10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Push(payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := f.Pop(); !ok {
-			b.Fatal("pop failed")
-		}
-	}
-}
-
-// BenchmarkFifoPushPop is the uninstrumented push/pop hot path.
-func BenchmarkFifoPushPop(b *testing.B) { benchFifoPushPop(b, false) }
-
-// BenchmarkFifoPushPopObserved is the same path with per-version
-// traffic recording.
-func BenchmarkFifoPushPopObserved(b *testing.B) { benchFifoPushPop(b, true) }
 
 // BenchmarkObservedWindow snapshots a 64-task window — the per-epoch
 // cost the adaptive loop pays.

@@ -1,7 +1,6 @@
 package orwl
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -170,44 +169,6 @@ func TestUnattributedRequestsRecordNothing(t *testing.T) {
 	}
 	if total := prog.ObservedMatrix().Total(); total != 0 {
 		t.Errorf("observed total %g after unattributed read, want 0", total)
-	}
-}
-
-func TestFifoInstrumented(t *testing.T) {
-	prog := MustProgram(4)
-	f, err := NewFifo(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Instrument(prog.Traffic(), 1, 3)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if err := f.Push(make([]byte, 100)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		f.Close()
-	}()
-	pops := 0
-	for {
-		if _, ok := f.Pop(); !ok {
-			break
-		}
-		pops++
-	}
-	wg.Wait()
-
-	obs := prog.ObservedMatrix()
-	if got := obs.At(1, 3); got != float64(100*pops) {
-		t.Errorf("observed(1->3) = %g, want %d", got, 100*pops)
-	}
-	if got := prog.Traffic().Ops(1, 3); got != uint64(pops) {
-		t.Errorf("ops(1->3) = %d, want %d", got, pops)
 	}
 }
 

@@ -105,16 +105,16 @@ func FuzzRemapFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{protoVersion, remapKindFull, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, err := decodeRemapFrame(data)
-		if err != nil {
+		ev, d, err := decodeRemapFrameAny(data)
+		if err != nil || d != nil {
 			return
 		}
 		if ev.Epoch > 0 && ev.Assignment == nil {
 			t.Fatal("accepted a non-zero epoch without an assignment")
 		}
 		re, _ := encodeRemapFrame(nil, ev, false)
-		ev2, err := decodeRemapFrame(re)
-		if err != nil {
+		ev2, d2, err := decodeRemapFrameAny(re)
+		if err != nil || d2 != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
 		if ev2.Machine != ev.Machine || ev2.Epoch != ev.Epoch || ev2.Drift != ev.Drift {

@@ -272,25 +272,12 @@ func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte,
 	return append(full[:base], delta...), true
 }
 
-// decodeRemapFrame decodes a full remap frame. A zero epoch means
-// "nothing adopted yet" (the subscription ack before the first
-// adoption); its Remap has no assignment. Delta frames are an error
-// here — callers that can apply them use decodeRemapFrameAny.
-func decodeRemapFrame(src []byte) (*ctrlplane.Remap, error) {
-	ev, d, err := decodeRemapFrameAny(src)
-	if err != nil {
-		return nil, err
-	}
-	if d != nil {
-		return nil, fmt.Errorf("orwlnet: remap delta frame where a full frame was expected")
-	}
-	return ev, nil
-}
-
 // decodeRemapFrameAny decodes a remap frame of either kind. Exactly one
 // of the results is non-nil on success: a full frame yields the Remap,
 // a delta frame yields the remapDelta the caller applies onto its
-// cached assignment.
+// cached assignment. A zero epoch in a full frame means "nothing
+// adopted yet" (the subscription ack before the first adoption); its
+// Remap has no assignment.
 func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
 	rest, err := checkVersion(src)
 	if err != nil {

@@ -23,32 +23,8 @@ type jsonWorkload struct {
 	Stages                 [][]int     `json:"stages,omitempty"`
 }
 
-// WriteJSON encodes the workload.
-func (w *Workload) WriteJSON(out io.Writer) error {
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	rows := make([][]float64, w.Comm.Order())
-	for i := range rows {
-		rows[i] = w.Comm.Row(i)
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonWorkload{
-		Name:                   w.Name,
-		Threads:                w.Threads,
-		Comm:                   rows,
-		Iterations:             w.Iterations,
-		ControlThreads:         w.ControlThreads,
-		ControlEventsPerIter:   w.ControlEventsPerIter,
-		StartupContextSwitches: w.StartupContextSwitches,
-		MasterAlloc:            w.MasterAlloc,
-		Stages:                 w.Stages,
-	})
-}
-
-// ReadJSON decodes a workload written by WriteJSON (or hand-authored in
-// the same schema) and validates it.
+// ReadJSON decodes a workload in the jsonWorkload schema and validates
+// it.
 func ReadJSON(in io.Reader) (*Workload, error) {
 	var jw jsonWorkload
 	dec := json.NewDecoder(in)

@@ -63,19 +63,6 @@ func TestBindTasks(t *testing.T) {
 	if len(b) != 2 || b[1] != 2 || b[3] != 4 {
 		t.Fatalf("binding = %v, want only tasks 1 and 3", b)
 	}
-	cb := prog.ControlBinding()
-	if len(cb) != 2 || cb[1] != 5 || cb[3] != 6 {
-		t.Fatalf("control binding = %v, want tasks 1 and 3", cb)
-	}
-
-	// -1 control slots stay with the OS: no control binding recorded.
-	prog2 := orwl.MustProgram(4, "m")
-	if err := BindTasks(prog2, a, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if cb := prog2.ControlBinding(); cb != nil {
-		t.Fatalf("control binding = %v, want none for an OS-managed slot", cb)
-	}
 
 	// Out-of-range task ids are an error, not a partial bind.
 	if err := BindTasks(prog, a, []int{4}); err == nil {

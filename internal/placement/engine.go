@@ -285,11 +285,6 @@ func Bind(prog *orwl.Program, a *Assignment) error {
 	for task, pu := range a.ComputePU {
 		prog.SetBinding(task, pu)
 	}
-	for task, pu := range a.ControlPU {
-		if pu >= 0 {
-			prog.SetControlBinding(task, pu)
-		}
-	}
 	return nil
 }
 
@@ -315,9 +310,6 @@ func BindTasks(prog *orwl.Program, a *Assignment, tasks []int) error {
 			return fmt.Errorf("placement: bind task %d outside assignment of %d tasks", t, len(a.ComputePU))
 		}
 		prog.SetBinding(t, a.ComputePU[t])
-		if t < len(a.ControlPU) && a.ControlPU[t] >= 0 {
-			prog.SetControlBinding(t, a.ControlPU[t])
-		}
 	}
 	return nil
 }

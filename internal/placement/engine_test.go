@@ -220,8 +220,8 @@ func TestBindCommitsAssignment(t *testing.T) {
 		}
 	}
 	// TinyHT reserves hyperthread siblings for control threads.
-	if cb := prog.ControlBinding(); len(cb) != 4 {
-		t.Errorf("control binding = %v", cb)
+	if cpu := a.ControlPU; len(cpu) != 4 || slices.Contains(cpu, -1) {
+		t.Errorf("control PUs = %v", cpu)
 	}
 
 	pl := eng.SimPlacement(a, 0)

@@ -3,7 +3,8 @@ package placement
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"orwlplace/internal/topology"
@@ -17,13 +18,12 @@ import (
 // `PlaceRequest.Machine` selects one, and `PlaceBatch` fans a request
 // slice across the fleet concurrently.
 //
-// The first machine added is the default (overridable with
-// SetDefault): requests that name no machine route there.
+// The first machine added is the default: requests that name no
+// machine route there.
 type MultiService struct {
 	mu    sync.RWMutex
 	svcs  map[string]*LocalService
-	order []string // registration order; Machines() lists default first
-	def   string
+	order []string // registration order, the default first
 }
 
 var _ Service = (*MultiService)(nil)
@@ -55,9 +55,6 @@ func (m *MultiService) AddEngine(name string, eng *Engine) error {
 	}
 	m.svcs[name] = svc
 	m.order = append(m.order, name)
-	if m.def == "" {
-		m.def = name
-	}
 	return nil
 }
 
@@ -72,44 +69,27 @@ func (m *MultiService) AddMachine(name string, top *topology.Topology, opts ...E
 	return m.AddEngine(name, eng)
 }
 
-// SetDefault changes which machine unnamed requests route to.
-func (m *MultiService) SetDefault(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.svcs[name]; !ok {
-		return fmt.Errorf("placement: unknown fleet machine %q (have %v)", name, m.machinesLocked())
-	}
-	m.def = name
-	return nil
-}
-
 // DefaultMachine returns the name unnamed requests route to ("" while
 // the fleet is empty).
 func (m *MultiService) DefaultMachine() string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.def
+	return m.defaultLocked()
 }
 
-// Machines lists the fleet machine names, default first, the rest in
-// registration order.
+func (m *MultiService) defaultLocked() string {
+	if len(m.order) == 0 {
+		return ""
+	}
+	return m.order[0]
+}
+
+// Machines lists the fleet machine names in registration order, so the
+// default comes first.
 func (m *MultiService) Machines() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.machinesLocked()
-}
-
-func (m *MultiService) machinesLocked() []string {
-	out := make([]string, 0, len(m.order))
-	if m.def != "" {
-		out = append(out, m.def)
-	}
-	for _, name := range m.order {
-		if name != m.def {
-			out = append(out, name)
-		}
-	}
-	return out
+	return slices.Clone(m.order)
 }
 
 // service resolves a machine name ("" = default) to its per-machine
@@ -118,12 +98,11 @@ func (m *MultiService) service(name string) (*LocalService, string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if name == "" {
-		name = m.def
+		name = m.defaultLocked()
 	}
 	svc, ok := m.svcs[name]
 	if !ok {
-		known := m.machinesLocked()
-		sort.Strings(known)
+		known := slices.Sorted(maps.Keys(m.svcs))
 		return nil, "", fmt.Errorf("placement: unknown machine %q (have %v)", name, known)
 	}
 	return svc, name, nil
@@ -210,24 +189,4 @@ func (m *MultiService) Stats(ctx context.Context) (ServiceStats, error) {
 		st.Adaptive.merge(svc.adaptiveStats())
 	}
 	return st, nil
-}
-
-// MachineStats returns the per-machine service stats, keyed by fleet
-// name — the disaggregated view behind the aggregate Stats.
-func (m *MultiService) MachineStats(ctx context.Context) (map[string]ServiceStats, error) {
-	m.mu.RLock()
-	svcs := make(map[string]*LocalService, len(m.svcs))
-	for name, svc := range m.svcs {
-		svcs[name] = svc
-	}
-	m.mu.RUnlock()
-	out := make(map[string]ServiceStats, len(svcs))
-	for name, svc := range svcs {
-		st, err := svc.Stats(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = st
-	}
-	return out, nil
 }

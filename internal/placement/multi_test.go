@@ -74,7 +74,7 @@ func TestMultiServiceRouting(t *testing.T) {
 		t.Errorf("stats machines = %v", st.Machines)
 	}
 
-	per, err := fleet.MachineStats(ctx)
+	per, err := machineStats(ctx, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,6 @@ func TestMultiServiceConstruction(t *testing.T) {
 	if err := fleet.AddMachine("m", topology.TinyFlat()); err == nil {
 		t.Error("duplicate machine name accepted")
 	}
-	if err := fleet.SetDefault("nope"); err == nil {
-		t.Error("unknown default accepted")
-	}
 	if _, err := fleet.Place(context.Background(), nil); err == nil {
 		t.Error("nil request accepted")
 	}
@@ -111,30 +108,6 @@ func TestMultiServiceConstruction(t *testing.T) {
 	}
 	if _, err := empty.Topology(context.Background()); err == nil {
 		t.Error("empty fleet returned a topology")
-	}
-}
-
-func TestMultiServiceSetDefault(t *testing.T) {
-	fleet := newTestFleet(t)
-	if err := fleet.SetDefault("tinyflat"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fleet.Machines(); got[0] != "tinyflat" {
-		t.Errorf("machines after SetDefault = %v, want tinyflat first", got)
-	}
-	resp, err := fleet.Place(context.Background(), &PlaceRequest{Strategy: TreeMatch, Matrix: testMatrix(t, 4, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Machine != "tinyflat" {
-		t.Errorf("unnamed request served by %q after SetDefault", resp.Machine)
-	}
-	top, err := fleet.Topology(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.Attrs.Name != "TinyFlat" {
-		t.Errorf("fleet topology = %q, want the new default's", top.Attrs.Name)
 	}
 }
 
@@ -171,7 +144,7 @@ func TestMultiServicePlaceBatch(t *testing.T) {
 
 	// The default-machine slot and the named tinyht slot share a cache
 	// key, so tinyht computed the matrix once.
-	per, err := fleet.MachineStats(ctx)
+	per, err := machineStats(ctx, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +275,13 @@ func TestMultiServiceConcurrentAddMachine(t *testing.T) {
 					t.Errorf("Stats: %v", err)
 					return
 				}
-				ms, err := fleet.MachineStats(ctx)
+				ms, err := machineStats(ctx, fleet)
 				if err != nil {
-					t.Errorf("MachineStats: %v", err)
+					t.Errorf("machineStats: %v", err)
 					return
 				}
 				if _, ok := ms["seed"]; !ok {
-					t.Error("MachineStats lost the seed machine")
+					t.Error("machineStats lost the seed machine")
 					return
 				}
 			}
@@ -324,13 +297,29 @@ func TestMultiServiceConcurrentAddMachine(t *testing.T) {
 	if def := fleet.DefaultMachine(); def != "seed" {
 		t.Errorf("default machine = %q, want seed", def)
 	}
-	ms, err := fleet.MachineStats(ctx)
+	ms, err := machineStats(ctx, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != want {
-		t.Errorf("MachineStats lists %d machines, want %d", len(ms), want)
+		t.Errorf("machineStats lists %d machines, want %d", len(ms), want)
 	}
+}
+
+// machineStats is the per-machine view behind the fleet's aggregate
+// Stats, keyed by fleet name.
+func machineStats(ctx context.Context, fleet *MultiService) (map[string]ServiceStats, error) {
+	out := map[string]ServiceStats{}
+	for _, name := range fleet.Machines() {
+		svc, err := fleet.MachineService(name)
+		if err != nil {
+			return nil, err
+		}
+		if out[name], err = svc.Stats(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // chainMatrixMulti is a local pipeline matrix helper (the name avoids

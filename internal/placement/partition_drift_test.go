@@ -34,9 +34,7 @@ func referencePartitionDrift(parts *treematch.Partitioning, base, window comm.Af
 			}
 		}
 	}
-	sa, sb := comm.NewSparse(0), comm.NewSparse(0)
-	comm.SymmetrizeAffinityInto(sa, base)
-	comm.SymmetrizeAffinityInto(sb, window)
+	sa, sb := symmetrized(base), symmetrized(window)
 	ta := make([]float64, len(out))
 	tb := make([]float64, len(out))
 	internal := func(i, j int) int {
@@ -293,4 +291,17 @@ func TestReconcilerPartitionBaselineRefreshed(t *testing.T) {
 	if cached == nil || rec.driftBase != cached {
 		t.Fatalf("steady epochs rebuilt the baseline form (%p -> %p)", cached, rec.driftBase)
 	}
+}
+
+// symmetrized is a's symmetrized form, s[i][j] = s[j][i] = a[i][j] +
+// a[j][i] for i != j with a zero diagonal, stored sparse.
+func symmetrized(a comm.Affinity) *comm.Sparse {
+	s := comm.NewSparse(a.Order())
+	a.ForEach(func(i, j int, v float64) {
+		if i != j {
+			s.Add(i, j, v)
+			s.Add(j, i, v)
+		}
+	})
+	return s
 }

@@ -36,13 +36,6 @@ func (t *Topology) Render(w io.Writer) error {
 	return walk(t.Root, 0)
 }
 
-// RenderString returns the Render output as a string.
-func (t *Topology) RenderString() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
-}
-
 func humanBytes(n int64) string {
 	switch {
 	case n >= 1<<30 && n%(1<<30) == 0:

@@ -93,7 +93,7 @@ func TestOSIndexPreserved(t *testing.T) {
 
 func TestObjectStringAndPUsOnLeaf(t *testing.T) {
 	top := TinyFlat()
-	pu := top.PU(0)
+	pu := top.Objects(PU)[0]
 	if pu.String() != "PU#0" {
 		t.Errorf("String = %q", pu.String())
 	}
@@ -111,10 +111,10 @@ func TestObjectStringAndPUsOnLeaf(t *testing.T) {
 func TestHopDistanceDisjointTrees(t *testing.T) {
 	a := TinyFlat()
 	b := TinyFlat()
-	if d := HopDistance(a.PU(0), b.PU(0)); d != -1 {
+	if d := HopDistance(a.Objects(PU)[0], b.Objects(PU)[0]); d != -1 {
 		t.Errorf("disjoint distance = %d, want -1", d)
 	}
-	if CommonAncestor(a.PU(0), nil) != nil {
+	if CommonAncestor(a.Objects(PU)[0], nil) != nil {
 		t.Error("nil ancestor should be nil")
 	}
 }

@@ -40,7 +40,7 @@ func TestRestrictFullMachineIsCopy(t *testing.T) {
 	}
 	// Independent trees: scaling an object on one must not affect the
 	// other (structural check: different object pointers).
-	if r.Root == top.Root || r.PU(0) == top.PU(0) {
+	if r.Root == top.Root || r.Objects(PU)[0] == top.Objects(PU)[0] {
 		t.Error("Restrict returned shared objects")
 	}
 }

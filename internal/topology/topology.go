@@ -14,11 +14,7 @@
 // Fig. 2; a generic builder constructs arbitrary balanced machines.
 package topology
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // ObjectType enumerates the kinds of objects found in a topology tree,
 // ordered from the root (Machine) towards the leaves (PU).
@@ -256,15 +252,6 @@ func (t *Topology) NumPUs() int { return len(t.byType[PU]) }
 // NumCores returns the number of physical cores.
 func (t *Topology) NumCores() int { return len(t.byType[Core]) }
 
-// PU returns the PU with the given logical index, or nil.
-func (t *Topology) PU(logical int) *Object {
-	pus := t.byType[PU]
-	if logical < 0 || logical >= len(pus) {
-		return nil
-	}
-	return pus[logical]
-}
-
 // ObjectsAtDepth returns the objects at the given tree depth in
 // depth-first order.
 func (t *Topology) ObjectsAtDepth(depth int) []*Object {
@@ -398,64 +385,4 @@ func LocalityUnder(ca *Object) Locality {
 	default:
 		return CrossGroup
 	}
-}
-
-// CPUSet is a set of PU OS indexes, used to express bindings.
-type CPUSet map[int]struct{}
-
-// NewCPUSet builds a set from the given PU OS indexes.
-func NewCPUSet(ids ...int) CPUSet {
-	s := make(CPUSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-// Add inserts a PU OS index.
-func (s CPUSet) Add(id int) { s[id] = struct{}{} }
-
-// Contains reports membership.
-func (s CPUSet) Contains(id int) bool {
-	_, ok := s[id]
-	return ok
-}
-
-// Len returns the number of PUs in the set.
-func (s CPUSet) Len() int { return len(s) }
-
-// IDs returns the sorted PU OS indexes.
-func (s CPUSet) IDs() []int {
-	out := make([]int, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// String renders the set as a comma-separated list of ids, with dashes
-// for runs, e.g. "0-3,8".
-func (s CPUSet) String() string {
-	ids := s.IDs()
-	if len(ids) == 0 {
-		return "{}"
-	}
-	var b strings.Builder
-	for i := 0; i < len(ids); {
-		j := i
-		for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		if j > i {
-			fmt.Fprintf(&b, "%d-%d", ids[i], ids[j])
-		} else {
-			fmt.Fprintf(&b, "%d", ids[i])
-		}
-		i = j + 1
-	}
-	return b.String()
 }

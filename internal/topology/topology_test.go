@@ -114,7 +114,7 @@ func TestPUOSIndexesSequential(t *testing.T) {
 
 func TestAncestorAndDepth(t *testing.T) {
 	top := TinyHT()
-	pu := top.PU(0)
+	pu := top.Objects(PU)[0]
 	if pu.Depth() != top.Depth() {
 		t.Fatalf("PU depth %d != topology depth %d", pu.Depth(), top.Depth())
 	}
@@ -220,42 +220,13 @@ func TestPUsUnderObject(t *testing.T) {
 
 func TestPUBoundsChecks(t *testing.T) {
 	top := TinyFlat()
-	if top.PU(-1) != nil || top.PU(top.NumPUs()) != nil {
-		t.Error("PU out-of-range should return nil")
-	}
 	if top.Objects(ObjectType(-1)) != nil {
 		t.Error("Objects with invalid type should return nil")
 	}
 }
 
-func TestCPUSet(t *testing.T) {
-	s := NewCPUSet(3, 1, 2, 8)
-	if !s.Contains(2) || s.Contains(4) {
-		t.Error("membership wrong")
-	}
-	s.Add(4)
-	if got, want := s.String(), "1-4,8"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-	if got := NewCPUSet().String(); got != "{}" {
-		t.Errorf("empty set String() = %q", got)
-	}
-	if got := NewCPUSet(5).String(); got != "5" {
-		t.Errorf("singleton String() = %q", got)
-	}
-	ids := s.IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Errorf("IDs not sorted: %v", ids)
-		}
-	}
-	if s.Len() != 5 {
-		t.Errorf("Len = %d, want 5", s.Len())
-	}
-}
-
 func TestRenderContainsKeyObjects(t *testing.T) {
-	out := TinyHT().RenderString()
+	out := render(TinyHT())
 	for _, want := range []string{"TinyHT", "NUMANode#1", "Core#3", "PU#7", "L3#0 (4MB)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -277,7 +248,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			got.Depth() != top.Depth() || got.Attrs.Name != top.Attrs.Name {
 			t.Errorf("%s: round trip changed shape", top.Attrs.Name)
 		}
-		if got.RenderString() != top.RenderString() {
+		if render(got) != render(top) {
 			t.Errorf("%s: round trip changed rendering", top.Attrs.Name)
 		}
 	}
@@ -365,4 +336,11 @@ func TestCommonAncestorProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// render is the Render output as a string.
+func render(t *Topology) string {
+	var b strings.Builder
+	_ = t.Render(&b)
+	return b.String()
 }

@@ -237,3 +237,43 @@ func TestGoldenExhaustiveIdenticalVolume(t *testing.T) {
 		}
 	}
 }
+
+// forEachSubsetOfSize calls fn with every subset of mask having exactly
+// size bits set. It is the reference form of the combination walk that
+// groupExhaustive inlines over workspace buffers (the inline copy
+// avoids the per-call position/index allocations and the closure).
+func forEachSubsetOfSize(mask, size int, fn func(int)) {
+	if size == 0 {
+		fn(0)
+		return
+	}
+	var pos []int
+	for i := mask; i != 0; i &= i - 1 {
+		pos = append(pos, bits.TrailingZeros(uint(i)))
+	}
+	if len(pos) < size {
+		return
+	}
+	idx := make([]int, size)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		sub := 0
+		for _, k := range idx {
+			sub |= 1 << uint(pos[k])
+		}
+		fn(sub)
+		i := size - 1
+		for i >= 0 && idx[i] == len(pos)-size+i {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		idx[i]++
+		for j := i + 1; j < size; j++ {
+			idx[j] = idx[j-1] + 1
+		}
+	}
+}

@@ -123,16 +123,6 @@ type Mapping struct {
 	Partitions *Partitioning
 }
 
-// PUSet returns the set of OS indexes of all PUs used by compute
-// entities.
-func (mp *Mapping) PUSet() topology.CPUSet {
-	s := topology.NewCPUSet()
-	for _, pu := range mp.ComputePU {
-		s.Add(mp.Top.PU(pu).OSIndex)
-	}
-	return s
-}
-
 // Map runs Algorithm 1: it adapts the communication matrix for control
 // threads, handles oversubscription, groups entities bottom-up by
 // communication affinity along the topology tree, and assigns the

@@ -400,17 +400,6 @@ func TestMapOnPaperMachines(t *testing.T) {
 	}
 }
 
-func TestPUSet(t *testing.T) {
-	top := topology.TinyFlat()
-	mp, err := Map(top, comm.Ring(4, 10, false), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mp.PUSet().Len(); got != 4 {
-		t.Errorf("PUSet size = %d, want 4", got)
-	}
-}
-
 func TestPlaceStrategies(t *testing.T) {
 	top := topology.TinyHT() // 2 NUMA x 2 cores x 2 PUs
 	pus := top.PUs()
