@@ -112,50 +112,6 @@ func BenchmarkTableIVCounters(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ----------------------------------------
 
-// Exhaustive vs greedy GroupProcesses: solution quality vs run time.
-func BenchmarkAblationGroupingExhaustive(b *testing.B) {
-	m := comm.Random(12, 1000, 7)
-	var vol float64
-	for i := 0; i < b.N; i++ {
-		groups, err := treematch.GroupProcesses(m, 3, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vol = treematch.IntraGroupVolume(m, groups)
-	}
-	b.ReportMetric(vol, "intra-volume")
-}
-
-func BenchmarkAblationGroupingGreedy(b *testing.B) {
-	m := comm.Random(12, 1000, 7)
-	var vol float64
-	for i := 0; i < b.N; i++ {
-		groups, err := treematch.GroupProcesses(m, 3, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vol = treematch.IntraGroupVolume(m, groups)
-	}
-	b.ReportMetric(vol, "intra-volume")
-}
-
-// Swap refinement on top of greedy grouping: quality recovered vs time
-// spent (compare the intra-volume metric with the exhaustive/greedy
-// benches above).
-func BenchmarkAblationGroupingRefined(b *testing.B) {
-	m := comm.Random(12, 1000, 7)
-	var vol float64
-	for i := 0; i < b.N; i++ {
-		groups, err := treematch.GroupProcesses(m, 3, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		groups = treematch.RefineSwap(m, groups, 8)
-		vol = treematch.IntraGroupVolume(m, groups)
-	}
-	b.ReportMetric(vol, "intra-volume")
-}
-
 func BenchmarkAblationMapRefinement(b *testing.B) {
 	top := topology.SMP12E5()
 	m := comm.Random(96, 1<<20, 5)
@@ -180,15 +136,6 @@ func BenchmarkAblationMapRefinement(b *testing.B) {
 			}
 			b.ReportMetric(cost, "cost")
 		})
-	}
-}
-
-func BenchmarkAblationGroupingGreedyLarge(b *testing.B) {
-	m := comm.Random(96, 1000, 7)
-	for i := 0; i < b.N; i++ {
-		if _, err := treematch.GroupProcesses(m, 8, 12); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -7,8 +7,7 @@ import "math"
 // by both the dense *Matrix and the sorted-rows *Sparse. Callers that
 // hold an Affinity never commit to an O(n²) layout — a 10k-task program
 // whose tasks each talk to a handful of neighbours stays O(nnz) end to
-// end (extraction, symmetrization, partitioning, aggregation,
-// fingerprinting).
+// end (extraction, mapping, fingerprinting).
 //
 // Like *Matrix, implementations are not safe for concurrent mutation.
 type Affinity interface {
@@ -33,17 +32,12 @@ type Affinity interface {
 	// fingerprinting) rely on it.
 	ForEachRow(i int, fn func(j int, v float64))
 	// ForEach calls fn for every nonzero (i, j, v) in unspecified
-	// order. It is the bulk-extraction primitive: consumers that sort
-	// or bucket the nonzeros themselves (CSR builds) use it to skip
-	// the per-row ordering work ForEachRow pays for.
+	// order: the bulk-extraction primitive for consumers that need no
+	// row order (merges, copies).
 	ForEach(fn func(i, j int, v float64))
 	// Reset returns the affinity to an n x n all-zero state, reusing
-	// storage where possible (the *Into-style scratch primitive).
+	// storage where possible.
 	Reset(n int)
-	// HeaviestPairs returns the entity pairs (i<j) sorted by decreasing
-	// symmetrized volume, up to limit pairs (all if limit <= 0), with
-	// the same strictly-positive-volume contract as (*Matrix).HeaviestPairs.
-	HeaviestPairs(limit int) []Pair
 	// CloneAffinity returns a deep copy with the same representation.
 	CloneAffinity() Affinity
 	// Dense materializes the affinity as a dense matrix. For *Matrix it
@@ -86,8 +80,8 @@ func NilAffinity(a Affinity) bool {
 	return false
 }
 
-// Dense-side conformance. Order/At/Set/Add/AddSym/Total/Reset/
-// HeaviestPairs are the existing methods; the remainder follows.
+// Dense-side conformance. Order/At/Set/Add/AddSym/Total/Reset are the
+// existing methods; the remainder follows.
 
 // NNZ counts the nonzero entries (O(n²) on the dense representation).
 func (m *Matrix) NNZ() int {
@@ -157,49 +151,4 @@ func FingerprintOf(a Affinity) uint64 {
 		a.ForEachRow(i, row)
 	}
 	return h
-}
-
-// AggregateAffinityInto writes the group aggregation of a into the
-// dense dst (resized and fully overwritten), with the same semantics
-// and validation as (*Matrix).AggregateInto: dst[x][y] = sum over
-// i in groups[x], j in groups[y] of a[i][j], diagonal entries i == j
-// excluded. The result is dense because its order is the group count,
-// which the partitioned mapper keeps at or below the dense threshold.
-// groupOf is optional scratch of length >= a.Order(). Runs in O(nnz).
-func AggregateAffinityInto(dst *Matrix, a Affinity, groups [][]int, groupOf []int) error {
-	n := a.Order()
-	if len(groupOf) < n {
-		groupOf = make([]int, n)
-	}
-	groupOf = groupOf[:n]
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for g, members := range groups {
-		for _, i := range members {
-			if i < 0 || i >= n {
-				return errAggregate("entity %d out of range", i)
-			}
-			if groupOf[i] != -1 {
-				return errAggregate("entity %d in two groups", i)
-			}
-			groupOf[i] = g
-		}
-	}
-	for i, g := range groupOf {
-		if g == -1 {
-			return errAggregate("entity %d not in any group", i)
-		}
-	}
-	dst.Reset(len(groups))
-	for i := 0; i < n; i++ {
-		gi := groupOf[i]
-		a.ForEachRow(i, func(j int, v float64) {
-			if i == j {
-				return
-			}
-			dst.Add(gi, groupOf[j], v)
-		})
-	}
-	return nil
 }

@@ -2,50 +2,6 @@ package comm
 
 import "testing"
 
-// Matrix-pipeline micro-benches: one per primitive the mapping hot
-// path leans on. The *Into variants run against a reused destination,
-// like treematch.Map drives them — with -benchmem they should report
-// zero allocations in steady state.
-
-func BenchmarkSymmetrizedInto(b *testing.B) {
-	m := Random(160, 1000, 7)
-	dst := NewMatrix(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SymmetrizedInto(dst)
-	}
-}
-
-func BenchmarkExtendInto(b *testing.B) {
-	m := Random(120, 1000, 7)
-	dst := NewMatrix(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ExtendInto(dst, 160)
-	}
-}
-
-func BenchmarkAggregateInto(b *testing.B) {
-	m := Random(160, 1000, 7)
-	groups := make([][]int, 20)
-	for g := range groups {
-		for x := 0; x < 8; x++ {
-			groups[g] = append(groups[g], g*8+x)
-		}
-	}
-	dst := NewMatrix(0)
-	groupOf := make([]int, m.Order())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.AggregateInto(dst, groups, groupOf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkHeaviestPairsSparse(b *testing.B) {
 	m := Ring(160, 1<<20, true) // 160 nonzero pairs out of 12720
 	b.ReportAllocs()

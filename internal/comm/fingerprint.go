@@ -8,8 +8,9 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// Fingerprint hashes the order and every entry of the matrix (bit
-// pattern, not numeric value, so NaNs and signed zeros distinguish).
+// Fingerprint hashes the order and every cell of the matrix (bit
+// pattern, not numeric value, so NaNs and signed zeros distinguish),
+// whatever stores it: a sparse affinity hashes as its dense form.
 // It is the identity the placement mapping cache keys on and the wire
 // protocol's "fingerprint-only" request handle: a client that has
 // already shipped a matrix body refers to it by this hash, and the
@@ -32,9 +33,13 @@ const (
 // does exactly that, and the wire codec hashes sparse bodies with it
 // on both sides. A replacement digest must keep that property (one that
 // hashes only the nonzeros has it by construction).
-func Fingerprint(m *Matrix) uint64 {
-	if m == nil {
+func Fingerprint(a Affinity) uint64 {
+	if NilAffinity(a) {
 		return 0
+	}
+	m, ok := a.(*Matrix)
+	if !ok {
+		return foldNonzeros(a)
 	}
 	h := uint64(fnvOffset64)
 	n := m.Order()
@@ -45,6 +50,26 @@ func Fingerprint(m *Matrix) uint64 {
 		}
 	}
 	return h
+}
+
+// foldNonzeros is Fingerprint from the row-sorted nonzeros of a.
+func foldNonzeros(a Affinity) uint64 {
+	var f FingerprintFold
+	n := a.Order()
+	f.Start(n)
+	var i, end int
+	// One closure for every row: a literal inside the loop would be
+	// allocated per row, since ForEachRow is an interface call.
+	row := func(j int, v float64) {
+		at := i*n + j
+		f.Zeros(at - end)
+		f.Run(math.Float64bits(v), 1)
+		end = at + 1
+	}
+	for i = 0; i < n; i++ {
+		a.ForEachRow(i, row)
+	}
+	return f.Sum()
 }
 
 // FingerprintFold computes Fingerprint from the run-length view of a
@@ -87,6 +112,10 @@ func (f *FingerprintFold) Start(n int) {
 // Zeros folds g zero cells.
 func (f *FingerprintFold) Zeros(g int) {
 	f.left -= g
+	if g < 256 { // the common gap: one lookup
+		f.h *= fnvPow[0][g]
+		return
+	}
 	for ; g >= 1<<24; g -= 1 << 24 {
 		f.h *= fnvPow24
 	}

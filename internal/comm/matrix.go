@@ -74,18 +74,8 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Reset returns the matrix to an n x n all-zero state, reusing the
-// existing backing storage when it is large enough. It is the
-// primitive behind the *Into variants: a matrix owned by a workspace
-// is Reset instead of reallocated, so a multi-level mapping pipeline
-// does O(1) matrix allocations.
+// existing backing storage when it is large enough.
 func (m *Matrix) Reset(n int) {
-	m.resize(n)
-	clear(m.data)
-}
-
-// resize sets the order to n reusing storage; the entries are left
-// unspecified (callers overwrite every cell or clear explicitly).
-func (m *Matrix) resize(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -95,10 +85,11 @@ func (m *Matrix) resize(n int) {
 		return
 	}
 	m.data = m.data[:n*n]
+	clear(m.data)
 }
 
 // RowView returns row i without copying. The slice aliases the
-// matrix: it is invalidated by Reset/resize and writes through it
+// matrix: it is invalidated by Reset and writes through it
 // mutate the matrix. Hot loops (grouping affinity updates) use it to
 // stream a row sequentially instead of calling At per entry.
 func (m *Matrix) RowView(i int) []float64 {
@@ -109,32 +100,16 @@ func (m *Matrix) RowView(i int) []float64 {
 // m[i][j]+m[j][i] for i != j and zero diagonal. Placement algorithms
 // work on symmetrized volumes.
 func (m *Matrix) Symmetrized() *Matrix {
-	return m.SymmetrizedInto(NewMatrix(0))
-}
-
-// SymmetrizedInto writes the symmetrized matrix into dst (resized and
-// fully overwritten) and returns dst. dst must not be m itself.
-func (m *Matrix) SymmetrizedInto(dst *Matrix) *Matrix {
-	if dst == m {
-		panic("comm: SymmetrizedInto aliases the receiver")
-	}
 	n := m.n
-	dst.resize(n)
-	// Row-major writes with a constant-stride transposed read: stores
-	// stay sequential (a strided store costs an RFO per cache line) and
-	// the fixed-stride loads run ahead of the hardware prefetcher.
-	data := m.data
+	s := NewMatrix(n)
 	for i := 0; i < n; i++ {
-		row := data[i*n : (i+1)*n]
-		out := dst.data[i*n : (i+1)*n]
-		idx := i
-		for j, v := range row {
-			out[j] = v + data[idx]
-			idx += n
+		for j := 0; j < n; j++ {
+			if i != j {
+				s.data[i*n+j] = m.data[i*n+j] + m.data[j*n+i]
+			}
 		}
-		out[i] = 0
 	}
-	return dst
+	return s
 }
 
 // IsSymmetric reports whether m equals its transpose.
@@ -172,25 +147,6 @@ func (m *Matrix) MaxEntry() float64 {
 	return mx
 }
 
-// ExtendInto writes into dst (resized and fully overwritten) the matrix
-// of order newOrder whose leading principal submatrix is m and whose
-// remaining entries are zero, and returns dst. It is the primitive used
-// to add virtual entities (control threads, padding for non-divisible
-// group sizes). dst must not be m itself.
-func (m *Matrix) ExtendInto(dst *Matrix, newOrder int) *Matrix {
-	if dst == m {
-		panic("comm: ExtendInto aliases the receiver")
-	}
-	if newOrder < m.n {
-		newOrder = m.n
-	}
-	dst.Reset(newOrder)
-	for i := 0; i < m.n; i++ {
-		copy(dst.data[i*newOrder:i*newOrder+m.n], m.data[i*m.n:(i+1)*m.n])
-	}
-	return dst
-}
-
 // Permuted returns P, with P[i][j] = m[perm[i]][perm[j]]: the matrix
 // seen after renumbering entity perm[i] as i.
 func (m *Matrix) Permuted(perm []int) (*Matrix, error) {
@@ -211,81 +167,6 @@ func (m *Matrix) Permuted(perm []int) (*Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// AggregateInto merges entities into groups, writing the result into dst
-// (resized and fully overwritten): groups[g] lists the entity indexes of
-// group g, and the result R has order len(groups) with R[a][b] = sum
-// over i in groups[a], j in groups[b] of m[i][j] (diagonal excluded for
-// a == b). This is AggregateComMatrix of Algorithm 1. groupOf is
-// optional scratch of length >= Order() (allocated when nil), so a
-// workspace-driven pipeline aggregates without per-level allocations.
-// dst must not be m itself.
-func (m *Matrix) AggregateInto(dst *Matrix, groups [][]int, groupOf []int) error {
-	if dst == m {
-		panic("comm: AggregateInto aliases the receiver")
-	}
-	n := m.n
-	if len(groupOf) < n {
-		groupOf = make([]int, n)
-	}
-	groupOf = groupOf[:n]
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for a, ga := range groups {
-		for _, i := range ga {
-			if i < 0 || i >= n {
-				return fmt.Errorf("comm: aggregate: entity %d out of range", i)
-			}
-			if groupOf[i] != -1 {
-				return fmt.Errorf("comm: aggregate: entity %d in two groups", i)
-			}
-			groupOf[i] = a
-		}
-	}
-	for i, g := range groupOf {
-		if g == -1 {
-			return fmt.Errorf("comm: aggregate: entity %d not in any group", i)
-		}
-	}
-	k := len(groups)
-	dst.Reset(k)
-	// Per-block accumulation into registers: summing a destination
-	// cell through memory serialises on the FP add latency (every
-	// add depends on the previous store), so each (row, group) partial
-	// sum is built in a register and committed once.
-	for a, ga := range groups {
-		drow := dst.data[a*k : (a+1)*k]
-		for _, i := range ga {
-			row := m.data[i*n : (i+1)*n]
-			for b, gb := range groups {
-				var s float64
-				if b == a {
-					for _, j := range gb {
-						if j != i {
-							s += row[j]
-						}
-					}
-				} else {
-					// Two accumulators hide the FP-add latency of the
-					// gather (a single running sum serialises on it).
-					var s1 float64
-					x := 0
-					for ; x+1 < len(gb); x += 2 {
-						s += row[gb[x]]
-						s1 += row[gb[x+1]]
-					}
-					if x < len(gb) {
-						s += row[gb[x]]
-					}
-					s += s1
-				}
-				drow[b] += s
-			}
-		}
-	}
-	return nil
 }
 
 // String renders the matrix compactly, one row per line.
@@ -313,24 +194,24 @@ func (m *Matrix) RenderGrayScale() string {
 	fmt.Fprintf(&b, "comm matrix %dx%d (log gray scale, max=%g)\n", m.n, m.n, mx)
 	for i := 0; i < m.n; i++ {
 		for j := 0; j < m.n; j++ {
-			v := m.At(i, j)
 			var idx int
-			if v > 0 && mx > 0 {
-				// Map log10(v) over ~6 decades onto the ramp.
-				rel := 1 - (math.Log10(mx)-math.Log10(v))/6
-				if rel < 0 {
-					rel = 0
-				}
-				idx = 1 + int(rel*float64(len(shades)-2))
-				if idx >= len(shades) {
-					idx = len(shades) - 1
-				}
+			if rel, ok := logShade(m.At(i, j), mx); ok {
+				idx = min(1+int(rel*float64(len(shades)-2)), len(shades)-1)
 			}
 			b.WriteByte(shades[idx])
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// logShade places a positive volume v on the renderings' logarithmic
+// scale: ~6 decades below the largest entry mx map onto [0, 1].
+func logShade(v, mx float64) (float64, bool) {
+	if v <= 0 || mx <= 0 {
+		return 0, false
+	}
+	return max(0, 1-(math.Log10(mx)-math.Log10(v))/6), true
 }
 
 // RenderPGM encodes the matrix as a binary PGM (P5) gray-scale image
@@ -350,13 +231,8 @@ func (m *Matrix) RenderPGM(scale int) []byte {
 	row := make([]byte, side)
 	for i := 0; i < m.n; i++ {
 		for j := 0; j < m.n; j++ {
-			v := m.At(i, j)
 			shade := byte(255) // white background
-			if v > 0 && mx > 0 {
-				rel := 1 - (math.Log10(mx)-math.Log10(v))/6
-				if rel < 0 {
-					rel = 0
-				}
+			if rel, ok := logShade(m.At(i, j), mx); ok {
 				shade = byte(200 * (1 - rel))
 			}
 			for s := 0; s < scale; s++ {
@@ -370,46 +246,20 @@ func (m *Matrix) RenderPGM(scale int) []byte {
 	return out
 }
 
-// HeaviestPairs returns the entity pairs (i<j) sorted by decreasing
-// symmetrized volume, up to limit pairs (all if limit <= 0). Ties are
-// broken by (i,j) order so the result is deterministic.
-//
-// Contract: only pairs with a strictly positive symmetrized volume are
-// returned — zero (non-communicating) and negative pairs are skipped,
-// so on a sparse matrix the result holds the nonzero pairs only, never
-// all n² candidates. Callers that need every pair must enumerate the
-// matrix themselves; callers that only consume the heaviest few (the
-// greedy grouping engine seeds) should prefer a lazily-popped heap
-// over sorting the full list.
+// HeaviestPairs returns the entity pairs (i<j) with a strictly
+// positive symmetrized volume, heaviest first with ties in (i,j) order,
+// up to limit pairs (all if limit <= 0).
 func (m *Matrix) HeaviestPairs(limit int) []Pair {
-	// Count first so the slice is allocated exactly once at the nonzero
-	// size instead of growing through the append doubling schedule.
-	nz := 0
+	var pairs []Pair
 	for i := 0; i < m.n; i++ {
 		for j := i + 1; j < m.n; j++ {
-			if m.data[i*m.n+j]+m.data[j*m.n+i] > 0 {
-				nz++
-			}
-		}
-	}
-	pairs := make([]Pair, 0, nz)
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			v := m.data[i*m.n+j] + m.data[j*m.n+i]
-			if v > 0 {
+			if v := m.data[i*m.n+j] + m.data[j*m.n+i]; v > 0 {
 				pairs = append(pairs, Pair{I: i, J: j, Volume: v})
 			}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].Volume != pairs[b].Volume {
-			return pairs[a].Volume > pairs[b].Volume
-		}
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
+	// Listed in (i,j) order, so a stable sort on volume breaks ties.
+	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Volume > pairs[b].Volume })
 	if limit > 0 && len(pairs) > limit {
 		pairs = pairs[:limit]
 	}

@@ -84,23 +84,6 @@ func TestTotalAndMaxEntry(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	m, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	e := m.ExtendInto(NewMatrix(0), 4)
-	if e.Order() != 4 {
-		t.Fatalf("extended order = %d", e.Order())
-	}
-	if e.At(0, 1) != 1 || e.At(1, 0) != 1 {
-		t.Error("Extend lost original entries")
-	}
-	if e.At(3, 3) != 0 || e.At(0, 3) != 0 {
-		t.Error("Extend should zero-fill")
-	}
-	if m.ExtendInto(NewMatrix(0), 1).Order() != 2 {
-		t.Error("Extend below order should keep order")
-	}
-}
-
 func TestPermuted(t *testing.T) {
 	m, _ := FromRows([][]float64{{0, 10, 20}, {1, 0, 21}, {2, 12, 0}})
 	p, err := m.Permuted([]int{2, 0, 1})
@@ -119,37 +102,6 @@ func TestPermuted(t *testing.T) {
 	}
 	if _, err := m.Permuted([]int{0, 1, 5}); err == nil {
 		t.Error("accepted out-of-range permutation")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	// Two clusters of 2; intra volume 10, inter volume 1.
-	m := Clustered(4, 2, 10, 1)
-	agg, err := aggregate(m, [][]int{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Order() != 2 {
-		t.Fatalf("aggregated order = %d", agg.Order())
-	}
-	// Between groups: 2x2 ordered pairs from group 0 to group 1 = 4
-	// entries of 1; the reverse direction lands in At(1,0).
-	if agg.At(0, 1) != 4 || agg.At(1, 0) != 4 {
-		t.Errorf("inter-group volume = %g/%g, want 4/4", agg.At(0, 1), agg.At(1, 0))
-	}
-	// Within group 0: pairs (0,1) and (1,0).
-	if agg.At(0, 0) != 20 {
-		t.Errorf("intra-group volume = %g, want 20", agg.At(0, 0))
-	}
-
-	if _, err := aggregate(m, [][]int{{0, 1}, {1, 2, 3}}); err == nil {
-		t.Error("accepted overlapping groups")
-	}
-	if _, err := aggregate(m, [][]int{{0, 1}}); err == nil {
-		t.Error("accepted incomplete grouping")
-	}
-	if _, err := aggregate(m, [][]int{{0, 1}, {2, 9}}); err == nil {
-		t.Error("accepted out-of-range entity")
 	}
 }
 
@@ -361,91 +313,6 @@ func TestSymmetrizeProperties(t *testing.T) {
 	}
 }
 
-// Property: aggregation preserves total volume minus the entries that
-// fall on intra-group diagonals (none here since diagonals are zero).
-func TestAggregatePreservesVolume(t *testing.T) {
-	f := func(seed int64) bool {
-		m := Random(8, 100, seed)
-		groups := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-		agg, err := aggregate(m, groups)
-		if err != nil {
-			return false
-		}
-		return math.Abs(agg.Total()-m.Total()) < 1e-6*(1+m.Total())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// The *Into variants must agree with their allocating counterparts
-// while reusing the destination's storage across calls of different
-// orders.
-func TestIntoVariantsMatchAndReuseStorage(t *testing.T) {
-	dst := NewMatrix(0)
-	for _, n := range []int{6, 3, 6, 8} {
-		m := Random(n, 50, int64(n))
-		m.Set(1, 2, 7) // break symmetry so Symmetrized does work
-		m.SymmetrizedInto(dst)
-		want := m.Symmetrized()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if dst.At(i, j) != want.At(i, j) {
-					t.Fatalf("n=%d: SymmetrizedInto (%d,%d) = %g, want %g", n, i, j, dst.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-
-	m := Random(4, 10, 1)
-	ext := NewMatrix(1)
-	ext.Set(0, 0, 99) // stale state must be cleared
-	m.ExtendInto(ext, 6)
-	want := m.ExtendInto(NewMatrix(0), 6)
-	if ext.Order() != 6 {
-		t.Fatalf("ExtendInto order = %d", ext.Order())
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if ext.At(i, j) != want.At(i, j) {
-				t.Fatalf("ExtendInto (%d,%d) = %g, want %g", i, j, ext.At(i, j), want.At(i, j))
-			}
-		}
-	}
-
-	groups := [][]int{{0, 2}, {1, 3}}
-	agg := NewMatrix(0)
-	groupOf := make([]int, 4)
-	if err := m.AggregateInto(agg, groups, groupOf); err != nil {
-		t.Fatal(err)
-	}
-	wantAgg, err := aggregate(m, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(agg.At(i, j)-wantAgg.At(i, j)) > 1e-12 {
-				t.Fatalf("AggregateInto (%d,%d) = %g, want %g", i, j, agg.At(i, j), wantAgg.At(i, j))
-			}
-		}
-	}
-}
-
-func TestAggregateIntoValidation(t *testing.T) {
-	m := Random(4, 10, 2)
-	dst := NewMatrix(0)
-	if err := m.AggregateInto(dst, [][]int{{0, 9}, {1, 2}}, nil); err == nil {
-		t.Error("accepted out-of-range entity")
-	}
-	if err := m.AggregateInto(dst, [][]int{{0, 1}, {1, 2}}, nil); err == nil {
-		t.Error("accepted duplicated entity")
-	}
-	if err := m.AggregateInto(dst, [][]int{{0, 1}}, nil); err == nil {
-		t.Error("accepted uncovered entity")
-	}
-}
-
 func TestResetAndRowView(t *testing.T) {
 	m := NewMatrix(3)
 	m.Set(1, 1, 5)
@@ -475,10 +342,4 @@ func TestHeaviestPairsSkipsZeroVolumes(t *testing.T) {
 	if pairs[0].Volume != 14 || pairs[1].Volume != 10 {
 		t.Errorf("pairs = %v, want decreasing symmetrized volumes 14, 10", pairs)
 	}
-}
-
-// aggregate is AggregateInto a fresh matrix.
-func aggregate(m *Matrix, groups [][]int) (*Matrix, error) {
-	out := NewMatrix(0)
-	return out, m.AggregateInto(out, groups, nil)
 }

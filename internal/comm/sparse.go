@@ -1,24 +1,16 @@
 package comm
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Sparse is a row-compressed communication matrix: each row holds its
 // nonzeros as a column-sorted slice, so storage and iteration are
 // O(nnz) instead of O(n²), iteration is in row-major ascending order
 // with no per-call sorting, and nothing on the read or the append path
-// hashes. It implements the same Affinity surface as the dense *Matrix
-// and mirrors its *Into scratch variants; the two representations are
-// interchangeable and decision-identical (see
+// hashes. It implements the same Affinity surface as the dense *Matrix;
+// the two representations are interchangeable (see
 // FuzzSparseDenseEquivalence).
 //
-// Appending past a row's last column is O(1); an insert in the middle
-// of a row shifts its tail, so filling one row of k nonzeros in random
-// column order costs O(k²) moves — negligible for the handful of
-// neighbours a task talks to, and bulk producers that know the row
-// sizes up front use NewSparseSized.
+// Appending past a row's last column is O(1); an insert mid-row shifts
+// its tail (O(k²) to fill a row of k in random order, negligible for a
+// task's few neighbours). Bulk producers use NewSparseSized.
 //
 // Exact zeros are not stored: Set with 0 and Add sequences that cancel
 // to 0 delete the entry, so NNZ and iteration reflect the true nonzero
@@ -238,77 +230,4 @@ func SparseFromMatrix(m *Matrix) *Sparse {
 		}
 	}
 	return s
-}
-
-// SymmetrizedInto writes the symmetrized matrix into dst (Reset and
-// fully overwritten) and returns dst, mirroring the dense variant:
-// dst[i][j] = s[i][j] + s[j][i] for i != j, zero diagonal. O(nnz).
-// dst must not be s itself.
-func (s *Sparse) SymmetrizedInto(dst *Sparse) *Sparse {
-	if dst == s {
-		panic("comm: SymmetrizedInto aliases the receiver")
-	}
-	dst.Reset(s.n)
-	for i, r := range s.rows {
-		for _, e := range r {
-			if i == e.j {
-				continue
-			}
-			dst.Add(i, e.j, e.v)
-			dst.Add(e.j, i, e.v)
-		}
-	}
-	return dst
-}
-
-// AggregateInto writes the group aggregation into the dense dst with
-// the same semantics as (*Matrix).AggregateInto, walking only the
-// nonzeros. groupOf is optional scratch of length >= Order().
-func (s *Sparse) AggregateInto(dst *Matrix, groups [][]int, groupOf []int) error {
-	return AggregateAffinityInto(dst, s, groups, groupOf)
-}
-
-// HeaviestPairs returns the entity pairs (i<j) sorted by decreasing
-// symmetrized volume, up to limit pairs (all if limit <= 0), with the
-// dense method's contract: strictly positive symmetrized volumes only,
-// ties broken by (i,j). Enumeration is O(nnz): a pair is emitted from
-// its upper-triangle entry, or from the lower-triangle entry when the
-// upper one is absent.
-func (s *Sparse) HeaviestPairs(limit int) []Pair {
-	pairs := make([]Pair, 0, s.NNZ())
-	for i, r := range s.rows {
-		for _, e := range r {
-			j, v := e.j, e.v
-			switch {
-			case j > i:
-				if vol := v + s.At(j, i); vol > 0 {
-					pairs = append(pairs, Pair{I: i, J: j, Volume: vol})
-				}
-			case j < i:
-				if s.At(j, i) != 0 {
-					continue // counted from the upper-triangle entry
-				}
-				if v > 0 {
-					pairs = append(pairs, Pair{I: j, J: i, Volume: v})
-				}
-			}
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].Volume != pairs[b].Volume {
-			return pairs[a].Volume > pairs[b].Volume
-		}
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
-	if limit > 0 && len(pairs) > limit {
-		pairs = pairs[:limit]
-	}
-	return pairs
-}
-
-func errAggregate(format string, args ...any) error {
-	return fmt.Errorf("comm: aggregate: "+format, args...)
 }

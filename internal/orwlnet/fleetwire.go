@@ -2,7 +2,6 @@ package orwlnet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"orwlplace/internal/comm"
@@ -104,56 +103,17 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 	dst = append(dst, protoVersion)
 	dst = putUvarint(dst, leaseID)
 	dst = putUvarint(dst, seq)
-	if m, ok := delta.(*comm.Matrix); ok {
-		// The dense scan as is — it also keeps -0 cells bit-exact, which
-		// no sparse affinity holds.
-		dst, _ = putMatrixField(dst, m)
-		return dst, nil
-	}
-	return putAffinityCompact(dst, delta), nil
-}
-
-// putAffinityCompact emits the bytes putMatrixField emits for a.Dense()
-// without visiting a zero cell: it walks the row-sorted nonzeros, and a
-// run extends while the next one is the adjacent cell of the same row
-// with the same bits.
-func putAffinityCompact(dst []byte, a comm.Affinity) []byte {
-	n := a.Order()
-	e := newRunEmitter(dst, n)
-	var runBits uint64
-	var i, runCol, runLen int
-	// One closure for every row: a literal inside the loop would be
-	// allocated per row, since ForEachRow is an interface call.
-	row := func(j int, v float64) {
-		if b := math.Float64bits(v); runLen == 0 || j != runCol+runLen || b != runBits {
-			if runLen > 0 {
-				e.run(i*n+runCol, runLen, runBits)
-			}
-			runCol, runBits, runLen = j, b, 0
-		}
-		runLen++
-	}
-	for i = 0; i < n; i++ {
-		a.ForEachRow(i, row)
-		if runLen > 0 { // a run never crosses a row boundary
-			e.run(i*n+runCol, runLen, runBits)
-			runLen = 0
-		}
-	}
-	dst, _ = e.close(a)
-	return dst
+	dst, _ = putMatrixField(dst, delta)
+	return dst, nil
 }
 
 // decodeObservedReport decodes a report frame, refusing an order above
 // maxRows (0 = only the codec's own limit) before anything is sized by
-// it. A sparse body holding at most n²/8 nonzeros decodes sparse at any
-// order — a window is mostly zeros, and the collector merges what it is
-// given in O(nnz); anything else decodes dense.
-//
-// Memory bound: no frame makes it allocate more than the 8·n² bytes of
-// a dense order-n matrix. A dense body is that long itself; a sparse
-// body is validated in full — every run, and the cell count they claim
-// (a single triplet can claim all n²) — before the target exists.
+// it. The matrix field goes through getMatrix, the decoder placement
+// frames use: a sparse body holding at most n²/8 nonzeros decodes
+// sparse at any order — a window is mostly zeros, and the collector
+// merges what it is given in O(nnz); anything else decodes dense, and
+// no frame allocates more than a dense order-n matrix.
 //
 // Fingerprint-only references are refused: a report is a one-shot
 // delta, never worth a round trip to resolve.
@@ -169,12 +129,10 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 		return 0, 0, nil, err
 	}
 	// Peek the order first, whichever mode carries it.
-	var n int
-	var order, runs uint64
-	var body []byte
-	sparse := len(rest) > 0 && rest[0] == matSparse
-	if sparse {
-		n, runs, body, err = getSparseHeader(rest[1:])
+	var order uint64
+	if len(rest) > 0 && rest[0] == matSparse {
+		var n int
+		n, _, _, err = getSparseHeader(rest[1:])
 		order = uint64(n)
 	} else if len(rest) > 0 && rest[0] == matDense {
 		order, _, err = getUint64(rest[1:])
@@ -185,36 +143,12 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if !sparse {
-		// Every other mode is a placement payload's matrix field, read
-		// without a seen-matrix table.
-		m, _, _, err := getMatrix(rest, nil)
-		if err == nil && m == nil {
-			err = fmt.Errorf("orwlnet: observed report without a matrix")
-		}
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return leaseID, seq, m, nil
+	if delta, _, _, err = getMatrix(rest, nil); err == nil && delta == nil {
+		err = fmt.Errorf("orwlnet: observed report without a matrix")
 	}
-	rowNNZ := make([]int, n)
-	nnz := 0
-	if _, err = walkSparseRuns(body, runs, n, func(row, _, length int, _ float64) {
-		nnz += length
-		rowNNZ[row] += length
-	}); err != nil {
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	if nnz > n*n/8 {
-		delta = comm.NewMatrix(n)
-	} else {
-		delta = comm.NewSparseSized(rowNNZ)
-	}
-	walkSparseRuns(body, runs, n, func(row, col, length int, v float64) { // validated above
-		for k := col; k < col+length; k++ {
-			delta.Set(row, k, v)
-		}
-	})
 	return leaseID, seq, delta, nil
 }
 

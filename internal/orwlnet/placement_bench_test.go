@@ -3,8 +3,10 @@ package orwlnet
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 
 	"orwlplace/internal/comm"
@@ -45,7 +47,7 @@ func BenchmarkPlaceComputeRoundTrip(b *testing.B) {
 // startBenchService serves one machine's placement engine over
 // loopback TCP for the length of the benchmark and returns a connected
 // stub.
-func startBenchService(b *testing.B, top *topology.Topology) *RemoteService {
+func startBenchService(b testing.TB, top *topology.Topology) *RemoteService {
 	b.Helper()
 	eng, err := placement.NewEngine(top)
 	if err != nil {
@@ -124,6 +126,48 @@ func BenchmarkPlaceColdRoundTrip(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlaceColdRoundTrip160AllocatesNoMatrix is the cold path's
+// allocation tripwire: a never-seen 160-task clustered placement
+// through a loopback RemoteService — encode, decode, TreeMatch, quality
+// diagnostics, response — must allocate < 64 KiB per call process-wide.
+// A dense 160² matrix alone is 205 KB.
+func TestPlaceColdRoundTrip160AllocatesNoMatrix(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	top, err := topology.ByName("smp20e7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := startBenchService(t, top)
+	m, x, y := coldClustered(rand.New(rand.NewSource(160)), 160)
+	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m, Entities: 160}
+	place := func() {
+		m.AddSym(x, y, 1)
+		resp, err := remote.Place(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit {
+			t.Fatal("a never-seen matrix was a cache hit")
+		}
+	}
+	place() // sizes the pooled buffers and workspaces
+	place()
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		place()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 64<<10 {
+		t.Fatalf("one cold 160-task placement allocated %d bytes, want < 64 KiB", got)
+	} else {
+		t.Logf("one cold 160-task placement allocated %d KiB", got>>10)
 	}
 }
 
@@ -217,6 +261,36 @@ func BenchmarkPlaceSequentialRoundTrip(b *testing.B) {
 			if resp.Assignment == nil {
 				b.Fatal("no assignment")
 			}
+		}
+	}
+}
+
+// TestWirePlaceRefusesInvalidRequests: over the wire, a NaN, ±Inf or
+// negative volume and an entity count other than the matrix order are
+// refused like in process, and a typed nil matrix crosses as no matrix.
+func TestWirePlaceRefusesInvalidRequests(t *testing.T) {
+	remote := startBenchService(t, topology.Fig2Machine())
+	ctx := context.Background()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		m := comm.Clustered(32, 8, 1000, 10)
+		m.Set(3, 7, v)
+		for try := 0; try < 2; try++ {
+			if _, err := remote.Place(ctx, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m}); err == nil {
+				t.Fatalf("%v at (3,7), try %d: placed", v, try)
+			}
+		}
+	}
+	m := comm.Clustered(16, 4, 1000, 10)
+	if _, err := remote.Place(ctx, &placement.PlaceRequest{Strategy: "round-robin-pu", Matrix: m, Entities: 8}); err == nil {
+		t.Fatal("8 entities for an order-16 matrix placed")
+	}
+	for _, a := range []comm.Affinity{(*comm.Matrix)(nil), (*comm.Sparse)(nil)} {
+		if _, err := remote.Place(ctx, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: a, Entities: 8}); err == nil {
+			t.Errorf("treematch placed without a matrix (%T)", a)
+		}
+		resp, err := remote.Place(ctx, &placement.PlaceRequest{Strategy: "round-robin-pu", Matrix: a, Entities: 8})
+		if err != nil || resp.Assignment.Entities() != 8 {
+			t.Fatalf("round-robin-pu with %T(nil): %v", a, err)
 		}
 	}
 }

@@ -184,7 +184,7 @@ func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp u
 	dst = putUint64(dst, uint64(int64(req.Entities)))
 	dst = putOptions(dst, req.Options)
 	m, hint := req.Matrix, req.MatrixFP
-	if m == nil {
+	if comm.NilAffinity(m) {
 		return append(dst, matAbsent), 0
 	}
 	if hint != 0 {
@@ -566,11 +566,16 @@ func (e *runEmitter) close(a comm.Affinity) ([]byte, uint64) {
 // putMatrixField encodes a matrix field — sparse or dense, whichever is
 // smaller, a choice invisible to the decoder (both carry their mode
 // byte), so density drift never changes the protocol — and returns the
-// matrix's comm.Fingerprint (zero for nil), all in one walk over the
-// cells.
-func putMatrixField(dst []byte, m *comm.Matrix) ([]byte, uint64) {
-	if m == nil {
+// matrix's comm.Fingerprint (zero for nil), all in one walk: over the
+// cells of a dense matrix (which keeps -0 cells bit-exact), over the
+// row-sorted nonzeros of any other affinity.
+func putMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64) {
+	if comm.NilAffinity(a) {
 		return append(dst, matAbsent), 0
+	}
+	m, ok := a.(*comm.Matrix)
+	if !ok {
+		return putAffinityCompact(dst, a)
 	}
 	n := m.Order()
 	e := newRunEmitter(dst, n)
@@ -591,6 +596,35 @@ func putMatrixField(dst []byte, m *comm.Matrix) ([]byte, uint64) {
 		}
 	}
 	return e.close(m)
+}
+
+// putAffinityCompact is putMatrixField for an affinity without a dense
+// form: it walks the row-sorted nonzeros, and a run extends while the
+// next one is the adjacent cell of the same row with the same bits.
+func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64) {
+	n := a.Order()
+	e := newRunEmitter(dst, n)
+	var runBits uint64
+	var i, runCol, runLen int
+	// One closure for every row: a literal inside the loop would be
+	// allocated per row, since ForEachRow is an interface call.
+	row := func(j int, v float64) {
+		if b := math.Float64bits(v); runLen == 0 || j != runCol+runLen || b != runBits {
+			if runLen > 0 {
+				e.run(i*n+runCol, runLen, runBits)
+			}
+			runCol, runBits, runLen = j, b, 0
+		}
+		runLen++
+	}
+	for i = 0; i < n; i++ {
+		a.ForEachRow(i, row)
+		if runLen > 0 { // a run never crosses a row boundary
+			e.run(i*n+runCol, runLen, runBits)
+			runLen = 0
+		}
+	}
+	return e.close(a)
 }
 
 // getSparseHeader reads a sparse body's order and run count, leaving
@@ -657,30 +691,46 @@ func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length
 }
 
 // getSparseBody decodes a sparse matrix body, folding its
-// comm.Fingerprint from the runs as it writes them: O(runs), never a
-// pass over the zero cells.
-func getSparseBody(src []byte) (*comm.Matrix, uint64, []byte, error) {
+// comm.Fingerprint from the runs: O(runs + n), never a pass over the
+// zero cells. The body is validated in full — every run, and the cell
+// count they claim (one triplet can claim all n²) — before the target
+// exists, so no frame allocates more than the 8·n² bytes of a dense
+// order-n matrix. It decodes sparse iff the runs cover at most n²/8
+// cells; a -0 cell, which sparse storage cannot hold, decodes dense.
+func getSparseBody(src []byte) (comm.Affinity, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	m := comm.NewMatrix(n)
+	rowNNZ := make([]int, n)
+	nnz, negZero := 0, false
+	rest, err := walkSparseRuns(body, runs, n, func(row, _, length int, v float64) {
+		nnz += length
+		rowNNZ[row] += length
+		negZero = negZero || math.Float64bits(v) == 1<<63
+	})
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	var m comm.Affinity
+	if nnz > n*n/8 || negZero {
+		m = comm.NewMatrix(n)
+	} else {
+		m = comm.NewSparseSized(rowNNZ)
+	}
 	var fp comm.FingerprintFold
 	fp.Start(n)
 	end := 0 // cell index one past the previous run
-	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
-		cells := m.RowView(row)[col : col+length]
-		for k := range cells {
-			cells[k] = v
+	// The runs were validated above: this walk cannot fail.
+	walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+		for k := col; k < col+length; k++ {
+			m.Set(row, k, v)
 		}
 		at := row*n + col
 		fp.Zeros(at - end)
 		fp.Run(math.Float64bits(v), length)
 		end = at + length
 	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
 	return m, fp.Sum(), rest, nil
 }
 
@@ -701,7 +751,7 @@ func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
 // (zero without a matrix), folded while a body decodes or read from a
 // reference — the serving side forwards it as the request's MatrixFP
 // hint so the engine never re-hashes.
-func getMatrix(src []byte, mc *matrixCache) (*comm.Matrix, uint64, []byte, error) {
+func getMatrix(src []byte, mc *matrixCache) (comm.Affinity, uint64, []byte, error) {
 	if len(src) < 1 {
 		return nil, 0, nil, fmt.Errorf("orwlnet: truncated matrix mode")
 	}
@@ -710,11 +760,14 @@ func getMatrix(src []byte, mc *matrixCache) (*comm.Matrix, uint64, []byte, error
 	case matAbsent:
 		return nil, 0, rest, nil
 	case matDense, matSparse:
-		decode := getMatrixDenseBody
+		var m comm.Affinity
+		var fp uint64
+		var err error
 		if mode == matSparse {
-			decode = getSparseBody
+			m, fp, rest, err = getSparseBody(rest)
+		} else {
+			m, fp, rest, err = getMatrixDenseBody(rest)
 		}
-		m, fp, rest, err := decode(rest)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -771,7 +824,7 @@ type matrixCache struct {
 
 type matrixCacheEntry struct {
 	fp uint64
-	m  *comm.Matrix
+	m  comm.Affinity
 }
 
 // defaultMatrixCacheEntries bounds the seen-matrix table. Matrices are
@@ -784,10 +837,10 @@ func newMatrixCache(max int) *matrixCache {
 	return &matrixCache{max: max, order: list.New(), entries: make(map[uint64]*list.Element)}
 }
 
-func (c *matrixCache) lookup(fp uint64) (*comm.Matrix, bool) {
+func (c *matrixCache) lookup(fp uint64) (comm.Affinity, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[fp]
-	var m *comm.Matrix
+	var m comm.Affinity
 	if ok {
 		c.order.MoveToFront(el)
 		m = el.Value.(*matrixCacheEntry).m // remember rewrites it under mu
@@ -801,7 +854,7 @@ func (c *matrixCache) lookup(fp uint64) (*comm.Matrix, bool) {
 	return m, true
 }
 
-func (c *matrixCache) remember(fp uint64, m *comm.Matrix) {
+func (c *matrixCache) remember(fp uint64, m comm.Affinity) {
 	if c.max <= 0 {
 		return
 	}

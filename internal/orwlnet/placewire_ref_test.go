@@ -3,6 +3,7 @@ package orwlnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -205,7 +206,7 @@ func TestWireBatchFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		if (req.Matrix == nil) != (back[i].Matrix == nil) || (req.Matrix != nil && !bitsEqual(req.Matrix, back[i].Matrix)) {
+		if comm.NilAffinity(req.Matrix) != comm.NilAffinity(back[i].Matrix) || (!comm.NilAffinity(req.Matrix) && !bitsEqual(req.Matrix, back[i].Matrix)) {
 			t.Errorf("slot %d: matrix did not survive the frame", i)
 		}
 		if back[i].MatrixFP != fps[i] {
@@ -257,5 +258,32 @@ func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
 		if !svc.known.has(comm.Fingerprint(req.Matrix)) {
 			t.Error("stub forgot a body the daemon holds again")
 		}
+	}
+}
+
+// TestDecodeUvarintMatchesBinary pins the word-at-a-time varint decoder
+// to encoding/binary on canonical varints followed by arbitrary bytes,
+// and on random byte strings (overlong, truncated and overflowing ones
+// included).
+func TestDecodeUvarintMatchesBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	check := func(b []byte) {
+		got, n, ok := decodeUvarint(b)
+		want, wn := binary.Uvarint(b)
+		if ok != (wn > 0) || ok && (got != want || n != wn) {
+			t.Fatalf("% x: decoded (%d, %d, %v), encoding/binary (%d, %d)", b, got, n, ok, want, wn)
+		}
+	}
+	for k := 0; k < 200000; k++ {
+		b := putUvarint(nil, rng.Uint64()>>uint(rng.Intn(64)))
+		for tail := rng.Intn(10); tail > 0; tail-- {
+			b = append(b, byte(rng.Intn(256)))
+		}
+		check(b)
+		junk := make([]byte, rng.Intn(12))
+		for i := range junk {
+			junk[i] = byte(rng.Intn(256)) | byte(rng.Intn(2))<<7
+		}
+		check(junk)
 	}
 }

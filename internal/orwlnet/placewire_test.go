@@ -65,10 +65,10 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 			got.Options != req.Options || got.Machine != req.Machine {
 			t.Errorf("round trip mangled scalars: got %+v, want %+v", got, req)
 		}
-		if (got.Matrix == nil) != (req.Matrix == nil) {
+		if comm.NilAffinity(got.Matrix) != comm.NilAffinity(req.Matrix) {
 			t.Fatalf("matrix presence lost: got %v, sent %v", got.Matrix, req.Matrix)
 		}
-		if req.Matrix != nil && got.Matrix.String() != req.Matrix.String() {
+		if !comm.NilAffinity(req.Matrix) && got.Matrix.Dense().String() != req.Matrix.Dense().String() {
 			t.Errorf("matrix mangled:\ngot\n%s\nwant\n%s", got.Matrix, req.Matrix)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // bitsEqual compares two matrices cell by cell on raw float64 bits —
 // the equality the sparse codec must preserve (NaNs and signed zeros
 // included), since both wire peers fingerprint the decoded bits.
-func bitsEqual(a, b *comm.Matrix) bool {
+func bitsEqual(a, b comm.Affinity) bool {
 	if a.Order() != b.Order() {
 		return false
 	}

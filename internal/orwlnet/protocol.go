@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"orwlplace/internal/ctrlplane"
 )
@@ -285,8 +286,22 @@ func getUvarint(src []byte) (uint64, []byte, error) {
 }
 
 // decodeUvarint is binary.Uvarint with the two failure modes (buffer
-// exhausted, 64-bit overflow) collapsed into ok=false.
+// exhausted, 64-bit overflow) collapsed into ok=false. A varint of at
+// most eight bytes with eight readable decodes branch-free from one
+// word: the terminating byte is the first with its high bit clear, and
+// three mask-and-shift steps pack the 7-bit groups.
 func decodeUvarint(src []byte) (uint64, int, bool) {
+	if len(src) >= 8 {
+		x := binary.LittleEndian.Uint64(src)
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) + 1 // bits up to the terminator
+			x &= 1<<(end&63) - 1 | -(uint64(end) >> 6)
+			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+			return x, end >> 3, true
+		}
+	}
 	v, n := binary.Uvarint(src)
 	if n <= 0 {
 		return 0, 0, false

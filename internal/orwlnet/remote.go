@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
 )
@@ -240,7 +241,7 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	if err != nil {
 		return nil, err
 	}
-	if req.Matrix != nil {
+	if !comm.NilAffinity(req.Matrix) {
 		// The daemon decoded the body (or confirmed the reference): the
 		// next request for this matrix can go fingerprint-only.
 		s.known.remember(fp)

@@ -75,7 +75,7 @@ func Signature(top *topology.Topology) uint64 {
 // The hash is comm.Fingerprint — the same identity the wire protocol's
 // fingerprint-only requests resolve matrices by, so a matrix cached
 // here and one resolved from the daemon's seen-matrix table key alike.
-func matrixFingerprint(m *comm.Matrix) uint64 {
+func matrixFingerprint(m comm.Affinity) uint64 {
 	return comm.Fingerprint(m)
 }
 

@@ -105,10 +105,10 @@ func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 
 // Compute runs the named strategy — step 2 of the pipeline
 // (orwl_affinity_compute) — memoising the result. n may be zero when
-// m is non-nil, in which case the matrix order is used. The returned
-// assignment is the caller's to keep: mutating it does not corrupt
-// the cache.
-func (e *Engine) Compute(strategy string, m *comm.Matrix, n int, opt Options) (*Assignment, error) {
+// m is non-nil, in which case the matrix order is used; any other n
+// must equal the order. The returned assignment is the caller's to
+// keep: mutating it does not corrupt the cache.
+func (e *Engine) Compute(strategy string, m comm.Affinity, n int, opt Options) (*Assignment, error) {
 	a, _, err := e.ComputeHinted(strategy, m, 0, n, opt)
 	return a, err
 }
@@ -121,13 +121,14 @@ func (e *Engine) Compute(strategy string, m *comm.Matrix, n int, opt Options) (*
 // identity — the wire layer resolved the matrix BY fingerprint, or the
 // service hashed it once for its own caches — pass it here instead of
 // paying it again. fp zero means unknown.
-func (e *Engine) ComputeHinted(strategy string, m *comm.Matrix, fp uint64, n int, opt Options) (*Assignment, bool, error) {
+func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n int, opt Options) (*Assignment, bool, error) {
 	s, ok := Lookup(strategy)
 	if !ok {
 		return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
 	}
-	if n == 0 && m != nil {
-		n = m.Order()
+	n, err := entities(m, n)
+	if err != nil {
+		return nil, false, err
 	}
 	key := cacheKey{
 		topo:     e.topoSig,
@@ -153,10 +154,9 @@ func (e *Engine) ComputeHinted(strategy string, m *comm.Matrix, fp uint64, n int
 	})
 }
 
-// ComputeAffinity is Compute on the affinity surface: strategies
-// implementing AffinityMapper map the representation directly (the
-// treematch strategy runs the partitioned sparse path above the
-// threshold); others fall back to the dense form. Results are memoised
+// ComputeAffinity is Compute with the partitioned path: strategies
+// implementing AffinityMapper map through it (the treematch strategy
+// partitions above the threshold); others run Map. Results are memoised
 // under comm.FingerprintOf — a dense and a sparse affinity with the
 // same entries share an entry — in a key space disjoint from the
 // dense Compute path's wire fingerprints.
@@ -165,11 +165,12 @@ func (e *Engine) ComputeAffinity(strategy string, a comm.Affinity, n int, opt Op
 	if !ok {
 		return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
 	}
-	if s.CommAware() && a == nil {
+	if s.CommAware() && comm.NilAffinity(a) {
 		return nil, false, fmt.Errorf("placement: %s: nil affinity", strategy)
 	}
-	if n == 0 && a != nil {
-		n = a.Order()
+	n, err := entities(a, n)
+	if err != nil {
+		return nil, false, err
 	}
 	key := cacheKey{
 		topo:     e.topoSig,
@@ -187,12 +188,25 @@ func (e *Engine) ComputeAffinity(strategy string, a comm.Affinity, n int, opt Op
 		if am, ok := s.(AffinityMapper); ok && s.CommAware() {
 			return am.MapAffinity(e.top, a, n, opt)
 		}
-		var m *comm.Matrix
-		if a != nil {
-			m = a.Dense()
-		}
-		return s.Map(e.top, m, n, opt)
+		return s.Map(e.top, a, n, opt)
 	})
+}
+
+// entities resolves a request's entity count against its matrix: zero
+// means the order, and any other count must equal it — a strategy would
+// otherwise place the matrix's order, or n, depending on whether it
+// reads the matrix.
+func entities(m comm.Affinity, n int) (int, error) {
+	if comm.NilAffinity(m) {
+		return n, nil
+	}
+	if n == 0 {
+		return m.Order(), nil
+	}
+	if n != m.Order() {
+		return 0, fmt.Errorf("placement: %d entities for a matrix of order %d", n, m.Order())
+	}
+	return n, nil
 }
 
 // computeKeyed serves one cache key: from the cache, by joining an

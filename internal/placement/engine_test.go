@@ -382,7 +382,7 @@ type gateStrategy struct {
 func (g *gateStrategy) Name() string    { return g.name }
 func (g *gateStrategy) CommAware() bool { return false }
 
-func (g *gateStrategy) Map(top *topology.Topology, _ *comm.Matrix, n int, _ Options) (*Assignment, error) {
+func (g *gateStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
 	g.calls.Add(1)
 	select {
 	case g.started <- struct{}{}:
@@ -511,7 +511,7 @@ type panicStrategy struct {
 func (p *panicStrategy) Name() string    { return "test-panic" }
 func (p *panicStrategy) CommAware() bool { return false }
 
-func (p *panicStrategy) Map(*topology.Topology, *comm.Matrix, int, Options) (*Assignment, error) {
+func (p *panicStrategy) Map(*topology.Topology, comm.Affinity, int, Options) (*Assignment, error) {
 	select {
 	case p.started <- struct{}{}:
 	default:

@@ -118,24 +118,22 @@ type Strategy interface {
 	CommAware() bool
 	// Map computes the assignment of n entities on top. m may be nil
 	// unless CommAware.
-	Map(top *topology.Topology, m *comm.Matrix, n int, opt Options) (*Assignment, error)
+	Map(top *topology.Topology, m comm.Affinity, n int, opt Options) (*Assignment, error)
 }
 
 // AffinityMapper is the optional interface a comm-aware strategy
-// implements to map directly from the representation-independent
-// affinity surface. The engine's affinity compute path dispatches here
-// when available, so a sparse 10k-task matrix never materializes its
-// n² dense form; strategies without it fall back to Map over
-// a.Dense().
+// implements to map large affinities partitioned (treematch.MapAffinity
+// above the threshold). The engine's affinity compute path dispatches
+// here when available; strategies without it fall back to Map.
 type AffinityMapper interface {
 	MapAffinity(top *topology.Topology, a comm.Affinity, n int, opt Options) (*Assignment, error)
 }
 
-func validateRequest(s Strategy, top *topology.Topology, m *comm.Matrix, n int) error {
+func validateRequest(s Strategy, top *topology.Topology, m comm.Affinity, n int) error {
 	if top == nil {
 		return fmt.Errorf("placement: %s: nil topology", s.Name())
 	}
-	if s.CommAware() && m == nil {
+	if s.CommAware() && comm.NilAffinity(m) {
 		return fmt.Errorf("placement: %s: nil communication matrix", s.Name())
 	}
 	if n <= 0 {

@@ -24,11 +24,12 @@ type PlaceRequest struct {
 	// Strategy names a registered strategy ("treematch", "compact", ...).
 	Strategy string
 	// Entities is the number of entities to place. May be zero when
-	// Matrix is set, in which case the matrix order is used.
+	// Matrix is set, in which case the matrix order is used; otherwise
+	// it must equal the order.
 	Entities int
-	// Matrix is the communication matrix; nil for matrix-oblivious
-	// strategies.
-	Matrix *comm.Matrix
+	// Matrix is the communication matrix, in either storage; nil for
+	// matrix-oblivious strategies.
+	Matrix comm.Affinity
 	// MatrixFP is an optional precomputed comm.Fingerprint(Matrix) —
 	// a performance hint that spares the service re-hashing the matrix
 	// on every call (hashing a large matrix dominates the warm cache
@@ -268,7 +269,7 @@ const (
 // diagnostics returns the memoised (cost, cross-NUMA volume) for the
 // assignment over the matrix, computing and caching on miss. fp is the
 // matrix fingerprint the caller already holds.
-func (s *LocalService) diagnostics(fp uint64, m *comm.Matrix, a *Assignment) (float64, float64) {
+func (s *LocalService) diagnostics(fp uint64, m comm.Affinity, a *Assignment) (float64, float64) {
 	key := diagKey{matrix: fp, pus: puFingerprint(a.ComputePU)}
 	s.diagMu.Lock()
 	if v, ok := s.diag[key]; ok {
@@ -322,7 +323,7 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	// and reuse it for both the mapping-cache key and the diagnostics
 	// memo — on a warm hit the hash IS the dominant cost.
 	fp := req.MatrixFP
-	if fp == 0 && req.Matrix != nil {
+	if fp == 0 {
 		fp = comm.Fingerprint(req.Matrix)
 	}
 	a, hit, err := s.eng.ComputeHinted(req.Strategy, req.Matrix, fp, req.Entities, req.Options)
@@ -337,7 +338,7 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 		Cache:      s.eng.Stats(),
 		ElapsedNS:  time.Since(start).Nanoseconds(),
 	}
-	if req.Matrix != nil && !a.Unbound {
+	if !comm.NilAffinity(req.Matrix) && !a.Unbound {
 		// Quality diagnostics need both a matrix and an actual binding;
 		// failures here are diagnostic-only and never fail the call.
 		resp.Cost, resp.CrossNUMAVolume = s.diagnostics(fp, req.Matrix, a)

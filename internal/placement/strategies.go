@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"fmt"
-
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
@@ -35,7 +33,7 @@ type treeMatchStrategy struct{}
 func (treeMatchStrategy) Name() string    { return TreeMatch }
 func (treeMatchStrategy) CommAware() bool { return true }
 
-func (s treeMatchStrategy) Map(top *topology.Topology, m *comm.Matrix, n int, opt Options) (*Assignment, error) {
+func (s treeMatchStrategy) Map(top *topology.Topology, m comm.Affinity, n int, opt Options) (*Assignment, error) {
 	if err := validateRequest(s, top, m, n); err != nil {
 		return nil, err
 	}
@@ -46,17 +44,11 @@ func (s treeMatchStrategy) Map(top *topology.Topology, m *comm.Matrix, n int, op
 	return fromMapping(TreeMatch, mp), nil
 }
 
-// MapAffinity implements AffinityMapper: Algorithm 1 on the
-// representation-independent surface, partitioned above the threshold.
+// MapAffinity implements AffinityMapper: Algorithm 1, partitioned
+// above the threshold.
 func (s treeMatchStrategy) MapAffinity(top *topology.Topology, a comm.Affinity, n int, opt Options) (*Assignment, error) {
-	if top == nil {
-		return nil, fmt.Errorf("placement: %s: nil topology", s.Name())
-	}
-	if a == nil {
-		return nil, fmt.Errorf("placement: %s: nil affinity", s.Name())
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("placement: %s: need at least one entity, got %d", s.Name(), n)
+	if err := validateRequest(s, top, a, n); err != nil {
+		return nil, err
 	}
 	mp, err := treematch.MapAffinity(top, a, opt)
 	if err != nil {
@@ -76,7 +68,7 @@ func (o obliviousStrategy) Name() string         { return o.s.String() }
 func (o obliviousStrategy) CommAware() bool      { return false }
 func (o obliviousStrategy) IgnoresOptions() bool { return true }
 
-func (o obliviousStrategy) Map(top *topology.Topology, _ *comm.Matrix, n int, _ Options) (*Assignment, error) {
+func (o obliviousStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
 	if err := validateRequest(o, top, nil, n); err != nil {
 		return nil, err
 	}
@@ -96,7 +88,7 @@ func (noneStrategy) CommAware() bool      { return false }
 func (noneStrategy) Unbound() bool        { return true }
 func (noneStrategy) IgnoresOptions() bool { return true }
 
-func (s noneStrategy) Map(top *topology.Topology, _ *comm.Matrix, n int, _ Options) (*Assignment, error) {
+func (s noneStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
 	if err := validateRequest(s, top, nil, n); err != nil {
 		return nil, err
 	}

@@ -59,3 +59,58 @@ func BenchmarkMapRing160(b *testing.B) {
 		}
 	}
 }
+
+// Grouping ablations (DESIGN.md §5).
+
+// Exhaustive vs greedy GroupProcesses: solution quality vs run time.
+func BenchmarkAblationGroupingExhaustive(b *testing.B) {
+	m := comm.Random(12, 1000, 7)
+	var vol float64
+	for i := 0; i < b.N; i++ {
+		groups, err := GroupProcesses(m, 3, 12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vol = IntraGroupVolume(m, groups)
+	}
+	b.ReportMetric(vol, "intra-volume")
+}
+
+func BenchmarkAblationGroupingGreedy(b *testing.B) {
+	m := comm.Random(12, 1000, 7)
+	var vol float64
+	for i := 0; i < b.N; i++ {
+		groups, err := GroupProcesses(m, 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vol = IntraGroupVolume(m, groups)
+	}
+	b.ReportMetric(vol, "intra-volume")
+}
+
+// Swap refinement on top of greedy grouping: quality recovered vs time
+// spent (compare the intra-volume metric with the exhaustive/greedy
+// benches above).
+func BenchmarkAblationGroupingRefined(b *testing.B) {
+	m := comm.Random(12, 1000, 7)
+	var vol float64
+	for i := 0; i < b.N; i++ {
+		groups, err := GroupProcesses(m, 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		groups = RefineSwap(m, groups, 8)
+		vol = IntraGroupVolume(m, groups)
+	}
+	b.ReportMetric(vol, "intra-volume")
+}
+
+func BenchmarkAblationGroupingGreedyLarge(b *testing.B) {
+	m := comm.Random(96, 1000, 7)
+	for i := 0; i < b.N; i++ {
+		if _, err := GroupProcesses(m, 8, 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

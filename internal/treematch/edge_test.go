@@ -107,11 +107,11 @@ func TestHeaviestTasksOrdering(t *testing.T) {
 	m := comm.NewMatrix(4)
 	m.AddSym(0, 1, 10)
 	m.AddSym(2, 3, 100)
-	got := heaviestTasks(m.Symmetrized(), 2)
+	got := heaviestTasks(symOf(m), 2)
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("heaviest = %v, want [2 3]", got)
 	}
-	if got := heaviestTasks(m, 10); len(got) != 4 {
+	if got := heaviestTasks(symOf(m), 10); len(got) != 4 {
 		t.Errorf("over-count should clamp: %v", got)
 	}
 }

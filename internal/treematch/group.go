@@ -5,36 +5,21 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-
-	"orwlplace/internal/comm"
 )
 
-// GroupProcesses partitions the m.Order() entities into groups of size
+// groupProcesses partitions the entities of a level into groups of size
 // arity, maximising the communication volume kept inside groups
 // (function GroupProcesses of Algorithm 1). The order must be divisible
 // by arity. For at most exhaustiveLimit entities an optimal exponential
-// algorithm runs; beyond that a greedy engine is used, as in the paper
-// ("depending on the problem size, we go from an optimal but exponential
-// algorithm to a greedy one").
+// algorithm runs on a densified copy of the level; beyond that the
+// greedy engine runs on the CSR rows, as in the paper ("depending on
+// the problem size, we go from an optimal but exponential algorithm to
+// a greedy one").
 //
-// Groups are returned with members in increasing order and the group
-// list sorted by smallest member, so results are deterministic. The
-// returned slices are freshly allocated and the caller's to keep.
-func GroupProcesses(m *comm.Matrix, arity, exhaustiveLimit int) ([][]int, error) {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	return groupProcesses(m, arity, exhaustiveLimit, ws, false)
-}
-
-// groupProcesses is GroupProcesses running on a caller-provided
-// workspace, so the per-level calls inside Map share one scratch set.
-// isSym declares the input already symmetric: the engines then read
-// its rows directly instead of building a symmetrized copy per level.
-// (Symmetrizing a symmetric matrix doubles every entry — a uniform
-// positive scaling that cannot change any greedy or DP selection, so
-// both paths pick identical groups.)
-func groupProcesses(m *comm.Matrix, arity, exhaustiveLimit int, ws *mapWorkspace, isSym bool) ([][]int, error) {
-	n := m.Order()
+// Groups come back normalized (members ascending, groups ordered by
+// smallest member) and freshly allocated, the caller's to keep.
+func groupProcesses(c *symCSR, arity, exhaustiveLimit int, ws *mapWorkspace) ([][]int, error) {
+	n := c.order()
 	if arity < 1 {
 		return nil, fmt.Errorf("treematch: arity %d < 1", arity)
 	}
@@ -43,23 +28,21 @@ func groupProcesses(m *comm.Matrix, arity, exhaustiveLimit int, ws *mapWorkspace
 	}
 	var groups [][]int
 	switch {
-	case arity == 1:
-		flat := make([]int, n)
-		groups = make([][]int, n)
-		for i := range groups {
-			flat[i] = i
-			groups[i] = flat[i : i+1]
-		}
 	case arity == n:
 		g := make([]int, n)
 		for i := range g {
 			g[i] = i
 		}
 		groups = [][]int{g}
-	case n <= exhaustiveLimit && n <= 20:
-		groups = groupExhaustive(m, arity, ws, isSym)
+	case arity > 1 && n <= exhaustiveLimit && n <= 20:
+		groups = groupExhaustive(c.densify(&ws.slab), n, arity, ws)
 	default:
-		groups = groupGreedy(m, arity, ws, isSym)
+		ident := grow(&ws.ident, n)
+		for i := range ident {
+			ident[i] = i
+		}
+		ws.gr.use(c)
+		groups = ws.gr.split(ident, n/arity, true)
 	}
 	normalizeGroups(groups)
 	return groups, nil
@@ -74,61 +57,44 @@ func normalizeGroups(groups [][]int) {
 	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
 }
 
-// IntraGroupVolume returns the total symmetrized volume kept inside the
-// groups — the objective GroupProcesses maximises.
-func IntraGroupVolume(m *comm.Matrix, groups [][]int) float64 {
-	var total float64
-	for _, g := range groups {
-		for x := 0; x < len(g); x++ {
-			for y := x + 1; y < len(g); y++ {
-				total += m.At(g[x], g[y]) + m.At(g[y], g[x])
-			}
-		}
-	}
-	return total
-}
-
-// groupExhaustive finds the optimal partition by dynamic programming
-// over subsets: dp[mask] is the best intra-group volume achievable when
-// partitioning exactly the entities in mask into groups of size arity.
+// groupExhaustive finds the optimal partition of the n entities of the
+// row-major slab w by dynamic programming over subsets: dp[mask] is the
+// best intra-group volume achievable when partitioning exactly the
+// entities in mask into groups of size arity.
 //
 // The candidate-group weights are memoised up front: weight[mask] is
-// the symmetrized intra-volume of mask, built incrementally as
+// the intra-volume of mask, built incrementally as
 // weight(sub|low) = weight(sub) + one row of pair weights — O(2^n * n)
 // once, instead of an O(n^2) rescan per DP candidate. The subset
 // enumeration walks combinations in workspace buffers and allocates
 // nothing per call.
-func groupExhaustive(m *comm.Matrix, arity int, ws *mapWorkspace, isSym bool) [][]int {
-	n := m.Order() // caller guarantees n <= 20
-	sym := m
-	if !isSym {
-		sym = m.SymmetrizedInto(ws.sym)
-	}
-	full := 1<<uint(n) - 1
+func groupExhaustive(w []float64, n, arity int, ws *mapWorkspace) [][]int {
+	full := 1<<uint(n) - 1 // caller guarantees n <= 20
 
-	weight := growFloats(&ws.weight, full+1)
+	weight := grow(&ws.weight, full+1)
 	weight[0] = 0
 	for mask := 1; mask <= full; mask++ {
 		low := mask & -mask
 		rest := mask &^ low
-		row := sym.RowView(bits.TrailingZeros(uint(mask)))
-		w := weight[rest]
+		lo := bits.TrailingZeros(uint(mask))
+		row := w[lo*n : (lo+1)*n]
+		wt := weight[rest]
 		for t := rest; t != 0; t &= t - 1 {
-			w += row[bits.TrailingZeros(uint(t))]
+			wt += row[bits.TrailingZeros(uint(t))]
 		}
-		weight[mask] = w
+		weight[mask] = wt
 	}
 
-	dp := growFloats(&ws.dp, full+1)
-	choice := growInts(&ws.choice, full+1)
+	dp := grow(&ws.dp, full+1)
+	choice := grow(&ws.choice, full+1)
 	for i := range dp {
 		dp[i] = math.Inf(-1)
 	}
 	dp[0] = 0
 
 	size := arity - 1 // caller guarantees 1 < arity < n, so size >= 1
-	pos := growInts(&ws.pos, n)
-	idx := growInts(&ws.idx, size)
+	pos := grow(&ws.pos, n)
+	idx := grow(&ws.idx, size)
 
 	// Enumerate masks in increasing order; only masks whose popcount is
 	// a multiple of arity are reachable. Each mask anchors on its lowest
@@ -192,107 +158,146 @@ func groupExhaustive(m *comm.Matrix, arity int, ws *mapWorkspace, isSym bool) []
 	return groups
 }
 
-// groupGreedy builds groups around the heaviest communicating pairs and
-// grows each group by repeatedly adding the unassigned entity with the
-// strongest connection to the group.
-//
-// The engine is incremental: affinity[k] holds the volume between k and
-// the current group's members, updated in O(n) per admitted member
-// instead of rescanning every candidate against every member. Seeds
-// come from a lazily-popped max-heap of the nonzero pairs — heapify is
-// O(#nonzero) and only the pairs actually consumed pay the log cost,
-// against sorting the full pair list up front.
-func groupGreedy(m *comm.Matrix, arity int, ws *mapWorkspace, isSym bool) [][]int {
-	n := m.Order()
-	sym := m
-	if !isSym {
-		sym = m.SymmetrizedInto(ws.sym)
-	}
-	assigned := growBools(&ws.assigned, n)
-	clear(assigned)
-	aff := growFloats(&ws.affinity, n)
-	// cand lists the still-unassigned entities in increasing order; the
-	// selection pass compacts it in place, so late groups scan only the
-	// remaining candidates instead of all n entities every time.
-	cand := growInts(&ws.cand, n)
-	for i := range cand {
-		cand[i] = i
-	}
+// grouper is the greedy engine of both grouping steps: Map's
+// GroupProcesses on each level, and the partitioned path's split of a
+// task subset among child subtrees. It seeds each group with the
+// heaviest fully-unassigned pair and grows it by the candidate with the
+// strongest connection, lowest id first on ties, or the lowest
+// unassigned task when nothing left talks — O(nnz log nnz) on the CSR
+// rows of the subset. Seeds come from one radix sort of the pairs (on
+// clustered inputs nearly all are consumed, so it beats a heap pop per
+// pair); candidates from a lazily-validated heap fed by each admitted
+// row, an entry being stale once its task is assigned or its affinity
+// has grown. aff sums in admission order. Between calls aff is all zero
+// and assigned all false; member is epoch-stamped.
+type grouper struct {
+	csr      *symCSR
+	member   []int // member[g] == epoch: g belongs to the current subset
+	epoch    int
+	aff      []float64
+	assigned []bool
+	pairs    []pair
+	pairTmp  []pair
+	cand     []candEntry
+	touched  []int // tasks whose aff is nonzero
+}
 
-	heap := ws.pairs[:0]
-	for i := 0; i < n; i++ {
-		row := sym.RowView(i)
-		for j := i + 1; j < n; j++ {
-			if v := row[j]; v > 0 {
-				heap = append(heap, comm.Pair{I: i, J: j, Volume: v})
+// use points the grouper at c, sizing its per-task state.
+func (gr *grouper) use(c *symCSR) {
+	gr.csr = c
+	n := c.order()
+	if cap(gr.aff) < n {
+		gr.member = make([]int, n)
+		gr.aff = make([]float64, n)
+		gr.assigned = make([]bool, n)
+	}
+	gr.member, gr.aff, gr.assigned = gr.member[:n], gr.aff[:n], gr.assigned[:n]
+}
+
+// split partitions tasks (ascending ids) into parts groups of
+// ceil(len/parts) members (trailing groups smaller once tasks run out,
+// exactly as zero-affinity padding would fill them last). When fresh,
+// each group's affinity starts from zero — Algorithm 1's grouping step;
+// otherwise it accumulates over every group built so far — the
+// partitioner's weak-cut rule. Returned groups have ascending members
+// and are ordered by smallest member; empty groups sort last.
+func (gr *grouper) split(tasks []int, parts int, fresh bool) [][]int {
+	c := gr.csr
+	size := (len(tasks) + parts - 1) / parts
+	gr.epoch++
+	for _, g := range tasks {
+		gr.member[g] = gr.epoch
+	}
+	pairs := gr.pairs[:0]
+	for _, i := range tasks {
+		for k := c.ptr[i]; k < c.ptr[i+1]; k++ {
+			if j := c.col[k]; j > i && gr.member[j] == gr.epoch {
+				pairs = append(pairs, pair{i: int32(i), j: int32(j), vol: c.val[k]})
 			}
 		}
 	}
-	ws.pairs = heap // keep the grown backing array for the next call
-	heapifyPairs(heap)
+	pairs, gr.pairTmp = sortPairs(pairs, gr.pairTmp)
+	gr.pairs = pairs
 
-	flat := make([]int, 0, n)
-	groups := make([][]int, 0, n/arity)
-	remaining := n
-	for remaining > 0 {
+	cand, touched := gr.cand[:0], gr.touched[:0]
+	flat := make([]int, 0, len(tasks))
+	admit := func(e int) {
+		gr.assigned[e] = true
+		flat = append(flat, e)
+		for k := c.ptr[e]; k < c.ptr[e+1]; k++ {
+			j := c.col[k]
+			if gr.member[j] != gr.epoch || gr.assigned[j] {
+				continue
+			}
+			if gr.aff[j] == 0 {
+				touched = append(touched, j)
+			}
+			gr.aff[j] += c.val[k]
+			cand = pushCand(cand, candEntry{gr.aff[j], j})
+		}
+	}
+	seedAt, low := 0, 0
+	lowest := func() int {
+		for gr.assigned[tasks[low]] {
+			low++
+		}
+		return tasks[low]
+	}
+	groups := make([][]int, 0, parts)
+	for len(groups) < parts {
 		start := len(flat)
-		// Seed with the heaviest fully-unassigned pair.
-		for len(heap) > 0 {
-			var pr comm.Pair
-			pr, heap = popPair(heap)
-			if !assigned[pr.I] && !assigned[pr.J] {
-				flat = append(flat, pr.I, pr.J)
-				assigned[pr.I], assigned[pr.J] = true, true
+		if fresh {
+			for _, k := range touched {
+				gr.aff[k] = 0
+			}
+			cand, touched = cand[:0], touched[:0]
+		}
+		// Seed with the heaviest fully-unassigned pair, else the lowest
+		// unassigned task.
+		for size >= 2 && seedAt < len(pairs) && len(flat) < len(tasks) {
+			pr := pairs[seedAt]
+			seedAt++
+			if !gr.assigned[pr.i] && !gr.assigned[pr.j] {
+				admit(int(pr.i))
+				admit(int(pr.j))
 				break
 			}
 		}
-		if len(flat) == start {
-			// No communicating pair left: seed with the lowest
-			// unassigned entity.
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					flat = append(flat, i)
-					assigned[i] = true
+		if len(flat) == start && len(flat) < len(tasks) {
+			admit(lowest())
+		}
+		for len(flat)-start < size && len(flat) < len(tasks) {
+			best := -1
+			for len(cand) > 0 {
+				top := cand[0]
+				cand = popCand(cand)
+				if !gr.assigned[top.idx] && gr.aff[top.idx] == top.vol {
+					best = top.idx
 					break
 				}
 			}
-		}
-		g := flat[start:]
-		clear(aff)
-		for _, e := range g {
-			row := sym.RowView(e)
-			for k, v := range row {
-				aff[k] += v
+			if best < 0 {
+				best = lowest()
 			}
+			admit(best)
 		}
-		// Grow to the target size. Each selection pass compacts cand,
-		// dropping entities assigned since the last pass; the ascending
-		// scan keeps the lowest index as tie-winner, like the full scan
-		// it replaces.
-		for len(g) < arity {
-			best, bestVol := -1, math.Inf(-1)
-			w := 0
-			for _, k := range cand {
-				if assigned[k] {
-					continue
-				}
-				cand[w] = k
-				w++
-				if aff[k] > bestVol {
-					best, bestVol = k, aff[k]
-				}
-			}
-			cand = cand[:w]
-			flat = append(flat, best)
-			g = flat[start:]
-			assigned[best] = true
-			row := sym.RowView(best)
-			for k, v := range row {
-				aff[k] += v
-			}
-		}
-		remaining -= len(g)
+		g := flat[start:len(flat):len(flat)]
+		sort.Ints(g)
 		groups = append(groups, g)
 	}
+	for _, k := range touched {
+		gr.aff[k] = 0
+	}
+	for _, g := range tasks {
+		gr.assigned[g] = false
+	}
+	gr.cand, gr.touched = cand[:0], touched[:0]
+	sort.SliceStable(groups, func(a, b int) bool {
+		ga, gb := groups[a], groups[b]
+		if len(ga) == 0 || len(gb) == 0 {
+			return len(gb) == 0 && len(ga) > 0
+		}
+		return ga[0] < gb[0]
+	})
 	return groups
 }

@@ -2,14 +2,14 @@ package treematch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
 )
 
 // Partitioning records how a partitioned mapping split the task graph:
-// one entry per topology subtree that received a dense TreeMatch run.
+// one entry per topology subtree that received a TreeMatch run.
 // The adaptive layer keys its drift tracking on this structure so
 // re-placement can recompute one subtree at a time.
 type Partitioning struct {
@@ -42,32 +42,41 @@ func (p *Partitioning) Clone() *Partitioning {
 	return c
 }
 
-// MapAffinity is Map lifted onto the representation-independent
-// affinity surface, with partitioned mapping above the threshold.
+// MapAffinity is Map with partitioned mapping above the threshold.
 //
-// At or below opt.PartitionThreshold tasks the affinity is materialized
-// and the single-shot dense Map runs — byte-for-byte the same decisions
-// as Map, whichever representation carries the affinity (the golden
-// equivalence tests pin this). Above it the task graph is split along
-// weak cuts instead: the mapper descends the topology tree level by
-// level, at each node partitioning the tasks among the child subtrees
-// with a sparse variant of the greedy grouper (same seed/grow/tie
-// rules, O(nnz log nnz)); sibling subtrees are equidistant from
-// everything outside their parent, so the assignment of partitions to
-// siblings is free and the recursion needs no global ordering pass.
-// When a subtree is small enough, the remaining tasks are mapped by the
-// existing dense TreeMatch against that subtree and stitched into the
-// machine-global mapping. Nothing on that path touches an n×n slab, so
-// a 10k-task sparse graph maps in milliseconds.
+// At or below opt.PartitionThreshold tasks it is Map. Above it the task
+// graph is split along weak cuts instead: the mapper descends the
+// topology tree level by level, at each node partitioning the tasks
+// among the child subtrees with a variant of the greedy grouper (same
+// seed/grow/tie rules, O(nnz log nnz)); sibling subtrees are
+// equidistant from everything outside their parent, so the assignment
+// of partitions to siblings is free and the recursion needs no global
+// ordering pass. When a subtree is small enough, its tasks are mapped
+// by TreeMatch on their sub-CSR against that subtree and stitched into
+// the machine-global mapping.
 func MapAffinity(top *topology.Topology, a comm.Affinity, opt Options) (*Mapping, error) {
 	opt = opt.withDefaults()
-	p := a.Order()
-	if p == 0 {
-		return nil, fmt.Errorf("treematch: empty communication matrix")
+	if opt.PartitionThreshold < 0 || comm.NilAffinity(a) || a.Order() <= opt.PartitionThreshold {
+		return Map(top, a, opt)
 	}
-	if opt.PartitionThreshold < 0 || p <= opt.PartitionThreshold {
-		return Map(top, a.Dense(), opt)
+	var sym symCSR
+	if err := symmetrizeOwned(&sym, a, nil, nil); err != nil {
+		return nil, err
 	}
+	return mapPartitioned(top, &sym, opt)
+}
+
+// symmetrizeOwned is symmetrize into a dst the caller keeps past the
+// workspace's return to the pool.
+func symmetrizeOwned(dst *symCSR, a comm.Affinity, tasks, local []int) error {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return ws.sym.symmetrize(dst, a, tasks, local, true)
+}
+
+// mapPartitioned runs the partitioned path on the symmetrized sym.
+func mapPartitioned(top *topology.Topology, sym *symCSR, opt Options) (*Mapping, error) {
+	p := sym.order()
 	cores := top.Cores()
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("treematch: topology %s has no cores", top.Attrs.Name)
@@ -86,11 +95,12 @@ func MapAffinity(top *topology.Topology, a comm.Affinity, opt Options) (*Mapping
 		top:       top,
 		opt:       opt,
 		res:       res,
-		pt:        newPartitioner(a),
+		pt:        new(grouper),
 		coreDepth: cores[0].Depth(),
-		local:     newNegOnes(p),
+		local:     slices.Repeat([]int{-1}, p),
 		posCache:  map[int]map[*topology.Object]int{},
 	}
+	st.pt.use(sym)
 	tasks := make([]int, p)
 	for i := range tasks {
 		tasks[i] = i
@@ -131,13 +141,23 @@ func RemapPartition(mp *Mapping, a comm.Affinity, part Partition, opt Options) e
 	if err != nil {
 		return err
 	}
-	local := newNegOnes(a.Order())
-	subM := inducedMatrix(a, part.Tasks, local)
+	local := slices.Repeat([]int{-1}, a.Order())
+	for li, g := range part.Tasks {
+		local[g] = li
+	}
 	var subMp *Mapping
-	if subM.Order() > opt.PartitionThreshold && sub.NumCores() > 1 {
-		subMp, err = MapAffinity(sub, subM, opt)
+	if len(part.Tasks) > opt.PartitionThreshold && sub.NumCores() > 1 {
+		var sym symCSR
+		if err := symmetrizeOwned(&sym, a, part.Tasks, local); err != nil {
+			return err
+		}
+		subMp, err = mapPartitioned(sub, &sym, opt)
 	} else {
-		subMp, err = Map(sub, subM, opt)
+		ws := getWorkspace()
+		if err = ws.sym.symmetrize(&ws.lvl[0], a, part.Tasks, local, true); err == nil {
+			subMp, err = mapLevels(sub, ws, opt)
+		}
+		putWorkspace(ws)
 	}
 	if err != nil {
 		return err
@@ -151,26 +171,26 @@ type partitionedMap struct {
 	top       *topology.Topology
 	opt       Options
 	res       *Mapping
-	pt        *partitioner
+	pt        *grouper
 	coreDepth int
-	local     []int // global id -> induced-submatrix index scratch, all -1
+	local     []int // global id -> sub-CSR index scratch, all -1
 	posCache  map[int]map[*topology.Object]int
 	mode      ControlMode
 	modeSet   bool
 }
 
-// descend maps the given tasks under obj: densely when the instance is
-// small relative to the subtree, otherwise by splitting among the
-// effective children and recursing.
+// descend maps the given tasks under obj: in one TreeMatch run when the
+// instance is small relative to the subtree, otherwise by splitting
+// among the effective children and recursing.
 func (st *partitionedMap) descend(obj *topology.Object, tasks []int) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	kids := effectiveChildren(obj, st.coreDepth)
 	if kids == nil || len(tasks) <= st.denseStop(obj) {
-		return st.mapDense(obj, tasks)
+		return st.mapLeaf(obj, tasks)
 	}
-	groups := st.pt.split(tasks, len(kids))
+	groups := st.pt.split(tasks, len(kids), false)
 	for k, g := range groups {
 		if err := st.descend(kids[k], g); err != nil {
 			return err
@@ -180,11 +200,9 @@ func (st *partitionedMap) descend(obj *topology.Object, tasks []int) error {
 }
 
 // denseStop is the instance size at or below which a subtree is mapped
-// by the dense single-shot TreeMatch: small enough that its O(n²)
-// pipeline is cheap, large enough that the subtree's cores still get a
-// jointly-optimized arrangement. Capped at the partition threshold so
-// the sparse path never materializes a slab bigger than the dense path
-// would have accepted outright.
+// by one TreeMatch run: large enough that the subtree's cores get a
+// jointly-optimized arrangement. Capped at the partition threshold, the
+// largest instance MapAffinity maps in one run outright.
 func (st *partitionedMap) denseStop(obj *topology.Object) int {
 	ppc := st.top.NumPUs() / st.top.NumCores()
 	cores := len(obj.PUs()) / ppc
@@ -198,9 +216,9 @@ func (st *partitionedMap) denseStop(obj *topology.Object) int {
 	return stop
 }
 
-// mapDense runs the existing TreeMatch on the induced (symmetrized)
-// submatrix against the subtree and stitches the result.
-func (st *partitionedMap) mapDense(obj *topology.Object, tasks []int) error {
+// mapLeaf runs TreeMatch on the tasks' sub-CSR against the subtree
+// and stitches the result.
+func (st *partitionedMap) mapLeaf(obj *topology.Object, tasks []int) error {
 	if core := singleCoreOf(obj); core != nil {
 		st.mapCoreLeaf(core, obj, tasks)
 		return nil
@@ -209,23 +227,29 @@ func (st *partitionedMap) mapDense(obj *topology.Object, tasks []int) error {
 	if err != nil {
 		return fmt.Errorf("treematch: subtree %s: %w", obj, err)
 	}
-	// The induced matrix comes from the symmetrized adjacency: a
-	// principal submatrix of the symmetrized affinity equals the
-	// symmetrization of the principal submatrix, and Map's internal
-	// re-symmetrization only scales it uniformly — scale-invariant
-	// decisions, so this matches extracting from the raw affinity.
-	subM := st.pt.induced(tasks, st.local)
-	subMp, err := Map(sub, subM, st.opt)
+	// The sub-CSR is the principal submatrix of the symmetrized
+	// affinity, doubled: what symmetrizing the extracted submatrix again
+	// gives, so the leaf decides exactly as a Map of it would.
+	ws := getWorkspace()
+	induceDoubled(&ws.lvl[0], st.pt.csr, tasks, st.local)
+	subMp, err := mapLevels(sub, ws, st.opt)
+	putWorkspace(ws)
 	if err != nil {
 		return fmt.Errorf("treematch: partition at %s: %w", obj, err)
 	}
 	stitchPartition(st.res, subMp, obj, tasks)
-	if subMp.Oversubscribed {
-		st.res.Oversubscribed = true
-	}
+	st.record(obj, tasks, subMp.Mode, subMp.Oversubscribed)
+	return nil
+}
+
+// record notes a mapped leaf partition: its structure, and its control
+// mode and oversubscription folded into the global mapping's (a mode
+// the leaves disagree on becomes ControlNone).
+func (st *partitionedMap) record(obj *topology.Object, tasks []int, mode ControlMode, oversub bool) {
+	st.res.Oversubscribed = st.res.Oversubscribed || oversub
 	if !st.modeSet {
-		st.mode, st.modeSet = subMp.Mode, true
-	} else if st.mode != subMp.Mode {
+		st.mode, st.modeSet = mode, true
+	} else if st.mode != mode {
 		st.mode = ControlNone
 	}
 	st.res.Partitions.Parts = append(st.res.Partitions.Parts, Partition{
@@ -233,7 +257,6 @@ func (st *partitionedMap) mapDense(obj *topology.Object, tasks []int) error {
 		Object: st.posAtDepth(obj),
 		Tasks:  tasks,
 	})
-	return nil
 }
 
 // singleCoreOf returns the core when obj's subtree holds exactly one
@@ -250,7 +273,7 @@ func singleCoreOf(obj *topology.Object) *topology.Object {
 }
 
 // mapCoreLeaf binds a leaf partition's tasks to a single core without
-// building a subtree or running the dense pipeline. It reproduces
+// building a subtree or running the pipeline. It reproduces
 // exactly what Map produces for a one-core machine: tasks in ascending
 // order round-robin over the core's PUs (the oversubscribed virtual
 // level degenerates to one group per core), control threads on the
@@ -272,19 +295,7 @@ func (st *partitionedMap) mapCoreLeaf(core, obj *topology.Object, tasks []int) {
 			st.res.ControlPU[g] = -1
 		}
 	}
-	if oversub {
-		st.res.Oversubscribed = true
-	}
-	if !st.modeSet {
-		st.mode, st.modeSet = mode, true
-	} else if st.mode != mode {
-		st.mode = ControlNone
-	}
-	st.res.Partitions.Parts = append(st.res.Partitions.Parts, Partition{
-		Depth:  obj.Depth(),
-		Object: st.posAtDepth(obj),
-		Tasks:  tasks,
-	})
+	st.record(obj, tasks, mode, oversub)
 }
 
 // posAtDepth returns the DFS position of obj among the objects at its
@@ -305,7 +316,7 @@ func (st *partitionedMap) posAtDepth(obj *topology.Object) int {
 // effectiveChildren returns the first level strictly below obj with
 // more than one object (skipping arity-1 chains), or nil when that
 // would descend past the core level — the recursion then stops and
-// maps densely.
+// maps the subtree in one run.
 func effectiveChildren(obj *topology.Object, coreDepth int) []*topology.Object {
 	cur := obj
 	for cur.Depth() < coreDepth {
@@ -335,336 +346,5 @@ func stitchPartition(mp *Mapping, sub *Mapping, obj *topology.Object, tasks []in
 		} else {
 			mp.ControlPU[g] = -1
 		}
-	}
-}
-
-// inducedMatrix extracts the dense submatrix of a over tasks (ascending
-// global ids) in O(sum of row nonzeros). local is caller scratch of
-// length >= a.Order(), all -1 on entry and restored to -1 on return.
-func inducedMatrix(a comm.Affinity, tasks []int, local []int) *comm.Matrix {
-	for li, g := range tasks {
-		local[g] = li
-	}
-	m := comm.NewMatrix(len(tasks))
-	for li, g := range tasks {
-		a.ForEachRow(g, func(j int, v float64) {
-			if lj := local[j]; lj >= 0 {
-				m.Set(li, lj, v)
-			}
-		})
-	}
-	for _, g := range tasks {
-		local[g] = -1
-	}
-	return m
-}
-
-func newNegOnes(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
-
-// symCSR is a compressed sparse row view of the symmetrized affinity:
-// row i holds its nonzero columns ascending with the full symmetrized
-// volume a[i][j]+a[j][i]. Built once per MapAffinity, it replaces
-// per-row hash-map iteration (and its per-call sort) with straight
-// slice walks on the partitioning hot path.
-type symCSR struct {
-	rowPtr []int
-	col    []int
-	val    []float64
-}
-
-// buildSymCSR gathers the nonzeros of a in one bulk pass and builds the
-// symmetrized adjacency with a counting sort by row; rows are then
-// sorted by column and duplicate coordinates (an (i,j) and its mirror
-// both present) merged in place. O(nnz log maxdeg + n).
-func buildSymCSR(a comm.Affinity) symCSR {
-	n := a.Order()
-	nnz := a.NNZ()
-	ei := make([]int, 0, nnz)
-	ej := make([]int, 0, nnz)
-	ev := make([]float64, 0, nnz)
-	a.ForEach(func(i, j int, v float64) {
-		if i != j {
-			ei = append(ei, i)
-			ej = append(ej, j)
-			ev = append(ev, v)
-		}
-	})
-	deg := make([]int, n+1)
-	for k := range ei {
-		deg[ei[k]]++
-		deg[ej[k]]++
-	}
-	rowPtr := make([]int, n+1)
-	sum := 0
-	for i := 0; i < n; i++ {
-		rowPtr[i] = sum
-		sum += deg[i]
-	}
-	rowPtr[n] = sum
-	col := make([]int, sum)
-	val := make([]float64, sum)
-	pos := make([]int, n)
-	copy(pos, rowPtr[:n])
-	for k := range ei {
-		i, j, v := ei[k], ej[k], ev[k]
-		col[pos[i]], val[pos[i]] = j, v
-		pos[i]++
-		col[pos[j]], val[pos[j]] = i, v
-		pos[j]++
-	}
-	// Sort each row by column and merge duplicates, compacting in place.
-	w := 0
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		row := col[lo:hi]
-		rv := val[lo:hi]
-		sort.Sort(&rowSorter{row, rv})
-		rowPtr[i] = w
-		for k := 0; k < len(row); {
-			c, v := row[k], rv[k]
-			for k++; k < len(row) && row[k] == c; k++ {
-				v += rv[k]
-			}
-			if v != 0 {
-				col[w], val[w] = c, v
-				w++
-			}
-		}
-	}
-	rowPtr[n] = w
-	return symCSR{rowPtr: rowPtr, col: col[:w], val: val[:w]}
-}
-
-type rowSorter struct {
-	col []int
-	val []float64
-}
-
-func (r *rowSorter) Len() int           { return len(r.col) }
-func (r *rowSorter) Less(a, b int) bool { return r.col[a] < r.col[b] }
-func (r *rowSorter) Swap(a, b int) {
-	r.col[a], r.col[b] = r.col[b], r.col[a]
-	r.val[a], r.val[b] = r.val[b], r.val[a]
-}
-
-// partitioner splits task subsets along weak cuts of the symmetrized
-// adjacency with the greedy grouper's decision rules — seed each group
-// with the heaviest fully-unassigned pair (ties by (I,J)), grow by
-// maximum affinity to the group with lowest-index tie-break, fall back
-// to the lowest unassigned task — but the grow step selects from a
-// lazily-validated max-heap fed by O(degree) affinity updates instead
-// of an O(n) scan, so a split runs in O(nnz log nnz) of the subset.
-// The per-task state is epoch-tagged and reused across recursion nodes.
-type partitioner struct {
-	csr      symCSR
-	member   []int // member[g] == epoch: g belongs to the current subset
-	epoch    int
-	aff      []float64
-	assigned []bool
-	pairs    []comm.Pair
-	cand     []candEntry
-}
-
-func newPartitioner(a comm.Affinity) *partitioner {
-	n := a.Order()
-	return &partitioner{
-		csr:      buildSymCSR(a),
-		member:   make([]int, n),
-		aff:      make([]float64, n),
-		assigned: make([]bool, n),
-	}
-}
-
-// induced extracts the dense symmetrized submatrix over tasks. local is
-// scratch of length >= n, all -1 on entry, restored on return.
-func (pt *partitioner) induced(tasks []int, local []int) *comm.Matrix {
-	for li, g := range tasks {
-		local[g] = li
-	}
-	m := comm.NewMatrix(len(tasks))
-	for li, g := range tasks {
-		for k := pt.csr.rowPtr[g]; k < pt.csr.rowPtr[g+1]; k++ {
-			if lj := local[pt.csr.col[k]]; lj >= 0 {
-				m.Set(li, lj, pt.csr.val[k])
-			}
-		}
-	}
-	for _, g := range tasks {
-		local[g] = -1
-	}
-	return m
-}
-
-// split partitions tasks (ascending global ids) into parts groups of
-// ceil(len/parts) members (trailing groups smaller once tasks run out,
-// exactly as zero-affinity padding would fill them last). Returned
-// groups have ascending members and are ordered by smallest member;
-// empty groups sort last.
-func (pt *partitioner) split(tasks []int, parts int) [][]int {
-	size := (len(tasks) + parts - 1) / parts
-	pt.epoch++
-	for _, g := range tasks {
-		pt.member[g] = pt.epoch
-	}
-
-	pairs := pt.pairs[:0]
-	for _, i := range tasks {
-		for k := pt.csr.rowPtr[i]; k < pt.csr.rowPtr[i+1]; k++ {
-			j, v := pt.csr.col[k], pt.csr.val[k]
-			if j > i && v > 0 && pt.member[j] == pt.epoch {
-				pairs = append(pairs, comm.Pair{I: i, J: j, Volume: v})
-			}
-		}
-	}
-	pt.pairs = pairs // keep the grown backing array
-	// Seeds are consumed heaviest-first with a cursor over the sorted
-	// list: sequential scans beat a binary heap's scattered sift paths
-	// at this size, and skipping stale (partly assigned) pairs is O(1).
-	sort.Sort(pairSorter(pairs))
-	seedAt := 0
-	cand := pt.cand[:0]
-
-	cursor := 0 // lowest-unassigned scan position in tasks
-	remaining := len(tasks)
-	var group []int
-	admit := func(e int) {
-		pt.assigned[e] = true
-		remaining--
-		group = append(group, e)
-		for k := pt.csr.rowPtr[e]; k < pt.csr.rowPtr[e+1]; k++ {
-			j, v := pt.csr.col[k], pt.csr.val[k]
-			if v <= 0 || pt.member[j] != pt.epoch || pt.assigned[j] {
-				continue
-			}
-			pt.aff[j] += v
-			cand = pushCand(cand, candEntry{pt.aff[j], j})
-		}
-	}
-
-	groups := make([][]int, 0, parts)
-	for gi := 0; gi < parts; gi++ {
-		group = make([]int, 0, size)
-		if remaining > 0 && size >= 2 {
-			for seedAt < len(pairs) {
-				pr := pairs[seedAt]
-				seedAt++
-				if !pt.assigned[pr.I] && !pt.assigned[pr.J] {
-					admit(pr.I)
-					admit(pr.J)
-					break
-				}
-			}
-		}
-		if len(group) == 0 && remaining > 0 {
-			for pt.assigned[tasks[cursor]] {
-				cursor++
-			}
-			admit(tasks[cursor])
-		}
-		for len(group) < size && remaining > 0 {
-			best := -1
-			for len(cand) > 0 {
-				top := cand[0]
-				if pt.assigned[top.idx] || pt.aff[top.idx] != top.vol {
-					cand = popCand(cand) // stale
-					continue
-				}
-				if top.vol > 0 {
-					best = top.idx
-					cand = popCand(cand)
-				}
-				break
-			}
-			if best == -1 {
-				for pt.assigned[tasks[cursor]] {
-					cursor++
-				}
-				best = tasks[cursor]
-			}
-			admit(best)
-		}
-		sort.Ints(group)
-		groups = append(groups, group)
-	}
-	pt.cand = cand[:0]
-	for _, g := range tasks {
-		pt.aff[g] = 0
-		pt.assigned[g] = false
-	}
-	sort.SliceStable(groups, func(a, b int) bool {
-		ga, gb := groups[a], groups[b]
-		if len(ga) == 0 || len(gb) == 0 {
-			return len(gb) == 0 && len(ga) > 0
-		}
-		return ga[0] < gb[0]
-	})
-	return groups
-}
-
-// pairSorter orders pairs heaviest-first with the grouping engines'
-// tie-break (volume descending, then (I,J) ascending), so a cursor over
-// the sorted list consumes seeds in exactly the order repeated heap
-// pops would.
-type pairSorter []comm.Pair
-
-func (p pairSorter) Len() int           { return len(p) }
-func (p pairSorter) Less(a, b int) bool { return pairBefore(p[a], p[b]) }
-func (p pairSorter) Swap(a, b int)      { p[a], p[b] = p[b], p[a] }
-
-// candEntry is one lazily-validated candidate of the sparse grow heap:
-// the entity and the affinity it had when pushed. Stale entries (the
-// affinity has since grown, or the entity was assigned) are discarded
-// at pop time.
-type candEntry struct {
-	vol float64
-	idx int
-}
-
-func candBefore(a, b candEntry) bool {
-	if a.vol != b.vol {
-		return a.vol > b.vol
-	}
-	return a.idx < b.idx
-}
-
-func pushCand(h []candEntry, e candEntry) []candEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !candBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func popCand(h []candEntry) []candEntry {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h) && candBefore(h[l], h[best]) {
-			best = l
-		}
-		if r < len(h) && candBefore(h[r], h[best]) {
-			best = r
-		}
-		if best == i {
-			return h
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
 	}
 }

@@ -72,17 +72,16 @@ func TestPartitionGreedySparseMatchesGroupGreedy(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.m.Order()
-			ws := getWorkspace()
-			want := groupGreedy(tc.m, tc.arity, ws, false)
+			want := refGreedyDense(tc.m, tc.arity, &refWorkspace{}, false)
 			normalizeGroups(want)
-			putWorkspace(ws)
 
-			pt := newPartitioner(tc.m)
+			pt := new(grouper)
+			pt.use(symOf(tc.m))
 			tasks := make([]int, n)
 			for i := range tasks {
 				tasks[i] = i
 			}
-			got := pt.split(tasks, n/tc.arity)
+			got := pt.split(tasks, n/tc.arity, false)
 			if len(got) != len(want) {
 				t.Fatalf("%d groups, want %d", len(got), len(want))
 			}

@@ -13,14 +13,19 @@ import "orwlplace/internal/comm"
 // The input groups are not modified; the refined grouping is returned
 // normalized (sorted members, groups ordered by smallest member).
 func RefineSwap(m *comm.Matrix, groups [][]int, maxRounds int) [][]int {
-	return refineSwapSym(m.Symmetrized(), groups, maxRounds)
+	sym := m.Symmetrized()
+	n := sym.Order()
+	w := make([]float64, 0, n*n)
+	for i := 0; i < n; i++ {
+		w = append(w, sym.RowView(i)...)
+	}
+	return refineSwapSym(w, n, groups, maxRounds)
 }
 
-// refineSwapSym is RefineSwap on an already-symmetric matrix, read
-// directly — the pipeline in Map calls it on the level matrix without
-// paying a per-level O(n²) symmetrized copy (a uniform scaling of the
-// volumes changes no swap decision).
-func refineSwapSym(sym *comm.Matrix, groups [][]int, maxRounds int) [][]int {
+// refineSwapSym is RefineSwap on the row-major slab w of an order-n
+// symmetric matrix, read directly — the pipeline in Map calls it on the
+// densified level matrix.
+func refineSwapSym(w []float64, n int, groups [][]int, maxRounds int) [][]int {
 	out := make([][]int, len(groups))
 	for i, g := range groups {
 		out[i] = append([]int(nil), g...)
@@ -30,7 +35,7 @@ func refineSwapSym(sym *comm.Matrix, groups [][]int, maxRounds int) [][]int {
 		var s float64
 		for _, x := range g {
 			if x != e {
-				s += sym.At(e, x)
+				s += w[e*n+x]
 			}
 		}
 		return s
@@ -42,7 +47,7 @@ func refineSwapSym(sym *comm.Matrix, groups [][]int, maxRounds int) [][]int {
 			for g2 := g1 + 1; g2 < len(out); g2++ {
 				for i1, a := range out[g1] {
 					for i2, b := range out[g2] {
-						gain := conn(b, out[g1]) - sym.At(a, b) + conn(a, out[g2]) - sym.At(a, b) -
+						gain := conn(b, out[g1]) - w[a*n+b] + conn(a, out[g2]) - w[a*n+b] -
 							conn(a, out[g1]) - conn(b, out[g2])
 						if gain > bestGain+1e-12 {
 							bestGain = gain

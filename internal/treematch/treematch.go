@@ -13,6 +13,7 @@ package treematch
 
 import (
 	"fmt"
+	"math"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
@@ -58,28 +59,29 @@ type Options struct {
 	// communication volume attributed to its control thread when control
 	// entities are added to the matrix (spare-core mode). Default 0.1.
 	ControlVolumeFraction float64
-	// ExhaustiveLimit is the largest number of entities for which
-	// GroupProcesses uses the optimal exponential engine; above it the
-	// linear greedy engine runs. Default 12.
+	// ExhaustiveLimit is the largest number of entities a level may
+	// have for the grouping step to use the optimal exponential engine;
+	// above it the greedy engine runs. Default 12.
 	ExhaustiveLimit int
 	// RefineRounds, when positive, runs up to that many swap-refinement
 	// passes (RefineSwap) after every grouping step — an optional
-	// quality/time trade-off on top of the greedy engine. Default 0
-	// (off), the paper's configuration.
+	// quality/time trade-off on top of the greedy engine that densifies
+	// each level it refines. Default 0 (off), the paper's configuration.
 	RefineRounds int
-	// PartitionThreshold is the largest order MapAffinity maps densely;
+	// PartitionThreshold is the largest order MapAffinity maps in one run;
 	// above it the task graph is partitioned along weak cuts and each
 	// partition is mapped against its topology subtree. Default
 	// DefaultPartitionThreshold; negative disables partitioning (always
-	// dense). Map itself ignores it.
+	// one run). Map itself ignores it.
 	PartitionThreshold int
 }
 
 // DefaultPartitionThreshold is the order above which MapAffinity
-// switches from the dense single-shot TreeMatch to the partitioned
-// sparse path. It matches comm.DenseOrderThreshold: below it the dense
-// pipeline's constant factors win; above it the O(n²) symmetrize/
-// extend/aggregate chain dominates the mapping time.
+// switches from the single-shot TreeMatch to the partitioned path. It
+// matches comm.DenseOrderThreshold, the order where affinities switch
+// to sparse storage: up to it one run arranges the whole machine
+// jointly; above it a weak-cut recursion bounds every run by a
+// subtree.
 const DefaultPartitionThreshold = comm.DenseOrderThreshold
 
 func (o Options) withDefaults() Options {
@@ -118,7 +120,7 @@ type Mapping struct {
 	CoreOf []int
 	// Partitions describes the partition structure when the mapping was
 	// produced by the partitioned path (MapAffinity above the
-	// threshold); nil for a single-shot dense mapping. Adaptive
+	// threshold); nil for a single-shot mapping. Adaptive
 	// re-placement uses it to track drift and recompute per subtree.
 	Partitions *Partitioning
 }
@@ -127,22 +129,28 @@ type Mapping struct {
 // threads, handles oversubscription, groups entities bottom-up by
 // communication affinity along the topology tree, and assigns the
 // resulting group hierarchy to cores.
-func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) {
-	opt = opt.withDefaults()
-	p := m.Order()
-	if p == 0 {
+//
+// Every step runs on the symmetrized matrix A+Aᵀ in compressed sparse
+// rows, so a mapping costs O(nnz) per level, never O(n²). A cell that
+// is NaN, ±Inf or negative is refused.
+func Map(top *topology.Topology, a comm.Affinity, opt Options) (*Mapping, error) {
+	if comm.NilAffinity(a) || a.Order() == 0 {
 		return nil, fmt.Errorf("treematch: empty communication matrix")
 	}
-	cores := top.NumCores()
-	pusPerCore := top.NumPUs() / cores
-
-	// All transient state — the symmetrize/extend/aggregate matrix
-	// chain and the grouping engines' scratch — lives in a pooled
-	// workspace, so a full multi-level Map does O(1) matrix
-	// allocations. Only one pipeline matrix is live at a time; each
-	// transformation writes into the other (ws.other) and swaps.
 	ws := getWorkspace()
 	defer putWorkspace(ws)
+	if err := ws.sym.symmetrize(&ws.lvl[0], a, nil, nil, true); err != nil {
+		return nil, err
+	}
+	return mapLevels(top, ws, opt.withDefaults())
+}
+
+// mapLevels is Map on the symmetrized matrix already in ws.lvl[0].
+func mapLevels(top *topology.Topology, ws *mapWorkspace, opt Options) (*Mapping, error) {
+	work := &ws.lvl[0]
+	p := work.order()
+	cores := top.NumCores()
+	pusPerCore := top.NumPUs() / cores
 
 	// The mapping tree has the physical cores as leaves: one compute
 	// entity per core ("we map only one compute intensive task per
@@ -150,10 +158,9 @@ func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) 
 	// private cache chains) do not affect grouping and are skipped.
 	arities := coreArities(top)
 
-	// --- Step 1: extend m to manage control threads. ---
+	// --- Step 1: extend the matrix to manage control threads. ---
 	mode := ControlNone
-	controlOwner := []int(nil) // extended-entity index -> owning task
-	work := m.SymmetrizedInto(ws.mA)
+	controlOwner := []int(nil) // control entity p+ci -> owning task
 	switch {
 	case !opt.ControlThreads:
 		// Nothing to do.
@@ -165,26 +172,22 @@ func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) 
 		// Spare cores exist: add control entities communicating with
 		// their tasks so that grouping pulls each control thread next
 		// to its task.
-		spare := cores - p
-		if spare > p {
-			spare = p
+		if f := opt.ControlVolumeFraction; !(f > 0 && f <= math.MaxFloat64) {
+			// Every engine relies on positive volumes.
+			return nil, fmt.Errorf("treematch: control volume fraction %v: must be positive and finite", f)
 		}
-		owners := heaviestTasks(work, spare)
-		ext := work.ExtendInto(ws.other(work), p+spare)
-		for ci, task := range owners {
-			vol := rowSum(work, task) * opt.ControlVolumeFraction
-			if vol == 0 {
-				vol = 1 // keep a tiny pull towards the task
-			}
-			ext.AddSym(p+ci, task, vol)
-		}
-		work = ext
-		controlOwner = owners
+		spare := min(cores-p, p)
+		controlOwner = heaviestTasks(work, spare)
+		extendControl(&ws.lvl[1], work, controlOwner, opt.ControlVolumeFraction)
+		ws.lvl[0], ws.lvl[1] = ws.lvl[1], ws.lvl[0]
+		work = &ws.lvl[0]
 		mode = ControlSpareCores
 	}
-	order := work.Order()
+	order := work.order()
 
 	// --- Step 2: manage oversubscription. ---
+	// (Control entities exist only when p < cores, so an oversubscribed
+	// matrix never carries them.)
 	oversub := false
 	vArity := 1
 	if order > cores {
@@ -193,42 +196,32 @@ func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) 
 		vArity = (order + cores - 1) / cores
 		arities = append(arities, vArity)
 		oversub = true
-		mode = ControlNone
-		controlOwner = nil
-		work = m.SymmetrizedInto(work) // drop any control extension
-		order = work.Order()
 	}
 	leaves := 1
 	for _, a := range arities {
 		leaves *= a
 	}
-	if order < leaves {
-		work = work.ExtendInto(ws.other(work), leaves)
+	for work.order() < leaves {
+		work.endRow() // a padding entity: an empty row
 	}
 
 	// --- Steps 3-7: group bottom-up, aggregating the matrix. ---
 	// partitions[k] is the grouping performed at loop iteration k, from
 	// the leaf-parent level upwards.
 	partitions := make([][][]int, 0, len(arities))
-	cur := work
+	cur, next := &ws.lvl[0], &ws.lvl[1]
 	for lvl := len(arities) - 1; lvl >= 0; lvl-- {
 		a := arities[lvl]
-		// cur is symmetric by construction (symmetrize, then
-		// symmetry-preserving extend/AddSym/aggregate steps), so the
-		// engines read its rows directly.
-		groups, err := groupProcesses(cur, a, opt.ExhaustiveLimit, ws, true)
+		groups, err := groupProcesses(cur, a, opt.ExhaustiveLimit, ws)
 		if err != nil {
 			return nil, fmt.Errorf("treematch: level %d: %w", lvl, err)
 		}
-		if opt.RefineRounds > 0 && a > 1 && a < cur.Order() {
-			groups = refineSwapSym(cur, groups, opt.RefineRounds)
+		if n := cur.order(); opt.RefineRounds > 0 && a > 1 && a < n {
+			groups = refineSwapSym(cur.densify(&ws.slab), n, groups, opt.RefineRounds)
 		}
 		partitions = append(partitions, groups)
-		next := ws.other(cur)
-		if err := cur.AggregateInto(next, groups, growInts(&ws.groupOf, cur.Order())); err != nil {
-			return nil, fmt.Errorf("treematch: aggregate level %d: %w", lvl, err)
-		}
-		cur = next
+		aggregate(next, cur, groups, ws)
+		cur, next = next, cur
 	}
 
 	// --- Step 8: MapGroups — expand the hierarchy into a leaf order. ---
@@ -249,7 +242,7 @@ func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) 
 	for i := range res.ControlPU {
 		res.ControlPU[i] = -1
 	}
-	slotOf := growInts(&ws.slots, cores) // per-core next PU slot for oversubscription
+	slotOf := grow(&ws.slots, cores) // per-core next PU slot for oversubscription
 	clear(slotOf)
 	coreObjs := top.Cores()
 	for pos, ent := range leafOrder {
@@ -283,6 +276,35 @@ func Map(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) 
 	return res, nil
 }
 
+// extendControl writes into dst the matrix m plus one control entity
+// per owner: entity p+ci talks to task owners[ci] with a share frac of
+// that task's volume (1 when the task is silent), so grouping pulls
+// each control thread next to its task.
+func extendControl(dst, m *symCSR, owners []int, frac float64) {
+	p := m.order()
+	vol := make([]float64, len(owners))
+	ctl := make([]int, p) // task -> 1 + its control entity's index
+	for ci, task := range owners {
+		if vol[ci] = m.rowSum(task) * frac; vol[ci] == 0 {
+			vol[ci] = 1 // keep a tiny pull towards the task
+		}
+		ctl[task] = 1 + ci
+	}
+	dst.reset()
+	for i := 0; i < p; i++ {
+		dst.col = append(dst.col, m.col[m.ptr[i]:m.ptr[i+1]]...)
+		dst.val = append(dst.val, m.val[m.ptr[i]:m.ptr[i+1]]...)
+		if ci := ctl[i] - 1; ci >= 0 {
+			dst.push(p+ci, vol[ci]) // control columns sort after every task
+		}
+		dst.endRow()
+	}
+	for ci, task := range owners {
+		dst.push(task, vol[ci])
+		dst.endRow()
+	}
+}
+
 // coreArities returns the arities of the topology tree truncated at the
 // core level, with arity-1 levels removed. The product equals the number
 // of cores.
@@ -304,14 +326,14 @@ func coreArities(top *topology.Topology) []int {
 
 // heaviestTasks returns the indexes of the count tasks with the largest
 // total communication volume, in decreasing order (ties by index).
-func heaviestTasks(m *comm.Matrix, count int) []int {
+func heaviestTasks(m *symCSR, count int) []int {
 	type tv struct {
 		task int
 		vol  float64
 	}
-	all := make([]tv, m.Order())
+	all := make([]tv, m.order())
 	for i := range all {
-		all[i] = tv{i, rowSum(m, i)}
+		all[i] = tv{i, m.rowSum(i)}
 	}
 	for i := 1; i < len(all); i++ { // insertion sort: small n, stable
 		for j := i; j > 0 && (all[j].vol > all[j-1].vol ||
@@ -329,14 +351,6 @@ func heaviestTasks(m *comm.Matrix, count int) []int {
 	return out
 }
 
-func rowSum(m *comm.Matrix, i int) float64 {
-	var s float64
-	for j := 0; j < m.Order(); j++ {
-		s += m.At(i, j)
-	}
-	return s
-}
-
 // mapGroups expands the bottom-up grouping hierarchy into the final
 // leaf order: element k of the result is the entity assigned to leaf k.
 // partitions[0] is the leaf-parent grouping, the last element the
@@ -347,7 +361,7 @@ func mapGroups(partitions [][][]int, ws *mapWorkspace) []int {
 	// Start from the top: the final aggregation has one entity per
 	// top-level group, in group order.
 	top := partitions[len(partitions)-1]
-	seq := growInts(&ws.seqA, len(top))
+	seq := grow(&ws.seqA, len(top))
 	for i := range seq {
 		seq[i] = i
 	}
