@@ -14,7 +14,9 @@ import (
 // subscribers. Epoch is a per-machine monotone counter (1 = the first
 // mapping the controller ever adopted for the machine), so clients can
 // dedup the catch-up ack against pushed events and resubscribe after a
-// reconnect with "give me anything newer than N".
+// reconnect with "give me anything newer than N". Its Assignment and
+// slices are shared with the reconciler, every subscriber and the
+// snapshot: read-only (Clone to edit).
 type Remap struct {
 	Machine string
 	// Epoch stamps the adoption; a subscriber applies a remap only when
@@ -279,8 +281,8 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 			return nil, err
 		}
 		lp.order = w.Order()
-		c.publish(lp, Remap{Machine: machine, Assignment: a.Clone()})
-		rep := &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a.Clone()}
+		c.publish(lp, Remap{Machine: machine, Assignment: a})
+		rep := &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a}
 		c.col.Recycle(machine, w) // SetCurrent kept a copy
 		return rep, nil
 	}
@@ -293,9 +295,9 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 		c.publish(lp, Remap{
 			Machine:            machine,
 			Drift:              rep.Drift,
-			Assignment:         rep.Assignment.Clone(),
-			MovedTasks:         cloneInts(rep.MovedTasks),
-			RemappedPartitions: cloneInts(rep.RemappedPartitions),
+			Assignment:         rep.Assignment,
+			MovedTasks:         rep.MovedTasks,
+			RemappedPartitions: rep.RemappedPartitions,
 		})
 	}
 	return rep, nil
@@ -310,17 +312,6 @@ func allZero(w comm.Affinity) bool {
 		w.ForEachRow(i, func(int, float64) { found = true })
 	}
 	return !found
-}
-
-// cloneInts copies s, preserving the nil (unknown) vs empty (known,
-// nothing in it) distinction that MovedTasks relies on.
-func cloneInts(s []int) []int {
-	if s == nil {
-		return nil
-	}
-	out := make([]int, len(s))
-	copy(out, s)
-	return out
 }
 
 func (c *Controller) adaptiveStrategy() string {

@@ -704,7 +704,6 @@ func (c *Controller) Snapshot() *Snapshot {
 		mr := MachineRecord{Name: name, Order: orders[name], Epoch: lp.epoch}
 		if lp.latest != nil {
 			cp := *lp.latest
-			cp.Assignment = cp.Assignment.Clone()
 			mr.Latest = &cp
 		}
 		s.Machines = append(s.Machines, mr)

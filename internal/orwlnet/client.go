@@ -29,7 +29,7 @@ type Client struct {
 	bytesOut atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan message
+	pending map[uint64]pendingCall
 	// streams are call ids turned into subscriptions (opWatchRemaps):
 	// unlike pending slots they survive their first response frame, and
 	// the server pushes unsolicited frames at them until the stream is
@@ -39,6 +39,20 @@ type Client struct {
 	err     error
 	done    chan struct{}
 }
+
+// pendingCall is one call awaiting its response frame. pooled marks a
+// caller that decodes the response body out of a payloadPool buffer and
+// recycles it (callPooled).
+type pendingCall struct {
+	ch     chan message
+	pooled bool
+}
+
+// replyPool recycles the one-slot reply channels of finished calls. A
+// channel goes back only after its reply was received: the read loop
+// sends once per pending entry and removes it, so a recycled channel is
+// empty and no longer reachable from pending.
+var replyPool = sync.Pool{New: func() any { return make(chan message, 1) }}
 
 // outFrame is one queued request frame. pooled marks a payload drawn
 // from payloadPool: ownership transfers to the writer goroutine at
@@ -126,7 +140,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	c := &Client{
 		conn:    conn,
 		sendCh:  make(chan outFrame, sendQueueDepth),
-		pending: make(map[uint64]chan message),
+		pending: make(map[uint64]pendingCall),
 		streams: make(map[uint64]chan message),
 		done:    make(chan struct{}),
 	}
@@ -178,13 +192,18 @@ func (c *Client) readLoop() {
 	// buffer turns per-frame header+body read pairs into one syscall
 	// per burst.
 	br := bufio.NewReaderSize(c.conn, 32<<10)
+	pooledReply := func(id uint64, _ byte) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.pending[id].pooled
+	}
 	for {
-		msg, err := readMessage(br)
+		msg, err := readMessage(br, pooledReply)
 		if err != nil {
 			c.mu.Lock()
 			c.err = fmt.Errorf("%w: %w", errConnLost, err)
-			for id, ch := range c.pending {
-				close(ch)
+			for id, p := range c.pending {
+				close(p.ch)
 				delete(c.pending, id)
 			}
 			// Closing a stream channel is how its watcher learns the
@@ -199,7 +218,7 @@ func (c *Client) readLoop() {
 		}
 		c.bytesIn.Add(13 + uint64(len(msg.payload)))
 		c.mu.Lock()
-		ch := c.pending[msg.callID]
+		ch := c.pending[msg.callID].ch
 		if ch != nil {
 			delete(c.pending, msg.callID)
 		} else if sch := c.streams[msg.callID]; sch != nil {
@@ -308,7 +327,9 @@ func (c *Client) callCtx(ctx context.Context, op byte, payload []byte) ([]byte, 
 // buffer's ownership transfers to the writer goroutine once the frame
 // is enqueued (the writer recycles it after the write), and is
 // recycled here when enqueueing fails. Either way the caller must not
-// reuse the buffer after this call.
+// reuse the buffer after this call. A pooled call's response body is a
+// payloadPool buffer too: the caller copies out of it and recycles it
+// with putPayloadBuf.
 func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled bool) ([]byte, error) {
 	recycle := func() {
 		if pooled {
@@ -320,15 +341,16 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 		return nil, err
 	}
 	id := c.callID.Add(1)
-	ch := make(chan message, 1)
+	ch := replyPool.Get().(chan message)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		recycle()
+		replyPool.Put(ch)
 		return nil, err
 	}
-	c.pending[id] = ch
+	c.pending[id] = pendingCall{ch: ch, pooled: pooled}
 	c.mu.Unlock()
 
 	select {
@@ -356,8 +378,13 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 			c.mu.Unlock()
 			return nil, err
 		}
+		replyPool.Put(ch)
 		if resp.op != statusOK {
-			return nil, responseError(resp)
+			err := responseError(resp)
+			if pooled {
+				putPayloadBuf(resp.payload)
+			}
+			return nil, err
 		}
 		return resp.payload, nil
 	case <-ctx.Done():

@@ -177,7 +177,7 @@ func TestWatchPusherDeltaEligibility(t *testing.T) {
 		if err := cliC.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := readMessage(cliC)
+		msg, err := readMessage(cliC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func startFakeDeltaServer(t *testing.T) (string, <-chan fakeSub) {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					m, err := readMessage(conn)
+					m, err := readMessage(conn, nil)
 					if err != nil {
 						return
 					}

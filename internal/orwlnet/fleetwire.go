@@ -245,7 +245,7 @@ func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
 		return nil, nil, err
 	}
 	ev.Drift = unzigzagFloat(raw)
-	if ev.Assignment, _, err = getAssignment(rest); err != nil {
+	if ev.Assignment, _, err = getAssignment(rest, nil); err != nil {
 		return nil, nil, err
 	}
 	if ev.Epoch > 0 && ev.Assignment == nil {

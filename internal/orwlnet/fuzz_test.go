@@ -62,7 +62,7 @@ func FuzzFrameHeader(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readMessage(bytes.NewReader(data))
+		msg, err := readMessage(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
@@ -70,7 +70,7 @@ func FuzzFrameHeader(f *testing.F) {
 		if err := writeMessage(&out, msg); err != nil {
 			t.Fatalf("accepted frame refused re-encoding: %v", err)
 		}
-		back, err := readMessage(&out)
+		back, err := readMessage(&out, nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}

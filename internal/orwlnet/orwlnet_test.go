@@ -386,7 +386,7 @@ func TestProtocolFraming(t *testing.T) {
 	if err := writeMessage(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMessage(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +394,10 @@ func TestProtocolFraming(t *testing.T) {
 		t.Errorf("round trip = %+v", out)
 	}
 	// Corrupt frame length.
-	if _, err := readMessage(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})); err == nil {
+	if _, err := readMessage(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0}), nil); err == nil {
 		t.Error("accepted giant frame")
 	}
-	if _, err := readMessage(bytes.NewReader([]byte{1, 0, 0, 0, 9})); err == nil {
+	if _, err := readMessage(bytes.NewReader([]byte{1, 0, 0, 0, 9}), nil); err == nil {
 		t.Error("accepted undersized frame")
 	}
 	// String codec.

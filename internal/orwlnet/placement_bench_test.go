@@ -171,6 +171,50 @@ func TestPlaceColdRoundTrip160AllocatesNoMatrix(t *testing.T) {
 	}
 }
 
+// TestPlaceWarmRoundTrip160AllocatesNoAssignment is the warm path's
+// allocation tripwire: a repeated 160-task ring placement through a
+// loopback RemoteService — a fingerprint-only request, a mapping-cache
+// hit, a response equal to the last — must allocate < 2 KiB per call
+// process-wide. The assignment alone is 3.8 KB each time it is copied
+// or decoded.
+func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	top, err := topology.ByName("smp20e7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := startBenchService(t, top)
+	m := comm.Ring(160, 1<<16, true)
+	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: m, MatrixFP: comm.Fingerprint(m), Entities: 160}
+	place := func() {
+		resp, err := remote.Place(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.CacheHit {
+			t.Fatal("a repeated ring was not a cache hit")
+		}
+	}
+	if _, err := remote.Place(context.Background(), req); err != nil { // computes the mapping
+		t.Fatal(err)
+	}
+	place() // sizes the pooled buffers
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		place()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 2<<10 {
+		t.Fatalf("one warm 160-task placement allocated %d bytes, want < 2 KiB", got)
+	} else {
+		t.Logf("one warm 160-task placement allocated %d bytes", got)
+	}
+}
+
 // batchBenchSize is the fan-out of the batch-vs-sequential pair below:
 // one request per paper testbed plus a few repeats — the shape of a
 // cross-machine comparison.

@@ -171,7 +171,7 @@ func TestPlacementRequiresHandshake(t *testing.T) {
 		if err := writeMessage(conn, message{callID: id, op: op, payload: payload}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMessage(conn)
+		resp, err := readMessage(conn, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		if err := writeMessage(conn, message{callID: uint64(i + 1), op: opHello, payload: []byte{c.min, c.max}}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMessage(conn)
+		resp, err := readMessage(conn, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -248,7 +248,11 @@ func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
 	return putAssignment(dst, resp.Assignment)
 }
 
-func decodePlaceResponse(src []byte) (*placement.PlaceResponse, []byte, error) {
+// decodePlaceResponse decodes one response. memo, when set, is an
+// assignment an earlier response decoded to: if this response's
+// assignment equals it value for value, the shared memo is returned
+// instead of a fresh copy.
+func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.PlaceResponse, []byte, error) {
 	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, nil, err
@@ -277,7 +281,7 @@ func decodePlaceResponse(src []byte) (*placement.PlaceResponse, []byte, error) {
 		return nil, nil, err
 	}
 	resp.ElapsedNS = int64(u)
-	if resp.Assignment, rest, err = getAssignment(rest); err != nil {
+	if resp.Assignment, rest, err = getAssignment(rest, memo); err != nil {
 		return nil, nil, err
 	}
 	return resp, rest, nil
@@ -373,7 +377,7 @@ func decodePlaceBatchResponse(src []byte) ([]*placement.PlaceResponse, error) {
 	resps := make([]*placement.PlaceResponse, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var resp *placement.PlaceResponse
-		if resp, rest, err = decodePlaceResponse(rest); err != nil {
+		if resp, rest, err = decodePlaceResponse(rest, nil); err != nil {
 			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
 		}
 		resps = append(resps, resp)
@@ -952,7 +956,16 @@ func assignmentFlags(a *placement.Assignment) byte {
 	return flags
 }
 
-func getAssignment(src []byte) (*placement.Assignment, []byte, error) {
+// getAssignment decodes a possibly-nil assignment. When the encoding
+// equals memo value for value it returns memo itself, allocating
+// nothing; any other input — a different, truncated or garbled
+// assignment — is decoded afresh, with its error.
+func getAssignment(src []byte, memo *placement.Assignment) (*placement.Assignment, []byte, error) {
+	if memo != nil {
+		if rest, ok := matchAssignment(src, memo); ok {
+			return memo, rest, nil
+		}
+	}
 	present, rest, err := getBool(src)
 	if err != nil || !present {
 		return nil, rest, err
@@ -979,6 +992,48 @@ func getAssignment(src []byte) (*placement.Assignment, []byte, error) {
 		return nil, nil, err
 	}
 	return a, rest, nil
+}
+
+// matchAssignment reports whether src opens with a well-formed
+// encoding of a, comparing each wire value as it walks, and returns the
+// bytes after it.
+func matchAssignment(src []byte, a *placement.Assignment) ([]byte, bool) {
+	if len(src) < 3 || src[0] != 1 {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint16(src[1:]))
+	rest := src[3:]
+	if len(rest) < n+2 || string(rest[:n]) != a.Strategy || rest[n] != assignmentFlags(a) || rest[n+1] != byte(a.Mode) {
+		return nil, false
+	}
+	rest = rest[n+2:]
+	for _, s := range [...][]int{a.ComputePU, a.ControlPU, a.CoreOf} {
+		var ok bool
+		if rest, ok = matchIntSlice(rest, s); !ok {
+			return nil, false
+		}
+	}
+	return rest, true
+}
+
+// matchIntSlice is getIntSlice comparing against s instead of
+// allocating: nil and empty differ, as on the wire.
+func matchIntSlice(src []byte, s []int) ([]byte, bool) {
+	want := uint64(0)
+	if s != nil {
+		want = uint64(len(s)) + 1
+	}
+	n, rest, err := getUvarint(src)
+	if err != nil || n != want {
+		return nil, false
+	}
+	for _, v := range s {
+		var u uint64
+		if u, rest, err = getUvarint(rest); err != nil || unzigzag(u) != int64(v) {
+			return nil, false
+		}
+	}
+	return rest, true
 }
 
 // NetStats codec (a stats payload field).

@@ -106,7 +106,7 @@ func TestPlaceResponseRoundTrip(t *testing.T) {
 		},
 	}
 	for _, resp := range cases {
-		got, _, err := decodePlaceResponse(encodePlaceResponse(nil, resp))
+		got, _, err := decodePlaceResponse(encodePlaceResponse(nil, resp), nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -209,7 +209,7 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 		Assignment: &placement.Assignment{Strategy: "treematch", ComputePU: []int{1, 2, 3}},
 	})
 	for cut := 1; cut < len(full); cut++ {
-		if _, _, err := decodePlaceResponse(full[:cut]); err == nil {
+		if _, _, err := decodePlaceResponse(full[:cut], nil); err == nil {
 			// Some prefixes decode cleanly when the cut lands exactly on
 			// the optional assignment boundary; everything else must
 			// error rather than panic or fabricate fields.

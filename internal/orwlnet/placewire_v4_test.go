@@ -139,7 +139,7 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 		{Strategy: "x", Oversubscribed: true, ComputePU: []int{}, ControlPU: nil},
 	}
 	for i, a := range cases {
-		got, rest, err := getAssignment(putAssignment(nil, a))
+		got, rest, err := getAssignment(putAssignment(nil, a), nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("case %d: %v (%d trailing)", i, err, len(rest))
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"orwlplace/internal/ctrlplane"
 )
@@ -192,25 +193,63 @@ func writeMessage(w io.Writer, m message) error {
 	return nil
 }
 
-// readMessage reads one framed message.
-func readMessage(r io.Reader) (message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// frameChunk is how much of a frame body is allocated ahead of the
+// bytes that fill it. A length prefix alone claims at most this much;
+// a longer body grows no faster than it arrives (at most doubling
+// what was received), so a peer that sends the prefix of a 64 MiB
+// frame and stalls costs the daemon 64 KiB, not 64 MiB.
+const frameChunk = 64 << 10
+
+// readMessage reads one framed message. pooled, given the frame's call
+// id and op, reports whether its body goes into a payloadPool buffer
+// (nil: never); that body's consumer copies out of it and recycles it
+// with putPayloadBuf. Other bodies are fresh allocations the receiver
+// may keep.
+func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message, error) {
+	var head [4 + 8 + 1]byte
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return message{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(head[:])
 	if n < 9 || n > maxMessage {
 		return message{}, fmt.Errorf("%w length %d", errBadFrame, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return message{}, err
+	if _, err := io.ReadFull(r, head[4:]); err != nil {
+		return message{}, truncated(err)
 	}
-	return message{
-		callID:  binary.LittleEndian.Uint64(body),
-		op:      body[8],
-		payload: body[9:],
-	}, nil
+	m := message{callID: binary.LittleEndian.Uint64(head[4:]), op: head[12]}
+	size := int(n) - 9
+	if size == 0 {
+		return m, nil
+	}
+	var body []byte
+	if pooled != nil && pooled(m.callID, m.op) {
+		body = getPayloadBuf()
+	} else {
+		body = make([]byte, 0, min(size, frameChunk))
+	}
+	for len(body) < size {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(size-len(body), max(len(body), frameChunk)))
+		}
+		k, err := io.ReadFull(r, body[len(body):min(size, cap(body))])
+		body = body[:len(body)+k]
+		if err != nil {
+			return message{}, truncated(err)
+		}
+	}
+	m.payload = body
+	return m, nil
+}
+
+// truncated reports a frame cut short after its length prefix as
+// io.ErrUnexpectedEOF: only a stream that ends between frames is a
+// clean io.EOF.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Payload encoding helpers.

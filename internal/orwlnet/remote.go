@@ -149,12 +149,29 @@ func (s *RemoteService) revive(ctx context.Context) {
 // round trip before the body is resent.
 const knownFingerprints = 256
 
+// memoMaxBytes bounds one memoised assignment (memoBytes): a 160-task
+// placement with all three slices takes 3.8 KB, and anything over the
+// bound is decoded fresh every time instead of being retained. The
+// memos of a full fpSet therefore retain at most knownFingerprints ×
+// memoMaxBytes = 8 MiB of slices and names.
+const memoMaxBytes = 32 << 10
+
 // fpSet is a small mutex-guarded LRU set of matrix fingerprints.
 type fpSet struct {
 	mu    sync.Mutex
 	max   int
-	order *list.List // front = most recently confirmed; values are uint64
+	order *list.List // front = most recently confirmed; values are *fpEntry
 	m     map[uint64]*list.Element
+}
+
+// fpEntry is one believed-known fingerprint. memo is the assignment
+// the last placement response for it decoded to: the response decoder
+// returns it, allocating nothing, when every wire value of the next
+// response equals it, and decodes afresh otherwise. The fingerprint
+// only picks which memo to compare against; it never decides a hit.
+type fpEntry struct {
+	fp   uint64
+	memo atomic.Pointer[placement.Assignment]
 }
 
 func newFPSet(max int) *fpSet {
@@ -171,19 +188,22 @@ func (s *fpSet) has(fp uint64) bool {
 	return ok
 }
 
-func (s *fpSet) remember(fp uint64) {
+// remember marks fp known and returns its entry.
+func (s *fpSet) remember(fp uint64) *fpEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[fp]; ok {
 		s.order.MoveToFront(el)
-		return
+		return el.Value.(*fpEntry)
 	}
-	s.m[fp] = s.order.PushFront(fp)
+	e := &fpEntry{fp: fp}
+	s.m[fp] = s.order.PushFront(e)
 	for s.order.Len() > s.max {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
-		delete(s.m, oldest.Value.(uint64))
+		delete(s.m, oldest.Value.(*fpEntry).fp)
 	}
+	return e
 }
 
 func (s *fpSet) forget(fp uint64) {
@@ -193,6 +213,20 @@ func (s *fpSet) forget(fp uint64) {
 		s.order.Remove(el)
 		delete(s.m, fp)
 	}
+}
+
+// keep makes a the entry's memo, unless it already is or is too large
+// to retain.
+func (e *fpEntry) keep(a *placement.Assignment) {
+	if a != nil && a != e.memo.Load() && memoBytes(a) <= memoMaxBytes {
+		e.memo.Store(a)
+	}
+}
+
+// memoBytes is what a memo retains beyond its fixed-size header: its
+// three PU slices and its strategy name.
+func memoBytes(a *placement.Assignment) int {
+	return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy)
 }
 
 // Place implements placement.Service: the request is serialised,
@@ -241,18 +275,29 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	if err != nil {
 		return nil, err
 	}
+	var known *fpEntry
+	var memo *placement.Assignment
 	if !comm.NilAffinity(req.Matrix) {
 		// The daemon decoded the body (or confirmed the reference): the
 		// next request for this matrix can go fingerprint-only.
-		s.known.remember(fp)
+		known = s.known.remember(fp)
+		memo = known.memo.Load()
 	}
-	resp, _, err := decodePlaceResponse(payload)
-	return resp, err
+	resp, _, err := decodePlaceResponse(payload, memo)
+	putPayloadBuf(payload)
+	if err != nil {
+		return nil, err
+	}
+	if known != nil {
+		known.keep(resp.Assignment)
+	}
+	return resp, nil
 }
 
 // placeCall encodes a placement payload into a pooled buffer (whose
 // ownership passes to the connection's writer goroutine) and performs
-// the RPC.
+// the RPC. The response body is a pooled buffer: the caller decodes it
+// and recycles it with putPayloadBuf.
 func (s *RemoteService) placeCall(ctx context.Context, c *Client, op byte, enc func([]byte) ([]byte, error)) ([]byte, error) {
 	buf := getPayloadBuf()
 	payload, err := enc(buf)
@@ -309,6 +354,7 @@ func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.Pl
 		}
 	}
 	resps, err := decodePlaceBatchResponse(payload)
+	putPayloadBuf(payload)
 	if err != nil {
 		return nil, err
 	}

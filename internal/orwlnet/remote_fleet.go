@@ -59,7 +59,8 @@ func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64,
 			putPayloadBuf(buf)
 			return err
 		}
-		_, err = s.primary().callPooled(ctx, opObservedReport, payload, true)
+		reply, err := s.primary().callPooled(ctx, opObservedReport, payload, true)
+		putPayloadBuf(reply)
 		return err
 	})
 }

@@ -318,7 +318,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
 		before := cr.n.Load()
-		msg, err := readMessage(cr)
+		msg, err := readMessage(cr, pooledRequest)
 		if err != nil {
 			var nerr net.Error
 			if s.idleTimeout > 0 && errors.As(err, &nerr) && nerr.Timeout() && cr.n.Load() == before {
@@ -357,6 +357,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 			payload, pooled, err := s.handle(st, m)
+			if pooledRequest(m.callID, m.op) {
+				putPayloadBuf(m.payload) // handle copied out what it keeps
+			}
 			resp := message{callID: m.callID, op: statusOK, payload: payload}
 			if err != nil {
 				resp.op = statusOf(err)
@@ -376,6 +379,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}(msg)
 	}
+}
+
+// pooledRequest reports whether a request body is read into a
+// payloadPool buffer: the placement and report ops, whose decoders
+// copy every value they keep out of the body.
+func pooledRequest(_ uint64, op byte) bool {
+	return op == opPlaceCompute || op == opPlaceBatch || op == opObservedReport
 }
 
 // placementOp reports whether op is a placement RPC — the ops whose

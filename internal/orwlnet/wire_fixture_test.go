@@ -230,7 +230,7 @@ func goldenFrame(t *testing.T, name string) []byte {
 
 func goldenPayload(t *testing.T, name string) []byte {
 	t.Helper()
-	m, err := readMessage(bytes.NewReader(goldenFrame(t, name)))
+	m, err := readMessage(bytes.NewReader(goldenFrame(t, name)), nil)
 	if err != nil {
 		t.Fatalf("golden %s: %v", name, err)
 	}
@@ -300,7 +300,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 		"place-body/req":        placeReq(false),
 		"place-fingerprint/req": placeReq(true),
 		"place/resp": func(p []byte) ([]byte, error) {
-			resp, _, err := decodePlaceResponse(p)
+			resp, _, err := decodePlaceResponse(p, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -402,7 +402,7 @@ func exchange(t *testing.T, conn net.Conn, frame []byte) message {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	m, err := readMessage(conn)
+	m, err := readMessage(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,13 +492,13 @@ func wireRejections(t *testing.T) []wireRejection {
 func TestWireRejections(t *testing.T) {
 	t.Run("short frame", func(t *testing.T) {
 		in, _ := hex.DecodeString("08000000" + "0700000000000000")
-		if _, err := readMessage(bytes.NewReader(in)); !errors.Is(err, errBadFrame) {
+		if _, err := readMessage(bytes.NewReader(in), nil); !errors.Is(err, errBadFrame) {
 			t.Fatalf("err = %v, want errBadFrame", err)
 		}
 		_, addr := startFixtureServer(t)
 		conn := rawConn(t, addr)
 		conn.Write(in)
-		if _, err := readMessage(conn); err == nil {
+		if _, err := readMessage(conn, nil); err == nil {
 			t.Fatal("server answered a short frame instead of dropping the connection")
 		}
 	})
@@ -510,7 +510,7 @@ func TestWireRejections(t *testing.T) {
 			if c.budget {
 				srv, addr = budgetSrv, budgetAddr
 			}
-			m, err := readMessage(bytes.NewReader(c.in))
+			m, err := readMessage(bytes.NewReader(c.in), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -572,7 +572,7 @@ func refuseServer(t *testing.T, status byte, payload []byte) {
 		}
 		defer conn.Close()
 		for {
-			msg, err := readMessage(conn)
+			msg, err := readMessage(conn, nil)
 			if err != nil {
 				return
 			}

@@ -421,7 +421,8 @@ type EpochReport struct {
 	GainSeconds float64
 	// CostSeconds is the modeled one-time migration cost of switching.
 	CostSeconds float64
-	// Assignment is the mapping in force after the epoch.
+	// Assignment is the mapping in force after the epoch (shared,
+	// read-only).
 	Assignment *Assignment
 }
 
@@ -509,12 +510,13 @@ func (r *Reconciler) Prime(src Source) error {
 // SetCurrent adopts an externally computed assignment (and the affinity
 // it was computed from) as the reconciler's baseline — for programs
 // placed by the automatic schedule hook before the loop starts, and for
-// restored fleet snapshots.
+// restored fleet snapshots. The reconciler keeps a itself — assignments
+// are immutable shared values — and a copy of base.
 func (r *Reconciler) SetCurrent(a *Assignment, base comm.Affinity) error {
 	if a == nil || comm.NilAffinity(base) {
 		return fmt.Errorf("placement: adaptive: SetCurrent needs an assignment and its affinity")
 	}
-	r.setBaseline(a.Clone(), base.CloneAffinity())
+	r.setBaseline(a, base.CloneAffinity())
 	return nil
 }
 
@@ -557,11 +559,12 @@ func hasPartitions(a *Assignment) bool {
 	return a.Partitions != nil && len(a.Partitions.Parts) > 0
 }
 
-// Current returns the assignment in force (the caller's copy).
+// Current returns the assignment in force: a shared, read-only value
+// (Clone it to edit).
 func (r *Reconciler) Current() *Assignment {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cur.Clone()
+	return r.cur
 }
 
 // BaselineAffinity returns the affinity backing the current assignment
@@ -627,7 +630,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 				r.stats.Rejected++
 			}
 		}
-		rep.Assignment = r.cur.Clone()
+		rep.Assignment = r.cur
 		r.mu.Unlock()
 		return rep, nil
 	}

@@ -37,7 +37,7 @@ type Engine struct {
 // cannot stop, since entries only appear after a compute finishes.
 type flightCall struct {
 	done chan struct{}
-	a    *Assignment // immutable once done is closed (the cache's copy)
+	a    *Assignment // the leader's result, shared once done is closed
 	err  error
 }
 
@@ -106,8 +106,9 @@ func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 // Compute runs the named strategy — step 2 of the pipeline
 // (orwl_affinity_compute) — memoising the result. n may be zero when
 // m is non-nil, in which case the matrix order is used; any other n
-// must equal the order. The returned assignment is the caller's to
-// keep: mutating it does not corrupt the cache.
+// must equal the order. The returned assignment is shared with the
+// cache and every other caller of the same key: it is read-only, and a
+// caller that edits one edits a Clone.
 func (e *Engine) Compute(strategy string, m comm.Affinity, n int, opt Options) (*Assignment, error) {
 	a, _, err := e.ComputeHinted(strategy, m, 0, n, opt)
 	return a, err
@@ -218,7 +219,7 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 	if a, ok := e.cache.get(key); ok {
 		e.stats.Hits++
 		e.mu.Unlock()
-		return a.Clone(), true, nil
+		return a, true, nil
 	}
 	if c, ok := e.flight[key]; ok {
 		// Singleflight: another goroutine is already computing this
@@ -233,7 +234,7 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 		e.mu.Lock()
 		e.stats.Hits++
 		e.mu.Unlock()
-		return c.a.Clone(), true, nil
+		return c.a, true, nil
 	}
 	c := &flightCall{done: make(chan struct{})}
 	e.flight[key] = c
@@ -243,15 +244,15 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 	// complete publishes the flight's outcome exactly once: clears the
 	// entry, fills the cache on success, and unblocks the waiters.
 	completed := false
-	complete := func(stored *Assignment, err error) {
+	complete := func(a *Assignment, err error) {
 		completed = true
 		e.mu.Lock()
 		delete(e.flight, key)
-		if stored != nil {
-			e.cache.put(key, stored)
+		if a != nil {
+			e.cache.put(key, a)
 		}
 		e.mu.Unlock()
-		c.a = stored
+		c.a = a
 		c.err = err
 		close(c.done)
 	}
@@ -273,10 +274,8 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 		complete(nil, err)
 		return nil, false, err
 	}
-	// Ownership: the cache (and any waiting followers, via c.a) own one
-	// private copy; the strategy's original goes back to the leader
-	// uncloned, free for the caller to mutate.
-	complete(a.Clone(), nil)
+	// The leader, its followers and the cache share one immutable value.
+	complete(a, nil)
 	return a, false, nil
 }
 

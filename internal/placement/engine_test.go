@@ -147,6 +147,9 @@ func TestOptionsCanonicalizedInCacheKey(t *testing.T) {
 	}
 }
 
+// A cache hit returns the cached assignment itself — an immutable
+// shared value — and a caller that edits one edits a Clone, which
+// leaves the cache untouched.
 func TestCachedAssignmentIsIsolated(t *testing.T) {
 	eng, err := NewEngine(topology.TinyFlat())
 	if err != nil {
@@ -157,13 +160,21 @@ func TestCachedAssignmentIsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1.ComputePU[0] = -999 // caller scribbles on its copy
 	a2, err := eng.Compute(TreeMatch, m, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2.ComputePU[0] == -999 {
-		t.Error("mutation leaked into the cache")
+	if a2 != a1 {
+		t.Fatal("a cache hit returned a copy, want the cached pointer")
+	}
+	edited := a2.Clone()
+	edited.ComputePU[0] = -999
+	a3, err := eng.Compute(TreeMatch, m, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a3 != a1 || a3.ComputePU[0] == -999 {
+		t.Error("an edited clone leaked into the cache")
 	}
 }
 
@@ -447,18 +458,13 @@ func TestComputeSingleflight(t *testing.T) {
 		if !hits[i] {
 			leaders++
 		}
-		if !reflect.DeepEqual(a.ComputePU, results[0].ComputePU) {
-			t.Fatalf("caller %d got a different assignment", i)
+		// The leader, every follower and the cache share one value.
+		if a != results[0] {
+			t.Fatalf("caller %d got its own copy, want the shared result", i)
 		}
 	}
 	if leaders != 1 {
 		t.Errorf("%d callers reported a miss, want exactly the leader", leaders)
-	}
-	// Results are private clones: mutating one must not corrupt another
-	// caller's copy or the cache.
-	results[0].ComputePU[0] = 99
-	if results[1].ComputePU[0] == 99 {
-		t.Error("followers share the leader's slice")
 	}
 	a, hit, err := eng.ComputeHinted(gate.name, nil, 0, 4, Options{})
 	if err != nil {
@@ -467,8 +473,8 @@ func TestComputeSingleflight(t *testing.T) {
 	if !hit {
 		t.Error("expected a cache hit after the flight completed")
 	}
-	if a.ComputePU[0] == 99 {
-		t.Error("cache entry was corrupted by a caller mutation")
+	if a != results[0] {
+		t.Error("the cache holds a different value than the flight returned")
 	}
 }
 

@@ -61,8 +61,9 @@ type Assignment struct {
 // Entities returns the number of placed entities.
 func (a *Assignment) Entities() int { return len(a.ComputePU) }
 
-// Clone returns a deep copy, so cached assignments stay immutable when
-// callers edit the returned slices.
+// Clone returns a deep copy. An assignment handed out by an Engine, a
+// Service, a Reconciler or the fleet Controller is an immutable shared
+// value; code that edits one edits a Clone.
 func (a *Assignment) Clone() *Assignment {
 	if a == nil {
 		return nil
@@ -82,6 +83,8 @@ func (a *Assignment) Mapping(top *topology.Topology) *treematch.Mapping {
 	if a == nil || a.Unbound {
 		return nil
 	}
+	// Copy-on-write: RemapPartition edits the mapping in place, and a is
+	// a shared, immutable value.
 	m := a.Clone()
 	return &treematch.Mapping{
 		Top:            top,

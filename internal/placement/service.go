@@ -57,7 +57,9 @@ type PlaceResponse struct {
 	// would void its siblings. Single Place calls return a Go error
 	// and leave Err empty.
 	Err string
-	// Assignment is the computed placement.
+	// Assignment is the computed placement: shared with the engine's
+	// cache (and, remotely, the client's decode memo), so read-only —
+	// Clone it to edit.
 	Assignment *Assignment
 	// CacheHit is true when the assignment came from the mapping cache.
 	CacheHit bool

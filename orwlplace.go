@@ -33,7 +33,10 @@ type PlaceResponse = placement.PlaceResponse
 // ServiceStats describes a Service: machine, strategies, counters.
 type ServiceStats = placement.ServiceStats
 
-// Assignment is where every compute (and control) entity goes.
+// Assignment is where every compute (and control) entity goes. An
+// Assignment handed out by a Service, a PlaceResponse or a fleet Remap
+// is shared with the service's caches: read it, and Clone it before
+// editing.
 type Assignment = placement.Assignment
 
 // Options tunes the mapping algorithms.
