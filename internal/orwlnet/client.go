@@ -40,18 +40,15 @@ type Client struct {
 	done    chan struct{}
 }
 
-// pendingCall is one call awaiting its response frame. pooled marks a
-// caller that decodes the response body out of a payloadPool buffer and
-// recycles it (callPooled).
+// pendingCall is a call awaiting its response. A pooled call's response
+// body is a payloadPool buffer its caller recycles (callPooled).
 type pendingCall struct {
 	ch     chan message
 	pooled bool
 }
 
-// replyPool recycles the one-slot reply channels of finished calls. A
-// channel goes back only after its reply was received: the read loop
-// sends once per pending entry and removes it, so a recycled channel is
-// empty and no longer reachable from pending.
+// replyPool recycles reply channels, each only once its one reply was
+// received (the read loop then no longer reaches it).
 var replyPool = sync.Pool{New: func() any { return make(chan message, 1) }}
 
 // outFrame is one queued request frame. pooled marks a payload drawn

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -906,7 +907,9 @@ func putIntSlice(dst []byte, s []int) []byte {
 	return dst
 }
 
-func getIntSlice(src []byte) ([]int, []byte, error) {
+// getIntSlice decodes a possibly-nil []int, allocating nothing while
+// the values equal memo's: when all do, it returns memo itself.
+func getIntSlice(src []byte, memo []int) ([]int, []byte, error) {
 	n, rest, err := getUvarint(src)
 	if err != nil {
 		return nil, nil, err
@@ -919,13 +922,21 @@ func getIntSlice(src []byte) ([]int, []byte, error) {
 	if count < 0 || count > len(rest) {
 		return nil, nil, fmt.Errorf("orwlnet: truncated varint int slice (%d entries)", count)
 	}
-	out := make([]int, count)
+	out, shared := memo, memo != nil && len(memo) == count
+	if !shared {
+		out = make([]int, count)
+	}
 	for i := range out {
 		var u uint64
 		if u, rest, err = getUvarint(rest); err != nil {
 			return nil, nil, err
 		}
-		out[i] = int(unzigzag(u))
+		if v := int(unzigzag(u)); v != out[i] {
+			if shared {
+				out, shared = slices.Clone(memo), false
+			}
+			out[i] = v
+		}
 	}
 	return out, rest, nil
 }
@@ -956,84 +967,51 @@ func assignmentFlags(a *placement.Assignment) byte {
 	return flags
 }
 
-// getAssignment decodes a possibly-nil assignment. When the encoding
-// equals memo value for value it returns memo itself, allocating
-// nothing; any other input — a different, truncated or garbled
-// assignment — is decoded afresh, with its error.
+// getAssignment decodes a possibly-nil assignment. It returns memo
+// itself, allocating nothing, when the encoding carries memo's values.
 func getAssignment(src []byte, memo *placement.Assignment) (*placement.Assignment, []byte, error) {
-	if memo != nil {
-		if rest, ok := matchAssignment(src, memo); ok {
-			return memo, rest, nil
-		}
-	}
 	present, rest, err := getBool(src)
 	if err != nil || !present {
 		return nil, rest, err
 	}
-	a := &placement.Assignment{}
-	if a.Strategy, rest, err = getString(rest); err != nil {
+	var m placement.Assignment // memo's values, or none
+	if memo != nil {
+		m = *memo
+	}
+	name, rest, err := getStringBytes(rest)
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(rest) < 2 {
 		return nil, nil, fmt.Errorf("orwlnet: truncated assignment")
 	}
-	flags := rest[0]
-	a.Unbound = flags&asgnUnbound != 0
-	a.Oversubscribed = flags&asgnOversubscribed != 0
-	a.Mode = treematch.ControlMode(rest[1])
+	a := placement.Assignment{Strategy: m.Strategy, Unbound: rest[0]&asgnUnbound != 0,
+		Oversubscribed: rest[0]&asgnOversubscribed != 0, Mode: treematch.ControlMode(rest[1])}
+	if string(name) != a.Strategy {
+		a.Strategy = string(name)
+	}
 	rest = rest[2:]
-	if a.ComputePU, rest, err = getIntSlice(rest); err != nil {
+	if a.ComputePU, rest, err = getIntSlice(rest, m.ComputePU); err != nil {
 		return nil, nil, err
 	}
-	if a.ControlPU, rest, err = getIntSlice(rest); err != nil {
+	if a.ControlPU, rest, err = getIntSlice(rest, m.ControlPU); err != nil {
 		return nil, nil, err
 	}
-	if a.CoreOf, rest, err = getIntSlice(rest); err != nil {
+	if a.CoreOf, rest, err = getIntSlice(rest, m.CoreOf); err != nil {
 		return nil, nil, err
 	}
-	return a, rest, nil
+	if memo != nil && m.Partitions == nil && a.Strategy == m.Strategy && a.Unbound == m.Unbound &&
+		a.Oversubscribed == m.Oversubscribed && a.Mode == m.Mode &&
+		same(a.ComputePU, m.ComputePU) && same(a.ControlPU, m.ControlPU) && same(a.CoreOf, m.CoreOf) {
+		return memo, rest, nil
+	}
+	fresh := a // only a fresh assignment escapes to the heap
+	return &fresh, rest, nil
 }
 
-// matchAssignment reports whether src opens with a well-formed
-// encoding of a, comparing each wire value as it walks, and returns the
-// bytes after it.
-func matchAssignment(src []byte, a *placement.Assignment) ([]byte, bool) {
-	if len(src) < 3 || src[0] != 1 {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint16(src[1:]))
-	rest := src[3:]
-	if len(rest) < n+2 || string(rest[:n]) != a.Strategy || rest[n] != assignmentFlags(a) || rest[n+1] != byte(a.Mode) {
-		return nil, false
-	}
-	rest = rest[n+2:]
-	for _, s := range [...][]int{a.ComputePU, a.ControlPU, a.CoreOf} {
-		var ok bool
-		if rest, ok = matchIntSlice(rest, s); !ok {
-			return nil, false
-		}
-	}
-	return rest, true
-}
-
-// matchIntSlice is getIntSlice comparing against s instead of
-// allocating: nil and empty differ, as on the wire.
-func matchIntSlice(src []byte, s []int) ([]byte, bool) {
-	want := uint64(0)
-	if s != nil {
-		want = uint64(len(s)) + 1
-	}
-	n, rest, err := getUvarint(src)
-	if err != nil || n != want {
-		return nil, false
-	}
-	for _, v := range s {
-		var u uint64
-		if u, rest, err = getUvarint(rest); err != nil || unzigzag(u) != int64(v) {
-			return nil, false
-		}
-	}
-	return rest, true
+// same reports whether a and b are one slice (nil and empty differ).
+func same(a, b []int) bool {
+	return (a == nil) == (b == nil) && len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // NetStats codec (a stats payload field).

@@ -193,63 +193,41 @@ func writeMessage(w io.Writer, m message) error {
 	return nil
 }
 
-// frameChunk is how much of a frame body is allocated ahead of the
-// bytes that fill it. A length prefix alone claims at most this much;
-// a longer body grows no faster than it arrives (at most doubling
-// what was received), so a peer that sends the prefix of a 64 MiB
-// frame and stalls costs the daemon 64 KiB, not 64 MiB.
+// frameChunk bounds how far a frame body is allocated ahead of its
+// bytes: past it a body grows at most by what has arrived, so a stalled
+// 64 MiB length prefix costs 64 KiB.
 const frameChunk = 64 << 10
 
-// readMessage reads one framed message. pooled, given the frame's call
-// id and op, reports whether its body goes into a payloadPool buffer
-// (nil: never); that body's consumer copies out of it and recycles it
-// with putPayloadBuf. Other bodies are fresh allocations the receiver
-// may keep.
+// readMessage reads one framed message. A body for which pooled (nil:
+// none) reports true is read into a payloadPool buffer, which its
+// consumer recycles once it has copied out what it keeps.
 func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message, error) {
-	var head [4 + 8 + 1]byte
+	var head [13]byte
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return message{}, err
 	}
-	n := binary.LittleEndian.Uint32(head[:])
-	if n < 9 || n > maxMessage {
-		return message{}, fmt.Errorf("%w length %d", errBadFrame, n)
+	n := int(binary.LittleEndian.Uint32(head[:])) - 9
+	if n < 0 || n > maxMessage-9 {
+		return message{}, fmt.Errorf("%w length %d", errBadFrame, n+9)
 	}
-	if _, err := io.ReadFull(r, head[4:]); err != nil {
-		return message{}, truncated(err)
-	}
+	_, err := io.ReadFull(r, head[4:])
 	m := message{callID: binary.LittleEndian.Uint64(head[4:]), op: head[12]}
-	size := int(n) - 9
-	if size == 0 {
-		return m, nil
+	if err == nil && n > 0 && pooled != nil && pooled(m.callID, m.op) {
+		m.payload = getPayloadBuf()
 	}
-	var body []byte
-	if pooled != nil && pooled(m.callID, m.op) {
-		body = getPayloadBuf()
-	} else {
-		body = make([]byte, 0, min(size, frameChunk))
+	for err == nil && len(m.payload) < n {
+		m.payload = slices.Grow(m.payload, min(n-len(m.payload), max(len(m.payload), frameChunk)))
+		var k int
+		k, err = io.ReadFull(r, m.payload[len(m.payload):min(n, cap(m.payload))])
+		m.payload = m.payload[:len(m.payload)+k]
 	}
-	for len(body) < size {
-		if len(body) == cap(body) {
-			body = slices.Grow(body, min(size-len(body), max(len(body), frameChunk)))
-		}
-		k, err := io.ReadFull(r, body[len(body):min(size, cap(body))])
-		body = body[:len(body)+k]
-		if err != nil {
-			return message{}, truncated(err)
-		}
-	}
-	m.payload = body
-	return m, nil
-}
-
-// truncated reports a frame cut short after its length prefix as
-// io.ErrUnexpectedEOF: only a stream that ends between frames is a
-// clean io.EOF.
-func truncated(err error) error {
 	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+		err = io.ErrUnexpectedEOF // only a stream cut between frames is io.EOF
 	}
-	return err
+	if err != nil {
+		return message{}, err
+	}
+	return m, nil
 }
 
 // Payload encoding helpers.
@@ -262,14 +240,20 @@ func putString(dst []byte, s string) []byte {
 }
 
 func getString(src []byte) (string, []byte, error) {
+	b, rest, err := getStringBytes(src)
+	return string(b), rest, err
+}
+
+// getStringBytes is getString without the copy: the bytes alias src.
+func getStringBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 2 {
-		return "", nil, fmt.Errorf("orwlnet: truncated string")
+		return nil, nil, fmt.Errorf("orwlnet: truncated string")
 	}
 	n := int(binary.LittleEndian.Uint16(src))
 	if len(src) < 2+n {
-		return "", nil, fmt.Errorf("orwlnet: truncated string body")
+		return nil, nil, fmt.Errorf("orwlnet: truncated string body")
 	}
-	return string(src[2 : 2+n]), src[2+n:], nil
+	return src[2 : 2+n], src[2+n:], nil
 }
 
 func putUint64(dst []byte, v uint64) []byte {

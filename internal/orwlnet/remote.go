@@ -149,11 +149,9 @@ func (s *RemoteService) revive(ctx context.Context) {
 // round trip before the body is resent.
 const knownFingerprints = 256
 
-// memoMaxBytes bounds one memoised assignment (memoBytes): a 160-task
-// placement with all three slices takes 3.8 KB, and anything over the
-// bound is decoded fresh every time instead of being retained. The
-// memos of a full fpSet therefore retain at most knownFingerprints ×
-// memoMaxBytes = 8 MiB of slices and names.
+// memoMaxBytes bounds the slices and name one fpSet memo retains, so a
+// full set retains at most knownFingerprints × 32 KiB = 8 MiB. A
+// 160-task assignment takes 3.8 KB.
 const memoMaxBytes = 32 << 10
 
 // fpSet is a small mutex-guarded LRU set of matrix fingerprints.
@@ -165,10 +163,8 @@ type fpSet struct {
 }
 
 // fpEntry is one believed-known fingerprint. memo is the assignment
-// the last placement response for it decoded to: the response decoder
-// returns it, allocating nothing, when every wire value of the next
-// response equals it, and decodes afresh otherwise. The fingerprint
-// only picks which memo to compare against; it never decides a hit.
+// the last placement response for it decoded to: the next response
+// decodes to it, allocating nothing, iff its every wire value matches.
 type fpEntry struct {
 	fp   uint64
 	memo atomic.Pointer[placement.Assignment]
@@ -215,16 +211,13 @@ func (s *fpSet) forget(fp uint64) {
 	}
 }
 
-// keep makes a the entry's memo, unless it already is or is too large
-// to retain.
+// keep makes a the entry's memo unless it is too large to retain.
 func (e *fpEntry) keep(a *placement.Assignment) {
 	if a != nil && a != e.memo.Load() && memoBytes(a) <= memoMaxBytes {
 		e.memo.Store(a)
 	}
 }
 
-// memoBytes is what a memo retains beyond its fixed-size header: its
-// three PU slices and its strategy name.
 func memoBytes(a *placement.Assignment) int {
 	return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy)
 }
@@ -285,13 +278,10 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	}
 	resp, _, err := decodePlaceResponse(payload, memo)
 	putPayloadBuf(payload)
-	if err != nil {
-		return nil, err
-	}
-	if known != nil {
+	if err == nil && known != nil {
 		known.keep(resp.Assignment)
 	}
-	return resp, nil
+	return resp, err
 }
 
 // placeCall encodes a placement payload into a pooled buffer (whose
