@@ -14,9 +14,10 @@ import (
 // Client is one connection to a location server. It is safe for
 // concurrent use: calls are tagged and multiplexed, so a blocked
 // Acquire does not stall other handles on the same connection. Frames
-// are handed to a single writer goroutine, so a caller never blocks on
-// another caller's socket write — the transport pipelines as deep as
-// the send queue.
+// are handed to a writer goroutine, so a caller never blocks on another
+// caller's socket write — the transport pipelines as deep as the send
+// queue — unless the queue is empty and the writer idle: then the
+// caller writes its frame itself.
 type Client struct {
 	conn net.Conn
 
@@ -27,6 +28,12 @@ type Client struct {
 	// WireStats for throughput accounting.
 	bytesIn  atomic.Uint64
 	bytesOut atomic.Uint64
+
+	// wmu guards the write side: the writer goroutine holds it for a
+	// queued burst, a caller finding the queue empty for its own frame.
+	wmu   sync.Mutex
+	bw    *bufio.Writer
+	wdead bool
 
 	mu      sync.Mutex
 	pending map[uint64]pendingCall
@@ -138,6 +145,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 		conn:    conn,
 		sendCh:  make(chan outFrame, sendQueueDepth),
 		pending: make(map[uint64]pendingCall),
+		bw:      bufio.NewWriterSize(conn, 32<<10),
 		streams: make(map[uint64]chan message),
 		done:    make(chan struct{}),
 	}
@@ -242,52 +250,25 @@ func (c *Client) readLoop() {
 	}
 }
 
-// writeLoop is the connection's only socket writer: callers enqueue
-// frames and return to waiting on their reply channel, so N callers
-// pipeline N frames without serialising on each other's syscalls. On
-// a write error it closes the connection — the read loop then fails
-// every pending call — and keeps draining the queue so enqueued
-// pooled buffers are still recycled.
+// writeLoop writes queued frames: callers enqueue frames and return to
+// waiting on their reply channel, so N callers pipeline N frames
+// without serialising on each other's syscalls (a caller that finds
+// the queue empty and the writer idle writes its own frame). After a
+// write error it keeps draining the queue so enqueued pooled buffers
+// are still recycled.
 func (c *Client) writeLoop() {
 	// Writes go through a buffer that is flushed only when the send
 	// queue runs dry: a burst of pipelined frames crosses in one
 	// syscall instead of one per frame.
-	bw := bufio.NewWriterSize(c.conn, 32<<10)
-	var dead bool
-	write := func(f outFrame) {
-		if !dead {
-			if err := writeMessage(bw, f.msg); err != nil {
-				dead = true
-				c.conn.Close()
-			} else {
-				c.bytesOut.Add(13 + uint64(len(f.msg.payload)))
-			}
-		}
-		if f.pooled {
-			putPayloadBuf(f.msg.payload)
-		}
-	}
 	for {
 		select {
 		case f := <-c.sendCh:
-			write(f)
-			// Batch whatever else is already queued before paying the
-			// flush.
-		drain:
-			for {
-				select {
-				case f := <-c.sendCh:
-					write(f)
-				default:
-					break drain
-				}
+			c.wmu.Lock()
+			c.write(f)
+			for len(c.sendCh) > 0 { // the one receiver: this cannot block
+				c.write(<-c.sendCh)
 			}
-			if !dead {
-				if err := bw.Flush(); err != nil {
-					dead = true
-					c.conn.Close()
-				}
-			}
+			c.wmu.Unlock()
 		case <-c.done:
 			// Connection dead and no more replies will come: discard
 			// whatever is still queued, recycling its buffers. A frame
@@ -305,6 +286,28 @@ func (c *Client) writeLoop() {
 				}
 			}
 		}
+	}
+}
+
+// write buffers one frame, recycling a pooled payload, and flushes once
+// nothing more is queued; c.wmu held. A failed write closes the
+// connection, and the read loop then fails every pending call.
+func (c *Client) write(f outFrame) {
+	if !c.wdead {
+		err := writeMessage(c.bw, f.msg)
+		if err == nil {
+			c.bytesOut.Add(13 + uint64(len(f.msg.payload)))
+			if len(c.sendCh) == 0 {
+				err = c.bw.Flush()
+			}
+		}
+		if err != nil {
+			c.wdead = true
+			c.conn.Close()
+		}
+	}
+	if f.pooled {
+		putPayloadBuf(f.msg.payload)
 	}
 }
 
@@ -350,22 +353,30 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 	c.pending[id] = pendingCall{ch: ch, pooled: pooled}
 	c.mu.Unlock()
 
-	select {
-	case c.sendCh <- outFrame{msg: message{callID: id, op: op, payload: payload}, pooled: pooled}:
-		// Ownership of the payload is the writer's now.
-	case <-c.done:
-		c.mu.Lock()
-		err := c.err
-		delete(c.pending, id)
-		c.mu.Unlock()
-		recycle()
-		return nil, err
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		recycle()
-		return nil, ctx.Err()
+	f := outFrame{msg: message{callID: id, op: op, payload: payload}, pooled: pooled}
+	if len(c.sendCh) == 0 && c.wmu.TryLock() {
+		// Nothing queued and the writer idle: write inline instead of
+		// paying a goroutine hand-off.
+		c.write(f)
+		c.wmu.Unlock()
+	} else {
+		select {
+		case c.sendCh <- f:
+			// Ownership of the payload is the writer's now.
+		case <-c.done:
+			c.mu.Lock()
+			err := c.err
+			delete(c.pending, id)
+			c.mu.Unlock()
+			recycle()
+			return nil, err
+		case <-ctx.Done():
+			c.mu.Lock()
+			delete(c.pending, id)
+			c.mu.Unlock()
+			recycle()
+			return nil, ctx.Err()
+		}
 	}
 	select {
 	case resp, ok := <-ch:
