@@ -14,9 +14,9 @@ import (
 // subscribers. Epoch is a per-machine monotone counter (1 = the first
 // mapping the controller ever adopted for the machine), so clients can
 // dedup the catch-up ack against pushed events and resubscribe after a
-// reconnect with "give me anything newer than N". Its Assignment and
-// slices are shared with the reconciler, every subscriber and the
-// snapshot: read-only (Clone to edit).
+// reconnect with "give me anything newer than N". A Remap, its
+// Assignment and its slices are shared with the reconciler, every
+// subscriber and the snapshot: read-only (Clone to edit).
 type Remap struct {
 	Machine string
 	// Epoch stamps the adoption; a subscriber applies a remap only when
@@ -371,8 +371,7 @@ func (c *Controller) Subscribe(machine string, sinceEpoch uint64) (id uint64, ch
 	sub := &subscriber{machine: machine, ch: make(chan Remap, 8)}
 	c.subs[c.nextSub] = sub
 	if lp.latest != nil && lp.latest.Epoch > sinceEpoch {
-		cp := *lp.latest
-		catchUp = &cp
+		catchUp = lp.latest
 	}
 	return c.nextSub, sub.ch, catchUp, nil
 }
@@ -388,17 +387,16 @@ func (c *Controller) Unsubscribe(id uint64) {
 }
 
 // Latest returns the machine's newest adopted remap (nil before the
-// first adoption).
+// first adoption), shared and read-only like every Remap.
 func (c *Controller) Latest(machine string) *Remap {
 	machine = c.resolve(machine)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lp, ok := c.loops[machine]
-	if !ok || lp.latest == nil {
+	if !ok {
 		return nil
 	}
-	cp := *lp.latest
-	return &cp
+	return lp.latest
 }
 
 // Stats snapshots the control plane's counters for the stats payload.

@@ -701,11 +701,7 @@ func (c *Controller) Snapshot() *Snapshot {
 	var fill []pending
 	c.mu.Lock()
 	for name, lp := range c.loops {
-		mr := MachineRecord{Name: name, Order: orders[name], Epoch: lp.epoch}
-		if lp.latest != nil {
-			cp := *lp.latest
-			mr.Latest = &cp
-		}
+		mr := MachineRecord{Name: name, Order: orders[name], Epoch: lp.epoch, Latest: lp.latest}
 		s.Machines = append(s.Machines, mr)
 		fill = append(fill, pending{idx: len(s.Machines) - 1, lp: lp})
 	}
@@ -754,8 +750,7 @@ func (c *Controller) Restore(s *Snapshot) error {
 		c.mu.Lock()
 		lp.epoch = mr.Epoch
 		if mr.Latest != nil {
-			cp := *mr.Latest
-			lp.latest = &cp
+			lp.latest = mr.Latest
 		}
 		c.mu.Unlock()
 	}

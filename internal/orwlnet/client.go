@@ -347,7 +347,6 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 		err := c.err
 		c.mu.Unlock()
 		recycle()
-		replyPool.Put(ch)
 		return nil, err
 	}
 	c.pending[id] = pendingCall{ch: ch, pooled: pooled}
@@ -388,11 +387,7 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 		}
 		replyPool.Put(ch)
 		if resp.op != statusOK {
-			err := responseError(resp)
-			if pooled {
-				putPayloadBuf(resp.payload)
-			}
-			return nil, err
+			return nil, responseError(resp)
 		}
 		return resp.payload, nil
 	case <-ctx.Done():

@@ -224,6 +224,9 @@ func TestFPSetMemoBound(t *testing.T) {
 	sized := func(ints int) *placement.Assignment {
 		return &placement.Assignment{Strategy: "s", ComputePU: make([]int, ints)}
 	}
+	memoBytes := func(a *placement.Assignment) int { // what a memo retains past its header
+		return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy)
+	}
 	fit := sized((memoMaxBytes - 1) / 8)
 	over := sized(memoMaxBytes/8 + 1)
 	if memoBytes(fit) > memoMaxBytes || memoBytes(over) <= memoMaxBytes {

@@ -249,10 +249,8 @@ func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
 	return putAssignment(dst, resp.Assignment)
 }
 
-// decodePlaceResponse decodes one response. memo, when set, is an
-// assignment an earlier response decoded to: if this response's
-// assignment equals it value for value, the shared memo is returned
-// instead of a fresh copy.
+// decodePlaceResponse decodes one response; its assignment is memo
+// itself when it carries memo's values (getAssignment).
 func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.PlaceResponse, []byte, error) {
 	rest, err := checkVersion(src)
 	if err != nil {

@@ -211,15 +211,12 @@ func (s *fpSet) forget(fp uint64) {
 	}
 }
 
-// keep makes a the entry's memo unless it is too large to retain.
+// keep makes a the entry's memo unless its slices and name exceed
+// memoMaxBytes.
 func (e *fpEntry) keep(a *placement.Assignment) {
-	if a != nil && a != e.memo.Load() && memoBytes(a) <= memoMaxBytes {
+	if a != nil && a != e.memo.Load() && 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf))+len(a.Strategy) <= memoMaxBytes {
 		e.memo.Store(a)
 	}
-}
-
-func memoBytes(a *placement.Assignment) int {
-	return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy)
 }
 
 // Place implements placement.Service: the request is serialised,
@@ -268,17 +265,17 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	if err != nil {
 		return nil, err
 	}
+	// The daemon decoded the body (or confirmed the reference): the next
+	// request for this matrix can go fingerprint-only.
 	var known *fpEntry
-	var memo *placement.Assignment
-	if !comm.NilAffinity(req.Matrix) {
-		// The daemon decoded the body (or confirmed the reference): the
-		// next request for this matrix can go fingerprint-only.
+	if comm.NilAffinity(req.Matrix) {
+		known = &fpEntry{} // a memo nothing else reads
+	} else {
 		known = s.known.remember(fp)
-		memo = known.memo.Load()
 	}
-	resp, _, err := decodePlaceResponse(payload, memo)
+	resp, _, err := decodePlaceResponse(payload, known.memo.Load())
 	putPayloadBuf(payload)
-	if err == nil && known != nil {
+	if err == nil {
 		known.keep(resp.Assignment)
 	}
 	return resp, err
