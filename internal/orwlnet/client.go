@@ -16,8 +16,8 @@ import (
 // Acquire does not stall other handles on the same connection. Frames
 // are handed to a writer goroutine, so a caller never blocks on another
 // caller's socket write — the transport pipelines as deep as the send
-// queue — unless the queue is empty and the writer idle: then the
-// caller writes its frame itself.
+// queue — unless the queue is empty, the writer idle and the caller's
+// context cannot be cancelled: then the caller writes its frame itself.
 type Client struct {
 	conn net.Conn
 
@@ -252,8 +252,9 @@ func (c *Client) readLoop() {
 
 // writeLoop writes queued frames: callers enqueue frames and return to
 // waiting on their reply channel, so N callers pipeline N frames
-// without serialising on each other's syscalls (a caller that finds
-// the queue empty and the writer idle writes its own frame). After a
+// without serialising on each other's syscalls (an uncancellable
+// caller that finds the queue empty and the writer idle writes its own
+// frame). After a
 // write error it keeps draining the queue so enqueued pooled buffers
 // are still recycled.
 func (c *Client) writeLoop() {
@@ -353,9 +354,10 @@ func (c *Client) callPooled(ctx context.Context, op byte, payload []byte, pooled
 	c.mu.Unlock()
 
 	f := outFrame{msg: message{callID: id, op: op, payload: payload}, pooled: pooled}
-	if len(c.sendCh) == 0 && c.wmu.TryLock() {
+	if ctx.Done() == nil && len(c.sendCh) == 0 && c.wmu.TryLock() {
 		// Nothing queued and the writer idle: write inline instead of
-		// paying a goroutine hand-off.
+		// paying a goroutine hand-off. A caller that can give up hands
+		// the frame over instead, so a stalled write never outlives it.
 		c.write(f)
 		c.wmu.Unlock()
 	} else {
