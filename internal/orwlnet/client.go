@@ -14,10 +14,9 @@ import (
 // Client is one connection to a location server. It is safe for
 // concurrent use: calls are tagged and multiplexed, so a blocked
 // Acquire does not stall other handles on the same connection. Frames
-// are handed to a writer goroutine, so a caller never blocks on another
-// caller's socket write — the transport pipelines as deep as the send
-// queue — unless the queue is empty, the writer idle and the caller's
-// context cannot be cancelled: then the caller writes its frame itself.
+// are handed to a writer goroutine, so a caller never blocks on
+// another caller's socket write — the transport pipelines as deep as
+// the send queue.
 type Client struct {
 	conn net.Conn
 
@@ -252,11 +251,9 @@ func (c *Client) readLoop() {
 
 // writeLoop writes queued frames: callers enqueue frames and return to
 // waiting on their reply channel, so N callers pipeline N frames
-// without serialising on each other's syscalls (an uncancellable
-// caller that finds the queue empty and the writer idle writes its own
-// frame). After a
-// write error it keeps draining the queue so enqueued pooled buffers
-// are still recycled.
+// without serialising on each other's syscalls. After a write error it
+// keeps draining the queue so enqueued pooled buffers are still
+// recycled.
 func (c *Client) writeLoop() {
 	// Writes go through a buffer that is flushed only when the send
 	// queue runs dry: a burst of pipelined frames crosses in one

@@ -1,12 +1,12 @@
 package orwlnet
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -905,9 +905,7 @@ func putIntSlice(dst []byte, s []int) []byte {
 	return dst
 }
 
-// getIntSlice decodes a possibly-nil []int, allocating nothing while
-// the values equal memo's: when all do, it returns memo itself.
-func getIntSlice(src []byte, memo []int) ([]int, []byte, error) {
+func getIntSlice(src []byte) ([]int, []byte, error) {
 	n, rest, err := getUvarint(src)
 	if err != nil {
 		return nil, nil, err
@@ -920,21 +918,13 @@ func getIntSlice(src []byte, memo []int) ([]int, []byte, error) {
 	if count < 0 || count > len(rest) {
 		return nil, nil, fmt.Errorf("orwlnet: truncated varint int slice (%d entries)", count)
 	}
-	out, shared := memo, memo != nil && len(memo) == count
-	if !shared {
-		out = make([]int, count)
-	}
+	out := make([]int, count)
 	for i := range out {
 		var u uint64
 		if u, rest, err = getUvarint(rest); err != nil {
 			return nil, nil, err
 		}
-		if v := int(unzigzag(u)); v != out[i] {
-			if shared {
-				out, shared = slices.Clone(memo), false
-			}
-			out[i] = v
-		}
+		out[i] = int(unzigzag(u))
 	}
 	return out, rest, nil
 }
@@ -965,51 +955,42 @@ func assignmentFlags(a *placement.Assignment) byte {
 	return flags
 }
 
-// getAssignment decodes a possibly-nil assignment. It returns memo
-// itself, allocating nothing, when the encoding carries memo's values.
+// getAssignment decodes a possibly-nil assignment. An encoding that
+// opens with memo's own carries memo's values, so memo itself is
+// returned: a repeated answer allocates nothing.
 func getAssignment(src []byte, memo *placement.Assignment) (*placement.Assignment, []byte, error) {
+	if memo != nil {
+		var buf [4 << 10]byte
+		if enc := putAssignment(buf[:0], memo); bytes.HasPrefix(src, enc) {
+			return memo, src[len(enc):], nil
+		}
+	}
 	present, rest, err := getBool(src)
 	if err != nil || !present {
 		return nil, rest, err
 	}
-	var m placement.Assignment // memo's values, or none
-	if memo != nil {
-		m = *memo
-	}
-	name, rest, err := getStringBytes(rest)
-	if err != nil {
+	a := &placement.Assignment{}
+	if a.Strategy, rest, err = getString(rest); err != nil {
 		return nil, nil, err
 	}
 	if len(rest) < 2 {
 		return nil, nil, fmt.Errorf("orwlnet: truncated assignment")
 	}
-	a := placement.Assignment{Strategy: m.Strategy, Unbound: rest[0]&asgnUnbound != 0,
-		Oversubscribed: rest[0]&asgnOversubscribed != 0, Mode: treematch.ControlMode(rest[1])}
-	if string(name) != a.Strategy {
-		a.Strategy = string(name)
-	}
+	flags := rest[0]
+	a.Unbound = flags&asgnUnbound != 0
+	a.Oversubscribed = flags&asgnOversubscribed != 0
+	a.Mode = treematch.ControlMode(rest[1])
 	rest = rest[2:]
-	if a.ComputePU, rest, err = getIntSlice(rest, m.ComputePU); err != nil {
+	if a.ComputePU, rest, err = getIntSlice(rest); err != nil {
 		return nil, nil, err
 	}
-	if a.ControlPU, rest, err = getIntSlice(rest, m.ControlPU); err != nil {
+	if a.ControlPU, rest, err = getIntSlice(rest); err != nil {
 		return nil, nil, err
 	}
-	if a.CoreOf, rest, err = getIntSlice(rest, m.CoreOf); err != nil {
+	if a.CoreOf, rest, err = getIntSlice(rest); err != nil {
 		return nil, nil, err
 	}
-	if memo != nil && m.Partitions == nil && a.Strategy == m.Strategy && a.Unbound == m.Unbound &&
-		a.Oversubscribed == m.Oversubscribed && a.Mode == m.Mode &&
-		same(a.ComputePU, m.ComputePU) && same(a.ControlPU, m.ControlPU) && same(a.CoreOf, m.CoreOf) {
-		return memo, rest, nil
-	}
-	fresh := a // only a fresh assignment escapes to the heap
-	return &fresh, rest, nil
-}
-
-// same reports whether a and b are one slice (nil and empty differ).
-func same(a, b []int) bool {
-	return (a == nil) == (b == nil) && len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	return a, rest, nil
 }
 
 // NetStats codec (a stats payload field).

@@ -234,7 +234,7 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 
 func TestIntSliceNilVsEmpty(t *testing.T) {
 	for _, s := range [][]int{nil, {}, {0}, {-1, 5, 1 << 40}} {
-		got, rest, err := getIntSlice(putIntSlice(nil, s), nil)
+		got, rest, err := getIntSlice(putIntSlice(nil, s))
 		if err != nil {
 			t.Fatalf("round trip of %v: %v", s, err)
 		}

@@ -240,20 +240,14 @@ func putString(dst []byte, s string) []byte {
 }
 
 func getString(src []byte) (string, []byte, error) {
-	b, rest, err := getStringBytes(src)
-	return string(b), rest, err
-}
-
-// getStringBytes is getString without the copy: the bytes alias src.
-func getStringBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 2 {
-		return nil, nil, fmt.Errorf("orwlnet: truncated string")
+		return "", nil, fmt.Errorf("orwlnet: truncated string")
 	}
 	n := int(binary.LittleEndian.Uint16(src))
 	if len(src) < 2+n {
-		return nil, nil, fmt.Errorf("orwlnet: truncated string body")
+		return "", nil, fmt.Errorf("orwlnet: truncated string body")
 	}
-	return src[2 : 2+n], src[2+n:], nil
+	return string(src[2 : 2+n]), src[2+n:], nil
 }
 
 func putUint64(dst []byte, v uint64) []byte {

@@ -164,7 +164,7 @@ type fpSet struct {
 
 // fpEntry is one believed-known fingerprint. memo is the assignment
 // the last placement response for it decoded to: the next response
-// decodes to it, allocating nothing, iff its every wire value matches.
+// decodes to memo itself iff it encodes every one of memo's values.
 type fpEntry struct {
 	fp   uint64
 	memo atomic.Pointer[placement.Assignment]

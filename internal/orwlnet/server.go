@@ -381,9 +381,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// pooledRequest reports whether a request body is read into a
-// payloadPool buffer: the placement and report ops, whose decoders
-// copy every value they keep out of the body.
+// pooledRequest picks the request bodies read into payloadPool
+// buffers: ops whose decoders copy out every value they keep.
 func pooledRequest(_ uint64, op byte) bool {
 	return op == opPlaceCompute || op == opPlaceBatch || op == opObservedReport
 }
