@@ -539,7 +539,7 @@ func applyRemapDelta(prev *placement.Assignment, d *remapDelta) (*placement.Assi
 	if (d.Aux&deltaAuxCore != 0) != (len(prev.CoreOf) == d.Order) {
 		return nil, fmt.Errorf("orwlnet: delta core presence does not match cached assignment")
 	}
-	a := prev.Clone()
+	a := prev.Clone() // copy-on-write: prev is shared and immutable
 	a.Strategy = d.Strategy
 	a.Unbound = d.Flags&asgnUnbound != 0
 	a.Oversubscribed = d.Flags&asgnOversubscribed != 0

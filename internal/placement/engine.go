@@ -244,15 +244,15 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 	// complete publishes the flight's outcome exactly once: clears the
 	// entry, fills the cache on success, and unblocks the waiters.
 	completed := false
-	complete := func(a *Assignment, err error) {
+	complete := func(stored *Assignment, err error) {
 		completed = true
 		e.mu.Lock()
 		delete(e.flight, key)
-		if a != nil {
-			e.cache.put(key, a)
+		if stored != nil {
+			e.cache.put(key, stored)
 		}
 		e.mu.Unlock()
-		c.a = a
+		c.a = stored
 		c.err = err
 		close(c.done)
 	}
