@@ -198,9 +198,10 @@ func writeMessage(w io.Writer, m message) error {
 // 64 MiB length prefix costs 64 KiB.
 const frameChunk = 64 << 10
 
-// readMessage reads one framed message. A body for which pooled (nil:
-// none) reports true is read into a payloadPool buffer, which its
-// consumer recycles once it has copied out what it keeps.
+// readMessage reads one framed message (a partial one with an error).
+// A body for which pooled (nil: none) reports true is read into a
+// payloadPool buffer, which its consumer recycles once it has copied
+// out what it keeps.
 func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message, error) {
 	var head [13]byte
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
@@ -224,10 +225,7 @@ func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF // only a stream cut between frames is io.EOF
 	}
-	if err != nil {
-		return message{}, err
-	}
-	return m, nil
+	return m, err
 }
 
 // Payload encoding helpers.
