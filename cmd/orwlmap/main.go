@@ -50,7 +50,8 @@ func main() {
 		fail(err)
 	}
 
-	tm, err := eng.Compute(placement.TreeMatch, m, 0, placement.Options{ControlThreads: *control})
+	// One run at any order, as a placement request maps.
+	tm, _, err := eng.ComputeHinted(placement.TreeMatch, m, 0, 0, placement.Options{ControlThreads: *control, PartitionThreshold: -1})
 	if err != nil {
 		fail(err)
 	}
@@ -71,7 +72,7 @@ func main() {
 			report(name, tm.ComputePU)
 			continue
 		}
-		a, err := eng.Compute(name, m, 0, placement.Options{})
+		a, _, err := eng.ComputeHinted(name, m, 0, 0, placement.Options{})
 		if err != nil {
 			fail(err)
 		}

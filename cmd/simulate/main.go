@@ -196,7 +196,7 @@ func runScale(n int) error {
 		return err
 	}
 	start := time.Now()
-	asg, cached, err := eng.ComputeAffinity(placement.TreeMatch, a, 0, placement.Options{})
+	asg, cached, err := eng.ComputeHinted(placement.TreeMatch, a, 0, 0, placement.Options{})
 	cold := time.Since(start)
 	if err != nil {
 		return err
@@ -211,7 +211,7 @@ func runScale(n int) error {
 	fmt.Printf("large-scale: mapped %d tasks (%d nonzeros) onto %d PUs in %v (%d partitions)\n",
 		tasks, a.NNZ(), top.NumPUs(), cold.Round(time.Microsecond), parts)
 	start = time.Now()
-	if _, cached, err = eng.ComputeAffinity(placement.TreeMatch, a, 0, placement.Options{}); err != nil {
+	if _, cached, err = eng.ComputeHinted(placement.TreeMatch, a, 0, 0, placement.Options{}); err != nil {
 		return err
 	}
 	warm := time.Since(start)
@@ -516,7 +516,7 @@ func runAdaptive(w *perfsim.Workload, machine string, epochs, shift int, seed in
 
 	oracleSec := 0.0
 	for e := 0; e < epochs; e++ {
-		oracle, err := eng.Compute(placement.TreeMatch, patterns[e], n, placement.Options{ControlThreads: true})
+		oracle, _, err := eng.ComputeHinted(placement.TreeMatch, patterns[e], 0, n, placement.Options{ControlThreads: true})
 		if err != nil {
 			return err
 		}

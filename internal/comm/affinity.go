@@ -1,7 +1,5 @@
 package comm
 
-import "math"
-
 // Affinity is the representation-independent surface of a communication
 // matrix: the operations the mapping pipeline actually needs, satisfied
 // by both the dense *Matrix and the sorted-rows *Sparse. Callers that
@@ -121,34 +119,3 @@ func (m *Matrix) CloneAffinity() Affinity { return m.Clone() }
 
 // Dense returns the receiver: the dense matrix is its own dense form.
 func (m *Matrix) Dense() *Matrix { return m }
-
-// FingerprintOf hashes the nonzero structure of an affinity: order,
-// then every nonzero as (row, column, value bits) in row-major
-// ascending-column order. Because zeros are skipped, a dense and a
-// sparse affinity holding the same entries hash identically — this is
-// the identity the representation-independent placement paths key on.
-//
-// It deliberately differs from Fingerprint, which hashes all n² dense
-// entries and remains the wire protocol's fingerprint-only handle;
-// FingerprintOf(m) != Fingerprint(m) in general. Like Fingerprint it
-// is an in-memory identity, never persisted.
-func FingerprintOf(a Affinity) uint64 {
-	if a == nil {
-		return 0
-	}
-	h := uint64(fnvOffset64)
-	n := a.Order()
-	h = (h ^ uint64(n)) * fnvPrime64
-	// One closure for every row: a literal inside the loop would be
-	// allocated per row, since ForEachRow is an interface call.
-	var i int
-	row := func(j int, v float64) {
-		h = (h ^ uint64(i)) * fnvPrime64
-		h = (h ^ uint64(j)) * fnvPrime64
-		h = (h ^ math.Float64bits(v)) * fnvPrime64
-	}
-	for i = 0; i < n; i++ {
-		a.ForEachRow(i, row)
-	}
-	return h
-}

@@ -47,10 +47,6 @@ func checkEquivalent(t *testing.T, dense *Matrix, sparse *Sparse) {
 	if d, s := dense.Total(), sparse.Total(); d != s {
 		t.Fatalf("Total: sparse %g, dense %g", s, d)
 	}
-	if d, s := FingerprintOf(dense), FingerprintOf(sparse); d != s {
-		t.Fatalf("FingerprintOf: sparse %#x, dense %#x", s, d)
-	}
-
 	// Fingerprint hashes cell values, not storage.
 	if d, s := Fingerprint(dense), Fingerprint(sparse); d != s {
 		t.Fatalf("Fingerprint: sparse %#x, dense %#x", s, d)
@@ -59,8 +55,8 @@ func checkEquivalent(t *testing.T, dense *Matrix, sparse *Sparse) {
 
 // FuzzSparseDenseEquivalence drives random mutation sequences into a
 // dense Matrix and a Sparse side by side and asserts the Affinity
-// surface cannot tell them apart: entries, NNZ, totals, FingerprintOf
-// and Fingerprint all agree.
+// surface cannot tell them apart: entries, NNZ, totals and Fingerprint
+// all agree.
 func FuzzSparseDenseEquivalence(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 10, 0, 1, 0, 20, 1})
 	f.Add([]byte{12, 3, 7, 255, 2, 7, 3, 1, 1, 3, 7, 1, 0})
@@ -228,22 +224,5 @@ func TestRingOfClustersSparse(t *testing.T) {
 	s.ForEach(func(i, j int, v float64) { agg.Add(i/size, j/size, v) })
 	if agg.At(0, 1) != 10 || agg.At(0, 2) != 0 {
 		t.Fatalf("cluster aggregate ring broken: %g %g", agg.At(0, 1), agg.At(0, 2))
-	}
-}
-
-func TestFingerprintOfSkipsZeros(t *testing.T) {
-	a := NewMatrix(6)
-	b := NewMatrix(6)
-	a.Set(2, 3, 9)
-	b.Set(2, 3, 9)
-	b.Set(4, 4, 0) // explicit stored zero must not change the identity
-	if FingerprintOf(a) != FingerprintOf(b) {
-		t.Fatal("stored zero changed FingerprintOf")
-	}
-	if FingerprintOf(a) == Fingerprint(a) && a.NNZ() != 36 {
-		t.Log("FingerprintOf coincides with Fingerprint (harmless, but unexpected)")
-	}
-	if math.Float64bits(a.At(2, 3)) != math.Float64bits(9.0) {
-		t.Fatal("value mangled")
 	}
 }

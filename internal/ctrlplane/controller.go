@@ -269,21 +269,16 @@ func (c *Controller) Epoch(machine string) (*placement.EpochReport, error) {
 	if w.Order() != lp.order {
 		// First traffic ever seen for this machine, or a task space that
 		// grew since the baseline (a lease registered after priming):
-		// compute and adopt a full mapping of the window directly — there
-		// is no baseline of this order to drift from. The affinity path
-		// keeps a large machine's mapping on the partitioned sparse
-		// pipeline.
-		a, _, err := lp.svc.Engine().ComputeAffinity(c.adaptiveStrategy(), w, 0, c.cfg.Adaptive.Options)
-		if err != nil {
+		// prime the reconciler on the window — there is no baseline of
+		// this order to drift from.
+		if err := lp.rec.Prime(placement.Fixed("window", w)); err != nil {
 			return nil, err
 		}
-		if err := lp.rec.SetCurrent(a, w); err != nil {
-			return nil, err
-		}
+		a := lp.rec.Current()
 		lp.order = w.Order()
 		c.publish(lp, Remap{Machine: machine, Assignment: a})
 		rep := &placement.EpochReport{WindowBytes: w.Total(), Recomputed: true, Adopted: true, Assignment: a}
-		c.col.Recycle(machine, w) // SetCurrent kept a copy
+		c.col.Recycle(machine, w) // Prime kept a copy
 		return rep, nil
 	}
 	lp.src.set(w)
@@ -312,13 +307,6 @@ func allZero(w comm.Affinity) bool {
 		w.ForEachRow(i, func(int, float64) { found = true })
 	}
 	return !found
-}
-
-func (c *Controller) adaptiveStrategy() string {
-	if c.cfg.Adaptive.Strategy != "" {
-		return c.cfg.Adaptive.Strategy
-	}
-	return placement.TreeMatch
 }
 
 // publish stamps the remap with the machine's next epoch and fans it

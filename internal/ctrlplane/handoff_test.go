@@ -48,7 +48,7 @@ type frozen struct {
 }
 
 func freeze(epoch int, a comm.Affinity) frozen {
-	return frozen{epoch: epoch, a: a, fp: comm.FingerprintOf(a), total: a.Total()}
+	return frozen{epoch: epoch, a: a, fp: comm.Fingerprint(a), total: a.Total()}
 }
 
 // TestHandoffMatchesCloningController drives 200 shift (adopted or
@@ -153,12 +153,12 @@ func TestHandoffMatchesCloningController(t *testing.T) {
 		t.Fatalf("the schedule exercised %d adopted, %d rejected, %d steady and %d idle epochs", adopted, rejected, steadies, idles)
 	}
 	for _, c := range copies {
-		if fp, total := comm.FingerprintOf(c.a), c.a.Total(); fp != c.fp || total != c.total {
+		if fp, total := comm.Fingerprint(c.a), c.a.Total(); fp != c.fp || total != c.total {
 			t.Fatalf("a baseline copy taken after epoch %d changed afterwards (total %g -> %g)", c.epoch, c.total, total)
 		}
 	}
 	want, got := keeping.loops["fig2"].rec.BaselineAffinity(), recycling.loops["fig2"].rec.BaselineAffinity()
-	if comm.FingerprintOf(got) != comm.FingerprintOf(want) {
+	if comm.Fingerprint(got) != comm.Fingerprint(want) {
 		t.Fatal("the two controllers ended on different baselines")
 	}
 }

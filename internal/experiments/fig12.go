@@ -36,7 +36,7 @@ func Fig2() (*treematch.Mapping, string, error) {
 		return nil, "", err
 	}
 	eng := engineFor(topology.Fig2Machine())
-	a, err := eng.Compute(placement.TreeMatch, m, 0, placement.Options{ControlThreads: true})
+	a, _, err := eng.ComputeHinted(placement.TreeMatch, m, 0, 0, placement.Options{ControlThreads: true})
 	if err != nil {
 		return nil, "", err
 	}

@@ -21,8 +21,8 @@ import (
 // of counters for a 10k-task program whose tasks talk to a handful of
 // neighbours each — so the recorder switches to sharded counters: a
 // hash from pair to a slot in append-only counter slices, O(nnz) memory,
-// one map lookup and one short mutex hold per record. Snapshots (Matrix,
-// Window, their affinity forms) walk the counters without stopping the
+// one map lookup and one short mutex hold per record. Snapshots (Affinity,
+// Matrix, window epochs) walk the counters without stopping the
 // writers; the snapshot as a whole is only approximately
 // instantaneous, which is fine for a drift signal.
 type Traffic struct {
@@ -32,8 +32,8 @@ type Traffic struct {
 
 	shards []trafficShard // sparse mode; nil in dense mode
 
-	// win is the program's default window (see Window); independent
-	// consumers create their own with NewWindow.
+	// win is the program's default window (see ObservedWindowAffinity);
+	// independent consumers create their own with NewWindow.
 	win *TrafficWindow
 }
 
@@ -135,7 +135,7 @@ func (t *Traffic) Affinity() comm.Affinity {
 func (t *Traffic) Matrix() *comm.Matrix { return t.Affinity().Dense() }
 
 // TrafficWindow carves the recorder's cumulative counters into
-// disjoint epochs for one consumer: each Next call returns the
+// disjoint epochs for one consumer: each NextAffinity call returns the
 // traffic since that window's previous call. Every consumer that
 // snapshots independently (an adaptive reconciler, a module with
 // observed affinity, a monitoring scraper) must own its own window —
@@ -144,7 +144,7 @@ type TrafficWindow struct {
 	t *Traffic
 
 	mu sync.Mutex
-	// base holds the cumulative byte counts at the previous Next call,
+	// base holds the cumulative byte counts at the previous epoch,
 	// position-aligned with the recorder's counters so advancing never
 	// hashes: base[0] mirrors the flat n x n array in dense mode, base[s]
 	// shard s's slices (growing with them) in sparse mode.
@@ -163,8 +163,8 @@ type windowCell struct {
 }
 
 // NewWindow returns an independent epoch window over the recorder
-// with an empty baseline: the first Next returns everything recorded
-// since the program started.
+// with an empty baseline: the first NextAffinity returns everything
+// recorded since the program started.
 func (t *Traffic) NewWindow() *TrafficWindow {
 	w := &TrafficWindow{t: t, rowNNZ: make([]int, t.n)}
 	if t.shards == nil {
@@ -230,36 +230,6 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	return a
 }
 
-// Next is the epoch as a dense matrix — the original surface, kept for
-// consumers that run on *comm.Matrix. Dense mode reads the counters
-// straight into it.
-func (w *TrafficWindow) Next() *comm.Matrix {
-	t := w.t
-	if t.shards != nil {
-		return w.NextAffinity().Dense()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	m := comm.NewMatrix(t.n)
-	base := w.base[0]
-	for i := 0; i < t.n; i++ {
-		row, off := m.RowView(i), i*t.n
-		for j := range row {
-			cur := t.bytes[off+j].Load()
-			row[j] = float64(cur - base[off+j])
-			base[off+j] = cur
-		}
-	}
-	return m
-}
-
-// Window advances the recorder's default window — a convenience for
-// single-consumer programs. Independent consumers must use NewWindow:
-// this shared window hands each epoch to whichever caller asks first.
-func (t *Traffic) Window() *comm.Matrix {
-	return t.win.Next()
-}
-
 // Totals returns the cumulative byte and operation counts over all
 // pairs.
 func (t *Traffic) Totals() (bytes, ops uint64) {
@@ -312,12 +282,11 @@ func (p *Program) Traffic() *Traffic { return p.traffic }
 // location grants, raw requests and direct Traffic records.
 func (p *Program) ObservedMatrix() *comm.Matrix { return p.traffic.Matrix() }
 
-// ObservedWindow returns the observed matrix since the previous
-// ObservedWindow call and starts a new window — the epoch snapshots an
-// adaptive placement loop consumes.
-func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.Window() }
+// ObservedWindow is ObservedWindowAffinity as a dense matrix: n² cells
+// at any order.
+func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.win.NextAffinity().Dense() }
 
-// ObservedWindowAffinity is ObservedWindow on the representation-
-// independent surface (both advance the same default window): an epoch
-// of at most n²/8 nonzeros is a sparse snapshot, never n² cells.
+// ObservedWindowAffinity returns the traffic since the previous call of
+// it or ObservedWindow, both advancing the program's default window: an
+// epoch of at most n²/8 nonzeros is a sparse snapshot, never n² cells.
 func (p *Program) ObservedWindowAffinity() comm.Affinity { return p.traffic.win.NextAffinity() }

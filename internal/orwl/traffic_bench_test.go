@@ -55,6 +55,6 @@ func BenchmarkObservedWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tr.Window()
+		_ = tr.win.NextAffinity().Dense()
 	}
 }

@@ -152,10 +152,10 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 
 // TestDenseWindowReportMatchesDenseRead is the client's mirror of the
 // decoder's rule: a dense-mode recorder's NextAffinity holds, cell for
-// cell, what the dense counter read (Next, on a twin window) holds,
-// sparse exactly when the epoch has at most n²/8 nonzeros, and reports
-// in the bytes putMatrixCompact gives the dense form — over two epochs,
-// so the baseline advance is covered too.
+// cell, what was recorded in the epoch (a dense matrix the test keeps
+// alongside), sparse exactly when the epoch has at most n²/8 nonzeros,
+// and reports in the bytes putMatrixCompact gives the dense form — over
+// two epochs, so the baseline advance is covered too.
 func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
 	for _, n := range []int{1, 80, 160, 512} {
 		for _, density := range []float64{0, 0.01, 0.12, 0.13, 0.5, 2} {
@@ -164,17 +164,22 @@ func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
 			if tr.Sparse() {
 				t.Fatalf("order %d records in sparse mode", n)
 			}
-			affinity, dense := tr.NewWindow(), tr.NewWindow()
+			affinity := tr.NewWindow()
 			for epoch := 0; epoch < 2; epoch++ {
 				name := fmt.Sprintf("%d/%g/epoch%d", n, density, epoch)
+				want := comm.NewMatrix(n)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
 						if rng.Float64() < density {
-							tr.Record(i, j, 1+rng.Intn(1<<20)) // i == j is dropped
+							b := 1 + rng.Intn(1<<20)
+							tr.Record(i, j, b)
+							if i != j { // the recorder drops i == j
+								want.Add(i, j, float64(b))
+							}
 						}
 					}
 				}
-				got, want := affinity.NextAffinity(), dense.Next()
+				got := affinity.NextAffinity()
 				if diff := diffCells(want, got); diff != "" {
 					t.Fatalf("%s: NextAffinity differs from the dense read: %s", name, diff)
 				}

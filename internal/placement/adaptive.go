@@ -106,7 +106,7 @@ func Drift(a, b *comm.Matrix) float64 {
 // window is measured without touching an n² slab. It is PartitionDrift
 // with every task in one partition.
 func DriftAffinity(a, b comm.Affinity) float64 {
-	if a == nil || b == nil {
+	if comm.NilAffinity(a) || comm.NilAffinity(b) {
 		return 1
 	}
 	return newPartitionBaseline(make([]int, a.Order()), 1, a).drift(b)[0]
@@ -123,7 +123,7 @@ func DriftAffinity(a, b comm.Affinity) float64 {
 // not a subtree remap. Runs in O(nnz + tasks), hashes nothing and sums
 // in a fixed order, so equal inputs give bit-identical results.
 func PartitionDrift(parts *treematch.Partitioning, base, window comm.Affinity) []float64 {
-	if base == nil {
+	if comm.NilAffinity(base) {
 		return fullDrift(len(parts.Parts))
 	}
 	return newPartitionBaseline(partitionOf(parts, base.Order()), len(parts.Parts), base).drift(window)
@@ -278,7 +278,7 @@ func (pb *partitionBaseline) sortedPairs(a comm.Affinity, sc *pairScratch) []par
 // the full symmetrized matrices: both triangles carry the same volumes,
 // so the factor two cancels.
 func (pb *partitionBaseline) drift(window comm.Affinity) []float64 {
-	if window == nil || window.Order() != len(pb.partOf) {
+	if comm.NilAffinity(window) || window.Order() != len(pb.partOf) {
 		return fullDrift(len(pb.totals))
 	}
 	out := make([]float64, len(pb.totals))
@@ -494,7 +494,7 @@ func (r *Reconciler) Prime(src Source) error {
 	if err != nil {
 		return err
 	}
-	a, _, err := r.eng.ComputeAffinity(r.cfg.Strategy, aff, 0, r.cfg.Options)
+	a, _, err := r.eng.ComputeHinted(r.cfg.Strategy, aff, 0, 0, r.cfg.Options)
 	if err != nil {
 		return err
 	}
@@ -701,7 +701,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		rep.RemappedPartitions = drifted
 		candidate, err = r.remapPartitions(cur, window, drifted)
 	} else {
-		candidate, _, err = r.eng.ComputeAffinity(r.cfg.Strategy, window, 0, r.cfg.Options)
+		candidate, _, err = r.eng.ComputeHinted(r.cfg.Strategy, window, 0, 0, r.cfg.Options)
 	}
 	if err != nil {
 		return nil, err

@@ -207,52 +207,3 @@ func TestAdaptivePartitionedRemapIsolated(t *testing.T) {
 		t.Fatalf("remap of the drifted partition moved no tasks")
 	}
 }
-
-// TestComputeAffinityCaching pins the affinity compute path's cache
-// identity: a dense and a sparse affinity with the same entries share
-// one entry (comm.FingerprintOf is representation-independent), and the
-// affinity key space is disjoint from the dense Compute path's.
-func TestComputeAffinityCaching(t *testing.T) {
-	top := topology.Fig2Machine()
-	eng, err := NewEngine(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ringMatrix(16, 1<<20)
-
-	a1, cached, err := eng.ComputeAffinity(TreeMatch, m, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatalf("first affinity compute reported cached")
-	}
-	a2, cached, err := eng.ComputeAffinity(TreeMatch, sparseCopy(m), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Fatalf("sparse affinity with identical entries missed the cache")
-	}
-	for i := range a1.ComputePU {
-		if a1.ComputePU[i] != a2.ComputePU[i] {
-			t.Fatalf("cached sparse result differs at task %d", i)
-		}
-	}
-
-	// The dense Compute path must not alias the affinity entry: its
-	// matrix field is a different hash function over the same domain.
-	before := eng.Stats().Misses
-	a3, err := eng.Compute(TreeMatch, m, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stats().Misses != before+1 {
-		t.Fatalf("dense Compute was served from an affinity-path entry")
-	}
-	for i := range a1.ComputePU {
-		if a1.ComputePU[i] != a3.ComputePU[i] {
-			t.Fatalf("affinity and dense paths disagree at task %d", i)
-		}
-	}
-}

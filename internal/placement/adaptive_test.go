@@ -157,7 +157,7 @@ func TestAdaptiveGoldenShift(t *testing.T) {
 	}
 	staticSec := model(static)
 	adaptiveSec := model(rec.Current())
-	oracle, err := eng.Compute(TreeMatch, phaseB, n, Options{})
+	oracle, _, err := eng.ComputeHinted(TreeMatch, phaseB, 0, n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

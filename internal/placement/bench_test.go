@@ -9,8 +9,8 @@ import (
 )
 
 // The cache pays off when a dynamic program re-presents a matrix the
-// engine has mapped before: a cached Compute is a fingerprint plus a
-// map lookup, against a full TreeMatch run cold. Compare:
+// engine has mapped before: a cached ComputeHinted is a fingerprint
+// plus a map lookup, against a full TreeMatch run cold. Compare:
 //
 //	go test ./internal/placement -bench 'TreeMatch(Cold|Cached)' -benchmem
 
@@ -28,7 +28,7 @@ func BenchmarkTreeMatchCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Compute(TreeMatch, m, 0, Options{ControlThreads: true}); err != nil {
+		if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlThreads: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,19 +41,19 @@ func BenchmarkTreeMatchCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Compute(TreeMatch, m, 0, Options{ControlThreads: true}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlThreads: true}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Compute(TreeMatch, m, 0, Options{ControlThreads: true}); err != nil {
+		if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlThreads: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// A burst of concurrent Compute calls per distinct key: with
+// A burst of concurrent ComputeHinted calls per distinct key: with
 // singleflight the strategy runs once per key per burst regardless of
 // the burst width, so per-call cost approaches a cache hit.
 func BenchmarkTreeMatchConcurrentBurst(b *testing.B) {
@@ -72,7 +72,7 @@ func BenchmarkTreeMatchConcurrentBurst(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := eng.Compute(TreeMatch, m, 0, Options{ControlThreads: true}); err != nil {
+				if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlThreads: true}); err != nil {
 					b.Error(err)
 				}
 			}()

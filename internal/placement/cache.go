@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 
-	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
 )
 
@@ -19,11 +18,6 @@ type cacheKey struct {
 	entities int
 	strategy string
 	options  uint64
-	// affinity marks keys of the affinity compute path, whose matrix
-	// field holds comm.FingerprintOf instead of comm.Fingerprint — two
-	// different hash functions over the same domain must not share a
-	// key space.
-	affinity bool
 }
 
 // Signature fingerprints a topology by its canonical JSON encoding
@@ -69,14 +63,6 @@ func Signature(top *topology.Topology) uint64 {
 	}
 	h.Write(data)
 	return h.Sum64()
-}
-
-// matrixFingerprint hashes the order and every entry of the matrix.
-// The hash is comm.Fingerprint — the same identity the wire protocol's
-// fingerprint-only requests resolve matrices by, so a matrix cached
-// here and one resolved from the daemon's seen-matrix table key alike.
-func matrixFingerprint(m comm.Affinity) uint64 {
-	return comm.Fingerprint(m)
 }
 
 // optionsFingerprint hashes the mapping options that change the

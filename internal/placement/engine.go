@@ -29,7 +29,7 @@ type Engine struct {
 }
 
 // flightCall is one in-progress strategy computation. Concurrent
-// Compute calls for the same uncached key coalesce onto it
+// ComputeHinted calls for the same uncached key coalesce onto it
 // (singleflight): the first caller runs the strategy, the others wait
 // on done and clone the shared result. Without this, a busy daemon
 // receiving a burst of identical requests would run the same expensive
@@ -43,9 +43,9 @@ type flightCall struct {
 
 // CacheStats counts mapping-cache traffic.
 type CacheStats struct {
-	// Hits is the number of Compute calls served from the cache.
+	// Hits is the number of ComputeHinted calls served from the cache.
 	Hits uint64
-	// Misses is the number of Compute calls that ran a strategy.
+	// Misses is the number of ComputeHinted calls that ran a strategy.
 	Misses uint64
 	// Entries is the current number of cached assignments.
 	Entries int
@@ -103,29 +103,24 @@ func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 	return a, nil
 }
 
-// Compute runs the named strategy — step 2 of the pipeline
-// (orwl_affinity_compute) — memoising the result. n may be zero when
-// m is non-nil, in which case the matrix order is used; any other n
-// must equal the order. The returned assignment is shared with the
-// cache and every other caller of the same key: it is read-only, and a
-// caller that edits one edits a Clone.
-func (e *Engine) Compute(strategy string, m comm.Affinity, n int, opt Options) (*Assignment, error) {
-	a, _, err := e.ComputeHinted(strategy, m, 0, n, opt)
-	return a, err
-}
-
-// ComputeHinted is Compute additionally reporting whether the
-// assignment was served from the mapping cache — the signal the Service
-// surface forwards to remote callers — with an optional precomputed
-// matrix fingerprint (PlaceRequest.MatrixFP): hashing the matrix is the
-// dominant cost of a warm cache hit, and callers that already know the
-// identity — the wire layer resolved the matrix BY fingerprint, or the
-// service hashed it once for its own caches — pass it here instead of
-// paying it again. fp zero means unknown.
+// ComputeHinted runs the named strategy — step 2 of the pipeline
+// (orwl_affinity_compute) — memoising the result under
+// comm.Fingerprint(m), and reports whether the cache served it. fp is
+// that fingerprint when the caller already knows it (zero means
+// unknown): hashing dominates a warm hit. n may be zero when m is
+// non-nil, in which case the matrix order is used; any other n must
+// equal the order. The treematch strategy partitions above
+// opt.PartitionThreshold; callers promising one run pin it to -1. The
+// assignment is shared with the cache and every caller of the same key:
+// it is read-only, and a caller that edits one edits a Clone.
 func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n int, opt Options) (*Assignment, bool, error) {
 	s, ok := Lookup(strategy)
 	if !ok {
 		return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
+	}
+	if s.CommAware() && comm.NilAffinity(m) {
+		// Refused before the cache, so it is not counted as a miss.
+		return nil, false, fmt.Errorf("placement: %s: nil communication matrix", strategy)
 	}
 	n, err := entities(m, n)
 	if err != nil {
@@ -141,7 +136,7 @@ func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n in
 		// requests share one entry across matrices — the hint must not
 		// split them.
 		if key.matrix = fp; key.matrix == 0 {
-			key.matrix = matrixFingerprint(m)
+			key.matrix = comm.Fingerprint(m)
 		}
 	}
 	if usesOptions(s) {
@@ -152,44 +147,6 @@ func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n in
 	}
 	return e.computeKeyed(key, strategy, func() (*Assignment, error) {
 		return s.Map(e.top, m, n, opt)
-	})
-}
-
-// ComputeAffinity is Compute with the partitioned path: strategies
-// implementing AffinityMapper map through it (the treematch strategy
-// partitions above the threshold); others run Map. Results are memoised
-// under comm.FingerprintOf — a dense and a sparse affinity with the
-// same entries share an entry — in a key space disjoint from the
-// dense Compute path's wire fingerprints.
-func (e *Engine) ComputeAffinity(strategy string, a comm.Affinity, n int, opt Options) (*Assignment, bool, error) {
-	s, ok := Lookup(strategy)
-	if !ok {
-		return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
-	}
-	if s.CommAware() && comm.NilAffinity(a) {
-		return nil, false, fmt.Errorf("placement: %s: nil affinity", strategy)
-	}
-	n, err := entities(a, n)
-	if err != nil {
-		return nil, false, err
-	}
-	key := cacheKey{
-		topo:     e.topoSig,
-		entities: n,
-		strategy: strategy,
-	}
-	if s.CommAware() {
-		key.affinity = true
-		key.matrix = comm.FingerprintOf(a)
-	}
-	if usesOptions(s) {
-		key.options = optionsFingerprint(opt)
-	}
-	return e.computeKeyed(key, strategy, func() (*Assignment, error) {
-		if am, ok := s.(AffinityMapper); ok && s.CommAware() {
-			return am.MapAffinity(e.top, a, n, opt)
-		}
-		return s.Map(e.top, a, n, opt)
 	})
 }
 
@@ -257,7 +214,7 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 		close(c.done)
 	}
 	// A panicking strategy must not strand the flight entry: waiters
-	// parked on done (and every future Compute of this key) would
+	// parked on done (and every future compute of this key) would
 	// deadlock. Resolve the flight with an error and let the panic
 	// propagate to the leader's caller.
 	defer func() {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sync"
@@ -58,7 +59,7 @@ func TestComputeCacheHitMiss(t *testing.T) {
 	}
 	m := comm.Ring(8, 1<<16, true)
 
-	a1, err := eng.Compute(TreeMatch, m, 0, Options{ControlThreads: true})
+	a1, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlThreads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestComputeCacheHitMiss(t *testing.T) {
 	}
 
 	// The same matrix again: a hit, and an identical assignment.
-	a2, err := eng.Compute(TreeMatch, m.Clone(), 0, Options{ControlThreads: true})
+	a2, _, err := eng.ComputeHinted(TreeMatch, m.Clone(), 0, 0, Options{ControlThreads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestComputeCacheHitMiss(t *testing.T) {
 
 	// A different matrix, different options and a different strategy
 	// each miss.
-	if _, err := eng.Compute(TreeMatch, comm.Ring(8, 1<<10, true), 0, Options{ControlThreads: true}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, comm.Ring(8, 1<<10, true), 0, 0, Options{ControlThreads: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Compute(TreeMatch, m, 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Compute("scatter", m, 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("scatter", m, 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 1 || st.Misses != 4 {
@@ -101,17 +102,17 @@ func TestObliviousStrategiesIgnoreMatrix(t *testing.T) {
 	}
 	// Two different matrices of the same order share the cache entry
 	// for a matrix-oblivious strategy.
-	if _, err := eng.Compute("compact", comm.Ring(4, 100, true), 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("compact", comm.Ring(4, 100, true), 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Compute("compact", comm.Uniform(4, 7), 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("compact", comm.Uniform(4, 7), 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want one hit one miss", st)
 	}
 	// A nil matrix with an explicit entity count also works.
-	if _, err := eng.Compute("compact", nil, 4, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("compact", nil, 0, 4, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 2 {
@@ -125,18 +126,18 @@ func TestOptionsCanonicalizedInCacheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := comm.Ring(4, 100, true)
-	if _, err := eng.Compute(TreeMatch, m, 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Spelled-out defaults are the same configuration: a hit.
-	if _, err := eng.Compute(TreeMatch, m, 0, Options{ControlVolumeFraction: 0.1, ExhaustiveLimit: 12}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlVolumeFraction: 0.1, ExhaustiveLimit: 12}); err != nil {
 		t.Fatal(err)
 	}
 	// Oblivious strategies ignore the options entirely: one entry.
-	if _, err := eng.Compute("scatter", m, 0, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("scatter", m, 0, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Compute("scatter", m, 0, Options{ControlThreads: true}); err != nil {
+	if _, _, err := eng.ComputeHinted("scatter", m, 0, 0, Options{ControlThreads: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 2 || st.Misses != 2 {
@@ -156,11 +157,11 @@ func TestCachedAssignmentIsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := comm.Ring(4, 100, true)
-	a1, err := eng.Compute(TreeMatch, m, 0, Options{})
+	a1, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := eng.Compute(TreeMatch, m, 0, Options{})
+	a2, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCachedAssignmentIsIsolated(t *testing.T) {
 	}
 	edited := a2.Clone()
 	edited.ComputePU[0] = -999
-	a3, err := eng.Compute(TreeMatch, m, 0, Options{})
+	a3, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestNoneStrategyUnbound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Compute(None, nil, 4, Options{})
+	a, _, err := eng.ComputeHinted(None, nil, 0, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestBindCommitsAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Compute(TreeMatch, comm.Ring(4, 100, true), 0, Options{ControlThreads: true})
+	a, _, err := eng.ComputeHinted(TreeMatch, comm.Ring(4, 100, true), 0, 0, Options{ControlThreads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 3, 4} {
-		if _, err := eng.Compute("compact", nil, n, Options{}); err != nil {
+		if _, _, err := eng.ComputeHinted("compact", nil, 0, n, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,14 +256,14 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("entries = %d, want 2", st.Entries)
 	}
 	// The oldest key (n=2) was evicted; recomputing it misses.
-	if _, err := eng.Compute("compact", nil, 2, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("compact", nil, 0, 2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 0 || st.Misses != 4 {
 		t.Fatalf("stats = %+v, want 4 misses", st)
 	}
 	// n=4 is still resident.
-	if _, err := eng.Compute("compact", nil, 4, Options{}); err != nil {
+	if _, _, err := eng.ComputeHinted("compact", nil, 0, 4, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Hits != 1 {
@@ -276,7 +277,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := eng.Compute("compact", nil, 4, Options{}); err != nil {
+		if _, _, err := eng.ComputeHinted("compact", nil, 0, 4, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,13 +291,13 @@ func TestComputeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Compute("no-such-strategy", nil, 4, Options{}); err == nil {
+	if _, _, err := eng.ComputeHinted("no-such-strategy", nil, 0, 4, Options{}); err == nil {
 		t.Error("accepted unknown strategy")
 	}
-	if _, err := eng.Compute(TreeMatch, nil, 4, Options{}); err == nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, nil, 0, 4, Options{}); err == nil {
 		t.Error("treematch accepted nil matrix")
 	}
-	if _, err := eng.Compute("compact", nil, 0, Options{}); err == nil {
+	if _, _, err := eng.ComputeHinted("compact", nil, 0, 0, Options{}); err == nil {
 		t.Error("accepted zero entities with nil matrix")
 	}
 	if _, err := NewEngine(nil); err == nil {
@@ -350,7 +351,7 @@ func TestPlaceFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Compute(TreeMatch, aff.Dense(), 0, Options{})
+	a, _, err := eng.ComputeHinted(TreeMatch, aff.Dense(), 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func registerForTest(t *testing.T, s Strategy) {
 }
 
 // gateStrategy counts its Map invocations and blocks each one until
-// release is closed, so a test can pile up concurrent Compute calls on
+// release is closed, so a test can pile up concurrent ComputeHinted calls on
 // one uncached key.
 type gateStrategy struct {
 	name    string
@@ -407,7 +408,7 @@ func (g *gateStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Opt
 	return &Assignment{Strategy: g.name, ComputePU: pus}, nil
 }
 
-// Concurrent Compute calls for the same uncached key must run the
+// Concurrent ComputeHinted calls for the same uncached key must run the
 // strategy exactly once: the first caller computes, the rest coalesce
 // onto the in-flight call (singleflight). Run with -race.
 func TestComputeSingleflight(t *testing.T) {
@@ -540,7 +541,7 @@ func TestComputeSingleflightPanic(t *testing.T) {
 	leaderPanicked := make(chan bool, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() != nil }()
-		eng.Compute(ps.Name(), nil, 2, Options{})
+		eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
 	}()
 	<-ps.started
 	followerErr := make(chan error, 1)
@@ -566,10 +567,74 @@ func TestComputeSingleflightPanic(t *testing.T) {
 	// (and panics again, proving the flight entry was cleared).
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
-		eng.Compute(ps.Name(), nil, 2, Options{})
+		eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
 		return
 	}()
 	if !panicked {
 		t.Error("flight entry not cleared: second call did not reach the strategy")
+	}
+}
+
+// TestComputeOneKeySpace pins the mapping cache's single key space,
+// comm.Fingerprint: a dense and a sparse copy of one matrix share one
+// entry; a placement (PartitionThreshold pinned to -1) and the
+// reconciler (the default threshold) keep entries of their own; and a
+// comm-aware call without a matrix is refused before the cache.
+func TestComputeOneKeySpace(t *testing.T) {
+	eng, err := NewEngine(topology.Fig2Machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ringMatrix(16, 1<<20)
+	misses := func() uint64 { return eng.Stats().Misses }
+
+	a1, cached, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{})
+	if err != nil || cached {
+		t.Fatalf("first compute: cached %v, err %v", cached, err)
+	}
+	a2, cached, err := eng.ComputeHinted(TreeMatch, sparseCopy(m), 0, 0, Options{})
+	if err != nil || !cached {
+		t.Fatalf("sparse copy of a cached matrix: cached %v, err %v", cached, err)
+	}
+	if a2 != a1 || misses() != 1 {
+		t.Fatalf("dense and sparse copies hold two entries (%d misses)", misses())
+	}
+
+	svc, err := NewLocalService(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	resp, err := svc.Place(ctx, &PlaceRequest{Strategy: TreeMatch, Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.CacheHit || misses() != 2 {
+		t.Fatalf("placement shared the reconciler's entry: hit %v, %d misses", resp.CacheHit, misses())
+	}
+	if !slices.Equal(resp.Assignment.ComputePU, a1.ComputePU) {
+		t.Fatalf("placement %v, reconciler %v: one run below the threshold must agree", resp.Assignment.ComputePU, a1.ComputePU)
+	}
+	if resp, err = svc.Place(ctx, &PlaceRequest{Strategy: TreeMatch, Matrix: sparseCopy(m)}); err != nil || !resp.CacheHit {
+		t.Fatalf("sparse placement of a placed matrix: %v", err)
+	}
+	rec, err := NewReconciler(eng, Fixed("window", m), nil, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Prime(Fixed("declared", sparseCopy(m))); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Current() != a1 || misses() != 2 {
+		t.Fatalf("reconciler missed its own entry (%d misses)", misses())
+	}
+
+	for _, absent := range []comm.Affinity{nil, (*comm.Matrix)(nil), (*comm.Sparse)(nil)} {
+		if _, _, err := eng.ComputeHinted(TreeMatch, absent, 0, 4, Options{}); err == nil {
+			t.Fatalf("treematch without a matrix (%T) accepted", absent)
+		}
+	}
+	if misses() != 2 {
+		t.Fatalf("refused calls counted as misses: %d", misses())
 	}
 }

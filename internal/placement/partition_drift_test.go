@@ -174,6 +174,36 @@ func TestPartitionDriftIncomparable(t *testing.T) {
 	}
 }
 
+// TestDriftTypedNilAffinity: a typed-nil *comm.Matrix or *comm.Sparse
+// on either side of DriftAffinity or PartitionDrift is no matrix, so it
+// is full drift, as a plain nil is — not a panic.
+func TestDriftTypedNilAffinity(t *testing.T) {
+	parts := &treematch.Partitioning{Parts: []treematch.Partition{{Tasks: []int{0, 1}}, {Tasks: []int{2, 3}}}}
+	a := comm.NewSparse(4)
+	a.AddSym(0, 1, 5)
+	a.AddSym(2, 3, 5)
+	for _, tc := range []struct {
+		name   string
+		absent comm.Affinity
+	}{
+		{"nil interface", nil},
+		{"typed-nil dense", (*comm.Matrix)(nil)},
+		{"typed-nil sparse", (*comm.Sparse)(nil)},
+	} {
+		for side, args := range map[string][2]comm.Affinity{
+			"base":   {tc.absent, a},
+			"window": {a, tc.absent},
+		} {
+			if d := DriftAffinity(args[0], args[1]); d != 1 {
+				t.Errorf("%s %s: DriftAffinity = %v, want 1", tc.name, side, d)
+			}
+			if d := PartitionDrift(parts, args[0], args[1]); len(d) != 2 || d[0] != 1 || d[1] != 1 {
+				t.Errorf("%s %s: PartitionDrift = %v, want [1 1]", tc.name, side, d)
+			}
+		}
+	}
+}
+
 // TestPartitionDriftDeterministic: equal inputs give bit-identical
 // drifts, call after call and whichever representation carries them —
 // the summation runs in sorted pair order, not in map order.

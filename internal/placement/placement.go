@@ -52,9 +52,9 @@ type Assignment struct {
 	// nil for strategies that do not track it).
 	CoreOf []int
 	// Partitions records the partition structure when the mapping came
-	// from the partitioned sparse path (treematch.MapAffinity above the
-	// threshold); nil otherwise. The adaptive reconciler keys its
-	// per-subtree drift tracking on it.
+	// from the partitioned path (treematch.MapAffinity above
+	// Options.PartitionThreshold); nil otherwise. The adaptive
+	// reconciler keys its per-subtree drift tracking on it.
 	Partitions *treematch.Partitioning
 }
 
@@ -122,14 +122,6 @@ type Strategy interface {
 	// Map computes the assignment of n entities on top. m may be nil
 	// unless CommAware.
 	Map(top *topology.Topology, m comm.Affinity, n int, opt Options) (*Assignment, error)
-}
-
-// AffinityMapper is the optional interface a comm-aware strategy
-// implements to map large affinities partitioned (treematch.MapAffinity
-// above the threshold). The engine's affinity compute path dispatches
-// here when available; strategies without it fall back to Map.
-type AffinityMapper interface {
-	MapAffinity(top *topology.Topology, a comm.Affinity, n int, opt Options) (*Assignment, error)
 }
 
 func validateRequest(s Strategy, top *topology.Topology, m comm.Affinity, n int) error {

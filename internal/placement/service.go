@@ -39,7 +39,9 @@ type PlaceRequest struct {
 	// identity and can return the wrong cached assignment. The wire
 	// layer fills it in on the serving side.
 	MatrixFP uint64
-	// Options tunes the mapping algorithm.
+	// Options tunes the mapping algorithm. The service pins
+	// PartitionThreshold to -1: a placement maps in one run at every
+	// order, and the wire does not carry the field.
 	Options Options
 }
 
@@ -328,7 +330,9 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	if fp == 0 {
 		fp = comm.Fingerprint(req.Matrix)
 	}
-	a, hit, err := s.eng.ComputeHinted(req.Strategy, req.Matrix, fp, req.Entities, req.Options)
+	opt := req.Options // one run at every order, see PlaceRequest.Options
+	opt.PartitionThreshold = -1
+	a, hit, err := s.eng.ComputeHinted(req.Strategy, req.Matrix, fp, req.Entities, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,13 @@ package placement
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
+	"orwlplace/internal/treematch"
 )
 
 func testMatrix(t *testing.T, n int, weight float64) *comm.Matrix {
@@ -280,5 +282,58 @@ func TestServiceConcurrentPlace(t *testing.T) {
 	}
 	if st.Cache.Entries != len(reqs) {
 		t.Errorf("cache entries = %d, want %d", st.Cache.Entries, len(reqs))
+	}
+}
+
+// TestPlaceMapsInOneRunAboveThreshold pins the placement's promise: Place
+// and PlaceBatch map in one run at every order — the service pins
+// PartitionThreshold to -1 — while the reconciler, on the same engine
+// and matrix, partitions above the default threshold.
+func TestPlaceMapsInOneRunAboveThreshold(t *testing.T) {
+	top := topology.Fleet1K()
+	m := comm.RingOfClusters(16, 40, 1<<20, 1<<12) // 640 tasks
+	if m.Order() <= treematch.DefaultPartitionThreshold {
+		t.Fatalf("order %d does not exceed the partition threshold", m.Order())
+	}
+	want, err := treematch.Map(top, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewLocalService(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := &PlaceRequest{Strategy: TreeMatch, Matrix: m}
+	one, err := svc.Place(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := svc.PlaceBatch(ctx, []*PlaceRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, resp := range map[string]*PlaceResponse{"Place": one, "PlaceBatch": batch[0]} {
+		if resp.Err != "" {
+			t.Fatalf("%s: %s", name, resp.Err)
+		}
+		if a := resp.Assignment; a.Partitions != nil || !slices.Equal(a.ComputePU, want.ComputePU) {
+			t.Fatalf("%s of %d tasks: partitioned %v, or not treematch.Map's mapping", name, m.Order(), a.Partitions != nil)
+		}
+	}
+
+	rec, err := NewReconciler(eng, Fixed("window", m), nil, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Prime(Fixed("declared", m)); err != nil {
+		t.Fatal(err)
+	}
+	if !hasPartitions(rec.Current()) {
+		t.Fatalf("reconciler mapped %d tasks in one run", m.Order())
 	}
 }

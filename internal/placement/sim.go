@@ -24,10 +24,11 @@ func (e *Engine) SimPlacement(a *Assignment, seed int64) *perfsim.Placement {
 }
 
 // Simulate costs the named strategy on a workload: compute (or fetch
-// from cache) the assignment, then run the performance model under
-// it.
+// from cache) the assignment, in one run at any order, then run the
+// performance model under it.
 func (e *Engine) Simulate(strategy string, w *perfsim.Workload, opt Options, seed int64) (*perfsim.Result, *Assignment, error) {
-	a, err := e.Compute(strategy, w.Comm, len(w.Threads), opt)
+	opt.PartitionThreshold = -1
+	a, _, err := e.ComputeHinted(strategy, w.Comm, 0, len(w.Threads), opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,8 +26,9 @@ const TreeMatch = "treematch"
 // scheduler decides.
 const None = "none"
 
-// treeMatchStrategy adapts treematch.Map: the paper's Algorithm 1
-// with control-thread accounting and oversubscription handling.
+// treeMatchStrategy adapts treematch.MapAffinity: the paper's
+// Algorithm 1 with control-thread accounting and oversubscription
+// handling, partitioned above Options.PartitionThreshold.
 type treeMatchStrategy struct{}
 
 func (treeMatchStrategy) Name() string    { return TreeMatch }
@@ -37,20 +38,7 @@ func (s treeMatchStrategy) Map(top *topology.Topology, m comm.Affinity, n int, o
 	if err := validateRequest(s, top, m, n); err != nil {
 		return nil, err
 	}
-	mp, err := treematch.Map(top, m, opt)
-	if err != nil {
-		return nil, err
-	}
-	return fromMapping(TreeMatch, mp), nil
-}
-
-// MapAffinity implements AffinityMapper: Algorithm 1, partitioned
-// above the threshold.
-func (s treeMatchStrategy) MapAffinity(top *topology.Topology, a comm.Affinity, n int, opt Options) (*Assignment, error) {
-	if err := validateRequest(s, top, a, n); err != nil {
-		return nil, err
-	}
-	mp, err := treematch.MapAffinity(top, a, opt)
+	mp, err := treematch.MapAffinity(top, m, opt)
 	if err != nil {
 		return nil, err
 	}

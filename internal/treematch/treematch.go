@@ -72,7 +72,8 @@ type Options struct {
 	// above it the task graph is partitioned along weak cuts and each
 	// partition is mapped against its topology subtree. Default
 	// DefaultPartitionThreshold; negative disables partitioning (always
-	// one run). Map itself ignores it.
+	// one run): placement.LocalService.Place, placement.Engine.Simulate
+	// and cmd/orwlmap pin -1, so a placement maps in one run at any order.
 	PartitionThreshold int
 }
 
