@@ -376,7 +376,7 @@ func main() {
 // — truncated, bit-flipped, written by an incompatible version — it
 // logs a warning and starts fresh rather than refusing to serve.
 func restoreSnapshot(ctrl *ctrlplane.Controller, path string, maxTasks, keep int) {
-	s, source, err := ctrlplane.LoadSnapshotNewestLimit(path, maxTasks, keep)
+	s, source, err := ctrlplane.LoadSnapshot(path, maxTasks, keep)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return
@@ -402,7 +402,7 @@ func restoreSnapshot(ctrl *ctrlplane.Controller, path string, maxTasks, keep int
 // keep generations; failures are logged and the daemon keeps serving
 // (durability is best-effort, service is not).
 func saveSnapshot(ctrl *ctrlplane.Controller, path string, keep int) {
-	if err := ctrlplane.SaveSnapshotRotate(path, ctrl.Snapshot(), keep); err != nil {
+	if err := ctrlplane.SaveSnapshot(path, ctrl.Snapshot(), keep); err != nil {
 		fmt.Fprintf(os.Stderr, "orwlnetd: snapshot %s: %v\n", path, err)
 	}
 }

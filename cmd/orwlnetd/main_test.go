@@ -37,7 +37,7 @@ func TestInspectSnapshot(t *testing.T) {
 		}},
 	}
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
-	if err := ctrlplane.SaveSnapshot(path, s); err != nil {
+	if err := ctrlplane.SaveSnapshot(path, s, 1); err != nil {
 		t.Fatal(err)
 	}
 

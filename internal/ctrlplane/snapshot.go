@@ -1,25 +1,21 @@
 package ctrlplane
 
-// Control-plane durability. A daemon restart used to discard every
-// lease, epoch and adopted mapping, stranding the fleet's placement
-// history; this file gives the controller a snapshot it can write
-// atomically and restore on startup, so a restarted daemon resumes at
-// its last snapshotted epoch instead of re-priming from zero.
-//
-// The file format is deliberately self-contained (no dependency on the
-// wire codecs, which evolve with the protocol):
+// Control-plane durability: the controller's state as a file it
+// writes atomically and restores on startup, so a restarted daemon
+// resumes at its last snapshotted epoch instead of re-priming from
+// zero.
 //
 //	magic "ORWLSNAP" | version byte | payload | CRC32-IEEE (big endian)
 //
 // The checksum covers magic, version and payload, so truncation and
-// bit flips are both caught. The payload persists leases, orders,
-// epochs, adopted assignments (with their partition structure) and
-// each machine's drift-baseline matrix as a sparse nonzero list,
-// letting a restored reconciler measure drift against the matrix its
-// adopted mapping was computed from. There is one version; any other
-// version byte, like a checksum failure, decodes to an error — the
-// daemon logs it and starts fresh rather than crashing or trusting
-// damaged state.
+// bit flips are both caught. The payload is built from internal/codec
+// fields, the ones the placement wire is built from (layout below): an
+// adopted assignment is the wire's assignment plus its partition list,
+// and a drift baseline is the wire's matrix field, so a restored
+// reconciler measures drift against the matrix its adopted mapping was
+// computed from. There is one version; any other version byte, like a
+// checksum failure, decodes to an error — the daemon logs it and
+// starts fresh rather than crashing or trusting damaged state.
 
 import (
 	"encoding/binary"
@@ -27,11 +23,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/treematch"
@@ -40,17 +36,9 @@ import (
 const (
 	// snapshotMagic identifies a control-plane snapshot file.
 	snapshotMagic = "ORWLSNAP"
-	// SnapshotVersion is the one snapshot format: the baseline as a
-	// sparse nonzero list — O(nnz) on disk, the only form that scales
-	// to the raised lease-task bounds — and the assignment's partition
-	// structure, so a restored reconciler resumes per-subtree drift
-	// tracking. A format change bumps it and replaces the layout.
-	SnapshotVersion = 3
-
-	// snapMaxCount bounds decoded collection lengths, so a corrupt or
-	// hostile length prefix cannot force a huge allocation before the
-	// checksum would have caught it.
-	snapMaxCount = 1 << 20
+	// SnapshotVersion is the one snapshot format. A format change bumps
+	// it and replaces the layout.
+	SnapshotVersion = 4
 )
 
 // LeaseRecord is one persisted lease: the lease identity plus the
@@ -75,8 +63,8 @@ type MachineRecord struct {
 	Latest *Remap
 	// Base is the drift baseline backing Latest.Assignment, nil before
 	// the first adoption. Restoring it re-primes the machine's
-	// reconciler. The file carries it as a sparse nonzero list; in
-	// memory it is whatever representation matches the order.
+	// reconciler. The file carries it as a matrix field, which decodes
+	// sparse when at most an eighth of its cells are nonzero.
 	Base comm.Affinity
 }
 
@@ -90,269 +78,75 @@ type Snapshot struct {
 	Machines    []MachineRecord
 }
 
-// --- binary helpers -------------------------------------------------
-//
-// Everything is length-prefixed uvarints and fixed 8-byte floats; the
-// helpers mirror the wire codec's shape but stay private to the file
-// format, so wire evolution cannot silently change what old snapshots
-// mean.
-
-func snapPutString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func snapGetUvarint(src []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("ctrlplane: snapshot: truncated varint")
-	}
-	return v, src[n:], nil
-}
-
-func snapGetString(src []byte) (string, []byte, error) {
-	n, rest, err := snapGetUvarint(src)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("ctrlplane: snapshot: string of %d bytes overruns payload", n)
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func snapPutFloat(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func snapGetFloat(src []byte) (float64, []byte, error) {
-	if len(src) < 8 {
-		return 0, nil, fmt.Errorf("ctrlplane: snapshot: truncated float")
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(src)), src[8:], nil
-}
-
-// snapPutIntSlice writes a length-prefixed zigzag-varint int slice
-// (ControlPU carries -1 for "leave to the OS").
-func snapPutIntSlice(dst []byte, xs []int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(xs)))
-	for _, x := range xs {
-		dst = binary.AppendVarint(dst, int64(x))
-	}
-	return dst
-}
-
-func snapGetIntSlice(src []byte) ([]int, []byte, error) {
-	n, rest, err := snapGetUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	if n > snapMaxCount {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: int slice of %d entries exceeds the cap", n)
-	}
-	out := make([]int, n)
-	for i := range out {
-		v, k := binary.Varint(rest)
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("ctrlplane: snapshot: truncated int slice")
-		}
-		out[i] = int(v)
-		rest = rest[k:]
-	}
-	return out, rest, nil
-}
-
-// snapPutSparseMatrix writes the baseline record: order,
-// nonzero count, then (row, col, value) triples in row-major order —
-// deterministic (ForEachRow yields ascending columns) and O(nnz) on
-// disk however large the task space is.
-func snapPutSparseMatrix(dst []byte, a comm.Affinity) []byte {
-	if a == nil {
-		return binary.AppendUvarint(dst, 0)
-	}
-	n := a.Order()
-	dst = binary.AppendUvarint(dst, uint64(n)+1) // 0 = nil, k+1 = order k
-	dst = binary.AppendUvarint(dst, uint64(a.NNZ()))
-	for i := 0; i < n; i++ {
-		a.ForEachRow(i, func(j int, v float64) {
-			dst = binary.AppendUvarint(dst, uint64(i))
-			dst = binary.AppendUvarint(dst, uint64(j))
-			dst = snapPutFloat(dst, v)
-		})
-	}
-	return dst
-}
-
-func snapGetSparseMatrix(src []byte, maxTasks int) (comm.Affinity, []byte, error) {
-	enc, rest, err := snapGetUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if enc == 0 {
-		return nil, rest, nil
-	}
-	n := int(enc - 1)
-	if n > maxTasks {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: matrix order %d exceeds the %d-task cap", n, maxTasks)
-	}
-	nnz, rest, err := snapGetUvarint(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Each entry is at least two 1-byte varints plus an 8-byte float;
-	// a count the payload cannot possibly hold is damage, not data.
-	if nnz > uint64(len(rest))/10 {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: %d sparse entries overrun the payload", nnz)
-	}
-	a := comm.NewAffinity(n)
-	for k := uint64(0); k < nnz; k++ {
-		var i, j uint64
-		if i, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, nil, err
-		}
-		if j, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, nil, err
-		}
-		var v float64
-		if v, rest, err = snapGetFloat(rest); err != nil {
-			return nil, nil, err
-		}
-		if i >= uint64(n) || j >= uint64(n) {
-			return nil, nil, fmt.Errorf("ctrlplane: snapshot: sparse entry (%d,%d) outside a %d-task matrix", i, j, n)
-		}
-		a.Set(int(i), int(j), v)
-	}
-	return a, rest, nil
-}
-
-const (
-	snapAssignUnbound        = 1 << 0
-	snapAssignOversubscribed = 1 << 1
-	snapAssignHasControl     = 1 << 2
-	snapAssignHasCoreOf      = 1 << 3
-	// snapAssignHasPartitions marks a persisted partition structure.
-	snapAssignHasPartitions = 1 << 4
-)
-
-func snapPutAssignment(dst []byte, a *placement.Assignment) []byte {
-	if a == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	parts := a.Partitions
-	var flags byte
-	if a.Unbound {
-		flags |= snapAssignUnbound
-	}
-	if a.Oversubscribed {
-		flags |= snapAssignOversubscribed
-	}
-	if a.ControlPU != nil {
-		flags |= snapAssignHasControl
-	}
-	if a.CoreOf != nil {
-		flags |= snapAssignHasCoreOf
-	}
-	if parts != nil {
-		flags |= snapAssignHasPartitions
-	}
-	dst = append(dst, flags)
-	dst = snapPutString(dst, a.Strategy)
-	dst = binary.AppendUvarint(dst, uint64(a.Mode))
-	dst = snapPutIntSlice(dst, a.ComputePU)
-	if a.ControlPU != nil {
-		dst = snapPutIntSlice(dst, a.ControlPU)
-	}
-	if a.CoreOf != nil {
-		dst = snapPutIntSlice(dst, a.CoreOf)
-	}
-	if parts != nil {
-		dst = binary.AppendUvarint(dst, uint64(len(parts.Parts)))
-		for _, p := range parts.Parts {
-			dst = binary.AppendUvarint(dst, uint64(p.Depth))
-			dst = binary.AppendUvarint(dst, uint64(p.Object))
-			dst = snapPutIntSlice(dst, p.Tasks)
-		}
-	}
-	return dst
-}
-
-func snapGetAssignment(src []byte) (*placement.Assignment, []byte, error) {
-	if len(src) < 1 {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: truncated assignment")
-	}
-	present, rest := src[0], src[1:]
-	if present == 0 {
-		return nil, rest, nil
-	}
-	if len(rest) < 1 {
-		return nil, nil, fmt.Errorf("ctrlplane: snapshot: truncated assignment flags")
-	}
-	flags := rest[0]
-	rest = rest[1:]
-	a := &placement.Assignment{
-		Unbound:        flags&snapAssignUnbound != 0,
-		Oversubscribed: flags&snapAssignOversubscribed != 0,
-	}
-	var err error
-	if a.Strategy, rest, err = snapGetString(rest); err != nil {
-		return nil, nil, err
-	}
-	var mode uint64
-	if mode, rest, err = snapGetUvarint(rest); err != nil {
-		return nil, nil, err
-	}
-	a.Mode = treematch.ControlMode(mode)
-	if a.ComputePU, rest, err = snapGetIntSlice(rest); err != nil {
-		return nil, nil, err
-	}
-	if flags&snapAssignHasControl != 0 {
-		if a.ControlPU, rest, err = snapGetIntSlice(rest); err != nil {
-			return nil, nil, err
-		}
-	}
-	if flags&snapAssignHasCoreOf != 0 {
-		if a.CoreOf, rest, err = snapGetIntSlice(rest); err != nil {
-			return nil, nil, err
-		}
-	}
-	if flags&snapAssignHasPartitions != 0 {
-		var np uint64
-		if np, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, nil, err
-		}
-		if np > snapMaxCount {
-			return nil, nil, fmt.Errorf("ctrlplane: snapshot: %d partitions exceeds the cap", np)
-		}
-		parts := &treematch.Partitioning{Parts: make([]treematch.Partition, 0, np)}
-		for k := uint64(0); k < np; k++ {
-			var p treematch.Partition
-			var u uint64
-			if u, rest, err = snapGetUvarint(rest); err != nil {
-				return nil, nil, err
-			}
-			p.Depth = int(u)
-			if u, rest, err = snapGetUvarint(rest); err != nil {
-				return nil, nil, err
-			}
-			p.Object = int(u)
-			if p.Tasks, rest, err = snapGetIntSlice(rest); err != nil {
-				return nil, nil, err
-			}
-			parts.Parts = append(parts.Parts, p)
-		}
-		a.Partitions = parts
-	}
-	return a, rest, nil
-}
-
 // --- codec ----------------------------------------------------------
+//
+// Payload layout, field by field (u: codec.PutUvarint, s:
+// codec.PutString, ints: codec.PutIntSlice):
+//
+//	u next lease id, u lease count, then per lease:
+//	    s machine, s peer, u task base, u task count, u token (a lease
+//	    request's fields), u id, u last seq
+//	u machine count, then per machine:
+//	    s name, u order, u epoch,
+//	    assignment (codec.PutAssignment; absent before the first adoption),
+//	    when present: u drift (codec.ZigzagFloat, as a remap frame), partition list,
+//	    baseline (codec.PutMatrixField; absent before the first adoption)
+//	partition list: u count (0 for none), then per partition:
+//	    u depth, u object, ints tasks
+
+// getCount reads a record count and refuses one the bytes left cannot
+// hold, at the least bytes of the smallest record, before anything is
+// sized by it.
+func getCount(src []byte, least int, what string) (int, []byte, error) {
+	n, rest, err := codec.GetUvarint(src)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(rest)/least) {
+		return 0, nil, fmt.Errorf("ctrlplane: snapshot: %d %s overrun the %d bytes left", n, what, len(rest))
+	}
+	return int(n), rest, nil
+}
+
+func putPartitions(dst []byte, p *treematch.Partitioning) []byte {
+	if p == nil {
+		return codec.PutUvarint(dst, 0)
+	}
+	dst = codec.PutUvarint(dst, uint64(len(p.Parts)))
+	for _, part := range p.Parts {
+		dst = codec.PutUvarint(dst, uint64(part.Depth))
+		dst = codec.PutUvarint(dst, uint64(part.Object))
+		dst = codec.PutIntSlice(dst, part.Tasks)
+	}
+	return dst
+}
+
+// getPartitions decodes a partition list; an empty one is no
+// partitioning, as placement reads it.
+func getPartitions(src []byte) (*treematch.Partitioning, []byte, error) {
+	n, rest, err := getCount(src, 3, "partitions") // depth, object, nil task list
+	if err != nil || n == 0 {
+		return nil, rest, err
+	}
+	p := &treematch.Partitioning{Parts: make([]treematch.Partition, n)}
+	for i := range p.Parts {
+		var depth, object uint64
+		if rest, err = codec.GetUvarints(rest, &depth, &object); err != nil {
+			return nil, nil, err
+		}
+		part := &p.Parts[i]
+		part.Depth, part.Object = int(depth), int(object)
+		if part.Tasks, rest, err = codec.GetIntSlice(rest); err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, rest, nil
+}
 
 // EncodeSnapshot serialises s in the SnapshotVersion format. The
-// output is deterministic: leases sort by ID, machines by name.
+// output is deterministic: leases sort by ID, machines by name. A name
+// too long for its string field, or a baseline no snapshot can carry,
+// is refused.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("ctrlplane: nil snapshot")
@@ -362,162 +156,52 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	machines := append([]MachineRecord(nil), s.Machines...)
 	sort.Slice(machines, func(i, j int) bool { return machines[i].Name < machines[j].Name })
 
-	dst := append([]byte(nil), snapshotMagic...)
-	dst = append(dst, SnapshotVersion)
-	dst = binary.AppendUvarint(dst, s.NextLeaseID)
-	dst = binary.AppendUvarint(dst, uint64(len(leases)))
+	dst := append([]byte(snapshotMagic), SnapshotVersion)
+	dst = codec.PutUvarint(dst, s.NextLeaseID)
+	dst = codec.PutUvarint(dst, uint64(len(leases)))
 	for _, lr := range leases {
-		dst = binary.AppendUvarint(dst, lr.ID)
-		dst = snapPutString(dst, lr.Machine)
-		dst = snapPutString(dst, lr.Peer)
-		dst = binary.AppendUvarint(dst, uint64(lr.TaskBase))
-		dst = binary.AppendUvarint(dst, uint64(lr.TaskCount))
-		dst = binary.AppendUvarint(dst, lr.Token)
-		dst = binary.AppendUvarint(dst, lr.LastSeq)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(machines)))
-	for _, mr := range machines {
-		dst = snapPutString(dst, mr.Name)
-		dst = binary.AppendUvarint(dst, uint64(mr.Order))
-		dst = binary.AppendUvarint(dst, mr.Epoch)
-		if mr.Latest == nil {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-			dst = snapPutFloat(dst, mr.Latest.Drift)
-			dst = snapPutAssignment(dst, mr.Latest.Assignment)
+		if err := codec.CheckStrings(lr.Machine, lr.Peer); err != nil {
+			return nil, fmt.Errorf("ctrlplane: snapshot: lease %d: %w", lr.ID, err)
 		}
-		dst = snapPutSparseMatrix(dst, mr.Base)
+		dst = codec.PutString(dst, lr.Machine)
+		dst = codec.PutString(dst, lr.Peer)
+		dst = codec.PutUvarint(dst, uint64(lr.TaskBase))
+		dst = codec.PutUvarint(dst, uint64(lr.TaskCount))
+		dst = codec.PutUvarint(dst, lr.Token)
+		dst = codec.PutUvarint(dst, lr.ID)
+		dst = codec.PutUvarint(dst, lr.LastSeq)
+	}
+	dst = codec.PutUvarint(dst, uint64(len(machines)))
+	for _, mr := range machines {
+		var latest *placement.Assignment
+		if mr.Latest != nil {
+			latest = mr.Latest.Assignment
+		}
+		if err := codec.CheckStrings(mr.Name); err != nil {
+			return nil, fmt.Errorf("ctrlplane: snapshot: machine name: %w", err)
+		}
+		if b := mr.Base; !comm.NilAffinity(b) && b.Order() > codec.MaxMatrixOrder && b.NNZ() > codec.MaxMatrixOrder*codec.MaxMatrixOrder/8 {
+			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline of order %d holds %d nonzeros, more than a matrix field above order %d carries",
+				mr.Name, b.Order(), b.NNZ(), codec.MaxMatrixOrder)
+		}
+		dst = codec.PutString(dst, mr.Name)
+		dst = codec.PutUvarint(dst, uint64(mr.Order))
+		dst = codec.PutUvarint(dst, mr.Epoch)
+		dst = codec.PutAssignment(dst, latest)
+		if latest != nil {
+			dst = codec.PutUvarint(dst, codec.ZigzagFloat(mr.Latest.Drift))
+			dst = putPartitions(dst, latest.Partitions)
+		}
+		dst, _ = codec.PutMatrixField(dst, mr.Base)
 	}
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
 }
 
-// DecodeSnapshotLimit parses and verifies a snapshot file image. Damage
-// of any kind — bad magic, unknown version, checksum mismatch,
-// truncation — is an error; the caller is expected to log it and start
-// fresh. maxTasks is the lease-task bound (0 = DefaultMaxLeaseTasks):
-// lease ranges and matrix orders beyond it are rejected. A daemon
-// running with a raised -max-lease-tasks must decode with the same
-// bound it registers with, or its own snapshots would fail to restore.
-func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
-	if maxTasks <= 0 {
-		maxTasks = DefaultMaxLeaseTasks
-	}
-	if len(data) < len(snapshotMagic)+1+4 {
-		return nil, fmt.Errorf("ctrlplane: snapshot: %d bytes is too short to be a snapshot", len(data))
-	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("ctrlplane: snapshot: bad magic (not a control-plane snapshot)")
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("ctrlplane: snapshot: checksum mismatch (stored %08x, computed %08x) — file damaged", sum, got)
-	}
-	if version := body[len(snapshotMagic)]; version != SnapshotVersion {
-		return nil, fmt.Errorf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", version, SnapshotVersion)
-	}
-	rest := body[len(snapshotMagic)+1:]
-
-	s := &Snapshot{}
-	var err error
-	if s.NextLeaseID, rest, err = snapGetUvarint(rest); err != nil {
-		return nil, err
-	}
-	var n uint64
-	if n, rest, err = snapGetUvarint(rest); err != nil {
-		return nil, err
-	}
-	if n > snapMaxCount {
-		return nil, fmt.Errorf("ctrlplane: snapshot: %d leases exceeds the cap", n)
-	}
-	s.Leases = make([]LeaseRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var lr LeaseRecord
-		if lr.ID, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		if lr.Machine, rest, err = snapGetString(rest); err != nil {
-			return nil, err
-		}
-		if lr.Peer, rest, err = snapGetString(rest); err != nil {
-			return nil, err
-		}
-		var u uint64
-		if u, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		lr.TaskBase = int(u)
-		if u, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		lr.TaskCount = int(u)
-		if lr.TaskBase < 0 || lr.TaskCount <= 0 || lr.TaskBase+lr.TaskCount > maxTasks {
-			return nil, fmt.Errorf("ctrlplane: snapshot: lease %d range [%d,+%d) out of bounds (max %d tasks)", lr.ID, lr.TaskBase, lr.TaskCount, maxTasks)
-		}
-		if lr.Token, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		if lr.LastSeq, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		s.Leases = append(s.Leases, lr)
-	}
-	if n, rest, err = snapGetUvarint(rest); err != nil {
-		return nil, err
-	}
-	if n > snapMaxCount {
-		return nil, fmt.Errorf("ctrlplane: snapshot: %d machines exceeds the cap", n)
-	}
-	s.Machines = make([]MachineRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var mr MachineRecord
-		if mr.Name, rest, err = snapGetString(rest); err != nil {
-			return nil, err
-		}
-		var u uint64
-		if u, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		mr.Order = int(u)
-		if mr.Order < 0 || mr.Order > maxTasks {
-			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q order %d out of bounds (max %d tasks)", mr.Name, mr.Order, maxTasks)
-		}
-		if mr.Epoch, rest, err = snapGetUvarint(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("ctrlplane: snapshot: truncated machine record")
-		}
-		hasLatest := rest[0] != 0
-		rest = rest[1:]
-		if hasLatest {
-			ev := &Remap{Machine: mr.Name, Epoch: mr.Epoch}
-			if ev.Drift, rest, err = snapGetFloat(rest); err != nil {
-				return nil, err
-			}
-			if ev.Assignment, rest, err = snapGetAssignment(rest); err != nil {
-				return nil, err
-			}
-			if ev.Assignment == nil {
-				return nil, fmt.Errorf("ctrlplane: snapshot: machine %q adopted remap without an assignment", mr.Name)
-			}
-			mr.Latest = ev
-		}
-		if mr.Base, rest, err = snapGetSparseMatrix(rest, maxTasks); err != nil {
-			return nil, err
-		}
-		s.Machines = append(s.Machines, mr)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ctrlplane: snapshot: %d trailing bytes after the last record", len(rest))
-	}
-	return s, nil
-}
-
-// SnapshotFileInfo reports the container-level facts of a snapshot
-// image — schema version and checksum integrity — without decoding the
-// payload. Inspection tooling uses it to tell "damaged file" apart
-// from "valid file the current bounds reject".
+// SnapshotFileInfo checks the container of a snapshot image — its
+// length, magic and checksum — and returns its version byte without
+// decoding the payload. DecodeSnapshotLimit starts with it; inspection
+// tooling uses it to tell "damaged file" apart from "valid file the
+// current bounds reject".
 func SnapshotFileInfo(data []byte) (version int, crcOK bool, err error) {
 	if len(data) < len(snapshotMagic)+1+4 {
 		return 0, false, fmt.Errorf("ctrlplane: snapshot: %d bytes is too short to be a snapshot", len(data))
@@ -525,93 +209,170 @@ func SnapshotFileInfo(data []byte) (version int, crcOK bool, err error) {
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return 0, false, fmt.Errorf("ctrlplane: snapshot: bad magic (not a control-plane snapshot)")
 	}
-	version = int(data[len(snapshotMagic)])
 	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	return version, crc32.ChecksumIEEE(body) == sum, nil
+	return int(data[len(snapshotMagic)]), crc32.ChecksumIEEE(body) == sum, nil
+}
+
+// DecodeSnapshotLimit parses and verifies a snapshot file image. Damage
+// of any kind — bad magic, unknown version, checksum mismatch,
+// truncation — is an error; the caller is expected to log it and start
+// fresh. maxTasks is the lease-task bound (0 = DefaultMaxLeaseTasks):
+// lease ranges, machine orders and baseline orders beyond it are
+// rejected. A daemon running with a raised -max-lease-tasks must
+// decode with the same bound it registers with, or its own snapshots
+// would fail to restore.
+func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
+	if maxTasks <= 0 {
+		maxTasks = DefaultMaxLeaseTasks
+	}
+	version, crcOK, err := SnapshotFileInfo(data)
+	switch {
+	case err != nil:
+		return nil, err
+	case !crcOK:
+		return nil, fmt.Errorf("ctrlplane: snapshot: checksum mismatch — file damaged")
+	case version != SnapshotVersion:
+		return nil, fmt.Errorf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", version, SnapshotVersion)
+	}
+	rest := data[len(snapshotMagic)+1 : len(data)-4]
+
+	s := &Snapshot{}
+	if s.NextLeaseID, rest, err = codec.GetUvarint(rest); err != nil {
+		return nil, err
+	}
+	var n int
+	if n, rest, err = getCount(rest, 9, "leases"); err != nil { // two empty strings, five varints
+		return nil, err
+	}
+	s.Leases = make([]LeaseRecord, n)
+	for i := range s.Leases {
+		lr := &s.Leases[i]
+		if lr.Machine, rest, err = codec.GetString(rest); err != nil {
+			return nil, err
+		}
+		if lr.Peer, rest, err = codec.GetString(rest); err != nil {
+			return nil, err
+		}
+		var base, count uint64
+		if rest, err = codec.GetUvarints(rest, &base, &count, &lr.Token, &lr.ID, &lr.LastSeq); err != nil {
+			return nil, err
+		}
+		if count == 0 || base > uint64(maxTasks) || count > uint64(maxTasks)-base {
+			return nil, fmt.Errorf("ctrlplane: snapshot: lease %d range [%d,+%d) out of bounds (max %d tasks)", lr.ID, base, count, maxTasks)
+		}
+		lr.TaskBase, lr.TaskCount = int(base), int(count)
+	}
+	if n, rest, err = getCount(rest, 6, "machines"); err != nil { // empty name, two varints, absent assignment and baseline
+		return nil, err
+	}
+	s.Machines = make([]MachineRecord, n)
+	for i := range s.Machines {
+		mr := &s.Machines[i]
+		if mr.Name, rest, err = codec.GetString(rest); err != nil {
+			return nil, err
+		}
+		var order uint64
+		if rest, err = codec.GetUvarints(rest, &order, &mr.Epoch); err != nil {
+			return nil, err
+		}
+		if order > uint64(maxTasks) {
+			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q order %d out of bounds (max %d tasks)", mr.Name, order, maxTasks)
+		}
+		mr.Order = int(order)
+		var a *placement.Assignment
+		if a, rest, err = codec.GetAssignment(rest, nil); err != nil {
+			return nil, err
+		}
+		if a != nil {
+			var drift uint64
+			if drift, rest, err = codec.GetUvarint(rest); err != nil {
+				return nil, err
+			}
+			mr.Latest = &Remap{Machine: mr.Name, Epoch: mr.Epoch, Drift: codec.UnzigzagFloat(drift), Assignment: a}
+			if a.Partitions, rest, err = getPartitions(rest); err != nil {
+				return nil, err
+			}
+		}
+		if mr.Base, _, rest, err = codec.GetMatrixField(rest, maxTasks); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("ctrlplane: snapshot: %d trailing bytes after the last record", len(rest))
+	}
+	return s, nil
 }
 
 // SaveSnapshot writes s to path atomically (temp file in the same
 // directory, fsync, rename), so a crash mid-write leaves the previous
-// snapshot intact.
-func SaveSnapshot(path string, s *Snapshot) error {
+// snapshot intact. With keep > 1 the existing generations first shift
+// down one slot (path → path.1 → … → path.(keep-1), the oldest falling
+// off), so the last keep snapshots survive. Rotation is a chain of
+// renames oldest-first, so a crash at any point leaves every surviving
+// generation intact (at worst the newest state lives in path.1 until
+// the next save).
+func SaveSnapshot(path string, s *Snapshot, keep int) error {
 	data, err := EncodeSnapshot(s)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	for i := keep - 1; i >= 1; i-- {
+		if err := os.Rename(snapshotRotation(path, i-1), snapshotRotation(path, i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("ctrlplane: snapshot: rotating generation %d: %w", i-1, err)
+		}
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("ctrlplane: snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ctrlplane: snapshot: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ctrlplane: snapshot: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ctrlplane: snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return fmt.Errorf("ctrlplane: snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapshotRotation names the numbered generations behind path:
-// path.1 is the previous snapshot, path.2 the one before, and so on.
+// snapshotRotation names generation i of path: path itself, then
+// path.1 (the previous snapshot), path.2 and so on.
 func snapshotRotation(path string, i int) string {
+	if i == 0 {
+		return path
+	}
 	return fmt.Sprintf("%s.%d", path, i)
 }
 
-// SaveSnapshotRotate is SaveSnapshot with retention: before the fresh
-// write, the existing generations shift down one slot (path → path.1 →
-// … → path.(keep-1), the oldest falling off), so the last keep
-// snapshots survive. keep <= 1 is plain SaveSnapshot. Rotation is a
-// chain of renames oldest-first, so a crash at any point leaves every
-// surviving generation intact (at worst the newest state lives in
-// path.1 until the next save); the fresh write itself stays atomic.
-func SaveSnapshotRotate(path string, s *Snapshot, keep int) error {
-	if keep <= 1 {
-		return SaveSnapshot(path, s)
-	}
-	for i := keep - 2; i >= 1; i-- {
-		if err := os.Rename(snapshotRotation(path, i), snapshotRotation(path, i+1)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("ctrlplane: snapshot: rotating generation %d: %w", i, err)
-		}
-	}
-	if err := os.Rename(path, snapshotRotation(path, 1)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("ctrlplane: snapshot: rotating current snapshot: %w", err)
-	}
-	return SaveSnapshot(path, s)
-}
-
-// LoadSnapshotNewestLimit restores from a rotated snapshot set: it
-// tries path, then path.1, path.2, … up to keep-1 generations back,
-// and returns the first one that reads and verifies — a damaged or
-// truncated newest file (a crash mid-rotation, a corrupted disk
-// block) falls back to the older generation instead of forcing a
-// cold start. The returned source names the file that won. Only when
-// every present generation is damaged (or none exists) does it
-// return the newest file's error, wrapped fs.ErrNotExist when no
-// generation exists at all.
-func LoadSnapshotNewestLimit(path string, maxTasks, keep int) (*Snapshot, string, error) {
-	if keep < 1 {
-		keep = 1
-	}
+// LoadSnapshot restores from a rotated snapshot set, decoding under the
+// lease-task bound maxTasks (0 = DefaultMaxLeaseTasks; pair it with the
+// collector's SetMaxLeaseTasks): it tries path, then path.1, path.2, …
+// up to keep-1 generations back (keep < 1 reads path alone), and
+// returns the first one that reads and verifies with the file it came
+// from — a damaged newest file (a crash mid-rotation, a corrupted disk
+// block) falls back to the older generation instead of forcing a cold
+// start. When no generation exists the error wraps fs.ErrNotExist (a
+// fresh deployment, not damage); when every present one is damaged it
+// carries the newest file's failure.
+func LoadSnapshot(path string, maxTasks, keep int) (*Snapshot, string, error) {
+	keep = max(keep, 1)
 	var firstErr error
 	missing := 0
 	for i := 0; i < keep; i++ {
-		p := path
-		if i > 0 {
-			p = snapshotRotation(path, i)
-		}
-		snap, err := LoadSnapshotLimit(p, maxTasks)
+		p := snapshotRotation(path, i)
+		data, err := os.ReadFile(p)
 		if err == nil {
-			return snap, p, nil
+			var snap *Snapshot
+			if snap, err = DecodeSnapshotLimit(data, maxTasks); err == nil {
+				return snap, p, nil
+			}
 		}
 		if errors.Is(err, fs.ErrNotExist) {
 			missing++
@@ -624,20 +385,6 @@ func LoadSnapshotNewestLimit(path string, maxTasks, keep int) (*Snapshot, string
 		return nil, "", firstErr // no generation exists: a fresh deployment
 	}
 	return nil, "", fmt.Errorf("ctrlplane: snapshot: no valid generation under %s: %w", path, firstErr)
-}
-
-// LoadSnapshotLimit reads and verifies the snapshot at path against a
-// lease-task bound (0 = DefaultMaxLeaseTasks) — pair it with the
-// collector's SetMaxLeaseTasks configuration. A missing file surfaces as
-// an fs.ErrNotExist-wrapped error (a fresh deployment, not damage);
-// anything else unreadable or undecodable is an error the caller should
-// log before starting fresh.
-func LoadSnapshotLimit(path string, maxTasks int) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSnapshotLimit(data, maxTasks)
 }
 
 // --- collector import/export ---------------------------------------
@@ -662,14 +409,12 @@ func (c *Collector) export() (nextID uint64, leases []LeaseRecord, orders map[st
 // snapshotted state. Restored leases are treated as freshly reporting
 // (their staleness clock restarts now — the peers are expected to
 // reconnect and resume), and their report buckets start full.
-func (c *Collector) restore(nextID uint64, leases []LeaseRecord, orders map[string]int) {
+func (c *Collector) restore(s *Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	if nextID > c.nextID {
-		c.nextID = nextID
-	}
-	for _, lr := range leases {
+	c.nextID = max(c.nextID, s.NextLeaseID)
+	for _, lr := range s.Leases {
 		c.leases[lr.ID] = &leaseState{
 			Lease:      lr.Lease,
 			lastReport: now,
@@ -678,11 +423,9 @@ func (c *Collector) restore(nextID uint64, leases []LeaseRecord, orders map[stri
 			lastRefill: now,
 		}
 	}
-	for name, order := range orders {
-		ms := c.machineLocked(name)
-		if order > ms.order {
-			ms.order = order
-		}
+	for _, mr := range s.Machines {
+		ms := c.machineLocked(mr.Name)
+		ms.order = max(ms.order, mr.Order)
 	}
 }
 
@@ -694,22 +437,17 @@ func (c *Collector) restore(nextID uint64, leases []LeaseRecord, orders map[stri
 func (c *Controller) Snapshot() *Snapshot {
 	nextID, leases, orders := c.col.export()
 	s := &Snapshot{NextLeaseID: nextID, Leases: leases}
-	type pending struct {
-		idx int
-		lp  *machineLoop
-	}
-	var fill []pending
+	var loops []*machineLoop
 	c.mu.Lock()
 	for name, lp := range c.loops {
-		mr := MachineRecord{Name: name, Order: orders[name], Epoch: lp.epoch, Latest: lp.latest}
-		s.Machines = append(s.Machines, mr)
-		fill = append(fill, pending{idx: len(s.Machines) - 1, lp: lp})
+		s.Machines = append(s.Machines, MachineRecord{Name: name, Order: orders[name], Epoch: lp.epoch, Latest: lp.latest})
+		loops = append(loops, lp)
 	}
 	c.mu.Unlock()
 	// The baseline lives behind the reconciler's own lock; fetch it
 	// outside c.mu so a concurrent Epoch cannot deadlock us.
-	for _, p := range fill {
-		s.Machines[p.idx].Base = p.lp.rec.BaselineAffinity()
+	for i, lp := range loops {
+		s.Machines[i].Base = lp.rec.BaselineAffinity()
 	}
 	sort.Slice(s.Machines, func(i, j int) bool { return s.Machines[i].Name < s.Machines[j].Name })
 	return s
@@ -727,11 +465,7 @@ func (c *Controller) Restore(s *Snapshot) error {
 	if s == nil {
 		return nil
 	}
-	orders := make(map[string]int, len(s.Machines))
-	for _, mr := range s.Machines {
-		orders[mr.Name] = mr.Order
-	}
-	c.col.restore(s.NextLeaseID, s.Leases, orders)
+	c.col.restore(s)
 	for _, mr := range s.Machines {
 		c.mu.Lock()
 		lp, ok := c.loops[mr.Name]

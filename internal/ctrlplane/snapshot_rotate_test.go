@@ -34,14 +34,14 @@ func corrupt(t *testing.T, path string) {
 func TestSaveSnapshotRotateKeepsGenerations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
 	for id := uint64(1); id <= 4; id++ {
-		if err := SaveSnapshotRotate(path, rotSnap(id), 3); err != nil {
+		if err := SaveSnapshot(path, rotSnap(id), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// After four saves with keep=3: path=4, path.1=3, path.2=2; the
 	// first generation fell off.
 	for gen, want := range map[string]uint64{path: 4, path + ".1": 3, path + ".2": 2} {
-		snap, err := LoadSnapshotLimit(gen, 0)
+		snap, _, err := LoadSnapshot(gen, 0, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
@@ -53,7 +53,7 @@ func TestSaveSnapshotRotateKeepsGenerations(t *testing.T) {
 		t.Fatalf("generation beyond keep exists: %v", err)
 	}
 
-	snap, src, err := LoadSnapshotNewestLimit(path, 0, 3)
+	snap, src, err := LoadSnapshot(path, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestSaveSnapshotRotateKeepsGenerations(t *testing.T) {
 func TestSaveSnapshotRotateKeepOne(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
 	for id := uint64(1); id <= 3; id++ {
-		if err := SaveSnapshotRotate(path, rotSnap(id), 1); err != nil {
+		if err := SaveSnapshot(path, rotSnap(id), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if snap, err := LoadSnapshotLimit(path, 0); err != nil || snap.NextLeaseID != 3 {
+	if snap, _, err := LoadSnapshot(path, 0, 1); err != nil || snap.NextLeaseID != 3 {
 		t.Fatalf("keep=1 snapshot = (%+v, %v), want generation 3", snap, err)
 	}
 	if _, err := os.Stat(path + ".1"); !errors.Is(err, fs.ErrNotExist) {
@@ -80,14 +80,14 @@ func TestSaveSnapshotRotateKeepOne(t *testing.T) {
 func TestLoadSnapshotNewestFallsBackPastDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
 	for id := uint64(1); id <= 3; id++ {
-		if err := SaveSnapshotRotate(path, rotSnap(id), 3); err != nil {
+		if err := SaveSnapshot(path, rotSnap(id), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Damage the newest file: restore falls back to path.1.
 	corrupt(t, path)
-	snap, src, err := LoadSnapshotNewestLimit(path, 0, 3)
+	snap, src, err := LoadSnapshot(path, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLoadSnapshotNewestFallsBackPastDamage(t *testing.T) {
 
 	// Damage path.1 too: path.2 still restores.
 	corrupt(t, path+".1")
-	snap, src, err = LoadSnapshotNewestLimit(path, 0, 3)
+	snap, src, err = LoadSnapshot(path, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestLoadSnapshotNewestFallsBackPastDamage(t *testing.T) {
 	// Every generation damaged: a descriptive error naming the newest
 	// file's failure, not fs.ErrNotExist (the files exist, they are bad).
 	corrupt(t, path+".2")
-	_, _, err = LoadSnapshotNewestLimit(path, 0, 3)
+	_, _, err = LoadSnapshot(path, 0, 3)
 	if err == nil || !strings.Contains(err.Error(), "no valid generation") {
 		t.Fatalf("all-damaged error = %v, want a no-valid-generation error", err)
 	}
@@ -119,7 +119,7 @@ func TestLoadSnapshotNewestFallsBackPastDamage(t *testing.T) {
 
 func TestLoadSnapshotNewestAllMissing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.snap")
-	_, _, err := LoadSnapshotNewestLimit(path, 0, 3)
+	_, _, err := LoadSnapshot(path, 0, 3)
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing-set error = %v, want fs.ErrNotExist (fresh deployment)", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/treematch"
@@ -70,15 +71,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenSnapshot is snapFixture with a two-part partition structure,
-// as the daemon wrote it before the format was pinned to one version:
-// the bytes a snapshot file on disk holds.
-const goldenSnapshot = "4f52574c534e415003070203046669673205616c7068610002effdb6f50d2907046669673204626574610202000902046669673204050" +
-	"13fd8000000000000011c09747265656d6174636800040004080c0402060a0e04000204060201000200020101020406050400014130000000000000010" +
-	"041300000000000000203408004000000000003024080040000000000066c6f6e656c7908000000d4d7a1fb"
+// goldenSnapshot is snapFixture with a two-part partition structure
+// in the version 4 layout: the bytes a snapshot file on disk holds.
+const goldenSnapshot = "4f52574c534e41500407020400666967320500616c7068610002effdb6f50d032904006669673204006265746102020007090204006669673204" +
+	"05010900747265656d617463680000050004080c0502060a0e0500020406bfb00302010003000201010304060204040101c1600201c1600601c0" +
+	"80120201c0801206006c6f6e656c7908000000a52c8617"
 
-// TestSnapshotGoldenImage: a file written before the format was pinned
-// decodes to the fixture and re-encodes to the same bytes.
+// TestSnapshotGoldenImage: the golden image decodes to the fixture and
+// re-encodes to the same bytes.
 func TestSnapshotGoldenImage(t *testing.T) {
 	data, err := hex.DecodeString(goldenSnapshot)
 	if err != nil {
@@ -138,14 +138,14 @@ func withVersion(data []byte, version byte) []byte {
 }
 
 // TestSnapshotRejectsUnknownVersion: every version byte but the one
-// format — the retired versions 1 and 2 included — is refused before
+// format — the retired versions 1, 2 and 3 included — is refused before
 // the payload is decoded.
 func TestSnapshotRejectsUnknownVersion(t *testing.T) {
 	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, SnapshotVersion + 1, 255} {
+	for _, v := range []byte{0, 1, 2, 3, SnapshotVersion + 1, 255} {
 		mut := withVersion(data, v)
 		want := fmt.Sprintf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", v, SnapshotVersion)
 		if _, err := DecodeSnapshotLimit(mut, 0); err == nil || err.Error() != want {
@@ -164,14 +164,14 @@ func TestSnapshotRejectsUnknownVersion(t *testing.T) {
 // corrupt (fresh start, warned).
 func TestSaveLoadSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
-	if _, err := LoadSnapshotLimit(path, 0); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, err := LoadSnapshot(path, 0, 1); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 	want := snapFixture()
-	if err := SaveSnapshot(path, want); err != nil {
+	if err := SaveSnapshot(path, want, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshotLimit(path, 0)
+	got, _, err := LoadSnapshot(path, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshotLimit(path, 0); err == nil {
+	if _, _, err := LoadSnapshot(path, 0, 1); err == nil {
 		t.Fatal("corrupt snapshot loaded cleanly")
 	}
 }
@@ -270,7 +270,10 @@ func TestControllerSnapshotRestore(t *testing.T) {
 }
 
 // FuzzSnapshotDecode: the decoder must reject or round-trip, never
-// panic, whatever bytes are on disk.
+// panic, whatever bytes are on disk. It decodes under a raised lease-task
+// bound, where the memory bound still holds: no accepted baseline above
+// codec.MaxMatrixOrder is dense or holds more than MaxMatrixOrder²/8
+// nonzeros.
 func FuzzSnapshotDecode(f *testing.F) {
 	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
@@ -284,12 +287,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(golden)
 	f.Add(withVersion(golden, 1))
 	f.Add(withVersion(golden, 2))
+	f.Add(withVersion(golden, 3))
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshotLimit(data, 0)
+		s, err := DecodeSnapshotLimit(data, 1<<16)
 		if err != nil {
 			return
+		}
+		for _, mr := range s.Machines {
+			if mr.Base == nil || mr.Base.Order() <= codec.MaxMatrixOrder {
+				continue
+			}
+			if _, dense := mr.Base.(*comm.Matrix); dense || mr.Base.NNZ() > codec.MaxMatrixOrder*codec.MaxMatrixOrder/8 {
+				t.Fatalf("accepted an order-%d %T baseline holding %d nonzeros", mr.Base.Order(), mr.Base, mr.Base.NNZ())
+			}
 		}
 		// Accepted input must re-encode: decode is only allowed to
 		// produce snapshots the encoder understands.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/orwl"
 )
 
@@ -451,17 +452,23 @@ func (c *Client) Scale(location string, size int) error {
 	if size < 0 {
 		return fmt.Errorf("orwlnet: negative size %d", size)
 	}
-	_, err := c.call(opScale, putUint64(putString(nil, location), uint64(size)))
+	if err := codec.CheckStrings(location); err != nil {
+		return err
+	}
+	_, err := c.call(opScale, codec.PutUint64(codec.PutString(nil, location), uint64(size)))
 	return err
 }
 
 // Size returns a remote location's buffer size.
 func (c *Client) Size(location string) (int, error) {
-	resp, err := c.call(opSize, putString(nil, location))
+	if err := codec.CheckStrings(location); err != nil {
+		return 0, err
+	}
+	resp, err := c.call(opSize, codec.PutString(nil, location))
 	if err != nil {
 		return 0, err
 	}
-	v, _, err := getUint64(resp)
+	v, _, err := codec.GetUint64(resp)
 	return int(v), err
 }
 
@@ -479,12 +486,15 @@ type RemoteHandle struct {
 // FIFO-ordered by arrival (the steady-state ordering of the runtime;
 // initial priority ordering happens inside the owning process).
 func (c *Client) Insert(location string, mode orwl.Mode) (*RemoteHandle, error) {
-	payload := append(putString(nil, location), byte(mode))
+	if err := codec.CheckStrings(location); err != nil {
+		return nil, err
+	}
+	payload := append(codec.PutString(nil, location), byte(mode))
 	resp, err := c.call(opInsert, payload)
 	if err != nil {
 		return nil, err
 	}
-	id, _, err := getUint64(resp)
+	id, _, err := codec.GetUint64(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +509,7 @@ func (h *RemoteHandle) Acquire() error {
 	if h.acquired {
 		return fmt.Errorf("orwlnet: double acquire")
 	}
-	if _, err := h.c.call(opAwait, putUint64(nil, h.id)); err != nil {
+	if _, err := h.c.call(opAwait, codec.PutUint64(nil, h.id)); err != nil {
 		return err
 	}
 	h.acquired = true
@@ -511,7 +521,7 @@ func (h *RemoteHandle) Read() ([]byte, error) {
 	if !h.acquired {
 		return nil, fmt.Errorf("orwlnet: read without grant")
 	}
-	return h.c.call(opRead, putUint64(nil, h.id))
+	return h.c.call(opRead, codec.PutUint64(nil, h.id))
 }
 
 // Write replaces the leading bytes of the location content; the handle
@@ -520,7 +530,7 @@ func (h *RemoteHandle) Write(data []byte) error {
 	if !h.acquired {
 		return fmt.Errorf("orwlnet: write without grant")
 	}
-	_, err := h.c.call(opWrite, append(putUint64(nil, h.id), data...))
+	_, err := h.c.call(opWrite, append(codec.PutUint64(nil, h.id), data...))
 	return err
 }
 
@@ -529,7 +539,7 @@ func (h *RemoteHandle) Release() error {
 	if !h.acquired {
 		return fmt.Errorf("orwlnet: release without acquire")
 	}
-	if _, err := h.c.call(opRelease, putUint64(nil, h.id)); err != nil {
+	if _, err := h.c.call(opRelease, codec.PutUint64(nil, h.id)); err != nil {
 		return err
 	}
 	h.acquired = false
@@ -543,7 +553,7 @@ func (h *RemoteHandle) ReleaseReinsert() error {
 	if !h.acquired {
 		return fmt.Errorf("orwlnet: release without acquire")
 	}
-	if _, err := h.c.call(opReleaseReinsert, putUint64(nil, h.id)); err != nil {
+	if _, err := h.c.call(opReleaseReinsert, codec.PutUint64(nil, h.id)); err != nil {
 		return err
 	}
 	h.acquired = false

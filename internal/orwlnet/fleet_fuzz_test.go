@@ -3,6 +3,7 @@ package orwlnet
 import (
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/placement"
@@ -36,9 +37,9 @@ func FuzzObservedReportDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
-	f.Add(putUvarint(putUvarint([]byte{protoVersion}, 1<<40), 1<<40))
+	f.Add(codec.PutUvarint(codec.PutUvarint([]byte{protoVersion}, 1<<40), 1<<40))
 	// One triplet claiming every cell of an order-600 matrix.
-	f.Add([]byte{protoVersion, 1, 1, matSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
+	f.Add([]byte{protoVersion, 1, 1, codec.MatSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		leaseID, seq, delta, err := decodeObservedReport(data, 0)
 		if err != nil {
@@ -52,20 +53,26 @@ func FuzzObservedReportDecode(f *testing.F) {
 		// — at any order — and a dense one came from a dense body or from
 		// a sparse body claiming more than that.
 		n := delta.Order()
-		if n > maxMatrixOrder {
+		if n > codec.MaxMatrixOrder {
 			t.Fatalf("accepted order %d", n)
 		}
 		if sp, ok := delta.(*comm.Sparse); ok && sp.NNZ() > n*n/8 {
 			t.Fatalf("order %d with %d nonzeros decoded sparse", n, sp.NNZ())
 		}
 		field, _ := checkVersion(data)
-		_, field, _ = getUvarint(field) // lease
-		_, field, _ = getUvarint(field) // seq
-		if _, dense := delta.(*comm.Matrix); dense && field[0] == matSparse {
-			claimed := 0
-			_, runs, body, _ := getSparseHeader(field[1:])
-			walkSparseRuns(body, runs, n, func(_, _, length int, _ float64) { claimed += length })
-			if claimed <= n*n/8 {
+		_, field, _ = codec.GetUvarint(field) // lease
+		_, field, _ = codec.GetUvarint(field) // seq
+		if _, dense := delta.(*comm.Matrix); dense && field[0] == codec.MatSparse {
+			var order, runs, claimed uint64
+			body, _ := codec.GetUvarints(field[1:], &order, &runs)
+			for ; runs > 0; runs-- { // the triplets decoded: gap, length, value
+				var length uint64
+				_, body, _ = codec.GetUvarint(body)
+				length, body, _ = codec.GetUvarint(body)
+				_, body, _ = codec.GetUvarint(body)
+				claimed += length
+			}
+			if claimed <= uint64(n*n/8) {
 				t.Fatalf("order %d sparse body claiming %d cells decoded dense", n, claimed)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/placement"
@@ -46,13 +47,16 @@ const (
 	maxDeltaPU = 1 << 20
 )
 
-func encodeFleetLeaseRequest(dst []byte, machine, peer string, base, count int, token uint64) []byte {
+func encodeFleetLeaseRequest(dst []byte, machine, peer string, base, count int, token uint64) ([]byte, error) {
+	if err := codec.CheckStrings(machine, peer); err != nil {
+		return nil, err
+	}
 	dst = append(dst, protoVersion)
-	dst = putString(dst, machine)
-	dst = putString(dst, peer)
-	dst = putUvarint(dst, uint64(base))
-	dst = putUvarint(dst, uint64(count))
-	return putUvarint(dst, token)
+	dst = codec.PutString(dst, machine)
+	dst = codec.PutString(dst, peer)
+	dst = codec.PutUvarint(dst, uint64(base))
+	dst = codec.PutUvarint(dst, uint64(count))
+	return codec.PutUvarint(dst, token), nil
 }
 
 func decodeFleetLeaseRequest(src []byte) (machine, peer string, base, count int, token uint64, err error) {
@@ -60,36 +64,28 @@ func decodeFleetLeaseRequest(src []byte) (machine, peer string, base, count int,
 	if err != nil {
 		return "", "", 0, 0, 0, err
 	}
-	if machine, rest, err = getString(rest); err != nil {
+	if machine, rest, err = codec.GetString(rest); err != nil {
 		return "", "", 0, 0, 0, err
 	}
-	if peer, rest, err = getString(rest); err != nil {
+	if peer, rest, err = codec.GetString(rest); err != nil {
 		return "", "", 0, 0, 0, err
 	}
-	var u uint64
-	if u, rest, err = getUvarint(rest); err != nil {
+	var b, c uint64
+	if _, err = codec.GetUvarints(rest, &b, &c, &token); err != nil {
 		return "", "", 0, 0, 0, err
 	}
-	base = int(u)
-	if u, rest, err = getUvarint(rest); err != nil {
-		return "", "", 0, 0, 0, err
-	}
-	count = int(u)
-	if base < 0 || count < 0 {
+	if base, count = int(b), int(c); base < 0 || count < 0 {
 		return "", "", 0, 0, 0, fmt.Errorf("orwlnet: lease range [%d,+%d) overflows", base, count)
-	}
-	if token, _, err = getUvarint(rest); err != nil {
-		return "", "", 0, 0, 0, err
 	}
 	return machine, peer, base, count, token, nil
 }
 
 func encodeFleetLeaseResponse(dst []byte, leaseID uint64) []byte {
-	return putUvarint(dst, leaseID)
+	return codec.PutUvarint(dst, leaseID)
 }
 
 func decodeFleetLeaseResponse(src []byte) (uint64, error) {
-	id, _, err := getUvarint(src)
+	id, _, err := codec.GetUvarint(src)
 	return id, err
 }
 
@@ -101,9 +97,9 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 		return nil, fmt.Errorf("orwlnet: nil observed window")
 	}
 	dst = append(dst, protoVersion)
-	dst = putUvarint(dst, leaseID)
-	dst = putUvarint(dst, seq)
-	dst, _ = putMatrixField(dst, delta)
+	dst = codec.PutUvarint(dst, leaseID)
+	dst = codec.PutUvarint(dst, seq)
+	dst, _ = codec.PutMatrixField(dst, delta)
 	return dst, nil
 }
 
@@ -122,26 +118,19 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if leaseID, rest, err = getUvarint(rest); err != nil {
+	if rest, err = codec.GetUvarints(rest, &leaseID, &seq); err != nil {
 		return 0, 0, nil, err
 	}
-	if seq, rest, err = getUvarint(rest); err != nil {
-		return 0, 0, nil, err
-	}
-	// Peek the order first, whichever mode carries it.
+	// Peek the order first, whichever mode carries it (a field too short
+	// to hold one fails in getMatrix).
 	var order uint64
-	if len(rest) > 0 && rest[0] == matSparse {
-		var n int
-		n, _, _, err = getSparseHeader(rest[1:])
-		order = uint64(n)
-	} else if len(rest) > 0 && rest[0] == matDense {
-		order, _, err = getUint64(rest[1:])
+	if len(rest) > 0 && rest[0] == codec.MatSparse {
+		order, _, _ = codec.GetUvarint(rest[1:])
+	} else if len(rest) > 0 && rest[0] == codec.MatDense {
+		order, _, _ = codec.GetUint64(rest[1:])
 	}
-	if err == nil && maxRows > 0 && order > uint64(maxRows) {
-		err = fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", order, maxRows)
-	}
-	if err != nil {
-		return 0, 0, nil, err
+	if maxRows > 0 && order > uint64(maxRows) {
+		return 0, 0, nil, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", order, maxRows)
 	}
 	if delta, _, _, err = getMatrix(rest, nil); err == nil && delta == nil {
 		err = fmt.Errorf("orwlnet: observed report without a matrix")
@@ -152,10 +141,13 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	return leaseID, seq, delta, nil
 }
 
-func encodeWatchRequest(dst []byte, machine string, sinceEpoch uint64) []byte {
+func encodeWatchRequest(dst []byte, machine string, sinceEpoch uint64) ([]byte, error) {
+	if err := codec.CheckStrings(machine); err != nil {
+		return nil, err
+	}
 	dst = append(dst, protoVersion)
-	dst = putString(dst, machine)
-	return putUvarint(dst, sinceEpoch)
+	dst = codec.PutString(dst, machine)
+	return codec.PutUvarint(dst, sinceEpoch), nil
 }
 
 func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err error) {
@@ -163,13 +155,11 @@ func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err erro
 	if err != nil {
 		return "", 0, err
 	}
-	if machine, rest, err = getString(rest); err != nil {
+	if machine, rest, err = codec.GetString(rest); err != nil {
 		return "", 0, err
 	}
-	if sinceEpoch, _, err = getUvarint(rest); err != nil {
-		return "", 0, err
-	}
-	return machine, sinceEpoch, nil
+	sinceEpoch, _, err = codec.GetUvarint(rest)
+	return machine, sinceEpoch, err
 }
 
 // encodeRemapFrame frames one remap event (or the empty ack when ev is
@@ -183,15 +173,9 @@ func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte,
 	base := len(dst)
 	full := append(dst, protoVersion, remapKindFull)
 	if ev == nil {
-		full = putString(full, "")
-		full = putUvarint(full, 0)
-		full = putUvarint(full, zigzagFloat(0))
-		return putAssignment(full, nil), false
+		return codec.PutAssignment(putRemapHeader(full, "", 0, 0), nil), false
 	}
-	full = putString(full, ev.Machine)
-	full = putUvarint(full, ev.Epoch)
-	full = putUvarint(full, zigzagFloat(ev.Drift))
-	full = putAssignment(full, ev.Assignment)
+	full = codec.PutAssignment(putRemapHeader(full, ev.Machine, ev.Epoch, ev.Drift), ev.Assignment)
 	if !allowDelta {
 		return full, false
 	}
@@ -204,6 +188,24 @@ func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte,
 		return full, false
 	}
 	return append(full[:base], delta...), true
+}
+
+// putRemapHeader appends what both remap frame kinds open with:
+// machine, epoch, drift.
+func putRemapHeader(dst []byte, machine string, epoch uint64, drift float64) []byte {
+	dst = codec.PutString(dst, machine)
+	dst = codec.PutUvarint(dst, epoch)
+	return codec.PutUvarint(dst, codec.ZigzagFloat(drift))
+}
+
+// getRemapHeader reads what putRemapHeader wrote.
+func getRemapHeader(src []byte) (machine string, epoch uint64, drift float64, rest []byte, err error) {
+	if machine, rest, err = codec.GetString(src); err != nil {
+		return "", 0, 0, nil, err
+	}
+	var raw uint64
+	rest, err = codec.GetUvarints(rest, &epoch, &raw)
+	return machine, epoch, codec.UnzigzagFloat(raw), rest, err
 }
 
 // decodeRemapFrameAny decodes a remap frame of either kind. Exactly one
@@ -234,18 +236,10 @@ func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
 		return nil, nil, fmt.Errorf("orwlnet: unknown remap frame kind %d", kind)
 	}
 	ev := &ctrlplane.Remap{}
-	if ev.Machine, rest, err = getString(rest); err != nil {
+	if ev.Machine, ev.Epoch, ev.Drift, rest, err = getRemapHeader(rest); err != nil {
 		return nil, nil, err
 	}
-	if ev.Epoch, rest, err = getUvarint(rest); err != nil {
-		return nil, nil, err
-	}
-	var raw uint64
-	if raw, rest, err = getUvarint(rest); err != nil {
-		return nil, nil, err
-	}
-	ev.Drift = unzigzagFloat(raw)
-	if ev.Assignment, _, err = getAssignment(rest, nil); err != nil {
+	if ev.Assignment, _, err = codec.GetAssignment(rest, nil); err != nil {
 		return nil, nil, err
 	}
 	if ev.Epoch > 0 && ev.Assignment == nil {
@@ -318,7 +312,7 @@ func buildRemapDelta(ev *ctrlplane.Remap) (*remapDelta, error) {
 		Drift:    ev.Drift,
 		Order:    order,
 		Strategy: a.Strategy,
-		Flags:    assignmentFlags(a),
+		Flags:    codec.AssignmentFlags(a),
 		Mode:     byte(a.Mode),
 	}
 	if len(a.ControlPU) > 0 {
@@ -369,28 +363,25 @@ func buildRemapDelta(ev *ctrlplane.Remap) (*remapDelta, error) {
 // compute PU as uvarint, control PU zigzagged (for the -1 "OS-managed"
 // marker), core index as uvarint.
 func encodeRemapDelta(dst []byte, d *remapDelta) []byte {
-	dst = append(dst, protoVersion, remapKindDelta)
-	dst = putString(dst, d.Machine)
-	dst = putUvarint(dst, d.Epoch)
-	dst = putUvarint(dst, zigzagFloat(d.Drift))
-	dst = putUvarint(dst, uint64(d.Order))
-	dst = putString(dst, d.Strategy)
+	dst = putRemapHeader(append(dst, protoVersion, remapKindDelta), d.Machine, d.Epoch, d.Drift)
+	dst = codec.PutUvarint(dst, uint64(d.Order))
+	dst = codec.PutString(dst, d.Strategy)
 	dst = append(dst, d.Flags, d.Mode, d.Aux)
-	dst = putUvarint(dst, uint64(len(d.Parts)))
+	dst = codec.PutUvarint(dst, uint64(len(d.Parts)))
 	for _, p := range d.Parts {
-		dst = putUvarint(dst, uint64(p))
+		dst = codec.PutUvarint(dst, uint64(p))
 	}
-	dst = putUvarint(dst, uint64(len(d.Tasks)))
+	dst = codec.PutUvarint(dst, uint64(len(d.Tasks)))
 	prev := -1
 	for i, t := range d.Tasks {
-		dst = putUvarint(dst, uint64(t-prev))
+		dst = codec.PutUvarint(dst, uint64(t-prev))
 		prev = t
-		dst = putUvarint(dst, uint64(d.ComputePU[i]))
+		dst = codec.PutUvarint(dst, uint64(d.ComputePU[i]))
 		if d.Aux&deltaAuxControl != 0 {
-			dst = putUvarint(dst, zigzag(int64(d.ControlPU[i])))
+			dst = codec.PutUvarint(dst, codec.Zigzag(int64(d.ControlPU[i])))
 		}
 		if d.Aux&deltaAuxCore != 0 {
-			dst = putUvarint(dst, uint64(d.CoreOf[i]))
+			dst = codec.PutUvarint(dst, uint64(d.CoreOf[i]))
 		}
 	}
 	return dst
@@ -403,29 +394,21 @@ func encodeRemapDelta(dst []byte, d *remapDelta) []byte {
 func decodeRemapDelta(src []byte) (*remapDelta, error) {
 	d := &remapDelta{}
 	var err error
-	if d.Machine, src, err = getString(src); err != nil {
+	if d.Machine, d.Epoch, d.Drift, src, err = getRemapHeader(src); err != nil {
 		return nil, err
 	}
-	if d.Epoch, src, err = getUvarint(src); err != nil {
-		return nil, err
-	}
-	var raw uint64
-	if raw, src, err = getUvarint(src); err != nil {
-		return nil, err
-	}
-	d.Drift = unzigzagFloat(raw)
 	if d.Epoch == 0 {
 		return nil, fmt.Errorf("orwlnet: delta frame with epoch 0")
 	}
 	var u uint64
-	if u, src, err = getUvarint(src); err != nil {
+	if u, src, err = codec.GetUvarint(src); err != nil {
 		return nil, err
 	}
 	if u == 0 || u > maxDeltaTasks {
 		return nil, fmt.Errorf("orwlnet: delta order %d out of range", u)
 	}
 	d.Order = int(u)
-	if d.Strategy, src, err = getString(src); err != nil {
+	if d.Strategy, src, err = codec.GetString(src); err != nil {
 		return nil, err
 	}
 	if len(src) < 3 {
@@ -433,13 +416,13 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 	}
 	d.Flags, d.Mode, d.Aux = src[0], src[1], src[2]
 	src = src[3:]
-	if d.Flags&asgnUnbound != 0 {
+	if d.Flags&codec.AssignUnbound != 0 {
 		return nil, fmt.Errorf("orwlnet: delta frame for an unbound assignment")
 	}
 	if d.Aux&^(deltaAuxControl|deltaAuxCore) != 0 {
 		return nil, fmt.Errorf("orwlnet: unknown delta aux bits %#x", d.Aux)
 	}
-	if u, src, err = getUvarint(src); err != nil {
+	if u, src, err = codec.GetUvarint(src); err != nil {
 		return nil, err
 	}
 	// Each entry costs at least one byte on the wire — the allocation
@@ -451,7 +434,7 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 		d.Parts = make([]int, 0, n)
 		prev := -1
 		for i := 0; i < n; i++ {
-			if u, src, err = getUvarint(src); err != nil {
+			if u, src, err = codec.GetUvarint(src); err != nil {
 				return nil, err
 			}
 			p := int(u)
@@ -462,7 +445,7 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 			d.Parts = append(d.Parts, p)
 		}
 	}
-	if u, src, err = getUvarint(src); err != nil {
+	if u, src, err = codec.GetUvarint(src); err != nil {
 		return nil, err
 	}
 	if u > uint64(d.Order) || u > uint64(len(src)) {
@@ -479,7 +462,7 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 	}
 	prev := -1
 	for i := 0; i < n; i++ {
-		if u, src, err = getUvarint(src); err != nil {
+		if u, src, err = codec.GetUvarint(src); err != nil {
 			return nil, err
 		}
 		if u == 0 {
@@ -491,7 +474,7 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 		}
 		prev = t
 		d.Tasks = append(d.Tasks, t)
-		if u, src, err = getUvarint(src); err != nil {
+		if u, src, err = codec.GetUvarint(src); err != nil {
 			return nil, err
 		}
 		if u > maxDeltaPU {
@@ -499,17 +482,17 @@ func decodeRemapDelta(src []byte) (*remapDelta, error) {
 		}
 		d.ComputePU = append(d.ComputePU, int(u))
 		if d.Aux&deltaAuxControl != 0 {
-			if u, src, err = getUvarint(src); err != nil {
+			if u, src, err = codec.GetUvarint(src); err != nil {
 				return nil, err
 			}
-			pu := unzigzag(u)
+			pu := codec.Unzigzag(u)
 			if pu < -1 || pu > maxDeltaPU {
 				return nil, fmt.Errorf("orwlnet: control PU %d out of wire range", pu)
 			}
 			d.ControlPU = append(d.ControlPU, int(pu))
 		}
 		if d.Aux&deltaAuxCore != 0 {
-			if u, src, err = getUvarint(src); err != nil {
+			if u, src, err = codec.GetUvarint(src); err != nil {
 				return nil, err
 			}
 			if u > maxDeltaPU {
@@ -541,8 +524,8 @@ func applyRemapDelta(prev *placement.Assignment, d *remapDelta) (*placement.Assi
 	}
 	a := prev.Clone() // copy-on-write: prev is shared and immutable
 	a.Strategy = d.Strategy
-	a.Unbound = d.Flags&asgnUnbound != 0
-	a.Oversubscribed = d.Flags&asgnOversubscribed != 0
+	a.Unbound = d.Flags&codec.AssignUnbound != 0
+	a.Oversubscribed = d.Flags&codec.AssignOversubscribed != 0
 	a.Mode = treematch.ControlMode(d.Mode)
 	for i, t := range d.Tasks {
 		a.ComputePU[t] = d.ComputePU[i]
@@ -574,13 +557,13 @@ func (d *remapDelta) remap(a *placement.Assignment) *ctrlplane.Remap {
 // FleetStats codec (the last stats payload field).
 
 func putFleetStats(dst []byte, st placement.FleetStats) []byte {
-	return putUint64s(dst, st.ReportsReceived, st.PeersTracked, st.RemapsPushed, st.StalePeersEvicted,
+	return codec.PutUint64s(dst, st.ReportsReceived, st.PeersTracked, st.RemapsPushed, st.StalePeersEvicted,
 		st.Watchers, st.ReportsThrottled, st.LeaseConflicts, st.DeltaPushes, st.FullPushes)
 }
 
 func getFleetStats(src []byte) (placement.FleetStats, []byte, error) {
 	var st placement.FleetStats
-	src, err := getUint64s(src, &st.ReportsReceived, &st.PeersTracked, &st.RemapsPushed, &st.StalePeersEvicted,
+	src, err := codec.GetUint64s(src, &st.ReportsReceived, &st.PeersTracked, &st.RemapsPushed, &st.StalePeersEvicted,
 		&st.Watchers, &st.ReportsThrottled, &st.LeaseConflicts, &st.DeltaPushes, &st.FullPushes)
 	return st, src, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 )
@@ -22,9 +23,9 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 	f.Add(appendSparseBody(nil, ring, runs))
 	f.Add(appendSparseBody(nil, comm.NewMatrix(3), 0))
 	// A hostile body whose runs carry +0: zeros sent as a value run.
-	f.Add(putUvarint(putUvarint(putUvarint(putUvarint(putUvarint(nil, 3), 1), 2), 4), 0))
-	f.Add(putUvarint(nil, 1<<40))
-	f.Add(putUvarint(putUvarint(nil, 4), 1<<30))
+	f.Add(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(nil, 3), 1), 2), 4), 0))
+	f.Add(codec.PutUvarint(nil, 1<<40))
+	f.Add(codec.PutUvarint(codec.PutUvarint(nil, 4), 1<<30))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, fp, _, err := getSparseBody(data)
@@ -38,7 +39,7 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 		// its fingerprint intact — byte-identity with the input is not
 		// guaranteed (the input may encode zeros as value runs), with
 		// the reference encoder it is.
-		re, reFP := putMatrixField(nil, m)
+		re, reFP := codec.PutMatrixField(nil, m)
 		if ref := putMatrixCompact(nil, m.Dense()); !bytes.Equal(re, ref) {
 			t.Fatalf("emitter wrote %d bytes, reference %d", len(re), len(ref))
 		}
@@ -94,7 +95,7 @@ func FuzzPlaceRequestDecode(f *testing.F) {
 	// The same request with its sparse body's runs spelled out as +0
 	// value runs around the nonzeros.
 	head := body[:len(body)-len(putMatrixCompact(nil, req.Matrix.Dense()))]
-	f.Add(append(append([]byte(nil), head...), matSparse, 4, 3, 0, 1, 0, 0, 2, 0xbe, 0x71, 0, 13, 0))
+	f.Add(append(append([]byte(nil), head...), codec.MatSparse, 4, 3, 0, 1, 0, 0, 2, 0xbe, 0x71, 0, 13, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mc := newMatrixCache(4)
 		check := func(r *placement.PlaceRequest) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/orwl"
 )
 
@@ -401,15 +402,15 @@ func TestProtocolFraming(t *testing.T) {
 		t.Error("accepted undersized frame")
 	}
 	// String codec.
-	p := putString(nil, "abc")
-	s, rest, err := getString(p)
+	p := codec.PutString(nil, "abc")
+	s, rest, err := codec.GetString(p)
 	if err != nil || s != "abc" || len(rest) != 0 {
 		t.Errorf("string codec: %q %v %v", s, rest, err)
 	}
-	if _, _, err := getString([]byte{5, 0, 'x'}); err == nil {
+	if _, _, err := codec.GetString([]byte{5, 0, 'x'}); err == nil {
 		t.Error("accepted truncated string")
 	}
-	if _, _, err := getUint64([]byte{1, 2}); err == nil {
+	if _, _, err := codec.GetUint64([]byte{1, 2}); err == nil {
 		t.Error("accepted truncated integer")
 	}
 }

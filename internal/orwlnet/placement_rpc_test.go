@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
@@ -182,13 +183,13 @@ func TestPlacementRequiresHandshake(t *testing.T) {
 	if resp := send(1, opPlaceCompute, place); !errors.Is(responseError(resp), ErrVersion) {
 		t.Fatalf("placement RPC before handshake answered status %d: %s", resp.op, resp.payload)
 	}
-	if resp := send(2, opSize, putString(nil, "l")); !errors.Is(responseError(resp), ErrVersion) {
+	if resp := send(2, opSize, codec.PutString(nil, "l")); !errors.Is(responseError(resp), ErrVersion) {
 		t.Fatalf("location op before handshake answered status %d: %s", resp.op, resp.payload)
 	}
 	if resp := send(3, opHello, []byte{protoVersion, protoVersion}); resp.op != statusOK || resp.payload[0] != protoVersion {
 		t.Fatalf("handshake failed: %v %s", resp.op, resp.payload)
 	}
-	if resp := send(4, opSize, putString(nil, "l")); resp.op != statusOK {
+	if resp := send(4, opSize, codec.PutString(nil, "l")); resp.op != statusOK {
 		t.Fatalf("location op after handshake rejected: %s", resp.payload)
 	}
 	if resp := send(5, opPlaceCompute, place); resp.op != statusOK {

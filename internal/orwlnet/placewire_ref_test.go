@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 )
@@ -34,7 +35,7 @@ func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
 				runLen++
 			}
 			runs++
-			bodyBytes += uvarintLen(uint64(gap)) + uvarintLen(uint64(runLen)) + uvarintLen(zigzagFloat(row[j]))
+			bodyBytes += uvarintLen(uint64(gap)) + uvarintLen(uint64(runLen)) + uvarintLen(codec.ZigzagFloat(row[j]))
 			gap = 0
 			j += runLen
 		}
@@ -45,8 +46,8 @@ func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
 
 func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
 	n := m.Order()
-	dst = putUvarint(dst, uint64(n))
-	dst = putUvarint(dst, uint64(runs))
+	dst = codec.PutUvarint(dst, uint64(n))
+	dst = codec.PutUvarint(dst, uint64(runs))
 	gap := 0
 	for i := 0; i < n; i++ {
 		row := m.RowView(i)
@@ -61,9 +62,9 @@ func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
 			for j+runLen < n && math.Float64bits(row[j+runLen]) == b {
 				runLen++
 			}
-			dst = putUvarint(dst, uint64(gap))
-			dst = putUvarint(dst, uint64(runLen))
-			dst = putUvarint(dst, zigzagFloat(row[j]))
+			dst = codec.PutUvarint(dst, uint64(gap))
+			dst = codec.PutUvarint(dst, uint64(runLen))
+			dst = codec.PutUvarint(dst, codec.ZigzagFloat(row[j]))
 			gap = 0
 			j += runLen
 		}
@@ -71,17 +72,41 @@ func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
 	return dst
 }
 
+// putMatrixDenseBody appends the dense body: the order, then the
+// row-major cells as fixed-width float64s.
+func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
+	n := m.Order()
+	dst = codec.PutUint64(dst, uint64(n))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			dst = codec.PutFloat64(dst, m.At(i, j))
+		}
+	}
+	return dst
+}
+
+// uvarintLen is the encoded size of v, by encoding/binary.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
+}
+
+// getSparseBody decodes a bare sparse body through the field decoder.
+func getSparseBody(body []byte) (comm.Affinity, uint64, []byte, error) {
+	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder)
+}
+
 func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
 	if m == nil {
-		return append(dst, matAbsent)
+		return append(dst, codec.MatAbsent)
 	}
 	n := m.Order()
 	runs, sparseBytes := sparseSize(m)
 	if sparseBytes >= 8+8*n*n {
-		dst = append(dst, matDense)
+		dst = append(dst, codec.MatDense)
 		return putMatrixDenseBody(dst, m)
 	}
-	dst = append(dst, matSparse)
+	dst = append(dst, codec.MatSparse)
 	return appendSparseBody(dst, m, runs)
 }
 
@@ -136,13 +161,13 @@ func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 	}
 	// All zero at the codec's largest order: one trailing gap above 2¹⁶
 	// cells, the fold's highest power table.
-	cases = append(cases, emitterCase{n: maxMatrixOrder})
+	cases = append(cases, emitterCase{n: codec.MaxMatrixOrder})
 	for ci, c := range cases {
 		name := fmt.Sprintf("n=%d/density=%g/runs=%v", c.n, c.density, c.values != nil)
 		m := c.build(int64(ci))
 		want := comm.Fingerprint(m)
 		ref := putMatrixCompact([]byte{0xee}, m)
-		got, fp := putMatrixField([]byte{0xee}, m)
+		got, fp := codec.PutMatrixField([]byte{0xee}, m)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("%s: emitter wrote %d bytes (mode %d), reference %d (mode %d); first difference at %d",
 				name, len(got), got[1], len(ref), ref[1], firstDiff(got, ref))
@@ -268,14 +293,15 @@ func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
 func TestDecodeUvarintMatchesBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	check := func(b []byte) {
-		got, n, ok := decodeUvarint(b)
+		got, rest, err := codec.GetUvarint(b)
+		n, ok := len(b)-len(rest), err == nil
 		want, wn := binary.Uvarint(b)
 		if ok != (wn > 0) || ok && (got != want || n != wn) {
 			t.Fatalf("% x: decoded (%d, %d, %v), encoding/binary (%d, %d)", b, got, n, ok, want, wn)
 		}
 	}
 	for k := 0; k < 200000; k++ {
-		b := putUvarint(nil, rng.Uint64()>>uint(rng.Intn(64)))
+		b := codec.PutUvarint(nil, rng.Uint64()>>uint(rng.Intn(64)))
 		for tail := rng.Intn(10); tail > 0; tail-- {
 			b = append(b, byte(rng.Intn(256)))
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/treematch"
@@ -30,8 +31,8 @@ func mustEncode(b []byte, err error) []byte {
 // encodeReq frames one request, its matrix as the fingerprint reference
 // when ref is set and as the body otherwise.
 func encodeReq(req *placement.PlaceRequest, ref bool) []byte {
-	b, _ := encodePlaceRequest(nil, req, func(uint64) bool { return ref })
-	return b
+	b, _, err := encodePlaceRequest(nil, req, func(uint64) bool { return ref })
+	return mustEncode(b, err)
 }
 
 // encodeBatch frames a request slice, every matrix as its fingerprint
@@ -234,7 +235,7 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 
 func TestIntSliceNilVsEmpty(t *testing.T) {
 	for _, s := range [][]int{nil, {}, {0}, {-1, 5, 1 << 40}} {
-		got, rest, err := getIntSlice(putIntSlice(nil, s))
+		got, rest, err := codec.GetIntSlice(codec.PutIntSlice(nil, s))
 		if err != nil {
 			t.Fatalf("round trip of %v: %v", s, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/placement"
@@ -75,8 +76,8 @@ func TestSparseMatrixRoundTrip(t *testing.T) {
 func TestMatrixCompactChoosesEncoding(t *testing.T) {
 	// A ring is overwhelmingly zero: sparse must win.
 	ring := comm.Ring(64, 1<<20, true)
-	enc, _ := putMatrixField(nil, ring)
-	if enc[0] != matSparse {
+	enc, _ := codec.PutMatrixField(nil, ring)
+	if enc[0] != codec.MatSparse {
 		t.Errorf("ring encoded as mode %d, want sparse", enc[0])
 	}
 	denseSize := 1 + 8 + 8*64*64
@@ -91,12 +92,12 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 			full.Set(i, j, math.Sqrt(float64(i*8+j+2)))
 		}
 	}
-	if enc, _ := putMatrixField(nil, full); enc[0] != matDense {
+	if enc, _ := codec.PutMatrixField(nil, full); enc[0] != codec.MatDense {
 		t.Errorf("dense matrix encoded as mode %d, want dense", enc[0])
 	}
 	// Either mode decodes back bit-exactly through the field decoder.
 	for _, m := range []*comm.Matrix{ring, full, nil} {
-		enc, _ := putMatrixField(nil, m)
+		enc, _ := codec.PutMatrixField(nil, m)
 		got, fp, rest, err := getMatrix(enc, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
@@ -118,11 +119,11 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 
 func TestSparseDecodeRejectsHostile(t *testing.T) {
 	cases := map[string][]byte{
-		"huge order":    putUvarint(nil, 1<<40),
-		"absurd runs":   putUvarint(putUvarint(nil, 4), 1<<30),
-		"zero run len":  putUvarint(putUvarint(putUvarint(putUvarint(putUvarint(nil, 4), 1), 0), 0), 7),
-		"overrun cells": putUvarint(putUvarint(putUvarint(putUvarint(putUvarint(nil, 2), 1), 0), 40), 7),
-		"truncated":     putUvarint(putUvarint(nil, 4), 1),
+		"huge order":    codec.PutUvarint(nil, 1<<40),
+		"absurd runs":   codec.PutUvarint(codec.PutUvarint(nil, 4), 1<<30),
+		"zero run len":  codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(nil, 4), 1), 0), 0), 7),
+		"overrun cells": codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(nil, 2), 1), 0), 40), 7),
+		"truncated":     codec.PutUvarint(codec.PutUvarint(nil, 4), 1),
 	}
 	for name, enc := range cases {
 		if _, _, _, err := getSparseBody(enc); err == nil {
@@ -139,7 +140,7 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 		{Strategy: "x", Oversubscribed: true, ComputePU: []int{}, ControlPU: nil},
 	}
 	for i, a := range cases {
-		got, rest, err := getAssignment(putAssignment(nil, a), nil)
+		got, rest, err := codec.GetAssignment(codec.PutAssignment(nil, a), nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("case %d: %v (%d trailing)", i, err, len(rest))
 		}
@@ -165,7 +166,7 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 		big.CoreOf[i] = i % 10
 	}
 	// presence, strategy, flags, mode, then three 2-byte counts.
-	if got, want := len(putAssignment(nil, big)), 1+2+len(big.Strategy)+2+3*(2+160); got != want {
+	if got, want := len(codec.PutAssignment(nil, big)), 1+2+len(big.Strategy)+2+3*(2+160); got != want {
 		t.Errorf("160-task assignment = %d bytes, want %d", got, want)
 	}
 }

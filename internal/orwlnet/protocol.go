@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 
 	"orwlplace/internal/ctrlplane"
@@ -226,100 +225,4 @@ func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message
 		err = io.ErrUnexpectedEOF // only a stream cut between frames is io.EOF
 	}
 	return m, err
-}
-
-// Payload encoding helpers.
-
-func putString(dst []byte, s string) []byte {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	dst = append(dst, l[:]...)
-	return append(dst, s...)
-}
-
-func getString(src []byte) (string, []byte, error) {
-	if len(src) < 2 {
-		return "", nil, fmt.Errorf("orwlnet: truncated string")
-	}
-	n := int(binary.LittleEndian.Uint16(src))
-	if len(src) < 2+n {
-		return "", nil, fmt.Errorf("orwlnet: truncated string body")
-	}
-	return string(src[2 : 2+n]), src[2+n:], nil
-}
-
-func putUint64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func getUint64(src []byte) (uint64, []byte, error) {
-	if len(src) < 8 {
-		return 0, nil, fmt.Errorf("orwlnet: truncated integer")
-	}
-	return binary.LittleEndian.Uint64(src), src[8:], nil
-}
-
-// putUint64s appends each value fixed-width, in order.
-func putUint64s(dst []byte, vs ...uint64) []byte {
-	for _, v := range vs {
-		dst = putUint64(dst, v)
-	}
-	return dst
-}
-
-// getUint64s reads one fixed-width value into each destination, in
-// order.
-func getUint64s(src []byte, dsts ...*uint64) ([]byte, error) {
-	for _, d := range dsts {
-		var err error
-		if *d, src, err = getUint64(src); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
-}
-
-// putUvarint appends v in the unsigned LEB128 varint encoding — the
-// compact integer of the sparse-matrix payload (gaps, run
-// lengths and byte-reversed float bits are all small or trailing-zero
-// heavy, so most encode in 1-3 bytes instead of 8).
-func putUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func getUvarint(src []byte) (uint64, []byte, error) {
-	if len(src) > 0 && src[0] < 0x80 {
-		return uint64(src[0]), src[1:], nil // one byte: gaps, run lengths, PU ids
-	}
-	v, n, ok := decodeUvarint(src)
-	if !ok {
-		return 0, nil, fmt.Errorf("orwlnet: truncated or overlong varint")
-	}
-	return v, src[n:], nil
-}
-
-// decodeUvarint is binary.Uvarint with the two failure modes (buffer
-// exhausted, 64-bit overflow) collapsed into ok=false. A varint of at
-// most eight bytes with eight readable decodes branch-free from one
-// word: the terminating byte is the first with its high bit clear, and
-// three mask-and-shift steps pack the 7-bit groups.
-func decodeUvarint(src []byte) (uint64, int, bool) {
-	if len(src) >= 8 {
-		x := binary.LittleEndian.Uint64(src)
-		if stop := ^x & 0x8080808080808080; stop != 0 {
-			end := bits.TrailingZeros64(stop) + 1 // bits up to the terminator
-			x &= 1<<(end&63) - 1 | -(uint64(end) >> 6)
-			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
-			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
-			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
-			return x, end >> 3, true
-		}
-	}
-	v, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, 0, false
-	}
-	return v, n, true
 }

@@ -249,17 +249,17 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	// otherwise it folds the fingerprint in the walk that encodes the
 	// body.
 	var fp uint64
-	payload, err := s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-		dst, fp = encodePlaceRequest(dst, req, s.known.has)
-		return dst, nil
+	payload, err := s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) (out []byte, err error) {
+		out, fp, err = encodePlaceRequest(dst, req, s.known.has)
+		return out, err
 	})
 	if errors.Is(err, ErrUnknownMatrix) {
 		// The daemon no longer holds the body this reference named:
 		// drop the belief and resend the request with the body inline.
 		s.known.forget(fp)
 		payload, err = s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
-			dst, _ = encodePlaceRequest(dst, req, nil)
-			return dst, nil
+			out, _, err := encodePlaceRequest(dst, req, nil)
+			return out, err
 		})
 	}
 	if err != nil {

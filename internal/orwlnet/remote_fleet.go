@@ -34,7 +34,10 @@ func (s *RemoteService) RegisterLease(ctx context.Context, machine, peer string,
 func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer string, base, count int, token uint64) (uint64, error) {
 	var id uint64
 	err := s.retryCall(ctx, func(ctx context.Context) error {
-		payload := encodeFleetLeaseRequest(nil, machine, peer, base, count, token)
+		payload, err := encodeFleetLeaseRequest(nil, machine, peer, base, count, token)
+		if err != nil {
+			return err
+		}
 		resp, err := s.primary().callCtx(ctx, opFleetLease, payload)
 		if err != nil {
 			return err
@@ -122,7 +125,11 @@ func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan
 // here is skipped (the full ack the server already queued makes it
 // redundant: both describe epochs the ack's snapshot covers).
 func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine string, sinceEpoch uint64) (uint64, <-chan message, *Remap, error) {
-	id, ch, err := c.openStream(ctx, opWatchRemaps, encodeWatchRequest(nil, machine, sinceEpoch))
+	payload, err := encodeWatchRequest(nil, machine, sinceEpoch)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	id, ch, err := c.openStream(ctx, opWatchRemaps, payload)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/orwl"
 )
@@ -145,7 +146,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 	// threshold.
 	full := comm.NewMatrix(513)
 	fillRandom(2, nil)(full, rand.New(rand.NewSource(1)))
-	if enc, _ := encodeObservedReport(nil, 7, 3, comm.SparseFromMatrix(full)); enc[3] != matDense {
+	if enc, _ := encodeObservedReport(nil, 7, 3, comm.SparseFromMatrix(full)); enc[3] != codec.MatDense {
 		t.Fatalf("a full random matrix encoded in mode %d, want dense", enc[3])
 	}
 }
@@ -220,25 +221,25 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		want    string
 	}{
 		{"no version", nil, 0, "orwlnet: missing version byte"},
-		{"no matrix field", frame(), 0, "orwlnet: truncated matrix mode"},
-		{"absent matrix", frame(matAbsent), 0, "orwlnet: observed report without a matrix"},
+		{"no matrix field", frame(), 0, "codec: truncated matrix mode"},
+		{"absent matrix", frame(codec.MatAbsent), 0, "orwlnet: observed report without a matrix"},
 		{"fingerprint reference", frame(matFingerprint, 1, 2, 3, 4, 5, 6, 7, 8, 4), 0, "orwlnet: fingerprint-only matrix without a serving matrix table"},
-		{"unknown mode", frame(9), 0, "orwlnet: unknown matrix mode 9"},
-		{"dense: truncated order", frame(matDense, 2, 0, 0), 0, "orwlnet: truncated integer"},
-		{"dense: body shorter than 8n²", frame(matDense, 2, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3), 0, "orwlnet: truncated matrix (order 2)"},
-		{"dense: over the row cap", frame(matDense, 16, 0, 0, 0, 0, 0, 0, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
-		{"dense: absurd order under a cap", frame(matDense, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), 8, "orwlnet: observed report order 18446744073709551615 exceeds the 8-row cap"},
-		{"sparse: order above the codec limit", frame(matSparse, 0xd1, 0x16), 0, "orwlnet: sparse matrix order 2897 exceeds limit 2896"},
-		{"sparse: over the row cap", frame(matSparse, 16, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
-		{"sparse: no run count", frame(matSparse, 4), 0, "orwlnet: truncated or overlong varint"},
-		{"sparse: more runs than bytes", frame(matSparse, 4, 100, 0, 1, 1), 0, "orwlnet: absurd sparse run count 100"},
-		{"sparse: truncated triplet", frame(matSparse, 4, 1, 0), 0, "orwlnet: truncated or overlong varint"},
-		{"sparse: zero-length run", frame(matSparse, 4, 1, 0, 0, 1), 0, "orwlnet: sparse run 0 has zero length"},
-		{"sparse: gap past the end", frame(matSparse, 2, 1, 5, 1, 1), 0, "orwlnet: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: run past the end", frame(matSparse, 2, 1, 3, 2, 1), 0, "orwlnet: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: second run past the end", frame(matSparse, 2, 2, 0, 4, 1, 0, 1, 1), 0, "orwlnet: sparse run 1 overruns the 4-cell matrix"},
-		{"sparse: run length wraps uint64", frame(matSparse, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1), 0, "orwlnet: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: order 0 with a run", frame(matSparse, 0, 1, 0, 1, 1), 0, "orwlnet: sparse run 0 overruns the 0-cell matrix"},
+		{"unknown mode", frame(9), 0, "codec: unknown matrix mode 9"},
+		{"dense: truncated order", frame(codec.MatDense, 2, 0, 0), 0, "codec: truncated integer"},
+		{"dense: body shorter than 8n²", frame(codec.MatDense, 2, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3), 0, "codec: truncated matrix (order 2)"},
+		{"dense: over the row cap", frame(codec.MatDense, 16, 0, 0, 0, 0, 0, 0, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
+		{"dense: absurd order under a cap", frame(codec.MatDense, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), 8, "orwlnet: observed report order 18446744073709551615 exceeds the 8-row cap"},
+		{"sparse: order above the codec limit", frame(codec.MatSparse, 0xd1, 0x16), 0, "codec: sparse matrix order 2897 exceeds limit 2896"},
+		{"sparse: over the row cap", frame(codec.MatSparse, 16, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
+		{"sparse: no run count", frame(codec.MatSparse, 4), 0, "codec: truncated or overlong varint"},
+		{"sparse: more runs than bytes", frame(codec.MatSparse, 4, 100, 0, 1, 1), 0, "codec: absurd sparse run count 100"},
+		{"sparse: truncated triplet", frame(codec.MatSparse, 4, 1, 0), 0, "codec: truncated or overlong varint"},
+		{"sparse: zero-length run", frame(codec.MatSparse, 4, 1, 0, 0, 1), 0, "codec: sparse run 0 has zero length"},
+		{"sparse: gap past the end", frame(codec.MatSparse, 2, 1, 5, 1, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: run past the end", frame(codec.MatSparse, 2, 1, 3, 2, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: second run past the end", frame(codec.MatSparse, 2, 2, 0, 4, 1, 0, 1, 1), 0, "codec: sparse run 1 overruns the 4-cell matrix"},
+		{"sparse: run length wraps uint64", frame(codec.MatSparse, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: order 0 with a run", frame(codec.MatSparse, 0, 1, 0, 1, 1), 0, "codec: sparse run 0 overruns the 0-cell matrix"},
 	}
 	for _, c := range cases {
 		_, _, delta, err := decodeObservedReport(c.in, c.maxRows)
@@ -250,10 +251,10 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		}
 	}
 	// The smallest accepted frames, for contrast: order 0, and one cell.
-	if _, _, d, err := decodeObservedReport(frame(matSparse, 0, 0), 0); err != nil || d.Order() != 0 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 0, 0), 0); err != nil || d.Order() != 0 {
 		t.Errorf("empty order-0 report: %v", err)
 	}
-	if _, _, d, err := decodeObservedReport(frame(matSparse, 2, 1, 3, 1, 0x40), 0); err != nil || d.At(1, 1) != 2 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 2, 1, 3, 1, 0x40), 0); err != nil || d.At(1, 1) != 2 {
 		t.Errorf("one-cell report: %v %v", d, err)
 	}
 }
@@ -275,13 +276,13 @@ func allocatedBy(fn func()) uint64 {
 // entries.
 func TestObservedReportDecodeAllocationBound(t *testing.T) {
 	const n = 1024
-	everyCell := append(append([]byte(nil), reportHeader...), matSparse)
-	everyCell = putUvarint(everyCell, n)
-	everyCell = putUvarint(everyCell, 1)      // one run
-	everyCell = putUvarint(everyCell, 0)      // no gap
-	everyCell = putUvarint(everyCell, n*n)    // every cell
-	everyCell = putUvarint(everyCell, 0xf03f) // 1.0, byte-reversed
-	dense := putUint64(append(append([]byte(nil), reportHeader...), matDense), n)
+	everyCell := append(append([]byte(nil), reportHeader...), codec.MatSparse)
+	everyCell = codec.PutUvarint(everyCell, n)
+	everyCell = codec.PutUvarint(everyCell, 1)      // one run
+	everyCell = codec.PutUvarint(everyCell, 0)      // no gap
+	everyCell = codec.PutUvarint(everyCell, n*n)    // every cell
+	everyCell = codec.PutUvarint(everyCell, 0xf03f) // 1.0, byte-reversed
+	dense := codec.PutUint64(append(append([]byte(nil), reportHeader...), codec.MatDense), n)
 
 	for name, in := range map[string][]byte{"sparse": everyCell, "dense": dense} {
 		var err error
@@ -302,12 +303,12 @@ func TestObservedReportDecodeAllocationBound(t *testing.T) {
 		t.Fatalf("every-cell frame allocated %d bytes, bound %d", got, limit)
 	}
 	// Just under an eighth of the cells stays sparse, within the bound.
-	eighth := append(append([]byte(nil), reportHeader...), matSparse)
-	eighth = putUvarint(eighth, n)
-	eighth = putUvarint(eighth, 1)
-	eighth = putUvarint(eighth, 0)
-	eighth = putUvarint(eighth, n*n/8)
-	eighth = putUvarint(eighth, 0xf03f)
+	eighth := append(append([]byte(nil), reportHeader...), codec.MatSparse)
+	eighth = codec.PutUvarint(eighth, n)
+	eighth = codec.PutUvarint(eighth, 1)
+	eighth = codec.PutUvarint(eighth, 0)
+	eighth = codec.PutUvarint(eighth, n*n/8)
+	eighth = codec.PutUvarint(eighth, 0xf03f)
 	got = allocatedBy(func() { _, _, delta, err = decodeObservedReport(eighth, n) })
 	if _, ok := delta.(*comm.Sparse); err != nil || !ok || got > 8*n*n {
 		t.Fatalf("eighth-full frame: %T, %v, %d bytes allocated", delta, err, got)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/placement"
@@ -106,7 +107,7 @@ type reportCaps struct {
 	// opObservedReport (0 = the protocol's maxMessage).
 	maxFrameBytes int
 	// maxRows is the hard cap on a decoded report matrix's order
-	// (0 = the codec's maxMatrixOrder).
+	// (0 = codec.MaxMatrixOrder).
 	maxRows int
 	// bytesPerSec/burst, when bytesPerSec > 0, meter the report payload
 	// bytes one connection may deliver (token bucket). Violations get a
@@ -507,11 +508,11 @@ func (s *Server) handleHello(st *connState, payload []byte) ([]byte, error) {
 func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 	switch m.op {
 	case opScale:
-		name, rest, err := getString(m.payload)
+		name, rest, err := codec.GetString(m.payload)
 		if err != nil {
 			return nil, err
 		}
-		size, _, err := getUint64(rest)
+		size, _, err := codec.GetUint64(rest)
 		if err != nil {
 			return nil, err
 		}
@@ -522,7 +523,7 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		loc.Scale(int(size))
 		return nil, nil
 	case opSize:
-		name, _, err := getString(m.payload)
+		name, _, err := codec.GetString(m.payload)
 		if err != nil {
 			return nil, err
 		}
@@ -530,9 +531,9 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return putUint64(nil, uint64(loc.Size())), nil
+		return codec.PutUint64(nil, uint64(loc.Size())), nil
 	case opInsert:
-		name, rest, err := getString(m.payload)
+		name, rest, err := codec.GetString(m.payload)
 		if err != nil {
 			return nil, err
 		}
@@ -551,7 +552,7 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		st.mu.Lock()
 		st.reqs[id] = loc.NewRequest(mode)
 		st.mu.Unlock()
-		return putUint64(nil, id), nil
+		return codec.PutUint64(nil, id), nil
 	case opAwait:
 		req, err := s.request(st, m.payload)
 		if err != nil {
@@ -572,7 +573,7 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		copy(out, buf)
 		return out, nil
 	case opWrite:
-		id, rest, err := getUint64(m.payload)
+		id, rest, err := codec.GetUint64(m.payload)
 		if err != nil {
 			return nil, err
 		}
@@ -593,7 +594,7 @@ func (s *Server) handleLocation(st *connState, m message) ([]byte, error) {
 		copy(buf, rest)
 		return nil, nil
 	case opRelease:
-		id, _, err := getUint64(m.payload)
+		id, _, err := codec.GetUint64(m.payload)
 		if err != nil {
 			return nil, err
 		}
@@ -777,7 +778,7 @@ func (s *Server) location(name string) (*orwl.Location, error) {
 }
 
 func (s *Server) request(st *connState, payload []byte) (*orwl.RawRequest, error) {
-	id, _, err := getUint64(payload)
+	id, _, err := codec.GetUint64(payload)
 	if err != nil {
 		return nil, err
 	}

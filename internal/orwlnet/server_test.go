@@ -5,6 +5,7 @@ import (
 	"net"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/orwl"
 )
 
@@ -39,10 +40,10 @@ func TestHandleTruncatedPayloads(t *testing.T) {
 	srv, st := testServer(t)
 	cases := []message{
 		{op: opScale, payload: nil},
-		{op: opScale, payload: putString(nil, "data")}, // missing size
+		{op: opScale, payload: codec.PutString(nil, "data")}, // missing size
 		{op: opSize, payload: nil},
 		{op: opInsert, payload: nil},
-		{op: opInsert, payload: putString(nil, "data")}, // missing mode
+		{op: opInsert, payload: codec.PutString(nil, "data")}, // missing mode
 		{op: opAwait, payload: []byte{1}},
 		{op: opRead, payload: []byte{1}},
 		{op: opWrite, payload: []byte{1}},
@@ -58,13 +59,13 @@ func TestHandleTruncatedPayloads(t *testing.T) {
 
 func TestHandleUnknownLocationAndHandle(t *testing.T) {
 	srv, st := testServer(t)
-	if _, _, err := srv.handle(st, message{op: opInsert, payload: append(putString(nil, "nope"), byte(orwl.Read))}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "nope"), byte(orwl.Read))}); err == nil {
 		t.Error("insert on unknown location accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opAwait, payload: putUint64(nil, 12345)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opAwait, payload: codec.PutUint64(nil, 12345)}); err == nil {
 		t.Error("await on unknown handle accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opRelease, payload: putUint64(nil, 12345)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, 12345)}); err == nil {
 		t.Error("release on unknown handle accepted")
 	}
 }
@@ -73,36 +74,36 @@ func TestHandleReadWriteWithoutGrant(t *testing.T) {
 	srv, st := testServer(t)
 	// Queue a writer that holds the grant, then a reader that is not
 	// yet granted.
-	resp, _, err := srv.handle(st, message{op: opInsert, payload: append(putString(nil, "data"), byte(orwl.Write))})
+	resp, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Write))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wID, _, _ := getUint64(resp)
-	resp, _, err = srv.handle(st, message{op: opInsert, payload: append(putString(nil, "data"), byte(orwl.Read))})
+	wID, _, _ := codec.GetUint64(resp)
+	resp, _, err = srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Read))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rID, _, _ := getUint64(resp)
+	rID, _, _ := codec.GetUint64(resp)
 	// The reader has no grant yet: read must fail rather than block.
-	if _, _, err := srv.handle(st, message{op: opRead, payload: putUint64(nil, rID)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)}); err == nil {
 		t.Error("read without grant accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: putUint64(nil, rID)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: codec.PutUint64(nil, rID)}); err == nil {
 		t.Error("write without grant accepted")
 	}
 	// Writer: write works, oversized write fails.
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(putUint64(nil, wID), 1, 2)}); err != nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, wID), 1, 2)}); err != nil {
 		t.Errorf("writer write failed: %v", err)
 	}
-	big := append(putUint64(nil, wID), make([]byte, 100)...)
+	big := append(codec.PutUint64(nil, wID), make([]byte, 100)...)
 	if _, _, err := srv.handle(st, message{op: opWrite, payload: big}); err == nil {
 		t.Error("oversized write accepted")
 	}
 	// Release the writer; reader becomes granted and read succeeds.
-	if _, _, err := srv.handle(st, message{op: opRelease, payload: putUint64(nil, wID)}); err != nil {
+	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, wID)}); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := srv.handle(st, message{op: opRead, payload: putUint64(nil, rID)})
+	data, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestHandleReadWriteWithoutGrant(t *testing.T) {
 		t.Errorf("read = %v", data)
 	}
 	// Write on a read handle fails even with the grant.
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(putUint64(nil, rID), 9)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, rID), 9)}); err == nil {
 		t.Error("write on read handle accepted")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwl"
@@ -159,21 +160,21 @@ func wireFrames() map[string]wireFrame {
 	return map[string]wireFrame{
 		"hello/req":             {opHello, opHello, fixed([]byte{0, protoVersion})},
 		"hello/resp":            {opHello, statusOK, fixed([]byte{protoVersion})},
-		"scale/req":             {opScale, opScale, fixed(putUint64(putString(nil, "grid"), 16))},
+		"scale/req":             {opScale, opScale, fixed(codec.PutUint64(codec.PutString(nil, "grid"), 16))},
 		"scale/resp":            {opScale, statusOK, fixed(nil)},
-		"size/req":              {opSize, opSize, fixed(putString(nil, "grid"))},
-		"size/resp":             {opSize, statusOK, fixed(putUint64(nil, 16))},
-		"insert/req":            {opInsert, opInsert, fixed(append(putString(nil, "grid"), byte(orwl.Write)))},
-		"insert/resp":           {opInsert, statusOK, fixed(putUint64(nil, 1))},
-		"await/req":             {opAwait, opAwait, fixed(putUint64(nil, 1))},
+		"size/req":              {opSize, opSize, fixed(codec.PutString(nil, "grid"))},
+		"size/resp":             {opSize, statusOK, fixed(codec.PutUint64(nil, 16))},
+		"insert/req":            {opInsert, opInsert, fixed(append(codec.PutString(nil, "grid"), byte(orwl.Write)))},
+		"insert/resp":           {opInsert, statusOK, fixed(codec.PutUint64(nil, 1))},
+		"await/req":             {opAwait, opAwait, fixed(codec.PutUint64(nil, 1))},
 		"await/resp":            {opAwait, statusOK, fixed(nil)},
-		"write/req":             {opWrite, opWrite, fixed(append(putUint64(nil, 1), "orwl"...))},
+		"write/req":             {opWrite, opWrite, fixed(append(codec.PutUint64(nil, 1), "orwl"...))},
 		"write/resp":            {opWrite, statusOK, fixed(nil)},
-		"read/req":              {opRead, opRead, fixed(putUint64(nil, 1))},
+		"read/req":              {opRead, opRead, fixed(codec.PutUint64(nil, 1))},
 		"read/resp":             {opRead, statusOK, fixed(append([]byte("orwl"), make([]byte, 12)...))},
-		"release-reinsert/req":  {opReleaseReinsert, opReleaseReinsert, fixed(putUint64(nil, 1))},
+		"release-reinsert/req":  {opReleaseReinsert, opReleaseReinsert, fixed(codec.PutUint64(nil, 1))},
 		"release-reinsert/resp": {opReleaseReinsert, statusOK, fixed(nil)},
-		"release/req":           {opRelease, opRelease, fixed(putUint64(nil, 1))},
+		"release/req":           {opRelease, opRelease, fixed(codec.PutUint64(nil, 1))},
 		"release/resp":          {opRelease, statusOK, fixed(nil)},
 		"place-body/req":        {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), false) }},
 		"place-fingerprint/req": {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), true) }},
@@ -193,7 +194,7 @@ func wireFrames() map[string]wireFrame {
 		"stats/req":  {opPlaceStats, opPlaceStats, fixed(nil)},
 		"stats/resp": {opPlaceStats, statusOK, func() []byte { return encodeServiceStats(nil, fixtureStats()) }},
 		"lease/req": {opFleetLease, opFleetLease, func() []byte {
-			return encodeFleetLeaseRequest(nil, "fig2", "alpha", 0, 4, 0xbeef)
+			return must(encodeFleetLeaseRequest(nil, "fig2", "alpha", 0, 4, 0xbeef))
 		}},
 		"lease/resp": {opFleetLease, statusOK, fixed(encodeFleetLeaseResponse(nil, 1))},
 		"report-sparse/req": {opObservedReport, opObservedReport, func() []byte {
@@ -203,7 +204,7 @@ func wireFrames() map[string]wireFrame {
 			return must(encodeObservedReport(nil, 1, 2, fixtureDense4()))
 		}},
 		"report/resp":          {opObservedReport, statusOK, fixed(nil)},
-		"watch/req":            {opWatchRemaps, opWatchRemaps, func() []byte { return encodeWatchRequest(nil, "fig2", 0) }},
+		"watch/req":            {opWatchRemaps, opWatchRemaps, func() []byte { return must(encodeWatchRequest(nil, "fig2", 0)) }},
 		"watch-ack-empty/resp": {opWatchRemaps, statusOK, remap(nil, false)},
 		"watch-ack/resp":       {opWatchRemaps, statusOK, remap(fixtureRemap(3, 0.5, false), false)},
 		"push-full/resp":       {opWatchRemaps, statusOK, remap(fixtureRemap(4, 0.75, true), false)},
@@ -326,7 +327,10 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 		},
 		"lease/req": func(p []byte) ([]byte, error) {
 			machine, peer, base, count, token, err := decodeFleetLeaseRequest(p)
-			return encodeFleetLeaseRequest(nil, machine, peer, base, count, token), err
+			if err != nil {
+				return nil, err
+			}
+			return encodeFleetLeaseRequest(nil, machine, peer, base, count, token)
 		},
 		"lease/resp": func(p []byte) ([]byte, error) {
 			id, err := decodeFleetLeaseResponse(p)
@@ -336,7 +340,10 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 		"report-dense/req":  report,
 		"watch/req": func(p []byte) ([]byte, error) {
 			machine, since, err := decodeWatchRequest(p)
-			return encodeWatchRequest(nil, machine, since), err
+			if err != nil {
+				return nil, err
+			}
+			return encodeWatchRequest(nil, machine, since)
 		},
 		"watch-ack-empty/resp": remap,
 		"watch-ack/resp":       remap,
