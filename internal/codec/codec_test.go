@@ -43,7 +43,7 @@ func TestCodecFieldBytes(t *testing.T) {
 	if a, rest, err := GetAssignment(PutAssignment(nil, asg), nil); err != nil || len(rest) != 0 || !reflect.DeepEqual(a, asg) {
 		t.Errorf("assignment decoded to %+v (%d trailing, %v)", a, len(rest), err)
 	}
-	m, fp, rest, err := GetMatrixField([]byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}, 2)
+	m, fp, rest, err := GetMatrixField([]byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}, 2, nil)
 	if err != nil || len(rest) != 0 || m.At(0, 1) != 2 || m.At(1, 0) != 2 || m.NNZ() != 2 || fp != comm.Fingerprint(ring) {
 		t.Errorf("sparse matrix decoded to %v, fingerprint %016x (%d trailing, %v)", m, fp, len(rest), err)
 	}
@@ -94,7 +94,7 @@ func TestCodecMatrixMemoryBound(t *testing.T) {
 		{"dense above the limit", append([]byte{MatDense}, PutUint64(nil, MaxMatrixOrder+1)...), "codec: dense matrix order 2897 exceeds limit 2896"},
 	}
 	for _, c := range cases {
-		m, _, _, err := GetMatrixField(c.field, 1<<16)
+		m, _, _, err := GetMatrixField(c.field, 1<<16, nil)
 		switch c.want {
 		case "sparse", "dense":
 			_, dense := m.(*comm.Matrix)

@@ -28,6 +28,18 @@ const (
 // order-MaxMatrixOrder matrix whatever order its caller allows.
 const MaxMatrixOrder = 2896
 
+// OrderError refuses a matrix field whose order exceeds its limit,
+// before anything is sized by that order.
+type OrderError struct {
+	Mode  string // "dense" or "sparse"
+	Order uint64
+	Limit int
+}
+
+func (e *OrderError) Error() string {
+	return fmt.Sprintf("codec: %s matrix order %d exceeds limit %d", e.Mode, e.Order, e.Limit)
+}
+
 // putMatrixDenseBody appends the dense matrix body (order, row-major
 // float64 entries) that follows the MatDense mode byte.
 func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
@@ -50,7 +62,7 @@ func getMatrixDenseBody(rest []byte, maxOrder int) (comm.Affinity, uint64, []byt
 		return nil, 0, nil, err
 	}
 	if limit := min(maxOrder, MaxMatrixOrder); n64 > uint64(limit) {
-		return nil, 0, nil, fmt.Errorf("codec: dense matrix order %d exceeds limit %d", n64, limit)
+		return nil, 0, nil, &OrderError{"dense", n64, limit}
 	}
 	n := int(n64)
 	if len(rest) < 8*n*n {
@@ -192,8 +204,9 @@ func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64) {
 
 // GetMatrixField decodes a MatAbsent, MatDense or MatSparse field of
 // order at most maxOrder and returns the matrix (nil when absent) with
-// its comm.Fingerprint, folded during the decode.
-func GetMatrixField(src []byte, maxOrder int) (comm.Affinity, uint64, []byte, error) {
+// its comm.Fingerprint, folded during the decode. A body that decodes
+// sparse refills dst, once validated in full; nil dst allocates.
+func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
 	if len(src) < 1 {
 		return nil, 0, nil, fmt.Errorf("codec: truncated matrix mode")
 	}
@@ -203,7 +216,7 @@ func GetMatrixField(src []byte, maxOrder int) (comm.Affinity, uint64, []byte, er
 	case MatDense:
 		return getMatrixDenseBody(rest, maxOrder)
 	case MatSparse:
-		return getSparseBody(rest, maxOrder)
+		return getSparseBody(rest, maxOrder, dst)
 	default:
 		return nil, 0, nil, fmt.Errorf("codec: unknown matrix mode %d", mode)
 	}
@@ -217,7 +230,7 @@ func getSparseHeader(src []byte, maxOrder int) (n int, runs uint64, body []byte,
 		return 0, 0, nil, err
 	}
 	if n64 > uint64(maxOrder) {
-		return 0, 0, nil, fmt.Errorf("codec: sparse matrix order %d exceeds limit %d", n64, maxOrder)
+		return 0, 0, nil, &OrderError{"sparse", n64, maxOrder}
 	}
 	if runs, body, err = GetUvarint(rest); err != nil {
 		return 0, 0, nil, err
@@ -281,16 +294,21 @@ func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length
 // storage cannot hold); otherwise it decodes dense up to order
 // MaxMatrixOrder and is refused above it. No body allocates more than
 // the 8·m² bytes of a dense order-m matrix.
-func getSparseBody(src []byte, maxOrder int) (comm.Affinity, uint64, []byte, error) {
+func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src, maxOrder)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	rowNNZ := make([]int, n)
+	var rowNNZ []int
+	if dst == nil {
+		rowNNZ = make([]int, n)
+	}
 	nnz, negZero := 0, false
 	rest, err := walkSparseRuns(body, runs, n, func(row, _, length int, v float64) {
 		nnz += length
-		rowNNZ[row] += length
+		if rowNNZ != nil {
+			rowNNZ[row] += length
+		}
 		negZero = negZero || math.Float64bits(v) == 1<<63
 	})
 	if err != nil {
@@ -298,6 +316,9 @@ func getSparseBody(src []byte, maxOrder int) (comm.Affinity, uint64, []byte, err
 	}
 	var m comm.Affinity
 	switch sparseCap := min(n, MaxMatrixOrder) * min(n, MaxMatrixOrder) / 8; {
+	case nnz <= sparseCap && !negZero && dst != nil:
+		dst.Reset(n)
+		m = dst
 	case nnz <= sparseCap && !negZero:
 		m = comm.NewSparseSized(rowNNZ)
 	case n <= MaxMatrixOrder:

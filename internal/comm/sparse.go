@@ -40,17 +40,28 @@ func NewSparse(n int) *Sparse {
 // window snapshot) then fills them without growing anything. Rows may
 // still grow past the reservation; they reallocate on their own.
 func NewSparseSized(rowNNZ []int) *Sparse {
-	total := 0
-	for _, k := range rowNNZ {
-		total += k
-	}
-	s := NewSparse(len(rowNNZ))
-	slab := make([]sparseEntry, total)
-	for i, k := range rowNNZ {
-		s.rows[i] = slab[:0:k]
-		slab = slab[k:]
-	}
+	s := new(Sparse)
+	s.ResetSized(rowNNZ)
 	return s
+}
+
+// ResetSized is Reset to order len(rowNNZ) leaving row i room for
+// rowNNZ[i] nonzeros: rows short of it are carved out of one allocation,
+// the others keep their storage, so a same-shaped refill allocates nothing.
+func (s *Sparse) ResetSized(rowNNZ []int) {
+	s.Reset(len(rowNNZ))
+	short := 0
+	for i, k := range rowNNZ {
+		if cap(s.rows[i]) < k {
+			short += k
+		}
+	}
+	slab := make([]sparseEntry, short)
+	for i, k := range rowNNZ {
+		if cap(s.rows[i]) < k {
+			s.rows[i], slab = slab[:0:k], slab[k:]
+		}
+	}
 }
 
 // Order returns the matrix order.

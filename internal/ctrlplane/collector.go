@@ -249,7 +249,8 @@ func (c *Collector) machineLocked(machine string) *machineState {
 // cell (i, j) lands at (base+i, base+j). seq is the peer's report
 // sequence number: a sequence at or below the last merged one is
 // dropped without error (a retransmit after reconnect must not
-// double-count traffic).
+// double-count traffic). The delta is folded and never retained: the
+// caller may reuse it as soon as the call returns.
 func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
 	if comm.NilAffinity(delta) {
 		return fmt.Errorf("ctrlplane: nil observed window")

@@ -240,7 +240,8 @@ func (c *Controller) RegisterToken(machine, peer string, base, count int, token 
 }
 
 // ReportAffinity merges one observed window under a lease, in the
-// representation it arrives in.
+// representation it arrives in, and never retains it (see
+// Collector.ReportAffinity).
 func (c *Controller) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
 	return c.col.ReportAffinity(leaseID, seq, delta)
 }

@@ -293,7 +293,7 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 				return nil, err
 			}
 		}
-		if mr.Base, _, rest, err = codec.GetMatrixField(rest, maxTasks); err != nil {
+		if mr.Base, _, rest, err = codec.GetMatrixField(rest, maxTasks, nil); err != nil {
 			return nil, err
 		}
 	}

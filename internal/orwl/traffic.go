@@ -154,6 +154,7 @@ type TrafficWindow struct {
 	// snapshot is built from them afterwards.
 	cells  []windowCell
 	rowNNZ []int
+	spare  comm.Affinity // handed back by Recycle, refilled by the next call
 }
 
 // windowCell is one gathered nonzero of an epoch.
@@ -177,10 +178,11 @@ func (t *Traffic) NewWindow() *TrafficWindow {
 
 // NextAffinity returns the observed affinity of the epoch since the
 // previous call (or since the start, on the first call) and advances
-// the window baseline. The snapshot is the caller's own, frozen, sized
-// exactly: sparse when the epoch holds at most n²/8 nonzeros — what an
-// observed window nearly always is, at any order — dense otherwise.
-// O(nnz) in sparse mode; dense mode reads its n² counters once.
+// the window baseline. The snapshot is the caller's own, frozen until
+// the caller hands it back with Recycle, sized exactly: sparse when the
+// epoch holds at most n²/8 nonzeros — what an observed window nearly
+// always is, at any order — dense otherwise. O(nnz) in sparse mode;
+// dense mode reads its n² counters once.
 func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -218,9 +220,16 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 		w.base[s] = base
 	}
 	w.cells = cells
-	var a comm.Affinity
+	a := w.spare
+	w.spare = nil
 	if len(cells) > t.n*t.n/8 {
-		a = comm.NewMatrix(t.n)
+		if m, ok := a.(*comm.Matrix); ok {
+			m.Reset(t.n)
+		} else {
+			a = comm.NewMatrix(t.n)
+		}
+	} else if sp, ok := a.(*comm.Sparse); ok {
+		sp.ResetSized(w.rowNNZ)
 	} else {
 		a = comm.NewSparseSized(w.rowNNZ)
 	}
@@ -228,6 +237,18 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 		a.Set(int(c.from), int(c.to), float64(c.bytes))
 	}
 	return a
+}
+
+// Recycle hands back a snapshot NextAffinity returned, for the next call
+// to refill in place when it has that epoch's representation. The
+// caller must hold no other reference to a.
+func (w *TrafficWindow) Recycle(a comm.Affinity) {
+	if comm.NilAffinity(a) {
+		return
+	}
+	w.mu.Lock()
+	w.spare = a
+	w.mu.Unlock()
 }
 
 // Totals returns the cumulative byte and operation counts over all
@@ -290,3 +311,7 @@ func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.win.NextAffin
 // it or ObservedWindow, both advancing the program's default window: an
 // epoch of at most n²/8 nonzeros is a sparse snapshot, never n² cells.
 func (p *Program) ObservedWindowAffinity() comm.Affinity { return p.traffic.win.NextAffinity() }
+
+// RecycleObservedWindow hands a snapshot ObservedWindowAffinity returned
+// back to the default window (see TrafficWindow.Recycle).
+func (p *Program) RecycleObservedWindow(a comm.Affinity) { p.traffic.win.Recycle(a) }

@@ -1,6 +1,7 @@
 package orwlnet
 
 import (
+	"math"
 	"testing"
 
 	"orwlplace/internal/codec"
@@ -40,8 +41,16 @@ func FuzzObservedReportDecode(f *testing.F) {
 	f.Add(codec.PutUvarint(codec.PutUvarint([]byte{protoVersion}, 1<<40), 1<<40))
 	// One triplet claiming every cell of an order-600 matrix.
 	f.Add([]byte{protoVersion, 1, 1, codec.MatSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
+	// One -0 cell: sparse storage cannot hold it, so the body decodes dense.
+	f.Add([]byte{protoVersion, 1, 1, codec.MatSparse, 4, 1, 0, 1, 0x80, 0x01})
+	// A reused target left holding another order and other rows, so
+	// every accepted input also decodes over stale contents.
+	dirty := comm.NewSparse(37)
+	for i := 0; i < 37; i++ {
+		dirty.Set(i, (i*7+3)%37, float64(i+1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		leaseID, seq, delta, err := decodeObservedReport(data, 0)
+		leaseID, seq, delta, err := decodeObservedReport(data, 0, nil)
 		if err != nil {
 			return
 		}
@@ -64,23 +73,37 @@ func FuzzObservedReportDecode(f *testing.F) {
 		_, field, _ = codec.GetUvarint(field) // seq
 		if _, dense := delta.(*comm.Matrix); dense && field[0] == codec.MatSparse {
 			var order, runs, claimed uint64
+			negZero := false
 			body, _ := codec.GetUvarints(field[1:], &order, &runs)
 			for ; runs > 0; runs-- { // the triplets decoded: gap, length, value
-				var length uint64
+				var length, raw uint64
 				_, body, _ = codec.GetUvarint(body)
 				length, body, _ = codec.GetUvarint(body)
-				_, body, _ = codec.GetUvarint(body)
+				raw, body, _ = codec.GetUvarint(body)
 				claimed += length
+				negZero = negZero || math.Float64bits(codec.UnzigzagFloat(raw)) == 1<<63
 			}
-			if claimed <= uint64(n*n/8) {
+			if claimed <= uint64(n*n/8) && !negZero {
 				t.Fatalf("order %d sparse body claiming %d cells decoded dense", n, claimed)
 			}
+		}
+		// Decoding into the dirty target gives the same cells, and uses
+		// the target exactly when the fresh decode came out sparse.
+		_, _, reused, err := decodeObservedReport(data, 0, dirty)
+		if err != nil {
+			t.Fatalf("accepted report refused with a reused target: %v", err)
+		}
+		if diff := diffCells(delta, reused); diff != "" {
+			t.Fatalf("decode into a reused target differs from a fresh one: %s", diff)
+		}
+		if _, sparse := delta.(*comm.Sparse); sparse != (reused == comm.Affinity(dirty)) {
+			t.Fatalf("fresh decode %T, reused decode %T", delta, reused)
 		}
 		re, err := encodeObservedReport(nil, leaseID, seq, delta)
 		if err != nil {
 			t.Fatalf("accepted report does not re-encode: %v", err)
 		}
-		l2, s2, d2, err := decodeObservedReport(re, 0)
+		l2, s2, d2, err := decodeObservedReport(re, 0, nil)
 		if err != nil {
 			t.Fatalf("re-encoded report rejected: %v", err)
 		}
@@ -109,6 +132,9 @@ func FuzzRemapFrameDecode(f *testing.F) {
 	seed, _ := encodeRemapFrame(nil, full, false)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2]) // truncated mid-assignment
+	full.Drift = math.NaN()   // NaN != NaN: the round trip compares bits
+	nan, _ := encodeRemapFrame(nil, full, false)
+	f.Add(nan)
 	f.Add([]byte{})
 	f.Add([]byte{protoVersion, remapKindFull, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -124,7 +150,7 @@ func FuzzRemapFrameDecode(f *testing.F) {
 		if err != nil || d2 != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if ev2.Machine != ev.Machine || ev2.Epoch != ev.Epoch || ev2.Drift != ev.Drift {
+		if ev2.Machine != ev.Machine || ev2.Epoch != ev.Epoch || math.Float64bits(ev2.Drift) != math.Float64bits(ev.Drift) {
 			t.Fatalf("header changed across round trip: %+v -> %+v", ev, ev2)
 		}
 		if (ev.Assignment == nil) != (ev2.Assignment == nil) {

@@ -1,6 +1,7 @@
 package orwlnet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -107,13 +108,14 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 // maxRows (0 = only the codec's own limit) before anything is sized by
 // it. The matrix field goes through getMatrix, the decoder placement
 // frames use: a sparse body holding at most n²/8 nonzeros decodes
-// sparse at any order — a window is mostly zeros, and the collector
-// merges what it is given in O(nnz); anything else decodes dense, and
-// no frame allocates more than a dense order-n matrix.
+// sparse at any order, into dst when it is not nil — a window is mostly
+// zeros, and the collector merges what it is given in O(nnz); anything
+// else decodes dense, and no frame allocates more than a dense order-n
+// matrix.
 //
 // Fingerprint-only references are refused: a report is a one-shot
 // delta, never worth a round trip to resolve.
-func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta comm.Affinity, err error) {
+func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, seq uint64, delta comm.Affinity, err error) {
 	rest, err := checkVersion(src)
 	if err != nil {
 		return 0, 0, nil, err
@@ -121,22 +123,19 @@ func decodeObservedReport(src []byte, maxRows int) (leaseID, seq uint64, delta c
 	if rest, err = codec.GetUvarints(rest, &leaseID, &seq); err != nil {
 		return 0, 0, nil, err
 	}
-	// Peek the order first, whichever mode carries it (a field too short
-	// to hold one fails in getMatrix).
-	var order uint64
-	if len(rest) > 0 && rest[0] == codec.MatSparse {
-		order, _, _ = codec.GetUvarint(rest[1:])
-	} else if len(rest) > 0 && rest[0] == codec.MatDense {
-		order, _, _ = codec.GetUint64(rest[1:])
+	limit := codec.MaxMatrixOrder
+	if maxRows > 0 {
+		limit = min(maxRows, limit)
 	}
-	if maxRows > 0 && order > uint64(maxRows) {
-		return 0, 0, nil, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", order, maxRows)
-	}
-	if delta, _, _, err = getMatrix(rest, nil); err == nil && delta == nil {
-		err = fmt.Errorf("orwlnet: observed report without a matrix")
-	}
-	if err != nil {
+	if delta, _, _, err = getMatrix(rest, nil, limit, dst); err != nil {
+		var oe *codec.OrderError
+		if maxRows > 0 && errors.As(err, &oe) && oe.Order > uint64(maxRows) {
+			err = fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", oe.Order, maxRows)
+		}
 		return 0, 0, nil, err
+	}
+	if delta == nil {
+		return 0, 0, nil, fmt.Errorf("orwlnet: observed report without a matrix")
 	}
 	return leaseID, seq, delta, nil
 }

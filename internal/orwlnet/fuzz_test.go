@@ -43,7 +43,7 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 		if ref := putMatrixCompact(nil, m.Dense()); !bytes.Equal(re, ref) {
 			t.Fatalf("emitter wrote %d bytes, reference %d", len(re), len(ref))
 		}
-		got, gotFP, rest, err := getMatrix(re, nil)
+		got, gotFP, rest, err := getMatrix(re, nil, codec.MaxMatrixOrder, nil)
 		if err != nil {
 			t.Fatalf("re-encoded matrix rejected: %v", err)
 		}

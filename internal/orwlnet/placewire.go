@@ -164,7 +164,7 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, [
 	if req.Options, rest, err = getOptions(rest); err != nil {
 		return nil, nil, err
 	}
-	if req.Matrix, req.MatrixFP, rest, err = getMatrix(rest, mc); err != nil {
+	if req.Matrix, req.MatrixFP, rest, err = getMatrix(rest, mc, codec.MaxMatrixOrder, nil); err != nil {
 		return nil, nil, err
 	}
 	return req, rest, nil
@@ -409,17 +409,17 @@ func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
 	return codec.PutUvarint(dst, uint64(order))
 }
 
-// getMatrix decodes a matrix field of order at most
-// codec.MaxMatrixOrder. mc is the serving side's seen-matrix table:
+// getMatrix decodes a matrix field of order at most maxOrder into dst
+// (see codec.GetMatrixField). mc is the serving side's seen-matrix table:
 // full bodies are remembered in it and fingerprint references resolved
 // from it; a nil mc (client-side decode, codec tests) still decodes
 // bodies but refuses fingerprint references. The second result is the
 // matrix's comm.Fingerprint (zero without a matrix), folded while a
 // body decodes or read from a reference — the serving side forwards it
 // as the request's MatrixFP hint so the engine never re-hashes.
-func getMatrix(src []byte, mc *matrixCache) (comm.Affinity, uint64, []byte, error) {
+func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
 	if len(src) == 0 || src[0] != matFingerprint {
-		m, fp, rest, err := codec.GetMatrixField(src, codec.MaxMatrixOrder)
+		m, fp, rest, err := codec.GetMatrixField(src, maxOrder, dst)
 		if err == nil && m != nil && mc != nil {
 			if src[0] == codec.MatSparse {
 				mc.sparseSeen.Add(1)

@@ -93,7 +93,7 @@ func uvarintLen(v uint64) int {
 
 // getSparseBody decodes a bare sparse body through the field decoder.
 func getSparseBody(body []byte) (comm.Affinity, uint64, []byte, error) {
-	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder)
+	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder, nil)
 }
 
 func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
@@ -172,7 +172,7 @@ func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 			t.Fatalf("%s: emitter wrote %d bytes (mode %d), reference %d (mode %d); first difference at %d",
 				name, len(got), got[1], len(ref), ref[1], firstDiff(got, ref))
 		}
-		back, decFP, rest, err := getMatrix(got[1:], nil)
+		back, decFP, rest, err := getMatrix(got[1:], nil, codec.MaxMatrixOrder, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%s: decode: %v (%d trailing)", name, err, len(rest))
 		}

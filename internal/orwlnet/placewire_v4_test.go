@@ -98,7 +98,7 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 	// Either mode decodes back bit-exactly through the field decoder.
 	for _, m := range []*comm.Matrix{ring, full, nil} {
 		enc, _ := codec.PutMatrixField(nil, m)
-		got, fp, rest, err := getMatrix(enc, nil)
+		got, fp, rest, err := getMatrix(enc, nil, codec.MaxMatrixOrder, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 		}

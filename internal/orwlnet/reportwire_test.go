@@ -129,7 +129,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 						name, in, len(got), got[3], len(want), want[3], firstDiff(got, want))
 				}
 			}
-			lease, seq, back, err := decodeObservedReport(want, 0)
+			lease, seq, back, err := decodeObservedReport(want, 0, nil)
 			if err != nil || lease != 7 || seq != 3 {
 				t.Fatalf("%s: decode = (%d, %d, %v)", name, lease, seq, err)
 			}
@@ -242,7 +242,7 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		{"sparse: order 0 with a run", frame(codec.MatSparse, 0, 1, 0, 1, 1), 0, "codec: sparse run 0 overruns the 0-cell matrix"},
 	}
 	for _, c := range cases {
-		_, _, delta, err := decodeObservedReport(c.in, c.maxRows)
+		_, _, delta, err := decodeObservedReport(c.in, c.maxRows, nil)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: % x: err = %v, want %q", c.name, c.in, err, c.want)
 		}
@@ -251,10 +251,10 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		}
 	}
 	// The smallest accepted frames, for contrast: order 0, and one cell.
-	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 0, 0), 0); err != nil || d.Order() != 0 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 0, 0), 0, nil); err != nil || d.Order() != 0 {
 		t.Errorf("empty order-0 report: %v", err)
 	}
-	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 2, 1, 3, 1, 0x40), 0); err != nil || d.At(1, 1) != 2 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 2, 1, 3, 1, 0x40), 0, nil); err != nil || d.At(1, 1) != 2 {
 		t.Errorf("one-cell report: %v %v", d, err)
 	}
 }
@@ -286,13 +286,13 @@ func TestObservedReportDecodeAllocationBound(t *testing.T) {
 
 	for name, in := range map[string][]byte{"sparse": everyCell, "dense": dense} {
 		var err error
-		if got := allocatedBy(func() { _, _, _, err = decodeObservedReport(in, n-1) }); err == nil || got > 4096 {
+		if got := allocatedBy(func() { _, _, _, err = decodeObservedReport(in, n-1, nil) }); err == nil || got > 4096 {
 			t.Errorf("%s frame over the row cap: err = %v after allocating %d bytes", name, err, got)
 		}
 	}
 	var delta comm.Affinity
 	var err error
-	got := allocatedBy(func() { _, _, delta, err = decodeObservedReport(everyCell, n) })
+	got := allocatedBy(func() { _, _, delta, err = decodeObservedReport(everyCell, n, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestObservedReportDecodeAllocationBound(t *testing.T) {
 	eighth = codec.PutUvarint(eighth, 0)
 	eighth = codec.PutUvarint(eighth, n*n/8)
 	eighth = codec.PutUvarint(eighth, 0xf03f)
-	got = allocatedBy(func() { _, _, delta, err = decodeObservedReport(eighth, n) })
+	got = allocatedBy(func() { _, _, delta, err = decodeObservedReport(eighth, n, nil) })
 	if _, ok := delta.(*comm.Sparse); err != nil || !ok || got > 8*n*n {
 		t.Fatalf("eighth-full frame: %T, %v, %d bytes allocated", delta, err, got)
 	}
@@ -323,5 +323,84 @@ func TestReportObservedTypedNil(t *testing.T) {
 		if _, err := encodeObservedReport(nil, 1, 1, in); err == nil || err.Error() != "orwlnet: nil observed window" {
 			t.Errorf("%T: err = %v", in, err)
 		}
+	}
+}
+
+// TestObservedReportDecodeIntoReusedTarget: a report decoded into a
+// reused target — left holding another order and other rows — has the
+// cells of a fresh decode, a body that decodes dense leaves the target
+// alone, and a refused body never touches it.
+func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
+	dst := comm.NewSparse(900)
+	for i := 0; i < 900; i++ {
+		dst.Set(i, (i*11+5)%900, float64(i+1))
+	}
+	for _, n := range []int{600, 40, 1024, 3} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		w := comm.NewSparse(n)
+		for k := 0; k < 3*n; k++ {
+			w.Set(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(1<<20)))
+		}
+		frame, err := encodeObservedReport(nil, 7, 3, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, fresh, err := decodeObservedReport(frame, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dst.Clone()
+		_, _, reused, err := decodeObservedReport(frame, 0, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffCells(fresh, reused); diff != "" {
+			t.Fatalf("order %d: reused decode differs from a fresh one: %s", n, diff)
+		}
+		if _, sparse := fresh.(*comm.Sparse); sparse != (reused == comm.Affinity(dst)) {
+			t.Fatalf("order %d: fresh decode %T, reused decode %T (target used: %v)", n, fresh, reused, reused == comm.Affinity(dst))
+		} else if diff := diffCells(before, dst); !sparse && diff != "" {
+			t.Fatalf("order %d: a body that decodes dense touched the target: %s", n, diff)
+		}
+	}
+	before := dst.Clone()
+	refused := append(append([]byte(nil), reportHeader...), codec.MatSparse, 2, 2, 0, 1, 1, 0, 9, 1)
+	if _, _, _, err := decodeObservedReport(refused, 0, dst); err == nil {
+		t.Fatal("a run past the end was accepted")
+	}
+	if diff := diffCells(before, dst); diff != "" {
+		t.Fatalf("a refused body touched the target: %s", diff)
+	}
+}
+
+// TestObservedReportDecodeWarmTargetAllocatesNothing: a 1024-task
+// window decoded into a target that already held it allocates nothing.
+func TestObservedReportDecodeWarmTargetAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 1024
+	w := comm.NewSparse(n)
+	for i := 0; i < n; i++ {
+		for _, d := range []int{1, 2, 8, 64} {
+			w.Set(i, (i+d)%n, float64(i*d+1))
+		}
+	}
+	frame, err := encodeObservedReport(nil, 7, 3, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := new(comm.Sparse)
+	decode := func() {
+		if _, _, _, err := decodeObservedReport(frame, n, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(10, decode); allocs != 0 {
+		t.Fatalf("decode into a warm target: %v allocations, want 0", allocs)
+	}
+	if diff := diffCells(w, dst); diff != "" {
+		t.Fatalf("warm decode: %s", diff)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"orwlplace/internal/codec"
+	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/placement"
@@ -100,6 +101,10 @@ func WithPlacement(svc placement.Service) ServerOption {
 func WithControlPlane(ctrl *ctrlplane.Controller) ServerOption {
 	return func(s *Server) { s.ctrl = ctrl }
 }
+
+// reportTargets are what observed reports decode into: the collector
+// folds a report and never keeps it.
+var reportTargets = sync.Pool{New: func() any { return new(comm.Sparse) }}
 
 // reportCaps is the per-connection observed-report resource policy.
 type reportCaps struct {
@@ -476,7 +481,9 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if s.reportCaps.bytesPerSec > 0 && !st.takeReportBudget(len(m.payload), s.reportCaps) {
 			return nil, false, fmt.Errorf("orwlnet: %w: connection exceeded its observed-report byte budget — back off and retry", ctrlplane.ErrRateLimited)
 		}
-		leaseID, seq, delta, err := decodeObservedReport(m.payload, s.reportCaps.maxRows)
+		dst := reportTargets.Get().(*comm.Sparse)
+		defer reportTargets.Put(dst)
+		leaseID, seq, delta, err := decodeObservedReport(m.payload, s.reportCaps.maxRows, dst)
 		if err != nil {
 			return nil, false, err
 		}

@@ -280,7 +280,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 		}
 	}
 	report := func(p []byte) ([]byte, error) {
-		lease, seq, delta, err := decodeObservedReport(p, 0)
+		lease, seq, delta, err := decodeObservedReport(p, 0, nil)
 		if err != nil {
 			return nil, err
 		}

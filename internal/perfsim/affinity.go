@@ -54,17 +54,21 @@ func CommSeconds(top *topology.Topology, a comm.Affinity, computePU []int) (floa
 		}
 		total += (vol / CacheLine) * latency / commMLP / clockHz
 	}
-	for i := 0; i < n; i++ {
-		a.ForEachRow(i, func(j int, v float64) {
-			switch {
-			case j > i:
-				charge(i, j, v+a.At(j, i))
-			case j < i && a.At(j, i) == 0:
-				// The mirror entry is zero, so this pair was invisible
-				// from row j: charge it here.
-				charge(j, i, v)
-			}
-		})
+	// One visitor for every row: a literal inside the loop would be
+	// allocated per row, since ForEachRow is an interface call.
+	var i int
+	visit := func(j int, v float64) {
+		switch {
+		case j > i:
+			charge(i, j, v+a.At(j, i))
+		case j < i && a.At(j, i) == 0:
+			// The mirror entry is zero, so this pair was invisible
+			// from row j: charge it here.
+			charge(j, i, v)
+		}
+	}
+	for i = 0; i < n; i++ {
+		a.ForEachRow(i, visit)
 	}
 	return total, nil
 }

@@ -109,7 +109,7 @@ func DriftAffinity(a, b comm.Affinity) float64 {
 	if comm.NilAffinity(a) || comm.NilAffinity(b) {
 		return 1
 	}
-	return newPartitionBaseline(make([]int, a.Order()), 1, a).drift(b)[0]
+	return newPartitionBaseline(make([]int, a.Order()), 1, a).drift(make([]float64, 1), b)[0]
 }
 
 // PartitionDrift measures drift per partition of a partitioned mapping:
@@ -123,10 +123,11 @@ func DriftAffinity(a, b comm.Affinity) float64 {
 // not a subtree remap. Runs in O(nnz + tasks), hashes nothing and sums
 // in a fixed order, so equal inputs give bit-identical results.
 func PartitionDrift(parts *treematch.Partitioning, base, window comm.Affinity) []float64 {
+	out := make([]float64, len(parts.Parts))
 	if comm.NilAffinity(base) {
-		return fullDrift(len(parts.Parts))
+		return fullDrift(out)
 	}
-	return newPartitionBaseline(partitionOf(parts, base.Order()), len(parts.Parts), base).drift(window)
+	return newPartitionBaseline(partitionOf(parts, base.Order()), len(parts.Parts), base).drift(out, window)
 }
 
 // partitionOf maps each of n tasks to its partition's index, -1 for none.
@@ -145,9 +146,8 @@ func partitionOf(parts *treematch.Partitioning, n int) []int {
 	return partOf
 }
 
-// fullDrift is the per-partition answer for incomparable inputs.
-func fullDrift(parts int) []float64 {
-	out := make([]float64, parts)
+// fullDrift writes the per-partition answer for incomparable inputs.
+func fullDrift(out []float64) []float64 {
 	for i := range out {
 		out[i] = 1
 	}
@@ -164,50 +164,65 @@ type partitionPair struct {
 // partitionBaseline is the baseline side of PartitionDrift in the form
 // the measurement consumes: the partition-internal pairs sorted by
 // (i, j) and their total per partition. It depends only on partitioning
-// and baseline, so the reconciler keeps it across steady epochs.
+// and baseline, so the reconciler keeps it across steady epochs and an
+// adopted window replaces it in place (adopt). One Epoch at a time.
 type partitionBaseline struct {
-	partOf []int // see partitionOf
-	pairs  []partitionPair
-	totals []float64
-
-	mu     sync.Mutex
-	window pairScratch // each window is gathered and sorted here, under mu
+	partOf       []int                     // see partitionOf
+	base, window pairSet                   // the baseline's gather; a window's
+	measured     bool                      // window holds the last drift's gather
+	visit        func(i, j int, v float64) // sortedPairs' collector, built once
 }
 
-// pairScratch holds the buffers of one internalPairs call.
-type pairScratch struct {
+// pairSet is one gather — pairs, totals per partition, sort scratch.
+type pairSet struct {
 	pairs, tmp []partitionPair
 	start      []int
+	totals     []float64
 }
 
 func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitionBaseline {
 	pb := &partitionBaseline{partOf: partOf}
-	pb.pairs, pb.totals = pb.internalPairs(base, parts, &pairScratch{})
+	pb.gather(base, parts)
+	pb.adopt()
 	return pb
 }
 
-// internalPairs gathers a's partition-internal off-diagonal entries as
-// pairs i < j sorted by (i, j), the (i,j)/(j,i) duplicates folded, and
-// totals them per partition in that order. The pairs alias sc.pairs.
-func (pb *partitionBaseline) internalPairs(a comm.Affinity, parts int, sc *pairScratch) ([]partitionPair, []float64) {
-	var merged []partitionPair
+// gather collects a's partition-internal off-diagonal entries into
+// window as pairs i < j sorted by (i, j), the (i,j)/(j,i) duplicates
+// folded, and totals them per partition in that order.
+func (pb *partitionBaseline) gather(a comm.Affinity, parts int) {
 	if m, ok := a.(*comm.Matrix); ok {
-		merged = pb.densePairs(m, sc)
+		pb.densePairs(m)
 	} else {
-		merged = pb.sortedPairs(a, sc)
+		pb.sortedPairs(a)
 	}
-	totals := make([]float64, parts)
-	for _, p := range merged {
-		totals[pb.partOf[p.i]] += p.v
+	w := &pb.window
+	if len(w.totals) != parts {
+		w.totals = make([]float64, parts)
 	}
-	return merged, totals
+	clear(w.totals)
+	for _, p := range w.pairs {
+		w.totals[pb.partOf[p.i]] += p.v
+	}
+	pb.measured = true
+}
+
+// adopt makes the window the last drift gathered the baseline, with no
+// second pass; the old baseline's buffers become the window scratch. It
+// is false, changing nothing, when that drift gathered nothing.
+func (pb *partitionBaseline) adopt() bool {
+	if !pb.measured {
+		return false
+	}
+	pb.base, pb.window, pb.measured = pb.window, pb.base, false
+	return true
 }
 
 // densePairs is the gather on a dense matrix: walking the upper triangle
 // row by row and adding the transposed cell yields the folded pairs
 // already in (i, j) order, so nothing is counted, sorted or merged.
-func (pb *partitionBaseline) densePairs(m *comm.Matrix, sc *pairScratch) []partitionPair {
-	pairs := sc.pairs[:0]
+func (pb *partitionBaseline) densePairs(m *comm.Matrix) {
+	pairs := pb.window.pairs[:0]
 	for i, pi := range pb.partOf {
 		if pi < 0 {
 			continue
@@ -219,30 +234,33 @@ func (pb *partitionBaseline) densePairs(m *comm.Matrix, sc *pairScratch) []parti
 			}
 		}
 	}
-	sc.pairs = pairs
-	return pairs
+	pb.window.pairs = pairs
 }
 
 // sortedPairs is the gather on any other representation: collect the
 // nonzeros, sort them by (i, j) with two stable counting passes (column,
 // then row: O(nnz + tasks) whatever the row shapes), fold the duplicates.
-func (pb *partitionBaseline) sortedPairs(a comm.Affinity, sc *pairScratch) []partitionPair {
-	n := len(pb.partOf)
+func (pb *partitionBaseline) sortedPairs(a comm.Affinity) {
+	n, sc := len(pb.partOf), &pb.window
 	if nnz := a.NNZ(); cap(sc.pairs) < nnz || len(sc.tmp) < nnz {
 		sc.pairs, sc.tmp = make([]partitionPair, 0, nnz), make([]partitionPair, nnz)
 	}
 	if len(sc.start) != n+1 {
 		sc.start = make([]int, n+1)
 	}
-	pairs, start := sc.pairs[:0], sc.start
-	a.ForEach(func(i, j int, v float64) {
-		if pi := pb.partOf[i]; pi >= 0 && i != j && pb.partOf[j] == pi {
-			if i > j {
-				i, j = j, i
+	if pb.visit == nil {
+		pb.visit = func(i, j int, v float64) {
+			if pi := pb.partOf[i]; pi >= 0 && i != j && pb.partOf[j] == pi {
+				if i > j {
+					i, j = j, i
+				}
+				pb.window.pairs = append(pb.window.pairs, partitionPair{i: int32(i), j: int32(j), v: v})
 			}
-			pairs = append(pairs, partitionPair{i: int32(i), j: int32(j), v: v})
 		}
-	})
+	}
+	sc.pairs = sc.pairs[:0]
+	a.ForEach(pb.visit)
+	pairs, start := sc.pairs, sc.start
 	for pass, src, dst := 0, pairs, sc.tmp[:len(pairs)]; pass < 2; pass, src, dst = pass+1, dst, src {
 		key := func(p partitionPair) int32 {
 			if pass == 0 {
@@ -270,22 +288,23 @@ func (pb *partitionBaseline) sortedPairs(a comm.Affinity, sc *pairScratch) []par
 			merged = append(merged, p)
 		}
 	}
-	return merged
+	sc.pairs = merged
 }
 
-// drift measures window against the baseline by walking the two sorted
-// pair lists in step. Pairs i < j and their totals give the distance of
-// the full symmetrized matrices: both triangles carry the same volumes,
-// so the factor two cancels.
-func (pb *partitionBaseline) drift(window comm.Affinity) []float64 {
+// drift measures window against the baseline into out, one entry per
+// partition, by walking the two sorted pair lists in step. Pairs i < j
+// and their totals give the distance of the full symmetrized matrices:
+// both triangles carry the same volumes, so the factor two cancels. The
+// window's gather stays for adopt; a steady walk allocates nothing.
+func (pb *partitionBaseline) drift(out []float64, window comm.Affinity) []float64 {
+	pb.measured = false
 	if comm.NilAffinity(window) || window.Order() != len(pb.partOf) {
-		return fullDrift(len(pb.totals))
+		return fullDrift(out)
 	}
-	out := make([]float64, len(pb.totals))
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	a, ta := pb.pairs, pb.totals
-	b, tb := pb.internalPairs(window, len(out), &pb.window)
+	pb.gather(window, len(out))
+	clear(out)
+	a, ta := pb.base.pairs, pb.base.totals
+	b, tb := pb.window.pairs, pb.window.totals
 	for len(a) > 0 || len(b) > 0 {
 		var i int32
 		var va, vb float64
@@ -429,7 +448,8 @@ type EpochReport struct {
 // Reconciler is the epoch-driven adaptive re-placement engine for one
 // program on one machine. Drive it by calling Epoch at whatever cadence
 // suits the application (or Run for a ticker-driven loop). It is safe
-// for concurrent use with the program it re-binds.
+// for concurrent use with the program it re-binds; epochs run one at a
+// time.
 type Reconciler struct {
 	eng  *Engine
 	src  Source        // the window source, one epoch per call
@@ -441,19 +461,21 @@ type Reconciler struct {
 	base comm.Affinity // affinity backing cur — what drift is measured against
 	// driftBase caches base in drift form (one partition for an
 	// unpartitioned mapping), so a steady epoch only processes its
-	// window; setBaseline, the one writer of cur and base, clears it.
+	// window; setBaseline, the one writer of cur and base, replaces it.
 	driftBase *partitionBaseline
 	stats     AdaptiveStats
 
+	// epochMu serializes Epoch, which owns everything below it.
+	epochMu sync.Mutex
 	// Adopt hysteresis state: consecutive over-threshold epochs seen,
 	// and epochs left in the post-remap cooldown.
 	overStreak int
 	cooldown   int
-
 	// perIter is modelWorkload's scratch: the window scaled down to one
-	// iteration, held by model under modelMu.
-	modelMu sync.Mutex
+	// iteration. threads is the synthesized template's, shared read-only
+	// by every model of its order.
 	perIter comm.Matrix
+	threads []perfsim.Thread
 }
 
 // windowRecycler is the optional face of a Source that gives
@@ -503,7 +525,7 @@ func (r *Reconciler) Prime(src Source) error {
 			return err
 		}
 	}
-	r.setBaseline(a, aff.CloneAffinity())
+	r.setBaseline(a, aff.CloneAffinity(), nil)
 	return nil
 }
 
@@ -516,25 +538,27 @@ func (r *Reconciler) SetCurrent(a *Assignment, base comm.Affinity) error {
 	if a == nil || comm.NilAffinity(base) {
 		return fmt.Errorf("placement: adaptive: SetCurrent needs an assignment and its affinity")
 	}
-	r.setBaseline(a, base.CloneAffinity())
+	r.setBaseline(a, base.CloneAffinity(), nil)
 	return nil
 }
 
-// setBaseline installs the assignment in force and the affinity it was
-// computed from. Every path replacing either (Prime, SetCurrent and so
-// a snapshot restore, an adoption) ends here, so the cached drift
-// form never outlives its baseline. A replaced baseline may be recycled
+// setBaseline installs the assignment in force, the affinity it was
+// computed from and that affinity in drift form (nil: built by the next
+// epoch). Every path replacing either (Prime, SetCurrent and so a
+// snapshot restore, an adoption) ends here, so the cached drift form
+// never outlives its baseline. A replaced baseline may be recycled
 // (windowRecycler): outside Epoch, r.base is only read under r.mu and
 // leaves as a copy (BaselineAffinity), so no snapshot aliases the slab.
-func (r *Reconciler) setBaseline(cur *Assignment, base comm.Affinity) {
+func (r *Reconciler) setBaseline(cur *Assignment, base comm.Affinity, pb *partitionBaseline) {
 	r.mu.Lock()
-	r.cur, r.base, r.driftBase = cur, base, nil
+	r.cur, r.base, r.driftBase = cur, base, pb
 	r.mu.Unlock()
 }
 
 // driftBaseline returns base in drift form, built on the first epoch
-// after a setBaseline. An unpartitioned mapping is one partition holding
-// every task, so both kinds are measured by the same walk.
+// after a setBaseline that handed none over. An unpartitioned mapping is
+// one partition holding every task, so both kinds are measured by the
+// same walk.
 func (r *Reconciler) driftBaseline(cur *Assignment, base comm.Affinity) *partitionBaseline {
 	r.mu.Lock()
 	pb := r.driftBase
@@ -593,6 +617,8 @@ func (r *Reconciler) Stats() AdaptiveStats {
 // recompute and adopt if the modeled gain over the horizon beats the
 // modeled migration cost.
 func (r *Reconciler) Epoch() (*EpochReport, error) {
+	r.epochMu.Lock()
+	defer r.epochMu.Unlock()
 	r.mu.Lock()
 	cur, base := r.cur, r.base
 	r.mu.Unlock()
@@ -637,26 +663,23 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 
 	// Tick the hysteresis clock: the cooldown set by an adopted remap
 	// expires one epoch at a time, whatever the epoch measures.
-	r.mu.Lock()
 	cooling := r.cooldown > 0
 	if cooling {
 		r.cooldown--
 	}
-	r.mu.Unlock()
 
 	if rep.WindowBytes < r.cfg.MinWindowBytes {
 		// Idle epoch: nothing flowed, nothing to react to. The
 		// over-threshold streak does not survive idleness.
-		r.mu.Lock()
 		r.overStreak = 0
-		r.mu.Unlock()
 		return finish()
 	}
 	// One drift walk for every mapping and representation. Partitioned
 	// mappings also report it per partition — the signal that later
 	// scopes the recompute to the drifted subtrees.
 	partitioned := hasPartitions(cur)
-	drifts := r.driftBaseline(cur, base).drift(window)
+	pb := r.driftBaseline(cur, base)
+	drifts := pb.drift(make([]float64, len(pb.base.totals)), window)
 	if partitioned {
 		rep.PartitionDrifts = drifts
 	}
@@ -666,9 +689,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		}
 	}
 	if rep.Drift <= r.cfg.DriftThreshold {
-		r.mu.Lock()
 		r.overStreak = 0
-		r.mu.Unlock()
 		return finish()
 	}
 
@@ -676,11 +697,8 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	// and model: the alarm must persist AdoptAfter consecutive epochs,
 	// and any post-remap cooldown must have expired, before a candidate
 	// is even computed — an oscillating workload is held, not chased.
-	r.mu.Lock()
 	r.overStreak++
-	streak := r.overStreak
-	r.mu.Unlock()
-	if streak < r.cfg.AdoptAfter || cooling {
+	if r.overStreak < r.cfg.AdoptAfter || cooling {
 		rep.Held = true
 		return finish()
 	}
@@ -737,12 +755,16 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	if recycler == nil {
 		window = window.CloneAffinity() // the source keeps its window
 	}
-	r.setBaseline(candidate, window)
+	// The window drift just gathered is the new baseline's drift form
+	// whenever the partitioning stays: RemapPartition keeps every
+	// partition's tasks, and an unpartitioned mapping is one partition.
+	if (!partitioned && hasPartitions(candidate)) || !pb.adopt() {
+		pb = nil
+	}
+	r.setBaseline(candidate, window, pb)
 	spare = base
-	r.mu.Lock()
 	r.overStreak = 0
 	r.cooldown = r.cfg.CooldownEpochs
-	r.mu.Unlock()
 	return finish()
 }
 
@@ -750,8 +772,6 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 // modeled seconds each spends serving Horizon iterations of the
 // observed pattern, and the one-time migration cost of switching.
 func (r *Reconciler) model(window *comm.Matrix, cur, candidate *Assignment) (gain, cost float64, err error) {
-	r.modelMu.Lock()
-	defer r.modelMu.Unlock()
 	w := r.modelWorkload(window)
 	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, r.cfg.Seed))
 	if err != nil {
@@ -820,10 +840,11 @@ func (r *Reconciler) modelSparse(window comm.Affinity, cur, candidate *Assignmen
 	return gain, cost, nil
 }
 
-// workload is the performance-model template for n threads: the
-// configured one, or a synthesized communication-dominated one. Its
-// Comm is unset — MigrationCost, which charges working sets and
-// wakeups, never reads it.
+// workload is the performance-model template for n threads: a copy of
+// the configured one, or a synthesized communication-dominated one
+// whose Threads are cached per order and shared, as perfsim never
+// writes them. Its Comm is unset — MigrationCost, which charges working
+// sets and wakeups, never reads it.
 func (r *Reconciler) workload(n int) *perfsim.Workload {
 	var w perfsim.Workload
 	if r.cfg.Workload != nil {
@@ -831,15 +852,17 @@ func (r *Reconciler) workload(n int) *perfsim.Workload {
 		return &w
 	}
 	w.Name = "adaptive-epoch"
-	threads := make([]perfsim.Thread, n)
-	for i := range threads {
-		threads[i] = perfsim.Thread{
-			ComputeCycles: 5e5,
-			WorkingSet:    1 << 20,
-			MemoryTraffic: 1 << 16,
+	if len(r.threads) != n {
+		r.threads = make([]perfsim.Thread, n)
+		for i := range r.threads {
+			r.threads[i] = perfsim.Thread{
+				ComputeCycles: 5e5,
+				WorkingSet:    1 << 20,
+				MemoryTraffic: 1 << 16,
+			}
 		}
 	}
-	w.Threads = threads
+	w.Threads = r.threads
 	return &w
 }
 

@@ -95,8 +95,8 @@ func TestDenseDriftMatchesReference(t *testing.T) {
 				got := map[string]float64{
 					"Drift":         Drift(base, window),
 					"DriftAffinity": DriftAffinity(base, window),
-					"cached":        rec.driftBaseline(cur, owned).drift(window)[0],
-					"cached/sparse": rec.driftBaseline(cur, owned).drift(comm.SparseFromMatrix(window))[0],
+					"cached":        rec.driftBaseline(cur, owned).drift(make([]float64, 1), window)[0],
+					"cached/sparse": rec.driftBaseline(cur, owned).drift(make([]float64, 1), comm.SparseFromMatrix(window))[0],
 				}
 				for path, d := range got {
 					if math.Abs(d-want) > 1e-12 {

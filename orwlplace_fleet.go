@@ -176,7 +176,9 @@ func (f *FleetAdaptive) reLease(ctx context.Context) error {
 // empty window is skipped (no RPC, no sequence burn); it is not an
 // error. If the daemon no longer knows the lease (it restarted without
 // snapshot state), Report re-registers under the same ownership token
-// and resumes on the fresh lease.
+// and resumes on the fresh lease. A window the daemon acknowledged is
+// handed back to the program's observed window for reuse; one whose
+// send failed stays queued, untouched.
 func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Lock()
 	queue := f.pending
@@ -215,6 +217,7 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 		f.mu.Lock()
 		f.reports++
 		f.mu.Unlock()
+		f.prog.RecycleObservedWindow(pr.w) // acknowledged: the next window refills it
 	}
 	f.mu.Lock()
 	if len(f.pending) == 0 {
