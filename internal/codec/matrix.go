@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"orwlplace/internal/comm"
 )
@@ -248,6 +249,8 @@ func getSparseHeader(src []byte, maxOrder int) (n int, runs uint64, body []byte,
 // every run, split at row boundaries: length cells of value v starting
 // at (row, col). It returns the bytes after the last triplet, allocates
 // nothing and, apart from visit, does work proportional to runs + n.
+// getSparseBody calls it once to validate and record a body, and a
+// second time only to fill a body that decodes dense.
 func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length int, v float64)) ([]byte, error) {
 	cells := uint64(n) * uint64(n)
 	var idx uint64
@@ -285,6 +288,19 @@ func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length
 	return body, nil
 }
 
+// runPool holds the run scratch of each getSparseBody in flight: one
+// sparseRun per row segment its validating walk parsed, length cells of
+// v from the row-major cell index at. A scratch sized past
+// maxPooledRuns (1.5 MiB) is dropped, not pinned for the next decode.
+var runPool = sync.Pool{New: func() any { return new([]sparseRun) }}
+
+const maxPooledRuns = 1 << 16
+
+type sparseRun struct {
+	at, length int
+	v          float64
+}
+
 // getSparseBody decodes a sparse matrix body, folding its
 // comm.Fingerprint from the runs: O(runs + n), never a pass over the
 // zero cells. The body is validated in full — every run, and the cell
@@ -292,8 +308,12 @@ func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length
 // exists. Let m = min(n, MaxMatrixOrder): the body decodes sparse iff
 // its runs cover at most m²/8 cells and hold no -0 cell (which sparse
 // storage cannot hold); otherwise it decodes dense up to order
-// MaxMatrixOrder and is refused above it. No body allocates more than
-// the 8·m² bytes of a dense order-m matrix.
+// MaxMatrixOrder and is refused above it.
+//
+// The validating walk records the runs in a pooled scratch until they
+// cover more than m²/8 cells, so a sparse fill replays it and only a
+// dense one parses the body again. No body allocates more than the 8·m²
+// bytes of a dense order-m matrix plus the 3·m² of m²/8 24-byte runs.
 func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src, maxOrder)
 	if err != nil {
@@ -303,9 +323,24 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 	if dst == nil {
 		rowNNZ = make([]int, n)
 	}
+	// Sized once: at most a segment per run and row end, and per cell.
+	sparseCap := min(n, MaxMatrixOrder) * min(n, MaxMatrixOrder) / 8
+	scratch := runPool.Get().(*[]sparseRun)
+	rec := (*scratch)[:0]
+	if need := min(int(runs)+n, sparseCap); cap(rec) < need {
+		rec = make([]sparseRun, 0, need)
+	}
+	defer func() {
+		if cap(rec) <= maxPooledRuns {
+			*scratch = rec[:0]
+			runPool.Put(scratch)
+		}
+	}()
 	nnz, negZero := 0, false
-	rest, err := walkSparseRuns(body, runs, n, func(row, _, length int, v float64) {
-		nnz += length
+	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+		if nnz += length; nnz <= sparseCap {
+			rec = append(rec, sparseRun{row*n + col, length, v})
+		}
 		if rowNNZ != nil {
 			rowNNZ[row] += length
 		}
@@ -315,11 +350,12 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 		return nil, 0, nil, err
 	}
 	var m comm.Affinity
-	switch sparseCap := min(n, MaxMatrixOrder) * min(n, MaxMatrixOrder) / 8; {
-	case nnz <= sparseCap && !negZero && dst != nil:
+	sparse := nnz <= sparseCap && !negZero
+	switch {
+	case sparse && dst != nil:
 		dst.Reset(n)
 		m = dst
-	case nnz <= sparseCap && !negZero:
+	case sparse:
 		m = comm.NewSparseSized(rowNNZ)
 	case n <= MaxMatrixOrder:
 		m = comm.NewMatrix(n)
@@ -331,8 +367,7 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 	var fp comm.FingerprintFold
 	fp.Start(n)
 	end := 0 // cell index one past the previous run
-	// The runs were validated above: this walk cannot fail.
-	walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+	fill := func(row, col, length int, v float64) {
 		for k := col; k < col+length; k++ {
 			m.Set(row, k, v)
 		}
@@ -340,6 +375,18 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 		fp.Zeros(at - end)
 		fp.Run(math.Float64bits(v), length)
 		end = at + length
-	})
+	}
+	if !sparse {
+		// The runs were validated above: this walk cannot fail.
+		walkSparseRuns(body, runs, n, fill)
+		return m, fp.Sum(), rest, nil
+	}
+	row := 0
+	for _, r := range rec {
+		for r.at >= (row+1)*n {
+			row++
+		}
+		fill(row, r.at-row*n, r.length, r.v)
+	}
 	return m, fp.Sum(), rest, nil
 }

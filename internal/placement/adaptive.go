@@ -471,7 +471,7 @@ type Reconciler struct {
 	// and epochs left in the post-remap cooldown.
 	overStreak int
 	cooldown   int
-	// perIter is modelWorkload's scratch: the window scaled down to one
+	// perIter is model's scratch: the window scaled down to one
 	// iteration. threads is the synthesized template's, shared read-only
 	// by every model of its order.
 	perIter comm.Matrix
@@ -727,18 +727,23 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	rep.Recomputed = true
 
 	// The adoption model follows the mapping, never the window's storage:
-	// a partitioned mapping is scored by the O(nnz) latency model, any
-	// other — bound or unbound — by the cycle-level simulator on the dense
-	// window. An unpartitioned treematch window is at most
-	// PartitionThreshold tasks, so that densify is bounded.
+	// a partitioned mapping is scored by the O(nnz) latency model over its
+	// moved tasks' pairs, any other — bound or unbound — by the cycle-level
+	// simulator on the dense window, at most PartitionThreshold tasks.
+	// Both pay the migration cost, nothing when one side is unbound.
 	var gain, cost float64
 	if partitioned {
-		gain, cost, err = r.modelSparse(window, cur, candidate)
+		gain, err = perfsim.CommSecondsGain(r.eng.Topology(), window, cur.ComputePU, candidate.ComputePU)
+		// The candidate serves Horizon of the window's WindowIterations.
+		gain = gain * float64(r.cfg.Horizon) / float64(r.cfg.WindowIterations)
 	} else {
-		gain, cost, err = r.model(window.Dense(), cur, candidate)
+		gain, err = r.model(window.Dense(), cur, candidate)
+	}
+	if err == nil && !cur.Unbound && !candidate.Unbound {
+		cost, err = perfsim.MigrationCost(r.eng.Topology(), r.workload(window.Order()), cur.ComputePU, candidate.ComputePU)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placement: adaptive: modeling the remap: %w", err)
 	}
 	rep.GainSeconds, rep.CostSeconds = gain, cost
 	if gain <= cost {
@@ -768,30 +773,38 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	return finish()
 }
 
-// model compares cur and candidate under the windowed traffic: the
-// modeled seconds each spends serving Horizon iterations of the
-// observed pattern, and the one-time migration cost of switching.
-func (r *Reconciler) model(window *comm.Matrix, cur, candidate *Assignment) (gain, cost float64, err error) {
-	w := r.modelWorkload(window)
+// model is the modeled time cur spends serving Horizon iterations of
+// the windowed traffic less the time candidate spends: the workload
+// template carrying the window's per-iteration traffic, simulated under
+// both.
+func (r *Reconciler) model(window *comm.Matrix, cur, candidate *Assignment) (float64, error) {
+	n := window.Order()
+	w := r.workload(n)
+	perIter := window
+	if r.cfg.WindowIterations > 1 {
+		// Scaled into the reconciler's own scratch: the model is not
+		// linear in volume, so its result cannot be scaled instead.
+		perIter = &r.perIter
+		perIter.Reset(n)
+		scale := 1 / float64(r.cfg.WindowIterations)
+		for i := 0; i < n; i++ {
+			src, dst := window.RowView(i), perIter.RowView(i)
+			for j, v := range src {
+				dst[j] = v * scale
+			}
+		}
+	}
+	w.Comm = perIter
+	w.Iterations = r.cfg.Horizon
 	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, r.cfg.Seed))
 	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: modeling current mapping: %w", err)
+		return 0, err
 	}
 	newRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(candidate, r.cfg.Seed))
 	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: modeling candidate mapping: %w", err)
+		return 0, err
 	}
-	gain = oldRes.Seconds - newRes.Seconds
-	if cur.Unbound || candidate.Unbound {
-		// No pinned state to move: adopting away from (or to) the OS
-		// scheduler only pays the modeling delta.
-		return gain, 0, nil
-	}
-	cost, err = perfsim.MigrationCost(r.eng.Topology(), w, cur.ComputePU, candidate.ComputePU)
-	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: migration cost: %w", err)
-	}
-	return gain, cost, nil
+	return oldRes.Seconds - newRes.Seconds, nil
 }
 
 // remapPartitions builds the candidate for a partitioned mapping by
@@ -812,32 +825,6 @@ func (r *Reconciler) remapPartitions(cur *Assignment, window comm.Affinity, drif
 		}
 	}
 	return fromMapping(cur.Strategy, mp), nil
-}
-
-// modelSparse scores the candidate of a partitioned mapping: the
-// latency-only perfsim.CommSeconds model over the window's nonzeros —
-// O(nnz), comparable across bindings of the same window, which is
-// exactly the question here, and no n² slab at 10k tasks — with
-// migration charged through the same MigrationCost as model. A
-// partitioned mapping is always bound, so both sides have PU vectors.
-func (r *Reconciler) modelSparse(window comm.Affinity, cur, candidate *Assignment) (gain, cost float64, err error) {
-	top := r.eng.Topology()
-	oldS, err := perfsim.CommSeconds(top, window, cur.ComputePU)
-	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: modeling current mapping: %w", err)
-	}
-	newS, err := perfsim.CommSeconds(top, window, candidate.ComputePU)
-	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: modeling candidate mapping: %w", err)
-	}
-	// The window spans WindowIterations iterations; the candidate
-	// serves Horizon of them.
-	gain = (oldS - newS) * float64(r.cfg.Horizon) / float64(r.cfg.WindowIterations)
-	cost, err = perfsim.MigrationCost(top, r.workload(window.Order()), cur.ComputePU, candidate.ComputePU)
-	if err != nil {
-		return 0, 0, fmt.Errorf("placement: adaptive: migration cost: %w", err)
-	}
-	return gain, cost, nil
 }
 
 // workload is the performance-model template for n threads: a copy of
@@ -864,30 +851,6 @@ func (r *Reconciler) workload(n int) *perfsim.Workload {
 	}
 	w.Threads = r.threads
 	return &w
-}
-
-// modelWorkload builds the per-epoch performance-model input: the
-// template carrying the window's per-iteration traffic over the horizon.
-func (r *Reconciler) modelWorkload(window *comm.Matrix) *perfsim.Workload {
-	n := window.Order()
-	w := r.workload(n)
-	perIter := window
-	if r.cfg.WindowIterations > 1 {
-		// Scaled into the reconciler's own scratch: the model is not
-		// linear in volume, so its result cannot be scaled instead.
-		perIter = &r.perIter
-		perIter.Reset(n)
-		scale := 1 / float64(r.cfg.WindowIterations)
-		for i := 0; i < n; i++ {
-			src, dst := window.RowView(i), perIter.RowView(i)
-			for j, v := range src {
-				dst[j] = v * scale
-			}
-		}
-	}
-	w.Comm = perIter
-	w.Iterations = r.cfg.Horizon
-	return w
 }
 
 // movedTasks diffs two assignments slot for slot and returns the
