@@ -396,7 +396,7 @@ func runAdaptive(w *perfsim.Workload, machine string, epochs, shift int, seed in
 	}
 	w = homogenize(w)
 	n := len(w.Threads)
-	phaseA := w.Comm
+	phaseA := w.Comm.Dense()
 	phaseB, err := phaseA.Permuted(shufflePerm(n))
 	if err != nil {
 		return err

@@ -76,17 +76,17 @@ type leaseState struct {
 
 // machineState accumulates one machine's merged observed traffic.
 type machineState struct {
-	// pending holds the deltas merged since the last Window call, in
-	// the representation matching the order (sparse above the dense
-	// threshold — the fleet matrix of a 10k-task machine is O(nnz)).
-	// Its order is the machine's global task-space size (it grows when
-	// a lease extends the space and never shrinks, so the reconciler's
+	// pending holds the deltas merged since the last Window call,
+	// sparse at every order: each task talks to a few neighbours, so the
+	// window's nonzeros, not its order, bound every walk of it. Its
+	// order is the machine's global task-space size (it grows when a
+	// lease extends the space and never shrinks, so the reconciler's
 	// drift baseline stays comparable).
-	pending comm.Affinity
+	pending *comm.Sparse
 	order   int
 	// spare is a drained accumulator its consumer handed back (Recycle):
 	// the next pending is it, reset, instead of a fresh allocation.
-	spare comm.Affinity
+	spare *comm.Sparse
 }
 
 // Collector merges per-peer observed-traffic windows into per-machine
@@ -294,33 +294,29 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 }
 
 // growPendingLocked (re)creates the machine's pending accumulator at
-// the current global order, carrying over already-merged cells. A
-// recycled spare is reused when it has the representation NewAffinity
-// picks for that order, so recycling never changes what consumers see.
+// the current global order, carrying over already-merged cells. It is
+// sparse at every order; a recycled spare is reused.
 func (c *Collector) growPendingLocked(ms *machineState) {
 	if ms.pending != nil && ms.pending.Order() >= ms.order {
 		return
 	}
 	grown := ms.spare
 	ms.spare = nil
-	if _, dense := grown.(*comm.Matrix); grown != nil && dense == (ms.order <= comm.DenseOrderThreshold) {
-		grown.Reset(ms.order)
-	} else {
-		grown = comm.NewAffinity(ms.order)
+	if grown == nil {
+		grown = new(comm.Sparse)
 	}
+	grown.Reset(ms.order)
 	if ms.pending != nil {
-		ms.pending.ForEach(func(i, j int, v float64) {
-			grown.Set(i, j, v)
-		})
+		ms.pending.ForEach(grown.Set)
 	}
 	ms.pending = grown
 }
 
 // WindowAffinity drains and returns the machine's merged observed
 // delta since the previous call — the fleet-wide analogue of one
-// TrafficWindow epoch — at the machine's current global order, sparse
-// above the dense threshold so a 10k-task fleet window is O(nnz) end
-// to end. Nil means no lease has touched the machine yet.
+// TrafficWindow epoch — at the machine's current global order, as a
+// *comm.Sparse at every order so each fleet window is O(nnz) end to
+// end. Nil means no lease has touched the machine yet.
 func (c *Collector) WindowAffinity(machine string) comm.Affinity {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,15 +335,17 @@ func (c *Collector) WindowAffinity(machine string) comm.Affinity {
 // it: the machine's next accumulator reuses its storage, so a steady
 // drain-and-reconcile loop allocates no matrix. The caller must hold no
 // other reference to a. Recycling is optional — a consumer that never
-// calls it simply owns what it drained.
+// calls it simply owns what it drained. A dense matrix is dropped: the
+// accumulator is sparse at every order.
 func (c *Collector) Recycle(machine string, a comm.Affinity) {
-	if comm.NilAffinity(a) {
+	s, ok := a.(*comm.Sparse)
+	if !ok || s == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ms := c.machines[machine]; ms != nil {
-		ms.spare = a
+		ms.spare = s
 	}
 }
 

@@ -2,6 +2,9 @@ package ctrlplane
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -180,5 +183,53 @@ func TestCollectorValidation(t *testing.T) {
 		if err := c.ReportAffinity(ls.ID, 1, w); err == nil || err.Error() != "ctrlplane: nil observed window" {
 			t.Errorf("nil window (%T): err = %v", w, err)
 		}
+	}
+}
+
+// TestCollectorSparseWindowMatchesDense merges two rounds of reports
+// from two 80-task leases into an order-160 machine — dense and sparse
+// deltas, overlapping cells, fractional volumes — and holds the window
+// (sparse at every order) to a dense accumulation of the same deltas at
+// the same offsets: equal cell for cell, and its Total equal by bits.
+func TestCollectorSparseWindowMatchesDense(t *testing.T) {
+	const tasks = 80
+	c := NewCollector(-1)
+	want := comm.NewMatrix(2 * tasks)
+	var leases [2]Lease
+	for p := range leases {
+		var err error
+		if leases[p], err = c.Register("m", fmt.Sprint("peer", p), p*tasks, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := uint64(1); round <= 2; round++ {
+		for p, lease := range leases {
+			var d comm.Affinity = comm.NewSparse(tasks)
+			if p == 1 {
+				d = comm.NewMatrix(tasks)
+			}
+			for k := 0; k < 300; k++ {
+				d.Add(rng.Intn(tasks), rng.Intn(tasks), rng.Float64()*1e6)
+			}
+			d.ForEach(func(i, j int, v float64) { want.Add(lease.TaskBase+i, lease.TaskBase+j, v) })
+			if err := c.ReportAffinity(lease.ID, round, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, sparse := c.WindowAffinity("m").(*comm.Sparse)
+	if !sparse || got.Order() != 2*tasks {
+		t.Fatalf("window %T of order %d, want a *comm.Sparse of order %d", got, got.Order(), 2*tasks)
+	}
+	for i := 0; i < 2*tasks; i++ {
+		for j := 0; j < 2*tasks; j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("cell (%d,%d) = %v, dense accumulation %v", i, j, g, w)
+			}
+		}
+	}
+	if g, w := got.Total(), want.Total(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("Total %v, dense accumulation %v", g, w)
 	}
 }

@@ -235,10 +235,12 @@ func TestCollectorRecycle(t *testing.T) {
 	if second.At(0, 1) != 0 || second.At(2, 3) != 7 || second.Total() != 7 {
 		t.Fatalf("the reused accumulator was not reset: (0,1)=%g (2,3)=%g total %g", second.At(0, 1), second.At(2, 3), second.Total())
 	}
-	c.Recycle("m", comm.NewSparse(4)) // order 4 accumulates densely
-	c.Recycle("unknown", comm.NewMatrix(4))
+	c.Recycle("m", comm.NewMatrix(4)) // every order accumulates sparse: dropped
+	c.Recycle("unknown", comm.NewSparse(4))
 	c.Recycle("m", nil)
-	if third, dense := c.WindowAffinity("m").(*comm.Matrix); !dense || third.Order() != 4 || third.Total() != 0 {
-		t.Fatalf("a sparse spare changed the order-4 window's representation: %T", third)
+	c.Recycle("m", (*comm.Sparse)(nil))
+	third := c.WindowAffinity("m")
+	if s, sparse := third.(*comm.Sparse); !sparse || s == nil || third == second || third.Order() != 4 || third.Total() != 0 {
+		t.Fatalf("after a dense spare the order-4 window is %T (reused %v), want a fresh empty *comm.Sparse", third, third == second)
 	}
 }

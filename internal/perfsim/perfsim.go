@@ -28,6 +28,7 @@
 package perfsim
 
 import (
+	"cmp"
 	"fmt"
 
 	"orwlplace/internal/comm"
@@ -87,8 +88,8 @@ type Workload struct {
 	Name    string
 	Threads []Thread
 	// Comm holds the bytes exchanged between thread pairs per
-	// iteration.
-	Comm *comm.Matrix
+	// iteration, in either storage: Simulate walks its nonzeros.
+	Comm comm.Affinity
 	// Iterations is the number of iterations (or frames) executed.
 	Iterations int
 	// ControlThreads is the number of runtime control threads deployed
@@ -119,7 +120,7 @@ func (w *Workload) Validate() error {
 	if len(w.Threads) == 0 {
 		return fmt.Errorf("perfsim: workload %q has no threads", w.Name)
 	}
-	if w.Comm == nil || w.Comm.Order() != len(w.Threads) {
+	if comm.NilAffinity(w.Comm) || w.Comm.Order() != len(w.Threads) {
 		return fmt.Errorf("perfsim: workload %q: comm matrix order mismatch", w.Name)
 	}
 	if w.Iterations <= 0 {
@@ -206,7 +207,7 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		return nil, err
 	}
 	n := len(w.Threads)
-	attrs := top.Attrs
+	attrs := &top.Attrs
 	clockHz := attrs.ClockMHz * 1e6
 
 	computePU := pl.ComputePU
@@ -257,85 +258,90 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		}
 	}
 
-	// Per-core compute-thread population for the contention factor.
-	computeOnCore := make(map[*topology.Object]int)
-	for _, pu := range computePU {
-		computeOnCore[pus[pu].Parent]++
+	// Per-core, per-L3 and per-NUMA sums index slices by slot
+	// (domainSlots), not maps: one slab of slot ids, one of all sums.
+	coreOf := func(pu *topology.Object) *topology.Object { return cmp.Or(pu.Parent, pu) }
+	types := int(pus[0].Type) + 1 // the PU is the innermost object type
+	ids := make([]int32, 3*n+3*types)
+	coreID, l3ID, nodeID, coreBase := ids[:n], ids[n:2*n], ids[2*n:3*n], ids[3*n:3*n+types]
+	cores := domainSlots(top, computePU, coreOf, coreID, coreBase)
+	l3s := domainSlots(top, computePU, cacheDomain, l3ID, ids[3*n+types:3*n+2*types])
+	nodes := domainSlots(top, computePU, numaOf, nodeID, ids[3*n+2*types:])
+	slab := make([]float64, 4*n+2*cores+l3s+2*nodes)
+	carve := func(k int) (s []float64) { s, slab = slab[:k:k], slab[k:]; return s }
+	perThreadCommSec, perThreadStreamSec, perThreadSeconds := carve(n), carve(n), carve(n)
+	perThreadStallCycles := carve(n) // counter only
+	computeOnCore, controlOnCore, l3Occupancy := carve(cores), carve(cores), carve(l3s)
+	// Two bandwidth channels per NUMA node: the inter-node link and the
+	// local DRAM controller.
+	nodeLinkBytes, nodeDRAMBytes := carve(nodes), carve(nodes)
+
+	// Per-core thread populations for the contention factor (a control
+	// thread counts where it shares a compute thread's core), and
+	// socket-level working-set occupancy for cache-capacity misses.
+	for i, th := range w.Threads {
+		computeOnCore[coreID[i]]++
+		l3Occupancy[l3ID[i]] += th.WorkingSet
 	}
-	controlOnCore := make(map[*topology.Object]int)
 	controlBound := false
 	if len(pl.ControlPU) == n {
 		for _, pu := range pl.ControlPU {
 			if pu >= 0 && pu < len(pus) {
-				controlOnCore[pus[pu].Parent]++
 				controlBound = true
+				if core := coreOf(pus[pu]); coreBase[core.Type] > 0 {
+					controlOnCore[int(coreBase[core.Type])-1+core.LogicalIndex]++
+				}
 			}
 		}
 	}
 
-	// Socket-level working-set occupancy for cache-capacity misses.
-	l3Occupancy := make(map[*topology.Object]float64)
-	l3Size := make(map[*topology.Object]float64)
-	for i, th := range w.Threads {
-		l3 := cacheDomain(pus[computePU[i]])
-		l3Occupancy[l3] += th.WorkingSet
-		if l3Size[l3] == 0 {
-			l3Size[l3] = l3CapacityOf(l3)
-		}
-	}
-
-	perThreadCommSec := make([]float64, n)
-	perThreadStreamSec := make([]float64, n)
-	perThreadStallCycles := make([]float64, n) // counter only
 	var l3Misses, crossBytes float64
-	// Two bandwidth channels per NUMA node: the inter-node link and the
-	// local DRAM controller.
-	nodeLinkBytes := make(map[*topology.Object]float64)
-	nodeDRAMBytes := make(map[*topology.Object]float64)
-
 	// Communication: latency-bound, split evenly between endpoints. A
-	// pair's volume is the symmetrized one, read in place.
-	for i := 0; i < n; i++ {
-		row := w.Comm.RowView(i)
-		for j := i + 1; j < n; j++ {
-			v := row[j] + w.Comm.At(j, i)
-			if v == 0 {
-				continue
+	// pair is charged once, as CommSeconds charges it: at its upper cell
+	// with the mirror folded in, or at its lone lower cell.
+	var i int
+	pair := func(j int, v float64) {
+		switch {
+		case j > i:
+			if v += w.Comm.At(j, i); v == 0 {
+				return // a folded volume of 0
 			}
-			lines := v / CacheLine
-			pi, pj := pus[computePU[i]], pus[computePU[j]]
-			var latency float64
-			switch topology.LocalityOf(pi, pj) {
-			case topology.SamePU, topology.SameCore, topology.SameL2:
-				latency = attrs.L2LatencyCycles
-			case topology.SameL3:
-				latency = attrs.L3LatencyCycles
-			case topology.SameNUMA:
-				latency = attrs.DRAMLatencyCycles
-				l3Misses += lines
-				nodeDRAMBytes[numaOf(pi)] += v
-			case topology.SameGroup:
-				latency = attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor
-				l3Misses += lines
-				crossBytes += v
-				nodeLinkBytes[numaOf(pi)] += v
-				nodeLinkBytes[numaOf(pj)] += v
-				nodeDRAMBytes[numaOf(pi)] += v
-			default: // cross-group
-				latency = attrs.DRAMLatencyCycles * attrs.CrossGroupFactor
-				l3Misses += lines
-				crossBytes += v
-				nodeLinkBytes[numaOf(pi)] += v
-				nodeLinkBytes[numaOf(pj)] += v
-				nodeDRAMBytes[numaOf(pi)] += v
-			}
-			stall := lines * latency
-			perThreadStallCycles[i] += stall / 2
-			perThreadStallCycles[j] += stall / 2
-			sec := stall / commMLP / clockHz
-			perThreadCommSec[i] += sec / 2
-			perThreadCommSec[j] += sec / 2
+		case j == i || w.Comm.At(j, i) != 0:
+			return // the diagonal, or a pair its upper cell charged
 		}
+		lines := v / CacheLine
+		loc := topology.LocalityOf(pus[computePU[i]], pus[computePU[j]])
+		var latency float64
+		switch loc {
+		case topology.SamePU, topology.SameCore, topology.SameL2:
+			latency = attrs.L2LatencyCycles
+		case topology.SameL3:
+			latency = attrs.L3LatencyCycles
+		case topology.SameNUMA:
+			latency = attrs.DRAMLatencyCycles
+		case topology.SameGroup:
+			latency = attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor
+		default: // cross-group
+			latency = attrs.DRAMLatencyCycles * attrs.CrossGroupFactor
+		}
+		if loc >= topology.SameNUMA { // served by DRAM
+			l3Misses += lines
+			nodeDRAMBytes[nodeID[i]] += v
+		}
+		if loc >= topology.SameGroup { // across the interconnect
+			crossBytes += v
+			nodeLinkBytes[nodeID[i]] += v
+			nodeLinkBytes[nodeID[j]] += v
+		}
+		stall := lines * latency
+		perThreadStallCycles[i] += stall / 2
+		perThreadStallCycles[j] += stall / 2
+		sec := stall / commMLP / clockHz
+		perThreadCommSec[i] += sec / 2
+		perThreadCommSec[j] += sec / 2
+	}
+	for i = 0; i < n; i++ {
+		w.Comm.ForEachRow(i, pair)
 	}
 
 	// Private traffic: bandwidth-bound streaming, partly remote when
@@ -345,9 +351,8 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		if traffic == 0 {
 			continue
 		}
-		l3 := cacheDomain(pus[computePU[i]])
-		occ := l3Occupancy[l3]
-		capacity := l3Size[l3]
+		occ := l3Occupancy[l3ID[i]]
+		capacity := l3CapacityOf(cacheDomain(pus[computePU[i]]))
 		missFrac := coldMissFraction
 		if capacity > 0 && occ > capacity {
 			if overflow := (occ - capacity) / occ; overflow > missFrac {
@@ -364,25 +369,22 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		dramLat += attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor * remoteAllocFrac
 		perThreadStallCycles[i] += missLines * dramLat
 		l3Misses += missLines
-		node := numaOf(pus[computePU[i]])
-		nodeDRAMBytes[node] += missBytes
+		nodeDRAMBytes[nodeID[i]] += missBytes
 		if remoteBytes := missBytes * remoteAllocFrac; remoteBytes > 0 {
 			crossBytes += remoteBytes
-			nodeLinkBytes[node] += remoteBytes
+			nodeLinkBytes[nodeID[i]] += remoteBytes
 		}
 	}
 
 	// Per-thread iteration time: compute overlaps prefetched streaming;
 	// communication latency does not overlap.
-	perThreadSeconds := make([]float64, n)
 	bottleneck := 0
 	for i, th := range w.Threads {
-		core := pus[computePU[i]].Parent
-		factor := float64(computeOnCore[core])
+		factor := computeOnCore[coreID[i]]
 		if factor < 1 {
 			factor = 1
 		}
-		factor += controlShareFactor * float64(controlOnCore[core])
+		factor += controlShareFactor * controlOnCore[coreID[i]]
 		if w.ControlThreads > 0 && !controlBound {
 			ctlLoad := float64(w.ControlThreads) / 4 / float64(top.NumCores())
 			if ctlLoad > 1 {
@@ -487,6 +489,31 @@ func l3CapacityOf(o *topology.Object) float64 {
 		}
 	}
 	return 0
+}
+
+// domainSlots numbers the objects of picks for the PUs in computePU:
+// an object's slot is its LogicalIndex past every object of the smaller
+// types picked, so per-object sums index a slice instead of hashing. It
+// writes thread i's slot to ids[i] and one past each type's first slot
+// to the zeroed base (0 for a type no thread picked), and returns the
+// slot count.
+func domainSlots(top *topology.Topology, computePU []int, of func(*topology.Object) *topology.Object, ids, base []int32) int {
+	pus := top.PUs()
+	for _, pu := range computePU {
+		base[of(pus[pu]).Type] = 1
+	}
+	slots := 0
+	for t, b := range base {
+		if b != 0 {
+			base[t] = int32(slots) + 1
+			slots += top.NumObjects(topology.ObjectType(t))
+		}
+	}
+	for i, pu := range computePU {
+		o := of(pus[pu])
+		ids[i] = base[o.Type] - 1 + int32(o.LogicalIndex)
+	}
+	return slots
 }
 
 func numaOf(pu *topology.Object) *topology.Object {

@@ -57,6 +57,15 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(top, w, &Placement{ComputePU: []int{0, 99}}); err == nil {
 		t.Error("accepted invalid PU")
 	}
+	// A nil matrix behind the interface is refused like the nil
+	// interface, not dereferenced.
+	for _, nilComm := range []comm.Affinity{nil, (*comm.Matrix)(nil), (*comm.Sparse)(nil)} {
+		w.Comm = nilComm
+		_, err := Simulate(top, w, identityPlacement(2))
+		if err == nil || err.Error() != `perfsim: workload "test": comm matrix order mismatch` {
+			t.Errorf("%T comm: err %v, want the order-mismatch refusal", nilComm, err)
+		}
+	}
 }
 
 func TestLocalCommCheaperThanRemote(t *testing.T) {

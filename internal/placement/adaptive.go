@@ -471,10 +471,10 @@ type Reconciler struct {
 	// and epochs left in the post-remap cooldown.
 	overStreak int
 	cooldown   int
-	// perIter is model's scratch: the window scaled down to one
-	// iteration. threads is the synthesized template's, shared read-only
-	// by every model of its order.
-	perIter comm.Matrix
+	// scaled is model's sparse scratch: the window scaled down to one
+	// iteration, holding only its nonzeros. threads is the synthesized
+	// template's, shared read-only by every model of its order.
+	scaled  comm.Sparse
 	threads []perfsim.Thread
 }
 
@@ -729,7 +729,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	// The adoption model follows the mapping, never the window's storage:
 	// a partitioned mapping is scored by the O(nnz) latency model over its
 	// moved tasks' pairs, any other — bound or unbound — by the cycle-level
-	// simulator on the dense window, at most PartitionThreshold tasks.
+	// simulator over the window's nonzeros, at most PartitionThreshold tasks.
 	// Both pay the migration cost, nothing when one side is unbound.
 	var gain, cost float64
 	if partitioned {
@@ -737,7 +737,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		// The candidate serves Horizon of the window's WindowIterations.
 		gain = gain * float64(r.cfg.Horizon) / float64(r.cfg.WindowIterations)
 	} else {
-		gain, err = r.model(window.Dense(), cur, candidate)
+		gain, err = r.model(window, cur, candidate)
 	}
 	if err == nil && !cur.Unbound && !candidate.Unbound {
 		cost, err = perfsim.MigrationCost(r.eng.Topology(), r.workload(window.Order()), cur.ComputePU, candidate.ComputePU)
@@ -776,25 +776,19 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 // model is the modeled time cur spends serving Horizon iterations of
 // the windowed traffic less the time candidate spends: the workload
 // template carrying the window's per-iteration traffic, simulated under
-// both.
-func (r *Reconciler) model(window *comm.Matrix, cur, candidate *Assignment) (float64, error) {
-	n := window.Order()
-	w := r.workload(n)
-	perIter := window
+// both. The window is used as it arrived, dense or sparse: Simulate
+// walks its nonzeros.
+func (r *Reconciler) model(window comm.Affinity, cur, candidate *Assignment) (float64, error) {
+	w := r.workload(window.Order())
+	w.Comm = window
 	if r.cfg.WindowIterations > 1 {
-		// Scaled into the reconciler's own scratch: the model is not
-		// linear in volume, so its result cannot be scaled instead.
-		perIter = &r.perIter
-		perIter.Reset(n)
+		// Scaled cell by cell, in O(nnz), into the reconciler's sparse
+		// scratch: the model is not linear in volume.
 		scale := 1 / float64(r.cfg.WindowIterations)
-		for i := 0; i < n; i++ {
-			src, dst := window.RowView(i), perIter.RowView(i)
-			for j, v := range src {
-				dst[j] = v * scale
-			}
-		}
+		r.scaled.Reset(window.Order())
+		window.ForEach(func(i, j int, v float64) { r.scaled.Set(i, j, v*scale) })
+		w.Comm = &r.scaled
 	}
-	w.Comm = perIter
 	w.Iterations = r.cfg.Horizon
 	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, r.cfg.Seed))
 	if err != nil {
