@@ -112,33 +112,6 @@ func BenchmarkTableIVCounters(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ----------------------------------------
 
-func BenchmarkAblationMapRefinement(b *testing.B) {
-	top := topology.SMP12E5()
-	m := comm.Random(96, 1<<20, 5)
-	for _, cfg := range []struct {
-		name   string
-		rounds int
-	}{{"plain", 0}, {"refine-8", 8}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			var cost float64
-			for i := 0; i < b.N; i++ {
-				mp, err := treematch.Map(top, m, treematch.Options{
-					ControlThreads: true, RefineRounds: cfg.rounds,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost, err = treematch.Cost(top, m, mp.ComputePU)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cost, "cost")
-		})
-	}
-}
-
 // Control-thread accounting on/off on the hyperthreaded machine: the
 // modeled run time of the K23 workload under both mappings.
 func BenchmarkAblationControlThreads(b *testing.B) {

@@ -84,7 +84,7 @@ func TestMappingFeedsSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := treematch.Map(top, w.Comm, treematch.Options{ControlThreads: true, RefineRounds: 4})
+	mp, err := treematch.Map(top, w.Comm, treematch.Options{ControlThreads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,24 +46,6 @@ func putPayloadBuf(b []byte) {
 	}
 }
 
-func putOptions(dst []byte, o placement.Options) []byte {
-	dst = codec.PutBool(dst, o.ControlThreads)
-	return codec.PutUint64s(dst, math.Float64bits(o.ControlVolumeFraction), uint64(int64(o.ExhaustiveLimit)), uint64(int64(o.RefineRounds)))
-}
-
-func getOptions(src []byte) (placement.Options, []byte, error) {
-	var o placement.Options
-	var err error
-	if o.ControlThreads, src, err = codec.GetBool(src); err != nil {
-		return o, nil, err
-	}
-	var fraction, limit, rounds uint64
-	src, err = codec.GetUint64s(src, &fraction, &limit, &rounds)
-	o.ControlVolumeFraction = math.Float64frombits(fraction)
-	o.ExhaustiveLimit, o.RefineRounds = int(int64(limit)), int(int64(rounds))
-	return o, src, err
-}
-
 func putCacheStats(dst []byte, st placement.CacheStats) []byte {
 	return codec.PutUint64s(dst, st.Hits, st.Misses, uint64(int64(st.Entries)))
 }
@@ -116,7 +98,7 @@ func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp u
 	dst = codec.PutString(dst, req.Machine)
 	dst = codec.PutString(dst, req.Strategy)
 	dst = codec.PutUint64(dst, uint64(int64(req.Entities)))
-	dst = putOptions(dst, req.Options)
+	dst = codec.PutBool(dst, req.Options.ControlThreads)
 	m, hint := req.Matrix, req.MatrixFP
 	if comm.NilAffinity(m) {
 		return append(dst, codec.MatAbsent), 0, nil
@@ -161,7 +143,7 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, [
 		return nil, nil, err
 	}
 	req.Entities = int(int64(u))
-	if req.Options, rest, err = getOptions(rest); err != nil {
+	if req.Options.ControlThreads, rest, err = codec.GetBool(rest); err != nil {
 		return nil, nil, err
 	}
 	if req.Matrix, req.MatrixFP, rest, err = getMatrix(rest, mc, codec.MaxMatrixOrder, nil); err != nil {
@@ -213,12 +195,12 @@ func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.Pla
 
 // minBatchSlotBytes bounds the slot count of a batch frame against
 // its remaining payload. The smallest legal request slot (version
-// byte, empty machine and strategy, entities, options, absent matrix)
-// is 39 bytes and the smallest response slot is larger; each reserved
-// slot pointer costs 8 bytes, so any divisor comfortably above 8 keeps
-// a hostile count field from amplifying a small frame into a huge
-// backing-array allocation.
-const minBatchSlotBytes = 32
+// byte, empty machine and strategy, entities, control-threads flag,
+// absent matrix) is 15 bytes and the smallest response slot is larger;
+// each reserved slot pointer costs 8 bytes, so any divisor above 8
+// keeps a hostile count field from amplifying a small frame into a
+// huge backing-array allocation.
+const minBatchSlotBytes = 15
 
 // encodePlaceBatchRequest frames a request slice for opPlaceBatch:
 // version byte, slot count, then every slot encoded exactly like a

@@ -47,12 +47,7 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 		{
 			Strategy: "treematch",
 			Matrix:   chainMatrix(5),
-			Options: placement.Options{
-				ControlThreads:        true,
-				ControlVolumeFraction: 0.25,
-				ExhaustiveLimit:       9,
-				RefineRounds:          3,
-			},
+			Options:  placement.Options{ControlThreads: true},
 		},
 		{Strategy: "scatter", Entities: 7}, // matrix-oblivious: nil matrix
 		{Machine: "smp20e7", Strategy: "treematch", Matrix: chainMatrix(3)},

@@ -70,35 +70,9 @@ func (st *AdaptiveStats) merge(other AdaptiveStats) {
 // between different pairs. One all-zero matrix against a non-zero one
 // is full drift; two all-zero matrices agree.
 //
-// It is DriftAffinity for two dense matrices: the pairs i < j are read
-// in place, for the totals and then the distance; nothing is allocated.
+// It is DriftAffinity on two dense matrices.
 func Drift(a, b *comm.Matrix) float64 {
-	if a == nil || b == nil || a.Order() != b.Order() {
-		return 1
-	}
-	n := a.Order()
-	var ta, tb float64
-	for i := 0; i < n; i++ {
-		ra, rb := a.RowView(i), b.RowView(i)
-		for j := i + 1; j < n; j++ {
-			ta += ra[j] + a.At(j, i)
-			tb += rb[j] + b.At(j, i)
-		}
-	}
-	if ta == 0 && tb == 0 {
-		return 0
-	}
-	if ta == 0 || tb == 0 {
-		return 1
-	}
-	var dist float64
-	for i := 0; i < n; i++ {
-		ra, rb := a.RowView(i), b.RowView(i)
-		for j := i + 1; j < n; j++ {
-			dist += math.Abs((ra[j]+a.At(j, i))/ta - (rb[j]+b.At(j, i))/tb)
-		}
-	}
-	return dist / 2
+	return DriftAffinity(a, b)
 }
 
 // DriftAffinity is Drift on the representation-independent surface,
@@ -191,11 +165,7 @@ func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitio
 // window as pairs i < j sorted by (i, j), the (i,j)/(j,i) duplicates
 // folded, and totals them per partition in that order.
 func (pb *partitionBaseline) gather(a comm.Affinity, parts int) {
-	if m, ok := a.(*comm.Matrix); ok {
-		pb.densePairs(m)
-	} else {
-		pb.sortedPairs(a)
-	}
+	pb.sortedPairs(a)
 	w := &pb.window
 	if len(w.totals) != parts {
 		w.totals = make([]float64, parts)
@@ -218,28 +188,9 @@ func (pb *partitionBaseline) adopt() bool {
 	return true
 }
 
-// densePairs is the gather on a dense matrix: walking the upper triangle
-// row by row and adding the transposed cell yields the folded pairs
-// already in (i, j) order, so nothing is counted, sorted or merged.
-func (pb *partitionBaseline) densePairs(m *comm.Matrix) {
-	pairs := pb.window.pairs[:0]
-	for i, pi := range pb.partOf {
-		if pi < 0 {
-			continue
-		}
-		row := m.RowView(i)
-		for j := i + 1; j < len(row); j++ {
-			if v := row[j] + m.At(j, i); v != 0 && pb.partOf[j] == pi {
-				pairs = append(pairs, partitionPair{i: int32(i), j: int32(j), v: v})
-			}
-		}
-	}
-	pb.window.pairs = pairs
-}
-
-// sortedPairs is the gather on any other representation: collect the
-// nonzeros, sort them by (i, j) with two stable counting passes (column,
-// then row: O(nnz + tasks) whatever the row shapes), fold the duplicates.
+// sortedPairs is the gather: collect the nonzeros, sort them by (i, j)
+// with two stable counting passes (column, then row: O(nnz + tasks)
+// whatever the row shapes), fold the duplicates, upper cell first.
 func (pb *partitionBaseline) sortedPairs(a comm.Affinity) {
 	n, sc := len(pb.partOf), &pb.window
 	if nnz := a.NNZ(); cap(sc.pairs) < nnz || len(sc.tmp) < nnz {
@@ -351,10 +302,6 @@ type AdaptiveConfig struct {
 	// window spans, used to scale the window down to per-iteration
 	// volumes for the performance model (default 1).
 	WindowIterations int
-	// MinWindowBytes skips reconciliation for windows below this
-	// volume — an idle program should neither count as drifted nor
-	// trigger remaps (default 1, i.e. skip only empty windows).
-	MinWindowBytes float64
 	// AdoptAfter is the number of consecutive over-threshold epochs
 	// required before a candidate mapping may be adopted (default 1:
 	// adopt on the first alarm). An oscillating workload whose phases
@@ -377,6 +324,10 @@ type AdaptiveConfig struct {
 	Seed int64
 }
 
+// minWindowBytes is the volume below which a window is idle: it neither
+// counts as drifted nor triggers a remap. Only empty windows are idle.
+const minWindowBytes = 1
+
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.Strategy == "" {
 		c.Strategy = TreeMatch
@@ -389,9 +340,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	}
 	if c.WindowIterations == 0 {
 		c.WindowIterations = 1
-	}
-	if c.MinWindowBytes == 0 {
-		c.MinWindowBytes = 1
 	}
 	if c.AdoptAfter == 0 {
 		c.AdoptAfter = 1
@@ -643,7 +591,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		r.mu.Lock()
 		r.stats.Epochs++
 		rep.Epoch = r.stats.Epochs
-		if rep.WindowBytes >= r.cfg.MinWindowBytes {
+		if rep.WindowBytes >= minWindowBytes {
 			r.stats.LastDrift = rep.Drift
 		}
 		if rep.Recomputed || rep.Held {
@@ -668,7 +616,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		r.cooldown--
 	}
 
-	if rep.WindowBytes < r.cfg.MinWindowBytes {
+	if rep.WindowBytes < minWindowBytes {
 		// Idle epoch: nothing flowed, nothing to react to. The
 		// over-threshold streak does not survive idleness.
 		r.overStreak = 0

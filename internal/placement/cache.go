@@ -3,7 +3,6 @@ package placement
 import (
 	"container/list"
 	"hash/fnv"
-	"math"
 
 	"orwlplace/internal/topology"
 )
@@ -83,9 +82,6 @@ func optionsFingerprint(opt Options) uint64 {
 		flags = 1
 	}
 	put(flags)
-	put(math.Float64bits(opt.ControlVolumeFraction))
-	put(uint64(opt.ExhaustiveLimit))
-	put(uint64(opt.RefineRounds))
 	put(uint64(int64(opt.PartitionThreshold)))
 	return h.Sum64()
 }

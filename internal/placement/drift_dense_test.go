@@ -69,7 +69,7 @@ func denseDriftCases(n int, rng *rand.Rand) map[string]*comm.Matrix {
 }
 
 // TestDenseDriftMatchesReference: on every pair of seeded dense cases,
-// the allocation-free Drift, DriftAffinity and the reconciler's cached
+// Drift, DriftAffinity and the reconciler's cached
 // baseline walk all agree with the reference to 1e-12.
 func TestDenseDriftMatchesReference(t *testing.T) {
 	eng, err := NewEngine(topology.SMP20E7())
@@ -107,9 +107,6 @@ func TestDenseDriftMatchesReference(t *testing.T) {
 		}
 	}
 	a, b := ringMatrix(160, 1<<20), strideClusters(160, 8, 1<<20)
-	if allocs := testing.AllocsPerRun(10, func() { Drift(a, b) }); allocs != 0 {
-		t.Errorf("Drift allocates %v times a call, want 0", allocs)
-	}
 	if Drift(a, comm.NewMatrix(3)) != 1 || Drift(nil, b) != 1 {
 		t.Error("incomparable matrices must be full drift")
 	}

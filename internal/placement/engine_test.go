@@ -12,6 +12,7 @@ import (
 	"orwlplace/internal/comm"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/topology"
+	"orwlplace/internal/treematch"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
@@ -130,7 +131,7 @@ func TestOptionsCanonicalizedInCacheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spelled-out defaults are the same configuration: a hit.
-	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{ControlVolumeFraction: 0.1, ExhaustiveLimit: 12}); err != nil {
+	if _, _, err := eng.ComputeHinted(TreeMatch, m, 0, 0, Options{PartitionThreshold: treematch.DefaultPartitionThreshold}); err != nil {
 		t.Fatal(err)
 	}
 	// Oblivious strategies ignore the options entirely: one entry.

@@ -39,9 +39,9 @@ type PlaceRequest struct {
 	// identity and can return the wrong cached assignment. The wire
 	// layer fills it in on the serving side.
 	MatrixFP uint64
-	// Options tunes the mapping algorithm. The service pins
-	// PartitionThreshold to -1: a placement maps in one run at every
-	// order, and the wire does not carry the field.
+	// Options tunes the mapping algorithm. The wire carries only
+	// ControlThreads: the service pins PartitionThreshold to -1, so a
+	// placement maps in one run at every order.
 	Options Options
 }
 

@@ -89,23 +89,6 @@ func BenchmarkAblationGroupingGreedy(b *testing.B) {
 	b.ReportMetric(vol, "intra-volume")
 }
 
-// Swap refinement on top of greedy grouping: quality recovered vs time
-// spent (compare the intra-volume metric with the exhaustive/greedy
-// benches above).
-func BenchmarkAblationGroupingRefined(b *testing.B) {
-	m := comm.Random(12, 1000, 7)
-	var vol float64
-	for i := 0; i < b.N; i++ {
-		groups, err := GroupProcesses(m, 3, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		groups = RefineSwap(m, groups, 8)
-		vol = IntraGroupVolume(m, groups)
-	}
-	b.ReportMetric(vol, "intra-volume")
-}
-
 func BenchmarkAblationGroupingGreedyLarge(b *testing.B) {
 	m := comm.Random(96, 1000, 7)
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ func (c *symCSR) rowSum(i int) float64 {
 }
 
 // densify writes the matrix into an order² row-major slab for the
-// engines that index cells: the exhaustive DP and the swap refinement.
+// engine that indexes cells: the exhaustive DP.
 func (c *symCSR) densify(buf *[]float64) []float64 {
 	n := c.order()
 	w := grow(buf, n*n)

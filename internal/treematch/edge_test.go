@@ -155,23 +155,6 @@ func TestForEachSubsetOfSize(t *testing.T) {
 	forEachSubsetOfSize(0b11, 3, func(int) { t.Error("impossible subset visited") })
 }
 
-func TestMapControlVolumeFractionInfluence(t *testing.T) {
-	// With a huge control fraction the control entities attract their
-	// tasks; with a tiny one mapping is dominated by task-task volume.
-	// Either way the mapping must stay valid.
-	top := topology.TinyFlat()
-	m := comm.Ring(6, 100, false)
-	for _, frac := range []float64{0.001, 0.5, 5} {
-		mp, err := Map(top, m, Options{ControlThreads: true, ControlVolumeFraction: frac})
-		if err != nil {
-			t.Fatalf("frac %g: %v", frac, err)
-		}
-		if mp.Mode != ControlSpareCores {
-			t.Errorf("frac %g: mode %v", frac, mp.Mode)
-		}
-	}
-}
-
 func TestMapZeroVolumeControlStillPlaced(t *testing.T) {
 	// Tasks with zero communication get control entities with the
 	// minimum pull volume; mapping must not fail.

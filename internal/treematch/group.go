@@ -10,7 +10,7 @@ import (
 // groupProcesses partitions the entities of a level into groups of size
 // arity, maximising the communication volume kept inside groups
 // (function GroupProcesses of Algorithm 1). The order must be divisible
-// by arity. For at most exhaustiveLimit entities an optimal exponential
+// by arity. For at most limit entities an optimal exponential
 // algorithm runs on a densified copy of the level; beyond that the
 // greedy engine runs on the CSR rows, as in the paper ("depending on
 // the problem size, we go from an optimal but exponential algorithm to
@@ -18,7 +18,7 @@ import (
 //
 // Groups come back normalized (members ascending, groups ordered by
 // smallest member) and freshly allocated, the caller's to keep.
-func groupProcesses(c *symCSR, arity, exhaustiveLimit int, ws *mapWorkspace) ([][]int, error) {
+func groupProcesses(c *symCSR, arity, limit int, ws *mapWorkspace) ([][]int, error) {
 	n := c.order()
 	if arity < 1 {
 		return nil, fmt.Errorf("treematch: arity %d < 1", arity)
@@ -34,7 +34,7 @@ func groupProcesses(c *symCSR, arity, exhaustiveLimit int, ws *mapWorkspace) ([]
 			g[i] = i
 		}
 		groups = [][]int{g}
-	case arity > 1 && n <= exhaustiveLimit && n <= 20:
+	case arity > 1 && n <= limit && n <= 20:
 		groups = groupExhaustive(c.densify(&ws.slab), n, arity, ws)
 	default:
 		ident := grow(&ws.ident, n)

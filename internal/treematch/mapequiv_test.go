@@ -96,9 +96,9 @@ func equivOrders(top *topology.Topology) []int {
 }
 
 // TestMapMatchesReference: on every machine, over orders from one task
-// to twice the PU count, with control threads on and off, refinement on
-// and off, and integer and fractional volumes, the CSR engine binds
-// every task exactly where the dense reference pipeline does.
+// to twice the PU count, with control threads on and off, and integer
+// and fractional volumes, the CSR engine binds every task exactly where
+// the dense reference pipeline does.
 func TestMapMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for _, name := range topology.MachineNames() {
@@ -109,11 +109,8 @@ func TestMapMatchesReference(t *testing.T) {
 		for _, n := range equivOrders(top) {
 			fractional := rng.Intn(2) == 0
 			m := equivMatrix(rng, n, fractional)
-			for _, opt := range []Options{{}, {ControlThreads: true}, {RefineRounds: 1}, {ControlThreads: true, RefineRounds: 1}} {
-				if opt.RefineRounds > 0 && max(n, top.NumCores()) > 200 {
-					continue // the reference refinement is O(n²·arity) a round
-				}
-				want, err := refMap(top, m, opt)
+			for _, opt := range []Options{{}, {ControlThreads: true}} {
+				want, err := refMap(top, m, opt, exhaustiveLimit)
 				if err != nil {
 					t.Fatalf("%s n=%d %+v: reference: %v", name, n, opt, err)
 				}
@@ -145,9 +142,10 @@ func FuzzMapMatchesReference(f *testing.F) {
 		}
 		top := machines[int(data[0])%len(machines)]
 		n := 1 + int(data[1])%(2*top.NumPUs())
-		opt := Options{ControlThreads: data[2]&1 != 0, RefineRounds: int(data[2]>>1) & 1}
+		opt := Options{ControlThreads: data[2]&1 != 0}
+		limit := exhaustiveLimit
 		if data[2]&4 != 0 {
-			opt.ExhaustiveLimit = 1 // greedy everywhere
+			limit = 1 // greedy everywhere
 		}
 		m := comm.NewMatrix(n)
 		fr := data[2]&8 != 0
@@ -159,11 +157,17 @@ func FuzzMapMatchesReference(f *testing.F) {
 			}
 			m.Add(i, j, v)
 		}
-		want, err := refMap(top, m, opt)
+		want, err := refMap(top, m, opt, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Map(top, comm.SparseFromMatrix(m), opt)
+		// Map with the exhaustive engine's limit as a parameter.
+		ws := getWorkspace()
+		defer putWorkspace(ws)
+		if err := ws.sym.symmetrize(&ws.lvl[0], comm.SparseFromMatrix(m), nil, nil, true); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mapLevels(top, ws, opt, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +178,7 @@ func FuzzMapMatchesReference(f *testing.F) {
 }
 
 // TestMapRefusesInvalidVolumes: NaN, ±Inf and negative cells are refused
-// with the cell named, and so is a control volume fraction that is not
-// positive and finite; -0 counts as zero.
+// with the cell named; -0 counts as zero.
 func TestMapRefusesInvalidVolumes(t *testing.T) {
 	top := topology.Fig2Machine()
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
@@ -190,11 +193,6 @@ func TestMapRefusesInvalidVolumes(t *testing.T) {
 			if _, err := MapAffinity(top, a, Options{PartitionThreshold: 8}); err == nil {
 				t.Errorf("%v at (3,7), %T: partitioned path mapped", v, a)
 			}
-		}
-	}
-	for _, f := range []float64{-0.5, math.NaN(), math.Inf(1)} {
-		if _, err := Map(top, comm.Ring(8, 10, true), Options{ControlThreads: true, ControlVolumeFraction: f}); err == nil {
-			t.Errorf("control volume fraction %v accepted", f)
 		}
 	}
 	zero := comm.Clustered(32, 8, 1000, 10)

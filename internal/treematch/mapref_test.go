@@ -33,8 +33,8 @@ func (rw *refWorkspace) other(cur *comm.Matrix) *comm.Matrix {
 	return rw.mA
 }
 
-func refMap(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, error) {
-	opt = opt.withDefaults()
+// limit is the exhaustive engine's size limit (exhaustiveLimit in Map).
+func refMap(top *topology.Topology, m *comm.Matrix, opt Options, limit int) (*Mapping, error) {
 	p := m.Order()
 	if p == 0 {
 		return nil, fmt.Errorf("treematch: empty communication matrix")
@@ -79,7 +79,7 @@ func refMap(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, erro
 		owners := refHeaviestTasks(work, spare)
 		ext := extendInto(work, rw.other(work), p+spare)
 		for ci, task := range owners {
-			vol := refRowSum(work, task) * opt.ControlVolumeFraction
+			vol := refRowSum(work, task) * controlVolumeFraction
 			if vol == 0 {
 				vol = 1 // keep a tiny pull towards the task
 			}
@@ -123,12 +123,9 @@ func refMap(top *topology.Topology, m *comm.Matrix, opt Options) (*Mapping, erro
 		// cur is symmetric by construction (symmetrize, then
 		// symmetry-preserving extend/AddSym/aggregate steps), so the
 		// engines read its rows directly.
-		groups, err := refGroupProcesses(cur, a, opt.ExhaustiveLimit, ws, rw, true)
+		groups, err := refGroupProcesses(cur, a, limit, ws, rw, true)
 		if err != nil {
 			return nil, fmt.Errorf("treematch: level %d: %w", lvl, err)
-		}
-		if opt.RefineRounds > 0 && a > 1 && a < cur.Order() {
-			groups = refineSwapSym(slabOf(cur), cur.Order(), groups, opt.RefineRounds)
 		}
 		partitions = append(partitions, groups)
 		next := rw.other(cur)

@@ -155,7 +155,7 @@ func RemapPartition(mp *Mapping, a comm.Affinity, part Partition, opt Options) e
 	} else {
 		ws := getWorkspace()
 		if err = ws.sym.symmetrize(&ws.lvl[0], a, part.Tasks, local, true); err == nil {
-			subMp, err = mapLevels(sub, ws, opt)
+			subMp, err = mapLevels(sub, ws, opt, exhaustiveLimit)
 		}
 		putWorkspace(ws)
 	}
@@ -232,7 +232,7 @@ func (st *partitionedMap) mapLeaf(obj *topology.Object, tasks []int) error {
 	// gives, so the leaf decides exactly as a Map of it would.
 	ws := getWorkspace()
 	induceDoubled(&ws.lvl[0], st.pt.csr, tasks, st.local)
-	subMp, err := mapLevels(sub, ws, st.opt)
+	subMp, err := mapLevels(sub, ws, st.opt, exhaustiveLimit)
 	putWorkspace(ws)
 	if err != nil {
 		return fmt.Errorf("treematch: partition at %s: %w", obj, err)

@@ -22,7 +22,7 @@ func TestMapAffinityDenseGolden(t *testing.T) {
 		{"clustered-smp20e7", topology.SMP20E7(), comm.Clustered(160, 20, 1000, 10), Options{}},
 		{"stencil-smp12e5", topology.SMP12E5(), comm.Stencil2D(8, 8, 50, 30), Options{ControlThreads: true}},
 		{"oversub-tinyflat", topology.TinyFlat(), comm.Ring(20, 10, false), Options{}},
-		{"random-fig2", topology.Fig2Machine(), comm.Random(32, 100, 3), Options{RefineRounds: 1}},
+		{"random-fig2", topology.Fig2Machine(), comm.Random(32, 100, 3), Options{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,7 +13,6 @@ package treematch
 
 import (
 	"fmt"
-	"math"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
@@ -55,19 +54,6 @@ type Options struct {
 	// ControlThreads enables the control-thread adaptation
 	// (extend_to_manage_control_threads in Algorithm 1).
 	ControlThreads bool
-	// ControlVolumeFraction is the fraction of a task's total
-	// communication volume attributed to its control thread when control
-	// entities are added to the matrix (spare-core mode). Default 0.1.
-	ControlVolumeFraction float64
-	// ExhaustiveLimit is the largest number of entities a level may
-	// have for the grouping step to use the optimal exponential engine;
-	// above it the greedy engine runs. Default 12.
-	ExhaustiveLimit int
-	// RefineRounds, when positive, runs up to that many swap-refinement
-	// passes (RefineSwap) after every grouping step — an optional
-	// quality/time trade-off on top of the greedy engine that densifies
-	// each level it refines. Default 0 (off), the paper's configuration.
-	RefineRounds int
 	// PartitionThreshold is the largest order MapAffinity maps in one run;
 	// above it the task graph is partitioned along weak cuts and each
 	// partition is mapped against its topology subtree. Default
@@ -85,13 +71,12 @@ type Options struct {
 // subtree.
 const DefaultPartitionThreshold = comm.DenseOrderThreshold
 
+// The grouping step runs the optimal exponential engine on levels of at
+// most exhaustiveLimit entities and the greedy one above. A spare-core
+// control entity carries controlVolumeFraction of its task's volume.
+const exhaustiveLimit, controlVolumeFraction = 12, 0.1
+
 func (o Options) withDefaults() Options {
-	if o.ControlVolumeFraction == 0 {
-		o.ControlVolumeFraction = 0.1
-	}
-	if o.ExhaustiveLimit == 0 {
-		o.ExhaustiveLimit = 12
-	}
 	if o.PartitionThreshold == 0 {
 		o.PartitionThreshold = DefaultPartitionThreshold
 	}
@@ -143,11 +128,12 @@ func Map(top *topology.Topology, a comm.Affinity, opt Options) (*Mapping, error)
 	if err := ws.sym.symmetrize(&ws.lvl[0], a, nil, nil, true); err != nil {
 		return nil, err
 	}
-	return mapLevels(top, ws, opt.withDefaults())
+	return mapLevels(top, ws, opt, exhaustiveLimit)
 }
 
-// mapLevels is Map on the symmetrized matrix already in ws.lvl[0].
-func mapLevels(top *topology.Topology, ws *mapWorkspace, opt Options) (*Mapping, error) {
+// mapLevels is Map on the symmetrized matrix already in ws.lvl[0],
+// running the exhaustive engine on levels of at most limit entities.
+func mapLevels(top *topology.Topology, ws *mapWorkspace, opt Options, limit int) (*Mapping, error) {
 	work := &ws.lvl[0]
 	p := work.order()
 	cores := top.NumCores()
@@ -173,13 +159,9 @@ func mapLevels(top *topology.Topology, ws *mapWorkspace, opt Options) (*Mapping,
 		// Spare cores exist: add control entities communicating with
 		// their tasks so that grouping pulls each control thread next
 		// to its task.
-		if f := opt.ControlVolumeFraction; !(f > 0 && f <= math.MaxFloat64) {
-			// Every engine relies on positive volumes.
-			return nil, fmt.Errorf("treematch: control volume fraction %v: must be positive and finite", f)
-		}
 		spare := min(cores-p, p)
 		controlOwner = heaviestTasks(work, spare)
-		extendControl(&ws.lvl[1], work, controlOwner, opt.ControlVolumeFraction)
+		extendControl(&ws.lvl[1], work, controlOwner, controlVolumeFraction)
 		ws.lvl[0], ws.lvl[1] = ws.lvl[1], ws.lvl[0]
 		work = &ws.lvl[0]
 		mode = ControlSpareCores
@@ -213,12 +195,9 @@ func mapLevels(top *topology.Topology, ws *mapWorkspace, opt Options) (*Mapping,
 	cur, next := &ws.lvl[0], &ws.lvl[1]
 	for lvl := len(arities) - 1; lvl >= 0; lvl-- {
 		a := arities[lvl]
-		groups, err := groupProcesses(cur, a, opt.ExhaustiveLimit, ws)
+		groups, err := groupProcesses(cur, a, limit, ws)
 		if err != nil {
 			return nil, fmt.Errorf("treematch: level %d: %w", lvl, err)
-		}
-		if n := cur.order(); opt.RefineRounds > 0 && a > 1 && a < n {
-			groups = refineSwapSym(cur.densify(&ws.slab), n, groups, opt.RefineRounds)
 		}
 		partitions = append(partitions, groups)
 		aggregate(next, cur, groups, ws)
