@@ -15,6 +15,8 @@
 package ctrlplane
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -136,9 +138,22 @@ func NewCollector(staleAfter time.Duration) *Collector {
 	return &Collector{
 		staleAfter: staleAfter,
 		now:        time.Now,
+		nextID:     leaseIDBase(),
 		leases:     make(map[uint64]*leaseState),
 		machines:   make(map[string]*machineState),
 	}
+}
+
+// leaseIDBase draws the lease-id base of one collector incarnation: a
+// random 32-bit nonce above a 20-bit counter. A restarted daemon without
+// a snapshot thus issues ids its predecessor did not, so a report under
+// a lease the old incarnation granted fails with ErrUnknownLease rather
+// than landing on whichever peer re-leased first. Ids stay below 2^53,
+// exact for JSON and expvar readers.
+func leaseIDBase() uint64 {
+	var b [4]byte
+	_, _ = rand.Read(b[:]) // from Go 1.24 Read never returns an error: it crashes the program instead
+	return uint64(binary.LittleEndian.Uint32(b[:])) << 20
 }
 
 // SetReportLimit configures the per-lease observed-report token

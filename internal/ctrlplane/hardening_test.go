@@ -61,6 +61,53 @@ func TestLeaseOwnershipToken(t *testing.T) {
 	}
 }
 
+// TestLeaseIDsUniqueAcrossRestart: a daemon restarted without a
+// snapshot grants ids its predecessor did not. When beta re-leases
+// first on the new incarnation, alpha's reports under the id the old
+// incarnation granted are refused with ErrUnknownLease, so alpha
+// re-leases instead of merging its traffic at beta's offset. A restore
+// keeps the larger of the two id counters.
+func TestLeaseIDsUniqueAcrossRestart(t *testing.T) {
+	const half = ctrlTasks / 2
+	build := func() *Controller {
+		t.Helper()
+		ctrl, err := NewController(testFleet(t), testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
+	}
+	first := build()
+	alpha, err := first.Register("", "alpha", 0, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := build()
+	beta, err := restarted.Register("", "beta", half, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beta.ID == alpha.ID {
+		t.Fatalf("the restarted daemon re-issued lease id %d", alpha.ID)
+	}
+	if err := restarted.ReportAffinity(alpha.ID, 1, ringMatrix(half, 1<<20)); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("report under the previous incarnation's lease: err = %v, want ErrUnknownLease", err)
+	}
+
+	snap := first.Snapshot()
+	resumed := build()
+	if err := resumed.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := resumed.Register("", "gamma", half, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gamma.ID <= snap.NextLeaseID {
+		t.Fatalf("lease granted after restore has id %d, want above the snapshot's %d", gamma.ID, snap.NextLeaseID)
+	}
+}
+
 // TestReportRateLimit: a lease exceeding the configured report rate is
 // throttled with a retryable error while other leases keep reporting,
 // the throttled window is retransmittable, and the bucket refills with

@@ -73,7 +73,7 @@ type outFrame struct {
 // enough to apply back-pressure when the socket is the bottleneck.
 const sendQueueDepth = 256
 
-// DialOption customises a Dial/DialContext connection.
+// DialOption customises a Dial connection.
 type DialOption func(*dialConfig)
 
 // DialFunc opens the transport connection a Client runs over. The
@@ -88,7 +88,7 @@ type dialConfig struct {
 }
 
 // WithPoolSize sets how many connections a pooled dialer
-// (DialPlacement / NewRemoteService) opens. The plain Dial/DialContext
+// (DialPlacement / NewRemoteService) opens. The plain Dial
 // single-connection client ignores it.
 func WithPoolSize(n int) DialOption {
 	return func(cfg *dialConfig) { cfg.poolSize = n }
@@ -123,14 +123,15 @@ func applyDialOptions(opts []DialOption) dialConfig {
 	return cfg
 }
 
-// Dial connects to a server. It is DialContext without a deadline.
+// Dial connects to a server with no deadline on the connect or the
+// version handshake.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
+	return dialContext(context.Background(), addr, opts...)
 }
 
-// DialContext connects to a server, honouring the context's deadline
+// dialContext connects to a server, honouring the context's deadline
 // and cancellation for both the TCP connect and the version handshake.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
+func dialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := applyDialOptions(opts)
 	dial := cfg.dial
 	if dial == nil {

@@ -54,7 +54,7 @@ func TestWireFrameAllocatesAsBytesArrive(t *testing.T) {
 				writeMessage(srv, message{callID: hello.callID, op: statusOK, payload: []byte{protoVersion}})
 				srv.Write(header)
 			}()
-			c, err := DialContext(context.Background(), "pipe", WithDialFunc(func(context.Context, string, string) (net.Conn, error) { return cli, nil }))
+			c, err := dialContext(context.Background(), "pipe", WithDialFunc(func(context.Context, string, string) (net.Conn, error) { return cli, nil }))
 			if err != nil {
 				t.Fatal(err)
 			}

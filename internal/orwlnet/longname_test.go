@@ -73,7 +73,7 @@ func TestWireEncodersRefuseLongNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	c, err := DialContext(ctx, addr)
+	c, err := dialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,12 @@ func startFleetServer(t *testing.T) (*placement.MultiService, string) {
 func TestRemoteFleetEndToEnd(t *testing.T) {
 	_, addr := startFleetServer(t)
 	ctx := context.Background()
-	c, err := DialContext(ctx, addr)
+	c, err := dialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote := c.PlacementService()
+	remote := c.placementService()
 
 	stats, err := remote.Stats(ctx)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestRemoteFleetConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote := c.PlacementService()
+	remote := c.placementService()
 	ctx := context.Background()
 	shared := chainMatrix(4)
 

@@ -72,7 +72,7 @@ func startBenchService(b testing.TB, top *topology.Topology) *RemoteService {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-	return c.PlacementService()
+	return c.placementService()
 }
 
 // coldClustered is a never-seen-before workload matrix: n tasks
@@ -247,7 +247,7 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 		srv.Close()
 		b.Fatal(err)
 	}
-	remote := c.PlacementService()
+	remote := c.placementService()
 	machines := []string{"tinyht", "tinyflat"}
 	reqs := make([]*placement.PlaceRequest, batchBenchSize)
 	for i := range reqs {

@@ -48,12 +48,12 @@ func startPlacementServer(t *testing.T) (*Server, *placement.LocalService, strin
 func TestRemotePlacementEndToEnd(t *testing.T) {
 	_, local, addr := startPlacementServer(t)
 	ctx := context.Background()
-	c, err := DialContext(ctx, addr)
+	c, err := dialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote := c.PlacementService()
+	remote := c.placementService()
 
 	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
 	resp, err := remote.Place(ctx, req)
@@ -114,7 +114,7 @@ func TestRemotePlacementConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote := c.PlacementService()
+	remote := c.placementService()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -256,7 +256,7 @@ func TestPlacementOnLocationOnlyServer(t *testing.T) {
 	defer c.Close()
 	// The handshake succeeds (the protocol is versioned server-wide),
 	// but the RPCs report the missing service.
-	remote := c.PlacementService()
+	remote := c.placementService()
 	if _, err := remote.Place(context.Background(), &placement.PlaceRequest{
 		Strategy: placement.TreeMatch, Matrix: chainMatrix(3),
 	}); err == nil {
@@ -310,7 +310,7 @@ func TestAdaptiveStatsOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.PlacementService().Stats(context.Background())
+	st, err := c.placementService().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestDialContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := DialContext(ctx, lis.Addr().String()); err == nil {
+	if _, err := dialContext(ctx, lis.Addr().String()); err == nil {
 		t.Fatal("dial against a mute server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -104,7 +104,7 @@ var (
 	errUnknownOp = errors.New("unknown op")
 	// errConnLost fails every call on a connection whose read side died.
 	errConnLost = errors.New("orwlnet: connection lost")
-	// errDial fails a DialContext whose transport connect failed.
+	// errDial fails a dial whose transport connect failed.
 	errDial = errors.New("orwlnet: dial")
 )
 

@@ -52,8 +52,8 @@ type RemoteService struct {
 
 var _ placement.Service = (*RemoteService)(nil)
 
-// PlacementService returns the placement stub of this connection.
-func (c *Client) PlacementService() *RemoteService {
+// placementService returns the placement stub of this connection.
+func (c *Client) placementService() *RemoteService {
 	return &RemoteService{c: c, pool: []*Client{c}, known: newFPSet(knownFingerprints)}
 }
 
@@ -65,7 +65,7 @@ func DialPlacementService(ctx context.Context, addr string, opts ...DialOption) 
 	cfg := applyDialOptions(opts)
 	pool := make([]*Client, 0, cfg.poolSize)
 	for i := 0; i < cfg.poolSize; i++ {
-		c, err := DialContext(ctx, addr, opts...)
+		c, err := dialContext(ctx, addr, opts...)
 		if err != nil {
 			for _, p := range pool {
 				p.Close()
@@ -131,7 +131,7 @@ func (s *RemoteService) revive(ctx context.Context) {
 		if !c.Dead() {
 			continue
 		}
-		nc, err := DialContext(ctx, s.addr, s.dialOpts...)
+		nc, err := dialContext(ctx, s.addr, s.dialOpts...)
 		if err != nil {
 			continue
 		}

@@ -286,7 +286,7 @@ func (s *RemoteService) resubscribe(ctx context.Context, machine string, sinceEp
 	}
 	pol := s.watchBackoff()
 	for attempt := 1; ; attempt++ {
-		c, err := DialContext(ctx, s.addr, s.dialOpts...)
+		c, err := dialContext(ctx, s.addr, s.dialOpts...)
 		if err == nil {
 			id, ch, ack, serr := s.subscribeRemaps(ctx, c, machine, sinceEpoch)
 			if serr == nil {

@@ -414,13 +414,43 @@ func exchange(t *testing.T, conn net.Conn, frame []byte) message {
 	return m
 }
 
+// withLeaseID rewrites the lease-id field of a golden frame — the
+// uvarint at payload offset off, 1 in every golden — to id, keeping
+// every other payload byte.
+func withLeaseID(t *testing.T, frame []byte, off int, id uint64) []byte {
+	t.Helper()
+	m, err := readMessage(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, rest, err := codec.GetUvarint(m.payload[off:])
+	if err != nil || golden != 1 {
+		t.Fatalf("golden lease id at payload offset %d = %d (%v), want 1", off, golden, err)
+	}
+	p := codec.PutUvarint(append([]byte(nil), m.payload[:off]...), id)
+	return encodeFrame(m.op, append(p, rest...))
+}
+
 // TestWireGoldenExchange: a live server answers the golden requests
 // with the golden responses, wherever the answer does not depend on
 // timing or history (placement responses carry latencies; stats carry
-// byte counters).
+// byte counters). Lease ids are drawn per collector incarnation, so the
+// id the live lease/resp grants is substituted at the lease-id field of
+// lease/resp and of the report requests that follow it.
 func TestWireGoldenExchange(t *testing.T) {
 	_, addr := startFixtureServer(t)
 	conn := rawConn(t, addr)
+	var leaseID uint64
+	frame := func(name string) []byte {
+		f := goldenFrame(t, name)
+		switch name {
+		case "lease/resp":
+			return withLeaseID(t, f, 0, leaseID)
+		case "report-sparse/req", "report-dense/req":
+			return withLeaseID(t, f, 1, leaseID) // after the version byte
+		}
+		return f
+	}
 	for _, step := range [][2]string{
 		{"hello/req", "hello/resp"},
 		{"scale/req", "scale/resp"},
@@ -438,8 +468,14 @@ func TestWireGoldenExchange(t *testing.T) {
 		{"report-dense/req", "report/resp"},
 		{"watch/req", "watch-ack-empty/resp"},
 	} {
-		got := exchange(t, conn, goldenFrame(t, step[0]))
-		if want := goldenFrame(t, step[1]); !bytes.Equal(encodeFrame(got.op, got.payload), want) {
+		got := exchange(t, conn, frame(step[0]))
+		if step[0] == "lease/req" {
+			var err error
+			if leaseID, err = decodeFleetLeaseResponse(got.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := frame(step[1]); !bytes.Equal(encodeFrame(got.op, got.payload), want) {
 			t.Fatalf("%s answered\n%x\nwant %s\n%x", step[0], encodeFrame(got.op, got.payload), step[1], want)
 		}
 	}
@@ -659,7 +695,7 @@ func TestFleetV1RequestCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.PlacementService().Place(context.Background(), &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)})
+	resp, err := c.placementService().Place(context.Background(), &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

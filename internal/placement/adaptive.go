@@ -319,9 +319,6 @@ type AdaptiveConfig struct {
 	// synthesizes a communication-dominated template with a modest
 	// per-thread working set.
 	Workload *perfsim.Workload
-	// Seed seeds the simulated OS scheduler when modeling unbound
-	// assignments.
-	Seed int64
 }
 
 // minWindowBytes is the volume below which a window is idle: it neither
@@ -738,11 +735,11 @@ func (r *Reconciler) model(window comm.Affinity, cur, candidate *Assignment) (fl
 		w.Comm = &r.scaled
 	}
 	w.Iterations = r.cfg.Horizon
-	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, r.cfg.Seed))
+	oldRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(cur, 0))
 	if err != nil {
 		return 0, err
 	}
-	newRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(candidate, r.cfg.Seed))
+	newRes, err := perfsim.Simulate(r.eng.Topology(), w, r.eng.SimPlacement(candidate, 0))
 	if err != nil {
 		return 0, err
 	}

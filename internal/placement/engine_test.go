@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,6 +94,40 @@ func TestComputeCacheHitMiss(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Hits != 1 || st.Misses != 4 {
 		t.Fatalf("after distinct computes: %+v", st)
+	}
+}
+
+// TestComputeSparse10k maps 10,000 tasks, a ring of clusters with O(n)
+// nonzeros, onto the 1024-core fleet1k testbed through the partitioned
+// path. The cold call must allocate far less than one dense order-10k
+// slab (800 MB) would, and the repeat must come from the cache.
+func TestComputeSparse10k(t *testing.T) {
+	top := topology.Fleet1K()
+	eng, err := NewEngine(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := comm.RingOfClusters(250, 40, 1<<20, 1<<12)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	asg, cached, err := eng.ComputeHinted(TreeMatch, a, 0, 0, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatal("the first mapping of the matrix claims to be cached")
+	}
+	if asg.Partitions == nil || len(asg.Partitions.Parts) < 2 {
+		t.Fatalf("%d tasks mapped without partitions", a.Order())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold mapping of %d tasks: %d partitions, %.1f MiB allocated", a.Order(), len(asg.Partitions.Parts), float64(alloc)/(1<<20))
+	if alloc >= 64<<20 {
+		t.Fatalf("cold mapping of %d tasks allocated %.1f MiB, want < 64 MiB", a.Order(), float64(alloc)/(1<<20))
+	}
+	if _, cached, err = eng.ComputeHinted(TreeMatch, a, 0, 0, Options{}); err != nil || !cached {
+		t.Fatalf("repeated mapping: cached %v, err %v; want a cache hit", cached, err)
 	}
 }
 
