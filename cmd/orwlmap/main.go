@@ -108,6 +108,9 @@ func loadMatrix(path, pattern string, n int) (*comm.Matrix, error) {
 		defer f.Close()
 		return comm.Read(f)
 	}
+	if n < 1 {
+		return nil, fmt.Errorf("orwlmap: -n %d: a pattern needs at least one entity", n)
+	}
 	switch pattern {
 	case "ring":
 		return comm.Ring(n, 1<<20, true), nil
@@ -117,7 +120,9 @@ func loadMatrix(path, pattern string, n int) (*comm.Matrix, error) {
 		gx, gy := nearSquare(n)
 		return comm.Stencil2D(gx, gy, 1<<16, 1<<16), nil
 	case "clustered":
-		k := 2
+		// The smallest divisor above 1 is the cluster count; one entity
+		// is one cluster.
+		k := min(2, n)
 		for n%k != 0 {
 			k++
 		}

@@ -18,9 +18,8 @@
 // testbeds (see lstopo) and/or "host" for the machine the daemon runs
 // on. The first -machine is the fleet's default — where requests that
 // name no machine (including every pre-fleet v1 request) are routed;
-// `PlaceRequest.Machine` selects any other, and PlaceBatch fans one
-// request slice across the fleet in a single RPC. -cache-entries
-// bounds each machine engine's mapping cache (0 disables caching).
+// `PlaceRequest.Machine` selects any other. -cache-entries bounds each
+// machine engine's mapping cache (0 disables caching).
 //
 // -conn-idle reaps connections that stay byte-silent for the duration
 // with nothing in flight (e.g. "-conn-idle 5m"); a connection waiting

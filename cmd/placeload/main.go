@@ -7,7 +7,7 @@
 // Usage:
 //
 //	placeload [-addr host:port] [-machine smp20e7] [-tasks 160] \
-//	          [-conns 4] [-inflight 32] [-duration 2s] [-batch 8]
+//	          [-conns 4] [-inflight 32] [-duration 2s]
 //
 // Without -addr it self-serves: an in-process daemon on a loopback
 // port with the -machine topology, so one command measures the full
@@ -44,16 +44,15 @@ func main() {
 	conns := flag.Int("conns", 4, "connections in the client pool")
 	inflight := flag.Int("inflight", 32, "concurrent placement calls kept in flight")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window")
-	batchSlots := flag.Int("batch", 8, "slots in the warm PlaceBatch payload measurement (0 skips it)")
 	flag.Parse()
 
-	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration, *batchSlots); err != nil {
+	if err := run(*addr, *machine, *tasks, *conns, *inflight, *duration); err != nil {
 		fmt.Fprintf(os.Stderr, "placeload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, machine string, tasks, conns, inflight int, duration time.Duration, batchSlots int) error {
+func run(addr, machine string, tasks, conns, inflight int, duration time.Duration) error {
 	ctx := context.Background()
 
 	if addr == "" {
@@ -151,21 +150,6 @@ func run(addr, machine string, tasks, conns, inflight int, duration time.Duratio
 		return fmt.Errorf("%d of %d placement calls failed", errs, int64(errs)+total)
 	}
 
-	// Warm batch payload: one PlaceBatch of identical warm slots,
-	// measured by the write-side byte delta — the per-slot request cost
-	// the sparse/fingerprint encodings shrink.
-	if batchSlots > 0 {
-		reqs := make([]*placement.PlaceRequest, batchSlots)
-		for i := range reqs {
-			reqs[i] = req
-		}
-		_, b0 := svc.WirePoolStats()
-		if _, err := svc.PlaceBatch(ctx, reqs); err != nil {
-			return fmt.Errorf("warm batch: %w", err)
-		}
-		_, b1 := svc.WirePoolStats()
-		fmt.Printf("  warm batch: %.0f B/slot out\n", float64(b1-b0)/float64(batchSlots))
-	}
 	return nil
 }
 

@@ -38,7 +38,7 @@ func TestRunFailsWhenCallsFail(t *testing.T) {
 	addr, srv := serve(t)
 	stop := time.AfterFunc(200*time.Millisecond, func() { srv.Close() })
 	defer stop.Stop()
-	err := run(addr, "", 4, 2, 4, 600*time.Millisecond, 0)
+	err := run(addr, "", 4, 2, 4, 600*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "placement calls failed") {
 		t.Fatalf("run against a daemon closed mid-window = %v, want a failed-call error", err)
 	}
@@ -47,7 +47,7 @@ func TestRunFailsWhenCallsFail(t *testing.T) {
 // TestRunCleanSelfServed is the self-served run: an in-process daemon
 // that answers every call, so run returns nil.
 func TestRunCleanSelfServed(t *testing.T) {
-	if err := run("", "tinyflat", 4, 2, 4, 100*time.Millisecond, 2); err != nil {
+	if err := run("", "tinyflat", 4, 2, 4, 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -98,12 +98,16 @@ func main() {
 	}
 }
 
+// loadWorkload reads the workload the flags name: the file -w names,
+// or the built-in demo under -demo. Exactly one of them must be set.
 func loadWorkload(path string, demo bool) (*perfsim.Workload, error) {
-	if demo || path == "" {
-		if !demo {
-			return nil, fmt.Errorf("simulate: -w workload.json or -demo required")
-		}
+	switch {
+	case demo && path != "":
+		return nil, fmt.Errorf("simulate: -demo and -w %s both name a workload; pass one", path)
+	case demo:
 		return livermore.Profile(16384, 64, 100)
+	case path == "":
+		return nil, fmt.Errorf("simulate: -w workload.json or -demo required")
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -8,13 +8,14 @@
 //   - Service, PlaceRequest, PlaceResponse: the context-aware,
 //     transport-agnostic placement contract (strategy + matrix +
 //     optional machine selector in, assignment + serving machine +
-//     cost/cache/latency diagnostics out), including PlaceBatch for
-//     fanning a request slice across a fleet in one call.
+//     cost/cache/latency diagnostics out). Place is the one placement
+//     call, in process and over the wire.
 //   - NewService: the in-process deployment, a placement engine
 //     (strategy registry + LRU mapping cache) behind the interface.
 //   - NewFleet: the multi-machine deployment, one engine per named
 //     machine behind the same interface, with a default machine and
-//     PlaceAcross for one-RPC cross-machine comparisons.
+//     PlaceAcross for cross-machine comparisons (one Place per
+//     machine).
 //   - DialPlacement: the remote deployment, a stub speaking the
 //     versioned orwlnetd wire protocol to a placement daemon.
 //   - Strategies, Machines, Machine, HostTopology: the strategy

@@ -5,7 +5,7 @@
 // plus a placement fleet; worker "processes" (separate client
 // connections here) first obtain a topology-aware mapping for the
 // pipeline from the remote daemon through the public orwlplace
-// facade — batch-comparing every fleet machine in one RPC on the way
+// facade — comparing every fleet machine, one Place each, on the way
 // — then run an iterative pipeline over the shared locations with
 // exactly the ORWL FIFO discipline.
 //
@@ -106,13 +106,13 @@ func main() {
 		mat.AddSym(s-1, s, float64(8**rounds))
 	}
 
-	// Cross-machine comparison, one RPC: where would this pipeline land
-	// on every machine the daemon serves?
+	// Cross-machine comparison, one Place per machine: where would this
+	// pipeline land on every machine the daemon serves?
 	across, err := orwlplace.PlaceAcross(ctx, remote, orwlplace.TreeMatch, mat, *stages, stats.Machines)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fleet comparison (%d machines, one PlaceBatch RPC):\n", len(across))
+	fmt.Printf("fleet comparison (%d machines, one Place per machine):\n", len(across))
 	for i, resp := range across {
 		if resp.Err != "" {
 			fmt.Printf("  %-10s %s\n", stats.Machines[i], resp.Err)
@@ -137,7 +137,7 @@ func main() {
 	fmt.Print(orwlplace.RenderAssignment(remoteTop, resp.Assignment, names))
 
 	// A recurring phase is served from the daemon's mapping cache (the
-	// batch above already warmed this key on the default machine).
+	// comparison above already warmed this key on the default machine).
 	again, err := orwlplace.PlaceOn(ctx, remote, orwlplace.TreeMatch, mat, *stages)
 	if err != nil {
 		log.Fatal(err)

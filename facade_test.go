@@ -161,7 +161,7 @@ func TestFacadeFleet(t *testing.T) {
 	}
 
 	// Serve the fleet like `orwlnetd -place -machine tinyht -machine
-	// tinyflat` and compare machines through the facade in one RPC.
+	// tinyflat` and compare machines through the facade, one Place each.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -103,11 +103,7 @@ func FuzzPlaceRequestDecode(f *testing.F) {
 				t.Fatalf("decode folded %016x, comm.Fingerprint of the decoded matrix is %016x", r.MatrixFP, comm.Fingerprint(r.Matrix))
 			}
 		}
-		if r, _, err := decodePlaceRequest(data, mc); err == nil {
-			check(r)
-		}
-		reqs, _ := decodePlaceBatchRequest(data, mc)
-		for _, r := range reqs {
+		if r, err := decodePlaceRequest(data, mc); err == nil {
 			check(r)
 		}
 	})

@@ -64,8 +64,8 @@ func immutableWindow(rng *rand.Rand, cur *placement.Assignment) *comm.Matrix {
 }
 
 // TestAssignmentsStayImmutable drives a seeded mix of every path that
-// hands out an assignment — remote Place and PlaceBatch (cache hits,
-// singleflight, memoised decodes), in-process Place, fleet epochs with
+// hands out an assignment — remote Place (cache hits, singleflight,
+// memoised decodes), in-process Place, fleet epochs with
 // partition-scoped remaps, the watcher's delta folds, Reconciler
 // Current, and Snapshot/Restore into a second controller that keeps
 // reconciling — and checks that every assignment still equals the deep
@@ -169,12 +169,12 @@ func TestAssignmentsStayImmutable(t *testing.T) {
 			keep("remote Place", resp.Assignment)
 		case 2:
 			reqs := []*placement.PlaceRequest{request(rng), request(rng), request(rng)}
-			resps, err := rs.PlaceBatch(ctx, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range resps {
-				keep("remote PlaceBatch", r.Assignment)
+			for _, req := range reqs {
+				r, err := rs.Place(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keep("remote Place", r.Assignment)
 			}
 			local, err := fleet.Place(ctx, reqs[0])
 			if err != nil {

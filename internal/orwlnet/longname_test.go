@@ -31,10 +31,6 @@ func TestWireEncodersRefuseLongNames(t *testing.T) {
 		{"lease peer", func() error { _, err := encodeFleetLeaseRequest(nil, "fig2", long, 0, 4, 0); return err }, tooLong},
 		{"place machine", func() error { _, _, err := encodePlaceRequest(nil, place(long, "treematch"), nil); return err }, tooLong},
 		{"place strategy", func() error { _, _, err := encodePlaceRequest(nil, place("fig2", long), nil); return err }, tooLong},
-		{"batch slot", func() error {
-			_, _, err := encodePlaceBatchRequest(nil, []*placement.PlaceRequest{fixtureReq(), place("fig2", long)}, nil)
-			return err
-		}, "orwlnet: batch slot 1: " + tooLong},
 		{"watch machine", func() error { _, err := encodeWatchRequest(nil, long, 0); return err }, tooLong},
 	}
 	for _, c := range cases {
@@ -82,14 +78,10 @@ func TestWireEncodersRefuseLongNames(t *testing.T) {
 	calls := map[string]func() error{
 		"RegisterLease": func() error { _, err := svc.RegisterLease(ctx, "fig2", long, 0, 4); return err },
 		"Place":         func() error { _, err := svc.Place(ctx, place(long, "treematch")); return err },
-		"PlaceBatch": func() error {
-			_, err := svc.PlaceBatch(ctx, []*placement.PlaceRequest{place("fig2", long)})
-			return err
-		},
-		"WatchRemaps": func() error { _, err := svc.WatchRemaps(ctx, long); return err },
-		"Scale":       func() error { return c.Scale(long, 1) },
-		"Size":        func() error { _, err := c.Size(long); return err },
-		"Insert":      func() error { _, err := c.Insert(long, 0); return err },
+		"WatchRemaps":   func() error { _, err := svc.WatchRemaps(ctx, long); return err },
+		"Scale":         func() error { return c.Scale(long, 1) },
+		"Size":          func() error { _, err := c.Size(long); return err },
+		"Insert":        func() error { _, err := c.Insert(long, 0); return err },
 	}
 	for name, call := range calls {
 		if err := call(); err == nil || !strings.HasSuffix(err.Error(), tooLong) {

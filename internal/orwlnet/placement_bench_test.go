@@ -215,14 +215,14 @@ func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
 	}
 }
 
-// batchBenchSize is the fan-out of the batch-vs-sequential pair below:
-// one request per paper testbed plus a few repeats — the shape of a
+// fleetBenchSize is the request count of the benchmark below: one
+// request per paper testbed plus a few repeats — the shape of a
 // cross-machine comparison.
-const batchBenchSize = 8
+const fleetBenchSize = 8
 
 // startBenchFleet serves a two-machine fleet over loopback TCP and
-// returns a connected stub plus the warm request slice both benchmarks
-// place. Caches are warmed so the two benchmarks measure wire and
+// returns a connected stub plus the warm request slice the benchmark
+// places. Caches are warmed so the benchmark measures wire and
 // dispatch overhead, not TreeMatch.
 func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, func()) {
 	b.Helper()
@@ -249,7 +249,7 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 	}
 	remote := c.placementService()
 	machines := []string{"tinyht", "tinyflat"}
-	reqs := make([]*placement.PlaceRequest, batchBenchSize)
+	reqs := make([]*placement.PlaceRequest, fleetBenchSize)
 	for i := range reqs {
 		reqs[i] = &placement.PlaceRequest{
 			Machine:  machines[i%len(machines)],
@@ -257,8 +257,10 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 			Matrix:   comm.Ring(8, 1<<16, true),
 		}
 	}
-	if _, err := remote.PlaceBatch(context.Background(), reqs); err != nil { // warm both caches
-		b.Fatal(err)
+	for _, req := range reqs { // warm both caches
+		if _, err := remote.Place(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return remote, reqs, func() {
 		c.Close()
@@ -266,30 +268,9 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 	}
 }
 
-// BenchmarkPlaceBatchRoundTrip places batchBenchSize warm requests
-// across a two-machine fleet in ONE opPlaceBatch RPC per iteration.
-// Compare ns/op against BenchmarkPlaceSequentialRoundTrip, which does
-// the same work as N single RPCs: the difference is the per-request
-// wire overhead batching amortises.
-func BenchmarkPlaceBatchRoundTrip(b *testing.B) {
-	remote, reqs, stop := startBenchFleet(b)
-	defer stop()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resps, err := remote.PlaceBatch(ctx, reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(resps) != len(reqs) || resps[0].Assignment == nil {
-			b.Fatal("bad batch answer")
-		}
-	}
-}
-
-// BenchmarkPlaceSequentialRoundTrip is the N-RPC baseline of the pair
-// above: identical requests, one opPlaceCompute round trip each.
+// BenchmarkPlaceSequentialRoundTrip places fleetBenchSize warm
+// requests across a two-machine fleet, one opPlaceCompute round trip
+// each.
 func BenchmarkPlaceSequentialRoundTrip(b *testing.B) {
 	remote, reqs, stop := startBenchFleet(b)
 	defer stop()

@@ -36,6 +36,10 @@ func startFleetServer(t *testing.T) (*placement.MultiService, string) {
 	return fleet, lis.Addr().String()
 }
 
+// TestRemoteFleetEndToEnd compares a workload across the daemon's
+// machines the one way there is: a Place per machine. Both machines
+// answer, and a machine the daemon does not serve fails its own call
+// without touching the calls around it.
 func TestRemoteFleetEndToEnd(t *testing.T) {
 	_, addr := startFleetServer(t)
 	ctx := context.Background()
@@ -54,43 +58,34 @@ func TestRemoteFleetEndToEnd(t *testing.T) {
 		t.Fatalf("fleet stats machines = %v", stats.Machines)
 	}
 
-	// One RPC, one slot per machine, plus a bad slot that must fail
-	// positionally without voiding its siblings.
 	mat := chainMatrix(4)
-	resps, err := remote.PlaceBatch(ctx, []*placement.PlaceRequest{
-		{Machine: "tinyht", Strategy: placement.TreeMatch, Matrix: mat},
-		{Machine: "tinyflat", Strategy: placement.TreeMatch, Matrix: mat},
-		{Machine: "smp99", Strategy: placement.TreeMatch, Matrix: mat},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != 3 {
-		t.Fatalf("batch answered %d slots", len(resps))
-	}
-	for i, want := range []string{"tinyht", "tinyflat"} {
-		if resps[i].Err != "" || resps[i].Assignment == nil || resps[i].Machine != want {
-			t.Errorf("slot %d = %+v, want assignment from %q", i, resps[i], want)
+	for _, machine := range []string{"tinyht", "smp99", "tinyflat"} {
+		resp, err := remote.Place(ctx, &placement.PlaceRequest{Machine: machine, Strategy: placement.TreeMatch, Matrix: mat})
+		if machine == "smp99" {
+			if err == nil || !strings.Contains(err.Error(), "unknown machine") {
+				t.Errorf("smp99 = %+v, %v, want an unknown-machine error", resp, err)
+			}
+			continue
+		}
+		if err != nil || resp.Err != "" || resp.Assignment == nil || resp.Machine != machine {
+			t.Errorf("%s = %+v, %v, want an assignment from %q", machine, resp, err, machine)
 		}
 	}
-	if resps[2].Err == "" || !strings.Contains(resps[2].Err, "unknown machine") {
-		t.Errorf("bad slot = %+v, want an unknown-machine error", resps[2])
-	}
 
-	// Single Place with a machine selector routes too.
+	// The comparison computed tinyflat's mapping; the next call hits.
 	resp, err := remote.Place(ctx, &placement.PlaceRequest{Machine: "tinyflat", Strategy: placement.TreeMatch, Matrix: mat})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Machine != "tinyflat" || !resp.CacheHit {
-		t.Errorf("routed place = %+v, want a tinyflat cache hit from the batch's compute", resp)
+		t.Errorf("routed place = %+v, want a tinyflat cache hit from the comparison's compute", resp)
 	}
 }
 
-// TestRemoteFleetConcurrentBatches drives mixed-machine, mixed
-// hit/miss batches over one connection from many goroutines — the
-// -race shape of the full stack (client mux, server fan-out, engine
-// singleflight).
+// TestRemoteFleetConcurrentBatches drives batches of mixed-machine,
+// mixed hit/miss Place calls over one connection from many goroutines
+// — the -race shape of the full stack (client mux, server dispatch,
+// engine singleflight).
 func TestRemoteFleetConcurrentBatches(t *testing.T) {
 	fleet, addr := startFleetServer(t)
 	c, err := Dial(addr)
@@ -111,18 +106,18 @@ func TestRemoteFleetConcurrentBatches(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				resps, err := remote.PlaceBatch(ctx, []*placement.PlaceRequest{
+				for s, req := range []*placement.PlaceRequest{
 					{Machine: "tinyht", Strategy: placement.TreeMatch, Matrix: shared},
 					{Machine: "tinyflat", Strategy: placement.TreeMatch, Matrix: shared},
 					{Machine: "tinyht", Strategy: placement.TreeMatch, Matrix: chainMatrix(3 + (w+i)%4)},
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				for s, resp := range resps {
-					if resp.Err != "" || resp.Assignment == nil {
-						t.Errorf("worker %d batch %d slot %d: %+v", w, i, s, resp)
+				} {
+					resp, err := remote.Place(ctx, req)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if resp.Assignment == nil {
+						t.Errorf("worker %d batch %d call %d: %+v", w, i, s, resp)
 					}
 				}
 			}

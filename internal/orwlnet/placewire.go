@@ -121,35 +121,34 @@ func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp u
 	return dst, fp, nil
 }
 
-// decodePlaceRequest decodes one request and returns the remaining
-// bytes, so the batch codec can walk a request list. mc is the serving
-// side's seen-matrix table: decoded bodies are remembered in it and
+// decodePlaceRequest decodes one request. mc is the serving side's
+// seen-matrix table: decoded bodies are remembered in it and
 // fingerprint references resolved from it (nil on the client and in
 // codec tests: bodies decode, fingerprint references error).
-func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, []byte, error) {
+func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, error) {
 	rest, err := checkVersion(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	req := &placement.PlaceRequest{}
 	if req.Machine, rest, err = codec.GetString(rest); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if req.Strategy, rest, err = codec.GetString(rest); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var u uint64
 	if u, rest, err = codec.GetUint64(rest); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	req.Entities = int(int64(u))
 	if req.Options.ControlThreads, rest, err = codec.GetBool(rest); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if req.Matrix, req.MatrixFP, rest, err = getMatrix(rest, mc, codec.MaxMatrixOrder, nil); err != nil {
-		return nil, nil, err
+	if req.Matrix, req.MatrixFP, _, err = getMatrix(rest, mc, codec.MaxMatrixOrder, nil); err != nil {
+		return nil, err
 	}
-	return req, rest, nil
+	return req, nil
 }
 
 func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
@@ -191,107 +190,6 @@ func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.Pla
 		return nil, nil, err
 	}
 	return resp, rest, nil
-}
-
-// minBatchSlotBytes bounds the slot count of a batch frame against
-// its remaining payload. The smallest legal request slot (version
-// byte, empty machine and strategy, entities, control-threads flag,
-// absent matrix) is 15 bytes and the smallest response slot is larger;
-// each reserved slot pointer costs 8 bytes, so any divisor above 8
-// keeps a hostile count field from amplifying a small frame into a
-// huge backing-array allocation.
-const minBatchSlotBytes = 15
-
-// encodePlaceBatchRequest frames a request slice for opPlaceBatch:
-// version byte, slot count, then every slot encoded exactly like a
-// single request (own version byte included). known decides per slot
-// whether its matrix crosses as a fingerprint reference, as in
-// encodePlaceRequest: the pooled client sends references for matrices
-// the server has seen and bodies for the rest, within one batch frame.
-// The second result holds every slot's fingerprint (zero for a slot
-// without a matrix).
-func encodePlaceBatchRequest(dst []byte, reqs []*placement.PlaceRequest, known func(fp uint64) bool) ([]byte, []uint64, error) {
-	dst = append(dst, protoVersion)
-	dst = codec.PutUint64(dst, uint64(len(reqs)))
-	fps := make([]uint64, len(reqs))
-	for i, req := range reqs {
-		if req == nil {
-			return nil, nil, fmt.Errorf("orwlnet: nil request in batch slot %d", i)
-		}
-		var err error
-		if dst, fps[i], err = encodePlaceRequest(dst, req, known); err != nil {
-			return nil, nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
-		}
-	}
-	return dst, fps, nil
-}
-
-// decodePlaceBatchRequest is the serving side's batch decode: matrix
-// bodies are remembered in mc and fingerprint references resolved from
-// it. One unknown fingerprint fails the whole frame with
-// ErrUnknownMatrix, and the client answers by resending every slot
-// with its body.
-func decodePlaceBatchRequest(src []byte, mc *matrixCache) ([]*placement.PlaceRequest, error) {
-	n, rest, err := getBatchCount(src)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]*placement.PlaceRequest, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var req *placement.PlaceRequest
-		if req, rest, err = decodePlaceRequest(rest, mc); err != nil {
-			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
-		}
-		reqs = append(reqs, req)
-	}
-	return reqs, nil
-}
-
-// getBatchCount reads a batch frame's version byte and slot count,
-// refusing a count its payload cannot hold.
-func getBatchCount(src []byte) (uint64, []byte, error) {
-	rest, err := checkVersion(src)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, rest, err := codec.GetUint64(rest)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > uint64(len(rest)/minBatchSlotBytes) {
-		return 0, nil, fmt.Errorf("%w batch slot count %d", errAbsurd, n)
-	}
-	return n, rest, nil
-}
-
-// encodePlaceBatchResponse frames a response slice: version byte, slot
-// count, then every slot encoded like a single response.
-func encodePlaceBatchResponse(dst []byte, resps []*placement.PlaceResponse) ([]byte, error) {
-	dst = append(dst, protoVersion)
-	dst = codec.PutUint64(dst, uint64(len(resps)))
-	for i, resp := range resps {
-		if resp == nil {
-			return nil, fmt.Errorf("orwlnet: nil response in batch slot %d", i)
-		}
-		dst = encodePlaceResponse(dst, resp)
-	}
-	return dst, nil
-}
-
-func decodePlaceBatchResponse(src []byte) ([]*placement.PlaceResponse, error) {
-	n, rest, err := getBatchCount(src)
-	if err != nil {
-		return nil, err
-	}
-	resps := make([]*placement.PlaceResponse, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var resp *placement.PlaceResponse
-		if resp, rest, err = decodePlaceResponse(rest, nil); err != nil {
-			return nil, fmt.Errorf("orwlnet: batch slot %d: %w", i, err)
-		}
-		resps = append(resps, resp)
-	}
-	return resps, nil
 }
 
 // encodeServiceStats frames the stats payload: the service

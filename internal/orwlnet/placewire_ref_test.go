@@ -203,9 +203,11 @@ func TestWireDecodeFoldsZeroValueRuns(t *testing.T) {
 	}
 }
 
-// TestWireBatchFingerprints: a batch frame returns every slot's
-// fingerprint — from the hint, the body walk, or nothing for a slot
-// without a matrix — and sends a reference exactly for the known ones.
+// TestWireBatchFingerprints: each request of a batch, encoded alone as
+// its own place frame, returns its fingerprint — from the hint, the
+// body walk, or zero for a request without a matrix — and crosses as a
+// reference exactly when the peer knows it. The server folds the same
+// fingerprint.
 func TestWireBatchFingerprints(t *testing.T) {
 	hinted, unhinted, known := chainMatrix(4), chainMatrix(5), chainMatrix(6)
 	reqs := []*placement.PlaceRequest{
@@ -215,38 +217,37 @@ func TestWireBatchFingerprints(t *testing.T) {
 		{Strategy: "treematch", Matrix: known},
 	}
 	isKnown := func(fp uint64) bool { return fp == comm.Fingerprint(known) }
-	enc, fps, err := encodePlaceBatchRequest(nil, reqs, isKnown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, req := range reqs {
-		if want := comm.Fingerprint(req.Matrix); fps[i] != want {
-			t.Errorf("slot %d: fingerprint %016x, want %016x", i, fps[i], want)
-		}
-	}
 	mc := newMatrixCache(4)
 	mc.remember(comm.Fingerprint(known), known)
-	back, err := decodePlaceBatchRequest(enc, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, req := range reqs {
-		if comm.NilAffinity(req.Matrix) != comm.NilAffinity(back[i].Matrix) || (!comm.NilAffinity(req.Matrix) && !bitsEqual(req.Matrix, back[i].Matrix)) {
-			t.Errorf("slot %d: matrix did not survive the frame", i)
+		enc, fp, err := encodePlaceRequest(nil, req, isKnown)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if back[i].MatrixFP != fps[i] {
-			t.Errorf("slot %d: server folded %016x, client %016x", i, back[i].MatrixFP, fps[i])
+		if want := comm.Fingerprint(req.Matrix); fp != want {
+			t.Errorf("request %d: fingerprint %016x, want %016x", i, fp, want)
+		}
+		back, err := decodePlaceRequest(enc, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comm.NilAffinity(req.Matrix) != comm.NilAffinity(back.Matrix) || (!comm.NilAffinity(req.Matrix) && !bitsEqual(req.Matrix, back.Matrix)) {
+			t.Errorf("request %d: matrix did not survive the frame", i)
+		}
+		if back.MatrixFP != fp {
+			t.Errorf("request %d: server folded %016x, client %016x", i, back.MatrixFP, fp)
 		}
 	}
 	if hits := mc.fpHits.Load(); hits != 1 {
-		t.Errorf("%d slots crossed as references, want 1 (the known one)", hits)
+		t.Errorf("%d requests crossed as references, want 1 (the known one)", hits)
 	}
 }
 
-// TestWireBatchForgetsFromEncodedFingerprints drives PlaceBatch through
-// a reference miss against a live server: the stub forgets the beliefs
-// from the fingerprints its encode established, resends bodies, and
-// remembers every slot again.
+// TestWireBatchForgetsFromEncodedFingerprints places a batch of
+// requests, one Place each, against a live server that has since lost
+// one of their bodies: only the stale request misses, the stub forgets
+// that one belief and resends that one body, and it knows every body
+// again afterwards.
 func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
 	srv, _, addr := startPlacementServer(t)
 	svc, err := DialPlacementService(context.Background(), addr)
@@ -255,32 +256,32 @@ func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
 	}
 	defer svc.Close()
 	ctx := context.Background()
+	kept, lost := chainMatrix(4), chainMatrix(5)
 	reqs := []*placement.PlaceRequest{
-		{Strategy: "treematch", Matrix: chainMatrix(4)},
-		{Strategy: "treematch", Matrix: chainMatrix(5)},
+		{Strategy: "treematch", Matrix: kept},
+		{Strategy: "treematch", Matrix: lost},
 		{Strategy: "round-robin-pu", Entities: 3},
 	}
-	if _, err := svc.PlaceBatch(ctx, reqs); err != nil {
-		t.Fatal(err)
-	}
-	srv.matrices = newMatrixCache(defaultMatrixCacheEntries) // the daemon forgets every body
-	resps, err := svc.PlaceBatch(ctx, reqs)
-	if err != nil {
-		t.Fatalf("batch after table flush: %v", err)
-	}
-	for i, resp := range resps {
-		if resp.Err != "" || resp.Assignment == nil {
-			t.Errorf("slot %d: %+v", i, resp)
+	place := func() {
+		t.Helper()
+		for i, req := range reqs {
+			if resp, err := svc.Place(ctx, req); err != nil || resp.Assignment == nil {
+				t.Fatalf("request %d: %+v, %v", i, resp, err)
+			}
 		}
 	}
-	if misses := srv.matrices.fpMisses.Load(); misses == 0 {
-		t.Error("flushed table recorded no fingerprint miss")
+	place()
+	srv.matrices = newMatrixCache(defaultMatrixCacheEntries) // the daemon keeps one body only
+	srv.matrices.remember(comm.Fingerprint(kept), kept)
+	place()
+	if hits, misses := srv.matrices.fpHits.Load(), srv.matrices.fpMisses.Load(); hits != 1 || misses != 1 {
+		t.Errorf("fingerprint hits %d, misses %d, want 1 and 1 (only the lost body resent)", hits, misses)
 	}
 	if n := srv.matrices.len(); n != 2 {
-		t.Errorf("resend installed %d bodies, want 2", n)
+		t.Errorf("table holds %d bodies, want 2", n)
 	}
-	for _, req := range reqs[:2] {
-		if !svc.known.has(comm.Fingerprint(req.Matrix)) {
+	for _, m := range []*comm.Matrix{kept, lost} {
+		if !svc.known.has(comm.Fingerprint(m)) {
 			t.Error("stub forgot a body the daemon holds again")
 		}
 	}

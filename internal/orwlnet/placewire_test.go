@@ -35,13 +35,6 @@ func encodeReq(req *placement.PlaceRequest, ref bool) []byte {
 	return mustEncode(b, err)
 }
 
-// encodeBatch frames a request slice, every matrix as its fingerprint
-// reference when ref is set and as the body otherwise.
-func encodeBatch(reqs []*placement.PlaceRequest, ref bool) ([]byte, error) {
-	b, _, err := encodePlaceBatchRequest(nil, reqs, func(uint64) bool { return ref })
-	return b, err
-}
-
 func TestPlaceRequestRoundTrip(t *testing.T) {
 	cases := []*placement.PlaceRequest{
 		{
@@ -53,7 +46,7 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 		{Machine: "smp20e7", Strategy: "treematch", Matrix: chainMatrix(3)},
 	}
 	for _, req := range cases {
-		got, _, err := decodePlaceRequest(encodeReq(req, false), nil)
+		got, err := decodePlaceRequest(encodeReq(req, false), nil)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", req, err)
 		}
@@ -138,50 +131,15 @@ func TestServiceStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlaceBatchRoundTrip(t *testing.T) {
-	reqs := []*placement.PlaceRequest{
-		{Machine: "a", Strategy: "treematch", Matrix: chainMatrix(4)},
-		{Strategy: "scatter", Entities: 3},
-		{Strategy: "compact", Entities: 2},
-	}
-	gotReqs, err := decodePlaceBatchRequest(mustEncode(encodeBatch(reqs, false)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotReqs) != len(reqs) {
-		t.Fatalf("decoded %d slots, want %d", len(gotReqs), len(reqs))
-	}
-	if gotReqs[0].Machine != "a" || gotReqs[1].Machine != "" || gotReqs[2].Strategy != "compact" {
-		t.Errorf("batch slots mangled: %+v %+v %+v", gotReqs[0], gotReqs[1], gotReqs[2])
-	}
-
-	resps := []*placement.PlaceResponse{
-		{Machine: "a", Assignment: &placement.Assignment{Strategy: "treematch", ComputePU: []int{0, 1}}},
-		{Machine: "b", Err: "boom"},
-	}
-	gotResps, err := decodePlaceBatchResponse(mustEncode(encodePlaceBatchResponse(nil, resps)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotResps) != 2 || gotResps[0].Machine != "a" || gotResps[1].Err != "boom" || gotResps[1].Assignment != nil {
-		t.Errorf("batch responses mangled: %+v", gotResps)
-	}
-
-	// Slot errors must not void the frame: slot counts are positional.
-	if _, err := encodeBatch([]*placement.PlaceRequest{nil}, false); err == nil {
-		t.Error("nil batch slot encoded")
-	}
-}
-
 func TestPlaceWireVersionRejected(t *testing.T) {
 	req := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Entities: 2}, false)
 	for _, v := range []byte{0, protoVersion - 1, protoVersion + 1} {
 		req[0] = v
-		if _, _, err := decodePlaceRequest(req, nil); !errors.Is(err, ErrVersion) {
+		if _, err := decodePlaceRequest(req, nil); !errors.Is(err, ErrVersion) {
 			t.Errorf("version byte %d: err = %v, want ErrVersion", v, err)
 		}
 	}
-	if _, _, err := decodePlaceRequest(nil, nil); err == nil {
+	if _, err := decodePlaceRequest(nil, nil); err == nil {
 		t.Error("empty payload decoded")
 	}
 }
@@ -217,14 +175,7 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 	reqFull := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}, false)
 	for cut := 1; cut < len(reqFull); cut++ {
 		// Must never panic; errors are expected for most cuts.
-		_, _, _ = decodePlaceRequest(reqFull[:cut], nil)
-	}
-	batchFull := mustEncode(encodeBatch([]*placement.PlaceRequest{
-		{Strategy: "treematch", Matrix: chainMatrix(3)},
-		{Machine: "m", Strategy: "scatter", Entities: 2},
-	}, false))
-	for cut := 1; cut < len(batchFull); cut++ {
-		_, _ = decodePlaceBatchRequest(batchFull[:cut], nil)
+		_, _ = decodePlaceRequest(reqFull[:cut], nil)
 	}
 }
 

@@ -44,9 +44,9 @@ const (
 	opTopology
 	// opPlaceStats fetches the placement service description/counters.
 	opPlaceStats
-	// opPlaceBatch runs a slice of placement requests in one round
-	// trip, fanned across the server's fleet machines.
-	opPlaceBatch
+	// Opcode 13 is retired, not reused, so every later opcode keeps its
+	// number; the server refuses it as an unknown op.
+	_
 	// opFleetLease registers this client's (machine, peer, task-range)
 	// identity with the daemon's control plane. The response carries a
 	// server-assigned lease id that subsequent opObservedReport frames

@@ -249,7 +249,7 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	// otherwise it folds the fingerprint in the walk that encodes the
 	// body.
 	var fp uint64
-	payload, err := s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) (out []byte, err error) {
+	payload, err := s.placeCall(ctx, c, func(dst []byte) (out []byte, err error) {
 		out, fp, err = encodePlaceRequest(dst, req, s.known.has)
 		return out, err
 	})
@@ -257,7 +257,7 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 		// The daemon no longer holds the body this reference named:
 		// drop the belief and resend the request with the body inline.
 		s.known.forget(fp)
-		payload, err = s.placeCall(ctx, c, opPlaceCompute, func(dst []byte) ([]byte, error) {
+		payload, err = s.placeCall(ctx, c, func(dst []byte) ([]byte, error) {
 			out, _, err := encodePlaceRequest(dst, req, nil)
 			return out, err
 		})
@@ -281,74 +281,18 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	return resp, err
 }
 
-// placeCall encodes a placement payload into a pooled buffer (whose
+// placeCall encodes a place request into a pooled buffer (whose
 // ownership passes to the connection's writer goroutine) and performs
-// the RPC. The response body is a pooled buffer: the caller decodes it
-// and recycles it with putPayloadBuf.
-func (s *RemoteService) placeCall(ctx context.Context, c *Client, op byte, enc func([]byte) ([]byte, error)) ([]byte, error) {
+// the opPlaceCompute RPC. The response body is a pooled buffer: the
+// caller decodes it and recycles it with putPayloadBuf.
+func (s *RemoteService) placeCall(ctx context.Context, c *Client, enc func([]byte) ([]byte, error)) ([]byte, error) {
 	buf := getPayloadBuf()
 	payload, err := enc(buf)
 	if err != nil {
 		putPayloadBuf(buf)
 		return nil, err
 	}
-	return c.callPooled(ctx, op, payload, true)
-}
-
-// PlaceBatch implements placement.Service: the whole request slice
-// crosses the wire in one opPlaceBatch round trip and fans out across
-// the daemon's fleet engines, so a cross-machine comparison pays one
-// RPC instead of one per machine. Slots whose matrices the daemon has
-// seen carry fingerprint references; an ErrUnknownMatrix answer
-// retries the batch with every body inline.
-func (s *RemoteService) PlaceBatch(ctx context.Context, reqs []*placement.PlaceRequest) ([]*placement.PlaceResponse, error) {
-	var resps []*placement.PlaceResponse
-	err := s.retryCall(ctx, func(ctx context.Context) error {
-		var err error
-		resps, err = s.placeBatchOnce(ctx, reqs)
-		return err
-	})
-	return resps, err
-}
-
-func (s *RemoteService) placeBatchOnce(ctx context.Context, reqs []*placement.PlaceRequest) ([]*placement.PlaceResponse, error) {
-	c := s.pick()
-	var fps []uint64 // every slot's fingerprint, from the encoder's walk
-	payload, err := s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) (out []byte, err error) {
-		out, fps, err = encodePlaceBatchRequest(dst, reqs, s.known.has)
-		return out, err
-	})
-	if errors.Is(err, ErrUnknownMatrix) {
-		// At least one reference missed; the daemon rejected the whole
-		// frame. Forget every belief the batch relied on and resend with
-		// bodies inline.
-		for _, fp := range fps {
-			if fp != 0 {
-				s.known.forget(fp)
-			}
-		}
-		payload, err = s.placeCall(ctx, c, opPlaceBatch, func(dst []byte) ([]byte, error) {
-			out, _, err := encodePlaceBatchRequest(dst, reqs, nil)
-			return out, err
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, fp := range fps {
-		if fp != 0 {
-			s.known.remember(fp)
-		}
-	}
-	resps, err := decodePlaceBatchResponse(payload)
-	putPayloadBuf(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(resps) != len(reqs) {
-		return nil, fmt.Errorf("orwlnet: batch answered %d slots for %d requests", len(resps), len(reqs))
-	}
-	return resps, nil
+	return c.callPooled(ctx, opPlaceCompute, payload, true)
 }
 
 // Topology implements placement.Service: the served machine is

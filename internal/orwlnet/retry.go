@@ -18,8 +18,8 @@ import (
 // an optional per-attempt deadline budget keeps one hung attempt from
 // eating the caller's whole context.
 //
-// Only idempotent operations retry: Place/PlaceBatch/Topology/Stats
-// are pure requests, observed reports are seq-deduplicated server-side
+// Only idempotent operations retry: Place/Topology/Stats are pure
+// requests, observed reports are seq-deduplicated server-side
 // (a retransmit is dropped, never double-counted), and a lease
 // re-registration under the same (machine, peer, token) key replaces
 // the previous incarnation. Location ops (Acquire/Release) are NOT

@@ -143,8 +143,7 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 }
 
 // placeDispatchParallelism bounds concurrently dispatched placement
-// ops per server — the same sizing the placement engine uses for its
-// batch fan-out: enough to saturate the machine, bounded so a
+// ops per server: enough to saturate the machine, bounded so a
 // pipelining client cannot balloon goroutines.
 var placeDispatchParallelism = max(4, 2*runtime.GOMAXPROCS(0))
 
@@ -390,7 +389,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // pooledRequest picks the request bodies read into payloadPool
 // buffers: ops whose decoders copy out every value they keep.
 func pooledRequest(_ uint64, op byte) bool {
-	return op == opPlaceCompute || op == opPlaceBatch || op == opObservedReport
+	return op == opPlaceCompute || op == opObservedReport
 }
 
 // placementOp reports whether op is a placement RPC — the ops whose
@@ -398,7 +397,7 @@ func pooledRequest(_ uint64, op byte) bool {
 // same service and is cheap, so bounding it costs nothing and keeps a
 // stats stampede from bypassing the limiter.
 func placementOp(op byte) bool {
-	return op == opPlaceCompute || op == opPlaceBatch || op == opPlaceStats
+	return op == opPlaceCompute || op == opPlaceStats
 }
 
 var errUnknownHandle = errors.New("orwlnet: unknown handle")
@@ -421,7 +420,7 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		req, _, err := decodePlaceRequest(m.payload, s.matrices)
+		req, err := decodePlaceRequest(m.payload, s.matrices)
 		if err != nil {
 			return nil, false, err
 		}
@@ -430,26 +429,6 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 			return nil, false, err
 		}
 		return encodePlaceResponse(getPayloadBuf(), resp), true, nil
-	case opPlaceBatch:
-		svc, err := s.placementFor()
-		if err != nil {
-			return nil, false, err
-		}
-		reqs, err := decodePlaceBatchRequest(m.payload, s.matrices)
-		if err != nil {
-			return nil, false, err
-		}
-		resps, err := svc.PlaceBatch(s.ctx, reqs)
-		if err != nil {
-			return nil, false, err
-		}
-		buf := getPayloadBuf()
-		payload, err := encodePlaceBatchResponse(buf, resps)
-		if err != nil {
-			putPayloadBuf(buf)
-			return nil, false, err
-		}
-		return payload, true, nil
 	case opPlaceStats:
 		stats, err := s.ServiceStats(s.ctx)
 		if err != nil {

@@ -32,8 +32,6 @@ import (
 var wireGoldens = map[string]string{
 	"await/req":             "110000000700000000000000040100000000000000",
 	"await/resp":            "09000000070000000000000000",
-	"batch/req":             "5400000007000000000000000d070200000000000000070400666967320900747265656d6174636804000000000000000103d3bd961e1e3d5db3040700000e00726f756e642d726f62696e2d707503000000000000000000",
-	"batch/resp":            "c300000007000000000000000007020000000000000007040066696732000001000000000000294000000000000090400300000000000000010000000000000001000000000000009210000000000000010900747265656d617463680201050004080c0502010a0e05000204060703006261642000706c6163656d656e743a20756e6b6e6f776e206d616368696e652022626164220000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	"hello/req":             "0b0000000700000000000000090007",
 	"hello/resp":            "0a00000007000000000000000007",
 	"insert/req":            "1000000007000000000000000304006772696401",
@@ -153,8 +151,6 @@ func wireFrames() map[string]wireFrame {
 	remap := func(ev *ctrlplane.Remap, allowDelta bool) func() []byte {
 		return func() []byte { b, _ := encodeRemapFrame(nil, ev, allowDelta); return b }
 	}
-	batch := []*placement.PlaceRequest{fixtureReq(), {Strategy: "round-robin-pu", Entities: 3}}
-	batchResps := []*placement.PlaceResponse{fixtureResp(), {Machine: "bad", Err: `placement: unknown machine "bad"`}}
 	return map[string]wireFrame{
 		"hello/req":             {opHello, opHello, fixed([]byte{0, protoVersion})},
 		"hello/resp":            {opHello, statusOK, fixed([]byte{protoVersion})},
@@ -177,11 +173,7 @@ func wireFrames() map[string]wireFrame {
 		"place-body/req":        {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), false) }},
 		"place-fingerprint/req": {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), true) }},
 		"place/resp":            {opPlaceCompute, statusOK, func() []byte { return encodePlaceResponse(nil, fixtureResp()) }},
-		"batch/req": {opPlaceBatch, opPlaceBatch, func() []byte {
-			return must(encodeBatch(batch, true))
-		}},
-		"batch/resp":   {opPlaceBatch, statusOK, func() []byte { return must(encodePlaceBatchResponse(nil, batchResps)) }},
-		"topology/req": {opTopology, opTopology, fixed(nil)},
+		"topology/req":          {opTopology, opTopology, fixed(nil)},
 		"topology/resp": {opTopology, statusOK, func() []byte {
 			top, err := topology.ByName("tinyflat")
 			if err != nil {
@@ -270,7 +262,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 	}
 	placeReq := func(fpOnly bool) func([]byte) ([]byte, error) {
 		return func(p []byte) ([]byte, error) {
-			req, _, err := decodePlaceRequest(p, seen())
+			req, err := decodePlaceRequest(p, seen())
 			if err != nil {
 				return nil, err
 			}
@@ -304,20 +296,6 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 				return nil, err
 			}
 			return encodePlaceResponse(nil, resp), nil
-		},
-		"batch/req": func(p []byte) ([]byte, error) {
-			reqs, err := decodePlaceBatchRequest(p, seen())
-			if err != nil {
-				return nil, err
-			}
-			return encodeBatch(reqs, true)
-		},
-		"batch/resp": func(p []byte) ([]byte, error) {
-			resps, err := decodePlaceBatchResponse(p)
-			if err != nil {
-				return nil, err
-			}
-			return encodePlaceBatchResponse(nil, resps)
 		},
 		"stats/resp": func(p []byte) ([]byte, error) {
 			st, err := decodeServiceStats(p)
@@ -511,14 +489,13 @@ func wireRejections(t *testing.T) []wireRejection {
 	}
 	rs := []wireRejection{
 		{"hello range without 6", opHello, false, false, h("0b000000" + "0700000000000000" + "09" + "0305"), statusVersion, ErrVersion},
-		{"over-cap batch count", opPlaceBatch, true, false, h("12000000" + "0700000000000000" + "0d" + "07" + "ffffffff00000000"), statusError, errAbsurd},
+		{"retired op 13", 13, true, false, h("09000000" + "0700000000000000" + "0d"), statusError, errUnknownOp},
 		{"unknown op", 99, true, false, h("09000000" + "0700000000000000" + "63"), statusError, errUnknownOp},
 		{"unknown fingerprint", opPlaceCompute, true, false, g("place-fingerprint/req"), statusUnknownMatrix, ErrUnknownMatrix},
-		{"unknown fingerprint in a batch slot", opPlaceBatch, true, false, g("batch/req"), statusUnknownMatrix, ErrUnknownMatrix},
 		{"unknown lease", opObservedReport, true, false, g("report-sparse/req"), statusUnknownLease, ctrlplane.ErrUnknownLease},
 		{"report over budget", opObservedReport, true, true, g("report-sparse/req"), statusRateLimited, ctrlplane.ErrRateLimited},
 	}
-	for _, name := range []string{"place-body/req", "batch/req", "lease/req", "report-sparse/req", "watch/req"} {
+	for _, name := range []string{"place-body/req", "lease/req", "report-sparse/req", "watch/req"} {
 		f := g(name)
 		rs = append(rs, wireRejection{"bad version byte: " + name, f[12], true, false, withPayloadByte(f, 5), statusVersion, ErrVersion})
 	}
@@ -661,10 +638,7 @@ func TestPinnedV5ClientAgainstV6Server(t *testing.T)  { refuseHello(t, 0, 5) }
 func TestPinnedV6ClientAgainstV7Server(t *testing.T)  { refuseHello(t, 0, 6) }
 func TestV7ClientAgainstV6Server(t *testing.T)        { refuseServer(t, statusOK, []byte{6}) }
 func TestCrossVersionRequests(t *testing.T)           { refusePayloads(t, "place-body/req", "place/resp") }
-func TestBatchCodecsHonourNegotiatedSchema(t *testing.T) {
-	refusePayloads(t, "batch/req", "batch/resp")
-}
-func TestServiceStatsV2Downgrade(t *testing.T) { refusePayloads(t, "stats/resp") }
+func TestServiceStatsV2Downgrade(t *testing.T)        { refusePayloads(t, "stats/resp") }
 
 // TestServiceStatsV3RoundTrip: the stats golden decodes to every field
 // of the fixture it was built from.
@@ -713,8 +687,7 @@ func TestWireOpcodeTable(t *testing.T) {
 		"opScale": opScale, "opSize": opSize, "opInsert": opInsert, "opAwait": opAwait,
 		"opRead": opRead, "opWrite": opWrite, "opRelease": opRelease, "opReleaseReinsert": opReleaseReinsert,
 		"opHello": opHello, "opPlaceCompute": opPlaceCompute, "opTopology": opTopology, "opPlaceStats": opPlaceStats,
-		"opPlaceBatch": opPlaceBatch, "opFleetLease": opFleetLease, "opObservedReport": opObservedReport,
-		"opWatchRemaps": opWatchRemaps,
+		"opFleetLease": opFleetLease, "opObservedReport": opObservedReport, "opWatchRemaps": opWatchRemaps,
 	}
 	codes := map[byte]map[int]bool{}
 	for _, c := range wireRejections(t) {

@@ -13,10 +13,9 @@ import (
 // MultiService routes placement requests across a fleet of named
 // machines — one Engine (and therefore one mapping cache and one
 // singleflight) per topology. It is the daemon-side answer to the
-// paper's Table I testbeds: instead of one daemon process per machine
-// and one RPC per request, a single service holds every topology,
-// `PlaceRequest.Machine` selects one, and `PlaceBatch` fans a request
-// slice across the fleet concurrently.
+// paper's Table I testbeds: instead of one daemon process per
+// machine, a single service holds every topology and
+// `PlaceRequest.Machine` selects one.
 //
 // The first machine added is the default: requests that name no
 // machine route there.
@@ -142,14 +141,6 @@ func (m *MultiService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	// name the caller can route with.
 	resp.Machine = name
 	return resp, nil
-}
-
-// PlaceBatch implements Service: the slots fan out concurrently, each
-// onto its machine's engine. Identical slots on one machine collapse
-// into a single compute through that engine's singleflight; slots on
-// different machines never contend.
-func (m *MultiService) PlaceBatch(ctx context.Context, reqs []*PlaceRequest) ([]*PlaceResponse, error) {
-	return fanOutBatch(ctx, m.Place, reqs)
 }
 
 // Topology implements Service: the default machine's tree, as a deep

@@ -111,113 +111,9 @@ func TestMultiServiceConstruction(t *testing.T) {
 	}
 }
 
-func TestMultiServicePlaceBatch(t *testing.T) {
-	fleet := newTestFleet(t)
-	ctx := context.Background()
-	mat := testMatrix(t, 4, 100)
-
-	reqs := []*PlaceRequest{
-		{Machine: "tinyht", Strategy: TreeMatch, Matrix: mat},
-		{Machine: "tinyflat", Strategy: TreeMatch, Matrix: mat},
-		{Strategy: TreeMatch, Matrix: mat},                     // default machine
-		{Machine: "missing", Strategy: TreeMatch, Matrix: mat}, // slot error
-		{Machine: "tinyht", Strategy: "nope", Entities: 2},     // slot error
-		nil, // slot error, must not void the batch
-	}
-	resps, err := fleet.PlaceBatch(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != len(reqs) {
-		t.Fatalf("batch answered %d slots for %d requests", len(resps), len(reqs))
-	}
-	for i, want := range []string{"tinyht", "tinyflat", "tinyht"} {
-		if resps[i].Err != "" || resps[i].Assignment == nil || resps[i].Machine != want {
-			t.Errorf("slot %d = %+v, want assignment from %q", i, resps[i], want)
-		}
-	}
-	for i := 3; i < len(reqs); i++ {
-		if resps[i].Err == "" || resps[i].Assignment != nil {
-			t.Errorf("bad slot %d answered %+v, want a per-slot error", i, resps[i])
-		}
-	}
-
-	// The default-machine slot and the named tinyht slot share a cache
-	// key, so tinyht computed the matrix once.
-	per, err := machineStats(ctx, fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := per["tinyht"]; st.Cache.Misses != 1 {
-		t.Errorf("tinyht misses = %d, want 1 (identical slots coalesce)", st.Cache.Misses)
-	}
-}
-
-// TestMultiServicePlaceBatchConcurrent hammers PlaceBatch from many
-// goroutines with mixed machines and a mix of recurring (cache-hit)
-// and per-worker (cache-miss) matrices — the -race deployment shape of
-// a fleet daemon under burst load.
-func TestMultiServicePlaceBatchConcurrent(t *testing.T) {
-	fleet := newTestFleet(t)
-	ctx := context.Background()
-	shared := testMatrix(t, 4, 100)
-
-	const workers = 8
-	const batches = 10
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				// One shared slot per machine (hits after the first
-				// compute) plus one distinct-order slot (misses).
-				reqs := []*PlaceRequest{
-					{Machine: "tinyht", Strategy: TreeMatch, Matrix: shared},
-					{Machine: "tinyflat", Strategy: TreeMatch, Matrix: shared},
-					{Machine: "tinyht", Strategy: TreeMatch, Matrix: testMatrix(t, 3+(w+i)%4, 7)},
-				}
-				resps, err := fleet.PlaceBatch(ctx, reqs)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for s, resp := range resps {
-					if resp.Err != "" || resp.Assignment == nil {
-						t.Errorf("worker %d batch %d slot %d: %+v", w, i, s, resp)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	st, err := fleet.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := uint64(workers * batches * 3)
-	if st.Places != total {
-		t.Errorf("places = %d, want %d", st.Places, total)
-	}
-	if st.Cache.Hits+st.Cache.Misses != total {
-		t.Errorf("hits(%d)+misses(%d) != %d", st.Cache.Hits, st.Cache.Misses, total)
-	}
-	// 2 shared keys + 4 distinct orders on tinyht; singleflight keeps
-	// duplicate computes from concurrent first touches bounded.
-	if st.Cache.Misses < 6 {
-		t.Errorf("misses = %d, want >= 6 distinct keys", st.Cache.Misses)
-	}
-}
-
 // TestMultiServiceConcurrentAddMachine hammers a growing fleet:
-// machines are registered while placements, batch placements and both
-// stats views run against it — the shape of a daemon whose operator
+// machines are registered while placements on the default and on a
+// named machine and both stats views run against it — the shape of a daemon whose operator
 // adds machines at runtime. Run under -race this guards the router's
 // locking.
 func TestMultiServiceConcurrentAddMachine(t *testing.T) {
@@ -264,11 +160,8 @@ func TestMultiServiceConcurrentAddMachine(t *testing.T) {
 					t.Errorf("default Place: %v", err)
 					return
 				}
-				if _, err := fleet.PlaceBatch(ctx, []*PlaceRequest{
-					{Strategy: TreeMatch, Matrix: m},
-					{Machine: "seed", Strategy: None},
-				}); err != nil {
-					t.Errorf("PlaceBatch: %v", err)
+				if _, err := fleet.Place(ctx, &PlaceRequest{Machine: "seed", Strategy: None, Entities: 2}); err != nil {
+					t.Errorf("seed Place: %v", err)
 					return
 				}
 				if _, err := fleet.Stats(ctx); err != nil {

@@ -3,7 +3,6 @@ package placement
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,11 +52,11 @@ type PlaceResponse struct {
 	// the request selected, or the default machine's name when the
 	// request left it empty.
 	Machine string
-	// Err carries a batch slot's failure: PlaceBatch
-	// answers every request positionally, so a failed slot is a
-	// response with Err set and no Assignment instead of an error that
-	// would void its siblings. Single Place calls return a Go error
-	// and leave Err empty.
+	// Err carries one machine's failure in a cross-machine comparison
+	// (orwlplace.PlaceAcross answers every machine positionally, so a
+	// failed machine is a response with Err set and no Assignment). The
+	// wire keeps the field, but Place returns a Go error and leaves Err
+	// empty.
 	Err string
 	// Assignment is the computed placement: shared with the engine's
 	// cache (and, remotely, the client's decode memo), so read-only —
@@ -93,7 +92,7 @@ type ServiceStats struct {
 	// default machine first. A single-machine service
 	// lists just its own machine.
 	Machines []string
-	// Places counts the Place calls served (batch slots included).
+	// Places counts the Place calls served.
 	Places uint64
 	// Cache is a snapshot of the mapping-cache counters.
 	Cache CacheStats
@@ -205,11 +204,6 @@ type Service interface {
 	// Place computes (or fetches from cache) an assignment for the
 	// request.
 	Place(ctx context.Context, req *PlaceRequest) (*PlaceResponse, error)
-	// PlaceBatch answers a request slice positionally, fanning the
-	// slots across the fleet's per-machine engines concurrently. A
-	// failing slot reports through its response's Err field; the call
-	// error is reserved for whole-batch failures (transport, context).
-	PlaceBatch(ctx context.Context, reqs []*PlaceRequest) ([]*PlaceResponse, error)
 	// Topology returns the default machine the service places onto.
 	// The returned tree is the caller's to keep: mutating it does not
 	// reach the service's own topology.
@@ -352,13 +346,6 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 	return resp, nil
 }
 
-// PlaceBatch implements Service: the slots fan out concurrently onto
-// the engine, whose singleflight collapses identical slots into one
-// compute.
-func (s *LocalService) PlaceBatch(ctx context.Context, reqs []*PlaceRequest) ([]*PlaceResponse, error) {
-	return fanOutBatch(ctx, s.Place, reqs)
-}
-
 // Topology implements Service. The engine's tree is returned as a deep
 // copy (the same serialisation round trip a remote caller gets): an
 // in-process caller mutating the result cannot desynchronise the
@@ -408,53 +395,4 @@ func (s *LocalService) Stats(ctx context.Context) (ServiceStats, error) {
 		Cache:             s.eng.Stats(),
 		Adaptive:          s.adaptiveStats(),
 	}, nil
-}
-
-// batchParallelism bounds the goroutines one PlaceBatch fans out. A
-// remote batch frame can decode to tens of thousands of slots (the
-// wire only bounds the count by payload size), and each slot may run
-// a full TreeMatch — an unbounded fan-out would let one RPC blow up
-// the daemon's memory and scheduler. Slots beyond the bound queue on
-// the semaphore; cross-machine comparisons (a handful of slots) are
-// unaffected.
-var batchParallelism = max(4, 2*runtime.GOMAXPROCS(0))
-
-// fanOutBatch answers every request concurrently through place,
-// positionally, at most batchParallelism slots in flight. Slot
-// failures become responses with Err set, so one bad request cannot
-// void its siblings; the call itself only fails on whole-batch
-// conditions (context cancellation).
-func fanOutBatch(ctx context.Context, place func(context.Context, *PlaceRequest) (*PlaceResponse, error), reqs []*PlaceRequest) ([]*PlaceResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]*PlaceResponse, len(reqs))
-	sem := make(chan struct{}, batchParallelism)
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, req *PlaceRequest) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp, err := place(ctx, req)
-			if err != nil {
-				resp = &PlaceResponse{Err: err.Error()}
-				if req != nil {
-					resp.Machine = req.Machine
-				}
-			}
-			out[i] = resp
-		}(i, req)
-	}
-	wg.Wait()
-	// Cancellation mid-batch is a whole-batch condition, per the
-	// Service contract: without this, every in-flight slot would
-	// report "context canceled" in its Err field and the batch itself
-	// would look successful, indistinguishable from genuine
-	// per-machine failures.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -285,8 +285,8 @@ func TestServiceConcurrentPlace(t *testing.T) {
 	}
 }
 
-// TestPlaceMapsInOneRunAboveThreshold pins the placement's promise: Place
-// and PlaceBatch map in one run at every order — the service pins
+// TestPlaceMapsInOneRunAboveThreshold pins the placement's promise:
+// Place maps in one run at every order — the service pins
 // PartitionThreshold to -1 — while the reconciler, on the same engine
 // and matrix, partitions above the default threshold.
 func TestPlaceMapsInOneRunAboveThreshold(t *testing.T) {
@@ -309,21 +309,12 @@ func TestPlaceMapsInOneRunAboveThreshold(t *testing.T) {
 	}
 	ctx := context.Background()
 	req := &PlaceRequest{Strategy: TreeMatch, Matrix: m}
-	one, err := svc.Place(ctx, req)
+	resp, err := svc.Place(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := svc.PlaceBatch(ctx, []*PlaceRequest{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, resp := range map[string]*PlaceResponse{"Place": one, "PlaceBatch": batch[0]} {
-		if resp.Err != "" {
-			t.Fatalf("%s: %s", name, resp.Err)
-		}
-		if a := resp.Assignment; a.Partitions != nil || !slices.Equal(a.ComputePU, want.ComputePU) {
-			t.Fatalf("%s of %d tasks: partitioned %v, or not treematch.Map's mapping", name, m.Order(), a.Partitions != nil)
-		}
+	if a := resp.Assignment; a.Partitions != nil || !slices.Equal(a.ComputePU, want.ComputePU) {
+		t.Fatalf("Place of %d tasks: partitioned %v, or not treematch.Map's mapping", m.Order(), a.Partitions != nil)
 	}
 
 	rec, err := NewReconciler(eng, Fixed("window", m), nil, AdaptiveConfig{})

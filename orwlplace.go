@@ -3,6 +3,8 @@ package orwlplace
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/core"
@@ -63,11 +65,11 @@ const (
 )
 
 // Fleet is a placement service routing across a set of named machines
-// — one engine (strategy registry + mapping cache) per topology, a
-// default machine for requests that name none, and PlaceBatch to fan
-// one request slice across the fleet in a single call. It implements
-// Service, so everything that consumes a single-machine service
-// (core.Module, the daemon, the RPC layer) serves a fleet unchanged.
+// — one engine (strategy registry + mapping cache) per topology and a
+// default machine for requests that name none. It implements Service,
+// so everything that consumes a single-machine service (core.Module,
+// the daemon, the RPC layer) serves a fleet unchanged, and PlaceAcross
+// compares its machines with one Place each.
 type Fleet = placement.MultiService
 
 // ServiceOption tunes the engines behind NewService/NewFleet.
@@ -149,10 +151,10 @@ type RetryPolicy = orwlnet.RetryPolicy
 func DefaultRetryPolicy() RetryPolicy { return orwlnet.DefaultRetryPolicy() }
 
 // WithRetry arms the stub with a retry policy: idempotent calls
-// (Place, PlaceBatch, Topology, Stats, lease registration, observed
-// reports) retry transient transport failures with exponential
-// backoff, redialing dead pool connections between attempts. Location
-// operations never retry — their FIFO semantics are not idempotent.
+// (Place, Topology, Stats, lease registration, observed reports) retry
+// transient transport failures with exponential backoff, redialing
+// dead pool connections between attempts. Location operations never
+// retry — their FIFO semantics are not idempotent.
 func WithRetry(p RetryPolicy) DialOption { return orwlnet.WithRetryPolicy(p) }
 
 // DialPlacement connects to a placement daemon, honouring the
@@ -250,18 +252,46 @@ func NewAdaptive(svc Service, src Source, prog *Program, cfg AdaptiveConfig) (*A
 	return rec, nil
 }
 
-// PlaceAcross batch-places one workload onto every named machine of a
-// fleet service in a single call (one RPC when svc is remote): the
-// paper's cross-machine comparison, as a service primitive. Responses
-// are positional per machine; a machine's failure is reported in its
-// response's Err field.
+// acrossParallelism bounds the Place calls one PlaceAcross keeps in
+// flight. Each may run a full TreeMatch on the serving side, so a long
+// machine list must not turn into as many concurrent computes; calls
+// beyond the bound queue on the semaphore, and a comparison over a
+// handful of machines is unaffected.
+var acrossParallelism = max(4, 2*runtime.GOMAXPROCS(0))
+
+// PlaceAcross places one workload onto every named machine of a fleet
+// service, one Place per machine, concurrently: the paper's
+// cross-machine comparison. Responses are positional per machine; a
+// machine's failure is a response with Err set, so it cannot void its
+// siblings. The call itself only fails when ctx ends: without that
+// check every in-flight machine would report "context canceled" in its
+// Err field and the comparison would look like per-machine failures.
 func PlaceAcross(ctx context.Context, svc Service, strategy string, m *Matrix, n int, machines []string) ([]*PlaceResponse, error) {
 	if svc == nil {
 		return nil, fmt.Errorf("orwlplace: nil service")
 	}
-	reqs := make([]*PlaceRequest, len(machines))
-	for i, machine := range machines {
-		reqs[i] = &PlaceRequest{Machine: machine, Strategy: strategy, Matrix: m, Entities: n}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return svc.PlaceBatch(ctx, reqs)
+	out := make([]*PlaceResponse, len(machines))
+	sem := make(chan struct{}, acrossParallelism)
+	var wg sync.WaitGroup
+	for i, machine := range machines {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, machine string) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			resp, err := svc.Place(ctx, &PlaceRequest{Machine: machine, Strategy: strategy, Matrix: m, Entities: n})
+			if err != nil {
+				resp = &PlaceResponse{Machine: machine, Err: err.Error()}
+			}
+			out[i] = resp
+		}(i, machine)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
