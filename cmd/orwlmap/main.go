@@ -1,6 +1,6 @@
 // Command orwlmap maps a communication matrix onto a machine with the
 // paper's Algorithm 1 and reports the placement, its cost, and how it
-// compares to every bound strategy in the placement registry.
+// compares to every bound strategy in the placement strategy table.
 //
 // Usage:
 //
@@ -65,8 +65,8 @@ func main() {
 		}
 		fmt.Printf("%-16s %12.0f %14.0f\n", name, cost, cross)
 	}
-	// Every bound strategy in the registry, the affinity module first
-	// (registration order).
+	// Every bound strategy of the table, the affinity module first
+	// (comparison-row order).
 	for _, name := range placement.Names() {
 		if name == placement.TreeMatch {
 			report(name, tm.ComputePU)

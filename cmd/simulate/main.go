@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Printf("%-22s %12s %14s %14s %10s\n", "strategy", "seconds", "L3 misses", "stalled cyc", "migrations")
 	// The strategy runs are independent: fan them out across goroutines
-	// (the engine is concurrency-safe) and print in registry order.
+	// (the engine is concurrency-safe) and print in comparison-row order.
 	names := placement.Names()
 	type run struct {
 		r   *perfsim.Result

@@ -11,7 +11,7 @@
 //     cost/cache/latency diagnostics out). Place is the one placement
 //     call, in process and over the wire.
 //   - NewService: the in-process deployment, a placement engine
-//     (strategy registry + LRU mapping cache) behind the interface.
+//     (strategy table + LRU mapping cache) behind the interface.
 //   - NewFleet: the multi-machine deployment, one engine per named
 //     machine behind the same interface, with a default machine and
 //     PlaceAcross for cross-machine comparisons (one Place per
@@ -19,14 +19,14 @@
 //   - DialPlacement: the remote deployment, a stub speaking the
 //     versioned orwlnetd wire protocol to a placement daemon.
 //   - Strategies, Machines, Machine, HostTopology: the strategy
-//     registry and topology discovery.
+//     table and topology discovery.
 //
 // The layering below the facade: internal/core keeps the paper-named
 // affinity module (ORWL_AFFINITY gating and the three-step
 // DependencyGet / AffinityCompute / AffinitySet API) as a thin shim
 // over Service — extraction and binding are local, the compute step
 // goes wherever the service lives. internal/placement owns the engine
-// (pipeline, registry, cache) and the Service contract.
+// (pipeline, strategy table, cache) and the Service contract.
 // internal/orwlnet carries both ORWL location sharing and the
 // placement RPCs over one multiplexed, length-prefixed,
 // versioned TCP protocol, served by cmd/orwlnetd. The

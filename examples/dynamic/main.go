@@ -7,7 +7,7 @@
 // the declared pipeline, then the tasks switch to a clustered exchange
 // the initial mapping is wrong for. The runtime's traffic counters see
 // the shift; an adaptive reconciler measures the drift of each
-// observed window, re-places through the strategy registry, and adopts
+// observed window, re-places through TreeMatch, and adopts
 // the new mapping because the perfsim-modeled gain beats the modeled
 // migration cost — recovering most of the performance the static
 // mapping loses.

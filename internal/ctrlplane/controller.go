@@ -48,8 +48,8 @@ type Remap struct {
 // Config tunes a Controller.
 type Config struct {
 	// Adaptive tunes the per-machine reconcilers (drift threshold,
-	// strategy, hysteresis, ...). The zero value gets the
-	// placement.AdaptiveConfig defaults.
+	// hysteresis, model horizon, ...); they re-place through TreeMatch.
+	// The zero value gets the placement.AdaptiveConfig defaults.
 	Adaptive placement.AdaptiveConfig
 	// StaleAfter is the lease staleness window (0 = DefaultStaleAfter,
 	// negative = never evict).

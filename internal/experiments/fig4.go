@@ -51,10 +51,9 @@ func k23Run(top *topology.Topology, cores int) (*k23Result, error) {
 	}
 	// The paper reports the best OpenMP binding found (OMP_PLACES=cores
 	// with close/spread equivalent). Deliberately wider than the
-	// authors' two candidates: every registered environment strategy
-	// competes, so the baseline can only get stronger as strategies
-	// are added — the shape tests pin that the affinity module still
-	// wins.
+	// authors' two candidates: every environment policy of the
+	// strategy table competes — the shape tests pin that the affinity
+	// module still wins.
 	if out.OpenMPAffinity, _, err = bestOblivious(top, ompW); err != nil {
 		return nil, err
 	}

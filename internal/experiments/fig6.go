@@ -48,8 +48,8 @@ func trackingRun(full *topology.Topology, size tracking.Size, frames int) (*trac
 	if out.OpenMP, err = runDynamic(top, ompW); err != nil {
 		return nil, err
 	}
-	// Like Fig. 4: the best environment binding found over the whole
-	// strategy registry.
+	// Like Fig. 4: the best environment binding found over every
+	// environment policy of the strategy table.
 	if out.OpenMPAffinity, _, err = bestOblivious(top, ompW); err != nil {
 		return nil, err
 	}

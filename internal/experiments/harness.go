@@ -51,25 +51,24 @@ func runAffinity(top *topology.Topology, w *perfsim.Workload) (*perfsim.Result, 
 }
 
 // runDynamic simulates an unbound run under the machine's native OS
-// scheduling policy — the registry's none baseline.
+// scheduling policy — the strategy table's none baseline.
 func runDynamic(top *topology.Topology, w *perfsim.Workload) (*perfsim.Result, error) {
 	res, _, err := engineFor(top).Simulate(placement.None, w, placement.Options{}, dynamicSeed)
 	return res, err
 }
 
-// runStrategy simulates a run bound by one registered strategy.
+// runStrategy simulates a run bound by one named strategy.
 func runStrategy(top *topology.Topology, w *perfsim.Workload, name string) (*perfsim.Result, error) {
 	res, _, err := engineFor(top).Simulate(name, w, placement.Options{}, dynamicSeed)
 	return res, err
 }
 
-// bestOblivious evaluates every registered matrix-oblivious bound
-// strategy and returns the fastest run with its name — how the paper
-// reports "the best OpenMP/MKL environment binding found". New
-// strategies join the comparison by registering, without touching the
-// figures. The candidate runs are independent, so they fan out across
-// goroutines; the winner is picked from the collected results in
-// registry order, keeping the outcome deterministic.
+// bestOblivious evaluates every matrix-oblivious environment policy
+// and returns the fastest run with its name — how the paper reports
+// "the best OpenMP/MKL environment binding found". The candidate runs
+// are independent, so they fan out across goroutines; the winner is
+// picked from the collected results in comparison-row order, keeping
+// the outcome deterministic.
 func bestOblivious(top *topology.Topology, w *perfsim.Workload) (*perfsim.Result, string, error) {
 	names := placement.ObliviousNames()
 	results, err := runStrategiesParallel(top, w, names, nil)
@@ -82,9 +81,6 @@ func bestOblivious(top *topology.Topology, w *perfsim.Workload) (*perfsim.Result
 		if best == nil || res.Seconds < best.Seconds {
 			best, bestName = res, names[i]
 		}
-	}
-	if best == nil {
-		return nil, "", fmt.Errorf("experiments: no oblivious strategies registered")
 	}
 	return best, bestName, nil
 }

@@ -10,12 +10,10 @@ import (
 	"orwlplace/internal/topology"
 )
 
-// StrategyTable runs the full strategy registry — the paper's affinity
-// module, every environment baseline and the unbound OS scheduler —
-// over the HD tracking workload on both testbeds. It is the registry
-// made visible: a strategy registered in internal/placement gains a
-// row here (and a candidate slot in the best-baseline selections of
-// Figs. 4 and 6) without any harness change.
+// StrategyTable runs the full strategy table of internal/placement —
+// the paper's affinity module, every environment baseline and the
+// unbound OS scheduler — over the HD tracking workload on both
+// testbeds, one row per strategy in comparison-row order.
 func StrategyTable() (*Table, error) {
 	tops := Machines()
 	t := &Table{
@@ -37,7 +35,7 @@ func StrategyTable() (*Table, error) {
 		placement.TreeMatch: {ControlThreads: true},
 	}
 	// Every (strategy, machine) cell is independent: fan the per-machine
-	// sweeps out in parallel and assemble rows in registry order.
+	// sweeps out in parallel and assemble rows in comparison-row order.
 	perTop := make([][]*perfsim.Result, len(tops))
 	errs := make([]error, len(tops))
 	var wg sync.WaitGroup

@@ -17,7 +17,8 @@ import (
 // A place request carries its mapper options as one byte, the
 // ControlThreads flag. These tests pin what follows from that: the
 // cost of the largest request a peer can send, and the refusal of the
-// previous layout, which carried 24 more option bytes.
+// retired layouts: protocol 6 carried 24 more option bytes, and
+// protocol 7 answered with an error string no place call filled.
 
 // TestMaxOrderPlaceAllocatesNoSlab: a sparse ring of the largest order
 // the codec accepts, sent to a placement server and placed through
@@ -61,11 +62,37 @@ func TestMaxOrderPlaceAllocatesNoSlab(t *testing.T) {
 // option bytes, captured from the last build that spoke it, is refused
 // with ErrVersion by the decoder and by a live server.
 func TestV6PlaceFrameRefused(t *testing.T) {
-	const v6 = "5300000007000000000000000a060400666967320900747265656d61746368040000000000000001000000000000d03f080000000000000002000000000000000204040101c0e0030401c0e0030401c0e0030001c0e003"
+	refusePlaceFrame(t, "5300000007000000000000000a060400666967320900747265656d61746368040000000000000001000000000000d03f080000000000000002000000000000000204040101c0e0030401c0e0030401c0e0030001c0e003")
+}
+
+// TestV7PlaceFrameRefused: protocol 7 place frames, captured from the
+// last build that spoke it, are refused with ErrVersion: the request
+// by the decoder and by a live server, and the response, which still
+// carried an error string, by the client's decoder.
+func TestV7PlaceFrameRefused(t *testing.T) {
+	refusePlaceFrame(t, "3b00000007000000000000000a070400666967320900747265656d617463680400000000000000010204040101c0e0030401c0e0030401c0e0030001c0e003")
+	const resp = "6000000007000000000000000007040066696732000001000000000000294000000000000090400300000000000000010000000000000001000000000000009210000000000000010900747265656d617463680201050004080c0502010a0e0500020406"
+	frame, err := hex.DecodeString(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMessage(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodePlaceResponse(m.payload, nil); !errors.Is(err, ErrVersion) {
+		t.Fatalf("response decode err = %v, want ErrVersion", err)
+	}
+}
+
+// refusePlaceFrame checks that a place frame in a retired layout is
+// refused with ErrVersion by the decoder and by a live server.
+func refusePlaceFrame(t *testing.T, frameHex string) {
+	t.Helper()
 	_, addr := startFixtureServer(t)
 	conn := rawConn(t, addr)
 	exchange(t, conn, goldenFrame(t, "hello/req"))
-	frame, err := hex.DecodeString(v6)
+	frame, err := hex.DecodeString(frameHex)
 	if err != nil {
 		t.Fatal(err)
 	}

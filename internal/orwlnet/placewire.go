@@ -154,7 +154,6 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, e
 func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
 	dst = append(dst, protoVersion)
 	dst = codec.PutString(dst, resp.Machine)
-	dst = codec.PutString(dst, resp.Err)
 	dst = codec.PutBool(dst, resp.CacheHit)
 	dst = codec.PutFloat64(dst, resp.Cost)
 	dst = codec.PutFloat64(dst, resp.CrossNUMAVolume)
@@ -172,9 +171,6 @@ func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.Pla
 	}
 	resp := &placement.PlaceResponse{}
 	if resp.Machine, rest, err = codec.GetString(rest); err != nil {
-		return nil, nil, err
-	}
-	if resp.Err, rest, err = codec.GetString(rest); err != nil {
 		return nil, nil, err
 	}
 	if resp.CacheHit, rest, err = codec.GetBool(rest); err != nil {

@@ -68,7 +68,7 @@ const (
 // protoVersion is the one protocol version: the byte opHello agrees
 // on and the byte every payload starts with. A layout change bumps it
 // and replaces the old layout; a build speaks exactly one version.
-const protoVersion = 7
+const protoVersion = 8
 
 // Response status codes: the byte after a response frame's call id.
 // Every code but statusOK carries the error's text as its payload; the

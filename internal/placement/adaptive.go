@@ -20,10 +20,9 @@ import (
 // Reconciler turns the one-shot pipeline into a feedback loop: every
 // epoch it samples an observed-traffic window, measures how far the
 // traffic has drifted from the matrix backing the current assignment,
-// recomputes through the same strategy registry when the drift
-// crosses a threshold, and adopts the new mapping only when the
-// perfsim-modeled gain over the remaining horizon beats the modeled
-// migration cost.
+// recomputes through TreeMatch when the drift crosses a threshold,
+// and adopts the new mapping only when the perfsim-modeled gain over
+// the remaining horizon beats the modeled migration cost.
 
 // AdaptiveStats counts a reconciler's activity. It is embedded in
 // ServiceStats so the service surface (and the wire protocol's stats
@@ -286,10 +285,8 @@ func (pb *partitionBaseline) drift(out []float64, window comm.Affinity) []float6
 
 // AdaptiveConfig tunes a Reconciler.
 type AdaptiveConfig struct {
-	// Strategy names the registered strategy re-placements run through
-	// (default TreeMatch).
-	Strategy string
-	// Options tunes the strategy.
+	// Options tunes TreeMatch, the strategy every re-placement runs
+	// through: a matrix-oblivious policy cannot react to drift.
 	Options Options
 	// DriftThreshold is the drift above which an epoch recomputes the
 	// mapping (default 0.25).
@@ -326,9 +323,6 @@ type AdaptiveConfig struct {
 const minWindowBytes = 1
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Strategy == "" {
-		c.Strategy = TreeMatch
-	}
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.25
 	}
@@ -445,11 +439,7 @@ func NewReconciler(eng *Engine, src Source, prog *orwl.Program, cfg AdaptiveConf
 	if src == nil {
 		return nil, fmt.Errorf("placement: adaptive: nil source")
 	}
-	cfg = cfg.withDefaults()
-	if _, ok := Lookup(cfg.Strategy); !ok {
-		return nil, fmt.Errorf("placement: adaptive: unknown strategy %q", cfg.Strategy)
-	}
-	return &Reconciler{eng: eng, src: src, prog: prog, cfg: cfg}, nil
+	return &Reconciler{eng: eng, src: src, prog: prog, cfg: cfg.withDefaults()}, nil
 }
 
 // Prime computes and commits the initial assignment from a source —
@@ -461,7 +451,7 @@ func (r *Reconciler) Prime(src Source) error {
 	if err != nil {
 		return err
 	}
-	a, _, err := r.eng.ComputeHinted(r.cfg.Strategy, aff, 0, 0, r.cfg.Options)
+	a, _, err := r.eng.ComputeHinted(TreeMatch, aff, 0, 0, r.cfg.Options)
 	if err != nil {
 		return err
 	}
@@ -651,8 +641,8 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 	// Recompute. A partitioned mapping re-places only the drifted
 	// subtrees — everything else keeps its placement verbatim, which is
 	// the whole point of tracking drift per partition. Unpartitioned
-	// mappings recompute through the registry as before (the mapping
-	// cache makes oscillation back to a known pattern cheap).
+	// mappings recompute whole through TreeMatch (the mapping cache
+	// makes oscillation back to a known pattern cheap).
 	var candidate *Assignment
 	if partitioned {
 		var drifted []int
@@ -664,7 +654,7 @@ func (r *Reconciler) Epoch() (*EpochReport, error) {
 		rep.RemappedPartitions = drifted
 		candidate, err = r.remapPartitions(cur, window, drifted)
 	} else {
-		candidate, _, err = r.eng.ComputeHinted(r.cfg.Strategy, window, 0, 0, r.cfg.Options)
+		candidate, _, err = r.eng.ComputeHinted(TreeMatch, window, 0, 0, r.cfg.Options)
 	}
 	if err != nil {
 		return nil, err

@@ -250,9 +250,6 @@ func TestReconcilerGuards(t *testing.T) {
 	if _, err := NewReconciler(eng, nil, nil, AdaptiveConfig{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewReconciler(eng, src, nil, AdaptiveConfig{Strategy: "no-such"}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
 	rec, err := NewReconciler(eng, src, nil, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)

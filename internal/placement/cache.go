@@ -7,10 +7,10 @@ import (
 	"orwlplace/internal/topology"
 )
 
-// cacheKey identifies one memoised mapping: the machine, the matrix
-// (for comm-aware strategies), the entity count and the strategy with
-// its options. Two programs presenting the same communication pattern
-// on the same machine share the entry.
+// cacheKey identifies one memoised mapping: the machine, the entity
+// count, the strategy and, for TreeMatch only, the matrix and the
+// options. Two programs presenting the same communication pattern on
+// the same machine share the entry.
 type cacheKey struct {
 	topo     uint64
 	matrix   uint64

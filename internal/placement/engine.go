@@ -114,11 +114,13 @@ func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 // assignment is shared with the cache and every caller of the same key:
 // it is read-only, and a caller that edits one edits a Clone.
 func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n int, opt Options) (*Assignment, bool, error) {
-	s, ok := Lookup(strategy)
-	if !ok {
-		return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
+	treeMatch := strategy == TreeMatch
+	if !treeMatch && strategy != None {
+		if _, ok := policy(strategy); !ok {
+			return nil, false, fmt.Errorf("placement: unknown strategy %q (have %v)", strategy, Names())
+		}
 	}
-	if s.CommAware() && comm.NilAffinity(m) {
+	if treeMatch && comm.NilAffinity(m) {
 		// Refused before the cache, so it is not counted as a miss.
 		return nil, false, fmt.Errorf("placement: %s: nil communication matrix", strategy)
 	}
@@ -131,22 +133,18 @@ func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n in
 		entities: n,
 		strategy: strategy,
 	}
-	if s.CommAware() {
-		// Comm-oblivious strategies keep key.matrix zero so identical
-		// requests share one entry across matrices — the hint must not
-		// split them.
+	if treeMatch {
+		// Only TreeMatch reads the matrix and the options: the other
+		// strategies keep key.matrix and key.options zero, so identical
+		// requests share one entry across matrices and option values —
+		// the hint must not split them.
 		if key.matrix = fp; key.matrix == 0 {
 			key.matrix = comm.Fingerprint(m)
 		}
-	}
-	if usesOptions(s) {
-		// Strategies declaring options-insensitivity share one entry
-		// across option values instead of duplicating identical
-		// results.
 		key.options = optionsFingerprint(opt)
 	}
 	return e.computeKeyed(key, strategy, func() (*Assignment, error) {
-		return s.Map(e.top, m, n, opt)
+		return mapStrategy(e.top, strategy, m, n, opt)
 	})
 }
 

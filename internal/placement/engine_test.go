@@ -16,41 +16,27 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
+// TestStrategyNames pins the strategy table: every name in
+// comparison-row order, the environment policies alone in
+// ObliviousNames, and an unknown name refused.
+func TestStrategyNames(t *testing.T) {
 	want := []string{"treematch", "compact", "compact-cores", "scatter", "round-robin-pu", "none"}
-	if len(names) < len(want) {
-		t.Fatalf("registry has %d strategies, want >= %d", len(names), len(want))
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
+	if got := ObliviousNames(); !slices.Equal(got, want[1:5]) {
+		t.Errorf("ObliviousNames() = %v, want %v", got, want[1:5])
 	}
-	for _, n := range want {
-		if !have[n] {
-			t.Errorf("registry missing %q", n)
-		}
-		if _, ok := Lookup(n); !ok {
-			t.Errorf("Lookup(%q) failed", n)
-		}
+	eng, err := NewEngine(topology.TinyFlat())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range ObliviousNames() {
-		s, _ := Lookup(n)
-		if s.CommAware() {
-			t.Errorf("oblivious list contains comm-aware %q", n)
-		}
-		if n == None {
-			t.Error("oblivious list contains the unbound baseline")
-		}
+	_, _, err = eng.ComputeHinted("no-such-strategy", nil, 0, 4, Options{})
+	if err == nil || err.Error() != `placement: unknown strategy "no-such-strategy" (have [treematch compact compact-cores scatter round-robin-pu none])` {
+		t.Errorf("unknown strategy: err = %v", err)
 	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Error("accepted nil strategy")
-	}
-	if err := Register(&noneStrategy{}); err == nil {
-		t.Error("accepted duplicate name")
+	if st := eng.Stats(); st.Misses != 0 {
+		t.Errorf("an unknown strategy counted as a miss: %+v", st)
 	}
 }
 
@@ -153,6 +139,24 @@ func TestObliviousStrategiesIgnoreMatrix(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Hits != 2 {
 		t.Fatalf("stats = %+v, want second hit", st)
+	}
+	// Neither an environment policy nor the unbound baseline reads the
+	// options: one entry each across option values.
+	for _, name := range []string{"compact", None} {
+		a, _, err := eng.ComputeHinted(name, nil, 0, 4, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, hit, err := eng.ComputeHinted(name, nil, 0, 4, Options{ControlThreads: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || b != a {
+			t.Errorf("%s: ControlThreads split the cache entry (hit %v)", name, hit)
+		}
+	}
+	if st := eng.Stats(); st.Entries != 2 {
+		t.Fatalf("stats = %+v, want one entry for compact and one for none", st)
 	}
 }
 
@@ -402,61 +406,26 @@ func TestPlaceFullPipeline(t *testing.T) {
 	}
 }
 
-// registerForTest registers s until the test ends, so the test can run
-// again in the same process (-count).
-func registerForTest(t *testing.T, s Strategy) {
-	t.Helper()
-	if err := Register(s); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		regMu.Lock()
-		defer regMu.Unlock()
-		delete(registry, s.Name())
-		regOrder = slices.DeleteFunc(regOrder, func(name string) bool { return name == s.Name() })
-	})
-}
-
-// gateStrategy counts its Map invocations and blocks each one until
-// release is closed, so a test can pile up concurrent ComputeHinted calls on
-// one uncached key.
-type gateStrategy struct {
-	name    string
-	calls   atomic.Int64
-	started chan struct{} // receives one token per Map entry
-	release chan struct{}
-}
-
-func (g *gateStrategy) Name() string    { return g.name }
-func (g *gateStrategy) CommAware() bool { return false }
-
-func (g *gateStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
-	g.calls.Add(1)
-	select {
-	case g.started <- struct{}{}:
-	default:
-	}
-	<-g.release
-	pus := make([]int, n)
-	for i := range pus {
-		pus[i] = i % top.NumPUs()
-	}
-	return &Assignment{Strategy: g.name, ComputePU: pus}, nil
-}
-
-// Concurrent ComputeHinted calls for the same uncached key must run the
-// strategy exactly once: the first caller computes, the rest coalesce
-// onto the in-flight call (singleflight). Run with -race.
+// Concurrent computes of the same uncached key must run the strategy
+// exactly once: the first caller computes, the rest coalesce onto the
+// in-flight call (singleflight). Run with -race.
 func TestComputeSingleflight(t *testing.T) {
-	gate := &gateStrategy{
-		name:    "test-singleflight",
-		started: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
-	registerForTest(t, gate)
 	eng, err := NewEngine(topology.TinyFlat())
 	if err != nil {
 		t.Fatal(err)
+	}
+	key := cacheKey{topo: eng.TopologySignature(), entities: 4, strategy: "test-singleflight"}
+	var calls atomic.Int64
+	started := make(chan struct{}, 1) // receives one token per run entry
+	release := make(chan struct{})
+	run := func() (*Assignment, error) {
+		calls.Add(1)
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		return &Assignment{Strategy: key.strategy, ComputePU: []int{0, 1, 2, 3}}, nil
 	}
 
 	const callers = 16
@@ -467,7 +436,7 @@ func TestComputeSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, hit, err := eng.ComputeHinted(gate.name, nil, 0, 4, Options{})
+			a, hit, err := eng.computeKeyed(key, key.strategy, run)
 			if err != nil {
 				t.Error(err)
 				return
@@ -476,15 +445,15 @@ func TestComputeSingleflight(t *testing.T) {
 			hits[i] = hit
 		}(i)
 	}
-	<-gate.started // the leader is inside Map
+	<-started // the leader is inside run
 	// Give the other goroutines a moment to park on the flight call;
 	// any that arrive after completion hit the cache instead — either
 	// way the strategy must not run again.
 	time.Sleep(20 * time.Millisecond)
-	close(gate.release)
+	close(release)
 	wg.Wait()
 
-	if got := gate.calls.Load(); got != 1 {
+	if got := calls.Load(); got != 1 {
 		t.Fatalf("strategy ran %d times for one key, want exactly 1", got)
 	}
 	leaders := 0
@@ -503,15 +472,18 @@ func TestComputeSingleflight(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("%d callers reported a miss, want exactly the leader", leaders)
 	}
-	a, hit, err := eng.ComputeHinted(gate.name, nil, 0, 4, Options{})
+	a, hit, err := eng.computeKeyed(key, key.strategy, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !hit || calls.Load() != 1 {
 		t.Error("expected a cache hit after the flight completed")
 	}
 	if a != results[0] {
 		t.Error("the cache holds a different value than the flight returned")
+	}
+	if st := eng.Stats(); st.Misses != 1 || st.Hits != callers {
+		t.Errorf("stats = %+v, want 1 miss and %d hits", st, callers)
 	}
 }
 
@@ -544,49 +516,39 @@ func TestComputeSingleflightError(t *testing.T) {
 	}
 }
 
-// panicStrategy panics inside Map after signalling entry, so the test
-// can park a follower on the in-flight call first.
-type panicStrategy struct {
-	started chan struct{}
-	release chan struct{}
-}
-
-func (p *panicStrategy) Name() string    { return "test-panic" }
-func (p *panicStrategy) CommAware() bool { return false }
-
-func (p *panicStrategy) Map(*topology.Topology, comm.Affinity, int, Options) (*Assignment, error) {
-	select {
-	case p.started <- struct{}{}:
-	default:
-	}
-	<-p.release
-	panic("strategy exploded")
-}
-
 // A panicking strategy must resolve the in-flight call: parked
 // followers get an error instead of deadlocking, the panic propagates
 // to the leader, and the key recomputes on the next call.
 func TestComputeSingleflightPanic(t *testing.T) {
-	ps := &panicStrategy{started: make(chan struct{}, 1), release: make(chan struct{})}
-	registerForTest(t, ps)
 	eng, err := NewEngine(topology.TinyFlat())
 	if err != nil {
 		t.Fatal(err)
+	}
+	key := cacheKey{topo: eng.TopologySignature(), entities: 2, strategy: "test-panic"}
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	run := func() (*Assignment, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		panic("strategy exploded")
 	}
 
 	leaderPanicked := make(chan bool, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() != nil }()
-		eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
+		eng.computeKeyed(key, key.strategy, run)
 	}()
-	<-ps.started
+	<-started
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
+		_, _, err := eng.computeKeyed(key, key.strategy, run)
 		followerErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the follower park on the flight
-	close(ps.release)
+	close(release)
 
 	if !<-leaderPanicked {
 		t.Error("leader should observe the strategy panic")
@@ -603,7 +565,7 @@ func TestComputeSingleflightPanic(t *testing.T) {
 	// (and panics again, proving the flight entry was cleared).
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
-		eng.ComputeHinted(ps.Name(), nil, 0, 2, Options{})
+		eng.computeKeyed(key, key.strategy, run)
 		return
 	}()
 	if !panicked {

@@ -28,20 +28,21 @@ type MultiService struct {
 var _ Service = (*MultiService)(nil)
 
 // NewMultiService returns an empty fleet router; add machines with
-// AddMachine/AddEngine before serving.
+// AddMachine before serving.
 func NewMultiService() *MultiService {
 	return &MultiService{svcs: make(map[string]*LocalService)}
 }
 
-// AddEngine registers an engine under a fleet machine name. The first
-// registration becomes the default machine. Names are identity keys
-// for routing, so duplicates are an error.
-func (m *MultiService) AddEngine(name string, eng *Engine) error {
+// AddMachine builds an engine for the topology and registers it under
+// the fleet name. The first registration becomes the default machine.
+// Names are identity keys for routing, so duplicates are an error.
+func (m *MultiService) AddMachine(name string, top *topology.Topology, opts ...EngineOption) error {
 	if name == "" {
 		return fmt.Errorf("placement: fleet machine needs a name")
 	}
-	if eng == nil {
-		return fmt.Errorf("placement: nil engine for fleet machine %q", name)
+	eng, err := NewEngine(top, opts...)
+	if err != nil {
+		return err
 	}
 	svc, err := NewLocalService(eng)
 	if err != nil {
@@ -55,17 +56,6 @@ func (m *MultiService) AddEngine(name string, eng *Engine) error {
 	m.svcs[name] = svc
 	m.order = append(m.order, name)
 	return nil
-}
-
-// AddMachine builds an engine for the topology and registers it under
-// the fleet name — the convenience most callers (cmd/orwlnetd, the
-// facade) want.
-func (m *MultiService) AddMachine(name string, top *topology.Topology, opts ...EngineOption) error {
-	eng, err := NewEngine(top, opts...)
-	if err != nil {
-		return err
-	}
-	return m.AddEngine(name, eng)
 }
 
 // DefaultMachine returns the name unnamed requests route to ("" while

@@ -88,8 +88,8 @@ func TestMultiServiceConstruction(t *testing.T) {
 	if err := fleet.AddMachine("", topology.TinyHT()); err == nil {
 		t.Error("unnamed machine accepted")
 	}
-	if err := fleet.AddEngine("x", nil); err == nil {
-		t.Error("nil engine accepted")
+	if err := fleet.AddMachine("x", nil); err == nil {
+		t.Error("nil topology accepted")
 	}
 	if err := fleet.AddMachine("m", topology.TinyHT()); err != nil {
 		t.Fatal(err)

@@ -1,14 +1,13 @@
 // Package placement unifies the paper's three-step placement pipeline
 // — dependency extraction, topology-aware mapping, binding commit —
-// behind one engine with pluggable strategies and a mapping cache.
+// behind one engine with a closed strategy table and a mapping cache.
 //
 // The paper's contribution (the TreeMatch-based affinity module) and
 // the topology-oblivious baselines it is evaluated against
 // (KMP_AFFINITY=compact/scatter-style policies, plus the unbound OS
-// scheduler) are registered as peers implementing the same Strategy
-// interface. Consumers — the core affinity module, the experiments
-// harness, the simulator front ends — iterate the registry or name a
-// strategy instead of wiring algorithm calls by hand.
+// scheduler) are rows of one table. Consumers — the core affinity
+// module, the experiments harness, the simulator front ends — iterate
+// Names or name a strategy instead of wiring algorithm calls by hand.
 //
 // The Engine memoises computed assignments keyed by (topology
 // signature, matrix fingerprint, strategy, options), so dynamic
@@ -17,9 +16,6 @@
 package placement
 
 import (
-	"fmt"
-
-	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
 )
@@ -108,31 +104,4 @@ func fromMapping(strategy string, mp *treematch.Mapping) *Assignment {
 		CoreOf:         mp.CoreOf,
 		Partitions:     mp.Partitions,
 	}
-}
-
-// Strategy is one placement policy: given a machine, a communication
-// matrix (nil for matrix-oblivious policies) and an entity count, it
-// assigns entities to PUs.
-type Strategy interface {
-	// Name is the registry key, e.g. "treematch" or "scatter".
-	Name() string
-	// CommAware reports whether the result depends on the communication
-	// matrix; the engine's cache keys on the matrix only then.
-	CommAware() bool
-	// Map computes the assignment of n entities on top. m may be nil
-	// unless CommAware.
-	Map(top *topology.Topology, m comm.Affinity, n int, opt Options) (*Assignment, error)
-}
-
-func validateRequest(s Strategy, top *topology.Topology, m comm.Affinity, n int) error {
-	if top == nil {
-		return fmt.Errorf("placement: %s: nil topology", s.Name())
-	}
-	if s.CommAware() && comm.NilAffinity(m) {
-		return fmt.Errorf("placement: %s: nil communication matrix", s.Name())
-	}
-	if n <= 0 {
-		return fmt.Errorf("placement: %s: need at least one entity, got %d", s.Name(), n)
-	}
-	return nil
 }

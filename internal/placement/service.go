@@ -20,7 +20,7 @@ type PlaceRequest struct {
 	// Machine names the fleet machine to place onto. Empty selects the
 	// service's default machine.
 	Machine string
-	// Strategy names a registered strategy ("treematch", "compact", ...).
+	// Strategy names a strategy of the table ("treematch", "compact", ...).
 	Strategy string
 	// Entities is the number of entities to place. May be zero when
 	// Matrix is set, in which case the matrix order is used; otherwise
@@ -54,9 +54,9 @@ type PlaceResponse struct {
 	Machine string
 	// Err carries one machine's failure in a cross-machine comparison
 	// (orwlplace.PlaceAcross answers every machine positionally, so a
-	// failed machine is a response with Err set and no Assignment). The
-	// wire keeps the field, but Place returns a Go error and leaves Err
-	// empty.
+	// failed machine is a response with Err set and no Assignment). It
+	// is in-process only: Place returns a Go error and leaves Err empty,
+	// and the wire does not carry it.
 	Err string
 	// Assignment is the computed placement: shared with the engine's
 	// cache (and, remotely, the client's decode memo), so read-only —

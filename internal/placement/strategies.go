@@ -1,22 +1,12 @@
 package placement
 
 import (
+	"fmt"
+
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
 )
-
-// Built-in strategies: the paper's affinity algorithm, the four
-// topology-oblivious environment policies it is compared against, and
-// the unbound baseline. All are first-class registry peers.
-func init() {
-	MustRegister(&treeMatchStrategy{})
-	MustRegister(obliviousStrategy{treematch.StrategyCompact})
-	MustRegister(obliviousStrategy{treematch.StrategyCompactCores})
-	MustRegister(obliviousStrategy{treematch.StrategyScatter})
-	MustRegister(obliviousStrategy{treematch.StrategyRoundRobinPU})
-	MustRegister(&noneStrategy{})
-}
 
 // TreeMatch is the name of the paper's topology-and-communication
 // aware strategy (Algorithm 1).
@@ -26,59 +16,66 @@ const TreeMatch = "treematch"
 // scheduler decides.
 const None = "none"
 
-// treeMatchStrategy adapts treematch.MapAffinity: the paper's
-// Algorithm 1 with control-thread accounting and oversubscription
-// handling, partitioned above Options.PartitionThreshold.
-type treeMatchStrategy struct{}
+// policies are the topology-oblivious environment policies the paper
+// compares the affinity module against (KMP_AFFINITY=compact/scatter,
+// OMP_PROC_BIND=close/spread equivalents), in comparison-row order.
+var policies = []treematch.Strategy{
+	treematch.StrategyCompact,
+	treematch.StrategyCompactCores,
+	treematch.StrategyScatter,
+	treematch.StrategyRoundRobinPU,
+}
 
-func (treeMatchStrategy) Name() string    { return TreeMatch }
-func (treeMatchStrategy) CommAware() bool { return true }
+// Names returns every strategy name in comparison-row order: TreeMatch,
+// the environment policies, then the unbound baseline None.
+func Names() []string {
+	return append(append([]string{TreeMatch}, ObliviousNames()...), None)
+}
 
-func (s treeMatchStrategy) Map(top *topology.Topology, m comm.Affinity, n int, opt Options) (*Assignment, error) {
-	if err := validateRequest(s, top, m, n); err != nil {
-		return nil, err
+// ObliviousNames returns the bound, matrix-oblivious strategies — the
+// environment-variable policies (compact, scatter, ...) the paper
+// compares the affinity module against.
+func ObliviousNames() []string {
+	names := make([]string, len(policies))
+	for i, s := range policies {
+		names[i] = s.String()
 	}
-	mp, err := treematch.MapAffinity(top, m, opt)
+	return names
+}
+
+// policy resolves an environment policy by name.
+func policy(name string) (treematch.Strategy, bool) {
+	for _, s := range policies {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// mapStrategy runs the named strategy: TreeMatch maps m through
+// treematch.MapAffinity (partitioned above opt.PartitionThreshold),
+// None leaves the n entities to the OS scheduler, and an environment
+// policy places them by machine shape alone. The name is known and m
+// is non-nil for TreeMatch; the engine checks both before its cache.
+func mapStrategy(top *topology.Topology, name string, m comm.Affinity, n int, opt Options) (*Assignment, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("placement: %s: need at least one entity, got %d", name, n)
+	}
+	switch name {
+	case TreeMatch:
+		mp, err := treematch.MapAffinity(top, m, opt)
+		if err != nil {
+			return nil, err
+		}
+		return fromMapping(TreeMatch, mp), nil
+	case None:
+		return &Assignment{Strategy: None, Unbound: true}, nil
+	}
+	s, _ := policy(name)
+	pus, err := treematch.Place(top, n, s)
 	if err != nil {
 		return nil, err
 	}
-	return fromMapping(TreeMatch, mp), nil
-}
-
-// obliviousStrategy adapts treematch.Place: the environment-variable
-// policies (KMP_AFFINITY=compact/scatter, OMP_PROC_BIND=close/spread
-// equivalents) that place by machine shape only.
-type obliviousStrategy struct {
-	s treematch.Strategy
-}
-
-func (o obliviousStrategy) Name() string         { return o.s.String() }
-func (o obliviousStrategy) CommAware() bool      { return false }
-func (o obliviousStrategy) IgnoresOptions() bool { return true }
-
-func (o obliviousStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
-	if err := validateRequest(o, top, nil, n); err != nil {
-		return nil, err
-	}
-	pus, err := treematch.Place(top, n, o.s)
-	if err != nil {
-		return nil, err
-	}
-	return &Assignment{Strategy: o.Name(), ComputePU: pus}, nil
-}
-
-// noneStrategy is the unbound baseline of every figure: threads run
-// wherever the OS scheduler puts them.
-type noneStrategy struct{}
-
-func (noneStrategy) Name() string         { return None }
-func (noneStrategy) CommAware() bool      { return false }
-func (noneStrategy) Unbound() bool        { return true }
-func (noneStrategy) IgnoresOptions() bool { return true }
-
-func (s noneStrategy) Map(top *topology.Topology, _ comm.Affinity, n int, _ Options) (*Assignment, error) {
-	if err := validateRequest(s, top, nil, n); err != nil {
-		return nil, err
-	}
-	return &Assignment{Strategy: None, Unbound: true}, nil
+	return &Assignment{Strategy: name, ComputePU: pus}, nil
 }

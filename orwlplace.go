@@ -16,7 +16,7 @@ import (
 
 // This file is the public facade: the curated surface external
 // consumers import instead of reaching into internal/. It re-exports
-// the placement Service contract, the strategy registry, topology
+// the placement Service contract, the strategy table, topology
 // discovery, and the two deployments of the service — in-process
 // (NewService) and remote (DialPlacement, speaking the orwlnetd wire
 // protocol).
@@ -55,7 +55,7 @@ type Matrix = comm.Matrix
 type Topology = topology.Topology
 
 // Strategy names accepted by every Service built from this module's
-// registry.
+// strategy table.
 const (
 	// TreeMatch is the paper's topology-and-communication-aware
 	// strategy (Algorithm 1).
@@ -65,7 +65,7 @@ const (
 )
 
 // Fleet is a placement service routing across a set of named machines
-// — one engine (strategy registry + mapping cache) per topology and a
+// — one engine (strategy table + mapping cache) per topology and a
 // default machine for requests that name none. It implements Service,
 // so everything that consumes a single-machine service (core.Module,
 // the daemon, the RPC layer) serves a fleet unchanged, and PlaceAcross
@@ -104,7 +104,7 @@ func NewFleet(machines []string, opts ...ServiceOption) (*Fleet, error) {
 // NewMatrix returns an n x n zero communication matrix.
 func NewMatrix(n int) *Matrix { return comm.NewMatrix(n) }
 
-// Strategies lists the registered strategy names, registration-ordered.
+// Strategies lists the strategy names in comparison-row order.
 func Strategies() []string { return placement.Names() }
 
 // Machines lists the discoverable machine names.
@@ -117,7 +117,7 @@ func Machine(name string) (*Topology, error) { return topology.ByName(name) }
 func HostTopology() *Topology { return topology.Host() }
 
 // NewService builds an in-process placement service for a machine: a
-// placement engine (strategy registry + mapping cache) behind the
+// placement engine (strategy table + mapping cache) behind the
 // Service interface.
 func NewService(top *Topology, opts ...ServiceOption) (Service, error) {
 	eng, err := placement.NewEngine(top, opts...)
@@ -204,8 +204,8 @@ func FixedSource(label string, m *Matrix) Source { return placement.Fixed(label,
 
 // Adaptive is the epoch-driven re-placement reconciler: it samples an
 // observed-traffic source, measures drift against the matrix backing
-// the current mapping, and re-places through the strategy registry
-// when the modeled gain beats the modeled migration cost.
+// the current mapping, and re-places through TreeMatch when the
+// modeled gain beats the modeled migration cost.
 type Adaptive = placement.Reconciler
 
 // AdaptiveConfig tunes an Adaptive reconciler.
