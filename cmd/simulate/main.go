@@ -1,6 +1,6 @@
 // Command simulate runs a workload (JSON, see internal/perfsim
 // ReadJSON) through the placement model on a chosen machine, comparing
-// every strategy registered in the placement engine — the paper's
+// every strategy in the placement strategy table — the paper's
 // affinity module, the oblivious environment policies and the unbound
 // OS scheduler. It is the standalone face of the evaluation pipeline:
 // describe your application's threads and communication, and see what

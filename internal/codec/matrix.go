@@ -367,26 +367,30 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 	var fp comm.FingerprintFold
 	fp.Start(n)
 	end := 0 // cell index one past the previous run
-	fill := func(row, col, length int, v float64) {
-		for k := col; k < col+length; k++ {
-			m.Set(row, k, v)
-		}
-		at := row*n + col
+	fold := func(at, length int, v float64) {
 		fp.Zeros(at - end)
 		fp.Run(math.Float64bits(v), length)
 		end = at + length
 	}
 	if !sparse {
 		// The runs were validated above: this walk cannot fail.
-		walkSparseRuns(body, runs, n, fill)
+		walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
+			for k := col; k < col+length; k++ {
+				m.Set(row, k, v)
+			}
+			fold(row*n+col, length, v)
+		})
 		return m, fp.Sum(), rest, nil
 	}
-	row := 0
+	sp, row := m.(*comm.Sparse), 0 // the runs ascend: the rows fill by appending
 	for _, r := range rec {
 		for r.at >= (row+1)*n {
 			row++
 		}
-		fill(row, r.at-row*n, r.length, r.v)
+		for k := r.at - row*n; k < r.at-row*n+r.length; k++ {
+			sp.Append(row, k, r.v)
+		}
+		fold(r.at, r.length, r.v)
 	}
 	return m, fp.Sum(), rest, nil
 }

@@ -8,9 +8,9 @@ package comm
 // the two representations are interchangeable (see
 // FuzzSparseDenseEquivalence).
 //
-// Appending past a row's last column is O(1); an insert mid-row shifts
-// its tail (O(k²) to fill a row of k in random order, negligible for a
-// task's few neighbours). Bulk producers use NewSparseSized.
+// Bulk producers size the rows (NewSparseSized) and fill them row by
+// row in column order with Append, O(1) per cell and no search. Set and
+// Add search the row; an insert mid-row shifts its tail.
 //
 // Exact zeros are not stored: Set with 0 and Add sequences that cancel
 // to 0 delete the entry, so NNZ and iteration reflect the true nonzero
@@ -132,6 +132,24 @@ func (s *Sparse) Add(i, j int, v float64) {
 		v += s.rows[i][pos].v
 	}
 	s.put(i, pos, found, j, v)
+}
+
+// Append stores v at (i,j) when j lies past the last column of row i,
+// with no search: the O(1) fill of a producer that walks its cells row
+// by row in column order. It reports false, storing nothing, when j
+// does not lie past that column. A zero v stores nothing, as in Set.
+func (s *Sparse) Append(i, j int, v float64) bool {
+	r := s.rows[i]
+	switch k := len(r); {
+	case k > 0 && r[k-1].j >= j:
+		return false
+	case v != 0 && k < cap(r):
+		s.rows[i] = s.rows[i][:k+1] // a length-only store
+		r[:k+1][k] = sparseEntry{j: j, v: v}
+	default:
+		s.put(i, k, false, j, v)
+	}
+	return true
 }
 
 // AddSym accumulates v into both (i,j) and (j,i).

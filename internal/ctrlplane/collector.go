@@ -302,7 +302,9 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 	c.growPendingLocked(ms)
 	base := ls.TaskBase
 	delta.ForEach(func(i, j int, v float64) {
-		ms.pending.Add(base+i, base+j, v)
+		if !ms.pending.Append(base+i, base+j, v) {
+			ms.pending.Add(base+i, base+j, v)
+		}
 	})
 	c.reports++
 	return nil

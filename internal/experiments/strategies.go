@@ -18,7 +18,7 @@ func StrategyTable() (*Table, error) {
 	tops := Machines()
 	t := &Table{
 		ID:    "Strategies",
-		Title: "Modeled seconds per registered placement strategy, HD tracking workload",
+		Title: "Modeled seconds per placement strategy, HD tracking workload",
 		Columns: []string{
 			"strategy", tops[0].Attrs.Name, tops[1].Attrs.Name,
 		},

@@ -1,6 +1,9 @@
 package orwl
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,54 +22,65 @@ import (
 // push/pop hot paths costs two uncontended atomic adds and no
 // allocation. Above the threshold a flat array would be O(n²) — 1.6 GB
 // of counters for a 10k-task program whose tasks talk to a handful of
-// neighbours each — so the recorder switches to sharded counters: a
-// hash from pair to a slot in append-only counter slices, O(nnz) memory,
-// one map lookup and one short mutex hold per record. Snapshots (Affinity,
-// Matrix, window epochs) walk the counters without stopping the
-// writers; the snapshot as a whole is only approximately
-// instantaneous, which is fine for a drift signal.
+// neighbours each — so the recorder switches to one table per source
+// row (see trafficRow): O(nnz) memory, and a record is one atomic load,
+// one probe and two atomic adds, with no lock once the pair has been
+// seen. Snapshots (Affinity, Matrix, window epochs) walk the counters
+// row by row without stopping the writers; the snapshot as a whole is
+// only approximately instantaneous, which is fine for a drift signal.
 type Traffic struct {
 	n     int
 	bytes []atomic.Uint64 // dense mode; nil in sparse mode
 	ops   []atomic.Uint64
 
-	shards []trafficShard // sparse mode; nil in dense mode
+	rows []trafficRow // sparse mode, one per source task; nil in dense mode
 
 	// win is the program's default window (see ObservedWindowAffinity);
 	// independent consumers create their own with NewWindow.
 	win *TrafficWindow
 }
 
-// trafficShards is the sparse-mode shard count. Power of two so the
-// shard pick is a mask; 256 keeps contention negligible for the
-// thread counts a single process runs.
-const trafficShards = 256
+// trafficRow holds one source task's sparse counters: a slot per
+// destination, carved out of chunks that never move and found through
+// an open-addressed index of slot pointers. Record probes the index
+// without a lock; mu serializes inserts. A grow publishes a new index
+// over the same slots, so no concurrent add is lost.
+type trafficRow struct {
+	mu   sync.Mutex
+	tab  atomic.Pointer[rowIndex]
+	free []trafficSlot // the current chunk's unused tail, under mu
+}
 
-// trafficShard is one lock-striped slice of the sparse counters. slot
-// maps the flattened pair index from*n+to to the pair's position in
-// three parallel slices that only grow: positions are for life, so
-// readers walk the slices without hashing and a window baseline is a
-// position-aligned copy.
-type trafficShard struct {
-	mu    sync.Mutex
-	slot  map[int64]int
-	pairs [][2]int32 // (from, to), in first-seen order
-	bytes []uint64
-	ops   []uint64
+// rowIndex is one generation of a row's index: linear probing from a
+// Fibonacci hash, at most half full. order[:used] lists the slots in
+// first-seen order, the positions of a window baseline.
+type rowIndex struct {
+	shift uint
+	cells []atomic.Pointer[trafficSlot]
+	order []*trafficSlot
+	used  atomic.Int32
+	// The first generation's storage: one object for a task's few
+	// neighbours, what a hit reads (index, then slots) up front.
+	cells0 [16]atomic.Pointer[trafficSlot]
+	slots0 [8]trafficSlot
+	order0 [8]*trafficSlot
+}
+
+// trafficSlot is one pair's counters; to is set before it is published.
+type trafficSlot struct {
+	to         int32
+	bytes, ops atomic.Uint64
 }
 
 // newTraffic sizes a recorder for n tasks: dense counters up to
-// comm.DenseOrderThreshold, sharded sparse counters above.
+// comm.DenseOrderThreshold, per-row sparse tables above.
 func newTraffic(n int) *Traffic {
 	t := &Traffic{n: n}
 	if n <= comm.DenseOrderThreshold {
 		t.bytes = make([]atomic.Uint64, n*n)
 		t.ops = make([]atomic.Uint64, n*n)
 	} else {
-		t.shards = make([]trafficShard, trafficShards)
-		for i := range t.shards {
-			t.shards[i].slot = make(map[int64]int)
-		}
+		t.rows = make([]trafficRow, n)
 	}
 	t.win = t.NewWindow()
 	return t
@@ -76,7 +90,7 @@ func newTraffic(n int) *Traffic {
 func (t *Traffic) Tasks() int { return t.n }
 
 // Sparse reports whether the recorder runs in sparse mode.
-func (t *Traffic) Sparse() bool { return t != nil && t.shards != nil }
+func (t *Traffic) Sparse() bool { return t != nil && t.rows != nil }
 
 // Record accumulates one transfer of b bytes from task `from` to task
 // `to`. Out-of-range or self pairs and unattributed endpoints
@@ -86,44 +100,127 @@ func (t *Traffic) Record(from, to, b int) {
 	if t == nil || from == to || from < 0 || to < 0 || from >= t.n || to >= t.n {
 		return
 	}
-	i := int64(from)*int64(t.n) + int64(to)
-	if t.shards == nil {
+	if t.rows == nil {
+		i := from*t.n + to
 		t.bytes[i].Add(uint64(b))
 		t.ops[i].Add(1)
 		return
 	}
-	sh := &t.shards[i&(trafficShards-1)]
-	sh.mu.Lock()
-	k, ok := sh.slot[i]
-	if !ok {
-		k = len(sh.pairs)
-		sh.slot[i] = k
-		sh.pairs = append(sh.pairs, [2]int32{int32(from), int32(to)})
-		sh.bytes = append(sh.bytes, 0)
-		sh.ops = append(sh.ops, 0)
+	r := &t.rows[from]
+	_, s := r.tab.Load().probe(to)
+	if s == nil {
+		s = r.insert(to)
 	}
-	sh.bytes[k] += uint64(b)
-	sh.ops[k]++
-	sh.mu.Unlock()
+	s.bytes.Add(uint64(b))
+	s.ops.Add(1)
 }
 
-// Affinity returns the cumulative observed communication as an
-// affinity in the representation matching the task count — the O(nnz)
-// snapshot a 10k-task program's placement loop consumes.
+// probe returns the index cell of destination to and its slot, or the
+// empty cell where it goes and nil; nils on a row that never recorded.
+func (x *rowIndex) probe(to int) (*atomic.Pointer[trafficSlot], *trafficSlot) {
+	if x == nil {
+		return nil, nil
+	}
+	for h := uint64(to) * 0x9E3779B97F4A7C15 >> x.shift; ; h = (h + 1) & uint64(len(x.cells)-1) {
+		if s := x.cells[h].Load(); s == nil || s.to == int32(to) {
+			return &x.cells[h], s
+		}
+	}
+}
+
+// insert returns the slot of destination to, handing out a new one
+// unless a concurrent insert did. Index and chunks double with the row:
+// O(1) amortized per pair, however many neighbours the row has.
+func (r *trafficRow) insert(to int) *trafficSlot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	x := r.tab.Load()
+	if _, s := x.probe(to); s != nil {
+		return s
+	}
+	k := len(x.slots())
+	if x == nil || 2*(k+1) > len(x.cells) {
+		grown := new(rowIndex)
+		if x == nil {
+			grown.cells, grown.order, r.free = grown.cells0[:], grown.order0[:], grown.slots0[:]
+		} else {
+			grown.cells, grown.order = make([]atomic.Pointer[trafficSlot], 4*k), make([]*trafficSlot, 2*k)
+		}
+		grown.shift = uint(65 - bits.Len(uint(len(grown.cells))))
+		for j, s := range x.slots() {
+			grown.order[j] = s
+			cell, _ := grown.probe(int(s.to))
+			cell.Store(s)
+		}
+		grown.used.Store(int32(k))
+		r.tab.Store(grown)
+		x = grown
+	}
+	if len(r.free) == 0 {
+		r.free = make([]trafficSlot, k)
+	}
+	s := &r.free[0]
+	r.free = r.free[1:]
+	s.to = int32(to)
+	x.order[k] = s
+	cell, _ := x.probe(to)
+	cell.Store(s)
+	x.used.Store(int32(k + 1))
+	return s
+}
+
+// slots returns the slots handed out, in first-seen order; none for a
+// row that never recorded.
+func (x *rowIndex) slots() []*trafficSlot {
+	if x == nil {
+		return nil
+	}
+	return x.order[:x.used.Load()]
+}
+
+// appendRow appends to cells, in column order, the slots of sparse row
+// i whose bytes moved past *base, which it grows to the row's slots and
+// advances to the counts read.
+func (t *Traffic) appendRow(cells []windowCell, i int, base *[]uint64) []windowCell {
+	slots := t.rows[i].tab.Load().slots()
+	if len(*base) < len(slots) {
+		*base = append(*base, make([]uint64, len(slots)-len(*base))...)
+	}
+	b, start := *base, len(cells)
+	for k, s := range slots {
+		cur := s.bytes.Load()
+		if d := cur - b[k]; d != 0 {
+			cells = append(cells, windowCell{from: int32(i), to: s.to, bytes: d})
+			b[k] = cur
+		}
+	}
+	// Column order; a task's few neighbours by insertion.
+	if row := cells[start:]; len(row) > 16 {
+		slices.SortFunc(row, func(a, b windowCell) int { return cmp.Compare(a.to, b.to) })
+	} else {
+		for k := 1; k < len(row); k++ {
+			for m := k; m > 0 && row[m].to < row[m-1].to; m-- {
+				row[m], row[m-1] = row[m-1], row[m]
+			}
+		}
+	}
+	return cells
+}
+
+// Affinity returns the cumulative observed communication: a dense
+// matrix up to comm.DenseOrderThreshold tasks; above it what a window
+// opened at the start returns — the O(nnz) snapshot a 10k-task
+// program's placement loop consumes, sparse unless more than n²/8
+// pairs ever talked.
 func (t *Traffic) Affinity() comm.Affinity {
+	if t.rows != nil {
+		return t.NewWindow().NextAffinity()
+	}
 	a := comm.NewAffinity(t.n)
-	for i := range t.bytes { // dense mode
+	for i := range t.bytes {
 		if v := t.bytes[i].Load(); v != 0 {
 			a.Set(i/t.n, i%t.n, float64(v))
 		}
-	}
-	for s := range t.shards { // sparse mode
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for k, v := range sh.bytes {
-			a.Set(int(sh.pairs[k][0]), int(sh.pairs[k][1]), float64(v))
-		}
-		sh.mu.Unlock()
 	}
 	return a
 }
@@ -146,12 +243,12 @@ type TrafficWindow struct {
 	mu sync.Mutex
 	// base holds the cumulative byte counts at the previous epoch,
 	// position-aligned with the recorder's counters so advancing never
-	// hashes: base[0] mirrors the flat n x n array in dense mode, base[s]
-	// shard s's slices (growing with them) in sparse mode.
+	// hashes: base[0] mirrors the flat n x n array in dense mode, base[i]
+	// row i's slots (growing with them) in sparse mode.
 	base [][]uint64
 	// Scratch of NextAffinity, reused across calls: the epoch's nonzeros
-	// are gathered first (under the shard locks in sparse mode), the
-	// snapshot is built from them afterwards.
+	// are gathered first, row by row in column order, the snapshot
+	// appended from them afterwards.
 	cells  []windowCell
 	rowNNZ []int
 	spare  comm.Affinity // handed back by Recycle, refilled by the next call
@@ -168,10 +265,10 @@ type windowCell struct {
 // recorded since the program started.
 func (t *Traffic) NewWindow() *TrafficWindow {
 	w := &TrafficWindow{t: t, rowNNZ: make([]int, t.n)}
-	if t.shards == nil {
+	if t.rows == nil {
 		w.base = [][]uint64{make([]uint64, t.n*t.n)}
 	} else {
-		w.base = make([][]uint64, trafficShards)
+		w.base = make([][]uint64, t.n)
 	}
 	return w
 }
@@ -189,7 +286,7 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	t := w.t
 	cells := w.cells[:0]
 	clear(w.rowNNZ)
-	if t.shards == nil {
+	if t.rows == nil {
 		base := w.base[0]
 		for k := range base {
 			cur := t.bytes[k].Load()
@@ -201,23 +298,10 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 			}
 		}
 	}
-	for s := range t.shards {
-		sh := &t.shards[s]
-		base := w.base[s]
-		sh.mu.Lock()
-		for k, cur := range sh.bytes {
-			if k == len(base) {
-				base = append(base, 0)
-			}
-			if d := cur - base[k]; d != 0 {
-				p := sh.pairs[k]
-				cells = append(cells, windowCell{from: p[0], to: p[1], bytes: d})
-				w.rowNNZ[p[0]]++
-				base[k] = cur
-			}
-		}
-		sh.mu.Unlock()
-		w.base[s] = base
+	for i := range t.rows {
+		start := len(cells)
+		cells = t.appendRow(cells, i, &w.base[i])
+		w.rowNNZ[i] = len(cells) - start
 	}
 	w.cells = cells
 	a := w.spare
@@ -233,8 +317,13 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 	} else {
 		a = comm.NewSparseSized(w.rowNNZ)
 	}
-	for _, c := range cells {
-		a.Set(int(c.from), int(c.to), float64(c.bytes))
+	sp, _ := a.(*comm.Sparse)
+	for _, c := range cells { // row-major, rows in column order
+		if sp != nil {
+			sp.Append(int(c.from), int(c.to), float64(c.bytes))
+		} else {
+			a.Set(int(c.from), int(c.to), float64(c.bytes))
+		}
 	}
 	return a
 }
@@ -254,21 +343,15 @@ func (w *TrafficWindow) Recycle(a comm.Affinity) {
 // Totals returns the cumulative byte and operation counts over all
 // pairs.
 func (t *Traffic) Totals() (bytes, ops uint64) {
-	if t.shards == nil {
-		for i := range t.bytes {
-			bytes += t.bytes[i].Load()
-			ops += t.ops[i].Load()
-		}
-		return
+	for i := range t.bytes {
+		bytes += t.bytes[i].Load()
+		ops += t.ops[i].Load()
 	}
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for k := range sh.bytes {
-			bytes += sh.bytes[k]
-			ops += sh.ops[k]
+	for i := range t.rows {
+		for _, s := range t.rows[i].tab.Load().slots() {
+			bytes += s.bytes.Load()
+			ops += s.ops.Load()
 		}
-		sh.mu.Unlock()
 	}
 	return
 }
@@ -279,15 +362,11 @@ func (t *Traffic) Ops(from, to int) uint64 {
 	if from < 0 || to < 0 || from >= t.n || to >= t.n {
 		return 0
 	}
-	i := int64(from)*int64(t.n) + int64(to)
-	if t.shards == nil {
-		return t.ops[i].Load()
+	if t.rows == nil {
+		return t.ops[from*t.n+to].Load()
 	}
-	sh := &t.shards[i&(trafficShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if k, ok := sh.slot[i]; ok {
-		return sh.ops[k]
+	if _, s := t.rows[from].tab.Load().probe(to); s != nil {
+		return s.ops.Load()
 	}
 	return 0
 }

@@ -1,6 +1,9 @@
 package orwl
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The observed-traffic counters sit on the runtime's hottest path, the
 // grant release. These benches pair the instrumented path with its
@@ -12,6 +15,28 @@ func BenchmarkTrafficRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Record(1, 2, 4096)
+	}
+}
+
+// BenchmarkTrafficRecordSparse is the sparse-mode twin: 1,024 tasks in
+// disjoint 8-cliques, every pair already seen, so each record is the
+// lock-free hit path.
+func BenchmarkTrafficRecordSparse(b *testing.B) {
+	const n, k = 1024, 8
+	pair := func(x int) (from, to int) { // the x-th transfer of the pattern
+		from = x / (k - 1) % n
+		return from, from/k*k + (from%k+x%(k-1)+1)%k
+	}
+	tr := newTraffic(n)
+	for x := range n * (k - 1) {
+		from, to := pair(x)
+		tr.Record(from, to, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for x := 0; x < b.N; x++ {
+		from, to := pair(x)
+		tr.Record(from, to, 4096)
 	}
 }
 
@@ -56,5 +81,32 @@ func BenchmarkObservedWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.win.NextAffinity().Dense()
+	}
+}
+
+// BenchmarkObservedWindowSparse is one sparse-mode epoch: 1,024 tasks
+// in 8-cliques under a random relabelling (so rows are first seen out
+// of column order) record a window, which is snapshotted and handed
+// back.
+func BenchmarkObservedWindowSparse(b *testing.B) {
+	const n, k = 1024, 8
+	tr := newTraffic(n)
+	w := tr.NewWindow()
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	rec := func(x int) {
+		for c := 0; c < n; c += k {
+			for _, a := range perm[c : c+k] {
+				for _, bb := range perm[c : c+k] {
+					tr.Record(a, bb, 1+x%3)
+				}
+			}
+		}
+	}
+	rec(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for x := 0; x < b.N; x++ {
+		rec(x)
+		w.Recycle(w.NextAffinity())
 	}
 }

@@ -1,9 +1,9 @@
 package orwl
 
 // Tests for the recorder's sparse mode: above comm.DenseOrderThreshold
-// tasks the counters live in lock-striped shards instead of a flat
-// n² array, and every snapshot surface must behave exactly like the
-// dense mode's.
+// tasks the counters live in per-row tables instead of a flat n²
+// array, and every snapshot surface must behave exactly like the dense
+// mode's.
 
 import (
 	"sync"
@@ -201,5 +201,77 @@ func TestTrafficWindowConcurrentWithRecord(t *testing.T) {
 	seen += w.NextAffinity().Total()
 	if want := float64(workers * perWorker * 2); seen != want {
 		t.Fatalf("epochs sum to %g bytes, want %g", seen, want)
+	}
+}
+
+// TestTrafficHubRowGrowsUnderConcurrentRecord: writers insert the same
+// fresh pairs into one hub row at once, so its index grows again and
+// again and first sightings race, while every writer also adds into a
+// pair seen from the start and a window advances and recycles its
+// snapshots. No add may be lost across a grow and no pair may get two
+// slots: per destination the epochs sum to exactly what was recorded,
+// and so do Totals. Run it under -race.
+func TestTrafficHubRowGrowsUnderConcurrentRecord(t *testing.T) {
+	const n, hub, hot, workers = 2048, 7, 1, 8
+	tr := newTraffic(n)
+	w := tr.NewWindow()
+	tr.Record(hub, hot, 1)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for to := 0; to < n; to++ { // a new destination each time
+				tr.Record(hub, to, to+1)
+				tr.Record(hub, hot, 1)
+			}
+		}()
+	}
+	close(start)
+	got := make([]float64, n)
+	epoch := func() {
+		a := w.NextAffinity()
+		a.ForEach(func(i, j int, v float64) {
+			if i != hub {
+				t.Errorf("epoch holds (%d,%d), outside the hub row", i, j)
+			}
+			got[j] += v
+		})
+		w.Recycle(a)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		epoch()
+	}
+	epoch()
+	var wantBytes uint64
+	for to := range n {
+		want := float64(workers * (to + 1))
+		if to == hot {
+			want += 1 + workers*n
+		}
+		if to == hub {
+			want = 0
+		}
+		if got[to] != want {
+			t.Fatalf("(%d,%d): epochs sum to %g bytes, want %g", hub, to, got[to], want)
+		}
+		wantBytes += uint64(want)
+	}
+	// One seeding record, then per writer n-1 new destinations (the self
+	// pair drops) and n hot records.
+	if bytes, ops := tr.Totals(); bytes != wantBytes || ops != 1+workers*(2*n-1) {
+		t.Fatalf("totals = (%d, %d), want (%d, %d)", bytes, ops, wantBytes, 1+workers*(2*n-1))
+	}
+	if got, want := tr.Ops(hub, hot), uint64(1+workers+workers*n); got != want { // hot is also a destination
+		t.Fatalf("ops(%d,%d) = %d, want %d", hub, hot, got, want)
 	}
 }

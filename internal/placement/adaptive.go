@@ -1,9 +1,11 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,17 +142,19 @@ type partitionPair struct {
 // and baseline, so the reconciler keeps it across steady epochs and an
 // adopted window replaces it in place (adopt). One Epoch at a time.
 type partitionBaseline struct {
-	partOf       []int                     // see partitionOf
-	base, window pairSet                   // the baseline's gather; a window's
-	measured     bool                      // window holds the last drift's gather
-	visit        func(i, j int, v float64) // sortedPairs' collector, built once
+	partOf       []int                  // see partitionOf
+	base, window pairSet                // the baseline's gather; a window's
+	measured     bool                   // window holds the last drift's gather
+	src          comm.Affinity          // the matrix sortedPairs walks,
+	row          int                    // the row it is at,
+	visit        func(j int, v float64) // and its collector, built once
 }
 
-// pairSet is one gather — pairs, totals per partition, sort scratch.
+// pairSet is one gather — pairs, totals per partition, and the lower
+// cells without an upper mirror, set aside.
 type pairSet struct {
-	pairs, tmp []partitionPair
-	start      []int
-	totals     []float64
+	pairs, lone []partitionPair
+	totals      []float64
 }
 
 func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitionBaseline {
@@ -187,58 +191,52 @@ func (pb *partitionBaseline) adopt() bool {
 	return true
 }
 
-// sortedPairs is the gather: collect the nonzeros, sort them by (i, j)
-// with two stable counting passes (column, then row: O(nnz + tasks)
-// whatever the row shapes), fold the duplicates, upper cell first.
+// sortedPairs is the gather: walk each row in column order and keep its
+// upper cells (i < j) with the mirror (j, i) folded in, upper cell
+// first, so the pairs come out sorted by (i, j). A lower cell whose
+// upper is zero is set aside, and the few such (a symmetric window has
+// none) are sorted and merged in.
 func (pb *partitionBaseline) sortedPairs(a comm.Affinity) {
-	n, sc := len(pb.partOf), &pb.window
-	if nnz := a.NNZ(); cap(sc.pairs) < nnz || len(sc.tmp) < nnz {
-		sc.pairs, sc.tmp = make([]partitionPair, 0, nnz), make([]partitionPair, nnz)
+	w := &pb.window
+	if nnz := a.NNZ(); cap(w.pairs) < nnz {
+		w.pairs = make([]partitionPair, 0, nnz)
 	}
-	if len(sc.start) != n+1 {
-		sc.start = make([]int, n+1)
-	}
+	w.pairs, w.lone = w.pairs[:0], w.lone[:0]
 	if pb.visit == nil {
-		pb.visit = func(i, j int, v float64) {
-			if pi := pb.partOf[i]; pi >= 0 && i != j && pb.partOf[j] == pi {
-				if i > j {
-					i, j = j, i
-				}
-				pb.window.pairs = append(pb.window.pairs, partitionPair{i: int32(i), j: int32(j), v: v})
+		pb.visit = func(j int, v float64) {
+			i := pb.row
+			if pi := pb.partOf[i]; pi < 0 || i == j || pb.partOf[j] != pi {
+				return
+			}
+			switch mirror := pb.src.At(j, i); {
+			case i < j:
+				pb.window.pairs = append(pb.window.pairs, partitionPair{i: int32(i), j: int32(j), v: v + mirror})
+			case mirror == 0:
+				pb.window.lone = append(pb.window.lone, partitionPair{i: int32(j), j: int32(i), v: v})
 			}
 		}
 	}
-	sc.pairs = sc.pairs[:0]
-	a.ForEach(pb.visit)
-	pairs, start := sc.pairs, sc.start
-	for pass, src, dst := 0, pairs, sc.tmp[:len(pairs)]; pass < 2; pass, src, dst = pass+1, dst, src {
-		key := func(p partitionPair) int32 {
-			if pass == 0 {
-				return p.j
-			}
-			return p.i
-		}
-		clear(start)
-		for _, p := range src {
-			start[key(p)+1]++
-		}
-		for k := 1; k <= n; k++ {
-			start[k] += start[k-1]
-		}
-		for _, p := range src {
-			dst[start[key(p)]] = p
-			start[key(p)]++
-		}
+	pb.src = a
+	for pb.row = range pb.partOf {
+		a.ForEachRow(pb.row, pb.visit)
 	}
-	merged := pairs[:0]
-	for _, p := range pairs {
-		if k := len(merged) - 1; k >= 0 && merged[k].i == p.i && merged[k].j == p.j {
-			merged[k].v += p.v
+	pb.src = nil
+	if len(w.lone) == 0 {
+		return
+	}
+	byIJ := func(p, q partitionPair) int { return cmp.Or(cmp.Compare(p.i, q.i), cmp.Compare(p.j, q.j)) }
+	slices.SortFunc(w.lone, byIJ)
+	u, l := len(w.pairs), len(w.lone)
+	w.pairs = slices.Grow(w.pairs, l)[:u+l]
+	for k := u + l - 1; l > 0; k-- { // merge from the back, in place
+		if u > 0 && byIJ(w.lone[l-1], w.pairs[u-1]) < 0 {
+			u--
+			w.pairs[k] = w.pairs[u]
 		} else {
-			merged = append(merged, p)
+			l--
+			w.pairs[k] = w.lone[l]
 		}
 	}
-	sc.pairs = merged
 }
 
 // drift measures window against the baseline into out, one entry per
