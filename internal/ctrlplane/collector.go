@@ -70,6 +70,12 @@ type leaseState struct {
 	lastReport time.Time
 	lastSeq    uint64 // highest observed-report sequence merged
 
+	// base is the last window this collector decoded and merged for the
+	// lease, baseSeq its seq: what a base-coded report's values apply
+	// to. spare is the next decode's target. Neither is snapshotted.
+	base, spare *comm.Sparse
+	baseSeq     uint64
+
 	// Report-rate token bucket (only consulted when the collector has a
 	// report limit configured).
 	bucket     float64
@@ -267,18 +273,80 @@ func (c *Collector) machineLocked(machine string) *machineState {
 // double-count traffic). The delta is folded and never retained: the
 // caller may reuse it as soon as the call returns.
 func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
+	return c.report(leaseID, seq, delta, false)
+}
+
+// ReportDecoded is ReportAffinity for the window decode refills dst with
+// outside the lock — dst is the lease's spare, or fresh — and keeps it:
+// a merged sparse window is the lease's base, a dense one leaves none.
+func (c *Collector) ReportDecoded(leaseID, seq uint64, decode func(dst *comm.Sparse) (comm.Affinity, error)) error {
+	c.mu.Lock()
+	dst := new(comm.Sparse)
+	if ls := c.leases[leaseID]; ls != nil && ls.spare != nil {
+		dst, ls.spare = ls.spare, nil
+	}
+	c.mu.Unlock()
+	w, err := decode(dst)
+	if err != nil {
+		return err
+	}
+	return c.report(leaseID, seq, w, true)
+}
+
+func (c *Collector) report(leaseID, seq uint64, delta comm.Affinity, keep bool) error {
 	if comm.NilAffinity(delta) {
 		return fmt.Errorf("ctrlplane: nil observed window")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ls, err := c.admitLocked(leaseID, delta.Order(), seq)
+	if ls != nil {
+		c.mergeLocked(ls, seq, delta)
+		if keep {
+			sp, _ := delta.(*comm.Sparse)
+			ls.base, ls.baseSeq, ls.spare = sp, seq, ls.base
+		}
+	}
+	return err
+}
+
+// ReportBase merges a window shipped as values against the lease's base.
+// After the lease, rate and seq checks (a duplicate is not decoded),
+// decode builds it from base (nil when the lease holds none) of seq
+// baseSeq: base itself when no value changed, else dst refilled. The
+// window merges and becomes the base unless decode fails.
+func (c *Collector) ReportBase(leaseID, seq uint64, decode func(base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ls, err := c.admitLocked(leaseID, -1, seq)
+	if ls == nil {
+		return err
+	}
+	if ls.spare == nil {
+		ls.spare = new(comm.Sparse)
+	}
+	w, err := decode(ls.base, ls.baseSeq, ls.spare)
+	if err != nil {
+		return err
+	}
+	c.mergeLocked(ls, seq, w)
+	if w != ls.base {
+		ls.base, ls.spare = w, ls.base
+	}
+	ls.baseSeq = seq
+	return nil
+}
+
+// admitLocked checks a report's lease, window order (-1: fixed by the
+// base) and rate; it returns a nil lease for a duplicate seq (not 0).
+func (c *Collector) admitLocked(leaseID uint64, order int, seq uint64) (*leaseState, error) {
 	c.evictStaleLocked()
 	ls, ok := c.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("ctrlplane: %w %d (expired or never registered — re-register)", ErrUnknownLease, leaseID)
+		return nil, fmt.Errorf("ctrlplane: %w %d (expired or never registered — re-register)", ErrUnknownLease, leaseID)
 	}
-	if delta.Order() != ls.TaskCount {
-		return fmt.Errorf("ctrlplane: observed window order %d does not match lease %d task count %d", delta.Order(), leaseID, ls.TaskCount)
+	if order >= 0 && order != ls.TaskCount {
+		return nil, fmt.Errorf("ctrlplane: observed window order %d does not match lease %d task count %d", order, leaseID, ls.TaskCount)
 	}
 	now := c.now()
 	ls.lastReport = now // a throttled peer is still alive
@@ -290,13 +358,18 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 		ls.lastRefill = now
 		if ls.bucket < 1 {
 			c.throttled++
-			return fmt.Errorf("ctrlplane: %w: lease %d exceeded %g reports/sec (burst %g) — back off and retry", ErrRateLimited, leaseID, c.reportRate, c.reportBurst)
+			return nil, fmt.Errorf("ctrlplane: %w: lease %d exceeded %g reports/sec (burst %g) — back off and retry", ErrRateLimited, leaseID, c.reportRate, c.reportBurst)
 		}
 		ls.bucket--
 	}
 	if seq <= ls.lastSeq && seq != 0 {
-		return nil // duplicate or reordered resend
+		return nil, nil
 	}
+	return ls, nil
+}
+
+// mergeLocked adds the lease's window of seq at its task offset.
+func (c *Collector) mergeLocked(ls *leaseState, seq uint64, delta comm.Affinity) {
 	ls.lastSeq = seq
 	ms := c.machineLocked(ls.Machine)
 	c.growPendingLocked(ms)
@@ -307,7 +380,6 @@ func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) err
 		}
 	})
 	c.reports++
-	return nil
 }
 
 // growPendingLocked (re)creates the machine's pending accumulator at

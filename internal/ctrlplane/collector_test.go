@@ -233,3 +233,66 @@ func TestCollectorSparseWindowMatchesDense(t *testing.T) {
 		t.Fatalf("Total %v, dense accumulation %v", g, w)
 	}
 }
+
+// TestCollectorReportBaseCheckOrder: a report against the lease's base
+// is checked for its lease, then its rate, then its seq — a duplicate is
+// dropped undecoded — and only then decoded against the base: the last
+// window the collector kept for the lease, of that window's seq.
+func TestCollectorReportBaseCheckOrder(t *testing.T) {
+	c := NewCollector(-1)
+	c.now = func() time.Time { return time.Unix(0, 0) }
+	c.SetReportLimit(1, 1)
+	ls, err := c.Register("m", "p", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := 0
+	steady := func(base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error) {
+		decoded++
+		if base == nil {
+			return nil, fmt.Errorf("no base")
+		}
+		dst.Reset(base.Order())
+		base.ForEach(func(i, j int, v float64) { dst.Append(i, j, v) })
+		return dst, nil
+	}
+	if err := c.ReportBase(ls.ID+1, 1, steady); !errors.Is(err, ErrUnknownLease) || decoded != 0 {
+		t.Fatalf("unknown lease: err = %v after %d decodes", err, decoded)
+	}
+	if err := c.ReportBase(ls.ID, 1, steady); err == nil || err.Error() != "no base" || decoded != 1 {
+		t.Fatalf("no base yet: err = %v after %d decodes", err, decoded)
+	}
+	if err := c.ReportBase(ls.ID, 1, steady); !errors.Is(err, ErrRateLimited) || decoded != 1 {
+		t.Fatalf("over the rate: err = %v after %d decodes", err, decoded)
+	}
+	c.SetReportLimit(0, 0)
+	w := comm.NewSparse(4)
+	w.Set(1, 2, 5)
+	if err := c.ReportDecoded(ls.ID, 3, func(*comm.Sparse) (comm.Affinity, error) { return w, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReportBase(ls.ID, 3, steady); err != nil || decoded != 1 {
+		t.Fatalf("duplicate: err = %v after %d decodes", err, decoded)
+	}
+	var gotSeq uint64
+	if err := c.ReportBase(ls.ID, 4, func(base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error) {
+		gotSeq = baseSeq
+		if base != w {
+			t.Error("the base is not the window the collector kept")
+		}
+		return steady(base, baseSeq, dst)
+	}); err != nil || gotSeq != 3 {
+		t.Fatalf("against the kept window: err = %v, base seq %d", err, gotSeq)
+	}
+	if got := c.WindowAffinity("m"); got.At(1, 2) != 10 || got.NNZ() != 1 {
+		t.Fatalf("merged %v, want the window twice", got)
+	}
+	// The window a merge displaced is the next decode target.
+	var target *comm.Sparse
+	if err := c.ReportDecoded(ls.ID, 5, func(dst *comm.Sparse) (comm.Affinity, error) {
+		target = dst
+		return dst, nil
+	}); err != nil || target != w {
+		t.Fatalf("the displaced base is not the next decode target (err %v)", err)
+	}
+}

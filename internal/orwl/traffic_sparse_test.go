@@ -70,9 +70,9 @@ func TestTrafficSparseMode(t *testing.T) {
 	}
 }
 
-// TestTrafficSparseConcurrentRecord hammers the shards from many
-// goroutines: the striped counters must neither lose nor double-count
-// a transfer.
+// TestTrafficSparseConcurrentRecord hammers the per-row tables from
+// many goroutines: the lock-free counters of a row must neither lose nor
+// double-count a transfer, while first sightings insert into it.
 func TestTrafficSparseConcurrentRecord(t *testing.T) {
 	n := comm.DenseOrderThreshold + 100
 	tr := newTraffic(n)
@@ -83,7 +83,7 @@ func TestTrafficSparseConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				// Spread across pairs (and shards); every worker also hits
+				// Spread across pairs (and rows); every worker also hits
 				// one shared hot pair to exercise contention.
 				tr.Record(w+1, n-1-w, 3)
 				tr.Record(0, n-1, 1)
@@ -104,12 +104,12 @@ func TestTrafficSparseConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestTrafficWindowsTrackGrowingShards: a window's baseline mirrors the
+// TestTrafficWindowsTrackGrowingRows: a window's baseline mirrors the
 // recorder's counters position for position, so pairs first seen after
-// a baseline was taken (the shard slices outgrow it), windows created
+// a baseline was taken (a row's slots outgrow it), windows created
 // at different times, and both recorder modes must all carve the same
 // disjoint epochs. Snapshots are frozen and their rows ascend.
-func TestTrafficWindowsTrackGrowingShards(t *testing.T) {
+func TestTrafficWindowsTrackGrowingRows(t *testing.T) {
 	for _, n := range []int{8, comm.DenseOrderThreshold + 64} {
 		tr := newTraffic(n)
 		early := tr.NewWindow()
@@ -130,7 +130,7 @@ func TestTrafficWindowsTrackGrowingShards(t *testing.T) {
 
 		late := tr.NewWindow() // empty baseline: sees the whole history
 		tr.Record(0, n-1, 5)   // a pair both baselines know
-		tr.Record(n-1, 1, 3)   // a pair neither has seen: its shard grew
+		tr.Record(n-1, 1, 3)   // a pair neither has seen: its row grew
 		if first.At(0, n-1) != 10 || first.At(n-1, 1) != 0 {
 			t.Fatalf("order %d: a returned snapshot changed under later records", n)
 		}

@@ -43,6 +43,26 @@ func FuzzObservedReportDecode(f *testing.F) {
 	f.Add([]byte{protoVersion, 1, 1, codec.MatSparse, 0xd8, 0x04, 1, 0, 0xc0, 0xfc, 0x15, 1})
 	// One -0 cell: sparse storage cannot hold it, so the body decodes dense.
 	f.Add([]byte{protoVersion, 1, 1, codec.MatSparse, 4, 1, 0, 1, 0x80, 0x01})
+	// Base-coded frames against one held base: the 16-task ring above
+	// as the lease's window of seq 5.
+	const heldSeq = 5
+	held := comm.SparseFromMatrix(sparse)
+	var client reportBase
+	client.set(heldSeq, held)
+	drifted := held.Clone()
+	drifted.Set(0, 1, 3)
+	drifted.Set(15, 0, 0.25)
+	for _, w := range []*comm.Sparse{held, drifted} {
+		seed, ok := encodeBaseReport(nil, 1, 6, w, &client)
+		if !ok {
+			f.Fatal("the held base's own pattern does not base-code")
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)-1])
+	}
+	// The first value turned +0, and a run past the 16 values.
+	f.Add(codec.PutUvarint(codec.PutUvarint([]byte{protoVersion, 1, 6, matBaseValues, heldSeq, 16, 0}, codec.ZigzagFloat(1<<20)), 15))
+	f.Add([]byte{protoVersion, 1, 6, matBaseValues, heldSeq, 16, 17})
 	// A reused target left holding another order and other rows, so
 	// every accepted input also decodes over stale contents.
 	dirty := comm.NewSparse(37)
@@ -50,6 +70,10 @@ func FuzzObservedReportDecode(f *testing.F) {
 		dirty.Set(i, (i*7+3)%37, float64(i+1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, seq, field, err := getReportHeader(data); err == nil && len(field) > 0 && field[0] == matBaseValues {
+			fuzzBaseValues(t, field[1:], seq, held, heldSeq, dirty)
+			return
+		}
 		leaseID, seq, delta, err := decodeObservedReport(data, 0, nil)
 		if err != nil {
 			return
@@ -114,6 +138,41 @@ func FuzzObservedReportDecode(f *testing.F) {
 			t.Fatalf("cells changed across round trip: %s", diff)
 		}
 	})
+}
+
+// fuzzBaseValues applies a base-coded field to the held base into a
+// fresh and into a reused target: both refuse alike or decode the same
+// cells, which keep the base's pattern (no value came out ±0) and
+// base-code back to a field that decodes to them again.
+func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, heldSeq uint64, dirty *comm.Sparse) {
+	fresh, errFresh := applyBaseValues(field, held, heldSeq, 0, new(comm.Sparse))
+	reused, errReused := applyBaseValues(field, held, heldSeq, 0, dirty)
+	if (errFresh == nil) != (errReused == nil) || errFresh != nil && errFresh.Error() != errReused.Error() {
+		t.Fatalf("fresh target: %v; reused target: %v", errFresh, errReused)
+	}
+	if errFresh != nil || seq == 0 {
+		return
+	}
+	if diff := diffCells(fresh, reused); diff != "" {
+		t.Fatalf("decode into a reused target differs from a fresh one: %s", diff)
+	}
+	var client reportBase
+	client.set(heldSeq, held)
+	re, ok := encodeBaseReport(nil, 1, seq, fresh, &client)
+	if !ok {
+		t.Fatal("an accepted base-coded window lost the base's pattern")
+	}
+	_, _, f2, err := getReportHeader(re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := applyBaseValues(f2[1:], held, heldSeq, 0, new(comm.Sparse))
+	if err != nil {
+		t.Fatalf("re-encoded base-coded window refused: %v", err)
+	}
+	if diff := diffCells(fresh, again); diff != "" {
+		t.Fatalf("cells changed across the round trip: %s", diff)
+	}
 }
 
 func FuzzRemapFrameDecode(f *testing.F) {

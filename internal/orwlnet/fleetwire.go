@@ -3,6 +3,8 @@ package orwlnet
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"orwlplace/internal/codec"
@@ -18,8 +20,10 @@ import (
 //	opFleetLease      req:  version, machine, peer, base, count,
 //	                        ownership token (0 = unowned)
 //	                  resp: lease id
-//	opObservedReport  req:  version, lease id, seq, matrix (compact)
-//	                  resp: empty
+//	opObservedReport  req:  version, lease id, seq, matrix (compact, or
+//	                        base-coded: matBaseValues)
+//	                  resp: empty (ErrUnknownMatrix: no such base, resend
+//	                        the window in full under the same seq)
 //	opWatchRemaps     req:  version, machine, since-epoch
 //	                  resp: remap frame (the catch-up ack) — and every
 //	                        later adoption arrives as an unsolicited
@@ -104,23 +108,30 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 	return dst, nil
 }
 
-// decodeObservedReport decodes a report frame, refusing an order above
-// maxRows (0 = only the codec's own limit) before anything is sized by
-// it. The matrix field goes through getMatrix, the decoder placement
-// frames use: a sparse body holding at most n²/8 nonzeros decodes
-// sparse at any order, into dst when it is not nil — a window is mostly
-// zeros, and the collector merges what it is given in O(nnz); anything
-// else decodes dense, and no frame allocates more than a dense order-n
-// matrix.
-//
-// Fingerprint-only references are refused: a report is a one-shot
-// delta, never worth a round trip to resolve.
-func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, seq uint64, delta comm.Affinity, err error) {
-	rest, err := checkVersion(src)
-	if err != nil {
+// getReportHeader reads a report frame's version, lease id and seq,
+// leaving its matrix field.
+func getReportHeader(src []byte) (leaseID, seq uint64, field []byte, err error) {
+	if field, err = checkVersion(src); err != nil {
 		return 0, 0, nil, err
 	}
-	if rest, err = codec.GetUvarints(rest, &leaseID, &seq); err != nil {
+	field, err = codec.GetUvarints(field, &leaseID, &seq)
+	return leaseID, seq, field, err
+}
+
+// decodeObservedReport decodes a full report frame, refusing an order
+// above maxRows (0 = only the codec's own limit) before anything is
+// sized by it. The matrix field goes through getMatrix, the decoder
+// placement frames use: a sparse body holding at most n²/8 nonzeros
+// decodes sparse at any order, into dst when it is not nil — a window
+// is mostly zeros, and the collector merges what it is given in
+// O(nnz); anything else decodes dense, and no frame allocates more
+// than a dense order-n matrix.
+//
+// A fingerprint reference is refused: the one matrix a report may name
+// is its lease's base, in a base-coded frame (mergeObservedReport).
+func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, seq uint64, delta comm.Affinity, err error) {
+	leaseID, seq, rest, err := getReportHeader(src)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	limit := codec.MaxMatrixOrder
@@ -138,6 +149,162 @@ func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, s
 		return 0, 0, nil, fmt.Errorf("orwlnet: observed report without a matrix")
 	}
 	return leaseID, seq, delta, nil
+}
+
+// mergeObservedReport merges a report frame into col: a full frame
+// decodes outside the collector's lock, a base-coded one under it.
+func mergeObservedReport(col *ctrlplane.Collector, src []byte, maxRows int) error {
+	leaseID, seq, field, err := getReportHeader(src)
+	switch {
+	case err != nil:
+		return err
+	case len(field) == 0 || field[0] != matBaseValues:
+		return col.ReportDecoded(leaseID, seq, func(dst *comm.Sparse) (comm.Affinity, error) {
+			_, _, delta, err := decodeObservedReport(src, maxRows, dst)
+			return delta, err
+		})
+	case seq == 0:
+		return fmt.Errorf("orwlnet: base-coded report of seq 0, which is never deduplicated")
+	}
+	return col.ReportBase(leaseID, seq, func(base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error) {
+		return applyBaseValues(field[1:], base, baseSeq, maxRows, dst)
+	})
+}
+
+// matBaseValues is the report-only matrix mode of a window with exactly
+// the nonzero pattern of its lease's last acknowledged window, the base.
+// It carries the base's seq, its nonzero count, then the values in
+// pattern order: a zero run of values equal to the base's, the
+// byte-reversed XOR of the next value's bits with its base bits, and so
+// on, ending on a zero run. A steady window is one zero run.
+const matBaseValues = 4
+
+// reportBase is a stub's copy of a lease's last acknowledged window: its
+// seq (0 = no base) and its nonzeros row by row, as columns and bits.
+// next holds the bits of the window last base-coded against it.
+type reportBase struct {
+	seq         uint64
+	rowEnd      []int // row i holds cols/words[rowEnd[i-1]:rowEnd[i]]
+	cols        []int
+	words, next []uint64
+}
+
+// set makes a, acknowledged under seq, the base — none when the daemon
+// decodes it dense and so keeps no base.
+func (b *reportBase) set(seq uint64, a comm.Affinity) {
+	b.rowEnd, b.cols, b.words = b.rowEnd[:0], b.cols[:0], b.words[:0]
+	add := func(j int, v float64) {
+		b.cols = append(b.cols, j)
+		b.words = append(b.words, math.Float64bits(v))
+	}
+	for i := 0; i < a.Order(); i++ {
+		a.ForEachRow(i, add)
+		b.rowEnd = append(b.rowEnd, len(b.cols))
+	}
+	b.seq = seq
+	if m := min(a.Order(), codec.MaxMatrixOrder); len(b.cols) > m*m/8 {
+		b.seq = 0
+	}
+}
+
+// encodeBaseReport frames delta base-coded against b, or reports false
+// when b holds no base or delta's pattern is not b's: the walk gives up
+// at the first row whose columns differ.
+func encodeBaseReport(dst []byte, leaseID, seq uint64, delta comm.Affinity, b *reportBase) ([]byte, bool) {
+	if b.seq == 0 || seq == 0 || comm.NilAffinity(delta) || delta.Order() != len(b.rowEnd) {
+		return dst, false
+	}
+	start := len(dst)
+	dst = codec.PutUvarint(codec.PutUvarint(append(dst, protoVersion), leaseID), seq)
+	dst = codec.PutUvarint(codec.PutUvarint(append(dst, matBaseValues), b.seq), uint64(len(b.words)))
+	var run uint64
+	k, end, same := 0, 0, true
+	b.next = b.next[:0]
+	cell := func(j int, v float64) {
+		switch u := math.Float64bits(v); {
+		case !same:
+		case k == end || b.cols[k] != j:
+			same = false
+		case u == b.words[k]:
+			b.next, run, k = append(b.next, u), run+1, k+1
+		default:
+			dst = codec.PutUvarint(codec.PutUvarint(dst, run), bits.ReverseBytes64(u^b.words[k]))
+			b.next, run, k = append(b.next, u), 0, k+1
+		}
+	}
+	for i := 0; i < len(b.rowEnd) && same; i++ {
+		end = b.rowEnd[i]
+		delta.ForEachRow(i, cell)
+		same = same && k == end
+	}
+	if !same {
+		return dst[:start], false
+	}
+	return codec.PutUvarint(dst, run), true
+}
+
+// applyBaseValues returns the window a matBaseValues field (after its
+// mode byte) describes against base, the lease's window of seq baseSeq
+// (nil when none; another base is ErrUnknownMatrix): base itself for one
+// zero run, else dst refilled. The field is validated in full before dst
+// is written: runs in range, exactly the base's count of values, and no
+// value turned ±0, which would change the pattern.
+func applyBaseValues(field []byte, base *comm.Sparse, baseSeq uint64, maxRows int, dst *comm.Sparse) (*comm.Sparse, error) {
+	var want, nnz uint64
+	stream, err := codec.GetUvarints(field, &want, &nnz)
+	switch {
+	case err != nil:
+		return nil, err
+	case want == 0:
+		return nil, fmt.Errorf("orwlnet: base-coded report against base seq 0")
+	case base == nil || want != baseSeq:
+		return nil, fmt.Errorf("orwlnet: %w: the lease holds no base window of seq %d — resend the window in full", ErrUnknownMatrix, want)
+	case maxRows > 0 && base.Order() > maxRows:
+		return nil, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", base.Order(), maxRows)
+	case nnz != uint64(base.NNZ()):
+		return nil, fmt.Errorf("orwlnet: base-coded report claims %d values, its base holds %d", nnz, base.NNZ())
+	}
+	if run, _, err := codec.GetUvarint(stream); err == nil && run == nnz {
+		return base, nil // steady: no value changed
+	}
+	// walk runs the stream beside the base's cells, into dst if not nil.
+	walk := func(dst *comm.Sparse) (err error) {
+		src, k, at, word := stream, uint64(0), uint64(0), uint64(0)
+		next := func(from uint64) {
+			var run uint64
+			if run, src, err = codec.GetUvarint(src); err == nil && run > nnz-from {
+				err = fmt.Errorf("orwlnet: base-coded zero run %d at value %d overruns the %d values", run, from, nnz)
+			}
+			if at = from + run; err == nil && at < nnz {
+				word, src, err = codec.GetUvarint(src)
+			}
+		}
+		row := 0
+		cell := func(j int, v float64) {
+			if err == nil && k == at {
+				if v = math.Float64frombits(math.Float64bits(v) ^ bits.ReverseBytes64(word)); v == 0 {
+					err = fmt.Errorf("orwlnet: base-coded value %d comes out zero: a window of another pattern ships in full", k)
+				} else {
+					next(k + 1)
+				}
+			}
+			if dst != nil {
+				dst.Append(row, j, v)
+			}
+			k++
+		}
+		if next(0); dst != nil {
+			dst.Reset(base.Order())
+		}
+		for ; row < base.Order() && err == nil; row++ {
+			base.ForEachRow(row, cell)
+		}
+		return err
+	}
+	if err := walk(nil); err != nil {
+		return nil, err
+	}
+	return dst, walk(dst)
 }
 
 func encodeWatchRequest(dst []byte, machine string, sinceEpoch uint64) ([]byte, error) {

@@ -85,6 +85,34 @@ func TestV7PlaceFrameRefused(t *testing.T) {
 	}
 }
 
+// TestV8ReportFrameRefused: a protocol 8 observed report, captured from
+// the last build that spoke it, is refused with ErrVersion by the
+// decoder and by a live server. Protocol 9 added the base-coded matrix
+// mode; the full frame's layout is unchanged but for the version byte.
+func TestV8ReportFrameRefused(t *testing.T) {
+	const v8 = "2300000007000000000000000f0801010204040101c0e0030401c0e0030401c0e0030001c0e003"
+	frame, err := hex.DecodeString(v8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMessage(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.op != opObservedReport {
+		t.Fatalf("frame op %d, want %d", m.op, opObservedReport)
+	}
+	if _, _, _, err := decodeObservedReport(m.payload, 0, nil); !errors.Is(err, ErrVersion) {
+		t.Fatalf("decode err = %v, want ErrVersion", err)
+	}
+	_, addr := startFixtureServer(t)
+	conn := rawConn(t, addr)
+	exchange(t, conn, goldenFrame(t, "hello/req"))
+	if resp := exchange(t, conn, frame); resp.op != statusVersion || !errors.Is(responseError(resp), ErrVersion) {
+		t.Fatalf("server answered status %d %q, want statusVersion", resp.op, resp.payload)
+	}
+}
+
 // refusePlaceFrame checks that a place frame in a retired layout is
 // refused with ErrVersion by the decoder and by a live server.
 func refusePlaceFrame(t *testing.T, frameHex string) {

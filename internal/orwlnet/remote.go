@@ -37,6 +37,12 @@ type RemoteService struct {
 	// requests. Shared across the pool, because the server table is.
 	known *fpSet
 
+	// base is the last acknowledged observed window of lease baseLease,
+	// what ReportObserved base-codes that lease's next window against.
+	baseMu    sync.Mutex
+	baseLease uint64
+	base      *reportBase
+
 	// addr and dialOpts remember how the stub was dialed (set by
 	// DialPlacementService), so a remap subscription can redial and
 	// resubscribe — and revive can replace dead pooled connections —

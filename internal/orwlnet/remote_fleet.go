@@ -2,6 +2,7 @@ package orwlnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -54,18 +55,56 @@ func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer st
 // including the retries the stub's policy issues — is never
 // double-counted. The window is encoded from whatever representation it
 // arrives in: a sparse one ships in O(nnz).
+//
+// A window with the nonzero pattern of the lease's last acknowledged one
+// ships its values only; a daemon without that base (a restart) answers
+// ErrUnknownMatrix and gets the window in full, same seq. The stub keeps
+// the base of the lease it last reported under, until the daemon forgets
+// that lease.
 func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64, delta comm.Affinity) error {
-	return s.retryCall(ctx, func(ctx context.Context) error {
-		buf := getPayloadBuf()
-		payload, err := encodeObservedReport(buf, leaseID, seq, delta)
-		if err != nil {
-			putPayloadBuf(buf)
-			return err
+	s.baseMu.Lock()
+	b := s.base
+	s.base = nil // a concurrent report ships in full
+	if b == nil {
+		b = new(reportBase)
+	} else if s.baseLease != leaseID {
+		b.seq = 0
+	}
+	s.baseMu.Unlock()
+	var coded bool
+	err := s.retryCall(ctx, func(ctx context.Context) error {
+		for {
+			buf := getPayloadBuf()
+			var payload []byte
+			payload, coded = encodeBaseReport(buf, leaseID, seq, delta, b)
+			if !coded {
+				var err error
+				if payload, err = encodeObservedReport(buf, leaseID, seq, delta); err != nil {
+					putPayloadBuf(buf)
+					return err
+				}
+			}
+			reply, err := s.primary().callPooled(ctx, opObservedReport, payload, true)
+			putPayloadBuf(reply)
+			if !coded || !errors.Is(err, ErrUnknownMatrix) {
+				return err
+			}
+			b.seq = 0 // the daemon holds no such base: resend in full
 		}
-		reply, err := s.primary().callPooled(ctx, opObservedReport, payload, true)
-		putPayloadBuf(reply)
-		return err
 	})
+	if errors.Is(err, ctrlplane.ErrUnknownLease) {
+		return err
+	}
+	switch {
+	case err == nil && coded: // same pattern: only the bits change
+		b.seq, b.words, b.next = seq, b.next, b.words
+	case err == nil:
+		b.set(seq, delta)
+	}
+	s.baseMu.Lock()
+	s.baseLease, s.base = leaseID, b
+	s.baseMu.Unlock()
+	return err
 }
 
 // watchRedialBackoff is the flat resubscribe pacing used when the stub

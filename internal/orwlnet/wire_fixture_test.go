@@ -27,42 +27,42 @@ import (
 
 // The wire fixture suite: for every opcode a golden request and a
 // golden response frame, and for every rejection path the exact bytes
-// in and the exact error out, all in protocol 8. Every frame uses call
+// in and the exact error out, all in protocol 9. Every frame uses call
 // id 7.
 var wireGoldens = map[string]string{
 	"await/req":             "110000000700000000000000040100000000000000",
 	"await/resp":            "09000000070000000000000000",
-	"hello/req":             "0b0000000700000000000000090008",
-	"hello/resp":            "0a00000007000000000000000008",
+	"hello/req":             "0b0000000700000000000000090009",
+	"hello/resp":            "0a00000007000000000000000009",
 	"insert/req":            "1000000007000000000000000304006772696401",
 	"insert/resp":           "110000000700000000000000000100000000000000",
-	"lease/req":             "1c00000007000000000000000e080400666967320500616c7068610004effd02",
+	"lease/req":             "1c00000007000000000000000e090400666967320500616c7068610004effd02",
 	"lease/resp":            "0a00000007000000000000000001",
-	"place-body/req":        "3b00000007000000000000000a080400666967320900747265656d617463680400000000000000010204040101c0e0030401c0e0030401c0e0030001c0e003",
-	"place-fingerprint/req": "2e00000007000000000000000a080400666967320900747265656d6174636804000000000000000103d3bd961e1e3d5db304",
-	"place/resp":            "5e0000000700000000000000000804006669673201000000000000294000000000000090400300000000000000010000000000000001000000000000009210000000000000010900747265656d617463680201050004080c0502010a0e0500020406",
-	"push-delta/resp":       "2d000000070000000000000000080104006669673204bfd003100900747265656d61746368000002010002030502030201",
-	"push-full/resp":        "46000000070000000000000000080004006669673204bfd003010900747265656d6174636800001100020a0608040c0e10121416181a1c1e0011000004020402060608080a0a0c0c0e0e",
+	"place-body/req":        "3b00000007000000000000000a090400666967320900747265656d617463680400000000000000010204040101c0e0030401c0e0030401c0e0030001c0e003",
+	"place-fingerprint/req": "2e00000007000000000000000a090400666967320900747265656d6174636804000000000000000103d3bd961e1e3d5db304",
+	"place/resp":            "5e0000000700000000000000000904006669673201000000000000294000000000000090400300000000000000010000000000000001000000000000009210000000000000010900747265656d617463680201050004080c0502010a0e0500020406",
+	"push-delta/resp":       "2d000000070000000000000000090104006669673204bfd003100900747265656d61746368000002010002030502030201",
+	"push-full/resp":        "46000000070000000000000000090004006669673204bfd003010900747265656d6174636800001100020a0608040c0e10121416181a1c1e0011000004020402060608080a0a0c0c0e0e",
 	"read/req":              "110000000700000000000000050100000000000000",
 	"read/resp":             "190000000700000000000000006f72776c000000000000000000000000",
 	"release-reinsert/req":  "110000000700000000000000080100000000000000",
 	"release-reinsert/resp": "09000000070000000000000000",
 	"release/req":           "110000000700000000000000070100000000000000",
 	"release/resp":          "09000000070000000000000000",
-	"report-dense/req":      "9500000007000000000000000f080102010400000000000000555555555555d53f000000000000d03f9a9999999999c93f555555555555c53f922449922449c23f000000000000c03f1cc7711cc771bc3f9a9999999999b93f46175d74d145b73f555555555555b53f143bb1133bb1b33f922449922449b23f111111111111b13f000000000000b03f1e1e1e1e1e1eae3f1cc7711cc771ac3f",
-	"report-sparse/req":     "2300000007000000000000000f0801010204040101c0e0030401c0e0030401c0e0030001c0e003",
+	"report-dense/req":      "9500000007000000000000000f090102010400000000000000555555555555d53f000000000000d03f9a9999999999c93f555555555555c53f922449922449c23f000000000000c03f1cc7711cc771bc3f9a9999999999b93f46175d74d145b73f555555555555b53f143bb1133bb1b33f922449922449b23f111111111111b13f000000000000b03f1e1e1e1e1e1eae3f1cc7711cc771ac3f",
+	"report-sparse/req":     "2300000007000000000000000f0901010204040101c0e0030401c0e0030401c0e0030001c0e003",
 	"report/resp":           "09000000070000000000000000",
 	"scale/req":             "170000000700000000000000010400677269641000000000000000",
 	"scale/resp":            "09000000070000000000000000",
 	"size/req":              "0f000000070000000000000002040067726964",
 	"size/resp":             "110000000700000000000000001000000000000000",
 	"stats/req":             "0900000007000000000000000c",
-	"stats/resp":            "1701000007000000000000000008040066696732cefaedfe000000002a0000000000000028000000000000000200000000000000020000000000000002000000000000000900747265656d6174636804006e6f6e650200000000000000040066696732060074696e7968740c00000000000000030000000000000002000000000000000100000000000000e17a14ae47e1da3f01000000000000000800000000000000e803000000000000d00700000000000005000000000000001e0000000000000001000000000000000300000000000000640000000000000002000000000000000400000000000000010000000000000002000000000000000300000000000000010000000000000003000000000000000100000000000000",
+	"stats/resp":            "1701000007000000000000000009040066696732cefaedfe000000002a0000000000000028000000000000000200000000000000020000000000000002000000000000000900747265656d6174636804006e6f6e650200000000000000040066696732060074696e7968740c00000000000000030000000000000002000000000000000100000000000000e17a14ae47e1da3f01000000000000000800000000000000e803000000000000d00700000000000005000000000000001e0000000000000001000000000000000300000000000000640000000000000002000000000000000400000000000000010000000000000002000000000000000300000000000000010000000000000003000000000000000100000000000000",
 	"topology/req":          "0900000007000000000000000b",
 	"topology/resp":         "480800000700000000000000007b226174747273223a7b224e616d65223a2254696e79466c6174222c224f53223a22222c224b65726e656c223a22222c22536f636b65744d6f64656c223a22222c22436c6f636b4d487a223a323030302c2248797065727468726561646564223a66616c73652c22496e746572636f6e6e6563744e616d65223a22222c22496e746572636f6e6e65637447427073223a382c224c6f63616c4d656d47427073223a32302c224c314c6174656e63794379636c6573223a342c224c324c6174656e63794379636c6573223a31322c224c334c6174656e63794379636c6573223a34302c224452414d4c6174656e63794379636c6573223a3230302c2252656d6f74654e554d41466163746f72223a312e382c2243726f737347726f7570466163746f72223a322e367d2c22726f6f74223a7b2274797065223a224d616368696e65222c226d656d6f7279223a383538393933343539322c226368696c6472656e223a5b7b2274797065223a224e554d414e6f6465222c226d656d6f7279223a343239343936373239362c226368696c6472656e223a5b7b2274797065223a22536f636b6574222c226368696c6472656e223a5b7b2274797065223a224c33222c2263616368655f73697a65223a343139343330342c226368696c6472656e223a5b7b2274797065223a224c32222c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226368696c6472656e223a5b7b2274797065223a225055227d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a312c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a312c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a312c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a317d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a322c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a322c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a322c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a327d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a332c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a332c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a332c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a337d5d7d5d7d5d7d5d7d5d7d5d7d2c7b2274797065223a224e554d414e6f6465222c226f735f696e646578223a312c226d656d6f7279223a343239343936373239362c226368696c6472656e223a5b7b2274797065223a22536f636b6574222c226f735f696e646578223a312c226368696c6472656e223a5b7b2274797065223a224c33222c226f735f696e646578223a312c2263616368655f73697a65223a343139343330342c226368696c6472656e223a5b7b2274797065223a224c32222c226f735f696e646578223a342c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a342c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a342c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a347d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a352c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a352c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a352c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a357d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a362c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a362c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a362c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a367d5d7d5d7d5d7d2c7b2274797065223a224c32222c226f735f696e646578223a372c2263616368655f73697a65223a3236323134342c226368696c6472656e223a5b7b2274797065223a224c31222c226f735f696e646578223a372c2263616368655f73697a65223a33323736382c226368696c6472656e223a5b7b2274797065223a22436f7265222c226f735f696e646578223a372c226368696c6472656e223a5b7b2274797065223a225055222c226f735f696e646578223a377d5d7d5d7d5d7d5d7d5d7d5d7d5d7d7d",
-	"watch-ack-empty/resp":  "1000000007000000000000000008000000000000",
-	"watch-ack/resp":        "46000000070000000000000000080004006669673203bfc003010900747265656d6174636800001100020406080a0c0e10121416181a1c1e0011000002020404060608080a0a0c0c0e0e",
-	"watch/req":             "110000000700000000000000100804006669673200",
+	"watch-ack-empty/resp":  "1000000007000000000000000009000000000000",
+	"watch-ack/resp":        "46000000070000000000000000090004006669673203bfc003010900747265656d6174636800001100020406080a0c0e10121416181a1c1e0011000002020404060608080a0a0c0c0e0e",
+	"watch/req":             "110000000700000000000000100904006669673200",
 	"write/req":             "1500000007000000000000000601000000000000006f72776c",
 	"write/resp":            "09000000070000000000000000",
 }
@@ -355,6 +355,14 @@ func startFixtureServer(t *testing.T, opts ...ServerOption) (*Server, string) {
 		t.Fatal(err)
 	}
 	ctrl := fleetController(t, fleet)
+	// Lease 2 comes back from a snapshot holding no base window, so a
+	// base-coded report under it is answered ErrUnknownMatrix.
+	if err := ctrl.Restore(&ctrlplane.Snapshot{
+		Leases:   []ctrlplane.LeaseRecord{{Lease: ctrlplane.Lease{ID: 2, Machine: "fig2", Peer: "restored", TaskCount: 4}}},
+		Machines: []ctrlplane.MachineRecord{{Name: "fig2", Order: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -494,6 +502,7 @@ func wireRejections(t *testing.T) []wireRejection {
 		{"unknown fingerprint", opPlaceCompute, true, false, g("place-fingerprint/req"), statusUnknownMatrix, ErrUnknownMatrix},
 		{"unknown lease", opObservedReport, true, false, g("report-sparse/req"), statusUnknownLease, ctrlplane.ErrUnknownLease},
 		{"report over budget", opObservedReport, true, true, g("report-sparse/req"), statusRateLimited, ctrlplane.ErrRateLimited},
+		{"base-coded report without a base", opObservedReport, true, false, encodeFrame(opObservedReport, []byte{protoVersion, 2, 1, matBaseValues, 1, 4, 4}), statusUnknownMatrix, ErrUnknownMatrix},
 	}
 	for _, name := range []string{"place-body/req", "lease/req", "report-sparse/req", "watch/req"} {
 		f := g(name)

@@ -178,7 +178,9 @@ func (f *FleetAdaptive) reLease(ctx context.Context) error {
 // snapshot state), Report re-registers under the same ownership token
 // and resumes on the fresh lease. A window the daemon acknowledged is
 // handed back to the program's observed window for reuse; one whose
-// send failed stays queued, untouched.
+// send failed stays queued, untouched. A window with the pattern of the
+// last acknowledged one ships its values only (ReportObserved); the
+// first on a fresh lease ships in full.
 func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Lock()
 	queue := f.pending
