@@ -59,11 +59,11 @@
 // fleet.
 //
 // -max-lease-tasks raises (or lowers) the largest global task index the
-// control plane accepts — in lease registrations and when validating a
-// restored snapshot. The default matches the wire protocol's historic
-// 2896-task ceiling; the merged fleet matrix is sparse, so a raised
-// bound costs O(observed pairs), not O(n²). A snapshot written under a
-// raised bound only restores under the same (or a larger) bound.
+// control plane accepts — in lease registrations, in the order of the
+// windows reports carry, and when validating a restored snapshot. The
+// merged fleet matrix is sparse, so a raised bound costs O(observed
+// pairs), not O(n²). A snapshot written under a raised bound only
+// restores under the same (or a larger) bound.
 //
 // -inspect-snapshot dumps a control-plane snapshot file — checksum
 // status, schema version, every lease, and each machine's epoch,
@@ -152,7 +152,7 @@ func main() {
 	adoptAfter := flag.Int("adopt-after", 1, "consecutive over-threshold epochs before a recompute is attempted (hysteresis)")
 	cooldownEpochs := flag.Int("cooldown-epochs", 0, "epochs to hold after an adoption before the next one")
 	staleAfter := flag.Duration("stale-after", 0, "evict a lease whose peer has not reported for this long (0 keeps the built-in default, negative never evicts)")
-	maxLeaseTasks := flag.Int("max-lease-tasks", ctrlplane.DefaultMaxLeaseTasks, "largest global task index the control plane accepts in lease registrations and snapshot restores (the merged fleet matrix is sparse, so raising it costs O(nnz), not O(n²))")
+	maxLeaseTasks := flag.Int("max-lease-tasks", ctrlplane.DefaultMaxLeaseTasks, "largest global task index the control plane accepts in lease registrations, observed reports and snapshot restores (the merged fleet matrix is sparse, so raising it costs O(nnz), not O(n²))")
 	inspectSnap := flag.String("inspect-snapshot", "", "dump the given control-plane snapshot (leases, epochs, matrix density, checksum status) and exit without starting a daemon")
 	snapPath := flag.String("snapshot-path", "", "persist the control plane (leases, epochs, adopted remaps) to this file and restore it on startup (requires -adaptive)")
 	snapInterval := flag.Duration("snapshot-interval", 10*time.Second, "cadence of periodic snapshots with -snapshot-path (a final snapshot is always taken on graceful drain)")
@@ -161,7 +161,7 @@ func main() {
 	reportRate := flag.Float64("report-rate", 0, "per-lease observed-report rate limit in reports/sec (0 = unlimited); a throttled peer gets a retryable error, others are unaffected")
 	reportBurst := flag.Float64("report-burst", 0, "burst allowance for -report-rate (0 = the rate itself)")
 	reportMaxBytes := flag.Int("report-max-bytes", 0, "refuse observed-report frames larger than this many bytes (0 = the protocol's 64MiB ceiling)")
-	reportMaxRows := flag.Int("report-max-rows", 0, "refuse observed reports whose delta matrix exceeds this order (0 = the protocol ceiling)")
+	reportMaxRows := flag.Int("report-max-rows", 0, "refuse observed reports whose delta matrix exceeds this order (0 = -max-lease-tasks; a larger value does not raise that bound)")
 	reportBandwidth := flag.Float64("report-bandwidth", 0, "per-connection observed-report byte budget in bytes/sec (0 = unlimited)")
 	cacheEntries := flag.Int("cache-entries", -1, "mapping-cache capacity per machine engine (0 disables caching, -1 keeps the built-in default)")
 	machines := machineFlags{}

@@ -2,8 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,6 +50,10 @@ func TestCodecFieldBytes(t *testing.T) {
 	if err != nil || len(rest) != 0 || m.At(0, 1) != 2 || m.At(1, 0) != 2 || m.NNZ() != 2 || fp != comm.Fingerprint(ring) {
 		t.Errorf("sparse matrix decoded to %v, fingerprint %016x (%d trailing, %v)", m, fp, len(rest), err)
 	}
+	// Mode 1, the retired dense layout, is an unknown mode.
+	if _, _, _, err := GetMatrixField([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0}, 2, nil); !errors.Is(err, ErrMatrixMode) || err.Error() != "codec: unknown matrix mode 1" {
+		t.Errorf("dense mode byte: err = %v", err)
+	}
 }
 
 func field(b []byte, _ uint64) []byte { return b }
@@ -67,44 +74,42 @@ func TestCodecStringPrefixMatchesBody(t *testing.T) {
 	}
 }
 
-// TestCodecMatrixMemoryBound: whatever order the caller allows, a field
-// decodes dense only up to MaxMatrixOrder, and above it only sparse,
-// holding at most MaxMatrixOrder²/8 cells and no -0.
+// TestCodecMatrixMemoryBound: whatever order the caller allows, a
+// field's runs claim at most MaxMatrixCells cells. A body at the cap
+// decodes within the documented bound — 16 bytes per stored cell, 24 of
+// run scratch per segment, and the row table — and one cell more is
+// refused, at the order of the densest frame and above it.
 func TestCodecMatrixMemoryBound(t *testing.T) {
-	const cap8 = MaxMatrixOrder * MaxMatrixOrder / 8
-	run := func(n int, length uint64, raw uint64) []byte {
+	run := func(n, length int) []byte { // one run from cell 0
 		b := PutUvarint([]byte{MatSparse}, uint64(n))
 		b = append(b, 1, 0) // one run, no gap
-		return PutUvarint(PutUvarint(b, length), raw)
+		return PutUvarint(PutUvarint(b, uint64(length)), ZigzagFloat(3))
 	}
-	negZero := ZigzagFloat(math.Copysign(0, -1))
-	cases := []struct {
-		name  string
-		field []byte
-		want  string // "sparse" or "dense": the decoded form; otherwise the error
-	}{
-		{"dense at the limit's order", run(MaxMatrixOrder, cap8+1, 0x40), "dense"},
-		{"-0 at the limit's order", run(MaxMatrixOrder, 1, negZero), "dense"},
-		{"sparse above the limit", run(MaxMatrixOrder+1, cap8, 0x40), "sparse"},
-		{"too many cells above the limit", run(MaxMatrixOrder+1, cap8+1, 0x40),
-			"codec: order-2897 sparse body claims 1048353 cells, over the 1048352 a body above order 2896 may hold"},
-		{"-0 above the limit", run(MaxMatrixOrder+1, 1, negZero),
-			"codec: order-2897 sparse body holds a -0 cell, which decodes only dense, up to order 2896"},
-		{"order above the caller's bound", run(1<<16+1, 1, 0x40), "codec: sparse matrix order 65537 exceeds limit 65536"},
-		{"dense above the limit", append([]byte{MatDense}, PutUint64(nil, MaxMatrixOrder+1)...), "codec: dense matrix order 2897 exceeds limit 2896"},
-	}
-	for _, c := range cases {
-		m, _, _, err := GetMatrixField(c.field, 1<<16, nil)
-		switch c.want {
-		case "sparse", "dense":
-			_, dense := m.(*comm.Matrix)
-			if err != nil || dense != (c.want == "dense") {
-				t.Errorf("%s: decoded %T (%v), want %s", c.name, m, err, c.want)
+	for _, n := range []int{MaxMatrixOrder, MaxMatrixOrder + 1} {
+		// The fewest bytes of two decodes: TotalAlloc is process-wide.
+		got := math.MaxInt
+		for range 2 {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, _, _, err := GetMatrixField(run(n, MaxMatrixCells), 1<<16, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil || m.NNZ() != MaxMatrixCells {
+				t.Fatalf("order %d: a body at the cap decoded to %v (%v)", n, m, err)
 			}
-		default:
-			if err == nil || err.Error() != c.want {
-				t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
-			}
+			got = min(got, int(after.TotalAlloc-before.TotalAlloc))
 		}
+		// The cells' slab, a scratch of a segment per run and row end,
+		// the row counts, the row table and 64 KiB of size-class rounding.
+		if bound := 16*MaxMatrixCells + 24*(1+n) + 8*n + 24*n + 64<<10; got > bound {
+			t.Errorf("order %d: a body at the cap allocated %d bytes, bound %d", n, got, bound)
+		}
+		want := fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, MaxMatrixCells+1, MaxMatrixCells)
+		if _, _, _, err := GetMatrixField(run(n, MaxMatrixCells+1), 1<<16, nil); err == nil || err.Error() != want {
+			t.Errorf("order %d: one cell past the cap: err = %v, want %q", n, err, want)
+		}
+	}
+	if _, _, _, err := GetMatrixField(run(1<<16+1, 1), 1<<16, nil); err == nil || err.Error() != "codec: sparse matrix order 65537 exceeds limit 65536" {
+		t.Errorf("order above the caller's bound: err = %v", err)
 	}
 }

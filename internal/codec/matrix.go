@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -11,83 +12,47 @@ import (
 )
 
 // Matrix fields. The dependency matrices are mostly sparse (a ring row
-// has two nonzero entries out of hundreds), so a field carries either
-// the dense 8n² layout or a run-length body — (zero-gap, run-length,
-// value) varint triplets over the row-major cell stream — whichever is
-// smaller. A mode byte opens the field; the wire adds its own
-// fingerprint-reference mode after these.
+// has two nonzero entries out of hundreds), so a field carries a
+// run-length body — (zero-gap, run-length, value) varint triplets over
+// the row-major cell stream — whatever the density. A mode byte opens
+// the field; the wire adds its own modes after these. Mode 1, the
+// retired dense layout, is refused like any unknown mode.
 const (
 	MatAbsent = 0
-	MatDense  = 1
 	MatSparse = 2
 )
 
-// MaxMatrixOrder is the largest order a matrix decodes dense at:
-// floor(sqrt(64 MiB / 8)), the densest matrix a wire frame can carry.
-// Above it a body decodes only sparse, holding at most
-// MaxMatrixOrder²/8 cells, so no field allocates more than a dense
-// order-MaxMatrixOrder matrix whatever order its caller allows.
+// ErrMatrixMode refuses a field whose mode byte names no matrix layout.
+var ErrMatrixMode = errors.New("codec: unknown matrix mode")
+
+// MaxMatrixOrder is floor(sqrt(64 MiB / 8)), the order of the densest
+// matrix a wire frame can carry: the order bound of a place request's
+// matrix, and what MaxMatrixCells is sized from.
 const MaxMatrixOrder = 2896
+
+// MaxMatrixCells caps the cells a field's runs may claim, at any order:
+// a quarter of MaxMatrixOrder². A decode holds 16 bytes per stored cell
+// and at most 24 of run scratch per claimed cell, 10·2896² bytes in
+// all, under the 8·2896² bytes of a dense order-2896 matrix plus its
+// 3·2896² of run scratch that bounded a decode while a field could
+// decode dense.
+const MaxMatrixCells = MaxMatrixOrder * MaxMatrixOrder / 4
 
 // OrderError refuses a matrix field whose order exceeds its limit,
 // before anything is sized by that order.
 type OrderError struct {
-	Mode  string // "dense" or "sparse"
 	Order uint64
 	Limit int
 }
 
 func (e *OrderError) Error() string {
-	return fmt.Sprintf("codec: %s matrix order %d exceeds limit %d", e.Mode, e.Order, e.Limit)
+	return fmt.Sprintf("codec: sparse matrix order %d exceeds limit %d", e.Order, e.Limit)
 }
 
-// putMatrixDenseBody appends the dense matrix body (order, row-major
-// float64 entries) that follows the MatDense mode byte.
-func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
-	n := m.Order()
-	dst = PutUint64(dst, uint64(n))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dst = PutFloat64(dst, m.At(i, j))
-		}
-	}
-	return dst
-}
-
-// getMatrixDenseBody decodes a dense body of order at most
-// min(maxOrder, MaxMatrixOrder), folding its comm.Fingerprint during
-// the copy.
-func getMatrixDenseBody(rest []byte, maxOrder int) (comm.Affinity, uint64, []byte, error) {
-	n64, rest, err := GetUint64(rest)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if limit := min(maxOrder, MaxMatrixOrder); n64 > uint64(limit) {
-		return nil, 0, nil, &OrderError{"dense", n64, limit}
-	}
-	n := int(n64)
-	if len(rest) < 8*n*n {
-		return nil, 0, nil, fmt.Errorf("codec: truncated matrix (order %d)", n)
-	}
-	m := comm.NewMatrix(n)
-	var fp comm.FingerprintFold
-	fp.Start(n)
-	for i := 0; i < n; i++ {
-		row := m.RowView(i)
-		for j := range row {
-			u := binary.LittleEndian.Uint64(rest)
-			rest = rest[8:]
-			row[j] = math.Float64frombits(u)
-			fp.Run(u, 1)
-		}
-	}
-	return m, fp.Sum(), rest, nil
-}
-
-// runEmitter writes a matrix field in the compact encoding in one walk:
+// runEmitter writes a matrix field in one walk:
 // its caller hands it the nonzero runs in row-major cell order, and it
 // appends their triplets straight into the payload while folding the
-// matrix's comm.Fingerprint. The sparse body is uvarint order, uvarint
+// matrix's comm.Fingerprint. The body is uvarint order, uvarint
 // run count, then (zero-gap, run-length, reversed-bits value) varint
 // triplets; a run never crosses a row boundary or a change of bits,
 // and the gap field is the RLE of the zero cells between runs. A cell
@@ -95,15 +60,15 @@ func getMatrixDenseBody(rest []byte, maxOrder int) (comm.Affinity, uint64, []byt
 // round-trip bits (NaNs, -0) exactly, or the client's fingerprint and
 // the server's would drift apart and every reference would miss.
 type runEmitter struct {
-	dst         []byte
-	start, hole int // offsets of the mode byte and of the run-count hole
-	n, end      int // order; cell index one past the previous run
-	runs        uint64
-	fp          comm.FingerprintFold
+	dst  []byte
+	hole int // offset of the run-count hole
+	end  int // cell index one past the previous run
+	runs uint64
+	fp   comm.FingerprintFold
 }
 
 func newRunEmitter(dst []byte, n int) runEmitter {
-	e := runEmitter{start: len(dst), n: n}
+	var e runEmitter
 	e.dst = PutUvarint(append(dst, MatSparse), uint64(n))
 	// The run count precedes the triplets but is known only after the
 	// walk: leave room for the longest varint, close the gap at the end.
@@ -125,26 +90,19 @@ func (e *runEmitter) run(at, length int, b uint64) {
 	e.runs++
 }
 
-// close finishes the field and returns it with the fingerprint. A
-// sparse body no smaller than the dense 8+8n² layout is replaced by the
-// dense field of a, which holds the cells the runs described.
-func (e *runEmitter) close(a comm.Affinity) ([]byte, uint64) {
-	fp := e.fp.Sum()
+// close finishes the field and returns it with the fingerprint.
+func (e *runEmitter) close() ([]byte, uint64) {
 	var count [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(count[:], e.runs)
-	if len(e.dst)-e.hole-len(count)+uvarintLen(uint64(e.n))+k >= 8+8*e.n*e.n {
-		return putMatrixDenseBody(append(e.dst[:e.start], MatDense), a.Dense()), fp
-	}
 	copy(e.dst[e.hole:], count[:k])
-	return append(e.dst[:e.hole+k], e.dst[e.hole+len(count):]...), fp
+	return append(e.dst[:e.hole+k], e.dst[e.hole+len(count):]...), e.fp.Sum()
 }
 
-// PutMatrixField encodes a matrix field — sparse or dense, whichever is
-// smaller, a choice invisible to the decoder (both carry their mode
-// byte), so density drift never changes the layout — and returns the
-// matrix's comm.Fingerprint (zero for nil), all in one walk: over the
-// cells of a dense matrix (which keeps -0 cells bit-exact), over the
-// row-sorted nonzeros of any other affinity.
+// PutMatrixField encodes a matrix field — the run-length body at any
+// density — and returns the matrix's comm.Fingerprint (zero for nil),
+// all in one walk: over the cells of a dense matrix (a -0 cell is a run,
+// so its bits reach the fingerprint), over the row-sorted nonzeros of
+// any other affinity.
 func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64) {
 	if comm.NilAffinity(a) {
 		return append(dst, MatAbsent), 0
@@ -171,7 +129,7 @@ func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64) {
 			j += l
 		}
 	}
-	return e.close(m)
+	return e.close()
 }
 
 // putAffinityCompact is PutMatrixField for an affinity without a dense
@@ -200,26 +158,24 @@ func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64) {
 			runLen = 0
 		}
 	}
-	return e.close(a)
+	return e.close()
 }
 
-// GetMatrixField decodes a MatAbsent, MatDense or MatSparse field of
-// order at most maxOrder and returns the matrix (nil when absent) with
-// its comm.Fingerprint, folded during the decode. A body that decodes
-// sparse refills dst, once validated in full; nil dst allocates.
-func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
+// GetMatrixField decodes a MatAbsent or MatSparse field of order at
+// most maxOrder and returns the matrix (nil when absent) with its
+// comm.Fingerprint, folded during the decode. The body refills dst once
+// validated in full; nil dst allocates.
+func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
 	if len(src) < 1 {
 		return nil, 0, nil, fmt.Errorf("codec: truncated matrix mode")
 	}
 	switch mode, rest := src[0], src[1:]; mode {
 	case MatAbsent:
 		return nil, 0, rest, nil
-	case MatDense:
-		return getMatrixDenseBody(rest, maxOrder)
 	case MatSparse:
 		return getSparseBody(rest, maxOrder, dst)
 	default:
-		return nil, 0, nil, fmt.Errorf("codec: unknown matrix mode %d", mode)
+		return nil, 0, nil, fmt.Errorf("%w %d", ErrMatrixMode, mode)
 	}
 }
 
@@ -231,7 +187,7 @@ func getSparseHeader(src []byte, maxOrder int) (n int, runs uint64, body []byte,
 		return 0, 0, nil, err
 	}
 	if n64 > uint64(maxOrder) {
-		return 0, 0, nil, &OrderError{"sparse", n64, maxOrder}
+		return 0, 0, nil, &OrderError{n64, maxOrder}
 	}
 	if runs, body, err = GetUvarint(rest); err != nil {
 		return 0, 0, nil, err
@@ -249,8 +205,6 @@ func getSparseHeader(src []byte, maxOrder int) (n int, runs uint64, body []byte,
 // every run, split at row boundaries: length cells of value v starting
 // at (row, col). It returns the bytes after the last triplet, allocates
 // nothing and, apart from visit, does work proportional to runs + n.
-// getSparseBody calls it once to validate and record a body, and a
-// second time only to fill a body that decodes dense.
 func walkSparseRuns(body []byte, runs uint64, n int, visit func(row, col, length int, v float64)) ([]byte, error) {
 	cells := uint64(n) * uint64(n)
 	var idx uint64
@@ -303,18 +257,14 @@ type sparseRun struct {
 
 // getSparseBody decodes a sparse matrix body, folding its
 // comm.Fingerprint from the runs: O(runs + n), never a pass over the
-// zero cells. The body is validated in full — every run, and the cell
-// count they claim (one triplet can claim all n²) — before the target
-// exists. Let m = min(n, MaxMatrixOrder): the body decodes sparse iff
-// its runs cover at most m²/8 cells and hold no -0 cell (which sparse
-// storage cannot hold); otherwise it decodes dense up to order
-// MaxMatrixOrder and is refused above it.
-//
-// The validating walk records the runs in a pooled scratch until they
-// cover more than m²/8 cells, so a sparse fill replays it and only a
-// dense one parses the body again. No body allocates more than the 8·m²
-// bytes of a dense order-m matrix plus the 3·m² of m²/8 24-byte runs.
-func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
+// zero cells. The body is validated in full — every run, and the cells
+// they claim (one triplet can claim all n²) against MaxMatrixCells —
+// before the target is touched: the one walk that validates also
+// records each run segment in a pooled scratch, and the fill replays
+// it. A -0 cell folds into the fingerprint, so both ends agree on the
+// matrix's identity, but stores nothing: sparse storage holds no zero,
+// and the mapper reads -0 as +0.
+func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src, maxOrder)
 	if err != nil {
 		return nil, 0, nil, err
@@ -324,10 +274,9 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 		rowNNZ = make([]int, n)
 	}
 	// Sized once: at most a segment per run and row end, and per cell.
-	sparseCap := min(n, MaxMatrixOrder) * min(n, MaxMatrixOrder) / 8
 	scratch := runPool.Get().(*[]sparseRun)
 	rec := (*scratch)[:0]
-	if need := min(int(runs)+n, sparseCap); cap(rec) < need {
+	if need := min(int(runs)+n, MaxMatrixCells); cap(rec) < need {
 		rec = make([]sparseRun, 0, need)
 	}
 	defer func() {
@@ -336,61 +285,40 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (comm.Affinity, u
 			runPool.Put(scratch)
 		}
 	}()
-	nnz, negZero := 0, false
+	cells := 0
 	rest, err := walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
-		if nnz += length; nnz <= sparseCap {
+		if cells += length; cells <= MaxMatrixCells {
 			rec = append(rec, sparseRun{row*n + col, length, v})
+			if rowNNZ != nil {
+				rowNNZ[row] += length
+			}
 		}
-		if rowNNZ != nil {
-			rowNNZ[row] += length
-		}
-		negZero = negZero || math.Float64bits(v) == 1<<63
 	})
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var m comm.Affinity
-	sparse := nnz <= sparseCap && !negZero
-	switch {
-	case sparse && dst != nil:
-		dst.Reset(n)
-		m = dst
-	case sparse:
+	if cells > MaxMatrixCells {
+		return nil, 0, nil, fmt.Errorf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, cells, MaxMatrixCells)
+	}
+	m := dst
+	if m == nil {
 		m = comm.NewSparseSized(rowNNZ)
-	case n <= MaxMatrixOrder:
-		m = comm.NewMatrix(n)
-	case negZero:
-		return nil, 0, nil, fmt.Errorf("codec: order-%d sparse body holds a -0 cell, which decodes only dense, up to order %d", n, MaxMatrixOrder)
-	default:
-		return nil, 0, nil, fmt.Errorf("codec: order-%d sparse body claims %d cells, over the %d a body above order %d may hold", n, nnz, sparseCap, MaxMatrixOrder)
+	} else {
+		m.Reset(n)
 	}
 	var fp comm.FingerprintFold
 	fp.Start(n)
-	end := 0 // cell index one past the previous run
-	fold := func(at, length int, v float64) {
-		fp.Zeros(at - end)
-		fp.Run(math.Float64bits(v), length)
-		end = at + length
-	}
-	if !sparse {
-		// The runs were validated above: this walk cannot fail.
-		walkSparseRuns(body, runs, n, func(row, col, length int, v float64) {
-			for k := col; k < col+length; k++ {
-				m.Set(row, k, v)
-			}
-			fold(row*n+col, length, v)
-		})
-		return m, fp.Sum(), rest, nil
-	}
-	sp, row := m.(*comm.Sparse), 0 // the runs ascend: the rows fill by appending
+	end, row := 0, 0 // the runs ascend: the rows fill by appending
 	for _, r := range rec {
+		fp.Zeros(r.at - end)
+		fp.Run(math.Float64bits(r.v), r.length)
+		end = r.at + r.length
 		for r.at >= (row+1)*n {
 			row++
 		}
 		for k := r.at - row*n; k < r.at-row*n+r.length; k++ {
-			sp.Append(row, k, r.v)
+			m.Append(row, k, r.v) // a -0 stores nothing
 		}
-		fold(r.at, r.length, r.v)
 	}
 	return m, fp.Sum(), rest, nil
 }

@@ -11,24 +11,13 @@ import (
 	"orwlplace/internal/comm"
 )
 
-// sameBits reports whether a and b hold the same storage form, order
-// and cells, compared by bit pattern (so -0 and NaN cells count).
-func sameBits(a, b comm.Affinity) bool {
-	if fmt.Sprintf("%T", a) != fmt.Sprintf("%T", b) || comm.NilAffinity(a) || a.Order() != b.Order() {
-		return comm.NilAffinity(a) && comm.NilAffinity(b)
+// sameBits reports whether a and b hold the same order and cells,
+// compared by bit pattern (so NaN cells count).
+func sameBits(a, b *comm.Sparse) bool {
+	if a == nil || b == nil || a.Order() != b.Order() {
+		return a == nil && b == nil
 	}
-	if da, ok := a.(*comm.Matrix); ok {
-		db := b.(*comm.Matrix)
-		for i := 0; i < da.Order(); i++ {
-			if !slices.EqualFunc(da.RowView(i), db.RowView(i), func(x, y float64) bool {
-				return math.Float64bits(x) == math.Float64bits(y)
-			}) {
-				return false
-			}
-		}
-		return true
-	}
-	cells := func(m comm.Affinity) (out [][3]uint64) {
+	cells := func(m *comm.Sparse) (out [][3]uint64) {
 		m.ForEach(func(i, j int, v float64) { out = append(out, [3]uint64{uint64(i), uint64(j), math.Float64bits(v)}) })
 		return out
 	}
@@ -46,8 +35,8 @@ func dirtyTarget() *comm.Sparse {
 
 // decodeDiff decodes body with getSparseBody and with the two-walk
 // reference, into a nil target and into a dirty reused one, and
-// describes the first difference — error text, storage form, cells by
-// bits, fingerprint, trailing bytes, or what was left in the target —
+// describes the first difference — error text, cells by bits,
+// fingerprint, trailing bytes, or what was left in the target —
 // or returns "".
 func decodeDiff(body []byte, maxOrder int) string {
 	for _, reuse := range []bool{false, true} {
@@ -61,11 +50,11 @@ func decodeDiff(body []byte, maxOrder int) string {
 			return fmt.Sprintf("reuse=%v: err %v, reference %v", reuse, err, wantErr)
 		}
 		if err == nil && (fp != wantFP || !slices.Equal(rest, wantRest) || !sameBits(got, want)) {
-			return fmt.Sprintf("reuse=%v: decoded %T fp %016x with %d trailing; reference %T fp %016x with %d trailing (cells equal: %v)",
-				reuse, got, fp, len(rest), want, wantFP, len(wantRest), sameBits(got, want))
+			return fmt.Sprintf("reuse=%v: decoded fp %016x with %d trailing; reference fp %016x with %d trailing (cells equal: %v)",
+				reuse, fp, len(rest), wantFP, len(wantRest), sameBits(got, want))
 		}
-		if reuse && (!sameBits(dst, refDst) || (got == comm.Affinity(dst)) != (want == comm.Affinity(refDst))) {
-			return fmt.Sprintf("target left %v (decoded into it: %v), reference %v (%v)", dst, got == comm.Affinity(dst), refDst, want == comm.Affinity(refDst))
+		if reuse && (!sameBits(dst, refDst) || (got == dst) != (want == refDst)) {
+			return fmt.Sprintf("target left %v (decoded into it: %v), reference %v (%v)", dst, got == dst, refDst, want == refDst)
 		}
 	}
 	return ""
@@ -97,22 +86,20 @@ func pooledRunCaps() []int {
 	return caps
 }
 
-// TestSparseBodyDecodeBound: a body whose runs claim more than m²/8
-// cells decodes dense within the dense allocation bound — 8·m² bytes
-// of matrix plus the 24·min(runs, m²/8) of the run scratch — and no
-// scratch above maxPooledRuns is left in the pool, whatever the body
-// decoded to.
+// TestSparseBodyDecodeBound: a body decodes within the sparse bound —
+// 16 bytes per cell, the 24·min(runs + n, MaxMatrixCells) of the run
+// scratch and the row table — however dense its runs, and no scratch
+// above maxPooledRuns is left in the pool.
 func TestSparseBodyDecodeBound(t *testing.T) {
 	cases := []struct {
 		name                  string
 		n, count, gap, length int
-		want                  string
 	}{
-		{"one cell past the cap in single cells", 64, 64*64/8 + 1, 0, 1, "dense"},
-		{"one cell past the cap in row-crossing runs", 64, 8, 3, 65, "dense"},
-		{"far past the cap, scratch above the pool bound", 1024, 1024*1024/8 + 1, 0, 1, "dense"},
-		{"at the cap, scratch above the pool bound", 1024, 1024 * 1024 / 8, 0, 1, "sparse"},
-		{"at the cap in single cells", 64, 64 * 64 / 8, 6, 1, "sparse"},
+		{"an eighth of the cells and one more, in single cells", 64, 64*64/8 + 1, 0, 1},
+		{"an eighth and more in row-crossing runs", 64, 8, 3, 65},
+		{"every cell in single cells, scratch above the pool bound", 256, 256 * 256, 0, 1},
+		{"every cell in one run", 512, 1, 0, 512 * 512},
+		{"an eighth in single cells", 64, 64 * 64 / 8, 6, 1},
 	}
 	for _, c := range cases {
 		body := sparseBody(c.n, c.count, c.gap, c.length, 3)
@@ -127,17 +114,15 @@ func TestSparseBodyDecodeBound(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			m, _, _, err := getSparseBody(body, MaxMatrixOrder, nil)
 			runtime.ReadMemStats(&after)
-			if _, dense := m.(*comm.Matrix); err != nil || dense != (c.want == "dense") {
-				t.Fatalf("%s: decoded %T (%v), want %s", c.name, m, err, c.want)
+			if err != nil || m.NNZ() != c.count*c.length {
+				t.Fatalf("%s: decoded %v (%v), want %d cells", c.name, m, err, c.count*c.length)
 			}
 			got = min(got, int(after.TotalAlloc-before.TotalAlloc))
 		}
-		cells := c.n * c.n
-		scratch := 24 * min(c.count, cells/8)
-		bound := 8*cells + scratch + 8*c.n + 4096 // + the row counts of a nil target
-		if c.want == "sparse" {
-			bound = 24*c.n + 16*cells/8 + scratch + 8*c.n + 4096 // the row table and one slab
-		}
+		scratch := 24 * min(c.count+c.n, MaxMatrixCells)
+		// + the row table, the row counts of a nil target and 64 KiB of
+		// size-class rounding.
+		bound := 16*c.count*c.length + scratch + 24*c.n + 8*c.n + 64<<10
 		if got > bound {
 			t.Errorf("%s: allocated %d bytes, bound %d", c.name, got, bound)
 		}
@@ -151,12 +136,12 @@ func TestSparseBodyDecodeBound(t *testing.T) {
 
 // TestSparseBodyDecodeConcurrent: decodes in flight at once each take
 // their own run scratch from the shared pool, so bodies of different
-// shapes decoded side by side — sparse, dense fallbacks, refusals —
-// still equal the two-walk reference.
+// shapes decoded side by side — sparse, past an eighth of the cells,
+// -0 cells, refusals — still equal the two-walk reference.
 func TestSparseBodyDecodeConcurrent(t *testing.T) {
 	bodies := [][]byte{
 		sparseBody(64, 300, 2, 1, 5),
-		sparseBody(64, 64*64/8+1, 0, 1, 7), // dense
+		sparseBody(64, 64*64/8+1, 0, 1, 7), // past an eighth
 		sparseBody(300, 40, 700, 9, 3),     // row-crossing runs
 		sparseBody(9, 3, 0, 90, 1),         // overruns: refused
 		sparseBody(256, 2000, 1, 2, math.Copysign(0, -1)),
@@ -179,7 +164,7 @@ func TestSparseBodyDecodeConcurrent(t *testing.T) {
 
 // FuzzMatrixFieldDecode holds the one-parse sparse body decoder equal
 // to the two-walk reference on every input, into a fresh target and
-// into a dirty reused one.
+// into a dirty reused one, and every accepted body within the cell cap.
 func FuzzMatrixFieldDecode(f *testing.F) {
 	m := comm.NewMatrix(7)
 	m.Set(0, 1, 2)
@@ -201,6 +186,9 @@ func FuzzMatrixFieldDecode(f *testing.F) {
 		if diff := decodeDiff(body, int(maxOrder)); diff != "" {
 			t.Fatal(diff)
 		}
+		if m, _, _, err := getSparseBody(body, int(maxOrder), nil); err == nil && m.NNZ() > MaxMatrixCells {
+			t.Fatalf("accepted a body of %d cells, over the cap %d", m.NNZ(), MaxMatrixCells)
+		}
 	})
 }
 
@@ -217,7 +205,7 @@ func BenchmarkSparseBodyDecode(b *testing.B) {
 	field, _ := PutMatrixField(nil, w)
 	for _, c := range []struct {
 		name   string
-		decode func([]byte, int, *comm.Sparse) (comm.Affinity, uint64, []byte, error)
+		decode func([]byte, int, *comm.Sparse) (*comm.Sparse, uint64, []byte, error)
 	}{{"once", getSparseBody}, {"two-walk", getSparseBodyTwoWalk}} {
 		b.Run(c.name, func(b *testing.B) {
 			dst := new(comm.Sparse)

@@ -57,11 +57,10 @@ type Lease struct {
 
 // DefaultMaxLeaseTasks bounds a single lease's task range — and with
 // it the order of the merged matrix a hostile registration could force
-// the daemon to allocate — when the collector is not configured with
-// its own bound. It matches the wire codec's dense matrix-order
-// ceiling; deployments whose peers speak the sparse delta encoding can
-// raise it (orwlnetd -max-lease-tasks) now that the merged fleet
-// matrix is O(nnz) rather than O(n²).
+// the daemon to allocate, and of the windows its reports may carry —
+// when the collector is not configured with its own bound. Deployments
+// can raise it (orwlnetd -max-lease-tasks): the merged fleet matrix is
+// O(nnz), not O(n²).
 const DefaultMaxLeaseTasks = 2896
 
 // leaseState is a live lease plus its liveness bookkeeping.
@@ -273,13 +272,13 @@ func (c *Collector) machineLocked(machine string) *machineState {
 // double-count traffic). The delta is folded and never retained: the
 // caller may reuse it as soon as the call returns.
 func (c *Collector) ReportAffinity(leaseID, seq uint64, delta comm.Affinity) error {
-	return c.report(leaseID, seq, delta, false)
+	return c.report(leaseID, seq, delta, nil)
 }
 
 // ReportDecoded is ReportAffinity for the window decode refills dst with
 // outside the lock — dst is the lease's spare, or fresh — and keeps it:
-// a merged sparse window is the lease's base, a dense one leaves none.
-func (c *Collector) ReportDecoded(leaseID, seq uint64, decode func(dst *comm.Sparse) (comm.Affinity, error)) error {
+// the merged window is the lease's base.
+func (c *Collector) ReportDecoded(leaseID, seq uint64, decode func(dst *comm.Sparse) (*comm.Sparse, error)) error {
 	c.mu.Lock()
 	dst := new(comm.Sparse)
 	if ls := c.leases[leaseID]; ls != nil && ls.spare != nil {
@@ -290,10 +289,11 @@ func (c *Collector) ReportDecoded(leaseID, seq uint64, decode func(dst *comm.Spa
 	if err != nil {
 		return err
 	}
-	return c.report(leaseID, seq, w, true)
+	return c.report(leaseID, seq, w, w)
 }
 
-func (c *Collector) report(leaseID, seq uint64, delta comm.Affinity, keep bool) error {
+// report merges delta; a merged base becomes the lease's base window.
+func (c *Collector) report(leaseID, seq uint64, delta comm.Affinity, base *comm.Sparse) error {
 	if comm.NilAffinity(delta) {
 		return fmt.Errorf("ctrlplane: nil observed window")
 	}
@@ -302,9 +302,8 @@ func (c *Collector) report(leaseID, seq uint64, delta comm.Affinity, keep bool) 
 	ls, err := c.admitLocked(leaseID, delta.Order(), seq)
 	if ls != nil {
 		c.mergeLocked(ls, seq, delta)
-		if keep {
-			sp, _ := delta.(*comm.Sparse)
-			ls.base, ls.baseSeq, ls.spare = sp, seq, ls.base
+		if base != nil {
+			ls.base, ls.baseSeq, ls.spare = base, seq, ls.base
 		}
 	}
 	return err

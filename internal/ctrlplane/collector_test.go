@@ -268,7 +268,7 @@ func TestCollectorReportBaseCheckOrder(t *testing.T) {
 	c.SetReportLimit(0, 0)
 	w := comm.NewSparse(4)
 	w.Set(1, 2, 5)
-	if err := c.ReportDecoded(ls.ID, 3, func(*comm.Sparse) (comm.Affinity, error) { return w, nil }); err != nil {
+	if err := c.ReportDecoded(ls.ID, 3, func(*comm.Sparse) (*comm.Sparse, error) { return w, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReportBase(ls.ID, 3, steady); err != nil || decoded != 1 {
@@ -289,7 +289,7 @@ func TestCollectorReportBaseCheckOrder(t *testing.T) {
 	}
 	// The window a merge displaced is the next decode target.
 	var target *comm.Sparse
-	if err := c.ReportDecoded(ls.ID, 5, func(dst *comm.Sparse) (comm.Affinity, error) {
+	if err := c.ReportDecoded(ls.ID, 5, func(dst *comm.Sparse) (*comm.Sparse, error) {
 		target = dst
 		return dst, nil
 	}); err != nil || target != w {

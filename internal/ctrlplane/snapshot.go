@@ -38,7 +38,7 @@ const (
 	snapshotMagic = "ORWLSNAP"
 	// SnapshotVersion is the one snapshot format. A format change bumps
 	// it and replaces the layout.
-	SnapshotVersion = 4
+	SnapshotVersion = 5
 )
 
 // LeaseRecord is one persisted lease: the lease identity plus the
@@ -64,7 +64,7 @@ type MachineRecord struct {
 	// Base is the drift baseline backing Latest.Assignment, nil before
 	// the first adoption. Restoring it re-primes the machine's
 	// reconciler. The file carries it as a matrix field, which decodes
-	// sparse when at most an eighth of its cells are nonzero.
+	// sparse.
 	Base comm.Affinity
 }
 
@@ -180,9 +180,9 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		if err := codec.CheckStrings(mr.Name); err != nil {
 			return nil, fmt.Errorf("ctrlplane: snapshot: machine name: %w", err)
 		}
-		if b := mr.Base; !comm.NilAffinity(b) && b.Order() > codec.MaxMatrixOrder && b.NNZ() > codec.MaxMatrixOrder*codec.MaxMatrixOrder/8 {
-			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline of order %d holds %d nonzeros, more than a matrix field above order %d carries",
-				mr.Name, b.Order(), b.NNZ(), codec.MaxMatrixOrder)
+		if b := mr.Base; !comm.NilAffinity(b) && b.NNZ() > codec.MaxMatrixCells {
+			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline holds %d nonzeros, more than the %d a matrix field carries",
+				mr.Name, b.NNZ(), codec.MaxMatrixCells)
 		}
 		dst = codec.PutString(dst, mr.Name)
 		dst = codec.PutUvarint(dst, uint64(mr.Order))
@@ -293,8 +293,12 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 				return nil, err
 			}
 		}
-		if mr.Base, _, rest, err = codec.GetMatrixField(rest, maxTasks, nil); err != nil {
+		var base *comm.Sparse
+		if base, _, rest, err = codec.GetMatrixField(rest, maxTasks, nil); err != nil {
 			return nil, err
+		}
+		if base != nil { // a nil *comm.Sparse in the interface would not read as absent
+			mr.Base = base
 		}
 	}
 	if len(rest) != 0 {

@@ -13,7 +13,7 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-// packSnapshot seals hand-packed payload fields into a version-4 image:
+// packSnapshot seals hand-packed payload fields into a version-5 image:
 // magic, version byte, the fields, and a valid CRC32 trailer, so the
 // payload is the only thing a case gets wrong.
 func packSnapshot(fields ...[]byte) []byte {
@@ -59,7 +59,7 @@ func TestSnapshotPackedImageDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := comm.NewMatrix(2)
+	base := comm.NewSparse(2)
 	base.AddSym(0, 1, 2)
 	a := &placement.Assignment{Strategy: "t", ComputePU: []int{0, 1},
 		Partitions: &treematch.Partitioning{Parts: []treematch.Partition{{Depth: 1, Object: 0, Tasks: []int{0, 1}}}}}
@@ -142,7 +142,7 @@ func TestSnapshotDecodeRejections(t *testing.T) {
 		b = append(b, 1, 0) // one run, no gap
 		return codec.PutUvarint(codec.PutUvarint(b, length), raw)
 	}
-	const cap8 = codec.MaxMatrixOrder * codec.MaxMatrixOrder / 8
+	const cellCap = codec.MaxMatrixCells
 	cases := []struct {
 		name     string
 		image    []byte
@@ -160,12 +160,9 @@ func TestSnapshotDecodeRejections(t *testing.T) {
 		{"lease range over maxTasks", packSnapshot(withField(5, []byte{3})...), 2, "ctrlplane: snapshot: lease 3 range [0,+3) out of bounds (max 2 tasks)"},
 		{"machine order over maxTasks", packSnapshot(withField(11, []byte{3})...), 2, `ctrlplane: snapshot: machine "fig2" order 3 out of bounds (max 2 tasks)`},
 		{"sparse baseline order over maxTasks", packSnapshot(withField(16, []byte{2, 3, 0})...), 2, "codec: sparse matrix order 3 exceeds limit 2"},
-		{"dense baseline order over maxTasks", packSnapshot(withField(16, []byte{1, 3, 0, 0, 0, 0, 0, 0, 0})...), 2, "codec: dense matrix order 3 exceeds limit 2"},
-		{"dense baseline above MaxMatrixOrder", packSnapshot(withField(16, []byte{1, 0x51, 0x0b, 0, 0, 0, 0, 0, 0})...), 1 << 16, "codec: dense matrix order 2897 exceeds limit 2896"},
-		{"run over the cap above MaxMatrixOrder", packSnapshot(withField(16, above(cap8+1, 0x40))...), 1 << 16,
-			"codec: order-4000 sparse body claims 1048353 cells, over the 1048352 a body above order 2896 may hold"},
-		{"-0 cell above MaxMatrixOrder", packSnapshot(withField(16, above(1, 0x80))...), 1 << 16,
-			"codec: order-4000 sparse body holds a -0 cell, which decodes only dense, up to order 2896"},
+		{"dense baseline (the retired mode 1)", packSnapshot(withField(16, []byte{1, 2, 0, 0, 0, 0, 0, 0, 0})...), 2, "codec: unknown matrix mode 1"},
+		{"run over the cell cap above MaxMatrixOrder", packSnapshot(withField(16, above(cellCap+1, 0x40))...), 1 << 16,
+			"codec: order-4000 sparse body claims 2096705 cells, over the 2096704 a body may hold"},
 		{"trailing byte", packSnapshot(append(packedFields(), []byte{0})...), 0, "ctrlplane: snapshot: 1 trailing bytes after the last record"},
 	}
 	for _, c := range cases {
@@ -173,12 +170,16 @@ func TestSnapshotDecodeRejections(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
-	// The same run at the cap decodes, sparse, above MaxMatrixOrder.
-	s, err := DecodeSnapshotLimit(packSnapshot(withField(16, above(cap8, 0x40))...), 1<<16)
+	// The same run at the cap decodes above MaxMatrixOrder, and a -0
+	// cell decodes as no cell.
+	s, err := DecodeSnapshotLimit(packSnapshot(withField(16, above(cellCap, 0x40))...), 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := s.Machines[0].Base.(*comm.Sparse); !ok || b.NNZ() != cap8 {
-		t.Fatalf("run at the cap decoded to %T", s.Machines[0].Base)
+	if b := s.Machines[0].Base; b.NNZ() != cellCap {
+		t.Fatalf("run at the cap decoded to %d cells", b.NNZ())
+	}
+	if s, err = DecodeSnapshotLimit(packSnapshot(withField(16, above(1, 0x80))...), 1<<16); err != nil || s.Machines[0].Base.NNZ() != 0 {
+		t.Fatalf("-0 cell: %v", err)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // one legacy), two machines (one with an adopted remap and baseline,
 // one still virgin).
 func snapFixture() *Snapshot {
-	base := comm.NewMatrix(4)
+	base := comm.NewSparse(4)
 	base.AddSym(0, 1, 1<<20)
 	base.AddSym(2, 3, 512.5)
 	return &Snapshot{
@@ -72,10 +72,30 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // goldenSnapshot is snapFixture with a two-part partition structure
-// in the version 4 layout: the bytes a snapshot file on disk holds.
-const goldenSnapshot = "4f52574c534e41500407020400666967320500616c7068610002effdb6f50d032904006669673204006265746102020007090204006669673204" +
+// in the version 5 layout: the bytes a snapshot file on disk holds.
+const goldenSnapshot = "4f52574c534e41500507020400666967320500616c7068610002effdb6f50d032904006669673204006265746102020007090204006669673204" +
+	"05010900747265656d617463680000050004080c0502060a0e0500020406bfb00302010003000201010304060204040101c1600201c1600601c0" +
+	"80120201c0801206006c6f6e656c790800000059c4507a"
+
+// goldenSnapshotV4 is the same snapshot as the last build that wrote
+// version 4 saved it, when a baseline field could also carry the dense
+// layout: the payload is byte for byte today's.
+const goldenSnapshotV4 = "4f52574c534e41500407020400666967320500616c7068610002effdb6f50d032904006669673204006265746102020007090204006669673204" +
 	"05010900747265656d617463680000050004080c0502060a0e0500020406bfb00302010003000201010304060204040101c1600201c1600601c0" +
 	"80120201c0801206006c6f6e656c7908000000a52c8617"
+
+// TestSnapshotV4ImageRefused: a version 4 image is refused with the
+// version error, before its payload is read.
+func TestSnapshotV4ImageRefused(t *testing.T) {
+	data, err := hex.DecodeString(goldenSnapshotV4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ctrlplane: snapshot: unsupported version 4 (this daemon reads 5)"
+	if _, err := DecodeSnapshotLimit(data, 0); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
 
 // TestSnapshotGoldenImage: the golden image decodes to the fixture and
 // re-encodes to the same bytes.
@@ -138,14 +158,14 @@ func withVersion(data []byte, version byte) []byte {
 }
 
 // TestSnapshotRejectsUnknownVersion: every version byte but the one
-// format — the retired versions 1, 2 and 3 included — is refused before
-// the payload is decoded.
+// format — the retired versions 1 to 4 included — is refused before the
+// payload is decoded.
 func TestSnapshotRejectsUnknownVersion(t *testing.T) {
 	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, SnapshotVersion + 1, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, SnapshotVersion + 1, 255} {
 		mut := withVersion(data, v)
 		want := fmt.Sprintf("ctrlplane: snapshot: unsupported version %d (this daemon reads %d)", v, SnapshotVersion)
 		if _, err := DecodeSnapshotLimit(mut, 0); err == nil || err.Error() != want {
@@ -271,9 +291,8 @@ func TestControllerSnapshotRestore(t *testing.T) {
 
 // FuzzSnapshotDecode: the decoder must reject or round-trip, never
 // panic, whatever bytes are on disk. It decodes under a raised lease-task
-// bound, where the memory bound still holds: no accepted baseline above
-// codec.MaxMatrixOrder is dense or holds more than MaxMatrixOrder²/8
-// nonzeros.
+// bound, where the memory bound still holds: every accepted baseline is
+// a *comm.Sparse within codec.MaxMatrixCells.
 func FuzzSnapshotDecode(f *testing.F) {
 	data, err := EncodeSnapshot(snapFixture())
 	if err != nil {
@@ -288,6 +307,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(withVersion(golden, 1))
 	f.Add(withVersion(golden, 2))
 	f.Add(withVersion(golden, 3))
+	if v4, err := hex.DecodeString(goldenSnapshotV4); err == nil {
+		f.Add(v4)
+	}
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -296,10 +318,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		for _, mr := range s.Machines {
-			if mr.Base == nil || mr.Base.Order() <= codec.MaxMatrixOrder {
+			if mr.Base == nil {
 				continue
 			}
-			if _, dense := mr.Base.(*comm.Matrix); dense || mr.Base.NNZ() > codec.MaxMatrixOrder*codec.MaxMatrixOrder/8 {
+			if _, sparse := mr.Base.(*comm.Sparse); !sparse || mr.Base.NNZ() > codec.MaxMatrixCells {
 				t.Fatalf("accepted an order-%d %T baseline holding %d nonzeros", mr.Base.Order(), mr.Base, mr.Base.NNZ())
 			}
 		}

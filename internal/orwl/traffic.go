@@ -23,9 +23,9 @@ import (
 // allocation. Above the threshold a flat array would be O(n²) — 1.6 GB
 // of counters for a 10k-task program whose tasks talk to a handful of
 // neighbours each — so the recorder switches to one table per source
-// row (see trafficRow): O(nnz) memory, and a record is one atomic load,
-// one probe and two atomic adds, with no lock once the pair has been
-// seen. Snapshots (Affinity, Matrix, window epochs) walk the counters
+// row (see trafficRow): O(pairs ever seen) memory, and a record is one
+// atomic load, one probe and two atomic adds, with no lock once the pair
+// has been seen. Snapshots (Affinity, Matrix, window epochs) walk the counters
 // row by row without stopping the writers; the snapshot as a whole is
 // only approximately instantaneous, which is fine for a drift signal.
 type Traffic struct {
@@ -209,9 +209,8 @@ func (t *Traffic) appendRow(cells []windowCell, i int, base *[]uint64) []windowC
 
 // Affinity returns the cumulative observed communication: a dense
 // matrix up to comm.DenseOrderThreshold tasks; above it what a window
-// opened at the start returns — the O(nnz) snapshot a 10k-task
-// program's placement loop consumes, sparse unless more than n²/8
-// pairs ever talked.
+// opened at the start returns — the O(nnz) sparse snapshot a 10k-task
+// program's placement loop consumes.
 func (t *Traffic) Affinity() comm.Affinity {
 	if t.rows != nil {
 		return t.NewWindow().NextAffinity()
@@ -251,7 +250,7 @@ type TrafficWindow struct {
 	// appended from them afterwards.
 	cells  []windowCell
 	rowNNZ []int
-	spare  comm.Affinity // handed back by Recycle, refilled by the next call
+	spare  *comm.Sparse // handed back by Recycle, refilled by the next call
 }
 
 // windowCell is one gathered nonzero of an epoch.
@@ -276,11 +275,10 @@ func (t *Traffic) NewWindow() *TrafficWindow {
 // NextAffinity returns the observed affinity of the epoch since the
 // previous call (or since the start, on the first call) and advances
 // the window baseline. The snapshot is the caller's own, frozen until
-// the caller hands it back with Recycle, sized exactly: sparse when the
-// epoch holds at most n²/8 nonzeros — what an observed window nearly
-// always is, at any order — dense otherwise. O(nnz) in sparse mode;
-// dense mode reads its n² counters once.
-func (w *TrafficWindow) NextAffinity() comm.Affinity {
+// the caller hands it back with Recycle, sized exactly: sorted sparse
+// rows at any order and density. O(nnz) in sparse mode; dense mode
+// reads its n² counters once.
+func (w *TrafficWindow) NextAffinity() *comm.Sparse {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	t := w.t
@@ -304,39 +302,27 @@ func (w *TrafficWindow) NextAffinity() comm.Affinity {
 		w.rowNNZ[i] = len(cells) - start
 	}
 	w.cells = cells
-	a := w.spare
+	sp := w.spare
 	w.spare = nil
-	if len(cells) > t.n*t.n/8 {
-		if m, ok := a.(*comm.Matrix); ok {
-			m.Reset(t.n)
-		} else {
-			a = comm.NewMatrix(t.n)
-		}
-	} else if sp, ok := a.(*comm.Sparse); ok {
+	if sp != nil {
 		sp.ResetSized(w.rowNNZ)
 	} else {
-		a = comm.NewSparseSized(w.rowNNZ)
+		sp = comm.NewSparseSized(w.rowNNZ)
 	}
-	sp, _ := a.(*comm.Sparse)
 	for _, c := range cells { // row-major, rows in column order
-		if sp != nil {
-			sp.Append(int(c.from), int(c.to), float64(c.bytes))
-		} else {
-			a.Set(int(c.from), int(c.to), float64(c.bytes))
-		}
+		sp.Append(int(c.from), int(c.to), float64(c.bytes))
 	}
-	return a
+	return sp
 }
 
 // Recycle hands back a snapshot NextAffinity returned, for the next call
-// to refill in place when it has that epoch's representation. The
-// caller must hold no other reference to a.
-func (w *TrafficWindow) Recycle(a comm.Affinity) {
-	if comm.NilAffinity(a) {
+// to refill in place. The caller must hold no other reference to s.
+func (w *TrafficWindow) Recycle(s *comm.Sparse) {
+	if s == nil {
 		return
 	}
 	w.mu.Lock()
-	w.spare = a
+	w.spare = s
 	w.mu.Unlock()
 }
 
@@ -387,10 +373,10 @@ func (p *Program) ObservedMatrix() *comm.Matrix { return p.traffic.Matrix() }
 func (p *Program) ObservedWindow() *comm.Matrix { return p.traffic.win.NextAffinity().Dense() }
 
 // ObservedWindowAffinity returns the traffic since the previous call of
-// it or ObservedWindow, both advancing the program's default window: an
-// epoch of at most n²/8 nonzeros is a sparse snapshot, never n² cells.
-func (p *Program) ObservedWindowAffinity() comm.Affinity { return p.traffic.win.NextAffinity() }
+// it or ObservedWindow, both advancing the program's default window: a
+// sparse snapshot, never n² cells.
+func (p *Program) ObservedWindowAffinity() *comm.Sparse { return p.traffic.win.NextAffinity() }
 
 // RecycleObservedWindow hands a snapshot ObservedWindowAffinity returned
 // back to the default window (see TrafficWindow.Recycle).
-func (p *Program) RecycleObservedWindow(a comm.Affinity) { p.traffic.win.Recycle(a) }
+func (p *Program) RecycleObservedWindow(s *comm.Sparse) { p.traffic.win.Recycle(s) }

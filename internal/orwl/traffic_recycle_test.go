@@ -39,17 +39,17 @@ func recordRing(tr *Traffic, n, step, vol int) {
 // TestWindowRecycleRefillsInPlace: two windows over one recorder see
 // the same epochs; the one whose snapshots are handed back gets each
 // refilled in place, and its cells always equal the other's fresh
-// snapshot — across row shapes that grow and shrink, and across the
-// switch between the sparse and the dense form.
+// snapshot — across row shapes that grow and shrink, an epoch of every
+// cell included.
 func TestWindowRecycleRefillsInPlace(t *testing.T) {
 	for _, n := range []int{16, comm.DenseOrderThreshold + 88} {
 		tr := newTraffic(n)
 		recycled, fresh := tr.NewWindow(), tr.NewWindow()
-		var prev comm.Affinity
+		var prev *comm.Sparse
 		for e, step := range []int{0, 0, 3, 1, 5, 0, 1, 1} {
 			recordRing(tr, n, step, 64+e)
 			if step == 1 && n == 16 {
-				for i := 0; i < n; i++ { // every cell: the epoch is dense
+				for i := 0; i < n; i++ { // every cell
 					for j := 0; j < n; j++ {
 						tr.Record(i, j, 1)
 					}
@@ -59,22 +59,13 @@ func TestWindowRecycleRefillsInPlace(t *testing.T) {
 			if diff := sameCells(got, want); diff != "" {
 				t.Fatalf("order %d, epoch %d: recycled snapshot differs from a fresh one: %s", n, e, diff)
 			}
-			if _, dense := got.(*comm.Matrix); dense != (got.NNZ() > n*n/8) {
-				t.Fatalf("order %d, epoch %d: %d nonzeros held as %T", n, e, got.NNZ(), got)
-			}
-			if prev != nil && sameKind(prev, got) && prev != got {
-				t.Fatalf("order %d, epoch %d: a recycled %T was not refilled in place", n, e, got)
+			if prev != nil && prev != got {
+				t.Fatalf("order %d, epoch %d: a recycled snapshot was not refilled in place", n, e)
 			}
 			recycled.Recycle(got)
 			prev = got
 		}
 	}
-}
-
-func sameKind(a, b comm.Affinity) bool {
-	_, da := a.(*comm.Matrix)
-	_, db := b.(*comm.Matrix)
-	return da == db
 }
 
 // TestWindowSnapshotFrozenUnlessRecycled: a snapshot never handed back

@@ -5,9 +5,10 @@ package orwl
 // lock-striped shards, each a Go map from the flattened pair to a slot
 // in append-only counter slices, and a window that gathers the epoch
 // shard by shard and fills its snapshot with one Set per cell. It is
-// kept verbatim so the tests below can hold Traffic.Record and
-// TrafficWindow.NextAffinity (traffic.go) to it bit for bit: the same
-// cells, values, representation and row order, seed after seed.
+// kept verbatim — but for the window's dense form past n²/8 cells,
+// deleted with the one in traffic.go — so the tests below can hold
+// Traffic.Record and TrafficWindow.NextAffinity (traffic.go) to it bit
+// for bit: the same cells, values and row order, seed after seed.
 
 import (
 	"fmt"
@@ -74,7 +75,7 @@ type refWindow struct {
 	base   [][]uint64
 	cells  []windowCell
 	rowNNZ []int
-	spare  comm.Affinity
+	spare  *comm.Sparse
 }
 
 func (t *refTraffic) NewWindow() *refWindow {
@@ -87,7 +88,7 @@ func (t *refTraffic) NewWindow() *refWindow {
 	return w
 }
 
-func (w *refWindow) NextAffinity() comm.Affinity {
+func (w *refWindow) NextAffinity() *comm.Sparse {
 	t := w.t
 	cells := w.cells[:0]
 	clear(w.rowNNZ)
@@ -124,14 +125,8 @@ func (w *refWindow) NextAffinity() comm.Affinity {
 	w.cells = cells
 	a := w.spare
 	w.spare = nil
-	if len(cells) > t.n*t.n/8 {
-		if m, ok := a.(*comm.Matrix); ok {
-			m.Reset(t.n)
-		} else {
-			a = comm.NewMatrix(t.n)
-		}
-	} else if sp, ok := a.(*comm.Sparse); ok {
-		sp.ResetSized(w.rowNNZ)
+	if a != nil {
+		a.ResetSized(w.rowNNZ)
 	} else {
 		a = comm.NewSparseSized(w.rowNNZ)
 	}
@@ -141,7 +136,7 @@ func (w *refWindow) NextAffinity() comm.Affinity {
 	return a
 }
 
-func (w *refWindow) Recycle(a comm.Affinity) { w.spare = a }
+func (w *refWindow) Recycle(a *comm.Sparse) { w.spare = a }
 
 // sameSnapshot reports the first difference between two snapshots in
 // representation, order or stored cells — walked in stored order, so a
@@ -173,8 +168,8 @@ func sameSnapshot(got, want comm.Affinity) string {
 // snapshot, through a window whose snapshots are handed back and one
 // whose are not. The epochs cover hub rows that grow their index many
 // times over, rows first seen in descending column order, pairs
-// recorded with zero bytes, idle epochs, and an epoch past n²/8 cells
-// that snapshots dense. The replay is single-threaded: under the race
+// recorded with zero bytes, idle epochs, and an epoch past n²/8 cells.
+// The replay is single-threaded: under the race
 // detector one seed is enough.
 func TestTrafficMatchesShardedReference(t *testing.T) {
 	seeds := int64(3)
@@ -204,7 +199,7 @@ func TestTrafficMatchesShardedReference(t *testing.T) {
 							record(from, (from+d*7)%n, rng.Intn(3)) // zero bytes too
 						}
 					}
-				case 6: // past n²/8 cells: the epoch snapshots dense
+				case 6: // past n²/8 cells
 					for k := 0; k < n*n/8+n; k++ {
 						record(rng.Intn(n), rng.Intn(n), 1+rng.Intn(100))
 					}

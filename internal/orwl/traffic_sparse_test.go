@@ -155,8 +155,8 @@ func TestObservedWindowAffinitySharesDefaultWindow(t *testing.T) {
 	p := MustProgram(comm.DenseOrderThreshold + 1)
 	p.Traffic().Record(1, 2, 40)
 	a := p.ObservedWindowAffinity()
-	if _, ok := a.(*comm.Sparse); !ok || a.At(1, 2) != 40 {
-		t.Fatalf("affinity epoch is %T with (1,2)=%g", a, a.At(1, 2))
+	if a.At(1, 2) != 40 {
+		t.Fatalf("affinity epoch (1,2) = %g, want 40", a.At(1, 2))
 	}
 	if m := p.ObservedWindow(); m.Total() != 0 {
 		t.Fatalf("dense epoch after the affinity one holds %g bytes, want 0", m.Total())

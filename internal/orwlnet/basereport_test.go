@@ -3,6 +3,7 @@ package orwlnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -22,9 +23,8 @@ import (
 // full frames, and the recovery paths — a dropped ack, a daemon
 // restored without bases, a lease the daemon forgot.
 
-// baseWindow is the golden base: order 6, four nonzeros — sparse
-// enough (at most n²/8) that a full frame of it decodes sparse and
-// becomes the lease's base.
+// baseWindow is the golden base: order 6, four nonzeros; a full frame
+// of it becomes the lease's base.
 func baseWindow() *comm.Sparse {
 	w := comm.NewSparse(6)
 	w.Set(0, 1, 2)
@@ -345,20 +345,38 @@ func (r *reportRecorder) sent() []sentReport {
 
 type recordingConn struct {
 	net.Conn
-	r  *reportRecorder
-	id int
+	r    *reportRecorder
+	id   int
+	left int // bytes of the frame being written still to come
 }
 
-// Write logs a report frame; the client writes each small frame whole.
+// Write logs every report frame that starts in p. The client's buffered
+// writer hands the connection whole small frames, several at a time,
+// and large ones in chunks; a frame's header and first payload bytes
+// always arrive in one write.
 func (c *recordingConn) Write(p []byte) (int, error) {
-	if m, err := readMessage(bytes.NewReader(p), nil); err == nil && m.op == opObservedReport {
-		if _, seq, field, err := getReportHeader(m.payload); err == nil && len(field) > 0 {
-			c.r.mu.Lock()
-			c.r.log = append(c.r.log, sentReport{c.id, seq, field[0] == matBaseValues})
-			c.r.mu.Unlock()
+	for q := p; len(q) > 0; {
+		if c.left == 0 {
+			if len(q) < 13 {
+				break
+			}
+			c.left = 4 + int(binary.LittleEndian.Uint32(q))
+			if q[12] == opObservedReport {
+				c.log(q[13:])
+			}
 		}
+		k := min(c.left, len(q))
+		c.left, q = c.left-k, q[k:]
 	}
 	return c.Conn.Write(p)
+}
+
+func (c *recordingConn) log(payload []byte) {
+	if _, seq, field, err := getReportHeader(payload); err == nil && len(field) > 0 {
+		c.r.mu.Lock()
+		c.r.log = append(c.r.log, sentReport{c.id, seq, field[0] == matBaseValues})
+		c.r.mu.Unlock()
+	}
 }
 
 // reportDaemon serves a fig2 control plane on lis; kill closes it and
@@ -605,5 +623,73 @@ func TestBaseReportConcurrentReports(t *testing.T) {
 	}
 	if uint64(total) != reports || total < 2 {
 		t.Fatalf("merged %d windows, the collector counted %d reports", total, reports)
+	}
+}
+
+// TestWideLeaseReportsMergeOnce: a lease wider than 2,896 tasks, the
+// order of the densest matrix a frame carries, reports over the wire
+// under a raised lease bound — a full frame, then a base-coded one,
+// each merged once at the lease's offset — and a row cap below its
+// width refuses its report with the cap's error.
+func TestWideLeaseReportsMergeOnce(t *testing.T) {
+	const offset, width = 100, 4096
+	perm := rand.New(rand.NewSource(41)).Perm(width)
+	first, second := cliqueWindow(perm, 1), cliqueWindow(perm, 3)
+	for _, maxRows := range []int{0, width - 1} {
+		fleet := placement.NewMultiService()
+		if err := fleet.AddMachine("fig2", topology.Fig2Machine()); err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{MaxLeaseTasks: 8192, StaleAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(lis, nil, WithPlacement(fleet), WithControlPlane(ctrl), WithReportCaps(0, maxRows, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve()
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		var rec reportRecorder
+		rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(rec.dial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		lease, err := rs.RegisterLease(ctx, "fig2", "wide", offset, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rs.ReportObserved(ctx, lease, 1, first)
+		if maxRows > 0 {
+			const want = "orwlnet: server: orwlnet: observed report order 4096 exceeds the 4095-row cap"
+			if err == nil || err.Error() != want {
+				t.Fatalf("row cap %d: err = %v, want %q", maxRows, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.ReportObserved(ctx, lease, 2, second); err != nil {
+			t.Fatal(err)
+		}
+		checkSent(t, rec.sent(), []sentReport{{1, 1, false}, {1, 2, true}})
+		if reports, _, _ := ctrl.Collector().Counters(); reports != 2 {
+			t.Fatalf("merged %d reports, want 2", reports)
+		}
+		want := comm.NewSparse(offset + width)
+		for _, w := range []*comm.Sparse{first, second} {
+			w.ForEach(func(i, j int, v float64) { want.Add(offset+i, offset+j, v) })
+		}
+		if diff := diffCells(want, ctrl.Collector().WindowAffinity("fig2")); diff != "" {
+			t.Fatalf("merged window: %s", diff)
+		}
 	}
 }

@@ -94,9 +94,9 @@ func decodeFleetLeaseResponse(src []byte) (uint64, error) {
 	return id, err
 }
 
-// encodeObservedReport frames one observed-traffic window delta in the
-// compact matrix encoding (sparse or dense, whichever is smaller),
-// straight from the affinity: a sparse window is never densified.
+// encodeObservedReport frames one observed-traffic window delta as a
+// run-length matrix field, straight from the affinity: a sparse window
+// is never densified.
 func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) ([]byte, error) {
 	if comm.NilAffinity(delta) {
 		return nil, fmt.Errorf("orwlnet: nil observed window")
@@ -119,28 +119,24 @@ func getReportHeader(src []byte) (leaseID, seq uint64, field []byte, err error) 
 }
 
 // decodeObservedReport decodes a full report frame, refusing an order
-// above maxRows (0 = only the codec's own limit) before anything is
+// above maxRows (0 = ctrlplane.DefaultMaxLeaseTasks) before anything is
 // sized by it. The matrix field goes through getMatrix, the decoder
-// placement frames use: a sparse body holding at most n²/8 nonzeros
-// decodes sparse at any order, into dst when it is not nil — a window
-// is mostly zeros, and the collector merges what it is given in
-// O(nnz); anything else decodes dense, and no frame allocates more
-// than a dense order-n matrix.
+// placement frames use, into dst when it is not nil: a window is mostly
+// zeros, and the collector merges what it is given in O(nnz).
 //
 // A fingerprint reference is refused: the one matrix a report may name
 // is its lease's base, in a base-coded frame (mergeObservedReport).
-func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, seq uint64, delta comm.Affinity, err error) {
+func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, seq uint64, delta *comm.Sparse, err error) {
 	leaseID, seq, rest, err := getReportHeader(src)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	limit := codec.MaxMatrixOrder
-	if maxRows > 0 {
-		limit = min(maxRows, limit)
+	if maxRows <= 0 {
+		maxRows = ctrlplane.DefaultMaxLeaseTasks
 	}
-	if delta, _, _, err = getMatrix(rest, nil, limit, dst); err != nil {
+	if delta, _, _, err = getMatrix(rest, nil, maxRows, dst); err != nil {
 		var oe *codec.OrderError
-		if maxRows > 0 && errors.As(err, &oe) && oe.Order > uint64(maxRows) {
+		if errors.As(err, &oe) {
 			err = fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", oe.Order, maxRows)
 		}
 		return 0, 0, nil, err
@@ -152,14 +148,19 @@ func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, s
 }
 
 // mergeObservedReport merges a report frame into col: a full frame
-// decodes outside the collector's lock, a base-coded one under it.
+// decodes outside the collector's lock, a base-coded one under it. No
+// lease is wider than col's lease bound, so no window is either; maxRows
+// (0 = none) lowers that row cap.
 func mergeObservedReport(col *ctrlplane.Collector, src []byte, maxRows int) error {
+	if rows := col.MaxLeaseTasks(); maxRows <= 0 || maxRows > rows {
+		maxRows = rows
+	}
 	leaseID, seq, field, err := getReportHeader(src)
 	switch {
 	case err != nil:
 		return err
 	case len(field) == 0 || field[0] != matBaseValues:
-		return col.ReportDecoded(leaseID, seq, func(dst *comm.Sparse) (comm.Affinity, error) {
+		return col.ReportDecoded(leaseID, seq, func(dst *comm.Sparse) (*comm.Sparse, error) {
 			_, _, delta, err := decodeObservedReport(src, maxRows, dst)
 			return delta, err
 		})
@@ -189,8 +190,7 @@ type reportBase struct {
 	words, next []uint64
 }
 
-// set makes a, acknowledged under seq, the base — none when the daemon
-// decodes it dense and so keeps no base.
+// set makes a, acknowledged under seq, the base.
 func (b *reportBase) set(seq uint64, a comm.Affinity) {
 	b.rowEnd, b.cols, b.words = b.rowEnd[:0], b.cols[:0], b.words[:0]
 	add := func(j int, v float64) {
@@ -202,9 +202,6 @@ func (b *reportBase) set(seq uint64, a comm.Affinity) {
 		b.rowEnd = append(b.rowEnd, len(b.cols))
 	}
 	b.seq = seq
-	if m := min(a.Order(), codec.MaxMatrixOrder); len(b.cols) > m*m/8 {
-		b.seq = 0
-	}
 }
 
 // encodeBaseReport frames delta base-coded against b, or reports false
@@ -332,9 +329,8 @@ func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err erro
 // nil: epoch 0, no assignment). When allowDelta is set (the pusher
 // proved the subscriber holds exactly the previous epoch) and the
 // event is delta-eligible (it knows its moved-task set), both bodies
-// are measured and the smaller ships — the same choice rule as the
-// sparse/dense matrix encoding. The returned bool reports whether the
-// delta form was used.
+// are measured and the smaller ships. The returned bool reports whether
+// the delta form was used.
 func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte, bool) {
 	base := len(dst)
 	full := append(dst, protoVersion, remapKindFull)

@@ -90,8 +90,23 @@ func TestV7PlaceFrameRefused(t *testing.T) {
 // decoder and by a live server. Protocol 9 added the base-coded matrix
 // mode; the full frame's layout is unchanged but for the version byte.
 func TestV8ReportFrameRefused(t *testing.T) {
-	const v8 = "2300000007000000000000000f0801010204040101c0e0030401c0e0030401c0e0030001c0e003"
-	frame, err := hex.DecodeString(v8)
+	refuseReportFrame(t, "2300000007000000000000000f0801010204040101c0e0030401c0e0030401c0e0030001c0e003")
+}
+
+// TestV9DenseReportFrameRefused: a protocol 9 observed report carrying
+// a dense matrix field (mode 1, order 4, sixteen float64 cells),
+// captured from the last build that spoke it, is refused with
+// ErrVersion by the decoder and by a live server. Protocol 10 dropped
+// the dense layout: every matrix field is the run-length body.
+func TestV9DenseReportFrameRefused(t *testing.T) {
+	refuseReportFrame(t, "9500000007000000000000000f090102010400000000000000555555555555d53f000000000000d03f9a9999999999c93f555555555555c53f922449922449c23f000000000000c03f1cc7711cc771bc3f9a9999999999b93f46175d74d145b73f555555555555b53f143bb1133bb1b33f922449922449b23f111111111111b13f000000000000b03f1e1e1e1e1e1eae3f1cc7711cc771ac3f")
+}
+
+// refuseReportFrame checks that an observed report frame in a retired
+// layout is refused with ErrVersion by the decoder and by a live server.
+func refuseReportFrame(t *testing.T, frameHex string) {
+	t.Helper()
+	frame, err := hex.DecodeString(frameHex)
 	if err != nil {
 		t.Fatal(err)
 	}

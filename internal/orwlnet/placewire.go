@@ -19,15 +19,15 @@ import (
 // peer speaking another layout is refused before any field is decoded.
 //
 // The encoders are append-style (dst ...[]byte) so hot paths reuse a
-// pooled payload buffer: a placement request carries a full matrix
-// (up to 8n² bytes) and the response three assignment slices, which
-// used to be reallocated for every RPC.
+// pooled payload buffer: a placement request carries a matrix body
+// (a few bytes per nonzero run) and the response three assignment
+// slices, which used to be reallocated for every RPC.
 
 // payloadPool recycles encode buffers between RPCs. A buffer is safe
 // to recycle once its message has been written to the connection —
 // neither writeMessage nor the codecs retain it. Put boxes the slice
 // header (one ~24-byte allocation); what it saves is the payload
-// body — up to 8n²+ bytes of matrix per request — so the trade is
+// body — a matrix per request — so the trade is
 // heavily in the pool's favour and the buffer can travel from the
 // encoder to the writer as a plain []byte.
 var payloadPool = sync.Pool{
@@ -145,8 +145,12 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, e
 	if req.Options.ControlThreads, rest, err = codec.GetBool(rest); err != nil {
 		return nil, err
 	}
-	if req.Matrix, req.MatrixFP, _, err = getMatrix(rest, mc, codec.MaxMatrixOrder, nil); err != nil {
+	m, fp, _, err := getMatrix(rest, mc, codec.MaxMatrixOrder, nil)
+	if err != nil {
 		return nil, err
+	}
+	if m != nil { // a nil *comm.Sparse in the interface would not read as absent
+		req.Matrix, req.MatrixFP = m, fp
 	}
 	return req, nil
 }
@@ -268,8 +272,8 @@ func getStringList(src []byte) ([]string, []byte, error) {
 	return out, rest, nil
 }
 
-// Matrix fields are codec.PutMatrixField's (a sparse run-length body
-// or the dense layout, whichever is smaller) plus one wire-only mode:
+// Matrix fields are codec.PutMatrixField's (a run-length body) plus one
+// wire-only mode:
 // once a matrix body has crossed the wire, later requests send its
 // 8-byte comm.Fingerprint and the server resolves the body from its
 // seen-matrix table, answering ErrUnknownMatrix on a miss so the
@@ -293,13 +297,11 @@ func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
 // matrix's comm.Fingerprint (zero without a matrix), folded while a
 // body decodes or read from a reference — the serving side forwards it
 // as the request's MatrixFP hint so the engine never re-hashes.
-func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse) (comm.Affinity, uint64, []byte, error) {
+func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
 	if len(src) == 0 || src[0] != matFingerprint {
 		m, fp, rest, err := codec.GetMatrixField(src, maxOrder, dst)
 		if err == nil && m != nil && mc != nil {
-			if src[0] == codec.MatSparse {
-				mc.sparseSeen.Add(1)
-			}
+			mc.sparseSeen.Add(1)
 			mc.remember(fp, m)
 		}
 		return m, fp, rest, err
@@ -346,7 +348,7 @@ type matrixCache struct {
 
 type matrixCacheEntry struct {
 	fp uint64
-	m  comm.Affinity
+	m  *comm.Sparse
 }
 
 // defaultMatrixCacheEntries bounds the seen-matrix table. Matrices are
@@ -359,10 +361,10 @@ func newMatrixCache(max int) *matrixCache {
 	return &matrixCache{max: max, order: list.New(), entries: make(map[uint64]*list.Element)}
 }
 
-func (c *matrixCache) lookup(fp uint64) (comm.Affinity, bool) {
+func (c *matrixCache) lookup(fp uint64) (*comm.Sparse, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[fp]
-	var m comm.Affinity
+	var m *comm.Sparse
 	if ok {
 		c.order.MoveToFront(el)
 		m = el.Value.(*matrixCacheEntry).m // remember rewrites it under mu
@@ -376,7 +378,7 @@ func (c *matrixCache) lookup(fp uint64) (comm.Affinity, bool) {
 	return m, true
 }
 
-func (c *matrixCache) remember(fp uint64, m comm.Affinity) {
+func (c *matrixCache) remember(fp uint64, m *comm.Sparse) {
 	if c.max <= 0 {
 		return
 	}

@@ -17,7 +17,7 @@ import (
 // The two-walk matrix encoder the one-walk emitter replaced, kept as
 // the reference its bytes are pinned against: sparseSize measures the
 // sparse body in one pass over the cells, appendSparseBody writes it in
-// a second, and putMatrixCompact picks the smaller of sparse and dense.
+// a second, and putMatrixCompact frames it as a matrix field.
 
 func sparseSize(m *comm.Matrix) (runs int, bodyBytes int) {
 	n := m.Order()
@@ -72,19 +72,6 @@ func appendSparseBody(dst []byte, m *comm.Matrix, runs int) []byte {
 	return dst
 }
 
-// putMatrixDenseBody appends the dense body: the order, then the
-// row-major cells as fixed-width float64s.
-func putMatrixDenseBody(dst []byte, m *comm.Matrix) []byte {
-	n := m.Order()
-	dst = codec.PutUint64(dst, uint64(n))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dst = codec.PutFloat64(dst, m.At(i, j))
-		}
-	}
-	return dst
-}
-
 // uvarintLen is the encoded size of v, by encoding/binary.
 func uvarintLen(v uint64) int {
 	var b [binary.MaxVarintLen64]byte
@@ -92,7 +79,7 @@ func uvarintLen(v uint64) int {
 }
 
 // getSparseBody decodes a bare sparse body through the field decoder.
-func getSparseBody(body []byte) (comm.Affinity, uint64, []byte, error) {
+func getSparseBody(body []byte) (*comm.Sparse, uint64, []byte, error) {
 	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder, nil)
 }
 
@@ -100,14 +87,8 @@ func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
 	if m == nil {
 		return append(dst, codec.MatAbsent)
 	}
-	n := m.Order()
-	runs, sparseBytes := sparseSize(m)
-	if sparseBytes >= 8+8*n*n {
-		dst = append(dst, codec.MatDense)
-		return putMatrixDenseBody(dst, m)
-	}
-	dst = append(dst, codec.MatSparse)
-	return appendSparseBody(dst, m, runs)
+	runs, _ := sparseSize(m)
+	return appendSparseBody(append(dst, codec.MatSparse), m, runs)
 }
 
 // emitterCase is one seeded matrix of the equivalence test.
@@ -147,9 +128,9 @@ func (c emitterCase) build(seed int64) *comm.Matrix {
 
 // TestWireEmitterMatchesTwoWalkReference: over orders 0 to the codec
 // limit and densities from empty to full, the one-walk emitter writes
-// the reference encoder's bytes, and the fingerprint it folds, the one
-// the decoder folds and comm.Fingerprint of the decoded matrix are all
-// comm.Fingerprint of the input.
+// the reference encoder's bytes, the fingerprint it folds and the one
+// the decoder folds are comm.Fingerprint of the input, and the decoded
+// matrix holds the input's cells, a -0 cell as no cell.
 func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 	var cases []emitterCase
 	for _, n := range []int{0, 1, 63, 160, 513} {
@@ -176,12 +157,13 @@ func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%s: decode: %v (%d trailing)", name, err, len(rest))
 		}
-		if !bitsEqual(m, back) {
+		stored := withoutNegZero(m)
+		if !bitsEqual(stored, back) {
 			t.Fatalf("%s: round trip not bit-exact", name)
 		}
-		if fp != want || decFP != want || comm.Fingerprint(back) != want {
-			t.Fatalf("%s: fingerprints emitter %016x, decoder %016x, decoded %016x, want %016x",
-				name, fp, decFP, comm.Fingerprint(back), want)
+		if fp != want || decFP != want || comm.Fingerprint(back) != comm.Fingerprint(stored) {
+			t.Fatalf("%s: fingerprints emitter %016x, decoder %016x, want %016x; decoded %016x, want %016x",
+				name, fp, decFP, want, comm.Fingerprint(back), comm.Fingerprint(stored))
 		}
 	}
 }
@@ -218,7 +200,7 @@ func TestWireBatchFingerprints(t *testing.T) {
 	}
 	isKnown := func(fp uint64) bool { return fp == comm.Fingerprint(known) }
 	mc := newMatrixCache(4)
-	mc.remember(comm.Fingerprint(known), known)
+	mc.remember(comm.Fingerprint(known), comm.SparseFromMatrix(known))
 	for i, req := range reqs {
 		enc, fp, err := encodePlaceRequest(nil, req, isKnown)
 		if err != nil {
@@ -272,7 +254,7 @@ func TestWireBatchForgetsFromEncodedFingerprints(t *testing.T) {
 	}
 	place()
 	srv.matrices = newMatrixCache(defaultMatrixCacheEntries) // the daemon keeps one body only
-	srv.matrices.remember(comm.Fingerprint(kept), kept)
+	srv.matrices.remember(comm.Fingerprint(kept), comm.SparseFromMatrix(kept))
 	place()
 	if hits, misses := srv.matrices.fpHits.Load(), srv.matrices.fpMisses.Load(); hits != 1 || misses != 1 {
 		t.Errorf("fingerprint hits %d, misses %d, want 1 and 1 (only the lost body resent)", hits, misses)

@@ -68,7 +68,7 @@ const (
 // protoVersion is the one protocol version: the byte opHello agrees
 // on and the byte every payload starts with. A layout change bumps it
 // and replaces the old layout; a build speaks exactly one version.
-const protoVersion = 9
+const protoVersion = 10
 
 // Response status codes: the byte after a response frame's call id.
 // Every code but statusOK carries the error's text as its payload; the
@@ -160,7 +160,7 @@ type message struct {
 // and payload are copied into one buffer and written with a single
 // Write call. The compact frames (fingerprint requests,
 // varint responses) are far below it, so the warm path costs one
-// syscall per frame instead of two; big dense payloads keep the
+// syscall per frame instead of two; big payloads keep the
 // two-write shape rather than paying a copy.
 const writeCoalesceLimit = 16 << 10
 

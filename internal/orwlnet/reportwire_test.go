@@ -64,7 +64,7 @@ func fillRandom(density float64, values []float64) func(*comm.Matrix, *rand.Rand
 					continue
 				}
 				if values == nil {
-					m.Set(i, j, 1+rng.Float64()*1e9) // ten-byte varints: dense mode wins when full
+					m.Set(i, j, 1+rng.Float64()*1e9) // ten-byte varints
 				} else {
 					m.Set(i, j, values[rng.Intn(len(values))])
 				}
@@ -101,16 +101,14 @@ var reportCases = []reportCase{
 	{"half-runs", fillRandom(0.5, []float64{1 << 20})},
 	{"half-random", fillRandom(0.5, nil)},
 	{"full-one-value", fillRandom(2, []float64{7})},
-	{"full-random-dense-wins", fillRandom(2, nil)},
+	{"full-random", fillRandom(2, nil)},
 }
 
 // TestObservedReportBytesMatchMatrixCompact: for every order on either
 // side of the dense threshold and densities from empty to full, the
 // report encoder emits exactly the old putMatrixCompact(a.Dense())
 // framing — from the dense and from the sparse representation — and
-// decode∘encode returns the same cells, sparse exactly when at most an
-// eighth of the cells is set, whatever the order (the decoder's
-// allocation bound: nothing decodes into more than 8·n² bytes).
+// decode∘encode returns the same cells.
 func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 	for _, n := range []int{1, 80, 512, 513, 1024} {
 		for ci, c := range reportCases {
@@ -136,27 +134,15 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 			if diff := diffCells(m, back); diff != "" {
 				t.Fatalf("%s: round trip changed cells: %s", name, diff)
 			}
-			wantDense := m.NNZ() > n*n/8
-			if _, dense := back.(*comm.Matrix); dense != wantDense {
-				t.Fatalf("%s: %d nonzeros decoded as %T", name, m.NNZ(), back)
-			}
 		}
-	}
-	// Dense mode must have been among the cases, on both sides of the
-	// threshold.
-	full := comm.NewMatrix(513)
-	fillRandom(2, nil)(full, rand.New(rand.NewSource(1)))
-	if enc, _ := encodeObservedReport(nil, 7, 3, comm.SparseFromMatrix(full)); enc[3] != codec.MatDense {
-		t.Fatalf("a full random matrix encoded in mode %d, want dense", enc[3])
 	}
 }
 
-// TestDenseWindowReportMatchesDenseRead is the client's mirror of the
-// decoder's rule: a dense-mode recorder's NextAffinity holds, cell for
-// cell, what was recorded in the epoch (a dense matrix the test keeps
-// alongside), sparse exactly when the epoch has at most n²/8 nonzeros,
-// and reports in the bytes putMatrixCompact gives the dense form — over
-// two epochs, so the baseline advance is covered too.
+// TestDenseWindowReportMatchesDenseRead: a dense-mode recorder's
+// NextAffinity holds, cell for cell, what was recorded in the epoch (a
+// dense matrix the test keeps alongside), at every density, and reports
+// in the bytes putMatrixCompact gives the dense form — over two epochs,
+// so the baseline advance is covered too.
 func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
 	for _, n := range []int{1, 80, 160, 512} {
 		for _, density := range []float64{0, 0.01, 0.12, 0.13, 0.5, 2} {
@@ -184,16 +170,13 @@ func TestDenseWindowReportMatchesDenseRead(t *testing.T) {
 				if diff := diffCells(want, got); diff != "" {
 					t.Fatalf("%s: NextAffinity differs from the dense read: %s", name, diff)
 				}
-				if _, sparse := got.(*comm.Sparse); sparse != (want.NNZ() <= n*n/8) {
-					t.Fatalf("%s: %d nonzeros came back as %T", name, want.NNZ(), got)
-				}
 				enc, err := encodeObservedReport(nil, 7, 3, got)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if ref := putMatrixCompact(append([]byte(nil), reportHeader...), want); !bytes.Equal(enc, ref) {
-					t.Fatalf("%s: %T reports in %d bytes, putMatrixCompact of the dense read in %d; first difference at %d",
-						name, got, len(enc), len(ref), firstDiff(enc, ref))
+					t.Fatalf("%s: the window reports in %d bytes, putMatrixCompact of the dense read in %d; first difference at %d",
+						name, len(enc), len(ref), firstDiff(enc, ref))
 				}
 			}
 		}
@@ -225,11 +208,9 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		{"absent matrix", frame(codec.MatAbsent), 0, "orwlnet: observed report without a matrix"},
 		{"fingerprint reference", frame(matFingerprint, 1, 2, 3, 4, 5, 6, 7, 8, 4), 0, "orwlnet: fingerprint-only matrix without a serving matrix table"},
 		{"unknown mode", frame(9), 0, "codec: unknown matrix mode 9"},
-		{"dense: truncated order", frame(codec.MatDense, 2, 0, 0), 0, "codec: truncated integer"},
-		{"dense: body shorter than 8n²", frame(codec.MatDense, 2, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3), 0, "codec: truncated matrix (order 2)"},
-		{"dense: over the row cap", frame(codec.MatDense, 16, 0, 0, 0, 0, 0, 0, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
-		{"dense: absurd order under a cap", frame(codec.MatDense, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), 8, "orwlnet: observed report order 18446744073709551615 exceeds the 8-row cap"},
-		{"sparse: order above the codec limit", frame(codec.MatSparse, 0xd1, 0x16), 0, "codec: sparse matrix order 2897 exceeds limit 2896"},
+		{"the retired dense mode", frame(1, 2, 0, 0, 0, 0, 0, 0, 0), 0, "codec: unknown matrix mode 1"},
+		{"sparse: order above the default lease bound", frame(codec.MatSparse, 0xd1, 0x16), 0, "orwlnet: observed report order 2897 exceeds the 2896-row cap"},
+		{"sparse: absurd order under a cap", frame(codec.MatSparse, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), 8, "orwlnet: observed report order 18446744073709551615 exceeds the 8-row cap"},
 		{"sparse: over the row cap", frame(codec.MatSparse, 16, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
 		{"sparse: no run count", frame(codec.MatSparse, 4), 0, "codec: truncated or overlong varint"},
 		{"sparse: more runs than bytes", frame(codec.MatSparse, 4, 100, 0, 1, 1), 0, "codec: absurd sparse run count 100"},
@@ -270,48 +251,41 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // TestObservedReportDecodeAllocationBound: a frame over the row cap is
-// refused before anything sized by its order is allocated, and a
-// six-byte triplet claiming all n² cells of a large order costs the
-// dense matrix it describes — the old decoder's bound — not n² sparse
-// entries.
+// refused before anything sized by its order is allocated; a six-byte
+// triplet claiming all n² cells costs 16 bytes a cell when n² is within
+// codec.MaxMatrixCells, and is refused before any cell is allocated
+// when it is not.
 func TestObservedReportDecodeAllocationBound(t *testing.T) {
-	const n = 1024
-	everyCell := append(append([]byte(nil), reportHeader...), codec.MatSparse)
-	everyCell = codec.PutUvarint(everyCell, n)
-	everyCell = codec.PutUvarint(everyCell, 1)      // one run
-	everyCell = codec.PutUvarint(everyCell, 0)      // no gap
-	everyCell = codec.PutUvarint(everyCell, n*n)    // every cell
-	everyCell = codec.PutUvarint(everyCell, 0xf03f) // 1.0, byte-reversed
-	dense := codec.PutUint64(append(append([]byte(nil), reportHeader...), codec.MatDense), n)
-
-	for name, in := range map[string][]byte{"sparse": everyCell, "dense": dense} {
-		var err error
-		if got := allocatedBy(func() { _, _, _, err = decodeObservedReport(in, n-1, nil) }); err == nil || got > 4096 {
-			t.Errorf("%s frame over the row cap: err = %v after allocating %d bytes", name, err, got)
-		}
+	everyCell := func(n int) []byte {
+		b := append(append([]byte(nil), reportHeader...), codec.MatSparse)
+		b = codec.PutUvarint(b, uint64(n))
+		b = codec.PutUvarint(b, 1)                   // one run
+		b = codec.PutUvarint(b, 0)                   // no gap
+		b = codec.PutUvarint(b, uint64(n)*uint64(n)) // every cell
+		return codec.PutUvarint(b, 0xf03f)           // 1.0, byte-reversed
 	}
-	var delta comm.Affinity
+	const n = 1024
 	var err error
-	got := allocatedBy(func() { _, _, delta, err = decodeObservedReport(everyCell, n, nil) })
+	if got := allocatedBy(func() { _, _, _, err = decodeObservedReport(everyCell(n), n-1, nil) }); err == nil || got > 4096 {
+		t.Errorf("frame over the row cap: err = %v after allocating %d bytes", err, got)
+	}
+	var delta *comm.Sparse
+	got := allocatedBy(func() { _, _, delta, err = decodeObservedReport(everyCell(n), n, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := delta.(*comm.Matrix); !ok || delta.At(n-1, n-1) != 1 || delta.NNZ() != n*n {
-		t.Fatalf("every-cell frame decoded as %T with %d nonzeros", delta, delta.NNZ())
+	if delta.At(n-1, n-1) != 1 || delta.NNZ() != n*n {
+		t.Fatalf("every-cell frame decoded with %d nonzeros", delta.NNZ())
 	}
-	if limit := uint64(8*n*n + 64<<10); got > limit {
+	// The cells, the row table and counts, the run scratch of a segment
+	// per row, and 64 KiB of size-class rounding.
+	if limit := uint64(16*n*n + 32*n + 24*(n+1) + 64<<10); got > limit {
 		t.Fatalf("every-cell frame allocated %d bytes, bound %d", got, limit)
 	}
-	// Just under an eighth of the cells stays sparse, within the bound.
-	eighth := append(append([]byte(nil), reportHeader...), codec.MatSparse)
-	eighth = codec.PutUvarint(eighth, n)
-	eighth = codec.PutUvarint(eighth, 1)
-	eighth = codec.PutUvarint(eighth, 0)
-	eighth = codec.PutUvarint(eighth, n*n/8)
-	eighth = codec.PutUvarint(eighth, 0xf03f)
-	got = allocatedBy(func() { _, _, delta, err = decodeObservedReport(eighth, n, nil) })
-	if _, ok := delta.(*comm.Sparse); err != nil || !ok || got > 8*n*n {
-		t.Fatalf("eighth-full frame: %T, %v, %d bytes allocated", delta, err, got)
+	const wide = 1500 // 1500² cells are over the cap
+	want := fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", wide, wide*wide, codec.MaxMatrixCells)
+	if got := allocatedBy(func() { _, _, _, err = decodeObservedReport(everyCell(wide), wide, nil) }); err == nil || err.Error() != want || got > 64<<10 {
+		t.Errorf("every cell of order %d: err = %v after allocating %d bytes", wide, err, got)
 	}
 }
 
@@ -328,8 +302,7 @@ func TestReportObservedTypedNil(t *testing.T) {
 
 // TestObservedReportDecodeIntoReusedTarget: a report decoded into a
 // reused target — left holding another order and other rows — has the
-// cells of a fresh decode, a body that decodes dense leaves the target
-// alone, and a refused body never touches it.
+// cells of a fresh decode, and a refused body never touches it.
 func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
 	dst := comm.NewSparse(900)
 	for i := 0; i < 900; i++ {
@@ -349,7 +322,6 @@ func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := dst.Clone()
 		_, _, reused, err := decodeObservedReport(frame, 0, dst)
 		if err != nil {
 			t.Fatal(err)
@@ -357,10 +329,8 @@ func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
 		if diff := diffCells(fresh, reused); diff != "" {
 			t.Fatalf("order %d: reused decode differs from a fresh one: %s", n, diff)
 		}
-		if _, sparse := fresh.(*comm.Sparse); sparse != (reused == comm.Affinity(dst)) {
-			t.Fatalf("order %d: fresh decode %T, reused decode %T (target used: %v)", n, fresh, reused, reused == comm.Affinity(dst))
-		} else if diff := diffCells(before, dst); !sparse && diff != "" {
-			t.Fatalf("order %d: a body that decodes dense touched the target: %s", n, diff)
+		if reused != dst {
+			t.Fatalf("order %d: the report did not decode into the reused target", n)
 		}
 	}
 	before := dst.Clone()

@@ -106,8 +106,8 @@ type reportCaps struct {
 	// maxFrameBytes is the hard per-frame payload cap for
 	// opObservedReport (0 = the protocol's maxMessage).
 	maxFrameBytes int
-	// maxRows is the hard cap on a decoded report matrix's order
-	// (0 = codec.MaxMatrixOrder).
+	// maxRows lowers the cap on a decoded report matrix's order, the
+	// control plane's lease bound (0 = that bound).
 	maxRows int
 	// bytesPerSec/burst, when bytesPerSec > 0, meter the report payload
 	// bytes one connection may deliver (token bucket). Violations get a
@@ -119,7 +119,7 @@ type reportCaps struct {
 // WithReportCaps bounds observed-report traffic per connection: a hard
 // per-frame payload cap, a hard decoded row-count cap, and a sustained
 // decoded-bytes/sec budget with a burst allowance. Zero values keep
-// the protocol-level defaults (64 MiB frames, 2896 rows, unmetered).
+// the defaults (64 MiB frames, the lease bound's rows, unmetered).
 func WithReportCaps(maxFrameBytes, maxRows int, bytesPerSec, burst float64) ServerOption {
 	return func(s *Server) {
 		if bytesPerSec > 0 && burst <= 0 {

@@ -59,10 +59,9 @@ func (s *DeclaredSource) Affinity() (comm.Affinity, error) {
 // measured: what the tasks actually exchanged, not what their handle
 // graph declared. Every Affinity call returns the traffic since this
 // source's previous call (disjoint epochs — the adaptive reconciler's
-// diet), sparse whenever the epoch holds at most n²/8 nonzeros. Each
-// source owns its window, so several consumers (a reconciler, a module,
-// a scraper) sample the same program without stealing each other's
-// epochs.
+// diet), as a *comm.Sparse. Each source owns its window, so several
+// consumers (a reconciler, a module, a scraper) sample the same program
+// without stealing each other's epochs.
 type ObservedSource struct {
 	Prog *orwl.Program
 

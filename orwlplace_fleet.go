@@ -92,7 +92,7 @@ type FleetAdaptive struct {
 
 type pendingReport struct {
 	seq uint64
-	w   comm.Affinity
+	w   *comm.Sparse
 }
 
 // maxPendingReports bounds the retransmit queue.
