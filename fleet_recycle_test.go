@@ -6,11 +6,13 @@ package orwlplace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwl"
@@ -179,4 +181,54 @@ func sameAffinity(a, b comm.Affinity) bool {
 	same := true
 	a.ForEach(func(i, j int, v float64) { same = same && b.At(i, j) == v })
 	return same
+}
+
+// TestFleetReportDropsOverCapWindow: a queued window over the wire's
+// cell cap (a full order-1449 one) is refused before it is sent, so
+// Report drops and counts it instead of requeueing it in front of every
+// later window: the window behind it ships, and the next Report is
+// clean.
+func TestFleetReportDropsOverCapWindow(t *testing.T) {
+	const n = 1449
+	ctrl, rs, _ := recycleRig(t)
+	ctx := context.Background()
+	prog := orwl.MustProgram(n)
+	fa, err := NewFleetAdaptive(ctx, rs, prog, FleetAdaptiveConfig{Peer: "wide"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowNNZ := make([]int, n)
+	for i := range rowNNZ {
+		rowNNZ[i] = n
+	}
+	over := comm.NewSparseSized(rowNNZ)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			over.Append(i, j, 1)
+		}
+	}
+	fa.mu.Lock()
+	fa.seq++
+	fa.pending = append(fa.pending, pendingReport{seq: fa.seq, w: over})
+	fa.mu.Unlock()
+
+	tr := prog.Traffic()
+	tr.Record(0, 1, 1024)
+	var ce *codec.CellsError
+	if err := fa.Report(ctx); !errors.As(err, &ce) || ce.Order != n || ce.Cells != n*n {
+		t.Fatalf("report: err = %v, want the cell cap's refusal of the order-%d window", err, n)
+	}
+	if st := fa.Stats(); st.DroppedWindows != 1 || st.Reports != 1 {
+		t.Fatalf("after the refusal: %d dropped, %d reported, want 1 and 1", st.DroppedWindows, st.Reports)
+	}
+	tr.Record(1, 2, 1024)
+	if err := fa.Report(ctx); err != nil {
+		t.Fatalf("the next report: %v", err)
+	}
+	if st := fa.Stats(); st.DroppedWindows != 1 || st.Reports != 2 {
+		t.Fatalf("after the next report: %d dropped, %d reported, want 1 and 2", st.DroppedWindows, st.Reports)
+	}
+	if reports, _, _ := ctrl.Collector().Counters(); reports != 2 {
+		t.Fatalf("the daemon merged %d reports, want 2", reports)
+	}
 }

@@ -56,7 +56,7 @@ func TestCodecFieldBytes(t *testing.T) {
 	}
 }
 
-func field(b []byte, _ uint64) []byte { return b }
+func field(b []byte, _ uint64, _ error) []byte { return b }
 
 // TestCodecStringPrefixMatchesBody: the length prefix always matches
 // the body PutString writes, so the fields behind a string stay where
@@ -100,8 +100,8 @@ func TestCodecMatrixMemoryBound(t *testing.T) {
 			got = min(got, int(after.TotalAlloc-before.TotalAlloc))
 		}
 		// The cells' slab, a scratch of a segment per run and row end,
-		// the row counts, the row table and 64 KiB of size-class rounding.
-		if bound := 16*MaxMatrixCells + 24*(1+n) + 8*n + 24*n + 64<<10; got > bound {
+		// the row counts and the row table.
+		if bound := allocBound(16*MaxMatrixCells, 24*(1+n), 8*n, 24*n); got > bound {
 			t.Errorf("order %d: a body at the cap allocated %d bytes, bound %d", n, got, bound)
 		}
 		want := fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, MaxMatrixCells+1, MaxMatrixCells)
@@ -111,5 +111,39 @@ func TestCodecMatrixMemoryBound(t *testing.T) {
 	}
 	if _, _, _, err := GetMatrixField(run(1<<16+1, 1), 1<<16, nil); err == nil || err.Error() != "codec: sparse matrix order 65537 exceeds limit 65536" {
 		t.Errorf("order above the caller's bound: err = %v", err)
+	}
+}
+
+// TestPutMatrixFieldCellCap: the encoder refuses what the decoder
+// refuses. A full matrix of order 1448 holds exactly MaxMatrixCells
+// cells and round-trips; one of order 1449 is refused with the
+// decoder's error, dense or sparse.
+func TestPutMatrixFieldCellCap(t *testing.T) {
+	full := func(n int) *comm.Matrix {
+		m := comm.NewMatrix(n)
+		for i := 0; i < n; i++ {
+			row := m.RowView(i)
+			for j := range row {
+				row[j] = float64(1 + i%3)
+			}
+		}
+		return m
+	}
+	m := full(1448)
+	field, fp, err := PutMatrixField(nil, m)
+	if err != nil {
+		t.Fatalf("order 1448: %v", err)
+	}
+	got, gotFP, _, err := GetMatrixField(field, MaxMatrixOrder, nil)
+	if err != nil || got.NNZ() != MaxMatrixCells || got.At(1447, 5) != 2 || gotFP != fp || fp != comm.Fingerprint(m) {
+		t.Fatalf("order 1448 decoded to %d cells, fingerprint %016x of %016x (%v)", got.NNZ(), gotFP, fp, err)
+	}
+	m, got = full(1449), nil
+	want := fmt.Sprintf("codec: order-1449 sparse body claims %d cells, over the %d a body may hold", 1449*1449, MaxMatrixCells)
+	for _, a := range []comm.Affinity{m, comm.SparseFromMatrix(m)} {
+		var ce *CellsError
+		if _, _, err := PutMatrixField([]byte{0xee}, a); !errors.As(err, &ce) || err.Error() != want {
+			t.Errorf("order 1449 %T: err = %v, want %q", a, err, want)
+		}
 	}
 }

@@ -25,18 +25,25 @@ const (
 // ErrMatrixMode refuses a field whose mode byte names no matrix layout.
 var ErrMatrixMode = errors.New("codec: unknown matrix mode")
 
-// MaxMatrixOrder is floor(sqrt(64 MiB / 8)), the order of the densest
-// matrix a wire frame can carry: the order bound of a place request's
-// matrix, and what MaxMatrixCells is sized from.
+// MaxMatrixOrder is floor(sqrt(64 MiB / 8)): the order bound of a place
+// request's matrix, and what MaxMatrixCells is sized from.
 const MaxMatrixOrder = 2896
 
 // MaxMatrixCells caps the cells a field's runs may claim, at any order:
-// a quarter of MaxMatrixOrder². A decode holds 16 bytes per stored cell
-// and at most 24 of run scratch per claimed cell, 10·2896² bytes in
-// all, under the 8·2896² bytes of a dense order-2896 matrix plus its
-// 3·2896² of run scratch that bounded a decode while a field could
-// decode dense.
+// a quarter of MaxMatrixOrder², a full order-1448 matrix. A decode holds
+// 16 bytes per stored cell and at most 24 of run scratch per claimed
+// cell, 10·2896² bytes in all, under the 8·2896² + 3·2896² of a dense
+// order-2896 decode and its scratch while the dense layout existed; a
+// full matrix of order 1449 or more, which that layout carried, is not.
 const MaxMatrixCells = MaxMatrixOrder * MaxMatrixOrder / 4
+
+// CellsError refuses a matrix field whose runs claim more than
+// MaxMatrixCells cells, in the encoder and the decoder alike.
+type CellsError struct{ Order, Cells int }
+
+func (e *CellsError) Error() string {
+	return fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", e.Order, e.Cells, MaxMatrixCells)
+}
 
 // OrderError refuses a matrix field whose order exceeds its limit,
 // before anything is sized by that order.
@@ -60,15 +67,16 @@ func (e *OrderError) Error() string {
 // round-trip bits (NaNs, -0) exactly, or the client's fingerprint and
 // the server's would drift apart and every reference would miss.
 type runEmitter struct {
-	dst  []byte
-	hole int // offset of the run-count hole
-	end  int // cell index one past the previous run
-	runs uint64
-	fp   comm.FingerprintFold
+	dst      []byte
+	hole     int // offset of the run-count hole
+	end      int // cell index one past the previous run
+	n, cells int // the order, the cells the runs claim
+	runs     uint64
+	fp       comm.FingerprintFold
 }
 
 func newRunEmitter(dst []byte, n int) runEmitter {
-	var e runEmitter
+	e := runEmitter{n: n}
 	e.dst = PutUvarint(append(dst, MatSparse), uint64(n))
 	// The run count precedes the triplets but is known only after the
 	// walk: leave room for the longest varint, close the gap at the end.
@@ -80,6 +88,9 @@ func newRunEmitter(dst []byte, n int) runEmitter {
 
 // run emits length cells of the word b starting at cell index at.
 func (e *runEmitter) run(at, length int, b uint64) {
+	if e.cells += length; e.cells > MaxMatrixCells {
+		return // refused at close: the body stops growing
+	}
 	gap := at - e.end
 	e.fp.Zeros(gap)
 	e.fp.Run(b, length)
@@ -90,22 +101,27 @@ func (e *runEmitter) run(at, length int, b uint64) {
 	e.runs++
 }
 
-// close finishes the field and returns it with the fingerprint.
-func (e *runEmitter) close() ([]byte, uint64) {
+// close finishes the field and returns it with the fingerprint, or
+// refuses a body no decoder accepts.
+func (e *runEmitter) close() ([]byte, uint64, error) {
+	if e.cells > MaxMatrixCells {
+		return nil, 0, &CellsError{e.n, e.cells}
+	}
 	var count [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(count[:], e.runs)
 	copy(e.dst[e.hole:], count[:k])
-	return append(e.dst[:e.hole+k], e.dst[e.hole+len(count):]...), e.fp.Sum()
+	return append(e.dst[:e.hole+k], e.dst[e.hole+len(count):]...), e.fp.Sum(), nil
 }
 
 // PutMatrixField encodes a matrix field — the run-length body at any
 // density — and returns the matrix's comm.Fingerprint (zero for nil),
 // all in one walk: over the cells of a dense matrix (a -0 cell is a run,
 // so its bits reach the fingerprint), over the row-sorted nonzeros of
-// any other affinity.
-func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64) {
+// any other affinity. A matrix whose runs claim more than MaxMatrixCells
+// cells is refused with a *CellsError.
+func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
 	if comm.NilAffinity(a) {
-		return append(dst, MatAbsent), 0
+		return append(dst, MatAbsent), 0, nil
 	}
 	m, ok := a.(*comm.Matrix)
 	if !ok {
@@ -135,7 +151,7 @@ func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64) {
 // putAffinityCompact is PutMatrixField for an affinity without a dense
 // form: it walks the row-sorted nonzeros, and a run extends while the
 // next one is the adjacent cell of the same row with the same bits.
-func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64) {
+func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
 	n := a.Order()
 	e := newRunEmitter(dst, n)
 	var runBits uint64
@@ -298,7 +314,7 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, ui
 		return nil, 0, nil, err
 	}
 	if cells > MaxMatrixCells {
-		return nil, 0, nil, fmt.Errorf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, cells, MaxMatrixCells)
+		return nil, 0, nil, &CellsError{n, cells}
 	}
 	m := dst
 	if m == nil {

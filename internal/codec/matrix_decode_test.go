@@ -86,6 +86,20 @@ func pooledRunCaps() []int {
 	return caps
 }
 
+// allocBound is what a decode allocating slabs of these sizes may
+// allocate in all: their sum, 4 KiB of small objects, and a page of
+// rounding for each slab past the small size classes.
+func allocBound(slabs ...int) int {
+	bound := 4096
+	for _, b := range slabs {
+		bound += b
+		if b > 32<<10 {
+			bound += 8 << 10
+		}
+	}
+	return bound
+}
+
 // TestSparseBodyDecodeBound: a body decodes within the sparse bound —
 // 16 bytes per cell, the 24·min(runs + n, MaxMatrixCells) of the run
 // scratch and the row table — however dense its runs, and no scratch
@@ -119,10 +133,9 @@ func TestSparseBodyDecodeBound(t *testing.T) {
 			}
 			got = min(got, int(after.TotalAlloc-before.TotalAlloc))
 		}
-		scratch := 24 * min(c.count+c.n, MaxMatrixCells)
-		// + the row table, the row counts of a nil target and 64 KiB of
-		// size-class rounding.
-		bound := 16*c.count*c.length + scratch + 24*c.n + 8*c.n + 64<<10
+		// The cells, the run scratch, the row table and the row counts
+		// of a nil target.
+		bound := allocBound(16*c.count*c.length, 24*min(c.count+c.n, MaxMatrixCells), 24*c.n, 8*c.n)
 		if got > bound {
 			t.Errorf("%s: allocated %d bytes, bound %d", c.name, got, bound)
 		}
@@ -175,7 +188,7 @@ func FuzzMatrixFieldDecode(f *testing.F) {
 	s := comm.SparseFromMatrix(m)
 	s.Set(3, 3, 0)
 	for _, a := range []comm.Affinity{m, s, comm.NewSparse(5)} {
-		field, _ := PutMatrixField(nil, a)
+		field, _, _ := PutMatrixField(nil, a)
 		f.Add(field[1:], uint8(8))
 	}
 	f.Add(sparseBody(8, 9, 0, 1, 1), uint8(8))
@@ -202,7 +215,7 @@ func BenchmarkSparseBodyDecode(b *testing.B) {
 			w.Set(i, (i+d)%n, float64(i*d+1))
 		}
 	}
-	field, _ := PutMatrixField(nil, w)
+	field, _, _ := PutMatrixField(nil, w)
 	for _, c := range []struct {
 		name   string
 		decode func([]byte, int, *comm.Sparse) (*comm.Sparse, uint64, []byte, error)

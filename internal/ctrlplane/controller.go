@@ -114,8 +114,8 @@ type subscriber struct {
 // handoffSource adapts the controller's pull-then-reconcile flow to
 // the Source seam the Reconciler consumes: the controller
 // drains a Collector window, stages it here, and runs one Epoch. The
-// window stays in the collector's native representation (sparse above
-// the dense threshold) all the way into the reconciler.
+// window stays the collector's *comm.Sparse all the way into the
+// reconciler.
 //
 // Every staged window is given away: Affinity hands it out once, and
 // whatever the reconciler is done with — the window, or the baseline an

@@ -145,8 +145,9 @@ func getPartitions(src []byte) (*treematch.Partitioning, []byte, error) {
 
 // EncodeSnapshot serialises s in the SnapshotVersion format. The
 // output is deterministic: leases sort by ID, machines by name. A name
-// too long for its string field, or a baseline no snapshot can carry,
-// is refused.
+// too long for its string field, or a baseline of more than
+// codec.MaxMatrixCells nonzeros (a *codec.CellsError), refuses the
+// whole image: SaveSnapshot then writes nothing.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("ctrlplane: nil snapshot")
@@ -180,10 +181,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		if err := codec.CheckStrings(mr.Name); err != nil {
 			return nil, fmt.Errorf("ctrlplane: snapshot: machine name: %w", err)
 		}
-		if b := mr.Base; !comm.NilAffinity(b) && b.NNZ() > codec.MaxMatrixCells {
-			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline holds %d nonzeros, more than the %d a matrix field carries",
-				mr.Name, b.NNZ(), codec.MaxMatrixCells)
-		}
 		dst = codec.PutString(dst, mr.Name)
 		dst = codec.PutUvarint(dst, uint64(mr.Order))
 		dst = codec.PutUvarint(dst, mr.Epoch)
@@ -192,7 +189,10 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 			dst = codec.PutUvarint(dst, codec.ZigzagFloat(mr.Latest.Drift))
 			dst = putPartitions(dst, latest.Partitions)
 		}
-		dst, _ = codec.PutMatrixField(dst, mr.Base)
+		var err error
+		if dst, _, err = codec.PutMatrixField(dst, mr.Base); err != nil {
+			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline: %w", mr.Name, err)
+		}
 	}
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
 }

@@ -217,6 +217,39 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotOverCapBaselineRefused: a full order-1449 baseline holds
+// more cells than a matrix field carries (codec.MaxMatrixCells), so the
+// image is refused with the codec's error and SaveSnapshot keeps the
+// previous generation as it was.
+func TestSnapshotOverCapBaselineRefused(t *testing.T) {
+	const n = 1449
+	base := comm.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		row := base.RowView(i)
+		for j := range row {
+			row[j] = 1
+		}
+	}
+	s := snapFixture()
+	s.Machines[1] = MachineRecord{Name: "wide", Order: n, Epoch: 1, Base: base}
+	want := fmt.Sprintf("ctrlplane: snapshot: machine \"wide\" baseline: codec: order-%d sparse body claims %d cells, over the %d a body may hold",
+		n, n*n, codec.MaxMatrixCells)
+	var ce *codec.CellsError
+	if _, err := EncodeSnapshot(s); !errors.As(err, &ce) || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "ctrl.snap")
+	if err := SaveSnapshot(path, snapFixture(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshot(path, s, 2); !errors.As(err, &ce) {
+		t.Fatalf("save: err = %v, want the cell cap", err)
+	}
+	if got, _, err := LoadSnapshot(path, 0, 2); err != nil || !reflect.DeepEqual(got, snapFixture()) {
+		t.Fatalf("the refused save changed the snapshot on disk (%v)", err)
+	}
+}
+
 // TestControllerSnapshotRestore: a controller that adopted a mapping
 // snapshots, a fresh controller restores, and the fleet resumes —
 // same lease IDs, same epoch counter, primed reconciler.

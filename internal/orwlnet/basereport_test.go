@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/faultnet"
@@ -691,5 +694,89 @@ func TestWideLeaseReportsMergeOnce(t *testing.T) {
 		if diff := diffCells(want, ctrl.Collector().WindowAffinity("fig2")); diff != "" {
 			t.Fatalf("merged window: %s", diff)
 		}
+	}
+}
+
+// countingConn counts the bytes a client writes.
+type countingConn struct {
+	net.Conn
+	wrote *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.wrote.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// TestOverCapMatrixRefusedBeforeSend: a full order-1449 matrix holds
+// more cells than codec.MaxMatrixCells, so the stub refuses it as a
+// place request and as an observed report with the decoder's error
+// before a byte of it is written, and the lease's next window still
+// merges.
+func TestOverCapMatrixRefusedBeforeSend(t *testing.T) {
+	const n = 1449
+	full := comm.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		row := full.RowView(i)
+		for j := range row {
+			row[j] = 1
+		}
+	}
+	fleet := placement.NewMultiService()
+	if err := fleet.AddMachine("fig2", topology.Fig2Machine()); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{StaleAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(lis, nil, WithPlacement(fleet), WithControlPlane(ctrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wrote atomic.Int64
+	rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(func(ctx context.Context, network, addr string) (net.Conn, error) {
+		var d net.Dialer
+		c, err := d.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{c, &wrote}, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	lease, err := rs.RegisterLease(ctx, "fig2", "full", 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := wrote.Load()
+	want := fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, n*n, codec.MaxMatrixCells)
+	var ce *codec.CellsError
+	if _, err := rs.Place(ctx, &placement.PlaceRequest{Machine: "fig2", Matrix: full}); !errors.As(err, &ce) || err.Error() != want {
+		t.Errorf("place: err = %v, want %q", err, want)
+	}
+	if err := rs.ReportObserved(ctx, lease, 1, comm.SparseFromMatrix(full)); !errors.As(err, &ce) || err.Error() != want {
+		t.Errorf("report: err = %v, want %q", err, want)
+	}
+	if sent := wrote.Load() - before; sent != 0 {
+		t.Errorf("the refusals wrote %d bytes", sent)
+	}
+	next := comm.NewSparse(n)
+	next.Set(0, n-1, 5)
+	if err := rs.ReportObserved(ctx, lease, 2, next); err != nil {
+		t.Fatal(err)
+	}
+	if reports, _, _ := ctrl.Collector().Counters(); reports != 1 {
+		t.Fatalf("merged %d reports, want 1", reports)
 	}
 }

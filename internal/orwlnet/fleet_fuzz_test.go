@@ -74,7 +74,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 			fuzzBaseValues(t, field[1:], seq, held, heldSeq, dirty)
 			return
 		}
-		leaseID, seq, delta, err := decodeObservedReport(data, 0, nil)
+		leaseID, seq, delta, err := decodeObservedReport(data, ctrlplane.DefaultMaxLeaseTasks, nil)
 		if err != nil {
 			return
 		}
@@ -87,7 +87,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 			t.Fatalf("accepted order %d with %d nonzeros", n, delta.NNZ())
 		}
 		// Decoding into the dirty target gives the same cells, in it.
-		_, _, reused, err := decodeObservedReport(data, 0, dirty)
+		_, _, reused, err := decodeObservedReport(data, ctrlplane.DefaultMaxLeaseTasks, dirty)
 		if err != nil {
 			t.Fatalf("accepted report refused with a reused target: %v", err)
 		}
@@ -101,7 +101,7 @@ func FuzzObservedReportDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted report does not re-encode: %v", err)
 		}
-		l2, s2, d2, err := decodeObservedReport(re, 0, nil)
+		l2, s2, d2, err := decodeObservedReport(re, ctrlplane.DefaultMaxLeaseTasks, nil)
 		if err != nil {
 			t.Fatalf("re-encoded report rejected: %v", err)
 		}
@@ -119,8 +119,8 @@ func FuzzObservedReportDecode(f *testing.F) {
 // cells, which keep the base's pattern (no value came out ±0) and
 // base-code back to a field that decodes to them again.
 func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, heldSeq uint64, dirty *comm.Sparse) {
-	fresh, errFresh := applyBaseValues(field, held, heldSeq, 0, new(comm.Sparse))
-	reused, errReused := applyBaseValues(field, held, heldSeq, 0, dirty)
+	fresh, errFresh := applyBaseValues(field, held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, new(comm.Sparse))
+	reused, errReused := applyBaseValues(field, held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, dirty)
 	if (errFresh == nil) != (errReused == nil) || errFresh != nil && errFresh.Error() != errReused.Error() {
 		t.Fatalf("fresh target: %v; reused target: %v", errFresh, errReused)
 	}
@@ -140,7 +140,7 @@ func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := applyBaseValues(f2[1:], held, heldSeq, 0, new(comm.Sparse))
+	again, err := applyBaseValues(f2[1:], held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, new(comm.Sparse))
 	if err != nil {
 		t.Fatalf("re-encoded base-coded window refused: %v", err)
 	}

@@ -96,7 +96,8 @@ func decodeFleetLeaseResponse(src []byte) (uint64, error) {
 
 // encodeObservedReport frames one observed-traffic window delta as a
 // run-length matrix field, straight from the affinity: a sparse window
-// is never densified.
+// is never densified. A window over the decoder's cell cap is refused
+// with a *codec.CellsError: no daemon would accept it.
 func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) ([]byte, error) {
 	if comm.NilAffinity(delta) {
 		return nil, fmt.Errorf("orwlnet: nil observed window")
@@ -104,8 +105,8 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 	dst = append(dst, protoVersion)
 	dst = codec.PutUvarint(dst, leaseID)
 	dst = codec.PutUvarint(dst, seq)
-	dst, _ = codec.PutMatrixField(dst, delta)
-	return dst, nil
+	dst, _, err := codec.PutMatrixField(dst, delta)
+	return dst, err
 }
 
 // getReportHeader reads a report frame's version, lease id and seq,
@@ -119,10 +120,10 @@ func getReportHeader(src []byte) (leaseID, seq uint64, field []byte, err error) 
 }
 
 // decodeObservedReport decodes a full report frame, refusing an order
-// above maxRows (0 = ctrlplane.DefaultMaxLeaseTasks) before anything is
-// sized by it. The matrix field goes through getMatrix, the decoder
-// placement frames use, into dst when it is not nil: a window is mostly
-// zeros, and the collector merges what it is given in O(nnz).
+// above maxRows before anything is sized by it. The matrix field goes
+// through getMatrix, the decoder placement frames use, into dst when it
+// is not nil: a window is mostly zeros, and the collector merges what it
+// is given in O(nnz).
 //
 // A fingerprint reference is refused: the one matrix a report may name
 // is its lease's base, in a base-coded frame (mergeObservedReport).
@@ -130,9 +131,6 @@ func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, s
 	leaseID, seq, rest, err := getReportHeader(src)
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	if maxRows <= 0 {
-		maxRows = ctrlplane.DefaultMaxLeaseTasks
 	}
 	if delta, _, _, err = getMatrix(rest, nil, maxRows, dst); err != nil {
 		var oe *codec.OrderError
@@ -256,7 +254,7 @@ func applyBaseValues(field []byte, base *comm.Sparse, baseSeq uint64, maxRows in
 		return nil, fmt.Errorf("orwlnet: base-coded report against base seq 0")
 	case base == nil || want != baseSeq:
 		return nil, fmt.Errorf("orwlnet: %w: the lease holds no base window of seq %d — resend the window in full", ErrUnknownMatrix, want)
-	case maxRows > 0 && base.Order() > maxRows:
+	case base.Order() > maxRows:
 		return nil, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", base.Order(), maxRows)
 	case nnz != uint64(base.NNZ()):
 		return nil, fmt.Errorf("orwlnet: base-coded report claims %d values, its base holds %d", nnz, base.NNZ())

@@ -45,7 +45,7 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 		// its fingerprint intact — byte-identity with the input is not
 		// guaranteed (the input may encode zeros as value runs), with
 		// the reference encoder it is.
-		re, reFP := codec.PutMatrixField(nil, m)
+		re, reFP, _ := codec.PutMatrixField(nil, m)
 		if ref := putMatrixCompact(nil, m.Dense()); !bytes.Equal(re, ref) {
 			t.Fatalf("emitter wrote %d bytes, reference %d", len(re), len(ref))
 		}

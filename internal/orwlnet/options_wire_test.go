@@ -10,6 +10,7 @@ import (
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
+	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
 )
@@ -117,7 +118,7 @@ func refuseReportFrame(t *testing.T, frameHex string) {
 	if m.op != opObservedReport {
 		t.Fatalf("frame op %d, want %d", m.op, opObservedReport)
 	}
-	if _, _, _, err := decodeObservedReport(m.payload, 0, nil); !errors.Is(err, ErrVersion) {
+	if _, _, _, err := decodeObservedReport(m.payload, ctrlplane.DefaultMaxLeaseTasks, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("decode err = %v, want ErrVersion", err)
 	}
 	_, addr := startFixtureServer(t)

@@ -89,7 +89,8 @@ func checkVersion(src []byte) ([]byte, error) {
 // body (nil: assume it holds none); a matrix it holds crosses as the
 // fingerprint reference instead, and the caller must be prepared to
 // resend the body on an ErrUnknownMatrix answer. A machine or strategy
-// name too long for its field is refused.
+// name too long for its field is refused, and so is a matrix over the
+// decoder's cell cap (a *codec.CellsError), before anything is sent.
 func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp uint64) bool) ([]byte, uint64, error) {
 	if err := codec.CheckStrings(req.Machine, req.Strategy); err != nil {
 		return nil, 0, err
@@ -108,17 +109,17 @@ func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp u
 		if known != nil && known(hint) {
 			return putMatrixFingerprint(dst, hint, m.Order()), hint, nil
 		}
-		dst, _ = codec.PutMatrixField(dst, m)
-		return dst, hint, nil
+		dst, _, err := codec.PutMatrixField(dst, m)
+		return dst, hint, err
 	}
 	// The cold path: encode the body, and swap it for the reference when
 	// the fingerprint its walk folded turns out to be known.
 	at := len(dst)
-	dst, fp := codec.PutMatrixField(dst, m)
-	if known != nil && known(fp) {
+	dst, fp, err := codec.PutMatrixField(dst, m)
+	if err == nil && known != nil && known(fp) {
 		dst = putMatrixFingerprint(dst[:at], fp, m.Order())
 	}
-	return dst, fp, nil
+	return dst, fp, err
 }
 
 // decodePlaceRequest decodes one request. mc is the serving side's
@@ -150,7 +151,7 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, e
 		return nil, err
 	}
 	if m != nil { // a nil *comm.Sparse in the interface would not read as absent
-		req.Matrix, req.MatrixFP = m, fp
+		req.Matrix, req.MatrixFP = m, fp // the sent body's, -0 cells folded
 	}
 	return req, nil
 }

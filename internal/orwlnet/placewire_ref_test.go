@@ -148,7 +148,7 @@ func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 		m := c.build(int64(ci))
 		want := comm.Fingerprint(m)
 		ref := putMatrixCompact([]byte{0xee}, m)
-		got, fp := codec.PutMatrixField([]byte{0xee}, m)
+		got, fp, _ := codec.PutMatrixField([]byte{0xee}, m)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("%s: emitter wrote %d bytes (mode %d), reference %d (mode %d); first difference at %d",
 				name, len(got), got[1], len(ref), ref[1], firstDiff(got, ref))

@@ -91,7 +91,7 @@ func TestSparseMatrixRoundTrip(t *testing.T) {
 func TestMatrixCompactChoosesEncoding(t *testing.T) {
 	// A ring is overwhelmingly zero: sparse must win.
 	ring := comm.Ring(64, 1<<20, true)
-	enc, _ := codec.PutMatrixField(nil, ring)
+	enc, _, _ := codec.PutMatrixField(nil, ring)
 	if enc[0] != codec.MatSparse {
 		t.Errorf("ring encoded as mode %d, want sparse", enc[0])
 	}
@@ -108,12 +108,12 @@ func TestMatrixCompactChoosesEncoding(t *testing.T) {
 			full.Set(i, j, math.Sqrt(float64(i*8+j+2)))
 		}
 	}
-	if enc, _ := codec.PutMatrixField(nil, full); enc[0] != codec.MatSparse || len(enc) <= 1+8+8*8*8 {
+	if enc, _, _ := codec.PutMatrixField(nil, full); enc[0] != codec.MatSparse || len(enc) <= 1+8+8*8*8 {
 		t.Errorf("full-entropy matrix encoded as mode %d in %d bytes, want the sparse mode past the 8n² bytes of its cells", enc[0], len(enc))
 	}
 	// Both decode back bit-exactly through the field decoder.
 	for _, m := range []*comm.Matrix{ring, full, nil} {
-		enc, _ := codec.PutMatrixField(nil, m)
+		enc, _, _ := codec.PutMatrixField(nil, m)
 		got, fp, rest, err := getMatrix(enc, nil, codec.MaxMatrixOrder, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))

@@ -10,6 +10,7 @@ import (
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
+	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwl"
 )
 
@@ -127,7 +128,7 @@ func TestObservedReportBytesMatchMatrixCompact(t *testing.T) {
 						name, in, len(got), got[3], len(want), want[3], firstDiff(got, want))
 				}
 			}
-			lease, seq, back, err := decodeObservedReport(want, 0, nil)
+			lease, seq, back, err := decodeObservedReport(want, ctrlplane.DefaultMaxLeaseTasks, nil)
 			if err != nil || lease != 7 || seq != 3 {
 				t.Fatalf("%s: decode = (%d, %d, %v)", name, lease, seq, err)
 			}
@@ -197,30 +198,31 @@ func firstDiff(a, b []byte) int {
 // prefix {6, 7, 3} is the version byte, lease 7, seq 3.
 func TestObservedReportDecodeRejections(t *testing.T) {
 	frame := func(body ...byte) []byte { return append(append([]byte(nil), reportHeader...), body...) }
+	const rows = ctrlplane.DefaultMaxLeaseTasks
 	cases := []struct {
 		name    string
 		in      []byte
 		maxRows int
 		want    string
 	}{
-		{"no version", nil, 0, "orwlnet: missing version byte"},
-		{"no matrix field", frame(), 0, "codec: truncated matrix mode"},
-		{"absent matrix", frame(codec.MatAbsent), 0, "orwlnet: observed report without a matrix"},
-		{"fingerprint reference", frame(matFingerprint, 1, 2, 3, 4, 5, 6, 7, 8, 4), 0, "orwlnet: fingerprint-only matrix without a serving matrix table"},
-		{"unknown mode", frame(9), 0, "codec: unknown matrix mode 9"},
-		{"the retired dense mode", frame(1, 2, 0, 0, 0, 0, 0, 0, 0), 0, "codec: unknown matrix mode 1"},
-		{"sparse: order above the default lease bound", frame(codec.MatSparse, 0xd1, 0x16), 0, "orwlnet: observed report order 2897 exceeds the 2896-row cap"},
+		{"no version", nil, rows, "orwlnet: missing version byte"},
+		{"no matrix field", frame(), rows, "codec: truncated matrix mode"},
+		{"absent matrix", frame(codec.MatAbsent), rows, "orwlnet: observed report without a matrix"},
+		{"fingerprint reference", frame(matFingerprint, 1, 2, 3, 4, 5, 6, 7, 8, 4), rows, "orwlnet: fingerprint-only matrix without a serving matrix table"},
+		{"unknown mode", frame(9), rows, "codec: unknown matrix mode 9"},
+		{"the retired dense mode", frame(1, 2, 0, 0, 0, 0, 0, 0, 0), rows, "codec: unknown matrix mode 1"},
+		{"sparse: order above the default lease bound", frame(codec.MatSparse, 0xd1, 0x16), rows, "orwlnet: observed report order 2897 exceeds the 2896-row cap"},
 		{"sparse: absurd order under a cap", frame(codec.MatSparse, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), 8, "orwlnet: observed report order 18446744073709551615 exceeds the 8-row cap"},
 		{"sparse: over the row cap", frame(codec.MatSparse, 16, 0), 8, "orwlnet: observed report order 16 exceeds the 8-row cap"},
-		{"sparse: no run count", frame(codec.MatSparse, 4), 0, "codec: truncated or overlong varint"},
-		{"sparse: more runs than bytes", frame(codec.MatSparse, 4, 100, 0, 1, 1), 0, "codec: absurd sparse run count 100"},
-		{"sparse: truncated triplet", frame(codec.MatSparse, 4, 1, 0), 0, "codec: truncated or overlong varint"},
-		{"sparse: zero-length run", frame(codec.MatSparse, 4, 1, 0, 0, 1), 0, "codec: sparse run 0 has zero length"},
-		{"sparse: gap past the end", frame(codec.MatSparse, 2, 1, 5, 1, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: run past the end", frame(codec.MatSparse, 2, 1, 3, 2, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: second run past the end", frame(codec.MatSparse, 2, 2, 0, 4, 1, 0, 1, 1), 0, "codec: sparse run 1 overruns the 4-cell matrix"},
-		{"sparse: run length wraps uint64", frame(codec.MatSparse, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1), 0, "codec: sparse run 0 overruns the 4-cell matrix"},
-		{"sparse: order 0 with a run", frame(codec.MatSparse, 0, 1, 0, 1, 1), 0, "codec: sparse run 0 overruns the 0-cell matrix"},
+		{"sparse: no run count", frame(codec.MatSparse, 4), rows, "codec: truncated or overlong varint"},
+		{"sparse: more runs than bytes", frame(codec.MatSparse, 4, 100, 0, 1, 1), rows, "codec: absurd sparse run count 100"},
+		{"sparse: truncated triplet", frame(codec.MatSparse, 4, 1, 0), rows, "codec: truncated or overlong varint"},
+		{"sparse: zero-length run", frame(codec.MatSparse, 4, 1, 0, 0, 1), rows, "codec: sparse run 0 has zero length"},
+		{"sparse: gap past the end", frame(codec.MatSparse, 2, 1, 5, 1, 1), rows, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: run past the end", frame(codec.MatSparse, 2, 1, 3, 2, 1), rows, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: second run past the end", frame(codec.MatSparse, 2, 2, 0, 4, 1, 0, 1, 1), rows, "codec: sparse run 1 overruns the 4-cell matrix"},
+		{"sparse: run length wraps uint64", frame(codec.MatSparse, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1), rows, "codec: sparse run 0 overruns the 4-cell matrix"},
+		{"sparse: order 0 with a run", frame(codec.MatSparse, 0, 1, 0, 1, 1), rows, "codec: sparse run 0 overruns the 0-cell matrix"},
 	}
 	for _, c := range cases {
 		_, _, delta, err := decodeObservedReport(c.in, c.maxRows, nil)
@@ -232,10 +234,10 @@ func TestObservedReportDecodeRejections(t *testing.T) {
 		}
 	}
 	// The smallest accepted frames, for contrast: order 0, and one cell.
-	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 0, 0), 0, nil); err != nil || d.Order() != 0 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 0, 0), ctrlplane.DefaultMaxLeaseTasks, nil); err != nil || d.Order() != 0 {
 		t.Errorf("empty order-0 report: %v", err)
 	}
-	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 2, 1, 3, 1, 0x40), 0, nil); err != nil || d.At(1, 1) != 2 {
+	if _, _, d, err := decodeObservedReport(frame(codec.MatSparse, 2, 1, 3, 1, 0x40), ctrlplane.DefaultMaxLeaseTasks, nil); err != nil || d.At(1, 1) != 2 {
 		t.Errorf("one-cell report: %v %v", d, err)
 	}
 }
@@ -318,11 +320,11 @@ func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, fresh, err := decodeObservedReport(frame, 0, nil)
+		_, _, fresh, err := decodeObservedReport(frame, ctrlplane.DefaultMaxLeaseTasks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, reused, err := decodeObservedReport(frame, 0, dst)
+		_, _, reused, err := decodeObservedReport(frame, ctrlplane.DefaultMaxLeaseTasks, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +337,7 @@ func TestObservedReportDecodeIntoReusedTarget(t *testing.T) {
 	}
 	before := dst.Clone()
 	refused := append(append([]byte(nil), reportHeader...), codec.MatSparse, 2, 2, 0, 1, 1, 0, 9, 1)
-	if _, _, _, err := decodeObservedReport(refused, 0, dst); err == nil {
+	if _, _, _, err := decodeObservedReport(refused, ctrlplane.DefaultMaxLeaseTasks, dst); err == nil {
 		t.Fatal("a run past the end was accepted")
 	}
 	if diff := diffCells(before, dst); diff != "" {

@@ -270,7 +270,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 		}
 	}
 	report := func(p []byte) ([]byte, error) {
-		lease, seq, delta, err := decodeObservedReport(p, 0, nil)
+		lease, seq, delta, err := decodeObservedReport(p, ctrlplane.DefaultMaxLeaseTasks, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,9 @@ type PlaceRequest struct {
 	// it MUST equal comm.Fingerprint(Matrix); a stale value (matrix
 	// mutated after hashing) aliases the request to the wrong cache
 	// identity and can return the wrong cached assignment. The wire
-	// layer fills it in on the serving side.
+	// layer fills it in on the serving side with the fingerprint of the
+	// matrix as sent: it folds -0 cells the decoded Matrix does not
+	// store, which map as +0, so client and daemon share one identity.
 	MatrixFP uint64
 	// Options tunes the mapping algorithm. The wire carries only
 	// ControlThreads: the service pins PartitionThreshold to -1, so a

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/orwlnet"
@@ -72,7 +73,7 @@ type FleetAdaptive struct {
 	applied  uint64 // last applied remap epoch
 	reports  uint64
 	remapped uint64
-	dropped  uint64 // windows lost to retransmit-queue overflow
+	dropped  uint64 // windows lost to retransmit-queue overflow or the cell cap
 	releases uint64 // lease re-registrations after the daemon lost it
 	sparse   uint64 // remaps applied via the O(changed) sparse re-bind
 	rebound  uint64 // individual task bindings committed across all remaps
@@ -180,7 +181,8 @@ func (f *FleetAdaptive) reLease(ctx context.Context) error {
 // handed back to the program's observed window for reuse; one whose
 // send failed stays queued, untouched. A window with the pattern of the
 // last acknowledged one ships its values only (ReportObserved); the
-// first on a fresh lease ships in full.
+// first on a fresh lease ships in full. A window over codec.MaxMatrixCells
+// is dropped (DroppedWindows), and its refusal returned after the rest.
 func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Lock()
 	queue := f.pending
@@ -199,6 +201,7 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 		}
 	}
 	f.mu.Unlock()
+	var refused error
 	for i, pr := range queue {
 		err := f.rs.ReportObserved(ctx, f.LeaseID(), pr.seq, pr.w)
 		if errors.Is(err, ctrlplane.ErrUnknownLease) {
@@ -208,7 +211,11 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 				err = f.rs.ReportObserved(ctx, f.LeaseID(), pr.seq, pr.w)
 			}
 		}
-		if err != nil {
+		if ce := (*codec.CellsError)(nil); errors.As(err, &ce) {
+			// Refused unsent, as every retry would be: dropped, not
+			// requeued in front of every later window.
+			refused = fmt.Errorf("orwlplace: fleet lease %d dropped window %d: %w", f.LeaseID(), pr.seq, err)
+		} else if err != nil {
 			// Requeue this window and everything after it, in front of
 			// whatever a concurrent Report may have queued meanwhile.
 			f.mu.Lock()
@@ -217,16 +224,20 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 			return err
 		}
 		f.mu.Lock()
-		f.reports++
+		if err != nil {
+			f.dropped++
+		} else {
+			f.reports++
+		}
 		f.mu.Unlock()
-		f.prog.RecycleObservedWindow(pr.w) // acknowledged: the next window refills it
+		f.prog.RecycleObservedWindow(pr.w) // acknowledged or dropped: the next window refills it
 	}
 	f.mu.Lock()
 	if len(f.pending) == 0 {
 		f.dropWarned = false // queue drained: the overflow episode is over
 	}
 	f.mu.Unlock()
-	return nil
+	return refused
 }
 
 // ApplyRemap commits the lease's slice of a machine-global remap to
@@ -320,7 +331,8 @@ type FleetAdaptiveStats struct {
 	// Remaps counts remaps applied to the program.
 	Remaps uint64
 	// DroppedWindows counts observed windows lost to retransmit-queue
-	// overflow during daemon outages; their traffic is gone from the
+	// overflow during daemon outages, or refused for holding more than
+	// codec.MaxMatrixCells nonzeros; their traffic is gone from the
 	// daemon's affinity view until it recurs.
 	DroppedWindows uint64
 	// Releases counts lease re-registrations after a daemon restart
