@@ -9,7 +9,7 @@
 //
 //	orwlnetd [-addr host:port] [-loc name:size ...] [-place] [-machine name ...] [-cache-entries n] [-conn-idle d]
 //	         [-adaptive] [-snapshot-path file] [-snapshot-interval d] [-snapshot-keep n] [-stats-addr host:port]
-//	         [-report-rate r] [-report-burst b] [-report-max-bytes n] [-report-max-rows n] [-report-bandwidth bps]
+//	         [-report-rate r] [-report-burst b] [-report-max-bytes n] [-report-bandwidth bps]
 //	         [-max-lease-tasks n]
 //	orwlnetd -inspect-snapshot file [-max-lease-tasks n]
 //
@@ -74,8 +74,8 @@
 // Hostile-peer hardening (with -adaptive): -report-rate/-report-burst
 // throttle each lease's observed-report cadence (a spammer gets a
 // retryable rate-limit error, other peers are unaffected), and
-// -report-max-bytes/-report-max-rows/-report-bandwidth cap what one
-// connection may push at the decoder.
+// -report-max-bytes/-report-bandwidth cap what one connection may push
+// at the decoder. A report's rows are capped by -max-lease-tasks.
 //
 // The daemon traps SIGINT/SIGTERM and drains in-flight calls before
 // exiting.
@@ -161,7 +161,6 @@ func main() {
 	reportRate := flag.Float64("report-rate", 0, "per-lease observed-report rate limit in reports/sec (0 = unlimited); a throttled peer gets a retryable error, others are unaffected")
 	reportBurst := flag.Float64("report-burst", 0, "burst allowance for -report-rate (0 = the rate itself)")
 	reportMaxBytes := flag.Int("report-max-bytes", 0, "refuse observed-report frames larger than this many bytes (0 = the protocol's 64MiB ceiling)")
-	reportMaxRows := flag.Int("report-max-rows", 0, "refuse observed reports whose delta matrix exceeds this order (0 = -max-lease-tasks; a larger value does not raise that bound)")
 	reportBandwidth := flag.Float64("report-bandwidth", 0, "per-connection observed-report byte budget in bytes/sec (0 = unlimited)")
 	cacheEntries := flag.Int("cache-entries", -1, "mapping-cache capacity per machine engine (0 disables caching, -1 keeps the built-in default)")
 	machines := machineFlags{}
@@ -252,8 +251,8 @@ func main() {
 				os.Exit(1)
 			}
 			opts = append(opts, orwlnet.WithControlPlane(ctrl))
-			if *reportMaxBytes > 0 || *reportMaxRows > 0 || *reportBandwidth > 0 {
-				opts = append(opts, orwlnet.WithReportCaps(*reportMaxBytes, *reportMaxRows, *reportBandwidth, 0))
+			if *reportMaxBytes > 0 || *reportBandwidth > 0 {
+				opts = append(opts, orwlnet.WithReportCaps(*reportMaxBytes, *reportBandwidth, 0))
 			}
 			fmt.Printf("orwlnetd: fleet control plane on (epoch %v, adopt-after %d, cooldown %d)\n",
 				*epochInterval, *adoptAfter, *cooldownEpochs)

@@ -10,8 +10,8 @@ import (
 
 // Assignment flag bits.
 const (
-	AssignUnbound        = 1 << 0
-	AssignOversubscribed = 1 << 1
+	assignUnbound        = 1 << 0
+	assignOversubscribed = 1 << 1
 )
 
 // PutAssignment encodes a possibly-nil assignment: presence byte,
@@ -22,22 +22,17 @@ func PutAssignment(dst []byte, a *placement.Assignment) []byte {
 	}
 	dst = append(dst, 1)
 	dst = PutString(dst, a.Strategy)
-	dst = append(dst, AssignmentFlags(a), byte(a.Mode))
+	var flags byte
+	if a.Unbound {
+		flags |= assignUnbound
+	}
+	if a.Oversubscribed {
+		flags |= assignOversubscribed
+	}
+	dst = append(dst, flags, byte(a.Mode))
 	dst = PutIntSlice(dst, a.ComputePU)
 	dst = PutIntSlice(dst, a.ControlPU)
 	return PutIntSlice(dst, a.CoreOf)
-}
-
-// AssignmentFlags packs an assignment's Assign* flag bits.
-func AssignmentFlags(a *placement.Assignment) byte {
-	var flags byte
-	if a.Unbound {
-		flags |= AssignUnbound
-	}
-	if a.Oversubscribed {
-		flags |= AssignOversubscribed
-	}
-	return flags
 }
 
 // GetAssignment decodes a possibly-nil assignment. An encoding that
@@ -62,8 +57,8 @@ func GetAssignment(src []byte, memo *placement.Assignment) (*placement.Assignmen
 		return nil, nil, fmt.Errorf("codec: truncated assignment")
 	}
 	flags := rest[0]
-	a.Unbound = flags&AssignUnbound != 0
-	a.Oversubscribed = flags&AssignOversubscribed != 0
+	a.Unbound = flags&assignUnbound != 0
+	a.Oversubscribed = flags&assignOversubscribed != 0
 	a.Mode = treematch.ControlMode(rest[1])
 	rest = rest[2:]
 	if a.ComputePU, rest, err = GetIntSlice(rest); err != nil {

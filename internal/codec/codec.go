@@ -168,12 +168,12 @@ func GetBool(src []byte) (bool, []byte, error) {
 	return src[0] != 0, src[1:], nil
 }
 
-// Zigzag maps a signed int to a varint-friendly unsigned one (small
+// zigzag maps a signed int to a varint-friendly unsigned one (small
 // magnitudes of either sign stay small; -1, the unbound PU marker,
 // becomes 1).
-func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // ZigzagFloat maps float64 bits so that the trailing zero bytes of
 // typical volumes (integral byte counts) become leading zeros a varint
@@ -197,7 +197,7 @@ func PutIntSlice(dst []byte, s []int) []byte {
 	}
 	dst = PutUvarint(dst, uint64(len(s)+1))
 	for _, v := range s {
-		dst = PutUvarint(dst, Zigzag(int64(v)))
+		dst = PutUvarint(dst, zigzag(int64(v)))
 	}
 	return dst
 }
@@ -221,7 +221,7 @@ func GetIntSlice(src []byte) ([]int, []byte, error) {
 		if u, rest, err = GetUvarint(rest); err != nil {
 			return nil, nil, err
 		}
-		out[i] = int(Unzigzag(u))
+		out[i] = int(unzigzag(u))
 	}
 	return out, rest, nil
 }

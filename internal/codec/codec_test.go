@@ -34,7 +34,7 @@ func TestCodecFieldBytes(t *testing.T) {
 		{"empty int slice", PutIntSlice(nil, []int{}), []byte{1}},
 		{"int slice", PutIntSlice(nil, []int{-1, 2}), []byte{3, 1, 4}},
 		{"nil assignment", PutAssignment(nil, nil), []byte{0}},
-		{"assignment", PutAssignment(nil, asg), []byte{1, 2, 0, 't', 'm', AssignOversubscribed, 2, 3, 0, 6, 3, 1, 2, 0}},
+		{"assignment", PutAssignment(nil, asg), []byte{1, 2, 0, 't', 'm', assignOversubscribed, 2, 3, 0, 6, 3, 1, 2, 0}},
 		{"absent matrix", field(PutMatrixField(nil, nil)), []byte{MatAbsent}},
 		{"sparse matrix", field(PutMatrixField(nil, ring)), []byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}},
 	}

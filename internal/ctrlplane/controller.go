@@ -36,8 +36,9 @@ type Remap struct {
 	// assignments): consumers must then treat every task as possibly
 	// moved.
 	MovedTasks []int
-	// RemappedPartitions lists the partition indices the reconciler
-	// re-placed for this adoption (nil when unknown or unpartitioned).
+	// RemappedPartitions lists, ascending, the partition indices the
+	// reconciler re-placed for this adoption (nil when unknown or
+	// unpartitioned).
 	RemappedPartitions []int
 	// Delta is set on the client side when this event was reconstructed
 	// from a delta frame rather than received as a full snapshot — a

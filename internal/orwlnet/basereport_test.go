@@ -74,7 +74,7 @@ func baseRig(t *testing.T, n int, w *comm.Sparse) *ctrlplane.Collector {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mergeObservedReport(col, full, 0); err != nil {
+		if err := mergeObservedReport(col, full); err != nil {
 			t.Fatal(err)
 		}
 		col.WindowAffinity("fig2")
@@ -103,7 +103,7 @@ func TestBaseReportGoldenBytes(t *testing.T) {
 			t.Errorf("%s: encoded % x (base-coded %v), want % x", c.name, got, ok, c.want)
 		}
 		col := baseRig(t, 6, baseWindow())
-		if err := mergeObservedReport(col, c.want, 0); err != nil {
+		if err := mergeObservedReport(col, c.want); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if diff := diffCells(c.w, col.WindowAffinity("fig2")); diff != "" {
@@ -137,14 +137,14 @@ func TestBaseReportTruncations(t *testing.T) {
 	}
 	col := baseRig(t, 6, baseWindow())
 	for k := range twoChangeFrame {
-		if err := mergeObservedReport(col, twoChangeFrame[:k], 0); err == nil || err.Error() != want[k] {
+		if err := mergeObservedReport(col, twoChangeFrame[:k]); err == nil || err.Error() != want[k] {
 			t.Errorf("truncated to %d bytes: err = %v, want %q", k, err, want[k])
 		}
 	}
 	if w := col.WindowAffinity("fig2"); w.NNZ() != 0 {
 		t.Fatalf("refused frames merged %d cells", w.NNZ())
 	}
-	if err := mergeObservedReport(col, twoChangeFrame, 0); err != nil {
+	if err := mergeObservedReport(col, twoChangeFrame); err != nil {
 		t.Fatalf("the whole frame after its truncations: %v", err)
 	}
 }
@@ -156,25 +156,23 @@ func TestBaseReportRejections(t *testing.T) {
 	frame := func(body ...byte) []byte { return append([]byte{protoVersion, 7, 6, matBaseValues}, body...) }
 	const noBase5 = "orwlnet: unknown matrix fingerprint: the lease holds no base window of seq 5 — resend the window in full"
 	cases := []struct {
-		name    string
-		in      []byte
-		noBase  bool // the lease holds no base
-		maxRows int
-		want    string
+		name   string
+		in     []byte
+		noBase bool // the lease holds no base
+		want   string
 	}{
-		{"seq 0", []byte{protoVersion, 7, 0, matBaseValues, 5, 4, 4}, false, 0, "orwlnet: base-coded report of seq 0, which is never deduplicated"},
-		{"base seq 0", frame(0, 4, 4), false, 0, "orwlnet: base-coded report against base seq 0"},
-		{"unknown lease", []byte{protoVersion, 8, 6, matBaseValues, 5, 4, 4}, false, 0, "ctrlplane: unknown lease 8 (expired or never registered — re-register)"},
-		{"no base held", frame(5, 4, 4), true, 0, noBase5},
-		{"another base", frame(3, 4, 4), false, 0, "orwlnet: unknown matrix fingerprint: the lease holds no base window of seq 3 — resend the window in full"},
-		{"over the row cap", frame(5, 4, 4), false, 5, "orwlnet: observed report order 6 exceeds the 5-row cap"},
-		{"more values than the base", frame(5, 5, 5), false, 0, "orwlnet: base-coded report claims 5 values, its base holds 4"},
-		{"fewer values than the base", frame(5, 3, 3), false, 0, "orwlnet: base-coded report claims 3 values, its base holds 4"},
-		{"run past the end", frame(5, 4, 5), false, 0, "orwlnet: base-coded zero run 5 at value 0 overruns the 4 values"},
-		{"run past the end after a change", frame(5, 4, 3, 0x80, 0x20, 1), false, 0, "orwlnet: base-coded zero run 1 at value 4 overruns the 4 values"},
-		{"run wraps uint64", frame(5, 4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), false, 0, "orwlnet: base-coded zero run 18446744073709551615 at value 0 overruns the 4 values"},
-		{"value to +0", frame(5, 4, 0, 0x40, 3), false, 0, "orwlnet: base-coded value 0 comes out zero: a window of another pattern ships in full"},
-		{"value to -0", frame(5, 4, 0, 0xc0, 0x01, 3), false, 0, "orwlnet: base-coded value 0 comes out zero: a window of another pattern ships in full"},
+		{"seq 0", []byte{protoVersion, 7, 0, matBaseValues, 5, 4, 4}, false, "orwlnet: base-coded report of seq 0, which is never deduplicated"},
+		{"base seq 0", frame(0, 4, 4), false, "orwlnet: base-coded report against base seq 0"},
+		{"unknown lease", []byte{protoVersion, 8, 6, matBaseValues, 5, 4, 4}, false, "ctrlplane: unknown lease 8 (expired or never registered — re-register)"},
+		{"no base held", frame(5, 4, 4), true, noBase5},
+		{"another base", frame(3, 4, 4), false, "orwlnet: unknown matrix fingerprint: the lease holds no base window of seq 3 — resend the window in full"},
+		{"more values than the base", frame(5, 5, 5), false, "orwlnet: base-coded report claims 5 values, its base holds 4"},
+		{"fewer values than the base", frame(5, 3, 3), false, "orwlnet: base-coded report claims 3 values, its base holds 4"},
+		{"run past the end", frame(5, 4, 5), false, "orwlnet: base-coded zero run 5 at value 0 overruns the 4 values"},
+		{"run past the end after a change", frame(5, 4, 3, 0x80, 0x20, 1), false, "orwlnet: base-coded zero run 1 at value 4 overruns the 4 values"},
+		{"run wraps uint64", frame(5, 4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), false, "orwlnet: base-coded zero run 18446744073709551615 at value 0 overruns the 4 values"},
+		{"value to +0", frame(5, 4, 0, 0x40, 3), false, "orwlnet: base-coded value 0 comes out zero: a window of another pattern ships in full"},
+		{"value to -0", frame(5, 4, 0, 0xc0, 0x01, 3), false, "orwlnet: base-coded value 0 comes out zero: a window of another pattern ships in full"},
 	}
 	for _, c := range cases {
 		base := baseWindow()
@@ -182,7 +180,7 @@ func TestBaseReportRejections(t *testing.T) {
 			base = nil
 		}
 		col := baseRig(t, 6, base)
-		err := mergeObservedReport(col, c.in, c.maxRows)
+		err := mergeObservedReport(col, c.in)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: % x: err = %v, want %q", c.name, c.in, err, c.want)
 		}
@@ -195,7 +193,7 @@ func TestBaseReportRejections(t *testing.T) {
 		if c.noBase {
 			continue
 		}
-		if err := mergeObservedReport(col, steadyFrame, 0); err != nil {
+		if err := mergeObservedReport(col, steadyFrame); err != nil {
 			t.Errorf("%s: the base no longer applies: %v", c.name, err)
 		} else if diff := diffCells(baseWindow(), col.WindowAffinity("fig2")); diff != "" {
 			t.Errorf("%s: the base changed: %s", c.name, diff)
@@ -204,7 +202,7 @@ func TestBaseReportRejections(t *testing.T) {
 	// A duplicate is acknowledged without being decoded: its body would
 	// be refused, and nothing merges.
 	col := baseRig(t, 6, baseWindow())
-	if err := mergeObservedReport(col, []byte{protoVersion, 7, 5, matBaseValues, 5, 4, 9}, 0); err != nil {
+	if err := mergeObservedReport(col, []byte{protoVersion, 7, 5, matBaseValues, 5, 4, 9}); err != nil {
 		t.Fatalf("duplicate: %v", err)
 	}
 	if w := col.WindowAffinity("fig2"); w.NNZ() != 0 {
@@ -292,7 +290,7 @@ func TestBaseReportMergesLikeFullFrames(t *testing.T) {
 				t.Fatalf("steady frame % x is not one zero run over the 7,168 values in at most 32 bytes", frame)
 			}
 		}
-		if err := mergeObservedReport(coded, frame, 0); err != nil {
+		if err := mergeObservedReport(coded, frame); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		b.set(seq, s.w)
@@ -300,7 +298,7 @@ func TestBaseReportMergesLikeFullFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mergeObservedReport(full, ref, 0); err != nil {
+		if err := mergeObservedReport(full, ref); err != nil {
 			t.Fatalf("%s (full frame): %v", s.name, err)
 		}
 		if !s.drain {
@@ -632,68 +630,57 @@ func TestBaseReportConcurrentReports(t *testing.T) {
 // TestWideLeaseReportsMergeOnce: a lease wider than 2,896 tasks, the
 // order of the densest matrix a frame carries, reports over the wire
 // under a raised lease bound — a full frame, then a base-coded one,
-// each merged once at the lease's offset — and a row cap below its
-// width refuses its report with the cap's error.
+// each merged once at the lease's offset.
 func TestWideLeaseReportsMergeOnce(t *testing.T) {
 	const offset, width = 100, 4096
 	perm := rand.New(rand.NewSource(41)).Perm(width)
 	first, second := cliqueWindow(perm, 1), cliqueWindow(perm, 3)
-	for _, maxRows := range []int{0, width - 1} {
-		fleet := placement.NewMultiService()
-		if err := fleet.AddMachine("fig2", topology.Fig2Machine()); err != nil {
-			t.Fatal(err)
-		}
-		ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{MaxLeaseTasks: 8192, StaleAfter: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(lis, nil, WithPlacement(fleet), WithControlPlane(ctrl), WithReportCaps(0, maxRows, 0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve()
-		defer srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		var rec reportRecorder
-		rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(rec.dial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Close()
-		lease, err := rs.RegisterLease(ctx, "fig2", "wide", offset, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rs.ReportObserved(ctx, lease, 1, first)
-		if maxRows > 0 {
-			const want = "orwlnet: server: orwlnet: observed report order 4096 exceeds the 4095-row cap"
-			if err == nil || err.Error() != want {
-				t.Fatalf("row cap %d: err = %v, want %q", maxRows, err, want)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rs.ReportObserved(ctx, lease, 2, second); err != nil {
-			t.Fatal(err)
-		}
-		checkSent(t, rec.sent(), []sentReport{{1, 1, false}, {1, 2, true}})
-		if reports, _, _ := ctrl.Collector().Counters(); reports != 2 {
-			t.Fatalf("merged %d reports, want 2", reports)
-		}
-		want := comm.NewSparse(offset + width)
-		for _, w := range []*comm.Sparse{first, second} {
-			w.ForEach(func(i, j int, v float64) { want.Add(offset+i, offset+j, v) })
-		}
-		if diff := diffCells(want, ctrl.Collector().WindowAffinity("fig2")); diff != "" {
-			t.Fatalf("merged window: %s", diff)
-		}
+	fleet := placement.NewMultiService()
+	if err := fleet.AddMachine("fig2", topology.Fig2Machine()); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := ctrlplane.NewController(fleet, ctrlplane.Config{MaxLeaseTasks: 8192, StaleAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(lis, nil, WithPlacement(fleet), WithControlPlane(ctrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var rec reportRecorder
+	rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(rec.dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	lease, err := rs.RegisterLease(ctx, "fig2", "wide", offset, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.ReportObserved(ctx, lease, 1, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.ReportObserved(ctx, lease, 2, second); err != nil {
+		t.Fatal(err)
+	}
+	checkSent(t, rec.sent(), []sentReport{{1, 1, false}, {1, 2, true}})
+	if reports, _, _ := ctrl.Collector().Counters(); reports != 2 {
+		t.Fatalf("merged %d reports, want 2", reports)
+	}
+	want := comm.NewSparse(offset + width)
+	for _, w := range []*comm.Sparse{first, second} {
+		w.ForEach(func(i, j int, v float64) { want.Add(offset+i, offset+j, v) })
+	}
+	if diff := diffCells(want, ctrl.Collector().WindowAffinity("fig2")); diff != "" {
+		t.Fatalf("merged window: %s", diff)
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 	"orwlplace/internal/treematch"
 )
 
-// BenchmarkRemapDeltaPush measures the acceptance scenario of the
-// schema v6 delta push end to end: a single-partition remap of the
-// 10k-task / 1024-core fleet mapping (the PR 9 sparse partitioned
-// recipe), pushed as a delta and re-bound O(changed) on the client.
+// BenchmarkRemapDeltaPush measures the delta push end to end: a
+// single-partition remap of the 10k-task / 1024-core fleet mapping (the
+// sparse partitioned recipe), pushed as a delta and re-bound O(changed)
+// on the client.
 //
 // Each iteration runs the per-subscriber hot path — encode the delta
-// frame, decode it, apply it onto the cached assignment, re-bind only
-// the moved tasks. The reported extra metrics pin the two >=10x
-// acceptance ratios against their full-frame baselines:
+// frame, decode it, fold it onto the cached assignment, re-bind only
+// the moved tasks. The reported extra metrics are the two ratios
+// against the complete frame:
 //
 //	full_bytes / delta_bytes  -> push_bytes_ratio
 //	order / moved_tasks       -> rebind_ratio
@@ -79,13 +79,10 @@ func BenchmarkRemapDeltaPush(b *testing.B) {
 		RemappedPartitions: []int{partIdx, partIdx + 1},
 	}
 
-	full, isDelta := encodeRemapFrame(nil, ev, false)
-	if isDelta {
-		b.Fatal("full encode shipped a delta")
-	}
-	delta, isDelta := encodeRemapFrame(nil, ev, true)
-	if !isDelta {
-		b.Fatal("chooser shipped a full frame for a single-partition move")
+	full := encodeRemapFrame(nil, ev, false)
+	delta := encodeRemapFrame(nil, ev, true)
+	if f, err := decodeRemapFrame(delta); err != nil || !f.Delta {
+		b.Fatalf("a subscriber on epoch 1 got no delta: (%+v, %v)", f, err)
 	}
 
 	// The client side: a 10k-task program whose cached assignment the
@@ -100,19 +97,16 @@ func BenchmarkRemapDeltaPush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, isDelta = encodeRemapFrame(buf[:0], ev, true)
-		if !isDelta {
-			b.Fatal("encode shipped a full frame")
-		}
-		_, d, err := decodeRemapFrameAny(buf)
-		if err != nil || d == nil {
-			b.Fatalf("decode = (%v, %v)", d, err)
-		}
-		applied, err := applyRemapDelta(cache, d)
+		buf = encodeRemapFrame(buf[:0], ev, true)
+		f, err := decodeRemapFrame(buf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := placement.BindTasks(prog, applied, d.Tasks); err != nil {
+		applied, err := f.apply(cache, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := placement.BindTasks(prog, applied.Assignment, applied.MovedTasks); err != nil {
 			b.Fatal(err)
 		}
 	}

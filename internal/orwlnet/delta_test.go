@@ -6,14 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/placement"
 )
 
-// Schema v6 delta-push tests: the codec round trip, the delta-vs-full
-// chooser, the server pusher's eligibility tracking, the client's
-// apply/resync paths against a scripted daemon, and the cross-version
-// matrix (a v5 subscriber against a v6 daemon and the reverse).
+// Remap push tests: the delta round trip, the frame rule, every decoder
+// refusal, the server pusher's per-subscriber epoch tracking, and the
+// client's fold and resync paths against a scripted daemon.
 
 // deltaAssignment builds a fully-populated assignment (compute,
 // control and core slices) deterministic in seed.
@@ -75,93 +75,146 @@ func TestRemapDeltaRoundTrip(t *testing.T) {
 		Epoch:              5,
 		Drift:              0.25,
 		Assignment:         next,
-		MovedTasks:         []int{20, 3, 9}, // unsorted on purpose
-		RemappedPartitions: []int{2, 0},
+		MovedTasks:         []int{3, 9, 20},
+		RemappedPartitions: []int{0, 2},
 	}
-	d, err := buildRemapDelta(ev)
+	f, err := decodeRemapFrame(encodeRemapFrame(nil, ev, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeRemapDelta(nil, d)
-	full, d2, err := decodeRemapFrameAny(frame)
+	if !f.Delta || f.Machine != "fig2" || f.Epoch != 5 || f.Drift != 0.25 || f.order != 32 {
+		t.Fatalf("delta header = %+v", f)
+	}
+	if len(f.MovedTasks) != 3 || f.MovedTasks[0] != 3 || f.MovedTasks[1] != 9 || f.MovedTasks[2] != 20 {
+		t.Fatalf("moved tasks = %v, want {3,9,20}", f.MovedTasks)
+	}
+	if len(f.RemappedPartitions) != 2 || f.RemappedPartitions[0] != 0 || f.RemappedPartitions[1] != 2 {
+		t.Fatalf("partitions = %v, want {0,2}", f.RemappedPartitions)
+	}
+	if n := f.Assignment.Entities(); n != 3 {
+		t.Fatalf("delta carries %d placements, want the 3 moved tasks'", n)
+	}
+	rm, err := f.apply(prev, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full != nil || d2 == nil {
-		t.Fatalf("delta frame decoded as full=%v delta=%v", full != nil, d2 != nil)
-	}
-	if d2.Machine != "fig2" || d2.Epoch != 5 || d2.Drift != 0.25 || d2.Order != 32 {
-		t.Fatalf("delta header = %+v", d2)
-	}
-	if len(d2.Tasks) != 3 || d2.Tasks[0] != 3 || d2.Tasks[1] != 9 || d2.Tasks[2] != 20 {
-		t.Fatalf("moved tasks = %v, want sorted {3,9,20}", d2.Tasks)
-	}
-	if len(d2.Parts) != 2 || d2.Parts[0] != 0 || d2.Parts[1] != 2 {
-		t.Fatalf("partitions = %v, want sorted {0,2}", d2.Parts)
-	}
-	a, err := applyRemapDelta(prev, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAssignment(t, a, next)
+	sameAssignment(t, rm.Assignment, next)
 	// prev is untouched by the apply.
 	if prev.ComputePU[3] == next.ComputePU[3] {
 		t.Fatal("shift did not move task 3 (test bug)")
 	}
-	rm := d2.remap(a)
 	if rm.Epoch != 5 || !rm.Delta || len(rm.MovedTasks) != 3 || len(rm.RemappedPartitions) != 2 {
 		t.Fatalf("delta remap event = %+v", rm)
 	}
+	// A delta folds only onto the epoch before it.
+	if _, err := f.apply(prev, 3); err == nil || err.Error() != "orwlnet: delta onto epoch 4, the subscriber holds epoch 3" {
+		t.Fatalf("apply onto epoch 3: err = %v", err)
+	}
 }
 
+// TestEncodeRemapFrameV6Chooser pins the frame rule: an event that
+// knows its moved tasks and binds ships as a delta to a subscriber
+// holding the previous epoch, however many tasks moved; a nil moved
+// set, an unbound assignment or any other subscriber gets the complete
+// frame.
 func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 	prev := deltaAssignment(64, 0)
-	next := deltaShift(prev, 5)
-	ev := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next, MovedTasks: []int{5}}
-
-	frame, isDelta := encodeRemapFrame(nil, ev, true)
-	if !isDelta {
-		t.Fatal("one moved task out of 64 did not ship as a delta")
-	}
-	if _, d, err := decodeRemapFrameAny(frame); err != nil || d == nil {
-		t.Fatalf("chooser's delta frame decode = (%v, %v)", d, err)
-	}
-	fullFrame, isFull := encodeRemapFrame(nil, ev, false)
-	if isFull {
-		t.Fatal("allowDelta=false still produced a delta")
-	}
-	if gotEv, _, err := decodeRemapFrameAny(fullFrame); err != nil || gotEv == nil {
-		t.Fatalf("full frame decode = (%v, %v)", gotEv, err)
-	} else {
-		sameAssignment(t, gotEv.Assignment, next)
-	}
-	if len(frame) >= len(fullFrame) {
-		t.Fatalf("delta frame is %d bytes, full is %d — delta should be smaller", len(frame), len(fullFrame))
-	}
-
-	// When every task moved the delta cannot be smaller (it carries the
-	// same values plus the task-id gaps): the chooser falls back to full.
 	all := make([]int, 64)
 	for i := range all {
 		all[i] = i
 	}
-	ev2 := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, all...), MovedTasks: all}
-	if _, isDelta := encodeRemapFrame(nil, ev2, true); isDelta {
-		t.Fatal("all-tasks-moved encode shipped a delta, want full")
+	unbound := &placement.Assignment{Strategy: placement.None, Unbound: true}
+	for _, c := range []struct {
+		name  string
+		ev    *ctrlplane.Remap
+		onto  bool
+		delta bool
+	}{
+		{"one moved task", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5), MovedTasks: []int{5}}, true, true},
+		{"every task moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, all...), MovedTasks: all}, true, true},
+		{"none moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: prev, MovedTasks: []int{}}, true, true},
+		{"subscriber not on epoch-1", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5), MovedTasks: []int{5}}, false, false},
+		{"nil moved set", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5)}, true, false},
+		{"unbound assignment", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: unbound, MovedTasks: []int{}}, true, false},
+	} {
+		frame := encodeRemapFrame(nil, c.ev, c.onto)
+		f, err := decodeRemapFrame(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if f.Delta != c.delta {
+			t.Fatalf("%s: shipped delta=%v, want %v", c.name, f.Delta, c.delta)
+		}
+		rm, err := f.apply(prev, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.ev.Assignment.Unbound {
+			if !rm.Assignment.Unbound || rm.Assignment.Entities() != 0 {
+				t.Fatalf("%s: decoded %+v", c.name, rm.Assignment)
+			}
+			continue
+		}
+		sameAssignment(t, rm.Assignment, c.ev.Assignment)
 	}
+}
 
-	// No moved-task set: not delta-eligible regardless of allowDelta.
-	ev3 := &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next}
-	if _, isDelta := encodeRemapFrame(nil, ev3, true); isDelta {
-		t.Fatal("nil moved set encode shipped a delta, want full")
+// TestRemapFrameRejections: every refusal of the remap decoder, for
+// both kinds, with its exact error. Each frame is a good one with one
+// field spoiled.
+func TestRemapFrameRejections(t *testing.T) {
+	head := func(kind byte, epoch, order byte, lists ...byte) []byte {
+		return append([]byte{protoVersion, kind, 1, 0, 'm', epoch, 0, order}, lists...)
+	}
+	asg := func(compute, control, core []int) []byte {
+		return codec.PutAssignment(nil, &placement.Assignment{Strategy: "t", ComputePU: compute, ControlPU: control, CoreOf: core})
+	}
+	cat := func(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) }
+	four := []int{0, 1, 2, 3}
+	unbound := codec.PutAssignment(nil, &placement.Assignment{Strategy: "none", Unbound: true})
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"no kind byte", []byte{protoVersion}, "orwlnet: remap frame without a kind byte"},
+		{"unknown kind", []byte{protoVersion, 2}, "orwlnet: unknown remap frame kind 2"},
+		{"order out of range", []byte{protoVersion, 0, 0, 0, 1, 0, 0x81, 0x80, 0x80, 0x01}, "orwlnet: remap order 2097153 out of range"},
+		{"more partitions than the order", head(1, 2, 4, 5), "orwlnet: remap frame claims 5 partitions in order 4"},
+		{"partition repeated", head(1, 2, 4, 2, 1, 0), "orwlnet: partition 0 out of order or range in order 4"},
+		{"moved task at the order", cat(head(1, 2, 4, 0, 1, 5), asg([]int{0}, nil, nil)), "orwlnet: moved task 4 out of order or range in order 4"},
+		{"moved task past the order after a gap", head(1, 2, 4, 0, 2, 1, 4), "orwlnet: moved task 4 out of order or range in order 4"},
+		{"complete: lists moved tasks", cat(head(0, 2, 4, 0, 1, 1), asg(four, nil, nil)), "orwlnet: complete remap frame lists 0 partitions and 1 moved tasks"},
+		{"complete: epoch without an assignment", append(head(0, 2, 0, 0, 0), 0), "orwlnet: remap epoch 2 without an assignment"},
+		{"complete: order without an assignment", append(head(0, 0, 4, 0, 0), 0), "orwlnet: remap frame of order 4 without an assignment"},
+		{"complete: fewer tasks than the order", cat(head(0, 2, 4, 0, 0), asg([]int{0, 1, 2}, nil, nil)), "orwlnet: remap assignment places 3 tasks, the frame 4"},
+		{"complete: negative compute PU", cat(head(0, 2, 4, 0, 0), asg([]int{0, -7, 2, 3}, nil, nil)), "orwlnet: compute PU -7 out of wire range"},
+		{"complete: compute PU past the bound", cat(head(0, 2, 4, 0, 0), asg([]int{0, 1, maxRemapPU + 1, 3}, nil, nil)), "orwlnet: compute PU 1048577 out of wire range"},
+		{"complete: control PU below -1", cat(head(0, 2, 4, 0, 0), asg(four, []int{-1, -2, 0, 0}, nil)), "orwlnet: control PU -2 out of wire range"},
+		{"complete: ragged control PUs", cat(head(0, 2, 4, 0, 0), asg(four, []int{-1, -1}, nil)), "orwlnet: remap assignment holds 2 control PUs for 4 tasks"},
+		{"complete: ragged cores", cat(head(0, 2, 4, 0, 0), asg(four, nil, []int{0, 0, 0, 0, 0})), "orwlnet: remap assignment holds 5 cores for 4 tasks"},
+		{"complete: negative core", cat(head(0, 2, 4, 0, 0), asg(four, nil, []int{0, -1, 0, 0})), "orwlnet: core -1 out of wire range"},
+		{"delta: epoch 0", cat(head(1, 0, 4, 0, 1, 2), asg([]int{1}, nil, nil)), "orwlnet: delta frame with epoch 0"},
+		{"delta: no assignment", append(head(1, 2, 4, 0, 1, 2), 0), "orwlnet: delta frame without a bound assignment"},
+		{"delta: unbound", cat(head(1, 2, 4, 0, 0), unbound), "orwlnet: delta frame without a bound assignment"},
+		{"delta: more placements than moved tasks", cat(head(1, 2, 4, 0, 1, 2), asg([]int{1, 2}, nil, nil)), "orwlnet: remap assignment places 2 tasks, the frame 1"},
+		{"delta: negative compute PU", cat(head(1, 2, 4, 0, 1, 2), asg([]int{-7}, nil, nil)), "orwlnet: compute PU -7 out of wire range"},
+		{"delta: compute PU past the bound", cat(head(1, 2, 4, 0, 1, 2), asg([]int{maxRemapPU + 1}, nil, nil)), "orwlnet: compute PU 1048577 out of wire range"},
+		{"delta: control PU below -1", cat(head(1, 2, 4, 0, 1, 2), asg([]int{1}, []int{-2}, nil)), "orwlnet: control PU -2 out of wire range"},
+		{"delta: ragged control PUs", cat(head(1, 2, 4, 0, 2, 1, 1), asg([]int{1, 2}, []int{-1}, nil)), "orwlnet: remap assignment holds 1 control PUs for 2 tasks"},
+		{"delta: ragged cores", cat(head(1, 2, 4, 0, 2, 1, 1), asg([]int{1, 2}, nil, []int{0, 0, 0})), "orwlnet: remap assignment holds 3 cores for 2 tasks"},
+	} {
+		if _, err := decodeRemapFrame(c.in); err == nil || err.Error() != c.want {
+			t.Errorf("%s: % x: err = %v, want %q", c.name, c.in, err, c.want)
+		}
 	}
 }
 
 // TestWatchPusherDeltaEligibility drives watchPusher directly over a
 // net.Pipe and checks the per-subscriber epoch tracking: only an event
 // exactly one epoch past the last delivered one (that knows its moved
-// tasks) ships as a delta; gaps and unknown-diff events fall back to
-// full frames.
+// tasks) ships as a delta; gaps and unknown-diff events get complete
+// frames.
 func TestWatchPusherDeltaEligibility(t *testing.T) {
 	srvC, cliC := net.Pipe()
 	defer cliC.Close()
@@ -172,7 +225,7 @@ func TestWatchPusherDeltaEligibility(t *testing.T) {
 	events := make(chan ctrlplane.Remap, 1)
 	go s.watchPusher(st, 7, 1, 1, events)
 
-	read := func() (*ctrlplane.Remap, *remapDelta) {
+	read := func() *remapFrame {
 		t.Helper()
 		if err := cliC.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
@@ -184,11 +237,11 @@ func TestWatchPusherDeltaEligibility(t *testing.T) {
 		if msg.callID != 7 || msg.op != statusOK {
 			t.Fatalf("pushed frame callID=%d op=%d", msg.callID, msg.op)
 		}
-		ev, d, err := decodeRemapFrameAny(msg.payload)
+		f, err := decodeRemapFrame(msg.payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev, d
+		return f
 	}
 
 	base := deltaAssignment(32, 0)
@@ -196,28 +249,28 @@ func TestWatchPusherDeltaEligibility(t *testing.T) {
 	// Epoch 2 on a subscriber holding epoch 1, moved set known: delta.
 	next := deltaShift(base, 4)
 	events <- ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: next, MovedTasks: []int{4}}
-	if ev, d := read(); d == nil {
-		t.Fatalf("adjacent-epoch push was a full frame (epoch %d)", ev.Epoch)
-	} else if d.Epoch != 2 || len(d.Tasks) != 1 || d.Tasks[0] != 4 {
-		t.Fatalf("delta = %+v", d)
+	if f := read(); !f.Delta {
+		t.Fatalf("adjacent-epoch push was a complete frame (epoch %d)", f.Epoch)
+	} else if f.Epoch != 2 || len(f.MovedTasks) != 1 || f.MovedTasks[0] != 4 {
+		t.Fatalf("delta = %+v", f)
 	}
 
 	// Epoch 4 (the pusher last delivered 2 — a coalesced push skipped
-	// 3): the gap forces a full frame even though the diff is known.
+	// 3): the gap forces a complete frame even though the diff is known.
 	gap := deltaShift(next, 9)
 	events <- ctrlplane.Remap{Machine: "m", Epoch: 4, Assignment: gap, MovedTasks: []int{9}}
-	if ev, d := read(); d != nil {
+	if f := read(); f.Delta {
 		t.Fatal("epoch-gap push shipped as a delta")
-	} else if ev.Epoch != 4 {
-		t.Fatalf("full frame epoch = %d, want 4", ev.Epoch)
+	} else if f.Epoch != 4 {
+		t.Fatalf("complete frame epoch = %d, want 4", f.Epoch)
 	}
 
-	// Epoch 5, adjacent but with no moved-task set: full frame.
+	// Epoch 5, adjacent but with no moved-task set: complete frame.
 	events <- ctrlplane.Remap{Machine: "m", Epoch: 5, Assignment: deltaShift(gap, 1)}
-	if ev, d := read(); d != nil {
+	if f := read(); f.Delta {
 		t.Fatal("unknown-diff push shipped as a delta")
-	} else if ev.Epoch != 5 {
-		t.Fatalf("full frame epoch = %d, want 5", ev.Epoch)
+	} else if f.Epoch != 5 {
+		t.Fatalf("complete frame epoch = %d, want 5", f.Epoch)
 	}
 
 	close(events)
@@ -281,24 +334,24 @@ func startFakeDeltaServer(t *testing.T) (string, <-chan fakeSub) {
 	return lis.Addr().String(), subs
 }
 
-func pushFull(t *testing.T, sub fakeSub, ev *ctrlplane.Remap) {
+// push writes ev's remap frame: a delta onto ev.Epoch-1 when onto is
+// set and ev can ship as one, else the complete frame.
+func push(t *testing.T, sub fakeSub, ev *ctrlplane.Remap, onto bool) {
 	t.Helper()
-	payload, _ := encodeRemapFrame(nil, ev, false)
+	payload := encodeRemapFrame(nil, ev, onto)
 	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+func pushFull(t *testing.T, sub fakeSub, ev *ctrlplane.Remap) {
+	t.Helper()
+	push(t, sub, ev, false)
+}
+
 func pushDelta(t *testing.T, sub fakeSub, ev *ctrlplane.Remap) {
 	t.Helper()
-	d, err := buildRemapDelta(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := encodeRemapDelta(nil, d)
-	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: payload}); err != nil {
-		t.Fatal(err)
-	}
+	push(t, sub, ev, true)
 }
 
 // watchAgainstFake dials the fake daemon, opens the subscription and
@@ -382,9 +435,9 @@ func TestWatchDeltaApply(t *testing.T) {
 }
 
 // TestWatchDeltaGapResync: a delta the client cannot build on (epoch 3
-// after epoch 1 — the epoch 2 frame was dropped) forces a full-frame
-// resubscribe, converging on exactly the assignment the full path
-// would have delivered.
+// after epoch 1 — the epoch 2 frame was dropped) forces a resubscribe
+// for a complete frame, converging on exactly the assignment the
+// complete frame would have delivered.
 func TestWatchDeltaGapResync(t *testing.T) {
 	addr, subs := startFakeDeltaServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -400,7 +453,7 @@ func TestWatchDeltaGapResync(t *testing.T) {
 	pushDelta(t, sub, &ctrlplane.Remap{Machine: "m", Epoch: 3, Assignment: a3, MovedTasks: []int{4, 11}})
 
 	// The gap makes the client resubscribe on a fresh connection with
-	// its last applied epoch; the fake answers with the full frame.
+	// its last applied epoch; the fake answers with the complete frame.
 	var sub2 fakeSub
 	select {
 	case sub2 = <-subs:
@@ -413,14 +466,14 @@ func TestWatchDeltaGapResync(t *testing.T) {
 	pushFull(t, sub2, &ctrlplane.Remap{Machine: "m", Epoch: 3, Assignment: a3})
 	ev := recvRemap(t, ctx, ch)
 	if ev.Epoch != 3 || ev.Delta {
-		t.Fatalf("post-resync event = epoch %d delta %v, want full epoch 3", ev.Epoch, ev.Delta)
+		t.Fatalf("post-resync event = epoch %d delta %v, want complete epoch 3", ev.Epoch, ev.Delta)
 	}
 	sameAssignment(t, ev.Assignment, a3)
 }
 
 // TestWatchGarbledDeltaResync: an undecodable pushed frame is decode
-// doubt, not a crash — the client resubscribes and the full ack brings
-// it to the same assignment.
+// doubt, not a crash — the client resubscribes and the complete ack
+// brings it to the same assignment.
 func TestWatchGarbledDeltaResync(t *testing.T) {
 	addr, subs := startFakeDeltaServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

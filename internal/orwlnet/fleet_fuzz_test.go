@@ -1,7 +1,9 @@
 package orwlnet
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"orwlplace/internal/codec"
@@ -119,8 +121,8 @@ func FuzzObservedReportDecode(f *testing.F) {
 // cells, which keep the base's pattern (no value came out ±0) and
 // base-code back to a field that decodes to them again.
 func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, heldSeq uint64, dirty *comm.Sparse) {
-	fresh, errFresh := applyBaseValues(field, held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, new(comm.Sparse))
-	reused, errReused := applyBaseValues(field, held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, dirty)
+	fresh, errFresh := applyBaseValues(field, held, heldSeq, new(comm.Sparse))
+	reused, errReused := applyBaseValues(field, held, heldSeq, dirty)
 	if (errFresh == nil) != (errReused == nil) || errFresh != nil && errFresh.Error() != errReused.Error() {
 		t.Fatalf("fresh target: %v; reused target: %v", errFresh, errReused)
 	}
@@ -140,7 +142,7 @@ func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := applyBaseValues(f2[1:], held, heldSeq, ctrlplane.DefaultMaxLeaseTasks, new(comm.Sparse))
+	again, err := applyBaseValues(f2[1:], held, heldSeq, new(comm.Sparse))
 	if err != nil {
 		t.Fatalf("re-encoded base-coded window refused: %v", err)
 	}
@@ -149,55 +151,122 @@ func fuzzBaseValues(t *testing.T, field []byte, seq uint64, held *comm.Sparse, h
 	}
 }
 
-func FuzzRemapFrameDecode(f *testing.F) {
-	ack, _ := encodeRemapFrame(nil, nil, false)
-	f.Add(ack) // the "nothing adopted yet" ack
-	full := &ctrlplane.Remap{
-		Machine: "fig2",
-		Epoch:   3,
-		Drift:   0.42,
-		Assignment: &placement.Assignment{
-			Strategy:  placement.TreeMatch,
-			ComputePU: []int{0, 2, 4, 6},
-			ControlPU: []int{-1, -1, -1, -1},
-		},
+// remapFuzzEvent is the event both remap fuzz targets seed from: two
+// tasks of a 16-task assignment move, and cache is what a subscriber
+// holding the epoch before it has cached.
+func remapFuzzEvent() (cache *placement.Assignment, ev *ctrlplane.Remap) {
+	cache = &placement.Assignment{
+		Strategy:  placement.TreeMatch,
+		ComputePU: []int{0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15},
+		ControlPU: []int{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
 	}
-	seed, _ := encodeRemapFrame(nil, full, false)
+	next := cache.Clone()
+	next.ComputePU[3], next.ComputePU[7] = 7, 9
+	return cache, &ctrlplane.Remap{Machine: "fig2", Epoch: 4, Drift: 0.1, Assignment: next,
+		MovedTasks: []int{3, 7}, RemappedPartitions: []int{1}}
+}
+
+// checkRemapFrame holds the contract of an accepted remap frame of
+// either kind: what it delivers onto cache re-encodes to a complete
+// frame that decodes to the same event, bit for bit, and re-encodes to
+// the same bytes — so a delta's fold matches the complete frame the
+// daemon would have sent instead. It returns the decoded frame and the
+// delivered event, or nils when the frame is refused or does not fold.
+func checkRemapFrame(t *testing.T, cache *placement.Assignment, data []byte) (*remapFrame, *ctrlplane.Remap) {
+	fr, err := decodeRemapFrame(data)
+	if err != nil {
+		return nil, nil
+	}
+	got, err := fr.apply(cache, fr.Epoch-1)
+	if err != nil {
+		return nil, nil // a delta that does not fold onto the cache: the client resyncs
+	}
+	re := encodeRemapFrame(nil, got, false)
+	back, err := decodeRemapFrame(re)
+	if err != nil {
+		t.Fatalf("complete frame of an accepted event refused: %v", err)
+	}
+	if back.Machine != got.Machine || back.Epoch != got.Epoch || math.Float64bits(back.Drift) != math.Float64bits(got.Drift) {
+		t.Fatalf("header changed: %+v -> %+v", got, back.Remap)
+	}
+	if !reflect.DeepEqual(back.Assignment, got.Assignment) {
+		t.Fatalf("assignment changed: %+v -> %+v", got.Assignment, back.Assignment)
+	}
+	if again := encodeRemapFrame(nil, &back.Remap, false); !bytes.Equal(again, re) {
+		t.Fatalf("complete frame re-encodes to\n%x\nwant\n%x", again, re)
+	}
+	return fr, got
+}
+
+// FuzzRemapFrameDecode: a remap frame is attacker controlled on a
+// watch stream; the seeds are complete frames (checkRemapFrame holds
+// the contract).
+func FuzzRemapFrameDecode(f *testing.F) {
+	cache, ev := remapFuzzEvent()
+	f.Add(encodeRemapFrame(nil, nil, false)) // the "nothing adopted yet" ack
+	seed := encodeRemapFrame(nil, ev, false)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2]) // truncated mid-assignment
-	full.Drift = math.NaN()   // NaN != NaN: the round trip compares bits
-	nan, _ := encodeRemapFrame(nil, full, false)
-	f.Add(nan)
+	ev.Drift = math.NaN()     // NaN != NaN: the checks compare bits
+	f.Add(encodeRemapFrame(nil, ev, false))
 	f.Add([]byte{})
-	f.Add([]byte{protoVersion, remapKindFull, 0, 0})
+	f.Add([]byte{protoVersion, remapKindComplete, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, d, err := decodeRemapFrameAny(data)
-		if err != nil || d != nil {
-			return
-		}
-		if ev.Epoch > 0 && ev.Assignment == nil {
-			t.Fatal("accepted a non-zero epoch without an assignment")
-		}
-		re, _ := encodeRemapFrame(nil, ev, false)
-		ev2, d2, err := decodeRemapFrameAny(re)
-		if err != nil || d2 != nil {
-			t.Fatalf("re-encoded frame rejected: %v", err)
-		}
-		if ev2.Machine != ev.Machine || ev2.Epoch != ev.Epoch || math.Float64bits(ev2.Drift) != math.Float64bits(ev.Drift) {
-			t.Fatalf("header changed across round trip: %+v -> %+v", ev, ev2)
-		}
-		if (ev.Assignment == nil) != (ev2.Assignment == nil) {
-			t.Fatal("assignment presence changed across round trip")
-		}
-		if ev.Assignment != nil {
-			if len(ev2.Assignment.ComputePU) != len(ev.Assignment.ComputePU) {
-				t.Fatal("assignment length changed across round trip")
+		checkRemapFrame(t, cache, data)
+	})
+}
+
+// FuzzRemapDeltaDecode: the same contract from delta seeds, and more
+// for an accepted delta: it names epoch 1 or later, its moved tasks
+// ascend inside its order and its assignment places exactly them; one
+// that folds re-encodes, from its fold, to a delta that decodes to the
+// same header and lists and folds to the same assignment.
+func FuzzRemapDeltaDecode(f *testing.F) {
+	cache, ev := remapFuzzEvent()
+	seed := encodeRemapFrame(nil, ev, true)
+	f.Add(seed)
+	f.Add(seed[:len(seed)-2])               // truncated mid-assignment
+	f.Add(encodeRemapFrame(nil, ev, false)) // the complete sibling goes through the same entry point
+	f.Add([]byte{})
+	f.Add([]byte{protoVersion})
+	f.Add([]byte{protoVersion, remapKindDelta})
+	f.Add([]byte{protoVersion, 0x7f}) // unknown kind
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fr, err := decodeRemapFrame(data); err == nil && fr.Delta {
+			if fr.Epoch == 0 {
+				t.Fatal("accepted a delta with epoch 0")
 			}
-			for i := range ev.Assignment.ComputePU {
-				if ev2.Assignment.ComputePU[i] != ev.Assignment.ComputePU[i] {
-					t.Fatalf("ComputePU[%d] changed across round trip", i)
+			prev := -1
+			for _, task := range fr.MovedTasks {
+				if task <= prev || task >= fr.order {
+					t.Fatalf("accepted moved task %d after %d in order %d", task, prev, fr.order)
 				}
+				prev = task
 			}
+			if fr.Assignment == nil || len(fr.Assignment.ComputePU) != len(fr.MovedTasks) {
+				t.Fatalf("accepted a delta placing other than its %d moved tasks", len(fr.MovedTasks))
+			}
+		}
+		fr, got := checkRemapFrame(t, cache, data)
+		if got == nil || !fr.Delta || len(fr.MovedTasks) == 0 {
+			return // a delta that moves nothing re-encodes as a complete frame
+		}
+		back, err := decodeRemapFrame(encodeRemapFrame(nil, got, true))
+		if err != nil || !back.Delta {
+			t.Fatalf("delta of an accepted fold refused or sent complete: %v", err)
+		}
+		if back.Machine != fr.Machine || back.Epoch != fr.Epoch || back.order != fr.order ||
+			math.Float64bits(back.Drift) != math.Float64bits(fr.Drift) ||
+			!reflect.DeepEqual(back.MovedTasks, fr.MovedTasks) ||
+			!reflect.DeepEqual(back.RemappedPartitions, fr.RemappedPartitions) {
+			t.Fatalf("delta header or lists changed: %+v -> %+v", fr.Remap, back.Remap)
+		}
+		again, err := back.apply(cache, back.Epoch-1)
+		if err != nil {
+			t.Fatalf("re-encoded delta does not fold: %v", err)
+		}
+		if !reflect.DeepEqual(again.Assignment, got.Assignment) {
+			t.Fatalf("fold changed: %+v -> %+v", got.Assignment, again.Assignment)
 		}
 	})
 }

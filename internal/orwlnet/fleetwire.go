@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/ctrlplane"
 	"orwlplace/internal/placement"
-	"orwlplace/internal/treematch"
 )
 
 // Codecs of the fleet control-plane frames. All start with the
@@ -29,27 +27,30 @@ import (
 //	                        later adoption arrives as an unsolicited
 //	                        frame with the same call id
 //
-// A remap frame is version, kind, then the body. Kind 0 is the full
-// frame: machine, epoch, drift, assignment; epoch 0 with no assignment
-// is the "nothing adopted yet" ack. Kind 1 is the partition delta (see
-// the remapDelta layout below).
+// A remap frame is version, kind, machine, epoch, drift, order, the
+// remapped partitions and the moved tasks (each a count, then ascending
+// gaps), then the assignment (codec.PutAssignment). Kind 0 is complete:
+// the whole assignment of order tasks and empty lists; epoch 0, order 0
+// and no assignment is the "nothing adopted yet" ack. Kind 1 is a delta
+// onto epoch-1: its assignment holds only the moved tasks' placements,
+// index-aligned with the moved list.
 
 // Remap frame kinds (the byte after the version).
 const (
-	remapKindFull  = 0
-	remapKindDelta = 1
+	remapKindComplete = 0
+	remapKindDelta    = 1
 )
 
-// Validation bounds for the untrusted delta decoder. They are
+// Validation bounds of the untrusted remap decoder. They are
 // deliberately far above any deployed configuration (the default
 // lease-task bound is 2896 and -max-lease-tasks raises it by orders of
 // magnitude before these bite) while still keeping a hostile length
 // prefix from forcing huge allocations.
 const (
-	// maxDeltaTasks bounds the task-space order a delta frame may claim.
-	maxDeltaTasks = 1 << 21
-	// maxDeltaPU bounds the PU / core indices a delta frame may carry.
-	maxDeltaPU = 1 << 20
+	// maxRemapTasks bounds the task-space order a remap frame may claim.
+	maxRemapTasks = 1 << 21
+	// maxRemapPU bounds the PU / core indices a remap frame may carry.
+	maxRemapPU = 1 << 20
 )
 
 func encodeFleetLeaseRequest(dst []byte, machine, peer string, base, count int, token uint64) ([]byte, error) {
@@ -147,26 +148,23 @@ func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, s
 
 // mergeObservedReport merges a report frame into col: a full frame
 // decodes outside the collector's lock, a base-coded one under it. No
-// lease is wider than col's lease bound, so no window is either; maxRows
-// (0 = none) lowers that row cap.
-func mergeObservedReport(col *ctrlplane.Collector, src []byte, maxRows int) error {
-	if rows := col.MaxLeaseTasks(); maxRows <= 0 || maxRows > rows {
-		maxRows = rows
-	}
+// lease is wider than col's lease bound, so no window is either: the
+// bound is the report's row cap.
+func mergeObservedReport(col *ctrlplane.Collector, src []byte) error {
 	leaseID, seq, field, err := getReportHeader(src)
 	switch {
 	case err != nil:
 		return err
 	case len(field) == 0 || field[0] != matBaseValues:
 		return col.ReportDecoded(leaseID, seq, func(dst *comm.Sparse) (*comm.Sparse, error) {
-			_, _, delta, err := decodeObservedReport(src, maxRows, dst)
+			_, _, delta, err := decodeObservedReport(src, col.MaxLeaseTasks(), dst)
 			return delta, err
 		})
 	case seq == 0:
 		return fmt.Errorf("orwlnet: base-coded report of seq 0, which is never deduplicated")
 	}
 	return col.ReportBase(leaseID, seq, func(base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error) {
-		return applyBaseValues(field[1:], base, baseSeq, maxRows, dst)
+		return applyBaseValues(field[1:], base, baseSeq, dst)
 	})
 }
 
@@ -243,8 +241,9 @@ func encodeBaseReport(dst []byte, leaseID, seq uint64, delta comm.Affinity, b *r
 // (nil when none; another base is ErrUnknownMatrix): base itself for one
 // zero run, else dst refilled. The field is validated in full before dst
 // is written: runs in range, exactly the base's count of values, and no
-// value turned ±0, which would change the pattern.
-func applyBaseValues(field []byte, base *comm.Sparse, baseSeq uint64, maxRows int, dst *comm.Sparse) (*comm.Sparse, error) {
+// value turned ±0, which would change the pattern. The base was merged
+// under the row cap, so the window fits it too.
+func applyBaseValues(field []byte, base *comm.Sparse, baseSeq uint64, dst *comm.Sparse) (*comm.Sparse, error) {
 	var want, nnz uint64
 	stream, err := codec.GetUvarints(field, &want, &nnz)
 	switch {
@@ -254,8 +253,6 @@ func applyBaseValues(field []byte, base *comm.Sparse, baseSeq uint64, maxRows in
 		return nil, fmt.Errorf("orwlnet: base-coded report against base seq 0")
 	case base == nil || want != baseSeq:
 		return nil, fmt.Errorf("orwlnet: %w: the lease holds no base window of seq %d — resend the window in full", ErrUnknownMatrix, want)
-	case base.Order() > maxRows:
-		return nil, fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", base.Order(), maxRows)
 	case nnz != uint64(base.NNZ()):
 		return nil, fmt.Errorf("orwlnet: base-coded report claims %d values, its base holds %d", nnz, base.NNZ())
 	}
@@ -323,395 +320,214 @@ func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err erro
 	return machine, sinceEpoch, err
 }
 
-// encodeRemapFrame frames one remap event (or the empty ack when ev is
-// nil: epoch 0, no assignment). When allowDelta is set (the pusher
-// proved the subscriber holds exactly the previous epoch) and the
-// event is delta-eligible (it knows its moved-task set), both bodies
-// are measured and the smaller ships. The returned bool reports whether
-// the delta form was used.
-func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, allowDelta bool) ([]byte, bool) {
-	base := len(dst)
-	full := append(dst, protoVersion, remapKindFull)
+// encodeRemapFrame frames one remap event, or the empty ack when ev is
+// nil. onto says the subscriber holds epoch ev.Epoch-1: an event that
+// knows its moved tasks and binds then ships as a delta, anything else
+// as a complete frame.
+func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, onto bool) []byte {
 	if ev == nil {
-		return codec.PutAssignment(putRemapHeader(full, "", 0, 0), nil), false
+		ev = &ctrlplane.Remap{}
 	}
-	full = codec.PutAssignment(putRemapHeader(full, ev.Machine, ev.Epoch, ev.Drift), ev.Assignment)
-	if !allowDelta {
-		return full, false
-	}
-	d, err := buildRemapDelta(ev)
-	if err != nil {
-		return full, false // ineligible: the full frame is the fallback
-	}
-	delta := encodeRemapDelta(nil, d)
-	if len(delta) >= len(full)-base {
-		return full, false
-	}
-	return append(full[:base], delta...), true
-}
-
-// putRemapHeader appends what both remap frame kinds open with:
-// machine, epoch, drift.
-func putRemapHeader(dst []byte, machine string, epoch uint64, drift float64) []byte {
-	dst = codec.PutString(dst, machine)
-	dst = codec.PutUvarint(dst, epoch)
-	return codec.PutUvarint(dst, codec.ZigzagFloat(drift))
-}
-
-// getRemapHeader reads what putRemapHeader wrote.
-func getRemapHeader(src []byte) (machine string, epoch uint64, drift float64, rest []byte, err error) {
-	if machine, rest, err = codec.GetString(src); err != nil {
-		return "", 0, 0, nil, err
-	}
-	var raw uint64
-	rest, err = codec.GetUvarints(rest, &epoch, &raw)
-	return machine, epoch, codec.UnzigzagFloat(raw), rest, err
-}
-
-// decodeRemapFrameAny decodes a remap frame of either kind. Exactly one
-// of the results is non-nil on success: a full frame yields the Remap,
-// a delta frame yields the remapDelta the caller applies onto its
-// cached assignment. A zero epoch in a full frame means "nothing
-// adopted yet" (the subscription ack before the first adoption); its
-// Remap has no assignment.
-func decodeRemapFrameAny(src []byte) (*ctrlplane.Remap, *remapDelta, error) {
-	rest, err := checkVersion(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) < 1 {
-		return nil, nil, fmt.Errorf("orwlnet: remap frame without a kind byte")
-	}
-	kind := rest[0]
-	rest = rest[1:]
-	switch kind {
-	case remapKindFull:
-	case remapKindDelta:
-		d, err := decodeRemapDelta(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, d, nil
-	default:
-		return nil, nil, fmt.Errorf("orwlnet: unknown remap frame kind %d", kind)
-	}
-	ev := &ctrlplane.Remap{}
-	if ev.Machine, ev.Epoch, ev.Drift, rest, err = getRemapHeader(rest); err != nil {
-		return nil, nil, err
-	}
-	if ev.Assignment, _, err = codec.GetAssignment(rest, nil); err != nil {
-		return nil, nil, err
-	}
-	if ev.Epoch > 0 && ev.Assignment == nil {
-		return nil, nil, fmt.Errorf("orwlnet: remap epoch %d without an assignment", ev.Epoch)
-	}
-	return ev, nil, nil
-}
-
-// remapDelta is the decoded form of a delta frame: the remap
-// header plus only what changed since the previous epoch. Applying it
-// onto the assignment of epoch Epoch-1 reconstructs the full epoch
-// Epoch assignment; it carries enough of the header (strategy, flags,
-// mode, order, aux-slice presence) that any mismatch with the cached
-// assignment is detected instead of silently mis-applied.
-type remapDelta struct {
-	Machine string
-	Epoch   uint64
-	Drift   float64
-
-	// Order is the machine-global task-space size — must equal the
-	// cached assignment's.
-	Order    int
-	Strategy string
-	Flags    byte // the asgn* bits of the new assignment
-	Mode     byte
-	// Aux records which auxiliary per-task slices the assignment
-	// carries (and hence which values each pair encodes).
-	Aux byte
-
-	// Parts lists the partition indices the reconciler re-placed
-	// (EpochReport.RemappedPartitions).
-	Parts []int
-
-	// Tasks (ascending) and the index-aligned new placements of the
-	// moved tasks. ControlPU/CoreOf are nil when Aux says the
-	// assignment does not carry them.
-	Tasks     []int
-	ComputePU []int
-	ControlPU []int
-	CoreOf    []int
-}
-
-// Aux bits.
-const (
-	deltaAuxControl = 1 << 0
-	deltaAuxCore    = 1 << 1
-)
-
-// buildRemapDelta derives the delta form of a remap event, or an error
-// when the event cannot ship as a delta: no moved-task set (catch-up,
-// initial adoption, non-adjacent epoch bookkeeping lives in the
-// pusher), an unbound or irregular assignment, or values outside the
-// wire bounds.
-func buildRemapDelta(ev *ctrlplane.Remap) (*remapDelta, error) {
 	a := ev.Assignment
-	if a == nil || a.Unbound || ev.MovedTasks == nil {
-		return nil, fmt.Errorf("orwlnet: remap is not delta-eligible")
+	if !onto || ev.MovedTasks == nil || a == nil || a.Unbound {
+		return codec.PutAssignment(putRemapHead(dst, remapKindComplete, ev), a)
 	}
-	order := len(a.ComputePU)
-	if order == 0 || order > maxDeltaTasks {
-		return nil, fmt.Errorf("orwlnet: delta order %d out of range", order)
-	}
-	if (len(a.ControlPU) != 0 && len(a.ControlPU) != order) ||
-		(len(a.CoreOf) != 0 && len(a.CoreOf) != order) {
-		return nil, fmt.Errorf("orwlnet: ragged assignment slices")
-	}
-	d := &remapDelta{
-		Machine:  ev.Machine,
-		Epoch:    ev.Epoch,
-		Drift:    ev.Drift,
-		Order:    order,
-		Strategy: a.Strategy,
-		Flags:    codec.AssignmentFlags(a),
-		Mode:     byte(a.Mode),
-	}
-	if len(a.ControlPU) > 0 {
-		d.Aux |= deltaAuxControl
-	}
-	if len(a.CoreOf) > 0 {
-		d.Aux |= deltaAuxCore
-	}
-	d.Parts = append([]int(nil), ev.RemappedPartitions...)
-	sort.Ints(d.Parts)
-	for _, p := range d.Parts {
-		if p < 0 || p >= order {
-			return nil, fmt.Errorf("orwlnet: partition index %d out of range", p)
+	pick := func(s []int) []int {
+		if len(s) == 0 {
+			return nil
 		}
+		out := make([]int, len(ev.MovedTasks))
+		for i, t := range ev.MovedTasks {
+			out[i] = s[t]
+		}
+		return out
 	}
-	tasks := append([]int(nil), ev.MovedTasks...)
-	sort.Ints(tasks)
-	prev := -1
-	for _, t := range tasks {
-		if t <= prev || t >= order {
-			return nil, fmt.Errorf("orwlnet: moved task %d out of range or duplicated", t)
-		}
-		prev = t
-		if pu := a.ComputePU[t]; pu < 0 || pu > maxDeltaPU {
-			return nil, fmt.Errorf("orwlnet: compute PU %d out of wire range", pu)
-		}
-		d.Tasks = append(d.Tasks, t)
-		d.ComputePU = append(d.ComputePU, a.ComputePU[t])
-		if d.Aux&deltaAuxControl != 0 {
-			if pu := a.ControlPU[t]; pu < -1 || pu > maxDeltaPU {
-				return nil, fmt.Errorf("orwlnet: control PU %d out of wire range", pu)
-			}
-			d.ControlPU = append(d.ControlPU, a.ControlPU[t])
-		}
-		if d.Aux&deltaAuxCore != 0 {
-			if c := a.CoreOf[t]; c < 0 || c > maxDeltaPU {
-				return nil, fmt.Errorf("orwlnet: core index %d out of wire range", c)
-			}
-			d.CoreOf = append(d.CoreOf, a.CoreOf[t])
-		}
-	}
-	return d, nil
+	moved := &placement.Assignment{Strategy: a.Strategy, Oversubscribed: a.Oversubscribed, Mode: a.Mode,
+		ComputePU: pick(a.ComputePU), ControlPU: pick(a.ControlPU), CoreOf: pick(a.CoreOf)}
+	return codec.PutAssignment(putRemapHead(dst, remapKindDelta, ev), moved)
 }
 
-// encodeRemapDelta frames a delta: version, kind, machine, epoch,
-// drift, then order, strategy, flags, mode, aux, the remapped
-// partition indices, and the moved pairs — task ids as ascending gaps,
-// compute PU as uvarint, control PU zigzagged (for the -1 "OS-managed"
-// marker), core index as uvarint.
-func encodeRemapDelta(dst []byte, d *remapDelta) []byte {
-	dst = putRemapHeader(append(dst, protoVersion, remapKindDelta), d.Machine, d.Epoch, d.Drift)
-	dst = codec.PutUvarint(dst, uint64(d.Order))
-	dst = codec.PutString(dst, d.Strategy)
-	dst = append(dst, d.Flags, d.Mode, d.Aux)
-	dst = codec.PutUvarint(dst, uint64(len(d.Parts)))
-	for _, p := range d.Parts {
-		dst = codec.PutUvarint(dst, uint64(p))
+// putRemapHead appends ev's remap frame up to its assignment; a
+// complete frame lists no partitions and no moved tasks.
+func putRemapHead(dst []byte, kind byte, ev *ctrlplane.Remap) []byte {
+	var order int
+	if ev.Assignment != nil {
+		order = len(ev.Assignment.ComputePU)
 	}
-	dst = codec.PutUvarint(dst, uint64(len(d.Tasks)))
+	dst = codec.PutString(append(dst, protoVersion, kind), ev.Machine)
+	dst = codec.PutUvarint(codec.PutUvarint(dst, ev.Epoch), codec.ZigzagFloat(ev.Drift))
+	dst = codec.PutUvarint(dst, uint64(order))
+	if kind == remapKindComplete {
+		return append(dst, 0, 0)
+	}
+	return putAscending(putAscending(dst, ev.RemappedPartitions), ev.MovedTasks)
+}
+
+// putAscending appends an ascending list as its count, then the gaps.
+func putAscending(dst []byte, s []int) []byte {
+	dst = codec.PutUvarint(dst, uint64(len(s)))
 	prev := -1
-	for i, t := range d.Tasks {
-		dst = codec.PutUvarint(dst, uint64(t-prev))
-		prev = t
-		dst = codec.PutUvarint(dst, uint64(d.ComputePU[i]))
-		if d.Aux&deltaAuxControl != 0 {
-			dst = codec.PutUvarint(dst, codec.Zigzag(int64(d.ControlPU[i])))
-		}
-		if d.Aux&deltaAuxCore != 0 {
-			dst = codec.PutUvarint(dst, uint64(d.CoreOf[i]))
-		}
+	for _, v := range s {
+		dst = codec.PutUvarint(dst, uint64(v-prev))
+		prev = v
 	}
 	return dst
 }
 
-// decodeRemapDelta parses a delta body (everything after the version
-// and kind bytes). It is an untrusted decoder: every count is bounded,
-// task ids must stay ascending inside the claimed order, and PU/core
-// indices outside the wire bounds are rejected.
-func decodeRemapDelta(src []byte) (*remapDelta, error) {
-	d := &remapDelta{}
-	var err error
-	if d.Machine, d.Epoch, d.Drift, src, err = getRemapHeader(src); err != nil {
-		return nil, err
+// getAscending reads what putAscending wrote: strictly ascending indices
+// below order, nil when there are none. Each costs a byte at least, the
+// allocation guard of the count.
+func getAscending(src []byte, order int, what string) ([]int, []byte, error) {
+	n, src, err := codec.GetUvarint(src)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case n > uint64(order) || n > uint64(len(src)):
+		return nil, nil, fmt.Errorf("orwlnet: remap frame claims %d %ss in order %d", n, what, order)
+	case n == 0:
+		return nil, src, nil
 	}
-	if d.Epoch == 0 {
-		return nil, fmt.Errorf("orwlnet: delta frame with epoch 0")
-	}
-	var u uint64
-	if u, src, err = codec.GetUvarint(src); err != nil {
-		return nil, err
-	}
-	if u == 0 || u > maxDeltaTasks {
-		return nil, fmt.Errorf("orwlnet: delta order %d out of range", u)
-	}
-	d.Order = int(u)
-	if d.Strategy, src, err = codec.GetString(src); err != nil {
-		return nil, err
-	}
-	if len(src) < 3 {
-		return nil, fmt.Errorf("orwlnet: truncated delta header")
-	}
-	d.Flags, d.Mode, d.Aux = src[0], src[1], src[2]
-	src = src[3:]
-	if d.Flags&codec.AssignUnbound != 0 {
-		return nil, fmt.Errorf("orwlnet: delta frame for an unbound assignment")
-	}
-	if d.Aux&^(deltaAuxControl|deltaAuxCore) != 0 {
-		return nil, fmt.Errorf("orwlnet: unknown delta aux bits %#x", d.Aux)
-	}
-	if u, src, err = codec.GetUvarint(src); err != nil {
-		return nil, err
-	}
-	// Each entry costs at least one byte on the wire — the allocation
-	// guard of every count below.
-	if u > uint64(d.Order) || u > uint64(len(src)) {
-		return nil, fmt.Errorf("orwlnet: delta claims %d partitions", u)
-	}
-	if n := int(u); n > 0 {
-		d.Parts = make([]int, 0, n)
-		prev := -1
-		for i := 0; i < n; i++ {
-			if u, src, err = codec.GetUvarint(src); err != nil {
-				return nil, err
-			}
-			p := int(u)
-			if p <= prev || p >= d.Order {
-				return nil, fmt.Errorf("orwlnet: partition index %d out of order or range", p)
-			}
-			prev = p
-			d.Parts = append(d.Parts, p)
-		}
-	}
-	if u, src, err = codec.GetUvarint(src); err != nil {
-		return nil, err
-	}
-	if u > uint64(d.Order) || u > uint64(len(src)) {
-		return nil, fmt.Errorf("orwlnet: delta claims %d moved tasks", u)
-	}
-	n := int(u)
-	d.Tasks = make([]int, 0, n)
-	d.ComputePU = make([]int, 0, n)
-	if d.Aux&deltaAuxControl != 0 {
-		d.ControlPU = make([]int, 0, n)
-	}
-	if d.Aux&deltaAuxCore != 0 {
-		d.CoreOf = make([]int, 0, n)
-	}
+	out := make([]int, n)
 	prev := -1
-	for i := 0; i < n; i++ {
-		if u, src, err = codec.GetUvarint(src); err != nil {
-			return nil, err
+	for i := range out {
+		var gap uint64
+		if gap, src, err = codec.GetUvarint(src); err != nil {
+			return nil, nil, err
 		}
-		if u == 0 {
-			return nil, fmt.Errorf("orwlnet: zero task-id gap")
+		if gap == 0 || gap >= uint64(order-prev) {
+			return nil, nil, fmt.Errorf("orwlnet: %s %d out of order or range in order %d", what, uint64(prev)+gap, order)
 		}
-		t := prev + int(u)
-		if t < 0 || t >= d.Order {
-			return nil, fmt.Errorf("orwlnet: moved task %d outside order %d", t, d.Order)
-		}
-		prev = t
-		d.Tasks = append(d.Tasks, t)
-		if u, src, err = codec.GetUvarint(src); err != nil {
-			return nil, err
-		}
-		if u > maxDeltaPU {
-			return nil, fmt.Errorf("orwlnet: compute PU %d out of wire range", u)
-		}
-		d.ComputePU = append(d.ComputePU, int(u))
-		if d.Aux&deltaAuxControl != 0 {
-			if u, src, err = codec.GetUvarint(src); err != nil {
-				return nil, err
-			}
-			pu := codec.Unzigzag(u)
-			if pu < -1 || pu > maxDeltaPU {
-				return nil, fmt.Errorf("orwlnet: control PU %d out of wire range", pu)
-			}
-			d.ControlPU = append(d.ControlPU, int(pu))
-		}
-		if d.Aux&deltaAuxCore != 0 {
-			if u, src, err = codec.GetUvarint(src); err != nil {
-				return nil, err
-			}
-			if u > maxDeltaPU {
-				return nil, fmt.Errorf("orwlnet: core index %d out of wire range", u)
-			}
-			d.CoreOf = append(d.CoreOf, int(u))
-		}
+		prev += int(gap)
+		out[i] = prev
 	}
-	return d, nil
+	return out, src, nil
 }
 
-// applyRemapDelta reconstructs the full assignment of epoch d.Epoch by
-// applying the delta onto prev, the cached assignment of the previous
-// epoch. Any structural mismatch — order, unboundness, aux-slice
-// presence — is an error; the caller treats it as decode doubt and
-// resyncs with a full frame. prev is not mutated.
-func applyRemapDelta(prev *placement.Assignment, d *remapDelta) (*placement.Assignment, error) {
-	if prev == nil || prev.Unbound {
-		return nil, fmt.Errorf("orwlnet: no cached assignment to apply a delta onto")
+// remapFrame is a decoded remap frame: the event it carries and its
+// task-space order. A delta's Assignment holds only the moved tasks'
+// placements, index-aligned with MovedTasks, until apply folds it.
+type remapFrame struct {
+	ctrlplane.Remap
+	order int
+}
+
+// decodeRemapFrame reads a remap frame of either kind. It is an
+// untrusted decoder: every count is bounded by the order and the bytes
+// left, indices ascend inside the order, PUs and cores stay in the wire
+// range, auxiliary slices are absent or as long as the compute slice, a
+// complete frame lists nothing, and a delta names epoch 1 or later and a
+// bound assignment.
+func decodeRemapFrame(src []byte) (*remapFrame, error) {
+	rest, err := checkVersion(src)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(rest) == 0:
+		return nil, fmt.Errorf("orwlnet: remap frame without a kind byte")
+	case rest[0] > remapKindDelta:
+		return nil, fmt.Errorf("orwlnet: unknown remap frame kind %d", rest[0])
 	}
-	if len(prev.ComputePU) != d.Order {
-		return nil, fmt.Errorf("orwlnet: delta order %d does not match cached assignment order %d", d.Order, len(prev.ComputePU))
+	f := &remapFrame{Remap: ctrlplane.Remap{Delta: rest[0] == remapKindDelta}}
+	if f.Machine, rest, err = codec.GetString(rest[1:]); err != nil {
+		return nil, err
 	}
-	if (d.Aux&deltaAuxControl != 0) != (len(prev.ControlPU) == d.Order) {
-		return nil, fmt.Errorf("orwlnet: delta control-PU presence does not match cached assignment")
+	var drift, order uint64
+	if rest, err = codec.GetUvarints(rest, &f.Epoch, &drift, &order); err != nil {
+		return nil, err
 	}
-	if (d.Aux&deltaAuxCore != 0) != (len(prev.CoreOf) == d.Order) {
-		return nil, fmt.Errorf("orwlnet: delta core presence does not match cached assignment")
+	if order > maxRemapTasks {
+		return nil, fmt.Errorf("orwlnet: remap order %d out of range", order)
 	}
-	a := prev.Clone() // copy-on-write: prev is shared and immutable
-	a.Strategy = d.Strategy
-	a.Unbound = d.Flags&codec.AssignUnbound != 0
-	a.Oversubscribed = d.Flags&codec.AssignOversubscribed != 0
-	a.Mode = treematch.ControlMode(d.Mode)
-	for i, t := range d.Tasks {
+	f.Drift, f.order = codec.UnzigzagFloat(drift), int(order)
+	if f.RemappedPartitions, rest, err = getAscending(rest, f.order, "partition"); err != nil {
+		return nil, err
+	}
+	if f.MovedTasks, rest, err = getAscending(rest, f.order, "moved task"); err != nil {
+		return nil, err
+	}
+	if f.Assignment, _, err = codec.GetAssignment(rest, nil); err != nil {
+		return nil, err
+	}
+	n := f.order
+	switch a := f.Assignment; {
+	case !f.Delta && (f.RemappedPartitions != nil || f.MovedTasks != nil):
+		return nil, fmt.Errorf("orwlnet: complete remap frame lists %d partitions and %d moved tasks", len(f.RemappedPartitions), len(f.MovedTasks))
+	case !f.Delta && a == nil && f.Epoch > 0:
+		return nil, fmt.Errorf("orwlnet: remap epoch %d without an assignment", f.Epoch)
+	case f.Delta && f.Epoch == 0:
+		return nil, fmt.Errorf("orwlnet: delta frame with epoch 0")
+	case f.Delta && (a == nil || a.Unbound):
+		return nil, fmt.Errorf("orwlnet: delta frame without a bound assignment")
+	case f.Delta:
+		n = len(f.MovedTasks)
+	}
+	return f, checkPlacements(f.Assignment, n)
+}
+
+// checkPlacements refuses an assignment that does not place exactly n
+// tasks inside the wire range: compute PUs and cores in [0, maxRemapPU],
+// control PUs in [-1, maxRemapPU] (-1 leaves them to the OS), and
+// control and core slices absent or n long. A nil assignment places
+// none.
+func checkPlacements(a *placement.Assignment, n int) error {
+	switch {
+	case a == nil && n == 0:
+		return nil
+	case a == nil:
+		return fmt.Errorf("orwlnet: remap frame of order %d without an assignment", n)
+	case len(a.ComputePU) != n:
+		return fmt.Errorf("orwlnet: remap assignment places %d tasks, the frame %d", len(a.ComputePU), n)
+	}
+	for _, s := range []struct {
+		name string
+		vals []int
+		min  int
+	}{{"compute PU", a.ComputePU, 0}, {"control PU", a.ControlPU, -1}, {"core", a.CoreOf, 0}} {
+		if len(s.vals) != 0 && len(s.vals) != n {
+			return fmt.Errorf("orwlnet: remap assignment holds %d %ss for %d tasks", len(s.vals), s.name, n)
+		}
+		for _, v := range s.vals {
+			if v < s.min || v > maxRemapPU {
+				return fmt.Errorf("orwlnet: %s %d out of wire range", s.name, v)
+			}
+		}
+	}
+	return nil
+}
+
+// apply returns the event f delivers to a subscriber holding cur, the
+// assignment of epoch last: a complete frame as it stands, a delta
+// folded onto a copy of cur (cur is shared and immutable). A delta that
+// does not fold (onto another epoch, another order, or control or core
+// slices cur lacks or has) is an error: the caller resyncs with a
+// complete frame.
+func (f *remapFrame) apply(cur *placement.Assignment, last uint64) (*ctrlplane.Remap, error) {
+	if !f.Delta {
+		return &f.Remap, nil
+	}
+	d := f.Assignment
+	switch {
+	case f.Epoch != last+1 || cur == nil || cur.Unbound:
+		return nil, fmt.Errorf("orwlnet: delta onto epoch %d, the subscriber holds epoch %d", f.Epoch-1, last)
+	case cur.Entities() != f.order:
+		return nil, fmt.Errorf("orwlnet: delta order %d does not match cached assignment order %d", f.order, cur.Entities())
+	case len(f.MovedTasks) > 0 && ((len(d.ControlPU) > 0) != (len(cur.ControlPU) > 0) || (len(d.CoreOf) > 0) != (len(cur.CoreOf) > 0)):
+		return nil, fmt.Errorf("orwlnet: delta control or core slices do not match the cached assignment")
+	}
+	a := cur.Clone()
+	a.Strategy, a.Oversubscribed, a.Mode = d.Strategy, d.Oversubscribed, d.Mode
+	for i, t := range f.MovedTasks {
 		a.ComputePU[t] = d.ComputePU[i]
-		if d.ControlPU != nil {
+		if len(d.ControlPU) > 0 {
 			a.ControlPU[t] = d.ControlPU[i]
 		}
-		if d.CoreOf != nil {
+		if len(d.CoreOf) > 0 {
 			a.CoreOf[t] = d.CoreOf[i]
 		}
 	}
-	return a, nil
-}
-
-// remap converts the delta plus its reconstructed assignment into the
-// event delivered to watchers: a full Remap that also knows which
-// tasks moved, so the facade can re-bind in O(changed).
-func (d *remapDelta) remap(a *placement.Assignment) *ctrlplane.Remap {
-	return &ctrlplane.Remap{
-		Machine:            d.Machine,
-		Epoch:              d.Epoch,
-		Drift:              d.Drift,
-		Assignment:         a,
-		MovedTasks:         append([]int(nil), d.Tasks...),
-		RemappedPartitions: append([]int(nil), d.Parts...),
-		Delta:              true,
-	}
+	ev := f.Remap
+	ev.Assignment = a
+	return &ev, nil
 }
 
 // FleetStats codec (the last stats payload field).

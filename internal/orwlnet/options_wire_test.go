@@ -7,6 +7,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
@@ -101,6 +102,57 @@ func TestV8ReportFrameRefused(t *testing.T) {
 // the dense layout: every matrix field is the run-length body.
 func TestV9DenseReportFrameRefused(t *testing.T) {
 	refuseReportFrame(t, "9500000007000000000000000f090102010400000000000000555555555555d53f000000000000d03f9a9999999999c93f555555555555c53f922449922449c23f000000000000c03f1cc7711cc771bc3f9a9999999999b93f46175d74d145b73f555555555555b53f143bb1133bb1b33f922449922449b23f111111111111b13f000000000000b03f1e1e1e1e1e1eae3f1cc7711cc771ac3f")
+}
+
+// TestV10RemapFrameRefused: protocol 10 remap frames, captured from
+// the last build that spoke it, are refused with ErrVersion: the
+// complete and the delta frame by the decoder, and a complete frame
+// answering a subscription by the client's watch. Protocol 11 gave both
+// kinds one layout: order and the two index lists, then the assignment.
+func TestV10RemapFrameRefused(t *testing.T) {
+	const complete = "460000000700000000000000000a0004006669673204bfd003010900747265656d6174636800001100020a0608040c0e10121416181a1c1e0011000004020402060608080a0a0c0c0e0e"
+	const delta = "2d0000000700000000000000000a0104006669673204bfd003100900747265656d61746368000002010002030502030201"
+	var frames [][]byte
+	for _, h := range []string{complete, delta} {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := readMessage(bytes.NewReader(raw), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeRemapFrame(m.payload); !errors.Is(err, ErrVersion) {
+			t.Fatalf("decode of % x: err = %v, want ErrVersion", m.payload, err)
+		}
+		frames = append(frames, raw)
+	}
+	addr, subs := startFakeDeltaServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rs, err := DialPlacementService(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	res := make(chan error, 1)
+	go func() {
+		_, err := rs.WatchRemaps(ctx, "fig2")
+		res <- err
+	}()
+	var sub fakeSub
+	select {
+	case sub = <-subs:
+	case <-ctx.Done():
+		t.Fatal("no subscription reached the fake daemon")
+	}
+	m, _ := readMessage(bytes.NewReader(frames[0]), nil)
+	if err := writeMessage(sub.conn, message{callID: sub.callID, op: statusOK, payload: m.payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-res; !errors.Is(err, ErrVersion) {
+		t.Fatalf("watch err = %v, want ErrVersion", err)
+	}
 }
 
 // refuseReportFrame checks that an observed report frame in a retired

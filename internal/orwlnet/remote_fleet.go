@@ -159,9 +159,9 @@ func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan
 // subscribeRemaps opens the subscription stream and waits for the
 // server's ack: the latest adopted remap newer than sinceEpoch, or an
 // empty frame (epoch 0) when there is nothing to catch up on. The ack
-// is always a full frame, but the pusher may race an adoption's
+// is always a complete frame, but the pusher may race an adoption's
 // unsolicited frame ahead of it on the wire — a delta frame arriving
-// here is skipped (the full ack the server already queued makes it
+// here is skipped (the complete ack the server already queued makes it
 // redundant: both describe epochs the ack's snapshot covers).
 func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine string, sinceEpoch uint64) (uint64, <-chan message, *Remap, error) {
 	payload, err := encodeWatchRequest(nil, machine, sinceEpoch)
@@ -182,18 +182,17 @@ func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine 
 				c.closeStream(id)
 				return 0, nil, nil, responseError(msg)
 			}
-			ev, d, err := decodeRemapFrameAny(msg.payload)
-			if err != nil {
+			f, err := decodeRemapFrame(msg.payload)
+			switch {
+			case err != nil:
 				c.closeStream(id)
 				return 0, nil, nil, err
+			case f.Delta:
+				continue // a pushed delta overtook the ack; wait for the complete frame
+			case f.Epoch == 0:
+				return id, ch, nil, nil // nothing adopted yet
 			}
-			if d != nil {
-				continue // a pushed delta overtook the ack; wait for the full frame
-			}
-			if ev.Epoch == 0 {
-				ev = nil // nothing adopted yet
-			}
-			return id, ch, ev, nil
+			return id, ch, &f.Remap, nil
 		case <-ctx.Done():
 			c.closeStream(id)
 			return 0, nil, nil, ctx.Err()
@@ -203,14 +202,14 @@ func (s *RemoteService) subscribeRemaps(ctx context.Context, c *Client, machine 
 
 // watchLoop forwards pushed remap frames, dropping stale epochs, and
 // resubscribes on a new connection when the current one dies. It keeps
-// the last delivered full assignment cached (cur) so a delta frame —
-// the moved tasks of epoch last+1 — reconstructs the complete
-// mapping locally. Any doubt about a delta (an epoch gap from a frame
-// this client never saw, a decode error, a structural mismatch with
-// the cache) tears the stream down and resubscribes with the last
-// applied epoch: the server's ack is then a full-frame resync, so a
-// dropped or garbled delta always converges to the same assignment the
-// full-frame path would have delivered.
+// the last delivered assignment cached (cur) so a delta frame — the
+// moved tasks of epoch last+1 — folds into the complete mapping
+// locally. Any doubt about a frame (a decode error, a delta onto an
+// epoch this client never saw, a structural mismatch with the cache)
+// tears the stream down and resubscribes with the last applied epoch:
+// the server's ack is then a complete frame, so a dropped or garbled
+// delta always converges to the same assignment the complete frame
+// would have delivered.
 func (s *RemoteService) watchLoop(ctx context.Context, machine string, out chan<- Remap, c *Client, id uint64, ch <-chan message, last uint64, cur *placement.Assignment) {
 	defer close(out)
 	redialed := false
@@ -264,48 +263,24 @@ func (s *RemoteService) watchLoop(ctx context.Context, machine string, out chan<
 				}
 				return
 			}
-			ev, d, err := decodeRemapFrameAny(msg.payload)
+			f, err := decodeRemapFrame(msg.payload)
+			if err == nil && f.Epoch <= last {
+				continue // stale: dedup absorbs replays
+			}
+			var ev *Remap
+			if err == nil {
+				ev, err = f.apply(cur, last)
+			}
 			if err != nil {
-				// Undecodable push: the stream may be carrying frames this
-				// build cannot parse — resubscribe for a clean full frame.
+				// A push this build cannot parse, or a delta it cannot
+				// fold (the frame in between never arrived, or it does
+				// not fit the cache): resubscribe for a complete frame.
 				if !resync() {
 					return
 				}
 				continue
 			}
-			if d != nil {
-				if d.Epoch <= last {
-					continue // stale replay: dedup absorbs it
-				}
-				if d.Epoch != last+1 || cur == nil {
-					// A delta for an epoch we cannot build on (the frame in
-					// between never arrived, or we hold no full assignment):
-					// full-frame resync.
-					if !resync() {
-						return
-					}
-					continue
-				}
-				a, err := applyRemapDelta(cur, d)
-				if err != nil {
-					if !resync() {
-						return
-					}
-					continue
-				}
-				cur = a
-				last = d.Epoch
-				select {
-				case out <- *d.remap(a):
-				case <-ctx.Done():
-				}
-				continue
-			}
-			if ev.Epoch <= last {
-				continue // stale: dedup absorbs replays
-			}
-			last = ev.Epoch
-			cur = ev.Assignment
+			last, cur = ev.Epoch, ev.Assignment
 			select {
 			case out <- *ev:
 			case <-ctx.Done():

@@ -266,12 +266,12 @@ func TestLeaseTokenGuardsDisplacement(t *testing.T) {
 	}
 }
 
-// TestReportCapsRefuseOversizedFrames: the per-connection decode caps
-// refuse a frame over the byte cap and a delta over the row cap before
-// any decoding work is spent.
+// TestReportCapsRefuseOversizedFrames: a frame over the per-connection
+// byte cap, and a window wider than the control plane's lease bound,
+// are refused before any decoding work is spent.
 func TestReportCapsRefuseOversizedFrames(t *testing.T) {
-	_, addr := hardenedFleetServer(t, ctrlplane.Config{},
-		WithReportCaps(256, 8, 0, 0))
+	_, addr := hardenedFleetServer(t, ctrlplane.Config{MaxLeaseTasks: 8},
+		WithReportCaps(256, 0, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -290,26 +290,23 @@ func TestReportCapsRefuseOversizedFrames(t *testing.T) {
 		t.Fatalf("within-caps report refused: %v", err)
 	}
 
-	// Over the row cap: a 16-task delta against the 8-row cap.
-	big, err := rs.RegisterLease(ctx, "", "big", 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rs.ReportObserved(ctx, big, 1, fleetRing(16, 1))
-	if err == nil || !strings.Contains(err.Error(), "row cap") {
-		t.Fatalf("over-row report: err = %v, want row cap refusal", err)
+	// Over the row cap: a 16-task window against the 8-task lease bound.
+	err = rs.ReportObserved(ctx, small, 2, fleetRing(16, 1))
+	const wantRows = "orwlnet: server: orwlnet: observed report order 16 exceeds the 8-row cap"
+	if err == nil || err.Error() != wantRows {
+		t.Fatalf("over-row report: err = %v, want %q", err, wantRows)
 	}
 
 	// Over the byte cap: a dense matrix big enough to blow 256 bytes.
-	dense := comm.NewMatrix(16)
-	for i := 0; i < 16; i++ {
-		for j := 0; j < 16; j++ {
+	dense := comm.NewMatrix(8)
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
 			if i != j {
-				dense.AddSym(i, j, float64(i*16+j)+0.5)
+				dense.AddSym(i, j, float64(i*8+j)+0.5)
 			}
 		}
 	}
-	err = rs.ReportObserved(ctx, big, 2, dense)
+	err = rs.ReportObserved(ctx, small, 3, dense)
 	if err == nil || !strings.Contains(err.Error(), "frame cap") {
 		t.Fatalf("over-byte report: err = %v, want frame cap refusal", err)
 	}
@@ -319,7 +316,7 @@ func TestReportCapsRefuseOversizedFrames(t *testing.T) {
 // throttles a flood with a retryable error.
 func TestReportByteBudgetThrottles(t *testing.T) {
 	_, addr := hardenedFleetServer(t, ctrlplane.Config{},
-		WithReportCaps(0, 0, 64, 256))
+		WithReportCaps(0, 64, 256))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -106,9 +106,6 @@ type reportCaps struct {
 	// maxFrameBytes is the hard per-frame payload cap for
 	// opObservedReport (0 = the protocol's maxMessage).
 	maxFrameBytes int
-	// maxRows lowers the cap on a decoded report matrix's order, the
-	// control plane's lease bound (0 = that bound).
-	maxRows int
 	// bytesPerSec/burst, when bytesPerSec > 0, meter the report payload
 	// bytes one connection may deliver (token bucket). Violations get a
 	// retryable ErrRateLimited answer, not a dropped connection.
@@ -117,15 +114,16 @@ type reportCaps struct {
 }
 
 // WithReportCaps bounds observed-report traffic per connection: a hard
-// per-frame payload cap, a hard decoded row-count cap, and a sustained
-// decoded-bytes/sec budget with a burst allowance. Zero values keep
-// the defaults (64 MiB frames, the lease bound's rows, unmetered).
-func WithReportCaps(maxFrameBytes, maxRows int, bytesPerSec, burst float64) ServerOption {
+// per-frame payload cap and a sustained decoded-bytes/sec budget with a
+// burst allowance. Zero values keep the defaults (64 MiB frames,
+// unmetered). A report's rows are capped by the control plane's lease
+// bound.
+func WithReportCaps(maxFrameBytes int, bytesPerSec, burst float64) ServerOption {
 	return func(s *Server) {
 		if bytesPerSec > 0 && burst <= 0 {
 			burst = bytesPerSec
 		}
-		s.reportCaps = reportCaps{maxFrameBytes: maxFrameBytes, maxRows: maxRows, bytesPerSec: bytesPerSec, burst: burst}
+		s.reportCaps = reportCaps{maxFrameBytes: maxFrameBytes, bytesPerSec: bytesPerSec, burst: burst}
 	}
 }
 
@@ -455,7 +453,7 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if s.reportCaps.bytesPerSec > 0 && !st.takeReportBudget(len(m.payload), s.reportCaps) {
 			return nil, false, fmt.Errorf("orwlnet: %w: connection exceeded its observed-report byte budget — back off and retry", ctrlplane.ErrRateLimited)
 		}
-		return nil, false, mergeObservedReport(ctrl.Collector(), m.payload, s.reportCaps.maxRows)
+		return nil, false, mergeObservedReport(ctrl.Collector(), m.payload)
 	case opWatchRemaps:
 		return s.handleWatch(st, m)
 	default:
@@ -662,7 +660,7 @@ func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	payload, _ := encodeRemapFrame(getPayloadBuf(), catchUp, false)
+	payload := encodeRemapFrame(getPayloadBuf(), catchUp, false)
 	// The catch-up ack is the subscriber's baseline: it now holds
 	// exactly catchUp.Epoch (or its own since-epoch when nothing newer
 	// existed), which is what the pusher's delta eligibility builds on.
@@ -689,11 +687,11 @@ func (s *Server) handleWatch(st *connState, m message) ([]byte, bool, error) {
 // failed write.
 //
 // lastDelivered tracks the newest epoch the subscriber is known to
-// hold (seeded by the catch-up ack) — the state behind the delta
-// eligibility rule: a subscriber that is exactly one epoch behind an
-// event that knows its moved tasks may receive the delta form; any gap
-// (a coalesced latest-wins push, a missed write) falls back to the
-// full frame, so the subscriber can always reconstruct.
+// hold (seeded by the catch-up ack) — the state behind the delta rule:
+// a subscriber exactly one epoch behind an event that knows its moved
+// tasks and binds gets the delta; any gap (a coalesced latest-wins
+// push, a missed write) gets the complete frame, so the subscriber can
+// always reconstruct.
 //
 // A frame is counted before it is written and uncounted if the write
 // fails: a client that has applied a frame reads stats that include it.
@@ -701,10 +699,9 @@ func (s *Server) watchPusher(st *connState, callID, subID, lastDelivered uint64,
 	defer s.wg.Done()
 	defer st.inflight.Add(-1)
 	for ev := range events {
-		allowDelta := ev.Epoch == lastDelivered+1 && ev.MovedTasks != nil
-		payload, isDelta := encodeRemapFrame(getPayloadBuf(), &ev, allowDelta)
+		payload := encodeRemapFrame(getPayloadBuf(), &ev, ev.Epoch == lastDelivered+1)
 		pushes := &s.fullPushes
-		if isDelta {
+		if payload[1] == remapKindDelta { // the kind byte, after the version
 			pushes = &s.deltaPushes
 		}
 		pushes.Add(1)
