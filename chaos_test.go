@@ -106,17 +106,11 @@ type chaosClient struct {
 	applied []orwlplace.Remap
 }
 
-// startChaosClient dials the daemon with retries armed and runs the
-// fleet loop in the background.
+// startChaosClient dials the daemon and runs the fleet loop in the
+// background.
 func startChaosClient(t *testing.T, ctx context.Context, addr, name string, base int) *chaosClient {
 	t.Helper()
-	rs, err := orwlplace.DialPlacement(ctx, addr, orwlplace.WithRetry(orwlplace.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   5 * time.Millisecond,
-		MaxDelay:    50 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
-	}))
+	rs, err := orwlplace.DialPlacement(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +326,7 @@ func TestFleetReportQueueOverflowCounted(t *testing.T) {
 	defer cancel()
 
 	d, addr := startChaosDaemon(t, "", nil)
-	rs, err := orwlplace.DialPlacement(ctx, addr) // no retry: fail fast
+	rs, err := orwlplace.DialPlacement(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +339,15 @@ func TestFleetReportQueueOverflowCounted(t *testing.T) {
 	d.kill(t)
 
 	// 20 windows against a dead daemon: the 16-slot queue fills, then
-	// each further window evicts the oldest.
+	// each further window evicts the oldest. A short context per Report
+	// cuts the stub's retry backoff off after the first failed attempt.
 	tr := prog.Traffic()
 	for i := 0; i < 20; i++ {
 		tr.Record(0, 1, 1024)
-		if err := fa.Report(ctx); err == nil {
+		rctx, rcancel := context.WithTimeout(ctx, 2*time.Millisecond)
+		err := fa.Report(rctx)
+		rcancel()
+		if err == nil {
 			t.Fatal("report to a dead daemon succeeded")
 		}
 	}

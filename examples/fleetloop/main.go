@@ -61,10 +61,9 @@ func main() {
 func run(ctx context.Context, daemon, peer string, base, tasks int, shift time.Duration, shiftSpan float64, interval time.Duration) error {
 	prog := orwl.MustProgram(tasks)
 
-	// Retries armed: transient daemon outages (a restart, a dropped
-	// connection) are ridden out with exponential backoff instead of
-	// killing the loop.
-	remote, err := orwlplace.DialPlacement(ctx, daemon, orwlplace.WithRetry(orwlplace.DefaultRetryPolicy()))
+	// Transient daemon outages (a restart, a dropped connection) are
+	// ridden out by the stub's retries instead of killing the loop.
+	remote, err := orwlplace.DialPlacement(ctx, daemon)
 	if err != nil {
 		return err
 	}

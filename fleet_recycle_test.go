@@ -11,6 +11,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
@@ -89,10 +90,16 @@ func TestFleetReportRecyclesAcknowledgedWindowsOnly(t *testing.T) {
 	prog.RecycleObservedWindow(w0)
 
 	// Failed: the window stays queued, and later snapshots never write
-	// into it.
+	// into it. A short context per Report cuts the stub's retry backoff
+	// off after the first failed attempt.
 	stop()
+	reportDead := func() error {
+		rctx, cancel := context.WithTimeout(ctx, 2*time.Millisecond)
+		defer cancel()
+		return fa.Report(rctx)
+	}
 	record(4)
-	if err := fa.Report(ctx); err == nil {
+	if err := reportDead(); err == nil {
 		t.Fatal("report to a closed daemon succeeded")
 	}
 	fa.mu.Lock()
@@ -103,7 +110,7 @@ func TestFleetReportRecyclesAcknowledgedWindowsOnly(t *testing.T) {
 	}
 	want := queued.CloneAffinity()
 	record(5)
-	if err := fa.Report(ctx); err == nil {
+	if err := reportDead(); err == nil {
 		t.Fatal("report to a closed daemon succeeded")
 	}
 	record(6)

@@ -443,11 +443,12 @@ func TestBaseReportAfterDroppedAck(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var rec reportRecorder
-	rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(rec.dial), WithRetryPolicy(fastRetry()))
+	rs, err := DialPlacementService(ctx, lis.Addr().String(), WithDialFunc(rec.dial))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	rs.retry = fastRetry
 	lease, err := rs.RegisterLease(ctx, "fig2", "peer", 0, fleetTasks)
 	if err != nil {
 		t.Fatal(err)
@@ -485,11 +486,12 @@ func TestBaseReportAfterSnapshotRestore(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var rec reportRecorder
-	rs, err := DialPlacementService(ctx, addr, WithDialFunc(rec.dial), WithRetryPolicy(fastRetry()))
+	rs, err := DialPlacementService(ctx, addr, WithDialFunc(rec.dial))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	rs.retry = fastRetry
 	lease, err := rs.RegisterLease(ctx, "fig2", "peer", 0, fleetTasks)
 	if err != nil {
 		t.Fatal(err)

@@ -84,12 +84,10 @@ type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 type dialConfig struct {
 	poolSize int
 	dial     DialFunc
-	retry    *RetryPolicy
 }
 
-// WithPoolSize sets how many connections a pooled dialer
-// (DialPlacement / NewRemoteService) opens. The plain Dial
-// single-connection client ignores it.
+// WithPoolSize sets how many connections DialPlacementService opens.
+// The plain Dial single-connection client ignores it.
 func WithPoolSize(n int) DialOption {
 	return func(cfg *dialConfig) { cfg.poolSize = n }
 }
@@ -99,17 +97,6 @@ func WithPoolSize(n int) DialOption {
 // function receives the network "tcp" and the dialed address.
 func WithDialFunc(fn DialFunc) DialOption {
 	return func(cfg *dialConfig) { cfg.dial = fn }
-}
-
-// WithRetryPolicy arms a RemoteService built by DialPlacementService
-// with client-side retries: idempotent calls that fail transiently
-// (connection lost, dial refused, server rate limit) back off, revive
-// dead pooled connections, and re-attempt under p. The zero policy
-// means DefaultRetryPolicy. Without this option calls fail on the
-// first error, the historical behaviour.
-func WithRetryPolicy(p RetryPolicy) DialOption {
-	p = p.withDefaults()
-	return func(cfg *dialConfig) { cfg.retry = &p }
 }
 
 func applyDialOptions(opts []DialOption) dialConfig {

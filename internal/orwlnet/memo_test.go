@@ -65,7 +65,7 @@ func TestPlaceMemoDecodesEachAnswer(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	rs, err := DialPlacementService(ctx, "memo-daemon", WithDialFunc(dial), WithRetryPolicy(RetryPolicy{BaseDelay: time.Millisecond}))
+	rs, err := DialPlacementService(ctx, "memo-daemon", WithDialFunc(dial))
 	if err != nil {
 		t.Fatal(err)
 	}

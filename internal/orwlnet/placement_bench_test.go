@@ -67,12 +67,12 @@ func startBenchService(b testing.TB, top *topology.Topology) *RemoteService {
 	}
 	go srv.Serve()
 	b.Cleanup(func() { srv.Close() })
-	c, err := Dial(lis.Addr().String())
+	remote, err := DialPlacementService(context.Background(), lis.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { c.Close() })
-	return c.placementService()
+	b.Cleanup(func() { remote.Close() })
+	return remote
 }
 
 // coldClustered is a never-seen-before workload matrix: n tasks
@@ -242,12 +242,11 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 		b.Fatal(err)
 	}
 	go srv.Serve()
-	c, err := Dial(lis.Addr().String())
+	remote, err := DialPlacementService(context.Background(), lis.Addr().String())
 	if err != nil {
 		srv.Close()
 		b.Fatal(err)
 	}
-	remote := c.placementService()
 	machines := []string{"tinyht", "tinyflat"}
 	reqs := make([]*placement.PlaceRequest, fleetBenchSize)
 	for i := range reqs {
@@ -263,7 +262,7 @@ func startBenchFleet(b *testing.B) (*RemoteService, []*placement.PlaceRequest, f
 		}
 	}
 	return remote, reqs, func() {
-		c.Close()
+		remote.Close()
 		srv.Close()
 	}
 }

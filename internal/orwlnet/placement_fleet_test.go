@@ -43,12 +43,11 @@ func startFleetServer(t *testing.T) (*placement.MultiService, string) {
 func TestRemoteFleetEndToEnd(t *testing.T) {
 	_, addr := startFleetServer(t)
 	ctx := context.Background()
-	c, err := dialContext(ctx, addr)
+	remote, err := DialPlacementService(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	remote := c.placementService()
+	defer remote.Close()
 
 	stats, err := remote.Stats(ctx)
 	if err != nil {
@@ -88,13 +87,12 @@ func TestRemoteFleetEndToEnd(t *testing.T) {
 // engine singleflight).
 func TestRemoteFleetConcurrentBatches(t *testing.T) {
 	fleet, addr := startFleetServer(t)
-	c, err := Dial(addr)
+	ctx := context.Background()
+	remote, err := DialPlacementService(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	remote := c.placementService()
-	ctx := context.Background()
+	defer remote.Close()
 	shared := chainMatrix(4)
 
 	const workers = 6

@@ -48,12 +48,11 @@ func startPlacementServer(t *testing.T) (*Server, *placement.LocalService, strin
 func TestRemotePlacementEndToEnd(t *testing.T) {
 	_, local, addr := startPlacementServer(t)
 	ctx := context.Background()
-	c, err := dialContext(ctx, addr)
+	remote, err := DialPlacementService(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	remote := c.placementService()
+	defer remote.Close()
 
 	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
 	resp, err := remote.Place(ctx, req)
@@ -102,20 +101,19 @@ func TestRemotePlacementEndToEnd(t *testing.T) {
 	}
 
 	// The location ops still work on the same connection.
-	if size, err := c.Size("l"); err != nil || size != 8 {
+	if size, err := remote.primary().Size("l"); err != nil || size != 8 {
 		t.Errorf("Size = %d, %v; want 8", size, err)
 	}
 }
 
 func TestRemotePlacementConcurrent(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
-	c, err := Dial(addr)
+	ctx := context.Background()
+	remote, err := DialPlacementService(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	remote := c.placementService()
-	ctx := context.Background()
+	defer remote.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -249,14 +247,13 @@ func TestPlacementOnLocationOnlyServer(t *testing.T) {
 	go srv.Serve()
 	defer srv.Close()
 
-	c, err := Dial(lis.Addr().String())
+	// The handshake succeeds (the protocol is versioned server-wide),
+	// but the RPCs report the missing service.
+	remote, err := DialPlacementService(context.Background(), lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	// The handshake succeeds (the protocol is versioned server-wide),
-	// but the RPCs report the missing service.
-	remote := c.placementService()
+	defer remote.Close()
 	if _, err := remote.Place(context.Background(), &placement.PlaceRequest{
 		Strategy: placement.TreeMatch, Matrix: chainMatrix(3),
 	}); err == nil {
@@ -305,12 +302,12 @@ func TestAdaptiveStatsOverRPC(t *testing.T) {
 	go srv.Serve()
 	defer srv.Close()
 
-	c, err := Dial(lis.Addr().String())
+	remote, err := DialPlacementService(context.Background(), lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	st, err := c.placementService().Stats(context.Background())
+	defer remote.Close()
+	st, err := remote.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,25 +43,18 @@ type RemoteService struct {
 	baseLease uint64
 	base      *reportBase
 
-	// addr and dialOpts remember how the stub was dialed (set by
-	// DialPlacementService), so a remap subscription can redial and
-	// resubscribe — and revive can replace dead pooled connections —
-	// when a connection dies. Empty for stubs built from a raw
-	// connection, which cannot reconnect.
+	// addr and dialOpts remember how the stub was dialed, so a remap
+	// subscription can redial and resubscribe — and revive can replace
+	// dead pooled connections — when a connection dies.
 	addr     string
 	dialOpts []DialOption
 
-	// retry is the resilience policy (WithRetryPolicy); nil fails calls
-	// on the first error, the historical behaviour.
-	retry *RetryPolicy
+	// retry paces retried calls and watch resubscribes: defaultRetry,
+	// shortened only by tests.
+	retry retrySchedule
 }
 
 var _ placement.Service = (*RemoteService)(nil)
-
-// placementService returns the placement stub of this connection.
-func (c *Client) placementService() *RemoteService {
-	return &RemoteService{c: c, pool: []*Client{c}, known: newFPSet(knownFingerprints)}
-}
 
 // DialPlacementService dials a placement daemon with the given
 // options — notably WithPoolSize(n), which opens n connections and
@@ -80,7 +73,7 @@ func DialPlacementService(ctx context.Context, addr string, opts ...DialOption) 
 		}
 		pool = append(pool, c)
 	}
-	return &RemoteService{c: pool[0], pool: pool, known: newFPSet(knownFingerprints), addr: addr, dialOpts: opts, retry: cfg.retry}, nil
+	return &RemoteService{c: pool[0], pool: pool, known: newFPSet(knownFingerprints), addr: addr, dialOpts: opts, retry: defaultRetry}, nil
 }
 
 // WirePoolStats sums the wire byte counters across the stub's
@@ -124,13 +117,8 @@ func (s *RemoteService) primary() *Client {
 }
 
 // revive redials every dead pooled connection. Best-effort: a slot
-// whose redial fails stays dead (the next retry attempt tries again),
-// and stubs without a remembered address (raw-connection builds)
-// cannot revive at all.
+// whose redial fails stays dead (the next retry attempt tries again).
 func (s *RemoteService) revive(ctx context.Context) {
-	if s.addr == "" {
-		return
-	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	for i, c := range s.pool {

@@ -31,7 +31,7 @@ func (s *RemoteService) RegisterLease(ctx context.Context, machine, peer string,
 // presenting the same token can displace it. Registration is
 // idempotent under one (machine, peer, token) key — re-registering
 // after a daemon restart or a retry replaces this client's own
-// previous incarnation — so it retries under the stub's policy.
+// previous incarnation — so it retries on the stub's schedule.
 func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer string, base, count int, token uint64) (uint64, error) {
 	var id uint64
 	err := s.retryCall(ctx, func(ctx context.Context) error {
@@ -52,7 +52,7 @@ func (s *RemoteService) RegisterLeaseToken(ctx context.Context, machine, peer st
 // ReportObserved ships one observed-traffic window (a delta since the
 // previous report) under a lease. seq must increase monotonically per
 // lease: the daemon drops duplicates, so a retransmitted window —
-// including the retries the stub's policy issues — is never
+// including the stub's own retries — is never
 // double-counted. The window is encoded from whatever representation it
 // arrives in: a sparse one ships in O(nnz).
 //
@@ -107,24 +107,6 @@ func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64,
 	return err
 }
 
-// watchRedialBackoff is the flat resubscribe pacing used when the stub
-// has no retry policy: the historical 250ms cadence.
-const watchRedialBackoff = 250 * time.Millisecond
-
-// watchBackoff returns the resubscribe pacing policy: the stub's
-// configured retry policy when present, else a flat-backoff stand-in
-// at the historical cadence. Unlike call retries, resubscribe attempts
-// are unbounded (a watch is expected to outlive daemon restarts), so
-// only the delay schedule is taken from the policy — exponential
-// growth with jitter caps the reconnect burst rate against a daemon
-// that stays down.
-func (s *RemoteService) watchBackoff() RetryPolicy {
-	if s.retry != nil {
-		return *s.retry
-	}
-	return RetryPolicy{BaseDelay: watchRedialBackoff, MaxDelay: watchRedialBackoff, Multiplier: 1, Jitter: 0}.withDefaults()
-}
-
 // WatchRemaps turns a connection into a remap subscription: the
 // returned channel yields every mapping the daemon's controller adopts
 // for machine ("" = the daemon's default machine), epoch-deduped —
@@ -132,12 +114,10 @@ func (s *RemoteService) watchBackoff() RetryPolicy {
 // all carry epochs, and an event is delivered at most once, in order.
 //
 // The subscription survives connection loss: when the watch connection
-// dies, the watcher redials the daemon (the stub must have been built
-// by DialPlacementService, which remembers the address) and
-// resubscribes with the last applied epoch, so a remap adopted during
-// the outage is delivered on reconnect. The channel closes when ctx is
-// cancelled, or when the connection dies and no redial address is
-// known.
+// dies, the watcher redials the daemon and resubscribes with the last
+// applied epoch, so a remap adopted during the outage is delivered on
+// reconnect. The channel closes when ctx is cancelled, or when the
+// daemon ends the subscription with an error.
 func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan Remap, error) {
 	c := s.primary()
 	id, ch, ack, err := s.subscribeRemaps(ctx, c, machine, 0)
@@ -289,16 +269,12 @@ func (s *RemoteService) watchLoop(ctx context.Context, machine string, out chan<
 	}
 }
 
-// resubscribe redials the daemon and reopens the subscription,
-// retrying with the stub's backoff policy (exponential with jitter
-// when a retry policy is configured) until the context ends. It fails
-// fast when the stub has no redial address (built from a raw
-// connection rather than DialPlacementService).
+// resubscribe redials the daemon and reopens the subscription, backing
+// off on the stub's retry schedule until the context ends. Unlike call
+// retries its attempts are unbounded (a watch is expected to outlive
+// daemon restarts); the capped, jittered delay bounds the reconnect
+// rate against a daemon that stays down.
 func (s *RemoteService) resubscribe(ctx context.Context, machine string, sinceEpoch uint64) (*Client, uint64, <-chan message, *Remap, error) {
-	if s.addr == "" {
-		return nil, 0, nil, nil, fmt.Errorf("orwlnet: watch connection lost and no redial address known")
-	}
-	pol := s.watchBackoff()
 	for attempt := 1; ; attempt++ {
 		c, err := dialContext(ctx, s.addr, s.dialOpts...)
 		if err == nil {
@@ -312,7 +288,7 @@ func (s *RemoteService) resubscribe(ctx context.Context, machine string, sinceEp
 		select {
 		case <-ctx.Done():
 			return nil, 0, nil, nil, ctx.Err()
-		case <-time.After(pol.delay(attempt)):
+		case <-time.After(s.retry.delay(attempt)):
 		}
 	}
 }

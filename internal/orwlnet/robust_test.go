@@ -2,6 +2,7 @@ package orwlnet
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -20,16 +21,14 @@ import (
 
 // fastRetry keeps fault-injection tests quick: tight backoff, enough
 // attempts to outlast the injected failures.
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
-}
+var fastRetry = retrySchedule{attempts: 6, base: time.Millisecond, max: 20 * time.Millisecond}
 
 // TestPlaceRetriesThroughSeveredConnections: the client's dial path is
 // wrapped with a fault injector that kills every connection after a
-// few writes. Without a retry policy the calls die with the
-// connection; with one, every call lands — the stub revives dead pool
-// slots between attempts, and revival goes through the same (faulty)
-// dialer, proving recovery is repeatable rather than lucky.
+// few writes. With one attempt per call the calls die with the
+// connection; with retries, every call lands — the stub revives dead
+// pool slots between attempts, and revival goes through the same
+// (faulty) dialer, proving recovery is repeatable rather than lucky.
 func TestPlaceRetriesThroughSeveredConnections(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -38,11 +37,12 @@ func TestPlaceRetriesThroughSeveredConnections(t *testing.T) {
 	// 3 writes per connection: the hello plus two calls, then the plan
 	// severs it mid-conversation.
 	inj := faultnet.New(faultnet.Plan{Seed: 42, SeverAfterWrites: 3})
-	rs, err := DialPlacementService(ctx, addr, WithDialFunc(inj.DialFunc(nil)), WithRetryPolicy(fastRetry()))
+	rs, err := DialPlacementService(ctx, addr, WithDialFunc(inj.DialFunc(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	rs.retry = fastRetry
 
 	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
 	for i := 0; i < 10; i++ {
@@ -58,13 +58,14 @@ func TestPlaceRetriesThroughSeveredConnections(t *testing.T) {
 		t.Fatal("the fault plan never fired — the test proved nothing")
 	}
 
-	// Control: the same fault plan without a retry policy loses calls.
+	// Control: the same fault plan with one attempt per call loses calls.
 	inj2 := faultnet.New(faultnet.Plan{Seed: 42, SeverAfterWrites: 3})
 	bare, err := DialPlacementService(ctx, addr, WithDialFunc(inj2.DialFunc(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bare.Close()
+	bare.retry = retrySchedule{attempts: 1}
 	var failed bool
 	for i := 0; i < 10; i++ {
 		if _, err := bare.Place(ctx, req); err != nil {
@@ -73,39 +74,115 @@ func TestPlaceRetriesThroughSeveredConnections(t *testing.T) {
 		}
 	}
 	if !failed {
-		t.Fatal("control without retry survived the fault plan — the plan is too weak to test retries")
+		t.Fatal("control with one attempt survived the fault plan — the plan is too weak to test retries")
 	}
 }
 
-// TestRetryHonoursDeadlineBudget: a per-attempt budget turns a stalled
-// connection into a timely retry, and the parent deadline still cuts
-// the whole call off.
+// TestRetryHonoursDeadlineBudget: the caller's deadline is the whole
+// call's budget. Every write stalls past it, so the first attempt is
+// still in flight when it expires, and the call fails with the
+// deadline at once instead of backing off into further attempts.
 func TestRetryHonoursDeadlineBudget(t *testing.T) {
 	_, _, addr := startPlacementServer(t)
 	ctx := context.Background()
 
-	// Every write stalls longer than the attempt budget. The call must
-	// exhaust its attempts and fail within the parent deadline, not hang.
-	inj := faultnet.New(faultnet.Plan{Seed: 9, DelayProb: 1, Delay: 300 * time.Millisecond})
-	pol := fastRetry()
-	pol.MaxAttempts = 2
-	pol.AttemptBudget = 50 * time.Millisecond
-	rs, err := DialPlacementService(ctx, addr, WithDialFunc(inj.DialFunc(nil)), WithRetryPolicy(pol))
+	const stall = 400 * time.Millisecond
+	inj := faultnet.New(faultnet.Plan{Seed: 9, DelayProb: 1, Delay: stall})
+	rs, err := DialPlacementService(ctx, addr, WithDialFunc(inj.DialFunc(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
 
-	callCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	callCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err = rs.Place(callCtx, &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)})
-	if err == nil {
-		t.Fatal("place succeeded through a 100% stall plan")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("place through a 100%% stall plan: err = %v, want the caller's deadline", err)
 	}
-	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
-		t.Fatalf("budgeted retries took %v, want well under the parent deadline", elapsed)
+	if elapsed := time.Since(start); elapsed >= stall {
+		t.Fatalf("place returned after %v, want at the caller's 50ms deadline, before the %v stall ends", elapsed, stall)
 	}
+}
+
+// TestStubRecoversAfterDaemonRestart: a stub dialed with no option
+// survives a daemon restart on the same address. Every Place and Stats
+// call after the restart succeeds: the first to find its connection
+// dead redials the pool and re-attempts.
+func TestStubRecoversAfterDaemonRestart(t *testing.T) {
+	srv, svc, addr := startPlacementServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rs, err := DialPlacementService(ctx, addr, WithPoolSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
+	if _, err := rs.Place(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+
+	restartPlacementServer(t, srv, svc, addr)
+	failed := 0
+	for i := 0; i < 20; i++ {
+		if _, err := rs.Place(ctx, req); err != nil {
+			failed++
+			t.Logf("place %d after the restart: %v", i, err)
+		}
+		if _, err := rs.Stats(ctx); err != nil {
+			failed++
+			t.Logf("stats %d after the restart: %v", i, err)
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of 40 calls failed after the daemon restarted, want 0", failed)
+	}
+}
+
+// TestFailedCallRevivesPool: a transient failure redials the dead
+// pool connections before the call returns, after its last attempt
+// too, so the call after it finds a live connection.
+func TestFailedCallRevivesPool(t *testing.T) {
+	srv, svc, addr := startPlacementServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rs, err := DialPlacementService(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	rs.retry = retrySchedule{attempts: 1}
+	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
+	if _, err := rs.Place(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+
+	restartPlacementServer(t, srv, svc, addr)
+	if _, err := rs.Place(ctx, req); err == nil {
+		t.Fatal("one attempt on the connection the restart severed succeeded")
+	}
+	if _, err := rs.Place(ctx, req); err != nil {
+		t.Fatalf("the call after the failed one: %v", err)
+	}
+}
+
+// restartPlacementServer closes srv and serves svc again on its
+// address, as a daemon restart would.
+func restartPlacementServer(t *testing.T, srv *Server, svc placement.Service, addr string) {
+	t.Helper()
+	srv.Close()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := NewServer(lis, nil, WithPlacement(svc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv2.Serve()
+	t.Cleanup(func() { srv2.Close() })
 }
 
 // hardenedFleetServer hosts a control plane with the hostile-peer
@@ -163,6 +240,7 @@ func TestSpammerThrottledWithoutCollateral(t *testing.T) {
 		return rs
 	}
 	spammer, polite := dial(), dial()
+	spammer.retry = retrySchedule{attempts: 1} // see each throttle, not a retry that outwaits it
 	spamLease, err := spammer.RegisterLease(ctx, "", "spammer", 0, half)
 	if err != nil {
 		t.Fatal(err)

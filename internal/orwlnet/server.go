@@ -233,10 +233,9 @@ type connState struct {
 	// drain and exit.
 	subs map[uint64]struct{}
 
-	// Observed-report byte-budget token bucket (reportCaps.bytesPerSec).
+	// Observed-report byte budget (reportCaps.bytesPerSec).
 	budgetMu     sync.Mutex
-	reportBucket float64
-	reportFilled time.Time
+	reportBudget ctrlplane.TokenBucket
 }
 
 // takeReportBudget draws n payload bytes from the connection's report
@@ -244,21 +243,7 @@ type connState struct {
 func (st *connState) takeReportBudget(n int, caps reportCaps) bool {
 	st.budgetMu.Lock()
 	defer st.budgetMu.Unlock()
-	now := time.Now()
-	if st.reportFilled.IsZero() {
-		st.reportBucket = caps.burst
-	} else {
-		st.reportBucket += now.Sub(st.reportFilled).Seconds() * caps.bytesPerSec
-		if st.reportBucket > caps.burst {
-			st.reportBucket = caps.burst
-		}
-	}
-	st.reportFilled = now
-	if st.reportBucket < float64(n) {
-		return false
-	}
-	st.reportBucket -= float64(n)
-	return true
+	return st.reportBudget.Take(time.Now(), float64(n), caps.bytesPerSec, caps.burst)
 }
 
 // countingReader counts the bytes readMessage has consumed, so the

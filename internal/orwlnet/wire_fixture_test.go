@@ -678,12 +678,12 @@ func TestFleetOpsRefusedBelowProtoFleet(t *testing.T) {
 func TestFleetV1RequestCompat(t *testing.T) {
 	refuseHello(t, 0, 1)
 	_, addr := startFixtureServer(t)
-	c, err := Dial(addr)
+	remote, err := DialPlacementService(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	resp, err := c.placementService().Place(context.Background(), &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)})
+	defer remote.Close()
+	resp, err := remote.Place(context.Background(), &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,11 +144,11 @@ type FleetStats struct {
 	// LeaseConflicts counts lease registrations refused because the
 	// (machine, peer) name was held under a different ownership token.
 	LeaseConflicts uint64
-	// DeltaPushes counts remap frames shipped to subscribers in the
-	// delta encoding (moved tasks only); FullPushes counts
+	// DeltaPushes counts remap frames shipped to subscribers as deltas
+	// (the moved tasks only, onto the epoch before); FullPushes counts
 	// the frames that carried the whole assignment — catch-up acks,
-	// epoch gaps, and remaps whose delta body
-	// measured larger than the full one. DeltaPushes+FullPushes is the
+	// epoch gaps, and remaps with no moved set or no bound assignment
+	// to fold onto. DeltaPushes+FullPushes is the
 	// number of remap frames actually written, which can trail
 	// RemapsPushed when slow subscribers coalesce events.
 	DeltaPushes uint64
@@ -185,8 +185,9 @@ type NetStats struct {
 	// placement clients (frame headers included).
 	BytesIn  uint64
 	BytesOut uint64
-	// SparseMatrices counts request matrices that arrived in the sparse
-	// run-length encoding rather than the dense row-major one.
+	// SparseMatrices counts request matrices that arrived as a body
+	// (the sparse run-length encoding, the only one) rather than a
+	// fingerprint reference.
 	SparseMatrices uint64
 	// FingerprintHits / FingerprintMisses count fingerprint-only
 	// matrix references resolved from (or missing in) the daemon's

@@ -132,7 +132,7 @@ func NewService(top *Topology, opts ...ServiceOption) (Service, error) {
 // releases every connection.
 type RemotePlacement = orwlnet.RemoteService
 
-// DialOption tunes DialPlacement: pool size, retries, transport.
+// DialOption tunes DialPlacement (WithPoolSize).
 type DialOption = orwlnet.DialOption
 
 // WithPoolSize opens n connections to the daemon and spreads placement
@@ -140,25 +140,14 @@ type DialOption = orwlnet.DialOption
 // for driving a daemon at high placements/sec from one process.
 func WithPoolSize(n int) DialOption { return orwlnet.WithPoolSize(n) }
 
-// RetryPolicy tunes the stub's retry/backoff machinery for idempotent
-// calls: exponential backoff with jitter between attempts and an
-// optional per-attempt deadline budget. The zero value with WithRetry
-// still arms retries at the defaults.
-type RetryPolicy = orwlnet.RetryPolicy
-
-// DefaultRetryPolicy returns the stock policy: 4 attempts, 50ms base
-// delay doubling to a 2s cap, ±20% jitter, no per-attempt budget.
-func DefaultRetryPolicy() RetryPolicy { return orwlnet.DefaultRetryPolicy() }
-
-// WithRetry arms the stub with a retry policy: idempotent calls
-// (Place, Topology, Stats, lease registration, observed reports) retry
-// transient transport failures with exponential backoff, redialing
-// dead pool connections between attempts. Location operations never
-// retry — their FIFO semantics are not idempotent.
-func WithRetry(p RetryPolicy) DialOption { return orwlnet.WithRetryPolicy(p) }
-
 // DialPlacement connects to a placement daemon, honouring the
-// context's deadline, and agrees the wire protocol version.
+// context's deadline, and agrees the wire protocol version. The stub
+// survives a daemon restart: idempotent calls (Place, Topology, Stats,
+// lease registration, observed reports) retry transient transport
+// failures up to 4 attempts, backing off 50ms doubling to 2s with ±20%
+// jitter and redialing dead pool connections; a remap watch
+// resubscribes on the same schedule. Location operations never retry —
+// their FIFO semantics are not idempotent.
 func DialPlacement(ctx context.Context, addr string, opts ...DialOption) (*RemotePlacement, error) {
 	return orwlnet.DialPlacementService(ctx, addr, opts...)
 }
