@@ -75,33 +75,10 @@ type leaseState struct {
 	base, spare *comm.Sparse
 	baseSeq     uint64
 
-	// bucket is the report-rate limit's state (only consulted when the
-	// collector has a report limit configured).
-	bucket TokenBucket
-}
-
-// TokenBucket is a token-bucket rate limiter's state. It takes no lock:
-// each holder guards it with a lock it already holds. The zero bucket
-// is full.
-type TokenBucket struct {
-	tokens float64
-	filled time.Time // the last Take; zero before the first
-}
-
-// Take refills the bucket at rate tokens/sec since the last Take, up to
-// burst, and draws n tokens if it holds them.
-func (b *TokenBucket) Take(now time.Time, n, rate, burst float64) bool {
-	if b.filled.IsZero() {
-		b.tokens = burst
-	} else {
-		b.tokens = min(b.tokens+now.Sub(b.filled).Seconds()*rate, burst)
-	}
-	b.filled = now
-	if b.tokens < n {
-		return false
-	}
-	b.tokens -= n
-	return true
+	// Report-rate token bucket (only consulted when the collector has a
+	// report limit configured).
+	bucket     float64
+	lastRefill time.Time
 }
 
 // machineState accumulates one machine's merged observed traffic.
@@ -266,6 +243,8 @@ func (c *Collector) RegisterToken(machine, peer string, base, count int, token u
 	ls := &leaseState{
 		Lease:      Lease{ID: c.nextID, Machine: machine, Peer: peer, TaskBase: base, TaskCount: count, Token: token},
 		lastReport: now,
+		bucket:     c.reportBurst,
+		lastRefill: now,
 	}
 	c.leases[ls.ID] = ls
 	ms := c.machineLocked(machine)
@@ -370,9 +349,17 @@ func (c *Collector) admitLocked(leaseID uint64, order int, seq uint64) (*leaseSt
 	}
 	now := c.now()
 	ls.lastReport = now // a throttled peer is still alive
-	if c.reportRate > 0 && !ls.bucket.Take(now, 1, c.reportRate, c.reportBurst) {
-		c.throttled++
-		return nil, fmt.Errorf("ctrlplane: %w: lease %d exceeded %g reports/sec (burst %g) — back off and retry", ErrRateLimited, leaseID, c.reportRate, c.reportBurst)
+	if c.reportRate > 0 {
+		ls.bucket += now.Sub(ls.lastRefill).Seconds() * c.reportRate
+		if ls.bucket > c.reportBurst {
+			ls.bucket = c.reportBurst
+		}
+		ls.lastRefill = now
+		if ls.bucket < 1 {
+			c.throttled++
+			return nil, fmt.Errorf("ctrlplane: %w: lease %d exceeded %g reports/sec (burst %g) — back off and retry", ErrRateLimited, leaseID, c.reportRate, c.reportBurst)
+		}
+		ls.bucket--
 	}
 	if seq <= ls.lastSeq && seq != 0 {
 		return nil, nil

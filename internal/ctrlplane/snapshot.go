@@ -423,6 +423,8 @@ func (c *Collector) restore(s *Snapshot) {
 			Lease:      lr.Lease,
 			lastReport: now,
 			lastSeq:    lr.LastSeq,
+			bucket:     c.reportBurst,
+			lastRefill: now,
 		}
 	}
 	for _, mr := range s.Machines {

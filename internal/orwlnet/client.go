@@ -127,7 +127,7 @@ func dialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	}
 	conn, err := dial(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errDial, err)
+		return nil, fmt.Errorf("orwlnet: dial: %w", err)
 	}
 	c := &Client{
 		conn:    conn,

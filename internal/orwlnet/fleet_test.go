@@ -295,7 +295,7 @@ func TestWatchResubscribeOnReconnect(t *testing.T) {
 
 	// Kill the watch connection out from under the subscription, then
 	// adopt a remap during the outage.
-	ws.c.conn.Close()
+	ws.primary().conn.Close()
 	if err := rs.ReportObserved(ctx, lease, 2, fleetClusters(fleetTasks, 4, 1<<20)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,13 +25,17 @@ import (
 // round-robin across the pool, and many calls pipeline on each
 // connection besides. Topology/Stats ride the primary connection.
 type RemoteService struct {
-	// poolMu guards c and pool: revive swaps dead connections for
-	// freshly dialed ones in place, so calls racing a revival see
-	// either the dead or the new connection, never a torn slice.
-	poolMu sync.RWMutex
-	c      *Client
-	pool   []*Client
-	next   atomic.Uint64
+	// poolMu guards pool, whose first slot is the primary connection:
+	// revive swaps dead connections for freshly dialed ones in place,
+	// so calls racing a revival see either the dead or the new
+	// connection, never a torn slice. closed is set under it by Close,
+	// after which nothing dials again; reviving admits one revival at
+	// a time, so calls failing together dial each dead slot once.
+	poolMu   sync.RWMutex
+	pool     []*Client
+	closed   atomic.Bool
+	reviving atomic.Bool
+	next     atomic.Uint64
 
 	// known tracks matrix fingerprints this stub believes the daemon's
 	// seen-matrix table holds — the basis for sending fingerprint-only
@@ -73,7 +78,7 @@ func DialPlacementService(ctx context.Context, addr string, opts ...DialOption) 
 		}
 		pool = append(pool, c)
 	}
-	return &RemoteService{c: pool[0], pool: pool, known: newFPSet(knownFingerprints), addr: addr, dialOpts: opts, retry: defaultRetry}, nil
+	return &RemoteService{pool: pool, known: newFPSet(knownFingerprints), addr: addr, dialOpts: opts, retry: defaultRetry}, nil
 }
 
 // WirePoolStats sums the wire byte counters across the stub's
@@ -113,28 +118,41 @@ func (s *RemoteService) pick() *Client {
 func (s *RemoteService) primary() *Client {
 	s.poolMu.RLock()
 	defer s.poolMu.RUnlock()
-	return s.c
+	return s.pool[0]
 }
 
-// revive redials every dead pooled connection. Best-effort: a slot
-// whose redial fails stays dead (the next retry attempt tries again).
-func (s *RemoteService) revive(ctx context.Context) {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	for i, c := range s.pool {
-		if !c.Dead() {
-			continue
-		}
+// revive redials every dead pooled connection and reports whether the
+// stub is still open. Best-effort: a slot whose redial fails stays dead
+// (the next retry attempt tries again), and a call that finds another
+// revival under way leaves the pool to it. The dials run without the
+// pool lock, so calls picking a connection meanwhile do not wait on
+// them.
+func (s *RemoteService) revive(ctx context.Context) bool {
+	if s.closed.Load() {
+		return false
+	}
+	if !s.reviving.CompareAndSwap(false, true) {
+		return true
+	}
+	defer s.reviving.Store(false)
+	s.poolMu.RLock()
+	dead := slices.DeleteFunc(slices.Clone(s.pool), func(c *Client) bool { return !c.Dead() })
+	s.poolMu.RUnlock()
+	for _, c := range dead {
 		nc, err := dialContext(ctx, s.addr, s.dialOpts...)
 		if err != nil {
 			continue
 		}
-		c.Close()
-		s.pool[i] = nc
-		if s.c == c {
-			s.c = nc
+		s.poolMu.Lock()
+		if s.closed.Load() {
+			nc.Close() // Close ran during the dial
+		} else {
+			c.Close()
+			s.pool[slices.Index(s.pool, c)] = nc
 		}
+		s.poolMu.Unlock()
 	}
+	return true
 }
 
 // knownFingerprints bounds the client-side believed-known set. Kept
@@ -319,10 +337,13 @@ func (s *RemoteService) Stats(ctx context.Context) (placement.ServiceStats, erro
 	return stats, err
 }
 
-// Close closes every pooled connection, reporting the first error.
+// Close closes every pooled connection, reporting the first error. A
+// closed stub dials nothing again: its calls fail, and its watches end
+// when their connection next dies.
 func (s *RemoteService) Close() error {
-	s.poolMu.RLock()
-	defer s.poolMu.RUnlock()
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	s.closed.Store(true)
 	var first error
 	for _, c := range s.pool {
 		if err := c.Close(); err != nil && first == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"orwlplace/internal/comm"
@@ -116,8 +117,9 @@ func (s *RemoteService) ReportObserved(ctx context.Context, leaseID, seq uint64,
 // The subscription survives connection loss: when the watch connection
 // dies, the watcher redials the daemon and resubscribes with the last
 // applied epoch, so a remap adopted during the outage is delivered on
-// reconnect. The channel closes when ctx is cancelled, or when the
-// daemon ends the subscription with an error.
+// reconnect. The channel closes when ctx is cancelled, when the
+// daemon ends the subscription with an error, or when the connection
+// dies after the stub is closed.
 func (s *RemoteService) WatchRemaps(ctx context.Context, machine string) (<-chan Remap, error) {
 	c := s.primary()
 	id, ch, ack, err := s.subscribeRemaps(ctx, c, machine, 0)
@@ -273,9 +275,12 @@ func (s *RemoteService) watchLoop(ctx context.Context, machine string, out chan<
 // off on the stub's retry schedule until the context ends. Unlike call
 // retries its attempts are unbounded (a watch is expected to outlive
 // daemon restarts); the capped, jittered delay bounds the reconnect
-// rate against a daemon that stays down.
+// rate against a daemon that stays down. A closed stub does not redial.
 func (s *RemoteService) resubscribe(ctx context.Context, machine string, sinceEpoch uint64) (*Client, uint64, <-chan message, *Remap, error) {
 	for attempt := 1; ; attempt++ {
+		if s.closed.Load() {
+			return nil, 0, nil, nil, net.ErrClosed
+		}
 		c, err := dialContext(ctx, s.addr, s.dialOpts...)
 		if err == nil {
 			id, ch, ack, serr := s.subscribeRemaps(ctx, c, machine, sinceEpoch)

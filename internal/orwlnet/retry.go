@@ -42,37 +42,37 @@ func (r retrySchedule) delay(attempt int) time.Duration {
 }
 
 // retryableError classifies the failures worth re-attempting: the
-// connection died (the daemon restarted or the network dropped us),
-// the dial failed (the daemon is not back yet), or the server refused
-// with its retryable rate limit. Application errors — unknown machine,
-// malformed request, lease conflict — are not retryable: the same
-// request will fail the same way.
+// connection died (the daemon restarted or the network dropped us), or
+// the server refused with its retryable rate limit. Application errors
+// — unknown machine, malformed request, lease conflict — are not
+// retryable: the same request will fail the same way.
 func retryableError(err error) bool {
 	var nerr net.Error
 	return errors.As(err, &nerr) ||
 		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, errConnLost) || errors.Is(err, errDial) || errors.Is(err, ctrlplane.ErrRateLimited)
+		errors.Is(err, errConnLost) || errors.Is(err, ctrlplane.ErrRateLimited)
 }
 
 // retryCall runs do on the stub's schedule. A transient failure revives
 // dead pool connections — after the last attempt too, so the next call
 // finds a live one — and, while attempts remain, backs off and runs do
-// again; the caller's context always wins. A success runs do once.
+// again; the caller's context and the stub's Close always win. A
+// success runs do once.
 func (s *RemoteService) retryCall(ctx context.Context, do func(ctx context.Context) error) error {
 	for attempt := 1; ; attempt++ {
 		err := do(ctx)
 		if err == nil || ctx.Err() != nil || !retryableError(err) {
 			return err
 		}
-		if attempt >= s.retry.attempts {
-			s.revive(ctx)
+		if attempt < s.retry.attempts {
+			select {
+			case <-time.After(s.retry.delay(attempt)):
+			case <-ctx.Done():
+				return err
+			}
+		}
+		if !s.revive(ctx) || attempt >= s.retry.attempts {
 			return err
 		}
-		select {
-		case <-time.After(s.retry.delay(attempt)):
-		case <-ctx.Done():
-			return err
-		}
-		s.revive(ctx)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +169,90 @@ func TestFailedCallRevivesPool(t *testing.T) {
 	}
 }
 
+// TestClosedStubDialsNothing: once closed, a stub's calls fail and its
+// watch ends without redialing the daemon, so nothing reopens
+// connections no one closes.
+func TestClosedStubDialsNothing(t *testing.T) {
+	_, addr := hardenedFleetServer(t, ctrlplane.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var dials atomic.Int64
+	var d net.Dialer
+	count := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return d.DialContext(ctx, network, addr)
+	}
+	rs, err := DialPlacementService(ctx, addr, WithDialFunc(count), WithPoolSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch, err := rs.WatchRemaps(ctx, "fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	before := dials.Load()
+	if _, err := rs.Stats(ctx); err == nil {
+		t.Fatal("stats on a closed stub succeeded")
+	}
+	if _, err := rs.RegisterLease(ctx, "fig2", "late", 0, 4); err == nil {
+		t.Fatal("lease registration on a closed stub succeeded")
+	}
+	select {
+	case _, ok := <-watch:
+		if ok {
+			t.Fatal("the watch delivered a remap after its stub closed")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the watch outlived its stub's Close")
+	}
+	if after := dials.Load(); after != before {
+		t.Fatalf("closed stub dialed %d times, want 0", after-before)
+	}
+}
+
+// TestConcurrentFailuresDialEachSlotOnce: calls that fail together
+// after a daemon restart leave the redial to one revival, so each dead
+// pool slot is dialed once rather than once per failed call.
+func TestConcurrentFailuresDialEachSlotOnce(t *testing.T) {
+	srv, svc, addr := startPlacementServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var dials atomic.Int64
+	var d net.Dialer
+	count := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return d.DialContext(ctx, network, addr)
+	}
+	const pool, callers = 2, 16
+	rs, err := DialPlacementService(ctx, addr, WithDialFunc(count), WithPoolSize(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	req := &placement.PlaceRequest{Strategy: placement.TreeMatch, Matrix: chainMatrix(4)}
+	restartPlacementServer(t, srv, svc, addr)
+	before := dials.Load()
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, err := rs.Place(ctx, req)
+			errs <- err
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("place after the restart: %v", err)
+		}
+	}
+	if n := dials.Load() - before; n != pool {
+		t.Fatalf("%d calls failing together dialed %d times, want %d (once per dead slot)", callers, n, pool)
+	}
+}
+
 // restartPlacementServer closes srv and serves svc again on its
 // address, as a daemon restart would.
 func restartPlacementServer(t *testing.T, srv *Server, svc placement.Service, addr string) {
@@ -240,7 +325,10 @@ func TestSpammerThrottledWithoutCollateral(t *testing.T) {
 		return rs
 	}
 	spammer, polite := dial(), dial()
-	spammer.retry = retrySchedule{attempts: 1} // see each throttle, not a retry that outwaits it
+	// One attempt each: every throttle shows, and a polite report cannot
+	// pass by backing off until a shared bucket refills.
+	spammer.retry = retrySchedule{attempts: 1}
+	polite.retry = retrySchedule{attempts: 1}
 	spamLease, err := spammer.RegisterLease(ctx, "", "spammer", 0, half)
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +491,7 @@ func TestReportByteBudgetThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	rs.retry = retrySchedule{attempts: 1} // see the first throttle, not a retry that outwaits it
 	lease, err := rs.RegisterLease(ctx, "", "flood", 0, 16)
 	if err != nil {
 		t.Fatal(err)

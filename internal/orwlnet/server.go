@@ -233,9 +233,10 @@ type connState struct {
 	// drain and exit.
 	subs map[uint64]struct{}
 
-	// Observed-report byte budget (reportCaps.bytesPerSec).
+	// Observed-report byte-budget token bucket (reportCaps.bytesPerSec).
 	budgetMu     sync.Mutex
-	reportBudget ctrlplane.TokenBucket
+	reportBucket float64
+	reportFilled time.Time
 }
 
 // takeReportBudget draws n payload bytes from the connection's report
@@ -243,7 +244,21 @@ type connState struct {
 func (st *connState) takeReportBudget(n int, caps reportCaps) bool {
 	st.budgetMu.Lock()
 	defer st.budgetMu.Unlock()
-	return st.reportBudget.Take(time.Now(), float64(n), caps.bytesPerSec, caps.burst)
+	now := time.Now()
+	if st.reportFilled.IsZero() {
+		st.reportBucket = caps.burst
+	} else {
+		st.reportBucket += now.Sub(st.reportFilled).Seconds() * caps.bytesPerSec
+		if st.reportBucket > caps.burst {
+			st.reportBucket = caps.burst
+		}
+	}
+	st.reportFilled = now
+	if st.reportBucket < float64(n) {
+		return false
+	}
+	st.reportBucket -= float64(n)
+	return true
 }
 
 // countingReader counts the bytes readMessage has consumed, so the
