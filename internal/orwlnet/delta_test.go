@@ -114,15 +114,16 @@ func TestRemapDeltaRoundTrip(t *testing.T) {
 
 // TestEncodeRemapFrameV6Chooser pins the frame rule: an event that
 // knows its moved tasks and binds ships as a delta to a subscriber
-// holding the previous epoch, however many tasks moved; a nil moved
-// set, an unbound assignment or any other subscriber gets the complete
-// frame.
+// holding the previous epoch while fewer than half the tasks moved; from
+// half the order on, a nil moved set, an unbound assignment or any other
+// subscriber gets the complete frame.
 func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 	prev := deltaAssignment(64, 0)
 	all := make([]int, 64)
 	for i := range all {
 		all[i] = i
 	}
+	half, underHalf := all[:32], all[:31]
 	unbound := &placement.Assignment{Strategy: placement.None, Unbound: true}
 	for _, c := range []struct {
 		name  string
@@ -131,7 +132,9 @@ func TestEncodeRemapFrameV6Chooser(t *testing.T) {
 		delta bool
 	}{
 		{"one moved task", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5), MovedTasks: []int{5}}, true, true},
-		{"every task moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, all...), MovedTasks: all}, true, true},
+		{"every task moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, all...), MovedTasks: all}, true, false},
+		{"half the order moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, half...), MovedTasks: half}, true, false},
+		{"one under half moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, underHalf...), MovedTasks: underHalf}, true, true},
 		{"none moved", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: prev, MovedTasks: []int{}}, true, true},
 		{"subscriber not on epoch-1", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5), MovedTasks: []int{5}}, false, false},
 		{"nil moved set", &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: deltaShift(prev, 5)}, true, false},

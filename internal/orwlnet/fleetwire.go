@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
@@ -322,14 +323,16 @@ func decodeWatchRequest(src []byte) (machine string, sinceEpoch uint64, err erro
 
 // encodeRemapFrame frames one remap event, or the empty ack when ev is
 // nil. onto says the subscriber holds epoch ev.Epoch-1: an event that
-// knows its moved tasks and binds then ships as a delta, anything else
-// as a complete frame.
+// binds and knows its moved tasks, fewer than half the order, then
+// ships as a delta, anything else as a complete frame: a delta spends a
+// gap byte per moved task besides its placement, so once most tasks
+// move it outgrows the complete frame.
 func encodeRemapFrame(dst []byte, ev *ctrlplane.Remap, onto bool) []byte {
 	if ev == nil {
 		ev = &ctrlplane.Remap{}
 	}
 	a := ev.Assignment
-	if !onto || ev.MovedTasks == nil || a == nil || a.Unbound {
+	if !onto || ev.MovedTasks == nil || a == nil || a.Unbound || 2*len(ev.MovedTasks) >= len(a.ComputePU) {
 		return codec.PutAssignment(putRemapHead(dst, remapKindComplete, ev), a)
 	}
 	pick := func(s []int) []int {
@@ -497,10 +500,11 @@ func checkPlacements(a *placement.Assignment, n int) error {
 
 // apply returns the event f delivers to a subscriber holding cur, the
 // assignment of epoch last: a complete frame as it stands, a delta
-// folded onto a copy of cur (cur is shared and immutable). A delta that
-// does not fold (onto another epoch, another order, or control or core
-// slices cur lacks or has) is an error: the caller resyncs with a
-// complete frame.
+// folded onto cur. Assignments are immutable shared values, so the fold
+// shares each of cur's slices that no moved task changes and copies
+// only the others. A delta that does not fold (onto another epoch,
+// another order, or control or core slices cur lacks or has) is an
+// error: the caller resyncs with a complete frame.
 func (f *remapFrame) apply(cur *placement.Assignment, last uint64) (*ctrlplane.Remap, error) {
 	if !f.Delta {
 		return &f.Remap, nil
@@ -514,20 +518,29 @@ func (f *remapFrame) apply(cur *placement.Assignment, last uint64) (*ctrlplane.R
 	case len(f.MovedTasks) > 0 && ((len(d.ControlPU) > 0) != (len(cur.ControlPU) > 0) || (len(d.CoreOf) > 0) != (len(cur.CoreOf) > 0)):
 		return nil, fmt.Errorf("orwlnet: delta control or core slices do not match the cached assignment")
 	}
-	a := cur.Clone()
+	a := *cur
 	a.Strategy, a.Oversubscribed, a.Mode = d.Strategy, d.Oversubscribed, d.Mode
-	for i, t := range f.MovedTasks {
-		a.ComputePU[t] = d.ComputePU[i]
-		if len(d.ControlPU) > 0 {
-			a.ControlPU[t] = d.ControlPU[i]
-		}
-		if len(d.CoreOf) > 0 {
-			a.CoreOf[t] = d.CoreOf[i]
+	a.ComputePU = fold(cur.ComputePU, d.ComputePU, f.MovedTasks)
+	a.ControlPU = fold(cur.ControlPU, d.ControlPU, f.MovedTasks)
+	a.CoreOf = fold(cur.CoreOf, d.CoreOf, f.MovedTasks)
+	ev := f.Remap
+	ev.Assignment = &a
+	return &ev, nil
+}
+
+// fold returns cur with moved[i] set to vals[i] for every i: cur itself
+// when that changes no entry (or vals is empty), else a copy.
+func fold(cur, vals, moved []int) []int {
+	for i, t := range moved[:len(vals)] {
+		if cur[t] != vals[i] {
+			out := slices.Clone(cur)
+			for j := i; j < len(vals); j++ {
+				out[moved[j]] = vals[j]
+			}
+			return out
 		}
 	}
-	ev := f.Remap
-	ev.Assignment = a
-	return &ev, nil
+	return cur
 }
 
 // FleetStats codec (the last stats payload field).

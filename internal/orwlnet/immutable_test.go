@@ -225,3 +225,50 @@ func TestAssignmentsStayImmutable(t *testing.T) {
 	}
 	t.Logf("%d assignments checked: %d adoptions, %d partition remaps, %d delta folds", len(seen), adopted, partitionRemaps, deltas)
 }
+
+// TestDeltaFoldSharesUntouchedSlices: a folded delta shares each of
+// cur's slices that no moved task changes (the same backing array),
+// copies the ones some moved task changes, equals the assignment it
+// encodes, and leaves cur bit-identical.
+func TestDeltaFoldSharesUntouchedSlices(t *testing.T) {
+	cur := deltaAssignment(64, 0)
+	at := deepCopy(cur)
+	computeOnly := cur.Clone()
+	computeOnly.ComputePU[3], computeOnly.ComputePU[40] = 15, 14
+	both := deltaShift(cur, 3, 40)
+	control := cur.Clone()
+	control.ControlPU[7] = 2
+	shared := func(a, b []int) bool { return &a[0] == &b[0] }
+	for _, c := range []struct {
+		name                               string
+		next                               *placement.Assignment
+		moved                              []int
+		keepCompute, keepControl, keepCore bool // the slices that stay cur's
+	}{
+		{"compute PUs move", computeOnly, []int{3, 40}, false, true, true},
+		{"compute PUs and cores move", both, []int{3, 40}, false, true, false},
+		{"a control PU moves", control, []int{7}, true, false, true},
+		{"none moved", cur, []int{}, true, true, true},
+	} {
+		frame := encodeRemapFrame(nil, &ctrlplane.Remap{Machine: "m", Epoch: 2, Assignment: c.next, MovedTasks: c.moved}, true)
+		f, err := decodeRemapFrame(frame)
+		if err != nil || !f.Delta {
+			t.Fatalf("%s: decoded delta=%v, err %v", c.name, f != nil && f.Delta, err)
+		}
+		rm, err := f.apply(cur, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := rm.Assignment
+		sameAssignment(t, got, c.next)
+		if shared(got.ComputePU, cur.ComputePU) != c.keepCompute || shared(got.ControlPU, cur.ControlPU) != c.keepControl ||
+			shared(got.CoreOf, cur.CoreOf) != c.keepCore {
+			t.Fatalf("%s: shares compute %v, control %v, cores %v; want %v, %v, %v", c.name,
+				shared(got.ComputePU, cur.ComputePU), shared(got.ControlPU, cur.ControlPU), shared(got.CoreOf, cur.CoreOf),
+				c.keepCompute, c.keepControl, c.keepCore)
+		}
+		if !reflect.DeepEqual(cur, at) {
+			t.Fatalf("%s: the fold edited the cached assignment", c.name)
+		}
+	}
+}

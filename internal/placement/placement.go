@@ -28,6 +28,11 @@ type Options = treematch.Options
 // entity (and, when the strategy manages them, its control threads)
 // goes. The zero slices of the unbound baseline mean "leave placement
 // to the OS scheduler".
+//
+// An assignment handed out by an Engine, a Service, a Reconciler or the
+// fleet Controller is an immutable shared value, and so is everything
+// it points to: two assignments may share any slice or Partitions.
+// Code that edits one edits a Clone or a Mapping.
 type Assignment struct {
 	// Strategy is the name of the strategy that produced the assignment.
 	Strategy string
@@ -50,16 +55,16 @@ type Assignment struct {
 	// Partitions records the partition structure when the mapping came
 	// from the partitioned path (treematch.MapAffinity above
 	// Options.PartitionThreshold); nil otherwise. The adaptive
-	// reconciler keys its per-subtree drift tracking on it.
+	// reconciler keys its per-subtree drift tracking on it. Immutable:
+	// Clone and Mapping share it.
 	Partitions *treematch.Partitioning
 }
 
 // Entities returns the number of placed entities.
 func (a *Assignment) Entities() int { return len(a.ComputePU) }
 
-// Clone returns a deep copy. An assignment handed out by an Engine, a
-// Service, a Reconciler or the fleet Controller is an immutable shared
-// value; code that edits one edits a Clone.
+// Clone returns a copy whose ComputePU, ControlPU and CoreOf slices
+// the caller may edit. Partitions is shared, not copied.
 func (a *Assignment) Clone() *Assignment {
 	if a == nil {
 		return nil
@@ -68,19 +73,18 @@ func (a *Assignment) Clone() *Assignment {
 	c.ComputePU = append([]int(nil), a.ComputePU...)
 	c.ControlPU = append([]int(nil), a.ControlPU...)
 	c.CoreOf = append([]int(nil), a.CoreOf...)
-	c.Partitions = a.Partitions.Clone()
 	return &c
 }
 
 // Mapping converts the assignment into the treematch result type, the
 // compatibility surface of the paper-named core API (RenderMapping,
-// Mapping().Mode, ...). Returns nil for unbound assignments.
+// Mapping().Mode, ...). Returns nil for unbound assignments. The
+// mapping owns copies of the three slices RemapPartition edits in
+// place; its Partitions is a's.
 func (a *Assignment) Mapping(top *topology.Topology) *treematch.Mapping {
 	if a == nil || a.Unbound {
 		return nil
 	}
-	// Copy-on-write: RemapPartition edits the mapping in place, and a is
-	// a shared, immutable value.
 	m := a.Clone()
 	return &treematch.Mapping{
 		Top:            top,

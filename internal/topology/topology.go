@@ -14,7 +14,10 @@
 // Fig. 2; a generic builder constructs arbitrary balanced machines.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // ObjectType enumerates the kinds of objects found in a topology tree,
 // ordered from the root (Machine) towards the leaves (PU).
@@ -172,6 +175,8 @@ type Topology struct {
 
 	byType [numObjectTypes][]*Object
 	depth  int
+
+	subtrees sync.Map // *Object -> *Topology, Subtree's memo
 }
 
 // New finalises a tree rooted at root: it assigns depths and logical

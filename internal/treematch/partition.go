@@ -11,7 +11,8 @@ import (
 // Partitioning records how a partitioned mapping split the task graph:
 // one entry per topology subtree that received a TreeMatch run.
 // The adaptive layer keys its drift tracking on this structure so
-// re-placement can recompute one subtree at a time.
+// re-placement can recompute one subtree at a time. It is immutable
+// once built (RemapPartition never edits it), so copies share it.
 type Partitioning struct {
 	Parts []Partition
 }
@@ -26,20 +27,6 @@ type Partition struct {
 	Object int
 	// Tasks lists the global task ids mapped under the subtree, ascending.
 	Tasks []int
-}
-
-// Clone returns a deep copy.
-func (p *Partitioning) Clone() *Partitioning {
-	if p == nil {
-		return nil
-	}
-	c := &Partitioning{Parts: make([]Partition, len(p.Parts))}
-	for i, part := range p.Parts {
-		tasks := make([]int, len(part.Tasks))
-		copy(tasks, part.Tasks)
-		c.Parts[i] = Partition{Depth: part.Depth, Object: part.Object, Tasks: tasks}
-	}
-	return c
 }
 
 // MapAffinity is Map with partitioned mapping above the threshold.
@@ -59,19 +46,12 @@ func MapAffinity(top *topology.Topology, a comm.Affinity, opt Options) (*Mapping
 	if opt.PartitionThreshold < 0 || comm.NilAffinity(a) || a.Order() <= opt.PartitionThreshold {
 		return Map(top, a, opt)
 	}
-	var sym symCSR
-	if err := symmetrizeOwned(&sym, a, nil, nil); err != nil {
-		return nil, err
-	}
-	return mapPartitioned(top, &sym, opt)
-}
-
-// symmetrizeOwned is symmetrize into a dst the caller keeps past the
-// workspace's return to the pool.
-func symmetrizeOwned(dst *symCSR, a comm.Affinity, tasks, local []int) error {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	return ws.sym.symmetrize(dst, a, tasks, local, true)
+	if err := ws.sym.symmetrize(&ws.lvl[0], a, nil, nil, true); err != nil {
+		return nil, err
+	}
+	return mapPartitioned(top, &ws.lvl[0], opt)
 }
 
 // mapPartitioned runs the partitioned path on the symmetrized sym.
@@ -141,23 +121,24 @@ func RemapPartition(mp *Mapping, a comm.Affinity, part Partition, opt Options) e
 	if err != nil {
 		return err
 	}
-	local := slices.Repeat([]int{-1}, a.Order())
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	local := ws.localIndex(a.Order())
 	for li, g := range part.Tasks {
 		local[g] = li
 	}
+	err = ws.sym.symmetrize(&ws.lvl[0], a, part.Tasks, local, true)
+	for _, g := range part.Tasks {
+		local[g] = -1
+	}
+	if err != nil {
+		return err
+	}
 	var subMp *Mapping
 	if len(part.Tasks) > opt.PartitionThreshold && sub.NumCores() > 1 {
-		var sym symCSR
-		if err := symmetrizeOwned(&sym, a, part.Tasks, local); err != nil {
-			return err
-		}
-		subMp, err = mapPartitioned(sub, &sym, opt)
+		subMp, err = mapPartitioned(sub, &ws.lvl[0], opt)
 	} else {
-		ws := getWorkspace()
-		if err = ws.sym.symmetrize(&ws.lvl[0], a, part.Tasks, local, true); err == nil {
-			subMp, err = mapLevels(sub, ws, opt, exhaustiveLimit)
-		}
-		putWorkspace(ws)
+		subMp, err = mapLevels(sub, ws, opt, exhaustiveLimit)
 	}
 	if err != nil {
 		return err
@@ -332,7 +313,10 @@ func effectiveChildren(obj *topology.Object, coreDepth int) []*topology.Object {
 // mapping: subtree logical indexes are DFS-contiguous slices of the
 // global ones, so the translation is a constant offset per index space.
 func stitchPartition(mp *Mapping, sub *Mapping, obj *topology.Object, tasks []int) {
-	firstPU := obj.PUs()[0]
+	firstPU := obj
+	for len(firstPU.Children) > 0 {
+		firstPU = firstPU.Children[0]
+	}
 	puBase := firstPU.LogicalIndex
 	coreBase := 0
 	if core := firstPU.AncestorOfType(topology.Core); core != nil {

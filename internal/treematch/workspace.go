@@ -2,6 +2,7 @@ package treematch
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -32,12 +33,25 @@ type mapWorkspace struct {
 	// Oversubscription slot counters and mapGroups' buffers.
 	slots      []int
 	seqA, seqB []int
+
+	// RemapPartition's global -> partition index: every entry -1 up to
+	// its capacity between calls.
+	local []int
 }
 
 var wsPool = sync.Pool{New: func() any { return new(mapWorkspace) }}
 
 func getWorkspace() *mapWorkspace   { return wsPool.Get().(*mapWorkspace) }
 func putWorkspace(ws *mapWorkspace) { wsPool.Put(ws) }
+
+// localIndex returns ws.local sized n, every entry -1. The caller
+// resets each entry it sets before putting ws back.
+func (ws *mapWorkspace) localIndex(n int) []int {
+	if cap(ws.local) < n {
+		ws.local = slices.Repeat([]int{-1}, n)
+	}
+	return ws.local[:n]
+}
 
 // grow returns *buf resized to n, reallocated when its capacity is
 // short. The contents are unspecified unless the caller clears them.
