@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"fmt"
 
 	"orwlplace/internal/placement"
@@ -35,16 +34,11 @@ func PutAssignment(dst []byte, a *placement.Assignment) []byte {
 	return PutIntSlice(dst, a.CoreOf)
 }
 
-// GetAssignment decodes a possibly-nil assignment. An encoding that
-// opens with memo's own carries memo's values, so memo itself is
-// returned: a repeated answer allocates nothing.
-func GetAssignment(src []byte, memo *placement.Assignment) (*placement.Assignment, []byte, error) {
-	if memo != nil {
-		var buf [4 << 10]byte
-		if enc := PutAssignment(buf[:0], memo); bytes.HasPrefix(src, enc) {
-			return memo, src[len(enc):], nil
-		}
-	}
+// GetAssignment decodes a possibly-nil assignment. The field is
+// self-delimiting, so the result depends only on the bytes it consumes:
+// a decoder holding an assignment and the bytes it was decoded from may
+// answer a field that opens with those bytes with that assignment.
+func GetAssignment(src []byte) (*placement.Assignment, []byte, error) {
 	present, rest, err := GetBool(src)
 	if err != nil || !present {
 		return nil, rest, err

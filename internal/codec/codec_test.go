@@ -43,7 +43,7 @@ func TestCodecFieldBytes(t *testing.T) {
 			t.Errorf("%s: % x, want % x", c.name, c.got, c.want)
 		}
 	}
-	if a, rest, err := GetAssignment(PutAssignment(nil, asg), nil); err != nil || len(rest) != 0 || !reflect.DeepEqual(a, asg) {
+	if a, rest, err := GetAssignment(PutAssignment(nil, asg)); err != nil || len(rest) != 0 || !reflect.DeepEqual(a, asg) {
 		t.Errorf("assignment decoded to %+v (%d trailing, %v)", a, len(rest), err)
 	}
 	m, fp, rest, err := GetMatrixField([]byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}, 2, nil)

@@ -145,9 +145,11 @@ func getPartitions(src []byte) (*treematch.Partitioning, []byte, error) {
 
 // EncodeSnapshot serialises s in the SnapshotVersion format. The
 // output is deterministic: leases sort by ID, machines by name. A name
-// too long for its string field, or a baseline of more than
-// codec.MaxMatrixCells nonzeros (a *codec.CellsError), refuses the
-// whole image: SaveSnapshot then writes nothing.
+// too long for its string field refuses the whole image: SaveSnapshot
+// then writes nothing. A baseline of more than codec.MaxMatrixCells
+// nonzeros (which a matrix field cannot carry) is written absent: its
+// machine keeps its epoch, assignment and leases, and Restore leaves
+// it to re-prime on its next window.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("ctrlplane: nil snapshot")
@@ -189,9 +191,15 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 			dst = codec.PutUvarint(dst, codec.ZigzagFloat(mr.Latest.Drift))
 			dst = putPartitions(dst, latest.Partitions)
 		}
-		var err error
-		if dst, _, err = codec.PutMatrixField(dst, mr.Base); err != nil {
+		out, _, err := codec.PutMatrixField(dst, mr.Base)
+		var ce *codec.CellsError
+		switch {
+		case errors.As(err, &ce):
+			dst = append(dst, codec.MatAbsent)
+		case err != nil:
 			return nil, fmt.Errorf("ctrlplane: snapshot: machine %q baseline: %w", mr.Name, err)
+		default:
+			dst = out
 		}
 	}
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
@@ -280,7 +288,7 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 		}
 		mr.Order = int(order)
 		var a *placement.Assignment
-		if a, rest, err = codec.GetAssignment(rest, nil); err != nil {
+		if a, rest, err = codec.GetAssignment(rest); err != nil {
 			return nil, err
 		}
 		if a != nil {

@@ -16,6 +16,7 @@ import (
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
+	"orwlplace/internal/topology"
 	"orwlplace/internal/treematch"
 )
 
@@ -219,8 +220,10 @@ func TestSaveLoadSnapshot(t *testing.T) {
 
 // TestSnapshotOverCapBaselineRefused: a full order-1449 baseline holds
 // more cells than a matrix field carries (codec.MaxMatrixCells), so the
-// image is refused with the codec's error and SaveSnapshot keeps the
-// previous generation as it was.
+// image is written with that baseline absent. The other machine's
+// record round-trips, the wide machine keeps its epoch and latest
+// remap, and a controller restored from the image re-primes it on its
+// next window.
 func TestSnapshotOverCapBaselineRefused(t *testing.T) {
 	const n = 1449
 	base := comm.NewMatrix(n)
@@ -231,22 +234,58 @@ func TestSnapshotOverCapBaselineRefused(t *testing.T) {
 		}
 	}
 	s := snapFixture()
-	s.Machines[1] = MachineRecord{Name: "wide", Order: n, Epoch: 1, Base: base}
-	want := fmt.Sprintf("ctrlplane: snapshot: machine \"wide\" baseline: codec: order-%d sparse body claims %d cells, over the %d a body may hold",
-		n, n*n, codec.MaxMatrixCells)
-	var ce *codec.CellsError
-	if _, err := EncodeSnapshot(s); !errors.As(err, &ce) || err.Error() != want {
-		t.Fatalf("err = %v, want %q", err, want)
-	}
+	latest := &Remap{Machine: "wide", Epoch: 3, Drift: 0.25, Assignment: &placement.Assignment{
+		Strategy: "treematch", ComputePU: []int{3, 2, 1, 0}, ControlPU: []int{-1, -1, -1, -1}, CoreOf: []int{3, 2, 1, 0},
+	}}
+	s.Machines[1] = MachineRecord{Name: "wide", Order: n, Epoch: 3, Latest: latest, Base: base}
 	path := filepath.Join(t.TempDir(), "ctrl.snap")
-	if err := SaveSnapshot(path, snapFixture(), 2); err != nil {
+	if err := SaveSnapshot(path, s, 2); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, _, err := LoadSnapshot(path, 0, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSnapshot(path, s, 2); !errors.As(err, &ce) {
-		t.Fatalf("save: err = %v, want the cell cap", err)
+	if !reflect.DeepEqual(got.Machines[0], snapFixture().Machines[0]) {
+		t.Fatalf("the other machine decoded to %+v, want %+v", got.Machines[0], snapFixture().Machines[0])
 	}
-	if got, _, err := LoadSnapshot(path, 0, 2); err != nil || !reflect.DeepEqual(got, snapFixture()) {
-		t.Fatalf("the refused save changed the snapshot on disk (%v)", err)
+	want := MachineRecord{Name: "wide", Order: n, Epoch: 3, Latest: latest}
+	if !reflect.DeepEqual(got.Machines[1], want) {
+		t.Fatalf("the wide machine decoded to %+v, want %+v without its baseline", got.Machines[1], want)
+	}
+
+	fleet := testFleet(t)
+	if err := fleet.AddMachine("wide", topology.Fig2Machine()); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewController(fleet, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Restore(got); err != nil {
+		t.Fatal(err)
+	}
+	if ev := ctrl.Latest("wide"); ev == nil || ev.Epoch != 3 {
+		t.Fatalf("restored latest of the wide machine = %+v, want epoch 3", ev)
+	}
+	lease, err := ctrl.RegisterToken("wide", "gamma", 0, ctrlTasks, 0xfeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.ReportAffinity(lease.ID, 1, ringMatrix(ctrlTasks, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ctrl.Epoch("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || !rep.Recomputed || !rep.Adopted {
+		t.Fatalf("first epoch of the restored wide machine = %+v, want a re-prime", rep)
+	}
+	// The collector restored the machine's task space, so the prime maps
+	// all n tasks.
+	if ev := ctrl.Latest("wide"); ev.Epoch != 4 || len(ev.Assignment.ComputePU) != n {
+		t.Fatalf("re-primed remap = epoch %d over %d tasks, want epoch 4 over %d", ev.Epoch, len(ev.Assignment.ComputePU), n)
 	}
 }
 

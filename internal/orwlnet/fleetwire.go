@@ -448,7 +448,7 @@ func decodeRemapFrame(src []byte) (*remapFrame, error) {
 	if f.MovedTasks, rest, err = getAscending(rest, f.order, "moved task"); err != nil {
 		return nil, err
 	}
-	if f.Assignment, _, err = codec.GetAssignment(rest, nil); err != nil {
+	if f.Assignment, _, err = codec.GetAssignment(rest); err != nil {
 		return nil, err
 	}
 	n := f.order

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
@@ -142,23 +143,30 @@ func memoResponse() (*placement.PlaceResponse, []byte) {
 	return resp, encodePlaceResponse(nil, resp)
 }
 
+// memoOf decodes data plainly and memoises the result as the client
+// does.
+func memoOf(tb testing.TB, data []byte) *assignmentMemo {
+	tb.Helper()
+	back, enc, err := decodePlaceResponse(data, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &assignmentMemo{a: back.Assignment, enc: bytes.Clone(enc)}
+}
+
 // TestPlaceMemoRefusesGarbledAnswers: every truncation of a response
 // whose prefix matches the memo fails like the plain decode, and every
 // one-byte corruption decodes exactly as the plain decoder does — never
 // to the shared memo unless the values really are the memo's.
 func TestPlaceMemoRefusesGarbledAnswers(t *testing.T) {
 	_, full := memoResponse()
-	back, _, err := decodePlaceResponse(full, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := back.Assignment
-	if got, _, err := decodePlaceResponse(full, memo); err != nil || got.Assignment != memo {
-		t.Fatalf("the memoised answer decoded to (%p, %v), want the memo %p", got.Assignment, err, memo)
+	memo := memoOf(t, full)
+	if got, _, err := decodePlaceResponse(full, memo); err != nil || got.Assignment != memo.a {
+		t.Fatalf("the memoised answer decoded to (%p, %v), want the memo %p", got.Assignment, err, memo.a)
 	}
 	for cut := 0; cut < len(full); cut++ {
 		if resp, _, err := decodePlaceResponse(full[:cut], memo); err == nil {
-			t.Fatalf("a response cut at %d of %d bytes decoded (memo returned: %v)", cut, len(full), resp.Assignment == memo)
+			t.Fatalf("a response cut at %d of %d bytes decoded (memo returned: %v)", cut, len(full), resp.Assignment == memo.a)
 		}
 	}
 	for i := range full {
@@ -170,13 +178,14 @@ func TestPlaceMemoRefusesGarbledAnswers(t *testing.T) {
 	}
 }
 
-// samePlainAndMemo checks the memo decode of data against the plain
-// decode: both fail, or both succeed with equal values — and the memo
-// itself comes back only for a value-equal answer.
-func samePlainAndMemo(t *testing.T, data []byte, memo *placement.Assignment) {
+// samePlainAndMemo checks the decode of data against memo's stored
+// bytes with the plain decode: both fail, or both succeed with equal
+// values and equal assignment bytes — and the memo itself comes back
+// only for a value-equal answer.
+func samePlainAndMemo(t *testing.T, data []byte, memo *assignmentMemo) {
 	t.Helper()
-	plain, prest, perr := decodePlaceResponse(data, nil)
-	got, mrest, merr := decodePlaceResponse(data, memo)
+	plain, penc, perr := decodePlaceResponse(data, nil)
+	got, menc, merr := decodePlaceResponse(data, memo)
 	if (perr == nil) != (merr == nil) {
 		t.Fatalf("%x: plain decode err %v, memo decode err %v", data, perr, merr)
 	}
@@ -185,17 +194,18 @@ func samePlainAndMemo(t *testing.T, data []byte, memo *placement.Assignment) {
 	}
 	// The encodings compare the other fields bit for bit (a NaN cost
 	// is not DeepEqual to itself).
-	if !reflect.DeepEqual(plain.Assignment, got.Assignment) || !bytes.Equal(prest, mrest) ||
+	if !reflect.DeepEqual(plain.Assignment, got.Assignment) || !bytes.Equal(penc, menc) ||
 		!bytes.Equal(encodePlaceResponse(nil, plain), encodePlaceResponse(nil, got)) {
 		t.Fatalf("%x: memo decode %+v differs from plain decode %+v", data, got.Assignment, plain.Assignment)
 	}
-	if got.Assignment == memo && !reflect.DeepEqual(plain.Assignment, memo) {
+	if got.Assignment == memo.a && !reflect.DeepEqual(plain.Assignment, memo.a) {
 		t.Fatalf("%x: the memo came back for a different assignment", data)
 	}
 }
 
-// FuzzPlaceResponseDecode: for any bytes, the memoised decode and the
-// plain decode return equal values or both fail.
+// FuzzPlaceResponseDecode: for any bytes, the decode against the
+// memo's stored bytes and the plain decode return equal values or both
+// fail.
 func FuzzPlaceResponseDecode(f *testing.F) {
 	resp, full := memoResponse()
 	f.Add(full)
@@ -204,12 +214,9 @@ func FuzzPlaceResponseDecode(f *testing.F) {
 	resp.Assignment = nil
 	f.Add(encodePlaceResponse(nil, resp))
 	f.Add(full[:len(full)-3])
-	back, _, err := decodePlaceResponse(full, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	memo := memoOf(f, full)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		samePlainAndMemo(t, data, back.Assignment)
+		samePlainAndMemo(t, data, memo)
 	})
 }
 
@@ -217,36 +224,46 @@ func FuzzPlaceResponseDecode(f *testing.F) {
 // most knownFingerprints × memoMaxBytes, however many fingerprints and
 // however large the assignments the client sees.
 func TestFPSetMemoBound(t *testing.T) {
-	sized := func(ints int) *placement.Assignment {
-		return &placement.Assignment{Strategy: "s", ComputePU: make([]int, ints)}
+	sized := func(ints int) (*placement.Assignment, []byte) {
+		a := &placement.Assignment{Strategy: "s", ComputePU: make([]int, ints)}
+		return a, codec.PutAssignment(nil, a)
 	}
-	memoBytes := func(a *placement.Assignment) int { // what a memo retains past its header
-		return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy)
+	memoBytes := func(a *placement.Assignment, enc []byte) int { // what a memo retains past its header
+		return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf)) + len(a.Strategy) + len(enc)
 	}
-	fit := sized((memoMaxBytes - 1) / 8)
-	over := sized(memoMaxBytes/8 + 1)
-	if memoBytes(fit) > memoMaxBytes || memoBytes(over) <= memoMaxBytes {
-		t.Fatalf("fixture sizes %d and %d do not straddle the %d-byte bound", memoBytes(fit), memoBytes(over), memoMaxBytes)
+	ints := 0
+	for memoBytes(sized(ints+1)) <= memoMaxBytes {
+		ints++
 	}
+	fit, fitEnc := sized(ints)
+	over, overEnc := sized(ints + 1)
 	s := newFPSet(knownFingerprints)
-	for fp := uint64(1); fp <= 3*knownFingerprints; fp++ {
+	const fps = 3 * knownFingerprints
+	for fp := uint64(1); fp <= fps; fp++ {
 		e := s.remember(fp)
-		e.keep(fit)
+		e.keep(fit, fitEnc)
 		if fp%2 == 0 {
-			e.keep(over)
-			if e.memo.Load() != fit {
+			e.keep(over, overEnc)
+			if e.memo.Load().a != fit {
 				t.Fatalf("fingerprint %d: an oversized assignment replaced the memo", fp)
 			}
 		}
 	}
-	retained := 0
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		if a := el.Value.(*fpEntry).memo.Load(); a != nil {
-			retained += memoBytes(a)
+	entries, retained := 0, 0
+	for fp := uint64(1); fp <= fps; fp++ {
+		s.mu.Lock()
+		e, ok := s.lru.Get(fp)
+		s.mu.Unlock()
+		if !ok {
+			continue
+		}
+		entries++
+		if m := e.memo.Load(); m != nil {
+			retained += memoBytes(m.a, m.enc)
 		}
 	}
-	if s.order.Len() > knownFingerprints || retained > knownFingerprints*memoMaxBytes {
-		t.Fatalf("%d entries retain %d memo bytes, want ≤ %d entries and ≤ %d bytes",
-			s.order.Len(), retained, knownFingerprints, knownFingerprints*memoMaxBytes)
+	if entries != s.lru.Len() || entries > knownFingerprints || retained > knownFingerprints*memoMaxBytes {
+		t.Fatalf("%d entries (Len %d) retain %d memo bytes, want ≤ %d entries and ≤ %d bytes",
+			entries, s.lru.Len(), retained, knownFingerprints, knownFingerprints*memoMaxBytes)
 	}
 }

@@ -174,9 +174,13 @@ func TestPlaceColdRoundTrip160AllocatesNoMatrix(t *testing.T) {
 // TestPlaceWarmRoundTrip160AllocatesNoAssignment is the warm path's
 // allocation tripwire: a repeated 160-task ring placement through a
 // loopback RemoteService — a fingerprint-only request, a mapping-cache
-// hit, a response equal to the last — must allocate < 2 KiB per call
-// process-wide. The assignment alone is 3.8 KB each time it is copied
-// or decoded.
+// hit, a response equal to the last — must allocate < 704 B per call
+// process-wide (~620 B measured). The assignment alone is 3.8 KB each
+// time it is copied or decoded, and its encoding 692 B, so a per-hit
+// copy of the client memo's bytes fails the bound. The window is 500
+// calls because the payload pool still refills a 4 KiB buffer every
+// few hundred calls: over 50 calls one refill more or less moved the
+// figure by 82 B.
 func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector drops pooled buffers at random")
@@ -201,15 +205,15 @@ func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	place() // sizes the pooled buffers
-	const calls = 50
+	const calls = 500
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
 		place()
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 2<<10 {
-		t.Fatalf("one warm 160-task placement allocated %d bytes, want < 2 KiB", got)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 704 {
+		t.Fatalf("one warm 160-task placement allocated %d bytes, want < 704 B", got)
 	} else {
 		t.Logf("one warm 160-task placement allocated %d bytes", got)
 	}

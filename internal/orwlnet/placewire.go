@@ -1,7 +1,7 @@
 package orwlnet
 
 import (
-	"container/list"
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -9,6 +9,7 @@ import (
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/comm"
+	"orwlplace/internal/lru"
 	"orwlplace/internal/placement"
 )
 
@@ -167,9 +168,18 @@ func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
 	return codec.PutAssignment(dst, resp.Assignment)
 }
 
-// decodePlaceResponse decodes one response; its assignment is memo
-// itself when it carries memo's values (codec.GetAssignment).
-func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.PlaceResponse, []byte, error) {
+// assignmentMemo is a decoded assignment and the bytes it was decoded
+// from.
+type assignmentMemo struct {
+	a   *placement.Assignment
+	enc []byte
+}
+
+// decodePlaceResponse decodes one response and returns its assignment's
+// encoding, which aliases src or memo. An assignment field that opens
+// with memo's bytes carries memo's values, so it decodes to memo's
+// assignment itself: a repeated answer allocates nothing.
+func decodePlaceResponse(src []byte, memo *assignmentMemo) (*placement.PlaceResponse, []byte, error) {
 	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, nil, err
@@ -187,10 +197,15 @@ func decodePlaceResponse(src []byte, memo *placement.Assignment) (*placement.Pla
 	}
 	resp.Cost, resp.CrossNUMAVolume = math.Float64frombits(cost), math.Float64frombits(cross)
 	resp.Cache.Entries, resp.ElapsedNS = int(int64(entries)), int64(elapsed)
-	if resp.Assignment, rest, err = codec.GetAssignment(rest, memo); err != nil {
+	if memo != nil && bytes.HasPrefix(rest, memo.enc) {
+		resp.Assignment = memo.a
+		return resp, memo.enc, nil
+	}
+	var after []byte
+	if resp.Assignment, after, err = codec.GetAssignment(rest); err != nil {
 		return nil, nil, err
 	}
-	return resp, rest, nil
+	return resp, rest[:len(rest)-len(after)], nil
 }
 
 // encodeServiceStats frames the stats payload: the service
@@ -337,19 +352,12 @@ func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse) (*co
 // are shared read-only with the placement engines (nothing downstream
 // of decode mutates a request matrix).
 type matrixCache struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List // front = most recently used; values are *matrixCacheEntry
-	entries map[uint64]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[uint64, *comm.Sparse]
 
 	sparseSeen atomic.Uint64
 	fpHits     atomic.Uint64
 	fpMisses   atomic.Uint64
-}
-
-type matrixCacheEntry struct {
-	fp uint64
-	m  *comm.Sparse
 }
 
 // defaultMatrixCacheEntries bounds the seen-matrix table. Matrices are
@@ -359,17 +367,12 @@ type matrixCacheEntry struct {
 const defaultMatrixCacheEntries = 64
 
 func newMatrixCache(max int) *matrixCache {
-	return &matrixCache{max: max, order: list.New(), entries: make(map[uint64]*list.Element)}
+	return &matrixCache{lru: lru.New[uint64, *comm.Sparse](max)}
 }
 
 func (c *matrixCache) lookup(fp uint64) (*comm.Sparse, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[fp]
-	var m *comm.Sparse
-	if ok {
-		c.order.MoveToFront(el)
-		m = el.Value.(*matrixCacheEntry).m // remember rewrites it under mu
-	}
+	m, ok := c.lru.Get(fp)
 	c.mu.Unlock()
 	if !ok {
 		c.fpMisses.Add(1)
@@ -380,28 +383,15 @@ func (c *matrixCache) lookup(fp uint64) (*comm.Sparse, bool) {
 }
 
 func (c *matrixCache) remember(fp uint64, m *comm.Sparse) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[fp]; ok {
-		el.Value.(*matrixCacheEntry).m = m
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[fp] = c.order.PushFront(&matrixCacheEntry{fp: fp, m: m})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*matrixCacheEntry).fp)
-	}
+	c.lru.Put(fp, m)
+	c.mu.Unlock()
 }
 
 func (c *matrixCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.Len()
 }
 
 // NetStats codec (a stats payload field).

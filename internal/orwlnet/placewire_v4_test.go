@@ -156,7 +156,7 @@ func TestAssignmentV4RoundTrip(t *testing.T) {
 		{Strategy: "x", Oversubscribed: true, ComputePU: []int{}, ControlPU: nil},
 	}
 	for i, a := range cases {
-		got, rest, err := codec.GetAssignment(codec.PutAssignment(nil, a), nil)
+		got, rest, err := codec.GetAssignment(codec.PutAssignment(nil, a))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("case %d: %v (%d trailing)", i, err, len(rest))
 		}

@@ -1,7 +1,7 @@
 package orwlnet
 
 import (
-	"container/list"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"orwlplace/internal/comm"
+	"orwlplace/internal/lru"
 	"orwlplace/internal/placement"
 	"orwlplace/internal/topology"
 )
@@ -161,38 +162,32 @@ func (s *RemoteService) revive(ctx context.Context) bool {
 // round trip before the body is resent.
 const knownFingerprints = 256
 
-// memoMaxBytes bounds the slices and name one fpSet memo retains, so a
-// full set retains at most knownFingerprints × 32 KiB = 8 MiB. A
-// 160-task assignment takes 3.8 KB.
+// memoMaxBytes bounds the slices, name and bytes one fpSet memo
+// retains, so a full set retains at most knownFingerprints × 32 KiB =
+// 8 MiB. A 160-task assignment takes 3.8 KB and its encoding 0.7 KB.
 const memoMaxBytes = 32 << 10
 
-// fpSet is a small mutex-guarded LRU set of matrix fingerprints.
+// fpSet is the client's LRU set of believed-known matrix fingerprints.
 type fpSet struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently confirmed; values are *fpEntry
-	m     map[uint64]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[uint64, *fpEntry]
 }
 
 // fpEntry is one believed-known fingerprint. memo is the assignment
-// the last placement response for it decoded to: the next response
-// decodes to memo itself iff it encodes every one of memo's values.
+// the last placement response for it decoded to, with the bytes it
+// was decoded from (see decodePlaceResponse).
 type fpEntry struct {
-	fp   uint64
-	memo atomic.Pointer[placement.Assignment]
+	memo atomic.Pointer[assignmentMemo]
 }
 
 func newFPSet(max int) *fpSet {
-	return &fpSet{max: max, order: list.New(), m: make(map[uint64]*list.Element)}
+	return &fpSet{lru: lru.New[uint64, *fpEntry](max)}
 }
 
 func (s *fpSet) has(fp uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.m[fp]
-	if ok {
-		s.order.MoveToFront(el)
-	}
+	_, ok := s.lru.Get(fp)
 	return ok
 }
 
@@ -200,16 +195,10 @@ func (s *fpSet) has(fp uint64) bool {
 func (s *fpSet) remember(fp uint64) *fpEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[fp]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*fpEntry)
-	}
-	e := &fpEntry{fp: fp}
-	s.m[fp] = s.order.PushFront(e)
-	for s.order.Len() > s.max {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.m, oldest.Value.(*fpEntry).fp)
+	e, ok := s.lru.Get(fp)
+	if !ok {
+		e = &fpEntry{}
+		s.lru.Put(fp, e)
 	}
 	return e
 }
@@ -217,17 +206,18 @@ func (s *fpSet) remember(fp uint64) *fpEntry {
 func (s *fpSet) forget(fp uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[fp]; ok {
-		s.order.Remove(el)
-		delete(s.m, fp)
-	}
+	s.lru.Remove(fp)
 }
 
-// keep makes a the entry's memo unless its slices and name exceed
-// memoMaxBytes.
-func (e *fpEntry) keep(a *placement.Assignment) {
-	if a != nil && a != e.memo.Load() && 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf))+len(a.Strategy) <= memoMaxBytes {
-		e.memo.Store(a)
+// keep makes a, decoded from enc, the entry's memo unless it is the
+// memo already or its slices, name and bytes exceed memoMaxBytes. enc
+// is copied: it aliases the response buffer.
+func (e *fpEntry) keep(a *placement.Assignment, enc []byte) {
+	if a == nil || 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf))+len(a.Strategy)+len(enc) > memoMaxBytes {
+		return
+	}
+	if m := e.memo.Load(); m == nil || m.a != a {
+		e.memo.Store(&assignmentMemo{a: a, enc: bytes.Clone(enc)})
 	}
 }
 
@@ -277,19 +267,19 @@ func (s *RemoteService) placeOnce(ctx context.Context, req *placement.PlaceReque
 	if err != nil {
 		return nil, err
 	}
+	if comm.NilAffinity(req.Matrix) {
+		resp, _, err := decodePlaceResponse(payload, nil)
+		putPayloadBuf(payload)
+		return resp, err
+	}
 	// The daemon decoded the body (or confirmed the reference): the next
 	// request for this matrix can go fingerprint-only.
-	var known *fpEntry
-	if comm.NilAffinity(req.Matrix) {
-		known = &fpEntry{} // a memo nothing else reads
-	} else {
-		known = s.known.remember(fp)
-	}
-	resp, _, err := decodePlaceResponse(payload, known.memo.Load())
-	putPayloadBuf(payload)
+	known := s.known.remember(fp)
+	resp, enc, err := decodePlaceResponse(payload, known.memo.Load())
 	if err == nil {
-		known.keep(resp.Assignment)
+		known.keep(resp.Assignment, enc)
 	}
+	putPayloadBuf(payload)
 	return resp, err
 }
 

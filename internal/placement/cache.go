@@ -1,22 +1,24 @@
 package placement
 
 import (
-	"container/list"
 	"hash/fnv"
+	"sync"
 
+	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
+	"orwlplace/internal/treematch"
 )
 
 // cacheKey identifies one memoised mapping: the machine, the entity
 // count, the strategy and, for TreeMatch only, the matrix and the
-// options. Two programs presenting the same communication pattern on
-// the same machine share the entry.
+// canonical options. Two programs presenting the same communication
+// pattern on the same machine share the entry.
 type cacheKey struct {
 	topo     uint64
 	matrix   uint64
 	entities int
 	strategy string
-	options  uint64
+	options  Options
 }
 
 // Signature fingerprints a topology by its canonical JSON encoding
@@ -64,69 +66,32 @@ func Signature(top *topology.Topology) uint64 {
 	return h.Sum64()
 }
 
-// optionsFingerprint hashes the mapping options that change the
-// result, canonicalised so default-equivalent configurations share a
-// cache entry.
-func optionsFingerprint(opt Options) uint64 {
-	opt = opt.Canonical()
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	flags := uint64(0)
-	if opt.ControlThreads {
-		flags = 1
-	}
-	put(flags)
-	put(uint64(int64(opt.PartitionThreshold)))
-	return h.Sum64()
-}
-
-// mappingCache is a small LRU of computed assignments. A max of zero
-// (or less) disables caching entirely.
-type mappingCache struct {
-	max     int
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[cacheKey]*list.Element
-}
-
+// cacheEntry is one memoised mapping. A TreeMatch entry is keyed by its
+// matrix, so it also carries the quality diagnostics of its assignment
+// over that matrix, measured on the first read (see quality).
 type cacheEntry struct {
-	key cacheKey
-	a   *Assignment
+	a *Assignment
+
+	diag            sync.Once
+	cost, crossNUMA float64
 }
 
-func newMappingCache(max int) *mappingCache {
-	return &mappingCache{max: max, order: list.New(), entries: make(map[cacheKey]*list.Element)}
+// quality returns the TreeMatch cost and cross-NUMA volume of the
+// entry's assignment over m; a failure reads as zeros, since the
+// diagnostics never fail a call. A TreeMatch entry measures them once
+// and serves every later read; an oblivious strategy's entry is shared
+// across matrices, so it measures on every call.
+func (c *cacheEntry) quality(top *topology.Topology, m comm.Affinity) (float64, float64) {
+	measure := func() (float64, float64) {
+		cost, cross, err := treematch.Quality(top, m, c.a.ComputePU)
+		if err != nil {
+			return 0, 0
+		}
+		return cost, cross
+	}
+	if c.a.Strategy != TreeMatch {
+		return measure()
+	}
+	c.diag.Do(func() { c.cost, c.crossNUMA = measure() })
+	return c.cost, c.crossNUMA
 }
-
-func (c *mappingCache) get(k cacheKey) (*Assignment, bool) {
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).a, true
-}
-
-func (c *mappingCache) put(k cacheKey, a *Assignment) {
-	if c.max <= 0 {
-		return
-	}
-	if el, ok := c.entries[k]; ok {
-		el.Value.(*cacheEntry).a = a
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, a: a})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-func (c *mappingCache) len() int { return c.order.Len() }

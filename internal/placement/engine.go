@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"orwlplace/internal/comm"
+	"orwlplace/internal/lru"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/topology"
 )
@@ -23,7 +24,7 @@ type Engine struct {
 	topoSig uint64
 
 	mu     sync.Mutex
-	cache  *mappingCache
+	cache  *lru.Cache[cacheKey, *cacheEntry]
 	stats  CacheStats
 	flight map[cacheKey]*flightCall
 }
@@ -31,13 +32,13 @@ type Engine struct {
 // flightCall is one in-progress strategy computation. Concurrent
 // ComputeHinted calls for the same uncached key coalesce onto it
 // (singleflight): the first caller runs the strategy, the others wait
-// on done and clone the shared result. Without this, a busy daemon
+// on done and share the leader's entry. Without this, a busy daemon
 // receiving a burst of identical requests would run the same expensive
 // TreeMatch once per request — a thundering herd the cache alone
 // cannot stop, since entries only appear after a compute finishes.
 type flightCall struct {
 	done chan struct{}
-	a    *Assignment // the leader's result, shared once done is closed
+	ent  *cacheEntry // the leader's result, shared once done is closed
 	err  error
 }
 
@@ -56,7 +57,7 @@ type EngineOption func(*Engine)
 
 // WithCacheEntries bounds the mapping cache (0 disables caching).
 func WithCacheEntries(n int) EngineOption {
-	return func(e *Engine) { e.cache = newMappingCache(n) }
+	return func(e *Engine) { e.cache = lru.New[cacheKey, *cacheEntry](n) }
 }
 
 // NewEngine creates a placement engine for one machine.
@@ -67,7 +68,7 @@ func NewEngine(top *topology.Topology, opts ...EngineOption) (*Engine, error) {
 	e := &Engine{
 		top:     top,
 		topoSig: Signature(top),
-		cache:   newMappingCache(defaultCacheEntries),
+		cache:   lru.New[cacheKey, *cacheEntry](defaultCacheEntries),
 		flight:  make(map[cacheKey]*flightCall),
 	}
 	for _, o := range opts {
@@ -114,6 +115,16 @@ func (e *Engine) Extract(src Source) (comm.Affinity, error) {
 // assignment is shared with the cache and every caller of the same key:
 // it is read-only, and a caller that edits one edits a Clone.
 func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n int, opt Options) (*Assignment, bool, error) {
+	ent, hit, err := e.computeEntry(strategy, m, fp, n, opt)
+	if err != nil {
+		return nil, false, err
+	}
+	return ent.a, hit, nil
+}
+
+// computeEntry is ComputeHinted returning the cache entry, whose
+// diagnostics LocalService reads.
+func (e *Engine) computeEntry(strategy string, m comm.Affinity, fp uint64, n int, opt Options) (*cacheEntry, bool, error) {
 	treeMatch := strategy == TreeMatch
 	if !treeMatch && strategy != None {
 		if _, ok := policy(strategy); !ok {
@@ -141,7 +152,7 @@ func (e *Engine) ComputeHinted(strategy string, m comm.Affinity, fp uint64, n in
 		if key.matrix = fp; key.matrix == 0 {
 			key.matrix = comm.Fingerprint(m)
 		}
-		key.options = optionsFingerprint(opt)
+		key.options = opt.Canonical()
 	}
 	return e.computeKeyed(key, strategy, func() (*Assignment, error) {
 		return mapStrategy(e.top, strategy, m, n, opt)
@@ -169,12 +180,12 @@ func entities(m comm.Affinity, n int) (int, error) {
 // in-flight computation of the same key, or by running run itself
 // (singleflight leader). The bool result reports "served without a
 // compute".
-func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assignment, error)) (*Assignment, bool, error) {
+func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assignment, error)) (*cacheEntry, bool, error) {
 	e.mu.Lock()
-	if a, ok := e.cache.get(key); ok {
+	if ent, ok := e.cache.Get(key); ok {
 		e.stats.Hits++
 		e.mu.Unlock()
-		return a, true, nil
+		return ent, true, nil
 	}
 	if c, ok := e.flight[key]; ok {
 		// Singleflight: another goroutine is already computing this
@@ -189,7 +200,7 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 		e.mu.Lock()
 		e.stats.Hits++
 		e.mu.Unlock()
-		return c.a, true, nil
+		return c.ent, true, nil
 	}
 	c := &flightCall{done: make(chan struct{})}
 	e.flight[key] = c
@@ -199,15 +210,15 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 	// complete publishes the flight's outcome exactly once: clears the
 	// entry, fills the cache on success, and unblocks the waiters.
 	completed := false
-	complete := func(stored *Assignment, err error) {
+	complete := func(stored *cacheEntry, err error) {
 		completed = true
 		e.mu.Lock()
 		delete(e.flight, key)
 		if stored != nil {
-			e.cache.put(key, stored)
+			e.cache.Put(key, stored)
 		}
 		e.mu.Unlock()
-		c.a = stored
+		c.ent = stored
 		c.err = err
 		close(c.done)
 	}
@@ -229,9 +240,10 @@ func (e *Engine) computeKeyed(key cacheKey, strategy string, run func() (*Assign
 		complete(nil, err)
 		return nil, false, err
 	}
-	// The leader, its followers and the cache share one immutable value.
-	complete(a, nil)
-	return a, false, nil
+	// The leader, its followers and the cache share one entry.
+	ent := &cacheEntry{a: a}
+	complete(ent, nil)
+	return ent, false, nil
 }
 
 // Bind commits an assignment to a program — step 3 of the pipeline
@@ -287,6 +299,6 @@ func (e *Engine) Stats() CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats
-	st.Entries = e.cache.len()
+	st.Entries = e.cache.Len()
 	return st
 }

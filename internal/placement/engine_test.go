@@ -429,7 +429,7 @@ func TestComputeSingleflight(t *testing.T) {
 	}
 
 	const callers = 16
-	results := make([]*Assignment, callers)
+	results := make([]*cacheEntry, callers)
 	hits := make([]bool, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {

@@ -10,7 +10,6 @@ import (
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
-	"orwlplace/internal/treematch"
 )
 
 // PlaceRequest asks a placement service for an assignment. It is the
@@ -32,10 +31,12 @@ type PlaceRequest struct {
 	// MatrixFP is an optional precomputed comm.Fingerprint(Matrix) —
 	// a performance hint that spares the service re-hashing the matrix
 	// on every call (hashing a large matrix dominates the warm cache
-	// path). Zero means unknown: the service hashes as needed. If set,
-	// it MUST equal comm.Fingerprint(Matrix); a stale value (matrix
-	// mutated after hashing) aliases the request to the wrong cache
-	// identity and can return the wrong cached assignment. The wire
+	// path). Only treematch keys its cache entry on the matrix, so only
+	// it reads the hint; zero means unknown, and treematch then hashes.
+	// If set, it MUST equal comm.Fingerprint(Matrix); a stale value
+	// (matrix mutated after hashing) aliases the request to the wrong
+	// cache entry and can return the wrong cached assignment, with that
+	// entry's cost diagnostics. The wire
 	// layer fills it in on the serving side with the fingerprint of the
 	// matrix as sent: it folds -0 cells the decoded Matrix does not
 	// store, which map as +0, so client and daemon share one identity.
@@ -224,75 +225,6 @@ type LocalService struct {
 
 	recMu sync.Mutex
 	recs  []*Reconciler
-
-	// diag memoises the quality diagnostics (TreeMatch cost and
-	// cross-NUMA volume) per (matrix, binding) pair. Their walk covers the
-	// full matrix, which on a warm cache hit would otherwise dominate the
-	// call: the assignment comes back memoised in microseconds and the
-	// diagnostics recompute it from scratch every time.
-	diagMu sync.Mutex
-	diag   map[diagKey]diagVal
-}
-
-// diagKey identifies a diagnostics result: the diagnostics depend only
-// on the matrix contents and the compute binding, whatever strategy or
-// options produced the binding.
-type diagKey struct {
-	matrix uint64 // comm.Fingerprint of the request matrix
-	pus    uint64 // puFingerprint of the assignment's ComputePU
-}
-
-type diagVal struct {
-	cost, crossNUMA float64
-}
-
-// diagCacheEntries bounds the diagnostics memo. Overflow clears the
-// map outright: recomputing a handful of diagnostics after a workload
-// shift is cheaper than maintaining LRU order on the hot path.
-const diagCacheEntries = 256
-
-// puFingerprint hashes a compute binding the same word-wise FNV-1a way
-// comm.Fingerprint hashes a matrix.
-func puFingerprint(pus []int) uint64 {
-	h := uint64(fnvOffset64)
-	h = (h ^ uint64(len(pus))) * fnvPrime64
-	for _, pu := range pus {
-		h = (h ^ uint64(uint(pu))) * fnvPrime64
-	}
-	return h
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// diagnostics returns the memoised (cost, cross-NUMA volume) for the
-// assignment over the matrix, computing and caching on miss. fp is the
-// matrix fingerprint the caller already holds.
-func (s *LocalService) diagnostics(fp uint64, m comm.Affinity, a *Assignment) (float64, float64) {
-	key := diagKey{matrix: fp, pus: puFingerprint(a.ComputePU)}
-	s.diagMu.Lock()
-	if v, ok := s.diag[key]; ok {
-		s.diagMu.Unlock()
-		return v.cost, v.crossNUMA
-	}
-	s.diagMu.Unlock()
-
-	// Compute outside the lock: concurrent misses may duplicate work
-	// once, but never serialise distinct placements.
-	var v diagVal
-	if c, x, err := treematch.Quality(s.eng.top, m, a.ComputePU); err == nil {
-		v = diagVal{c, x}
-	}
-
-	s.diagMu.Lock()
-	if s.diag == nil || len(s.diag) >= diagCacheEntries {
-		s.diag = make(map[diagKey]diagVal, 16)
-	}
-	s.diag[key] = v
-	s.diagMu.Unlock()
-	return v.cost, v.crossNUMA
 }
 
 // NewLocalService wraps an engine as a Service.
@@ -320,31 +252,24 @@ func (s *LocalService) Place(ctx context.Context, req *PlaceRequest) (*PlaceResp
 		return nil, err
 	}
 	start := time.Now()
-	// Hash the matrix once (or take the caller's precomputed identity)
-	// and reuse it for both the mapping-cache key and the diagnostics
-	// memo — on a warm hit the hash IS the dominant cost.
-	fp := req.MatrixFP
-	if fp == 0 {
-		fp = comm.Fingerprint(req.Matrix)
-	}
 	opt := req.Options // one run at every order, see PlaceRequest.Options
 	opt.PartitionThreshold = -1
-	a, hit, err := s.eng.ComputeHinted(req.Strategy, req.Matrix, fp, req.Entities, opt)
+	ent, hit, err := s.eng.computeEntry(req.Strategy, req.Matrix, req.MatrixFP, req.Entities, opt)
 	if err != nil {
 		return nil, err
 	}
 	s.places.Add(1)
 	resp := &PlaceResponse{
 		Machine:    name,
-		Assignment: a,
+		Assignment: ent.a,
 		CacheHit:   hit,
 		Cache:      s.eng.Stats(),
 		ElapsedNS:  time.Since(start).Nanoseconds(),
 	}
-	if !comm.NilAffinity(req.Matrix) && !a.Unbound {
+	if !comm.NilAffinity(req.Matrix) && !ent.a.Unbound {
 		// Quality diagnostics need both a matrix and an actual binding;
 		// failures here are diagnostic-only and never fail the call.
-		resp.Cost, resp.CrossNUMAVolume = s.diagnostics(fp, req.Matrix, a)
+		resp.Cost, resp.CrossNUMAVolume = ent.quality(s.eng.top, req.Matrix)
 	}
 	return resp, nil
 }

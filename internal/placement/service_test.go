@@ -86,29 +86,15 @@ func TestLocalServicePlace(t *testing.T) {
 }
 
 // TestLocalServiceQualityDiagnostics: the response's cost and cross-NUMA
-// volume, from the one-pass quality walk and again from the memo, equal
-// the pairwise sums over HopDistance and LocalityOf bit for bit.
+// volume, from the one-pass quality walk and again from the cache
+// entry, equal the pairwise sums over HopDistance and LocalityOf bit for
+// bit. Two matrices of one order share an oblivious strategy's entry,
+// and each still gets its own diagnostics.
 func TestLocalServiceQualityDiagnostics(t *testing.T) {
-	top, err := topology.ByName("smp12e5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewLocalService(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := comm.Clustered(24, 3, 1<<20, 1.5)
-	for _, strategy := range []string{TreeMatch, "round-robin-pu"} {
-		resp, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pus, place := top.PUs(), resp.Assignment.ComputePU
-		var cost, cross float64
+	top := topology.SMP12E5()
+	svc := newQualityService(t, top)
+	pairwise := func(m comm.Affinity, place []int) (cost, cross float64) {
+		pus := top.PUs()
 		for i := 0; i < m.Order(); i++ {
 			for j := i + 1; j < m.Order(); j++ {
 				v := m.At(i, j) + m.At(j, i)
@@ -122,19 +108,90 @@ func TestLocalServiceQualityDiagnostics(t *testing.T) {
 				}
 			}
 		}
-		again, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+		return cost, cross
+	}
+	matrices := []*comm.Matrix{comm.Clustered(24, 3, 1<<20, 1.5), comm.Ring(24, 1<<18, true)}
+	for _, strategy := range []string{TreeMatch, "round-robin-pu"} {
+		var first *PlaceResponse
+		for k, m := range matrices {
+			resp, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, cross := pairwise(m, resp.Assignment.ComputePU)
+			again, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.CacheHit || again.Assignment != resp.Assignment {
+				t.Errorf("%s, matrix %d: the repeat was not served from the cache entry", strategy, k)
+			}
+			for _, r := range []*PlaceResponse{resp, again} {
+				if math.Float64bits(r.Cost) != math.Float64bits(cost) || math.Float64bits(r.CrossNUMAVolume) != math.Float64bits(cross) {
+					t.Errorf("%s, matrix %d: diagnostics (%v, %v), pairwise (%v, %v)", strategy, k, r.Cost, r.CrossNUMAVolume, cost, cross)
+				}
+			}
+			if strategy != TreeMatch && cross == 0 {
+				t.Errorf("%s, matrix %d: no cross-NUMA volume to compare", strategy, k)
+			}
+			if k == 0 {
+				first = resp
+				continue
+			}
+			if strategy != TreeMatch && (!resp.CacheHit || resp.Assignment != first.Assignment) {
+				t.Errorf("%s: the second matrix did not share the first's cache entry", strategy)
+			}
+			if resp.Cost == first.Cost {
+				t.Errorf("%s: both matrices cost %v: the case tests nothing", strategy, resp.Cost)
+			}
+		}
+	}
+}
+
+// TestLocalServiceQualityConcurrent: callers racing on one matrix — a
+// TreeMatch entry measuring its diagnostics once, and an oblivious
+// entry measuring per call — all read the diagnostics a lone call
+// reads.
+func TestLocalServiceQualityConcurrent(t *testing.T) {
+	top := topology.SMP12E5()
+	m := comm.Clustered(24, 3, 1<<20, 1.5)
+	for _, strategy := range []string{TreeMatch, "round-robin-pu"} {
+		lone, err := newQualityService(t, top).Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []*PlaceResponse{resp, again} {
-			if math.Float64bits(r.Cost) != math.Float64bits(cost) || math.Float64bits(r.CrossNUMAVolume) != math.Float64bits(cross) {
-				t.Errorf("%s: diagnostics (%v, %v), pairwise (%v, %v)", strategy, r.Cost, r.CrossNUMAVolume, cost, cross)
-			}
+		svc := newQualityService(t, top)
+		const callers = 8
+		var wg sync.WaitGroup
+		for range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := svc.Place(context.Background(), &PlaceRequest{Strategy: strategy, Matrix: m})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(resp.Cost) != math.Float64bits(lone.Cost) || math.Float64bits(resp.CrossNUMAVolume) != math.Float64bits(lone.CrossNUMAVolume) {
+					t.Errorf("%s: concurrent diagnostics (%v, %v), a lone call (%v, %v)", strategy, resp.Cost, resp.CrossNUMAVolume, lone.Cost, lone.CrossNUMAVolume)
+				}
+			}()
 		}
-		if strategy != TreeMatch && cross == 0 {
-			t.Errorf("%s: no cross-NUMA volume to compare", strategy)
-		}
+		wg.Wait()
 	}
+}
+
+func newQualityService(t *testing.T, top *topology.Topology) *LocalService {
+	t.Helper()
+	eng, err := NewEngine(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewLocalService(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }
 
 func TestLocalServiceUnboundSkipsCost(t *testing.T) {

@@ -80,12 +80,18 @@ type Object struct {
 	Parent   *Object
 	Children []*Object
 
-	depth int // root = 0
+	depth      int // root = 0
+	depthIndex int // position in Topology.ObjectsAtDepth(depth)
 }
 
 // Depth returns the depth of the object in the tree; the root machine
 // has depth 0.
 func (o *Object) Depth() int { return o.depth }
+
+// DepthIndex returns the object's position among the objects at its
+// depth, in depth-first order: ObjectsAtDepth(o.Depth())[o.DepthIndex()]
+// is o.
+func (o *Object) DepthIndex() int { return o.depthIndex }
 
 // Arity returns the number of children.
 func (o *Object) Arity() int { return len(o.Children) }
@@ -167,20 +173,21 @@ type Attrs struct {
 	CrossGroupFactor float64
 }
 
-// Topology is an immutable topology tree plus cached per-type object
-// lists.
+// Topology is an immutable topology tree plus cached per-type and
+// per-depth object lists.
 type Topology struct {
 	Root  *Object
 	Attrs Attrs
 
-	byType [numObjectTypes][]*Object
-	depth  int
+	byType  [numObjectTypes][]*Object
+	byDepth [][]*Object
+	depth   int
 
 	subtrees sync.Map // *Object -> *Topology, Subtree's memo
 }
 
 // New finalises a tree rooted at root: it assigns depths and logical
-// indexes and builds the per-type caches. The tree must be non-empty and
+// indexes and builds the per-type and per-depth lists. The tree must be non-empty and
 // all leaves must be PUs at the same depth.
 func New(root *Object, attrs Attrs) (*Topology, error) {
 	if root == nil {
@@ -201,6 +208,11 @@ func New(root *Object, attrs Attrs) (*Topology, error) {
 			o.OSIndex = o.LogicalIndex
 		}
 		t.byType[o.Type] = append(t.byType[o.Type], o)
+		if depth == len(t.byDepth) {
+			t.byDepth = append(t.byDepth, nil)
+		}
+		o.depthIndex = len(t.byDepth[depth])
+		t.byDepth[depth] = append(t.byDepth[depth], o)
 		if o.IsLeaf() {
 			if o.Type != PU {
 				return fmt.Errorf("topology: leaf %s is not a PU", o)
@@ -258,21 +270,12 @@ func (t *Topology) NumPUs() int { return len(t.byType[PU]) }
 func (t *Topology) NumCores() int { return len(t.byType[Core]) }
 
 // ObjectsAtDepth returns the objects at the given tree depth in
-// depth-first order.
+// depth-first order. The returned slice must not be modified.
 func (t *Topology) ObjectsAtDepth(depth int) []*Object {
-	var out []*Object
-	var walk func(*Object)
-	walk = func(o *Object) {
-		if o.depth == depth {
-			out = append(out, o)
-			return
-		}
-		for _, c := range o.Children {
-			walk(c)
-		}
+	if depth < 0 || depth >= len(t.byDepth) {
+		return nil
 	}
-	walk(t.Root)
-	return out
+	return t.byDepth[depth]
 }
 
 // Arities returns the arity of each level from the root (index 0) down

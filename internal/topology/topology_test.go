@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,6 +202,55 @@ func TestObjectsAtDepth(t *testing.T) {
 	}
 	if got := len(top.ObjectsAtDepth(top.Depth())); got != top.NumPUs() {
 		t.Errorf("objects at leaf depth = %d, want %d", got, top.NumPUs())
+	}
+}
+
+// TestObjectsAtDepthMatchesWalk: the per-depth lists New builds equal a
+// depth-first walk of the tree on every machine and its subtrees, each
+// object's DepthIndex is its position there, and a depth outside the
+// tree has no objects.
+func TestObjectsAtDepthMatchesWalk(t *testing.T) {
+	walk := func(top *Topology, depth int) []*Object {
+		var out []*Object
+		var visit func(*Object)
+		visit = func(o *Object) {
+			if o.Depth() == depth {
+				out = append(out, o)
+				return
+			}
+			for _, c := range o.Children {
+				visit(c)
+			}
+		}
+		visit(top.Root)
+		return out
+	}
+	check := func(top *Topology) {
+		for depth := -1; depth <= top.Depth()+1; depth++ {
+			got, want := top.ObjectsAtDepth(depth), walk(top, depth)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s depth %d: %d objects, the walk finds %d", top.Attrs.Name, depth, len(got), len(want))
+			}
+			for i, o := range got {
+				if o.DepthIndex() != i {
+					t.Fatalf("%s depth %d: %s at position %d has DepthIndex %d", top.Attrs.Name, depth, o, i, o.DepthIndex())
+				}
+			}
+		}
+	}
+	for _, name := range MachineNames() {
+		top, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(top)
+		for _, o := range top.ObjectsAtDepth(1) {
+			sub, err := Subtree(top, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(sub)
+		}
 	}
 }
 

@@ -78,7 +78,6 @@ func mapPartitioned(top *topology.Topology, sym *symCSR, opt Options) (*Mapping,
 		pt:        new(grouper),
 		coreDepth: cores[0].Depth(),
 		local:     slices.Repeat([]int{-1}, p),
-		posCache:  map[int]map[*topology.Object]int{},
 	}
 	st.pt.use(sym)
 	tasks := make([]int, p)
@@ -155,7 +154,6 @@ type partitionedMap struct {
 	pt        *grouper
 	coreDepth int
 	local     []int // global id -> sub-CSR index scratch, all -1
-	posCache  map[int]map[*topology.Object]int
 	mode      ControlMode
 	modeSet   bool
 }
@@ -235,7 +233,7 @@ func (st *partitionedMap) record(obj *topology.Object, tasks []int, mode Control
 	}
 	st.res.Partitions.Parts = append(st.res.Partitions.Parts, Partition{
 		Depth:  obj.Depth(),
-		Object: st.posAtDepth(obj),
+		Object: obj.DepthIndex(),
 		Tasks:  tasks,
 	})
 }
@@ -277,21 +275,6 @@ func (st *partitionedMap) mapCoreLeaf(core, obj *topology.Object, tasks []int) {
 		}
 	}
 	st.record(obj, tasks, mode, oversub)
-}
-
-// posAtDepth returns the DFS position of obj among the objects at its
-// depth, memoised per depth.
-func (st *partitionedMap) posAtDepth(obj *topology.Object) int {
-	depth := obj.Depth()
-	m, ok := st.posCache[depth]
-	if !ok {
-		m = map[*topology.Object]int{}
-		for i, o := range st.top.ObjectsAtDepth(depth) {
-			m[o] = i
-		}
-		st.posCache[depth] = m
-	}
-	return m[obj]
 }
 
 // effectiveChildren returns the first level strictly below obj with

@@ -197,6 +197,6 @@ func TestRemapPartitionAllocatesNoSubtree(t *testing.T) {
 // Bounds of the remap tripwire: about 1.6 times what one remap
 // measures, and under one order-sized index.
 const (
-	maxRemapAllocs = 64
+	maxRemapAllocs = 52
 	maxRemapBytes  = 12 << 10
 )

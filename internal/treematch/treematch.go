@@ -84,8 +84,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Canonical returns the options with the defaults filled in, so
-// configurations that Map treats identically also compare (and hash)
-// alike.
+// configurations that Map treats identically also compare alike.
 func (o Options) Canonical() Options { return o.withDefaults() }
 
 // Mapping is the result of Map: a binding of every compute entity (and,
