@@ -29,6 +29,11 @@ type Affinity interface {
 	// contract: deterministic algorithms (greedy partitioning,
 	// fingerprinting) rely on it.
 	ForEachRow(i int, fn func(j int, v float64))
+	// ForEachPair calls fn once per unordered off-diagonal pair of A+Aᵀ,
+	// row-major at its charging cell: the upper cell (i < j) with the
+	// mirror folded in, v = a[i][j] + a[j][i], or else the lone lower
+	// cell (i > j), v = a[i][j]. −0 counts as absent, as in ForEachRow.
+	ForEachPair(fn func(i, j int, v float64))
 	// ForEach calls fn for every nonzero (i, j, v) in unspecified
 	// order: the bulk-extraction primitive for consumers that need no
 	// row order (merges, copies).
@@ -108,6 +113,22 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 	for i := 0; i < m.n; i++ {
 		for j, v := range m.data[i*m.n : (i+1)*m.n] {
 			if v != 0 {
+				fn(i, j, v)
+			}
+		}
+	}
+}
+
+// ForEachPair calls fn for every pair at its charging cell (see
+// Affinity), reading each mirror in O(1).
+func (m *Matrix) ForEachPair(fn func(i, j int, v float64)) {
+	for i := 0; i < m.n; i++ {
+		for j, v := range m.data[i*m.n : (i+1)*m.n] {
+			switch mirror := m.data[j*m.n+i]; {
+			case v == 0 || j == i:
+			case j > i:
+				fn(i, j, v+mirror)
+			case mirror == 0:
 				fn(i, j, v)
 			}
 		}

@@ -1,5 +1,7 @@
 package comm
 
+import "sync"
+
 // Sparse is a row-compressed communication matrix: each row holds its
 // nonzeros as a column-sorted slice, so storage and iteration are
 // O(nnz) instead of O(n²), iteration is in row-major ascending order
@@ -200,6 +202,43 @@ func (s *Sparse) ForEach(fn func(i, j int, v float64)) {
 			fn(i, e.j, e.v)
 		}
 	}
+}
+
+// cursorPool holds ForEachPair's per-row mirror cursors (*[]int).
+var cursorPool = sync.Pool{New: func() any { return new([]int) }}
+
+// ForEachPair calls fn for every pair at its charging cell (see
+// Affinity) with no search: the mirror of (i, j) is column i of row j,
+// and as i only grows during the walk, each row's cursor only moves
+// right, O(nnz) in all. fn must not mutate the receiver.
+func (s *Sparse) ForEachPair(fn func(i, j int, v float64)) {
+	cp := cursorPool.Get().(*[]int)
+	if cap(*cp) < s.n {
+		*cp = make([]int, s.n)
+	}
+	cur := (*cp)[:s.n]
+	clear(cur)
+	for i, r := range s.rows {
+		for _, e := range r {
+			m, k := s.rows[e.j], cur[e.j]
+			for k < len(m) && m[k].j < i {
+				k++
+			}
+			cur[e.j] = k
+			var mirror float64
+			if k < len(m) && m[k].j == i {
+				mirror = m[k].v
+			}
+			switch {
+			case e.j == i: // the diagonal
+			case e.j > i:
+				fn(i, e.j, e.v+mirror)
+			case mirror == 0:
+				fn(i, e.j, e.v)
+			}
+		}
+	}
+	cursorPool.Put(cp)
 }
 
 // Reset returns the matrix to an n x n all-zero state, reusing the row

@@ -322,3 +322,22 @@ func TestWirePlaceRefusesInvalidRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadPoolRoundTripAllocatesNothing: the pool holds *[]byte
+// holders drawn from a second pool, so once a first round trip has
+// filled both, getPayloadBuf and putPayloadBuf box nothing and
+// allocate nothing, and a recycled buffer keeps its capacity.
+func TestPayloadPoolRoundTripAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b := append(getPayloadBuf(), "a frame"...)
+		putPayloadBuf(b)
+	}); allocs != 0 {
+		t.Errorf("a payload buffer round trip made %v allocations, want 0", allocs)
+	}
+	if b := getPayloadBuf(); len(b) != 0 || cap(b) < 4096 {
+		t.Errorf("pooled buffer len %d cap %d, want empty with at least 4 KiB", len(b), cap(b))
+	}
+}

@@ -26,24 +26,32 @@ import (
 
 // payloadPool recycles encode buffers between RPCs. A buffer is safe
 // to recycle once its message has been written to the connection —
-// neither writeMessage nor the codecs retain it. Put boxes the slice
-// header (one ~24-byte allocation); what it saves is the payload
-// body — a matrix per request — so the trade is
-// heavily in the pool's favour and the buffer can travel from the
-// encoder to the writer as a plain []byte.
-var payloadPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 4096) },
-}
+// neither writeMessage nor the codecs retain it. The pool holds *[]byte
+// holders, and the holders themselves come from holderPool, so a
+// get/put round trip boxes nothing and allocates nothing, while the
+// buffer travels from the encoder to the writer as a plain []byte.
+var (
+	payloadPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	holderPool  = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // getPayloadBuf returns an empty buffer with pooled capacity; encode
 // with the append-style codecs and recycle the result with
 // putPayloadBuf after the message hits the wire.
-func getPayloadBuf() []byte { return payloadPool.Get().([]byte)[:0] }
+func getPayloadBuf() []byte {
+	h := payloadPool.Get().(*[]byte)
+	b := (*h)[:0]
+	*h = nil
+	holderPool.Put(h)
+	return b
+}
 
 // putPayloadBuf recycles a payload buffer for a later encode.
 func putPayloadBuf(b []byte) {
 	if cap(b) > 0 {
-		payloadPool.Put(b[:0])
+		h := holderPool.Get().(*[]byte)
+		*h = b[:0]
+		payloadPool.Put(h)
 	}
 }
 

@@ -27,7 +27,7 @@ func CommSeconds(top *topology.Topology, a comm.Affinity, computePU []int) (floa
 // CommSecondsGain returns CommSeconds(top, a, from) − CommSeconds(top,
 // a, to) in one walk that charges only the pairs with an endpoint whose
 // PU differs: every other pair pays the same latency under both, so it
-// is skipped before its mirror lookup. It refuses an invalid binding
+// is skipped. It refuses an invalid binding
 // with CommSeconds' error, from before to.
 func CommSecondsGain(top *topology.Topology, a comm.Affinity, from, to []int) (float64, error) {
 	if to == nil {
@@ -36,9 +36,10 @@ func CommSecondsGain(top *topology.Topology, a comm.Affinity, from, to []int) (f
 	return commSeconds(top, a, from, to)
 }
 
-// commSeconds walks a's nonzeros once and charges each symmetrized pair
-// volume the latency between its endpoints' PUs under from, less the
-// latency under to when to is non-nil.
+// commSeconds walks a's pairs once (comm.Affinity.ForEachPair) and
+// charges each symmetrized pair volume the latency between its
+// endpoints' PUs under from, less the latency under to when to is
+// non-nil.
 func commSeconds(top *topology.Topology, a comm.Affinity, from, to []int) (float64, error) {
 	n, pus := a.Order(), top.PUs()
 	for k, b := range [2][]int{from, to} {
@@ -59,45 +60,35 @@ func commSeconds(top *topology.Topology, a comm.Affinity, from, to []int) (float
 		return 0, fmt.Errorf("perfsim: topology %s has no clock rate", top.Attrs.Name)
 	}
 	var total float64
-	// One visitor for every row: a literal inside the loop would be
-	// allocated per row, since ForEachRow is an interface call.
-	var i int
-	visit := func(j int, v float64) {
+	a.ForEachPair(func(i, j int, v float64) {
 		if to != nil && from[i] == to[i] && from[j] == to[j] {
 			return // the pair pays the same latency under both bindings
 		}
-		switch {
-		case j > i:
-			v += a.At(j, i)
-		case j == i || a.At(j, i) != 0:
-			return // the diagonal, or a pair its upper cell charged
-		}
-		latency := latencyCycles(top, pus[from[i]], pus[from[j]])
+		latency, _, _ := channel(top, pus[from[i]], pus[from[j]])
 		if to != nil {
-			latency -= latencyCycles(top, pus[to[i]], pus[to[j]])
+			back, _, _ := channel(top, pus[to[i]], pus[to[j]])
+			latency -= back
 		}
 		total += v * latency
-	}
-	for i = 0; i < n; i++ {
-		a.ForEachRow(i, visit)
-	}
+	})
 	return total / CacheLine / commMLP / clockHz, nil
 }
 
-// latencyCycles is the latency, in core cycles, of the channel between
-// two PUs.
-func latencyCycles(top *topology.Topology, pi, pj *topology.Object) float64 {
+// channel is the latency, in core cycles, of the channel between two
+// PUs, and whether DRAM serves it and whether it crosses the
+// interconnect.
+func channel(top *topology.Topology, pi, pj *topology.Object) (cycles float64, dram, cross bool) {
 	attrs := &top.Attrs
 	switch topology.LocalityOf(pi, pj) {
 	case topology.SamePU, topology.SameCore, topology.SameL2:
-		return attrs.L2LatencyCycles
+		return attrs.L2LatencyCycles, false, false
 	case topology.SameL3:
-		return attrs.L3LatencyCycles
+		return attrs.L3LatencyCycles, false, false
 	case topology.SameNUMA:
-		return attrs.DRAMLatencyCycles
+		return attrs.DRAMLatencyCycles, true, false
 	case topology.SameGroup:
-		return attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor
-	default:
-		return attrs.DRAMLatencyCycles * attrs.CrossGroupFactor
+		return attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor, true, true
+	default: // cross-group
+		return attrs.DRAMLatencyCycles * attrs.CrossGroupFactor, true, true
 	}
 }

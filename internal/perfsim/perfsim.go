@@ -30,6 +30,8 @@ package perfsim
 import (
 	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"orwlplace/internal/comm"
 	"orwlplace/internal/topology"
@@ -262,12 +264,14 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 	// (domainSlots), not maps: one slab of slot ids, one of all sums.
 	coreOf := func(pu *topology.Object) *topology.Object { return cmp.Or(pu.Parent, pu) }
 	types := int(pus[0].Type) + 1 // the PU is the innermost object type
-	ids := make([]int32, 3*n+3*types)
+	sc := simPool.Get().(*simScratch)
+	defer simPool.Put(sc)
+	ids := reuse(&sc.ids, 3*n+3*types)
 	coreID, l3ID, nodeID, coreBase := ids[:n], ids[n:2*n], ids[2*n:3*n], ids[3*n:3*n+types]
 	cores := domainSlots(top, computePU, coreOf, coreID, coreBase)
 	l3s := domainSlots(top, computePU, cacheDomain, l3ID, ids[3*n+types:3*n+2*types])
 	nodes := domainSlots(top, computePU, numaOf, nodeID, ids[3*n+2*types:])
-	slab := make([]float64, 4*n+2*cores+l3s+2*nodes)
+	slab := reuse(&sc.slab, 4*n+2*cores+l3s+2*nodes)
 	carve := func(k int) (s []float64) { s, slab = slab[:k:k], slab[k:]; return s }
 	perThreadCommSec, perThreadStreamSec, perThreadSeconds := carve(n), carve(n), carve(n)
 	perThreadStallCycles := carve(n) // counter only
@@ -295,54 +299,12 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		}
 	}
 
-	var l3Misses, crossBytes float64
-	// Communication: latency-bound, split evenly between endpoints. A
-	// pair is charged once, as CommSeconds charges it: at its upper cell
-	// with the mirror folded in, or at its lone lower cell.
-	var i int
-	pair := func(j int, v float64) {
-		switch {
-		case j > i:
-			if v += w.Comm.At(j, i); v == 0 {
-				return // a folded volume of 0
-			}
-		case j == i || w.Comm.At(j, i) != 0:
-			return // the diagonal, or a pair its upper cell charged
-		}
-		lines := v / CacheLine
-		loc := topology.LocalityOf(pus[computePU[i]], pus[computePU[j]])
-		var latency float64
-		switch loc {
-		case topology.SamePU, topology.SameCore, topology.SameL2:
-			latency = attrs.L2LatencyCycles
-		case topology.SameL3:
-			latency = attrs.L3LatencyCycles
-		case topology.SameNUMA:
-			latency = attrs.DRAMLatencyCycles
-		case topology.SameGroup:
-			latency = attrs.DRAMLatencyCycles * attrs.RemoteNUMAFactor
-		default: // cross-group
-			latency = attrs.DRAMLatencyCycles * attrs.CrossGroupFactor
-		}
-		if loc >= topology.SameNUMA { // served by DRAM
-			l3Misses += lines
-			nodeDRAMBytes[nodeID[i]] += v
-		}
-		if loc >= topology.SameGroup { // across the interconnect
-			crossBytes += v
-			nodeLinkBytes[nodeID[i]] += v
-			nodeLinkBytes[nodeID[j]] += v
-		}
-		stall := lines * latency
-		perThreadStallCycles[i] += stall / 2
-		perThreadStallCycles[j] += stall / 2
-		sec := stall / commMLP / clockHz
-		perThreadCommSec[i] += sec / 2
-		perThreadCommSec[j] += sec / 2
-	}
-	for i = 0; i < n; i++ {
-		w.Comm.ForEachRow(i, pair)
-	}
+	// Communication: latency-bound, split evenly between endpoints, each
+	// pair charged once at its charging cell (comm.Affinity.ForEachPair).
+	sc.top, sc.pus, sc.computePU, sc.nodeID, sc.clockHz, sc.l3Misses, sc.crossBytes = top, pus, computePU, nodeID, clockHz, 0, 0
+	sc.stall, sc.commSec, sc.nodeDRAM, sc.nodeLink = perThreadStallCycles, perThreadCommSec, nodeDRAMBytes, nodeLinkBytes
+	w.Comm.ForEachPair(sc.pair)
+	l3Misses, crossBytes := sc.l3Misses, sc.crossBytes
 
 	// Private traffic: bandwidth-bound streaming, partly remote when
 	// allocation is not local, inflated under dynamic scheduling.
@@ -466,6 +428,60 @@ func Simulate(top *topology.Topology, w *Workload, pl *Placement) (*Result, erro
 		CrossNUMABytes:   crossBytes * iters,
 		BottleneckThread: bottleneck,
 	}, nil
+}
+
+// simScratch is Simulate's working storage, pooled so that a model
+// allocates only its *Result: the slot ids and the sums, and the pair
+// walk's inputs and sums with its callback bound once.
+type simScratch struct {
+	ids                                []int32
+	slab                               []float64
+	top                                *topology.Topology
+	pus                                []*topology.Object
+	computePU                          []int
+	nodeID                             []int32
+	stall, commSec, nodeDRAM, nodeLink []float64
+	clockHz, l3Misses, crossBytes      float64
+	pair                               func(i, j int, v float64) // charge
+}
+
+var simPool = sync.Pool{New: func() any {
+	sc := new(simScratch)
+	sc.pair = sc.charge
+	return sc
+}}
+
+// reuse returns *buf resized to k zeroed elements, growing it only
+// when it is short.
+func reuse[T int32 | float64](buf *[]T, k int) []T {
+	*buf = slices.Grow((*buf)[:0], k)[:k]
+	clear(*buf)
+	return *buf
+}
+
+// charge charges a communicating pair its latency per cache line,
+// split evenly between the endpoints.
+func (sc *simScratch) charge(i, j int, v float64) {
+	if v == 0 {
+		return // a folded volume of 0
+	}
+	lines := v / CacheLine
+	latency, dram, cross := channel(sc.top, sc.pus[sc.computePU[i]], sc.pus[sc.computePU[j]])
+	if dram {
+		sc.l3Misses += lines
+		sc.nodeDRAM[sc.nodeID[i]] += v
+	}
+	if cross {
+		sc.crossBytes += v
+		sc.nodeLink[sc.nodeID[i]] += v
+		sc.nodeLink[sc.nodeID[j]] += v
+	}
+	stall := lines * latency
+	sc.stall[i] += stall / 2
+	sc.stall[j] += stall / 2
+	sec := stall / commMLP / sc.clockHz
+	sc.commSec[i] += sec / 2
+	sc.commSec[j] += sec / 2
 }
 
 // cacheDomain returns the L3 (or, failing that, socket or NUMA node)

@@ -464,8 +464,13 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 
 // TestSimulateAllocatesNoMoreThanReference is the allocation tripwire:
 // at 160 threads on smp20e7, over the fleet shift window stored either
-// way, Simulate allocates no more per call than the reference's 18.3 KB.
+// way, Simulate allocates no more per call than the reference (~18.3
+// KB), and, outside -race (whose pools drop items at random), once a
+// first call has filled its scratch pool, nothing but its *Result.
 func TestSimulateAllocatesNoMoreThanReference(t *testing.T) {
+	// One P, as in testing.AllocsPerRun: a pooled item parked in another
+	// P's private slot is invisible to Get, and would read as garbage.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	top := topology.SMP20E7()
 	rng := rand.New(rand.NewSource(7))
 	c := randomRefCase(rng, top, 160, 0, true)
@@ -473,6 +478,9 @@ func TestSimulateAllocatesNoMoreThanReference(t *testing.T) {
 	c.pl = &Placement{ComputePU: rng.Perm(160), LocalAlloc: true}
 	perCall := func(simulate func(*topology.Topology, *Workload, *Placement) (*Result, error), w *Workload) uint64 {
 		const calls = 20
+		if _, err := simulate(top, w, c.pl); err != nil { // the warm-up call
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -484,15 +492,15 @@ func TestSimulateAllocatesNoMoreThanReference(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
-	const maxBytes = 18300
+	const maxBytes = 128 // one *Result (56 B, a 64 B size class), with room to spare
 	sparse := *c.w
 	sparse.Comm = comm.SparseFromMatrix(c.w.Comm.Dense())
 	ref := perCall(simulateRef, c.w)
 	for _, w := range []*Workload{c.w, &sparse} {
 		got := perCall(Simulate, w)
 		t.Logf("Simulate on %T: %d B per call; the reference %d B", w.Comm, got, ref)
-		if got > maxBytes || got > ref {
-			t.Errorf("Simulate on %T allocates %d B per call; the reference %d B, bound %d B", w.Comm, got, ref, maxBytes)
+		if got > ref || !raceBuild && got > maxBytes {
+			t.Errorf("Simulate on %T allocates %d B per call; the reference %d B, bound %d B outside -race", w.Comm, got, ref, maxBytes)
 		}
 	}
 }

@@ -142,12 +142,12 @@ type partitionPair struct {
 // and baseline, so the reconciler keeps it across steady epochs and an
 // adopted window replaces it in place (adopt). One Epoch at a time.
 type partitionBaseline struct {
-	partOf       []int                  // see partitionOf
-	base, window pairSet                // the baseline's gather; a window's
-	measured     bool                   // window holds the last drift's gather
-	src          comm.Affinity          // the matrix sortedPairs walks,
-	row          int                    // the row it is at,
-	visit        func(j int, v float64) // and its collector, built once
+	partOf       []int   // see partitionOf
+	base, window pairSet // the baseline's gather; a window's
+	measured     bool    // window holds the last drift's gather
+	// collect is pb.collectPair bound once: a func passed through the
+	// Affinity interface escapes, so a fresh one would allocate per gather.
+	collect func(i, j int, v float64)
 }
 
 // pairSet is one gather — pairs, totals per partition, and the lower
@@ -159,6 +159,7 @@ type pairSet struct {
 
 func newPartitionBaseline(partOf []int, parts int, base comm.Affinity) *partitionBaseline {
 	pb := &partitionBaseline{partOf: partOf}
+	pb.collect = pb.collectPair
 	pb.gather(base, parts)
 	pb.adopt()
 	return pb
@@ -191,36 +192,17 @@ func (pb *partitionBaseline) adopt() bool {
 	return true
 }
 
-// sortedPairs is the gather: walk each row in column order and keep its
-// upper cells (i < j) with the mirror (j, i) folded in, upper cell
-// first, so the pairs come out sorted by (i, j). A lower cell whose
-// upper is zero is set aside, and the few such (a symmetric window has
-// none) are sorted and merged in.
+// sortedPairs is the gather: walk a's pairs (comm.Affinity.ForEachPair)
+// and keep the partition-internal ones. Upper cells come out sorted by
+// (i, j); a lone lower cell is set aside as (j, i), and the few such (a
+// symmetric window has none) are sorted and merged in.
 func (pb *partitionBaseline) sortedPairs(a comm.Affinity) {
 	w := &pb.window
 	if nnz := a.NNZ(); cap(w.pairs) < nnz {
 		w.pairs = make([]partitionPair, 0, nnz)
 	}
 	w.pairs, w.lone = w.pairs[:0], w.lone[:0]
-	if pb.visit == nil {
-		pb.visit = func(j int, v float64) {
-			i := pb.row
-			if pi := pb.partOf[i]; pi < 0 || i == j || pb.partOf[j] != pi {
-				return
-			}
-			switch mirror := pb.src.At(j, i); {
-			case i < j:
-				pb.window.pairs = append(pb.window.pairs, partitionPair{i: int32(i), j: int32(j), v: v + mirror})
-			case mirror == 0:
-				pb.window.lone = append(pb.window.lone, partitionPair{i: int32(j), j: int32(i), v: v})
-			}
-		}
-	}
-	pb.src = a
-	for pb.row = range pb.partOf {
-		a.ForEachRow(pb.row, pb.visit)
-	}
-	pb.src = nil
+	a.ForEachPair(pb.collect)
 	if len(w.lone) == 0 {
 		return
 	}
@@ -236,6 +218,19 @@ func (pb *partitionBaseline) sortedPairs(a comm.Affinity) {
 			l--
 			w.pairs[k] = w.lone[l]
 		}
+	}
+}
+
+// collectPair keeps one partition-internal pair of sortedPairs' walk.
+func (pb *partitionBaseline) collectPair(i, j int, v float64) {
+	if pi := pb.partOf[i]; pi < 0 || pb.partOf[j] != pi {
+		return
+	}
+	w := &pb.window
+	if i < j {
+		w.pairs = append(w.pairs, partitionPair{i: int32(i), j: int32(j), v: v})
+	} else {
+		w.lone = append(w.lone, partitionPair{i: int32(j), j: int32(i), v: v})
 	}
 }
 
@@ -796,11 +791,20 @@ func movedTasks(old, new_ *Assignment) []int {
 		len(old.CoreOf) != len(new_.CoreOf) {
 		return nil
 	}
-	moved := []int{}
-	for t := 0; t < n; t++ {
-		if old.ComputePU[t] != new_.ComputePU[t] ||
+	differs := func(t int) bool {
+		return old.ComputePU[t] != new_.ComputePU[t] ||
 			(len(old.ControlPU) > 0 && old.ControlPU[t] != new_.ControlPU[t]) ||
-			(len(old.CoreOf) > 0 && old.CoreOf[t] != new_.CoreOf[t]) {
+			(len(old.CoreOf) > 0 && old.CoreOf[t] != new_.CoreOf[t])
+	}
+	count := 0
+	for t := range n {
+		if differs(t) {
+			count++
+		}
+	}
+	moved := make([]int, 0, count) // counted first: one allocation, exactly sized
+	for t := range n {
+		if differs(t) {
 			moved = append(moved, t)
 		}
 	}

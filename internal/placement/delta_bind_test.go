@@ -49,6 +49,28 @@ func TestMovedTasks(t *testing.T) {
 	}
 }
 
+// TestMovedTasksAllocatesOnce: the moved set is counted before it is
+// built, so the slice the remap publishes is the diff's one allocation,
+// with no append growth behind it, and its capacity is its length.
+func TestMovedTasksAllocatesOnce(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 160
+	old := &Assignment{ComputePU: make([]int, n), ControlPU: make([]int, n), CoreOf: make([]int, n)}
+	next := old.Clone()
+	for k := 0; k < n; k += 3 {
+		next.ComputePU[k] = 1
+	}
+	var mt []int
+	if allocs := testing.AllocsPerRun(10, func() { mt = movedTasks(old, next) }); allocs != 1 {
+		t.Errorf("movedTasks made %v allocations, want 1", allocs)
+	}
+	if len(mt) != (n+2)/3 || cap(mt) != len(mt) {
+		t.Errorf("moved set len %d cap %d, want len = cap = %d", len(mt), cap(mt), (n+2)/3)
+	}
+}
+
 func TestBindTasks(t *testing.T) {
 	a := &Assignment{
 		Strategy:  TreeMatch,
