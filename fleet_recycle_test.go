@@ -127,6 +127,48 @@ func TestFleetReportRecyclesAcknowledgedWindowsOnly(t *testing.T) {
 	}
 }
 
+// TestFleetIdleReportRecyclesWindow: an idle Report hands its empty
+// window back, so after warm-up repeated idle Reports of a 1,024-task
+// program allocate nothing (a fresh window is 24 KB of row headers),
+// send no frame and burn no seq.
+func TestFleetIdleReportRecyclesWindow(t *testing.T) {
+	const n = 1024
+	_, rs, _ := recycleRig(t)
+	ctx := context.Background()
+	prog := orwl.MustProgram(n)
+	fa, err := NewFleetAdaptive(ctx, rs, prog, FleetAdaptiveConfig{Peer: "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		prog.Traffic().Record(i, (i+1)%n, 1)
+	}
+	for range 2 { // a full window, then the first idle one
+		if err := fa.Report(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, out := rs.WirePoolStats()
+	fa.mu.Lock()
+	seq := fa.seq
+	fa.mu.Unlock()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := fa.Report(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an idle Report made %v allocations, want 0", allocs)
+	}
+	if _, got := rs.WirePoolStats(); got != out {
+		t.Errorf("idle Reports wrote %d bytes, want none", got-out)
+	}
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	if fa.seq != seq {
+		t.Errorf("idle Reports moved the seq from %d to %d", seq, fa.seq)
+	}
+}
+
 // TestFleetReportRecyclingConcurrentPeers: peers reporting at once
 // share the daemon's pooled decode targets and each recycle their own
 // windows; every byte recorded is merged exactly once, at its owner's

@@ -48,14 +48,20 @@ func CheckStrings(ss ...string) error {
 }
 
 func GetString(src []byte) (string, []byte, error) {
+	b, rest, err := GetStringBytes(src)
+	return string(b), rest, err
+}
+
+// GetStringBytes is GetString without the copy: the bytes alias src.
+func GetStringBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 2 {
-		return "", nil, fmt.Errorf("codec: truncated string")
+		return nil, nil, fmt.Errorf("codec: truncated string")
 	}
 	n := int(binary.LittleEndian.Uint16(src))
 	if len(src) < 2+n {
-		return "", nil, fmt.Errorf("codec: truncated string body")
+		return nil, nil, fmt.Errorf("codec: truncated string body")
 	}
-	return string(src[2 : 2+n]), src[2+n:], nil
+	return src[2 : 2+n], src[2+n:], nil
 }
 
 func PutUint64(dst []byte, v uint64) []byte {

@@ -35,8 +35,8 @@ func TestCodecFieldBytes(t *testing.T) {
 		{"int slice", PutIntSlice(nil, []int{-1, 2}), []byte{3, 1, 4}},
 		{"nil assignment", PutAssignment(nil, nil), []byte{0}},
 		{"assignment", PutAssignment(nil, asg), []byte{1, 2, 0, 't', 'm', assignOversubscribed, 2, 3, 0, 6, 3, 1, 2, 0}},
-		{"absent matrix", field(PutMatrixField(nil, nil)), []byte{MatAbsent}},
-		{"sparse matrix", field(PutMatrixField(nil, ring)), []byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}},
+		{"absent matrix", field(PutMatrixField(nil, nil, true)), []byte{MatAbsent}},
+		{"sparse matrix", field(PutMatrixField(nil, ring, true)), []byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}},
 	}
 	for _, c := range cases {
 		if !bytes.Equal(c.got, c.want) {
@@ -46,12 +46,12 @@ func TestCodecFieldBytes(t *testing.T) {
 	if a, rest, err := GetAssignment(PutAssignment(nil, asg)); err != nil || len(rest) != 0 || !reflect.DeepEqual(a, asg) {
 		t.Errorf("assignment decoded to %+v (%d trailing, %v)", a, len(rest), err)
 	}
-	m, fp, rest, err := GetMatrixField([]byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}, 2, nil)
+	m, fp, rest, err := GetMatrixField([]byte{MatSparse, 2, 2, 1, 1, 0x40, 0, 1, 0x40}, 2, nil, true)
 	if err != nil || len(rest) != 0 || m.At(0, 1) != 2 || m.At(1, 0) != 2 || m.NNZ() != 2 || fp != comm.Fingerprint(ring) {
 		t.Errorf("sparse matrix decoded to %v, fingerprint %016x (%d trailing, %v)", m, fp, len(rest), err)
 	}
 	// Mode 1, the retired dense layout, is an unknown mode.
-	if _, _, _, err := GetMatrixField([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0}, 2, nil); !errors.Is(err, ErrMatrixMode) || err.Error() != "codec: unknown matrix mode 1" {
+	if _, _, _, err := GetMatrixField([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0}, 2, nil, true); !errors.Is(err, ErrMatrixMode) || err.Error() != "codec: unknown matrix mode 1" {
 		t.Errorf("dense mode byte: err = %v", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestCodecMatrixMemoryBound(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, _, _, err := GetMatrixField(run(n, MaxMatrixCells), 1<<16, nil)
+			m, _, _, err := GetMatrixField(run(n, MaxMatrixCells), 1<<16, nil, true)
 			runtime.ReadMemStats(&after)
 			if err != nil || m.NNZ() != MaxMatrixCells {
 				t.Fatalf("order %d: a body at the cap decoded to %v (%v)", n, m, err)
@@ -105,11 +105,11 @@ func TestCodecMatrixMemoryBound(t *testing.T) {
 			t.Errorf("order %d: a body at the cap allocated %d bytes, bound %d", n, got, bound)
 		}
 		want := fmt.Sprintf("codec: order-%d sparse body claims %d cells, over the %d a body may hold", n, MaxMatrixCells+1, MaxMatrixCells)
-		if _, _, _, err := GetMatrixField(run(n, MaxMatrixCells+1), 1<<16, nil); err == nil || err.Error() != want {
+		if _, _, _, err := GetMatrixField(run(n, MaxMatrixCells+1), 1<<16, nil, true); err == nil || err.Error() != want {
 			t.Errorf("order %d: one cell past the cap: err = %v, want %q", n, err, want)
 		}
 	}
-	if _, _, _, err := GetMatrixField(run(1<<16+1, 1), 1<<16, nil); err == nil || err.Error() != "codec: sparse matrix order 65537 exceeds limit 65536" {
+	if _, _, _, err := GetMatrixField(run(1<<16+1, 1), 1<<16, nil, true); err == nil || err.Error() != "codec: sparse matrix order 65537 exceeds limit 65536" {
 		t.Errorf("order above the caller's bound: err = %v", err)
 	}
 }
@@ -130,11 +130,11 @@ func TestPutMatrixFieldCellCap(t *testing.T) {
 		return m
 	}
 	m := full(1448)
-	field, fp, err := PutMatrixField(nil, m)
+	field, fp, err := PutMatrixField(nil, m, true)
 	if err != nil {
 		t.Fatalf("order 1448: %v", err)
 	}
-	got, gotFP, _, err := GetMatrixField(field, MaxMatrixOrder, nil)
+	got, gotFP, _, err := GetMatrixField(field, MaxMatrixOrder, nil, true)
 	if err != nil || got.NNZ() != MaxMatrixCells || got.At(1447, 5) != 2 || gotFP != fp || fp != comm.Fingerprint(m) {
 		t.Fatalf("order 1448 decoded to %d cells, fingerprint %016x of %016x (%v)", got.NNZ(), gotFP, fp, err)
 	}
@@ -142,8 +142,44 @@ func TestPutMatrixFieldCellCap(t *testing.T) {
 	want := fmt.Sprintf("codec: order-1449 sparse body claims %d cells, over the %d a body may hold", 1449*1449, MaxMatrixCells)
 	for _, a := range []comm.Affinity{m, comm.SparseFromMatrix(m)} {
 		var ce *CellsError
-		if _, _, err := PutMatrixField([]byte{0xee}, a); !errors.As(err, &ce) || err.Error() != want {
+		if _, _, err := PutMatrixField([]byte{0xee}, a, true); !errors.As(err, &ce) || err.Error() != want {
 			t.Errorf("order 1449 %T: err = %v, want %q", a, err, want)
+		}
+	}
+}
+
+// TestMatrixFieldFoldOptional: the fold changes nothing but the
+// fingerprint. Unfolded, a field encodes to the folded field's bytes
+// and decodes to the same cells, with a zero fingerprint both ways; a
+// -0 cell included, which folds into the fingerprint but stores
+// nothing.
+func TestMatrixFieldFoldOptional(t *testing.T) {
+	dense := comm.Clustered(24, 4, 1000, 10)
+	dense.Set(3, 7, math.Copysign(0, -1))
+	sparse := comm.SparseFromMatrix(comm.Clustered(40, 8, 1<<20, 1))
+	for _, a := range []comm.Affinity{dense, sparse} {
+		folded, fp, err := PutMatrixField([]byte{0xee}, a, true)
+		if err != nil || fp != comm.Fingerprint(a) {
+			t.Fatalf("%T folded: fingerprint %016x of %016x (%v)", a, fp, comm.Fingerprint(a), err)
+		}
+		plain, zero, err := PutMatrixField([]byte{0xee}, a, false)
+		if err != nil || zero != 0 || !bytes.Equal(plain, folded) {
+			t.Fatalf("%T unfolded: fingerprint %016x, bytes equal %v (%v)", a, zero, bytes.Equal(plain, folded), err)
+		}
+		want, wantFP, _, err := GetMatrixField(folded[1:], MaxMatrixOrder, nil, true)
+		if err != nil || wantFP != fp {
+			t.Fatalf("%T folded decode: fingerprint %016x of %016x (%v)", a, wantFP, fp, err)
+		}
+		got, zero, rest, err := GetMatrixField(folded[1:], MaxMatrixOrder, comm.NewSparse(3), false)
+		if err != nil || zero != 0 || len(rest) != 0 || got.NNZ() != want.NNZ() {
+			t.Fatalf("%T unfolded decode: %d cells of %d, fingerprint %016x (%v)", a, got.NNZ(), want.NNZ(), zero, err)
+		}
+		for i := 0; i < want.Order(); i++ {
+			want.ForEachRow(i, func(j int, v float64) {
+				if got.At(i, j) != v {
+					t.Fatalf("%T unfolded decode: (%d,%d) = %g, want %g", a, i, j, got.At(i, j), v)
+				}
+			})
 		}
 	}
 }

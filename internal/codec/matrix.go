@@ -58,10 +58,10 @@ func (e *OrderError) Error() string {
 
 // runEmitter writes a matrix field in one walk:
 // its caller hands it the nonzero runs in row-major cell order, and it
-// appends their triplets straight into the payload while folding the
-// matrix's comm.Fingerprint. The body is uvarint order, uvarint
-// run count, then (zero-gap, run-length, reversed-bits value) varint
-// triplets; a run never crosses a row boundary or a change of bits,
+// appends their triplets straight into the payload, folding the
+// matrix's comm.Fingerprint when asked to. The body is uvarint order,
+// uvarint run count, then (zero-gap, run-length, reversed-bits value)
+// varint triplets; a run never crosses a row boundary or a change of bits,
 // and the gap field is the RLE of the zero cells between runs. A cell
 // is "zero" only when its bit pattern is exactly +0: the encoding must
 // round-trip bits (NaNs, -0) exactly, or the client's fingerprint and
@@ -72,17 +72,20 @@ type runEmitter struct {
 	end      int // cell index one past the previous run
 	n, cells int // the order, the cells the runs claim
 	runs     uint64
+	fold     bool
 	fp       comm.FingerprintFold
 }
 
-func newRunEmitter(dst []byte, n int) runEmitter {
-	e := runEmitter{n: n}
+func newRunEmitter(dst []byte, n int, fold bool) runEmitter {
+	e := runEmitter{n: n, fold: fold}
 	e.dst = PutUvarint(append(dst, MatSparse), uint64(n))
 	// The run count precedes the triplets but is known only after the
 	// walk: leave room for the longest varint, close the gap at the end.
 	e.hole = len(e.dst)
 	e.dst = append(e.dst, make([]byte, binary.MaxVarintLen64)...)
-	e.fp.Start(n)
+	if fold {
+		e.fp.Start(n) // unstarted, the fold sums to zero
+	}
 	return e
 }
 
@@ -92,8 +95,10 @@ func (e *runEmitter) run(at, length int, b uint64) {
 		return // refused at close: the body stops growing
 	}
 	gap := at - e.end
-	e.fp.Zeros(gap)
-	e.fp.Run(b, length)
+	if e.fold {
+		e.fp.Zeros(gap)
+		e.fp.Run(b, length)
+	}
 	e.dst = PutUvarint(e.dst, uint64(gap))
 	e.dst = PutUvarint(e.dst, uint64(length))
 	e.dst = PutUvarint(e.dst, bits.ReverseBytes64(b))
@@ -114,21 +119,22 @@ func (e *runEmitter) close() ([]byte, uint64, error) {
 }
 
 // PutMatrixField encodes a matrix field — the run-length body at any
-// density — and returns the matrix's comm.Fingerprint (zero for nil),
-// all in one walk: over the cells of a dense matrix (a -0 cell is a run,
-// so its bits reach the fingerprint), over the row-sorted nonzeros of
-// any other affinity. A matrix whose runs claim more than MaxMatrixCells
-// cells is refused with a *CellsError.
-func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
+// density — and, when fold is set, returns the matrix's
+// comm.Fingerprint (else zero, and zero for nil), all in one walk: over
+// the cells of a dense matrix (a -0 cell is a run, so its bits reach
+// the fingerprint), over the row-sorted nonzeros of any other affinity.
+// A matrix whose runs claim more than MaxMatrixCells cells is refused
+// with a *CellsError.
+func PutMatrixField(dst []byte, a comm.Affinity, fold bool) ([]byte, uint64, error) {
 	if comm.NilAffinity(a) {
 		return append(dst, MatAbsent), 0, nil
 	}
 	m, ok := a.(*comm.Matrix)
 	if !ok {
-		return putAffinityCompact(dst, a)
+		return putAffinityCompact(dst, a, fold)
 	}
 	n := m.Order()
-	e := newRunEmitter(dst, n)
+	e := newRunEmitter(dst, n, fold)
 	for i := 0; i < n; i++ {
 		row := m.RowView(i)
 		for j := 0; j < n; {
@@ -151,9 +157,9 @@ func PutMatrixField(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
 // putAffinityCompact is PutMatrixField for an affinity without a dense
 // form: it walks the row-sorted nonzeros, and a run extends while the
 // next one is the adjacent cell of the same row with the same bits.
-func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
+func putAffinityCompact(dst []byte, a comm.Affinity, fold bool) ([]byte, uint64, error) {
 	n := a.Order()
-	e := newRunEmitter(dst, n)
+	e := newRunEmitter(dst, n, fold)
 	var runBits uint64
 	var i, runCol, runLen int
 	// One closure for every row: a literal inside the loop would be
@@ -179,9 +185,9 @@ func putAffinityCompact(dst []byte, a comm.Affinity) ([]byte, uint64, error) {
 
 // GetMatrixField decodes a MatAbsent or MatSparse field of order at
 // most maxOrder and returns the matrix (nil when absent) with its
-// comm.Fingerprint, folded during the decode. The body refills dst once
-// validated in full; nil dst allocates.
-func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
+// comm.Fingerprint, folded during the decode when fold is set (else
+// zero). The body refills dst once validated in full; nil dst allocates.
+func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse, fold bool) (*comm.Sparse, uint64, []byte, error) {
 	if len(src) < 1 {
 		return nil, 0, nil, fmt.Errorf("codec: truncated matrix mode")
 	}
@@ -189,7 +195,7 @@ func GetMatrixField(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, u
 	case MatAbsent:
 		return nil, 0, rest, nil
 	case MatSparse:
-		return getSparseBody(rest, maxOrder, dst)
+		return getSparseBody(rest, maxOrder, dst, fold)
 	default:
 		return nil, 0, nil, fmt.Errorf("%w %d", ErrMatrixMode, mode)
 	}
@@ -272,15 +278,15 @@ type sparseRun struct {
 }
 
 // getSparseBody decodes a sparse matrix body, folding its
-// comm.Fingerprint from the runs: O(runs + n), never a pass over the
-// zero cells. The body is validated in full — every run, and the cells
-// they claim (one triplet can claim all n²) against MaxMatrixCells —
-// before the target is touched: the one walk that validates also
-// records each run segment in a pooled scratch, and the fill replays
-// it. A -0 cell folds into the fingerprint, so both ends agree on the
+// comm.Fingerprint from the runs when fold is set: O(runs + n), never
+// a pass over the zero cells. The body is validated in full — every
+// run, and the cells they claim (one triplet can claim all n²) against
+// MaxMatrixCells — before the target is touched: the one walk that
+// validates also records each run segment in a pooled scratch, and the
+// fill replays it. A -0 cell folds into the fingerprint, so both ends agree on the
 // matrix's identity, but stores nothing: sparse storage holds no zero,
 // and the mapper reads -0 as +0.
-func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
+func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse, fold bool) (*comm.Sparse, uint64, []byte, error) {
 	n, runs, body, err := getSparseHeader(src, maxOrder)
 	if err != nil {
 		return nil, 0, nil, err
@@ -322,13 +328,17 @@ func getSparseBody(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, ui
 	} else {
 		m.Reset(n)
 	}
-	var fp comm.FingerprintFold
-	fp.Start(n)
+	var fp comm.FingerprintFold // unstarted, it sums to zero
+	if fold {
+		fp.Start(n)
+	}
 	end, row := 0, 0 // the runs ascend: the rows fill by appending
 	for _, r := range rec {
-		fp.Zeros(r.at - end)
-		fp.Run(math.Float64bits(r.v), r.length)
-		end = r.at + r.length
+		if fold {
+			fp.Zeros(r.at - end)
+			fp.Run(math.Float64bits(r.v), r.length)
+			end = r.at + r.length
+		}
 		for r.at >= (row+1)*n {
 			row++
 		}

@@ -44,7 +44,7 @@ func decodeDiff(body []byte, maxOrder int) string {
 		if reuse {
 			dst, refDst = dirtyTarget(), dirtyTarget()
 		}
-		got, fp, rest, err := getSparseBody(body, maxOrder, dst)
+		got, fp, rest, err := getSparseBody(body, maxOrder, dst, true)
 		want, wantFP, wantRest, wantErr := getSparseBodyTwoWalk(body, maxOrder, refDst)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			return fmt.Sprintf("reuse=%v: err %v, reference %v", reuse, err, wantErr)
@@ -126,7 +126,7 @@ func TestSparseBodyDecodeBound(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, _, _, err := getSparseBody(body, MaxMatrixOrder, nil)
+			m, _, _, err := getSparseBody(body, MaxMatrixOrder, nil, true)
 			runtime.ReadMemStats(&after)
 			if err != nil || m.NNZ() != c.count*c.length {
 				t.Fatalf("%s: decoded %v (%v), want %d cells", c.name, m, err, c.count*c.length)
@@ -188,7 +188,7 @@ func FuzzMatrixFieldDecode(f *testing.F) {
 	s := comm.SparseFromMatrix(m)
 	s.Set(3, 3, 0)
 	for _, a := range []comm.Affinity{m, s, comm.NewSparse(5)} {
-		field, _, _ := PutMatrixField(nil, a)
+		field, _, _ := PutMatrixField(nil, a, true)
 		f.Add(field[1:], uint8(8))
 	}
 	f.Add(sparseBody(8, 9, 0, 1, 1), uint8(8))
@@ -199,7 +199,7 @@ func FuzzMatrixFieldDecode(f *testing.F) {
 		if diff := decodeDiff(body, int(maxOrder)); diff != "" {
 			t.Fatal(diff)
 		}
-		if m, _, _, err := getSparseBody(body, int(maxOrder), nil); err == nil && m.NNZ() > MaxMatrixCells {
+		if m, _, _, err := getSparseBody(body, int(maxOrder), nil, true); err == nil && m.NNZ() > MaxMatrixCells {
 			t.Fatalf("accepted a body of %d cells, over the cap %d", m.NNZ(), MaxMatrixCells)
 		}
 	})
@@ -215,11 +215,13 @@ func BenchmarkSparseBodyDecode(b *testing.B) {
 			w.Set(i, (i+d)%n, float64(i*d+1))
 		}
 	}
-	field, _, _ := PutMatrixField(nil, w)
+	field, _, _ := PutMatrixField(nil, w, true)
 	for _, c := range []struct {
 		name   string
 		decode func([]byte, int, *comm.Sparse) (*comm.Sparse, uint64, []byte, error)
-	}{{"once", getSparseBody}, {"two-walk", getSparseBodyTwoWalk}} {
+	}{{"once", func(src []byte, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
+		return getSparseBody(src, maxOrder, dst, true)
+	}}, {"two-walk", getSparseBodyTwoWalk}} {
 		b.Run(c.name, func(b *testing.B) {
 			dst := new(comm.Sparse)
 			b.SetBytes(int64(len(field)))

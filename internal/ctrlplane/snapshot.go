@@ -191,7 +191,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 			dst = codec.PutUvarint(dst, codec.ZigzagFloat(mr.Latest.Drift))
 			dst = putPartitions(dst, latest.Partitions)
 		}
-		out, _, err := codec.PutMatrixField(dst, mr.Base)
+		out, _, err := codec.PutMatrixField(dst, mr.Base, false)
 		var ce *codec.CellsError
 		switch {
 		case errors.As(err, &ce):
@@ -302,7 +302,7 @@ func DecodeSnapshotLimit(data []byte, maxTasks int) (*Snapshot, error) {
 			}
 		}
 		var base *comm.Sparse
-		if base, _, rest, err = codec.GetMatrixField(rest, maxTasks, nil); err != nil {
+		if base, _, rest, err = codec.GetMatrixField(rest, maxTasks, nil, false); err != nil {
 			return nil, err
 		}
 		if base != nil { // a nil *comm.Sparse in the interface would not read as absent

@@ -107,7 +107,7 @@ func encodeObservedReport(dst []byte, leaseID, seq uint64, delta comm.Affinity) 
 	dst = append(dst, protoVersion)
 	dst = codec.PutUvarint(dst, leaseID)
 	dst = codec.PutUvarint(dst, seq)
-	dst, _, err := codec.PutMatrixField(dst, delta)
+	dst, _, err := codec.PutMatrixField(dst, delta, false)
 	return dst, err
 }
 
@@ -134,7 +134,7 @@ func decodeObservedReport(src []byte, maxRows int, dst *comm.Sparse) (leaseID, s
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if delta, _, _, err = getMatrix(rest, nil, maxRows, dst); err != nil {
+	if delta, _, _, err = getMatrix(rest, nil, maxRows, dst, false); err != nil {
 		var oe *codec.OrderError
 		if errors.As(err, &oe) {
 			err = fmt.Errorf("orwlnet: observed report order %d exceeds the %d-row cap", oe.Order, maxRows)

@@ -45,11 +45,11 @@ func FuzzSparseMatrixCodec(f *testing.F) {
 		// its fingerprint intact — byte-identity with the input is not
 		// guaranteed (the input may encode zeros as value runs), with
 		// the reference encoder it is.
-		re, reFP, _ := codec.PutMatrixField(nil, m)
+		re, reFP, _ := codec.PutMatrixField(nil, m, true)
 		if ref := putMatrixCompact(nil, m.Dense()); !bytes.Equal(re, ref) {
 			t.Fatalf("emitter wrote %d bytes, reference %d", len(re), len(ref))
 		}
-		got, gotFP, rest, err := getMatrix(re, nil, codec.MaxMatrixOrder, nil)
+		got, gotFP, rest, err := getMatrix(re, nil, codec.MaxMatrixOrder, nil, true)
 		if err != nil {
 			t.Fatalf("re-encoded matrix rejected: %v", err)
 		}
@@ -133,7 +133,7 @@ func FuzzPlaceRequestDecode(f *testing.F) {
 		mc := newMatrixCache(4)
 		// A -0 cell is folded by its bits but not stored, so only a body
 		// without one folds comm.Fingerprint of the decoded matrix.
-		if r, err := decodePlaceRequest(data, mc); err == nil && !comm.NilAffinity(r.Matrix) &&
+		if r, err := decodePlaceRequest(data, mc, new(placeWorker)); err == nil && !comm.NilAffinity(r.Matrix) &&
 			r.MatrixFP != comm.Fingerprint(r.Matrix) && !holdsNegZero(requestBody(data)) {
 			t.Fatalf("decode folded %016x, comm.Fingerprint of the decoded matrix is %016x", r.MatrixFP, comm.Fingerprint(r.Matrix))
 		}

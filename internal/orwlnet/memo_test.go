@@ -140,7 +140,7 @@ func memoResponse() (*placement.PlaceResponse, []byte) {
 			CoreOf:    []int{0, 1, 2, 3, 0, 1, 2, 3},
 		},
 	}
-	return resp, encodePlaceResponse(nil, resp)
+	return resp, encodePlaceResponse(nil, resp, nil)
 }
 
 // memoOf decodes data plainly and memoises the result as the client
@@ -195,7 +195,7 @@ func samePlainAndMemo(t *testing.T, data []byte, memo *assignmentMemo) {
 	// The encodings compare the other fields bit for bit (a NaN cost
 	// is not DeepEqual to itself).
 	if !reflect.DeepEqual(plain.Assignment, got.Assignment) || !bytes.Equal(penc, menc) ||
-		!bytes.Equal(encodePlaceResponse(nil, plain), encodePlaceResponse(nil, got)) {
+		!bytes.Equal(encodePlaceResponse(nil, plain, nil), encodePlaceResponse(nil, got, nil)) {
 		t.Fatalf("%x: memo decode %+v differs from plain decode %+v", data, got.Assignment, plain.Assignment)
 	}
 	if got.Assignment == memo.a && !reflect.DeepEqual(plain.Assignment, memo.a) {
@@ -210,9 +210,9 @@ func FuzzPlaceResponseDecode(f *testing.F) {
 	resp, full := memoResponse()
 	f.Add(full)
 	resp.Assignment.ComputePU[3] = 9
-	f.Add(encodePlaceResponse(nil, resp))
+	f.Add(encodePlaceResponse(nil, resp, nil))
 	resp.Assignment = nil
-	f.Add(encodePlaceResponse(nil, resp))
+	f.Add(encodePlaceResponse(nil, resp, nil))
 	f.Add(full[:len(full)-3])
 	memo := memoOf(f, full)
 	f.Fuzz(func(t *testing.T, data []byte) {

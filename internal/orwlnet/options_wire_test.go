@@ -199,7 +199,7 @@ func refusePlaceFrame(t *testing.T, frameHex string) {
 	if m.op != opPlaceCompute {
 		t.Fatalf("frame op %d, want %d", m.op, opPlaceCompute)
 	}
-	if _, err := decodePlaceRequest(m.payload, newMatrixCache(4)); !errors.Is(err, ErrVersion) {
+	if _, err := decodePlaceRequest(m.payload, newMatrixCache(4), new(placeWorker)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("decode err = %v, want ErrVersion", err)
 	}
 	if resp := exchange(t, conn, frame); resp.op != statusVersion || !errors.Is(responseError(resp), ErrVersion) {

@@ -174,11 +174,13 @@ func TestPlaceColdRoundTrip160AllocatesNoMatrix(t *testing.T) {
 // TestPlaceWarmRoundTrip160AllocatesNoAssignment is the warm path's
 // allocation tripwire: a repeated 160-task ring placement through a
 // loopback RemoteService — a fingerprint-only request, a mapping-cache
-// hit, a response equal to the last — must allocate < 704 B per call
-// process-wide (~620 B measured). The assignment alone is 3.8 KB each
-// time it is copied or decoded, and its encoding 692 B, so a per-hit
-// copy of the client memo's bytes fails the bound. The window is 500
-// calls because the payload pool still refills a 4 KiB buffer every
+// hit, a response equal to the last — must allocate < 320 B per call
+// process-wide (~205 B measured: the server's and the client's
+// PlaceResponse). The assignment alone is 3.8 KB each time it is copied
+// or decoded, and its encoding 692 B, so a per-hit copy of either
+// memo's bytes fails the bound, and so does a goroutine per frame
+// (~110 B) with the server's decoded request (~79 B). The window is
+// 500 calls because the payload pool still refills a 4 KiB buffer every
 // few hundred calls: over 50 calls one refill more or less moved the
 // figure by 82 B.
 func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
@@ -212,8 +214,8 @@ func TestPlaceWarmRoundTrip160AllocatesNoAssignment(t *testing.T) {
 		place()
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 704 {
-		t.Fatalf("one warm 160-task placement allocated %d bytes, want < 704 B", got)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 320 {
+		t.Fatalf("one warm 160-task placement allocated %d bytes, want < 320 B", got)
 	} else {
 		t.Logf("one warm 160-task placement allocated %d bytes", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,33 +119,66 @@ func encodePlaceRequest(dst []byte, req *placement.PlaceRequest, known func(fp u
 		if known != nil && known(hint) {
 			return putMatrixFingerprint(dst, hint, m.Order()), hint, nil
 		}
-		dst, _, err := codec.PutMatrixField(dst, m)
+		dst, _, err := codec.PutMatrixField(dst, m, false)
 		return dst, hint, err
 	}
 	// The cold path: encode the body, and swap it for the reference when
 	// the fingerprint its walk folded turns out to be known.
 	at := len(dst)
-	dst, fp, err := codec.PutMatrixField(dst, m)
+	dst, fp, err := codec.PutMatrixField(dst, m, true)
 	if err == nil && known != nil && known(fp) {
 		dst = putMatrixFingerprint(dst[:at], fp, m.Order())
 	}
 	return dst, fp, err
 }
 
-// decodePlaceRequest decodes one request. mc is the serving side's
-// seen-matrix table: decoded bodies are remembered in it and
-// fingerprint references resolved from it (nil on the client and in
-// codec tests: bodies decode, fingerprint references error).
-func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, error) {
+// placeWorker is the state a placement worker owns and reuses: the
+// request it decodes into and the machine and strategy names it has
+// served, at most maxServedNames, which decode without allocating.
+type placeWorker struct {
+	req   placement.PlaceRequest
+	names []string
+}
+
+const maxServedNames = 16
+
+// getName reads a string field: a served name it equals, or a fresh
+// string.
+func (w *placeWorker) getName(src []byte) (string, []byte, error) {
+	b, rest, err := codec.GetStringBytes(src)
+	for _, s := range w.names {
+		if s == string(b) {
+			return s, rest, err
+		}
+	}
+	return string(b), rest, err
+}
+
+// served interns the names of a request Place answered.
+func (w *placeWorker) served(req *placement.PlaceRequest) {
+	for _, s := range [...]string{req.Machine, req.Strategy} {
+		if len(w.names) < maxServedNames && !slices.Contains(w.names, s) {
+			w.names = append(w.names, s)
+		}
+	}
+}
+
+// decodePlaceRequest decodes one request into w's, which it returns.
+// mc is the serving side's seen-matrix table: decoded bodies are
+// remembered in it and fingerprint references resolved from it (nil on
+// the client and in codec tests: bodies decode, fingerprint references
+// error).
+func decodePlaceRequest(src []byte, mc *matrixCache, w *placeWorker) (*placement.PlaceRequest, error) {
 	rest, err := checkVersion(src)
 	if err != nil {
 		return nil, err
 	}
-	req := &placement.PlaceRequest{}
-	if req.Machine, rest, err = codec.GetString(rest); err != nil {
+	req := &w.req
+	*req = placement.PlaceRequest{}
+	if req.Machine, rest, err = w.getName(rest); err != nil {
 		return nil, err
 	}
-	if req.Strategy, rest, err = codec.GetString(rest); err != nil {
+	if req.Strategy, rest, err = w.getName(rest); err != nil {
 		return nil, err
 	}
 	var u uint64
@@ -155,7 +189,7 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, e
 	if req.Options.ControlThreads, rest, err = codec.GetBool(rest); err != nil {
 		return nil, err
 	}
-	m, fp, _, err := getMatrix(rest, mc, codec.MaxMatrixOrder, nil)
+	m, fp, _, err := getMatrix(rest, mc, codec.MaxMatrixOrder, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +199,9 @@ func decodePlaceRequest(src []byte, mc *matrixCache) (*placement.PlaceRequest, e
 	return req, nil
 }
 
-func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
+// encodePlaceResponse frames one response, a cache hit's assignment from
+// answers (nil: always encoded).
+func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse, answers *answerMemo) []byte {
 	dst = append(dst, protoVersion)
 	dst = codec.PutString(dst, resp.Machine)
 	dst = codec.PutBool(dst, resp.CacheHit)
@@ -173,7 +209,34 @@ func encodePlaceResponse(dst []byte, resp *placement.PlaceResponse) []byte {
 	dst = codec.PutFloat64(dst, resp.CrossNUMAVolume)
 	dst = putCacheStats(dst, resp.Cache)
 	dst = codec.PutUint64(dst, uint64(resp.ElapsedNS))
-	return codec.PutAssignment(dst, resp.Assignment)
+	return answers.put(dst, resp.Assignment, resp.CacheHit)
+}
+
+// answerMemo is the server's encoded-answer memo, the mirror of the
+// client's decode memo (fpEntry): the PutAssignment bytes of each
+// immutable assignment a cache hit was answered with, in an LRU keyed
+// by the pointer, so a repeated hit appends them instead of encoding.
+// An entry is kept only if it fits memoMaxBytes.
+type answerMemo struct {
+	mu  sync.Mutex
+	lru *lru.Cache[*placement.Assignment, []byte]
+}
+
+// put appends a's encoding, from the memo when hit.
+func (m *answerMemo) put(dst []byte, a *placement.Assignment, hit bool) []byte {
+	if m == nil || !hit || a == nil {
+		return codec.PutAssignment(dst, a)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if enc, ok := m.lru.Get(a); ok {
+		return append(dst, enc...)
+	}
+	at := len(dst)
+	if dst = codec.PutAssignment(dst, a); memoFits(a, dst[at:]) {
+		m.lru.Put(a, bytes.Clone(dst[at:]))
+	}
+	return dst
 }
 
 // assignmentMemo is a decoded assignment and the bytes it was decoded
@@ -314,16 +377,17 @@ func putMatrixFingerprint(dst []byte, fp uint64, order int) []byte {
 }
 
 // getMatrix decodes a matrix field of order at most maxOrder into dst
-// (see codec.GetMatrixField). mc is the serving side's seen-matrix table:
+// (see codec.GetMatrixField), folding a body's fingerprint when fold is
+// set. mc is the serving side's seen-matrix table:
 // full bodies are remembered in it and fingerprint references resolved
 // from it; a nil mc (client-side decode, codec tests) still decodes
 // bodies but refuses fingerprint references. The second result is the
 // matrix's comm.Fingerprint (zero without a matrix), folded while a
 // body decodes or read from a reference — the serving side forwards it
 // as the request's MatrixFP hint so the engine never re-hashes.
-func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse) (*comm.Sparse, uint64, []byte, error) {
+func getMatrix(src []byte, mc *matrixCache, maxOrder int, dst *comm.Sparse, fold bool) (*comm.Sparse, uint64, []byte, error) {
 	if len(src) == 0 || src[0] != matFingerprint {
-		m, fp, rest, err := codec.GetMatrixField(src, maxOrder, dst)
+		m, fp, rest, err := codec.GetMatrixField(src, maxOrder, dst, fold)
 		if err == nil && m != nil && mc != nil {
 			mc.sparseSeen.Add(1)
 			mc.remember(fp, m)

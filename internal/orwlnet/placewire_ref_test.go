@@ -80,7 +80,7 @@ func uvarintLen(v uint64) int {
 
 // getSparseBody decodes a bare sparse body through the field decoder.
 func getSparseBody(body []byte) (*comm.Sparse, uint64, []byte, error) {
-	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder, nil)
+	return codec.GetMatrixField(append([]byte{codec.MatSparse}, body...), codec.MaxMatrixOrder, nil, true)
 }
 
 func putMatrixCompact(dst []byte, m *comm.Matrix) []byte {
@@ -148,12 +148,12 @@ func TestWireEmitterMatchesTwoWalkReference(t *testing.T) {
 		m := c.build(int64(ci))
 		want := comm.Fingerprint(m)
 		ref := putMatrixCompact([]byte{0xee}, m)
-		got, fp, _ := codec.PutMatrixField([]byte{0xee}, m)
+		got, fp, _ := codec.PutMatrixField([]byte{0xee}, m, true)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("%s: emitter wrote %d bytes (mode %d), reference %d (mode %d); first difference at %d",
 				name, len(got), got[1], len(ref), ref[1], firstDiff(got, ref))
 		}
-		back, decFP, rest, err := getMatrix(got[1:], nil, codec.MaxMatrixOrder, nil)
+		back, decFP, rest, err := getMatrix(got[1:], nil, codec.MaxMatrixOrder, nil, true)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%s: decode: %v (%d trailing)", name, err, len(rest))
 		}
@@ -209,7 +209,7 @@ func TestWireBatchFingerprints(t *testing.T) {
 		if want := comm.Fingerprint(req.Matrix); fp != want {
 			t.Errorf("request %d: fingerprint %016x, want %016x", i, fp, want)
 		}
-		back, err := decodePlaceRequest(enc, mc)
+		back, err := decodePlaceRequest(enc, mc, new(placeWorker))
 		if err != nil {
 			t.Fatal(err)
 		}

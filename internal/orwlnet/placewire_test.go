@@ -46,7 +46,7 @@ func TestPlaceRequestRoundTrip(t *testing.T) {
 		{Machine: "smp20e7", Strategy: "treematch", Matrix: chainMatrix(3)},
 	}
 	for _, req := range cases {
-		got, err := decodePlaceRequest(encodeReq(req, false), nil)
+		got, err := decodePlaceRequest(encodeReq(req, false), nil, new(placeWorker))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", req, err)
 		}
@@ -94,7 +94,7 @@ func TestPlaceResponseRoundTrip(t *testing.T) {
 		},
 	}
 	for _, resp := range cases {
-		got, _, err := decodePlaceResponse(encodePlaceResponse(nil, resp), nil)
+		got, _, err := decodePlaceResponse(encodePlaceResponse(nil, resp, nil), nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -134,11 +134,11 @@ func TestPlaceWireVersionRejected(t *testing.T) {
 	req := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Entities: 2}, false)
 	for _, v := range []byte{0, protoVersion - 1, protoVersion + 1} {
 		req[0] = v
-		if _, err := decodePlaceRequest(req, nil); !errors.Is(err, ErrVersion) {
+		if _, err := decodePlaceRequest(req, nil, new(placeWorker)); !errors.Is(err, ErrVersion) {
 			t.Errorf("version byte %d: err = %v, want ErrVersion", v, err)
 		}
 	}
-	if _, err := decodePlaceRequest(nil, nil); err == nil {
+	if _, err := decodePlaceRequest(nil, nil, new(placeWorker)); err == nil {
 		t.Error("empty payload decoded")
 	}
 }
@@ -160,7 +160,7 @@ func TestPlaceWireVersionByteGuard(t *testing.T) {
 func TestPlaceWireTruncationRejected(t *testing.T) {
 	full := encodePlaceResponse(nil, &placement.PlaceResponse{
 		Assignment: &placement.Assignment{Strategy: "treematch", ComputePU: []int{1, 2, 3}},
-	})
+	}, nil)
 	for cut := 1; cut < len(full); cut++ {
 		if _, _, err := decodePlaceResponse(full[:cut], nil); err == nil {
 			// Some prefixes decode cleanly when the cut lands exactly on
@@ -174,7 +174,7 @@ func TestPlaceWireTruncationRejected(t *testing.T) {
 	reqFull := encodeReq(&placement.PlaceRequest{Strategy: "treematch", Matrix: chainMatrix(3)}, false)
 	for cut := 1; cut < len(reqFull); cut++ {
 		// Must never panic; errors are expected for most cuts.
-		_, _ = decodePlaceRequest(reqFull[:cut], nil)
+		_, _ = decodePlaceRequest(reqFull[:cut], nil, new(placeWorker))
 	}
 }
 

@@ -162,32 +162,24 @@ type message struct {
 // two-write shape rather than paying a copy.
 const writeCoalesceLimit = 16 << 10
 
-// writeMessage frames and writes m.
+// writeMessage frames and writes m. The header is built in a pooled
+// frame buffer (a stack array would escape through w), and a payload up
+// to writeCoalesceLimit joins it there.
 func writeMessage(w io.Writer, m message) error {
 	if len(m.payload) > maxMessage {
 		return fmt.Errorf("orwlnet: message payload %d exceeds limit", len(m.payload))
 	}
-	var head [4 + 8 + 1]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(8+1+len(m.payload)))
-	binary.LittleEndian.PutUint64(head[4:], m.callID)
-	head[12] = m.op
-	if n := len(m.payload); n > 0 && n <= writeCoalesceLimit {
-		frame := getPayloadBuf()
-		frame = append(frame, head[:]...)
-		frame = append(frame, m.payload...)
-		_, err := w.Write(frame)
-		putPayloadBuf(frame)
-		return err
+	frame := binary.LittleEndian.AppendUint32(getPayloadBuf(), uint32(8+1+len(m.payload)))
+	frame = append(binary.LittleEndian.AppendUint64(frame, m.callID), m.op)
+	if len(m.payload) <= writeCoalesceLimit {
+		frame, m.payload = append(frame, m.payload...), nil
 	}
-	if _, err := w.Write(head[:]); err != nil {
-		return err
+	_, err := w.Write(frame)
+	putPayloadBuf(frame)
+	if err == nil && len(m.payload) > 0 {
+		_, err = w.Write(m.payload)
 	}
-	if len(m.payload) > 0 {
-		if _, err := w.Write(m.payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // frameChunk bounds how far a frame body is allocated ahead of its
@@ -198,20 +190,25 @@ const frameChunk = 64 << 10
 // readMessage reads one framed message (a partial one with an error).
 // A body for which pooled (nil: none) reports true is read into a
 // payloadPool buffer, which its consumer recycles once it has copied
-// out what it keeps.
+// out what it keeps. The header is read into a pooled buffer too, the
+// one such a body then fills: a stack array would escape through r.
 func readMessage(r io.Reader, pooled func(callID uint64, op byte) bool) (message, error) {
-	var head [13]byte
+	head := slices.Grow(getPayloadBuf(), 13)[:13]
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
+		putPayloadBuf(head)
 		return message{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(head[:])) - 9
+	n := int(binary.LittleEndian.Uint32(head)) - 9
 	if n < 0 || n > maxMessage-9 {
+		putPayloadBuf(head)
 		return message{}, fmt.Errorf("%w length %d", errBadFrame, n+9)
 	}
 	_, err := io.ReadFull(r, head[4:])
 	m := message{callID: binary.LittleEndian.Uint64(head[4:]), op: head[12]}
 	if err == nil && n > 0 && pooled != nil && pooled(m.callID, m.op) {
-		m.payload = getPayloadBuf()
+		m.payload = head[:0]
+	} else {
+		putPayloadBuf(head)
 	}
 	for err == nil && len(m.payload) < n {
 		m.payload = slices.Grow(m.payload, min(n-len(m.payload), max(len(m.payload), frameChunk)))

@@ -162,10 +162,16 @@ func (s *RemoteService) revive(ctx context.Context) bool {
 // round trip before the body is resent.
 const knownFingerprints = 256
 
-// memoMaxBytes bounds the slices, name and bytes one fpSet memo
-// retains, so a full set retains at most knownFingerprints × 32 KiB =
-// 8 MiB. A 160-task assignment takes 3.8 KB and its encoding 0.7 KB.
+// memoMaxBytes bounds the slices, name and bytes one fpSet or
+// answerMemo entry retains, so a full set retains at most
+// knownFingerprints × 32 KiB = 8 MiB. A 160-task assignment takes
+// 3.8 KB and its encoding 0.7 KB.
 const memoMaxBytes = 32 << 10
+
+// memoFits reports whether a and its encoding enc fit one memo entry.
+func memoFits(a *placement.Assignment, enc []byte) bool {
+	return 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf))+len(a.Strategy)+len(enc) <= memoMaxBytes
+}
 
 // fpSet is the client's LRU set of believed-known matrix fingerprints.
 type fpSet struct {
@@ -213,7 +219,7 @@ func (s *fpSet) forget(fp uint64) {
 // memo already or its slices, name and bytes exceed memoMaxBytes. enc
 // is copied: it aliases the response buffer.
 func (e *fpEntry) keep(a *placement.Assignment, enc []byte) {
-	if a == nil || 8*(len(a.ComputePU)+len(a.ControlPU)+len(a.CoreOf))+len(a.Strategy)+len(enc) > memoMaxBytes {
+	if a == nil || !memoFits(a, enc) {
 		return
 	}
 	if m := e.memo.Load(); m == nil || m.a != a {

@@ -14,6 +14,7 @@ import (
 
 	"orwlplace/internal/codec"
 	"orwlplace/internal/ctrlplane"
+	"orwlplace/internal/lru"
 	"orwlplace/internal/orwl"
 	"orwlplace/internal/placement"
 )
@@ -22,7 +23,8 @@ import (
 // with WithPlacement, a placement service — to remote clients. Each
 // client connection is served independently; a blocking Await occupies
 // only its own goroutine, so one connection can multiplex many
-// outstanding requests.
+// outstanding requests. Placement frames are served by a fixed pool of
+// long-lived workers instead (servePlacement).
 type Server struct {
 	lis   net.Listener
 	locs  map[string]*orwl.Location
@@ -56,12 +58,18 @@ type Server struct {
 	// defaults; WithReportCaps tightens them for hostile fleets.
 	reportCaps reportCaps
 
-	// placeSem bounds concurrently *dispatched* placement ops across
-	// all connections, so a pipelining client cannot fan one connection
-	// out into unbounded compute goroutines. Location ops are exempt:
-	// a Release must be able to overtake the blocked Awaits it unblocks,
-	// and parking it behind a full semaphore would deadlock the FIFO.
-	placeSem chan struct{}
+	// placeQ feeds placement frames, in the order the connections read
+	// them, to the placeDispatchParallelism workers, so a pipelining
+	// client cannot fan one connection out into unbounded compute
+	// goroutines. It is as deep as there are workers: each finds its next
+	// frame waiting, and a deeper queue would only hold more request
+	// bodies. Location ops keep a goroutine each: a Release must be able
+	// to overtake the blocked Awaits it unblocks. Nil without a placement
+	// service.
+	placeQ chan placeJob
+
+	// answers memoises the encoded assignment of each cache hit answered.
+	answers *answerMemo
 
 	// Transport counters surfaced as placement.NetStats in the stats
 	// payload.
@@ -135,9 +143,9 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.idleTimeout = d }
 }
 
-// placeDispatchParallelism bounds concurrently dispatched placement
-// ops per server: enough to saturate the machine, bounded so a
-// pipelining client cannot balloon goroutines.
+// placeDispatchParallelism is the number of placement workers per
+// server: enough to saturate the machine, bounded so a pipelining
+// client cannot balloon goroutines.
 var placeDispatchParallelism = max(4, 2*runtime.GOMAXPROCS(0))
 
 // NewServer wraps a listener and the locations to export (keyed by the
@@ -152,7 +160,7 @@ func NewServer(lis net.Listener, locs map[string]*orwl.Location, opts ...ServerO
 		locs:     locs,
 		conns:    make(map[net.Conn]struct{}),
 		matrices: newMatrixCache(defaultMatrixCacheEntries),
-		placeSem: make(chan struct{}, placeDispatchParallelism),
+		answers:  &answerMemo{lru: lru.New[*placement.Assignment, []byte](defaultMatrixCacheEntries)},
 	}
 	for _, o := range opts {
 		o(s)
@@ -161,6 +169,13 @@ func NewServer(lis net.Listener, locs map[string]*orwl.Location, opts ...ServerO
 		return nil, fmt.Errorf("orwlnet: nothing to export (no locations, no placement service)")
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	if s.place != nil {
+		s.placeQ = make(chan placeJob, placeDispatchParallelism)
+		s.wg.Add(placeDispatchParallelism)
+		for range placeDispatchParallelism {
+			go s.servePlacement()
+		}
+	}
 	return s, nil
 }
 
@@ -198,7 +213,8 @@ func (s *Server) Serve() error {
 }
 
 // Close stops accepting, closes every connection and waits for the
-// per-connection goroutines.
+// per-connection goroutines and the placement workers. Placement frames
+// still queued are dropped unanswered.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -335,47 +351,77 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.bytesIn.Add(13 + uint64(len(msg.payload)))
 		st.inflight.Add(1)
+		// Placement RPCs go to the workers; opPlaceStats rides along, so a
+		// stats stampede cannot bypass them. A full queue stalls this
+		// connection's reads, so a pipelining client waits on TCP.
+		if s.placeQ != nil && (msg.op == opPlaceCompute || msg.op == opPlaceStats) {
+			select {
+			case s.placeQ <- placeJob{st, msg}:
+			case <-s.ctx.Done():
+				return
+			}
+			continue
+		}
 		s.wg.Add(1)
 		go func(m message) {
 			defer s.wg.Done()
-			defer st.inflight.Add(-1)
-			if placementOp(m.op) {
-				// Bound placement dispatch: a pipelining client may have
-				// hundreds of frames in flight, but only this many compute
-				// concurrently; the rest queue here in FIFO-ish order.
-				s.placeSem <- struct{}{}
-				defer func() { <-s.placeSem }()
-				depth := s.placeInFlight.Add(1)
-				defer s.placeInFlight.Add(-1)
-				for {
-					peak := s.peakInFlight.Load()
-					if uint64(depth) <= peak || s.peakInFlight.CompareAndSwap(peak, uint64(depth)) {
-						break
-					}
-				}
-			}
-			payload, pooled, err := s.handle(st, m)
-			if pooledRequest(m.callID, m.op) {
-				putPayloadBuf(m.payload) // handle copied out what it keeps
-			}
-			resp := message{callID: m.callID, op: statusOK, payload: payload}
-			if err != nil {
-				resp.op = statusOf(err)
-				resp.payload = []byte(err.Error())
-			}
-			st.writeMu.Lock()
-			werr := writeMessage(conn, resp)
-			st.writeMu.Unlock()
-			s.bytesOut.Add(13 + uint64(len(resp.payload)))
-			if pooled {
-				// The payload came from the encode pool and is dead now
-				// that it has been written (or dropped on error).
-				putPayloadBuf(payload)
-			}
-			if werr != nil {
-				conn.Close()
-			}
+			s.answer(st, m, nil)
 		}(msg)
+	}
+}
+
+// placeJob is one placement frame queued for the workers.
+type placeJob struct {
+	st *connState
+	m  message
+}
+
+// servePlacement is one placement worker: it serves queued placement
+// frames until Close, decoding each request into state it owns and
+// reuses (placeWorker). NetStats.InFlight counts the frames the workers
+// are serving.
+func (s *Server) servePlacement() {
+	defer s.wg.Done()
+	var w placeWorker
+	for {
+		select {
+		case j := <-s.placeQ:
+			depth := s.placeInFlight.Add(1)
+			for peak := s.peakInFlight.Load(); uint64(depth) > peak && !s.peakInFlight.CompareAndSwap(peak, uint64(depth)); {
+				peak = s.peakInFlight.Load()
+			}
+			s.answer(j.st, j.m, &w)
+			s.placeInFlight.Add(-1)
+		case <-s.ctx.Done():
+			return
+		}
+	}
+}
+
+// answer handles one request frame and writes its response; w is the
+// placement worker serving it (nil for every other op).
+func (s *Server) answer(st *connState, m message, w *placeWorker) {
+	defer st.inflight.Add(-1)
+	payload, pooled, err := s.handle(st, m, w)
+	if pooledRequest(m.callID, m.op) {
+		putPayloadBuf(m.payload) // handle copied out what it keeps
+	}
+	resp := message{callID: m.callID, op: statusOK, payload: payload}
+	if err != nil {
+		resp.op = statusOf(err)
+		resp.payload = []byte(err.Error())
+	}
+	st.writeMu.Lock()
+	werr := writeMessage(st.conn, resp)
+	st.writeMu.Unlock()
+	s.bytesOut.Add(13 + uint64(len(resp.payload)))
+	if pooled {
+		// The payload came from the encode pool and is dead now
+		// that it has been written (or dropped on error).
+		putPayloadBuf(payload)
+	}
+	if werr != nil {
+		st.conn.Close()
 	}
 }
 
@@ -385,21 +431,14 @@ func pooledRequest(_ uint64, op byte) bool {
 	return op == opPlaceCompute || op == opObservedReport
 }
 
-// placementOp reports whether op is a placement RPC — the ops whose
-// dispatch the server bounds. opPlaceStats rides along: it touches the
-// same service and is cheap, so bounding it costs nothing and keeps a
-// stats stampede from bypassing the limiter.
-func placementOp(op byte) bool {
-	return op == opPlaceCompute || op == opPlaceStats
-}
-
 var errUnknownHandle = errors.New("orwlnet: unknown handle")
 
-// handle dispatches one request. The bool reports whether the payload
-// was drawn from the encode pool and must be recycled after the write;
-// the placement responses are, since they carry the big assignment and
-// stats payloads the pool exists for.
-func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
+// handle dispatches one request; w is the placement worker serving it
+// (nil for every other op). The bool reports
+// whether the payload was drawn from the encode pool and must be
+// recycled after the write; the placement responses are, since they
+// carry the big assignment and stats payloads the pool exists for.
+func (s *Server) handle(st *connState, m message, w *placeWorker) ([]byte, bool, error) {
 	if m.op == opHello {
 		payload, err := s.handleHello(st, m.payload)
 		return payload, false, err
@@ -413,7 +452,7 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		req, err := decodePlaceRequest(m.payload, s.matrices)
+		req, err := decodePlaceRequest(m.payload, s.matrices, w)
 		if err != nil {
 			return nil, false, err
 		}
@@ -421,7 +460,8 @@ func (s *Server) handle(st *connState, m message) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return encodePlaceResponse(getPayloadBuf(), resp), true, nil
+		w.served(req)
+		return encodePlaceResponse(getPayloadBuf(), resp, s.answers), true, nil
 	case opPlaceStats:
 		stats, err := s.ServiceStats(s.ctx)
 		if err != nil {

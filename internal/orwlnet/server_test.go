@@ -31,7 +31,7 @@ func testServer(t *testing.T) (*Server, *connState) {
 
 func TestHandleUnknownOp(t *testing.T) {
 	srv, st := testServer(t)
-	if _, _, err := srv.handle(st, message{op: 99}); !errors.Is(err, errUnknownOp) {
+	if _, _, err := srv.handle(st, message{op: 99}, nil); !errors.Is(err, errUnknownOp) {
 		t.Errorf("unknown op: err = %v, want errUnknownOp", err)
 	}
 }
@@ -51,7 +51,7 @@ func TestHandleTruncatedPayloads(t *testing.T) {
 		{op: opReleaseReinsert, payload: []byte{1}},
 	}
 	for i, m := range cases {
-		if _, _, err := srv.handle(st, m); err == nil {
+		if _, _, err := srv.handle(st, m, nil); err == nil {
 			t.Errorf("case %d (op %d): truncated payload accepted", i, m.op)
 		}
 	}
@@ -59,13 +59,13 @@ func TestHandleTruncatedPayloads(t *testing.T) {
 
 func TestHandleUnknownLocationAndHandle(t *testing.T) {
 	srv, st := testServer(t)
-	if _, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "nope"), byte(orwl.Read))}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "nope"), byte(orwl.Read))}, nil); err == nil {
 		t.Error("insert on unknown location accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opAwait, payload: codec.PutUint64(nil, 12345)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opAwait, payload: codec.PutUint64(nil, 12345)}, nil); err == nil {
 		t.Error("await on unknown handle accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, 12345)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, 12345)}, nil); err == nil {
 		t.Error("release on unknown handle accepted")
 	}
 }
@@ -74,36 +74,36 @@ func TestHandleReadWriteWithoutGrant(t *testing.T) {
 	srv, st := testServer(t)
 	// Queue a writer that holds the grant, then a reader that is not
 	// yet granted.
-	resp, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Write))})
+	resp, _, err := srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Write))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wID, _, _ := codec.GetUint64(resp)
-	resp, _, err = srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Read))})
+	resp, _, err = srv.handle(st, message{op: opInsert, payload: append(codec.PutString(nil, "data"), byte(orwl.Read))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rID, _, _ := codec.GetUint64(resp)
 	// The reader has no grant yet: read must fail rather than block.
-	if _, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)}, nil); err == nil {
 		t.Error("read without grant accepted")
 	}
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: codec.PutUint64(nil, rID)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: codec.PutUint64(nil, rID)}, nil); err == nil {
 		t.Error("write without grant accepted")
 	}
 	// Writer: write works, oversized write fails.
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, wID), 1, 2)}); err != nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, wID), 1, 2)}, nil); err != nil {
 		t.Errorf("writer write failed: %v", err)
 	}
 	big := append(codec.PutUint64(nil, wID), make([]byte, 100)...)
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: big}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: big}, nil); err == nil {
 		t.Error("oversized write accepted")
 	}
 	// Release the writer; reader becomes granted and read succeeds.
-	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, wID)}); err != nil {
+	if _, _, err := srv.handle(st, message{op: opRelease, payload: codec.PutUint64(nil, wID)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)})
+	data, _, err := srv.handle(st, message{op: opRead, payload: codec.PutUint64(nil, rID)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestHandleReadWriteWithoutGrant(t *testing.T) {
 		t.Errorf("read = %v", data)
 	}
 	// Write on a read handle fails even with the grant.
-	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, rID), 9)}); err == nil {
+	if _, _, err := srv.handle(st, message{op: opWrite, payload: append(codec.PutUint64(nil, rID), 9)}, nil); err == nil {
 		t.Error("write on read handle accepted")
 	}
 }

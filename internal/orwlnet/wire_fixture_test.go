@@ -172,7 +172,7 @@ func wireFrames() map[string]wireFrame {
 		"release/resp":          {opRelease, statusOK, fixed(nil)},
 		"place-body/req":        {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), false) }},
 		"place-fingerprint/req": {opPlaceCompute, opPlaceCompute, func() []byte { return encodeReq(fixtureReq(), true) }},
-		"place/resp":            {opPlaceCompute, statusOK, func() []byte { return encodePlaceResponse(nil, fixtureResp()) }},
+		"place/resp":            {opPlaceCompute, statusOK, func() []byte { return encodePlaceResponse(nil, fixtureResp(), nil) }},
 		"topology/req":          {opTopology, opTopology, fixed(nil)},
 		"topology/resp": {opTopology, statusOK, func() []byte {
 			top, err := topology.ByName("tinyflat")
@@ -262,7 +262,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 	}
 	placeReq := func(fpOnly bool) func([]byte) ([]byte, error) {
 		return func(p []byte) ([]byte, error) {
-			req, err := decodePlaceRequest(p, seen())
+			req, err := decodePlaceRequest(p, seen(), new(placeWorker))
 			if err != nil {
 				return nil, err
 			}
@@ -299,7 +299,7 @@ func wireDecoders() map[string]func([]byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return encodePlaceResponse(nil, resp), nil
+			return encodePlaceResponse(nil, resp, nil), nil
 		},
 		"stats/resp": func(p []byte) ([]byte, error) {
 			st, err := decodeServiceStats(p)
@@ -548,7 +548,7 @@ func TestWireRejections(t *testing.T) {
 			}
 			st := &connState{reqs: make(map[uint64]*orwl.RawRequest)}
 			st.hello.Store(c.hello)
-			_, _, herr := srv.handle(st, m)
+			_, _, herr := srv.handle(st, m, new(placeWorker))
 			if !errors.Is(herr, c.want) {
 				t.Fatalf("handler err = %v, want %v", herr, c.want)
 			}

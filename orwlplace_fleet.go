@@ -174,8 +174,8 @@ func (f *FleetAdaptive) reLease(ctx context.Context) error {
 // the previous report — taken, queued and encoded as a comm.Affinity,
 // so a large program's sparse window costs O(nnz) end to end — after
 // retransmitting any windows an earlier failed Report left queued. An
-// empty window is skipped (no RPC, no sequence burn); it is not an
-// error. If the daemon no longer knows the lease (it restarted without
+// empty window is skipped (no RPC, no sequence burn) and handed back
+// for the next report to refill; it is not an error. If the daemon no longer knows the lease (it restarted without
 // snapshot state), Report re-registers under the same ownership token
 // and resumes on the fresh lease. A window the daemon acknowledged is
 // handed back to the program's observed window for reuse; one whose
@@ -187,8 +187,11 @@ func (f *FleetAdaptive) Report(ctx context.Context) error {
 	f.mu.Lock()
 	queue := f.pending
 	f.pending = nil
-	w := f.prog.ObservedWindowAffinity()
-	if w.Total() > 0 {
+	// A recorder window stores no zero cell: NNZ, not the float sum of
+	// every cell, tells an idle one.
+	if w := f.prog.ObservedWindowAffinity(); w.NNZ() == 0 {
+		f.prog.RecycleObservedWindow(w)
+	} else {
 		f.seq++
 		queue = append(queue, pendingReport{seq: f.seq, w: w})
 		if over := len(queue) - maxPendingReports; over > 0 {
